@@ -33,6 +33,7 @@ from .errors import (
     NotUnitaryError,
     ParseError,
     PovmTreeError,
+    TreeVerificationError,
 )
 from .linalg import (
     DEFAULT_TOLERANCES,
@@ -108,6 +109,7 @@ __all__ = [
     "SimulationOutcome",
     "SplitCoefficients",
     "Tolerances",
+    "TreeVerificationError",
     "TreeNode",
     "VerificationReport",
     "apply_freedom",

@@ -28,6 +28,7 @@ from .errors import (
     NotUnitaryError,
     ParseError,
     PovmTreeError,
+    TreeVerificationError,
 )
 from .linalg import DEFAULT_TOLERANCES, Tolerances, frobenius, hermitian_eig
 from .povm import pad_to_power_of_two, tetrad
@@ -46,6 +47,7 @@ _VERIFICATION_ERRORS = (
     CompletenessViolationError,
     NotCompleteError,
     NotIsometryError,
+    TreeVerificationError,
 )
 
 

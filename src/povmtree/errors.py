@@ -81,6 +81,20 @@ class CompletenessViolationError(PovmTreeError):
         self.what = what
 
 
+class TreeVerificationError(PovmTreeError):
+    """A tree, typically one read from a file, fails a construction identity.
+
+    ``path`` names the failing node's probe-outcome bitstring, ``what`` the
+    check, ``residual`` how far it missed.
+    """
+
+    def __init__(self, residual: float, path: str, what: str) -> None:
+        super().__init__(f"node '{path}': {what} check failed, residual {residual:.3e}")
+        self.residual = float(residual)
+        self.path = path
+        self.what = what
+
+
 class NotCompleteError(PovmTreeError):
     def __init__(self, residual: float) -> None:
         super().__init__(

@@ -1,27 +1,38 @@
 """JSON file formats for POVMs, states, and compiled trees.
 
-Complex entries are stored as two-element ``[real, imaginary]`` arrays.
-Floats go through Python's shortest round-trip representation, so
-serialize/deserialize reproduces every matrix bit-exactly.
+In POVM and state files complex entries are stored as two-element
+``[real, imaginary]`` arrays.  Floats go through Python's shortest round-trip
+representation, so serialize/deserialize reproduces every matrix bit-exactly.
+
+A tree file stores only a tree's independent data, its Kraus pairs level by
+level and the padded POVM, as base64 blobs of little-endian complex128
+values (exact by construction).  The loader checks the structure, rebuilds
+every derived matrix with :func:`povmtree.tree.assemble_tree`, the arithmetic
+:func:`povmtree.tree.compile_tree` uses, and runs :func:`povmtree.tree.verify`
+before it returns the tree.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 from typing import Any
 
 import numpy as np
 
-from .errors import ParseError
+from .dilation import KrausPair
+from .errors import ParseError, TreeVerificationError
 from .linalg import Tolerances
 from .povm import Povm, validate
 from .simulator import QuantumState
-from .tree import MeasurementTree, SplitCoefficients, TreeNode
-from .dilation import KrausPair, NodeDilation
+from .tree import MeasurementTree, SplitCoefficients, assemble_tree, verify
 
 POVM_FORMAT = "povmtree/povm-v1"
 STATE_FORMAT = "povmtree/state-v1"
-TREE_FORMAT = "povmtree/tree-v1"
+TREE_FORMAT = "povmtree/tree-v2"
+
+_BLOB_DTYPE = np.dtype("<c16")
 
 
 def encode_matrix(m: np.ndarray) -> list:
@@ -134,29 +145,69 @@ def load_state(path) -> QuantumState:
     return state_from_dict(_load_json(path))
 
 
-def tree_to_dict(tree: MeasurementTree) -> dict:
-    nodes = []
-    for node in tree.iter_nodes():
-        nodes.append(
-            {
-                "path": node.path,
-                "outcome_set": list(node.outcome_set),
-                "cumulative_kraus": encode_matrix(node.cumulative_kraus),
-                "cumulative_operator": encode_matrix(node.cumulative_operator),
-                "node_kraus": None
-                if node.node_kraus is None
-                else encode_matrix(node.node_kraus),
-                "dilation": None
-                if node.dilation is None
-                else encode_matrix(node.dilation.unitary),
-            }
+def encode_array(a: np.ndarray) -> str:
+    """Base64 text of the array's entries as little-endian complex128, C order."""
+    raw = np.ascontiguousarray(a, dtype=_BLOB_DTYPE).tobytes()
+    return base64.b64encode(raw).decode("ascii")
+
+
+def decode_array(obj: Any, shape: tuple[int, ...], field: str) -> np.ndarray:
+    """Inverse of :func:`encode_array`: a fresh, read-only complex array of ``shape``.
+
+    Rejects text that is not valid base64, a byte count other than the shape
+    needs, and non-finite entries.
+    """
+    if not isinstance(obj, str):
+        raise ParseError("blob must be a base64 string", field=field)
+    try:
+        raw = base64.b64decode(obj, validate=True)
+    except ValueError as err:  # binascii.Error, or non-ASCII text
+        raise ParseError(f"invalid base64: {err}", field=field) from err
+    expected = math.prod(shape) * _BLOB_DTYPE.itemsize
+    if len(raw) != expected:
+        raise ParseError(
+            f"blob holds {len(raw)} bytes, expected {expected} for shape {shape}", field=field
         )
+    a = np.frombuffer(raw, dtype=_BLOB_DTYPE).reshape(shape).astype(complex)
+    if not np.isfinite(a).all():
+        raise ParseError("blob has a non-finite entry", field=field)
+    a.setflags(write=False)
+    return a
+
+
+def _int_field(data: dict, key: str, low: int) -> int:
+    value = _require(data, key)
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ParseError(f"must be an integer >= {low}, got {value!r}", field=key)
+    return value
+
+
+def _finite_float(value: Any, field: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ParseError(f"must be a finite number, got {value!r}", field=field)
+    return float(value)
+
+
+def tree_to_dict(tree: MeasurementTree) -> dict:
+    """The ``tree-v2`` record of a compiled tree.
+
+    ``kraus[l]`` holds level l's pairs, shape ``(2**l, 2, d, d)``, in
+    breadth-first order: the pair of the node at path x sits at index
+    ``int(x, 2)``, with b0 before b1.
+    """
+    p = tree.povm
+    d = p.dim
+    levels = [np.empty((1 << level, 2, d, d), dtype=complex) for level in range(tree.depth)]
+    for node in tree.internal_nodes():
+        slot = levels[len(node.path)][int(node.path or "0", 2)]
+        slot[0] = node.kraus_pair.b0
+        slot[1] = node.kraus_pair.b1
     coeffs = tree.split_coefficients
     tol = tree.tolerances
     return {
         "format": TREE_FORMAT,
-        "dimension": tree.povm.dim,
-        "n_outcomes": tree.povm.n_outcomes,
+        "dimension": d,
+        "n_outcomes": p.n_outcomes,
         "depth": tree.depth,
         "split_coefficients": [
             [coeffs.a0.real, coeffs.a0.imag],
@@ -167,87 +218,131 @@ def tree_to_dict(tree: MeasurementTree) -> dict:
             "tol_check": tol.tol_check,
             "tol_unitary": tol.tol_unitary,
         },
-        "povm": povm_to_dict(tree.povm),
-        "nodes": nodes,
+        "order": [leaf.outcome for leaf in tree.leaves()],
+        "labels": list(p.labels),
+        "n_original": p.n_original,
+        "elements": encode_array(np.stack(p.elements)),
+        "kraus": [encode_array(level) for level in levels],
     }
 
 
-def tree_from_dict(data: dict) -> MeasurementTree:
-    dim = int(_require(data, "dimension"))
-    depth = int(_require(data, "depth"))
-    povm = povm_from_dict(_require(data, "povm"))
-    coeff_raw = _require(data, "split_coefficients")
+def _split_coefficients(data: dict) -> SplitCoefficients:
+    raw = _require(data, "split_coefficients")
+    field = "split_coefficients"
+    if not (isinstance(raw, list) and len(raw) == 2
+            and all(isinstance(c, list) and len(c) == 2 for c in raw)):
+        raise ParseError("must be two [re, im] pairs", field=field)
+    a0, a1 = (complex(_finite_float(c[0], field), _finite_float(c[1], field)) for c in raw)
     try:
-        coeffs = SplitCoefficients(
-            a0=complex(coeff_raw[0][0], coeff_raw[0][1]),
-            a1=complex(coeff_raw[1][0], coeff_raw[1][1]),
-        )
-    except (TypeError, IndexError) as err:
-        raise ParseError("split_coefficients must be two [re, im] pairs",
-                         field="split_coefficients") from err
-    tol_raw = _require(data, "tolerances")
-    tolerances = Tolerances(
-        tol_rank=float(_require(tol_raw, "tol_rank")),
-        tol_check=float(_require(tol_raw, "tol_check")),
-        tol_unitary=float(_require(tol_raw, "tol_unitary")),
-    )
-    raw_nodes = _require(data, "nodes")
-    records: dict[str, dict] = {}
-    for rec in raw_nodes:
-        records[str(_require(rec, "path"))] = rec
+        return SplitCoefficients(a0=a0, a1=a1)
+    except ValueError as err:
+        raise ParseError(str(err), field=field) from err
 
-    def build(path: str) -> TreeNode:
-        rec = records.get(path)
-        if rec is None:
-            raise ParseError("node record missing", field=f"nodes[path={path!r}]")
-        outcome_set = tuple(int(j) for j in _require(rec, "outcome_set"))
-        cum_kraus = decode_matrix(
-            _require(rec, "cumulative_kraus"), f"nodes[{path!r}].cumulative_kraus"
-        )
-        cum_op = decode_matrix(
-            _require(rec, "cumulative_operator"), f"nodes[{path!r}].cumulative_operator"
-        )
-        raw_b = rec.get("node_kraus")
-        node_kraus = None if raw_b is None else decode_matrix(raw_b, f"nodes[{path!r}].node_kraus")
-        children: tuple[TreeNode, ...] = ()
-        kraus_pair = None
-        dilation = None
-        if path + "0" in records:
-            left = build(path + "0")
-            right = build(path + "1")
-            children = (left, right)
-            if left.node_kraus is None or right.node_kraus is None:
-                raise ParseError(
-                    "internal node children must carry node_kraus",
-                    field=f"nodes[path={path!r}]",
-                )
-            kraus_pair = KrausPair(b0=left.node_kraus, b1=right.node_kraus)
-            raw_u = rec.get("dilation")
-            if raw_u is not None:
-                dilation = NodeDilation(
-                    unitary=decode_matrix(raw_u, f"nodes[{path!r}].dilation"),
-                    system_dim=dim,
-                )
-        return TreeNode(
-            path=path,
-            outcome_set=outcome_set,
-            cumulative_kraus=cum_kraus,
-            cumulative_operator=cum_op,
-            node_kraus=node_kraus,
-            kraus_pair=kraus_pair,
-            dilation=dilation,
-            children=children,
-        )
 
-    root = build("")
-    return MeasurementTree(
-        povm=povm, root=root, depth=depth, split_coefficients=coeffs, tolerances=tolerances
-    )
+def _tolerances(data: dict) -> Tolerances:
+    raw = _require(data, "tolerances")
+    if not isinstance(raw, dict):
+        raise ParseError("must be an object", field="tolerances")
+    values = {}
+    for key in ("tol_rank", "tol_check", "tol_unitary"):
+        field = f"tolerances.{key}"
+        if key not in raw:
+            raise ParseError("missing required field", field=field)
+        values[key] = _finite_float(raw[key], field)
+        # a tolerance of 1 or more accepts any unit-scale operator
+        if not 0 < values[key] < 1:
+            raise ParseError(f"must lie in (0, 1), got {values[key]!r}", field=field)
+    return Tolerances(**values)
+
+
+def _povm(data: dict, dim: int, n: int) -> Povm:
+    labels = _require(data, "labels")
+    if not (isinstance(labels, list) and len(labels) == n
+            and all(isinstance(x, str) for x in labels)):
+        raise ParseError(f"must be a list of {n} strings", field="labels")
+    n_original = _int_field(data, "n_original", 1)
+    if n_original > n:
+        raise ParseError(f"exceeds n_outcomes {n}", field="n_original")
+    elements = decode_array(_require(data, "elements"), (n, dim, dim), "elements")
+    # the elements are checked against the Kraus pairs by verify()
+    return Povm(dim=dim, elements=tuple(elements), labels=tuple(labels), n_original=n_original)
+
+
+def _order(data: dict, n: int) -> tuple[int, ...]:
+    raw = _require(data, "order")
+    if not (isinstance(raw, list) and len(raw) == n
+            and all(type(j) is int for j in raw) and sorted(raw) == list(range(n))):
+        raise ParseError(f"must be a permutation of 0..{n - 1}", field="order")
+    return tuple(raw)
+
+
+def _kraus_levels(data: dict, dim: int, depth: int) -> list[np.ndarray]:
+    raw = _require(data, "kraus")
+    if not isinstance(raw, list) or len(raw) != depth:
+        count = len(raw) if isinstance(raw, list) else "no"
+        raise ParseError(f"expected {depth} Kraus levels, got {count}", field="kraus")
+    return [
+        decode_array(blob, (1 << level, 2, dim, dim), f"kraus[{level}]")
+        for level, blob in enumerate(raw)
+    ]
+
+
+def tree_from_dict(data: dict) -> MeasurementTree:
+    """Rebuild and verify a tree from its ``tree-v2`` record.
+
+    Raises
+    ------
+    ParseError
+        If the record is not ``tree-v2`` or is malformed: ``n_outcomes`` must
+        be ``2**depth`` with exactly ``depth`` Kraus levels, ``order`` a
+        permutation of the outcomes, and every blob valid base64 of the
+        expected length with finite entries.
+    TreeVerificationError
+        If a stored pair is not complete, or the rebuilt tree fails
+        :func:`povmtree.tree.verify`; names the first failing node.
+    """
+    fmt = data.get("format")
+    if fmt != TREE_FORMAT:
+        raise ParseError(f"unsupported tree format {fmt!r}, expected {TREE_FORMAT!r}",
+                         field="format")
+    dim = _int_field(data, "dimension", 1)
+    depth = _int_field(data, "depth", 0)
+    n = _int_field(data, "n_outcomes", 1)
+    # compare bit lengths first, so a huge depth is not shifted out
+    if n.bit_length() - 1 != depth or n != 1 << depth:
+        raise ParseError(f"n_outcomes {n} is not 2**depth for depth {depth}", field="depth")
+    coeffs = _split_coefficients(data)
+    tol = _tolerances(data)
+    order = _order(data, n)
+    povm = _povm(data, dim, n)
+    levels = _kraus_levels(data, dim, depth)
+
+    def stored_pair(path: str, groups, cum_kraus) -> KrausPair:
+        b = levels[len(path)][int(path or "0", 2)]
+        pair = KrausPair(b0=b[0], b1=b[1])
+        residual = pair.completeness_residual()
+        if residual > tol.tol_check:
+            raise TreeVerificationError(residual, path=path, what="completeness")
+        return pair
+
+    tree = assemble_tree(povm, order, stored_pair, coeffs, tol)
+    report = verify(tree)
+    for c in report.nodes:
+        if not c.ok:
+            residual = max(c.completeness_residual, *c.factorization_residuals,
+                           c.operator_sum_residual, c.dilation_unitarity)
+            raise TreeVerificationError(residual, path=c.path, what="verify")
+    for c in report.leaves:
+        if not c.ok:
+            path = next(leaf.path for leaf in tree.leaves() if leaf.outcome == c.outcome_index)
+            raise TreeVerificationError(c.residual, path=path, what="leaf reconstruction")
+    return tree
 
 
 def save_tree(tree: MeasurementTree, path) -> None:
+    # no indentation: the blobs are single strings, so it would only pad the lists
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(tree_to_dict(tree), handle, indent=1)
+        json.dump(tree_to_dict(tree), handle)
 
 
 def load_tree(path) -> MeasurementTree:

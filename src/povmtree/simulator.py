@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, TreeVerificationError
 from .linalg import DEFAULT_TOLERANCES, Tolerances, as_complex_matrix, frobenius
 from .povm import Povm
 from .tree import MeasurementTree, TreeNode
@@ -42,6 +42,14 @@ class QuantumState:
             raise ValueError(f"density matrix has negative eigenvalue {min_eig:.3e}")
         rho.setflags(write=False)
         object.__setattr__(self, "density", rho)
+
+    @classmethod
+    def _checked_elsewhere(cls, rho: np.ndarray) -> "QuantumState":
+        """Wrap a density matrix whose invariants the caller has already checked."""
+        state = object.__new__(cls)
+        rho.setflags(write=False)
+        object.__setattr__(state, "density", rho)
+        return state
 
     @property
     def dim(self) -> int:
@@ -115,6 +123,12 @@ def propagate(
     conditioned state; the leaf probability is the trace of the final
     product, which telescopes to Tr[m_leaf rho m_leaf^dag].  Results are
     ordered by outcome index of the (padded) POVM.
+
+    Raises
+    ------
+    TreeVerificationError
+        If a reached leaf's unnormalised state has an eigenvalue below
+        ``-tol_check``, which no valid tree produces from a valid state.
     """
     t = tol or tree.tolerances
     if state.dim != tree.povm.dim:
@@ -129,8 +143,17 @@ def propagate(
             if prob < t.tol_check:
                 post = None
             else:
-                rho = (sigma + sigma.conj().T) / (2 * prob)
-                post = QuantumState(rho)
+                # Positivity is checked on the unnormalised state, at the
+                # scale of the absolute probability.  After division by a
+                # tiny probability, rounding dust of a valid state can exceed
+                # any absolute threshold.
+                herm = (sigma + sigma.conj().T) / 2
+                min_eig = float(np.linalg.eigvalsh(herm)[0])
+                if min_eig < -t.tol_check:
+                    raise TreeVerificationError(
+                        -min_eig, path=node.path, what="post-state positivity"
+                    )
+                post = QuantumState._checked_elsewhere(herm / prob)
             outcomes.append(
                 SimulationOutcome(
                     leaf_index=node.outcome,

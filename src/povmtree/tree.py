@@ -290,8 +290,46 @@ def compile_tree(
         kraus.extend(zero for _ in range(n - len(kraus)))
 
     order = _resolve_partition(partition, p.n_outcomes, n)
-    depth = n.bit_length() - 1
-    identity = np.eye(padded.dim, dtype=complex)
+
+    def split(path: str, groups, cum_kraus: np.ndarray) -> KrausPair:
+        targets = []
+        for group in groups:
+            if len(group) == 1:
+                targets.append(kraus[group[0]])
+            else:
+                total = sum(padded.elements[j] for j in group)
+                targets.append(psd_sqrt(total, tol))
+        try:
+            return split_node(tuple(targets), cum_kraus, coeffs, tol)
+        except InconsistentChildrenError as err:
+            raise InconsistentChildrenError(err.residual, path=path) from err
+        except CompletenessViolationError as err:
+            raise CompletenessViolationError(err.residual, path=path, what=err.what) from err
+
+    return assemble_tree(padded, order, split, coeffs, tol)
+
+
+def assemble_tree(
+    p: Povm,
+    order: tuple[int, ...],
+    pair_at,
+    coeffs: SplitCoefficients,
+    tol: Tolerances,
+) -> MeasurementTree:
+    """Build the node graph of a tree from its Kraus pairs.
+
+    ``p`` is the padded POVM and ``order`` its outcomes laid out left to
+    right.  ``pair_at(path, (left_outcomes, right_outcomes), cum_kraus)``
+    returns the :class:`KrausPair` measured at the internal node ``path``,
+    whose cumulative Kraus operator is ``cum_kraus``: :func:`compile_tree`
+    constructs it there, the tree-file loader reads it.  Everything else is
+    derived here, with one arithmetic for both callers, so a tree rebuilt
+    from its stored pairs is bit-identical to the compiled one: each child's
+    cumulative Kraus operator is ``b @ cum_parent``, each cumulative operator
+    the symmetrised ``cum^dag cum``, and each dilation ``dilate_binary`` of
+    the pair.
+    """
+    depth = p.n_outcomes.bit_length() - 1
 
     def build(path: str, outcomes: tuple[int, ...], cum_kraus: np.ndarray, node_kraus):
         cum_op = cum_kraus.conj().T @ cum_kraus
@@ -306,19 +344,7 @@ def compile_tree(
             )
         half = len(outcomes) // 2
         groups = (outcomes[:half], outcomes[half:])
-        targets = []
-        for group in groups:
-            if len(group) == 1:
-                targets.append(kraus[group[0]])
-            else:
-                total = sum(padded.elements[j] for j in group)
-                targets.append(psd_sqrt(total, tol))
-        try:
-            pair = split_node(tuple(targets), cum_kraus, coeffs, tol)
-        except InconsistentChildrenError as err:
-            raise InconsistentChildrenError(err.residual, path=path) from err
-        except CompletenessViolationError as err:
-            raise CompletenessViolationError(err.residual, path=path, what=err.what) from err
+        pair = pair_at(path, groups, cum_kraus)
         dilation = dilate_binary(pair, tol)
         children = tuple(
             build(path + bit, group, b @ cum_kraus, b)
@@ -335,9 +361,9 @@ def compile_tree(
             children=children,
         )
 
-    root = build("", order, identity, None)
+    root = build("", order, np.eye(p.dim, dtype=complex), None)
     return MeasurementTree(
-        povm=padded, root=root, depth=depth, split_coefficients=coeffs, tolerances=tol
+        povm=p, root=root, depth=depth, split_coefficients=coeffs, tolerances=tol
     )
 
 

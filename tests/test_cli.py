@@ -7,7 +7,7 @@ import pytest
 
 from povmtree import tetrad, validate
 from povmtree.cli import main
-from povmtree.io import encode_matrix, load_povm, load_tree, save_povm
+from povmtree.io import decode_array, encode_array, encode_matrix, load_povm, load_tree, save_povm
 
 
 @pytest.fixture
@@ -107,10 +107,10 @@ class TestSimulateCommand:
 
     def test_tampered_tree_fails(self, tetrad_tree, tmp_path, capsys):
         data = json.loads(open(tetrad_tree).read())
-        for record in data["nodes"]:
-            if record["path"] == "10":
-                record["node_kraus"][0][0][0] += 1e-3
-                record["cumulative_kraus"][0][0][0] += 1e-3
+        # b of node "10": outcome 0 of the pair at node "1", in the level-1 blob
+        kraus = decode_array(data["kraus"][1], (2, 2, 2, 2), "kraus[1]").copy()
+        kraus[1, 0, 0, 0] += 1e-3
+        data["kraus"][1] = encode_array(kraus)
         bad = tmp_path / "tampered.tree.json"
         bad.write_text(json.dumps(data))
         assert main(["simulate", str(bad), "--state", "pure:0"]) == 3

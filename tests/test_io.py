@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,13 +7,16 @@ import pytest
 from povmtree import (
     ParseError,
     QuantumState,
+    TreeVerificationError,
     compile_tree,
     random_density,
     random_rank_one_povm,
     tetrad,
 )
 from povmtree.io import (
+    decode_array,
     decode_matrix,
+    encode_array,
     encode_matrix,
     load_povm,
     load_state,
@@ -130,10 +134,10 @@ class TestTreeFiles:
         assert a == b
         assert sample(tree, state, 1000, seed=1) == sample(again, state, 1000, seed=1)
 
-    def test_missing_node_record(self, tetrad_povm):
+    def test_missing_kraus_level(self, tetrad_povm):
         tree = compile_tree(tetrad_povm)
         data = tree_to_dict(tree)
-        data["nodes"] = [r for r in data["nodes"] if r["path"] != "01"]
+        data["kraus"] = data["kraus"][:1]
         with pytest.raises(ParseError):
             tree_from_dict(data)
 
@@ -143,3 +147,78 @@ class TestTreeFiles:
         with pytest.raises(ParseError) as err:
             tree_from_dict(data)
         assert err.value.field == "tolerances"
+
+
+class TestTamperedTreeFiles:
+    """A tree file is untrusted input: every tampering is a typed error."""
+
+    @pytest.fixture
+    def data(self, tetrad_povm):
+        return tree_to_dict(compile_tree(tetrad_povm, partition=[0, 3, 1, 2]))
+
+    def test_depth_must_match_outcomes(self, data, tmp_path):
+        # with depth 3 a tetrad tree once loaded and sampled (200000, 0, 0, 0) on |0>
+        data["depth"] = 3
+        path = tmp_path / "deep.tree.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParseError) as err:
+            load_tree(path)
+        assert err.value.field == "depth"
+
+    def test_outcome_out_of_range(self, data):
+        data["order"][1] = 7
+        with pytest.raises(ParseError) as err:
+            tree_from_dict(data)
+        assert err.value.field == "order"
+
+    @pytest.mark.parametrize("cut", [3, 8])
+    def test_truncated_blob(self, data, cut):
+        # cut 3 breaks the base64 padding, cut 8 leaves valid base64 that is too short
+        data["kraus"][1] = data["kraus"][1][:-cut]
+        with pytest.raises(ParseError) as err:
+            tree_from_dict(data)
+        assert err.value.field == "kraus[1]"
+
+    def test_nan_entry(self, data):
+        elements = decode_array(data["elements"], (4, 2, 2), "elements").copy()
+        elements[2, 1, 0] = complex("nan")
+        data["elements"] = encode_array(elements)
+        with pytest.raises(ParseError) as err:
+            tree_from_dict(data)
+        assert err.value.field == "elements"
+
+    def test_v1_file_is_not_read(self, tmp_path):
+        identity = encode_matrix(np.eye(2))
+        v1 = {
+            "format": "povmtree/tree-v1",
+            "dimension": 2,
+            "n_outcomes": 1,
+            "depth": 0,
+            "split_coefficients": [[2 ** -0.5, 0.0], [2 ** -0.5, 0.0]],
+            "tolerances": {"tol_rank": 1e-10, "tol_check": 1e-9, "tol_unitary": 1e-10},
+            "povm": {"format": "povmtree/povm-v1", "dimension": 2, "elements": [identity]},
+            "nodes": [{"path": "", "outcome_set": [0], "cumulative_kraus": identity,
+                       "cumulative_operator": identity, "node_kraus": None, "dilation": None}],
+        }
+        path = tmp_path / "old.tree.json"
+        path.write_text(json.dumps(v1))
+        with pytest.raises(ParseError) as err:
+            load_tree(path)
+        assert err.value.field == "format"
+        assert "povmtree/tree-v2" in str(err.value)
+
+    def test_swapped_elements_fail_verification(self, data):
+        # outcomes 1 and 2 share the parent "1", so only the leaves disagree
+        elements = decode_array(data["elements"], (4, 2, 2), "elements")[[0, 2, 1, 3]]
+        data["elements"] = encode_array(elements)
+        with pytest.raises(TreeVerificationError) as err:
+            tree_from_dict(data)
+        assert err.value.path == "10"
+
+    def test_file_holds_independent_data_only(self, tmp_path):
+        d, n = 32, 64
+        tree = compile_tree(random_rank_one_povm(n, d, np.random.default_rng(5)))
+        path = tmp_path / "large.tree.json"
+        save_tree(tree, path)
+        # base64 of N POVM elements and N - 1 Kraus pairs, plus the header
+        assert path.stat().st_size <= 4 * math.ceil(16 * (3 * n - 2) * d * d / 3) + 4096

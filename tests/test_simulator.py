@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,36 @@ class TestPropagate:
         tree = compile_tree(tetrad_povm)
         with pytest.raises(DimensionMismatchError):
             propagate(tree, QuantumState.maximally_mixed(3))
+
+    @pytest.mark.parametrize("d, n, n_povms", [(3, 9, 10), (4, 16, 10), (32, 64, 1)])
+    def test_near_null_states_never_raise(self, d, n, n_povms):
+        # Pure states almost in the null space of one rank-one element give
+        # its leaf a probability just above tol_check.  The rounding dust of
+        # the branch state, divided by that probability, used to fail an
+        # absolute positivity check on these valid inputs.
+        tol = 1e-9
+        for seed in range(n_povms):
+            rng = np.random.default_rng([d, seed])
+            p = random_rank_one_povm(n, d, rng)
+            tree = compile_tree(p)
+            for j in rng.permutation(n)[:24]:
+                w, v = np.linalg.eigh(p.elements[j])
+                null = int(np.sum(w <= 1e-12 * w[-1]))
+                mix = rng.standard_normal(null) + 1j * rng.standard_normal(null)
+                near = v[:, :null] @ (mix / np.linalg.norm(mix))
+                prob = 10 ** rng.uniform(math.log10(1.05e-9), math.log10(3e-9))
+                state = QuantumState.pure(near + math.sqrt(prob / w[-1]) * v[:, -1])
+                outcomes = propagate(tree, state)
+                direct = direct_probabilities(tree.povm, state)
+                assert np.max(np.abs([o.probability for o in outcomes] - direct)) <= 1e-8
+                assert outcomes[j].post_state is not None
+                for o in outcomes:
+                    if o.post_state is None:
+                        continue
+                    rho = o.post_state.density
+                    assert abs(np.trace(rho).real - 1) <= 1e-9
+                    assert frob(rho - rho.conj().T) <= 1e-9
+                    assert np.linalg.eigvalsh(rho)[0] * o.probability >= -tol
 
 
 class TestSample:

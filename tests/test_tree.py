@@ -1,10 +1,15 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from povmtree import (
     CompletenessViolationError,
     InconsistentChildrenError,
+    KrausPair,
     SplitCoefficients,
+    TreeVerificationError,
     apply_freedom,
     compile_tree,
     default_kraus,
@@ -236,18 +241,35 @@ class TestCompile:
 class TestVerify:
     def test_detects_injected_fault(self, tetrad_povm, tmp_path):
         tree = compile_tree(tetrad_povm, partition=[0, 3, 1, 2])
-        data = treeio.tree_to_dict(tree)
-        # perturb one second-stage operator by 1e-3
-        for record in data["nodes"]:
-            if record["path"] == "10":
-                record["node_kraus"][0][0][0] += 1e-3
-        tampered = treeio.tree_from_dict(data)
+        # perturb one second-stage operator by 1e-3: b of node "10", measured at "1"
+        node = tree.root.children[1]
+        b0 = node.kraus_pair.b0.copy()
+        b0[0, 0] += 1e-3
+        leaf = replace(node.children[0], node_kraus=b0)
+        node = replace(
+            node,
+            kraus_pair=KrausPair(b0=b0, b1=node.kraus_pair.b1),
+            children=(leaf, node.children[1]),
+        )
+        root = replace(tree.root, children=(tree.root.children[0], node))
+        tampered = replace(tree, root=root)
         report = verify(tampered)
         assert not report.passed
         bad_nodes = {c.path for c in report.nodes if not c.ok}
         assert bad_nodes == {"1"}  # the parent measuring that operator
         good = verify(tree)
         assert good.passed
+
+        # the same fault in a tree file is caught on load
+        data = treeio.tree_to_dict(tree)
+        kraus = treeio.decode_array(data["kraus"][1], (2, 2, 2, 2), "kraus[1]").copy()
+        kraus[1, 0, 0, 0] += 1e-3
+        data["kraus"][1] = treeio.encode_array(kraus)
+        path = tmp_path / "tampered.tree.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(TreeVerificationError) as err:
+            treeio.load_tree(path)
+        assert err.value.path == "1"
 
     def test_reports_rank_and_corrections(self, rng):
         p = random_rank_one_povm(4, 3, rng)
