@@ -21,8 +21,9 @@ for label, m in zip(povm.labels, povm.elements):
 # Group outcomes {0,3} against {1,2} at the first level, as the partition.
 tree = pt.compile_tree(povm, partition=[0, 3, 1, 2])
 
-m03 = tree.root.children[0].cumulative_operator
-m12 = tree.root.children[1].cumulative_operator
+# Level 1 of the tree holds the two groups; their cumulative operators are
+# the grouped sums.
+m03, m12 = tree.cumulative_operators(1)
 print("first-level grouped operators:")
 print(f"M03 = M_0 + M_3 =\n{m03}\n")
 print(f"M12 = M_1 + M_2 =\n{m12}\n")
@@ -33,17 +34,20 @@ print(f"shared eigenbasis (columns):\n{eig.eigenvectors}\n")
 
 # The first round couples the qubit to a probe prepared in |0> via a 4x4
 # unitary whose first block column stacks the two Kraus operators.
-u = tree.root.dilation.unitary
+root = tree.dilation("")
+u = root.unitary
 print(f"probe coupling at the root:\n{u}\n")
 print("unitarity residual:", np.linalg.norm(u.conj().T @ u - np.eye(4)))
 print("block <0|U|0> equals sqrt(M03):",
-      np.allclose(pt.extract_kraus(tree.root.dilation, 0),
-                  pt.psd_sqrt(m03)))
+      np.allclose(pt.extract_kraus(root, 0), pt.psd_sqrt(m03)))
 
 # Conditioned on the first probe outcome, the second round is projective.
+# tree.kraus[1][i] is the pair measured at node i of level 1; leaf 2i + c is
+# outcome tree.order[2i + c].
 print("\nsecond-stage measurement operators:")
+second = {j: tree.kraus[1][i // 2, i % 2] for i, j in enumerate(tree.order)}
 for j in range(4):
-    b = tree.leaf_for_outcome(j).node_kraus
+    b = second[j]
     op = b.conj().T @ b
     print(f"B_{j} (trace {np.trace(op).real:.6f}, rank-one projector) =\n{op}\n")
 

@@ -69,9 +69,9 @@ from .tree import (
     DEFAULT_SPLIT,
     MeasurementTree,
     SplitCoefficients,
-    TreeNode,
     VerificationReport,
     compile_tree,
+    node_path,
     null_space_isometry,
     split_node,
     verify,
@@ -110,7 +110,6 @@ __all__ = [
     "SplitCoefficients",
     "Tolerances",
     "TreeVerificationError",
-    "TreeNode",
     "VerificationReport",
     "apply_freedom",
     "compare",
@@ -123,6 +122,7 @@ __all__ = [
     "extract_kraus",
     "full_neumark",
     "hermitian_eig",
+    "node_path",
     "null_space_isometry",
     "pad_to_power_of_two",
     "propagate",

@@ -213,8 +213,7 @@ def cmd_example_tetrad(args) -> int:
     lines.append("Four rank-one outcome operators M_0..M_3 on a qubit; the tree groups")
     lines.append("outcomes {0,3} versus {1,2} at the first level.")
     lines.append("")
-    m03 = tree.root.children[0].cumulative_operator
-    m12 = tree.root.children[1].cumulative_operator
+    m03, m12 = tree.cumulative_operators(1)
     lines.append("First-level grouped operators:")
     lines.append(f"M03 =\n{_format_matrix(m03)}")
     lines.append(f"M12 =\n{_format_matrix(m12)}")
@@ -224,15 +223,15 @@ def cmd_example_tetrad(args) -> int:
     lines.append(f"eigenvectors (columns):\n{_format_matrix(eig.eigenvectors)}")
     lines.append("")
     lines.append("Probe coupling unitary at the root (first block column = [sqrt(M03); sqrt(M12)]):")
-    lines.append(_format_matrix(tree.root.dilation.unitary))
+    lines.append(_format_matrix(tree.dilation("").unitary))
     lines.append("")
     lines.append("Second-stage measurement operators B_j = b_j^dag b_j:")
+    # leaf i is outcome order[i], reached by b_(i % 2) of the pair at node i // 2
+    second = {j: tree.kraus[1][i // 2, i % 2] for i, j in enumerate(tree.order)}
     for j in range(4):
-        leaf = tree.leaf_for_outcome(j)
-        b = leaf.node_kraus
+        b = second[j]
         lines.append(f"B{j} =\n{_format_matrix(b.conj().T @ b)}")
-    b0 = tree.leaf_for_outcome(0).node_kraus
-    b3 = tree.leaf_for_outcome(3).node_kraus
+    b0, b3 = second[0], second[3]
     closure = frobenius(b0.conj().T @ b0 + b3.conj().T @ b3 - np.eye(2))
     lines.append("")
     lines.append(f"completeness |B0 + B3 - I|_F = {closure:.3e}")

@@ -5,11 +5,10 @@ In POVM and state files complex entries are stored as two-element
 representation, so serialize/deserialize reproduces every matrix bit-exactly.
 
 A tree file stores only a tree's independent data, its Kraus pairs level by
-level and the padded POVM, as base64 blobs of little-endian complex128
-values (exact by construction).  The loader checks the structure, rebuilds
-every derived matrix with :func:`povmtree.tree.assemble_tree`, the arithmetic
-:func:`povmtree.tree.compile_tree` uses, and runs :func:`povmtree.tree.verify`
-before it returns the tree.
+level (``tree.kraus``) and the padded POVM, as base64 blobs of little-endian
+complex128 values (exact by construction).  The loader checks the structure
+and the completeness of every stored pair, and runs
+:func:`povmtree.tree.verify` before it returns the tree.
 """
 
 from __future__ import annotations
@@ -21,12 +20,17 @@ from typing import Any
 
 import numpy as np
 
-from .dilation import KrausPair
 from .errors import ParseError, TreeVerificationError
 from .linalg import Tolerances
 from .povm import Povm, validate
 from .simulator import QuantumState
-from .tree import MeasurementTree, SplitCoefficients, assemble_tree, verify
+from .tree import (
+    MeasurementTree,
+    SplitCoefficients,
+    completeness_residuals,
+    node_path,
+    verify,
+)
 
 POVM_FORMAT = "povmtree/povm-v1"
 STATE_FORMAT = "povmtree/state-v1"
@@ -54,7 +58,7 @@ def decode_matrix(obj: Any, field: str) -> np.ndarray:
                 raise ParseError(
                     "matrix entries must be [real, imaginary] pairs", field=field
                 )
-            entries.append(complex(float(entry[0]), float(entry[1])))
+            entries.append(complex(*(_finite_float(x, field) for x in entry)))
         rows.append(entries)
     return np.array(rows, dtype=complex)
 
@@ -87,7 +91,7 @@ def povm_to_dict(p: Povm) -> dict:
 
 
 def povm_from_dict(data: dict, tol: Tolerances | None = None) -> Povm:
-    dim = int(_require(data, "dimension"))
+    dim = _int_field(data, "dimension", 1)
     raw = _require(data, "elements")
     if not isinstance(raw, list) or not raw:
         raise ParseError("elements must be a non-empty list", field="elements")
@@ -103,7 +107,7 @@ def povm_from_dict(data: dict, tol: Tolerances | None = None) -> Povm:
         p = validate(elements, labels=labels)
     else:
         p = validate(elements, labels=labels, tol=tol)
-    n_original = int(data.get("n_original", p.n_outcomes))
+    n_original = _int_field(data, "n_original", 1) if "n_original" in data else p.n_outcomes
     if n_original != p.n_outcomes:
         p = Povm(dim=p.dim, elements=p.elements, labels=p.labels, n_original=n_original)
     return p
@@ -127,13 +131,16 @@ def state_to_dict(state: QuantumState) -> dict:
 
 
 def state_from_dict(data: dict) -> QuantumState:
-    dim = int(_require(data, "dimension"))
+    dim = _int_field(data, "dimension", 1)
     rho = decode_matrix(_require(data, "density"), "density")
     if rho.shape != (dim, dim):
         raise ParseError(
             f"density has shape {rho.shape}, expected ({dim}, {dim})", field="density"
         )
-    return QuantumState(rho)
+    try:
+        return QuantumState(rho)
+    except ValueError as err:  # not Hermitian, not unit trace, or not positive
+        raise ParseError(str(err), field="density") from err
 
 
 def save_state(state: QuantumState, path) -> None:
@@ -189,24 +196,13 @@ def _finite_float(value: Any, field: str) -> float:
 
 
 def tree_to_dict(tree: MeasurementTree) -> dict:
-    """The ``tree-v2`` record of a compiled tree.
-
-    ``kraus[l]`` holds level l's pairs, shape ``(2**l, 2, d, d)``, in
-    breadth-first order: the pair of the node at path x sits at index
-    ``int(x, 2)``, with b0 before b1.
-    """
+    """The ``tree-v2`` record of a compiled tree: ``tree.kraus`` level by level."""
     p = tree.povm
-    d = p.dim
-    levels = [np.empty((1 << level, 2, d, d), dtype=complex) for level in range(tree.depth)]
-    for node in tree.internal_nodes():
-        slot = levels[len(node.path)][int(node.path or "0", 2)]
-        slot[0] = node.kraus_pair.b0
-        slot[1] = node.kraus_pair.b1
     coeffs = tree.split_coefficients
     tol = tree.tolerances
     return {
         "format": TREE_FORMAT,
-        "dimension": d,
+        "dimension": p.dim,
         "n_outcomes": p.n_outcomes,
         "depth": tree.depth,
         "split_coefficients": [
@@ -218,11 +214,11 @@ def tree_to_dict(tree: MeasurementTree) -> dict:
             "tol_check": tol.tol_check,
             "tol_unitary": tol.tol_unitary,
         },
-        "order": [leaf.outcome for leaf in tree.leaves()],
+        "order": list(tree.order),
         "labels": list(p.labels),
         "n_original": p.n_original,
         "elements": encode_array(np.stack(p.elements)),
-        "kraus": [encode_array(level) for level in levels],
+        "kraus": [encode_array(level) for level in tree.kraus],
     }
 
 
@@ -316,26 +312,24 @@ def tree_from_dict(data: dict) -> MeasurementTree:
     order = _order(data, n)
     povm = _povm(data, dim, n)
     levels = _kraus_levels(data, dim, depth)
-
-    def stored_pair(path: str, groups, cum_kraus) -> KrausPair:
-        b = levels[len(path)][int(path or "0", 2)]
-        pair = KrausPair(b0=b[0], b1=b[1])
-        residual = pair.completeness_residual()
-        if residual > tol.tol_check:
-            raise TreeVerificationError(residual, path=path, what="completeness")
-        return pair
-
-    tree = assemble_tree(povm, order, stored_pair, coeffs, tol)
+    for level, pairs in enumerate(levels):
+        residual = completeness_residuals(pairs)
+        bad = np.flatnonzero(residual > tol.tol_check)
+        if bad.size:
+            raise TreeVerificationError(float(residual[bad[0]]),
+                                        path=node_path(level, int(bad[0])), what="completeness")
+    tree = MeasurementTree(povm=povm, order=order, kraus=tuple(levels), depth=depth,
+                           split_coefficients=coeffs, tolerances=tol)
     report = verify(tree)
     for c in report.nodes:
         if not c.ok:
             residual = max(c.completeness_residual, *c.factorization_residuals,
                            c.operator_sum_residual, c.dilation_unitarity)
             raise TreeVerificationError(residual, path=c.path, what="verify")
-    for c in report.leaves:
+    for i, c in enumerate(report.leaves):
         if not c.ok:
-            path = next(leaf.path for leaf in tree.leaves() if leaf.outcome == c.outcome_index)
-            raise TreeVerificationError(c.residual, path=path, what="leaf reconstruction")
+            raise TreeVerificationError(c.residual, path=node_path(depth, i),
+                                        what="leaf reconstruction")
     return tree
 
 

@@ -4,7 +4,9 @@ Everything downstream (POVM validation, tree construction, dilation) sits on
 the four operations in this module: Hermitian eigendecomposition with a
 deterministic ordering convention, Moore-Penrose pseudoinverse with an
 explicit rank policy, spectral PSD square root, and completion of an
-isometric column block to a full unitary.
+isometric column block to a full unitary.  The pseudoinverse and the square
+root work on stacks of matrices (one LAPACK call per stack), and their
+one-matrix forms are stacks of one.
 
 Rank policy: an eigenvalue or singular value counts as nonzero iff it exceeds
 ``tol_rank`` times the largest one.  The same relative threshold is applied
@@ -61,12 +63,14 @@ def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def numerical_rank(singular_values: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
-    """Number of singular values above the relative rank threshold."""
+def rank_mask(singular_values: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    """Which singular values count as nonzero: those above ``tol_rank`` times the largest.
+
+    ``singular_values`` holds descending values along its last axis, one row
+    per matrix of a stack.  A row whose largest value is zero keeps none.
+    """
     s = np.asarray(singular_values, dtype=float)
-    if s.size == 0 or s[0] <= 0:
-        return 0
-    return int(np.sum(s > tol.tol_rank * s[0]))
+    return s > tol.tol_rank * s[..., :1]
 
 
 def _require_square(m: np.ndarray) -> None:
@@ -150,6 +154,29 @@ def hermitian_eig(a, tol: Tolerances = DEFAULT_TOLERANCES) -> EigenDecomposition
     return EigenDecomposition(eigenvalues=w, eigenvectors=v)
 
 
+def adjoint(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def svd_inverse(a: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES):
+    """Pseudoinverses, kernel maps and ranks of a stack of matrices, one SVD each.
+
+    For each ``a = U S W^dag`` with the rank mask of :func:`rank_mask`,
+    returns ``pinv = W diag(1/s on the mask) U^dag``, the map
+    ``null = W diag(1 off the mask) U^dag`` and the rank.  For a square
+    matrix ``null`` carries the co-kernel basis u_j onto the kernel basis
+    w_j, so ``null @ a = 0`` and ``null^dag null = I - a a^+``.
+    """
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    keep = rank_mask(s, tol)
+    w, uh = adjoint(vh), adjoint(u)
+    inverse = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    pinv = (w * inverse[..., None, :]) @ uh
+    null = (w * ~keep[..., None, :]) @ uh
+    return pinv, null, keep.sum(axis=-1)
+
+
 def pseudo_inverse(a, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Moore-Penrose pseudoinverse via SVD.
 
@@ -158,35 +185,53 @@ def pseudo_inverse(a, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     only.  Satisfies all four Penrose axioms to machine precision.
     """
     m = as_complex_matrix(a)
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    r = numerical_rank(s, tol)
-    return (vh[:r].conj().T / s[:r]) @ u[:, :r].conj().T
+    return svd_inverse(m[None], tol)[0][0]
 
 
-def psd_sqrt(a, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Hermitian PSD square root, computed spectrally.
+def psd_sqrt_stack(a: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    """Hermitian PSD square roots of a stack of matrices, one stacked ``eigh``.
 
-    Eigenvalues below ``tol.tol_rank`` times the largest are truncated to
-    exact zero (the module rank policy); without this, square-rooting an
-    exactly rank-deficient operator would amplify eigenvalue dust above the
-    rank threshold and poison every later rank decision made on the result.
+    Eigenvalues below ``tol.tol_rank`` times the largest of the same matrix
+    are truncated to exact zero (the module rank policy); without this,
+    square-rooting an exactly rank-deficient operator would amplify
+    eigenvalue dust above the rank threshold and poison every later rank
+    decision made on the result.
 
     Raises
     ------
+    NotHermitianError
+        If some ``|A - A^dag|_F`` exceeds ``tol.tol_check``.
     NotPsdError
-        If any eigenvalue lies below ``-tol.tol_check * |A|_F``.
+        If some matrix has an eigenvalue below ``-tol.tol_check * |A|_F``.
+    """
+    asymmetry = np.linalg.norm(a - adjoint(a), axis=(-2, -1))
+    bad = np.flatnonzero(asymmetry > tol.tol_check)
+    if bad.size:
+        raise NotHermitianError(float(asymmetry[bad[0]]))
+    w, v = np.linalg.eigh((a + adjoint(a)) / 2)
+    floor = -tol.tol_check * np.linalg.norm(a, axis=(-2, -1))
+    bad = np.flatnonzero(w[:, 0] < floor)
+    if bad.size:
+        raise NotPsdError(float(w[bad[0], 0]))
+    top = np.maximum(w[:, -1:], 0.0)
+    w = np.where(w > tol.tol_rank * top, w, 0.0)
+    s = (v * np.sqrt(w)[:, None, :]) @ adjoint(v)
+    return (s + adjoint(s)) / 2
+
+
+def psd_sqrt(a, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    """Hermitian PSD square root, computed spectrally; see :func:`psd_sqrt_stack`.
+
+    Raises
+    ------
+    NotSquareError
+        If the matrix is not square.
+    NotHermitianError, NotPsdError
+        As :func:`psd_sqrt_stack`.
     """
     m = as_complex_matrix(a)
-    eig = hermitian_eig(m, tol)
-    w = eig.eigenvalues
-    floor = -tol.tol_check * frobenius(m)
-    if w.size and w[-1] < floor:
-        raise NotPsdError(float(w[-1]))
-    top = max(float(w[0]), 0.0) if w.size else 0.0
-    w = np.where(w > tol.tol_rank * top, w, 0.0)
-    v = eig.eigenvectors
-    s = (v * np.sqrt(w)) @ v.conj().T
-    return (s + s.conj().T) / 2
+    _require_square(m)
+    return psd_sqrt_stack(m[None], tol)[0]
 
 
 def complete_to_unitary(block, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:

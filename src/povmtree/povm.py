@@ -20,7 +20,7 @@ from .errors import (
     NotPsdError,
     NotUnitaryError,
 )
-from .linalg import DEFAULT_TOLERANCES, Tolerances, as_complex_matrix, frobenius, psd_sqrt
+from .linalg import DEFAULT_TOLERANCES, Tolerances, as_complex_matrix, frobenius, psd_sqrt_stack
 
 
 def _frozen(m: np.ndarray) -> np.ndarray:
@@ -116,8 +116,10 @@ class KrausFactorization:
 
 
 def default_kraus(p: Povm, tol: Tolerances = DEFAULT_TOLERANCES) -> KrausFactorization:
-    """Canonical factorization ``m_j = sqrt(M_j)`` (Hermitian PSD roots)."""
-    return KrausFactorization(kraus=tuple(_frozen(psd_sqrt(m, tol)) for m in p.elements))
+    """Canonical factorization ``m_j = sqrt(M_j)`` (Hermitian PSD roots, one stacked ``eigh``)."""
+    roots = psd_sqrt_stack(np.stack(p.elements), tol)
+    roots.setflags(write=False)
+    return KrausFactorization(kraus=tuple(roots))
 
 
 def apply_freedom(

@@ -2,9 +2,10 @@
 
 States are density matrices throughout; pure states are rank-one densities.
 :func:`propagate` carries the unnormalized conditioned state b...b rho b^dag...
-b^dag down the tree, whose trace is the absolute probability of the path, so
-no renormalization happens until a leaf's post-state is reported.
-:func:`sample` draws probe outcomes branch by branch, exercising the
+b^dag down the tree, one level at a time; its trace is the absolute
+probability of the path, so no renormalization happens until a leaf's
+post-state is reported.  :func:`sample` reads the branch probabilities from
+the same pass and draws probe outcomes branch by branch, exercising the
 sequential structure rather than sampling the leaf distribution directly.
 """
 
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, TreeVerificationError
-from .linalg import DEFAULT_TOLERANCES, Tolerances, as_complex_matrix, frobenius
+from .linalg import DEFAULT_TOLERANCES, Tolerances, adjoint, as_complex_matrix, frobenius
 from .povm import Povm
-from .tree import MeasurementTree, TreeNode
+from .tree import MeasurementTree, node_path
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,15 +115,72 @@ class SimulationOutcome:
     post_state: QuantumState | None
 
 
+def _level_pass(tree: MeasurementTree, state: QuantumState):
+    """Carry the unnormalised conditioned states down the tree, one level at a time.
+
+    Each level applies ``b sigma b^dag`` to all its nodes in one batched
+    product; the trace of a state is the absolute probability of its path.
+    Returns the leaf states ``(N, d, d)`` left to right, and per level the
+    probability of probe outcome 0 at each node given that the node is
+    reached (1.0 where the node's probability is zero).
+    """
+    if state.dim != tree.povm.dim:
+        raise DimensionMismatchError(
+            f"state dimension {state.dim} does not match tree dimension {tree.povm.dim}"
+        )
+    sigma = state.density.astype(complex)[None]
+    p_left = []
+    for pairs in tree.kraus:
+        children = pairs @ sigma[:, None] @ adjoint(pairs)
+        q = np.maximum(np.trace(children, axis1=-2, axis2=-1).real, 0.0)
+        total = q.sum(axis=1)
+        ratio = np.divide(q[:, 0], total, out=np.ones_like(total), where=total > 0)
+        p_left.append(np.minimum(ratio, 1.0))
+        sigma = children.reshape(-1, *sigma.shape[1:])
+    return sigma, p_left
+
+
+def _outcomes(tree: MeasurementTree, leaves: np.ndarray, t: Tolerances) -> list[SimulationOutcome]:
+    """Leaf probabilities and post-states, ordered by outcome index."""
+    probs = np.clip(np.trace(leaves, axis1=-2, axis2=-1).real, 0.0, 1.0)
+    reached = np.flatnonzero(probs >= t.tol_check)
+    herm = (leaves[reached] + adjoint(leaves[reached])) / 2
+    if reached.size:
+        # Positivity is checked on the unnormalised states, at the scale of
+        # the absolute probability.  After division by a tiny probability,
+        # rounding dust of a valid state can exceed any absolute threshold.
+        min_eig = np.linalg.eigvalsh(herm)[:, 0]
+        bad = np.flatnonzero(min_eig < -t.tol_check)
+        if bad.size:
+            raise TreeVerificationError(
+                -float(min_eig[bad[0]]),
+                path=node_path(tree.depth, int(reached[bad[0]])),
+                what="post-state positivity",
+            )
+    posts: list[QuantumState | None] = [None] * len(probs)
+    for rho, i in zip(herm, reached):
+        posts[i] = QuantumState._checked_elsewhere(rho / probs[i])
+    outcomes: list[SimulationOutcome | None] = [None] * len(probs)
+    for i, j in enumerate(tree.order):
+        outcomes[j] = SimulationOutcome(
+            leaf_index=j,
+            leaf_label=tree.povm.labels[j],
+            path=node_path(tree.depth, i),
+            probability=float(probs[i]),
+            post_state=posts[i],
+        )
+    return outcomes
+
+
 def propagate(
     tree: MeasurementTree, state: QuantumState, tol: Tolerances | None = None
 ) -> list[SimulationOutcome]:
     """Exact leaf probabilities and post-measurement states.
 
-    Depth-first traversal applying each branch operator to the unnormalized
-    conditioned state; the leaf probability is the trace of the final
-    product, which telescopes to Tr[m_leaf rho m_leaf^dag].  Results are
-    ordered by outcome index of the (padded) POVM.
+    Applies each level's branch operators to the unnormalized conditioned
+    states; the leaf probability is the trace of the final product, which
+    telescopes to Tr[m_leaf rho m_leaf^dag].  Results are ordered by outcome
+    index of the (padded) POVM.
 
     Raises
     ------
@@ -131,46 +189,7 @@ def propagate(
         ``-tol_check``, which no valid tree produces from a valid state.
     """
     t = tol or tree.tolerances
-    if state.dim != tree.povm.dim:
-        raise DimensionMismatchError(
-            f"state dimension {state.dim} does not match tree dimension {tree.povm.dim}"
-        )
-    outcomes: list[SimulationOutcome] = []
-
-    def walk(node: TreeNode, sigma: np.ndarray) -> None:
-        if node.is_leaf:
-            prob = min(max(float(np.trace(sigma).real), 0.0), 1.0)
-            if prob < t.tol_check:
-                post = None
-            else:
-                # Positivity is checked on the unnormalised state, at the
-                # scale of the absolute probability.  After division by a
-                # tiny probability, rounding dust of a valid state can exceed
-                # any absolute threshold.
-                herm = (sigma + sigma.conj().T) / 2
-                min_eig = float(np.linalg.eigvalsh(herm)[0])
-                if min_eig < -t.tol_check:
-                    raise TreeVerificationError(
-                        -min_eig, path=node.path, what="post-state positivity"
-                    )
-                post = QuantumState._checked_elsewhere(herm / prob)
-            outcomes.append(
-                SimulationOutcome(
-                    leaf_index=node.outcome,
-                    leaf_label=tree.povm.labels[node.outcome],
-                    path=node.path,
-                    probability=prob,
-                    post_state=post,
-                )
-            )
-            return
-        pair = node.kraus_pair
-        for b, child in zip((pair.b0, pair.b1), node.children):
-            walk(child, b @ sigma @ b.conj().T)
-
-    walk(tree.root, state.density.astype(complex))
-    outcomes.sort(key=lambda o: o.leaf_index)
-    return outcomes
+    return _outcomes(tree, _level_pass(tree, state)[0], t)
 
 
 @dataclass(frozen=True)
@@ -194,55 +213,14 @@ class SampleReport:
 _CHUNK = 1 << 16
 
 
-def _branch_probabilities(tree: MeasurementTree, state: QuantumState, t: Tolerances):
-    """Flatten the tree into arrays for vectorized descent.
-
-    Returns (p_left, child0, child1, leaf_outcome) indexed by preorder node
-    id.  ``p_left`` is the conditional probability of probe outcome 0 at each
-    reachable internal node; unreachable nodes get 1.0, which is irrelevant
-    because no walk ever lands on them.
-    """
-    nodes = list(tree.iter_nodes())
-    index = {id(n): i for i, n in enumerate(nodes)}
-    size = len(nodes)
-    p_left = np.ones(size)
-    child0 = np.zeros(size, dtype=np.int64)
-    child1 = np.zeros(size, dtype=np.int64)
-    leaf_outcome = np.zeros(size, dtype=np.int64)
-
-    def fill(node: TreeNode, rho: np.ndarray | None) -> None:
-        i = index[id(node)]
-        if node.is_leaf:
-            leaf_outcome[i] = node.outcome
-            return
-        left, right = node.children
-        child0[i] = index[id(left)]
-        child1[i] = index[id(right)]
-        pair = node.kraus_pair
-        if rho is None:
-            fill(left, None)
-            fill(right, None)
-            return
-        conditionals = []
-        for b in (pair.b0, pair.b1):
-            sigma = b @ rho @ b.conj().T
-            conditionals.append((max(float(np.trace(sigma).real), 0.0), sigma))
-        total = conditionals[0][0] + conditionals[1][0]
-        p_left[i] = min(conditionals[0][0] / total, 1.0) if total > 0 else 1.0
-        for (q, sigma), child in zip(conditionals, (left, right)):
-            fill(child, sigma / q if q >= t.tol_check else None)
-
-    fill(tree.root, state.density.astype(complex))
-    return p_left, child0, child1, leaf_outcome
-
-
 def sample(
     tree: MeasurementTree, state: QuantumState, shots: int, seed: int
 ) -> SampleReport:
     """Sample leaf outcomes by walking the tree one probe measurement at a time.
 
     Each shot descends from the root drawing every binary branch from its
-    conditional probability.  Shots are partitioned into fixed chunks of
+    conditional probability, moving from node i of a level to node 2i + bit
+    of the next.  Shots are partitioned into fixed chunks of
     65536; chunk ``c`` uses the generator seeded by
     ``numpy.random.SeedSequence(seed, spawn_key=(c,))``, so chunks may be
     drawn in parallel and merged, and the result is identical to the
@@ -250,11 +228,11 @@ def sample(
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    t = tree.tolerances
-    exact = propagate(tree, state, t)
+    leaves, p_left = _level_pass(tree, state)
+    exact = _outcomes(tree, leaves, tree.tolerances)
     n = tree.povm.n_outcomes
     counts = np.zeros(n, dtype=np.int64)
-    p_left, child0, child1, leaf_outcome = _branch_probabilities(tree, state, t)
+    leaf_outcome = np.array(tree.order, dtype=np.int64)
 
     done = 0
     chunk_index = 0
@@ -264,8 +242,8 @@ def sample(
         uniforms = rng.random((size, tree.depth)) if tree.depth else None
         current = np.zeros(size, dtype=np.int64)
         for level in range(tree.depth):
-            go_left = uniforms[:, level] < p_left[current]
-            current = np.where(go_left, child0[current], child1[current])
+            go_right = uniforms[:, level] >= p_left[level][current]
+            current = 2 * current + go_right
         counts += np.bincount(leaf_outcome[current], minlength=n)
         done += size
         chunk_index += 1

@@ -27,9 +27,10 @@ def criterion_1_tetrad_end_to_end():
     start = time.perf_counter()
     povm = pt.tetrad()
     tree = pt.compile_tree(povm, partition=[0, 3, 1, 2])
+    leaf_operators = tree.cumulative_operators(tree.depth)  # leaf i is outcome order[i]
     leaf_worst = max(
-        float(np.linalg.norm(tree.leaf_for_outcome(j).cumulative_operator - povm.elements[j]))
-        for j in range(4)
+        float(np.linalg.norm(leaf_operators[i] - povm.elements[j]))
+        for i, j in enumerate(tree.order)
     )
     state = pt.QuantumState.basis(2, 0)
     probs = np.array([o.probability for o in pt.propagate(tree, state)])
@@ -98,12 +99,13 @@ def criterion_4_dilation_validity():
     worst = 0.0
     exact = True
     for _, tree in _random_suite():
-        for node in tree.internal_nodes():
-            u = node.dilation.unitary
-            worst = max(worst, float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))))
-            pair = node.kraus_pair
-            exact = exact and np.array_equal(node.dilation.kraus_block(0), pair.b0)
-            exact = exact and np.array_equal(node.dilation.kraus_block(1), pair.b1)
+        for level, pairs in enumerate(tree.kraus):
+            for index, pair in enumerate(pairs):
+                dilation = tree.dilation(pt.node_path(level, index))
+                u = dilation.unitary
+                worst = max(worst, float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))))
+                exact = exact and np.array_equal(dilation.kraus_block(0), pair[0])
+                exact = exact and np.array_equal(dilation.kraus_block(1), pair[1])
     ok = worst <= 1e-10 and exact
     return ok, f"max |U^dag U - I|_F = {worst:.2e}, block extraction exact: {exact}"
 

@@ -62,7 +62,7 @@ class TestCompileCommand:
         out = capsys.readouterr().out
         assert "PASS" in out and "operation counts" in out
         tree = load_tree(out_path)
-        assert tree.root.outcome_set == (0, 3, 1, 2)
+        assert tree.order == (0, 3, 1, 2)
 
     def test_padding_warning(self, triple_file, tmp_path, capsys):
         out_path = str(tmp_path / "triple.tree.json")
@@ -139,11 +139,13 @@ class TestExampleTetrad:
         m03 = povm.elements[0] + povm.elements[3]
         assert m03[0, 1] == pytest.approx(1 / (3 * np.sqrt(2)), abs=1e-12)
         tree = load_tree(out_dir / "tetrad.tree.json")
-        b1 = tree.leaf_for_outcome(1).node_kraus
+        # leaf i is outcome order[i], reached by b_(i % 2) of the pair at node i // 2
+        second = {j: tree.kraus[1][i // 2, i % 2] for i, j in enumerate(tree.order)}
+        b1 = second[1]
         expected = 0.5 * np.array([[1.0, -1.0j], [1.0j, 1.0]])
         assert np.linalg.norm(b1.conj().T @ b1 - expected) <= 1e-9
-        b0 = tree.leaf_for_outcome(0).node_kraus
-        b3 = tree.leaf_for_outcome(3).node_kraus
+        b0 = second[0]
+        b3 = second[3]
         closure = b0.conj().T @ b0 + b3.conj().T @ b3 - np.eye(2)
         assert np.linalg.norm(closure) <= 1e-12
         text = (out_dir / "walkthrough.txt").read_text()

@@ -9,6 +9,7 @@ from povmtree import (
     QuantumState,
     TreeVerificationError,
     compile_tree,
+    node_path,
     random_density,
     random_rank_one_povm,
     tetrad,
@@ -21,6 +22,7 @@ from povmtree.io import (
     load_povm,
     load_state,
     load_tree,
+    povm_from_dict,
     save_povm,
     save_state,
     save_tree,
@@ -81,6 +83,29 @@ class TestPovmFiles:
             load_povm(path)
 
 
+class TestUntrustedPovmAndStateFiles:
+    """Malformed POVM and state records raise ParseError naming the field."""
+
+    @pytest.mark.parametrize(
+        "loader, data, field",
+        [
+            (povm_from_dict, {"dimension": "x"}, "dimension"),
+            (povm_from_dict, {"dimension": 1, "elements": [[[["a", 0]]]]}, "elements[0]"),
+            (state_from_dict,
+             {"dimension": 2, "density": [[[float("nan"), 0.0], [0.0, 0.0]],
+                                          [[0.0, 0.0], [1.0, 0.0]]]},
+             "density"),
+            (state_from_dict, {"dimension": 2, "density": encode_matrix(np.zeros((2, 2)))},
+             "density"),
+        ],
+        ids=["dimension-not-integer", "entry-not-number", "nan-density", "zero-trace-density"],
+    )
+    def test_parse_error_names_field(self, loader, data, field):
+        with pytest.raises(ParseError) as err:
+            loader(data)
+        assert err.value.field == field
+
+
 class TestStateFiles:
     def test_round_trip(self, tmp_path, rng):
         state = random_density(3, rng)
@@ -104,22 +129,21 @@ class TestTreeFiles:
         assert again.depth == tree.depth
         assert again.split_coefficients == tree.split_coefficients
         assert again.tolerances == tree.tolerances
-        originals = {node.path: node for node in tree.iter_nodes()}
-        reloaded = {node.path: node for node in again.iter_nodes()}
-        assert originals.keys() == reloaded.keys()
-        for path_key, node in originals.items():
-            other = reloaded[path_key]
-            assert node.outcome_set == other.outcome_set
-            assert np.array_equal(node.cumulative_kraus, other.cumulative_kraus)
-            assert np.array_equal(node.cumulative_operator, other.cumulative_operator)
-            if node.node_kraus is None:
-                assert other.node_kraus is None
-            else:
-                assert np.array_equal(node.node_kraus, other.node_kraus)
-            if node.dilation is None:
-                assert other.dilation is None
-            else:
-                assert np.array_equal(node.dilation.unitary, other.dilation.unitary)
+        assert again.order == tree.order
+        assert len(again.kraus) == len(tree.kraus)
+        for level in range(tree.depth):
+            assert np.array_equal(tree.kraus[level], again.kraus[level])
+        for level in range(tree.depth + 1):
+            assert np.array_equal(tree.cumulative_kraus(level), again.cumulative_kraus(level))
+            assert np.array_equal(
+                tree.cumulative_operators(level), again.cumulative_operators(level)
+            )
+        for level in range(tree.depth):
+            for index in range(1 << level):
+                path_key = node_path(level, index)
+                assert np.array_equal(
+                    tree.dilation(path_key).unitary, again.dilation(path_key).unitary
+                )
 
     def test_loaded_tree_simulates_identically(self, tmp_path, tetrad_povm):
         from povmtree import propagate, sample

@@ -1,4 +1,6 @@
+import gc
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,15 +10,19 @@ from povmtree import (
     CompletenessViolationError,
     InconsistentChildrenError,
     KrausPair,
+    NodeDilation,
     SplitCoefficients,
     TreeVerificationError,
     apply_freedom,
     compile_tree,
     default_kraus,
+    direct_probabilities,
     io as treeio,
     null_space_isometry,
+    propagate,
     pseudo_inverse,
     psd_sqrt,
+    random_density,
     random_povm,
     random_rank_one_povm,
     random_unitary,
@@ -25,8 +31,15 @@ from povmtree import (
     validate,
     verify,
 )
+from povmtree import tree as tree_module
 
 from conftest import frob
+
+
+def second_stage(tree):
+    """Outcome -> the Kraus operator applied at the last level to reach its leaf."""
+    # leaf i is outcome order[i], reached by b_(i % 2) of the pair at node i // 2
+    return {j: tree.kraus[-1][i // 2, i % 2] for i, j in enumerate(tree.order)}
 
 
 class TestSplitCoefficients:
@@ -117,30 +130,31 @@ class TestTetradTree:
 
     def test_depth_and_layout(self, tree):
         assert tree.depth == 2
-        assert tree.root.outcome_set == (0, 3, 1, 2)
-        assert [leaf.outcome for leaf in tree.leaves()] == [0, 3, 1, 2]
+        assert tree.order == (0, 3, 1, 2)
+        assert [level.shape for level in tree.kraus] == [(1, 2, 2, 2), (2, 2, 2, 2)]
+        assert all(not level.flags.writeable for level in tree.kraus)
 
     def test_leaves_reconstruct_elements(self, tree, tetrad_povm):
-        for j in range(4):
-            leaf = tree.leaf_for_outcome(j)
-            assert frob(leaf.cumulative_operator - tetrad_povm.elements[j]) <= 1e-9
+        leaves = tree.cumulative_operators(tree.depth)
+        for i, j in enumerate(tree.order):
+            assert frob(leaves[i] - tetrad_povm.elements[j]) <= 1e-9
 
     def test_second_stage_is_projective(self, tree):
         # the four second-stage operators are rank-one projectors
-        for j in range(4):
-            b = tree.leaf_for_outcome(j).node_kraus
+        for b in second_stage(tree).values():
             op = b.conj().T @ b
             assert np.trace(op).real == pytest.approx(1.0, abs=1e-9)
             assert frob(op @ op - op) <= 1e-9
 
     def test_printed_second_stage_operator(self, tree):
-        b1 = tree.leaf_for_outcome(1).node_kraus
+        b1 = second_stage(tree)[1]
         expected = 0.5 * np.array([[1.0, -1.0j], [1.0j, 1.0]])
         assert frob(b1.conj().T @ b1 - expected) <= 1e-9
 
     def test_stage_closures(self, tree):
-        for node in tree.internal_nodes():
-            assert node.kraus_pair.completeness_residual() <= 1e-9
+        for pairs in tree.kraus:
+            for b0, b1 in pairs:
+                assert KrausPair(b0=b0, b1=b1).completeness_residual() <= 1e-9
 
     def test_verify_passes(self, tree):
         report = verify(tree)
@@ -153,20 +167,21 @@ class TestCompile:
         p = validate([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
         tree = compile_tree(p)
         assert tree.depth == 1
-        pair = tree.root.kraus_pair
-        assert np.allclose(pair.b0, np.diag([1.0, 0.0]), atol=1e-12)
-        assert np.allclose(pair.b1, np.diag([0.0, 1.0]), atol=1e-12)
+        b0, b1 = tree.kraus[0][0]
+        assert np.allclose(b0, np.diag([1.0, 0.0]), atol=1e-12)
+        assert np.allclose(b1, np.diag([0.0, 1.0]), atol=1e-12)
 
     def test_single_outcome_degenerate(self):
         tree = compile_tree(validate([np.eye(2)]))
-        assert tree.depth == 0 and tree.root.is_leaf
+        assert tree.depth == 0 and tree.kraus == () and tree.order == (0,)
+        assert np.array_equal(tree.cumulative_kraus(0), np.eye(2)[None])
 
     def test_random_octet_qutrit(self, rng):
         p = random_rank_one_povm(8, 3, rng)
         tree = compile_tree(p)
         assert tree.depth == 3
-        for leaf in tree.leaves():
-            assert frob(leaf.cumulative_operator - p.elements[leaf.outcome]) <= 1e-8
+        for i, j in enumerate(tree.order):
+            assert frob(tree.cumulative_operators(3)[i] - p.elements[j]) <= 1e-8
         report = verify(tree)
         assert report.passed
         # pairs of rank-one elements have rank 2 < 3: corrections must appear
@@ -178,8 +193,8 @@ class TestCompile:
         assert tree.povm.n_outcomes == 4
         report = verify(tree)
         assert report.passed
-        pad_leaf = tree.leaf_for_outcome(3)
-        assert frob(pad_leaf.cumulative_operator) <= 1e-9
+        pad_leaf = tree.cumulative_operators(2)[tree.order.index(3)]
+        assert frob(pad_leaf) <= 1e-9
         assert tree.povm.is_padding(3)
 
     def test_partition_invariance(self, rng):
@@ -187,9 +202,10 @@ class TestCompile:
         base = compile_tree(p)
         perm = list(rng.permutation(8))
         permuted = compile_tree(p, partition=perm)
+        leaves_a, leaves_b = base.cumulative_operators(3), permuted.cumulative_operators(3)
         for j in range(8):
-            a = base.leaf_for_outcome(j).cumulative_operator
-            b = permuted.leaf_for_outcome(j).cumulative_operator
+            a = leaves_a[base.order.index(j)]
+            b = leaves_b[permuted.order.index(j)]
             assert frob(a - b) <= 1e-9
 
     def test_partition_validation(self, rng):
@@ -202,7 +218,7 @@ class TestCompile:
     def test_partition_over_unpadded_outcomes(self, rng):
         p = random_rank_one_povm(3, 2, rng)
         tree = compile_tree(p, partition=[2, 0, 1])
-        assert tree.root.outcome_set == (2, 0, 1, 3)
+        assert tree.order == (2, 0, 1, 3)
 
     def test_factorization_length_check(self, rng):
         p = random_rank_one_povm(4, 2, rng)
@@ -227,32 +243,25 @@ class TestCompile:
             n = int(rng.integers(d, 13))
             p = random_rank_one_povm(n, d, rng)
             tree = compile_tree(p)
-            for node in tree.internal_nodes():
-                parent = node.cumulative_kraus
-                g = null_space_isometry(parent)
-                if not g.any():
-                    continue
-                pinv = pseudo_inverse(parent)
-                for child in node.children:
-                    m = child.cumulative_kraus
-                    assert frob((m @ pinv).conj().T @ g) <= 1e-10
+            for level in range(tree.depth):
+                parents = tree.cumulative_kraus(level)
+                children = tree.cumulative_kraus(level + 1)
+                for i, parent in enumerate(parents):
+                    g = null_space_isometry(parent)
+                    if not g.any():
+                        continue
+                    pinv = pseudo_inverse(parent)
+                    for m in children[2 * i : 2 * i + 2]:
+                        assert frob((m @ pinv).conj().T @ g) <= 1e-10
 
 
 class TestVerify:
     def test_detects_injected_fault(self, tetrad_povm, tmp_path):
         tree = compile_tree(tetrad_povm, partition=[0, 3, 1, 2])
         # perturb one second-stage operator by 1e-3: b of node "10", measured at "1"
-        node = tree.root.children[1]
-        b0 = node.kraus_pair.b0.copy()
-        b0[0, 0] += 1e-3
-        leaf = replace(node.children[0], node_kraus=b0)
-        node = replace(
-            node,
-            kraus_pair=KrausPair(b0=b0, b1=node.kraus_pair.b1),
-            children=(leaf, node.children[1]),
-        )
-        root = replace(tree.root, children=(tree.root.children[0], node))
-        tampered = replace(tree, root=root)
+        level = tree.kraus[1].copy()
+        level[1, 0, 0, 0] += 1e-3
+        tampered = replace(tree, kraus=(tree.kraus[0], level))
         report = verify(tampered)
         assert not report.passed
         bad_nodes = {c.path for c in report.nodes if not c.ok}
@@ -271,6 +280,36 @@ class TestVerify:
             treeio.load_tree(path)
         assert err.value.path == "1"
 
+    def test_completeness_judged_once_at_tol_check(self, tetrad_povm, tmp_path, monkeypatch):
+        # Scaling the root pair by 1 + eps makes b0^dag b0 + b1^dag b1 = (1 + eps)^2 I,
+        # a completeness residual of about 2 eps sqrt(2) = 5e-10: inside tol_check,
+        # though above tol_unitary.  That residual is the [b0; b1] Gram block of
+        # U^dag U - I, so the dilation check must not judge it a second time.
+        tree = compile_tree(tetrad_povm, partition=[0, 3, 1, 2])
+        root = tree.kraus[0] * (1 + 5e-10 / (2 * np.sqrt(2)))
+        root.setflags(write=False)
+        scaled = replace(tree, kraus=(root, tree.kraus[1]))
+        report = verify(scaled)
+        assert report.nodes[0].completeness_residual == pytest.approx(5e-10, rel=0.05)
+        assert report.nodes[0].dilation_unitarity <= 1e-10
+        assert report.passed
+        path = tmp_path / "scaled.tree.json"
+        treeio.save_tree(scaled, path)
+        assert treeio.load_tree(path).kraus[0].tobytes() == root.tobytes()
+
+        # the cross and completion blocks are still judged at tol_unitary
+        build = tree_module.dilate_binary
+
+        def corrupted(pair, tol):
+            u = build(pair, tol).unitary.copy()
+            u[:, -1] *= 1 + 1e-8
+            return NodeDilation(unitary=u, system_dim=pair.dim)
+
+        monkeypatch.setattr(tree_module, "dilate_binary", corrupted)
+        report = verify(tree)
+        assert not report.passed
+        assert all(not c.ok and c.dilation_unitarity > 1e-10 for c in report.nodes)
+
     def test_reports_rank_and_corrections(self, rng):
         p = random_rank_one_povm(4, 3, rng)
         report = verify(compile_tree(p))
@@ -282,3 +321,26 @@ class TestVerify:
         report = verify(compile_tree(tetrad_povm))
         text = report.summary()
         assert "PASS" in text and "completeness" in text
+
+
+class TestMemory:
+    @pytest.mark.parametrize("d, n", [(2, 4096), (32, 64)])
+    def test_compiled_tree_holds_only_its_kraus_pairs(self, d, n):
+        # The Kraus pairs take 16 * 2 * (N - 1) * d * d bytes; a compiled tree
+        # may keep at most twice that, plus 256 KiB for the outcome order and
+        # the Python objects.
+        rng = np.random.default_rng([d, n])
+        povm = random_rank_one_povm(n, d, rng)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            tree = compile_tree(povm)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept <= 2 * 16 * 2 * (n - 1) * d * d + 256 * 1024
+        assert verify(tree).passed
+        state = random_density(d, rng)
+        probs = np.array([o.probability for o in propagate(tree, state)])
+        assert np.max(np.abs(probs - direct_probabilities(tree.povm, state))) <= 1e-8
