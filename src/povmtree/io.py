@@ -159,7 +159,7 @@ def encode_array(a: np.ndarray) -> str:
 
 
 def decode_array(obj: Any, shape: tuple[int, ...], field: str) -> np.ndarray:
-    """Inverse of :func:`encode_array`: a fresh, read-only complex array of ``shape``.
+    """Inverse of :func:`encode_array`: a read-only complex array of ``shape``.
 
     Rejects text that is not valid base64, a byte count other than the shape
     needs, and non-finite entries.
@@ -175,7 +175,8 @@ def decode_array(obj: Any, shape: tuple[int, ...], field: str) -> np.ndarray:
         raise ParseError(
             f"blob holds {len(raw)} bytes, expected {expected} for shape {shape}", field=field
         )
-    a = np.frombuffer(raw, dtype=_BLOB_DTYPE).reshape(shape).astype(complex)
+    # no copy on a little-endian host: the array keeps the decoded bytes
+    a = np.frombuffer(raw, dtype=_BLOB_DTYPE).reshape(shape).astype(complex, copy=False)
     if not np.isfinite(a).all():
         raise ParseError("blob has a non-finite entry", field=field)
     a.setflags(write=False)
@@ -297,6 +298,11 @@ def tree_from_dict(data: dict) -> MeasurementTree:
         If a stored pair is not complete, or the rebuilt tree fails
         :func:`povmtree.tree.verify`; names the first failing node.
     """
+    return _verified(_decode_tree(data))
+
+
+def _decode_tree(data: dict) -> MeasurementTree:
+    """The tree a ``tree-v2`` record holds, with its structure and stored pairs checked."""
     fmt = data.get("format")
     if fmt != TREE_FORMAT:
         raise ParseError(f"unsupported tree format {fmt!r}, expected {TREE_FORMAT!r}",
@@ -318,8 +324,12 @@ def tree_from_dict(data: dict) -> MeasurementTree:
         if bad.size:
             raise TreeVerificationError(float(residual[bad[0]]),
                                         path=node_path(level, int(bad[0])), what="completeness")
-    tree = MeasurementTree(povm=povm, order=order, kraus=tuple(levels), depth=depth,
+    return MeasurementTree(povm=povm, order=order, kraus=tuple(levels), depth=depth,
                            split_coefficients=coeffs, tolerances=tol)
+
+
+def _verified(tree: MeasurementTree) -> MeasurementTree:
+    """``tree``, once :func:`povmtree.tree.verify` passes on it."""
     report = verify(tree)
     for c in report.nodes:
         if not c.ok:
@@ -328,7 +338,7 @@ def tree_from_dict(data: dict) -> MeasurementTree:
             raise TreeVerificationError(residual, path=c.path, what="verify")
     for i, c in enumerate(report.leaves):
         if not c.ok:
-            raise TreeVerificationError(c.residual, path=node_path(depth, i),
+            raise TreeVerificationError(c.residual, path=node_path(tree.depth, i),
                                         what="leaf reconstruction")
     return tree
 
@@ -340,4 +350,5 @@ def save_tree(tree: MeasurementTree, path) -> None:
 
 
 def load_tree(path) -> MeasurementTree:
-    return tree_from_dict(_load_json(path))
+    # the parsed record, with every blob, is released before verify() runs
+    return _verified(_decode_tree(_load_json(path)))

@@ -20,7 +20,14 @@ from .errors import (
     NotPsdError,
     NotUnitaryError,
 )
-from .linalg import DEFAULT_TOLERANCES, Tolerances, as_complex_matrix, frobenius, psd_sqrt_stack
+from .linalg import (
+    DEFAULT_TOLERANCES,
+    Tolerances,
+    adjoint,
+    as_complex_matrix,
+    frobenius,
+    psd_sqrt_stack,
+)
 
 
 def _frozen(m: np.ndarray) -> np.ndarray:
@@ -60,7 +67,9 @@ def validate(elements, labels=None, tol: Tolerances = DEFAULT_TOLERANCES) -> Pov
 
     Raises the error for the first violated condition: equal square
     dimensions, per-element Hermiticity and positivity, and the sum-to-identity
-    completeness relation.
+    completeness relation.  Hermiticity and positivity are judged on the
+    whole stack at once; the error names the first failing element, and
+    Hermiticity of an element comes before its positivity.
     """
     mats = [as_complex_matrix(m) for m in elements]
     if not mats:
@@ -71,15 +80,18 @@ def validate(elements, labels=None, tol: Tolerances = DEFAULT_TOLERANCES) -> Pov
             raise DimensionMismatchError(
                 f"element {j} has shape {m.shape}, expected ({dim}, {dim})"
             )
-    for j, m in enumerate(mats):
-        residual = frobenius(m - m.conj().T)
-        if residual > tol.tol_check:
-            raise NotHermitianError(residual, index=j)
-        min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
-        if min_eig < -tol.tol_check:
-            raise NotPsdError(min_eig, index=j)
-    total = sum(mats)
-    deficit = frobenius(total - np.eye(dim))
+    stack = np.stack(mats)
+    adj = adjoint(stack)
+    residual = np.linalg.norm(stack - adj, axis=(1, 2))
+    min_eig = np.linalg.eigvalsh((stack + adj) / 2)[:, 0]
+    not_hermitian = residual > tol.tol_check
+    bad = np.flatnonzero(not_hermitian | (min_eig < -tol.tol_check))
+    if bad.size:
+        j = int(bad[0])
+        if not_hermitian[j]:
+            raise NotHermitianError(float(residual[j]), index=j)
+        raise NotPsdError(float(min_eig[j]), index=j)
+    deficit = frobenius(stack.sum(axis=0) - np.eye(dim))
     if deficit > tol.tol_check:
         raise IncompleteSumError(deficit)
     if labels is None:

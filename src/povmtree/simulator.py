@@ -140,8 +140,12 @@ def _level_pass(tree: MeasurementTree, state: QuantumState):
     return sigma, p_left
 
 
-def _outcomes(tree: MeasurementTree, leaves: np.ndarray, t: Tolerances) -> list[SimulationOutcome]:
-    """Leaf probabilities and post-states, ordered by outcome index."""
+def _leaf_probabilities(tree: MeasurementTree, leaves: np.ndarray, t: Tolerances):
+    """Leaf probabilities left to right, with the reached leaves and their Hermitian parts.
+
+    Raises :class:`TreeVerificationError` if a reached leaf's unnormalised
+    state has an eigenvalue below ``-tol_check``.
+    """
     probs = np.clip(np.trace(leaves, axis1=-2, axis2=-1).real, 0.0, 1.0)
     reached = np.flatnonzero(probs >= t.tol_check)
     herm = (leaves[reached] + adjoint(leaves[reached])) / 2
@@ -157,6 +161,12 @@ def _outcomes(tree: MeasurementTree, leaves: np.ndarray, t: Tolerances) -> list[
                 path=node_path(tree.depth, int(reached[bad[0]])),
                 what="post-state positivity",
             )
+    return probs, reached, herm
+
+
+def _outcomes(tree: MeasurementTree, leaves: np.ndarray, t: Tolerances) -> list[SimulationOutcome]:
+    """Leaf probabilities and post-states, ordered by outcome index."""
+    probs, reached, herm = _leaf_probabilities(tree, leaves, t)
     posts: list[QuantumState | None] = [None] * len(probs)
     for rho, i in zip(herm, reached):
         posts[i] = QuantumState._checked_elsewhere(rho / probs[i])
@@ -211,6 +221,7 @@ class SampleReport:
 
 
 _CHUNK = 1 << 16
+_BLOCK = 1 << 12
 
 
 def sample(
@@ -224,31 +235,34 @@ def sample(
     65536; chunk ``c`` uses the generator seeded by
     ``numpy.random.SeedSequence(seed, spawn_key=(c,))``, so chunks may be
     drawn in parallel and merged, and the result is identical to the
-    sequential run for the same seed.
+    sequential run for the same seed.  Inside a chunk, shots are drawn and
+    walked in fixed blocks of 4096 rows, in order; the generator yields the
+    same doubles as one draw for the whole chunk, so the counts do not depend
+    on the block size, and the working memory does not grow with ``shots``.
+    ``expected`` holds the exact leaf probabilities of :func:`propagate`,
+    taken from the same level pass without building post-states.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
     leaves, p_left = _level_pass(tree, state)
-    exact = _outcomes(tree, leaves, tree.tolerances)
+    probs = _leaf_probabilities(tree, leaves, tree.tolerances)[0]
     n = tree.povm.n_outcomes
     counts = np.zeros(n, dtype=np.int64)
     leaf_outcome = np.array(tree.order, dtype=np.int64)
 
-    done = 0
-    chunk_index = 0
-    while done < shots:
+    for chunk_index, done in enumerate(range(0, shots, _CHUNK)):
         size = min(_CHUNK, shots - done)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
-        uniforms = rng.random((size, tree.depth)) if tree.depth else None
-        current = np.zeros(size, dtype=np.int64)
-        for level in range(tree.depth):
-            go_right = uniforms[:, level] >= p_left[level][current]
-            current = 2 * current + go_right
-        counts += np.bincount(leaf_outcome[current], minlength=n)
-        done += size
-        chunk_index += 1
+        for start in range(0, size, _BLOCK):
+            uniforms = rng.random((min(_BLOCK, size - start), tree.depth))
+            current = np.zeros(len(uniforms), dtype=np.int64)
+            for level, p in enumerate(p_left):
+                current = 2 * current + (uniforms[:, level] >= p[current])
+            counts += np.bincount(leaf_outcome[current], minlength=n)
 
-    expected = tuple(o.probability for o in exact)
+    by_outcome = np.empty(n)
+    by_outcome[leaf_outcome] = probs
+    expected = tuple(by_outcome.tolist())
     max_sigma = 0.0
     for c, p in zip(counts, expected):
         spread = np.sqrt(shots * p * (1.0 - p))

@@ -48,6 +48,22 @@ class TestValidate:
         assert err.value.index == 0
         assert err.value.min_eigenvalue == pytest.approx(-0.5)
 
+    def test_first_failing_element_is_named(self):
+        good = np.eye(2) / 4
+        not_psd = np.diag([0.75, -0.25])
+        not_hermitian = np.array([[0.25, 0.5], [0.0, 0.25]])
+        both = np.array([[0.25, 0.5], [0.0, -0.25]])
+        with pytest.raises(NotPsdError) as err:
+            validate([good, good, not_psd, not_hermitian, good])
+        assert err.value.index == 2
+        with pytest.raises(NotHermitianError) as err:
+            validate([good, good, good, not_hermitian, not_psd])
+        assert err.value.index == 3
+        # Hermiticity of an element is judged before its positivity
+        with pytest.raises(NotHermitianError) as err:
+            validate([good, good, both, not_psd])
+        assert err.value.index == 2
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             validate([np.eye(2), np.eye(3)])

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -228,3 +229,125 @@ class TestSample:
         tree = compile_tree(validate([np.eye(2)]))
         report = sample(tree, QuantumState.maximally_mixed(2), 100, seed=0)
         assert report.counts == (100,)
+
+
+# sample(tree, state, shots, seed=7) counts on the cases of _pinned_case; for
+# N >= 1024 outcomes, the SHA-256 of repr(counts).  Recorded before the
+# sampler drew its uniforms in row blocks, so a change to the random stream,
+# the chunking or the descent shows here.
+PINNED_COUNTS = {
+    ("rank-one", 2, 4096): {
+        1: "34083d5f47846286bb2bc443d4ca51389dd60c96d7bbf8bedbf9255d138eb919",
+        4095: "e5e073e8366903e7d976c933825455ddaa4c35a2e0b49987d653fc3b4925e011",
+        4097: "063310945b02bdae731a2c9ddaf094e5a9051fd2a9ba550a7ac405bef4446893",
+        65536: "e0b3039b35562a694c23e09530a84eeddc2e5617d7420a77702f7f49f168d26b",
+        65537: "d55d5d2e30539baf96545cf52722ddc472953d779cbd03c454b8741e05577eb7",
+        1000000: "f628030e6f00a83ec0876e655d8a3f5a34a441ca7c47458f07eb3eb63156133f",
+    },
+    ("mixed", 4, 1024): {
+        1: "fc59f3fc1a36f571256cdb89014e28799fbc227b67e02c0e9c75549f36362dc8",
+        4095: "9f33ebf19f72959f360f487db8a04d1aa50c2aa0964d57a05dc47e9b7393aad5",
+        4097: "dc2c06cc307f1807207f8e7ca8cca5cc282b07c1b35ef4d285478159457ae944",
+        65536: "78f1c332fbfbb6f65b2e6540645af70e2b1e6e89c07c2e510ba496279f8e5639",
+        65537: "e4efd891d3e3762e9eb0d6b3cdd08c5b60cb07d3ab5f4ede976506927f3a9ab8",
+        1000000: "4fc32a89f62d38f9f11a7e66ec77191004eb6a90395782a4399588d0c94ec98e",
+    },
+    ("mixed", 32, 64): {
+        1: (
+            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0,
+            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0
+        ),
+        4095: (
+            54, 58, 130, 119, 100, 27, 12, 21, 88, 83, 112, 107, 109, 104, 71, 19,
+            58, 24, 60, 19, 111, 35, 10, 33, 12, 4, 68, 111, 77, 40, 55, 26, 10,
+            122, 11, 54, 126, 10, 78, 92, 66, 88, 51, 59, 81, 22, 90, 37, 75, 88,
+            54, 21, 54, 52, 74, 92, 95, 73, 93, 36, 77, 75, 80, 102
+        ),
+        4097: (
+            54, 58, 130, 119, 100, 27, 12, 21, 88, 83, 112, 107, 110, 104, 71, 19,
+            58, 24, 60, 19, 112, 35, 10, 33, 12, 4, 68, 111, 77, 40, 55, 26, 10,
+            122, 11, 54, 126, 10, 78, 92, 66, 88, 51, 59, 81, 22, 90, 37, 75, 88,
+            54, 21, 54, 52, 74, 92, 95, 73, 93, 36, 77, 75, 80, 102
+        ),
+        65536: (
+            805, 953, 2086, 1856, 1611, 624, 149, 280, 1568, 1364, 1896, 1859, 1561,
+            1640, 1221, 242, 1006, 457, 901, 353, 1801, 453, 126, 605, 192, 75,
+            1046, 1633, 1052, 586, 978, 405, 336, 1747, 160, 727, 1895, 166, 1170,
+            1355, 1143, 1389, 845, 918, 1299, 309, 1246, 496, 1085, 1412, 797, 328,
+            918, 695, 1209, 1761, 1725, 1251, 1778, 670, 1015, 1333, 1353, 1621
+        ),
+        65537: (
+            805, 953, 2086, 1856, 1611, 624, 149, 280, 1568, 1364, 1896, 1859, 1561,
+            1640, 1221, 242, 1006, 457, 901, 353, 1801, 453, 126, 605, 192, 75,
+            1046, 1633, 1052, 586, 978, 405, 336, 1748, 160, 727, 1895, 166, 1170,
+            1355, 1143, 1389, 845, 918, 1299, 309, 1246, 496, 1085, 1412, 797, 328,
+            918, 695, 1209, 1761, 1725, 1251, 1778, 670, 1015, 1333, 1353, 1621
+        ),
+        1000000: (
+            13562, 15167, 32108, 27645, 25175, 9615, 2297, 3779, 24244, 19697,
+            28557, 27493, 24413, 24964, 18565, 3218, 15130, 7682, 14186, 4864,
+            28563, 6898, 2037, 9546, 2781, 1400, 16000, 24177, 16609, 8274, 14213,
+            6088, 4979, 25524, 2640, 11222, 29323, 2697, 16959, 19942, 18377, 21458,
+            13020, 14523, 20195, 4813, 19325, 7350, 16134, 21660, 12636, 5128,
+            14162, 10346, 18329, 26840, 24909, 19513, 26620, 10448, 16398, 20214,
+            21096, 24273
+        ),
+    },
+    ("mixed", 3, 13): {
+        1: (
+            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0
+        ),
+        4095: (
+            162, 125, 934, 137, 341, 453, 44, 262, 260, 92, 493, 410, 382, 0, 0, 0
+        ),
+        4097: (
+            162, 125, 934, 137, 342, 454, 44, 262, 260, 92, 493, 410, 382, 0, 0, 0
+        ),
+        65536: (
+            2597, 1799, 15523, 2231, 5977, 7184, 624, 3914, 4037, 1478, 7757, 6494,
+            5921, 0, 0, 0
+        ),
+        65537: (
+            2597, 1799, 15524, 2231, 5977, 7184, 624, 3914, 4037, 1478, 7757, 6494,
+            5921, 0, 0, 0
+        ),
+        1000000: (
+            40373, 28663, 237188, 34880, 90140, 109064, 9473, 58815, 61452, 21911,
+            119443, 97303, 91295, 0, 0, 0
+        ),
+    },
+    ("identity", 2, 1): {
+        1: (1,),
+        4095: (4095,),
+        4097: (4097,),
+        65536: (65536,),
+        65537: (65537,),
+        1000000: (1000000,),
+    },
+}
+
+
+def _pinned_case(key):
+    kind, d, n = key
+    if kind == "identity":
+        return compile_tree(validate([np.eye(d)])), QuantumState.maximally_mixed(d)
+    rng = np.random.default_rng([d, n])
+    make = random_rank_one_povm if kind == "rank-one" else random_povm
+    tree = compile_tree(make(n, d, rng))
+    return tree, random_density(d, rng)
+
+
+class TestSamplePinned:
+    @pytest.mark.parametrize("key", list(PINNED_COUNTS), ids=lambda k: f"{k[0]}-{k[1]}x{k[2]}")
+    def test_fixed_seed_counts(self, key):
+        tree, state = _pinned_case(key)
+        exact = tuple(o.probability for o in propagate(tree, state))
+        for shots, pinned in PINNED_COUNTS[key].items():
+            report = sample(tree, state, shots, seed=7)
+            assert sum(report.counts) == shots
+            if isinstance(pinned, str):
+                assert hashlib.sha256(repr(report.counts).encode()).hexdigest() == pinned, shots
+            else:
+                assert report.counts == pinned, shots
+            assert report.expected == exact

@@ -26,6 +26,7 @@ from povmtree import (
     random_povm,
     random_rank_one_povm,
     random_unitary,
+    sample,
     split_node,
     tetrad,
     validate,
@@ -344,3 +345,25 @@ class TestMemory:
         state = random_density(d, rng)
         probs = np.array([o.probability for o in propagate(tree, state)])
         assert np.max(np.abs(probs - direct_probabilities(tree.povm, state))) <= 1e-8
+
+    @pytest.mark.parametrize("d, n", [(2, 4096), (4, 1024)])
+    def test_sample_memory_does_not_grow_with_shots(self, d, n):
+        # The sampler holds one block of rows at a time, so 1e6 shots may
+        # take at most 256 KiB more than 1e4 shots; at (2, 4096) the whole
+        # call stays within 2 MiB.
+        rng = np.random.default_rng([d, n])
+        tree = compile_tree(random_rank_one_povm(n, d, rng))
+        state = random_density(d, rng)
+        peaks = {}
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for shots in (10_000, 1_000_000):
+                tracemalloc.reset_peak()
+                sample(tree, state, shots, seed=1)
+                peaks[shots] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peaks[1_000_000] <= peaks[10_000] + 256 * 1024
+        if (d, n) == (2, 4096):
+            assert peaks[1_000_000] <= 2 * 1024 * 1024
