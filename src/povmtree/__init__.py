@@ -15,7 +15,6 @@ from .dilation import (
     NeumarkExtension,
     NodeDilation,
     dilate_binary,
-    extract_kraus,
     full_neumark,
 )
 from .errors import (
@@ -119,7 +118,6 @@ __all__ = [
     "default_kraus",
     "dilate_binary",
     "direct_probabilities",
-    "extract_kraus",
     "full_neumark",
     "hermitian_eig",
     "node_path",

@@ -86,7 +86,7 @@ def cmd_validate(args) -> int:
     tol = _tolerances(args)
     povm = treeio.load_povm(args.path, tol=tol)
     identity = np.eye(povm.dim)
-    total = sum(povm.elements)
+    total = povm.elements.sum(axis=0)
     print(f"POVM: {povm.n_outcomes} outcomes on dimension {povm.dim}")
     for j, m in enumerate(povm.elements):
         herm = frobenius(m - m.conj().T)
@@ -140,7 +140,7 @@ def cmd_compile(args) -> int:
         f"binary tree {costs.binary_tree_ops} ({costs.binary_tree_depth} levels)"
     )
 
-    out_path = args.out or str(Path(args.path).with_suffix("")) + ".tree.json"
+    out_path = args.out or str(Path(args.path).with_suffix("")) + ".tree"
     treeio.save_tree(tree, out_path)
     print(f"tree written to {out_path}")
     if not report.passed or worst > 1e-8:
@@ -202,7 +202,7 @@ def cmd_example_tetrad(args) -> int:
     treeio.save_povm(povm, povm_path)
 
     tree = compile_tree(povm, partition=[0, 3, 1, 2])
-    tree_path = out_dir / "tetrad.tree.json"
+    tree_path = out_dir / "tetrad.tree"
     treeio.save_tree(tree, tree_path)
     report = verify(tree)
 
@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compile.set_defaults(func=cmd_compile)
 
     p_sim = sub.add_parser("simulate", help="run a compiled tree on a state")
-    p_sim.add_argument("tree", help="tree JSON file")
+    p_sim.add_argument("tree", help="tree file")
     p_sim.add_argument(
         "--state",
         default="mixed:max",

@@ -59,11 +59,11 @@ class NodeDilation:
 
     unitary: np.ndarray
     system_dim: int
-    probe_dim: int = 2
 
     def kraus_block(self, probe_outcome: int) -> np.ndarray:
-        if not 0 <= probe_outcome < self.probe_dim:
-            raise IndexError(f"probe outcome {probe_outcome} not in 0..{self.probe_dim - 1}")
+        """The d x d block <probe_outcome|U|0>."""
+        if probe_outcome not in (0, 1):
+            raise IndexError(f"probe outcome {probe_outcome} not in 0..1")
         d = self.system_dim
         return self.unitary[probe_outcome * d : (probe_outcome + 1) * d, :d]
 
@@ -73,8 +73,8 @@ def dilate_binary(pair: KrausPair, tol: Tolerances = DEFAULT_TOLERANCES) -> Node
 
     Stacks [b0; b1] as the first block column (orthonormal columns exactly
     when the pair is complete) and completes it to a unitary.  The given
-    blocks are embedded bit-identically, so :func:`extract_kraus` round-trips
-    exactly.
+    blocks are embedded bit-identically, so :meth:`NodeDilation.kraus_block`
+    round-trips exactly.
     """
     residual = pair.completeness_residual()
     if residual > tol.tol_check:
@@ -85,11 +85,6 @@ def dilate_binary(pair: KrausPair, tol: Tolerances = DEFAULT_TOLERANCES) -> Node
     u = complete_to_unitary(block, iso_tol)
     u.setflags(write=False)
     return NodeDilation(unitary=u, system_dim=pair.dim)
-
-
-def extract_kraus(nd: NodeDilation, probe_outcome: int) -> np.ndarray:
-    """The d x d block <probe_outcome|U|0>."""
-    return nd.kraus_block(probe_outcome)
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,6 +169,5 @@ __all__ = [
     "NodeDilation",
     "NeumarkExtension",
     "dilate_binary",
-    "extract_kraus",
     "full_neumark",
 ]

@@ -54,7 +54,11 @@ class IncompleteSumError(PovmTreeError):
 
 
 class DimensionMismatchError(PovmTreeError):
-    pass
+    """Shapes or counts that do not fit together; ``index`` names the element, if one."""
+
+    def __init__(self, message: str, index: int | None = None) -> None:
+        super().__init__(message)
+        self.index = index
 
 
 class InconsistentChildrenError(PovmTreeError):

@@ -1,21 +1,24 @@
-"""JSON file formats for POVMs, states, and compiled trees.
+"""File formats for POVMs, states, and compiled trees.
 
-In POVM and state files complex entries are stored as two-element
+POVM and state files are JSON.  Complex entries are stored as two-element
 ``[real, imaginary]`` arrays.  Floats go through Python's shortest round-trip
 representation, so serialize/deserialize reproduces every matrix bit-exactly.
 
-A tree file stores only a tree's independent data, its Kraus pairs level by
-level (``tree.kraus``) and the padded POVM, as base64 blobs of little-endian
-complex128 values (exact by construction).  The loader checks the structure
-and the completeness of every stored pair, and runs
-:func:`povmtree.tree.verify` before it returns the tree.
+A tree file (``tree-v3``) stores only a tree's independent data.  Its first
+line is a JSON header; the raw little-endian complex128 bytes of the padded
+POVM and of the Kraus pairs level by level (``tree.kraus``) follow it, so
+they are exact by construction.  The loader reads each array straight into
+the buffer the tree keeps, checks the structure and the completeness of
+every stored pair, and runs :func:`povmtree.tree.verify` before it returns
+the tree.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import math
+import os
+import re
 from typing import Any
 
 import numpy as np
@@ -34,9 +37,18 @@ from .tree import (
 
 POVM_FORMAT = "povmtree/povm-v1"
 STATE_FORMAT = "povmtree/state-v1"
-TREE_FORMAT = "povmtree/tree-v2"
+TREE_FORMAT = "povmtree/tree-v3"
 
 _BLOB_DTYPE = np.dtype("<c16")
+
+# Longest accepted header line: room for the order and labels of about a
+# million outcomes, and a bound on what a file that is not tree-v3 makes
+# the loader read.
+_HEADER_LIMIT = 16 << 20
+
+# The format field that leads a JSON document written by json.dump, indented
+# or not, as tree-v1 and tree-v2 files were.
+_FORMAT_PREFIX = re.compile(rb'\{\s*"format"\s*:\s*"([^"\\]*)"')
 
 
 def encode_matrix(m: np.ndarray) -> list:
@@ -152,37 +164,6 @@ def load_state(path) -> QuantumState:
     return state_from_dict(_load_json(path))
 
 
-def encode_array(a: np.ndarray) -> str:
-    """Base64 text of the array's entries as little-endian complex128, C order."""
-    raw = np.ascontiguousarray(a, dtype=_BLOB_DTYPE).tobytes()
-    return base64.b64encode(raw).decode("ascii")
-
-
-def decode_array(obj: Any, shape: tuple[int, ...], field: str) -> np.ndarray:
-    """Inverse of :func:`encode_array`: a read-only complex array of ``shape``.
-
-    Rejects text that is not valid base64, a byte count other than the shape
-    needs, and non-finite entries.
-    """
-    if not isinstance(obj, str):
-        raise ParseError("blob must be a base64 string", field=field)
-    try:
-        raw = base64.b64decode(obj, validate=True)
-    except ValueError as err:  # binascii.Error, or non-ASCII text
-        raise ParseError(f"invalid base64: {err}", field=field) from err
-    expected = math.prod(shape) * _BLOB_DTYPE.itemsize
-    if len(raw) != expected:
-        raise ParseError(
-            f"blob holds {len(raw)} bytes, expected {expected} for shape {shape}", field=field
-        )
-    # no copy on a little-endian host: the array keeps the decoded bytes
-    a = np.frombuffer(raw, dtype=_BLOB_DTYPE).reshape(shape).astype(complex, copy=False)
-    if not np.isfinite(a).all():
-        raise ParseError("blob has a non-finite entry", field=field)
-    a.setflags(write=False)
-    return a
-
-
 def _int_field(data: dict, key: str, low: int) -> int:
     value = _require(data, key)
     if isinstance(value, bool) or not isinstance(value, int) or value < low:
@@ -197,7 +178,12 @@ def _finite_float(value: Any, field: str) -> float:
 
 
 def tree_to_dict(tree: MeasurementTree) -> dict:
-    """The ``tree-v2`` record of a compiled tree: ``tree.kraus`` level by level."""
+    """The ``tree-v3`` record of a compiled tree: the header fields plus its arrays.
+
+    ``elements`` is the padded POVM ``(N, d, d)`` and ``kraus`` the list of
+    ``tree.kraus`` levels; both are the tree's own read-only arrays, not
+    copies.  Every other value is plain JSON.
+    """
     p = tree.povm
     coeffs = tree.split_coefficients
     tol = tree.tolerances
@@ -218,8 +204,8 @@ def tree_to_dict(tree: MeasurementTree) -> dict:
         "order": list(tree.order),
         "labels": list(p.labels),
         "n_original": p.n_original,
-        "elements": encode_array(np.stack(p.elements)),
-        "kraus": [encode_array(level) for level in tree.kraus],
+        "elements": p.elements,
+        "kraus": list(tree.kraus),
     }
 
 
@@ -252,6 +238,19 @@ def _tolerances(data: dict) -> Tolerances:
     return Tolerances(**values)
 
 
+def _array(value: Any, shape: tuple[int, ...], field: str) -> np.ndarray:
+    """``value`` as a read-only complex array of ``shape`` with finite entries."""
+    if not isinstance(value, np.ndarray) or value.shape != shape:
+        got = value.shape if isinstance(value, np.ndarray) else type(value).__name__
+        raise ParseError(f"expected an array of shape {shape}, got {got}", field=field)
+    # a writeable array stays the caller's: the tree keeps a frozen copy
+    a = value.astype(complex, copy=value.flags.writeable)
+    if not np.isfinite(a).all():
+        raise ParseError("array has a non-finite entry", field=field)
+    a.setflags(write=False)
+    return a
+
+
 def _povm(data: dict, dim: int, n: int) -> Povm:
     labels = _require(data, "labels")
     if not (isinstance(labels, list) and len(labels) == n
@@ -260,9 +259,9 @@ def _povm(data: dict, dim: int, n: int) -> Povm:
     n_original = _int_field(data, "n_original", 1)
     if n_original > n:
         raise ParseError(f"exceeds n_outcomes {n}", field="n_original")
-    elements = decode_array(_require(data, "elements"), (n, dim, dim), "elements")
+    elements = _array(_require(data, "elements"), (n, dim, dim), "elements")
     # the elements are checked against the Kraus pairs by verify()
-    return Povm(dim=dim, elements=tuple(elements), labels=tuple(labels), n_original=n_original)
+    return Povm(dim=dim, elements=elements, labels=tuple(labels), n_original=n_original)
 
 
 def _order(data: dict, n: int) -> tuple[int, ...]:
@@ -278,31 +277,11 @@ def _kraus_levels(data: dict, dim: int, depth: int) -> list[np.ndarray]:
     if not isinstance(raw, list) or len(raw) != depth:
         count = len(raw) if isinstance(raw, list) else "no"
         raise ParseError(f"expected {depth} Kraus levels, got {count}", field="kraus")
-    return [
-        decode_array(blob, (1 << level, 2, dim, dim), f"kraus[{level}]")
-        for level, blob in enumerate(raw)
-    ]
+    return [_array(a, (1 << level, 2, dim, dim), f"kraus[{level}]") for level, a in enumerate(raw)]
 
 
-def tree_from_dict(data: dict) -> MeasurementTree:
-    """Rebuild and verify a tree from its ``tree-v2`` record.
-
-    Raises
-    ------
-    ParseError
-        If the record is not ``tree-v2`` or is malformed: ``n_outcomes`` must
-        be ``2**depth`` with exactly ``depth`` Kraus levels, ``order`` a
-        permutation of the outcomes, and every blob valid base64 of the
-        expected length with finite entries.
-    TreeVerificationError
-        If a stored pair is not complete, or the rebuilt tree fails
-        :func:`povmtree.tree.verify`; names the first failing node.
-    """
-    return _verified(_decode_tree(data))
-
-
-def _decode_tree(data: dict) -> MeasurementTree:
-    """The tree a ``tree-v2`` record holds, with its structure and stored pairs checked."""
+def _structure(data: dict) -> tuple[int, int, int]:
+    """``(dimension, depth, n_outcomes)`` of a ``tree-v3`` record, checked."""
     fmt = data.get("format")
     if fmt != TREE_FORMAT:
         raise ParseError(f"unsupported tree format {fmt!r}, expected {TREE_FORMAT!r}",
@@ -313,6 +292,24 @@ def _decode_tree(data: dict) -> MeasurementTree:
     # compare bit lengths first, so a huge depth is not shifted out
     if n.bit_length() - 1 != depth or n != 1 << depth:
         raise ParseError(f"n_outcomes {n} is not 2**depth for depth {depth}", field="depth")
+    return dim, depth, n
+
+
+def tree_from_dict(data: dict) -> MeasurementTree:
+    """Rebuild and verify a tree from its ``tree-v3`` record (see :func:`tree_to_dict`).
+
+    Raises
+    ------
+    ParseError
+        If the record is not ``tree-v3`` or is malformed: ``n_outcomes`` must
+        be ``2**depth`` with exactly ``depth`` Kraus levels, ``order`` a
+        permutation of the outcomes, and every array of the expected shape
+        with finite entries.
+    TreeVerificationError
+        If a stored pair is not complete, or the rebuilt tree fails
+        :func:`povmtree.tree.verify`; names the first failing node.
+    """
+    dim, depth, n = _structure(data)
     coeffs = _split_coefficients(data)
     tol = _tolerances(data)
     order = _order(data, n)
@@ -324,8 +321,8 @@ def _decode_tree(data: dict) -> MeasurementTree:
         if bad.size:
             raise TreeVerificationError(float(residual[bad[0]]),
                                         path=node_path(level, int(bad[0])), what="completeness")
-    return MeasurementTree(povm=povm, order=order, kraus=tuple(levels), depth=depth,
-                           split_coefficients=coeffs, tolerances=tol)
+    return _verified(MeasurementTree(povm=povm, order=order, kraus=tuple(levels), depth=depth,
+                                     split_coefficients=coeffs, tolerances=tol))
 
 
 def _verified(tree: MeasurementTree) -> MeasurementTree:
@@ -344,11 +341,89 @@ def _verified(tree: MeasurementTree) -> MeasurementTree:
 
 
 def save_tree(tree: MeasurementTree, path) -> None:
-    # no indentation: the blobs are single strings, so it would only pad the lists
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(tree_to_dict(tree), handle)
+    """Write ``tree`` as ``tree-v3``: one JSON header line, then the raw arrays.
+
+    Each array's buffer is written as it is held, without a copy.
+    """
+    record = tree_to_dict(tree)
+    arrays = [record.pop("elements"), *record.pop("kraus")]
+    with open(path, "wb") as handle:
+        handle.write(json.dumps(record).encode("utf-8") + b"\n")
+        for a in arrays:
+            # a no-op on a little-endian host
+            handle.write(np.ascontiguousarray(a, dtype=_BLOB_DTYPE))
+
+
+def _read_header(handle) -> tuple[dict, int, int]:
+    """The checked JSON header on the first line of a tree file, its dimension and depth."""
+    line = handle.readline(_HEADER_LIMIT + 1)
+    try:
+        header = json.loads(line) if len(line) <= _HEADER_LIMIT else None
+    except ValueError:  # not JSON, or not UTF-8
+        header = None
+    if not isinstance(header, dict):
+        # the earlier formats were one JSON document: name theirs if it leads the file
+        handle.seek(0)
+        old = _FORMAT_PREFIX.match(handle.read(4096))
+        if old and old.group(1) != TREE_FORMAT.encode():
+            header = {"format": old.group(1).decode("utf-8", "replace")}
+        elif len(line) > _HEADER_LIMIT:
+            raise ParseError(f"header line exceeds {_HEADER_LIMIT} bytes", field="header")
+        else:
+            raise ParseError("the first line is not a JSON object", field="header")
+    dim, depth, _ = _structure(header)
+    if not line.endswith(b"\n"):
+        raise ParseError("the header line has no terminating newline", field="header")
+    return header, dim, depth
+
+
+def _blobs(dim: int, depth: int):
+    """Field name and shape of each array of a tree file, in file order."""
+    yield "elements", (1 << depth, dim, dim)
+    for level in range(depth):
+        yield f"kraus[{level}]", (1 << level, 2, dim, dim)
+
+
+def _check_blob_bytes(available: int, dim: int, depth: int) -> None:
+    """Raise :class:`ParseError` unless exactly the arrays' bytes follow the header.
+
+    Runs before any array is allocated, so a header that claims more data
+    than the file holds costs nothing.
+    """
+    for field, shape in _blobs(dim, depth):
+        need = math.prod(shape) * _BLOB_DTYPE.itemsize
+        if available < need:
+            raise ParseError(f"blob holds {available} bytes, expected {need} for shape {shape}",
+                             field=field)
+        available -= need
+    if available:
+        raise ParseError(f"the file has {available} bytes after the last blob")
+
+
+def _read_blob(handle, shape: tuple[int, ...], field: str) -> np.ndarray:
+    """The next array of a tree file, read straight into its own read-only buffer."""
+    a = np.empty(shape, dtype=_BLOB_DTYPE)
+    got = handle.readinto(a)
+    if got != a.nbytes:  # the file shrank after its size was checked
+        raise ParseError(f"blob holds {got} bytes, expected {a.nbytes} for shape {shape}",
+                         field=field)
+    a = a.astype(complex, copy=False)  # a no-op on a little-endian host
+    a.setflags(write=False)
+    return a
 
 
 def load_tree(path) -> MeasurementTree:
-    # the parsed record, with every blob, is released before verify() runs
-    return _verified(_decode_tree(_load_json(path)))
+    """Read, check and verify a ``tree-v3`` file; see :func:`tree_from_dict` for the checks.
+
+    Also raises :class:`ParseError` for a header line without its newline or
+    longer than ``_HEADER_LIMIT`` bytes, a blob shorter than its shape
+    needs, and bytes after the last blob.  Each blob is read into the array
+    the tree keeps, so the file is never held twice.
+    """
+    with open(path, "rb") as handle:
+        record, dim, depth = _read_header(handle)
+        _check_blob_bytes(os.fstat(handle.fileno()).st_size - handle.tell(), dim, depth)
+        arrays = [_read_blob(handle, shape, field) for field, shape in _blobs(dim, depth)]
+    record["elements"], record["kraus"] = arrays[0], arrays[1:]
+    del arrays
+    return tree_from_dict(record)

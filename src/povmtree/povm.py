@@ -31,22 +31,23 @@ from .linalg import (
 
 
 def _frozen(m: np.ndarray) -> np.ndarray:
-    out = np.array(m, dtype=complex)
-    out.setflags(write=False)
-    return out
+    """Read-only ``m``; the caller owns it and never writes to it again."""
+    m.setflags(write=False)
+    return m
 
 
 @dataclass(frozen=True, eq=False)
 class Povm:
     """Validated POVM: ``elements[j]`` is the operator for outcome ``labels[j]``.
 
-    ``n_original`` counts the outcomes present before any padding; indices at
-    or beyond it belong to zero operators appended by
-    :func:`pad_to_power_of_two` and are never reachable in simulation.
+    ``elements`` is one read-only ``(N, d, d)`` complex array.  ``n_original``
+    counts the outcomes present before any padding; indices at or beyond it
+    belong to zero operators appended by :func:`pad_to_power_of_two` and are
+    never reachable in simulation.
     """
 
     dim: int
-    elements: tuple[np.ndarray, ...]
+    elements: np.ndarray
     labels: tuple[str, ...]
     n_original: int
 
@@ -62,25 +63,45 @@ class Povm:
         return self.labels[self.n_original :]
 
 
+def _as_stack(elements) -> np.ndarray:
+    """A fresh ``(N, d, d)`` complex copy of the elements, checked for shape."""
+    if not isinstance(elements, np.ndarray):
+        elements = list(elements)
+    shapes = [np.shape(m) for m in elements]
+    if not shapes:
+        raise DimensionMismatchError("a POVM needs at least one element")
+    for j, shape in enumerate(shapes):
+        if len(shape) != 2:
+            raise DimensionMismatchError(
+                f"element {j} has {len(shape)} dimensions, expected a matrix", index=j
+            )
+    dim = shapes[0][0]
+    for j, shape in enumerate(shapes):
+        if shape != (dim, dim):
+            raise DimensionMismatchError(
+                f"element {j} has shape {shape}, expected ({dim}, {dim})", index=j
+            )
+    return np.array(elements, dtype=complex)
+
+
 def validate(elements, labels=None, tol: Tolerances = DEFAULT_TOLERANCES) -> Povm:
     """Check POVM invariants and return the validated :class:`Povm`.
 
-    Raises the error for the first violated condition: equal square
-    dimensions, per-element Hermiticity and positivity, and the sum-to-identity
-    completeness relation.  Hermiticity and positivity are judged on the
-    whole stack at once; the error names the first failing element, and
+    ``elements`` is a sequence of d x d matrices or one ``(N, d, d)`` array;
+    the POVM holds its own read-only copy.  Raises the error for the first
+    violated condition: every element a square matrix of one shape
+    (:class:`DimensionMismatchError`), finite entries, per-element
+    Hermiticity and positivity, and the sum-to-identity completeness
+    relation.  Finiteness, Hermiticity and positivity are judged on the
+    whole stack at once; the error names the first failing element, a
+    non-finite entry counts as failed Hermiticity (residual ``nan``), and
     Hermiticity of an element comes before its positivity.
     """
-    mats = [as_complex_matrix(m) for m in elements]
-    if not mats:
-        raise DimensionMismatchError("a POVM needs at least one element")
-    dim = mats[0].shape[0]
-    for j, m in enumerate(mats):
-        if m.shape != (dim, dim):
-            raise DimensionMismatchError(
-                f"element {j} has shape {m.shape}, expected ({dim}, {dim})"
-            )
-    stack = np.stack(mats)
+    stack = _as_stack(elements)
+    n, dim = stack.shape[:2]
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        raise NotHermitianError(float("nan"), index=int(np.argmin(finite)))
     adj = adjoint(stack)
     residual = np.linalg.norm(stack - adj, axis=(1, 2))
     min_eig = np.linalg.eigvalsh((stack + adj) / 2)[:, 0]
@@ -95,32 +116,25 @@ def validate(elements, labels=None, tol: Tolerances = DEFAULT_TOLERANCES) -> Pov
     if deficit > tol.tol_check:
         raise IncompleteSumError(deficit)
     if labels is None:
-        labels = tuple(str(j) for j in range(len(mats)))
+        labels = tuple(str(j) for j in range(n))
     else:
         labels = tuple(str(x) for x in labels)
-        if len(labels) != len(mats):
-            raise DimensionMismatchError(
-                f"got {len(labels)} labels for {len(mats)} elements"
-            )
-    return Povm(
-        dim=dim,
-        elements=tuple(_frozen(m) for m in mats),
-        labels=labels,
-        n_original=len(mats),
-    )
+        if len(labels) != n:
+            raise DimensionMismatchError(f"got {len(labels)} labels for {n} elements")
+    return Povm(dim=dim, elements=_frozen(stack), labels=labels, n_original=n)
 
 
 @dataclass(frozen=True, eq=False)
 class KrausFactorization:
-    """Kraus operators with ``m_j^dag m_j = M_j``.
+    """Kraus operators with ``m_j^dag m_j = M_j``, one read-only ``(N, d, d)`` array.
 
     ``freedom`` records the unitaries applied on top of the Hermitian square
-    roots (``m_j = V_j sqrt(M_j)``); ``None`` means the canonical Hermitian
-    factorization.
+    roots (``m_j = V_j sqrt(M_j)``), also as one stack; ``None`` means the
+    canonical Hermitian factorization.
     """
 
-    kraus: tuple[np.ndarray, ...]
-    freedom: tuple[np.ndarray, ...] | None = None
+    kraus: np.ndarray
+    freedom: np.ndarray | None = None
 
     @property
     def n_outcomes(self) -> int:
@@ -129,9 +143,7 @@ class KrausFactorization:
 
 def default_kraus(p: Povm, tol: Tolerances = DEFAULT_TOLERANCES) -> KrausFactorization:
     """Canonical factorization ``m_j = sqrt(M_j)`` (Hermitian PSD roots, one stacked ``eigh``)."""
-    roots = psd_sqrt_stack(np.stack(p.elements), tol)
-    roots.setflags(write=False)
-    return KrausFactorization(kraus=tuple(roots))
+    return KrausFactorization(kraus=_frozen(psd_sqrt_stack(p.elements, tol)))
 
 
 def apply_freedom(
@@ -150,17 +162,14 @@ def apply_freedom(
     for j, v in enumerate(vs):
         if v.shape != f.kraus[j].shape:
             raise DimensionMismatchError(
-                f"unitary {j} has shape {v.shape}, expected {f.kraus[j].shape}"
+                f"unitary {j} has shape {v.shape}, expected {f.kraus[j].shape}", index=j
             )
         residual = frobenius(v.conj().T @ v - np.eye(v.shape[0]))
         if residual > tol.tol_unitary:
             raise NotUnitaryError(residual, index=j)
-    new_kraus = tuple(_frozen(v @ m) for v, m in zip(vs, f.kraus))
-    if f.freedom is None:
-        new_freedom = tuple(_frozen(v) for v in vs)
-    else:
-        new_freedom = tuple(_frozen(v @ w) for v, w in zip(vs, f.freedom))
-    return KrausFactorization(kraus=new_kraus, freedom=new_freedom)
+    vs = np.stack(vs)
+    freedom = vs if f.freedom is None else vs @ f.freedom
+    return KrausFactorization(kraus=_frozen(vs @ f.kraus), freedom=_frozen(freedom))
 
 
 def pad_to_power_of_two(p: Povm) -> Povm:
@@ -174,8 +183,8 @@ def pad_to_power_of_two(p: Povm) -> Povm:
     n = 1 << max(k - 1, 0).bit_length() if k > 1 else 1
     if n == k:
         return p
-    zero = _frozen(np.zeros((p.dim, p.dim), dtype=complex))
-    elements = p.elements + tuple(zero for _ in range(n - k))
+    zeros = np.zeros((n - k, p.dim, p.dim), dtype=complex)
+    elements = _frozen(np.concatenate([p.elements, zeros]))
     labels = p.labels + tuple(f"pad{j}" for j in range(k, n))
     return Povm(dim=p.dim, elements=elements, labels=labels, n_original=p.n_original)
 

@@ -95,8 +95,7 @@ def direct_probabilities(p: Povm, state: QuantumState) -> np.ndarray:
         raise DimensionMismatchError(
             f"state dimension {state.dim} does not match POVM dimension {p.dim}"
         )
-    rho = state.density
-    probs = np.array([np.einsum("ij,ji->", m, rho).real for m in p.elements])
+    probs = np.einsum("nij,ji->n", p.elements, state.density).real
     return np.clip(probs, 0.0, 1.0)
 
 
@@ -148,7 +147,9 @@ def _leaf_probabilities(tree: MeasurementTree, leaves: np.ndarray, t: Tolerances
     """
     probs = np.clip(np.trace(leaves, axis1=-2, axis2=-1).real, 0.0, 1.0)
     reached = np.flatnonzero(probs >= t.tol_check)
-    herm = (leaves[reached] + adjoint(leaves[reached])) / 2
+    herm = leaves[reached]
+    herm += adjoint(herm)
+    herm *= 0.5
     if reached.size:
         # Positivity is checked on the unnormalised states, at the scale of
         # the absolute probability.  After division by a tiny probability,
@@ -246,6 +247,7 @@ def sample(
         raise ValueError("shots must be at least 1")
     leaves, p_left = _level_pass(tree, state)
     probs = _leaf_probabilities(tree, leaves, tree.tolerances)[0]
+    del leaves
     n = tree.povm.n_outcomes
     counts = np.zeros(n, dtype=np.int64)
     leaf_outcome = np.array(tree.order, dtype=np.int64)

@@ -296,24 +296,30 @@ def compile_tree(
     padded = pad_to_power_of_two(p)
     n, d = padded.n_outcomes, padded.dim
     depth = n.bit_length() - 1
+    order = _resolve_partition(partition, p.n_outcomes, n)
     if factorization is None:
-        kraus = list(default_kraus(padded, tol).kraus)
+        # the roots are only needed in leaf order, so they are not kept
+        leaf_targets = default_kraus(padded, tol).kraus[list(order)]
     else:
         if factorization.n_outcomes not in (p.n_outcomes, n):
             raise ValueError(
                 f"factorization has {factorization.n_outcomes} operators for "
                 f"{p.n_outcomes} outcomes"
             )
-        kraus = list(factorization.kraus)
-        kraus.extend(np.zeros((d, d), dtype=complex) for _ in range(n - len(kraus)))
-
-    order = _resolve_partition(partition, p.n_outcomes, n)
-    leaf_targets = np.stack(kraus).astype(complex, copy=False)[list(order)]
-    sums = _partial_sums(np.stack(padded.elements)[list(order)])
+        kraus = np.asarray(factorization.kraus, dtype=complex)
+        if len(kraus) < n:
+            kraus = np.concatenate([kraus, np.zeros((n - len(kraus), d, d), dtype=complex)])
+        leaf_targets = kraus[list(order)]
+    sums = _partial_sums(padded.elements[list(order)])
+    sums[-1] = None  # the leaf targets come from the factorization
     levels = []
     m = np.eye(d, dtype=complex)[None]
     for level in range(depth):
-        targets = leaf_targets if level + 1 == depth else psd_sqrt_stack(sums[level + 1], tol)
+        if level + 1 == depth:
+            targets = leaf_targets
+        else:
+            targets = psd_sqrt_stack(sums[level + 1], tol)
+            sums[level + 1] = None
         pairs = _split_level(targets.reshape(-1, 2, d, d), m, coeffs, tol, level)
         pairs.setflags(write=False)
         levels.append(pairs)
@@ -437,11 +443,12 @@ def verify(tree: MeasurementTree, tol: Tolerances | None = None) -> Verification
     """
     t = tol or tree.tolerances
     p = tree.povm
-    sums = _partial_sums(np.stack(p.elements)[list(tree.order)])
+    sums = _partial_sums(p.elements[list(tree.order)])
     node_checks: list[NodeCheck] = []
     m = np.eye(p.dim, dtype=complex)[None]
     for level, pairs in enumerate(tree.kraus):
         sum_residual = np.linalg.norm(_gram(m) - sums[level], axis=(-2, -1))
+        sums[level] = None
         completeness = completeness_residuals(pairs)
         min_eig = np.linalg.eigvalsh(adjoint(pairs) @ pairs)[..., 0].min(axis=1)
         # same zero-snap rule as split_node: all-dust parents have rank 0

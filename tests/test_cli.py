@@ -7,7 +7,9 @@ import pytest
 
 from povmtree import tetrad, validate
 from povmtree.cli import main
-from povmtree.io import decode_array, encode_array, encode_matrix, load_povm, load_tree, save_povm
+from povmtree.io import encode_matrix, load_povm, load_tree, save_povm
+
+from conftest import read_tree_file, write_tree_file
 
 
 @pytest.fixture
@@ -77,14 +79,14 @@ class TestCompileCommand:
 
     def test_default_output_name(self, tetrad_file, tmp_path, capsys):
         assert main(["compile", tetrad_file]) == 0
-        expected = tetrad_file.replace(".json", "") + ".tree.json"
+        expected = tetrad_file.replace(".json", "") + ".tree"
         assert expected in capsys.readouterr().out
 
 
 class TestSimulateCommand:
     @pytest.fixture
     def tetrad_tree(self, tetrad_file, tmp_path):
-        out_path = str(tmp_path / "tetrad.tree.json")
+        out_path = str(tmp_path / "tetrad.tree")
         assert main(["compile", tetrad_file, "--grouping", "0,3|1,2", "--out", out_path]) == 0
         return out_path
 
@@ -106,13 +108,11 @@ class TestSimulateCommand:
         assert "sigma" in first
 
     def test_tampered_tree_fails(self, tetrad_tree, tmp_path, capsys):
-        data = json.loads(open(tetrad_tree).read())
+        header, (elements, root, kraus) = read_tree_file(tetrad_tree)
         # b of node "10": outcome 0 of the pair at node "1", in the level-1 blob
-        kraus = decode_array(data["kraus"][1], (2, 2, 2, 2), "kraus[1]").copy()
         kraus[1, 0, 0, 0] += 1e-3
-        data["kraus"][1] = encode_array(kraus)
-        bad = tmp_path / "tampered.tree.json"
-        bad.write_text(json.dumps(data))
+        bad = tmp_path / "tampered.tree"
+        write_tree_file(bad, header, [elements, root, kraus])
         assert main(["simulate", str(bad), "--state", "pure:0"]) == 3
 
 
@@ -138,7 +138,7 @@ class TestExampleTetrad:
         povm = load_povm(out_dir / "tetrad.povm.json")
         m03 = povm.elements[0] + povm.elements[3]
         assert m03[0, 1] == pytest.approx(1 / (3 * np.sqrt(2)), abs=1e-12)
-        tree = load_tree(out_dir / "tetrad.tree.json")
+        tree = load_tree(out_dir / "tetrad.tree")
         # leaf i is outcome order[i], reached by b_(i % 2) of the pair at node i // 2
         second = {j: tree.kraus[1][i // 2, i % 2] for i, j in enumerate(tree.order)}
         b1 = second[1]

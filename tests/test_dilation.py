@@ -8,7 +8,6 @@ from povmtree import (
     default_kraus,
     dilate_binary,
     direct_probabilities,
-    extract_kraus,
     full_neumark,
     hermitian_eig,
     pad_to_power_of_two,
@@ -44,14 +43,14 @@ class TestDilateBinary:
         nd = dilate_binary(pair)
         assert nd.unitary.shape == (6, 6)
         assert frob(nd.unitary.conj().T @ nd.unitary - np.eye(6)) <= 1e-10
-        assert np.array_equal(extract_kraus(nd, 0), pair.b0)
-        assert np.array_equal(extract_kraus(nd, 1), pair.b1)
+        assert np.array_equal(nd.kraus_block(0), pair.b0)
+        assert np.array_equal(nd.kraus_block(1), pair.b1)
 
     def test_extraction_completeness(self, rng):
         p = random_povm(2, 4, rng)
         f = default_kraus(p)
         nd = dilate_binary(KrausPair(b0=f.kraus[0], b1=f.kraus[1]))
-        b0, b1 = extract_kraus(nd, 0), extract_kraus(nd, 1)
+        b0, b1 = nd.kraus_block(0), nd.kraus_block(1)
         assert frob(b0.conj().T @ b0 + b1.conj().T @ b1 - np.eye(4)) <= 1e-10
 
     def test_rejects_incomplete_pair(self):
@@ -62,7 +61,7 @@ class TestDilateBinary:
         pair = KrausPair(b0=np.eye(2) / np.sqrt(2), b1=np.eye(2) / np.sqrt(2))
         nd = dilate_binary(pair)
         with pytest.raises(IndexError):
-            extract_kraus(nd, 2)
+            nd.kraus_block(2)
 
     def test_tetrad_checkerboard_in_eigenbasis(self, tetrad_povm):
         pair = tetrad_first_level(tetrad_povm)

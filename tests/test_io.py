@@ -1,5 +1,7 @@
+import base64
+import gc
 import json
-import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,11 +15,11 @@ from povmtree import (
     random_density,
     random_rank_one_povm,
     tetrad,
+    verify,
 )
+from povmtree import io as treeio
 from povmtree.io import (
-    decode_array,
     decode_matrix,
-    encode_array,
     encode_matrix,
     load_povm,
     load_state,
@@ -30,6 +32,8 @@ from povmtree.io import (
     tree_from_dict,
     tree_to_dict,
 )
+
+from conftest import read_tree_file, write_tree_file
 
 
 class TestMatrixCodec:
@@ -177,38 +181,47 @@ class TestTamperedTreeFiles:
     """A tree file is untrusted input: every tampering is a typed error."""
 
     @pytest.fixture
-    def data(self, tetrad_povm):
-        return tree_to_dict(compile_tree(tetrad_povm, partition=[0, 3, 1, 2]))
+    def parts(self, tetrad_povm, tmp_path):
+        path = tmp_path / "tetrad.tree"
+        save_tree(compile_tree(tetrad_povm, partition=[0, 3, 1, 2]), path)
+        return read_tree_file(path)
 
-    def test_depth_must_match_outcomes(self, data, tmp_path):
+    def test_depth_must_match_outcomes(self, parts, tmp_path):
         # with depth 3 a tetrad tree once loaded and sampled (200000, 0, 0, 0) on |0>
-        data["depth"] = 3
-        path = tmp_path / "deep.tree.json"
-        path.write_text(json.dumps(data))
+        header, arrays = parts
+        header["depth"] = 3
+        path = tmp_path / "deep.tree"
+        write_tree_file(path, header, arrays)
         with pytest.raises(ParseError) as err:
             load_tree(path)
         assert err.value.field == "depth"
 
-    def test_outcome_out_of_range(self, data):
-        data["order"][1] = 7
+    def test_outcome_out_of_range(self, parts, tmp_path):
+        header, arrays = parts
+        header["order"][1] = 7
+        path = tmp_path / "order.tree"
+        write_tree_file(path, header, arrays)
         with pytest.raises(ParseError) as err:
-            tree_from_dict(data)
+            load_tree(path)
         assert err.value.field == "order"
 
     @pytest.mark.parametrize("cut", [3, 8])
-    def test_truncated_blob(self, data, cut):
-        # cut 3 breaks the base64 padding, cut 8 leaves valid base64 that is too short
-        data["kraus"][1] = data["kraus"][1][:-cut]
+    def test_truncated_blob(self, parts, tmp_path, cut):
+        # kraus[1] is the last blob; cut 3 leaves a partial value, cut 8 half of one
+        path = tmp_path / "cut.tree"
+        write_tree_file(path, *parts)
+        path.write_bytes(path.read_bytes()[:-cut])
         with pytest.raises(ParseError) as err:
-            tree_from_dict(data)
+            load_tree(path)
         assert err.value.field == "kraus[1]"
 
-    def test_nan_entry(self, data):
-        elements = decode_array(data["elements"], (4, 2, 2), "elements").copy()
+    def test_nan_entry(self, parts, tmp_path):
+        header, (elements, *kraus) = parts
         elements[2, 1, 0] = complex("nan")
-        data["elements"] = encode_array(elements)
+        path = tmp_path / "nan.tree"
+        write_tree_file(path, header, [elements, *kraus])
         with pytest.raises(ParseError) as err:
-            tree_from_dict(data)
+            load_tree(path)
         assert err.value.field == "elements"
 
     def test_v1_file_is_not_read(self, tmp_path):
@@ -229,20 +242,96 @@ class TestTamperedTreeFiles:
         with pytest.raises(ParseError) as err:
             load_tree(path)
         assert err.value.field == "format"
-        assert "povmtree/tree-v2" in str(err.value)
+        assert "povmtree/tree-v3" in str(err.value)
 
-    def test_swapped_elements_fail_verification(self, data):
+    @pytest.mark.parametrize("indent", [None, 1])
+    def test_v2_file_is_not_read(self, parts, tmp_path, indent):
+        # tree-v2 was one JSON document with base64 blobs
+        header, arrays = parts
+        v2 = dict(header, format="povmtree/tree-v2",
+                  elements=base64.b64encode(arrays[0].tobytes()).decode("ascii"),
+                  kraus=[base64.b64encode(a.tobytes()).decode("ascii") for a in arrays[1:]])
+        path = tmp_path / "old.tree.json"
+        path.write_text(json.dumps(v2, indent=indent))
+        with pytest.raises(ParseError) as err:
+            load_tree(path)
+        assert err.value.field == "format"
+
+    def test_swapped_elements_fail_verification(self, parts, tmp_path):
         # outcomes 1 and 2 share the parent "1", so only the leaves disagree
-        elements = decode_array(data["elements"], (4, 2, 2), "elements")[[0, 2, 1, 3]]
-        data["elements"] = encode_array(elements)
+        header, (elements, *kraus) = parts
+        path = tmp_path / "swapped.tree"
+        write_tree_file(path, header, [elements[[0, 2, 1, 3]], *kraus])
         with pytest.raises(TreeVerificationError) as err:
-            tree_from_dict(data)
+            load_tree(path)
         assert err.value.path == "10"
+
+    @pytest.mark.parametrize("tail", [b"\0", b"\n", bytes(16)])
+    def test_trailing_bytes(self, parts, tmp_path, tail):
+        path = tmp_path / "long.tree"
+        write_tree_file(path, *parts, tail=tail)
+        with pytest.raises(ParseError) as err:
+            load_tree(path)
+        assert "after the last blob" in str(err.value)
+
+    def test_header_without_newline(self, parts, tmp_path):
+        path = tmp_path / "header.tree"
+        path.write_bytes(json.dumps(parts[0]).encode())
+        with pytest.raises(ParseError) as err:
+            load_tree(path)
+        assert err.value.field == "header"
+
+    def test_header_line_is_bounded(self, parts, tmp_path, monkeypatch):
+        header, arrays = parts
+        path = tmp_path / "big.tree"
+        write_tree_file(path, dict(header, note="x" * 200), arrays)
+        load_tree(path)  # unknown header fields are ignored
+        monkeypatch.setattr(treeio, "_HEADER_LIMIT", 200)
+        with pytest.raises(ParseError) as err:
+            load_tree(path)
+        assert err.value.field == "header"
+
+    def test_header_claiming_huge_arrays(self, parts, tmp_path):
+        # the byte count is checked before any array is allocated
+        header, arrays = parts
+        path = tmp_path / "huge.tree"
+        write_tree_file(path, dict(header, dimension=1 << 40), arrays)
+        with pytest.raises(ParseError) as err:
+            load_tree(path)
+        assert err.value.field == "elements"
 
     def test_file_holds_independent_data_only(self, tmp_path):
         d, n = 32, 64
         tree = compile_tree(random_rank_one_povm(n, d, np.random.default_rng(5)))
-        path = tmp_path / "large.tree.json"
+        path = tmp_path / "large.tree"
         save_tree(tree, path)
-        # base64 of N POVM elements and N - 1 Kraus pairs, plus the header
-        assert path.stat().st_size <= 4 * math.ceil(16 * (3 * n - 2) * d * d / 3) + 4096
+        # the raw bytes of N POVM elements and N - 1 Kraus pairs, plus the header
+        assert path.stat().st_size <= 16 * (3 * n - 2) * d * d + 4096
+
+
+class TestTreeFileMemory:
+    """The tree file is written and read without a second copy of its arrays."""
+
+    @pytest.fixture(scope="class")
+    def large(self):
+        return compile_tree(random_rank_one_povm(64, 32, np.random.default_rng([32, 64])))
+
+    @staticmethod
+    def peak(fn):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_save_peak(self, large, tmp_path):
+        assert self.peak(lambda: save_tree(large, tmp_path / "large.tree")) <= 256 * 1024
+
+    def test_load_peak(self, large, tmp_path):
+        path = tmp_path / "large.tree"
+        save_tree(large, path)
+        verify_peak = self.peak(lambda: verify(large))
+        load_peak = self.peak(lambda: load_tree(path))
+        assert load_peak <= path.stat().st_size + verify_peak + 256 * 1024

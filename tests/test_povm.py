@@ -68,6 +68,40 @@ class TestValidate:
         with pytest.raises(DimensionMismatchError):
             validate([np.eye(2), np.eye(3)])
 
+    def test_non_finite_entry_names_element(self):
+        with pytest.raises(NotHermitianError) as err:
+            validate([np.eye(2) * np.nan])
+        assert err.value.index == 0
+        half = np.eye(2) / 2
+        inf = half.copy()
+        inf[0, 1] = np.inf
+        with pytest.raises(NotHermitianError) as err:
+            validate([half, half, inf])
+        assert err.value.index == 2
+
+    def test_non_matrix_element_is_named(self):
+        with pytest.raises(DimensionMismatchError) as err:
+            validate([np.ones(2)])
+        assert err.value.index == 0
+        with pytest.raises(DimensionMismatchError) as err:
+            validate([np.eye(2), np.eye(2), np.ones((2, 2, 2))])
+        assert err.value.index == 2
+
+    def test_ragged_names_first_bad_element(self):
+        half = np.eye(2) / 2
+        with pytest.raises(DimensionMismatchError) as err:
+            validate([half, half, np.eye(3), np.eye(4)])
+        assert err.value.index == 2
+        with pytest.raises(DimensionMismatchError) as err:
+            validate([half, np.ones((2, 3))])
+        assert err.value.index == 1
+
+    def test_accepts_a_stack(self, tetrad_povm):
+        p = validate(tetrad_povm.elements, labels=tetrad_povm.labels)
+        assert p.elements.shape == (4, 2, 2)
+        assert np.array_equal(p.elements, tetrad_povm.elements)
+        assert p.elements is not tetrad_povm.elements
+
     def test_empty(self):
         with pytest.raises(DimensionMismatchError):
             validate([])
@@ -81,6 +115,14 @@ class TestValidate:
     def test_elements_are_frozen(self, tetrad_povm):
         with pytest.raises(ValueError):
             tetrad_povm.elements[0][0, 0] = 5.0
+
+    def test_elements_are_one_copied_stack(self):
+        mats = [np.eye(2) / 2, np.eye(2) / 2]
+        p = validate(mats)
+        assert isinstance(p.elements, np.ndarray) and p.elements.shape == (2, 2, 2)
+        assert not p.elements.flags.writeable
+        mats[0][0, 0] = 5.0
+        assert p.elements[0, 0, 0] == 0.5
 
 
 class TestDefaultKraus:

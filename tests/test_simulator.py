@@ -70,6 +70,14 @@ class TestDirectProbabilities:
         with pytest.raises(DimensionMismatchError):
             direct_probabilities(tetrad_povm, QuantumState.maximally_mixed(3))
 
+    def test_matches_per_element_traces(self):
+        rng = np.random.default_rng([2, 4096])
+        p = random_rank_one_povm(4096, 2, rng)
+        state = random_density(2, rng)
+        loop = np.array([np.einsum("ij,ji->", m, state.density).real for m in p.elements])
+        probs = direct_probabilities(p, state)
+        assert np.max(np.abs(probs - np.clip(loop, 0.0, 1.0))) <= 1e-15
+
 
 class TestPropagate:
     def test_projective_tree(self):

@@ -1,5 +1,4 @@
 import gc
-import json
 import tracemalloc
 from dataclasses import replace
 
@@ -32,9 +31,9 @@ from povmtree import (
     validate,
     verify,
 )
-from povmtree import tree as tree_module
+from povmtree import simulator, tree as tree_module
 
-from conftest import frob
+from conftest import frob, read_tree_file, write_tree_file
 
 
 def second_stage(tree):
@@ -271,12 +270,11 @@ class TestVerify:
         assert good.passed
 
         # the same fault in a tree file is caught on load
-        data = treeio.tree_to_dict(tree)
-        kraus = treeio.decode_array(data["kraus"][1], (2, 2, 2, 2), "kraus[1]").copy()
+        path = tmp_path / "tampered.tree"
+        treeio.save_tree(tree, path)
+        header, (elements, root, kraus) = read_tree_file(path)
         kraus[1, 0, 0, 0] += 1e-3
-        data["kraus"][1] = treeio.encode_array(kraus)
-        path = tmp_path / "tampered.tree.json"
-        path.write_text(json.dumps(data))
+        write_tree_file(path, header, [elements, root, kraus])
         with pytest.raises(TreeVerificationError) as err:
             treeio.load_tree(path)
         assert err.value.path == "1"
@@ -367,3 +365,23 @@ class TestMemory:
         assert peaks[1_000_000] <= peaks[10_000] + 256 * 1024
         if (d, n) == (2, 4096):
             assert peaks[1_000_000] <= 2 * 1024 * 1024
+
+    def test_sample_peak_is_the_level_pass(self):
+        # Reading the leaf probabilities and checking positivity copies the
+        # reached leaves once, which stays under the level pass's own peak.
+        d, n = 32, 64
+        rng = np.random.default_rng([d, n])
+        tree = compile_tree(random_rank_one_povm(n, d, rng))
+        state = random_density(d, rng)
+        peaks = []
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for run in (lambda: simulator._level_pass(tree, state),
+                        lambda: sample(tree, state, 10_000, seed=1)):
+                tracemalloc.reset_peak()
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 256 * 1024
