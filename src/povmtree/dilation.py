@@ -21,14 +21,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NotCompleteError, NotRankOneError
+from .errors import NotCompleteError, NotIsometryError, NotRankOneError
 from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
+    adjoint,
     as_complex_matrix,
     complete_to_unitary,
+    complete_to_unitary_stack,
     frobenius,
-    hermitian_eig,
+    rank_mask,
 )
 from .povm import Povm
 
@@ -68,21 +70,49 @@ class NodeDilation:
         return self.unitary[probe_outcome * d : (probe_outcome + 1) * d, :d]
 
 
+def completeness_residuals(pairs: np.ndarray) -> np.ndarray:
+    """``|b0^dag b0 + b1^dag b1 - I|_F`` of each pair of a ``(k, 2, d, d)`` stack.
+
+    This is the Gram residual of the column block ``[b0; b1]``, computed the
+    way :func:`povmtree.linalg.complete_to_unitary_stack` computes it, so a
+    pair admitted here is admitted by the completion at the same tolerance.
+    """
+    k, _, d, _ = pairs.shape
+    blocks = pairs.reshape(k, 2 * d, d)
+    return np.linalg.norm(adjoint(blocks) @ blocks - np.eye(d), axis=(-2, -1))
+
+
+def dilate_level(pairs, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    """Probe couplings of a ``(k, 2, d, d)`` stack of Kraus pairs, shape ``(k, 2d, 2d)``.
+
+    Each coupling has the pair's ``[b0; b1]`` as its first block column,
+    embedded bit-identically, and the rest from one stacked Householder QR
+    (:func:`povmtree.linalg.complete_to_unitary_stack`).
+
+    Raises
+    ------
+    NotCompleteError
+        For the first pair whose completeness residual exceeds ``tol.tol_check``.
+    """
+    pairs = np.asarray(pairs, dtype=complex)
+    k, _, d, _ = pairs.shape
+    # the Gram matrix of [b0; b1] is the completeness sum, so the completion's
+    # isometry check at tol_check is the completeness check
+    try:
+        return complete_to_unitary_stack(
+            pairs.reshape(k, 2 * d, d), replace(tol, tol_unitary=tol.tol_check)
+        )
+    except NotIsometryError as err:
+        raise NotCompleteError(err.residual) from None
+
+
 def dilate_binary(pair: KrausPair, tol: Tolerances = DEFAULT_TOLERANCES) -> NodeDilation:
     """Build the 2d x 2d probe coupling for a complete Kraus pair.
 
-    Stacks [b0; b1] as the first block column (orthonormal columns exactly
-    when the pair is complete) and completes it to a unitary.  The given
-    blocks are embedded bit-identically, so :meth:`NodeDilation.kraus_block`
-    round-trips exactly.
+    A stack of one over :func:`dilate_level`.  The given blocks are embedded
+    bit-identically, so :meth:`NodeDilation.kraus_block` round-trips exactly.
     """
-    residual = pair.completeness_residual()
-    if residual > tol.tol_check:
-        raise NotCompleteError(residual)
-    block = np.vstack([pair.b0, pair.b1])
-    # the pair was admitted at tol_check; do not re-test the stack tighter
-    iso_tol = replace(tol, tol_unitary=max(tol.tol_unitary, tol.tol_check))
-    u = complete_to_unitary(block, iso_tol)
+    u = dilate_level(np.stack([pair.b0, pair.b1])[None], tol)[0]
     u.setflags(write=False)
     return NodeDilation(unitary=u, system_dim=pair.dim)
 
@@ -91,34 +121,48 @@ def dilate_binary(pair: KrausPair, tol: Tolerances = DEFAULT_TOLERANCES) -> Node
 class NeumarkExtension:
     """One-shot projective realization in an extended space.
 
-    Row j of ``unitary`` restricted to the first ``system_dim`` columns equals
-    the bra of the j-th rank-one outcome piece; ``outcome_map[j]`` names the
-    POVM outcome that piece belongs to (higher-rank elements contribute one
-    row per eigen-piece).
+    ``isometry`` is the ``(n_pieces, system_dim)`` first block of columns of
+    the extension unitary: row j is the bra of the j-th rank-one outcome
+    piece, and ``outcome_map[j]`` names the POVM outcome that piece belongs
+    to (higher-rank elements contribute one row per eigen-piece).  The
+    unitary itself is completed from the isometry on each access and never
+    stored.
     """
 
-    unitary: np.ndarray
+    isometry: np.ndarray
     system_dim: int
     n_outcomes: int
     outcome_map: tuple[int, ...]
+    tolerances: Tolerances = DEFAULT_TOLERANCES
 
     @property
     def extended_dim(self) -> int:
-        return self.unitary.shape[0]
+        return self.isometry.shape[0]
+
+    @property
+    def unitary(self) -> np.ndarray:
+        """The ``extended_dim``-square extension unitary, built on each access.
+
+        Its first ``system_dim`` columns are ``isometry``, bit for bit.
+        """
+        u = complete_to_unitary(self.isometry, self.tolerances)
+        u.setflags(write=False)
+        return u
 
     def probabilities(self, density: np.ndarray) -> np.ndarray:
         """Outcome probabilities for a system density matrix.
 
         Embeds the state into the extended space, applies the extension
         unitary, and reads the computational-basis populations, summing the
-        rows that belong to the same outcome.
+        rows that belong to the same outcome.  Only the isometry is read: the
+        state lives in the first ``system_dim`` basis vectors.
         """
         rho = as_complex_matrix(density)
         if rho.shape != (self.system_dim, self.system_dim):
             raise ValueError(
                 f"state has shape {rho.shape}, expected ({self.system_dim}, {self.system_dim})"
             )
-        rows = self.unitary[:, : self.system_dim]
+        rows = self.isometry
         per_row = np.einsum("jk,kl,jl->j", rows, rho, rows.conj()).real
         probs = np.zeros(self.n_outcomes)
         np.add.at(probs, np.asarray(self.outcome_map, dtype=int), per_row)
@@ -131,36 +175,42 @@ def full_neumark(
     """Projective extension of a POVM, used as an oracle against the tree.
 
     Each rank-one element contributes the row ``<psi_j|`` (where
-    ``M_j = |psi_j><psi_j|``); the resulting column-orthonormal block is
-    completed to a unitary.  Elements of higher rank are split into rank-one
-    eigen-pieces whose probabilities are summed back per outcome; zero
-    (padding) elements contribute no rows and always come out with
-    probability zero.
+    ``M_j = |psi_j><psi_j|``); the rows form the column-orthonormal block
+    that the extension unitary starts with, which is all that is stored.
+    Elements of higher rank are split into rank-one eigen-pieces (one
+    stacked ``eigh`` over all elements, the module rank rule of
+    :func:`povmtree.linalg.rank_mask` per element) whose probabilities are
+    summed back per outcome; zero (padding) elements contribute no rows and
+    always come out with probability zero.
 
     Raises
     ------
     NotRankOneError
         If an element has rank above one and ``decompose`` is False.
+    NotIsometryError
+        If the rows' Gram residual ``|W^dag W - I|_F`` exceeds ``tol.tol_unitary``.
     """
-    vectors: list[np.ndarray] = []
-    outcome_map: list[int] = []
-    for j, m in enumerate(p.elements):
-        eig = hermitian_eig(m, tol)
-        top = max(float(eig.eigenvalues[0]), 0.0)
-        rank = int(np.sum(eig.eigenvalues > tol.tol_rank * top)) if top > 0 else 0
-        if rank > 1 and not decompose:
-            raise NotRankOneError(j, rank)
-        for k in range(rank):
-            vectors.append(np.sqrt(eig.eigenvalues[k]) * eig.eigenvectors[:, k])
-            outcome_map.append(j)
-    amplitudes = np.array(vectors)  # row j holds the ket components of piece j
-    u = complete_to_unitary(amplitudes.conj(), tol)
-    u.setflags(write=False)
+    elements = p.elements
+    w, v = np.linalg.eigh((elements + adjoint(elements)) / 2)
+    w, v = w[:, ::-1], v[:, :, ::-1]  # descending, as rank_mask expects
+    keep = rank_mask(w, tol)
+    if not decompose:
+        rank = keep.sum(axis=1)
+        bad = np.flatnonzero(rank > 1)
+        if bad.size:
+            raise NotRankOneError(int(bad[0]), int(rank[bad[0]]))
+    element, piece = np.nonzero(keep)
+    isometry = np.sqrt(w[element, piece])[:, None] * v[element, :, piece].conj()
+    residual = frobenius(adjoint(isometry) @ isometry - np.eye(p.dim))
+    if residual > tol.tol_unitary:
+        raise NotIsometryError("outcome pieces are not orthonormal columns", residual=residual)
+    isometry.setflags(write=False)
     return NeumarkExtension(
-        unitary=u,
+        isometry=isometry,
         system_dim=p.dim,
         n_outcomes=p.n_outcomes,
-        outcome_map=tuple(outcome_map),
+        outcome_map=tuple(element.tolist()),
+        tolerances=tol,
     )
 
 
@@ -168,6 +218,8 @@ __all__ = [
     "KrausPair",
     "NodeDilation",
     "NeumarkExtension",
+    "completeness_residuals",
     "dilate_binary",
+    "dilate_level",
     "full_neumark",
 ]

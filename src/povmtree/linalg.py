@@ -4,9 +4,10 @@ Everything downstream (POVM validation, tree construction, dilation) sits on
 the four operations in this module: Hermitian eigendecomposition with a
 deterministic ordering convention, Moore-Penrose pseudoinverse with an
 explicit rank policy, spectral PSD square root, and completion of an
-isometric column block to a full unitary.  The pseudoinverse and the square
-root work on stacks of matrices (one LAPACK call per stack), and their
-one-matrix forms are stacks of one.
+isometric column block to a full unitary.  The pseudoinverse, the square
+root and the completion work on stacks of matrices (one LAPACK call per
+stack: SVD, ``eigh`` and Householder QR), and their one-matrix forms are
+stacks of one.
 
 Rank policy: an eigenvalue or singular value counts as nonzero iff it exceeds
 ``tol_rank`` times the largest one.  The same relative threshold is applied
@@ -234,48 +235,59 @@ def psd_sqrt(a, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     return psd_sqrt_stack(m[None], tol)[0]
 
 
-def complete_to_unitary(block, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Complete an n x k block of orthonormal columns to an n x n unitary.
+def complete_to_unitary_stack(blocks, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    """Complete each n x k block of orthonormal columns of a stack to an n x n unitary.
 
-    The given columns are copied into the result verbatim (bit-identical).
-    The remaining columns come from Gram-Schmidt over the computational
-    basis vectors e_0, e_1, ... in that fixed order, with re-orthogonalization
-    for numerical stability; candidates whose residual norm falls below
-    ``tol.tol_rank`` are skipped as already spanned.
+    ``blocks`` has shape ``(m, n, k)``; the result has shape ``(m, n, n)``.
+    One stacked Householder QR (``mode="complete"``) gives each block an
+    orthonormal basis whose last n - k columns span the complement of the
+    block's columns; the given columns are then copied over the first k
+    (bit-identical), so only the complement comes from the QR.
 
     Raises
     ------
+    ValueError
+        If an entry is not finite.
+    NotIsometryError
+        If the blocks have more columns than rows, or, for the first failing
+        block, ``|B^dag B - I|_F`` exceeds ``tol.tol_unitary``.
+    """
+    b = np.asarray(blocks, dtype=complex)
+    if b.ndim != 3:
+        raise ValueError(f"expected a stack of matrices, got {b.ndim} dimensions")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("matrix entries must be finite")
+    n, k = b.shape[1:]
+    if k > n:
+        raise NotIsometryError(f"block has more columns ({k}) than rows ({n})")
+    gram_residual = np.linalg.norm(adjoint(b) @ b - np.eye(k), axis=(-2, -1))
+    bad = np.flatnonzero(gram_residual > tol.tol_unitary)
+    if bad.size:
+        raise NotIsometryError(
+            f"block {bad[0]}: columns are not orthonormal", residual=float(gram_residual[bad[0]])
+        )
+    u = np.linalg.qr(b, mode="complete")[0]
+    u[..., :k] = b
+    return u
+
+
+def complete_to_unitary(block, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    """Complete an n x k block of orthonormal columns to an n x n unitary.
+
+    A stack of one over :func:`complete_to_unitary_stack`: the given columns
+    are copied into the result verbatim (bit-identical), and the remaining
+    n - k columns are an orthonormal basis of their complement, taken from a
+    complete Householder QR of the block.
+
+    Raises
+    ------
+    ValueError
+        If the block is not a 2-D matrix of finite entries.
     NotIsometryError
         If the block has more columns than rows or its columns are not
         orthonormal within ``tol.tol_unitary``.
     """
-    b = as_complex_matrix(block)
-    n, k = b.shape
-    if k > n:
-        raise NotIsometryError(f"block has more columns ({k}) than rows ({n})")
-    gram_residual = frobenius(b.conj().T @ b - np.eye(k))
-    if gram_residual > tol.tol_unitary:
-        raise NotIsometryError("block columns are not orthonormal", residual=gram_residual)
-    u = np.zeros((n, n), dtype=complex)
-    u[:, :k] = b
-    filled = k
-    for i in range(n):
-        if filled == n:
-            break
-        v = np.zeros(n, dtype=complex)
-        v[i] = 1.0
-        # two projection passes: "twice is enough" to keep orthogonality at
-        # machine precision even when the first residual is tiny
-        for _ in range(2):
-            v -= u[:, :filled] @ (u[:, :filled].conj().T @ v)
-        norm = np.linalg.norm(v)
-        if norm < tol.tol_rank:
-            continue
-        u[:, filled] = v / norm
-        filled += 1
-    if filled != n:
-        raise NotIsometryError("could not complete block to a unitary")
-    return u
+    return complete_to_unitary_stack(as_complex_matrix(block)[None], tol)[0]
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -24,7 +24,6 @@ from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
     adjoint,
-    as_complex_matrix,
     frobenius,
     psd_sqrt_stack,
 )
@@ -153,21 +152,34 @@ def apply_freedom(
 
     The measurement operators ``m_j^dag m_j`` and therefore all outcome
     probabilities are unchanged; only post-measurement states rotate.
+    ``unitaries`` is a sequence of d x d matrices or one ``(N, d, d)`` array,
+    checked as one stack: the error names the first failing unitary, and a
+    non-finite entry counts as failed unitarity (residual ``nan``).
+
+    Raises
+    ------
+    DimensionMismatchError
+        If the count or a shape does not match the Kraus operators.
+    NotUnitaryError
+        If some ``|V^dag V - I|_F`` exceeds ``tol.tol_unitary``.
     """
-    vs = [as_complex_matrix(v) for v in unitaries]
-    if len(vs) != len(f.kraus):
+    if not isinstance(unitaries, np.ndarray):
+        unitaries = list(unitaries)
+    if len(unitaries) != len(f.kraus):
         raise DimensionMismatchError(
-            f"got {len(vs)} unitaries for {len(f.kraus)} Kraus operators"
+            f"got {len(unitaries)} unitaries for {len(f.kraus)} Kraus operators"
         )
-    for j, v in enumerate(vs):
-        if v.shape != f.kraus[j].shape:
+    shape = f.kraus.shape[1:]
+    for j, v in enumerate(unitaries):
+        if np.shape(v) != shape:
             raise DimensionMismatchError(
-                f"unitary {j} has shape {v.shape}, expected {f.kraus[j].shape}", index=j
+                f"unitary {j} has shape {np.shape(v)}, expected {shape}", index=j
             )
-        residual = frobenius(v.conj().T @ v - np.eye(v.shape[0]))
-        if residual > tol.tol_unitary:
-            raise NotUnitaryError(residual, index=j)
-    vs = np.stack(vs)
+    vs = np.array(unitaries, dtype=complex)
+    residual = np.linalg.norm(adjoint(vs) @ vs - np.eye(shape[0]), axis=(1, 2))
+    bad = np.flatnonzero(~(residual <= tol.tol_unitary))  # nan fails too
+    if bad.size:
+        raise NotUnitaryError(float(residual[bad[0]]), index=int(bad[0]))
     freedom = vs if f.freedom is None else vs @ f.freedom
     return KrausFactorization(kraus=_frozen(vs @ f.kraus), freedom=_frozen(freedom))
 

@@ -37,19 +37,19 @@ from functools import partial
 
 import numpy as np
 
-from .dilation import KrausPair, NodeDilation, dilate_binary
-from .errors import (
-    CompletenessViolationError,
-    InconsistentChildrenError,
-    NotCompleteError,
-    NotIsometryError,
+from .dilation import (
+    KrausPair,
+    NodeDilation,
+    completeness_residuals,
+    dilate_binary,
+    dilate_level,
 )
+from .errors import CompletenessViolationError, InconsistentChildrenError
 from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
     adjoint,
     as_complex_matrix,
-    frobenius,
     psd_sqrt_stack,
     rank_mask,
     svd_inverse,
@@ -71,6 +71,9 @@ class SplitCoefficients:
 
 
 DEFAULT_SPLIT = SplitCoefficients()
+
+# bytes of unitaries per block when verify builds a level's dilations
+_DILATION_BYTES = 64 * 1024
 
 
 def node_path(level: int, index: int) -> str:
@@ -97,10 +100,9 @@ def _partial_sums(ordered: np.ndarray) -> list[np.ndarray]:
     return sums
 
 
-def completeness_residuals(pairs: np.ndarray) -> np.ndarray:
-    """``|b0^dag b0 + b1^dag b1 - I|_F`` of each pair of a ``(k, 2, d, d)`` stack."""
-    total = (adjoint(pairs) @ pairs).sum(axis=1)
-    return np.linalg.norm(total - np.eye(pairs.shape[-1]), axis=(-2, -1))
+def _in_order(a: np.ndarray, order: tuple[int, ...]) -> np.ndarray:
+    """``a`` laid out in leaf ``order``; ``a`` itself when the order is the identity."""
+    return a if order == tuple(range(len(a))) else a[list(order)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,7 +301,7 @@ def compile_tree(
     order = _resolve_partition(partition, p.n_outcomes, n)
     if factorization is None:
         # the roots are only needed in leaf order, so they are not kept
-        leaf_targets = default_kraus(padded, tol).kraus[list(order)]
+        leaf_targets = _in_order(default_kraus(padded, tol).kraus, order)
     else:
         if factorization.n_outcomes not in (p.n_outcomes, n):
             raise ValueError(
@@ -309,8 +311,8 @@ def compile_tree(
         kraus = np.asarray(factorization.kraus, dtype=complex)
         if len(kraus) < n:
             kraus = np.concatenate([kraus, np.zeros((n - len(kraus), d, d), dtype=complex)])
-        leaf_targets = kraus[list(order)]
-    sums = _partial_sums(padded.elements[list(order)])
+        leaf_targets = _in_order(kraus, order)
+    sums = _partial_sums(_in_order(padded.elements, order))
     sums[-1] = None  # the leaf targets come from the factorization
     levels = []
     m = np.eye(d, dtype=complex)[None]
@@ -411,20 +413,28 @@ def _node_ok(check_values: dict, t: Tolerances) -> bool:
     )
 
 
-def _dilation_check(pair: np.ndarray, t: Tolerances) -> tuple[float, bool]:
-    """Unitarity residual of a pair's transient dilation, and whether it embeds the pair exactly."""
-    try:
-        dil = dilate_binary(KrausPair(b0=pair[0], b1=pair[1]), t)
-    except (NotCompleteError, NotIsometryError):
-        return float("inf"), False
-    u, d = dil.unitary, dil.system_dim
-    defect = u.conj().T @ u - np.eye(2 * d)
-    # the Gram block of [b0; b1] is the completeness matrix, judged at tol_check
-    defect[:d, :d] = 0.0
-    exact = np.array_equal(dil.kraus_block(0), pair[0]) and np.array_equal(
-        dil.kraus_block(1), pair[1]
-    )
-    return frobenius(defect), exact
+def _dilation_checks(pairs: np.ndarray, admitted: np.ndarray, t: Tolerances):
+    """Unitarity residuals and exact-block flags of a level's transient dilations.
+
+    Only the pairs flagged in ``admitted`` are dilated; the others keep
+    ``inf`` and ``False``.  The dilations are built in blocks of about
+    ``_DILATION_BYTES`` of unitaries and dropped.
+    """
+    k, _, d, _ = pairs.shape
+    unitarity = np.full(k, np.inf)
+    exact = np.zeros(k, dtype=bool)
+    rows = np.flatnonzero(admitted)
+    step = max(1, _DILATION_BYTES // (16 * (2 * d) ** 2))
+    for start in range(0, rows.size, step):
+        block = rows[start : start + step]
+        chosen = pairs[block]
+        u = dilate_level(chosen, t)
+        defect = adjoint(u) @ u - np.eye(2 * d)
+        # the Gram block of [b0; b1] is the completeness matrix, judged at tol_check
+        defect[:, :d, :d] = 0.0
+        unitarity[block] = np.linalg.norm(defect, axis=(-2, -1))
+        exact[block] = (u[:, :, :d] == chosen.reshape(-1, 2 * d, d)).all(axis=(-2, -1))
+    return unitarity, exact
 
 
 def verify(tree: MeasurementTree, tol: Tolerances | None = None) -> VerificationReport:
@@ -433,8 +443,11 @@ def verify(tree: MeasurementTree, tol: Tolerances | None = None) -> Verification
     Checks, per internal node: completeness of the Kraus pair, agreement of
     the cumulative operator with the sum of the POVM elements below,
     positivity of the pair's measurement operators, unitarity of the pair's
-    dilation (built here and dropped), and exact block round-trip of the
-    dilation.  The factorization ``b_child @ m_parent = m_child`` holds
+    dilation, and exact block round-trip of the dilation.  The dilations are
+    built a block of pairs at a time with
+    :func:`povmtree.dilation.dilate_level` and dropped; a pair whose
+    completeness fails ``tol_check`` is not dilated and reports unitarity
+    ``inf``.  The factorization ``b_child @ m_parent = m_child`` holds
     exactly, because child cumulative operators are defined as those
     products, so its residuals are reported as zero.  Per leaf: the
     Frobenius distance between the leaf's cumulative operator and the
@@ -443,7 +456,7 @@ def verify(tree: MeasurementTree, tol: Tolerances | None = None) -> Verification
     """
     t = tol or tree.tolerances
     p = tree.povm
-    sums = _partial_sums(p.elements[list(tree.order)])
+    sums = _partial_sums(_in_order(p.elements, tree.order))
     node_checks: list[NodeCheck] = []
     m = np.eye(p.dim, dtype=complex)[None]
     for level, pairs in enumerate(tree.kraus):
@@ -454,15 +467,15 @@ def verify(tree: MeasurementTree, tol: Tolerances | None = None) -> Verification
         # same zero-snap rule as split_node: all-dust parents have rank 0
         dust = np.linalg.norm(m, axis=(-2, -1)) <= t.tol_rank
         rank = np.where(dust, 0, rank_mask(np.linalg.svd(m, compute_uv=False), t).sum(axis=-1))
-        for i, pair in enumerate(pairs):
-            unitarity, blocks_exact = _dilation_check(pair, t)
+        unitarity, blocks_exact = _dilation_checks(pairs, completeness <= t.tol_check, t)
+        for i in range(len(pairs)):
             values = {
                 "completeness_residual": float(completeness[i]),
                 "factorization_residuals": (0.0, 0.0),
                 "operator_sum_residual": float(sum_residual[i]),
                 "min_operator_eigenvalue": float(min_eig[i]),
-                "dilation_unitarity": unitarity,
-                "blocks_exact": blocks_exact,
+                "dilation_unitarity": float(unitarity[i]),
+                "blocks_exact": bool(blocks_exact[i]),
             }
             node_checks.append(
                 NodeCheck(

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -120,6 +123,22 @@ class TestFullNeumark:
         with pytest.raises(NotRankOneError) as err:
             full_neumark(p, decompose=False)
         assert err.value.index == 0 and err.value.rank == 2
+
+    def test_holds_only_the_isometry(self):
+        # full_neumark keeps the (n_pieces, d) isometry and builds no
+        # n_pieces-square unitary: its peak stays within the isometry's
+        # bytes plus 256 KiB.
+        d, n = 4, 64
+        p = random_povm(n, d, np.random.default_rng([d, n]))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            ext = full_neumark(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ext.extended_dim > n  # mixed ranks: more pieces than outcomes
+        assert peak <= 16 * ext.extended_dim * d + 256 * 1024
 
     def test_padded_outcome_probability_zero(self, rng):
         p = pad_to_power_of_two(random_rank_one_povm(3, 2, rng))

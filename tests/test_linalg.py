@@ -15,6 +15,8 @@ from povmtree import (
     tetrad,
 )
 
+from povmtree.linalg import complete_to_unitary_stack
+
 from conftest import frob
 
 
@@ -206,6 +208,24 @@ class TestCompleteToUnitary:
     def test_not_isometry(self):
         with pytest.raises(NotIsometryError):
             complete_to_unitary(np.array([[1.0], [1.0]]))
+
+    def test_stack_names_first_failing_block(self):
+        blocks = np.stack([np.eye(3)[:, :2]] * 4).astype(complex)
+        blocks[2, 0, 0] = 1.5
+        blocks[3, 1, 1] = 2.0
+        with pytest.raises(NotIsometryError, match="block 2") as err:
+            complete_to_unitary_stack(blocks)
+        assert err.value.residual == pytest.approx(1.25)
+
+    def test_stack_completes_each_block(self, rng):
+        z = rng.standard_normal((5, 6, 2)) + 1j * rng.standard_normal((5, 6, 2))
+        q = np.linalg.qr(z)[0]
+        u = complete_to_unitary_stack(q)
+        assert u.shape == (5, 6, 6)
+        assert np.array_equal(u[:, :, :2], q)
+        for one, block in zip(u, q):
+            assert frob(one.conj().T @ one - np.eye(6)) <= 1e-12
+            assert np.array_equal(complete_to_unitary(block), one)
 
     def test_too_many_columns(self):
         with pytest.raises(NotIsometryError):

@@ -197,6 +197,24 @@ class TestApplyFreedom:
             apply_freedom(f, [np.eye(2) * 2] + [np.eye(2)] * 3)
         assert err.value.index == 0
 
+    def test_names_first_non_unitary_in_the_stack(self, tetrad_povm):
+        f = default_kraus(tetrad_povm)
+        vs = np.stack([np.eye(2)] * 4).astype(complex)
+        vs[2] *= 1.5
+        vs[3, 0, 0] = np.nan
+        with pytest.raises(NotUnitaryError) as err:
+            apply_freedom(f, vs)
+        assert err.value.index == 2
+        vs[2] = np.eye(2)
+        with pytest.raises(NotUnitaryError) as err:
+            apply_freedom(f, vs)
+        assert err.value.index == 3
+
+    def test_names_first_misshapen_unitary(self, tetrad_povm):
+        with pytest.raises(DimensionMismatchError) as err:
+            apply_freedom(default_kraus(tetrad_povm), [np.eye(2)] * 2 + [np.eye(3), np.eye(2)])
+        assert err.value.index == 2
+
     def test_rejects_wrong_count(self, tetrad_povm):
         with pytest.raises(DimensionMismatchError):
             apply_freedom(default_kraus(tetrad_povm), [np.eye(2)])

@@ -1,0 +1,67 @@
+"""Property tests for the stacked unitary completion and the Neumark oracle."""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from povmtree import (
+    KrausPair,
+    dilate_binary,
+    direct_probabilities,
+    full_neumark,
+    pad_to_power_of_two,
+    random_density,
+    random_povm,
+    random_rank_one_povm,
+)
+from povmtree.dilation import dilate_level
+from povmtree.linalg import complete_to_unitary_stack
+
+from conftest import frob
+
+# Few examples, drawn the same way on every run, so Tier-1 stays fast and stable.
+PROPERTY = settings(max_examples=20, deadline=None, derandomize=True, database=None)
+
+
+def complete_pairs(k: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """``(k, 2, d, d)`` Kraus pairs whose ``[b0; b1]`` are random isometries."""
+    z = rng.standard_normal((k, 2 * d, d)) + 1j * rng.standard_normal((k, 2 * d, d))
+    return np.linalg.qr(z)[0].reshape(k, 2, d, d)
+
+
+@PROPERTY
+@given(d=st.integers(1, 32), k=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+def test_level_couplings_are_unitary_and_embed_the_pairs(d, k, seed):
+    pairs = complete_pairs(k, d, np.random.default_rng(seed))
+    blocks = pairs.reshape(k, 2 * d, d)
+    u = dilate_level(pairs)
+    assert u.shape == (k, 2 * d, 2 * d)
+    defect = np.linalg.norm(u.conj().swapaxes(1, 2) @ u - np.eye(2 * d), axis=(1, 2))
+    assert defect.max() <= 1e-10
+    assert np.array_equal(u[:, :, :d], blocks)
+    assert np.array_equal(complete_to_unitary_stack(blocks), u)
+    i = seed % k
+    one = dilate_binary(KrausPair(b0=pairs[i, 0], b1=pairs[i, 1])).unitary
+    assert one.tobytes() == u[i].tobytes()
+
+
+@PROPERTY
+@given(
+    d=st.integers(1, 5),
+    extra=st.integers(0, 12),
+    rank_one=st.booleans(),
+    padded=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_neumark_isometry_matches_direct_probabilities(d, extra, rank_one, padded, seed):
+    rng = np.random.default_rng(seed)
+    n = d + extra
+    p = random_rank_one_povm(n, d, rng) if rank_one else random_povm(n, d, rng)
+    if padded:
+        p = pad_to_power_of_two(p)
+    ext = full_neumark(p)
+    state = random_density(d, rng)
+    worst = np.max(np.abs(ext.probabilities(state.density) - direct_probabilities(p, state)))
+    assert worst <= 1e-9
+    u = ext.unitary
+    assert frob(u.conj().T @ u - np.eye(ext.extended_dim)) <= 1e-10
+    assert np.array_equal(u[:, :d], ext.isometry)

@@ -9,7 +9,6 @@ from povmtree import (
     CompletenessViolationError,
     InconsistentChildrenError,
     KrausPair,
-    NodeDilation,
     SplitCoefficients,
     TreeVerificationError,
     apply_freedom,
@@ -297,14 +296,14 @@ class TestVerify:
         assert treeio.load_tree(path).kraus[0].tobytes() == root.tobytes()
 
         # the cross and completion blocks are still judged at tol_unitary
-        build = tree_module.dilate_binary
+        build = tree_module.dilate_level
 
-        def corrupted(pair, tol):
-            u = build(pair, tol).unitary.copy()
-            u[:, -1] *= 1 + 1e-8
-            return NodeDilation(unitary=u, system_dim=pair.dim)
+        def corrupted(pairs, tol):
+            u = build(pairs, tol)
+            u[:, :, -1] *= 1 + 1e-8
+            return u
 
-        monkeypatch.setattr(tree_module, "dilate_binary", corrupted)
+        monkeypatch.setattr(tree_module, "dilate_level", corrupted)
         report = verify(tree)
         assert not report.passed
         assert all(not c.ok and c.dilation_unitarity > 1e-10 for c in report.nodes)
@@ -343,6 +342,21 @@ class TestMemory:
         state = random_density(d, rng)
         probs = np.array([o.probability for o in propagate(tree, state)])
         assert np.max(np.abs(probs - direct_probabilities(tree.povm, state))) <= 1e-8
+
+    def test_verify_peak(self):
+        # verify builds each level's dilations in fixed blocks and drops
+        # them, so at (32, 64) its peak stays at or below 5.41 MB.
+        d, n = 32, 64
+        tree = compile_tree(random_rank_one_povm(n, d, np.random.default_rng([d, n])))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            report = verify(tree)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak <= 5.41e6
 
     @pytest.mark.parametrize("d, n", [(2, 4096), (4, 1024)])
     def test_sample_memory_does_not_grow_with_shots(self, d, n):
