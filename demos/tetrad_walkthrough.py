@@ -34,12 +34,11 @@ print(f"shared eigenbasis (columns):\n{eig.eigenvectors}\n")
 
 # The first round couples the qubit to a probe prepared in |0> via a 4x4
 # unitary whose first block column stacks the two Kraus operators.
-root = tree.dilation("")
-u = root.unitary
+u = tree.dilation("")
 print(f"probe coupling at the root:\n{u}\n")
 print("unitarity residual:", np.linalg.norm(u.conj().T @ u - np.eye(4)))
 print("block <0|U|0> equals sqrt(M03):",
-      np.allclose(root.kraus_block(0), pt.psd_sqrt(m03)))
+      np.allclose(u[:2, :2], pt.psd_sqrt(m03)))
 
 # Conditioned on the first probe outcome, the second round is projective.
 # tree.kraus[1][i] is the pair measured at node i of level 1; leaf 2i + c is

@@ -10,13 +10,7 @@ seeded Monte Carlo sampling.
 """
 
 from .cost import CostReport, compare, crossover
-from .dilation import (
-    KrausPair,
-    NeumarkExtension,
-    NodeDilation,
-    dilate_binary,
-    full_neumark,
-)
+from .dilation import NeumarkExtension, dilate_binary, full_neumark
 from .errors import (
     CompletenessViolationError,
     DimensionMismatchError,
@@ -33,6 +27,7 @@ from .errors import (
     ParseError,
     PovmTreeError,
     TreeVerificationError,
+    VerificationError,
 )
 from .linalg import (
     DEFAULT_TOLERANCES,
@@ -89,10 +84,8 @@ __all__ = [
     "InconsistentChildrenError",
     "InvalidDimensionsError",
     "KrausFactorization",
-    "KrausPair",
     "MeasurementTree",
     "NeumarkExtension",
-    "NodeDilation",
     "NotCompleteError",
     "NotHermitianError",
     "NotIsometryError",
@@ -109,6 +102,7 @@ __all__ = [
     "SplitCoefficients",
     "Tolerances",
     "TreeVerificationError",
+    "VerificationError",
     "VerificationReport",
     "apply_freedom",
     "compare",

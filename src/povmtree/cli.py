@@ -2,7 +2,9 @@
 
 Subcommands: validate, compile, simulate, cost, example-tetrad.
 Exit codes: 0 success, 1 validation failure, 2 parse/usage error,
-3 internal verification failure.
+3 internal verification failure.  A :class:`povmtree.errors.PovmTreeError`
+exits with its class's ``exit_code`` (see :mod:`povmtree.errors`); any other
+``ValueError`` or ``OSError`` is a usage error.
 """
 
 from __future__ import annotations
@@ -15,40 +17,13 @@ import numpy as np
 
 from . import cost as cost_model
 from . import io as treeio
-from .errors import (
-    CompletenessViolationError,
-    DimensionMismatchError,
-    IncompleteSumError,
-    InconsistentChildrenError,
-    InvalidDimensionsError,
-    NotCompleteError,
-    NotHermitianError,
-    NotIsometryError,
-    NotPsdError,
-    NotUnitaryError,
-    ParseError,
-    PovmTreeError,
-    TreeVerificationError,
-)
+from .errors import PovmTreeError
 from .linalg import DEFAULT_TOLERANCES, Tolerances, frobenius, hermitian_eig
 from .povm import pad_to_power_of_two, tetrad
 from .simulator import QuantumState, direct_probabilities, propagate, sample, random_density
 from .tree import compile_tree, verify
 
-_VALIDATION_ERRORS = (
-    NotHermitianError,
-    NotPsdError,
-    IncompleteSumError,
-    DimensionMismatchError,
-    NotUnitaryError,
-)
-_VERIFICATION_ERRORS = (
-    InconsistentChildrenError,
-    CompletenessViolationError,
-    NotCompleteError,
-    NotIsometryError,
-    TreeVerificationError,
-)
+_PREFIXES = {1: "invalid", 2: "error", 3: "verification error"}
 
 
 def _tolerances(args) -> Tolerances:
@@ -111,11 +86,7 @@ def cmd_compile(args) -> int:
         )
     partition = None
     if args.grouping is not None:
-        try:
-            partition = _parse_grouping(args.grouping, povm.n_outcomes)
-        except ValueError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
+        partition = _parse_grouping(args.grouping, povm.n_outcomes)  # ValueError exits 2
     tree = compile_tree(povm, partition=partition, tol=tol)
     report = verify(tree, tol)
     print(report.summary())
@@ -223,7 +194,7 @@ def cmd_example_tetrad(args) -> int:
     lines.append(f"eigenvectors (columns):\n{_format_matrix(eig.eigenvectors)}")
     lines.append("")
     lines.append("Probe coupling unitary at the root (first block column = [sqrt(M03); sqrt(M12)]):")
-    lines.append(_format_matrix(tree.dilation("").unitary))
+    lines.append(_format_matrix(tree.dilation("")))
     lines.append("")
     lines.append("Second-stage measurement operators B_j = b_j^dag b_j:")
     # leaf i is outcome order[i], reached by b_(i % 2) of the pair at node i // 2
@@ -310,27 +281,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except InvalidDimensionsError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except _VALIDATION_ERRORS as err:
-        print(f"invalid: {err}", file=sys.stderr)
-        return 1
-    except _VERIFICATION_ERRORS as err:
-        print(f"verification error: {err}", file=sys.stderr)
-        return 3
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    except PovmTreeError as err:
+        print(f"{_PREFIXES[err.exit_code]}: {err}", file=sys.stderr)
+        return err.exit_code
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except PovmTreeError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -9,6 +9,11 @@ slow index, i.e. joint basis state ``probe * d + system``.  With that ordering
 ``<j|U|0>`` is the d x d block ``U[j*d:(j+1)*d, 0:d]``, so the first block
 column of U is the stack [b_0; b_1].
 
+Pairs and couplings are plain arrays: a Kraus pair is a ``(2, d, d)`` array
+(b0 before b1), a level of pairs a ``(k, 2, d, d)`` stack, and a coupling a
+``(2d, 2d)`` unitary whose blocks are read back as ``u[:d, :d]`` (b0) and
+``u[d:, :d]`` (b1).
+
 The module also provides the classic one-shot alternative used as an
 independent oracle: embed the system into an N-dimensional space (one
 dimension per rank-one outcome piece) and perform a single projective
@@ -33,41 +38,6 @@ from .linalg import (
     rank_mask,
 )
 from .povm import Povm
-
-
-@dataclass(frozen=True, eq=False)
-class KrausPair:
-    """One node's two-outcome measurement: operators with b0^dag b0 + b1^dag b1 = I."""
-
-    b0: np.ndarray
-    b1: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.b0.shape[0]
-
-    def completeness_residual(self) -> float:
-        total = self.b0.conj().T @ self.b0 + self.b1.conj().T @ self.b1
-        return frobenius(total - np.eye(self.dim))
-
-    def operators(self) -> tuple[np.ndarray, np.ndarray]:
-        """The POVM elements (B_0, B_1) = (b_0^dag b_0, b_1^dag b_1)."""
-        return self.b0.conj().T @ self.b0, self.b1.conj().T @ self.b1
-
-
-@dataclass(frozen=True, eq=False)
-class NodeDilation:
-    """Joint system+probe unitary realizing one binary measurement."""
-
-    unitary: np.ndarray
-    system_dim: int
-
-    def kraus_block(self, probe_outcome: int) -> np.ndarray:
-        """The d x d block <probe_outcome|U|0>."""
-        if probe_outcome not in (0, 1):
-            raise IndexError(f"probe outcome {probe_outcome} not in 0..1")
-        d = self.system_dim
-        return self.unitary[probe_outcome * d : (probe_outcome + 1) * d, :d]
 
 
 def completeness_residuals(pairs: np.ndarray) -> np.ndarray:
@@ -106,15 +76,15 @@ def dilate_level(pairs, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
         raise NotCompleteError(err.residual) from None
 
 
-def dilate_binary(pair: KrausPair, tol: Tolerances = DEFAULT_TOLERANCES) -> NodeDilation:
-    """Build the 2d x 2d probe coupling for a complete Kraus pair.
+def dilate_binary(pair, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    """The read-only 2d x 2d probe coupling of one ``(2, d, d)`` complete Kraus pair.
 
-    A stack of one over :func:`dilate_level`.  The given blocks are embedded
-    bit-identically, so :meth:`NodeDilation.kraus_block` round-trips exactly.
+    A stack of one over :func:`dilate_level`.  The pair is embedded
+    bit-identically: ``u[:d, :d]`` is b0 and ``u[d:, :d]`` is b1.
     """
-    u = dilate_level(np.stack([pair.b0, pair.b1])[None], tol)[0]
+    u = dilate_level(pair[None], tol)[0]
     u.setflags(write=False)
-    return NodeDilation(unitary=u, system_dim=pair.dim)
+    return u
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,8 +185,6 @@ def full_neumark(
 
 
 __all__ = [
-    "KrausPair",
-    "NodeDilation",
     "NeumarkExtension",
     "completeness_residuals",
     "dilate_binary",

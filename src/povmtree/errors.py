@@ -1,10 +1,22 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, each with its command-line exit code.
+
+``exit_code`` is 1 for input that fails validation (the default), 2 for a
+file or request that cannot be parsed, and 3 for a :class:`VerificationError`.
+"""
 
 from __future__ import annotations
 
 
 class PovmTreeError(Exception):
     """Base class for every error raised by this package."""
+
+    exit_code = 1
+
+
+class VerificationError(PovmTreeError):
+    """A construction identity of a tree, pair or extension fails."""
+
+    exit_code = 3
 
 
 class NotSquareError(PovmTreeError):
@@ -31,7 +43,7 @@ class NotPsdError(PovmTreeError):
         self.index = index
 
 
-class NotIsometryError(PovmTreeError):
+class NotIsometryError(VerificationError):
     def __init__(self, message: str, residual: float | None = None) -> None:
         if residual is not None:
             message = f"{message} (residual {residual:.3e})"
@@ -61,7 +73,7 @@ class DimensionMismatchError(PovmTreeError):
         self.index = index
 
 
-class InconsistentChildrenError(PovmTreeError):
+class InconsistentChildrenError(VerificationError):
     def __init__(self, residual: float, path: str | None = None) -> None:
         where = f"node '{path}': " if path is not None else ""
         super().__init__(
@@ -71,7 +83,7 @@ class InconsistentChildrenError(PovmTreeError):
         self.path = path
 
 
-class CompletenessViolationError(PovmTreeError):
+class CompletenessViolationError(VerificationError):
     """Constructed pair fails its completeness or factorization post-check.
 
     Usually signals a numerical-rank misjudgment in the parent operator.
@@ -85,7 +97,7 @@ class CompletenessViolationError(PovmTreeError):
         self.what = what
 
 
-class TreeVerificationError(PovmTreeError):
+class TreeVerificationError(VerificationError):
     """A tree, typically one read from a file, fails a construction identity.
 
     ``path`` names the failing node's probe-outcome bitstring, ``what`` the
@@ -99,7 +111,7 @@ class TreeVerificationError(PovmTreeError):
         self.what = what
 
 
-class NotCompleteError(PovmTreeError):
+class NotCompleteError(VerificationError):
     def __init__(self, residual: float) -> None:
         super().__init__(
             f"Kraus pair is not complete, |b0^dag b0 + b1^dag b1 - I|_F = {residual:.3e}"
@@ -115,10 +127,12 @@ class NotRankOneError(PovmTreeError):
 
 
 class InvalidDimensionsError(PovmTreeError):
-    pass
+    exit_code = 2
 
 
 class ParseError(PovmTreeError):
+    exit_code = 2
+
     def __init__(self, message: str, field: str | None = None) -> None:
         if field is not None:
             message = f"{message} (field '{field}')"

@@ -24,7 +24,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ParseError, TreeVerificationError
-from .linalg import Tolerances
+from .linalg import DEFAULT_TOLERANCES, Tolerances
 from .povm import Povm, validate
 from .simulator import QuantumState
 from .tree import (
@@ -115,11 +115,8 @@ def povm_from_dict(data: dict, tol: Tolerances | None = None) -> Povm:
                 field=f"elements[{j}]",
             )
     labels = data.get("labels")
-    if tol is None:
-        p = validate(elements, labels=labels)
-    else:
-        p = validate(elements, labels=labels, tol=tol)
-    n_original = _int_field(data, "n_original", 1) if "n_original" in data else p.n_outcomes
+    p = validate(elements, labels=labels, tol=tol or DEFAULT_TOLERANCES)
+    n_original = _n_original(data, p.elements) if "n_original" in data else p.n_outcomes
     if n_original != p.n_outcomes:
         p = Povm(dim=p.dim, elements=p.elements, labels=p.labels, n_original=n_original)
     return p
@@ -169,6 +166,20 @@ def _int_field(data: dict, key: str, low: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < low:
         raise ParseError(f"must be an integer >= {low}, got {value!r}", field=key)
     return value
+
+
+def _n_original(data: dict, elements: np.ndarray) -> int:
+    """The ``n_original`` field, once it fits the outcome count and every padding element is zero.
+
+    Padding is written as exact zeros and both file formats store it exactly,
+    so it is compared exactly.
+    """
+    n_original = _int_field(data, "n_original", 1)
+    if n_original > len(elements):
+        raise ParseError(f"exceeds the {len(elements)} outcomes", field="n_original")
+    if elements[n_original:].any():
+        raise ParseError("an element at or past it is not zero padding", field="n_original")
+    return n_original
 
 
 def _finite_float(value: Any, field: str) -> float:
@@ -256,10 +267,8 @@ def _povm(data: dict, dim: int, n: int) -> Povm:
     if not (isinstance(labels, list) and len(labels) == n
             and all(isinstance(x, str) for x in labels)):
         raise ParseError(f"must be a list of {n} strings", field="labels")
-    n_original = _int_field(data, "n_original", 1)
-    if n_original > n:
-        raise ParseError(f"exceeds n_outcomes {n}", field="n_original")
     elements = _array(_require(data, "elements"), (n, dim, dim), "elements")
+    n_original = _n_original(data, elements)
     # the elements are checked against the Kraus pairs by verify()
     return Povm(dim=dim, elements=elements, labels=tuple(labels), n_original=n_original)
 
@@ -330,8 +339,8 @@ def _verified(tree: MeasurementTree) -> MeasurementTree:
     report = verify(tree)
     for c in report.nodes:
         if not c.ok:
-            residual = max(c.completeness_residual, *c.factorization_residuals,
-                           c.operator_sum_residual, c.dilation_unitarity)
+            residual = max(c.completeness_residual, c.operator_sum_residual,
+                           c.dilation_unitarity)
             raise TreeVerificationError(residual, path=c.path, what="verify")
     for i, c in enumerate(report.leaves):
         if not c.ok:

@@ -125,15 +125,9 @@ def validate(elements, labels=None, tol: Tolerances = DEFAULT_TOLERANCES) -> Pov
 
 @dataclass(frozen=True, eq=False)
 class KrausFactorization:
-    """Kraus operators with ``m_j^dag m_j = M_j``, one read-only ``(N, d, d)`` array.
-
-    ``freedom`` records the unitaries applied on top of the Hermitian square
-    roots (``m_j = V_j sqrt(M_j)``), also as one stack; ``None`` means the
-    canonical Hermitian factorization.
-    """
+    """Kraus operators with ``m_j^dag m_j = M_j``, one read-only ``(N, d, d)`` array."""
 
     kraus: np.ndarray
-    freedom: np.ndarray | None = None
 
     @property
     def n_outcomes(self) -> int:
@@ -180,8 +174,7 @@ def apply_freedom(
     bad = np.flatnonzero(~(residual <= tol.tol_unitary))  # nan fails too
     if bad.size:
         raise NotUnitaryError(float(residual[bad[0]]), index=int(bad[0]))
-    freedom = vs if f.freedom is None else vs @ f.freedom
-    return KrausFactorization(kraus=_frozen(vs @ f.kraus), freedom=_frozen(freedom))
+    return KrausFactorization(kraus=_frozen(vs @ f.kraus))
 
 
 def pad_to_power_of_two(p: Povm) -> Povm:

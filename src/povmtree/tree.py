@@ -37,13 +37,7 @@ from functools import partial
 
 import numpy as np
 
-from .dilation import (
-    KrausPair,
-    NodeDilation,
-    completeness_residuals,
-    dilate_binary,
-    dilate_level,
-)
+from .dilation import completeness_residuals, dilate_binary, dilate_level
 from .errors import CompletenessViolationError, InconsistentChildrenError
 from .linalg import (
     DEFAULT_TOLERANCES,
@@ -136,12 +130,11 @@ class MeasurementTree:
         """Cumulative operators ``m^dag m`` of a level's nodes; at the leaves, the POVM elements."""
         return _gram(self.cumulative_kraus(level))
 
-    def dilation(self, path: str) -> NodeDilation:
-        """Probe-coupling unitary of the internal node at ``path``, built on each call."""
+    def dilation(self, path: str) -> np.ndarray:
+        """Read-only 2d x 2d probe coupling of the internal node at ``path``, built on each call."""
         if len(path) >= self.depth or set(path) - {"0", "1"}:
             raise KeyError(f"no internal node at path {path!r}")
-        b = self.kraus[len(path)][int(path or "0", 2)]
-        return dilate_binary(KrausPair(b0=b[0], b1=b[1]), self.tolerances)
+        return dilate_binary(self.kraus[len(path)][int(path or "0", 2)], self.tolerances)
 
 
 def _raise_first(residuals: np.ndarray, limit: float, level: int | None, error) -> None:
@@ -150,6 +143,18 @@ def _raise_first(residuals: np.ndarray, limit: float, level: int | None, error) 
     if bad.size:
         i = int(bad[0])
         raise error(float(residuals[i]), None if level is None else node_path(level, i))
+
+
+def _dust(m: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Which matrices of a stack count as zero: those with Frobenius norm at most ``tol_rank``.
+
+    Cumulative Kraus operators are contractions (m^dag m <= I), so their
+    singular values live on a unit scale; a parent whose whole norm sits
+    below the rank threshold is the zero operator up to floating dust, and
+    must be treated as exactly zero or the relative rank rule would judge
+    the dust full-rank (this is what all-padding subtrees produce).
+    """
+    return np.linalg.norm(m, axis=(-2, -1)) <= tol.tol_rank
 
 
 def _split_level(
@@ -167,13 +172,7 @@ def _split_level(
     pre = np.linalg.norm(_gram(targets).sum(axis=1) - _gram(parents), axis=(-2, -1))
     _raise_first(pre, tol.tol_check, level, InconsistentChildrenError)
 
-    # Cumulative Kraus operators are contractions (m^dag m <= I), so their
-    # singular values live on a unit scale; a parent whose whole norm sits
-    # below the rank threshold is the zero operator up to floating dust, and
-    # must be treated as exactly zero or the relative rank rule would judge
-    # the dust full-rank (this is what all-padding subtrees produce).
-    dust = np.linalg.norm(parents, axis=(-2, -1)) <= tol.tol_rank
-    parents = np.where(dust[:, None, None], 0.0, parents)
+    parents = np.where(_dust(parents, tol)[:, None, None], 0.0, parents)
     pinv, g, rank = svd_inverse(parents, tol)
     pairs = targets @ pinv[:, None]
     deficient = np.flatnonzero(rank < parents.shape[-1])
@@ -215,7 +214,7 @@ def split_node(
     parent_kraus,
     coeffs: SplitCoefficients = DEFAULT_SPLIT,
     tol: Tolerances = DEFAULT_TOLERANCES,
-) -> KrausPair:
+) -> np.ndarray:
     """Construct the two-outcome Kraus pair taking a parent to its children.
 
     Parameters
@@ -228,7 +227,8 @@ def split_node(
     coeffs, tol
         Correction weights and numerical thresholds.
 
-    Returns the pair ``b_c = m_c @ pinv(parent) + a_c * V_c @ g`` where g is
+    Returns the read-only ``(2, d, d)`` pair ``[b0, b1]`` with
+    ``b_c = m_c @ pinv(parent) + a_c * V_c @ g``, where g is
     the parent's null-space correction and V_c the polar isometry of the
     child target (identity-acting for Hermitian targets, so the plain
     ``m @ pinv + a g`` ansatz is recovered).  Guarantees, within
@@ -251,7 +251,7 @@ def split_node(
         raise ValueError("children and parent must be square matrices of equal dimension")
     pair = _split_level(np.stack([m_left, m_right])[None], parent[None], coeffs, tol)[0]
     pair.setflags(write=False)
-    return KrausPair(b0=pair[0], b1=pair[1])
+    return pair
 
 
 def _resolve_partition(partition, n_real: int, n_padded: int) -> tuple[int, ...]:
@@ -349,7 +349,6 @@ class NodeCheck:
 
     path: str
     completeness_residual: float
-    factorization_residuals: tuple[float, float]
     operator_sum_residual: float
     min_operator_eigenvalue: float
     dilation_unitarity: float
@@ -381,9 +380,6 @@ class VerificationReport:
         worst_node = max(
             (c.completeness_residual for c in self.nodes), default=0.0
         )
-        worst_fact = max(
-            (r for c in self.nodes for r in c.factorization_residuals), default=0.0
-        )
         worst_leaf = max((c.residual for c in self.leaves), default=0.0)
         worst_dil = max((c.dilation_unitarity for c in self.nodes), default=0.0)
         corrected = sum(c.uses_null_correction for c in self.nodes)
@@ -391,7 +387,8 @@ class VerificationReport:
             f"verification: {'PASS' if self.passed else 'FAIL'}",
             f"  internal nodes checked : {len(self.nodes)} ({corrected} with null-space correction)",
             f"  max completeness residual : {worst_node:.3e}",
-            f"  max factorization residual: {worst_fact:.3e}",
+            # b_child @ m_parent = m_child holds by construction (see verify)
+            "  max factorization residual: 0.000e+00",
             f"  max leaf reconstruction   : {worst_leaf:.3e}",
             f"  max dilation unitarity    : {worst_dil:.3e}",
         ]
@@ -400,17 +397,6 @@ class VerificationReport:
             bad += [f"leaf:{c.outcome_index}" for c in self.leaves if not c.ok]
             lines.append(f"  failing: {bad}")
         return "\n".join(lines)
-
-
-def _node_ok(check_values: dict, t: Tolerances) -> bool:
-    return (
-        check_values["completeness_residual"] <= t.tol_check
-        and all(r <= t.tol_check for r in check_values["factorization_residuals"])
-        and check_values["operator_sum_residual"] <= t.tol_check
-        and check_values["min_operator_eigenvalue"] >= -t.tol_check
-        and check_values["dilation_unitarity"] <= t.tol_unitary
-        and check_values["blocks_exact"]
-    )
 
 
 def _dilation_checks(pairs: np.ndarray, admitted: np.ndarray, t: Tolerances):
@@ -449,7 +435,7 @@ def verify(tree: MeasurementTree, tol: Tolerances | None = None) -> Verification
     completeness fails ``tol_check`` is not dilated and reports unitarity
     ``inf``.  The factorization ``b_child @ m_parent = m_child`` holds
     exactly, because child cumulative operators are defined as those
-    products, so its residuals are reported as zero.  Per leaf: the
+    products, so it is not checked again.  Per leaf: the
     Frobenius distance between the leaf's cumulative operator and the
     original POVM element.  Works one level at a time; purely a reporting
     operation that never raises on failures.
@@ -457,55 +443,33 @@ def verify(tree: MeasurementTree, tol: Tolerances | None = None) -> Verification
     t = tol or tree.tolerances
     p = tree.povm
     sums = _partial_sums(_in_order(p.elements, tree.order))
-    node_checks: list[NodeCheck] = []
+    nodes: list[NodeCheck] = []
+    passed, max_residual = True, 0.0
     m = np.eye(p.dim, dtype=complex)[None]
     for level, pairs in enumerate(tree.kraus):
         sum_residual = np.linalg.norm(_gram(m) - sums[level], axis=(-2, -1))
         sums[level] = None
         completeness = completeness_residuals(pairs)
         min_eig = np.linalg.eigvalsh(adjoint(pairs) @ pairs)[..., 0].min(axis=1)
-        # same zero-snap rule as split_node: all-dust parents have rank 0
-        dust = np.linalg.norm(m, axis=(-2, -1)) <= t.tol_rank
-        rank = np.where(dust, 0, rank_mask(np.linalg.svd(m, compute_uv=False), t).sum(axis=-1))
-        unitarity, blocks_exact = _dilation_checks(pairs, completeness <= t.tol_check, t)
-        for i in range(len(pairs)):
-            values = {
-                "completeness_residual": float(completeness[i]),
-                "factorization_residuals": (0.0, 0.0),
-                "operator_sum_residual": float(sum_residual[i]),
-                "min_operator_eigenvalue": float(min_eig[i]),
-                "dilation_unitarity": float(unitarity[i]),
-                "blocks_exact": bool(blocks_exact[i]),
-            }
-            node_checks.append(
-                NodeCheck(
-                    path=node_path(level, i),
-                    parent_rank=int(rank[i]),
-                    uses_null_correction=bool(rank[i] < p.dim),
-                    ok=_node_ok(values, t),
-                    **values,
-                )
-            )
+        rank = rank_mask(np.linalg.svd(m, compute_uv=False), t).sum(axis=-1)
+        rank = np.where(_dust(m, t), 0, rank)
+        unitarity, exact = _dilation_checks(pairs, completeness <= t.tol_check, t)
+        ok = ((completeness <= t.tol_check) & (sum_residual <= t.tol_check)
+              & (min_eig >= -t.tol_check) & (unitarity <= t.tol_unitary) & exact)
+        paths = map(partial(node_path, level), range(len(pairs)))
+        nodes += map(NodeCheck, paths, completeness.tolist(), sum_residual.tolist(),
+                     min_eig.tolist(), unitarity.tolist(), exact.tolist(), rank.tolist(),
+                     (rank < p.dim).tolist(), ok.tolist())
+        passed = passed and bool(ok.all())
+        max_residual = max(max_residual, completeness.max(), sum_residual.max())
         m = _descend(pairs, m)
     leaf_residual = np.linalg.norm(_gram(m) - sums[-1], axis=(-2, -1))
-    leaf_checks = [
-        LeafCheck(
-            outcome_index=j,
-            label=p.labels[j],
-            residual=float(leaf_residual[i]),
-            is_padding=p.is_padding(j),
-            ok=bool(leaf_residual[i] <= t.tol_check),
-        )
-        for i, j in enumerate(tree.order)
-    ]
-    passed = all(c.ok for c in node_checks) and all(c.ok for c in leaf_checks)
-    residuals = [c.completeness_residual for c in node_checks]
-    residuals += [c.operator_sum_residual for c in node_checks]
-    residuals += [c.residual for c in leaf_checks]
-    max_residual = max(residuals, default=0.0)
+    leaf_ok = leaf_residual <= t.tol_check
+    leaves = map(LeafCheck, tree.order, map(p.labels.__getitem__, tree.order),
+                 leaf_residual.tolist(), map(p.is_padding, tree.order), leaf_ok.tolist())
     return VerificationReport(
-        nodes=tuple(node_checks),
-        leaves=tuple(leaf_checks),
-        passed=passed,
-        max_residual=max_residual,
+        nodes=tuple(nodes),
+        leaves=tuple(leaves),
+        passed=passed and bool(leaf_ok.all()),
+        max_residual=float(max(max_residual, leaf_residual.max())),
     )

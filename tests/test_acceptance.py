@@ -101,11 +101,11 @@ def criterion_4_dilation_validity():
     for _, tree in _random_suite():
         for level, pairs in enumerate(tree.kraus):
             for index, pair in enumerate(pairs):
-                dilation = tree.dilation(pt.node_path(level, index))
-                u = dilation.unitary
-                worst = max(worst, float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))))
-                exact = exact and np.array_equal(dilation.kraus_block(0), pair[0])
-                exact = exact and np.array_equal(dilation.kraus_block(1), pair[1])
+                u = tree.dilation(pt.node_path(level, index))
+                d = u.shape[0] // 2
+                worst = max(worst, float(np.linalg.norm(u.conj().T @ u - np.eye(2 * d))))
+                exact = exact and np.array_equal(u[:d, :d], pair[0])
+                exact = exact and np.array_equal(u[d:, :d], pair[1])
     ok = worst <= 1e-10 and exact
     return ok, f"max |U^dag U - I|_F = {worst:.2e}, block extraction exact: {exact}"
 

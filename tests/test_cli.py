@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from povmtree import tetrad, validate
+import povmtree
+from povmtree import cli, tetrad, validate
 from povmtree.cli import main
 from povmtree.io import encode_matrix, load_povm, load_tree, save_povm
 
@@ -150,6 +151,52 @@ class TestExampleTetrad:
         assert np.linalg.norm(closure) <= 1e-12
         text = (out_dir / "walkthrough.txt").read_text()
         assert "B1" in text and "eigenvalues" in text
+
+
+# Every exported error, the exit code the cli docstring gives its kind (1
+# validation failure, 2 parse or usage error, 3 verification failure) and
+# arguments to raise it with.
+EXIT_CODES = {
+    "PovmTreeError": (1, ("failed",)),
+    "NotSquareError": (1, ((2, 3),)),
+    "NotHermitianError": (1, (0.1, 0)),
+    "NotPsdError": (1, (-0.1, 0)),
+    "NotUnitaryError": (1, (0.1, 0)),
+    "IncompleteSumError": (1, (0.1,)),
+    "DimensionMismatchError": (1, ("shapes differ", 0)),
+    "NotRankOneError": (1, (0, 2)),
+    "ParseError": (2, ("malformed", "elements")),
+    "InvalidDimensionsError": (2, ("need N >= d >= 2",)),
+    "VerificationError": (3, ("failed",)),
+    "NotIsometryError": (3, ("columns are not orthonormal", 0.1)),
+    "InconsistentChildrenError": (3, (0.1, "0")),
+    "CompletenessViolationError": (3, (0.1, "0")),
+    "TreeVerificationError": (3, (0.1, "0", "verify")),
+    "NotCompleteError": (3, (0.1,)),
+}
+PREFIXES = {1: "invalid: ", 2: "error: ", 3: "verification error: "}
+
+
+class TestExitCodes:
+    def test_every_exported_error_is_listed(self):
+        exported = {
+            name for name in povmtree.__all__
+            if isinstance(getattr(povmtree, name), type)
+            and issubclass(getattr(povmtree, name), povmtree.PovmTreeError)
+        }
+        assert exported == set(EXIT_CODES)
+
+    @pytest.mark.parametrize("name", sorted(EXIT_CODES))
+    def test_exit_code(self, name, monkeypatch, capsys):
+        code, args = EXIT_CODES[name]
+        error = getattr(povmtree, name)(*args)
+
+        def raising(parsed):
+            raise error
+
+        monkeypatch.setattr(cli, "cmd_cost", raising)
+        assert main(["cost", "4", "2"]) == code
+        assert capsys.readouterr().err == f"{PREFIXES[code]}{error}\n"
 
 
 class TestEntryPoint:

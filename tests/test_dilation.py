@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from povmtree import (
-    KrausPair,
     NotCompleteError,
     NotRankOneError,
     default_kraus,
@@ -27,53 +26,46 @@ from conftest import frob
 def tetrad_first_level(tetrad_povm):
     m03 = psd_sqrt(tetrad_povm.elements[0] + tetrad_povm.elements[3])
     m12 = psd_sqrt(tetrad_povm.elements[1] + tetrad_povm.elements[2])
-    return KrausPair(b0=m03, b1=m12)
+    return np.stack([m03, m12])
 
 
 class TestDilateBinary:
     def test_uniform_pair(self):
-        pair = KrausPair(b0=np.eye(2) / np.sqrt(2), b1=np.eye(2) / np.sqrt(2))
-        nd = dilate_binary(pair)
-        assert nd.unitary.shape == (4, 4)
-        assert np.array_equal(nd.unitary[:2, :2], pair.b0)
-        assert np.array_equal(nd.unitary[2:, :2], pair.b1)
-        assert frob(nd.unitary.conj().T @ nd.unitary - np.eye(4)) <= 1e-10
+        pair = np.stack([np.eye(2) / np.sqrt(2), np.eye(2) / np.sqrt(2)])
+        u = dilate_binary(pair)
+        assert u.shape == (4, 4)
+        assert not u.flags.writeable
+        assert np.array_equal(u[:2, :2], pair[0])
+        assert np.array_equal(u[2:, :2], pair[1])
+        assert frob(u.conj().T @ u - np.eye(4)) <= 1e-10
 
     def test_round_trip_bit_exact(self, rng):
         p = random_povm(2, 3, rng, ranks=[2, 3])
-        f = default_kraus(p)
-        pair = KrausPair(b0=f.kraus[0], b1=f.kraus[1])
-        nd = dilate_binary(pair)
-        assert nd.unitary.shape == (6, 6)
-        assert frob(nd.unitary.conj().T @ nd.unitary - np.eye(6)) <= 1e-10
-        assert np.array_equal(nd.kraus_block(0), pair.b0)
-        assert np.array_equal(nd.kraus_block(1), pair.b1)
+        pair = default_kraus(p).kraus
+        u = dilate_binary(pair)
+        assert u.shape == (6, 6)
+        assert frob(u.conj().T @ u - np.eye(6)) <= 1e-10
+        assert np.array_equal(u[:3, :3], pair[0])
+        assert np.array_equal(u[3:, :3], pair[1])
 
     def test_extraction_completeness(self, rng):
         p = random_povm(2, 4, rng)
-        f = default_kraus(p)
-        nd = dilate_binary(KrausPair(b0=f.kraus[0], b1=f.kraus[1]))
-        b0, b1 = nd.kraus_block(0), nd.kraus_block(1)
+        u = dilate_binary(default_kraus(p).kraus)
+        b0, b1 = u[:4, :4], u[4:, :4]
         assert frob(b0.conj().T @ b0 + b1.conj().T @ b1 - np.eye(4)) <= 1e-10
 
     def test_rejects_incomplete_pair(self):
         with pytest.raises(NotCompleteError):
-            dilate_binary(KrausPair(b0=np.eye(2), b1=np.eye(2)))
-
-    def test_probe_outcome_range(self):
-        pair = KrausPair(b0=np.eye(2) / np.sqrt(2), b1=np.eye(2) / np.sqrt(2))
-        nd = dilate_binary(pair)
-        with pytest.raises(IndexError):
-            nd.kraus_block(2)
+            dilate_binary(np.stack([np.eye(2), np.eye(2)]))
 
     def test_tetrad_checkerboard_in_eigenbasis(self, tetrad_povm):
         pair = tetrad_first_level(tetrad_povm)
-        nd = dilate_binary(pair)
+        u = dilate_binary(pair)
         m03 = tetrad_povm.elements[0] + tetrad_povm.elements[3]
         eig = hermitian_eig(m03)
         lam_plus, lam_minus = eig.eigenvalues
         basis = np.kron(np.eye(2), eig.eigenvectors)  # probe slow, system fast
-        u_eig = basis.conj().T @ nd.unitary @ basis
+        u_eig = basis.conj().T @ u @ basis
         expected_cols = np.array(
             [
                 [np.sqrt(lam_plus), 0.0],

@@ -12,6 +12,7 @@ from povmtree import (
     TreeVerificationError,
     compile_tree,
     node_path,
+    pad_to_power_of_two,
     random_density,
     random_rank_one_povm,
     tetrad,
@@ -75,6 +76,22 @@ class TestPovmFiles:
         with pytest.raises(ParseError) as err:
             load_povm(path)
         assert "line" in str(err.value)
+
+    @pytest.mark.parametrize("n_original", [9, 2])
+    def test_n_original_marks_only_zero_padding(self, tmp_path, tetrad_povm, n_original):
+        # 9 exceeds the four outcomes; 2 would flag two nonzero elements as padding
+        path = tmp_path / "tetrad.povm.json"
+        save_povm(tetrad_povm, path)
+        data = json.loads(path.read_text())
+        data["n_original"] = n_original
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParseError) as err:
+            load_povm(path)
+        assert err.value.field == "n_original"
+        # a padded POVM, whose tail is exact zeros, still loads
+        padded = pad_to_power_of_two(random_rank_one_povm(3, 2, np.random.default_rng(3)))
+        save_povm(padded, path)
+        assert load_povm(path).n_original == 3
 
     def test_element_shape_check(self, tmp_path):
         path = tmp_path / "shape.json"
@@ -145,9 +162,7 @@ class TestTreeFiles:
         for level in range(tree.depth):
             for index in range(1 << level):
                 path_key = node_path(level, index)
-                assert np.array_equal(
-                    tree.dilation(path_key).unitary, again.dilation(path_key).unitary
-                )
+                assert np.array_equal(tree.dilation(path_key), again.dilation(path_key))
 
     def test_loaded_tree_simulates_identically(self, tmp_path, tetrad_povm):
         from povmtree import propagate, sample
@@ -214,6 +229,16 @@ class TestTamperedTreeFiles:
         with pytest.raises(ParseError) as err:
             load_tree(path)
         assert err.value.field == "kraus[1]"
+
+    def test_n_original_marks_only_zero_padding(self, parts, tmp_path):
+        # n_original 2 would flag outcomes 2 and 3, both nonzero, as padding
+        header, arrays = parts
+        header["n_original"] = 2
+        path = tmp_path / "padding.tree"
+        write_tree_file(path, header, arrays)
+        with pytest.raises(ParseError) as err:
+            load_tree(path)
+        assert err.value.field == "n_original"
 
     def test_nan_entry(self, parts, tmp_path):
         header, (elements, *kraus) = parts

@@ -4,7 +4,6 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from povmtree import (
-    KrausPair,
     dilate_binary,
     direct_probabilities,
     full_neumark,
@@ -40,7 +39,7 @@ def test_level_couplings_are_unitary_and_embed_the_pairs(d, k, seed):
     assert np.array_equal(u[:, :, :d], blocks)
     assert np.array_equal(complete_to_unitary_stack(blocks), u)
     i = seed % k
-    one = dilate_binary(KrausPair(b0=pairs[i, 0], b1=pairs[i, 1])).unitary
+    one = dilate_binary(pairs[i])
     assert one.tobytes() == u[i].tobytes()
 
 

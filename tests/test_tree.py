@@ -8,7 +8,6 @@ import pytest
 from povmtree import (
     CompletenessViolationError,
     InconsistentChildrenError,
-    KrausPair,
     SplitCoefficients,
     TreeVerificationError,
     apply_freedom,
@@ -31,6 +30,7 @@ from povmtree import (
     verify,
 )
 from povmtree import simulator, tree as tree_module
+from povmtree.dilation import completeness_residuals
 
 from conftest import frob, read_tree_file, write_tree_file
 
@@ -87,8 +87,9 @@ class TestSplitNode:
         p = random_rank_one_povm(2, 2, rng)
         f = default_kraus(p)
         pair = split_node((f.kraus[0], f.kraus[1]), np.eye(2))
-        assert np.allclose(pair.b0, f.kraus[0], atol=1e-14)
-        assert np.allclose(pair.b1, f.kraus[1], atol=1e-14)
+        assert pair.shape == (2, 2, 2) and not pair.flags.writeable
+        assert np.allclose(pair[0], f.kraus[0], atol=1e-14)
+        assert np.allclose(pair[1], f.kraus[1], atol=1e-14)
 
     def test_rank_deficient_parent_oracle(self):
         # hand-derived: parent diag(1,0) split into equal halves diag(1/2,0)
@@ -96,9 +97,9 @@ class TestSplitNode:
         child = np.diag([1 / np.sqrt(2), 0.0]).astype(complex)
         coeffs = SplitCoefficients(0.6, 0.8)
         pair = split_node((child, child), parent, coeffs)
-        assert np.allclose(pair.b0, np.diag([1 / np.sqrt(2), 0.6]), atol=1e-12)
-        assert np.allclose(pair.b1, np.diag([1 / np.sqrt(2), 0.8]), atol=1e-12)
-        assert pair.completeness_residual() <= 1e-12
+        assert np.allclose(pair[0], np.diag([1 / np.sqrt(2), 0.6]), atol=1e-12)
+        assert np.allclose(pair[1], np.diag([1 / np.sqrt(2), 0.8]), atol=1e-12)
+        assert completeness_residuals(pair[None])[0] <= 1e-12
 
     def test_completeness_needs_correction(self):
         # without the null-space term the pair would be deficient exactly by
@@ -118,8 +119,8 @@ class TestSplitNode:
         p = random_rank_one_povm(4, 2, rng)
         m01 = psd_sqrt(p.elements[0] + p.elements[1])
         pair = split_node((default_kraus(p).kraus[0], default_kraus(p).kraus[1]), m01)
-        assert frob(pair.b0 @ m01 - default_kraus(p).kraus[0]) <= 1e-9
-        assert frob(pair.b1 @ m01 - default_kraus(p).kraus[1]) <= 1e-9
+        assert frob(pair[0] @ m01 - default_kraus(p).kraus[0]) <= 1e-9
+        assert frob(pair[1] @ m01 - default_kraus(p).kraus[1]) <= 1e-9
 
 
 class TestTetradTree:
@@ -152,8 +153,7 @@ class TestTetradTree:
 
     def test_stage_closures(self, tree):
         for pairs in tree.kraus:
-            for b0, b1 in pairs:
-                assert KrausPair(b0=b0, b1=b1).completeness_residual() <= 1e-9
+            assert completeness_residuals(pairs).max() <= 1e-9
 
     def test_verify_passes(self, tree):
         report = verify(tree)
@@ -307,6 +307,25 @@ class TestVerify:
         report = verify(tree)
         assert not report.passed
         assert all(not c.ok and c.dilation_unitarity > 1e-10 for c in report.nodes)
+
+    def test_inexact_blocks_alone_fail_a_node(self, tetrad_povm, monkeypatch):
+        # Moving entry [0, 0, 0] of each built stack by one ulp breaks the exact
+        # embedding of the first pair of each level's block, and nothing else.
+        tree = compile_tree(tetrad_povm, partition=[0, 3, 1, 2])
+        build = tree_module.dilate_level
+
+        def nudged(pairs, tol):
+            u = build(pairs, tol)
+            u[0, 0, 0] = complex(np.nextafter(u[0, 0, 0].real, np.inf), u[0, 0, 0].imag)
+            return u
+
+        monkeypatch.setattr(tree_module, "dilate_level", nudged)
+        report = verify(tree)
+        failing = {c.path: c for c in report.nodes if not c.ok}
+        assert set(failing) == {"", "0"} and not report.passed
+        for c in failing.values():
+            assert not c.blocks_exact
+            assert c.dilation_unitarity <= tree.tolerances.tol_unitary
 
     def test_reports_rank_and_corrections(self, rng):
         p = random_rank_one_povm(4, 3, rng)
