@@ -26,12 +26,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NotCompleteError, NotIsometryError, NotRankOneError
+from .errors import DimensionMismatchError, NotCompleteError, NotIsometryError, NotRankOneError
 from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
     adjoint,
     as_complex_matrix,
+    blocks,
     complete_to_unitary,
     complete_to_unitary_stack,
     frobenius,
@@ -48,8 +49,11 @@ def completeness_residuals(pairs: np.ndarray) -> np.ndarray:
     pair admitted here is admitted by the completion at the same tolerance.
     """
     k, _, d, _ = pairs.shape
-    blocks = pairs.reshape(k, 2 * d, d)
-    return np.linalg.norm(adjoint(blocks) @ blocks - np.eye(d), axis=(-2, -1))
+    residuals = np.empty(k)
+    for rows in blocks(k, d):
+        b = pairs[rows].reshape(-1, 2 * d, d)
+        residuals[rows] = np.linalg.norm(adjoint(b) @ b - np.eye(d), axis=(-2, -1))
+    return residuals
 
 
 def dilate_level(pairs, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -125,11 +129,12 @@ class NeumarkExtension:
         Embeds the state into the extended space, applies the extension
         unitary, and reads the computational-basis populations, summing the
         rows that belong to the same outcome.  Only the isometry is read: the
-        state lives in the first ``system_dim`` basis vectors.
+        state lives in the first ``system_dim`` basis vectors.  A density of
+        another shape raises :class:`DimensionMismatchError`.
         """
         rho = as_complex_matrix(density)
         if rho.shape != (self.system_dim, self.system_dim):
-            raise ValueError(
+            raise DimensionMismatchError(
                 f"state has shape {rho.shape}, expected ({self.system_dim}, {self.system_dim})"
             )
         rows = self.isometry
@@ -148,7 +153,7 @@ def full_neumark(
     ``M_j = |psi_j><psi_j|``); the rows form the column-orthonormal block
     that the extension unitary starts with, which is all that is stored.
     Elements of higher rank are split into rank-one eigen-pieces (one
-    stacked ``eigh`` over all elements, the module rank rule of
+    stacked ``eigh`` per block of elements, the module rank rule of
     :func:`povmtree.linalg.rank_mask` per element) whose probabilities are
     summed back per outcome; zero (padding) elements contribute no rows and
     always come out with probability zero.
@@ -160,17 +165,21 @@ def full_neumark(
     NotIsometryError
         If the rows' Gram residual ``|W^dag W - I|_F`` exceeds ``tol.tol_unitary``.
     """
-    elements = p.elements
-    w, v = np.linalg.eigh((elements + adjoint(elements)) / 2)
-    w, v = w[:, ::-1], v[:, :, ::-1]  # descending, as rank_mask expects
-    keep = rank_mask(w, tol)
-    if not decompose:
-        rank = keep.sum(axis=1)
-        bad = np.flatnonzero(rank > 1)
-        if bad.size:
-            raise NotRankOneError(int(bad[0]), int(rank[bad[0]]))
-    element, piece = np.nonzero(keep)
-    isometry = np.sqrt(w[element, piece])[:, None] * v[element, :, piece].conj()
+    rows, owners = [], []
+    for block in blocks(p.n_outcomes, p.dim):
+        elements = p.elements[block]
+        w, v = np.linalg.eigh((elements + adjoint(elements)) / 2)
+        w, v = w[:, ::-1], v[:, :, ::-1]  # descending, as rank_mask expects
+        keep = rank_mask(w, tol)
+        if not decompose:
+            rank = keep.sum(axis=1)
+            bad = np.flatnonzero(rank > 1)
+            if bad.size:
+                raise NotRankOneError(block.start + int(bad[0]), int(rank[bad[0]]))
+        element, piece = np.nonzero(keep)
+        rows.append(np.sqrt(w[element, piece])[:, None] * v[element, :, piece].conj())
+        owners.append(block.start + element)
+    isometry, element = np.concatenate(rows), np.concatenate(owners)
     residual = frobenius(adjoint(isometry) @ isometry - np.eye(p.dim))
     if residual > tol.tol_unitary:
         raise NotIsometryError("outcome pieces are not orthonormal columns", residual=residual)

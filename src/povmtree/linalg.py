@@ -7,7 +7,7 @@ explicit rank policy, spectral PSD square root, and completion of an
 isometric column block to a full unitary.  The pseudoinverse, the square
 root and the completion work on stacks of matrices (one LAPACK call per
 stack: SVD, ``eigh`` and Householder QR), and their one-matrix forms are
-stacks of one.
+stacks of one.  Stages over a whole stack walk it in :func:`blocks`.
 
 Rank policy: an eigenvalue or singular value counts as nonzero iff it exceeds
 ``tol_rank`` times the largest one.  The same relative threshold is applied
@@ -47,6 +47,18 @@ class Tolerances:
 
 
 DEFAULT_TOLERANCES = Tolerances()
+
+# bytes of d x d complex matrices that a stage walking a stack takes per block
+_BLOCK_BYTES = 64 * 1024
+
+
+def blocks(n: int, d: int):
+    """Consecutive slices covering ``range(n)``, each of at most ``_BLOCK_BYTES`` of d x d matrices.
+
+    A block always holds at least one matrix, so a level that fits is one block.
+    """
+    step = max(1, _BLOCK_BYTES // (16 * d * d))
+    return (slice(i, min(i + step, n)) for i in range(0, n, step))
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -190,7 +202,7 @@ def pseudo_inverse(a, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
 
 
 def psd_sqrt_stack(a: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Hermitian PSD square roots of a stack of matrices, one stacked ``eigh``.
+    """Hermitian PSD square roots of a stack of matrices, one stacked ``eigh`` per block.
 
     Eigenvalues below ``tol.tol_rank`` times the largest of the same matrix
     are truncated to exact zero (the module rank policy); without this,
@@ -205,19 +217,23 @@ def psd_sqrt_stack(a: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.nd
     NotPsdError
         If some matrix has an eigenvalue below ``-tol.tol_check * |A|_F``.
     """
-    asymmetry = np.linalg.norm(a - adjoint(a), axis=(-2, -1))
-    bad = np.flatnonzero(asymmetry > tol.tol_check)
-    if bad.size:
-        raise NotHermitianError(float(asymmetry[bad[0]]))
-    w, v = np.linalg.eigh((a + adjoint(a)) / 2)
-    floor = -tol.tol_check * np.linalg.norm(a, axis=(-2, -1))
-    bad = np.flatnonzero(w[:, 0] < floor)
-    if bad.size:
-        raise NotPsdError(float(w[bad[0], 0]))
-    top = np.maximum(w[:, -1:], 0.0)
-    w = np.where(w > tol.tol_rank * top, w, 0.0)
-    s = (v * np.sqrt(w)[:, None, :]) @ adjoint(v)
-    return (s + adjoint(s)) / 2
+    roots = np.empty(a.shape, dtype=complex)
+    for rows in blocks(len(a), a.shape[-1]):
+        b = a[rows]
+        asymmetry = np.linalg.norm(b - adjoint(b), axis=(-2, -1))
+        bad = np.flatnonzero(asymmetry > tol.tol_check)
+        if bad.size:
+            raise NotHermitianError(float(asymmetry[bad[0]]))
+        w, v = np.linalg.eigh((b + adjoint(b)) / 2)
+        floor = -tol.tol_check * np.linalg.norm(b, axis=(-2, -1))
+        bad = np.flatnonzero(w[:, 0] < floor)
+        if bad.size:
+            raise NotPsdError(float(w[bad[0], 0]))
+        top = np.maximum(w[:, -1:], 0.0)
+        w = np.where(w > tol.tol_rank * top, w, 0.0)
+        s = (v * np.sqrt(w)[:, None, :]) @ adjoint(v)
+        roots[rows] = (s + adjoint(s)) / 2
+    return roots
 
 
 def psd_sqrt(a, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:

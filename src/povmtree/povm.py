@@ -24,6 +24,7 @@ from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
     adjoint,
+    blocks,
     frobenius,
     psd_sqrt_stack,
 )
@@ -91,27 +92,33 @@ def validate(elements, labels=None, tol: Tolerances = DEFAULT_TOLERANCES) -> Pov
     violated condition: every element a square matrix of one shape
     (:class:`DimensionMismatchError`), finite entries, per-element
     Hermiticity and positivity, and the sum-to-identity completeness
-    relation.  Finiteness, Hermiticity and positivity are judged on the
-    whole stack at once; the error names the first failing element, a
-    non-finite entry counts as failed Hermiticity (residual ``nan``), and
-    Hermiticity of an element comes before its positivity.
+    relation.  Finiteness, then Hermiticity and positivity, are judged per
+    block of elements (:func:`povmtree.linalg.blocks`), in order, so the
+    first failing block decides the error; a non-finite entry counts as
+    failed Hermiticity (residual ``nan``), and Hermiticity of an element
+    comes before its positivity.
     """
     stack = _as_stack(elements)
     n, dim = stack.shape[:2]
-    finite = np.isfinite(stack).all(axis=(1, 2))
-    if not finite.all():
-        raise NotHermitianError(float("nan"), index=int(np.argmin(finite)))
-    adj = adjoint(stack)
-    residual = np.linalg.norm(stack - adj, axis=(1, 2))
-    min_eig = np.linalg.eigvalsh((stack + adj) / 2)[:, 0]
-    not_hermitian = residual > tol.tol_check
-    bad = np.flatnonzero(not_hermitian | (min_eig < -tol.tol_check))
-    if bad.size:
-        j = int(bad[0])
-        if not_hermitian[j]:
-            raise NotHermitianError(float(residual[j]), index=j)
-        raise NotPsdError(float(min_eig[j]), index=j)
-    deficit = frobenius(stack.sum(axis=0) - np.eye(dim))
+    total = np.zeros((dim, dim), dtype=complex)
+    for rows in blocks(n, dim):
+        block = stack[rows]
+        finite = np.isfinite(block).all(axis=(1, 2))
+        if not finite.all():
+            raise NotHermitianError(float("nan"), index=rows.start + int(np.argmin(finite)))
+        adj = adjoint(block)
+        residual = np.linalg.norm(block - adj, axis=(1, 2))
+        min_eig = np.linalg.eigvalsh((block + adj) / 2)[:, 0]
+        not_hermitian = residual > tol.tol_check
+        bad = np.flatnonzero(not_hermitian | (min_eig < -tol.tol_check))
+        if bad.size:
+            j = int(bad[0])
+            if not_hermitian[j]:
+                raise NotHermitianError(float(residual[j]), index=rows.start + j)
+            raise NotPsdError(float(min_eig[j]), index=rows.start + j)
+        # one element after another, in the order stack.sum(axis=0) adds them
+        total = np.concatenate([total[None], block]).sum(axis=0)
+    deficit = frobenius(total - np.eye(dim))
     if deficit > tol.tol_check:
         raise IncompleteSumError(deficit)
     if labels is None:
@@ -135,7 +142,7 @@ class KrausFactorization:
 
 
 def default_kraus(p: Povm, tol: Tolerances = DEFAULT_TOLERANCES) -> KrausFactorization:
-    """Canonical factorization ``m_j = sqrt(M_j)`` (Hermitian PSD roots, one stacked ``eigh``)."""
+    """Canonical factorization ``m_j = sqrt(M_j)`` (Hermitian PSD roots, stacked ``eigh``)."""
     return KrausFactorization(kraus=_frozen(psd_sqrt_stack(p.elements, tol)))
 
 
@@ -147,7 +154,7 @@ def apply_freedom(
     The measurement operators ``m_j^dag m_j`` and therefore all outcome
     probabilities are unchanged; only post-measurement states rotate.
     ``unitaries`` is a sequence of d x d matrices or one ``(N, d, d)`` array,
-    checked as one stack: the error names the first failing unitary, and a
+    checked per block: the error names the first failing unitary, and a
     non-finite entry counts as failed unitarity (residual ``nan``).
 
     Raises
@@ -169,11 +176,12 @@ def apply_freedom(
             raise DimensionMismatchError(
                 f"unitary {j} has shape {np.shape(v)}, expected {shape}", index=j
             )
-    vs = np.array(unitaries, dtype=complex)
-    residual = np.linalg.norm(adjoint(vs) @ vs - np.eye(shape[0]), axis=(1, 2))
-    bad = np.flatnonzero(~(residual <= tol.tol_unitary))  # nan fails too
-    if bad.size:
-        raise NotUnitaryError(float(residual[bad[0]]), index=int(bad[0]))
+    vs = np.asarray(unitaries, dtype=complex)
+    for rows in blocks(len(vs), shape[0]):
+        residual = np.linalg.norm(adjoint(vs[rows]) @ vs[rows] - np.eye(shape[0]), axis=(1, 2))
+        bad = np.flatnonzero(~(residual <= tol.tol_unitary))  # nan fails too
+        if bad.size:
+            raise NotUnitaryError(float(residual[bad[0]]), index=rows.start + int(bad[0]))
     return KrausFactorization(kraus=_frozen(vs @ f.kraus))
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, TreeVerificationError
-from .linalg import DEFAULT_TOLERANCES, Tolerances, adjoint, as_complex_matrix, frobenius
+from .linalg import DEFAULT_TOLERANCES, Tolerances, adjoint, as_complex_matrix, blocks, frobenius
 from .povm import Povm
 from .tree import MeasurementTree, node_path
 
@@ -117,40 +117,46 @@ class SimulationOutcome:
 def _level_pass(tree: MeasurementTree, state: QuantumState):
     """Carry the unnormalised conditioned states down the tree, one level at a time.
 
-    Each level applies ``b sigma b^dag`` to all its nodes in one batched
-    product; the trace of a state is the absolute probability of its path.
-    Returns the leaf states ``(N, d, d)`` left to right, and per level the
-    probability of probe outcome 0 at each node given that the node is
-    reached (1.0 where the node's probability is zero).
+    Each level applies ``b sigma b^dag`` to its nodes a block at a time; the
+    trace of a state is the absolute probability of its path.  Returns the
+    leaf states ``(N, d, d)`` left to right, a fresh writeable array, and
+    per level the probability of probe outcome 0 at each node given that
+    the node is reached (1.0 where the node's probability is zero).
     """
     if state.dim != tree.povm.dim:
         raise DimensionMismatchError(
             f"state dimension {state.dim} does not match tree dimension {tree.povm.dim}"
         )
+    d = state.dim
     sigma = state.density.astype(complex)[None]
     p_left = []
     for pairs in tree.kraus:
-        children = pairs @ sigma[:, None] @ adjoint(pairs)
-        q = np.maximum(np.trace(children, axis1=-2, axis2=-1).real, 0.0)
-        total = q.sum(axis=1)
-        ratio = np.divide(q[:, 0], total, out=np.ones_like(total), where=total > 0)
+        children = np.empty((2 * len(pairs), d, d), dtype=complex)
+        ratio = np.empty(len(pairs))
+        for nodes in blocks(len(pairs), d):
+            c = children[2 * nodes.start : 2 * nodes.stop].reshape(-1, 2, d, d)
+            np.matmul(pairs[nodes] @ sigma[nodes, None], adjoint(pairs[nodes]), out=c)
+            q = np.maximum(np.trace(c, axis1=-2, axis2=-1).real, 0.0)
+            total = q.sum(axis=1)
+            ratio[nodes] = np.divide(q[:, 0], total, out=np.ones_like(total), where=total > 0)
         p_left.append(np.minimum(ratio, 1.0))
-        sigma = children.reshape(-1, *sigma.shape[1:])
+        sigma = children
     return sigma, p_left
 
 
 def _leaf_probabilities(tree: MeasurementTree, leaves: np.ndarray, t: Tolerances):
-    """Leaf probabilities left to right, with the reached leaves and their Hermitian parts.
+    """Leaf probabilities left to right, and the reached leaves, symmetrised in place in ``leaves``.
 
     Raises :class:`TreeVerificationError` if a reached leaf's unnormalised
     state has an eigenvalue below ``-tol_check``.
     """
     probs = np.clip(np.trace(leaves, axis1=-2, axis2=-1).real, 0.0, 1.0)
     reached = np.flatnonzero(probs >= t.tol_check)
-    herm = leaves[reached]
-    herm += adjoint(herm)
-    herm *= 0.5
-    if reached.size:
+    for rows in blocks(len(reached), leaves.shape[-1]):
+        herm = leaves[reached[rows]]
+        herm += adjoint(herm)
+        herm *= 0.5
+        leaves[reached[rows]] = herm
         # Positivity is checked on the unnormalised states, at the scale of
         # the absolute probability.  After division by a tiny probability,
         # rounding dust of a valid state can exceed any absolute threshold.
@@ -159,18 +165,20 @@ def _leaf_probabilities(tree: MeasurementTree, leaves: np.ndarray, t: Tolerances
         if bad.size:
             raise TreeVerificationError(
                 -float(min_eig[bad[0]]),
-                path=node_path(tree.depth, int(reached[bad[0]])),
+                path=node_path(tree.depth, int(reached[rows][bad[0]])),
                 what="post-state positivity",
             )
-    return probs, reached, herm
+    return probs, reached
 
 
 def _outcomes(tree: MeasurementTree, leaves: np.ndarray, t: Tolerances) -> list[SimulationOutcome]:
-    """Leaf probabilities and post-states, ordered by outcome index."""
-    probs, reached, herm = _leaf_probabilities(tree, leaves, t)
+    """Leaf probabilities and post-states (read-only views of ``leaves``), by outcome index."""
+    probs, reached = _leaf_probabilities(tree, leaves, t)
     posts: list[QuantumState | None] = [None] * len(probs)
-    for rho, i in zip(herm, reached):
-        posts[i] = QuantumState._checked_elsewhere(rho / probs[i])
+    for i in reached.tolist():
+        leaves[i] /= probs[i]
+        posts[i] = QuantumState._checked_elsewhere(leaves[i])
+    leaves.setflags(write=False)
     outcomes: list[SimulationOutcome | None] = [None] * len(probs)
     for i, j in enumerate(tree.order):
         outcomes[j] = SimulationOutcome(
@@ -189,9 +197,11 @@ def propagate(
     """Exact leaf probabilities and post-measurement states.
 
     Applies each level's branch operators to the unnormalized conditioned
-    states; the leaf probability is the trace of the final product, which
-    telescopes to Tr[m_leaf rho m_leaf^dag].  Results are ordered by outcome
-    index of the (padded) POVM.
+    states, per block of at most 64 KiB of nodes; the leaf probability is
+    the trace of the final product, which telescopes to
+    Tr[m_leaf rho m_leaf^dag].  Results are ordered by outcome index of the
+    (padded) POVM.  Post-states are read-only views of one leaf stack,
+    symmetrised and normalised in place, and checked per block in leaf order.
 
     Raises
     ------
@@ -241,7 +251,8 @@ def sample(
     same doubles as one draw for the whole chunk, so the counts do not depend
     on the block size, and the working memory does not grow with ``shots``.
     ``expected`` holds the exact leaf probabilities of :func:`propagate`,
-    taken from the same level pass without building post-states.
+    taken from the same level pass, per block of at most 64 KiB of nodes,
+    without building post-states.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")

@@ -26,7 +26,9 @@ m_child = b_child @ m_parent holds by construction at every edge.
 Internal-node targets are Hermitian square roots of partial element sums;
 leaf targets come from the supplied Kraus factorization.  Compilation and
 verification work one level at a time, with one stacked LAPACK call per
-level for each kind of decomposition.
+block of at most 64 KiB of nodes for each kind of decomposition; checks run
+block by block in node order, so a later-kind failure in an earlier block
+comes before an earlier-kind one in a later block.
 """
 
 from __future__ import annotations
@@ -44,11 +46,12 @@ from .linalg import (
     Tolerances,
     adjoint,
     as_complex_matrix,
+    blocks,
     psd_sqrt_stack,
     rank_mask,
     svd_inverse,
 )
-from .povm import KrausFactorization, Povm, default_kraus, pad_to_power_of_two
+from .povm import KrausFactorization, Povm, pad_to_power_of_two
 
 
 @dataclass(frozen=True)
@@ -66,9 +69,6 @@ class SplitCoefficients:
 
 DEFAULT_SPLIT = SplitCoefficients()
 
-# bytes of unitaries per block when verify builds a level's dilations
-_DILATION_BYTES = 64 * 1024
-
 
 def node_path(level: int, index: int) -> str:
     """Probe-outcome bitstring of node ``index`` of ``level`` ('' at the root)."""
@@ -77,7 +77,11 @@ def node_path(level: int, index: int) -> str:
 
 def _descend(pairs: np.ndarray, parents: np.ndarray) -> np.ndarray:
     """Children's cumulative Kraus operators ``b_c @ m_x``; child c of node i sits at 2i + c."""
-    return (pairs @ parents[:, None]).reshape(-1, *parents.shape[1:])
+    k, d = parents.shape[:2]
+    children = np.empty((2 * k, d, d), dtype=complex)
+    for b in blocks(k, d):
+        children[2 * b.start : 2 * b.stop] = (pairs[b] @ parents[b, None]).reshape(-1, d, d)
+    return children
 
 
 def _gram(m: np.ndarray) -> np.ndarray:
@@ -86,17 +90,22 @@ def _gram(m: np.ndarray) -> np.ndarray:
     return (g + adjoint(g)) / 2
 
 
-def _partial_sums(ordered: np.ndarray) -> list[np.ndarray]:
-    """Per level, the sum of the elements below each node, built bottom-up by pairs."""
-    sums = [ordered]
-    while len(sums[0]) > 1:
-        sums.insert(0, sums[0][0::2] + sums[0][1::2])
-    return sums
+def _ordered_sums(elements: np.ndarray, order: np.ndarray, lo: int, hi: int, span: int):
+    """Sum of each run of ``span`` leaves in ``lo:hi``, paired as the tree pairs them.
 
-
-def _in_order(a: np.ndarray, order: tuple[int, ...]) -> np.ndarray:
-    """``a`` laid out in leaf ``order``; ``a`` itself when the order is the identity."""
-    return a if order == tuple(range(len(a))) else a[list(order)]
+    Leaf i is ``elements[order[i]]``.  A range larger than a block is split
+    in two, so at most one block of elements is gathered at a time.
+    """
+    if span == 1 or next(blocks(hi - lo, elements.shape[-1])).stop == hi - lo:
+        s = elements[order[lo:hi]]
+        while span > 1:
+            s, span = s[0::2] + s[1::2], span // 2
+        return s
+    sums = partial(_ordered_sums, elements, order)
+    if hi - lo > span:  # several runs: each half of them on its own
+        mid = lo + (hi - lo) // span // 2 * span
+        return np.concatenate([sums(lo, mid, span), sums(mid, hi, span)])
+    return sums(lo, lo + span // 2, span // 2) + sums(lo + span // 2, hi, span // 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,12 +146,12 @@ class MeasurementTree:
         return dilate_binary(self.kraus[len(path)][int(path or "0", 2)], self.tolerances)
 
 
-def _raise_first(residuals: np.ndarray, limit: float, level: int | None, error) -> None:
+def _raise_first(residuals: np.ndarray, limit: float, level: int | None, first: int, error):
     """Raise ``error(residual, path)`` for the first node whose residual exceeds ``limit``."""
     bad = np.flatnonzero(residuals > limit)
     if bad.size:
         i = int(bad[0])
-        raise error(float(residuals[i]), None if level is None else node_path(level, i))
+        raise error(float(residuals[i]), None if level is None else node_path(level, first + i))
 
 
 def _dust(m: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -163,29 +172,30 @@ def _split_level(
     coeffs: SplitCoefficients,
     tol: Tolerances,
     level: int | None = None,
+    first: int = 0,
 ) -> np.ndarray:
     """Kraus pairs ``(k, 2, d, d)`` taking each parent of a stack to its two targets.
 
-    The stacked kernel of :func:`split_node`; errors name the node by its
-    path in ``level`` (no path when ``level`` is None).
+    The stacked kernel of :func:`split_node`; errors name node ``first + i``
+    of ``level`` by its path (no path when ``level`` is None).
     """
+    raise_first = partial(_raise_first, limit=tol.tol_check, level=level, first=first)
     pre = np.linalg.norm(_gram(targets).sum(axis=1) - _gram(parents), axis=(-2, -1))
-    _raise_first(pre, tol.tol_check, level, InconsistentChildrenError)
+    raise_first(pre, error=InconsistentChildrenError)
 
     parents = np.where(_dust(parents, tol)[:, None, None], 0.0, parents)
     pinv, g, rank = svd_inverse(parents, tol)
     pairs = targets @ pinv[:, None]
     deficient = np.flatnonzero(rank < parents.shape[-1])
     if deficient.size:
-        u, _, vh = np.linalg.svd(targets[deficient])
+        polar = np.matmul(*np.linalg.svd(targets[deficient])[::2])  # u @ vh, without holding u, vh
         a = np.array([coeffs.a0, coeffs.a1])[:, None, None]
-        pairs[deficient] += a * ((u @ vh) @ g[deficient][:, None])
-    _raise_first(completeness_residuals(pairs), tol.tol_check, level, CompletenessViolationError)
+        pairs[deficient] += a * (polar @ g[deficient][:, None])
+    raise_first(completeness_residuals(pairs), error=CompletenessViolationError)
     fact = np.linalg.norm(pairs @ parents[:, None] - targets, axis=(-2, -1))
     # per node, b0's residual if it fails, else b1's
-    first = np.where(fact[:, 0] > tol.tol_check, fact[:, 0], fact[:, 1])
-    _raise_first(first, tol.tol_check, level,
-                 partial(CompletenessViolationError, what="factorization"))
+    worst = np.where(fact[:, 0] > tol.tol_check, fact[:, 0], fact[:, 1])
+    raise_first(worst, error=partial(CompletenessViolationError, what="factorization"))
     return pairs
 
 
@@ -281,9 +291,10 @@ def compile_tree(
     ``partition`` order (default: index order), each node splitting its
     ordered outcome list in half.  Leaf targets come from ``factorization``
     (default: Hermitian square roots); internal targets are square roots of
-    the partial element sums, which are built bottom-up by adding pairs.
-    Levels are compiled top-down, each with one stacked ``eigh`` for its
-    children's targets and one stacked SVD of its parents.
+    the partial element sums, added in pairs from the ordered elements.
+    Levels are compiled top-down, per block of at most 64 KiB of parents
+    with one stacked ``eigh`` and one stacked SVD, checking block by block
+    in node order (a later-kind failure in an earlier block comes first).
 
     ``partition`` may permute either the padded outcome set or just the
     original outcomes, in which case padding indices keep their tail
@@ -299,33 +310,32 @@ def compile_tree(
     n, d = padded.n_outcomes, padded.dim
     depth = n.bit_length() - 1
     order = _resolve_partition(partition, p.n_outcomes, n)
-    if factorization is None:
-        # the roots are only needed in leaf order, so they are not kept
-        leaf_targets = _in_order(default_kraus(padded, tol).kraus, order)
-    else:
-        if factorization.n_outcomes not in (p.n_outcomes, n):
-            raise ValueError(
-                f"factorization has {factorization.n_outcomes} operators for "
-                f"{p.n_outcomes} outcomes"
-            )
-        kraus = np.asarray(factorization.kraus, dtype=complex)
-        if len(kraus) < n:
-            kraus = np.concatenate([kraus, np.zeros((n - len(kraus), d, d), dtype=complex)])
-        leaf_targets = _in_order(kraus, order)
-    sums = _partial_sums(_in_order(padded.elements, order))
-    sums[-1] = None  # the leaf targets come from the factorization
+    if factorization is not None and factorization.n_outcomes not in (p.n_outcomes, n):
+        raise ValueError(
+            f"factorization has {factorization.n_outcomes} operators for "
+            f"{p.n_outcomes} outcomes"
+        )
+    at = np.array(order)
     levels = []
     m = np.eye(d, dtype=complex)[None]
     for level in range(depth):
-        if level + 1 == depth:
-            targets = leaf_targets
-        else:
-            targets = psd_sqrt_stack(sums[level + 1], tol)
-            sums[level + 1] = None
-        pairs = _split_level(targets.reshape(-1, 2, d, d), m, coeffs, tol, level)
+        span = n >> (level + 1)  # leaves below each child
+        pairs = np.empty((len(m), 2, d, d), dtype=complex)
+        for nodes in blocks(len(m), d):
+            lo, hi = 2 * nodes.start * span, 2 * nodes.stop * span
+            if span == 1 and factorization is not None:
+                # a factorization of the unpadded outcomes leaves the padding leaves zero
+                real = at[lo:hi] < factorization.n_outcomes
+                targets = np.zeros((hi - lo, d, d), dtype=complex)
+                targets[real] = factorization.kraus[at[lo:hi][real]]
+            else:
+                targets = psd_sqrt_stack(_ordered_sums(padded.elements, at, lo, hi, span), tol)
+            pairs[nodes] = _split_level(targets.reshape(-1, 2, d, d), m[nodes], coeffs, tol,
+                                        level, nodes.start)
         pairs.setflags(write=False)
         levels.append(pairs)
-        m = _descend(pairs, m)
+        if level + 1 < depth:
+            m = _descend(pairs, m)
     return MeasurementTree(
         povm=padded,
         order=order,
@@ -399,71 +409,67 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _dilation_checks(pairs: np.ndarray, admitted: np.ndarray, t: Tolerances):
-    """Unitarity residuals and exact-block flags of a level's transient dilations.
-
-    Only the pairs flagged in ``admitted`` are dilated; the others keep
-    ``inf`` and ``False``.  The dilations are built in blocks of about
-    ``_DILATION_BYTES`` of unitaries and dropped.
-    """
-    k, _, d, _ = pairs.shape
-    unitarity = np.full(k, np.inf)
-    exact = np.zeros(k, dtype=bool)
-    rows = np.flatnonzero(admitted)
-    step = max(1, _DILATION_BYTES // (16 * (2 * d) ** 2))
-    for start in range(0, rows.size, step):
-        block = rows[start : start + step]
-        chosen = pairs[block]
-        u = dilate_level(chosen, t)
-        defect = adjoint(u) @ u - np.eye(2 * d)
-        # the Gram block of [b0; b1] is the completeness matrix, judged at tol_check
-        defect[:, :d, :d] = 0.0
-        unitarity[block] = np.linalg.norm(defect, axis=(-2, -1))
-        exact[block] = (u[:, :, :d] == chosen.reshape(-1, 2 * d, d)).all(axis=(-2, -1))
-    return unitarity, exact
-
-
 def verify(tree: MeasurementTree, tol: Tolerances | None = None) -> VerificationReport:
     """Audit every node of a tree against the construction identities.
 
     Checks, per internal node: completeness of the Kraus pair, agreement of
     the cumulative operator with the sum of the POVM elements below,
     positivity of the pair's measurement operators, unitarity of the pair's
-    dilation, and exact block round-trip of the dilation.  The dilations are
-    built a block of pairs at a time with
-    :func:`povmtree.dilation.dilate_level` and dropped; a pair whose
-    completeness fails ``tol_check`` is not dilated and reports unitarity
-    ``inf``.  The factorization ``b_child @ m_parent = m_child`` holds
-    exactly, because child cumulative operators are defined as those
-    products, so it is not checked again.  Per leaf: the
-    Frobenius distance between the leaf's cumulative operator and the
-    original POVM element.  Works one level at a time; purely a reporting
-    operation that never raises on failures.
+    dilation, and exact block round-trip of the dilation.  Each level is
+    walked per block of nodes whose dilations take at most 64 KiB; they are
+    built with :func:`povmtree.dilation.dilate_level` and dropped, and a
+    pair whose completeness fails ``tol_check`` is not dilated and reports
+    unitarity ``inf``.  The factorization ``b_child @ m_parent = m_child``
+    holds exactly, because child cumulative operators are defined as those
+    products, so it is not checked again.  Per leaf, checked per block of the
+    last level: the Frobenius distance between the leaf's cumulative
+    operator and the original POVM element.  A reporting operation that
+    never raises on failures, so the block order changes no row.
     """
     t = tol or tree.tolerances
-    p = tree.povm
-    sums = _partial_sums(_in_order(p.elements, tree.order))
+    p, d = tree.povm, tree.povm.dim
+    at = np.array(tree.order)
     nodes: list[NodeCheck] = []
     passed, max_residual = True, 0.0
-    m = np.eye(p.dim, dtype=complex)[None]
+    m = np.eye(d, dtype=complex)[None]
+    leaf_residual = np.empty(p.n_outcomes)
+    if tree.depth == 0:  # the root is the only leaf
+        leaf_residual[:] = np.linalg.norm(_gram(m) - p.elements, axis=(-2, -1))
     for level, pairs in enumerate(tree.kraus):
-        sum_residual = np.linalg.norm(_gram(m) - sums[level], axis=(-2, -1))
-        sums[level] = None
-        completeness = completeness_residuals(pairs)
-        min_eig = np.linalg.eigvalsh(adjoint(pairs) @ pairs)[..., 0].min(axis=1)
-        rank = rank_mask(np.linalg.svd(m, compute_uv=False), t).sum(axis=-1)
-        rank = np.where(_dust(m, t), 0, rank)
-        unitarity, exact = _dilation_checks(pairs, completeness <= t.tol_check, t)
+        k, span = len(pairs), p.n_outcomes >> level
+        sum_residual, completeness, min_eig = np.empty((3, k))
+        rank, unitarity, exact = np.empty(k, dtype=int), np.full(k, np.inf), np.zeros(k, bool)
+        for b in blocks(k, 2 * d):
+            mb, pb = m[b], pairs[b]
+            sums = _ordered_sums(p.elements, at, b.start * span, b.stop * span, span)
+            sum_residual[b] = np.linalg.norm(_gram(mb) - sums, axis=(-2, -1))
+            completeness[b] = completeness_residuals(pb)
+            min_eig[b] = np.linalg.eigvalsh(adjoint(pb) @ pb)[..., 0].min(axis=1)
+            kept = rank_mask(np.linalg.svd(mb, compute_uv=False), t).sum(axis=-1)
+            rank[b] = np.where(_dust(mb, t), 0, kept)
+            admitted = b.start + np.flatnonzero(completeness[b] <= t.tol_check)
+            if admitted.size:
+                chosen = pairs[admitted]
+                u = dilate_level(chosen, t)
+                defect = adjoint(u) @ u - np.eye(2 * d)
+                # the Gram block of [b0; b1] is the completeness matrix, judged at tol_check
+                defect[:, :d, :d] = 0.0
+                unitarity[admitted] = np.linalg.norm(defect, axis=(-2, -1))
+                exact[admitted] = (u[:, :, :d] == chosen.reshape(-1, 2 * d, d)).all(axis=(-2, -1))
+            if level + 1 == tree.depth:
+                leaves = slice(2 * b.start, 2 * b.stop)
+                leaf_residual[leaves] = np.linalg.norm(
+                    _gram(_descend(pb, mb)) - p.elements[at[leaves]], axis=(-2, -1))
         ok = ((completeness <= t.tol_check) & (sum_residual <= t.tol_check)
               & (min_eig >= -t.tol_check) & (unitarity <= t.tol_unitary) & exact)
-        paths = map(partial(node_path, level), range(len(pairs)))
+        paths = map(partial(node_path, level), range(k))
         nodes += map(NodeCheck, paths, completeness.tolist(), sum_residual.tolist(),
                      min_eig.tolist(), unitarity.tolist(), exact.tolist(), rank.tolist(),
-                     (rank < p.dim).tolist(), ok.tolist())
+                     (rank < d).tolist(), ok.tolist())
         passed = passed and bool(ok.all())
         max_residual = max(max_residual, completeness.max(), sum_residual.max())
-        m = _descend(pairs, m)
-    leaf_residual = np.linalg.norm(_gram(m) - sums[-1], axis=(-2, -1))
+        if level + 1 < tree.depth:
+            m = _descend(pairs, m)
     leaf_ok = leaf_residual <= t.tol_check
     leaves = map(LeafCheck, tree.order, map(p.labels.__getitem__, tree.order),
                  leaf_residual.tolist(), map(p.is_padding, tree.order), leaf_ok.tolist())

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from povmtree import (
+    DimensionMismatchError,
     NotCompleteError,
     NotRankOneError,
     default_kraus,
@@ -131,6 +132,11 @@ class TestFullNeumark:
             tracemalloc.stop()
         assert ext.extended_dim > n  # mixed ranks: more pieces than outcomes
         assert peak <= 16 * ext.extended_dim * d + 256 * 1024
+
+    def test_probabilities_reject_a_state_of_the_wrong_shape(self, tetrad_povm):
+        ext = full_neumark(tetrad_povm)
+        with pytest.raises(DimensionMismatchError, match=r"expected \(2, 2\)"):
+            ext.probabilities(np.eye(3) / 3)
 
     def test_padded_outcome_probability_zero(self, rng):
         p = pad_to_power_of_two(random_rank_one_povm(3, 2, rng))

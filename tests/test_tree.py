@@ -14,6 +14,7 @@ from povmtree import (
     compile_tree,
     default_kraus,
     direct_probabilities,
+    full_neumark,
     io as treeio,
     null_space_isometry,
     propagate,
@@ -29,7 +30,7 @@ from povmtree import (
     validate,
     verify,
 )
-from povmtree import simulator, tree as tree_module
+from povmtree import linalg, simulator, tree as tree_module
 from povmtree.dilation import completeness_residuals
 
 from conftest import frob, read_tree_file, write_tree_file
@@ -363,8 +364,9 @@ class TestMemory:
         assert np.max(np.abs(probs - direct_probabilities(tree.povm, state))) <= 1e-8
 
     def test_verify_peak(self):
-        # verify builds each level's dilations in fixed blocks and drops
-        # them, so at (32, 64) its peak stays at or below 5.41 MB.
+        # verify walks each level in blocks of at most 64 KiB of dilations
+        # and checks the leaves per block of the last level, so at (32, 64)
+        # its peak stays at or below 1.5 MB.
         d, n = 32, 64
         tree = compile_tree(random_rank_one_povm(n, d, np.random.default_rng([d, n])))
         gc.collect()
@@ -375,7 +377,45 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert report.passed
-        assert peak <= 5.41e6
+        assert peak <= 1.5e6
+
+    @staticmethod
+    def peak(fn):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.fixture(scope="class")
+    def large(self):
+        d, n = 32, 64
+        rng = np.random.default_rng([d, n])
+        povm = random_rank_one_povm(n, d, rng)
+        return povm, compile_tree(povm), random_density(d, rng)
+
+    def test_validate_peak(self, large):
+        # the checked 1 MB copy that the POVM keeps, plus blocks of 64 KiB
+        elements = np.array(large[0].elements)
+        assert self.peak(lambda: validate(elements)) <= 1.6e6
+
+    def test_compile_peak(self, large):
+        # the 2.1 MB of Kraus pairs returned, two levels of cumulative
+        # operators and one block of targets at a time
+        assert self.peak(lambda: compile_tree(large[0])) <= 4.0e6
+
+    def test_load_peak(self, large, tmp_path):
+        # the 3.1 MB tree read from the file, plus the peak of verify
+        path = tmp_path / "large.tree"
+        treeio.save_tree(large[1], path)
+        assert self.peak(lambda: treeio.load_tree(path)) <= 4.6e6
+
+    def test_propagate_peak(self, large):
+        # one leaf stack, symmetrised and normalised in place, and the level above it
+        _, tree, state = large
+        assert self.peak(lambda: propagate(tree, state)) <= 2.0e6
 
     @pytest.mark.parametrize("d, n", [(2, 4096), (4, 1024)])
     def test_sample_memory_does_not_grow_with_shots(self, d, n):
@@ -418,3 +458,57 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peaks[1] <= peaks[0] + 256 * 1024
+
+
+class TestBlockInvariance:
+    """Every stage gives the same bits when each block holds a single matrix."""
+
+    @staticmethod
+    def pipeline(elements, tmp_path, unitaries=None, partition=None):
+        povm = validate(elements)
+        factorization = None
+        if unitaries is not None:
+            factorization = apply_freedom(default_kraus(povm), unitaries)
+        tree = compile_tree(povm, factorization=factorization, partition=partition)
+        report = verify(tree)
+        state = random_density(povm.dim, np.random.default_rng(7))
+        outcomes = propagate(tree, state)
+        path = tmp_path / f"{linalg._BLOCK_BYTES}.tree"
+        treeio.save_tree(tree, path)
+        loaded = treeio.load_tree(path)
+        return {
+            "povm": povm.elements,
+            "kraus": tree.kraus,
+            "rows": (report.nodes, report.leaves, report.passed, report.max_residual),
+            "probabilities": [o.probability for o in outcomes],
+            "post_states": [None if o.post_state is None else o.post_state.density
+                            for o in outcomes],
+            "counts": sample(tree, state, 20_000, seed=3).counts,
+            "loaded": (loaded.povm.elements, *loaded.kraus),
+            "isometry": full_neumark(povm).isometry,
+        }
+
+    @staticmethod
+    def same(a, b):
+        if isinstance(a, np.ndarray):
+            return isinstance(b, np.ndarray) and a.shape == b.shape and bool((a == b).all())
+        if isinstance(a, (tuple, list)):
+            return len(a) == len(b) and all(map(TestBlockInvariance.same, a, b))
+        return a == b
+
+    @pytest.mark.parametrize("d, n, freedom", [(32, 64, False), (2, 4096, False), (3, 13, True)])
+    def test_one_matrix_per_block(self, d, n, freedom, tmp_path, monkeypatch):
+        rng = np.random.default_rng([d, n])
+        if freedom:  # padded to 16, permuted, random ranks and Kraus freedom
+            elements = random_povm(n, d, rng).elements
+            unitaries = [random_unitary(d, rng) for _ in range(n)]
+            partition = rng.permutation(n).tolist()
+        else:
+            elements, unitaries, partition = random_rank_one_povm(n, d, rng).elements, None, None
+        default = self.pipeline(elements, tmp_path, unitaries, partition)
+        monkeypatch.setattr(linalg, "_BLOCK_BYTES", 1)
+        assert list(linalg.blocks(3, d)) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+        single = self.pipeline(elements, tmp_path, unitaries, partition)
+        assert default["rows"][2]
+        for key in default:
+            assert self.same(default[key], single[key]), key
