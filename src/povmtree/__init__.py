@@ -50,6 +50,7 @@ from .povm import (
     tetrad,
     validate,
 )
+from .records import VerificationReport
 from .simulator import (
     QuantumState,
     SampleReport,
@@ -63,7 +64,6 @@ from .tree import (
     DEFAULT_SPLIT,
     MeasurementTree,
     SplitCoefficients,
-    VerificationReport,
     compile_tree,
     node_path,
     null_space_isometry,

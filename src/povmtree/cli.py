@@ -97,9 +97,7 @@ def cmd_compile(args) -> int:
         state = random_density(tree.povm.dim, rng)
         exact = propagate(tree, state)
         direct = direct_probabilities(tree.povm, state)
-        worst = max(
-            worst, float(np.max(np.abs(np.array([o.probability for o in exact]) - direct)))
-        )
+        worst = max(worst, float(np.max(np.abs(exact.probabilities - direct))))
     print(f"cross-check vs direct probabilities (5 random states, seed {args.seed}): "
           f"max deviation {worst:.3e}")
 
@@ -131,7 +129,7 @@ def cmd_simulate(args) -> int:
         reached = "" if o.post_state is not None else "  [unreached]"
         print(f"  {o.leaf_label:>8}  path {o.path or '-':>6}  "
               f"{o.probability:.10f} | {p:.10f}{reached}")
-    deviation = float(np.max(np.abs(np.array([o.probability for o in outcomes]) - direct)))
+    deviation = float(np.max(np.abs(outcomes.probabilities - direct)))
     print(f"max tree-vs-direct deviation: {deviation:.3e}")
     if args.shots > 0:
         report = sample(tree, state, args.shots, args.seed)
@@ -208,7 +206,7 @@ def cmd_example_tetrad(args) -> int:
     lines.append(f"completeness |B0 + B3 - I|_F = {closure:.3e}")
     lines.append(report.summary())
     state = QuantumState.basis(2, 0)
-    probs = [o.probability for o in propagate(tree, state)]
+    probs = propagate(tree, state).probabilities
     lines.append("")
     lines.append(f"leaf probabilities for |0><0|: {probs[0]:.6f}, {probs[1]:.6f}, "
                  f"{probs[2]:.6f}, {probs[3]:.6f}  (exact: 1/2, 1/6, 1/6, 1/6)")

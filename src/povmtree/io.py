@@ -335,17 +335,21 @@ def tree_from_dict(data: dict) -> MeasurementTree:
 
 
 def _verified(tree: MeasurementTree) -> MeasurementTree:
-    """``tree``, once :func:`povmtree.tree.verify` passes on it."""
+    """``tree``, once :func:`povmtree.tree.verify` passes on it.
+
+    Only the first failing row of the report is built, to name it.
+    """
     report = verify(tree)
-    for c in report.nodes:
-        if not c.ok:
-            residual = max(c.completeness_residual, c.operator_sum_residual,
-                           c.dilation_unitarity)
-            raise TreeVerificationError(residual, path=c.path, what="verify")
-    for i, c in enumerate(report.leaves):
-        if not c.ok:
-            raise TreeVerificationError(c.residual, path=node_path(tree.depth, i),
-                                        what="leaf reconstruction")
+    bad = np.flatnonzero(~report.node_columns["ok"])
+    if bad.size:
+        c = report.nodes[int(bad[0])]
+        residual = max(c.completeness_residual, c.operator_sum_residual, c.dilation_unitarity)
+        raise TreeVerificationError(residual, path=c.path, what="verify")
+    bad = np.flatnonzero(~report.leaf_columns["ok"])
+    if bad.size:
+        i = int(bad[0])
+        raise TreeVerificationError(report.leaves[i].residual, path=node_path(tree.depth, i),
+                                    what="leaf reconstruction")
     return tree
 
 

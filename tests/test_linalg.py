@@ -15,7 +15,7 @@ from povmtree import (
     tetrad,
 )
 
-from povmtree.linalg import complete_to_unitary_stack
+from povmtree.linalg import complete_to_unitary_stack, psd_sqrt_stack
 
 from conftest import frob
 
@@ -175,6 +175,16 @@ class TestPsdSqrt:
     def test_not_psd(self):
         with pytest.raises(NotPsdError):
             psd_sqrt(np.diag([1.0, -1.0]))
+
+    @pytest.mark.parametrize("bad, error", [
+        (np.diag([1.0, -1.0]), NotPsdError),
+        (np.array([[1.0, 1.0], [0.0, 1.0]]), NotHermitianError),
+    ])
+    def test_stack_error_names_the_failing_matrix(self, bad, error):
+        stack = np.array([np.eye(2), np.diag([1.0, 0.0]), bad, bad], dtype=complex)
+        with pytest.raises(error) as err:
+            psd_sqrt_stack(stack)
+        assert err.value.index == 2
 
 
 class TestCompleteToUnitary:

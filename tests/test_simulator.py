@@ -103,6 +103,25 @@ class TestPropagate:
         assert outcomes[3].path == "01"  # outcome 3 sits right of outcome 0
         assert outcomes[1].leaf_label == "1"
 
+    def test_outcomes_are_a_sequence(self, rng):
+        tree = compile_tree(random_rank_one_povm(5, 2, rng), partition=[4, 0, 3, 1, 2])
+        outcomes = propagate(tree, random_density(2, rng))
+        assert len(outcomes) == 8
+        listed = list(outcomes)
+        assert [o.leaf_index for o in listed] == list(range(8))
+        assert [o.path for o in listed] == ["001", "011", "100", "010", "000", "101", "110", "111"]
+        for j, o in enumerate(listed):
+            assert outcomes.probabilities[j] == outcomes[j].probability == o.probability
+            assert outcomes[j - 8].path == o.path
+        for j in (8, -9):
+            with pytest.raises(IndexError):
+                outcomes[j]
+        assert not outcomes.probabilities.flags.writeable
+        post = outcomes[0].post_state.density
+        assert not post.flags.writeable and post.base is not None
+        assert np.array_equal(post, listed[0].post_state.density)
+        assert outcomes[7].post_state is None  # a padding leaf is never reached
+
     def test_padded_leaf_unreached(self, rng):
         p = random_rank_one_povm(3, 2, rng)
         tree = compile_tree(p)
@@ -336,6 +355,18 @@ PINNED_COUNTS = {
 }
 
 
+def _max_sigma_by_outcome(report):
+    """``max_sigma_deviation`` of a report computed one outcome at a time."""
+    max_sigma = 0.0
+    for c, p in zip(report.counts, report.expected):
+        spread = np.sqrt(report.shots * p * (1.0 - p))
+        if spread > 0:
+            max_sigma = max(max_sigma, abs(c - report.shots * p) / spread)
+        elif c != round(report.shots * p):
+            max_sigma = float("inf")
+    return float(max_sigma)
+
+
 def _pinned_case(key):
     kind, d, n = key
     if kind == "identity":
@@ -359,3 +390,4 @@ class TestSamplePinned:
             else:
                 assert report.counts == pinned, shots
             assert report.expected == exact
+            assert report.max_sigma_deviation == _max_sigma_by_outcome(report)

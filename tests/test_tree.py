@@ -279,6 +279,37 @@ class TestVerify:
             treeio.load_tree(path)
         assert err.value.path == "1"
 
+    def test_rows_are_a_sequence(self):
+        # 5 outcomes padded to 8: 7 internal nodes, breadth first, and 8 leaves
+        tree = compile_tree(random_rank_one_povm(5, 2, np.random.default_rng(3)),
+                            partition=[4, 0, 3, 1, 2])
+        report = verify(tree)
+        assert [c.path for c in report.nodes] == ["", "0", "1", "00", "01", "10", "11"]
+        assert [c.outcome_index for c in report.leaves] == [4, 0, 3, 1, 2, 5, 6, 7]
+        assert [c.is_padding for c in report.leaves] == [False] * 5 + [True] * 3
+        for rows, n in ((report.nodes, 7), (report.leaves, 8)):
+            assert len(rows) == n
+            listed = list(rows)
+            assert listed == [rows[i] for i in range(n)]
+            assert rows[-1] == listed[-1] and rows[-n] == listed[0]
+            assert rows[1:3] == tuple(listed[1:3])
+            for i in (n, -n - 1):
+                with pytest.raises(IndexError):
+                    rows[i]
+        node, leaf = report.nodes[0], report.leaves[0]
+        assert [type(v) for v in vars(node).values()] == [str, float, float, float, float,
+                                                         bool, int, bool, bool]
+        assert [type(v) for v in vars(leaf).values()] == [int, str, float, bool, bool]
+        assert report == verify(tree)
+
+    def test_failing_rows_in_summary(self, tetrad_povm):
+        tree = compile_tree(tetrad_povm, partition=[0, 3, 1, 2])
+        level = tree.kraus[1].copy()
+        level[1, 0, 0, 0] += 1e-3
+        report = verify(replace(tree, kraus=(tree.kraus[0], level)))
+        assert report != verify(tree)
+        assert report.summary().endswith("  failing: ['1', 'leaf:1']")
+
     def test_completeness_judged_once_at_tol_check(self, tetrad_povm, tmp_path, monkeypatch):
         # Scaling the root pair by 1 + eps makes b0^dag b0 + b1^dag b1 = (1 + eps)^2 I,
         # a completeness residual of about 2 eps sqrt(2) = 5e-10: inside tol_check,
@@ -378,6 +409,17 @@ class TestMemory:
             tracemalloc.stop()
         assert report.passed
         assert peak <= 1.5e6
+
+    def test_verify_and_propagate_peaks_at_large_n(self):
+        # verify holds one entry per node in each column and propagate one leaf
+        # stack; neither builds an object per node or leaf until a row is
+        # read, so at (2, 4096) each stays within 1 MB.
+        d, n = 2, 4096
+        rng = np.random.default_rng([d, n])
+        tree = compile_tree(random_rank_one_povm(n, d, rng))
+        state = random_density(d, rng)
+        assert self.peak(lambda: verify(tree)) <= 1.0e6
+        assert self.peak(lambda: propagate(tree, state)) <= 1.0e6
 
     @staticmethod
     def peak(fn):
