@@ -21,7 +21,6 @@ from .errors import (
     NotHermitianError,
     NotIsometryError,
     NotPsdError,
-    NotRankOneError,
     NotSquareError,
     NotUnitaryError,
     ParseError,
@@ -90,7 +89,6 @@ __all__ = [
     "NotHermitianError",
     "NotIsometryError",
     "NotPsdError",
-    "NotRankOneError",
     "NotSquareError",
     "NotUnitaryError",
     "ParseError",

@@ -88,7 +88,7 @@ def cmd_compile(args) -> int:
     if args.grouping is not None:
         partition = _parse_grouping(args.grouping, povm.n_outcomes)  # ValueError exits 2
     tree = compile_tree(povm, partition=partition, tol=tol)
-    report = verify(tree, tol)
+    report = verify(tree)
     print(report.summary())
 
     rng = np.random.default_rng(args.seed)

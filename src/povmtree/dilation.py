@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotCompleteError, NotIsometryError, NotRankOneError
+from .errors import DimensionMismatchError, NotCompleteError, NotIsometryError
 from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
@@ -144,9 +144,7 @@ class NeumarkExtension:
         return np.clip(probs, 0.0, 1.0)
 
 
-def full_neumark(
-    p: Povm, tol: Tolerances = DEFAULT_TOLERANCES, decompose: bool = True
-) -> NeumarkExtension:
+def full_neumark(p: Povm, tol: Tolerances = DEFAULT_TOLERANCES) -> NeumarkExtension:
     """Projective extension of a POVM, used as an oracle against the tree.
 
     Each rank-one element contributes the row ``<psi_j|`` (where
@@ -160,8 +158,6 @@ def full_neumark(
 
     Raises
     ------
-    NotRankOneError
-        If an element has rank above one and ``decompose`` is False.
     NotIsometryError
         If the rows' Gram residual ``|W^dag W - I|_F`` exceeds ``tol.tol_unitary``.
     """
@@ -171,11 +167,6 @@ def full_neumark(
         w, v = np.linalg.eigh((elements + adjoint(elements)) / 2)
         w, v = w[:, ::-1], v[:, :, ::-1]  # descending, as rank_mask expects
         keep = rank_mask(w, tol)
-        if not decompose:
-            rank = keep.sum(axis=1)
-            bad = np.flatnonzero(rank > 1)
-            if bad.size:
-                raise NotRankOneError(block.start + int(bad[0]), int(rank[bad[0]]))
         element, piece = np.nonzero(keep)
         rows.append(np.sqrt(w[element, piece])[:, None] * v[element, :, piece].conj())
         owners.append(block.start + element)

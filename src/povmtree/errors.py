@@ -119,13 +119,6 @@ class NotCompleteError(VerificationError):
         self.residual = float(residual)
 
 
-class NotRankOneError(PovmTreeError):
-    def __init__(self, index: int, rank: int) -> None:
-        super().__init__(f"element {index} has rank {rank} > 1 and decomposition is disabled")
-        self.index = index
-        self.rank = rank
-
-
 class InvalidDimensionsError(PovmTreeError):
     exit_code = 2
 

@@ -188,38 +188,6 @@ def _finite_float(value: Any, field: str) -> float:
     return float(value)
 
 
-def tree_to_dict(tree: MeasurementTree) -> dict:
-    """The ``tree-v3`` record of a compiled tree: the header fields plus its arrays.
-
-    ``elements`` is the padded POVM ``(N, d, d)`` and ``kraus`` the list of
-    ``tree.kraus`` levels; both are the tree's own read-only arrays, not
-    copies.  Every other value is plain JSON.
-    """
-    p = tree.povm
-    coeffs = tree.split_coefficients
-    tol = tree.tolerances
-    return {
-        "format": TREE_FORMAT,
-        "dimension": p.dim,
-        "n_outcomes": p.n_outcomes,
-        "depth": tree.depth,
-        "split_coefficients": [
-            [coeffs.a0.real, coeffs.a0.imag],
-            [coeffs.a1.real, coeffs.a1.imag],
-        ],
-        "tolerances": {
-            "tol_rank": tol.tol_rank,
-            "tol_check": tol.tol_check,
-            "tol_unitary": tol.tol_unitary,
-        },
-        "order": list(tree.order),
-        "labels": list(p.labels),
-        "n_original": p.n_original,
-        "elements": p.elements,
-        "kraus": list(tree.kraus),
-    }
-
-
 def _split_coefficients(data: dict) -> SplitCoefficients:
     raw = _require(data, "split_coefficients")
     field = "split_coefficients"
@@ -249,25 +217,12 @@ def _tolerances(data: dict) -> Tolerances:
     return Tolerances(**values)
 
 
-def _array(value: Any, shape: tuple[int, ...], field: str) -> np.ndarray:
-    """``value`` as a read-only complex array of ``shape`` with finite entries."""
-    if not isinstance(value, np.ndarray) or value.shape != shape:
-        got = value.shape if isinstance(value, np.ndarray) else type(value).__name__
-        raise ParseError(f"expected an array of shape {shape}, got {got}", field=field)
-    # a writeable array stays the caller's: the tree keeps a frozen copy
-    a = value.astype(complex, copy=value.flags.writeable)
-    if not np.isfinite(a).all():
-        raise ParseError("array has a non-finite entry", field=field)
-    a.setflags(write=False)
-    return a
-
-
-def _povm(data: dict, dim: int, n: int) -> Povm:
+def _povm(data: dict, elements: np.ndarray) -> Povm:
+    n, dim = elements.shape[:2]
     labels = _require(data, "labels")
     if not (isinstance(labels, list) and len(labels) == n
             and all(isinstance(x, str) for x in labels)):
         raise ParseError(f"must be a list of {n} strings", field="labels")
-    elements = _array(_require(data, "elements"), (n, dim, dim), "elements")
     n_original = _n_original(data, elements)
     # the elements are checked against the Kraus pairs by verify()
     return Povm(dim=dim, elements=elements, labels=tuple(labels), n_original=n_original)
@@ -279,59 +234,6 @@ def _order(data: dict, n: int) -> tuple[int, ...]:
             and all(type(j) is int for j in raw) and sorted(raw) == list(range(n))):
         raise ParseError(f"must be a permutation of 0..{n - 1}", field="order")
     return tuple(raw)
-
-
-def _kraus_levels(data: dict, dim: int, depth: int) -> list[np.ndarray]:
-    raw = _require(data, "kraus")
-    if not isinstance(raw, list) or len(raw) != depth:
-        count = len(raw) if isinstance(raw, list) else "no"
-        raise ParseError(f"expected {depth} Kraus levels, got {count}", field="kraus")
-    return [_array(a, (1 << level, 2, dim, dim), f"kraus[{level}]") for level, a in enumerate(raw)]
-
-
-def _structure(data: dict) -> tuple[int, int, int]:
-    """``(dimension, depth, n_outcomes)`` of a ``tree-v3`` record, checked."""
-    fmt = data.get("format")
-    if fmt != TREE_FORMAT:
-        raise ParseError(f"unsupported tree format {fmt!r}, expected {TREE_FORMAT!r}",
-                         field="format")
-    dim = _int_field(data, "dimension", 1)
-    depth = _int_field(data, "depth", 0)
-    n = _int_field(data, "n_outcomes", 1)
-    # compare bit lengths first, so a huge depth is not shifted out
-    if n.bit_length() - 1 != depth or n != 1 << depth:
-        raise ParseError(f"n_outcomes {n} is not 2**depth for depth {depth}", field="depth")
-    return dim, depth, n
-
-
-def tree_from_dict(data: dict) -> MeasurementTree:
-    """Rebuild and verify a tree from its ``tree-v3`` record (see :func:`tree_to_dict`).
-
-    Raises
-    ------
-    ParseError
-        If the record is not ``tree-v3`` or is malformed: ``n_outcomes`` must
-        be ``2**depth`` with exactly ``depth`` Kraus levels, ``order`` a
-        permutation of the outcomes, and every array of the expected shape
-        with finite entries.
-    TreeVerificationError
-        If a stored pair is not complete, or the rebuilt tree fails
-        :func:`povmtree.tree.verify`; names the first failing node.
-    """
-    dim, depth, n = _structure(data)
-    coeffs = _split_coefficients(data)
-    tol = _tolerances(data)
-    order = _order(data, n)
-    povm = _povm(data, dim, n)
-    levels = _kraus_levels(data, dim, depth)
-    for level, pairs in enumerate(levels):
-        residual = completeness_residuals(pairs)
-        bad = np.flatnonzero(residual > tol.tol_check)
-        if bad.size:
-            raise TreeVerificationError(float(residual[bad[0]]),
-                                        path=node_path(level, int(bad[0])), what="completeness")
-    return _verified(MeasurementTree(povm=povm, order=order, kraus=tuple(levels), depth=depth,
-                                     split_coefficients=coeffs, tolerances=tol))
 
 
 def _verified(tree: MeasurementTree) -> MeasurementTree:
@@ -356,13 +258,31 @@ def _verified(tree: MeasurementTree) -> MeasurementTree:
 def save_tree(tree: MeasurementTree, path) -> None:
     """Write ``tree`` as ``tree-v3``: one JSON header line, then the raw arrays.
 
-    Each array's buffer is written as it is held, without a copy.
+    The arrays are the padded POVM ``tree.povm.elements`` and each level of
+    ``tree.kraus``; each buffer is written as it is held, without a copy.
     """
-    record = tree_to_dict(tree)
-    arrays = [record.pop("elements"), *record.pop("kraus")]
+    p, coeffs, tol = tree.povm, tree.split_coefficients, tree.tolerances
+    header = {
+        "format": TREE_FORMAT,
+        "dimension": p.dim,
+        "n_outcomes": p.n_outcomes,
+        "depth": tree.depth,
+        "split_coefficients": [
+            [coeffs.a0.real, coeffs.a0.imag],
+            [coeffs.a1.real, coeffs.a1.imag],
+        ],
+        "tolerances": {
+            "tol_rank": tol.tol_rank,
+            "tol_check": tol.tol_check,
+            "tol_unitary": tol.tol_unitary,
+        },
+        "order": list(tree.order),
+        "labels": list(p.labels),
+        "n_original": p.n_original,
+    }
     with open(path, "wb") as handle:
-        handle.write(json.dumps(record).encode("utf-8") + b"\n")
-        for a in arrays:
+        handle.write(json.dumps(header).encode("utf-8") + b"\n")
+        for a in (p.elements, *tree.kraus):
             # a no-op on a little-endian host
             handle.write(np.ascontiguousarray(a, dtype=_BLOB_DTYPE))
 
@@ -384,7 +304,16 @@ def _read_header(handle) -> tuple[dict, int, int]:
             raise ParseError(f"header line exceeds {_HEADER_LIMIT} bytes", field="header")
         else:
             raise ParseError("the first line is not a JSON object", field="header")
-    dim, depth, _ = _structure(header)
+    fmt = header.get("format")
+    if fmt != TREE_FORMAT:
+        raise ParseError(f"unsupported tree format {fmt!r}, expected {TREE_FORMAT!r}",
+                         field="format")
+    dim = _int_field(header, "dimension", 1)
+    depth = _int_field(header, "depth", 0)
+    n = _int_field(header, "n_outcomes", 1)
+    # compare bit lengths first, so a huge depth is not shifted out
+    if n.bit_length() - 1 != depth or n != 1 << depth:
+        raise ParseError(f"n_outcomes {n} is not 2**depth for depth {depth}", field="depth")
     if not line.endswith(b"\n"):
         raise ParseError("the header line has no terminating newline", field="header")
     return header, dim, depth
@@ -414,29 +343,54 @@ def _check_blob_bytes(available: int, dim: int, depth: int) -> None:
 
 
 def _read_blob(handle, shape: tuple[int, ...], field: str) -> np.ndarray:
-    """The next array of a tree file, read straight into its own read-only buffer."""
+    """The next array of a tree file, read into its own read-only buffer; its entries finite."""
     a = np.empty(shape, dtype=_BLOB_DTYPE)
     got = handle.readinto(a)
     if got != a.nbytes:  # the file shrank after its size was checked
         raise ParseError(f"blob holds {got} bytes, expected {a.nbytes} for shape {shape}",
                          field=field)
     a = a.astype(complex, copy=False)  # a no-op on a little-endian host
+    if not np.isfinite(a).all():
+        raise ParseError("array has a non-finite entry", field=field)
     a.setflags(write=False)
     return a
 
 
 def load_tree(path) -> MeasurementTree:
-    """Read, check and verify a ``tree-v3`` file; see :func:`tree_from_dict` for the checks.
+    """Read, check and verify a ``tree-v3`` file.
 
-    Also raises :class:`ParseError` for a header line without its newline or
-    longer than ``_HEADER_LIMIT`` bytes, a blob shorter than its shape
-    needs, and bytes after the last blob.  Each blob is read into the array
-    the tree keeps, so the file is never held twice.
+    Each blob is read into the array the tree keeps, so the file is never
+    held twice, and only once every blob's byte count has been checked.
+
+    Raises
+    ------
+    ParseError
+        In the order checked: a header line longer than ``_HEADER_LIMIT``
+        bytes or not one JSON object; a format other than ``tree-v3``;
+        ``n_outcomes`` other than ``2**depth``; a header line without its
+        newline; malformed split coefficients or tolerances; ``order`` not a
+        permutation of the outcomes; a blob shorter than its shape needs, or
+        bytes after the last blob; a non-finite array entry; ``labels`` not
+        one string per outcome; or ``n_original`` marking a nonzero element
+        as padding.
+    TreeVerificationError
+        If a stored pair is not complete (checked level by level), or the
+        rebuilt tree fails :func:`povmtree.tree.verify`; names the first
+        failing node.
     """
     with open(path, "rb") as handle:
-        record, dim, depth = _read_header(handle)
+        header, dim, depth = _read_header(handle)
+        coeffs, tol = _split_coefficients(header), _tolerances(header)
+        order = _order(header, 1 << depth)
         _check_blob_bytes(os.fstat(handle.fileno()).st_size - handle.tell(), dim, depth)
-        arrays = [_read_blob(handle, shape, field) for field, shape in _blobs(dim, depth)]
-    record["elements"], record["kraus"] = arrays[0], arrays[1:]
-    del arrays
-    return tree_from_dict(record)
+        elements, *kraus = (_read_blob(handle, shape, field) for field, shape in _blobs(dim, depth))
+    povm = _povm(header, elements)
+    # verify() does not dilate an incomplete pair, so its row would not name the residual
+    for level, pairs in enumerate(kraus):
+        residual = completeness_residuals(pairs)
+        bad = np.flatnonzero(residual > tol.tol_check)
+        if bad.size:
+            raise TreeVerificationError(float(residual[bad[0]]),
+                                        path=node_path(level, int(bad[0])), what="completeness")
+    return _verified(MeasurementTree(povm=povm, order=order, kraus=tuple(kraus),
+                                     split_coefficients=coeffs, tolerances=tol))

@@ -206,7 +206,7 @@ class Outcomes(Rows):
                                                 self.probabilities, leaves, reached))
 
 
-def propagate(tree: MeasurementTree, state: QuantumState, tol: Tolerances | None = None) -> Outcomes:
+def propagate(tree: MeasurementTree, state: QuantumState) -> Outcomes:
     """Exact leaf probabilities and post-measurement states.
 
     Applies each level's branch operators to the unnormalized conditioned
@@ -224,9 +224,8 @@ def propagate(tree: MeasurementTree, state: QuantumState, tol: Tolerances | None
         If a reached leaf's unnormalised state has an eigenvalue below
         ``-tol_check``, which no valid tree produces from a valid state.
     """
-    t = tol or tree.tolerances
     leaves = _level_pass(tree, state)[0]
-    probs, reached = _leaf_probabilities(tree, leaves, t)
+    probs, reached = _leaf_probabilities(tree, leaves, tree.tolerances)
     np.divide(leaves, probs[:, None, None], out=leaves, where=reached[:, None, None])
     leaves.setflags(write=False)
     return Outcomes(tree, leaves, probs, reached)

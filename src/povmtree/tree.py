@@ -123,9 +123,13 @@ class MeasurementTree:
     povm: Povm
     order: tuple[int, ...]
     kraus: tuple[np.ndarray, ...]
-    depth: int
     split_coefficients: SplitCoefficients
     tolerances: Tolerances
+
+    @property
+    def depth(self) -> int:
+        """Number of rounds of Kraus pairs, ``len(kraus)``."""
+        return len(self.kraus)
 
     def cumulative_kraus(self, level: int) -> np.ndarray:
         """Cumulative Kraus operators of the ``2**level`` nodes of a level, shape ``(2**level, d, d)``."""
@@ -341,13 +345,12 @@ def compile_tree(
         povm=padded,
         order=order,
         kraus=tuple(levels),
-        depth=depth,
         split_coefficients=coeffs,
         tolerances=tol,
     )
 
 
-def verify(tree: MeasurementTree, tol: Tolerances | None = None) -> VerificationReport:
+def verify(tree: MeasurementTree) -> VerificationReport:
     """Audit every node of a tree against the construction identities.
 
     Checks, per internal node: completeness of the Kraus pair, agreement of
@@ -366,7 +369,7 @@ def verify(tree: MeasurementTree, tol: Tolerances | None = None) -> Verification
     results are written into the report's columns (see
     :class:`VerificationReport`); no per-node object is built.
     """
-    t = tol or tree.tolerances
+    t = tree.tolerances
     p, d = tree.povm, tree.povm.dim
     at = np.array(tree.order)
     # the node columns verify measures, in the order of NodeCheck's fields

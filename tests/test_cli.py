@@ -164,7 +164,6 @@ EXIT_CODES = {
     "NotUnitaryError": (1, (0.1, 0)),
     "IncompleteSumError": (1, (0.1,)),
     "DimensionMismatchError": (1, ("shapes differ", 0)),
-    "NotRankOneError": (1, (0, 2)),
     "ParseError": (2, ("malformed", "elements")),
     "InvalidDimensionsError": (2, ("need N >= d >= 2",)),
     "VerificationError": (3, ("failed",)),

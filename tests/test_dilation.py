@@ -7,7 +7,6 @@ import pytest
 from povmtree import (
     DimensionMismatchError,
     NotCompleteError,
-    NotRankOneError,
     default_kraus,
     dilate_binary,
     direct_probabilities,
@@ -110,12 +109,6 @@ class TestFullNeumark:
             state = random_density(3, rng)
             diff = ext.probabilities(state.density) - direct_probabilities(p, state)
             assert float(np.max(np.abs(diff))) <= 1e-9
-
-    def test_higher_rank_raises_when_disabled(self, rng):
-        p = random_povm(4, 3, rng, ranks=[2, 1, 1, 1])
-        with pytest.raises(NotRankOneError) as err:
-            full_neumark(p, decompose=False)
-        assert err.value.index == 0 and err.value.rank == 2
 
     def test_holds_only_the_isometry(self):
         # full_neumark keeps the (n_pieces, d) isometry and builds no

@@ -30,8 +30,6 @@ from povmtree.io import (
     save_state,
     save_tree,
     state_from_dict,
-    tree_from_dict,
-    tree_to_dict,
 )
 
 from conftest import read_tree_file, write_tree_file
@@ -177,19 +175,53 @@ class TestTreeFiles:
         assert a == b
         assert sample(tree, state, 1000, seed=1) == sample(again, state, 1000, seed=1)
 
-    def test_missing_kraus_level(self, tetrad_povm):
-        tree = compile_tree(tetrad_povm)
-        data = tree_to_dict(tree)
-        data["kraus"] = data["kraus"][:1]
-        with pytest.raises(ParseError):
-            tree_from_dict(data)
-
-    def test_missing_tolerances(self, tetrad_povm):
-        data = tree_to_dict(compile_tree(tetrad_povm))
-        del data["tolerances"]
+    def test_missing_kraus_level(self, tmp_path, tetrad_povm):
+        path = tmp_path / "tetrad.tree"
+        save_tree(compile_tree(tetrad_povm), path)
+        header, arrays = read_tree_file(path)
+        write_tree_file(path, header, arrays[:-1])
         with pytest.raises(ParseError) as err:
-            tree_from_dict(data)
+            load_tree(path)
+        assert err.value.field == "kraus[1]"
+
+    def test_missing_tolerances(self, tmp_path, tetrad_povm):
+        path = tmp_path / "tetrad.tree"
+        save_tree(compile_tree(tetrad_povm), path)
+        header, arrays = read_tree_file(path)
+        del header["tolerances"]
+        write_tree_file(path, header, arrays)
+        with pytest.raises(ParseError) as err:
+            load_tree(path)
         assert err.value.field == "tolerances"
+
+    # The header is pinned byte for byte; the arrays are compared with the
+    # tree's own, since their low bits can differ between LAPACK builds.
+    TETRAD_HEADER = (
+        b'{"format": "povmtree/tree-v3", "dimension": 2, "n_outcomes": 4, "depth": 2, '
+        b'"split_coefficients": [[0.7071067811865475, 0.0], [0.7071067811865475, 0.0]], '
+        b'"tolerances": {"tol_rank": 1e-10, "tol_check": 1e-09, "tol_unitary": 1e-10}, '
+        b'"order": [0, 3, 1, 2], "labels": ["0", "1", "2", "3"], "n_original": 4}'
+    )
+    PADDED_HEADER = (
+        b'{"format": "povmtree/tree-v3", "dimension": 2, "n_outcomes": 8, "depth": 3, '
+        b'"split_coefficients": [[0.7071067811865475, 0.0], [0.7071067811865475, 0.0]], '
+        b'"tolerances": {"tol_rank": 1e-10, "tol_check": 1e-09, "tol_unitary": 1e-10}, '
+        b'"order": [0, 1, 2, 3, 4, 5, 6, 7], '
+        b'"labels": ["0", "1", "2", "3", "4", "pad5", "pad6", "pad7"], "n_original": 5}'
+    )
+
+    @pytest.mark.parametrize("which", ["tetrad", "padded"])
+    def test_file_layout(self, tmp_path, tetrad_povm, which):
+        if which == "tetrad":
+            tree = compile_tree(tetrad_povm, partition=[0, 3, 1, 2])
+            header = self.TETRAD_HEADER
+        else:
+            tree = compile_tree(random_rank_one_povm(5, 2, np.random.default_rng(5)))
+            header = self.PADDED_HEADER
+        path = tmp_path / "layout.tree"
+        save_tree(tree, path)
+        arrays = [tree.povm.elements, *tree.kraus]
+        assert path.read_bytes() == header + b"\n" + b"".join(a.tobytes() for a in arrays)
 
 
 class TestTamperedTreeFiles:
