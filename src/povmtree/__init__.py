@@ -17,6 +17,7 @@ from .errors import (
     IncompleteSumError,
     InconsistentChildrenError,
     InvalidDimensionsError,
+    InvalidStateError,
     NotCompleteError,
     NotHermitianError,
     NotIsometryError,
@@ -82,6 +83,7 @@ __all__ = [
     "IncompleteSumError",
     "InconsistentChildrenError",
     "InvalidDimensionsError",
+    "InvalidStateError",
     "KrausFactorization",
     "MeasurementTree",
     "NeumarkExtension",

@@ -51,6 +51,13 @@ class NotIsometryError(VerificationError):
         self.residual = residual
 
 
+class InvalidStateError(PovmTreeError, ValueError):
+    """A density matrix that is not Hermitian, not of unit trace, or not positive semidefinite.
+
+    Also a ``ValueError``, so code that catches a bad state as one still does.
+    """
+
+
 class NotUnitaryError(PovmTreeError):
     def __init__(self, residual: float, index: int | None = None) -> None:
         where = f"unitary {index}: " if index is not None else ""

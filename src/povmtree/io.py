@@ -4,13 +4,18 @@ POVM and state files are JSON.  Complex entries are stored as two-element
 ``[real, imaginary]`` arrays.  Floats go through Python's shortest round-trip
 representation, so serialize/deserialize reproduces every matrix bit-exactly.
 
-A tree file (``tree-v3``) stores only a tree's independent data.  Its first
-line is a JSON header; the raw little-endian complex128 bytes of the padded
-POVM and of the Kraus pairs level by level (``tree.kraus``) follow it, so
-they are exact by construction.  The loader reads each array straight into
-the buffer the tree keeps, checks the structure and the completeness of
-every stored pair, and runs :func:`povmtree.tree.verify` before it returns
-the tree.
+A tree file (``tree-v4``) stores only a tree's independent data.  Its first
+line is a JSON header.  The padded POVM follows it, each element as its d^2
+real Hermitian parameters in little-endian float64: the real diagonal, then
+the upper off-diagonal entries as (re, im) pairs in row-major order.  The
+raw little-endian complex128 bytes of the Kraus pairs follow level by level
+(``tree.kraus``).  A file thus holds ``8 d^2 (5N - 4)`` bytes after its
+header, all exact: the loader rebuilds each element's lower triangle with
+:func:`povmtree.linalg.hermitian_from_upper`, the function that made the
+element Hermitian in :func:`povmtree.povm.validate`.  It reads each array
+straight into the buffer the tree keeps, checks the structure and the
+completeness of every stored pair, and runs :func:`povmtree.tree.verify`
+before it returns the tree.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ParseError, TreeVerificationError
-from .linalg import DEFAULT_TOLERANCES, Tolerances
+from .errors import NotHermitianError, ParseError, TreeVerificationError
+from .linalg import DEFAULT_TOLERANCES, Tolerances, adjoint, blocks, frobenius, hermitian_from_upper
 from .povm import Povm, validate
 from .simulator import QuantumState
 from .tree import (
@@ -37,13 +42,14 @@ from .tree import (
 
 POVM_FORMAT = "povmtree/povm-v1"
 STATE_FORMAT = "povmtree/state-v1"
-TREE_FORMAT = "povmtree/tree-v3"
+TREE_FORMAT = "povmtree/tree-v4"
 
 _BLOB_DTYPE = np.dtype("<c16")
+_PARAMETER_DTYPE = np.dtype("<f8")
 
 # Longest accepted header line: room for the order and labels of about a
-# million outcomes, and a bound on what a file that is not tree-v3 makes
-# the loader read.
+# million outcomes, and a bound on what a file that is not a tree file
+# makes the loader read.
 _HEADER_LIMIT = 16 << 20
 
 # The format field that leads a JSON document written by json.dump, indented
@@ -255,13 +261,46 @@ def _verified(tree: MeasurementTree) -> MeasurementTree:
     return tree
 
 
-def save_tree(tree: MeasurementTree, path) -> None:
-    """Write ``tree`` as ``tree-v3``: one JSON header line, then the raw arrays.
+def _require_hermitian(elements: np.ndarray) -> None:
+    """Raise :class:`NotHermitianError` for the first element that is not exactly Hermitian."""
+    for rows in blocks(len(elements), elements.shape[-1]):
+        block = elements[rows]
+        adj = adjoint(block)
+        bad = np.flatnonzero(~(block == adj).all(axis=(1, 2)))
+        if bad.size:
+            j = int(bad[0])
+            raise NotHermitianError(frobenius(block[j] - adj[j]), index=rows.start + j)
 
-    The arrays are the padded POVM ``tree.povm.elements`` and each level of
-    ``tree.kraus``; each buffer is written as it is held, without a copy.
+
+def _hermitian_parameters(block: np.ndarray) -> np.ndarray:
+    """The d^2 real parameters of each Hermitian matrix of a block, one row each, in file order."""
+    k, d = block.shape[:2]
+    up_rows, up_cols = np.triu_indices(d, 1)
+    upper = block[:, up_rows, up_cols]
+    params = np.empty((k, d * d), dtype=_PARAMETER_DTYPE)
+    params[:, :d] = np.diagonal(block.real, axis1=1, axis2=2)
+    params[:, d::2] = upper.real
+    params[:, d + 1::2] = upper.imag
+    return params
+
+
+def save_tree(tree: MeasurementTree, path) -> None:
+    """Write ``tree`` as ``tree-v4``: one JSON header line, then the arrays.
+
+    The padded POVM ``tree.povm.elements`` is written block by block
+    (:func:`povmtree.linalg.blocks`) as its elements' real Hermitian
+    parameters; each level of ``tree.kraus`` is written as it is held,
+    without a copy.
+
+    Raises
+    ------
+    NotHermitianError
+        Before anything is written, naming the first element that is not
+        exactly Hermitian, as a :class:`povmtree.povm.Povm` built by hand
+        may be; its lower triangle would not survive the round trip.
     """
     p, coeffs, tol = tree.povm, tree.split_coefficients, tree.tolerances
+    _require_hermitian(p.elements)
     header = {
         "format": TREE_FORMAT,
         "dimension": p.dim,
@@ -282,7 +321,9 @@ def save_tree(tree: MeasurementTree, path) -> None:
     }
     with open(path, "wb") as handle:
         handle.write(json.dumps(header).encode("utf-8") + b"\n")
-        for a in (p.elements, *tree.kraus):
+        for rows in blocks(p.n_outcomes, p.dim):
+            handle.write(_hermitian_parameters(p.elements[rows]))
+        for a in tree.kraus:
             # a no-op on a little-endian host
             handle.write(np.ascontiguousarray(a, dtype=_BLOB_DTYPE))
 
@@ -320,10 +361,13 @@ def _read_header(handle) -> tuple[dict, int, int]:
 
 
 def _blobs(dim: int, depth: int):
-    """Field name and shape of each array of a tree file, in file order."""
-    yield "elements", (1 << depth, dim, dim)
+    """Field name, shape and dtype of each array of a tree file, in file order.
+
+    The elements' shape is that of their parameters, one row of d^2 each.
+    """
+    yield "elements", (1 << depth, dim * dim), _PARAMETER_DTYPE
     for level in range(depth):
-        yield f"kraus[{level}]", (1 << level, 2, dim, dim)
+        yield f"kraus[{level}]", (1 << level, 2, dim, dim), _BLOB_DTYPE
 
 
 def _check_blob_bytes(available: int, dim: int, depth: int) -> None:
@@ -332,8 +376,8 @@ def _check_blob_bytes(available: int, dim: int, depth: int) -> None:
     Runs before any array is allocated, so a header that claims more data
     than the file holds costs nothing.
     """
-    for field, shape in _blobs(dim, depth):
-        need = math.prod(shape) * _BLOB_DTYPE.itemsize
+    for field, shape, dtype in _blobs(dim, depth):
+        need = math.prod(shape) * dtype.itemsize
         if available < need:
             raise ParseError(f"blob holds {available} bytes, expected {need} for shape {shape}",
                              field=field)
@@ -342,31 +386,57 @@ def _check_blob_bytes(available: int, dim: int, depth: int) -> None:
         raise ParseError(f"the file has {available} bytes after the last blob")
 
 
-def _read_blob(handle, shape: tuple[int, ...], field: str) -> np.ndarray:
-    """The next array of a tree file, read into its own read-only buffer; its entries finite."""
-    a = np.empty(shape, dtype=_BLOB_DTYPE)
+def _read_into(handle, a: np.ndarray, field: str) -> None:
+    """Fill ``a`` from the file; its entries finite."""
     got = handle.readinto(a)
     if got != a.nbytes:  # the file shrank after its size was checked
-        raise ParseError(f"blob holds {got} bytes, expected {a.nbytes} for shape {shape}",
+        raise ParseError(f"blob holds {got} bytes, expected {a.nbytes} for shape {a.shape}",
                          field=field)
-    a = a.astype(complex, copy=False)  # a no-op on a little-endian host
     if not np.isfinite(a).all():
         raise ParseError("array has a non-finite entry", field=field)
+
+
+def _read_elements(handle, n: int, dim: int) -> np.ndarray:
+    """The POVM of a tree file as one read-only ``(n, dim, dim)`` array, filled block by block."""
+    elements = np.empty((n, dim, dim), dtype=complex)
+    diagonal, (up_rows, up_cols) = np.arange(dim), np.triu_indices(dim, 1)
+    for rows in blocks(n, dim):
+        params = np.empty((rows.stop - rows.start, dim * dim), dtype=_PARAMETER_DTYPE)
+        _read_into(handle, params, "elements")
+        block = elements[rows]
+        block.real[:, diagonal, diagonal] = params[:, :dim]
+        block.real[:, up_rows, up_cols] = params[:, dim::2]
+        block.imag[:, up_rows, up_cols] = params[:, dim + 1::2]
+        hermitian_from_upper(block)
+    elements.setflags(write=False)
+    return elements
+
+
+def _read_blob(handle, shape: tuple[int, ...], field: str) -> np.ndarray:
+    """The next Kraus array of a tree file, read into its own read-only buffer; its entries finite."""
+    a = np.empty(shape, dtype=_BLOB_DTYPE)
+    _read_into(handle, a, field)
+    a = a.astype(complex, copy=False)  # a no-op on a little-endian host
     a.setflags(write=False)
     return a
 
 
 def load_tree(path) -> MeasurementTree:
-    """Read, check and verify a ``tree-v3`` file.
+    """Read, check and verify a ``tree-v4`` file.
 
     Each blob is read into the array the tree keeps, so the file is never
     held twice, and only once every blob's byte count has been checked.
+    The elements' parameters are read one block at a time
+    (:func:`povmtree.linalg.blocks`) into the ``(N, d, d)`` array, whose
+    lower triangles :func:`povmtree.linalg.hermitian_from_upper` then
+    fills, so ``load_tree(save_tree(t))`` returns ``t``'s arrays bit for bit.
 
     Raises
     ------
     ParseError
         In the order checked: a header line longer than ``_HEADER_LIMIT``
-        bytes or not one JSON object; a format other than ``tree-v3``;
+        bytes or not one JSON object; a format other than ``tree-v4`` (a
+        ``tree-v3`` file too: recompile it from its POVM file);
         ``n_outcomes`` other than ``2**depth``; a header line without its
         newline; malformed split coefficients or tolerances; ``order`` not a
         permutation of the outcomes; a blob shorter than its shape needs, or
@@ -383,7 +453,9 @@ def load_tree(path) -> MeasurementTree:
         coeffs, tol = _split_coefficients(header), _tolerances(header)
         order = _order(header, 1 << depth)
         _check_blob_bytes(os.fstat(handle.fileno()).st_size - handle.tell(), dim, depth)
-        elements, *kraus = (_read_blob(handle, shape, field) for field, shape in _blobs(dim, depth))
+        elements = _read_elements(handle, 1 << depth, dim)
+        kraus = [_read_blob(handle, (1 << level, 2, dim, dim), f"kraus[{level}]")
+                 for level in range(depth)]
     povm = _povm(header, elements)
     # verify() does not dilate an incomplete pair, so its row would not name the residual
     for level, pairs in enumerate(kraus):

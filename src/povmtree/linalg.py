@@ -172,6 +172,23 @@ def adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
+def hermitian_from_upper(a: np.ndarray) -> np.ndarray:
+    """Make each matrix of a stack Hermitian from its upper triangle, in place; returns ``a``.
+
+    The diagonal's imaginary part becomes ``+0.0`` and each lower entry
+    ``(re, 0.0 - im)`` of its upper mirror, so a zero imaginary part is
+    ``+0.0`` below the diagonal whatever its sign above.  The result is a
+    function of the upper triangle and the real diagonal alone, which is
+    all a tree file stores of an element.
+    """
+    for r in range(a.shape[-1]):
+        a.imag[..., r, r] = 0.0
+        upper, lower = a[..., r, r + 1:], a[..., r + 1:, r]
+        np.copyto(lower.real, upper.real)
+        np.subtract(0.0, upper.imag, out=lower.imag)
+    return a
+
+
 def svd_inverse(a: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES):
     """Pseudoinverses, kernel maps and ranks of a stack of matrices, one SVD each.
 

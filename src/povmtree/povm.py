@@ -26,6 +26,7 @@ from .linalg import (
     adjoint,
     blocks,
     frobenius,
+    hermitian_from_upper,
     psd_sqrt_stack,
 )
 
@@ -40,7 +41,8 @@ def _frozen(m: np.ndarray) -> np.ndarray:
 class Povm:
     """Validated POVM: ``elements[j]`` is the operator for outcome ``labels[j]``.
 
-    ``elements`` is one read-only ``(N, d, d)`` complex array.  ``n_original``
+    ``elements`` is one read-only ``(N, d, d)`` complex array, each matrix
+    exactly Hermitian in the form :func:`validate` stores.  ``n_original``
     counts the outcomes present before any padding; indices at or beyond it
     belong to zero operators appended by :func:`pad_to_power_of_two` and are
     never reachable in simulation.
@@ -97,6 +99,12 @@ def validate(elements, labels=None, tol: Tolerances = DEFAULT_TOLERANCES) -> Pov
     first failing block decides the error; a non-finite entry counts as
     failed Hermiticity (residual ``nan``), and Hermiticity of an element
     comes before its positivity.
+
+    Every check reads the elements as given.  The POVM then holds each
+    element's Hermitian part ``(M + M^dag)/2``, made exactly Hermitian by
+    :func:`povmtree.linalg.hermitian_from_upper`, so validating its own
+    elements again returns the same bytes and a tree file, which stores
+    only the upper triangle, reproduces them bit for bit.
     """
     stack = _as_stack(elements)
     n, dim = stack.shape[:2]
@@ -106,9 +114,11 @@ def validate(elements, labels=None, tol: Tolerances = DEFAULT_TOLERANCES) -> Pov
         finite = np.isfinite(block).all(axis=(1, 2))
         if not finite.all():
             raise NotHermitianError(float("nan"), index=rows.start + int(np.argmin(finite)))
-        adj = adjoint(block)
-        residual = np.linalg.norm(block - adj, axis=(1, 2))
-        min_eig = np.linalg.eigvalsh((block + adj) / 2)[:, 0]
+        herm = adjoint(block)  # a fresh copy, made the Hermitian part in place
+        residual = np.linalg.norm(block - herm, axis=(1, 2))
+        herm += block
+        herm /= 2
+        min_eig = np.linalg.eigvalsh(herm)[:, 0]
         not_hermitian = residual > tol.tol_check
         bad = np.flatnonzero(not_hermitian | (min_eig < -tol.tol_check))
         if bad.size:
@@ -116,8 +126,9 @@ def validate(elements, labels=None, tol: Tolerances = DEFAULT_TOLERANCES) -> Pov
             if not_hermitian[j]:
                 raise NotHermitianError(float(residual[j]), index=rows.start + j)
             raise NotPsdError(float(min_eig[j]), index=rows.start + j)
-        # one element after another, in the order stack.sum(axis=0) adds them
+        # one raw element after another, in the order stack.sum(axis=0) adds them
         total = np.concatenate([total[None], block]).sum(axis=0)
+        block[...] = hermitian_from_upper(herm)
     deficit = frobenius(total - np.eye(dim))
     if deficit > tol.tol_check:
         raise IncompleteSumError(deficit)

@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DimensionMismatchError, TreeVerificationError
+from .errors import DimensionMismatchError, InvalidStateError, TreeVerificationError
 from .linalg import DEFAULT_TOLERANCES, Tolerances, adjoint, as_complex_matrix, blocks, frobenius
 from .povm import Povm
 from .records import Rows
@@ -36,13 +36,13 @@ class QuantumState:
         tol = DEFAULT_TOLERANCES.tol_check
         herm = frobenius(rho - rho.conj().T)
         if herm > tol:
-            raise ValueError(f"density matrix is not Hermitian, residual {herm:.3e}")
+            raise InvalidStateError(f"density matrix is not Hermitian, residual {herm:.3e}")
         trace = float(np.trace(rho).real)
         if abs(trace - 1.0) > tol:
-            raise ValueError(f"density matrix trace is {trace}, expected 1")
+            raise InvalidStateError(f"density matrix trace is {trace}, expected 1")
         min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0])
         if min_eig < -tol:
-            raise ValueError(f"density matrix has negative eigenvalue {min_eig:.3e}")
+            raise InvalidStateError(f"density matrix has negative eigenvalue {min_eig:.3e}")
         rho.setflags(write=False)
         object.__setattr__(self, "density", rho)
 

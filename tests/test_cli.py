@@ -164,6 +164,7 @@ EXIT_CODES = {
     "NotUnitaryError": (1, (0.1, 0)),
     "IncompleteSumError": (1, (0.1,)),
     "DimensionMismatchError": (1, ("shapes differ", 0)),
+    "InvalidStateError": (1, ("density matrix trace is 2.0, expected 1",)),
     "ParseError": (2, ("malformed", "elements")),
     "InvalidDimensionsError": (2, ("need N >= d >= 2",)),
     "VerificationError": (3, ("failed",)),

@@ -2,11 +2,13 @@ import base64
 import gc
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from povmtree import (
+    NotHermitianError,
     ParseError,
     QuantumState,
     TreeVerificationError,
@@ -32,7 +34,7 @@ from povmtree.io import (
     state_from_dict,
 )
 
-from conftest import read_tree_file, write_tree_file
+from conftest import hermitian_parameters, read_tree_file, write_tree_file
 
 
 class TestMatrixCodec:
@@ -197,13 +199,13 @@ class TestTreeFiles:
     # The header is pinned byte for byte; the arrays are compared with the
     # tree's own, since their low bits can differ between LAPACK builds.
     TETRAD_HEADER = (
-        b'{"format": "povmtree/tree-v3", "dimension": 2, "n_outcomes": 4, "depth": 2, '
+        b'{"format": "povmtree/tree-v4", "dimension": 2, "n_outcomes": 4, "depth": 2, '
         b'"split_coefficients": [[0.7071067811865475, 0.0], [0.7071067811865475, 0.0]], '
         b'"tolerances": {"tol_rank": 1e-10, "tol_check": 1e-09, "tol_unitary": 1e-10}, '
         b'"order": [0, 3, 1, 2], "labels": ["0", "1", "2", "3"], "n_original": 4}'
     )
     PADDED_HEADER = (
-        b'{"format": "povmtree/tree-v3", "dimension": 2, "n_outcomes": 8, "depth": 3, '
+        b'{"format": "povmtree/tree-v4", "dimension": 2, "n_outcomes": 8, "depth": 3, '
         b'"split_coefficients": [[0.7071067811865475, 0.0], [0.7071067811865475, 0.0]], '
         b'"tolerances": {"tol_rank": 1e-10, "tol_check": 1e-09, "tol_unitary": 1e-10}, '
         b'"order": [0, 1, 2, 3, 4, 5, 6, 7], '
@@ -220,8 +222,33 @@ class TestTreeFiles:
             header = self.PADDED_HEADER
         path = tmp_path / "layout.tree"
         save_tree(tree, path)
-        arrays = [tree.povm.elements, *tree.kraus]
+        arrays = [hermitian_parameters(tree.povm.elements), *tree.kraus]
         assert path.read_bytes() == header + b"\n" + b"".join(a.tobytes() for a in arrays)
+
+    @pytest.mark.parametrize("d, n", [(2, 4), (2, 5), (3, 7), (32, 64)],
+                             ids=["tetrad", "padded-2-5", "padded-3-7", "32-64"])
+    def test_file_size(self, tmp_path, tetrad_povm, d, n):
+        # per padded element d^2 float64, per Kraus pair 2 d^2 complex128
+        p = tetrad_povm if n == 4 else random_rank_one_povm(n, d, np.random.default_rng([d, n]))
+        tree = compile_tree(p)
+        path = tmp_path / "size.tree"
+        save_tree(tree, path)
+        with open(path, "rb") as handle:
+            header = len(handle.readline())
+        padded = tree.povm.n_outcomes
+        assert path.stat().st_size == header + 8 * d * d * (5 * padded - 4)
+
+    def test_save_rejects_an_element_not_exactly_hermitian(self, tmp_path, tetrad_povm):
+        tree = compile_tree(tetrad_povm)
+        elements = tree.povm.elements.copy()
+        elements[2, 1, 1] += 1e-20j  # far below tol_check, but not Hermitian
+        hand_built = replace(tree, povm=replace(tree.povm, elements=elements))
+        path = tmp_path / "bad.tree"
+        with pytest.raises(NotHermitianError) as err:
+            save_tree(hand_built, path)
+        assert err.value.index == 2
+        assert err.value.residual == pytest.approx(2e-20)
+        assert not path.exists()
 
 
 class TestTamperedTreeFiles:
@@ -274,7 +301,7 @@ class TestTamperedTreeFiles:
 
     def test_nan_entry(self, parts, tmp_path):
         header, (elements, *kraus) = parts
-        elements[2, 1, 0] = complex("nan")
+        elements[2, 2] = float("nan")  # the real part of element 2's entry (0, 1)
         path = tmp_path / "nan.tree"
         write_tree_file(path, header, [elements, *kraus])
         with pytest.raises(ParseError) as err:
@@ -296,6 +323,21 @@ class TestTamperedTreeFiles:
         }
         path = tmp_path / "old.tree.json"
         path.write_text(json.dumps(v1))
+        with pytest.raises(ParseError) as err:
+            load_tree(path)
+        assert err.value.field == "format"
+        assert "povmtree/tree-v4" in str(err.value)
+
+    def test_v3_file_is_not_read(self, tetrad_povm, tmp_path):
+        # tree-v3 had the same header, then every element's d^2 complex128 entries
+        tree = compile_tree(tetrad_povm, partition=[0, 3, 1, 2])
+        path = tmp_path / "old.tree"
+        save_tree(tree, path)
+        header, _ = read_tree_file(path)
+        with open(path, "wb") as handle:
+            handle.write(json.dumps(dict(header, format="povmtree/tree-v3")).encode() + b"\n")
+            for a in (tree.povm.elements, *tree.kraus):
+                handle.write(a.tobytes())
         with pytest.raises(ParseError) as err:
             load_tree(path)
         assert err.value.field == "format"
@@ -389,6 +431,7 @@ class TestTreeFileMemory:
     def test_load_peak(self, large, tmp_path):
         path = tmp_path / "large.tree"
         save_tree(large, path)
+        retained = large.povm.elements.nbytes + sum(a.nbytes for a in large.kraus)
         verify_peak = self.peak(lambda: verify(large))
         load_peak = self.peak(lambda: load_tree(path))
-        assert load_peak <= path.stat().st_size + verify_peak + 256 * 1024
+        assert load_peak <= retained + verify_peak + 256 * 1024

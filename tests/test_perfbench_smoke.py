@@ -32,8 +32,8 @@ def test_store_large_d_untraced_run():
     summary = _run("store-large-d", trace=0)
     assert summary["correct"] is True
     assert summary["failed"] == 0
-    # one file per tree at (d, N) = (16, 64), (32, 32), (32, 64): the raw
-    # complex128 bytes of N elements and N - 1 Kraus pairs, plus at most
-    # 64 KiB of header each
-    raw = sum(16 * d * d * (3 * n - 2) for d, n in ((16, 64), (32, 32), (32, 64)))
+    # one file per tree at (d, N) = (16, 64), (32, 32), (32, 64): d^2 float64
+    # parameters per element and the complex128 entries of N - 1 Kraus
+    # pairs, plus at most 64 KiB of header each
+    raw = sum(8 * d * d * (5 * n - 4) for d, n in ((16, 64), (32, 32), (32, 64)))
     assert summary["metrics"]["tree_file_mb"]["value"] <= (raw + 3 * 64 * 1024) / 1e6

@@ -1,9 +1,11 @@
-"""Property tests for the stacked unitary completion and the Neumark oracle."""
+"""Property tests for the stacked unitary completion, the Neumark oracle and Hermitian storage."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from povmtree import (
+    DEFAULT_TOLERANCES,
+    compile_tree,
     dilate_binary,
     direct_probabilities,
     full_neumark,
@@ -11,8 +13,10 @@ from povmtree import (
     random_density,
     random_povm,
     random_rank_one_povm,
+    validate,
 )
 from povmtree.dilation import dilate_level
+from povmtree.io import load_tree, save_tree
 from povmtree.linalg import complete_to_unitary_stack
 
 from conftest import frob
@@ -64,3 +68,43 @@ def test_neumark_isometry_matches_direct_probabilities(d, extra, rank_one, padde
     u = ext.unitary
     assert frob(u.conj().T @ u - np.eye(ext.extended_dim)) <= 1e-10
     assert np.array_equal(u[:, :d], ext.isometry)
+
+
+def anti_hermitian_noise(n: int, d: int, scale: float, rng: np.random.Generator) -> np.ndarray:
+    """``(n, d, d)`` anti-Hermitian matrices of Frobenius norm ``scale`` each."""
+    g = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    k = g - g.conj().swapaxes(1, 2)
+    norms = np.linalg.norm(k, axis=(1, 2))[:, None, None]
+    return scale * np.divide(k, norms, out=np.zeros_like(k), where=norms > 0)
+
+
+@PROPERTY
+@given(
+    d=st.integers(1, 6),
+    extra=st.integers(0, 12),
+    padded=st.booleans(),
+    noise=st.floats(0, 0.99),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_validate_stores_exact_hermitian_parts_that_trees_round_trip(
+    d, extra, padded, noise, seed, tmp_path_factory
+):
+    rng = np.random.default_rng(seed)
+    n = d + extra
+    # anti-Hermitian noise below tol_check in every element and in their sum
+    raw = random_povm(n, d, rng).elements + anti_hermitian_noise(
+        n, d, noise * DEFAULT_TOLERANCES.tol_check / (2 * n), rng)
+    p = validate(raw)
+    e = p.elements
+    lower = np.tril_indices(d, -1)
+    assert e.real.tobytes() == e.real.swapaxes(1, 2).copy().tobytes()
+    assert e.imag[:, lower[0], lower[1]].tobytes() == (0.0 - e.imag[:, lower[1], lower[0]]).tobytes()
+    assert np.diagonal(e.imag, axis1=1, axis2=2).tobytes() == bytes(8 * n * d)
+    assert validate(e).elements.tobytes() == e.tobytes()
+
+    tree = compile_tree(pad_to_power_of_two(p) if padded else p)
+    path = tmp_path_factory.mktemp("hermitian") / "t.tree"
+    save_tree(tree, path)
+    again = load_tree(path)
+    assert again.povm.elements.tobytes() == tree.povm.elements.tobytes()
+    assert [a.tobytes() for a in again.kraus] == [a.tobytes() for a in tree.kraus]

@@ -6,6 +6,8 @@ import pytest
 
 from povmtree import (
     DimensionMismatchError,
+    InvalidStateError,
+    PovmTreeError,
     QuantumState,
     apply_freedom,
     compile_tree,
@@ -40,6 +42,23 @@ class TestQuantumState:
             QuantumState(np.diag([1.5, -0.5]))  # negative eigenvalue
         with pytest.raises(DimensionMismatchError):
             QuantumState(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize(
+        "rho, what",
+        [
+            ([[0.5, 0.5], [0.0, 0.5]], "not Hermitian"),
+            (np.eye(2), "trace"),
+            (np.diag([1.5, -0.5]), "negative eigenvalue"),
+        ],
+        ids=["not-hermitian", "trace", "negative-eigenvalue"],
+    )
+    def test_invalid_state_is_typed(self, rho, what):
+        with pytest.raises(PovmTreeError) as err:
+            QuantumState(np.array(rho))
+        assert isinstance(err.value, InvalidStateError)
+        assert isinstance(err.value, ValueError)
+        assert err.value.exit_code == 1
+        assert what in str(err.value)
 
     def test_random_density_valid(self, rng):
         for _ in range(10):
