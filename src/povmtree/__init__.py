@@ -11,24 +11,7 @@ seeded Monte Carlo sampling.
 
 from .cost import CostReport, compare, crossover
 from .dilation import NeumarkExtension, dilate_binary, full_neumark
-from .errors import (
-    CompletenessViolationError,
-    DimensionMismatchError,
-    IncompleteSumError,
-    InconsistentChildrenError,
-    InvalidDimensionsError,
-    InvalidStateError,
-    NotCompleteError,
-    NotHermitianError,
-    NotIsometryError,
-    NotPsdError,
-    NotSquareError,
-    NotUnitaryError,
-    ParseError,
-    PovmTreeError,
-    TreeVerificationError,
-    VerificationError,
-)
+from .errors import ParseError, PovmTreeError, ValidationError, VerificationError
 from .linalg import (
     DEFAULT_TOLERANCES,
     EigenDecomposition,
@@ -74,25 +57,13 @@ from .tree import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CompletenessViolationError",
     "CostReport",
     "DEFAULT_SPLIT",
     "DEFAULT_TOLERANCES",
-    "DimensionMismatchError",
     "EigenDecomposition",
-    "IncompleteSumError",
-    "InconsistentChildrenError",
-    "InvalidDimensionsError",
-    "InvalidStateError",
     "KrausFactorization",
     "MeasurementTree",
     "NeumarkExtension",
-    "NotCompleteError",
-    "NotHermitianError",
-    "NotIsometryError",
-    "NotPsdError",
-    "NotSquareError",
-    "NotUnitaryError",
     "ParseError",
     "Povm",
     "PovmTreeError",
@@ -101,7 +72,7 @@ __all__ = [
     "SimulationOutcome",
     "SplitCoefficients",
     "Tolerances",
-    "TreeVerificationError",
+    "ValidationError",
     "VerificationError",
     "VerificationReport",
     "apply_freedom",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDimensionsError
+from .errors import ParseError
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ def compare(n: int, d: int, average: bool = False) -> CostReport:
     """Evaluate the three cost formulas for N outcomes on a d-level system."""
     n, d = int(n), int(d)
     if n < 2 or d < 2 or n < d:
-        raise InvalidDimensionsError(f"need N >= d >= 2, got N={n}, d={d}")
+        raise ParseError(f"need N >= d >= 2, got N={n}, d={d}", what="dimensions")
     depth = math.ceil(math.log2(n))
     single = (n - d) * (d + 1) * d // 2
     return CostReport(
@@ -63,7 +63,7 @@ def crossover(d: int, n_max: int = 1 << 20) -> int | None:
     violation, or None if the chain never settles within the scanned range.
     """
     if d < 2:
-        raise InvalidDimensionsError(f"need d >= 2, got d={d}")
+        raise ParseError(f"need d >= 2, got d={d}", what="dimensions")
     ns = np.arange(max(d, 2), n_max + 1, dtype=np.int64)
     depth = np.ceil(np.log2(ns)).astype(np.int64)
     neumark = ns * (ns - 1) // 2

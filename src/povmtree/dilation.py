@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotCompleteError, NotIsometryError
+from .errors import ValidationError, VerificationError
 from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
@@ -65,19 +65,17 @@ def dilate_level(pairs, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
 
     Raises
     ------
-    NotCompleteError
-        For the first pair whose completeness residual exceeds ``tol.tol_check``.
+    VerificationError
+        ``what="completeness"``, naming by ``index`` the first pair whose
+        completeness residual exceeds ``tol.tol_check``.
     """
     pairs = np.asarray(pairs, dtype=complex)
     k, _, d, _ = pairs.shape
     # the Gram matrix of [b0; b1] is the completeness sum, so the completion's
     # isometry check at tol_check is the completeness check
-    try:
-        return complete_to_unitary_stack(
-            pairs.reshape(k, 2 * d, d), replace(tol, tol_unitary=tol.tol_check)
-        )
-    except NotIsometryError as err:
-        raise NotCompleteError(err.residual) from None
+    return complete_to_unitary_stack(
+        pairs.reshape(k, 2 * d, d), replace(tol, tol_unitary=tol.tol_check)
+    )
 
 
 def dilate_binary(pair, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -130,13 +128,14 @@ class NeumarkExtension:
         unitary, and reads the computational-basis populations, summing the
         rows that belong to the same outcome.  Only the isometry is read: the
         state lives in the first ``system_dim`` basis vectors.  A density of
-        another shape raises :class:`DimensionMismatchError`.
+        another shape raises :class:`povmtree.errors.ValidationError`
+        (``what="shape"``).
         """
         rho = as_complex_matrix(density)
         if rho.shape != (self.system_dim, self.system_dim):
-            raise DimensionMismatchError(
-                f"state has shape {rho.shape}, expected ({self.system_dim}, {self.system_dim})"
-            )
+            raise ValidationError(
+                f"state has shape {rho.shape}, expected ({self.system_dim}, {self.system_dim})",
+                what="shape")
         rows = self.isometry
         per_row = np.einsum("jk,kl,jl->j", rows, rho, rows.conj()).real
         probs = np.zeros(self.n_outcomes)
@@ -158,13 +157,14 @@ def full_neumark(p: Povm, tol: Tolerances = DEFAULT_TOLERANCES) -> NeumarkExtens
 
     Raises
     ------
-    NotIsometryError
-        If the rows' Gram residual ``|W^dag W - I|_F`` exceeds ``tol.tol_unitary``.
+    VerificationError
+        ``what="completeness"`` if the rows' Gram residual
+        ``|W^dag W - I|_F``, the completeness sum of the elements, exceeds
+        ``tol.tol_unitary``.
     """
     rows, owners = [], []
     for block in blocks(p.n_outcomes, p.dim):
-        elements = p.elements[block]
-        w, v = np.linalg.eigh((elements + adjoint(elements)) / 2)
+        w, v = np.linalg.eigh(p.elements[block])  # exactly Hermitian, by the Povm invariant
         w, v = w[:, ::-1], v[:, :, ::-1]  # descending, as rank_mask expects
         keep = rank_mask(w, tol)
         element, piece = np.nonzero(keep)
@@ -173,7 +173,9 @@ def full_neumark(p: Povm, tol: Tolerances = DEFAULT_TOLERANCES) -> NeumarkExtens
     isometry, element = np.concatenate(rows), np.concatenate(owners)
     residual = frobenius(adjoint(isometry) @ isometry - np.eye(p.dim))
     if residual > tol.tol_unitary:
-        raise NotIsometryError("outcome pieces are not orthonormal columns", residual=residual)
+        raise VerificationError(
+            f"outcome pieces are not orthonormal columns (residual {residual:.3e})",
+            what="completeness", residual=residual)
     isometry.setflags(write=False)
     return NeumarkExtension(
         isometry=isometry,

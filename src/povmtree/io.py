@@ -13,9 +13,8 @@ raw little-endian complex128 bytes of the Kraus pairs follow level by level
 header, all exact: the loader rebuilds each element's lower triangle with
 :func:`povmtree.linalg.hermitian_from_upper`, the function that made the
 element Hermitian in :func:`povmtree.povm.validate`.  It reads each array
-straight into the buffer the tree keeps, checks the structure and the
-completeness of every stored pair, and runs :func:`povmtree.tree.verify`
-before it returns the tree.
+straight into the buffer the tree keeps, checks the structure, and runs
+:func:`povmtree.tree.verify` before it returns the tree.
 """
 
 from __future__ import annotations
@@ -28,17 +27,11 @@ from typing import Any
 
 import numpy as np
 
-from .errors import NotHermitianError, ParseError, TreeVerificationError
+from .errors import ParseError, ValidationError, VerificationError
 from .linalg import DEFAULT_TOLERANCES, Tolerances, adjoint, blocks, frobenius, hermitian_from_upper
 from .povm import Povm, validate
 from .simulator import QuantumState
-from .tree import (
-    MeasurementTree,
-    SplitCoefficients,
-    completeness_residuals,
-    node_path,
-    verify,
-)
+from .tree import MeasurementTree, SplitCoefficients, node_checks, node_path, verify
 
 POVM_FORMAT = "povmtree/povm-v1"
 STATE_FORMAT = "povmtree/state-v1"
@@ -245,31 +238,39 @@ def _order(data: dict, n: int) -> tuple[int, ...]:
 def _verified(tree: MeasurementTree) -> MeasurementTree:
     """``tree``, once :func:`povmtree.tree.verify` passes on it.
 
-    Only the first failing row of the report is built, to name it.
+    Otherwise raises for the first failing node, breadth first with the
+    leaves last, naming its first failing check in column order.  Only that
+    node's row of the report is built, to name its path.
     """
     report = verify(tree)
     bad = np.flatnonzero(~report.node_columns["ok"])
     if bad.size:
-        c = report.nodes[int(bad[0])]
-        residual = max(c.completeness_residual, c.operator_sum_residual, c.dilation_unitarity)
-        raise TreeVerificationError(residual, path=c.path, what="verify")
-    bad = np.flatnonzero(~report.leaf_columns["ok"])
-    if bad.size:
         i = int(bad[0])
-        raise TreeVerificationError(report.leaves[i].residual, path=node_path(tree.depth, i),
-                                    what="leaf reconstruction")
-    return tree
+        what, residual = next((what, r[i]) for what, r, passed
+                              in node_checks(report.node_columns, tree.tolerances) if not passed[i])
+        path = report.nodes[i].path
+    else:
+        bad = np.flatnonzero(~report.leaf_columns["ok"])
+        if not bad.size:
+            return tree
+        i = int(bad[0])
+        what, residual = "leaf reconstruction", report.leaf_columns["residual"][i]
+        path = node_path(tree.depth, i)
+    raise VerificationError(f"{what} check failed, residual {residual:.3e}", what=what,
+                            residual=residual, path=path)
 
 
 def _require_hermitian(elements: np.ndarray) -> None:
-    """Raise :class:`NotHermitianError` for the first element that is not exactly Hermitian."""
+    """Raise a :class:`ValidationError` for the first element that is not exactly Hermitian."""
     for rows in blocks(len(elements), elements.shape[-1]):
         block = elements[rows]
         adj = adjoint(block)
         bad = np.flatnonzero(~(block == adj).all(axis=(1, 2)))
         if bad.size:
             j = int(bad[0])
-            raise NotHermitianError(frobenius(block[j] - adj[j]), index=rows.start + j)
+            r = frobenius(block[j] - adj[j])
+            raise ValidationError(f"matrix is not Hermitian, |A - A^dag|_F = {r:.3e}",
+                                  what="hermiticity", residual=r, index=rows.start + j)
 
 
 def _hermitian_parameters(block: np.ndarray) -> np.ndarray:
@@ -294,10 +295,11 @@ def save_tree(tree: MeasurementTree, path) -> None:
 
     Raises
     ------
-    NotHermitianError
-        Before anything is written, naming the first element that is not
-        exactly Hermitian, as a :class:`povmtree.povm.Povm` built by hand
-        may be; its lower triangle would not survive the round trip.
+    ValidationError
+        ``what="hermiticity"``, before anything is written, naming by
+        ``index`` the first element that is not exactly Hermitian, as a
+        :class:`povmtree.povm.Povm` built by hand may be; its lower
+        triangle would not survive the round trip.
     """
     p, coeffs, tol = tree.povm, tree.split_coefficients, tree.tolerances
     _require_hermitian(p.elements)
@@ -443,10 +445,12 @@ def load_tree(path) -> MeasurementTree:
         bytes after the last blob; a non-finite array entry; ``labels`` not
         one string per outcome; or ``n_original`` marking a nonzero element
         as padding.
-    TreeVerificationError
-        If a stored pair is not complete (checked level by level), or the
-        rebuilt tree fails :func:`povmtree.tree.verify`; names the first
-        failing node.
+    VerificationError
+        If the rebuilt tree fails :func:`povmtree.tree.verify`: ``path``
+        names the first failing node, breadth first with the leaves last,
+        and ``what`` and ``residual`` its first failing check in the
+        report's column order (``"completeness"`` for a pair that is not
+        complete, ``"leaf reconstruction"`` at a leaf).
     """
     with open(path, "rb") as handle:
         header, dim, depth = _read_header(handle)
@@ -457,12 +461,5 @@ def load_tree(path) -> MeasurementTree:
         kraus = [_read_blob(handle, (1 << level, 2, dim, dim), f"kraus[{level}]")
                  for level in range(depth)]
     povm = _povm(header, elements)
-    # verify() does not dilate an incomplete pair, so its row would not name the residual
-    for level, pairs in enumerate(kraus):
-        residual = completeness_residuals(pairs)
-        bad = np.flatnonzero(residual > tol.tol_check)
-        if bad.size:
-            raise TreeVerificationError(float(residual[bad[0]]),
-                                        path=node_path(level, int(bad[0])), what="completeness")
     return _verified(MeasurementTree(povm=povm, order=order, kraus=tuple(kraus),
                                      split_coefficients=coeffs, tolerances=tol))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHermitianError, NotIsometryError, NotPsdError, NotSquareError
+from .errors import ValidationError, VerificationError
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ def rank_mask(singular_values: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES)
 
 def _require_square(m: np.ndarray) -> None:
     if m.shape[0] != m.shape[1]:
-        raise NotSquareError(m.shape)
+        raise ValidationError(f"expected a square matrix, got shape {m.shape}", what="shape")
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,16 +147,16 @@ def hermitian_eig(a, tol: Tolerances = DEFAULT_TOLERANCES) -> EigenDecomposition
 
     Raises
     ------
-    NotSquareError
-        If the matrix is not square.
-    NotHermitianError
-        If ``|A - A^dag|_F`` exceeds ``tol.tol_check``.
+    ValidationError
+        ``what="shape"`` if the matrix is not square, ``"hermiticity"`` if
+        ``|A - A^dag|_F`` exceeds ``tol.tol_check``.
     """
     m = as_complex_matrix(a)
     _require_square(m)
     residual = frobenius(m - m.conj().T)
     if residual > tol.tol_check:
-        raise NotHermitianError(residual)
+        raise ValidationError(f"matrix is not Hermitian, |A - A^dag|_F = {residual:.3e}",
+                              what="hermiticity", residual=residual)
     w, v = np.linalg.eigh((m + m.conj().T) / 2)
     order = np.argsort(-w, kind="stable")
     w = w[order]
@@ -229,11 +229,10 @@ def psd_sqrt_stack(a: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.nd
 
     Raises
     ------
-    NotHermitianError
-        If some ``|A - A^dag|_F`` exceeds ``tol.tol_check``; ``index`` is
-        the first such matrix's position in the stack.
-    NotPsdError
-        If some matrix has an eigenvalue below ``-tol.tol_check * |A|_F``;
+    ValidationError
+        ``what="hermiticity"`` if some ``|A - A^dag|_F`` exceeds
+        ``tol.tol_check``, ``"positivity"`` (the eigenvalue as ``residual``)
+        if some matrix has an eigenvalue below ``-tol.tol_check * |A|_F``;
         ``index`` is the first such matrix's position in the stack.
     """
     roots = np.empty(a.shape, dtype=complex)
@@ -242,12 +241,16 @@ def psd_sqrt_stack(a: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.nd
         asymmetry = np.linalg.norm(b - adjoint(b), axis=(-2, -1))
         bad = np.flatnonzero(asymmetry > tol.tol_check)
         if bad.size:
-            raise NotHermitianError(float(asymmetry[bad[0]]), index=rows.start + int(bad[0]))
+            r = asymmetry[bad[0]]
+            raise ValidationError(f"matrix is not Hermitian, |A - A^dag|_F = {r:.3e}",
+                                  what="hermiticity", residual=r, index=rows.start + int(bad[0]))
         w, v = np.linalg.eigh((b + adjoint(b)) / 2)
         floor = -tol.tol_check * np.linalg.norm(b, axis=(-2, -1))
         bad = np.flatnonzero(w[:, 0] < floor)
         if bad.size:
-            raise NotPsdError(float(w[bad[0], 0]), index=rows.start + int(bad[0]))
+            r = w[bad[0], 0]
+            raise ValidationError(f"matrix is not positive semidefinite, min eigenvalue = {r:.3e}",
+                                  what="positivity", residual=r, index=rows.start + int(bad[0]))
         top = np.maximum(w[:, -1:], 0.0)
         w = np.where(w > tol.tol_rank * top, w, 0.0)
         s = (v * np.sqrt(w)[:, None, :]) @ adjoint(v)
@@ -260,10 +263,9 @@ def psd_sqrt(a, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
 
     Raises
     ------
-    NotSquareError
-        If the matrix is not square.
-    NotHermitianError, NotPsdError
-        As :func:`psd_sqrt_stack`.
+    ValidationError
+        ``what="shape"`` if the matrix is not square, otherwise as
+        :func:`psd_sqrt_stack`.
     """
     m = as_complex_matrix(a)
     _require_square(m)
@@ -283,9 +285,10 @@ def complete_to_unitary_stack(blocks, tol: Tolerances = DEFAULT_TOLERANCES) -> n
     ------
     ValueError
         If an entry is not finite.
-    NotIsometryError
-        If the blocks have more columns than rows, or, for the first failing
-        block, ``|B^dag B - I|_F`` exceeds ``tol.tol_unitary``.
+    VerificationError
+        ``what="shape"`` if the blocks have more columns than rows;
+        ``what="completeness"``, naming the first failing block by
+        ``index``, if ``|B^dag B - I|_F`` exceeds ``tol.tol_unitary``.
     """
     b = np.asarray(blocks, dtype=complex)
     if b.ndim != 3:
@@ -294,13 +297,13 @@ def complete_to_unitary_stack(blocks, tol: Tolerances = DEFAULT_TOLERANCES) -> n
         raise ValueError("matrix entries must be finite")
     n, k = b.shape[1:]
     if k > n:
-        raise NotIsometryError(f"block has more columns ({k}) than rows ({n})")
+        raise VerificationError(f"block has more columns ({k}) than rows ({n})", what="shape")
     gram_residual = np.linalg.norm(adjoint(b) @ b - np.eye(k), axis=(-2, -1))
     bad = np.flatnonzero(gram_residual > tol.tol_unitary)
     if bad.size:
-        raise NotIsometryError(
-            f"block {bad[0]}: columns are not orthonormal", residual=float(gram_residual[bad[0]])
-        )
+        r = gram_residual[bad[0]]
+        raise VerificationError(f"columns are not orthonormal (residual {r:.3e})",
+                                what="completeness", residual=r, index=int(bad[0]))
     u = np.linalg.qr(b, mode="complete")[0]
     u[..., :k] = b
     return u
@@ -318,9 +321,8 @@ def complete_to_unitary(block, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarr
     ------
     ValueError
         If the block is not a 2-D matrix of finite entries.
-    NotIsometryError
-        If the block has more columns than rows or its columns are not
-        orthonormal within ``tol.tol_unitary``.
+    VerificationError
+        As :func:`complete_to_unitary_stack`.
     """
     return complete_to_unitary_stack(as_complex_matrix(block)[None], tol)[0]
 

@@ -13,13 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    IncompleteSumError,
-    NotHermitianError,
-    NotPsdError,
-    NotUnitaryError,
-)
+from .errors import ValidationError
 from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
@@ -71,18 +65,16 @@ def _as_stack(elements) -> np.ndarray:
         elements = list(elements)
     shapes = [np.shape(m) for m in elements]
     if not shapes:
-        raise DimensionMismatchError("a POVM needs at least one element")
+        raise ValidationError("a POVM needs at least one element", what="shape")
     for j, shape in enumerate(shapes):
         if len(shape) != 2:
-            raise DimensionMismatchError(
-                f"element {j} has {len(shape)} dimensions, expected a matrix", index=j
-            )
+            raise ValidationError(f"has {len(shape)} dimensions, expected a matrix",
+                                  what="shape", index=j)
     dim = shapes[0][0]
     for j, shape in enumerate(shapes):
         if shape != (dim, dim):
-            raise DimensionMismatchError(
-                f"element {j} has shape {shape}, expected ({dim}, {dim})", index=j
-            )
+            raise ValidationError(f"has shape {shape}, expected ({dim}, {dim})",
+                                  what="shape", index=j)
     return np.array(elements, dtype=complex)
 
 
@@ -92,10 +84,11 @@ def validate(elements, labels=None, tol: Tolerances = DEFAULT_TOLERANCES) -> Pov
     ``elements`` is a sequence of d x d matrices or one ``(N, d, d)`` array;
     the POVM holds its own read-only copy.  Raises the error for the first
     violated condition: every element a square matrix of one shape
-    (:class:`DimensionMismatchError`), finite entries, per-element
-    Hermiticity and positivity, and the sum-to-identity completeness
-    relation.  Finiteness, then Hermiticity and positivity, are judged per
-    block of elements (:func:`povmtree.linalg.blocks`), in order, so the
+    (``what="shape"``), finite entries, per-element Hermiticity and
+    positivity, and the sum-to-identity completeness relation, each a
+    :class:`povmtree.errors.ValidationError` whose ``what`` names it.
+    Finiteness, then Hermiticity and positivity, are judged per block of
+    elements (:func:`povmtree.linalg.blocks`), in order, so the
     first failing block decides the error; a non-finite entry counts as
     failed Hermiticity (residual ``nan``), and Hermiticity of an element
     comes before its positivity.
@@ -113,7 +106,9 @@ def validate(elements, labels=None, tol: Tolerances = DEFAULT_TOLERANCES) -> Pov
         block = stack[rows]
         finite = np.isfinite(block).all(axis=(1, 2))
         if not finite.all():
-            raise NotHermitianError(float("nan"), index=rows.start + int(np.argmin(finite)))
+            raise ValidationError("matrix is not Hermitian, |A - A^dag|_F = nan",
+                                  what="hermiticity", residual=float("nan"),
+                                  index=rows.start + int(np.argmin(finite)))
         herm = adjoint(block)  # a fresh copy, made the Hermitian part in place
         residual = np.linalg.norm(block - herm, axis=(1, 2))
         herm += block
@@ -124,20 +119,25 @@ def validate(elements, labels=None, tol: Tolerances = DEFAULT_TOLERANCES) -> Pov
         if bad.size:
             j = int(bad[0])
             if not_hermitian[j]:
-                raise NotHermitianError(float(residual[j]), index=rows.start + j)
-            raise NotPsdError(float(min_eig[j]), index=rows.start + j)
+                raise ValidationError(
+                    f"matrix is not Hermitian, |A - A^dag|_F = {residual[j]:.3e}",
+                    what="hermiticity", residual=residual[j], index=rows.start + j)
+            raise ValidationError(
+                f"matrix is not positive semidefinite, min eigenvalue = {min_eig[j]:.3e}",
+                what="positivity", residual=min_eig[j], index=rows.start + j)
         # one raw element after another, in the order stack.sum(axis=0) adds them
         total = np.concatenate([total[None], block]).sum(axis=0)
         block[...] = hermitian_from_upper(herm)
     deficit = frobenius(total - np.eye(dim))
     if deficit > tol.tol_check:
-        raise IncompleteSumError(deficit)
+        raise ValidationError(f"POVM elements do not sum to identity, |sum - I|_F = {deficit:.3e}",
+                              what="completeness", residual=deficit)
     if labels is None:
         labels = tuple(str(j) for j in range(n))
     else:
         labels = tuple(str(x) for x in labels)
         if len(labels) != n:
-            raise DimensionMismatchError(f"got {len(labels)} labels for {n} elements")
+            raise ValidationError(f"got {len(labels)} labels for {n} elements", what="shape")
     return Povm(dim=dim, elements=_frozen(stack), labels=labels, n_original=n)
 
 
@@ -170,29 +170,29 @@ def apply_freedom(
 
     Raises
     ------
-    DimensionMismatchError
-        If the count or a shape does not match the Kraus operators.
-    NotUnitaryError
-        If some ``|V^dag V - I|_F`` exceeds ``tol.tol_unitary``.
+    ValidationError
+        ``what="shape"`` if the count or a shape does not match the Kraus
+        operators, ``"unitarity"`` if some ``|V^dag V - I|_F`` exceeds
+        ``tol.tol_unitary``.
     """
     if not isinstance(unitaries, np.ndarray):
         unitaries = list(unitaries)
     if len(unitaries) != len(f.kraus):
-        raise DimensionMismatchError(
-            f"got {len(unitaries)} unitaries for {len(f.kraus)} Kraus operators"
-        )
+        raise ValidationError(f"got {len(unitaries)} unitaries for {len(f.kraus)} Kraus operators",
+                              what="shape")
     shape = f.kraus.shape[1:]
     for j, v in enumerate(unitaries):
         if np.shape(v) != shape:
-            raise DimensionMismatchError(
-                f"unitary {j} has shape {np.shape(v)}, expected {shape}", index=j
-            )
+            raise ValidationError(f"unitary has shape {np.shape(v)}, expected {shape}",
+                                  what="shape", index=j)
     vs = np.asarray(unitaries, dtype=complex)
     for rows in blocks(len(vs), shape[0]):
         residual = np.linalg.norm(adjoint(vs[rows]) @ vs[rows] - np.eye(shape[0]), axis=(1, 2))
         bad = np.flatnonzero(~(residual <= tol.tol_unitary))  # nan fails too
         if bad.size:
-            raise NotUnitaryError(float(residual[bad[0]]), index=rows.start + int(bad[0]))
+            r = residual[bad[0]]
+            raise ValidationError(f"matrix is not unitary, |V^dag V - I|_F = {r:.3e}",
+                                  what="unitarity", residual=r, index=rows.start + int(bad[0]))
     return KrausFactorization(kraus=_frozen(vs @ f.kraus))
 
 
@@ -221,7 +221,7 @@ def random_rank_one_povm(n_outcomes: int, dim: int, rng: np.random.Generator) ->
     on both sides so the set sums to the identity.
     """
     if n_outcomes < dim:
-        raise DimensionMismatchError("a rank-one POVM needs at least dim outcomes")
+        raise ValidationError("a rank-one POVM needs at least dim outcomes", what="shape")
     vectors = [
         rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(n_outcomes)
     ]
@@ -245,7 +245,7 @@ def random_povm(
         ranks = [int(rng.integers(1, dim + 1)) for _ in range(n_outcomes)]
     ranks = [int(r) for r in ranks]
     if len(ranks) != n_outcomes:
-        raise DimensionMismatchError(f"got {len(ranks)} ranks for {n_outcomes} outcomes")
+        raise ValidationError(f"got {len(ranks)} ranks for {n_outcomes} outcomes", what="shape")
     if any(r < 1 or r > dim for r in ranks):
         raise ValueError("element ranks must lie in 1..dim")
     if sum(ranks) < dim:

@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidStateError, TreeVerificationError
+from .errors import ValidationError, VerificationError
 from .linalg import DEFAULT_TOLERANCES, Tolerances, adjoint, as_complex_matrix, blocks, frobenius
 from .povm import Povm
 from .records import Rows
@@ -32,17 +32,20 @@ class QuantumState:
     def __post_init__(self) -> None:
         rho = as_complex_matrix(self.density)
         if rho.shape[0] != rho.shape[1]:
-            raise DimensionMismatchError(f"density matrix must be square, got {rho.shape}")
+            raise ValidationError(f"density matrix must be square, got {rho.shape}", what="shape")
         tol = DEFAULT_TOLERANCES.tol_check
         herm = frobenius(rho - rho.conj().T)
         if herm > tol:
-            raise InvalidStateError(f"density matrix is not Hermitian, residual {herm:.3e}")
+            raise ValidationError(f"density matrix is not Hermitian, residual {herm:.3e}",
+                                  what="hermiticity", residual=herm)
         trace = float(np.trace(rho).real)
         if abs(trace - 1.0) > tol:
-            raise InvalidStateError(f"density matrix trace is {trace}, expected 1")
+            raise ValidationError(f"density matrix trace is {trace}, expected 1", what="trace",
+                                  residual=abs(trace - 1.0))
         min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0])
         if min_eig < -tol:
-            raise InvalidStateError(f"density matrix has negative eigenvalue {min_eig:.3e}")
+            raise ValidationError(f"density matrix has negative eigenvalue {min_eig:.3e}",
+                                  what="positivity", residual=min_eig)
         rho.setflags(write=False)
         object.__setattr__(self, "density", rho)
 
@@ -94,9 +97,8 @@ def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) 
 def direct_probabilities(p: Povm, state: QuantumState) -> np.ndarray:
     """Outcome probabilities Tr[M_j rho], clamped to [0, 1]."""
     if state.dim != p.dim:
-        raise DimensionMismatchError(
-            f"state dimension {state.dim} does not match POVM dimension {p.dim}"
-        )
+        raise ValidationError(
+            f"state dimension {state.dim} does not match POVM dimension {p.dim}", what="shape")
     probs = np.einsum("nij,ji->n", p.elements, state.density).real
     return np.clip(probs, 0.0, 1.0)
 
@@ -126,9 +128,9 @@ def _level_pass(tree: MeasurementTree, state: QuantumState):
     the node is reached (1.0 where the node's probability is zero).
     """
     if state.dim != tree.povm.dim:
-        raise DimensionMismatchError(
-            f"state dimension {state.dim} does not match tree dimension {tree.povm.dim}"
-        )
+        raise ValidationError(
+            f"state dimension {state.dim} does not match tree dimension {tree.povm.dim}",
+            what="shape")
     d = state.dim
     sigma = state.density.astype(complex)[None]
     p_left = []
@@ -150,8 +152,9 @@ def _leaf_probabilities(tree: MeasurementTree, leaves: np.ndarray, t: Tolerances
     """Leaf probabilities left to right, and which leaves are reached, symmetrised in place in ``leaves``.
 
     A leaf is reached when its probability is at least ``tol_check``.
-    Raises :class:`TreeVerificationError` if a reached leaf's unnormalised
-    state has an eigenvalue below ``-tol_check``.
+    Raises a :class:`VerificationError` (``what="post-state positivity"``)
+    if a reached leaf's unnormalised state has an eigenvalue below
+    ``-tol_check``.
     """
     probs = np.clip(np.trace(leaves, axis1=-2, axis2=-1).real, 0.0, 1.0)
     is_reached = probs >= t.tol_check
@@ -167,10 +170,11 @@ def _leaf_probabilities(tree: MeasurementTree, leaves: np.ndarray, t: Tolerances
         min_eig = np.linalg.eigvalsh(herm)[:, 0]
         bad = np.flatnonzero(min_eig < -t.tol_check)
         if bad.size:
-            raise TreeVerificationError(
-                -float(min_eig[bad[0]]),
+            r = -min_eig[bad[0]]
+            raise VerificationError(
+                f"post-state positivity check failed, residual {r:.3e}",
+                what="post-state positivity", residual=r,
                 path=node_path(tree.depth, int(reached[rows][bad[0]])),
-                what="post-state positivity",
             )
     return probs, is_reached
 
@@ -220,9 +224,10 @@ def propagate(tree: MeasurementTree, state: QuantumState) -> Outcomes:
 
     Raises
     ------
-    TreeVerificationError
-        If a reached leaf's unnormalised state has an eigenvalue below
-        ``-tol_check``, which no valid tree produces from a valid state.
+    VerificationError
+        ``what="post-state positivity"`` if a reached leaf's unnormalised
+        state has an eigenvalue below ``-tol_check``, which no valid tree
+        produces from a valid state.
     """
     leaves = _level_pass(tree, state)[0]
     probs, reached = _leaf_probabilities(tree, leaves, tree.tolerances)

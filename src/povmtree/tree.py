@@ -40,7 +40,7 @@ from functools import partial
 import numpy as np
 
 from .dilation import completeness_residuals, dilate_binary, dilate_level
-from .errors import CompletenessViolationError, InconsistentChildrenError
+from .errors import VerificationError
 from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
@@ -151,12 +151,15 @@ class MeasurementTree:
         return dilate_binary(self.kraus[len(path)][int(path or "0", 2)], self.tolerances)
 
 
-def _raise_first(residuals: np.ndarray, limit: float, level: int | None, first: int, error):
-    """Raise ``error(residual, path)`` for the first node whose residual exceeds ``limit``."""
+def _raise_first(residuals: np.ndarray, what: str, text: str, limit: float, level: int | None,
+                 first: int):
+    """Raise a :class:`VerificationError` for the first node whose residual exceeds ``limit``."""
     bad = np.flatnonzero(residuals > limit)
     if bad.size:
         i = int(bad[0])
-        raise error(float(residuals[i]), None if level is None else node_path(level, first + i))
+        raise VerificationError(f"{text}, residual {residuals[i]:.3e}", what=what,
+                                residual=residuals[i],
+                                path=None if level is None else node_path(level, first + i))
 
 
 def _dust(m: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -186,7 +189,7 @@ def _split_level(
     """
     raise_first = partial(_raise_first, limit=tol.tol_check, level=level, first=first)
     pre = np.linalg.norm(_gram(targets).sum(axis=1) - _gram(parents), axis=(-2, -1))
-    raise_first(pre, error=InconsistentChildrenError)
+    raise_first(pre, "children sum", "child operators do not sum to the parent operator")
 
     parents = np.where(_dust(parents, tol)[:, None, None], 0.0, parents)
     pinv, g, rank = svd_inverse(parents, tol)
@@ -196,11 +199,11 @@ def _split_level(
         polar = np.matmul(*np.linalg.svd(targets[deficient])[::2])  # u @ vh, without holding u, vh
         a = np.array([coeffs.a0, coeffs.a1])[:, None, None]
         pairs[deficient] += a * (polar @ g[deficient][:, None])
-    raise_first(completeness_residuals(pairs), error=CompletenessViolationError)
+    raise_first(completeness_residuals(pairs), "completeness", "completeness post-check failed")
     fact = np.linalg.norm(pairs @ parents[:, None] - targets, axis=(-2, -1))
     # per node, b0's residual if it fails, else b1's
     worst = np.where(fact[:, 0] > tol.tol_check, fact[:, 0], fact[:, 1])
-    raise_first(worst, error=partial(CompletenessViolationError, what="factorization"))
+    raise_first(worst, "factorization", "factorization post-check failed")
     return pairs
 
 
@@ -253,11 +256,10 @@ def split_node(
 
     Raises
     ------
-    InconsistentChildrenError
-        If the precondition sum fails.
-    CompletenessViolationError
-        If a post-check fails, which signals a numerical-rank misjudgment in
-        the parent operator.
+    VerificationError
+        ``what="children sum"`` if the precondition sum fails;
+        ``"completeness"`` or ``"factorization"`` if a post-check fails,
+        which signals a numerical-rank misjudgment in the parent operator.
     """
     m_left, m_right = (as_complex_matrix(m) for m in children_kraus)
     parent = as_complex_matrix(parent_kraus)
@@ -307,7 +309,7 @@ def compile_tree(
 
     Raises
     ------
-    InconsistentChildrenError, CompletenessViolationError
+    VerificationError
         From the checks of :func:`split_node`, naming the first failing
         node's path.
     """
@@ -348,6 +350,20 @@ def compile_tree(
         split_coefficients=coeffs,
         tolerances=tol,
     )
+
+
+def node_checks(columns: dict, t: Tolerances):
+    """The ``what``, residual column and pass mask of each node check of :func:`verify`.
+
+    In column order; a node passes when it passes all of them.  A dilation
+    whose blocks do not round-trip exactly counts residual 1.
+    """
+    c, s, e, u, exact = (columns[name] for name in (
+        "completeness_residual", "operator_sum_residual", "min_operator_eigenvalue",
+        "dilation_unitarity", "blocks_exact"))
+    return (("completeness", c, c <= t.tol_check), ("operator sum", s, s <= t.tol_check),
+            ("positivity", e, e >= -t.tol_check), ("dilation unitarity", u, u <= t.tol_unitary),
+            ("blocks exact", (~exact).astype(float), exact))
 
 
 def verify(tree: MeasurementTree) -> VerificationReport:
@@ -413,10 +429,7 @@ def verify(tree: MeasurementTree) -> VerificationReport:
         if level + 1 < tree.depth:
             m = _descend(pairs, m)
     nodes["uses_null_correction"] = nodes["parent_rank"] < d
-    nodes["ok"] = ((nodes["completeness_residual"] <= t.tol_check)
-                   & (nodes["operator_sum_residual"] <= t.tol_check)
-                   & (nodes["min_operator_eigenvalue"] >= -t.tol_check)
-                   & (nodes["dilation_unitarity"] <= t.tol_unitary) & nodes["blocks_exact"])
+    nodes["ok"] = np.logical_and.reduce([passed for _, _, passed in node_checks(nodes, t)])
     leaves = {"residual": leaf_residual, "ok": leaf_residual <= t.tol_check}
     for column in (*nodes.values(), *leaves.values()):
         column.setflags(write=False)

@@ -6,9 +6,23 @@ import numpy as np
 import pytest
 
 import povmtree
-from povmtree import cli, tetrad, validate
+from povmtree import (
+    QuantumState,
+    Tolerances,
+    apply_freedom,
+    cli,
+    compile_tree,
+    complete_to_unitary,
+    default_kraus,
+    dilate_binary,
+    psd_sqrt,
+    split_node,
+    tetrad,
+    validate,
+)
 from povmtree.cli import main
-from povmtree.io import encode_matrix, load_povm, load_tree, save_povm
+from povmtree.cost import compare
+from povmtree.io import encode_matrix, load_povm, load_tree, save_povm, save_tree
 
 from conftest import read_tree_file, write_tree_file
 
@@ -153,28 +167,71 @@ class TestExampleTetrad:
         assert "B1" in text and "eigenvalues" in text
 
 
-# Every exported error, the exit code the cli docstring gives its kind (1
-# validation failure, 2 parse or usage error, 3 verification failure) and
-# arguments to raise it with.
+# Every exported error class, the exit code the cli docstring gives its kind
+# (1 validation failure, 2 parse or usage error, 3 verification failure) and
+# the keyword fields to raise it with.
 EXIT_CODES = {
-    "PovmTreeError": (1, ("failed",)),
-    "NotSquareError": (1, ((2, 3),)),
-    "NotHermitianError": (1, (0.1, 0)),
-    "NotPsdError": (1, (-0.1, 0)),
-    "NotUnitaryError": (1, (0.1, 0)),
-    "IncompleteSumError": (1, (0.1,)),
-    "DimensionMismatchError": (1, ("shapes differ", 0)),
-    "InvalidStateError": (1, ("density matrix trace is 2.0, expected 1",)),
-    "ParseError": (2, ("malformed", "elements")),
-    "InvalidDimensionsError": (2, ("need N >= d >= 2",)),
-    "VerificationError": (3, ("failed",)),
-    "NotIsometryError": (3, ("columns are not orthonormal", 0.1)),
-    "InconsistentChildrenError": (3, (0.1, "0")),
-    "CompletenessViolationError": (3, (0.1, "0")),
-    "TreeVerificationError": (3, (0.1, "0", "verify")),
-    "NotCompleteError": (3, (0.1,)),
+    "PovmTreeError": (1, {}),
+    "ValidationError": (1, {"what": "hermiticity", "residual": 0.1, "index": 0}),
+    "ParseError": (2, {"field": "elements"}),
+    "VerificationError": (3, {"what": "completeness", "residual": 0.1, "path": "0"}),
 }
 PREFIXES = {1: "invalid: ", 2: "error: ", 3: "verification error: "}
+
+
+def _swapped_tree_file(tmp_path):
+    """A tetrad tree file whose outcomes 1 and 2 are swapped, so two leaves fail."""
+    path = tmp_path / "swapped.tree"
+    save_tree(compile_tree(tetrad(), partition=[0, 3, 1, 2]), path)
+    header, (elements, *kraus) = read_tree_file(path)
+    write_tree_file(path, header, [elements[[0, 2, 1, 3]], *kraus])
+    return path
+
+
+_RANK_DROPPED = np.diag([1.0, 0.6])  # its 0.6 falls below a tol_rank of 0.9
+
+# Each kind of error that had a class of its own before the error classes
+# were merged into one per exit code, by that class's name: a call that
+# fails with it, and the class, ``what`` and exit code it fails with now.
+# The exit code is the one that class had.
+FORMER_CLASSES = {
+    "NotSquareError": (lambda tmp: psd_sqrt(np.zeros((2, 3))), "ValidationError", "shape", 1),
+    "NotHermitianError": (lambda tmp: validate([np.eye(2) / 2, [[0.0, 1.0], [0.0, 0.0]]]),
+                          "ValidationError", "hermiticity", 1),
+    "NotPsdError": (lambda tmp: validate([np.diag([1.5, -0.5]), np.diag([-0.5, 1.5])]),
+                    "ValidationError", "positivity", 1),
+    "NotUnitaryError": (lambda tmp: apply_freedom(default_kraus(tetrad()), [2 * np.eye(2)] * 4),
+                        "ValidationError", "unitarity", 1),
+    "IncompleteSumError": (lambda tmp: validate([np.eye(2), np.eye(2)]),
+                           "ValidationError", "completeness", 1),
+    "DimensionMismatchError": (lambda tmp: validate([np.eye(2), np.eye(3)]),
+                               "ValidationError", "shape", 1),
+    "InvalidStateError": (lambda tmp: QuantumState(np.eye(2)), "ValidationError", "trace", 1),
+    "InvalidDimensionsError": (lambda tmp: compare(1, 2), "ParseError", "dimensions", 2),
+    "NotIsometryError": (lambda tmp: complete_to_unitary([[1.0], [1.0]]),
+                         "VerificationError", "completeness", 3),
+    "InconsistentChildrenError": (lambda tmp: split_node((np.eye(2), np.eye(2)), np.eye(2)),
+                                  "VerificationError", "children sum", 3),
+    "CompletenessViolationError": (
+        lambda tmp: split_node((0.6 * _RANK_DROPPED, 0.8 * _RANK_DROPPED), _RANK_DROPPED,
+                               tol=Tolerances(tol_rank=0.9)),
+        "VerificationError", "factorization", 3),
+    "TreeVerificationError": (lambda tmp: load_tree(_swapped_tree_file(tmp)),
+                              "VerificationError", "leaf reconstruction", 3),
+    "NotCompleteError": (lambda tmp: dilate_binary(np.stack([np.eye(2), np.eye(2)])),
+                         "VerificationError", "completeness", 3),
+}
+
+
+def _raising(name, fields):
+    def call(tmp):
+        raise getattr(povmtree, name)("failed", **fields)
+    return call
+
+
+# every case as (call that fails, class, what, exit code)
+CASES = {name: (_raising(name, fields), name, fields.get("what"), code)
+         for name, (code, fields) in EXIT_CODES.items()} | FORMER_CLASSES
 
 
 class TestExitCodes:
@@ -186,17 +243,21 @@ class TestExitCodes:
         }
         assert exported == set(EXIT_CODES)
 
-    @pytest.mark.parametrize("name", sorted(EXIT_CODES))
-    def test_exit_code(self, name, monkeypatch, capsys):
-        code, args = EXIT_CODES[name]
-        error = getattr(povmtree, name)(*args)
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_exit_code(self, name, monkeypatch, capsys, tmp_path):
+        fail, cls, what, code = CASES[name]
+        with pytest.raises(povmtree.PovmTreeError) as err:
+            fail(tmp_path)
+        assert type(err.value) is getattr(povmtree, cls)
+        assert err.value.what == what
+        assert err.value.exit_code == code
 
         def raising(parsed):
-            raise error
+            fail(tmp_path)
 
         monkeypatch.setattr(cli, "cmd_cost", raising)
         assert main(["cost", "4", "2"]) == code
-        assert capsys.readouterr().err == f"{PREFIXES[code]}{error}\n"
+        assert capsys.readouterr().err == f"{PREFIXES[code]}{err.value}\n"
 
 
 class TestEntryPoint:

@@ -1,6 +1,6 @@
 import pytest
 
-from povmtree import InvalidDimensionsError
+from povmtree import ParseError
 from povmtree.cost import compare, crossover
 
 
@@ -52,8 +52,9 @@ class TestCompare:
 
     @pytest.mark.parametrize("n,d", [(1, 2), (4, 1), (3, 4)])
     def test_invalid_dimensions(self, n, d):
-        with pytest.raises(InvalidDimensionsError):
+        with pytest.raises(ParseError) as err:
             compare(n, d)
+        assert err.value.what == "dimensions"
 
 
 class TestCrossover:
@@ -75,5 +76,6 @@ class TestCrossover:
             assert steps == {d * (2 * d - 1)}
 
     def test_invalid_dimension(self):
-        with pytest.raises(InvalidDimensionsError):
+        with pytest.raises(ParseError) as err:
             crossover(1)
+        assert err.value.what == "dimensions"

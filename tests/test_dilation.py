@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from povmtree import (
-    DimensionMismatchError,
-    NotCompleteError,
+    ValidationError,
+    VerificationError,
     default_kraus,
     dilate_binary,
     direct_probabilities,
@@ -19,6 +19,7 @@ from povmtree import (
     random_rank_one_povm,
     validate,
 )
+from povmtree.linalg import rank_mask
 
 from conftest import frob
 
@@ -55,8 +56,12 @@ class TestDilateBinary:
         assert frob(b0.conj().T @ b0 + b1.conj().T @ b1 - np.eye(4)) <= 1e-10
 
     def test_rejects_incomplete_pair(self):
-        with pytest.raises(NotCompleteError):
+        with pytest.raises(VerificationError) as err:
             dilate_binary(np.stack([np.eye(2), np.eye(2)]))
+        # the Gram residual of [b0; b1] is the pair's completeness residual |2I - I|_F
+        assert err.value.what == "completeness"
+        assert err.value.index == 0
+        assert err.value.residual == pytest.approx(np.sqrt(2))
 
     def test_tetrad_checkerboard_in_eigenbasis(self, tetrad_povm):
         pair = tetrad_first_level(tetrad_povm)
@@ -128,8 +133,29 @@ class TestFullNeumark:
 
     def test_probabilities_reject_a_state_of_the_wrong_shape(self, tetrad_povm):
         ext = full_neumark(tetrad_povm)
-        with pytest.raises(DimensionMismatchError, match=r"expected \(2, 2\)"):
+        with pytest.raises(ValidationError, match=r"expected \(2, 2\)") as err:
             ext.probabilities(np.eye(3) / 3)
+        assert err.value.what == "shape"
+
+    @pytest.mark.parametrize("which", ["tetrad", "padded-2-5", "random-4"])
+    def test_elements_need_no_symmetrisation(self, tetrad_povm, which):
+        # Povm elements are exactly Hermitian, so their Hermitian part is the
+        # same bytes and the extension equals one built from that part
+        p = {"tetrad": lambda: tetrad_povm,
+             "padded-2-5": lambda: pad_to_power_of_two(
+                 random_rank_one_povm(5, 2, np.random.default_rng(5))),
+             "random-4": lambda: random_povm(6, 4, np.random.default_rng(7))}[which]()
+        hermitian_part = (p.elements + p.elements.conj().swapaxes(-1, -2)) / 2
+        assert hermitian_part.tobytes() == p.elements.tobytes()
+        # the rows as built from the Hermitian part: descending eigen-pieces
+        # above the rank cutoff, element by element
+        w, v = np.linalg.eigh(hermitian_part)
+        w, v = w[:, ::-1], v[:, :, ::-1]
+        element, piece = np.nonzero(rank_mask(w))
+        rows = np.sqrt(w[element, piece])[:, None] * v[element, :, piece].conj()
+        ext = full_neumark(p)
+        assert ext.isometry.tobytes() == rows.tobytes()
+        assert ext.outcome_map == tuple(element.tolist())
 
     def test_padded_outcome_probability_zero(self, rng):
         p = pad_to_power_of_two(random_rank_one_povm(3, 2, rng))

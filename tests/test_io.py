@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from povmtree import (
-    NotHermitianError,
     ParseError,
     QuantumState,
-    TreeVerificationError,
+    ValidationError,
+    VerificationError,
     compile_tree,
     node_path,
     pad_to_power_of_two,
@@ -244,8 +244,9 @@ class TestTreeFiles:
         elements[2, 1, 1] += 1e-20j  # far below tol_check, but not Hermitian
         hand_built = replace(tree, povm=replace(tree.povm, elements=elements))
         path = tmp_path / "bad.tree"
-        with pytest.raises(NotHermitianError) as err:
+        with pytest.raises(ValidationError) as err:
             save_tree(hand_built, path)
+        assert err.value.what == "hermiticity"
         assert err.value.index == 2
         assert err.value.residual == pytest.approx(2e-20)
         assert not path.exists()
@@ -361,9 +362,10 @@ class TestTamperedTreeFiles:
         header, (elements, *kraus) = parts
         path = tmp_path / "swapped.tree"
         write_tree_file(path, header, [elements[[0, 2, 1, 3]], *kraus])
-        with pytest.raises(TreeVerificationError) as err:
+        with pytest.raises(VerificationError) as err:
             load_tree(path)
         assert err.value.path == "10"
+        assert err.value.what == "leaf reconstruction"
 
     @pytest.mark.parametrize("tail", [b"\0", b"\n", bytes(16)])
     def test_trailing_bytes(self, parts, tmp_path, tail):

@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from povmtree import (
-    NotHermitianError,
-    NotIsometryError,
-    NotPsdError,
-    NotSquareError,
     Tolerances,
+    ValidationError,
+    VerificationError,
     complete_to_unitary,
     hermitian_eig,
     pseudo_inverse,
@@ -73,12 +71,14 @@ class TestHermitianEig:
                 assert pivot.real > 0 and abs(pivot.imag) < 1e-12
 
     def test_not_hermitian(self):
-        with pytest.raises(NotHermitianError):
+        with pytest.raises(ValidationError) as err:
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert err.value.what == "hermiticity"
 
     def test_not_square(self):
-        with pytest.raises(NotSquareError):
+        with pytest.raises(ValidationError) as err:
             hermitian_eig(np.zeros((2, 3)))
+        assert err.value.what == "shape"
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
@@ -173,17 +173,20 @@ class TestPsdSqrt:
         assert s[1] <= 1e-10 * s[0]
 
     def test_not_psd(self):
-        with pytest.raises(NotPsdError):
+        with pytest.raises(ValidationError) as err:
             psd_sqrt(np.diag([1.0, -1.0]))
+        assert err.value.what == "positivity"
+        assert err.value.residual == pytest.approx(-1.0)
 
-    @pytest.mark.parametrize("bad, error", [
-        (np.diag([1.0, -1.0]), NotPsdError),
-        (np.array([[1.0, 1.0], [0.0, 1.0]]), NotHermitianError),
+    @pytest.mark.parametrize("bad, what", [
+        (np.diag([1.0, -1.0]), "positivity"),
+        (np.array([[1.0, 1.0], [0.0, 1.0]]), "hermiticity"),
     ])
-    def test_stack_error_names_the_failing_matrix(self, bad, error):
+    def test_stack_error_names_the_failing_matrix(self, bad, what):
         stack = np.array([np.eye(2), np.diag([1.0, 0.0]), bad, bad], dtype=complex)
-        with pytest.raises(error) as err:
+        with pytest.raises(ValidationError) as err:
             psd_sqrt_stack(stack)
+        assert err.value.what == what
         assert err.value.index == 2
 
 
@@ -216,15 +219,19 @@ class TestCompleteToUnitary:
         assert frob(u.conj().T @ u - np.eye(5)) <= 1e-10
 
     def test_not_isometry(self):
-        with pytest.raises(NotIsometryError):
+        with pytest.raises(VerificationError) as err:
             complete_to_unitary(np.array([[1.0], [1.0]]))
+        assert err.value.what == "completeness"
+        assert err.value.residual == pytest.approx(1.0)  # |2 - 1|
 
     def test_stack_names_first_failing_block(self):
         blocks = np.stack([np.eye(3)[:, :2]] * 4).astype(complex)
         blocks[2, 0, 0] = 1.5
         blocks[3, 1, 1] = 2.0
-        with pytest.raises(NotIsometryError, match="block 2") as err:
+        with pytest.raises(VerificationError, match="element 2: ") as err:
             complete_to_unitary_stack(blocks)
+        assert err.value.what == "completeness"
+        assert err.value.index == 2
         assert err.value.residual == pytest.approx(1.25)
 
     def test_stack_completes_each_block(self, rng):
@@ -238,8 +245,9 @@ class TestCompleteToUnitary:
             assert np.array_equal(complete_to_unitary(block), one)
 
     def test_too_many_columns(self):
-        with pytest.raises(NotIsometryError):
+        with pytest.raises(VerificationError) as err:
             complete_to_unitary(np.eye(3)[:2, :])
+        assert err.value.what == "shape"
 
 
 class TestRandomUnitary:

@@ -2,12 +2,8 @@ import numpy as np
 import pytest
 
 from povmtree import (
-    DimensionMismatchError,
-    IncompleteSumError,
-    NotHermitianError,
-    NotPsdError,
-    NotUnitaryError,
     Tolerances,
+    ValidationError,
     apply_freedom,
     default_kraus,
     pad_to_power_of_two,
@@ -32,68 +28,81 @@ class TestValidate:
         assert p.n_outcomes == 2 and p.labels == ("0", "1")
 
     def test_incomplete_sum(self):
-        with pytest.raises(IncompleteSumError) as err:
+        with pytest.raises(ValidationError) as err:
             validate([np.eye(2), np.eye(2)])
+        assert err.value.what == "completeness"
         assert err.value.residual == pytest.approx(np.sqrt(2))  # |2I - I|_F
 
     def test_not_hermitian_names_element(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(NotHermitianError) as err:
+        with pytest.raises(ValidationError) as err:
             validate([np.eye(2) / 2, bad])
+        assert err.value.what == "hermiticity"
         assert err.value.index == 1
 
     def test_not_psd_names_element(self):
-        with pytest.raises(NotPsdError) as err:
+        with pytest.raises(ValidationError) as err:
             validate([np.diag([1.5, -0.5]), np.diag([-0.5, 1.5])])
+        assert err.value.what == "positivity"
         assert err.value.index == 0
-        assert err.value.min_eigenvalue == pytest.approx(-0.5)
+        assert err.value.residual == pytest.approx(-0.5)
 
     def test_first_failing_element_is_named(self):
         good = np.eye(2) / 4
         not_psd = np.diag([0.75, -0.25])
         not_hermitian = np.array([[0.25, 0.5], [0.0, 0.25]])
         both = np.array([[0.25, 0.5], [0.0, -0.25]])
-        with pytest.raises(NotPsdError) as err:
+        with pytest.raises(ValidationError) as err:
             validate([good, good, not_psd, not_hermitian, good])
+        assert err.value.what == "positivity"
         assert err.value.index == 2
-        with pytest.raises(NotHermitianError) as err:
+        with pytest.raises(ValidationError) as err:
             validate([good, good, good, not_hermitian, not_psd])
+        assert err.value.what == "hermiticity"
         assert err.value.index == 3
         # Hermiticity of an element is judged before its positivity
-        with pytest.raises(NotHermitianError) as err:
+        with pytest.raises(ValidationError) as err:
             validate([good, good, both, not_psd])
+        assert err.value.what == "hermiticity"
         assert err.value.index == 2
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValidationError) as err:
             validate([np.eye(2), np.eye(3)])
+        assert err.value.what == "shape"
 
     def test_non_finite_entry_names_element(self):
-        with pytest.raises(NotHermitianError) as err:
+        with pytest.raises(ValidationError) as err:
             validate([np.eye(2) * np.nan])
+        assert err.value.what == "hermiticity"
         assert err.value.index == 0
         half = np.eye(2) / 2
         inf = half.copy()
         inf[0, 1] = np.inf
-        with pytest.raises(NotHermitianError) as err:
+        with pytest.raises(ValidationError) as err:
             validate([half, half, inf])
+        assert err.value.what == "hermiticity"
         assert err.value.index == 2
 
     def test_non_matrix_element_is_named(self):
-        with pytest.raises(DimensionMismatchError) as err:
+        with pytest.raises(ValidationError) as err:
             validate([np.ones(2)])
+        assert err.value.what == "shape"
         assert err.value.index == 0
-        with pytest.raises(DimensionMismatchError) as err:
+        with pytest.raises(ValidationError) as err:
             validate([np.eye(2), np.eye(2), np.ones((2, 2, 2))])
+        assert err.value.what == "shape"
         assert err.value.index == 2
 
     def test_ragged_names_first_bad_element(self):
         half = np.eye(2) / 2
-        with pytest.raises(DimensionMismatchError) as err:
+        with pytest.raises(ValidationError) as err:
             validate([half, half, np.eye(3), np.eye(4)])
+        assert err.value.what == "shape"
         assert err.value.index == 2
-        with pytest.raises(DimensionMismatchError) as err:
+        with pytest.raises(ValidationError) as err:
             validate([half, np.ones((2, 3))])
+        assert err.value.what == "shape"
         assert err.value.index == 1
 
     def test_accepts_a_stack(self, tetrad_povm):
@@ -103,14 +112,16 @@ class TestValidate:
         assert p.elements is not tetrad_povm.elements
 
     def test_empty(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValidationError) as err:
             validate([])
+        assert err.value.what == "shape"
 
     def test_labels(self):
         p = validate([np.eye(2) / 2, np.eye(2) / 2], labels=["up", "down"])
         assert p.labels == ("up", "down")
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValidationError) as err:
             validate([np.eye(2)], labels=["a", "b"])
+        assert err.value.what == "shape"
 
     def test_elements_are_frozen(self, tetrad_povm):
         with pytest.raises(ValueError):
@@ -181,8 +192,9 @@ class TestApplyFreedom:
 
     def test_rejects_non_unitary(self, tetrad_povm):
         f = default_kraus(tetrad_povm)
-        with pytest.raises(NotUnitaryError) as err:
+        with pytest.raises(ValidationError) as err:
             apply_freedom(f, [np.eye(2) * 2] + [np.eye(2)] * 3)
+        assert err.value.what == "unitarity"
         assert err.value.index == 0
 
     def test_names_first_non_unitary_in_the_stack(self, tetrad_povm):
@@ -190,22 +202,26 @@ class TestApplyFreedom:
         vs = np.stack([np.eye(2)] * 4).astype(complex)
         vs[2] *= 1.5
         vs[3, 0, 0] = np.nan
-        with pytest.raises(NotUnitaryError) as err:
+        with pytest.raises(ValidationError) as err:
             apply_freedom(f, vs)
+        assert err.value.what == "unitarity"
         assert err.value.index == 2
         vs[2] = np.eye(2)
-        with pytest.raises(NotUnitaryError) as err:
+        with pytest.raises(ValidationError) as err:
             apply_freedom(f, vs)
+        assert err.value.what == "unitarity"
         assert err.value.index == 3
 
     def test_names_first_misshapen_unitary(self, tetrad_povm):
-        with pytest.raises(DimensionMismatchError) as err:
+        with pytest.raises(ValidationError) as err:
             apply_freedom(default_kraus(tetrad_povm), [np.eye(2)] * 2 + [np.eye(3), np.eye(2)])
+        assert err.value.what == "shape"
         assert err.value.index == 2
 
     def test_rejects_wrong_count(self, tetrad_povm):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValidationError) as err:
             apply_freedom(default_kraus(tetrad_povm), [np.eye(2)])
+        assert err.value.what == "shape"
 
 
 class TestPadding:
@@ -246,8 +262,9 @@ class TestGenerators:
                 assert np.linalg.matrix_rank(m, tol=1e-8) == 1
 
     def test_rank_one_needs_enough_outcomes(self, rng):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValidationError) as err:
             random_rank_one_povm(2, 3, rng)
+        assert err.value.what == "shape"
 
     def test_mixed_rank_generator(self, rng):
         strict = Tolerances(tol_check=1e-10)

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from povmtree import (
-    DimensionMismatchError,
-    InvalidStateError,
     PovmTreeError,
     QuantumState,
+    ValidationError,
     apply_freedom,
     compile_tree,
     default_kraus,
@@ -40,25 +39,27 @@ class TestQuantumState:
             QuantumState(np.eye(2))  # trace 2
         with pytest.raises(ValueError):
             QuantumState(np.diag([1.5, -0.5]))  # negative eigenvalue
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValidationError) as err:
             QuantumState(np.zeros((2, 3)))
+        assert err.value.what == "shape"
 
     @pytest.mark.parametrize(
-        "rho, what",
+        "rho, text, what",
         [
-            ([[0.5, 0.5], [0.0, 0.5]], "not Hermitian"),
-            (np.eye(2), "trace"),
-            (np.diag([1.5, -0.5]), "negative eigenvalue"),
+            ([[0.5, 0.5], [0.0, 0.5]], "not Hermitian", "hermiticity"),
+            (np.eye(2), "trace", "trace"),
+            (np.diag([1.5, -0.5]), "negative eigenvalue", "positivity"),
         ],
         ids=["not-hermitian", "trace", "negative-eigenvalue"],
     )
-    def test_invalid_state_is_typed(self, rho, what):
+    def test_invalid_state_is_typed(self, rho, text, what):
         with pytest.raises(PovmTreeError) as err:
             QuantumState(np.array(rho))
-        assert isinstance(err.value, InvalidStateError)
+        assert isinstance(err.value, ValidationError)
         assert isinstance(err.value, ValueError)
         assert err.value.exit_code == 1
-        assert what in str(err.value)
+        assert err.value.what == what
+        assert text in str(err.value)
 
     def test_random_density_valid(self, rng):
         for _ in range(10):
@@ -86,8 +87,9 @@ class TestDirectProbabilities:
         assert probs[3] == 0.0
 
     def test_dimension_mismatch(self, tetrad_povm):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValidationError) as err:
             direct_probabilities(tetrad_povm, QuantumState.maximally_mixed(3))
+        assert err.value.what == "shape"
 
     def test_matches_per_element_traces(self):
         rng = np.random.default_rng([2, 4096])
@@ -193,8 +195,9 @@ class TestPropagate:
 
     def test_dimension_mismatch(self, tetrad_povm):
         tree = compile_tree(tetrad_povm)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValidationError) as err:
             propagate(tree, QuantumState.maximally_mixed(3))
+        assert err.value.what == "shape"
 
     @pytest.mark.parametrize("d, n, n_povms", [(3, 9, 10), (4, 16, 10), (32, 64, 1)])
     def test_near_null_states_never_raise(self, d, n, n_povms):

@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from povmtree import (
-    CompletenessViolationError,
-    InconsistentChildrenError,
     SplitCoefficients,
-    TreeVerificationError,
+    VerificationError,
     apply_freedom,
     compile_tree,
     default_kraus,
@@ -113,8 +111,10 @@ class TestSplitNode:
         assert deficiency == pytest.approx(1.0)
 
     def test_inconsistent_children(self):
-        with pytest.raises(InconsistentChildrenError):
+        with pytest.raises(VerificationError) as err:
             split_node((np.eye(2), np.eye(2)), np.eye(2))
+        assert err.value.what == "children sum"
+        assert err.value.path is None
 
     def test_factorization_postcondition(self, rng):
         p = random_rank_one_povm(4, 2, rng)
@@ -275,9 +275,10 @@ class TestVerify:
         header, (elements, root, kraus) = read_tree_file(path)
         kraus[1, 0, 0, 0] += 1e-3
         write_tree_file(path, header, [elements, root, kraus])
-        with pytest.raises(TreeVerificationError) as err:
+        with pytest.raises(VerificationError) as err:
             treeio.load_tree(path)
         assert err.value.path == "1"
+        assert err.value.what == "completeness"
 
     def test_rows_are_a_sequence(self):
         # 5 outcomes padded to 8: 7 internal nodes, breadth first, and 8 leaves
