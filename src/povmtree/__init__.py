@@ -23,7 +23,6 @@ from .linalg import (
     random_unitary,
 )
 from .povm import (
-    KrausFactorization,
     Povm,
     apply_freedom,
     default_kraus,
@@ -44,9 +43,7 @@ from .simulator import (
     sample,
 )
 from .tree import (
-    DEFAULT_SPLIT,
     MeasurementTree,
-    SplitCoefficients,
     compile_tree,
     node_path,
     null_space_isometry,
@@ -58,10 +55,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CostReport",
-    "DEFAULT_SPLIT",
     "DEFAULT_TOLERANCES",
     "EigenDecomposition",
-    "KrausFactorization",
     "MeasurementTree",
     "NeumarkExtension",
     "ParseError",
@@ -70,7 +65,6 @@ __all__ = [
     "QuantumState",
     "SampleReport",
     "SimulationOutcome",
-    "SplitCoefficients",
     "Tolerances",
     "ValidationError",
     "VerificationError",

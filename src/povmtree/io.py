@@ -4,7 +4,7 @@ POVM and state files are JSON.  Complex entries are stored as two-element
 ``[real, imaginary]`` arrays.  Floats go through Python's shortest round-trip
 representation, so serialize/deserialize reproduces every matrix bit-exactly.
 
-A tree file (``tree-v4``) stores only a tree's independent data.  Its first
+A tree file (``tree-v5``) stores only a tree's independent data.  Its first
 line is a JSON header.  The padded POVM follows it, each element as its d^2
 real Hermitian parameters in little-endian float64: the real diagonal, then
 the upper off-diagonal entries as (re, im) pairs in row-major order.  The
@@ -31,14 +31,19 @@ from .errors import ParseError, ValidationError, VerificationError
 from .linalg import DEFAULT_TOLERANCES, Tolerances, adjoint, blocks, frobenius, hermitian_from_upper
 from .povm import Povm, validate
 from .simulator import QuantumState
-from .tree import MeasurementTree, SplitCoefficients, node_checks, node_path, verify
+from .tree import MeasurementTree, node_checks, node_path, verify
 
 POVM_FORMAT = "povmtree/povm-v1"
 STATE_FORMAT = "povmtree/state-v1"
-TREE_FORMAT = "povmtree/tree-v4"
+TREE_FORMAT = "povmtree/tree-v5"
 
 _BLOB_DTYPE = np.dtype("<c16")
 _PARAMETER_DTYPE = np.dtype("<f8")
+
+# Bound on the real and imaginary part of every stored entry, which keeps huge
+# entries out of verify's arithmetic: valid elements satisfy 0 <= M <= I, and
+# a pair complete within tol_check < 1 has entries of modulus <= sqrt(1 + tol_check).
+_ENTRY_BOUND = 2.0
 
 # Longest accepted header line: room for the order and labels of about a
 # million outcomes, and a bound on what a file that is not a tree file
@@ -187,19 +192,6 @@ def _finite_float(value: Any, field: str) -> float:
     return float(value)
 
 
-def _split_coefficients(data: dict) -> SplitCoefficients:
-    raw = _require(data, "split_coefficients")
-    field = "split_coefficients"
-    if not (isinstance(raw, list) and len(raw) == 2
-            and all(isinstance(c, list) and len(c) == 2 for c in raw)):
-        raise ParseError("must be two [re, im] pairs", field=field)
-    a0, a1 = (complex(_finite_float(c[0], field), _finite_float(c[1], field)) for c in raw)
-    try:
-        return SplitCoefficients(a0=a0, a1=a1)
-    except ValueError as err:
-        raise ParseError(str(err), field=field) from err
-
-
 def _tolerances(data: dict) -> Tolerances:
     raw = _require(data, "tolerances")
     if not isinstance(raw, dict):
@@ -286,7 +278,7 @@ def _hermitian_parameters(block: np.ndarray) -> np.ndarray:
 
 
 def save_tree(tree: MeasurementTree, path) -> None:
-    """Write ``tree`` as ``tree-v4``: one JSON header line, then the arrays.
+    """Write ``tree`` as ``tree-v5``: one JSON header line, then the arrays.
 
     The padded POVM ``tree.povm.elements`` is written block by block
     (:func:`povmtree.linalg.blocks`) as its elements' real Hermitian
@@ -301,17 +293,13 @@ def save_tree(tree: MeasurementTree, path) -> None:
         :class:`povmtree.povm.Povm` built by hand may be; its lower
         triangle would not survive the round trip.
     """
-    p, coeffs, tol = tree.povm, tree.split_coefficients, tree.tolerances
+    p, tol = tree.povm, tree.tolerances
     _require_hermitian(p.elements)
     header = {
         "format": TREE_FORMAT,
         "dimension": p.dim,
         "n_outcomes": p.n_outcomes,
         "depth": tree.depth,
-        "split_coefficients": [
-            [coeffs.a0.real, coeffs.a0.imag],
-            [coeffs.a1.real, coeffs.a1.imag],
-        ],
         "tolerances": {
             "tol_rank": tol.tol_rank,
             "tol_check": tol.tol_check,
@@ -389,13 +377,16 @@ def _check_blob_bytes(available: int, dim: int, depth: int) -> None:
 
 
 def _read_into(handle, a: np.ndarray, field: str) -> None:
-    """Fill ``a`` from the file; its entries finite."""
+    """Fill ``a`` from the file; each real and imaginary part within ``_ENTRY_BOUND``."""
     got = handle.readinto(a)
     if got != a.nbytes:  # the file shrank after its size was checked
         raise ParseError(f"blob holds {got} bytes, expected {a.nbytes} for shape {a.shape}",
                          field=field)
-    if not np.isfinite(a).all():
-        raise ParseError("array has a non-finite entry", field=field)
+    parts = a.view(_PARAMETER_DTYPE)  # real and imaginary parts side by side
+    # no arithmetic, so nothing overflows; a nan fails both comparisons
+    if not (-_ENTRY_BOUND <= parts.min() and parts.max() <= _ENTRY_BOUND):
+        raise ParseError(f"array has an entry whose real or imaginary part is not finite and "
+                         f"within {_ENTRY_BOUND:g} of zero", field=field)
 
 
 def _read_elements(handle, n: int, dim: int) -> np.ndarray:
@@ -415,7 +406,7 @@ def _read_elements(handle, n: int, dim: int) -> np.ndarray:
 
 
 def _read_blob(handle, shape: tuple[int, ...], field: str) -> np.ndarray:
-    """The next Kraus array of a tree file, read into its own read-only buffer; its entries finite."""
+    """The next Kraus array of a tree file, read into its own read-only buffer; entries bounded."""
     a = np.empty(shape, dtype=_BLOB_DTYPE)
     _read_into(handle, a, field)
     a = a.astype(complex, copy=False)  # a no-op on a little-endian host
@@ -424,7 +415,7 @@ def _read_blob(handle, shape: tuple[int, ...], field: str) -> np.ndarray:
 
 
 def load_tree(path) -> MeasurementTree:
-    """Read, check and verify a ``tree-v4`` file.
+    """Read, check and verify a ``tree-v5`` file.
 
     Each blob is read into the array the tree keeps, so the file is never
     held twice, and only once every blob's byte count has been checked.
@@ -437,14 +428,14 @@ def load_tree(path) -> MeasurementTree:
     ------
     ParseError
         In the order checked: a header line longer than ``_HEADER_LIMIT``
-        bytes or not one JSON object; a format other than ``tree-v4`` (a
-        ``tree-v3`` file too: recompile it from its POVM file);
-        ``n_outcomes`` other than ``2**depth``; a header line without its
-        newline; malformed split coefficients or tolerances; ``order`` not a
-        permutation of the outcomes; a blob shorter than its shape needs, or
-        bytes after the last blob; a non-finite array entry; ``labels`` not
-        one string per outcome; or ``n_original`` marking a nonzero element
-        as padding.
+        bytes or not one JSON object; a format other than ``tree-v5`` (a
+        ``tree-v4`` or ``tree-v3`` file too: recompile it from its POVM
+        file); ``n_outcomes`` other than ``2**depth``; a header line without
+        its newline; malformed tolerances; ``order`` not a permutation of
+        the outcomes; a blob shorter than its shape needs, or bytes after
+        the last blob; an array entry whose real or imaginary part is not
+        finite or exceeds 2 in magnitude; ``labels`` not one string per
+        outcome; or ``n_original`` marking a nonzero element as padding.
     VerificationError
         If the rebuilt tree fails :func:`povmtree.tree.verify`: ``path``
         names the first failing node, breadth first with the leaves last,
@@ -454,12 +445,11 @@ def load_tree(path) -> MeasurementTree:
     """
     with open(path, "rb") as handle:
         header, dim, depth = _read_header(handle)
-        coeffs, tol = _split_coefficients(header), _tolerances(header)
+        tol = _tolerances(header)
         order = _order(header, 1 << depth)
         _check_blob_bytes(os.fstat(handle.fileno()).st_size - handle.tell(), dim, depth)
         elements = _read_elements(handle, 1 << depth, dim)
         kraus = [_read_blob(handle, (1 << level, 2, dim, dim), f"kraus[{level}]")
                  for level in range(depth)]
     povm = _povm(header, elements)
-    return _verified(MeasurementTree(povm=povm, order=order, kraus=tuple(kraus),
-                                     split_coefficients=coeffs, tolerances=tol))
+    return _verified(MeasurementTree(povm=povm, order=order, kraus=tuple(kraus), tolerances=tol))

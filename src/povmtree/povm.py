@@ -141,27 +141,19 @@ def validate(elements, labels=None, tol: Tolerances = DEFAULT_TOLERANCES) -> Pov
     return Povm(dim=dim, elements=_frozen(stack), labels=labels, n_original=n)
 
 
-@dataclass(frozen=True, eq=False)
-class KrausFactorization:
-    """Kraus operators with ``m_j^dag m_j = M_j``, one read-only ``(N, d, d)`` array."""
+def default_kraus(p: Povm, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    """Canonical Kraus operators ``m_j = sqrt(M_j)``, so ``m_j^dag m_j = M_j``.
 
-    kraus: np.ndarray
-
-    @property
-    def n_outcomes(self) -> int:
-        return len(self.kraus)
+    Returns the Hermitian PSD roots (one stacked ``eigh``) as one read-only
+    ``(N, d, d)`` array.
+    """
+    return _frozen(psd_sqrt_stack(p.elements, tol))
 
 
-def default_kraus(p: Povm, tol: Tolerances = DEFAULT_TOLERANCES) -> KrausFactorization:
-    """Canonical factorization ``m_j = sqrt(M_j)`` (Hermitian PSD roots, stacked ``eigh``)."""
-    return KrausFactorization(kraus=_frozen(psd_sqrt_stack(p.elements, tol)))
+def apply_freedom(kraus: np.ndarray, unitaries, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    """Rotate each Kraus operator of an ``(N, d, d)`` stack, ``m_j -> V_j m_j``.
 
-
-def apply_freedom(
-    f: KrausFactorization, unitaries, tol: Tolerances = DEFAULT_TOLERANCES
-) -> KrausFactorization:
-    """Rotate each Kraus operator, ``m_j -> V_j m_j``.
-
+    Returns the rotated operators as a new read-only ``(N, d, d)`` array.
     The measurement operators ``m_j^dag m_j`` and therefore all outcome
     probabilities are unchanged; only post-measurement states rotate.
     ``unitaries`` is a sequence of d x d matrices or one ``(N, d, d)`` array,
@@ -177,10 +169,10 @@ def apply_freedom(
     """
     if not isinstance(unitaries, np.ndarray):
         unitaries = list(unitaries)
-    if len(unitaries) != len(f.kraus):
-        raise ValidationError(f"got {len(unitaries)} unitaries for {len(f.kraus)} Kraus operators",
+    if len(unitaries) != len(kraus):
+        raise ValidationError(f"got {len(unitaries)} unitaries for {len(kraus)} Kraus operators",
                               what="shape")
-    shape = f.kraus.shape[1:]
+    shape = kraus.shape[1:]
     for j, v in enumerate(unitaries):
         if np.shape(v) != shape:
             raise ValidationError(f"unitary has shape {np.shape(v)}, expected {shape}",
@@ -193,7 +185,7 @@ def apply_freedom(
             r = residual[bad[0]]
             raise ValidationError(f"matrix is not unitary, |V^dag V - I|_F = {r:.3e}",
                                   what="unitarity", residual=r, index=rows.start + int(bad[0]))
-    return KrausFactorization(kraus=_frozen(vs @ f.kraus))
+    return _frozen(vs @ kraus)
 
 
 def pad_to_power_of_two(p: Povm) -> Povm:

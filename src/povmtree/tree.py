@@ -10,13 +10,13 @@ two-outcome Kraus operator applied at the node is
     b_c = m_c @ pinv(m_x) + a_c * (V_c @ g)
 
 where g is the null-space correction of m_x (see
-:func:`null_space_isometry`), the complex coefficients satisfy
-|a_0|^2 + |a_1|^2 = 1, and V_c is the isometric (polar) factor of m_c.  For
-Hermitian targets, which is every target the default pipeline produces, V_c
-acts as the identity on the relevant subspace and the formula reduces to the
-plain pseudoinverse-plus-correction ansatz; the V_c factor is what keeps the
-pair complete when a leaf target carries unitary Kraus freedom and the parent
-is rank deficient.
+:func:`null_space_isometry`), a_0 = a_1 = 1/sqrt(2) share the correction
+equally (any |a_0|^2 + |a_1|^2 = 1 would do), and V_c is the isometric
+(polar) factor of m_c.  For Hermitian targets, which is every target the
+default pipeline produces, V_c acts as the identity on the relevant subspace
+and the formula reduces to the plain pseudoinverse-plus-correction ansatz;
+the V_c factor is what keeps the pair complete when a leaf target carries
+unitary Kraus freedom and the parent is rank deficient.
 
 A compiled tree is held as the paper's list of rounds: level l is one
 ``(2**l, 2, d, d)`` array of Kraus pairs, and nothing derived is stored.
@@ -24,7 +24,7 @@ Child cumulative operators are the products b_c @ m_x (see
 :meth:`MeasurementTree.cumulative_kraus`), so the factorization identity
 m_child = b_child @ m_parent holds by construction at every edge.
 Internal-node targets are Hermitian square roots of partial element sums;
-leaf targets come from the supplied Kraus factorization.  Compilation and
+leaf targets come from the supplied Kraus operators.  Compilation and
 verification work one level at a time, with one stacked LAPACK call per
 block of at most 64 KiB of nodes for each kind of decomposition; checks run
 block by block in node order, so a later-kind failure in an earlier block
@@ -51,24 +51,12 @@ from .linalg import (
     rank_mask,
     svd_inverse,
 )
-from .povm import KrausFactorization, Povm, pad_to_power_of_two
+from .povm import Povm, pad_to_power_of_two
 from .records import VerificationReport
 
-
-@dataclass(frozen=True)
-class SplitCoefficients:
-    """Weights (a0, a1) distributing the null-space correction between children."""
-
-    a0: complex = 1 / math.sqrt(2)
-    a1: complex = 1 / math.sqrt(2)
-
-    def __post_init__(self) -> None:
-        total = abs(self.a0) ** 2 + abs(self.a1) ** 2
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"|a0|^2 + |a1|^2 must be 1, got {total}")
-
-
-DEFAULT_SPLIT = SplitCoefficients()
+# The weight a_0 = a_1 of the null-space correction in both children's operators;
+# multiplied, not divided by sqrt(2), which rounds differently in the last bit
+_A = 1 / math.sqrt(2)
 
 
 def node_path(level: int, index: int) -> str:
@@ -123,7 +111,6 @@ class MeasurementTree:
     povm: Povm
     order: tuple[int, ...]
     kraus: tuple[np.ndarray, ...]
-    split_coefficients: SplitCoefficients
     tolerances: Tolerances
 
     @property
@@ -177,7 +164,6 @@ def _dust(m: np.ndarray, tol: Tolerances) -> np.ndarray:
 def _split_level(
     targets: np.ndarray,
     parents: np.ndarray,
-    coeffs: SplitCoefficients,
     tol: Tolerances,
     level: int | None = None,
     first: int = 0,
@@ -197,8 +183,7 @@ def _split_level(
     deficient = np.flatnonzero(rank < parents.shape[-1])
     if deficient.size:
         polar = np.matmul(*np.linalg.svd(targets[deficient])[::2])  # u @ vh, without holding u, vh
-        a = np.array([coeffs.a0, coeffs.a1])[:, None, None]
-        pairs[deficient] += a * (polar @ g[deficient][:, None])
+        pairs[deficient] += _A * (polar @ g[deficient][:, None])
     raise_first(completeness_residuals(pairs), "completeness", "completeness post-check failed")
     fact = np.linalg.norm(pairs @ parents[:, None] - targets, axis=(-2, -1))
     # per node, b0's residual if it fails, else b1's
@@ -230,7 +215,6 @@ def null_space_isometry(parent_kraus, tol: Tolerances = DEFAULT_TOLERANCES) -> n
 def split_node(
     children_kraus,
     parent_kraus,
-    coeffs: SplitCoefficients = DEFAULT_SPLIT,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> np.ndarray:
     """Construct the two-outcome Kraus pair taking a parent to its children.
@@ -242,14 +226,14 @@ def split_node(
         ``m_left^dag m_left + m_right^dag m_right = parent^dag parent``.
     parent_kraus
         The parent node's cumulative Kraus operator.
-    coeffs, tol
-        Correction weights and numerical thresholds.
+    tol
+        Numerical thresholds.
 
     Returns the read-only ``(2, d, d)`` pair ``[b0, b1]`` with
-    ``b_c = m_c @ pinv(parent) + a_c * V_c @ g``, where g is
-    the parent's null-space correction and V_c the polar isometry of the
-    child target (identity-acting for Hermitian targets, so the plain
-    ``m @ pinv + a g`` ansatz is recovered).  Guarantees, within
+    ``b_c = m_c @ pinv(parent) + a_c * V_c @ g`` and ``a_c = 1/sqrt(2)``,
+    where g is the parent's null-space correction and V_c the polar
+    isometry of the child target (identity-acting for Hermitian targets, so
+    the plain ``m @ pinv + a g`` ansatz is recovered).  Guarantees, within
     ``tol.tol_check``, completeness ``b0^dag b0 + b1^dag b1 = I`` and the
     factorization ``b_c @ parent = m_c``.  :func:`compile_tree` runs the
     same construction on a whole level at once.
@@ -266,7 +250,7 @@ def split_node(
     d = parent.shape[0]
     if parent.shape != (d, d) or m_left.shape != (d, d) or m_right.shape != (d, d):
         raise ValueError("children and parent must be square matrices of equal dimension")
-    pair = _split_level(np.stack([m_left, m_right])[None], parent[None], coeffs, tol)[0]
+    pair = _split_level(np.stack([m_left, m_right])[None], parent[None], tol)[0]
     pair.setflags(write=False)
     return pair
 
@@ -287,18 +271,19 @@ def _resolve_partition(partition, n_real: int, n_padded: int) -> tuple[int, ...]
 
 def compile_tree(
     p: Povm,
-    factorization: KrausFactorization | None = None,
+    factorization: np.ndarray | None = None,
     partition=None,
-    coeffs: SplitCoefficients = DEFAULT_SPLIT,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> MeasurementTree:
     """Compile a POVM into a binary measurement tree.
 
     The outcome set is padded to a power of two and laid out left to right in
     ``partition`` order (default: index order), each node splitting its
-    ordered outcome list in half.  Leaf targets come from ``factorization``
-    (default: Hermitian square roots); internal targets are square roots of
-    the partial element sums, added in pairs from the ordered elements.
+    ordered outcome list in half.  Leaf targets come from ``factorization``,
+    an ``(N, d, d)`` array of Kraus operators with ``m_j^dag m_j = M_j`` as
+    :func:`povmtree.povm.default_kraus` returns (default: Hermitian square
+    roots); internal targets are square roots of the partial element sums,
+    added in pairs from the ordered elements.
     Levels are compiled top-down, per block of at most 64 KiB of parents
     with one stacked ``eigh`` and one stacked SVD, checking block by block
     in node order (a later-kind failure in an earlier block comes first).
@@ -317,10 +302,9 @@ def compile_tree(
     n, d = padded.n_outcomes, padded.dim
     depth = n.bit_length() - 1
     order = _resolve_partition(partition, p.n_outcomes, n)
-    if factorization is not None and factorization.n_outcomes not in (p.n_outcomes, n):
+    if factorization is not None and len(factorization) not in (p.n_outcomes, n):
         raise ValueError(
-            f"factorization has {factorization.n_outcomes} operators for "
-            f"{p.n_outcomes} outcomes"
+            f"factorization has {len(factorization)} operators for {p.n_outcomes} outcomes"
         )
     at = np.array(order)
     levels = []
@@ -332,24 +316,18 @@ def compile_tree(
             lo, hi = 2 * nodes.start * span, 2 * nodes.stop * span
             if span == 1 and factorization is not None:
                 # a factorization of the unpadded outcomes leaves the padding leaves zero
-                real = at[lo:hi] < factorization.n_outcomes
+                real = at[lo:hi] < len(factorization)
                 targets = np.zeros((hi - lo, d, d), dtype=complex)
-                targets[real] = factorization.kraus[at[lo:hi][real]]
+                targets[real] = factorization[at[lo:hi][real]]
             else:
                 targets = psd_sqrt_stack(_ordered_sums(padded.elements, at, lo, hi, span), tol)
-            pairs[nodes] = _split_level(targets.reshape(-1, 2, d, d), m[nodes], coeffs, tol,
-                                        level, nodes.start)
+            pairs[nodes] = _split_level(targets.reshape(-1, 2, d, d), m[nodes], tol, level,
+                                        nodes.start)
         pairs.setflags(write=False)
         levels.append(pairs)
         if level + 1 < depth:
             m = _descend(pairs, m)
-    return MeasurementTree(
-        povm=padded,
-        order=order,
-        kraus=tuple(levels),
-        split_coefficients=coeffs,
-        tolerances=tol,
-    )
+    return MeasurementTree(povm=padded, order=order, kraus=tuple(levels), tolerances=tol)
 
 
 def node_checks(columns: dict, t: Tolerances):

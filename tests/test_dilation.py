@@ -42,7 +42,7 @@ class TestDilateBinary:
 
     def test_round_trip_bit_exact(self, rng):
         p = random_povm(2, 3, rng, ranks=[2, 3])
-        pair = default_kraus(p).kraus
+        pair = default_kraus(p)
         u = dilate_binary(pair)
         assert u.shape == (6, 6)
         assert frob(u.conj().T @ u - np.eye(6)) <= 1e-10
@@ -51,7 +51,7 @@ class TestDilateBinary:
 
     def test_extraction_completeness(self, rng):
         p = random_povm(2, 4, rng)
-        u = dilate_binary(default_kraus(p).kraus)
+        u = dilate_binary(default_kraus(p))
         b0, b1 = u[:4, :4], u[4:, :4]
         assert frob(b0.conj().T @ b0 + b1.conj().T @ b1 - np.eye(4)) <= 1e-10
 

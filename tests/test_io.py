@@ -2,6 +2,7 @@ import base64
 import gc
 import json
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -148,7 +149,6 @@ class TestTreeFiles:
         save_tree(tree, path)
         again = load_tree(path)
         assert again.depth == tree.depth
-        assert again.split_coefficients == tree.split_coefficients
         assert again.tolerances == tree.tolerances
         assert again.order == tree.order
         assert len(again.kraus) == len(tree.kraus)
@@ -199,14 +199,12 @@ class TestTreeFiles:
     # The header is pinned byte for byte; the arrays are compared with the
     # tree's own, since their low bits can differ between LAPACK builds.
     TETRAD_HEADER = (
-        b'{"format": "povmtree/tree-v4", "dimension": 2, "n_outcomes": 4, "depth": 2, '
-        b'"split_coefficients": [[0.7071067811865475, 0.0], [0.7071067811865475, 0.0]], '
+        b'{"format": "povmtree/tree-v5", "dimension": 2, "n_outcomes": 4, "depth": 2, '
         b'"tolerances": {"tol_rank": 1e-10, "tol_check": 1e-09, "tol_unitary": 1e-10}, '
         b'"order": [0, 3, 1, 2], "labels": ["0", "1", "2", "3"], "n_original": 4}'
     )
     PADDED_HEADER = (
-        b'{"format": "povmtree/tree-v4", "dimension": 2, "n_outcomes": 8, "depth": 3, '
-        b'"split_coefficients": [[0.7071067811865475, 0.0], [0.7071067811865475, 0.0]], '
+        b'{"format": "povmtree/tree-v5", "dimension": 2, "n_outcomes": 8, "depth": 3, '
         b'"tolerances": {"tol_rank": 1e-10, "tol_check": 1e-09, "tol_unitary": 1e-10}, '
         b'"order": [0, 1, 2, 3, 4, 5, 6, 7], '
         b'"labels": ["0", "1", "2", "3", "4", "pad5", "pad6", "pad7"], "n_original": 5}'
@@ -309,6 +307,25 @@ class TestTamperedTreeFiles:
             load_tree(path)
         assert err.value.field == "elements"
 
+    @pytest.mark.parametrize("blob, scale", [("kraus[0]", 1e100), ("kraus[0]", 1e200),
+                                             ("elements", 1e200)])
+    def test_huge_entry(self, tmp_path, blob, scale):
+        # finite entries this large once overflowed in verify, which warned
+        # (4, 12 and 4 times) before it raised
+        path = tmp_path / "huge.tree"
+        save_tree(compile_tree(random_rank_one_povm(8, 2, np.random.default_rng(5))), path)
+        header, (elements, *kraus) = read_tree_file(path)
+        if blob == "elements":
+            elements[3] *= scale
+        else:
+            kraus[0][0] *= scale  # the root's pair
+        write_tree_file(path, header, [elements, *kraus])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError) as err:
+                load_tree(path)
+        assert err.value.field == blob
+
     def test_v1_file_is_not_read(self, tmp_path):
         identity = encode_matrix(np.eye(2))
         v1 = {
@@ -327,22 +344,33 @@ class TestTamperedTreeFiles:
         with pytest.raises(ParseError) as err:
             load_tree(path)
         assert err.value.field == "format"
-        assert "povmtree/tree-v4" in str(err.value)
+        assert "povmtree/tree-v5" in str(err.value)
 
-    def test_v3_file_is_not_read(self, tetrad_povm, tmp_path):
-        # tree-v3 had the same header, then every element's d^2 complex128 entries
+    @pytest.mark.parametrize("version", ["tree-v3", "tree-v4"])
+    def test_v3_file_is_not_read(self, tetrad_povm, tmp_path, version):
+        # tree-v3 and tree-v4 had the split coefficients after the depth in the
+        # header; then tree-v3 had every element's d^2 complex128 entries and
+        # tree-v4 the elements' parameters, as tree-v5 has
         tree = compile_tree(tetrad_povm, partition=[0, 3, 1, 2])
         path = tmp_path / "old.tree"
         save_tree(tree, path)
-        header, _ = read_tree_file(path)
-        with open(path, "wb") as handle:
-            handle.write(json.dumps(dict(header, format="povmtree/tree-v3")).encode() + b"\n")
-            for a in (tree.povm.elements, *tree.kraus):
-                handle.write(a.tobytes())
+        header, arrays = read_tree_file(path)
+        old = {}
+        for key, value in header.items():
+            old[key] = f"povmtree/{version}" if key == "format" else value
+            if key == "depth":
+                old["split_coefficients"] = [[2 ** -0.5, 0.0], [2 ** -0.5, 0.0]]
+        if version == "tree-v4":
+            write_tree_file(path, old, arrays)
+        else:
+            with open(path, "wb") as handle:
+                handle.write(json.dumps(old).encode() + b"\n")
+                for a in (tree.povm.elements, *tree.kraus):
+                    handle.write(a.tobytes())
         with pytest.raises(ParseError) as err:
             load_tree(path)
         assert err.value.field == "format"
-        assert "povmtree/tree-v3" in str(err.value)
+        assert f"povmtree/{version}" in str(err.value)
 
     @pytest.mark.parametrize("indent", [None, 1])
     def test_v2_file_is_not_read(self, parts, tmp_path, indent):

@@ -140,19 +140,20 @@ class TestDefaultKraus:
     def test_projective_roots_are_projectors(self):
         p = validate([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
         f = default_kraus(p)
-        assert np.allclose(f.kraus[0], np.diag([1.0, 0.0]), atol=1e-12)
-        assert np.allclose(f.kraus[1], np.diag([0.0, 1.0]), atol=1e-12)
+        assert f.shape == (2, 2, 2) and not f.flags.writeable
+        assert np.allclose(f[0], np.diag([1.0, 0.0]), atol=1e-12)
+        assert np.allclose(f[1], np.diag([0.0, 1.0]), atol=1e-12)
 
     def test_uniform_pair(self):
         p = validate([np.eye(2) / 2, np.eye(2) / 2])
         f = default_kraus(p)
-        for m in f.kraus:
+        for m in f:
             assert np.allclose(m, np.eye(2) / np.sqrt(2), atol=1e-12)
 
     def test_tetrad_rank_one_identity(self, tetrad_povm):
         # for rank-one M the Hermitian root is M / sqrt(tr M)
         f = default_kraus(tetrad_povm)
-        for m, element in zip(f.kraus, tetrad_povm.elements):
+        for m, element in zip(f, tetrad_povm.elements):
             assert frob(m.conj().T @ m - element) <= 1e-9
             assert np.allclose(m, element / np.sqrt(np.trace(element).real), atol=1e-9)
 
@@ -162,7 +163,7 @@ class TestDefaultKraus:
             n = int(rng.integers(d, 10))
             p = random_povm(n, d, rng)
             f = default_kraus(p)
-            for m, element in zip(f.kraus, p.elements):
+            for m, element in zip(f, p.elements):
                 assert frob(m.conj().T @ m - element) <= 1e-9
 
 
@@ -170,15 +171,15 @@ class TestApplyFreedom:
     def test_identity_freedom(self, tetrad_povm):
         f = default_kraus(tetrad_povm)
         f2 = apply_freedom(f, [np.eye(2)] * 4)
-        for a, b in zip(f.kraus, f2.kraus):
+        for a, b in zip(f, f2):
             assert np.allclose(a, b)
 
     def test_pauli_x_on_projective(self):
         p = validate([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
         x = np.array([[0.0, 1.0], [1.0, 0.0]])
         f2 = apply_freedom(default_kraus(p), [x, x])
-        assert np.allclose(f2.kraus[0], np.array([[0.0, 0.0], [1.0, 0.0]]))
-        for m, element in zip(f2.kraus, p.elements):
+        assert np.allclose(f2[0], np.array([[0.0, 0.0], [1.0, 0.0]]))
+        for m, element in zip(f2, p.elements):
             assert frob(m.conj().T @ m - element) <= 1e-12
 
     def test_preserves_operators(self, tetrad_povm, rng):
@@ -187,7 +188,7 @@ class TestApplyFreedom:
         f = default_kraus(tetrad_povm)
         vs = [random_unitary(2, rng) for _ in range(4)]
         f2 = apply_freedom(f, vs)
-        for m, element in zip(f2.kraus, tetrad_povm.elements):
+        for m, element in zip(f2, tetrad_povm.elements):
             assert frob(m.conj().T @ m - element) <= 1e-9
 
     def test_rejects_non_unitary(self, tetrad_povm):

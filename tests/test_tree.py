@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from povmtree import (
-    SplitCoefficients,
     VerificationError,
     apply_freedom,
     compile_tree,
@@ -38,16 +37,6 @@ def second_stage(tree):
     """Outcome -> the Kraus operator applied at the last level to reach its leaf."""
     # leaf i is outcome order[i], reached by b_(i % 2) of the pair at node i // 2
     return {j: tree.kraus[-1][i // 2, i % 2] for i, j in enumerate(tree.order)}
-
-
-class TestSplitCoefficients:
-    def test_default_normalized(self):
-        c = SplitCoefficients()
-        assert abs(abs(c.a0) ** 2 + abs(c.a1) ** 2 - 1) < 1e-12
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            SplitCoefficients(1.0, 1.0)
 
 
 class TestNullSpaceIsometry:
@@ -85,19 +74,19 @@ class TestSplitNode:
     def test_root_case_returns_children(self, rng):
         p = random_rank_one_povm(2, 2, rng)
         f = default_kraus(p)
-        pair = split_node((f.kraus[0], f.kraus[1]), np.eye(2))
+        pair = split_node((f[0], f[1]), np.eye(2))
         assert pair.shape == (2, 2, 2) and not pair.flags.writeable
-        assert np.allclose(pair[0], f.kraus[0], atol=1e-14)
-        assert np.allclose(pair[1], f.kraus[1], atol=1e-14)
+        assert np.allclose(pair[0], f[0], atol=1e-14)
+        assert np.allclose(pair[1], f[1], atol=1e-14)
 
     def test_rank_deficient_parent_oracle(self):
         # hand-derived: parent diag(1,0) split into equal halves diag(1/2,0)
         parent = np.diag([1.0, 0.0]).astype(complex)
         child = np.diag([1 / np.sqrt(2), 0.0]).astype(complex)
-        coeffs = SplitCoefficients(0.6, 0.8)
-        pair = split_node((child, child), parent, coeffs)
-        assert np.allclose(pair[0], np.diag([1 / np.sqrt(2), 0.6]), atol=1e-12)
-        assert np.allclose(pair[1], np.diag([1 / np.sqrt(2), 0.8]), atol=1e-12)
+        # each child takes a_c = 1/sqrt(2) of the correction g = |1><1|
+        pair = split_node((child, child), parent)
+        assert np.allclose(pair[0], np.diag([1 / np.sqrt(2), 1 / np.sqrt(2)]), atol=1e-12)
+        assert np.allclose(pair[1], np.diag([1 / np.sqrt(2), 1 / np.sqrt(2)]), atol=1e-12)
         assert completeness_residuals(pair[None])[0] <= 1e-12
 
     def test_completeness_needs_correction(self):
@@ -119,9 +108,9 @@ class TestSplitNode:
     def test_factorization_postcondition(self, rng):
         p = random_rank_one_povm(4, 2, rng)
         m01 = psd_sqrt(p.elements[0] + p.elements[1])
-        pair = split_node((default_kraus(p).kraus[0], default_kraus(p).kraus[1]), m01)
-        assert frob(pair[0] @ m01 - default_kraus(p).kraus[0]) <= 1e-9
-        assert frob(pair[1] @ m01 - default_kraus(p).kraus[1]) <= 1e-9
+        pair = split_node((default_kraus(p)[0], default_kraus(p)[1]), m01)
+        assert frob(pair[0] @ m01 - default_kraus(p)[0]) <= 1e-9
+        assert frob(pair[1] @ m01 - default_kraus(p)[1]) <= 1e-9
 
 
 class TestTetradTree:
