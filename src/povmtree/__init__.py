@@ -13,9 +13,7 @@ from .cost import CostReport, compare, crossover
 from .dilation import NeumarkExtension, dilate_binary, full_neumark
 from .errors import ParseError, PovmTreeError, ValidationError, VerificationError
 from .linalg import (
-    DEFAULT_TOLERANCES,
     EigenDecomposition,
-    Tolerances,
     complete_to_unitary,
     hermitian_eig,
     pseudo_inverse,
@@ -55,7 +53,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CostReport",
-    "DEFAULT_TOLERANCES",
     "EigenDecomposition",
     "MeasurementTree",
     "NeumarkExtension",
@@ -65,7 +62,6 @@ __all__ = [
     "QuantumState",
     "SampleReport",
     "SimulationOutcome",
-    "Tolerances",
     "ValidationError",
     "VerificationError",
     "VerificationReport",

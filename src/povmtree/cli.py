@@ -18,18 +18,12 @@ import numpy as np
 from . import cost as cost_model
 from . import io as treeio
 from .errors import PovmTreeError
-from .linalg import DEFAULT_TOLERANCES, Tolerances, frobenius, hermitian_eig
+from .linalg import frobenius, hermitian_eig
 from .povm import pad_to_power_of_two, tetrad
 from .simulator import QuantumState, direct_probabilities, propagate, sample, random_density
 from .tree import compile_tree, verify
 
 _PREFIXES = {1: "invalid", 2: "error", 3: "verification error"}
-
-
-def _tolerances(args) -> Tolerances:
-    if getattr(args, "tol", None) is None:
-        return DEFAULT_TOLERANCES
-    return Tolerances(tol_check=args.tol)
 
 
 def _parse_grouping(text: str, n_outcomes: int) -> list[int]:
@@ -58,8 +52,7 @@ def _format_matrix(m: np.ndarray) -> str:
 
 
 def cmd_validate(args) -> int:
-    tol = _tolerances(args)
-    povm = treeio.load_povm(args.path, tol=tol)
+    povm = treeio.load_povm(args.path)
     identity = np.eye(povm.dim)
     total = povm.elements.sum(axis=0)
     print(f"POVM: {povm.n_outcomes} outcomes on dimension {povm.dim}")
@@ -76,8 +69,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    tol = _tolerances(args)
-    povm = treeio.load_povm(args.path, tol=tol)
+    povm = treeio.load_povm(args.path)
     padded = pad_to_power_of_two(povm)
     if padded.n_outcomes != povm.n_outcomes:
         print(
@@ -87,7 +79,7 @@ def cmd_compile(args) -> int:
     partition = None
     if args.grouping is not None:
         partition = _parse_grouping(args.grouping, povm.n_outcomes)  # ValueError exits 2
-    tree = compile_tree(povm, partition=partition, tol=tol)
+    tree = compile_tree(povm, partition=partition)
     report = verify(tree)
     print(report.summary())
 
@@ -229,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_validate = sub.add_parser("validate", help="check a POVM file")
     p_validate.add_argument("path", help="POVM JSON file")
-    p_validate.add_argument("--tol", type=float, default=None, help="validation threshold")
     p_validate.set_defaults(func=cmd_validate)
 
     p_compile = sub.add_parser("compile", help="compile a POVM file into a tree file")
@@ -241,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_compile.add_argument("--seed", type=int, default=0,
                            help="seed for the random-state cross-check")
-    p_compile.add_argument("--tol", type=float, default=None, help="validation threshold")
     p_compile.add_argument("--out", default=None, help="output tree file")
     p_compile.set_defaults(func=cmd_compile)
 

@@ -22,14 +22,14 @@ measurement there after a basis-change unitary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError, VerificationError
 from .linalg import (
-    DEFAULT_TOLERANCES,
-    Tolerances,
+    TOL_CHECK,
+    TOL_UNITARY,
     adjoint,
     as_complex_matrix,
     blocks,
@@ -56,7 +56,7 @@ def completeness_residuals(pairs: np.ndarray) -> np.ndarray:
     return residuals
 
 
-def dilate_level(pairs, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def dilate_level(pairs) -> np.ndarray:
     """Probe couplings of a ``(k, 2, d, d)`` stack of Kraus pairs, shape ``(k, 2d, 2d)``.
 
     Each coupling has the pair's ``[b0; b1]`` as its first block column,
@@ -67,24 +67,22 @@ def dilate_level(pairs, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     ------
     VerificationError
         ``what="completeness"``, naming by ``index`` the first pair whose
-        completeness residual exceeds ``tol.tol_check``.
+        completeness residual exceeds ``TOL_CHECK``.
     """
     pairs = np.asarray(pairs, dtype=complex)
     k, _, d, _ = pairs.shape
     # the Gram matrix of [b0; b1] is the completeness sum, so the completion's
-    # isometry check at tol_check is the completeness check
-    return complete_to_unitary_stack(
-        pairs.reshape(k, 2 * d, d), replace(tol, tol_unitary=tol.tol_check)
-    )
+    # isometry check at TOL_CHECK is the completeness check
+    return complete_to_unitary_stack(pairs.reshape(k, 2 * d, d), TOL_CHECK)
 
 
-def dilate_binary(pair, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def dilate_binary(pair) -> np.ndarray:
     """The read-only 2d x 2d probe coupling of one ``(2, d, d)`` complete Kraus pair.
 
     A stack of one over :func:`dilate_level`.  The pair is embedded
     bit-identically: ``u[:d, :d]`` is b0 and ``u[d:, :d]`` is b1.
     """
-    u = dilate_level(pair[None], tol)[0]
+    u = dilate_level(pair[None])[0]
     u.setflags(write=False)
     return u
 
@@ -105,7 +103,6 @@ class NeumarkExtension:
     system_dim: int
     n_outcomes: int
     outcome_map: tuple[int, ...]
-    tolerances: Tolerances = DEFAULT_TOLERANCES
 
     @property
     def extended_dim(self) -> int:
@@ -117,7 +114,7 @@ class NeumarkExtension:
 
         Its first ``system_dim`` columns are ``isometry``, bit for bit.
         """
-        u = complete_to_unitary(self.isometry, self.tolerances)
+        u = complete_to_unitary(self.isometry)
         u.setflags(write=False)
         return u
 
@@ -143,7 +140,7 @@ class NeumarkExtension:
         return np.clip(probs, 0.0, 1.0)
 
 
-def full_neumark(p: Povm, tol: Tolerances = DEFAULT_TOLERANCES) -> NeumarkExtension:
+def full_neumark(p: Povm) -> NeumarkExtension:
     """Projective extension of a POVM, used as an oracle against the tree.
 
     Each rank-one element contributes the row ``<psi_j|`` (where
@@ -160,19 +157,19 @@ def full_neumark(p: Povm, tol: Tolerances = DEFAULT_TOLERANCES) -> NeumarkExtens
     VerificationError
         ``what="completeness"`` if the rows' Gram residual
         ``|W^dag W - I|_F``, the completeness sum of the elements, exceeds
-        ``tol.tol_unitary``.
+        ``TOL_UNITARY``.
     """
     rows, owners = [], []
     for block in blocks(p.n_outcomes, p.dim):
         w, v = np.linalg.eigh(p.elements[block])  # exactly Hermitian, by the Povm invariant
         w, v = w[:, ::-1], v[:, :, ::-1]  # descending, as rank_mask expects
-        keep = rank_mask(w, tol)
+        keep = rank_mask(w)
         element, piece = np.nonzero(keep)
         rows.append(np.sqrt(w[element, piece])[:, None] * v[element, :, piece].conj())
         owners.append(block.start + element)
     isometry, element = np.concatenate(rows), np.concatenate(owners)
     residual = frobenius(adjoint(isometry) @ isometry - np.eye(p.dim))
-    if residual > tol.tol_unitary:
+    if residual > TOL_UNITARY:
         raise VerificationError(
             f"outcome pieces are not orthonormal columns (residual {residual:.3e})",
             what="completeness", residual=residual)
@@ -182,7 +179,6 @@ def full_neumark(p: Povm, tol: Tolerances = DEFAULT_TOLERANCES) -> NeumarkExtens
         system_dim=p.dim,
         n_outcomes=p.n_outcomes,
         outcome_map=tuple(element.tolist()),
-        tolerances=tol,
     )
 
 

@@ -15,7 +15,8 @@ where it does not apply.  The message starts with ``element j: `` or
 ``what`` is one of:
 
 - validation: ``"shape"``, ``"hermiticity"``, ``"positivity"``, ``"trace"``,
-  ``"unitarity"`` and ``"completeness"`` (of a POVM's elements);
+  ``"unitarity"``, ``"completeness"`` (of a POVM's elements) and
+  ``"finiteness"`` (of a factorization's Kraus operators);
 - parsing: ``"dimensions"`` (a cost request), else ``None``;
 - verification: ``"shape"``; ``"completeness"`` (orthonormal columns: the
   completeness of a Kraus pair or of the Neumark rows); ``"children sum"``

@@ -4,8 +4,9 @@ POVM and state files are JSON.  Complex entries are stored as two-element
 ``[real, imaginary]`` arrays.  Floats go through Python's shortest round-trip
 representation, so serialize/deserialize reproduces every matrix bit-exactly.
 
-A tree file (``tree-v5``) stores only a tree's independent data.  Its first
-line is a JSON header.  The padded POVM follows it, each element as its d^2
+A tree file (``tree-v6``) stores only a tree's independent data.  Its first
+line is a JSON header, without tolerances: a file is judged by the constants
+of :mod:`povmtree.linalg`.  The padded POVM follows it, each element as its d^2
 real Hermitian parameters in little-endian float64: the real diagonal, then
 the upper off-diagonal entries as (re, im) pairs in row-major order.  The
 raw little-endian complex128 bytes of the Kraus pairs follow level by level
@@ -28,21 +29,21 @@ from typing import Any
 import numpy as np
 
 from .errors import ParseError, ValidationError, VerificationError
-from .linalg import DEFAULT_TOLERANCES, Tolerances, adjoint, blocks, frobenius, hermitian_from_upper
+from .linalg import adjoint, blocks, frobenius, hermitian_from_upper
 from .povm import Povm, validate
 from .simulator import QuantumState
 from .tree import MeasurementTree, node_checks, node_path, verify
 
 POVM_FORMAT = "povmtree/povm-v1"
 STATE_FORMAT = "povmtree/state-v1"
-TREE_FORMAT = "povmtree/tree-v5"
+TREE_FORMAT = "povmtree/tree-v6"
 
 _BLOB_DTYPE = np.dtype("<c16")
 _PARAMETER_DTYPE = np.dtype("<f8")
 
 # Bound on the real and imaginary part of every stored entry, which keeps huge
 # entries out of verify's arithmetic: valid elements satisfy 0 <= M <= I, and
-# a pair complete within tol_check < 1 has entries of modulus <= sqrt(1 + tol_check).
+# a pair complete within TOL_CHECK has entries of modulus <= sqrt(1 + TOL_CHECK).
 _ENTRY_BOUND = 2.0
 
 # Longest accepted header line: room for the order and labels of about a
@@ -106,7 +107,7 @@ def povm_to_dict(p: Povm) -> dict:
     }
 
 
-def povm_from_dict(data: dict, tol: Tolerances | None = None) -> Povm:
+def povm_from_dict(data: dict) -> Povm:
     dim = _int_field(data, "dimension", 1)
     raw = _require(data, "elements")
     if not isinstance(raw, list) or not raw:
@@ -119,7 +120,7 @@ def povm_from_dict(data: dict, tol: Tolerances | None = None) -> Povm:
                 field=f"elements[{j}]",
             )
     labels = data.get("labels")
-    p = validate(elements, labels=labels, tol=tol or DEFAULT_TOLERANCES)
+    p = validate(elements, labels=labels)
     n_original = _n_original(data, p.elements) if "n_original" in data else p.n_outcomes
     if n_original != p.n_outcomes:
         p = Povm(dim=p.dim, elements=p.elements, labels=p.labels, n_original=n_original)
@@ -131,8 +132,8 @@ def save_povm(p: Povm, path) -> None:
         json.dump(povm_to_dict(p), handle, indent=1)
 
 
-def load_povm(path, tol: Tolerances | None = None) -> Povm:
-    return povm_from_dict(_load_json(path), tol=tol)
+def load_povm(path) -> Povm:
+    return povm_from_dict(_load_json(path))
 
 
 def state_to_dict(state: QuantumState) -> dict:
@@ -192,22 +193,6 @@ def _finite_float(value: Any, field: str) -> float:
     return float(value)
 
 
-def _tolerances(data: dict) -> Tolerances:
-    raw = _require(data, "tolerances")
-    if not isinstance(raw, dict):
-        raise ParseError("must be an object", field="tolerances")
-    values = {}
-    for key in ("tol_rank", "tol_check", "tol_unitary"):
-        field = f"tolerances.{key}"
-        if key not in raw:
-            raise ParseError("missing required field", field=field)
-        values[key] = _finite_float(raw[key], field)
-        # a tolerance of 1 or more accepts any unit-scale operator
-        if not 0 < values[key] < 1:
-            raise ParseError(f"must lie in (0, 1), got {values[key]!r}", field=field)
-    return Tolerances(**values)
-
-
 def _povm(data: dict, elements: np.ndarray) -> Povm:
     n, dim = elements.shape[:2]
     labels = _require(data, "labels")
@@ -239,7 +224,7 @@ def _verified(tree: MeasurementTree) -> MeasurementTree:
     if bad.size:
         i = int(bad[0])
         what, residual = next((what, r[i]) for what, r, passed
-                              in node_checks(report.node_columns, tree.tolerances) if not passed[i])
+                              in node_checks(report.node_columns) if not passed[i])
         path = report.nodes[i].path
     else:
         bad = np.flatnonzero(~report.leaf_columns["ok"])
@@ -278,7 +263,7 @@ def _hermitian_parameters(block: np.ndarray) -> np.ndarray:
 
 
 def save_tree(tree: MeasurementTree, path) -> None:
-    """Write ``tree`` as ``tree-v5``: one JSON header line, then the arrays.
+    """Write ``tree`` as ``tree-v6``: one JSON header line, then the arrays.
 
     The padded POVM ``tree.povm.elements`` is written block by block
     (:func:`povmtree.linalg.blocks`) as its elements' real Hermitian
@@ -293,18 +278,13 @@ def save_tree(tree: MeasurementTree, path) -> None:
         :class:`povmtree.povm.Povm` built by hand may be; its lower
         triangle would not survive the round trip.
     """
-    p, tol = tree.povm, tree.tolerances
+    p = tree.povm
     _require_hermitian(p.elements)
     header = {
         "format": TREE_FORMAT,
         "dimension": p.dim,
         "n_outcomes": p.n_outcomes,
         "depth": tree.depth,
-        "tolerances": {
-            "tol_rank": tol.tol_rank,
-            "tol_check": tol.tol_check,
-            "tol_unitary": tol.tol_unitary,
-        },
         "order": list(tree.order),
         "labels": list(p.labels),
         "n_original": p.n_original,
@@ -415,7 +395,7 @@ def _read_blob(handle, shape: tuple[int, ...], field: str) -> np.ndarray:
 
 
 def load_tree(path) -> MeasurementTree:
-    """Read, check and verify a ``tree-v5`` file.
+    """Read, check and verify a ``tree-v6`` file.
 
     Each blob is read into the array the tree keeps, so the file is never
     held twice, and only once every blob's byte count has been checked.
@@ -428,10 +408,10 @@ def load_tree(path) -> MeasurementTree:
     ------
     ParseError
         In the order checked: a header line longer than ``_HEADER_LIMIT``
-        bytes or not one JSON object; a format other than ``tree-v5`` (a
-        ``tree-v4`` or ``tree-v3`` file too: recompile it from its POVM
-        file); ``n_outcomes`` other than ``2**depth``; a header line without
-        its newline; malformed tolerances; ``order`` not a permutation of
+        bytes or not one JSON object; a format other than ``tree-v6`` (a
+        ``tree-v5``, ``tree-v4`` or ``tree-v3`` file too: recompile it from
+        its POVM file); ``n_outcomes`` other than ``2**depth``; a header
+        line without its newline; ``order`` not a permutation of
         the outcomes; a blob shorter than its shape needs, or bytes after
         the last blob; an array entry whose real or imaginary part is not
         finite or exceeds 2 in magnitude; ``labels`` not one string per
@@ -445,11 +425,10 @@ def load_tree(path) -> MeasurementTree:
     """
     with open(path, "rb") as handle:
         header, dim, depth = _read_header(handle)
-        tol = _tolerances(header)
         order = _order(header, 1 << depth)
         _check_blob_bytes(os.fstat(handle.fileno()).st_size - handle.tell(), dim, depth)
         elements = _read_elements(handle, 1 << depth, dim)
         kraus = [_read_blob(handle, (1 << level, 2, dim, dim), f"kraus[{level}]")
                  for level in range(depth)]
     povm = _povm(header, elements)
-    return _verified(MeasurementTree(povm=povm, order=order, kraus=tuple(kraus), tolerances=tol))
+    return _verified(MeasurementTree(povm=povm, order=order, kraus=tuple(kraus)))

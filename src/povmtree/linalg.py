@@ -9,10 +9,15 @@ root and the completion work on stacks of matrices (one LAPACK call per
 stack: SVD, ``eigh`` and Householder QR), and their one-matrix forms are
 stacks of one.  Stages over a whole stack walk it in :func:`blocks`.
 
-Rank policy: an eigenvalue or singular value counts as nonzero iff it exceeds
-``tol_rank`` times the largest one.  The same relative threshold is applied
-everywhere so that rank decisions made by different operations on the same
-operator agree.
+The thresholds are three module constants, used by every check and never
+stored with a tree or read from a file.  ``TOL_RANK`` (1e-10) is the rank
+policy: an eigenvalue or singular value counts as nonzero iff it exceeds
+``TOL_RANK`` times the largest one, the same relative rule everywhere so that
+rank decisions made by different operations on the same operator agree.
+``TOL_CHECK`` (1e-9) bounds the Frobenius residuals of the acceptance checks
+on unit-scale operators: Hermiticity, positivity, completeness, factorization
+and leaf reconstruction.  ``TOL_UNITARY`` (1e-10) bounds ``|V^dag V - I|_F``
+of unitaries and isometries.
 
 All functions are pure; returned arrays are fresh and never alias inputs.
 """
@@ -25,28 +30,9 @@ import numpy as np
 
 from .errors import ValidationError, VerificationError
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical thresholds used across the package.
-
-    tol_rank    relative cutoff for rank decisions (vs. largest eigen/singular value)
-    tol_check   absolute Frobenius threshold for validation residuals
-    tol_unitary absolute threshold for unitarity / isometry checks
-    """
-
-    tol_rank: float = 1e-10
-    tol_check: float = 1e-9
-    tol_unitary: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if not (self.tol_rank > 0 and self.tol_check > 0 and self.tol_unitary > 0):
-            raise ValueError("all tolerances must be strictly positive")
-        if self.tol_rank >= 1:
-            raise ValueError("tol_rank must be below 1")
-
-
-DEFAULT_TOLERANCES = Tolerances()
+TOL_RANK = 1e-10
+TOL_CHECK = 1e-9
+TOL_UNITARY = 1e-10
 
 # bytes of d x d complex matrices that a stage walking a stack takes per block
 _BLOCK_BYTES = 64 * 1024
@@ -76,14 +62,14 @@ def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def rank_mask(singular_values: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Which singular values count as nonzero: those above ``tol_rank`` times the largest.
+def rank_mask(singular_values: np.ndarray) -> np.ndarray:
+    """Which singular values count as nonzero: those above ``TOL_RANK`` times the largest.
 
     ``singular_values`` holds descending values along its last axis, one row
     per matrix of a stack.  A row whose largest value is zero keeps none.
     """
     s = np.asarray(singular_values, dtype=float)
-    return s > tol.tol_rank * s[..., :1]
+    return s > TOL_RANK * s[..., :1]
 
 
 def _require_square(m: np.ndarray) -> None:
@@ -138,7 +124,7 @@ def _order_ties(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np
     return values, vectors
 
 
-def hermitian_eig(a, tol: Tolerances = DEFAULT_TOLERANCES) -> EigenDecomposition:
+def hermitian_eig(a) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix with a reproducible ordering.
 
     Eigenvalues come out descending.  Each eigenvector's largest-magnitude
@@ -149,12 +135,12 @@ def hermitian_eig(a, tol: Tolerances = DEFAULT_TOLERANCES) -> EigenDecomposition
     ------
     ValidationError
         ``what="shape"`` if the matrix is not square, ``"hermiticity"`` if
-        ``|A - A^dag|_F`` exceeds ``tol.tol_check``.
+        ``|A - A^dag|_F`` exceeds ``TOL_CHECK``.
     """
     m = as_complex_matrix(a)
     _require_square(m)
     residual = frobenius(m - m.conj().T)
-    if residual > tol.tol_check:
+    if residual > TOL_CHECK:
         raise ValidationError(f"matrix is not Hermitian, |A - A^dag|_F = {residual:.3e}",
                               what="hermiticity", residual=residual)
     w, v = np.linalg.eigh((m + m.conj().T) / 2)
@@ -189,7 +175,7 @@ def hermitian_from_upper(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def svd_inverse(a: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES):
+def svd_inverse(a: np.ndarray):
     """Pseudoinverses, kernel maps and ranks of a stack of matrices, one SVD each.
 
     For each ``a = U S W^dag`` with the rank mask of :func:`rank_mask`,
@@ -199,7 +185,7 @@ def svd_inverse(a: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES):
     w_j, so ``null @ a = 0`` and ``null^dag null = I - a a^+``.
     """
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    keep = rank_mask(s, tol)
+    keep = rank_mask(s)
     w, uh = adjoint(vh), adjoint(u)
     inverse = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
     pinv = (w * inverse[..., None, :]) @ uh
@@ -207,21 +193,21 @@ def svd_inverse(a: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES):
     return pinv, null, keep.sum(axis=-1)
 
 
-def pseudo_inverse(a, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def pseudo_inverse(a) -> np.ndarray:
     """Moore-Penrose pseudoinverse via SVD.
 
-    Singular values at or below ``tol.tol_rank`` times the largest are
+    Singular values at or below ``TOL_RANK`` times the largest are
     treated as exact zeros, inverting the operator on its numerical support
     only.  Satisfies all four Penrose axioms to machine precision.
     """
     m = as_complex_matrix(a)
-    return svd_inverse(m[None], tol)[0][0]
+    return svd_inverse(m[None])[0][0]
 
 
-def psd_sqrt_stack(a: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def psd_sqrt_stack(a: np.ndarray) -> np.ndarray:
     """Hermitian PSD square roots of a stack of matrices, one stacked ``eigh`` per block.
 
-    Eigenvalues below ``tol.tol_rank`` times the largest of the same matrix
+    Eigenvalues below ``TOL_RANK`` times the largest of the same matrix
     are truncated to exact zero (the module rank policy); without this,
     square-rooting an exactly rank-deficient operator would amplify
     eigenvalue dust above the rank threshold and poison every later rank
@@ -231,34 +217,34 @@ def psd_sqrt_stack(a: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.nd
     ------
     ValidationError
         ``what="hermiticity"`` if some ``|A - A^dag|_F`` exceeds
-        ``tol.tol_check``, ``"positivity"`` (the eigenvalue as ``residual``)
-        if some matrix has an eigenvalue below ``-tol.tol_check * |A|_F``;
+        ``TOL_CHECK``, ``"positivity"`` (the eigenvalue as ``residual``)
+        if some matrix has an eigenvalue below ``-TOL_CHECK * |A|_F``;
         ``index`` is the first such matrix's position in the stack.
     """
     roots = np.empty(a.shape, dtype=complex)
     for rows in blocks(len(a), a.shape[-1]):
         b = a[rows]
         asymmetry = np.linalg.norm(b - adjoint(b), axis=(-2, -1))
-        bad = np.flatnonzero(asymmetry > tol.tol_check)
+        bad = np.flatnonzero(asymmetry > TOL_CHECK)
         if bad.size:
             r = asymmetry[bad[0]]
             raise ValidationError(f"matrix is not Hermitian, |A - A^dag|_F = {r:.3e}",
                                   what="hermiticity", residual=r, index=rows.start + int(bad[0]))
         w, v = np.linalg.eigh((b + adjoint(b)) / 2)
-        floor = -tol.tol_check * np.linalg.norm(b, axis=(-2, -1))
+        floor = -TOL_CHECK * np.linalg.norm(b, axis=(-2, -1))
         bad = np.flatnonzero(w[:, 0] < floor)
         if bad.size:
             r = w[bad[0], 0]
             raise ValidationError(f"matrix is not positive semidefinite, min eigenvalue = {r:.3e}",
                                   what="positivity", residual=r, index=rows.start + int(bad[0]))
         top = np.maximum(w[:, -1:], 0.0)
-        w = np.where(w > tol.tol_rank * top, w, 0.0)
+        w = np.where(w > TOL_RANK * top, w, 0.0)
         s = (v * np.sqrt(w)[:, None, :]) @ adjoint(v)
         roots[rows] = (s + adjoint(s)) / 2
     return roots
 
 
-def psd_sqrt(a, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def psd_sqrt(a) -> np.ndarray:
     """Hermitian PSD square root, computed spectrally; see :func:`psd_sqrt_stack`.
 
     Raises
@@ -269,10 +255,10 @@ def psd_sqrt(a, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """
     m = as_complex_matrix(a)
     _require_square(m)
-    return psd_sqrt_stack(m[None], tol)[0]
+    return psd_sqrt_stack(m[None])[0]
 
 
-def complete_to_unitary_stack(blocks, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def complete_to_unitary_stack(blocks, limit: float = TOL_UNITARY) -> np.ndarray:
     """Complete each n x k block of orthonormal columns of a stack to an n x n unitary.
 
     ``blocks`` has shape ``(m, n, k)``; the result has shape ``(m, n, n)``.
@@ -288,7 +274,9 @@ def complete_to_unitary_stack(blocks, tol: Tolerances = DEFAULT_TOLERANCES) -> n
     VerificationError
         ``what="shape"`` if the blocks have more columns than rows;
         ``what="completeness"``, naming the first failing block by
-        ``index``, if ``|B^dag B - I|_F`` exceeds ``tol.tol_unitary``.
+        ``index``, if ``|B^dag B - I|_F`` exceeds ``limit``: ``TOL_UNITARY``
+        for an isometry, ``TOL_CHECK`` where the Gram matrix is a
+        completeness sum (:func:`povmtree.dilation.dilate_level`).
     """
     b = np.asarray(blocks, dtype=complex)
     if b.ndim != 3:
@@ -299,7 +287,7 @@ def complete_to_unitary_stack(blocks, tol: Tolerances = DEFAULT_TOLERANCES) -> n
     if k > n:
         raise VerificationError(f"block has more columns ({k}) than rows ({n})", what="shape")
     gram_residual = np.linalg.norm(adjoint(b) @ b - np.eye(k), axis=(-2, -1))
-    bad = np.flatnonzero(gram_residual > tol.tol_unitary)
+    bad = np.flatnonzero(gram_residual > limit)
     if bad.size:
         r = gram_residual[bad[0]]
         raise VerificationError(f"columns are not orthonormal (residual {r:.3e})",
@@ -309,7 +297,7 @@ def complete_to_unitary_stack(blocks, tol: Tolerances = DEFAULT_TOLERANCES) -> n
     return u
 
 
-def complete_to_unitary(block, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def complete_to_unitary(block) -> np.ndarray:
     """Complete an n x k block of orthonormal columns to an n x n unitary.
 
     A stack of one over :func:`complete_to_unitary_stack`: the given columns
@@ -324,7 +312,7 @@ def complete_to_unitary(block, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarr
     VerificationError
         As :func:`complete_to_unitary_stack`.
     """
-    return complete_to_unitary_stack(as_complex_matrix(block)[None], tol)[0]
+    return complete_to_unitary_stack(as_complex_matrix(block)[None], TOL_UNITARY)[0]
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import (
-    DEFAULT_TOLERANCES,
-    Tolerances,
+    TOL_CHECK,
+    TOL_UNITARY,
     adjoint,
     blocks,
     frobenius,
@@ -59,26 +59,32 @@ class Povm:
         return self.labels[self.n_original :]
 
 
-def _as_stack(elements) -> np.ndarray:
-    """A fresh ``(N, d, d)`` complex copy of the elements, checked for shape."""
-    if not isinstance(elements, np.ndarray):
-        elements = list(elements)
-    shapes = [np.shape(m) for m in elements]
-    if not shapes:
-        raise ValidationError("a POVM needs at least one element", what="shape")
-    for j, shape in enumerate(shapes):
+def as_stack(matrices, dim: int | None = None, copy: bool = False) -> np.ndarray:
+    """``matrices``, an ``(N, d, d)`` array or a sequence of d x d matrices, as a complex array.
+
+    d is ``dim``, or else the first matrix's row count.  The array is fresh
+    if ``copy`` is set, else only if a conversion needs one.  Raises a
+    :class:`ValidationError` (``what="shape"``) for no matrices or, by
+    ``index``, for the first that is not a d x d matrix.
+    """
+    if not isinstance(matrices, np.ndarray):
+        matrices = list(matrices)
+    if not len(matrices):
+        raise ValidationError("got no matrices", what="shape")
+    # the rows of an array share one shape, so its first row stands for all
+    for j, m in enumerate(matrices[:1] if isinstance(matrices, np.ndarray) else matrices):
+        shape = np.shape(m)
         if len(shape) != 2:
             raise ValidationError(f"has {len(shape)} dimensions, expected a matrix",
                                   what="shape", index=j)
-    dim = shapes[0][0]
-    for j, shape in enumerate(shapes):
+        dim = shape[0] if dim is None else dim
         if shape != (dim, dim):
             raise ValidationError(f"has shape {shape}, expected ({dim}, {dim})",
                                   what="shape", index=j)
-    return np.array(elements, dtype=complex)
+    return (np.array if copy else np.asarray)(matrices, dtype=complex)
 
 
-def validate(elements, labels=None, tol: Tolerances = DEFAULT_TOLERANCES) -> Povm:
+def validate(elements, labels=None) -> Povm:
     """Check POVM invariants and return the validated :class:`Povm`.
 
     ``elements`` is a sequence of d x d matrices or one ``(N, d, d)`` array;
@@ -99,7 +105,7 @@ def validate(elements, labels=None, tol: Tolerances = DEFAULT_TOLERANCES) -> Pov
     elements again returns the same bytes and a tree file, which stores
     only the upper triangle, reproduces them bit for bit.
     """
-    stack = _as_stack(elements)
+    stack = as_stack(elements, copy=True)
     n, dim = stack.shape[:2]
     total = np.zeros((dim, dim), dtype=complex)
     for rows in blocks(n, dim):
@@ -114,8 +120,8 @@ def validate(elements, labels=None, tol: Tolerances = DEFAULT_TOLERANCES) -> Pov
         herm += block
         herm /= 2
         min_eig = np.linalg.eigvalsh(herm)[:, 0]
-        not_hermitian = residual > tol.tol_check
-        bad = np.flatnonzero(not_hermitian | (min_eig < -tol.tol_check))
+        not_hermitian = residual > TOL_CHECK
+        bad = np.flatnonzero(not_hermitian | (min_eig < -TOL_CHECK))
         if bad.size:
             j = int(bad[0])
             if not_hermitian[j]:
@@ -129,7 +135,7 @@ def validate(elements, labels=None, tol: Tolerances = DEFAULT_TOLERANCES) -> Pov
         total = np.concatenate([total[None], block]).sum(axis=0)
         block[...] = hermitian_from_upper(herm)
     deficit = frobenius(total - np.eye(dim))
-    if deficit > tol.tol_check:
+    if deficit > TOL_CHECK:
         raise ValidationError(f"POVM elements do not sum to identity, |sum - I|_F = {deficit:.3e}",
                               what="completeness", residual=deficit)
     if labels is None:
@@ -141,16 +147,16 @@ def validate(elements, labels=None, tol: Tolerances = DEFAULT_TOLERANCES) -> Pov
     return Povm(dim=dim, elements=_frozen(stack), labels=labels, n_original=n)
 
 
-def default_kraus(p: Povm, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def default_kraus(p: Povm) -> np.ndarray:
     """Canonical Kraus operators ``m_j = sqrt(M_j)``, so ``m_j^dag m_j = M_j``.
 
     Returns the Hermitian PSD roots (one stacked ``eigh``) as one read-only
     ``(N, d, d)`` array.
     """
-    return _frozen(psd_sqrt_stack(p.elements, tol))
+    return _frozen(psd_sqrt_stack(p.elements))
 
 
-def apply_freedom(kraus: np.ndarray, unitaries, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def apply_freedom(kraus: np.ndarray, unitaries) -> np.ndarray:
     """Rotate each Kraus operator of an ``(N, d, d)`` stack, ``m_j -> V_j m_j``.
 
     Returns the rotated operators as a new read-only ``(N, d, d)`` array.
@@ -165,22 +171,16 @@ def apply_freedom(kraus: np.ndarray, unitaries, tol: Tolerances = DEFAULT_TOLERA
     ValidationError
         ``what="shape"`` if the count or a shape does not match the Kraus
         operators, ``"unitarity"`` if some ``|V^dag V - I|_F`` exceeds
-        ``tol.tol_unitary``.
+        ``TOL_UNITARY``.
     """
-    if not isinstance(unitaries, np.ndarray):
-        unitaries = list(unitaries)
-    if len(unitaries) != len(kraus):
-        raise ValidationError(f"got {len(unitaries)} unitaries for {len(kraus)} Kraus operators",
+    d = kraus.shape[-1]
+    vs = as_stack(unitaries, d)
+    if len(vs) != len(kraus):
+        raise ValidationError(f"got {len(vs)} unitaries for {len(kraus)} Kraus operators",
                               what="shape")
-    shape = kraus.shape[1:]
-    for j, v in enumerate(unitaries):
-        if np.shape(v) != shape:
-            raise ValidationError(f"unitary has shape {np.shape(v)}, expected {shape}",
-                                  what="shape", index=j)
-    vs = np.asarray(unitaries, dtype=complex)
-    for rows in blocks(len(vs), shape[0]):
-        residual = np.linalg.norm(adjoint(vs[rows]) @ vs[rows] - np.eye(shape[0]), axis=(1, 2))
-        bad = np.flatnonzero(~(residual <= tol.tol_unitary))  # nan fails too
+    for rows in blocks(len(vs), d):
+        residual = np.linalg.norm(adjoint(vs[rows]) @ vs[rows] - np.eye(d), axis=(1, 2))
+        bad = np.flatnonzero(~(residual <= TOL_UNITARY))  # nan fails too
         if bad.size:
             r = residual[bad[0]]
             raise ValidationError(f"matrix is not unitary, |V^dag V - I|_F = {r:.3e}",

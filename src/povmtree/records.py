@@ -52,8 +52,8 @@ class NodeCheck:
     ``dilation_unitarity`` is ``|U^dag U - I|_F`` over every block but the
     Gram block of the first block column ``[b0; b1]``: that block is the
     completeness matrix, judged once through ``completeness_residual`` at
-    ``tol_check``.  The cross and completion blocks are judged at
-    ``tol_unitary``.
+    ``TOL_CHECK``.  The cross and completion blocks are judged at
+    ``TOL_UNITARY`` (constants of :mod:`povmtree.linalg`).
     """
 
     path: str

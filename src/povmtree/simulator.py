@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ValidationError, VerificationError
-from .linalg import DEFAULT_TOLERANCES, Tolerances, adjoint, as_complex_matrix, blocks, frobenius
+from .linalg import TOL_CHECK, adjoint, as_complex_matrix, blocks, frobenius
 from .povm import Povm
 from .records import Rows
 from .tree import MeasurementTree, node_path
@@ -33,17 +33,16 @@ class QuantumState:
         rho = as_complex_matrix(self.density)
         if rho.shape[0] != rho.shape[1]:
             raise ValidationError(f"density matrix must be square, got {rho.shape}", what="shape")
-        tol = DEFAULT_TOLERANCES.tol_check
         herm = frobenius(rho - rho.conj().T)
-        if herm > tol:
+        if herm > TOL_CHECK:
             raise ValidationError(f"density matrix is not Hermitian, residual {herm:.3e}",
                                   what="hermiticity", residual=herm)
         trace = float(np.trace(rho).real)
-        if abs(trace - 1.0) > tol:
+        if abs(trace - 1.0) > TOL_CHECK:
             raise ValidationError(f"density matrix trace is {trace}, expected 1", what="trace",
                                   residual=abs(trace - 1.0))
         min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0])
-        if min_eig < -tol:
+        if min_eig < -TOL_CHECK:
             raise ValidationError(f"density matrix has negative eigenvalue {min_eig:.3e}",
                                   what="positivity", residual=min_eig)
         rho.setflags(write=False)
@@ -148,16 +147,16 @@ def _level_pass(tree: MeasurementTree, state: QuantumState):
     return sigma, p_left
 
 
-def _leaf_probabilities(tree: MeasurementTree, leaves: np.ndarray, t: Tolerances):
+def _leaf_probabilities(tree: MeasurementTree, leaves: np.ndarray):
     """Leaf probabilities left to right, and which leaves are reached, symmetrised in place in ``leaves``.
 
-    A leaf is reached when its probability is at least ``tol_check``.
+    A leaf is reached when its probability is at least ``TOL_CHECK``.
     Raises a :class:`VerificationError` (``what="post-state positivity"``)
     if a reached leaf's unnormalised state has an eigenvalue below
-    ``-tol_check``.
+    ``-TOL_CHECK``.
     """
     probs = np.clip(np.trace(leaves, axis1=-2, axis2=-1).real, 0.0, 1.0)
-    is_reached = probs >= t.tol_check
+    is_reached = probs >= TOL_CHECK
     reached = np.flatnonzero(is_reached)
     for rows in blocks(len(reached), leaves.shape[-1]):
         herm = leaves[reached[rows]]
@@ -168,7 +167,7 @@ def _leaf_probabilities(tree: MeasurementTree, leaves: np.ndarray, t: Tolerances
         # the absolute probability.  After division by a tiny probability,
         # rounding dust of a valid state can exceed any absolute threshold.
         min_eig = np.linalg.eigvalsh(herm)[:, 0]
-        bad = np.flatnonzero(min_eig < -t.tol_check)
+        bad = np.flatnonzero(min_eig < -TOL_CHECK)
         if bad.size:
             r = -min_eig[bad[0]]
             raise VerificationError(
@@ -219,18 +218,18 @@ def propagate(tree: MeasurementTree, state: QuantumState) -> Outcomes:
     Tr[m_leaf rho m_leaf^dag].  Results are ordered by outcome index of the
     (padded) POVM.  Post-states are read-only views of one leaf stack,
     symmetrised and checked per block in leaf order, then normalised in
-    place; a leaf whose probability is below ``tol_check`` is unreached and
+    place; a leaf whose probability is below ``TOL_CHECK`` is unreached and
     has none.
 
     Raises
     ------
     VerificationError
         ``what="post-state positivity"`` if a reached leaf's unnormalised
-        state has an eigenvalue below ``-tol_check``, which no valid tree
+        state has an eigenvalue below ``-TOL_CHECK``, which no valid tree
         produces from a valid state.
     """
     leaves = _level_pass(tree, state)[0]
-    probs, reached = _leaf_probabilities(tree, leaves, tree.tolerances)
+    probs, reached = _leaf_probabilities(tree, leaves)
     np.divide(leaves, probs[:, None, None], out=leaves, where=reached[:, None, None])
     leaves.setflags(write=False)
     return Outcomes(tree, leaves, probs, reached)
@@ -280,7 +279,7 @@ def sample(
     if shots < 1:
         raise ValueError("shots must be at least 1")
     leaves, p_left = _level_pass(tree, state)
-    probs = _leaf_probabilities(tree, leaves, tree.tolerances)[0]
+    probs = _leaf_probabilities(tree, leaves)[0]
     del leaves
     n = tree.povm.n_outcomes
     counts = np.zeros(n, dtype=np.int64)

@@ -40,10 +40,11 @@ from functools import partial
 import numpy as np
 
 from .dilation import completeness_residuals, dilate_binary, dilate_level
-from .errors import VerificationError
+from .errors import ValidationError, VerificationError
 from .linalg import (
-    DEFAULT_TOLERANCES,
-    Tolerances,
+    TOL_CHECK,
+    TOL_RANK,
+    TOL_UNITARY,
     adjoint,
     as_complex_matrix,
     blocks,
@@ -51,7 +52,7 @@ from .linalg import (
     rank_mask,
     svd_inverse,
 )
-from .povm import Povm, pad_to_power_of_two
+from .povm import Povm, as_stack, pad_to_power_of_two
 from .records import VerificationReport
 
 # The weight a_0 = a_1 of the null-space correction in both children's operators;
@@ -111,7 +112,6 @@ class MeasurementTree:
     povm: Povm
     order: tuple[int, ...]
     kraus: tuple[np.ndarray, ...]
-    tolerances: Tolerances
 
     @property
     def depth(self) -> int:
@@ -135,7 +135,7 @@ class MeasurementTree:
         """Read-only 2d x 2d probe coupling of the internal node at ``path``, built on each call."""
         if len(path) >= self.depth or set(path) - {"0", "1"}:
             raise KeyError(f"no internal node at path {path!r}")
-        return dilate_binary(self.kraus[len(path)][int(path or "0", 2)], self.tolerances)
+        return dilate_binary(self.kraus[len(path)][int(path or "0", 2)])
 
 
 def _raise_first(residuals: np.ndarray, what: str, text: str, limit: float, level: int | None,
@@ -149,8 +149,8 @@ def _raise_first(residuals: np.ndarray, what: str, text: str, limit: float, leve
                                 path=None if level is None else node_path(level, first + i))
 
 
-def _dust(m: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Which matrices of a stack count as zero: those with Frobenius norm at most ``tol_rank``.
+def _dust(m: np.ndarray) -> np.ndarray:
+    """Which matrices of a stack count as zero: those with Frobenius norm at most ``TOL_RANK``.
 
     Cumulative Kraus operators are contractions (m^dag m <= I), so their
     singular values live on a unit scale; a parent whose whole norm sits
@@ -158,13 +158,12 @@ def _dust(m: np.ndarray, tol: Tolerances) -> np.ndarray:
     must be treated as exactly zero or the relative rank rule would judge
     the dust full-rank (this is what all-padding subtrees produce).
     """
-    return np.linalg.norm(m, axis=(-2, -1)) <= tol.tol_rank
+    return np.linalg.norm(m, axis=(-2, -1)) <= TOL_RANK
 
 
 def _split_level(
     targets: np.ndarray,
     parents: np.ndarray,
-    tol: Tolerances,
     level: int | None = None,
     first: int = 0,
 ) -> np.ndarray:
@@ -173,12 +172,12 @@ def _split_level(
     The stacked kernel of :func:`split_node`; errors name node ``first + i``
     of ``level`` by its path (no path when ``level`` is None).
     """
-    raise_first = partial(_raise_first, limit=tol.tol_check, level=level, first=first)
+    raise_first = partial(_raise_first, limit=TOL_CHECK, level=level, first=first)
     pre = np.linalg.norm(_gram(targets).sum(axis=1) - _gram(parents), axis=(-2, -1))
     raise_first(pre, "children sum", "child operators do not sum to the parent operator")
 
-    parents = np.where(_dust(parents, tol)[:, None, None], 0.0, parents)
-    pinv, g, rank = svd_inverse(parents, tol)
+    parents = np.where(_dust(parents)[:, None, None], 0.0, parents)
+    pinv, g, rank = svd_inverse(parents)
     pairs = targets @ pinv[:, None]
     deficient = np.flatnonzero(rank < parents.shape[-1])
     if deficient.size:
@@ -187,12 +186,12 @@ def _split_level(
     raise_first(completeness_residuals(pairs), "completeness", "completeness post-check failed")
     fact = np.linalg.norm(pairs @ parents[:, None] - targets, axis=(-2, -1))
     # per node, b0's residual if it fails, else b1's
-    worst = np.where(fact[:, 0] > tol.tol_check, fact[:, 0], fact[:, 1])
+    worst = np.where(fact[:, 0] > TOL_CHECK, fact[:, 0], fact[:, 1])
     raise_first(worst, "factorization", "factorization post-check failed")
     return pairs
 
 
-def null_space_isometry(parent_kraus, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def null_space_isometry(parent_kraus) -> np.ndarray:
     """Correction operator g with g @ parent = 0 and g^dag g = I - P P^+.
 
     From the SVD ``parent = U S W^dag`` with numerical rank r,
@@ -209,14 +208,10 @@ def null_space_isometry(parent_kraus, tol: Tolerances = DEFAULT_TOLERANCES) -> n
     p = as_complex_matrix(parent_kraus)
     if p.shape[0] != p.shape[1]:
         raise ValueError("parent Kraus operator must be square")
-    return svd_inverse(p[None], tol)[1][0]
+    return svd_inverse(p[None])[1][0]
 
 
-def split_node(
-    children_kraus,
-    parent_kraus,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> np.ndarray:
+def split_node(children_kraus, parent_kraus) -> np.ndarray:
     """Construct the two-outcome Kraus pair taking a parent to its children.
 
     Parameters
@@ -226,15 +221,13 @@ def split_node(
         ``m_left^dag m_left + m_right^dag m_right = parent^dag parent``.
     parent_kraus
         The parent node's cumulative Kraus operator.
-    tol
-        Numerical thresholds.
 
     Returns the read-only ``(2, d, d)`` pair ``[b0, b1]`` with
     ``b_c = m_c @ pinv(parent) + a_c * V_c @ g`` and ``a_c = 1/sqrt(2)``,
     where g is the parent's null-space correction and V_c the polar
     isometry of the child target (identity-acting for Hermitian targets, so
     the plain ``m @ pinv + a g`` ansatz is recovered).  Guarantees, within
-    ``tol.tol_check``, completeness ``b0^dag b0 + b1^dag b1 = I`` and the
+    ``TOL_CHECK``, completeness ``b0^dag b0 + b1^dag b1 = I`` and the
     factorization ``b_c @ parent = m_c``.  :func:`compile_tree` runs the
     same construction on a whole level at once.
 
@@ -250,7 +243,7 @@ def split_node(
     d = parent.shape[0]
     if parent.shape != (d, d) or m_left.shape != (d, d) or m_right.shape != (d, d):
         raise ValueError("children and parent must be square matrices of equal dimension")
-    pair = _split_level(np.stack([m_left, m_right])[None], parent[None], tol)[0]
+    pair = _split_level(np.stack([m_left, m_right])[None], parent[None])[0]
     pair.setflags(write=False)
     return pair
 
@@ -273,7 +266,6 @@ def compile_tree(
     p: Povm,
     factorization: np.ndarray | None = None,
     partition=None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> MeasurementTree:
     """Compile a POVM into a binary measurement tree.
 
@@ -294,6 +286,11 @@ def compile_tree(
 
     Raises
     ------
+    ValidationError
+        Unless ``factorization`` holds one d x d operator per original or
+        padded outcome: ``what="shape"`` (``index`` naming the first
+        operator of the wrong shape, if any) or ``"finiteness"`` (``index``
+        naming the first operator with an entry that is not finite).
     VerificationError
         From the checks of :func:`split_node`, naming the first failing
         node's path.
@@ -302,10 +299,15 @@ def compile_tree(
     n, d = padded.n_outcomes, padded.dim
     depth = n.bit_length() - 1
     order = _resolve_partition(partition, p.n_outcomes, n)
-    if factorization is not None and len(factorization) not in (p.n_outcomes, n):
-        raise ValueError(
-            f"factorization has {len(factorization)} operators for {p.n_outcomes} outcomes"
-        )
+    if factorization is not None:
+        factorization = as_stack(factorization, d)
+        if len(factorization) not in (p.n_outcomes, n):
+            raise ValidationError(f"factorization has {len(factorization)} operators for "
+                                  f"{p.n_outcomes} outcomes", what="shape")
+        finite = np.isfinite(factorization).all(axis=(1, 2))
+        if not finite.all():
+            raise ValidationError("Kraus operator has an entry that is not finite",
+                                  what="finiteness", index=int(np.argmin(finite)))
     at = np.array(order)
     levels = []
     m = np.eye(d, dtype=complex)[None]
@@ -320,17 +322,16 @@ def compile_tree(
                 targets = np.zeros((hi - lo, d, d), dtype=complex)
                 targets[real] = factorization[at[lo:hi][real]]
             else:
-                targets = psd_sqrt_stack(_ordered_sums(padded.elements, at, lo, hi, span), tol)
-            pairs[nodes] = _split_level(targets.reshape(-1, 2, d, d), m[nodes], tol, level,
-                                        nodes.start)
+                targets = psd_sqrt_stack(_ordered_sums(padded.elements, at, lo, hi, span))
+            pairs[nodes] = _split_level(targets.reshape(-1, 2, d, d), m[nodes], level, nodes.start)
         pairs.setflags(write=False)
         levels.append(pairs)
         if level + 1 < depth:
             m = _descend(pairs, m)
-    return MeasurementTree(povm=padded, order=order, kraus=tuple(levels), tolerances=tol)
+    return MeasurementTree(povm=padded, order=order, kraus=tuple(levels))
 
 
-def node_checks(columns: dict, t: Tolerances):
+def node_checks(columns: dict):
     """The ``what``, residual column and pass mask of each node check of :func:`verify`.
 
     In column order; a node passes when it passes all of them.  A dilation
@@ -339,8 +340,8 @@ def node_checks(columns: dict, t: Tolerances):
     c, s, e, u, exact = (columns[name] for name in (
         "completeness_residual", "operator_sum_residual", "min_operator_eigenvalue",
         "dilation_unitarity", "blocks_exact"))
-    return (("completeness", c, c <= t.tol_check), ("operator sum", s, s <= t.tol_check),
-            ("positivity", e, e >= -t.tol_check), ("dilation unitarity", u, u <= t.tol_unitary),
+    return (("completeness", c, c <= TOL_CHECK), ("operator sum", s, s <= TOL_CHECK),
+            ("positivity", e, e >= -TOL_CHECK), ("dilation unitarity", u, u <= TOL_UNITARY),
             ("blocks exact", (~exact).astype(float), exact))
 
 
@@ -353,7 +354,7 @@ def verify(tree: MeasurementTree) -> VerificationReport:
     dilation, and exact block round-trip of the dilation.  Each level is
     walked per block of nodes whose dilations take at most 64 KiB; they are
     built with :func:`povmtree.dilation.dilate_level` and dropped, and a
-    pair whose completeness fails ``tol_check`` is not dilated and reports
+    pair whose completeness fails ``TOL_CHECK`` is not dilated and reports
     unitarity ``inf``.  The factorization ``b_child @ m_parent = m_child``
     holds exactly, because child cumulative operators are defined as those
     products, so it is not checked again.  Per leaf, checked per block of the
@@ -363,7 +364,6 @@ def verify(tree: MeasurementTree) -> VerificationReport:
     results are written into the report's columns (see
     :class:`VerificationReport`); no per-node object is built.
     """
-    t = tree.tolerances
     p, d = tree.povm, tree.povm.dim
     at = np.array(tree.order)
     # the node columns verify measures, in the order of NodeCheck's fields
@@ -388,14 +388,14 @@ def verify(tree: MeasurementTree) -> VerificationReport:
             sum_residual[b] = np.linalg.norm(_gram(mb) - sums, axis=(-2, -1))
             completeness[b] = completeness_residuals(pb)
             min_eig[b] = np.linalg.eigvalsh(adjoint(pb) @ pb)[..., 0].min(axis=1)
-            kept = rank_mask(np.linalg.svd(mb, compute_uv=False), t).sum(axis=-1)
-            rank[b] = np.where(_dust(mb, t), 0, kept)
-            admitted = b.start + np.flatnonzero(completeness[b] <= t.tol_check)
+            kept = rank_mask(np.linalg.svd(mb, compute_uv=False)).sum(axis=-1)
+            rank[b] = np.where(_dust(mb), 0, kept)
+            admitted = b.start + np.flatnonzero(completeness[b] <= TOL_CHECK)
             if admitted.size:
                 chosen = pairs[admitted]
-                u = dilate_level(chosen, t)
+                u = dilate_level(chosen)
                 defect = adjoint(u) @ u - np.eye(2 * d)
-                # the Gram block of [b0; b1] is the completeness matrix, judged at tol_check
+                # the Gram block of [b0; b1] is the completeness matrix, judged at TOL_CHECK
                 defect[:, :d, :d] = 0.0
                 unitarity[admitted] = np.linalg.norm(defect, axis=(-2, -1))
                 exact[admitted] = (u[:, :, :d] == chosen.reshape(-1, 2 * d, d)).all(axis=(-2, -1))
@@ -407,8 +407,8 @@ def verify(tree: MeasurementTree) -> VerificationReport:
         if level + 1 < tree.depth:
             m = _descend(pairs, m)
     nodes["uses_null_correction"] = nodes["parent_rank"] < d
-    nodes["ok"] = np.logical_and.reduce([passed for _, _, passed in node_checks(nodes, t)])
-    leaves = {"residual": leaf_residual, "ok": leaf_residual <= t.tol_check}
+    nodes["ok"] = np.logical_and.reduce([passed for _, _, passed in node_checks(nodes)])
+    leaves = {"residual": leaf_residual, "ok": leaf_residual <= TOL_CHECK}
     for column in (*nodes.values(), *leaves.values()):
         column.setflags(write=False)
     return VerificationReport(

@@ -3,12 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from povmtree import DEFAULT_TOLERANCES, tetrad
-
-
-@pytest.fixture
-def tol():
-    return DEFAULT_TOLERANCES
+from povmtree import tetrad
 
 
 @pytest.fixture
@@ -26,7 +21,7 @@ def frob(a):
 
 
 def hermitian_parameters(elements):
-    """The tree-v5 parameters of an ``(N, d, d)`` Hermitian stack, one row of d^2 reals each.
+    """The tree-v6 parameters of an ``(N, d, d)`` Hermitian stack, one row of d^2 reals each.
 
     Per element: the real diagonal, then each upper off-diagonal entry as a
     (re, im) pair, row by row; written out entry by entry as the format
@@ -44,7 +39,7 @@ def hermitian_parameters(elements):
 
 
 def read_tree_file(path):
-    """Header and writable arrays of a tree-v5 file, read as the format documents it.
+    """Header and writable arrays of a tree-v6 file, read as the format documents it.
 
     The first array is the padded POVM's parameters, ``(N, d*d)`` little-endian
     float64 as :func:`hermitian_parameters` lays them out; then ``kraus[l]`` of
@@ -67,7 +62,7 @@ def read_tree_file(path):
 
 
 def write_tree_file(path, header, arrays, tail=b""):
-    """Write a tree-v5 file from a header and arrays laid out as :func:`read_tree_file` returns them.
+    """Write a tree-v6 file from a header and arrays laid out as :func:`read_tree_file` returns them.
 
     ``tail`` bytes are appended.
     """

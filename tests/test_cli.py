@@ -8,7 +8,6 @@ import pytest
 import povmtree
 from povmtree import (
     QuantumState,
-    Tolerances,
     apply_freedom,
     cli,
     compile_tree,
@@ -188,8 +187,6 @@ def _swapped_tree_file(tmp_path):
     return path
 
 
-_RANK_DROPPED = np.diag([1.0, 0.6])  # its 0.6 falls below a tol_rank of 0.9
-
 # Each kind of error that had a class of its own before the error classes
 # were merged into one per exit code, by that class's name: a call that
 # fails with it, and the class, ``what`` and exit code it fails with now.
@@ -212,10 +209,12 @@ FORMER_CLASSES = {
                          "VerificationError", "completeness", 3),
     "InconsistentChildrenError": (lambda tmp: split_node((np.eye(2), np.eye(2)), np.eye(2)),
                                   "VerificationError", "children sum", 3),
+    # the children sum to the parent within TOL_CHECK, but the pair's completeness
+    # residual is 0.05: the parent's small singular value amplifies the mismatch
     "CompletenessViolationError": (
-        lambda tmp: split_node((0.6 * _RANK_DROPPED, 0.8 * _RANK_DROPPED), _RANK_DROPPED,
-                               tol=Tolerances(tol_rank=0.9)),
-        "VerificationError", "factorization", 3),
+        lambda tmp: split_node((np.diag([1 / np.sqrt(2), np.sqrt(1e-8 / 2 + 5e-10)]),
+                                np.diag([1 / np.sqrt(2), 1e-4 / np.sqrt(2)])), np.diag([1, 1e-4])),
+        "VerificationError", "completeness", 3),
     "TreeVerificationError": (lambda tmp: load_tree(_swapped_tree_file(tmp)),
                               "VerificationError", "leaf reconstruction", 3),
     "NotCompleteError": (lambda tmp: dilate_binary(np.stack([np.eye(2), np.eye(2)])),

@@ -149,7 +149,6 @@ class TestTreeFiles:
         save_tree(tree, path)
         again = load_tree(path)
         assert again.depth == tree.depth
-        assert again.tolerances == tree.tolerances
         assert again.order == tree.order
         assert len(again.kraus) == len(tree.kraus)
         for level in range(tree.depth):
@@ -186,26 +185,14 @@ class TestTreeFiles:
             load_tree(path)
         assert err.value.field == "kraus[1]"
 
-    def test_missing_tolerances(self, tmp_path, tetrad_povm):
-        path = tmp_path / "tetrad.tree"
-        save_tree(compile_tree(tetrad_povm), path)
-        header, arrays = read_tree_file(path)
-        del header["tolerances"]
-        write_tree_file(path, header, arrays)
-        with pytest.raises(ParseError) as err:
-            load_tree(path)
-        assert err.value.field == "tolerances"
-
     # The header is pinned byte for byte; the arrays are compared with the
     # tree's own, since their low bits can differ between LAPACK builds.
     TETRAD_HEADER = (
-        b'{"format": "povmtree/tree-v5", "dimension": 2, "n_outcomes": 4, "depth": 2, '
-        b'"tolerances": {"tol_rank": 1e-10, "tol_check": 1e-09, "tol_unitary": 1e-10}, '
+        b'{"format": "povmtree/tree-v6", "dimension": 2, "n_outcomes": 4, "depth": 2, '
         b'"order": [0, 3, 1, 2], "labels": ["0", "1", "2", "3"], "n_original": 4}'
     )
     PADDED_HEADER = (
-        b'{"format": "povmtree/tree-v5", "dimension": 2, "n_outcomes": 8, "depth": 3, '
-        b'"tolerances": {"tol_rank": 1e-10, "tol_check": 1e-09, "tol_unitary": 1e-10}, '
+        b'{"format": "povmtree/tree-v6", "dimension": 2, "n_outcomes": 8, "depth": 3, '
         b'"order": [0, 1, 2, 3, 4, 5, 6, 7], '
         b'"labels": ["0", "1", "2", "3", "4", "pad5", "pad6", "pad7"], "n_original": 5}'
     )
@@ -344,13 +331,14 @@ class TestTamperedTreeFiles:
         with pytest.raises(ParseError) as err:
             load_tree(path)
         assert err.value.field == "format"
-        assert "povmtree/tree-v5" in str(err.value)
+        assert "povmtree/tree-v6" in str(err.value)
 
-    @pytest.mark.parametrize("version", ["tree-v3", "tree-v4"])
+    @pytest.mark.parametrize("version", ["tree-v3", "tree-v4", "tree-v5"])
     def test_v3_file_is_not_read(self, tetrad_povm, tmp_path, version):
-        # tree-v3 and tree-v4 had the split coefficients after the depth in the
-        # header; then tree-v3 had every element's d^2 complex128 entries and
-        # tree-v4 the elements' parameters, as tree-v5 has
+        # tree-v3 to tree-v5 had the tolerances after the depth in the header,
+        # tree-v3 and tree-v4 the split coefficients before them; then tree-v3
+        # had every element's d^2 complex128 entries, and tree-v4 and tree-v5
+        # the elements' parameters, as tree-v6 has
         tree = compile_tree(tetrad_povm, partition=[0, 3, 1, 2])
         path = tmp_path / "old.tree"
         save_tree(tree, path)
@@ -359,8 +347,10 @@ class TestTamperedTreeFiles:
         for key, value in header.items():
             old[key] = f"povmtree/{version}" if key == "format" else value
             if key == "depth":
-                old["split_coefficients"] = [[2 ** -0.5, 0.0], [2 ** -0.5, 0.0]]
-        if version == "tree-v4":
+                if version != "tree-v5":
+                    old["split_coefficients"] = [[2 ** -0.5, 0.0], [2 ** -0.5, 0.0]]
+                old["tolerances"] = {"tol_rank": 1e-10, "tol_check": 1e-9, "tol_unitary": 1e-10}
+        if version != "tree-v3":
             write_tree_file(path, old, arrays)
         else:
             with open(path, "wb") as handle:
@@ -384,6 +374,20 @@ class TestTamperedTreeFiles:
         with pytest.raises(ParseError) as err:
             load_tree(path)
         assert err.value.field == "format"
+
+    def test_header_cannot_loosen_verification(self, tmp_path):
+        # tree-v5 loaded this file and verify passed it, judged at the tolerances
+        # its header declared; its probabilities then summed to 1.44
+        path = tmp_path / "loose.tree"
+        save_tree(compile_tree(random_rank_one_povm(8, 2, np.random.default_rng(5))), path)
+        header, (elements, *kraus) = read_tree_file(path)
+        kraus[0][0] *= 1.2  # the root's pair
+        header["tolerances"] = {"tol_rank": 1e-10, "tol_check": 0.9, "tol_unitary": 0.9}
+        write_tree_file(path, header, [elements, *kraus])
+        with pytest.raises(VerificationError) as err:
+            load_tree(path)
+        assert err.value.what == "completeness"
+        assert err.value.path == ""
 
     def test_swapped_elements_fail_verification(self, parts, tmp_path):
         # outcomes 1 and 2 share the parent "1", so only the leaves disagree

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from povmtree import (
-    Tolerances,
     ValidationError,
     VerificationError,
     complete_to_unitary,
@@ -26,17 +25,6 @@ def random_hermitian(dim, rng):
 def tetrad_m03():
     p = tetrad()
     return p.elements[0] + p.elements[3]
-
-
-class TestTolerances:
-    def test_defaults(self):
-        t = Tolerances()
-        assert t.tol_rank == 1e-10 and t.tol_check == 1e-9 and t.tol_unitary == 1e-10
-
-    @pytest.mark.parametrize("bad", [dict(tol_rank=0.0), dict(tol_check=-1e-9), dict(tol_rank=1.5)])
-    def test_rejects_bad_values(self, bad):
-        with pytest.raises(ValueError):
-            Tolerances(**bad)
 
 
 class TestHermitianEig:

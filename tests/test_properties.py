@@ -4,7 +4,6 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from povmtree import (
-    DEFAULT_TOLERANCES,
     compile_tree,
     dilate_binary,
     direct_probabilities,
@@ -17,7 +16,7 @@ from povmtree import (
 )
 from povmtree.dilation import dilate_level
 from povmtree.io import load_tree, save_tree
-from povmtree.linalg import complete_to_unitary_stack
+from povmtree.linalg import TOL_CHECK, complete_to_unitary_stack
 
 from conftest import frob
 
@@ -91,9 +90,9 @@ def test_validate_stores_exact_hermitian_parts_that_trees_round_trip(
 ):
     rng = np.random.default_rng(seed)
     n = d + extra
-    # anti-Hermitian noise below tol_check in every element and in their sum
+    # anti-Hermitian noise below TOL_CHECK in every element and in their sum
     raw = random_povm(n, d, rng).elements + anti_hermitian_noise(
-        n, d, noise * DEFAULT_TOLERANCES.tol_check / (2 * n), rng)
+        n, d, noise * TOL_CHECK / (2 * n), rng)
     p = validate(raw)
     e = p.elements
     lower = np.tril_indices(d, -1)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from povmtree import (
+    ValidationError,
     VerificationError,
     apply_freedom,
     compile_tree,
@@ -215,6 +216,34 @@ class TestCompile:
         with pytest.raises(ValueError):
             compile_tree(p, f)
 
+    @pytest.mark.parametrize("case", ["wrong dimension", "list of identities", "count", "nan",
+                                      "inf"])
+    def test_factorization_checked_on_entry(self, tetrad_povm, case):
+        # each once raised numpy's bare ValueError or TypeError, or (nan, inf)
+        # compiled into a tree with nan Kraus pairs
+        kraus = default_kraus(tetrad_povm)
+        nan, inf = kraus.copy(), kraus.copy()
+        nan[2, 1, 0] = np.nan
+        inf[1, 0, 1] = np.inf
+        factorization, error, what, where = {
+            "wrong dimension": (np.zeros((4, 3, 3)), ValidationError, "shape", 0),
+            # a list is stacked; identities do not factor the tetrad's elements
+            "list of identities": ([np.eye(2)] * 4, VerificationError, "children sum", "0"),
+            "count": (kraus[:3], ValidationError, "shape", None),
+            "nan": (nan, ValidationError, "finiteness", 2),
+            "inf": (inf, ValidationError, "finiteness", 1),
+        }[case]
+        with pytest.raises(error) as err:
+            compile_tree(tetrad_povm, factorization)
+        assert err.value.what == what
+        assert (err.value.path if error is VerificationError else err.value.index) == where
+
+    def test_factorization_as_a_list(self, rng):
+        p = random_rank_one_povm(5, 3, rng)
+        kraus = apply_freedom(default_kraus(p), [random_unitary(3, rng) for _ in range(5)])
+        listed = compile_tree(p, list(kraus)).kraus
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(listed, compile_tree(p, kraus).kraus))
+
     def test_freedom_on_rank_deficient_parents(self, rng):
         # last-level parents have rank 2 < d: the correction must follow the
         # child's isometric factor or completeness would break
@@ -302,8 +331,8 @@ class TestVerify:
 
     def test_completeness_judged_once_at_tol_check(self, tetrad_povm, tmp_path, monkeypatch):
         # Scaling the root pair by 1 + eps makes b0^dag b0 + b1^dag b1 = (1 + eps)^2 I,
-        # a completeness residual of about 2 eps sqrt(2) = 5e-10: inside tol_check,
-        # though above tol_unitary.  That residual is the [b0; b1] Gram block of
+        # a completeness residual of about 2 eps sqrt(2) = 5e-10: inside TOL_CHECK,
+        # though above TOL_UNITARY.  That residual is the [b0; b1] Gram block of
         # U^dag U - I, so the dilation check must not judge it a second time.
         tree = compile_tree(tetrad_povm, partition=[0, 3, 1, 2])
         root = tree.kraus[0] * (1 + 5e-10 / (2 * np.sqrt(2)))
@@ -317,11 +346,11 @@ class TestVerify:
         treeio.save_tree(scaled, path)
         assert treeio.load_tree(path).kraus[0].tobytes() == root.tobytes()
 
-        # the cross and completion blocks are still judged at tol_unitary
+        # the cross and completion blocks are still judged at TOL_UNITARY
         build = tree_module.dilate_level
 
-        def corrupted(pairs, tol):
-            u = build(pairs, tol)
+        def corrupted(pairs):
+            u = build(pairs)
             u[:, :, -1] *= 1 + 1e-8
             return u
 
@@ -336,8 +365,8 @@ class TestVerify:
         tree = compile_tree(tetrad_povm, partition=[0, 3, 1, 2])
         build = tree_module.dilate_level
 
-        def nudged(pairs, tol):
-            u = build(pairs, tol)
+        def nudged(pairs):
+            u = build(pairs)
             u[0, 0, 0] = complex(np.nextafter(u[0, 0, 0].real, np.inf), u[0, 0, 0].imag)
             return u
 
@@ -347,7 +376,7 @@ class TestVerify:
         assert set(failing) == {"", "0"} and not report.passed
         for c in failing.values():
             assert not c.blocks_exact
-            assert c.dilation_unitarity <= tree.tolerances.tol_unitary
+            assert c.dilation_unitarity <= linalg.TOL_UNITARY
 
     def test_reports_rank_and_corrections(self, rng):
         p = random_rank_one_povm(4, 3, rng)
