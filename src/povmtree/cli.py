@@ -52,11 +52,12 @@ def _format_matrix(m: np.ndarray) -> str:
 
 
 def cmd_validate(args) -> int:
-    povm = treeio.load_povm(args.path)
+    # the residuals validate judged: of the matrices as stored, not their Hermitian parts
+    elements, povm = treeio.povm_record(treeio.load_json(args.path))
     identity = np.eye(povm.dim)
-    total = povm.elements.sum(axis=0)
+    total = np.sum(elements, axis=0)
     print(f"POVM: {povm.n_outcomes} outcomes on dimension {povm.dim}")
-    for j, m in enumerate(povm.elements):
+    for j, m in enumerate(elements):
         herm = frobenius(m - m.conj().T)
         min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
         print(

@@ -26,16 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, VerificationError
+from .errors import VerificationError
 from .linalg import (
     TOL_CHECK,
     TOL_UNITARY,
-    adjoint,
-    as_complex_matrix,
+    as_stack,
     blocks,
     complete_to_unitary,
     complete_to_unitary_stack,
-    frobenius,
+    isometry_residuals,
     rank_mask,
 )
 from .povm import Povm
@@ -44,16 +43,13 @@ from .povm import Povm
 def completeness_residuals(pairs: np.ndarray) -> np.ndarray:
     """``|b0^dag b0 + b1^dag b1 - I|_F`` of each pair of a ``(k, 2, d, d)`` stack.
 
-    This is the Gram residual of the column block ``[b0; b1]``, computed the
-    way :func:`povmtree.linalg.complete_to_unitary_stack` computes it, so a
-    pair admitted here is admitted by the completion at the same tolerance.
+    This is the Gram residual of the column block ``[b0; b1]``, by the
+    :func:`povmtree.linalg.isometry_residuals` that
+    :func:`povmtree.linalg.complete_to_unitary_stack` judges, so a pair
+    admitted here is admitted by the completion at the same tolerance.
     """
     k, _, d, _ = pairs.shape
-    residuals = np.empty(k)
-    for rows in blocks(k, d):
-        b = pairs[rows].reshape(-1, 2 * d, d)
-        residuals[rows] = np.linalg.norm(adjoint(b) @ b - np.eye(d), axis=(-2, -1))
-    return residuals
+    return isometry_residuals(pairs.reshape(k, 2 * d, d))
 
 
 def dilate_level(pairs) -> np.ndarray:
@@ -124,15 +120,11 @@ class NeumarkExtension:
         Embeds the state into the extended space, applies the extension
         unitary, and reads the computational-basis populations, summing the
         rows that belong to the same outcome.  Only the isometry is read: the
-        state lives in the first ``system_dim`` basis vectors.  A density of
-        another shape raises :class:`povmtree.errors.ValidationError`
-        (``what="shape"``).
+        state lives in the first ``system_dim`` basis vectors.  The density
+        is checked as :func:`povmtree.linalg.as_stack` checks a stack of one
+        ``system_dim``-square matrix.
         """
-        rho = as_complex_matrix(density)
-        if rho.shape != (self.system_dim, self.system_dim):
-            raise ValidationError(
-                f"state has shape {rho.shape}, expected ({self.system_dim}, {self.system_dim})",
-                what="shape")
+        rho = as_stack([density], (self.system_dim, self.system_dim))[0]
         rows = self.isometry
         per_row = np.einsum("jk,kl,jl->j", rows, rho, rows.conj()).real
         probs = np.zeros(self.n_outcomes)
@@ -168,7 +160,7 @@ def full_neumark(p: Povm) -> NeumarkExtension:
         rows.append(np.sqrt(w[element, piece])[:, None] * v[element, :, piece].conj())
         owners.append(block.start + element)
     isometry, element = np.concatenate(rows), np.concatenate(owners)
-    residual = frobenius(adjoint(isometry) @ isometry - np.eye(p.dim))
+    residual = isometry_residuals(isometry[None])[0]
     if residual > TOL_UNITARY:
         raise VerificationError(
             f"outcome pieces are not orthonormal columns (residual {residual:.3e})",

@@ -14,9 +14,10 @@ where it does not apply.  The message starts with ``element j: `` or
 
 ``what`` is one of:
 
-- validation: ``"shape"``, ``"hermiticity"``, ``"positivity"``, ``"trace"``,
-  ``"unitarity"``, ``"completeness"`` (of a POVM's elements) and
-  ``"finiteness"`` (of a factorization's Kraus operators);
+- validation: ``"shape"`` and ``"finiteness"`` (of every matrix from outside),
+  ``"hermiticity"``, ``"positivity"``, ``"trace"``, ``"unitarity"``,
+  ``"completeness"`` (of a POVM's elements, or ranks that cannot reach it),
+  ``"partition"`` and ``"range"`` (a basis index, shot count or rank);
 - parsing: ``"dimensions"`` (a cost request), else ``None``;
 - verification: ``"shape"``; ``"completeness"`` (orthonormal columns: the
   completeness of a Kraus pair or of the Neumark rows); ``"children sum"``

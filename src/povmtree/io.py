@@ -86,7 +86,7 @@ def _require(mapping: dict, key: str) -> Any:
     return mapping[key]
 
 
-def _load_json(path) -> dict:
+def load_json(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -108,6 +108,11 @@ def povm_to_dict(p: Povm) -> dict:
 
 
 def povm_from_dict(data: dict) -> Povm:
+    return povm_record(data)[1]
+
+
+def povm_record(data: dict) -> tuple[list[np.ndarray], Povm]:
+    """The elements of a POVM record as stored, and the :class:`Povm` validated from them."""
     dim = _int_field(data, "dimension", 1)
     raw = _require(data, "elements")
     if not isinstance(raw, list) or not raw:
@@ -119,12 +124,11 @@ def povm_from_dict(data: dict) -> Povm:
                 f"element {j} has shape {m.shape}, expected ({dim}, {dim})",
                 field=f"elements[{j}]",
             )
-    labels = data.get("labels")
-    p = validate(elements, labels=labels)
+    p = validate(elements, labels=data.get("labels"))
     n_original = _n_original(data, p.elements) if "n_original" in data else p.n_outcomes
     if n_original != p.n_outcomes:
         p = Povm(dim=p.dim, elements=p.elements, labels=p.labels, n_original=n_original)
-    return p
+    return elements, p
 
 
 def save_povm(p: Povm, path) -> None:
@@ -133,7 +137,7 @@ def save_povm(p: Povm, path) -> None:
 
 
 def load_povm(path) -> Povm:
-    return povm_from_dict(_load_json(path))
+    return povm_from_dict(load_json(path))
 
 
 def state_to_dict(state: QuantumState) -> dict:
@@ -163,7 +167,7 @@ def save_state(state: QuantumState, path) -> None:
 
 
 def load_state(path) -> QuantumState:
-    return state_from_dict(_load_json(path))
+    return state_from_dict(load_json(path))
 
 
 def _int_field(data: dict, key: str, low: int) -> int:

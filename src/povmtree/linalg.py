@@ -19,7 +19,16 @@ on unit-scale operators: Hermiticity, positivity, completeness, factorization
 and leaf reconstruction.  ``TOL_UNITARY`` (1e-10) bounds ``|V^dag V - I|_F``
 of unitaries and isometries.
 
-All functions are pure; returned arrays are fresh and never alias inputs.
+A matrix from outside is checked once, here: :func:`as_stack` decides shape
+and finiteness, :func:`check_psd` Hermiticity and positivity, by one rule:
+``|A - A^dag|_F <= TOL_CHECK`` and no eigenvalue of the Hermitian part below
+the absolute floor ``-TOL_CHECK``.  :func:`hermitian_eig`, :func:`psd_sqrt`,
+:func:`pseudo_inverse` and the completions check their input through them;
+the kernels :func:`psd_sqrt_stack` and :func:`svd_inverse` check nothing,
+running on a validated :class:`povmtree.povm.Povm`'s elements and sums.
+
+All functions but :func:`check_psd` and :func:`hermitian_from_upper` are pure;
+returned arrays are fresh and never alias inputs.
 """
 
 from __future__ import annotations
@@ -47,14 +56,37 @@ def blocks(n: int, d: int):
     return (slice(i, min(i + step, n)) for i in range(0, n, step))
 
 
-def as_complex_matrix(a) -> np.ndarray:
-    """Coerce to a fresh 2-D complex array, rejecting NaN/Inf entries."""
-    m = np.array(a, dtype=complex)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got {m.ndim} dimensions")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
-    return m
+def as_stack(matrices, shape=None, copy: bool = False) -> np.ndarray:
+    """``matrices``, an ``(N, m, n)`` array or a sequence of matrices, as a complex array.
+
+    Every matrix must have ``shape``, by default ``(d, d)`` with d the first
+    matrix's row count.  The array is fresh if ``copy`` is set, else only if
+    a conversion needs one.  Raises a :class:`ValidationError` for no
+    matrices (``what="shape"``), or naming the first failing matrix by
+    ``index``: one that is not a matrix of that shape (``"shape"``), or else
+    one with an entry that is not finite (``"finiteness"``).
+    """
+    if not isinstance(matrices, np.ndarray):
+        matrices = list(matrices)
+    if not len(matrices):
+        raise ValidationError("got no matrices", what="shape")
+    # the rows of an array share one shape, so its first row stands for all
+    for j, m in enumerate(matrices[:1] if isinstance(matrices, np.ndarray) else matrices):
+        try:
+            found = np.shape(m)
+        except ValueError as err:  # rows of unequal length
+            raise ValidationError(f"is not a matrix: {err}", what="shape", index=j) from err
+        if len(found) != 2:
+            raise ValidationError(f"has {len(found)} dimensions, expected a matrix",
+                                  what="shape", index=j)
+        shape = (found[0], found[0]) if shape is None else tuple(shape)
+        if found != shape:
+            raise ValidationError(f"has shape {found}, expected {shape}", what="shape", index=j)
+    stack = (np.array if copy else np.asarray)(matrices, dtype=complex)
+    if not np.isfinite(stack).all():
+        raise ValidationError("has an entry that is not finite", what="finiteness",
+                              index=int(np.argmin(np.isfinite(stack).all(axis=(1, 2)))))
+    return stack
 
 
 def frobenius(a: np.ndarray) -> float:
@@ -70,11 +102,6 @@ def rank_mask(singular_values: np.ndarray) -> np.ndarray:
     """
     s = np.asarray(singular_values, dtype=float)
     return s > TOL_RANK * s[..., :1]
-
-
-def _require_square(m: np.ndarray) -> None:
-    if m.shape[0] != m.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {m.shape}", what="shape")
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,6 +151,42 @@ def _order_ties(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np
     return values, vectors
 
 
+def _asymmetry(a: np.ndarray, a_dag: np.ndarray) -> np.ndarray:
+    """The Hermiticity residual ``|A - A^dag|_F`` of each matrix of a stack, given its adjoint."""
+    r = (a - a_dag).view(float)
+    return np.sqrt(np.add.reduce(r * r, axis=(-2, -1)))
+
+
+def check_psd(stack: np.ndarray) -> np.ndarray:
+    """Check each matrix of a square stack for Hermiticity and positivity; returns ``stack``.
+
+    Writes each matrix's Hermitian part ``(M + M^dag)/2`` over it, block by
+    block, so the caller passes a copy it owns.  Raises a
+    :class:`ValidationError` naming the first failing matrix by ``index``:
+    ``what="hermiticity"`` if ``|M - M^dag|_F`` exceeds ``TOL_CHECK``, else
+    ``"positivity"`` (the eigenvalue as ``residual``) if its Hermitian part
+    has an eigenvalue below ``-TOL_CHECK``.
+    """
+    for rows in blocks(len(stack), stack.shape[-1]):
+        block = stack[rows]
+        block_dag = adjoint(block)
+        residual = _asymmetry(block, block_dag)
+        block += block_dag
+        block /= 2
+        min_eig = np.linalg.eigvalsh(block)[:, 0]
+        worst = np.maximum(residual, -min_eig)  # both bounds are TOL_CHECK
+        if worst.max() > TOL_CHECK:
+            j = int(np.argmax(worst > TOL_CHECK))
+            r, at = residual[j], rows.start + j
+            if r > TOL_CHECK:
+                raise ValidationError(f"matrix is not Hermitian, |A - A^dag|_F = {r:.3e}",
+                                      what="hermiticity", residual=r, index=at)
+            raise ValidationError(
+                f"matrix is not positive semidefinite, negative eigenvalue {min_eig[j]:.3e}",
+                what="positivity", residual=min_eig[j], index=at)
+    return stack
+
+
 def hermitian_eig(a) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix with a reproducible ordering.
 
@@ -134,16 +197,15 @@ def hermitian_eig(a) -> EigenDecomposition:
     Raises
     ------
     ValidationError
-        ``what="shape"`` if the matrix is not square, ``"hermiticity"`` if
-        ``|A - A^dag|_F`` exceeds ``TOL_CHECK``.
+        As :func:`as_stack` for a stack of one square matrix, or
+        ``what="hermiticity"`` if ``|A - A^dag|_F`` exceeds ``TOL_CHECK``.
     """
-    m = as_complex_matrix(a)
-    _require_square(m)
-    residual = frobenius(m - m.conj().T)
+    m = as_stack([a])
+    residual = _asymmetry(m, adjoint(m))[0]
     if residual > TOL_CHECK:
         raise ValidationError(f"matrix is not Hermitian, |A - A^dag|_F = {residual:.3e}",
                               what="hermiticity", residual=residual)
-    w, v = np.linalg.eigh((m + m.conj().T) / 2)
+    w, v = np.linalg.eigh((m[0] + m[0].conj().T) / 2)
     order = np.argsort(-w, kind="stable")
     w = w[order]
     v = _fix_phases(v[:, order])
@@ -198,45 +260,26 @@ def pseudo_inverse(a) -> np.ndarray:
 
     Singular values at or below ``TOL_RANK`` times the largest are
     treated as exact zeros, inverting the operator on its numerical support
-    only.  Satisfies all four Penrose axioms to machine precision.
+    only.  Satisfies all four Penrose axioms to machine precision.  Takes a
+    finite matrix of any shape, checked by :func:`as_stack`.
     """
-    m = as_complex_matrix(a)
-    return svd_inverse(m[None])[0][0]
+    return svd_inverse(as_stack([a], np.shape(a)))[0][0]
 
 
 def psd_sqrt_stack(a: np.ndarray) -> np.ndarray:
     """Hermitian PSD square roots of a stack of matrices, one stacked ``eigh`` per block.
 
-    Eigenvalues below ``TOL_RANK`` times the largest of the same matrix
-    are truncated to exact zero (the module rank policy); without this,
-    square-rooting an exactly rank-deficient operator would amplify
-    eigenvalue dust above the rank threshold and poison every later rank
-    decision made on the result.
-
-    Raises
-    ------
-    ValidationError
-        ``what="hermiticity"`` if some ``|A - A^dag|_F`` exceeds
-        ``TOL_CHECK``, ``"positivity"`` (the eigenvalue as ``residual``)
-        if some matrix has an eigenvalue below ``-TOL_CHECK * |A|_F``;
-        ``index`` is the first such matrix's position in the stack.
+    A kernel that checks nothing: each matrix is exactly Hermitian and
+    passes :func:`check_psd`, as a validated POVM's elements and their sums
+    do.  Eigenvalues below ``TOL_RANK`` times the largest of the same
+    matrix, negative dust included, are truncated to exact zero (the module
+    rank policy); without this, square-rooting an exactly rank-deficient
+    operator would amplify eigenvalue dust above the rank threshold and
+    poison every later rank decision made on the result.
     """
     roots = np.empty(a.shape, dtype=complex)
     for rows in blocks(len(a), a.shape[-1]):
-        b = a[rows]
-        asymmetry = np.linalg.norm(b - adjoint(b), axis=(-2, -1))
-        bad = np.flatnonzero(asymmetry > TOL_CHECK)
-        if bad.size:
-            r = asymmetry[bad[0]]
-            raise ValidationError(f"matrix is not Hermitian, |A - A^dag|_F = {r:.3e}",
-                                  what="hermiticity", residual=r, index=rows.start + int(bad[0]))
-        w, v = np.linalg.eigh((b + adjoint(b)) / 2)
-        floor = -TOL_CHECK * np.linalg.norm(b, axis=(-2, -1))
-        bad = np.flatnonzero(w[:, 0] < floor)
-        if bad.size:
-            r = w[bad[0], 0]
-            raise ValidationError(f"matrix is not positive semidefinite, min eigenvalue = {r:.3e}",
-                                  what="positivity", residual=r, index=rows.start + int(bad[0]))
+        w, v = np.linalg.eigh(a[rows])
         top = np.maximum(w[:, -1:], 0.0)
         w = np.where(w > TOL_RANK * top, w, 0.0)
         s = (v * np.sqrt(w)[:, None, :]) @ adjoint(v)
@@ -247,15 +290,19 @@ def psd_sqrt_stack(a: np.ndarray) -> np.ndarray:
 def psd_sqrt(a) -> np.ndarray:
     """Hermitian PSD square root, computed spectrally; see :func:`psd_sqrt_stack`.
 
-    Raises
-    ------
-    ValidationError
-        ``what="shape"`` if the matrix is not square, otherwise as
-        :func:`psd_sqrt_stack`.
+    Raises a :class:`ValidationError` as :func:`as_stack`, then
+    :func:`check_psd`, do for a stack of one square matrix.
     """
-    m = as_complex_matrix(a)
-    _require_square(m)
-    return psd_sqrt_stack(m[None])[0]
+    return psd_sqrt_stack(check_psd(as_stack([a], copy=True)))[0]
+
+
+def isometry_residuals(x: np.ndarray) -> np.ndarray:
+    """``|X^dag X - I|_F`` of each n x k matrix of a stack, per block: the isometry residual."""
+    k = x.shape[-1]
+    residuals = np.empty(len(x))
+    for rows in blocks(len(x), k):
+        residuals[rows] = np.linalg.norm(adjoint(x[rows]) @ x[rows] - np.eye(k), axis=(-2, -1))
+    return residuals
 
 
 def complete_to_unitary_stack(blocks, limit: float = TOL_UNITARY) -> np.ndarray:
@@ -269,8 +316,8 @@ def complete_to_unitary_stack(blocks, limit: float = TOL_UNITARY) -> np.ndarray:
 
     Raises
     ------
-    ValueError
-        If an entry is not finite.
+    ValidationError
+        As :func:`as_stack`, if ``blocks`` is not a stack of finite matrices.
     VerificationError
         ``what="shape"`` if the blocks have more columns than rows;
         ``what="completeness"``, naming the first failing block by
@@ -278,15 +325,11 @@ def complete_to_unitary_stack(blocks, limit: float = TOL_UNITARY) -> np.ndarray:
         for an isometry, ``TOL_CHECK`` where the Gram matrix is a
         completeness sum (:func:`povmtree.dilation.dilate_level`).
     """
-    b = np.asarray(blocks, dtype=complex)
-    if b.ndim != 3:
-        raise ValueError(f"expected a stack of matrices, got {b.ndim} dimensions")
-    if not np.all(np.isfinite(b)):
-        raise ValueError("matrix entries must be finite")
+    b = as_stack(blocks, np.shape(blocks)[1:])
     n, k = b.shape[1:]
     if k > n:
         raise VerificationError(f"block has more columns ({k}) than rows ({n})", what="shape")
-    gram_residual = np.linalg.norm(adjoint(b) @ b - np.eye(k), axis=(-2, -1))
+    gram_residual = isometry_residuals(b)
     bad = np.flatnonzero(gram_residual > limit)
     if bad.size:
         r = gram_residual[bad[0]]
@@ -300,19 +343,12 @@ def complete_to_unitary_stack(blocks, limit: float = TOL_UNITARY) -> np.ndarray:
 def complete_to_unitary(block) -> np.ndarray:
     """Complete an n x k block of orthonormal columns to an n x n unitary.
 
-    A stack of one over :func:`complete_to_unitary_stack`: the given columns
-    are copied into the result verbatim (bit-identical), and the remaining
-    n - k columns are an orthonormal basis of their complement, taken from a
-    complete Householder QR of the block.
-
-    Raises
-    ------
-    ValueError
-        If the block is not a 2-D matrix of finite entries.
-    VerificationError
-        As :func:`complete_to_unitary_stack`.
+    A stack of one over :func:`complete_to_unitary_stack`, raising as it:
+    the given columns are copied into the result verbatim (bit-identical),
+    and the remaining n - k columns are an orthonormal basis of their
+    complement, taken from a complete Householder QR of the block.
     """
-    return complete_to_unitary_stack(as_complex_matrix(block)[None], TOL_UNITARY)[0]
+    return complete_to_unitary_stack([block])[0]
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -17,10 +17,11 @@ from .errors import ValidationError
 from .linalg import (
     TOL_CHECK,
     TOL_UNITARY,
-    adjoint,
-    blocks,
+    as_stack,
+    check_psd,
     frobenius,
     hermitian_from_upper,
+    isometry_residuals,
     psd_sqrt_stack,
 )
 
@@ -59,81 +60,30 @@ class Povm:
         return self.labels[self.n_original :]
 
 
-def as_stack(matrices, dim: int | None = None, copy: bool = False) -> np.ndarray:
-    """``matrices``, an ``(N, d, d)`` array or a sequence of d x d matrices, as a complex array.
-
-    d is ``dim``, or else the first matrix's row count.  The array is fresh
-    if ``copy`` is set, else only if a conversion needs one.  Raises a
-    :class:`ValidationError` (``what="shape"``) for no matrices or, by
-    ``index``, for the first that is not a d x d matrix.
-    """
-    if not isinstance(matrices, np.ndarray):
-        matrices = list(matrices)
-    if not len(matrices):
-        raise ValidationError("got no matrices", what="shape")
-    # the rows of an array share one shape, so its first row stands for all
-    for j, m in enumerate(matrices[:1] if isinstance(matrices, np.ndarray) else matrices):
-        shape = np.shape(m)
-        if len(shape) != 2:
-            raise ValidationError(f"has {len(shape)} dimensions, expected a matrix",
-                                  what="shape", index=j)
-        dim = shape[0] if dim is None else dim
-        if shape != (dim, dim):
-            raise ValidationError(f"has shape {shape}, expected ({dim}, {dim})",
-                                  what="shape", index=j)
-    return (np.array if copy else np.asarray)(matrices, dtype=complex)
-
-
 def validate(elements, labels=None) -> Povm:
     """Check POVM invariants and return the validated :class:`Povm`.
 
     ``elements`` is a sequence of d x d matrices or one ``(N, d, d)`` array;
     the POVM holds its own read-only copy.  Raises the error for the first
-    violated condition: every element a square matrix of one shape
-    (``what="shape"``), finite entries, per-element Hermiticity and
-    positivity, and the sum-to-identity completeness relation, each a
-    :class:`povmtree.errors.ValidationError` whose ``what`` names it.
-    Finiteness, then Hermiticity and positivity, are judged per block of
-    elements (:func:`povmtree.linalg.blocks`), in order, so the
-    first failing block decides the error; a non-finite entry counts as
-    failed Hermiticity (residual ``nan``), and Hermiticity of an element
-    comes before its positivity.
+    violated condition, each a :class:`povmtree.errors.ValidationError`
+    whose ``what`` names it: every element a finite square matrix of one
+    shape (``"shape"``, ``"finiteness"``; :func:`povmtree.linalg.as_stack`),
+    per-element Hermiticity and positivity (``"hermiticity"``,
+    ``"positivity"``; :func:`povmtree.linalg.check_psd`, which names the
+    first failing element), and the sum-to-identity completeness relation
+    (``"completeness"``).
 
     Every check reads the elements as given.  The POVM then holds each
     element's Hermitian part ``(M + M^dag)/2``, made exactly Hermitian by
     :func:`povmtree.linalg.hermitian_from_upper`, so validating its own
     elements again returns the same bytes and a tree file, which stores
-    only the upper triangle, reproduces them bit for bit.
+    only the upper triangle, reproduces them bit for bit.  Code that takes a
+    :class:`Povm` relies on this and checks its elements no further.
     """
     stack = as_stack(elements, copy=True)
     n, dim = stack.shape[:2]
-    total = np.zeros((dim, dim), dtype=complex)
-    for rows in blocks(n, dim):
-        block = stack[rows]
-        finite = np.isfinite(block).all(axis=(1, 2))
-        if not finite.all():
-            raise ValidationError("matrix is not Hermitian, |A - A^dag|_F = nan",
-                                  what="hermiticity", residual=float("nan"),
-                                  index=rows.start + int(np.argmin(finite)))
-        herm = adjoint(block)  # a fresh copy, made the Hermitian part in place
-        residual = np.linalg.norm(block - herm, axis=(1, 2))
-        herm += block
-        herm /= 2
-        min_eig = np.linalg.eigvalsh(herm)[:, 0]
-        not_hermitian = residual > TOL_CHECK
-        bad = np.flatnonzero(not_hermitian | (min_eig < -TOL_CHECK))
-        if bad.size:
-            j = int(bad[0])
-            if not_hermitian[j]:
-                raise ValidationError(
-                    f"matrix is not Hermitian, |A - A^dag|_F = {residual[j]:.3e}",
-                    what="hermiticity", residual=residual[j], index=rows.start + j)
-            raise ValidationError(
-                f"matrix is not positive semidefinite, min eigenvalue = {min_eig[j]:.3e}",
-                what="positivity", residual=min_eig[j], index=rows.start + j)
-        # one raw element after another, in the order stack.sum(axis=0) adds them
-        total = np.concatenate([total[None], block]).sum(axis=0)
-        block[...] = hermitian_from_upper(herm)
+    total = stack.sum(axis=0)  # of the raw elements, before check_psd overwrites them
+    hermitian_from_upper(check_psd(stack))
     deficit = frobenius(total - np.eye(dim))
     if deficit > TOL_CHECK:
         raise ValidationError(f"POVM elements do not sum to identity, |sum - I|_F = {deficit:.3e}",
@@ -162,29 +112,27 @@ def apply_freedom(kraus: np.ndarray, unitaries) -> np.ndarray:
     Returns the rotated operators as a new read-only ``(N, d, d)`` array.
     The measurement operators ``m_j^dag m_j`` and therefore all outcome
     probabilities are unchanged; only post-measurement states rotate.
-    ``unitaries`` is a sequence of d x d matrices or one ``(N, d, d)`` array,
-    checked per block: the error names the first failing unitary, and a
-    non-finite entry counts as failed unitarity (residual ``nan``).
+    ``unitaries`` is a sequence of d x d matrices or one ``(N, d, d)`` array;
+    an error names the first failing unitary by ``index``.
 
     Raises
     ------
     ValidationError
         ``what="shape"`` if the count or a shape does not match the Kraus
-        operators, ``"unitarity"`` if some ``|V^dag V - I|_F`` exceeds
-        ``TOL_UNITARY``.
+        operators, ``"finiteness"`` for an entry that is not finite (as
+        :func:`povmtree.linalg.as_stack`), ``"unitarity"`` if some
+        ``|V^dag V - I|_F`` exceeds ``TOL_UNITARY``.
     """
-    d = kraus.shape[-1]
-    vs = as_stack(unitaries, d)
+    vs = as_stack(unitaries, kraus.shape[1:])
     if len(vs) != len(kraus):
         raise ValidationError(f"got {len(vs)} unitaries for {len(kraus)} Kraus operators",
                               what="shape")
-    for rows in blocks(len(vs), d):
-        residual = np.linalg.norm(adjoint(vs[rows]) @ vs[rows] - np.eye(d), axis=(1, 2))
-        bad = np.flatnonzero(~(residual <= TOL_UNITARY))  # nan fails too
-        if bad.size:
-            r = residual[bad[0]]
-            raise ValidationError(f"matrix is not unitary, |V^dag V - I|_F = {r:.3e}",
-                                  what="unitarity", residual=r, index=rows.start + int(bad[0]))
+    residual = isometry_residuals(vs)
+    bad = np.flatnonzero(residual > TOL_UNITARY)
+    if bad.size:
+        r = residual[bad[0]]
+        raise ValidationError(f"matrix is not unitary, |V^dag V - I|_F = {r:.3e}",
+                              what="unitarity", residual=r, index=int(bad[0]))
     return _frozen(vs @ kraus)
 
 
@@ -239,9 +187,10 @@ def random_povm(
     if len(ranks) != n_outcomes:
         raise ValidationError(f"got {len(ranks)} ranks for {n_outcomes} outcomes", what="shape")
     if any(r < 1 or r > dim for r in ranks):
-        raise ValueError("element ranks must lie in 1..dim")
+        raise ValidationError("element ranks must lie in 1..dim", what="range")
     if sum(ranks) < dim:
-        raise ValueError("total rank below dim cannot sum to the identity")
+        raise ValidationError("total rank below dim cannot sum to the identity",
+                              what="completeness")
     pieces = []
     for r in ranks:
         x = rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r))

@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ValidationError, VerificationError
-from .linalg import TOL_CHECK, adjoint, as_complex_matrix, blocks, frobenius
+from .linalg import TOL_CHECK, adjoint, as_stack, blocks, check_psd
 from .povm import Povm
 from .records import Rows
 from .tree import MeasurementTree, node_path
@@ -25,26 +25,18 @@ from .tree import MeasurementTree, node_path
 
 @dataclass(frozen=True, eq=False)
 class QuantumState:
-    """Validated density matrix: Hermitian, unit trace, positive semidefinite."""
+    """Validated density matrix: Hermitian, unit trace, positive semidefinite; kept as given."""
 
     density: np.ndarray
 
     def __post_init__(self) -> None:
-        rho = as_complex_matrix(self.density)
-        if rho.shape[0] != rho.shape[1]:
-            raise ValidationError(f"density matrix must be square, got {rho.shape}", what="shape")
-        herm = frobenius(rho - rho.conj().T)
-        if herm > TOL_CHECK:
-            raise ValidationError(f"density matrix is not Hermitian, residual {herm:.3e}",
-                                  what="hermiticity", residual=herm)
-        trace = float(np.trace(rho).real)
+        rho = as_stack([self.density])
+        check_psd(rho.copy())  # on a copy: the state keeps the density as given
+        rho = rho[0]
+        trace = float(rho.trace().real)
         if abs(trace - 1.0) > TOL_CHECK:
             raise ValidationError(f"density matrix trace is {trace}, expected 1", what="trace",
                                   residual=abs(trace - 1.0))
-        min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0])
-        if min_eig < -TOL_CHECK:
-            raise ValidationError(f"density matrix has negative eigenvalue {min_eig:.3e}",
-                                  what="positivity", residual=min_eig)
         rho.setflags(write=False)
         object.__setattr__(self, "density", rho)
 
@@ -66,7 +58,7 @@ class QuantumState:
         v = np.asarray(amplitudes, dtype=complex).ravel()
         norm = np.linalg.norm(v)
         if norm == 0:
-            raise ValueError("cannot normalize the zero vector")
+            raise ValidationError("cannot normalize the zero vector", what="trace")
         v = v / norm
         return cls(np.outer(v, v.conj()))
 
@@ -74,7 +66,7 @@ class QuantumState:
     def basis(cls, dim: int, index: int) -> "QuantumState":
         """Computational basis state |index><index|."""
         if not 0 <= index < dim:
-            raise ValueError(f"basis index {index} not in 0..{dim - 1}")
+            raise ValidationError(f"basis index {index} not in 0..{dim - 1}", what="range")
         v = np.zeros(dim)
         v[index] = 1.0
         return cls.pure(v)
@@ -277,7 +269,7 @@ def sample(
     without building post-states.
     """
     if shots < 1:
-        raise ValueError("shots must be at least 1")
+        raise ValidationError("shots must be at least 1", what="range")
     leaves, p_left = _level_pass(tree, state)
     probs = _leaf_probabilities(tree, leaves)[0]
     del leaves

@@ -46,13 +46,13 @@ from .linalg import (
     TOL_RANK,
     TOL_UNITARY,
     adjoint,
-    as_complex_matrix,
+    as_stack,
     blocks,
     psd_sqrt_stack,
     rank_mask,
     svd_inverse,
 )
-from .povm import Povm, as_stack, pad_to_power_of_two
+from .povm import Povm, pad_to_power_of_two
 from .records import VerificationReport
 
 # The weight a_0 = a_1 of the null-space correction in both children's operators;
@@ -205,10 +205,7 @@ def null_space_isometry(parent_kraus) -> np.ndarray:
     range of the parent.  Returns the zero matrix for a full-rank parent and
     a unitary for the zero matrix.
     """
-    p = as_complex_matrix(parent_kraus)
-    if p.shape[0] != p.shape[1]:
-        raise ValueError("parent Kraus operator must be square")
-    return svd_inverse(p[None])[1][0]
+    return svd_inverse(as_stack([parent_kraus]))[1][0]
 
 
 def split_node(children_kraus, parent_kraus) -> np.ndarray:
@@ -233,17 +230,19 @@ def split_node(children_kraus, parent_kraus) -> np.ndarray:
 
     Raises
     ------
+    ValidationError
+        As :func:`povmtree.linalg.as_stack`, unless the children are two
+        finite matrices of the parent's square shape.
     VerificationError
         ``what="children sum"`` if the precondition sum fails;
         ``"completeness"`` or ``"factorization"`` if a post-check fails,
         which signals a numerical-rank misjudgment in the parent operator.
     """
-    m_left, m_right = (as_complex_matrix(m) for m in children_kraus)
-    parent = as_complex_matrix(parent_kraus)
-    d = parent.shape[0]
-    if parent.shape != (d, d) or m_left.shape != (d, d) or m_right.shape != (d, d):
-        raise ValueError("children and parent must be square matrices of equal dimension")
-    pair = _split_level(np.stack([m_left, m_right])[None], parent[None])[0]
+    parent = as_stack([parent_kraus])
+    children = as_stack(children_kraus, parent.shape[1:])
+    if len(children) != 2:
+        raise ValidationError(f"got {len(children)} child operators, expected 2", what="shape")
+    pair = _split_level(children[None], parent)[0]
     pair.setflags(write=False)
     return pair
 
@@ -255,10 +254,8 @@ def _resolve_partition(partition, n_real: int, n_padded: int) -> tuple[int, ...]
     if len(order) == n_real and n_real < n_padded:
         order = order + tuple(range(n_real, n_padded))
     if sorted(order) != list(range(n_padded)):
-        raise ValueError(
-            f"partition must be a permutation of 0..{n_padded - 1} "
-            f"(or of the {n_real} unpadded outcomes)"
-        )
+        raise ValidationError(f"partition must be a permutation of 0..{n_padded - 1} "
+                              f"(or of the {n_real} unpadded outcomes)", what="partition")
     return order
 
 
@@ -287,6 +284,7 @@ def compile_tree(
     Raises
     ------
     ValidationError
+        ``what="partition"`` unless ``partition`` is a permutation as above.
         Unless ``factorization`` holds one d x d operator per original or
         padded outcome: ``what="shape"`` (``index`` naming the first
         operator of the wrong shape, if any) or ``"finiteness"`` (``index``
@@ -300,14 +298,10 @@ def compile_tree(
     depth = n.bit_length() - 1
     order = _resolve_partition(partition, p.n_outcomes, n)
     if factorization is not None:
-        factorization = as_stack(factorization, d)
+        factorization = as_stack(factorization, (d, d))
         if len(factorization) not in (p.n_outcomes, n):
             raise ValidationError(f"factorization has {len(factorization)} operators for "
                                   f"{p.n_outcomes} outcomes", what="shape")
-        finite = np.isfinite(factorization).all(axis=(1, 2))
-        if not finite.all():
-            raise ValidationError("Kraus operator has an entry that is not finite",
-                                  what="finiteness", index=int(np.argmin(finite)))
     at = np.array(order)
     levels = []
     m = np.eye(d, dtype=complex)[None]

@@ -47,6 +47,19 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "valid" in out and "completeness residual" in out
 
+    def test_prints_the_residuals_of_the_stored_matrices(self, tetrad_file, capsys):
+        # 5e-10 more on the imaginary part of element 0's entry (0, 1), within TOL_CHECK
+        with open(tetrad_file) as handle:
+            data = json.load(handle)
+        data["elements"][0][0][1][1] += 5e-10
+        with open(tetrad_file, "w") as handle:
+            json.dump(data, handle)
+        assert main(["validate", tetrad_file]) == 0
+        out = capsys.readouterr().out
+        assert "element '0': hermiticity residual 7.071e-10" in out
+        assert "element '1': hermiticity residual 0.000e+00" in out
+        assert "|sum - I|_F = 5.000e-10" in out
+
     def test_incomplete_sum(self, tmp_path, capsys):
         path = tmp_path / "bad.povm.json"
         path.write_text(
@@ -108,6 +121,10 @@ class TestSimulateCommand:
         assert main(["simulate", tetrad_tree, "--state", "pure:0"]) == 0
         out = capsys.readouterr().out
         assert "0.5000000000" in out and "0.1666666667" in out
+
+    def test_basis_index_out_of_range_is_invalid(self, tetrad_tree, capsys):
+        assert main(["simulate", tetrad_tree, "--state", "pure:9"]) == 1
+        assert "invalid: basis index 9 not in 0..1" in capsys.readouterr().err
 
     def test_maximally_mixed(self, tetrad_tree, capsys):
         assert main(["simulate", tetrad_tree]) == 0

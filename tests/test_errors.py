@@ -4,10 +4,12 @@ import ast
 import builtins
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import povmtree
 from povmtree import ParseError, PovmTreeError, ValidationError, VerificationError
+from povmtree.linalg import complete_to_unitary_stack
 
 PACKAGE = Path(povmtree.__file__).parent
 ERROR_CLASSES = {"PovmTreeError", "ValidationError", "ParseError", "VerificationError"}
@@ -82,3 +84,61 @@ def test_the_base_names_where_the_check_failed():
     assert str(ParseError("bad", field="order")) == "bad (field 'order')"
     err = VerificationError("bad", what="completeness", residual=2, path="")
     assert (err.what, err.residual, err.path, str(err)) == ("completeness", 2.0, "", "node '': bad")
+
+
+def test_the_library_raises_no_bare_value_or_type_error():
+    # the command line turns a ValueError into a usage error, so only cli.py raises one
+    raised = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if _base_name(exc) in {"ValueError", "TypeError"}:
+                    raised.append(f"{path.name}:{node.lineno}")
+    assert raised == []
+
+
+def _tetrad_tree():
+    return povmtree.compile_tree(povmtree.tetrad())
+
+
+NAN = np.array([[np.nan, 0.0], [0.0, 1.0]])
+
+# Calls on caller input that each raised a plain ValueError, with no ``what``,
+# and the ``what`` of the ValidationError they raise now.
+FORMERLY_BARE = {
+    "validate ragged rows": (lambda: povmtree.validate([[[1.0, 0.0], [0.0]]]), "shape"),
+    "hermitian_eig non-finite": (lambda: povmtree.hermitian_eig(NAN), "finiteness"),
+    "psd_sqrt vector": (lambda: povmtree.psd_sqrt(np.zeros(3)), "shape"),
+    "pseudo_inverse non-finite": (lambda: povmtree.pseudo_inverse(NAN[:1]), "finiteness"),
+    "complete_to_unitary non-finite": (lambda: povmtree.complete_to_unitary(NAN[:, :1]),
+                                       "finiteness"),
+    "complete_to_unitary_stack matrix": (lambda: complete_to_unitary_stack(np.eye(2)), "shape"),
+    "null_space_isometry not square": (lambda: povmtree.null_space_isometry(np.zeros((2, 3))),
+                                       "shape"),
+    "split_node mismatch": (lambda: povmtree.split_node((np.eye(2), np.eye(3)), np.eye(2)),
+                            "shape"),
+    "neumark probabilities non-finite": (
+        lambda: povmtree.full_neumark(povmtree.tetrad()).probabilities(NAN), "finiteness"),
+    "QuantumState non-finite": (lambda: povmtree.QuantumState(np.eye(2) * np.nan), "finiteness"),
+    "compile_tree partition": (
+        lambda: povmtree.compile_tree(povmtree.tetrad(), partition=[0, 0, 1, 2]), "partition"),
+    "pure zero vector": (lambda: povmtree.QuantumState.pure([0.0, 0.0]), "trace"),
+    "basis index": (lambda: povmtree.QuantumState.basis(2, 9), "range"),
+    "sample no shots": (lambda: povmtree.sample(_tetrad_tree(), povmtree.QuantumState.basis(2, 0),
+                                                0, 1), "range"),
+    "random_povm rank": (lambda: povmtree.random_povm(3, 2, np.random.default_rng(0), [0, 1, 1]),
+                         "range"),
+    "random_povm total rank": (
+        lambda: povmtree.random_povm(2, 3, np.random.default_rng(0), [1, 1]), "completeness"),
+}
+
+
+@pytest.mark.parametrize("case", FORMERLY_BARE)
+def test_caller_input_errors_are_typed(case):
+    call, what = FORMERLY_BARE[case]
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert err.value.what == what

@@ -12,7 +12,7 @@ from povmtree import (
     tetrad,
 )
 
-from povmtree.linalg import complete_to_unitary_stack, psd_sqrt_stack
+from povmtree.linalg import TOL_CHECK, check_psd, complete_to_unitary_stack
 
 from conftest import frob
 
@@ -166,6 +166,15 @@ class TestPsdSqrt:
         assert err.value.what == "positivity"
         assert err.value.residual == pytest.approx(-1.0)
 
+    def test_positivity_floor_is_absolute(self):
+        # once relative to |A|_F, which rejected this small element of a valid POVM
+        assert np.array_equal(psd_sqrt(np.diag([0.1, -5e-10])), np.diag([np.sqrt(0.1), 0.0]))
+        with pytest.raises(ValidationError) as err:
+            psd_sqrt(np.diag([10.0, -2e-9]))
+        assert err.value.what == "positivity"
+
+
+class TestCheckPsd:
     @pytest.mark.parametrize("bad, what", [
         (np.diag([1.0, -1.0]), "positivity"),
         (np.array([[1.0, 1.0], [0.0, 1.0]]), "hermiticity"),
@@ -173,9 +182,30 @@ class TestPsdSqrt:
     def test_stack_error_names_the_failing_matrix(self, bad, what):
         stack = np.array([np.eye(2), np.diag([1.0, 0.0]), bad, bad], dtype=complex)
         with pytest.raises(ValidationError) as err:
-            psd_sqrt_stack(stack)
+            check_psd(stack)
         assert err.value.what == what
         assert err.value.index == 2
+
+    def test_writes_hermitian_parts_in_place(self, rng):
+        a = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+        stack = a @ a.conj().swapaxes(1, 2) / 10 + 1e-12j * rng.standard_normal((3, 4, 4))
+        expected = (stack + stack.conj().swapaxes(1, 2)) / 2
+        assert check_psd(stack) is stack
+        assert np.array_equal(stack, expected)
+
+    def test_floor_and_bound_are_tol_check(self):
+        inside = np.diag([1.0, -0.9 * TOL_CHECK])[None].astype(complex)
+        check_psd(inside)
+        with pytest.raises(ValidationError) as err:
+            check_psd(np.diag([1.0, -1.1 * TOL_CHECK])[None].astype(complex))
+        assert (err.value.what, err.value.index) == ("positivity", 0)
+        skew = np.eye(2, dtype=complex)[None]
+        skew[0, 0, 1] = 0.7 * TOL_CHECK  # |A - A^dag|_F = 0.99 TOL_CHECK
+        check_psd(skew.copy())
+        skew[0, 0, 1] = 0.75 * TOL_CHECK  # 1.06 TOL_CHECK
+        with pytest.raises(ValidationError) as err:
+            check_psd(skew.copy())
+        assert (err.value.what, err.value.index) == ("hermiticity", 0)
 
 
 class TestCompleteToUnitary:

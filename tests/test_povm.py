@@ -73,14 +73,14 @@ class TestValidate:
     def test_non_finite_entry_names_element(self):
         with pytest.raises(ValidationError) as err:
             validate([np.eye(2) * np.nan])
-        assert err.value.what == "hermiticity"
+        assert err.value.what == "finiteness"
         assert err.value.index == 0
         half = np.eye(2) / 2
         inf = half.copy()
         inf[0, 1] = np.inf
         with pytest.raises(ValidationError) as err:
             validate([half, half, inf])
-        assert err.value.what == "hermiticity"
+        assert err.value.what == "finiteness"
         assert err.value.index == 2
 
     def test_non_matrix_element_is_named(self):
@@ -201,15 +201,16 @@ class TestApplyFreedom:
         f = default_kraus(tetrad_povm)
         vs = np.stack([np.eye(2)] * 4).astype(complex)
         vs[2] *= 1.5
-        vs[3, 0, 0] = np.nan
+        vs[3] *= 2.0
         with pytest.raises(ValidationError) as err:
             apply_freedom(f, vs)
         assert err.value.what == "unitarity"
         assert err.value.index == 2
-        vs[2] = np.eye(2)
+        # a non-finite entry is judged before unitarity, wherever it sits
+        vs[3, 0, 0] = np.nan
         with pytest.raises(ValidationError) as err:
             apply_freedom(f, vs)
-        assert err.value.what == "unitarity"
+        assert err.value.what == "finiteness"
         assert err.value.index == 3
 
     def test_names_first_misshapen_unitary(self, tetrad_povm):

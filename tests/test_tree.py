@@ -273,6 +273,52 @@ class TestCompile:
                         assert frob((m @ pinv).conj().T @ g) <= 1e-10
 
 
+def dusty_povm_elements(seed):
+    """A valid POVM whose element j has its smallest eigenvalue lowered by delta < TOL_CHECK.
+
+    The set passes validate: it sums to the identity within delta and its
+    lowest eigenvalue, often below zero, lies above the floor -TOL_CHECK.
+    Returns the elements and the generator, drawn on for a test state.
+    """
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 5))
+    n = int(rng.integers(d + 1, 17))
+    ranks = [int(r) for r in rng.integers(1, d, size=n)]
+    if sum(ranks) < d:
+        ranks[0] = d
+    elements = random_povm(n, d, rng, ranks).elements.copy()
+    j = int(rng.integers(n))
+    delta = 10 ** rng.uniform(-12, np.log10(9e-10))
+    w, v = np.linalg.eigh(elements[j])
+    w[0] -= delta
+    elements[j] = (v * w) @ v.conj().T
+    return elements, rng
+
+
+class TestValidatedOnce:
+    """What validate accepts, default_kraus and compile_tree take without judging it again."""
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_dusty_povm(self, seed):
+        elements, rng = dusty_povm_elements(seed)
+        p = validate(elements)
+        default_kraus(p)
+        try:
+            tree = compile_tree(p)
+        except VerificationError:
+            return  # the construction's own completeness post-check, not input validation
+        assert verify(tree).passed
+        state = random_density(p.dim, rng)
+        deviation = propagate(tree, state).probabilities[: p.n_outcomes] - direct_probabilities(p, state)
+        assert np.abs(deviation).max() <= 1e-8
+
+    def test_eigenvalue_just_below_zero(self):
+        # once accepted by validate and then rejected as not positive by default_kraus
+        p = validate([np.diag([0.1, -5e-10]), np.diag([0.9, 1 + 5e-10])])
+        assert np.array_equal(default_kraus(p)[0], np.diag([np.sqrt(0.1), 0.0]))
+        assert verify(compile_tree(p)).passed
+
+
 class TestVerify:
     def test_detects_injected_fault(self, tetrad_povm, tmp_path):
         tree = compile_tree(tetrad_povm, partition=[0, 3, 1, 2])
