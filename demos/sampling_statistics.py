@@ -1,10 +1,10 @@
 """Seeded Monte Carlo sampling of a compiled measurement tree.
 
-Each shot walks the tree from the root, drawing every probe outcome from its
-conditional probability, exactly as the sequential measurement would run in
-hardware.  Sampling is deterministic per seed: shots are split into fixed
-chunks whose generators derive from SeedSequence(seed, spawn_key=(chunk,)),
-so the chunks could equally run in parallel and merge to the same counts.
+The shots that reach a node split between its two probe outcomes as one
+binomial draw at the node's conditional probability, level by level from the
+root, so the counts follow the sequential measurement as it would run in
+hardware, at a cost that does not depend on the number of shots.  Sampling
+is deterministic: the same tree, state, shots and seed give the same report.
 """
 
 import numpy as np

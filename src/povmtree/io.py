@@ -29,7 +29,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ParseError, ValidationError, VerificationError
-from .linalg import adjoint, blocks, frobenius, hermitian_from_upper
+from .linalg import ENTRY_BOUND, adjoint, blocks, frobenius, hermitian_from_upper
 from .povm import Povm, validate
 from .simulator import QuantumState
 from .tree import MeasurementTree, node_checks, node_path, verify
@@ -40,11 +40,6 @@ TREE_FORMAT = "povmtree/tree-v6"
 
 _BLOB_DTYPE = np.dtype("<c16")
 _PARAMETER_DTYPE = np.dtype("<f8")
-
-# Bound on the real and imaginary part of every stored entry, which keeps huge
-# entries out of verify's arithmetic: valid elements satisfy 0 <= M <= I, and
-# a pair complete within TOL_CHECK has entries of modulus <= sqrt(1 + TOL_CHECK).
-_ENTRY_BOUND = 2.0
 
 # Longest accepted header line: room for the order and labels of about a
 # million outcomes, and a bound on what a file that is not a tree file
@@ -361,16 +356,16 @@ def _check_blob_bytes(available: int, dim: int, depth: int) -> None:
 
 
 def _read_into(handle, a: np.ndarray, field: str) -> None:
-    """Fill ``a`` from the file; each real and imaginary part within ``_ENTRY_BOUND``."""
+    """Fill ``a`` from the file; each real and imaginary part within ``ENTRY_BOUND``."""
     got = handle.readinto(a)
     if got != a.nbytes:  # the file shrank after its size was checked
         raise ParseError(f"blob holds {got} bytes, expected {a.nbytes} for shape {a.shape}",
                          field=field)
     parts = a.view(_PARAMETER_DTYPE)  # real and imaginary parts side by side
     # no arithmetic, so nothing overflows; a nan fails both comparisons
-    if not (-_ENTRY_BOUND <= parts.min() and parts.max() <= _ENTRY_BOUND):
+    if not (-ENTRY_BOUND <= parts.min() and parts.max() <= ENTRY_BOUND):
         raise ParseError(f"array has an entry whose real or imaginary part is not finite and "
-                         f"within {_ENTRY_BOUND:g} of zero", field=field)
+                         f"within {ENTRY_BOUND:g} of zero", field=field)
 
 
 def _read_elements(handle, n: int, dim: int) -> np.ndarray:

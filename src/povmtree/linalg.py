@@ -19,8 +19,8 @@ on unit-scale operators: Hermiticity, positivity, completeness, factorization
 and leaf reconstruction.  ``TOL_UNITARY`` (1e-10) bounds ``|V^dag V - I|_F``
 of unitaries and isometries.
 
-A matrix from outside is checked once, here: :func:`as_stack` decides shape
-and finiteness, :func:`check_psd` Hermiticity and positivity, by one rule:
+A matrix from outside is checked once, here: :func:`as_stack` decides shape,
+finiteness and range, :func:`check_psd` Hermiticity and positivity, by one rule:
 ``|A - A^dag|_F <= TOL_CHECK`` and no eigenvalue of the Hermitian part below
 the absolute floor ``-TOL_CHECK``.  :func:`hermitian_eig`, :func:`psd_sqrt`,
 :func:`pseudo_inverse` and the completions check their input through them;
@@ -46,6 +46,11 @@ TOL_UNITARY = 1e-10
 # bytes of d x d complex matrices that a stage walking a stack takes per block
 _BLOCK_BYTES = 64 * 1024
 
+# Bound on the entries of POVM elements, states and tree files, which keeps huge
+# entries out of the checks' arithmetic: valid elements, states and pairs have
+# entries of modulus at most 1, or sqrt(1 + TOL_CHECK) for a complete pair.
+ENTRY_BOUND = 2.0
+
 
 def blocks(n: int, d: int):
     """Consecutive slices covering ``range(n)``, each of at most ``_BLOCK_BYTES`` of d x d matrices.
@@ -56,7 +61,7 @@ def blocks(n: int, d: int):
     return (slice(i, min(i + step, n)) for i in range(0, n, step))
 
 
-def as_stack(matrices, shape=None, copy: bool = False) -> np.ndarray:
+def as_stack(matrices, shape=None, copy: bool = False, bounded: bool = False) -> np.ndarray:
     """``matrices``, an ``(N, m, n)`` array or a sequence of matrices, as a complex array.
 
     Every matrix must have ``shape``, by default ``(d, d)`` with d the first
@@ -64,7 +69,8 @@ def as_stack(matrices, shape=None, copy: bool = False) -> np.ndarray:
     a conversion needs one.  Raises a :class:`ValidationError` for no
     matrices (``what="shape"``), or naming the first failing matrix by
     ``index``: one that is not a matrix of that shape (``"shape"``), or else
-    one with an entry that is not finite (``"finiteness"``).
+    one with an entry that is not finite (``"finiteness"``), or else, if
+    ``bounded``, one with an entry of modulus above ``ENTRY_BOUND`` (``"range"``).
     """
     if not isinstance(matrices, np.ndarray):
         matrices = list(matrices)
@@ -86,6 +92,12 @@ def as_stack(matrices, shape=None, copy: bool = False) -> np.ndarray:
     if not np.isfinite(stack).all():
         raise ValidationError("has an entry that is not finite", what="finiteness",
                               index=int(np.argmin(np.isfinite(stack).all(axis=(1, 2)))))
+    if bounded:
+        for rows in blocks(len(stack), stack.shape[-1]):
+            big = (np.abs(stack[rows]) > ENTRY_BOUND).any(axis=(1, 2))  # squares nothing
+            if big.any():
+                raise ValidationError(f"has an entry of modulus above {ENTRY_BOUND:g}",
+                                      what="range", index=rows.start + int(np.argmax(big)))
     return stack
 
 

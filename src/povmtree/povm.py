@@ -67,10 +67,11 @@ def validate(elements, labels=None) -> Povm:
     the POVM holds its own read-only copy.  Raises the error for the first
     violated condition, each a :class:`povmtree.errors.ValidationError`
     whose ``what`` names it: every element a finite square matrix of one
-    shape (``"shape"``, ``"finiteness"``; :func:`povmtree.linalg.as_stack`),
-    per-element Hermiticity and positivity (``"hermiticity"``,
-    ``"positivity"``; :func:`povmtree.linalg.check_psd`, which names the
-    first failing element), and the sum-to-identity completeness relation
+    shape with entries of modulus at most 2 (``"shape"``, ``"finiteness"``,
+    ``"range"``; :func:`povmtree.linalg.as_stack`), per-element Hermiticity
+    and positivity (``"hermiticity"``, ``"positivity"``;
+    :func:`povmtree.linalg.check_psd`, which names the first failing
+    element), and the sum-to-identity completeness relation
     (``"completeness"``).
 
     Every check reads the elements as given.  The POVM then holds each
@@ -80,7 +81,7 @@ def validate(elements, labels=None) -> Povm:
     only the upper triangle, reproduces them bit for bit.  Code that takes a
     :class:`Povm` relies on this and checks its elements no further.
     """
-    stack = as_stack(elements, copy=True)
+    stack = as_stack(elements, copy=True, bounded=True)
     n, dim = stack.shape[:2]
     total = stack.sum(axis=0)  # of the raw elements, before check_psd overwrites them
     hermitian_from_upper(check_psd(stack))

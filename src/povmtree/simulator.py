@@ -5,12 +5,13 @@ States are density matrices throughout; pure states are rank-one densities.
 b^dag down the tree, one level at a time; its trace is the absolute
 probability of the path, so no renormalization happens until a leaf's
 post-state is reported.  :func:`sample` reads the branch probabilities from
-the same pass and draws probe outcomes branch by branch, exercising the
-sequential structure rather than sampling the leaf distribution directly.
+the same pass and splits the shots down the tree, one binomial draw per node,
+following the sequential structure rather than the leaf distribution directly.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import partial
 
@@ -30,7 +31,7 @@ class QuantumState:
     density: np.ndarray
 
     def __post_init__(self) -> None:
-        rho = as_stack([self.density])
+        rho = as_stack([self.density], bounded=True)
         check_psd(rho.copy())  # on a copy: the state keeps the density as given
         rho = rho[0]
         trace = float(rho.trace().real)
@@ -54,13 +55,21 @@ class QuantumState:
 
     @classmethod
     def pure(cls, amplitudes) -> "QuantumState":
-        """State |psi><psi| from a (not necessarily normalized) amplitude vector."""
+        """State |psi><psi| from a (not necessarily normalized) amplitude vector.
+
+        ``v v^dag`` of a normalised finite vector is Hermitian, positive and of
+        unit trace to within rounding, so none of these is checked.
+        """
         v = np.asarray(amplitudes, dtype=complex).ravel()
-        norm = np.linalg.norm(v)
-        if norm == 0:
+        if not np.isfinite(v).all():
+            raise ValidationError("has an amplitude that is not finite", what="finiteness")
+        parts = v.view(float)  # real and imaginary parts side by side
+        scale = np.abs(parts).max(initial=0.0)
+        if scale == 0:
             raise ValidationError("cannot normalize the zero vector", what="trace")
-        v = v / norm
-        return cls(np.outer(v, v.conj()))
+        v = (parts / scale).view(complex)  # no part above 1: the norm lies in [1, sqrt(2d)]
+        v = v / np.linalg.norm(v)
+        return cls._checked_elsewhere(np.outer(v, v.conj()))
 
     @classmethod
     def basis(cls, dim: int, index: int) -> "QuantumState":
@@ -245,48 +254,39 @@ class SampleReport:
     max_sigma_deviation: float
 
 
-_CHUNK = 1 << 16
-_BLOCK = 1 << 12
-
-
 def sample(
     tree: MeasurementTree, state: QuantumState, shots: int, seed: int
 ) -> SampleReport:
-    """Sample leaf outcomes by walking the tree one probe measurement at a time.
+    """Sample leaf outcomes by splitting the shots down the tree, one probe measurement at a time.
 
-    Each shot descends from the root drawing every binary branch from its
-    conditional probability, moving from node i of a level to node 2i + bit
-    of the next.  Shots are partitioned into fixed chunks of
-    65536; chunk ``c`` uses the generator seeded by
-    ``numpy.random.SeedSequence(seed, spawn_key=(c,))``, so chunks may be
-    drawn in parallel and merged, and the result is identical to the
-    sequential run for the same seed.  Inside a chunk, shots are drawn and
-    walked in fixed blocks of 4096 rows, in order; the generator yields the
-    same doubles as one draw for the whole chunk, so the counts do not depend
-    on the block size, and the working memory does not grow with ``shots``.
+    The shots that reach a node go to probe outcome 0 as one binomial draw at
+    the node's conditional probability, the rest to outcome 1, one array of
+    draws per level from ``numpy.random.default_rng(seed)``.  The counts are
+    distributed as shots that each walk from the root, at a cost independent
+    of ``shots``, an integer (not a ``bool``) in 1..2**63 - 1 (else
+    ``ValidationError(what="range")``).  Equal ``(tree, state, shots, seed)``
+    give an identical report.
     ``expected`` holds the exact leaf probabilities of :func:`propagate`,
     taken from the same level pass, per block of at most 64 KiB of nodes,
     without building post-states.
     """
-    if shots < 1:
-        raise ValidationError("shots must be at least 1", what="range")
+    try:
+        shots = operator.index(shots) if not isinstance(shots, bool) else 0
+    except TypeError:
+        shots = 0
+    if not 1 <= shots < 1 << 63:
+        raise ValidationError("shots must be an integer in 1..2**63 - 1", what="range")
     leaves, p_left = _level_pass(tree, state)
     probs = _leaf_probabilities(tree, leaves)[0]
-    del leaves
+    rng = np.random.default_rng(seed)
+    arrived = np.array([shots], dtype=np.int64)
+    for p in p_left:  # node i of a level sends its shots to nodes 2i and 2i + 1 of the next
+        left = rng.binomial(arrived, p)
+        arrived = np.stack([left, arrived - left], axis=1).ravel()
     n = tree.povm.n_outcomes
-    counts = np.zeros(n, dtype=np.int64)
     leaf_outcome = np.array(tree.order, dtype=np.int64)
-
-    for chunk_index, done in enumerate(range(0, shots, _CHUNK)):
-        size = min(_CHUNK, shots - done)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
-        for start in range(0, size, _BLOCK):
-            uniforms = rng.random((min(_BLOCK, size - start), tree.depth))
-            current = np.zeros(len(uniforms), dtype=np.int64)
-            for level, p in enumerate(p_left):
-                current = 2 * current + (uniforms[:, level] >= p[current])
-            counts += np.bincount(leaf_outcome[current], minlength=n)
-
+    counts = np.empty(n, dtype=np.int64)
+    counts[leaf_outcome] = arrived
     by_outcome = np.empty(n)
     by_outcome[leaf_outcome] = probs
     observed = tuple(int(c) for c in counts)

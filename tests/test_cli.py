@@ -73,6 +73,15 @@ class TestValidateCommand:
         assert main(["validate", str(path)]) == 1
         assert "sum" in capsys.readouterr().err
 
+    def test_huge_entry_is_out_of_range(self, tmp_path, capsys):
+        # rejected before anything is squared, so no overflow warning escapes
+        path = tmp_path / "huge.povm.json"
+        huge = np.diag([1e200, 0.0])
+        path.write_text(json.dumps({"dimension": 2,
+                                    "elements": [encode_matrix(huge), encode_matrix(np.eye(2))]}))
+        assert main(["validate", str(path)]) == 1
+        assert "element 0: has an entry of modulus above 2" in capsys.readouterr().err
+
     def test_truncated_file(self, tmp_path, capsys):
         path = tmp_path / "trunc.json"
         path.write_text('{"dimension": 2')

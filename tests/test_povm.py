@@ -83,6 +83,25 @@ class TestValidate:
         assert err.value.what == "finiteness"
         assert err.value.index == 2
 
+    def test_entry_above_the_bound_names_element(self):
+        # checked after shape and finiteness, before anything is squared
+        half = np.eye(2) / 2
+        with pytest.raises(ValidationError) as err:
+            validate([np.eye(2) * 1e300])
+        assert (err.value.what, err.value.index) == ("range", 0)
+        large = half.astype(complex)
+        large[0, 1] = 2.5j
+        not_hermitian = np.array([[0.5, 0.1], [0.0, 0.5]])
+        with pytest.raises(ValidationError) as err:
+            validate([not_hermitian, large])
+        assert (err.value.what, err.value.index) == ("range", 1)
+        with pytest.raises(ValidationError) as err:
+            validate([large, np.full((2, 2), np.inf)])
+        assert (err.value.what, err.value.index) == ("finiteness", 1)
+        with pytest.raises(ValidationError) as err:
+            validate([np.diag([2.0, 0.0]), np.diag([-1.0, 1.0])])  # modulus 2 is in range
+        assert err.value.what == "positivity"
+
     def test_non_matrix_element_is_named(self):
         with pytest.raises(ValidationError) as err:
             validate([np.ones(2)])

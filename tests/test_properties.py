@@ -1,9 +1,10 @@
-"""Property tests for the stacked unitary completion, the Neumark oracle and Hermitian storage."""
+"""Property tests for the stacked unitary completion, the Neumark oracle, Hermitian storage and pure states."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from povmtree import (
+    QuantumState,
     compile_tree,
     dilate_binary,
     direct_probabilities,
@@ -107,3 +108,20 @@ def test_validate_stores_exact_hermitian_parts_that_trees_round_trip(
     again = load_tree(path)
     assert again.povm.elements.tobytes() == tree.povm.elements.tobytes()
     assert [a.tobytes() for a in again.kraus] == [a.tobytes() for a in tree.kraus]
+
+
+@PROPERTY
+@given(
+    d=st.integers(1, 64),
+    exponent=st.integers(-100, 100),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pure_states_pass_the_full_state_check(d, exponent, seed):
+    # pure() checks no eigenvalue: v v^dag of a normalised vector is a state
+    rng = np.random.default_rng(seed)
+    v = (rng.standard_normal(d) + 1j * rng.standard_normal(d)) * 10.0**exponent
+    v[rng.random(d) < 0.25] = 0.0
+    if not v.any():
+        v[0] = 10.0**exponent
+    rho = QuantumState.pure(v).density
+    assert np.array_equal(QuantumState(rho).density, rho)

@@ -19,6 +19,7 @@ from povmtree import (
     random_rank_one_povm,
     random_unitary,
     sample,
+    simulator,
     validate,
 )
 
@@ -60,6 +61,22 @@ class TestQuantumState:
         assert err.value.exit_code == 1
         assert err.value.what == what
         assert text in str(err.value)
+
+    def test_huge_entries_are_out_of_range(self):
+        for density in (np.eye(2) * 1e200, np.diag([3.0, -2.0])):
+            with pytest.raises(ValidationError) as err:
+                QuantumState(density)
+            assert err.value.what == "range"
+
+    def test_pure_rejects_what_cannot_be_normalised(self):
+        for amplitudes, what in (([np.nan, 1.0], "finiteness"), ([0.0, 0.0], "trace")):
+            with pytest.raises(ValidationError) as err:
+                QuantumState.pure(amplitudes)
+            assert err.value.what == what
+        # amplitudes whose squared moduli leave the float range still define states
+        for amplitudes in ([1e-200, 1e-200], [1e200, 1e200j], [5e-324, 0.0]):
+            rho = QuantumState.pure(amplitudes).density
+            assert np.array_equal(QuantumState(rho).density, rho)
 
     def test_random_density_valid(self, rng):
         for _ in range(10):
@@ -255,7 +272,8 @@ class TestSample:
         assert report.max_sigma_deviation <= 5.0
 
     def test_chunk_boundary_consistency(self, tetrad_povm):
-        # crossing the 65536-shot chunk boundary must not disturb determinism
+        # 65537 shots, past the 65536-shot chunks the sampler once drew from
+        # separate generators: still one report per seed, and every shot counted
         tree = compile_tree(tetrad_povm)
         state = QuantumState.maximally_mixed(2)
         a = sample(tree, state, (1 << 16) + 17, seed=11)
@@ -274,96 +292,181 @@ class TestSample:
         with pytest.raises(ValueError):
             sample(tree, QuantumState.maximally_mixed(2), 0, seed=1)
 
+    @pytest.mark.parametrize("shots", [2.5, 1.0, True, False, -1, 1 << 63, "10"], ids=repr)
+    def test_shots_must_be_an_integer_count(self, tetrad_povm, shots):
+        tree = compile_tree(tetrad_povm)
+        with pytest.raises(ValidationError) as err:
+            sample(tree, QuantumState.maximally_mixed(2), shots, seed=1)
+        assert err.value.what == "range"
+
+    def test_shots_may_be_a_numpy_integer(self, tetrad_povm):
+        tree = compile_tree(tetrad_povm)
+        state = QuantumState.maximally_mixed(2)
+        report = sample(tree, state, np.int64(10), seed=1)
+        assert report == sample(tree, state, 10, seed=1)
+        assert type(report.shots) is int
+
+    @pytest.mark.parametrize("shots", [10**12, (1 << 63) - 1])
+    def test_huge_shot_counts(self, shots):
+        # the split costs one draw per node, whatever the number of shots
+        tree, state = _pinned_case(("mixed", 3, 13))
+        report = sample(tree, state, shots, seed=2)
+        assert sum(report.counts) == shots
+        assert report.counts[13:] == (0, 0, 0)
+        assert report.max_sigma_deviation <= 6.0
+
     def test_degenerate_single_outcome(self):
         tree = compile_tree(validate([np.eye(2)]))
         report = sample(tree, QuantumState.maximally_mixed(2), 100, seed=0)
         assert report.counts == (100,)
 
 
+def walk_counts(tree, p_left, shots, seed):
+    """Counts by outcome from the per-shot walk, the reference for :func:`sample`.
+
+    Each shot descends from the root, from node i of a level to node
+    2i + bit of the next, with bit 0 drawn at probability ``p_left``.  Shots
+    run in chunks of 65536, chunk c drawn from
+    ``SeedSequence(seed, spawn_key=(c,))``, as the sampler once did.
+    """
+    by_leaf = np.zeros(1 << tree.depth, dtype=np.int64)
+    for c, done in enumerate(range(0, shots, 1 << 16)):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c,)))
+        uniforms = rng.random((min(1 << 16, shots - done), tree.depth))
+        current = np.zeros(len(uniforms), dtype=np.int64)
+        for level, p in enumerate(p_left):
+            current = 2 * current + (uniforms[:, level] >= p[current])
+        by_leaf += np.bincount(current, minlength=len(by_leaf))
+    counts = np.empty_like(by_leaf)
+    counts[list(tree.order)] = by_leaf
+    return counts
+
+
+def two_sample_chi2(a, b, expected):
+    """Homogeneity statistic and degrees of freedom of two count vectors of equal total.
+
+    Outcomes whose expected count (per sample) is below 10 share one bin.
+    """
+    small = expected < 10
+    a = np.append(a[~small], a[small].sum())
+    b = np.append(b[~small], b[small].sum())
+    used = a + b > 0
+    return float(((a - b)[used] ** 2 / (a + b)[used]).sum()), int(used.sum()) - 1
+
+
+def chi2_quantile(df, z):
+    """Wilson-Hilferty approximation of the chi-square quantile at standard normal quantile z."""
+    h = 2.0 / (9.0 * df)
+    return df * (1.0 - h + z * math.sqrt(h)) ** 3
+
+
+class TestSampleBias:
+    """The sampler's counts have the distribution of the per-shot walk."""
+
+    SEEDS = 200
+    SHOTS = 2000
+    Z = 3.09  # a one-sided level of 1e-3 at each point
+
+    @pytest.mark.parametrize("kind, d, n", [("rank-one", 2, 256), ("mixed", 3, 13),
+                                            ("rank-one", 4, 64), ("mixed", 16, 32)])
+    def test_split_counts_match_the_walk(self, kind, d, n):
+        tree, state = _pinned_case((kind, d, n))
+        p_left = simulator._level_pass(tree, state)[1]
+        walk = np.zeros(tree.povm.n_outcomes, dtype=np.int64)
+        split = np.zeros_like(walk)
+        for seed in range(self.SEEDS):
+            walk += walk_counts(tree, p_left, self.SHOTS, seed)
+            report = sample(tree, state, self.SHOTS, seed)
+            split += report.counts
+        expected = self.SEEDS * self.SHOTS * np.array(report.expected)
+        stat, df = two_sample_chi2(walk, split, expected)
+        assert df >= 1
+        assert stat <= chi2_quantile(df, self.Z), (stat, df)
+
+
 # sample(tree, state, shots, seed=7) counts on the cases of _pinned_case; for
-# N >= 1024 outcomes, the SHA-256 of repr(counts).  Recorded before the
-# sampler drew its uniforms in row blocks, so a change to the random stream,
-# the chunking or the descent shows here.
+# N >= 1024 outcomes, the SHA-256 of repr(counts).  Recorded when the sampler
+# began to split counts down the tree with one binomial draw per node, so a
+# change to the random stream or the split shows here.
 PINNED_COUNTS = {
     ("rank-one", 2, 4096): {
-        1: "34083d5f47846286bb2bc443d4ca51389dd60c96d7bbf8bedbf9255d138eb919",
-        4095: "e5e073e8366903e7d976c933825455ddaa4c35a2e0b49987d653fc3b4925e011",
-        4097: "063310945b02bdae731a2c9ddaf094e5a9051fd2a9ba550a7ac405bef4446893",
-        65536: "e0b3039b35562a694c23e09530a84eeddc2e5617d7420a77702f7f49f168d26b",
-        65537: "d55d5d2e30539baf96545cf52722ddc472953d779cbd03c454b8741e05577eb7",
-        1000000: "f628030e6f00a83ec0876e655d8a3f5a34a441ca7c47458f07eb3eb63156133f",
+        1: "7e180ef06fb8f5dbbfde38855cb536ed23bbb8faccd6d818e0d5f2c877f4fd9c",
+        4095: "e0c16c9c3e1001b6ba4a9d1be381b4ead5ac13a62b7c6ddafd3c13da000e721c",
+        4097: "f27b885ea44d13f5d3215a6904c46bcd5b7dd0ddba7f502b2a8e5035b5ffeb37",
+        65536: "7540c10c7b462ff61cd8c94213eda2f14c0767a3074f29e17ed4fee2a2445082",
+        65537: "12000df148c092cbb18343ab10a4714b447e5ffd7ae02f3bbdda1e5b14d5c054",
+        1000000: "c88fbf25b35d11237ba18864da63c9bcef8bdf0419ca7641e3c3a6d78d11ea58",
     },
     ("mixed", 4, 1024): {
-        1: "fc59f3fc1a36f571256cdb89014e28799fbc227b67e02c0e9c75549f36362dc8",
-        4095: "9f33ebf19f72959f360f487db8a04d1aa50c2aa0964d57a05dc47e9b7393aad5",
-        4097: "dc2c06cc307f1807207f8e7ca8cca5cc282b07c1b35ef4d285478159457ae944",
-        65536: "78f1c332fbfbb6f65b2e6540645af70e2b1e6e89c07c2e510ba496279f8e5639",
-        65537: "e4efd891d3e3762e9eb0d6b3cdd08c5b60cb07d3ab5f4ede976506927f3a9ab8",
-        1000000: "4fc32a89f62d38f9f11a7e66ec77191004eb6a90395782a4399588d0c94ec98e",
+        1: "c49cdb5b34d3ef244cb7fb22319abddf73d5819f28044d752402f922280ff8c3",
+        4095: "214f32d4fcca2d1f05b3a3b113cc8fe0f3d11f9476049e217867b0d4815f4d29",
+        4097: "d439e663580e04d0943bf90e16bf99f66e96a342fa6a588c2a9ed2121e037658",
+        65536: "4e07d204082fea9914d0c522c9d04a3aee6ec6fed4300e55a576caceb8684c41",
+        65537: "de6ba71b243d2153844f56bb5b39f3e2b229908511934730ec195ded837a2397",
+        1000000: "ede72017c3fa5bbb65c058337c9f7c4c6aa59f0c79239072ad14e9343f466ace",
     },
     ("mixed", 32, 64): {
         1: (
-            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0,
-            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0
+            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0,
+            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0
         ),
         4095: (
-            54, 58, 130, 119, 100, 27, 12, 21, 88, 83, 112, 107, 109, 104, 71, 19,
-            58, 24, 60, 19, 111, 35, 10, 33, 12, 4, 68, 111, 77, 40, 55, 26, 10,
-            122, 11, 54, 126, 10, 78, 92, 66, 88, 51, 59, 81, 22, 90, 37, 75, 88,
-            54, 21, 54, 52, 74, 92, 95, 73, 93, 36, 77, 75, 80, 102
+            53, 69, 108, 114, 106, 29, 6, 23, 88, 91, 109, 121, 114, 115, 88, 14, 58,
+            19, 67, 17, 112, 38, 9, 37, 10, 5, 63, 94, 60, 34, 61, 26, 19, 83, 15, 42,
+            145, 9, 62, 76, 80, 77, 52, 51, 93, 20, 82, 25, 61, 88, 58, 25, 54, 45, 96,
+            102, 101, 80, 98, 35, 74, 103, 89, 97
         ),
         4097: (
-            54, 58, 130, 119, 100, 27, 12, 21, 88, 83, 112, 107, 110, 104, 71, 19,
-            58, 24, 60, 19, 112, 35, 10, 33, 12, 4, 68, 111, 77, 40, 55, 26, 10,
-            122, 11, 54, 126, 10, 78, 92, 66, 88, 51, 59, 81, 22, 90, 37, 75, 88,
-            54, 21, 54, 52, 74, 92, 95, 73, 93, 36, 77, 75, 80, 102
+            53, 70, 108, 114, 106, 29, 6, 23, 88, 91, 109, 121, 114, 115, 88, 14, 58,
+            19, 67, 17, 112, 38, 9, 37, 10, 5, 63, 94, 60, 34, 61, 26, 19, 83, 15, 42,
+            145, 9, 62, 76, 80, 77, 52, 51, 93, 20, 82, 25, 61, 88, 58, 25, 54, 45, 96,
+            102, 101, 81, 98, 35, 74, 103, 89, 97
         ),
         65536: (
-            805, 953, 2086, 1856, 1611, 624, 149, 280, 1568, 1364, 1896, 1859, 1561,
-            1640, 1221, 242, 1006, 457, 901, 353, 1801, 453, 126, 605, 192, 75,
-            1046, 1633, 1052, 586, 978, 405, 336, 1747, 160, 727, 1895, 166, 1170,
-            1355, 1143, 1389, 845, 918, 1299, 309, 1246, 496, 1085, 1412, 797, 328,
-            918, 695, 1209, 1761, 1725, 1251, 1778, 670, 1015, 1333, 1353, 1621
+            945, 991, 2065, 1822, 1686, 606, 167, 237, 1578, 1210, 1847, 1833, 1658,
+            1654, 1215, 225, 944, 516, 940, 296, 1879, 462, 122, 613, 186, 85, 1021,
+            1585, 1095, 550, 914, 415, 338, 1682, 173, 720, 1919, 157, 1043, 1315, 1180,
+            1392, 823, 936, 1401, 309, 1226, 461, 1086, 1397, 836, 342, 971, 695, 1240,
+            1692, 1655, 1307, 1869, 653, 1133, 1294, 1342, 1587
         ),
         65537: (
-            805, 953, 2086, 1856, 1611, 624, 149, 280, 1568, 1364, 1896, 1859, 1561,
-            1640, 1221, 242, 1006, 457, 901, 353, 1801, 453, 126, 605, 192, 75,
-            1046, 1633, 1052, 586, 978, 405, 336, 1748, 160, 727, 1895, 166, 1170,
-            1355, 1143, 1389, 845, 918, 1299, 309, 1246, 496, 1085, 1412, 797, 328,
-            918, 695, 1209, 1761, 1725, 1251, 1778, 670, 1015, 1333, 1353, 1621
+            945, 991, 2065, 1822, 1686, 606, 167, 237, 1578, 1210, 1847, 1833, 1658,
+            1654, 1215, 225, 944, 516, 940, 296, 1879, 462, 122, 613, 186, 85, 1021,
+            1585, 1095, 550, 914, 415, 338, 1682, 173, 720, 1919, 157, 1043, 1315, 1180,
+            1392, 823, 936, 1401, 309, 1226, 461, 1086, 1397, 836, 342, 971, 695, 1240,
+            1692, 1656, 1307, 1869, 653, 1133, 1294, 1342, 1587
         ),
         1000000: (
-            13562, 15167, 32108, 27645, 25175, 9615, 2297, 3779, 24244, 19697,
-            28557, 27493, 24413, 24964, 18565, 3218, 15130, 7682, 14186, 4864,
-            28563, 6898, 2037, 9546, 2781, 1400, 16000, 24177, 16609, 8274, 14213,
-            6088, 4979, 25524, 2640, 11222, 29323, 2697, 16959, 19942, 18377, 21458,
-            13020, 14523, 20195, 4813, 19325, 7350, 16134, 21660, 12636, 5128,
-            14162, 10346, 18329, 26840, 24909, 19513, 26620, 10448, 16398, 20214,
-            21096, 24273
+            13492, 15532, 31759, 27793, 25133, 9684, 2209, 3791, 23852, 19559, 28889,
+            27208, 24658, 25011, 18508, 3244, 14873, 7899, 14113, 5000, 28657, 6787,
+            1962, 9456, 2836, 1370, 15729, 24430, 16694, 8310, 14366, 5949, 5038, 25537,
+            2683, 11105, 29137, 2662, 16777, 19835, 18280, 21417, 12855, 14578, 20502,
+            4823, 19193, 7340, 15869, 22106, 12524, 5299, 14315, 10326, 18168, 26840,
+            25078, 19569, 26736, 10696, 16488, 20252, 20827, 24392
         ),
     },
     ("mixed", 3, 13): {
         1: (
-            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0
+            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0
         ),
         4095: (
-            162, 125, 934, 137, 341, 453, 44, 262, 260, 92, 493, 410, 382, 0, 0, 0
+            154, 110, 1020, 143, 359, 429, 49, 229, 247, 96, 484, 416, 359, 0, 0, 0
         ),
         4097: (
-            162, 125, 934, 137, 342, 454, 44, 262, 260, 92, 493, 410, 382, 0, 0, 0
+            154, 110, 1020, 143, 360, 429, 49, 229, 247, 96, 484, 416, 360, 0, 0, 0
         ),
         65536: (
-            2597, 1799, 15523, 2231, 5977, 7184, 624, 3914, 4037, 1478, 7757, 6494,
-            5921, 0, 0, 0
+            2548, 1998, 15629, 2277, 5903, 7064, 637, 3809, 4068, 1450, 7817, 6469,
+            5867, 0, 0, 0
         ),
         65537: (
-            2597, 1799, 15524, 2231, 5977, 7184, 624, 3914, 4037, 1478, 7757, 6494,
-            5921, 0, 0, 0
+            2548, 1998, 15629, 2277, 5903, 7065, 637, 3809, 4068, 1450, 7817, 6469,
+            5867, 0, 0, 0
         ),
         1000000: (
-            40373, 28663, 237188, 34880, 90140, 109064, 9473, 58815, 61452, 21911,
-            119443, 97303, 91295, 0, 0, 0
+            39699, 29238, 237333, 35048, 90330, 108186, 9651, 58610, 61853, 21842,
+            119358, 97943, 90909, 0, 0, 0
         ),
     },
     ("identity", 2, 1): {
