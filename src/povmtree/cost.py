@@ -13,7 +13,6 @@ The binary tree applies one 2d x 2d coupling per level, hence the
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +42,7 @@ def compare(n: int, d: int, average: bool = False) -> CostReport:
     n, d = int(n), int(d)
     if n < 2 or d < 2 or n < d:
         raise ParseError(f"need N >= d >= 2, got N={n}, d={d}", what="dimensions")
-    depth = math.ceil(math.log2(n))
+    depth = (n - 1).bit_length()  # ceil(log2 n), exact for every n
     single = (n - d) * (d + 1) * d // 2
     return CostReport(
         n_outcomes=n,
@@ -65,7 +64,8 @@ def crossover(d: int, n_max: int = 1 << 20) -> int | None:
     if d < 2:
         raise ParseError(f"need d >= 2, got d={d}", what="dimensions")
     ns = np.arange(max(d, 2), n_max + 1, dtype=np.int64)
-    depth = np.ceil(np.log2(ns)).astype(np.int64)
+    # (n - 1).bit_length() of each n: the count of powers of two 2**k < n
+    depth = np.searchsorted(1 << np.arange(63, dtype=np.int64), ns)
     neumark = ns * (ns - 1) // 2
     single = (ns - d) * (d + 1) * d // 2
     binary = depth * d * (2 * d - 1)

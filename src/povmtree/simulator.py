@@ -2,11 +2,13 @@
 
 States are density matrices throughout; pure states are rank-one densities.
 :func:`propagate` carries the unnormalized conditioned state b...b rho b^dag...
-b^dag down the tree, one level at a time; its trace is the absolute
-probability of the path, so no renormalization happens until a leaf's
-post-state is reported.  :func:`sample` reads the branch probabilities from
-the same pass and splits the shots down the tree, one binomial draw per node,
-following the sequential structure rather than the leaf distribution directly.
+b^dag down the tree, one level at a time, in one (N, d, d) stack: rho starts
+in slot 0 and node i's children overwrite slots 2i and 2i + 1, last block
+first.  A state's trace is the absolute probability of its path, so no
+renormalization happens until a leaf's post-state is reported.
+:func:`sample` reads the branch probabilities from the same pass and splits
+the shots down the tree, one binomial draw per node, following the
+sequential structure rather than the leaf distribution directly.
 """
 
 from __future__ import annotations
@@ -119,33 +121,34 @@ class SimulationOutcome:
 
 
 def _level_pass(tree: MeasurementTree, state: QuantumState):
-    """Carry the unnormalised conditioned states down the tree, one level at a time.
+    """Carry the unnormalised conditioned states down the tree, one level at a time, in one stack.
 
-    Each level applies ``b sigma b^dag`` to its nodes a block at a time; the
-    trace of a state is the absolute probability of its path.  Returns the
-    leaf states ``(N, d, d)`` left to right, a fresh writeable array, and
-    per level the probability of probe outcome 0 at each node given that
-    the node is reached (1.0 where the node's probability is zero).
+    The ``(N, d, d)`` stack starts with rho in slot 0.  Each level writes
+    node i's children ``b sigma b^dag`` into slots 2i and 2i + 1, a block
+    of nodes at a time, last block first: a block's parents are read into
+    ``b sigma`` before its children overwrite them, and every later parent
+    has been read already.  Returns the stack, by then the leaf states left
+    to right, and per level the probability of probe outcome 0 at each node
+    given that the node is reached (1.0 where its probability is zero).
     """
     if state.dim != tree.povm.dim:
         raise ValidationError(
             f"state dimension {state.dim} does not match tree dimension {tree.povm.dim}",
             what="shape")
     d = state.dim
-    sigma = state.density.astype(complex)[None]
+    stack = np.empty((1 << tree.depth, d, d), dtype=complex)
+    stack[0] = state.density
     p_left = []
     for pairs in tree.kraus:
-        children = np.empty((2 * len(pairs), d, d), dtype=complex)
         ratio = np.empty(len(pairs))
-        for nodes in blocks(len(pairs), d):
-            c = children[2 * nodes.start : 2 * nodes.stop].reshape(-1, 2, d, d)
-            np.matmul(pairs[nodes] @ sigma[nodes, None], adjoint(pairs[nodes]), out=c)
+        for nodes in reversed(list(blocks(len(pairs), d))):
+            c = stack[2 * nodes.start : 2 * nodes.stop].reshape(-1, 2, d, d)
+            np.matmul(pairs[nodes] @ stack[nodes, None], adjoint(pairs[nodes]), out=c)
             q = np.maximum(np.trace(c, axis1=-2, axis2=-1).real, 0.0)
             total = q.sum(axis=1)
             ratio[nodes] = np.divide(q[:, 0], total, out=np.ones_like(total), where=total > 0)
         p_left.append(np.minimum(ratio, 1.0))
-        sigma = children
-    return sigma, p_left
+    return stack, p_left
 
 
 def _leaf_probabilities(tree: MeasurementTree, leaves: np.ndarray):
@@ -278,6 +281,7 @@ def sample(
         raise ValidationError("shots must be an integer in 1..2**63 - 1", what="range")
     leaves, p_left = _level_pass(tree, state)
     probs = _leaf_probabilities(tree, leaves)[0]
+    del leaves  # only their traces are read from here on
     rng = np.random.default_rng(seed)
     arrived = np.array([shots], dtype=np.int64)
     for p in p_left:  # node i of a level sends its shots to nodes 2i and 2i + 1 of the next

@@ -45,6 +45,16 @@ class TestCompare:
         assert compare(5, 2).binary_tree_depth == 3
         assert compare(5, 2).binary_tree_ops == 18
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 16, 17, 1024, 1025, 2**53, 2**53 + 1,
+                                   2**60, 2**60 + 1])
+    def test_depth_is_the_exact_ceil_log2(self, n):
+        # float log2 rounds 2**53 + 1 down to 2**53 and would give 53 levels;
+        # compile_tree pads to 2**54 outcomes and builds 54
+        report = compare(n, 2)
+        depth = report.binary_tree_depth
+        assert 2 ** (depth - 1) < n <= 2**depth
+        assert report.binary_tree_ops == depth * 6
+
     def test_average_field(self):
         assert compare(16, 2).single_extra_dim_ops_average is None
         report = compare(16, 2, average=True)
@@ -74,6 +84,15 @@ class TestCrossover:
             ops = [compare(1 << t, d).binary_tree_ops for t in range(max(2, d).bit_length(), 16)]
             steps = {b - a for a, b in zip(ops, ops[1:])}
             assert steps == {d * (2 * d - 1)}
+
+    @pytest.mark.parametrize("d", [3, 8])
+    def test_agrees_with_compare(self, d):
+        # the first N after the last N at which compare's chain fails
+        n_max = 1 << 10
+        reports = [compare(n, d) for n in range(d, n_max + 1)]
+        fails = [r.n_outcomes for r in reports
+                 if not r.binary_tree_ops < r.single_extra_dim_ops < r.neumark_ops]
+        assert crossover(d, n_max=n_max) == fails[-1] + 1
 
     def test_invalid_dimension(self):
         with pytest.raises(ParseError) as err:

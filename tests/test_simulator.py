@@ -22,6 +22,7 @@ from povmtree import (
     simulator,
     validate,
 )
+from povmtree import linalg
 
 from conftest import frob
 
@@ -340,6 +341,78 @@ def walk_counts(tree, p_left, shots, seed):
     counts = np.empty_like(by_leaf)
     counts[list(tree.order)] = by_leaf
     return counts
+
+
+def two_array_pass(tree, state):
+    """The level pass with a fresh array per level, the reference for ``_level_pass``.
+
+    Each level's children go to a new array while their parents' array is
+    still held, walking the blocks first to last, as the pass once did.
+    """
+    d = state.dim
+    sigma = state.density.astype(complex)[None]
+    p_left = []
+    for pairs in tree.kraus:
+        children = np.empty((2 * len(pairs), d, d), dtype=complex)
+        ratio = np.empty(len(pairs))
+        for nodes in linalg.blocks(len(pairs), d):
+            c = children[2 * nodes.start : 2 * nodes.stop].reshape(-1, 2, d, d)
+            np.matmul(pairs[nodes] @ sigma[nodes, None], linalg.adjoint(pairs[nodes]), out=c)
+            q = np.maximum(np.trace(c, axis1=-2, axis2=-1).real, 0.0)
+            total = q.sum(axis=1)
+            ratio[nodes] = np.divide(q[:, 0], total, out=np.ones_like(total), where=total > 0)
+        p_left.append(np.minimum(ratio, 1.0))
+        sigma = children
+    return sigma, p_left
+
+
+class TestLevelPassInOneStack:
+    """Writing each level's children over their parents gives the bits of the two-array pass."""
+
+    @staticmethod
+    def case(kind):
+        rng = np.random.default_rng(list(map(ord, kind)))
+        tree_options = {}
+        if kind == "one outcome":
+            elements = [np.eye(3)]
+        elif kind == "two outcomes, d = 1":
+            elements = [np.array([[0.3]]), np.array([[0.7]])]
+        elif kind in ("padded 3", "padded 13"):
+            elements = random_povm(int(kind.split()[1]), 3, rng).elements
+        elif kind == "permuted":
+            elements = random_povm(12, 2, rng).elements
+            tree_options["partition"] = rng.permutation(12).tolist()
+        elif kind == "Kraus freedom":
+            povm = random_povm(6, 3, rng)
+            elements = povm.elements
+            tree_options["factorization"] = apply_freedom(
+                default_kraus(povm), [random_unitary(3, rng) for _ in range(6)])
+        else:
+            d, n = map(int, kind.split("x"))
+            elements = random_rank_one_povm(n, d, rng).elements
+        povm = validate(elements)
+        return compile_tree(povm, **tree_options), random_density(povm.dim, rng)
+
+    @pytest.mark.parametrize("budget", ["default", "one matrix", "three matrices"])
+    @pytest.mark.parametrize("kind", ["one outcome", "two outcomes, d = 1", "padded 3",
+                                      "padded 13", "permuted", "Kraus freedom", "32x64",
+                                      "2x4096"])
+    def test_same_bits_as_the_two_array_pass(self, kind, budget, monkeypatch):
+        tree, state = self.case(kind)
+        d = state.dim
+        if budget != "default":
+            # several blocks per level, so that a block's children overwrite
+            # its own parents' slots as well as those of the blocks after it
+            per_block = 1 if budget == "one matrix" else 3
+            monkeypatch.setattr(linalg, "_BLOCK_BYTES", per_block * 16 * d * d)
+            assert len(list(linalg.blocks(8, d))) == -(-8 // per_block)
+        stack, p_left = simulator._level_pass(tree, state)
+        reference, reference_p_left = two_array_pass(tree, state)
+        assert stack.shape == (1 << tree.depth, d, d)
+        assert np.array_equal(stack, reference)
+        assert len(p_left) == len(reference_p_left) == tree.depth
+        for p, q in zip(p_left, reference_p_left):
+            assert np.array_equal(p, q)
 
 
 def two_sample_chi2(a, b, expected):

@@ -520,15 +520,26 @@ class TestMemory:
         assert self.peak(lambda: treeio.load_tree(path)) <= 4.6e6
 
     def test_propagate_peak(self, large):
-        # one leaf stack, symmetrised and normalised in place, and the level above it
+        # one stack, each level's children written over their parents, then
+        # symmetrised and normalised in place as the leaf stack
         _, tree, state = large
-        assert self.peak(lambda: propagate(tree, state)) <= 2.0e6
+        assert self.peak(lambda: propagate(tree, state)) <= 1.5e6
+
+    @pytest.mark.parametrize("d, n", [(2, 4096), (32, 64)])
+    def test_level_pass_peak(self, d, n):
+        # the one (N, d, d) stack it returns, plus 320 KiB for the p_left
+        # arrays and one block's products
+        rng = np.random.default_rng([d, n])
+        tree = compile_tree(random_rank_one_povm(n, d, rng))
+        state = random_density(d, rng)
+        assert self.peak(lambda: simulator._level_pass(tree, state)) <= 16 * n * d * d + 320 * 1024
 
     @pytest.mark.parametrize("d, n", [(2, 4096), (4, 1024)])
     def test_sample_memory_does_not_grow_with_shots(self, d, n):
-        # The sampler holds one block of rows at a time, so 1e6 shots may
-        # take at most 256 KiB more than 1e4 shots; at (2, 4096) the whole
-        # call stays within 2 MiB.
+        # The sampler draws one binomial per node whatever the shots, so 1e6
+        # shots may take at most 256 KiB more than 1e4 shots; at (2, 4096)
+        # the whole call stays within 0.75 MB, as it drops the leaf stack
+        # once it has the leaf probabilities.
         rng = np.random.default_rng([d, n])
         tree = compile_tree(random_rank_one_povm(n, d, rng))
         state = random_density(d, rng)
@@ -544,7 +555,7 @@ class TestMemory:
             tracemalloc.stop()
         assert peaks[1_000_000] <= peaks[10_000] + 256 * 1024
         if (d, n) == (2, 4096):
-            assert peaks[1_000_000] <= 2 * 1024 * 1024
+            assert peaks[1_000_000] <= 0.75e6
 
     def test_sample_peak_is_the_level_pass(self):
         # Reading the leaf probabilities and checking positivity copies the
