@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ParseError
 
 
@@ -58,20 +56,18 @@ def compare(n: int, d: int, average: bool = False) -> CostReport:
 def crossover(d: int, n_max: int = 1 << 20) -> int | None:
     """Smallest N from which the strict chain binary < single-extra < one-shot holds.
 
-    Scans every N up to ``n_max`` and returns the first N after the last
-    violation, or None if the chain never settles within the scanned range.
+    Returns the first N after the last violation up to ``n_max``, or None
+    if the chain fails at ``n_max``.  Solved in integers, without a scan:
+    single-extra >= one-shot is ``(N - d - 1)(N - d^2) <= 0``, that is
+    d + 1 <= N <= d^2, and on each band (2**(k-1), 2**k] of depth k,
+    binary >= single-extra is ``(N - d)(d + 1) <= 2k(2d - 1)``.
     """
     if d < 2:
         raise ParseError(f"need d >= 2, got d={d}", what="dimensions")
-    ns = np.arange(max(d, 2), n_max + 1, dtype=np.int64)
-    # (n - 1).bit_length() of each n: the count of powers of two 2**k < n
-    depth = np.searchsorted(1 << np.arange(63, dtype=np.int64), ns)
-    neumark = ns * (ns - 1) // 2
-    single = (ns - d) * (d + 1) * d // 2
-    binary = depth * d * (2 * d - 1)
-    holds = (binary < single) & (single < neumark)
-    if not holds[-1]:
-        return None
-    violations = np.nonzero(~holds)[0]
-    first = 0 if violations.size == 0 else violations[-1] + 1
-    return int(ns[first])
+    lo = max(d, 2)
+    last = min(d * d, n_max) if d + 1 <= n_max else lo - 1  # the last N at which it fails
+    for k in range((lo - 1).bit_length(), (n_max - 1).bit_length() + 1):
+        top = min(1 << k, n_max, d + 2 * k * (2 * d - 1) // (d + 1))
+        if top >= max((1 << (k - 1)) + 1, lo):
+            last = max(last, top)
+    return last + 1 if last < n_max else None

@@ -4,18 +4,20 @@ POVM and state files are JSON.  Complex entries are stored as two-element
 ``[real, imaginary]`` arrays.  Floats go through Python's shortest round-trip
 representation, so serialize/deserialize reproduces every matrix bit-exactly.
 
-A tree file (``tree-v6``) stores only a tree's independent data.  Its first
-line is a JSON header, without tolerances: a file is judged by the constants
-of :mod:`povmtree.linalg`.  The padded POVM follows it, each element as its d^2
-real Hermitian parameters in little-endian float64: the real diagonal, then
-the upper off-diagonal entries as (re, im) pairs in row-major order.  The
-raw little-endian complex128 bytes of the Kraus pairs follow level by level
-(``tree.kraus``).  A file thus holds ``8 d^2 (5N - 4)`` bytes after its
-header, all exact: the loader rebuilds each element's lower triangle with
+A tree file (``tree-v7``) stores only a tree's independent data.  Its first
+line is a JSON header of scalars, without tolerances (a file is judged by the
+constants of :mod:`povmtree.linalg`), with ``labels`` only for caller labels.
+The leaf order follows as N little-endian int64, then the padded POVM, each
+element as its d^2 real Hermitian parameters in little-endian float64: the
+real diagonal, then the upper off-diagonal entries as (re, im) pairs in
+row-major order, then the raw little-endian complex128 Kraus pairs level by
+level (``tree.kraus``).  So ``8 N + 8 d^2 (5N - 4)`` bytes follow the header,
+all exact: the loader rebuilds each element's lower triangle with
 :func:`povmtree.linalg.hermitian_from_upper`, the function that made the
 element Hermitian in :func:`povmtree.povm.validate`.  It reads each array
-straight into the buffer the tree keeps, checks the structure, and runs
-:func:`povmtree.tree.verify` before it returns the tree.
+straight into the buffer the tree keeps, checks the structure (the order as
+a permutation of 0..N-1), and runs :func:`povmtree.tree.verify` before it
+returns the tree.
 """
 
 from __future__ import annotations
@@ -30,20 +32,22 @@ import numpy as np
 
 from .errors import ParseError, ValidationError, VerificationError
 from .linalg import ENTRY_BOUND, adjoint, blocks, frobenius, hermitian_from_upper
-from .povm import Povm, validate
+from .povm import Povm, default_labels, validate
+from .records import Rows
 from .simulator import QuantumState
-from .tree import MeasurementTree, node_checks, node_path, verify
+from .tree import MeasurementTree, is_permutation, node_checks, node_path, verify
 
 POVM_FORMAT = "povmtree/povm-v1"
 STATE_FORMAT = "povmtree/state-v1"
-TREE_FORMAT = "povmtree/tree-v6"
+TREE_FORMAT = "povmtree/tree-v7"
 
 _BLOB_DTYPE = np.dtype("<c16")
 _PARAMETER_DTYPE = np.dtype("<f8")
+_ORDER_DTYPE = np.dtype("<i8")
 
-# Longest accepted header line: room for the order and labels of about a
-# million outcomes, and a bound on what a file that is not a tree file
-# makes the loader read.
+# Longest accepted header line: room for the caller labels of about a
+# million outcomes (the header holds no other list), and a bound on what a
+# file that is not a tree file makes the loader read.
 _HEADER_LIMIT = 16 << 20
 
 # The format field that leads a JSON document written by json.dump, indented
@@ -121,8 +125,8 @@ def povm_record(data: dict) -> tuple[list[np.ndarray], Povm]:
             )
     p = validate(elements, labels=data.get("labels"))
     n_original = _n_original(data, p.elements) if "n_original" in data else p.n_outcomes
-    if n_original != p.n_outcomes:
-        p = Povm(dim=p.dim, elements=p.elements, labels=p.labels, n_original=n_original)
+    if n_original != p.n_outcomes:  # default labels stay "j" past n_original, as a tuple
+        p = Povm(dim=p.dim, elements=p.elements, labels=tuple(p.labels), n_original=n_original)
     return elements, p
 
 
@@ -194,21 +198,14 @@ def _finite_float(value: Any, field: str) -> float:
 
 def _povm(data: dict, elements: np.ndarray) -> Povm:
     n, dim = elements.shape[:2]
-    labels = _require(data, "labels")
-    if not (isinstance(labels, list) and len(labels) == n
-            and all(isinstance(x, str) for x in labels)):
+    labels = data.get("labels", ())
+    if "labels" in data and not (isinstance(labels, list) and len(labels) == n
+                                 and all(isinstance(x, str) for x in labels)):
         raise ParseError(f"must be a list of {n} strings", field="labels")
     n_original = _n_original(data, elements)
     # the elements are checked against the Kraus pairs by verify()
-    return Povm(dim=dim, elements=elements, labels=tuple(labels), n_original=n_original)
-
-
-def _order(data: dict, n: int) -> tuple[int, ...]:
-    raw = _require(data, "order")
-    if not (isinstance(raw, list) and len(raw) == n
-            and all(type(j) is int for j in raw) and sorted(raw) == list(range(n))):
-        raise ParseError(f"must be a permutation of 0..{n - 1}", field="order")
-    return tuple(raw)
+    return Povm(dim=dim, elements=elements, n_original=n_original,
+                labels=tuple(labels) if "labels" in data else default_labels(n, n_original))
 
 
 def _verified(tree: MeasurementTree) -> MeasurementTree:
@@ -262,10 +259,10 @@ def _hermitian_parameters(block: np.ndarray) -> np.ndarray:
 
 
 def save_tree(tree: MeasurementTree, path) -> None:
-    """Write ``tree`` as ``tree-v6``: one JSON header line, then the arrays.
+    """Write ``tree`` as ``tree-v7``: one JSON header line, then the arrays.
 
-    The padded POVM ``tree.povm.elements`` is written block by block
-    (:func:`povmtree.linalg.blocks`) as its elements' real Hermitian
+    ``tree.order`` is written as int64, then ``tree.povm.elements`` block by
+    block (:func:`povmtree.linalg.blocks`) as its elements' real Hermitian
     parameters; each level of ``tree.kraus`` is written as it is held,
     without a copy.
 
@@ -284,12 +281,12 @@ def save_tree(tree: MeasurementTree, path) -> None:
         "dimension": p.dim,
         "n_outcomes": p.n_outcomes,
         "depth": tree.depth,
-        "order": list(tree.order),
-        "labels": list(p.labels),
+        **({} if isinstance(p.labels, Rows) else {"labels": list(p.labels)}),
         "n_original": p.n_original,
     }
     with open(path, "wb") as handle:
         handle.write(json.dumps(header).encode("utf-8") + b"\n")
+        handle.write(np.ascontiguousarray(tree.order, dtype=_ORDER_DTYPE))
         for rows in blocks(p.n_outcomes, p.dim):
             handle.write(_hermitian_parameters(p.elements[rows]))
         for a in tree.kraus:
@@ -334,6 +331,7 @@ def _blobs(dim: int, depth: int):
 
     The elements' shape is that of their parameters, one row of d^2 each.
     """
+    yield "order", (1 << depth,), _ORDER_DTYPE
     yield "elements", (1 << depth, dim * dim), _PARAMETER_DTYPE
     for level in range(depth):
         yield f"kraus[{level}]", (1 << level, 2, dim, dim), _BLOB_DTYPE
@@ -394,7 +392,7 @@ def _read_blob(handle, shape: tuple[int, ...], field: str) -> np.ndarray:
 
 
 def load_tree(path) -> MeasurementTree:
-    """Read, check and verify a ``tree-v6`` file.
+    """Read, check and verify a ``tree-v7`` file.
 
     Each blob is read into the array the tree keeps, so the file is never
     held twice, and only once every blob's byte count has been checked.
@@ -407,14 +405,15 @@ def load_tree(path) -> MeasurementTree:
     ------
     ParseError
         In the order checked: a header line longer than ``_HEADER_LIMIT``
-        bytes or not one JSON object; a format other than ``tree-v6`` (a
-        ``tree-v5``, ``tree-v4`` or ``tree-v3`` file too: recompile it from
-        its POVM file); ``n_outcomes`` other than ``2**depth``; a header
-        line without its newline; ``order`` not a permutation of
-        the outcomes; a blob shorter than its shape needs, or bytes after
-        the last blob; an array entry whose real or imaginary part is not
-        finite or exceeds 2 in magnitude; ``labels`` not one string per
-        outcome; or ``n_original`` marking a nonzero element as padding.
+        bytes or not one JSON object; a format other than ``tree-v7`` (a
+        ``tree-v6``, ``tree-v5``, ``tree-v4`` or ``tree-v3`` file too:
+        recompile it from its POVM file); ``n_outcomes`` other than
+        ``2**depth``; a header line without its newline; a blob shorter
+        than its shape needs, or bytes after the last blob; ``order`` not a
+        permutation of the outcomes; an array entry whose real or imaginary
+        part is not finite or exceeds 2 in magnitude; ``labels``, when
+        present, not one string per outcome; or ``n_original`` marking a
+        nonzero element as padding.
     VerificationError
         If the rebuilt tree fails :func:`povmtree.tree.verify`: ``path``
         names the first failing node, breadth first with the leaves last,
@@ -424,10 +423,13 @@ def load_tree(path) -> MeasurementTree:
     """
     with open(path, "rb") as handle:
         header, dim, depth = _read_header(handle)
-        order = _order(header, 1 << depth)
         _check_blob_bytes(os.fstat(handle.fileno()).st_size - handle.tell(), dim, depth)
+        order = np.empty(1 << depth, dtype=_ORDER_DTYPE)
+        if handle.readinto(order) != order.nbytes or not is_permutation(order, 1 << depth):
+            raise ParseError(f"must be a permutation of 0..{(1 << depth) - 1}", field="order")
+        order = order.astype(np.intp, copy=False)  # a no-op on a 64-bit little-endian host
         elements = _read_elements(handle, 1 << depth, dim)
         kraus = [_read_blob(handle, (1 << level, 2, dim, dim), f"kraus[{level}]")
                  for level in range(depth)]
-    povm = _povm(header, elements)
-    return _verified(MeasurementTree(povm=povm, order=order, kraus=tuple(kraus)))
+    order.setflags(write=False)
+    return _verified(MeasurementTree(povm=_povm(header, elements), order=order, kraus=tuple(kraus)))

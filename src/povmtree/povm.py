@@ -24,6 +24,7 @@ from .linalg import (
     isometry_residuals,
     psd_sqrt_stack,
 )
+from .records import Rows
 
 
 def _frozen(m: np.ndarray) -> np.ndarray:
@@ -32,12 +33,18 @@ def _frozen(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def default_labels(n: int, n_original: int) -> Rows:
+    """Lazy labels of a POVM given none: ``str(j)`` below ``n_original``, then ``pad<j>``."""
+    return Rows(n, lambda j: str(j) if j < n_original else f"pad{j}")
+
+
 @dataclass(frozen=True, eq=False)
 class Povm:
     """Validated POVM: ``elements[j]`` is the operator for outcome ``labels[j]``.
 
     ``elements`` is one read-only ``(N, d, d)`` complex array, each matrix
-    exactly Hermitian in the form :func:`validate` stores.  ``n_original``
+    exactly Hermitian in the form :func:`validate` stores.  ``labels`` is the
+    caller's tuple or ``default_labels(N, n_original)``.  ``n_original``
     counts the outcomes present before any padding; indices at or beyond it
     belong to zero operators appended by :func:`pad_to_power_of_two` and are
     never reachable in simulation.
@@ -45,7 +52,7 @@ class Povm:
 
     dim: int
     elements: np.ndarray
-    labels: tuple[str, ...]
+    labels: tuple[str, ...] | Rows
     n_original: int
 
     @property
@@ -90,7 +97,7 @@ def validate(elements, labels=None) -> Povm:
         raise ValidationError(f"POVM elements do not sum to identity, |sum - I|_F = {deficit:.3e}",
                               what="completeness", residual=deficit)
     if labels is None:
-        labels = tuple(str(j) for j in range(n))
+        labels = default_labels(n, n)
     else:
         labels = tuple(str(x) for x in labels)
         if len(labels) != n:
@@ -150,7 +157,8 @@ def pad_to_power_of_two(p: Povm) -> Povm:
         return p
     zeros = np.zeros((n - k, p.dim, p.dim), dtype=complex)
     elements = _frozen(np.concatenate([p.elements, zeros]))
-    labels = p.labels + tuple(f"pad{j}" for j in range(k, n))
+    labels = (default_labels(n, p.n_original) if isinstance(p.labels, Rows)
+              else p.labels + tuple(f"pad{j}" for j in range(k, n)))
     return Povm(dim=p.dim, elements=elements, labels=labels, n_original=p.n_original)
 
 

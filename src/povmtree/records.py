@@ -22,7 +22,7 @@ class Rows(Sequence):
 
     Supports ``len``, negative indices, slices (a tuple of rows) and
     iteration like a tuple; ``==`` compares with another sequence of rows
-    row by row.
+    row by row, and ``hash`` is that of the tuple of rows.
     """
 
     def __init__(self, n: int, make) -> None:
@@ -43,6 +43,9 @@ class Rows(Sequence):
         if not isinstance(other, (Rows, tuple, list)):
             return NotImplemented
         return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
 
 
 @dataclass(frozen=True)
@@ -89,15 +92,16 @@ class VerificationReport:
     read-only array with one entry per internal node, breadth first, so
     node i of level l is row ``2**l - 1 + i``.  ``leaf_columns`` maps
     ``residual`` and ``ok`` to arrays with one entry per leaf, left to
-    right; leaf i is outcome ``order[i]``.  :attr:`nodes` and :attr:`leaves`
-    build the row records only when read.  Two reports are equal when their
-    rows, ``passed`` and ``max_residual`` are.
+    right; leaf i is outcome ``order[i]``, the tree's own read-only
+    ``intp`` order array, and ``labels`` are its POVM's.  :attr:`nodes` and
+    :attr:`leaves` build the row records only when read.  Two reports are
+    equal when their rows, ``passed`` and ``max_residual`` are.
     """
 
     node_columns: dict[str, np.ndarray]
     leaf_columns: dict[str, np.ndarray]
-    order: tuple[int, ...]
-    labels: tuple[str, ...]
+    order: np.ndarray
+    labels: tuple[str, ...] | Rows
     n_original: int
     passed: bool
     max_residual: float
@@ -115,7 +119,7 @@ class VerificationReport:
         return Rows(len(self.order), self._leaf)
 
     def _leaf(self, i: int) -> LeafCheck:
-        j, columns = self.order[i], self.leaf_columns
+        j, columns = self.order.item(i), self.leaf_columns
         return LeafCheck(j, self.labels[j], columns["residual"].item(i), j >= self.n_original,
                          columns["ok"].item(i))
 
@@ -142,6 +146,6 @@ class VerificationReport:
         ]
         if not self.passed:
             bad = [_row_path(k) for k in np.flatnonzero(~nodes["ok"]).tolist()]
-            bad += [f"leaf:{self.order[i]}" for i in np.flatnonzero(~leaves["ok"]).tolist()]
+            bad += [f"leaf:{self.order.item(i)}" for i in np.flatnonzero(~leaves["ok"]).tolist()]
             lines.append(f"  failing: {bad}")
         return "\n".join(lines)

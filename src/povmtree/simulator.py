@@ -206,7 +206,7 @@ class Outcomes(Rows):
     def __init__(self, tree: MeasurementTree, leaves: np.ndarray, probs: np.ndarray,
                  reached: np.ndarray) -> None:
         position = np.empty(len(probs), dtype=np.intp)  # the leaf of each outcome
-        position[list(tree.order)] = np.arange(len(probs))
+        position[tree.order] = np.arange(len(probs))
         self.probabilities = probs[position]
         self.probabilities.setflags(write=False)
         super().__init__(len(position), partial(_outcome, tree.povm.labels, tree.depth, position,
@@ -246,12 +246,12 @@ class SampleReport:
     ``max_sigma_deviation`` is the largest per-leaf deviation of the observed
     count from its expectation, in units of the binomial standard deviation
     sqrt(n p (1 - p)); leaves with p in {0, 1} contribute 0 when the count is
-    exact and infinity otherwise.
+    exact and infinity otherwise.  ``labels`` are the tree's POVM's own.
     """
 
     seed: int
     shots: int
-    labels: tuple[str, ...]
+    labels: tuple[str, ...] | Rows
     counts: tuple[int, ...]
     expected: tuple[float, ...]
     max_sigma_deviation: float
@@ -288,11 +288,10 @@ def sample(
         left = rng.binomial(arrived, p)
         arrived = np.stack([left, arrived - left], axis=1).ravel()
     n = tree.povm.n_outcomes
-    leaf_outcome = np.array(tree.order, dtype=np.int64)
     counts = np.empty(n, dtype=np.int64)
-    counts[leaf_outcome] = arrived
+    counts[tree.order] = arrived
     by_outcome = np.empty(n)
-    by_outcome[leaf_outcome] = probs
+    by_outcome[tree.order] = probs
     observed = tuple(int(c) for c in counts)
     # the binomial spread of each count, in the order of shots * p * (1 - p)
     mean = shots * by_outcome

@@ -105,12 +105,13 @@ class MeasurementTree:
     ``kraus[l]`` is a read-only ``(2**l, 2, d, d)`` array holding round l's
     Kraus pairs in breadth-first order: the pair measured at the node with
     probe path x sits at ``kraus[len(x)][int(x, 2)]``, b0 before b1.  Leaf i
-    (left to right) is outcome ``order[i]`` of ``povm``.  Cumulative
+    (left to right) is outcome ``order[i]`` of ``povm``; ``order`` is one
+    read-only ``intp`` array, a permutation of ``0..N-1``.  Cumulative
     operators and dilations are computed on demand and never stored.
     """
 
     povm: Povm
-    order: tuple[int, ...]
+    order: np.ndarray
     kraus: tuple[np.ndarray, ...]
 
     @property
@@ -247,15 +248,27 @@ def split_node(children_kraus, parent_kraus) -> np.ndarray:
     return pair
 
 
-def _resolve_partition(partition, n_real: int, n_padded: int) -> tuple[int, ...]:
-    if partition is None:
-        return tuple(range(n_padded))
-    order = tuple(int(i) for i in partition)
-    if len(order) == n_real and n_real < n_padded:
-        order = order + tuple(range(n_real, n_padded))
-    if sorted(order) != list(range(n_padded)):
-        raise ValidationError(f"partition must be a permutation of 0..{n_padded - 1} "
-                              f"(or of the {n_real} unpadded outcomes)", what="partition")
+def is_permutation(order: np.ndarray, n: int) -> bool:
+    """Whether an integer array holds each of 0..n-1 exactly once."""
+    seen = np.zeros(n + 1, dtype=bool)  # slot n marks an entry out of range
+    seen[np.where((0 <= order) & (order < n), order, n)] = True
+    return len(order) == n and bool(seen[:n].all())
+
+
+def _resolve_partition(partition, n_real: int, n_padded: int) -> np.ndarray:
+    """The leaf order as a read-only ``intp`` array; entries must be Python or NumPy integers."""
+    order = np.arange(n_padded)
+    if partition is not None:
+        entries = list(partition)
+        valid = all(isinstance(j, (int, np.integer)) and not isinstance(j, bool)
+                    and 0 <= j < n_padded for j in entries)
+        order = np.array(entries if valid else [], dtype=np.intp)
+        if len(order) == n_real < n_padded:
+            order = np.concatenate([order, np.arange(n_real, n_padded)])
+        if not is_permutation(order, n_padded):
+            raise ValidationError(f"partition must be a permutation of 0..{n_padded - 1} "
+                                  f"(or of the {n_real} unpadded outcomes)", what="partition")
+    order.setflags(write=False)
     return order
 
 
@@ -277,9 +290,9 @@ def compile_tree(
     with one stacked ``eigh`` and one stacked SVD, checking block by block
     in node order (a later-kind failure in an earlier block comes first).
 
-    ``partition`` may permute either the padded outcome set or just the
-    original outcomes, in which case padding indices keep their tail
-    positions.
+    ``partition``, of Python or NumPy integers (not ``bool``), may permute
+    the padded outcome set or just the original outcomes, in which case
+    padding indices keep their tail positions.
 
     Raises
     ------
@@ -302,7 +315,6 @@ def compile_tree(
         if len(factorization) not in (p.n_outcomes, n):
             raise ValidationError(f"factorization has {len(factorization)} operators for "
                                   f"{p.n_outcomes} outcomes", what="shape")
-    at = np.array(order)
     levels = []
     m = np.eye(d, dtype=complex)[None]
     for level in range(depth):
@@ -312,11 +324,11 @@ def compile_tree(
             lo, hi = 2 * nodes.start * span, 2 * nodes.stop * span
             if span == 1 and factorization is not None:
                 # a factorization of the unpadded outcomes leaves the padding leaves zero
-                real = at[lo:hi] < len(factorization)
+                real = order[lo:hi] < len(factorization)
                 targets = np.zeros((hi - lo, d, d), dtype=complex)
-                targets[real] = factorization[at[lo:hi][real]]
+                targets[real] = factorization[order[lo:hi][real]]
             else:
-                targets = psd_sqrt_stack(_ordered_sums(padded.elements, at, lo, hi, span))
+                targets = psd_sqrt_stack(_ordered_sums(padded.elements, order, lo, hi, span))
             pairs[nodes] = _split_level(targets.reshape(-1, 2, d, d), m[nodes], level, nodes.start)
         pairs.setflags(write=False)
         levels.append(pairs)
@@ -358,8 +370,7 @@ def verify(tree: MeasurementTree) -> VerificationReport:
     results are written into the report's columns (see
     :class:`VerificationReport`); no per-node object is built.
     """
-    p, d = tree.povm, tree.povm.dim
-    at = np.array(tree.order)
+    p, d, at = tree.povm, tree.povm.dim, tree.order
     # the node columns verify measures, in the order of NodeCheck's fields
     measured = {"completeness_residual": float, "operator_sum_residual": float,
                 "min_operator_eigenvalue": float, "dilation_unitarity": float,

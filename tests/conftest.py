@@ -34,7 +34,7 @@ def frob(a):
 
 
 def hermitian_parameters(elements):
-    """The tree-v6 parameters of an ``(N, d, d)`` Hermitian stack, one row of d^2 reals each.
+    """The tree-v7 parameters of an ``(N, d, d)`` Hermitian stack, one row of d^2 reals each.
 
     Per element: the real diagonal, then each upper off-diagonal entry as a
     (re, im) pair, row by row; written out entry by entry as the format
@@ -52,17 +52,18 @@ def hermitian_parameters(elements):
 
 
 def read_tree_file(path):
-    """Header and writable arrays of a tree-v6 file, read as the format documents it.
+    """Header, order and writable arrays of a tree-v7 file, read as the format documents it.
 
-    The first array is the padded POVM's parameters, ``(N, d*d)`` little-endian
-    float64 as :func:`hermitian_parameters` lays them out; then ``kraus[l]`` of
-    shape ``(2**l, 2, d, d)`` for each level, as little-endian complex128 in C order.
+    The order is ``(N,)`` little-endian int64.  The arrays after it are the
+    padded POVM's parameters, ``(N, d*d)`` little-endian float64 as
+    :func:`hermitian_parameters` lays them out; then ``kraus[l]`` of shape
+    ``(2**l, 2, d, d)`` for each level, as little-endian complex128 in C order.
     """
     with open(path, "rb") as handle:
         header = json.loads(handle.readline())
         raw = handle.read()
-    d, depth = header["dimension"], header["depth"]
-    blobs = [("<f8", (1 << depth, d * d))]
+    n, d, depth = header["n_outcomes"], header["dimension"], header["depth"]
+    blobs = [("<i8", (n,)), ("<f8", (1 << depth, d * d))]
     blobs += [("<c16", (1 << level, 2, d, d)) for level in range(depth)]
     arrays, offset = [], 0
     for dtype, shape in blobs:
@@ -71,16 +72,17 @@ def read_tree_file(path):
         arrays.append(a.copy())
         offset += a.nbytes
     assert offset == len(raw)
-    return header, arrays
+    return header, arrays[0], arrays[1:]
 
 
-def write_tree_file(path, header, arrays, tail=b""):
-    """Write a tree-v6 file from a header and arrays laid out as :func:`read_tree_file` returns them.
+def write_tree_file(path, header, order, arrays, tail=b""):
+    """Write a tree-v7 file from a header, order and arrays as :func:`read_tree_file` returns them.
 
     ``tail`` bytes are appended.
     """
     with open(path, "wb") as handle:
         handle.write(json.dumps(header).encode("utf-8") + b"\n")
+        handle.write(np.ascontiguousarray(order, dtype="<i8").tobytes())
         for j, a in enumerate(arrays):
             handle.write(np.ascontiguousarray(a, dtype="<c16" if j else "<f8").tobytes())
         handle.write(tail)

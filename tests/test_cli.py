@@ -100,7 +100,7 @@ class TestCompileCommand:
         out = capsys.readouterr().out
         assert "PASS" in out and "operation counts" in out
         tree = load_tree(out_path)
-        assert tree.order == (0, 3, 1, 2)
+        assert tuple(tree.order) == (0, 3, 1, 2)
 
     def test_padding_warning(self, triple_file, tmp_path, capsys):
         out_path = str(tmp_path / "triple.tree.json")
@@ -148,11 +148,11 @@ class TestSimulateCommand:
         assert "sigma" in first
 
     def test_tampered_tree_fails(self, tetrad_tree, tmp_path, capsys):
-        header, (elements, root, kraus) = read_tree_file(tetrad_tree)
+        header, order, (elements, root, kraus) = read_tree_file(tetrad_tree)
         # b of node "10": outcome 0 of the pair at node "1", in the level-1 blob
         kraus[1, 0, 0, 0] += 1e-3
         bad = tmp_path / "tampered.tree"
-        write_tree_file(bad, header, [elements, root, kraus])
+        write_tree_file(bad, header, order, [elements, root, kraus])
         assert main(["simulate", str(bad), "--state", "pure:0"]) == 3
 
 
@@ -208,8 +208,8 @@ def _swapped_tree_file(tmp_path):
     """A tetrad tree file whose outcomes 1 and 2 are swapped, so two leaves fail."""
     path = tmp_path / "swapped.tree"
     save_tree(compile_tree(tetrad(), partition=[0, 3, 1, 2]), path)
-    header, (elements, *kraus) = read_tree_file(path)
-    write_tree_file(path, header, [elements[[0, 2, 1, 3]], *kraus])
+    header, order, (elements, *kraus) = read_tree_file(path)
+    write_tree_file(path, header, order, [elements[[0, 2, 1, 3]], *kraus])
     return path
 
 

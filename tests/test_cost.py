@@ -1,3 +1,6 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from povmtree import ParseError
@@ -67,7 +70,46 @@ class TestCompare:
         assert err.value.what == "dimensions"
 
 
+def scanned_crossover(d, n_max=1 << 20):
+    """The scan ``crossover`` once ran: every N up to ``n_max`` at once, as arrays."""
+    ns = np.arange(max(d, 2), n_max + 1, dtype=np.int64)
+    # (n - 1).bit_length() of each n: the count of powers of two 2**k < n
+    depth = np.searchsorted(1 << np.arange(63, dtype=np.int64), ns)
+    neumark = ns * (ns - 1) // 2
+    single = (ns - d) * (d + 1) * d // 2
+    binary = depth * d * (2 * d - 1)
+    holds = (binary < single) & (single < neumark)
+    if not holds[-1]:
+        return None
+    violations = np.nonzero(~holds)[0]
+    first = 0 if violations.size == 0 else violations[-1] + 1
+    return int(ns[first])
+
+
 class TestCrossover:
+    @pytest.mark.parametrize("d", range(2, 41))
+    def test_equals_the_scan(self, d):
+        # n_max on both sides of d^2, where single-extra >= one-shot stops, of
+        # each power of two, where the depth steps, and of the crossover itself
+        n_star = scanned_crossover(d, 1 << 14)
+        edges = [d, d * d, n_star, *(1 << k for k in range(1, 15))]
+        n_maxes = sorted({n for e in edges for n in (e - 1, e, e + 1) if n >= d}
+                         | set(range(d, 4 * d * d, d)))
+        expected = [scanned_crossover(d, n) for n in n_maxes]
+        assert None in expected and expected[-1] is not None and n_star is not None
+        assert [crossover(d, n) for n in n_maxes] == expected
+
+    def test_peak_memory(self):
+        # the scan held six arrays of 2**20 entries, 44 MB for these four calls
+        tracemalloc.start()
+        try:
+            results = [crossover(d) for d in (2, 3, 8, 64)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert results == [11, 14, 65, 4097]
+        assert peak < 64 * 1024
+
     def test_qubit_crossover(self):
         n_star = crossover(2, n_max=1 << 14)
         assert n_star is not None

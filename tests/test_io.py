@@ -19,6 +19,7 @@ from povmtree import (
     random_density,
     random_rank_one_povm,
     tetrad,
+    validate,
     verify,
 )
 from povmtree import io as treeio
@@ -149,7 +150,7 @@ class TestTreeFiles:
         save_tree(tree, path)
         again = load_tree(path)
         assert again.depth == tree.depth
-        assert again.order == tree.order
+        assert np.array_equal(again.order, tree.order)
         assert len(again.kraus) == len(tree.kraus)
         for level in range(tree.depth):
             assert np.array_equal(tree.kraus[level], again.kraus[level])
@@ -179,8 +180,8 @@ class TestTreeFiles:
     def test_missing_kraus_level(self, tmp_path, tetrad_povm):
         path = tmp_path / "tetrad.tree"
         save_tree(compile_tree(tetrad_povm), path)
-        header, arrays = read_tree_file(path)
-        write_tree_file(path, header, arrays[:-1])
+        header, order, arrays = read_tree_file(path)
+        write_tree_file(path, header, order, arrays[:-1])
         with pytest.raises(ParseError) as err:
             load_tree(path)
         assert err.value.field == "kraus[1]"
@@ -188,32 +189,34 @@ class TestTreeFiles:
     # The header is pinned byte for byte; the arrays are compared with the
     # tree's own, since their low bits can differ between LAPACK builds.
     TETRAD_HEADER = (
-        b'{"format": "povmtree/tree-v6", "dimension": 2, "n_outcomes": 4, "depth": 2, '
-        b'"order": [0, 3, 1, 2], "labels": ["0", "1", "2", "3"], "n_original": 4}'
+        b'{"format": "povmtree/tree-v7", "dimension": 2, "n_outcomes": 4, "depth": 2, '
+        b'"n_original": 4}'
     )
     PADDED_HEADER = (
-        b'{"format": "povmtree/tree-v6", "dimension": 2, "n_outcomes": 8, "depth": 3, '
-        b'"order": [0, 1, 2, 3, 4, 5, 6, 7], '
-        b'"labels": ["0", "1", "2", "3", "4", "pad5", "pad6", "pad7"], "n_original": 5}'
+        b'{"format": "povmtree/tree-v7", "dimension": 2, "n_outcomes": 8, "depth": 3, '
+        b'"n_original": 5}'
     )
+    TETRAD_ORDER = (0, 3, 1, 2)
+    PADDED_ORDER = tuple(range(8))
 
     @pytest.mark.parametrize("which", ["tetrad", "padded"])
     def test_file_layout(self, tmp_path, tetrad_povm, which):
         if which == "tetrad":
             tree = compile_tree(tetrad_povm, partition=[0, 3, 1, 2])
-            header = self.TETRAD_HEADER
+            header, order = self.TETRAD_HEADER, self.TETRAD_ORDER
         else:
             tree = compile_tree(random_rank_one_povm(5, 2, np.random.default_rng(5)))
-            header = self.PADDED_HEADER
+            header, order = self.PADDED_HEADER, self.PADDED_ORDER
         path = tmp_path / "layout.tree"
         save_tree(tree, path)
-        arrays = [hermitian_parameters(tree.povm.elements), *tree.kraus]
+        arrays = [np.array(order, dtype="<i8"), hermitian_parameters(tree.povm.elements),
+                  *tree.kraus]
         assert path.read_bytes() == header + b"\n" + b"".join(a.tobytes() for a in arrays)
 
     @pytest.mark.parametrize("d, n", [(2, 4), (2, 5), (3, 7), (32, 64)],
                              ids=["tetrad", "padded-2-5", "padded-3-7", "32-64"])
     def test_file_size(self, tmp_path, tetrad_povm, d, n):
-        # per padded element d^2 float64, per Kraus pair 2 d^2 complex128
+        # per padded element one int64 and d^2 float64, per Kraus pair 2 d^2 complex128
         p = tetrad_povm if n == 4 else random_rank_one_povm(n, d, np.random.default_rng([d, n]))
         tree = compile_tree(p)
         path = tmp_path / "size.tree"
@@ -221,7 +224,22 @@ class TestTreeFiles:
         with open(path, "rb") as handle:
             header = len(handle.readline())
         padded = tree.povm.n_outcomes
-        assert path.stat().st_size == header + 8 * d * d * (5 * padded - 4)
+        assert path.stat().st_size == header + 8 * padded + 8 * d * d * (5 * padded - 4)
+
+    @pytest.mark.parametrize("given", [False, True])
+    def test_labels_are_stored_only_when_given(self, tmp_path, given):
+        labels = ["a", "b", "c"] if given else None
+        p = validate(random_rank_one_povm(3, 2, np.random.default_rng(3)).elements, labels)
+        tree = compile_tree(p)
+        path = tmp_path / "labels.tree"
+        save_tree(tree, path)
+        header = read_tree_file(path)[0]
+        assert ("labels" in header) is given
+        again = load_tree(path)
+        expected = ("a", "b", "c", "pad3") if given else ("0", "1", "2", "pad3")
+        assert tuple(again.povm.labels) == tuple(tree.povm.labels) == expected
+        assert again.povm.labels == expected and hash(again.povm.labels) == hash(expected)
+        assert isinstance(again.povm.labels, tuple) is given
 
     def test_save_rejects_an_element_not_exactly_hermitian(self, tmp_path, tetrad_povm):
         tree = compile_tree(tetrad_povm)
@@ -248,22 +266,44 @@ class TestTamperedTreeFiles:
 
     def test_depth_must_match_outcomes(self, parts, tmp_path):
         # with depth 3 a tetrad tree once loaded and sampled (200000, 0, 0, 0) on |0>
-        header, arrays = parts
+        header, order, arrays = parts
         header["depth"] = 3
         path = tmp_path / "deep.tree"
-        write_tree_file(path, header, arrays)
+        write_tree_file(path, header, order, arrays)
         with pytest.raises(ParseError) as err:
             load_tree(path)
         assert err.value.field == "depth"
 
     def test_outcome_out_of_range(self, parts, tmp_path):
-        header, arrays = parts
-        header["order"][1] = 7
+        header, order, arrays = parts
+        order[1] = 7
         path = tmp_path / "order.tree"
-        write_tree_file(path, header, arrays)
+        write_tree_file(path, header, order, arrays)
         with pytest.raises(ParseError) as err:
             load_tree(path)
         assert err.value.field == "order"
+
+    @pytest.mark.parametrize("index, value", [(1, 0), (3, -1), (0, 4), (2, -(1 << 63))],
+                             ids=["duplicate", "negative", "out-of-range", "most-negative"])
+    def test_order_blob_must_be_a_permutation(self, parts, tmp_path, index, value):
+        header, order, arrays = parts
+        order[index] = value
+        path = tmp_path / "order.tree"
+        write_tree_file(path, header, order, arrays)
+        with pytest.raises(ParseError) as err:
+            load_tree(path)
+        assert err.value.field == "order"
+
+    @pytest.mark.parametrize("labels", [["a", "b", "c"], ["a", "b", "c", "d", "e"],
+                                        ["a", "b", "c", 3], "abcd"],
+                             ids=["short", "long", "not-a-string", "not-a-list"])
+    def test_labels_must_be_one_string_per_outcome(self, parts, tmp_path, labels):
+        header, order, arrays = parts
+        path = tmp_path / "labels.tree"
+        write_tree_file(path, dict(header, labels=labels), order, arrays)
+        with pytest.raises(ParseError) as err:
+            load_tree(path)
+        assert err.value.field == "labels"
 
     @pytest.mark.parametrize("cut", [3, 8])
     def test_truncated_blob(self, parts, tmp_path, cut):
@@ -277,19 +317,19 @@ class TestTamperedTreeFiles:
 
     def test_n_original_marks_only_zero_padding(self, parts, tmp_path):
         # n_original 2 would flag outcomes 2 and 3, both nonzero, as padding
-        header, arrays = parts
+        header, order, arrays = parts
         header["n_original"] = 2
         path = tmp_path / "padding.tree"
-        write_tree_file(path, header, arrays)
+        write_tree_file(path, header, order, arrays)
         with pytest.raises(ParseError) as err:
             load_tree(path)
         assert err.value.field == "n_original"
 
     def test_nan_entry(self, parts, tmp_path):
-        header, (elements, *kraus) = parts
+        header, order, (elements, *kraus) = parts
         elements[2, 2] = float("nan")  # the real part of element 2's entry (0, 1)
         path = tmp_path / "nan.tree"
-        write_tree_file(path, header, [elements, *kraus])
+        write_tree_file(path, header, order, [elements, *kraus])
         with pytest.raises(ParseError) as err:
             load_tree(path)
         assert err.value.field == "elements"
@@ -301,12 +341,12 @@ class TestTamperedTreeFiles:
         # (4, 12 and 4 times) before it raised
         path = tmp_path / "huge.tree"
         save_tree(compile_tree(random_rank_one_povm(8, 2, np.random.default_rng(5))), path)
-        header, (elements, *kraus) = read_tree_file(path)
+        header, order, (elements, *kraus) = read_tree_file(path)
         if blob == "elements":
             elements[3] *= scale
         else:
             kraus[0][0] *= scale  # the root's pair
-        write_tree_file(path, header, [elements, *kraus])
+        write_tree_file(path, header, order, [elements, *kraus])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ParseError) as err:
@@ -331,32 +371,34 @@ class TestTamperedTreeFiles:
         with pytest.raises(ParseError) as err:
             load_tree(path)
         assert err.value.field == "format"
-        assert "povmtree/tree-v6" in str(err.value)
+        assert "povmtree/tree-v7" in str(err.value)
 
-    @pytest.mark.parametrize("version", ["tree-v3", "tree-v4", "tree-v5"])
+    @pytest.mark.parametrize("version", ["tree-v3", "tree-v4", "tree-v5", "tree-v6"])
     def test_v3_file_is_not_read(self, tetrad_povm, tmp_path, version):
-        # tree-v3 to tree-v5 had the tolerances after the depth in the header,
-        # tree-v3 and tree-v4 the split coefficients before them; then tree-v3
-        # had every element's d^2 complex128 entries, and tree-v4 and tree-v5
-        # the elements' parameters, as tree-v6 has
+        # tree-v3 to tree-v6 had the order and labels as JSON lists in the
+        # header and no order blob; tree-v3 to tree-v5 had the tolerances
+        # after the depth, tree-v3 and tree-v4 the split coefficients before
+        # them; then tree-v3 had every element's d^2 complex128 entries, and
+        # tree-v4 to tree-v6 the elements' parameters, as tree-v7 has
         tree = compile_tree(tetrad_povm, partition=[0, 3, 1, 2])
         path = tmp_path / "old.tree"
         save_tree(tree, path)
-        header, arrays = read_tree_file(path)
+        header, order, arrays = read_tree_file(path)
         old = {}
         for key, value in header.items():
             old[key] = f"povmtree/{version}" if key == "format" else value
             if key == "depth":
-                if version != "tree-v5":
+                if version in ("tree-v3", "tree-v4"):
                     old["split_coefficients"] = [[2 ** -0.5, 0.0], [2 ** -0.5, 0.0]]
-                old["tolerances"] = {"tol_rank": 1e-10, "tol_check": 1e-9, "tol_unitary": 1e-10}
-        if version != "tree-v3":
-            write_tree_file(path, old, arrays)
-        else:
-            with open(path, "wb") as handle:
-                handle.write(json.dumps(old).encode() + b"\n")
-                for a in (tree.povm.elements, *tree.kraus):
-                    handle.write(a.tobytes())
+                if version != "tree-v6":
+                    old["tolerances"] = {"tol_rank": 1e-10, "tol_check": 1e-9,
+                                         "tol_unitary": 1e-10}
+                old["order"], old["labels"] = order.tolist(), list(tree.povm.labels)
+        elements = tree.povm.elements if version == "tree-v3" else arrays[0]
+        with open(path, "wb") as handle:
+            handle.write(json.dumps(old).encode() + b"\n")
+            for a in (elements, *tree.kraus):
+                handle.write(a.tobytes())
         with pytest.raises(ParseError) as err:
             load_tree(path)
         assert err.value.field == "format"
@@ -365,7 +407,7 @@ class TestTamperedTreeFiles:
     @pytest.mark.parametrize("indent", [None, 1])
     def test_v2_file_is_not_read(self, parts, tmp_path, indent):
         # tree-v2 was one JSON document with base64 blobs
-        header, arrays = parts
+        header, order, arrays = parts
         v2 = dict(header, format="povmtree/tree-v2",
                   elements=base64.b64encode(arrays[0].tobytes()).decode("ascii"),
                   kraus=[base64.b64encode(a.tobytes()).decode("ascii") for a in arrays[1:]])
@@ -380,10 +422,10 @@ class TestTamperedTreeFiles:
         # its header declared; its probabilities then summed to 1.44
         path = tmp_path / "loose.tree"
         save_tree(compile_tree(random_rank_one_povm(8, 2, np.random.default_rng(5))), path)
-        header, (elements, *kraus) = read_tree_file(path)
+        header, order, (elements, *kraus) = read_tree_file(path)
         kraus[0][0] *= 1.2  # the root's pair
         header["tolerances"] = {"tol_rank": 1e-10, "tol_check": 0.9, "tol_unitary": 0.9}
-        write_tree_file(path, header, [elements, *kraus])
+        write_tree_file(path, header, order, [elements, *kraus])
         with pytest.raises(VerificationError) as err:
             load_tree(path)
         assert err.value.what == "completeness"
@@ -391,9 +433,9 @@ class TestTamperedTreeFiles:
 
     def test_swapped_elements_fail_verification(self, parts, tmp_path):
         # outcomes 1 and 2 share the parent "1", so only the leaves disagree
-        header, (elements, *kraus) = parts
+        header, order, (elements, *kraus) = parts
         path = tmp_path / "swapped.tree"
-        write_tree_file(path, header, [elements[[0, 2, 1, 3]], *kraus])
+        write_tree_file(path, header, order, [elements[[0, 2, 1, 3]], *kraus])
         with pytest.raises(VerificationError) as err:
             load_tree(path)
         assert err.value.path == "10"
@@ -415,9 +457,9 @@ class TestTamperedTreeFiles:
         assert err.value.field == "header"
 
     def test_header_line_is_bounded(self, parts, tmp_path, monkeypatch):
-        header, arrays = parts
+        header, order, arrays = parts
         path = tmp_path / "big.tree"
-        write_tree_file(path, dict(header, note="x" * 200), arrays)
+        write_tree_file(path, dict(header, note="x" * 200), order, arrays)
         load_tree(path)  # unknown header fields are ignored
         monkeypatch.setattr(treeio, "_HEADER_LIMIT", 200)
         with pytest.raises(ParseError) as err:
@@ -426,9 +468,9 @@ class TestTamperedTreeFiles:
 
     def test_header_claiming_huge_arrays(self, parts, tmp_path):
         # the byte count is checked before any array is allocated
-        header, arrays = parts
+        header, order, arrays = parts
         path = tmp_path / "huge.tree"
-        write_tree_file(path, dict(header, dimension=1 << 40), arrays)
+        write_tree_file(path, dict(header, dimension=1 << 40), order, arrays)
         with pytest.raises(ParseError) as err:
             load_tree(path)
         assert err.value.field == "elements"

@@ -1,11 +1,14 @@
-"""Property tests for the stacked unitary completion, the Neumark oracle, Hermitian storage and pure states."""
+"""Property tests for the stacked unitary completion, the Neumark oracle, Hermitian storage,
+tree files and pure states."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from povmtree import (
     QuantumState,
+    apply_freedom,
     compile_tree,
+    default_kraus,
     dilate_binary,
     direct_probabilities,
     full_neumark,
@@ -13,6 +16,7 @@ from povmtree import (
     random_density,
     random_povm,
     random_rank_one_povm,
+    random_unitary,
     validate,
 )
 from povmtree.dilation import dilate_level
@@ -108,6 +112,40 @@ def test_validate_stores_exact_hermitian_parts_that_trees_round_trip(
     again = load_tree(path)
     assert again.povm.elements.tobytes() == tree.povm.elements.tobytes()
     assert [a.tobytes() for a in again.kraus] == [a.tobytes() for a in tree.kraus]
+
+
+@PROPERTY
+@given(
+    n=st.integers(1, 300),
+    d=st.integers(1, 3),
+    given_labels=st.booleans(),
+    partition=st.sampled_from(["identity", "full", "unpadded"]),
+    freedom=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tree_files_round_trip(n, d, given_labels, partition, freedom, seed, tmp_path_factory):
+    rng = np.random.default_rng(seed)
+    ranks = rng.integers(1, d + 1, n)
+    ranks[0] = d  # so that the elements can sum to the identity
+    labels = [f"outcome {j}" for j in range(n)] if given_labels else None
+    p = validate(random_povm(n, d, rng, ranks=ranks).elements, labels)
+    padded = 1 << (n - 1).bit_length()
+    order = {"identity": None, "full": rng.permutation(padded), "unpadded": rng.permutation(n)}
+    factorization = None
+    if freedom:
+        unitaries = [random_unitary(d, rng) for _ in range(n)]
+        factorization = apply_freedom(default_kraus(p), unitaries)
+    tree = compile_tree(p, factorization=factorization, partition=order[partition])
+    path = tmp_path_factory.mktemp("round-trip") / "t.tree"
+    save_tree(tree, path)
+    again = load_tree(path)
+    assert np.array_equal(again.order, tree.order)
+    assert np.array_equal(again.povm.elements, tree.povm.elements)
+    assert len(again.kraus) == len(tree.kraus)
+    assert all(np.array_equal(a, b) for a, b in zip(again.kraus, tree.kraus))
+    assert again.povm.labels == tree.povm.labels
+    assert list(again.povm.labels[:n]) == (labels or [str(j) for j in range(n)])
+    assert again.povm.n_original == n
 
 
 @PROPERTY

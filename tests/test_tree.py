@@ -121,7 +121,7 @@ class TestTetradTree:
 
     def test_depth_and_layout(self, tree):
         assert tree.depth == 2
-        assert tree.order == (0, 3, 1, 2)
+        assert tuple(tree.order) == (0, 3, 1, 2)
         assert [level.shape for level in tree.kraus] == [(1, 2, 2, 2), (2, 2, 2, 2)]
         assert all(not level.flags.writeable for level in tree.kraus)
 
@@ -183,7 +183,7 @@ class TestCompile:
         assert tree.povm.n_outcomes == 4
         report = verify(tree)
         assert report.passed
-        pad_leaf = tree.cumulative_operators(2)[tree.order.index(3)]
+        pad_leaf = tree.cumulative_operators(2)[tuple(tree.order).index(3)]
         assert frob(pad_leaf) <= 1e-9
         assert tree.povm.is_padding(3)
 
@@ -194,8 +194,8 @@ class TestCompile:
         permuted = compile_tree(p, partition=perm)
         leaves_a, leaves_b = base.cumulative_operators(3), permuted.cumulative_operators(3)
         for j in range(8):
-            a = leaves_a[base.order.index(j)]
-            b = leaves_b[permuted.order.index(j)]
+            a = leaves_a[tuple(base.order).index(j)]
+            b = leaves_b[tuple(permuted.order).index(j)]
             assert frob(a - b) <= 1e-9
 
     def test_partition_validation(self, rng):
@@ -205,10 +205,35 @@ class TestCompile:
         with pytest.raises(ValueError):
             compile_tree(p, partition=[0, 0, 1, 2])
 
+    @pytest.mark.parametrize("partition", [
+        [0.9, 1.2, 2.5, 3.99], ["0", "1", "2", "3"], [0, 3, 1, 2.0], [0, 3, 1, 2**70],
+        np.array([0.0, 3.0, 1.0, 2.0]), [True, False, 2, 3], np.array([1, 0, 1, 1], dtype=bool),
+    ], ids=["floats", "strings", "one-float", "huge", "float-array", "bools", "bool-array"])
+    def test_partition_entries_must_be_integers(self, tetrad_povm, partition):
+        # int() once compiled the floats as (0, 1, 2, 3), [True, False] as
+        # (1, 0) on two outcomes and parsed the strings
+        with pytest.raises(ValidationError) as err:
+            compile_tree(tetrad_povm, partition=partition)
+        assert err.value.what == "partition"
+
+    def test_partition_of_bools_on_two_outcomes(self):
+        p = validate([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        with pytest.raises(ValidationError) as err:
+            compile_tree(p, partition=[True, False])
+        assert err.value.what == "partition"
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+    def test_partition_of_numpy_integers(self, tetrad_povm, dtype):
+        tree = compile_tree(tetrad_povm, partition=np.array([0, 3, 1, 2], dtype=dtype))
+        same = compile_tree(tetrad_povm, partition=[0, 3, 1, 2])
+        assert tree.order.dtype == np.intp and not tree.order.flags.writeable
+        assert np.array_equal(tree.order, same.order)
+        assert all(np.array_equal(a, b) for a, b in zip(tree.kraus, same.kraus))
+
     def test_partition_over_unpadded_outcomes(self, rng):
         p = random_rank_one_povm(3, 2, rng)
         tree = compile_tree(p, partition=[2, 0, 1])
-        assert tree.order == (2, 0, 1, 3)
+        assert tuple(tree.order) == (2, 0, 1, 3)
 
     def test_factorization_length_check(self, rng):
         p = random_rank_one_povm(4, 2, rng)
@@ -336,9 +361,9 @@ class TestVerify:
         # the same fault in a tree file is caught on load
         path = tmp_path / "tampered.tree"
         treeio.save_tree(tree, path)
-        header, (elements, root, kraus) = read_tree_file(path)
+        header, order, (elements, root, kraus) = read_tree_file(path)
         kraus[1, 0, 0, 0] += 1e-3
-        write_tree_file(path, header, [elements, root, kraus])
+        write_tree_file(path, header, order, [elements, root, kraus])
         with pytest.raises(VerificationError) as err:
             treeio.load_tree(path)
         assert err.value.path == "1"
@@ -458,6 +483,42 @@ class TestMemory:
         state = random_density(d, rng)
         probs = np.array([o.probability for o in propagate(tree, state)])
         assert np.max(np.abs(probs - direct_probabilities(tree.povm, state))) <= 1e-8
+
+    @staticmethod
+    def arrays_of(tree):
+        return (tree.povm.elements.nbytes + sum(a.nbytes for a in tree.kraus)
+                + tree.order.nbytes)
+
+    def test_compiled_tree_keeps_only_its_arrays(self):
+        # its elements, Kraus pairs and order array, 832 KiB at (2, 4096); one
+        # str per label and one int per leaf took 380 KiB more
+        d, n = 2, 4096
+        elements = np.array(random_rank_one_povm(n, d, np.random.default_rng([d, n])).elements)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            tree = compile_tree(validate(elements))
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept <= self.arrays_of(tree) + 64 * 1024
+
+    def test_loaded_tree_keeps_only_its_arrays(self, tmp_path):
+        # the same bound for a tree read from a file saved with default labels
+        d, n = 2, 4096
+        path = tmp_path / "wide.tree"
+        treeio.save_tree(compile_tree(random_rank_one_povm(n, d, np.random.default_rng([d, n]))),
+                         path)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            tree = treeio.load_tree(path)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept <= self.arrays_of(tree) + 64 * 1024
 
     def test_verify_peak(self):
         # verify walks each level in blocks of at most 64 KiB of dilations
