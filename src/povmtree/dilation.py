@@ -154,7 +154,7 @@ def full_neumark(p: Povm) -> NeumarkExtension:
     rows, owners = [], []
     for block in blocks(p.n_outcomes, p.dim):
         w, v = np.linalg.eigh(p.elements[block])  # exactly Hermitian, by the Povm invariant
-        w, v = w[:, ::-1], v[:, :, ::-1]  # descending, as rank_mask expects
+        w, v = w[:, ::-1], v[:, :, ::-1]  # each element's pieces in descending order
         keep = rank_mask(w)
         element, piece = np.nonzero(keep)
         rows.append(np.sqrt(w[element, piece])[:, None] * v[element, :, piece].conj())

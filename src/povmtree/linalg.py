@@ -11,8 +11,8 @@ stacks of one.  Stages over a whole stack walk it in :func:`blocks`.
 
 The thresholds are three module constants, used by every check and never
 stored with a tree or read from a file.  ``TOL_RANK`` (1e-10) is the rank
-policy: an eigenvalue or singular value counts as nonzero iff it exceeds
-``TOL_RANK`` times the largest one, the same relative rule everywhere so that
+policy, applied by :func:`rank_mask` alone: an eigenvalue or singular value
+counts as nonzero iff it exceeds ``TOL_RANK`` times ``max(largest, 0)``, so
 rank decisions made by different operations on the same operator agree.
 ``TOL_CHECK`` (1e-9) bounds the Frobenius residuals of the acceptance checks
 on unit-scale operators: Hermiticity, positivity, completeness, factorization
@@ -24,8 +24,11 @@ finiteness and range, :func:`check_psd` Hermiticity and positivity, by one rule:
 ``|A - A^dag|_F <= TOL_CHECK`` and no eigenvalue of the Hermitian part below
 the absolute floor ``-TOL_CHECK``.  :func:`hermitian_eig`, :func:`psd_sqrt`,
 :func:`pseudo_inverse` and the completions check their input through them;
-the kernels :func:`psd_sqrt_stack` and :func:`svd_inverse` check nothing,
-running on a validated :class:`povmtree.povm.Povm`'s elements and sums.
+the kernels :func:`psd_sqrt_stack`, :func:`psd_parts` and :func:`svd_inverse`
+check nothing, running on a validated :class:`povmtree.povm.Povm`'s elements
+and sums.  Compilation takes each partial sum's root, pseudoinverse and
+kernel from its one ``eigh`` (:func:`psd_parts`); the SVD of
+:func:`svd_inverse` serves only the one-matrix API on arbitrary input.
 
 All functions but :func:`check_psd` and :func:`hermitian_from_upper` are pure;
 returned arrays are fresh and never alias inputs.
@@ -106,14 +109,24 @@ def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def rank_mask(singular_values: np.ndarray) -> np.ndarray:
-    """Which singular values count as nonzero: those above ``TOL_RANK`` times the largest.
+def rank_mask(values: np.ndarray) -> np.ndarray:
+    """Which values count as nonzero: those above ``TOL_RANK`` times ``max(largest, 0)``.
 
-    ``singular_values`` holds descending values along its last axis, one row
-    per matrix of a stack.  A row whose largest value is zero keeps none.
+    ``values`` holds the eigenvalues or singular values of each matrix of a
+    stack along its last axis, in any order.  This is the one rank rule of
+    the package: a row whose largest value is at most zero keeps none.
     """
-    s = np.asarray(singular_values, dtype=float)
-    return s > TOL_RANK * s[..., :1]
+    v = np.asarray(values, dtype=float)
+    return v > TOL_RANK * np.maximum(v.max(axis=-1, keepdims=True), 0.0)
+
+
+def is_dust(m: np.ndarray) -> np.ndarray:
+    """Which matrices of a stack count as zero: Frobenius norm at most ``TOL_RANK``.
+
+    For a contraction, such as a parent of :func:`povmtree.tree.split_node`,
+    that is dust which :func:`rank_mask` alone would judge full rank.
+    """
+    return np.linalg.norm(m, axis=(-2, -1)) <= TOL_RANK
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,13 +263,13 @@ def hermitian_from_upper(a: np.ndarray) -> np.ndarray:
 
 
 def svd_inverse(a: np.ndarray):
-    """Pseudoinverses, kernel maps and ranks of a stack of matrices, one SVD each.
+    """Pseudoinverses and kernel maps of a stack of matrices, one SVD each.
 
     For each ``a = U S W^dag`` with the rank mask of :func:`rank_mask`,
-    returns ``pinv = W diag(1/s on the mask) U^dag``, the map
-    ``null = W diag(1 off the mask) U^dag`` and the rank.  For a square
-    matrix ``null`` carries the co-kernel basis u_j onto the kernel basis
-    w_j, so ``null @ a = 0`` and ``null^dag null = I - a a^+``.
+    returns ``pinv = W diag(1/s on the mask) U^dag`` and the map
+    ``null = W diag(1 off the mask) U^dag``.  For a square matrix ``null``
+    carries the co-kernel basis u_j onto the kernel basis w_j, so
+    ``null @ a = 0`` and ``null^dag null = I - a a^+``.
     """
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     keep = rank_mask(s)
@@ -264,7 +277,7 @@ def svd_inverse(a: np.ndarray):
     inverse = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
     pinv = (w * inverse[..., None, :]) @ uh
     null = (w * ~keep[..., None, :]) @ uh
-    return pinv, null, keep.sum(axis=-1)
+    return pinv, null
 
 
 def pseudo_inverse(a) -> np.ndarray:
@@ -278,25 +291,45 @@ def pseudo_inverse(a) -> np.ndarray:
     return svd_inverse(as_stack([a], np.shape(a)))[0][0]
 
 
-def psd_sqrt_stack(a: np.ndarray) -> np.ndarray:
+def _root(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Hermitian ``V diag(sqrt w) V^dag`` of each matrix of a stack."""
+    s = (v * np.sqrt(w)[..., None, :]) @ adjoint(v)
+    s += adjoint(s)
+    s /= 2
+    return s
+
+
+def psd_sqrt_stack(a: np.ndarray, keep=None) -> np.ndarray:
     """Hermitian PSD square roots of a stack of matrices, one stacked ``eigh`` per block.
 
     A kernel that checks nothing: each matrix is exactly Hermitian and
     passes :func:`check_psd`, as a validated POVM's elements and their sums
-    do.  Eigenvalues below ``TOL_RANK`` times the largest of the same
-    matrix, negative dust included, are truncated to exact zero (the module
-    rank policy); without this, square-rooting an exactly rank-deficient
-    operator would amplify eigenvalue dust above the rank threshold and
-    poison every later rank decision made on the result.
+    do.  Eigenvalues off :func:`rank_mask`, negative dust included, are
+    truncated to exact zero; without this, square-rooting an exactly
+    rank-deficient operator would amplify eigenvalue dust above the rank
+    threshold and poison every later rank decision made on the result.
+    ``keep``, arrays ``(vectors, values)`` as long as ``a``, takes each
+    truncated decomposition, for :func:`psd_parts`.
     """
     roots = np.empty(a.shape, dtype=complex)
     for rows in blocks(len(a), a.shape[-1]):
         w, v = np.linalg.eigh(a[rows])
-        top = np.maximum(w[:, -1:], 0.0)
-        w = np.where(w > TOL_RANK * top, w, 0.0)
-        s = (v * np.sqrt(w)[:, None, :]) @ adjoint(v)
-        roots[rows] = (s + adjoint(s)) / 2
+        w = np.where(rank_mask(w), w, 0.0)
+        roots[rows] = _root(v, w)
+        if keep is not None:
+            keep[0][rows], keep[1][rows] = v, w
     return roots
+
+
+def psd_parts(v: np.ndarray, w: np.ndarray):
+    """Root R (bit for bit as :func:`psd_sqrt_stack`'s), ``R^+`` and kernel projector g.
+
+    From each ``(V, w)`` that :func:`psd_sqrt_stack` keeps: ``V diag(f) V^dag``
+    with f ``sqrt w``, ``w^-1/2`` where ``w > 0`` and 1 where ``w = 0``.
+    """
+    kept = w > 0
+    inverse = np.divide(1.0, np.sqrt(w), out=np.zeros_like(w), where=kept)
+    return _root(v, w), (v * inverse[..., None, :]) @ adjoint(v), (v * ~kept[..., None, :]) @ adjoint(v)
 
 
 def psd_sqrt(a) -> np.ndarray:

@@ -75,7 +75,11 @@ class QuantumState:
 
     @classmethod
     def basis(cls, dim: int, index: int) -> "QuantumState":
-        """Computational basis state |index><index|."""
+        """Computational basis state |index><index|, of Python or NumPy integers (not ``bool``)."""
+        whole = all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in (dim, index))
+        if not whole or dim < 1:
+            raise ValidationError(f"basis state needs integers dim >= 1 and index, got {dim!r} "
+                                  f"and {index!r}", what="range")
         if not 0 <= index < dim:
             raise ValidationError(f"basis index {index} not in 0..{dim - 1}", what="range")
         v = np.zeros(dim)

@@ -1,34 +1,32 @@
 """Binary measurement tree construction and verification.
 
 An N-outcome POVM is implemented as a depth-ceil(log2 N) full binary tree of
-two-outcome measurements.  Outcomes are padded to a power of two, the root
-carries the identity as its cumulative Kraus operator, and each internal node
-x with cumulative Kraus operator m_x splits its outcome set in half.  For a
-child whose target operators are (M_c, m_c) with m_c^dag m_c = M_c, the
-two-outcome Kraus operator applied at the node is
+two-outcome measurements.  Outcomes are padded to a power of two and laid
+out left to right; each node x splits its outcome set in half, and S_x is
+the sum of the elements below it (the identity at the root).  With
+R_x = sqrt(S_x), the two-outcome Kraus operator applied at x towards its
+child c is, as the paper writes it from the partial sums alone,
 
-    b_c = m_c @ pinv(m_x) + a_c * (V_c @ g)
+    b_c = R_c @ pinv(R_x) + a_c * g
 
-where g is the null-space correction of m_x (see
-:func:`null_space_isometry`), a_0 = a_1 = 1/sqrt(2) share the correction
-equally (any |a_0|^2 + |a_1|^2 = 1 would do), and V_c is the isometric
-(polar) factor of m_c.  For Hermitian targets, which is every target the
-default pipeline produces, V_c acts as the identity on the relevant subspace
-and the formula reduces to the plain pseudoinverse-plus-correction ansatz;
-the V_c factor is what keeps the pair complete when a leaf target carries
-unitary Kraus freedom and the parent is rank deficient.
+where g is the projector onto the kernel of R_x and a_0 = a_1 = 1/sqrt(2)
+share it equally (any |a_0|^2 + |a_1|^2 = 1 would do).  Since
+supp S_c lies in supp S_x, the pair is complete and b_c @ R_x = R_c.  One
+``eigh`` of each S_x gives R_x, its pseudoinverse, g and its rank
+(:func:`povmtree.linalg.psd_parts`).  Leaf targets may instead come from
+supplied Kraus operators m_c; below a rank-deficient parent, g is then
+carried by each m_c's polar isometry V_c, which keeps the pair complete.
 
 A compiled tree is held as the paper's list of rounds: level l is one
 ``(2**l, 2, d, d)`` array of Kraus pairs, and nothing derived is stored.
 Child cumulative operators are the products b_c @ m_x (see
 :meth:`MeasurementTree.cumulative_kraus`), so the factorization identity
 m_child = b_child @ m_parent holds by construction at every edge.
-Internal-node targets are Hermitian square roots of partial element sums;
-leaf targets come from the supplied Kraus operators.  Compilation and
-verification work one level at a time, with one stacked LAPACK call per
-block of at most 64 KiB of nodes for each kind of decomposition; checks run
-block by block in node order, so a later-kind failure in an earlier block
-comes before an earlier-kind one in a later block.
+Compilation and verification work one level at a time, with one stacked
+LAPACK call per block of at most 64 KiB of nodes for each kind of
+decomposition; checks report block by block in node order, so a
+later-kind failure in an earlier block comes before an earlier-kind one in
+a later block.
 """
 
 from __future__ import annotations
@@ -43,11 +41,12 @@ from .dilation import completeness_residuals, dilate_binary, dilate_level
 from .errors import ValidationError, VerificationError
 from .linalg import (
     TOL_CHECK,
-    TOL_RANK,
     TOL_UNITARY,
     adjoint,
     as_stack,
     blocks,
+    is_dust,
+    psd_parts,
     psd_sqrt_stack,
     rank_mask,
     svd_inverse,
@@ -150,42 +149,30 @@ def _raise_first(residuals: np.ndarray, what: str, text: str, limit: float, leve
                                 path=None if level is None else node_path(level, first + i))
 
 
-def _dust(m: np.ndarray) -> np.ndarray:
-    """Which matrices of a stack count as zero: those with Frobenius norm at most ``TOL_RANK``.
-
-    Cumulative Kraus operators are contractions (m^dag m <= I), so their
-    singular values live on a unit scale; a parent whose whole norm sits
-    below the rank threshold is the zero operator up to floating dust, and
-    must be treated as exactly zero or the relative rank rule would judge
-    the dust full-rank (this is what all-padding subtrees produce).
-    """
-    return np.linalg.norm(m, axis=(-2, -1)) <= TOL_RANK
-
-
-def _split_level(
-    targets: np.ndarray,
-    parents: np.ndarray,
-    level: int | None = None,
-    first: int = 0,
-) -> np.ndarray:
+def _split_level(targets: np.ndarray, parents: np.ndarray, pinv: np.ndarray, kernel: np.ndarray,
+                 polar: bool, level: int | None = None, first: int = 0) -> np.ndarray:
     """Kraus pairs ``(k, 2, d, d)`` taking each parent of a stack to its two targets.
 
-    The stacked kernel of :func:`split_node`; errors name node ``first + i``
-    of ``level`` by its path (no path when ``level`` is None).
+    ``b_c = m_c @ pinv + a_c * g``, from each parent's pseudoinverse and
+    ``kernel`` map g (with ``polar`` set, ``a_c * V_c @ g``).  Errors name
+    node ``first + i`` of ``level`` by its path (none when ``level`` is None).
     """
     raise_first = partial(_raise_first, limit=TOL_CHECK, level=level, first=first)
-    pre = np.linalg.norm(_gram(targets).sum(axis=1) - _gram(parents), axis=(-2, -1))
+    # m_0^dag m_0 + m_1^dag m_1 is the Gram matrix of the column block [m_0; m_1]
+    pre = np.linalg.norm(_gram(targets.reshape(len(targets), -1, targets.shape[-1])) - _gram(parents),
+                         axis=(-2, -1))
     raise_first(pre, "children sum", "child operators do not sum to the parent operator")
 
-    parents = np.where(_dust(parents)[:, None, None], 0.0, parents)
-    pinv, g, rank = svd_inverse(parents)
     pairs = targets @ pinv[:, None]
-    deficient = np.flatnonzero(rank < parents.shape[-1])
+    deficient = np.flatnonzero(kernel.any(axis=(-2, -1)))
     if deficient.size:
-        polar = np.matmul(*np.linalg.svd(targets[deficient])[::2])  # u @ vh, without holding u, vh
-        pairs[deficient] += _A * (polar @ g[deficient][:, None])
+        g = kernel[deficient][:, None]
+        if polar:
+            g = np.matmul(*np.linalg.svd(targets[deficient])[::2]) @ g  # u @ vh, without holding u, vh
+        pairs[deficient] += _A * g
     raise_first(completeness_residuals(pairs), "completeness", "completeness post-check failed")
-    fact = np.linalg.norm(pairs @ parents[:, None] - targets, axis=(-2, -1))
+    fact = pairs @ parents[:, None] - targets
+    fact = np.sqrt(np.einsum("...ij,...ij->...", fact.view(float), fact.view(float)))  # |.|_F
     # per node, b0's residual if it fails, else b1's
     worst = np.where(fact[:, 0] > TOL_CHECK, fact[:, 0], fact[:, 1])
     raise_first(worst, "factorization", "factorization post-check failed")
@@ -243,7 +230,8 @@ def split_node(children_kraus, parent_kraus) -> np.ndarray:
     children = as_stack(children_kraus, parent.shape[1:])
     if len(children) != 2:
         raise ValidationError(f"got {len(children)} child operators, expected 2", what="shape")
-    pair = _split_level(children[None], parent)[0]
+    parent = np.where(is_dust(parent)[:, None, None], 0.0, parent)
+    pair = _split_level(children[None], parent, *svd_inverse(parent), polar=True)[0]
     pair.setflags(write=False)
     return pair
 
@@ -285,10 +273,11 @@ def compile_tree(
     an ``(N, d, d)`` array of Kraus operators with ``m_j^dag m_j = M_j`` as
     :func:`povmtree.povm.default_kraus` returns (default: Hermitian square
     roots); internal targets are square roots of the partial element sums,
-    added in pairs from the ordered elements.
-    Levels are compiled top-down, per block of at most 64 KiB of parents
-    with one stacked ``eigh`` and one stacked SVD, checking block by block
-    in node order (a later-kind failure in an earlier block comes first).
+    added in pairs from the ordered elements.  Levels are compiled top-down,
+    last block of at most 64 KiB of parents first, with one stacked ``eigh``
+    of the children's sums, whose decompositions overwrite their parents';
+    checks report block by block in node order (a later-kind failure in an
+    earlier block comes first).
 
     ``partition``, of Python or NumPy integers (not ``bool``), may permute
     the padded outcome set or just the original outcomes, in which case
@@ -315,25 +304,37 @@ def compile_tree(
         if len(factorization) not in (p.n_outcomes, n):
             raise ValidationError(f"factorization has {len(factorization)} operators for "
                                   f"{p.n_outcomes} outcomes", what="shape")
+    # each parent's partial sum as psd_sqrt_stack keeps it, (V, w); the root's is I
+    vectors, values = np.empty((n // 2 or 1, d, d), dtype=complex), np.ones((n // 2 or 1, d))
+    vectors[0] = np.eye(d)
     levels = []
-    m = np.eye(d, dtype=complex)[None]
     for level in range(depth):
         span = n >> (level + 1)  # leaves below each child
-        pairs = np.empty((len(m), 2, d, d), dtype=complex)
-        for nodes in blocks(len(m), d):
+        pairs = np.empty((1 << level, 2, d, d), dtype=complex)
+        failure = None
+        for nodes in reversed(list(blocks(len(pairs), d))):
+            # each parent's root, pseudoinverse and kernel, before children overwrite its (V, w)
+            parts = psd_parts(vectors[nodes], values[nodes])
             lo, hi = 2 * nodes.start * span, 2 * nodes.stop * span
-            if span == 1 and factorization is not None:
+            if leaves := (span == 1 and factorization is not None):
                 # a factorization of the unpadded outcomes leaves the padding leaves zero
                 real = order[lo:hi] < len(factorization)
                 targets = np.zeros((hi - lo, d, d), dtype=complex)
                 targets[real] = factorization[order[lo:hi][real]]
-            else:
-                targets = psd_sqrt_stack(_ordered_sums(padded.elements, order, lo, hi, span))
-            pairs[nodes] = _split_level(targets.reshape(-1, 2, d, d), m[nodes], level, nodes.start)
+            else:  # children that are parents of the next level keep their decompositions
+                children = slice(2 * nodes.start, 2 * nodes.stop)
+                targets = psd_sqrt_stack(_ordered_sums(padded.elements, order, lo, hi, span),
+                                         (vectors[children], values[children]) if span > 1 else None)
+            try:
+                pairs[nodes] = _split_level(targets.reshape(-1, 2, d, d), *parts, leaves, level,
+                                            nodes.start)
+            except VerificationError as err:
+                failure = err  # raised after the level, so the first block's failure wins
+            del parts, targets  # before the next block's are made
+        if failure is not None:
+            raise failure
         pairs.setflags(write=False)
         levels.append(pairs)
-        if level + 1 < depth:
-            m = _descend(pairs, m)
     return MeasurementTree(povm=padded, order=order, kraus=tuple(levels))
 
 
@@ -393,8 +394,7 @@ def verify(tree: MeasurementTree) -> VerificationReport:
             sum_residual[b] = np.linalg.norm(_gram(mb) - sums, axis=(-2, -1))
             completeness[b] = completeness_residuals(pb)
             min_eig[b] = np.linalg.eigvalsh(adjoint(pb) @ pb)[..., 0].min(axis=1)
-            kept = rank_mask(np.linalg.svd(mb, compute_uv=False)).sum(axis=-1)
-            rank[b] = np.where(_dust(mb), 0, kept)
+            rank[b] = rank_mask(np.linalg.eigvalsh(sums)).sum(axis=-1)
             admitted = b.start + np.flatnonzero(completeness[b] <= TOL_CHECK)
             if admitted.size:
                 chosen = pairs[admitted]

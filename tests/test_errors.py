@@ -106,7 +106,8 @@ def _tetrad_tree():
 
 NAN = np.array([[np.nan, 0.0], [0.0, 1.0]])
 
-# Calls on caller input that each raised a plain ValueError, with no ``what``,
+# Calls on caller input that each raised a plain ValueError or IndexError, with
+# no ``what``, or gave a wrong result (a bool basis index selected every entry),
 # and the ``what`` of the ValidationError they raise now.
 FORMERLY_BARE = {
     "validate ragged rows": (lambda: povmtree.validate([[[1.0, 0.0], [0.0]]]), "shape"),
@@ -127,6 +128,10 @@ FORMERLY_BARE = {
         lambda: povmtree.compile_tree(povmtree.tetrad(), partition=[0, 0, 1, 2]), "partition"),
     "pure zero vector": (lambda: povmtree.QuantumState.pure([0.0, 0.0]), "trace"),
     "basis index": (lambda: povmtree.QuantumState.basis(2, 9), "range"),
+    "basis index bool": (lambda: povmtree.QuantumState.basis(2, True), "range"),
+    "basis index float": (lambda: povmtree.QuantumState.basis(2, 1.0), "range"),
+    "basis dimension zero": (lambda: povmtree.QuantumState.basis(0, 0), "range"),
+    "basis dimension float": (lambda: povmtree.QuantumState.basis(2.0, 0), "range"),
     "sample no shots": (lambda: povmtree.sample(_tetrad_tree(), povmtree.QuantumState.basis(2, 0),
                                                 0, 1), "range"),
     "random_povm rank": (lambda: povmtree.random_povm(3, 2, np.random.default_rng(0), [0, 1, 1]),

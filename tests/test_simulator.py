@@ -30,6 +30,8 @@ from conftest import frob
 class TestQuantumState:
     def test_constructors(self):
         assert QuantumState.basis(3, 1).density[1, 1] == 1.0
+        assert np.array_equal(QuantumState.basis(np.int64(3), np.int32(2)).density,
+                              QuantumState.basis(3, 2).density)
         assert np.allclose(QuantumState.maximally_mixed(4).density, np.eye(4) / 4)
         plus = QuantumState.pure([1.0, 1.0])
         assert np.allclose(plus.density, np.full((2, 2), 0.5))

@@ -37,3 +37,16 @@ def test_no_module_defines_a_tolerances_type_or_field():
                 for alias in node.names}
     names = {"Tolerances", "DEFAULT_TOLERANCES", "tolerances"}
     assert {(module, name) for module, name in defined if name in names} == set()
+
+
+def test_one_rank_rule():
+    # TOL_RANK is read only inside linalg, by rank_mask and is_dust, so every
+    # rank decision (roots, compile, verify, Neumark) goes through one rule
+    outside = [f"{path.name}:{number}" for path in sorted(PACKAGE.glob("*.py"))
+               if path.name != "linalg.py"
+               for number, line in enumerate(path.read_text().splitlines(), 1)
+               if "TOL_RANK" in line]
+    assert outside == []
+    reads = [node for node in ast.walk(MODULES["linalg.py"]) if isinstance(node, ast.Name)
+             and node.id == "TOL_RANK" and isinstance(node.ctx, ast.Load)]
+    assert len(reads) == 2
