@@ -48,7 +48,8 @@ def _parse_state(spec: str, dim: int) -> QuantumState:
 
 
 def _format_matrix(m: np.ndarray) -> str:
-    return np.array2string(np.asarray(m), precision=6, suppress_small=True)
+    # rounded to the printed decimals; adding 0 turns each -0.0 into 0.0, so no sign of zero shows
+    return np.array2string(np.round(np.asarray(m), 6) + 0, precision=6, suppress_small=True)
 
 
 def cmd_validate(args) -> int:

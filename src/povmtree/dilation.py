@@ -62,8 +62,9 @@ def dilate_level(pairs) -> np.ndarray:
     Raises
     ------
     VerificationError
-        ``what="completeness"``, naming by ``index`` the first pair whose
-        completeness residual exceeds ``TOL_CHECK``.
+        Naming the first failing pair by ``index``: ``what="completeness"``
+        if its completeness residual exceeds ``TOL_CHECK``, or ``"dilation
+        unitarity"`` if its coupling fails the completion's own check.
     """
     pairs = np.asarray(pairs, dtype=complex)
     k, _, d, _ = pairs.shape

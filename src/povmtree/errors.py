@@ -20,9 +20,9 @@ where it does not apply.  The message starts with ``element j: `` or
   ``"partition"`` and ``"range"`` (an entry above 2, a basis index, shot count or rank);
 - parsing: ``"dimensions"`` (a cost request), else ``None``;
 - verification: ``"shape"``; ``"completeness"`` (orthonormal columns: the
-  completeness of a Kraus pair or of the Neumark rows); ``"children sum"``
-  and ``"factorization"`` (compile checks); ``"operator sum"``,
-  ``"positivity"``, ``"dilation unitarity"``, ``"blocks exact"`` and
+  completeness of a Kraus pair or of the Neumark rows) and ``"dilation
+  unitarity"`` (of a completed unitary, where it is built); ``"children sum"``
+  and ``"factorization"`` (compile checks); ``"operator sum"`` and
   ``"leaf reconstruction"`` (the checks of :func:`povmtree.tree.verify`,
   which ``load_tree`` enforces); ``"post-state positivity"`` (simulation).
 """

@@ -350,6 +350,26 @@ def isometry_residuals(x: np.ndarray) -> np.ndarray:
     return residuals
 
 
+def _unitarity_residuals(u: np.ndarray, k: int) -> np.ndarray:
+    """``|U^dag U - I|_F`` of each n x n matrix of a stack outside its leading k x k block."""
+    n = u.shape[-1]
+    residuals = np.empty(len(u))
+    for rows in blocks(len(u), n):
+        defect = adjoint(u[rows]) @ u[rows] - np.eye(n)
+        defect[:, :k, :k] = 0.0
+        residuals[rows] = np.linalg.norm(defect, axis=(-2, -1))
+    return residuals
+
+
+def _raise_first(residuals: np.ndarray, limit: float, what: str, text: str) -> None:
+    """Raise a :class:`VerificationError` naming by ``index`` the first residual above ``limit``."""
+    bad = np.flatnonzero(residuals > limit)
+    if bad.size:
+        r = residuals[bad[0]]
+        raise VerificationError(f"{text} (residual {r:.3e})", what=what, residual=r,
+                                index=int(bad[0]))
+
+
 def complete_to_unitary_stack(blocks, limit: float = TOL_UNITARY) -> np.ndarray:
     """Complete each n x k block of orthonormal columns of a stack to an n x n unitary.
 
@@ -357,31 +377,32 @@ def complete_to_unitary_stack(blocks, limit: float = TOL_UNITARY) -> np.ndarray:
     One stacked Householder QR (``mode="complete"``) gives each block an
     orthonormal basis whose last n - k columns span the complement of the
     block's columns; the given columns are then copied over the first k
-    (bit-identical), so only the complement comes from the QR.
+    (bit-identical), so only the complement comes from the QR.  Each
+    unitary is checked as it is built: ``|U^dag U - I|_F`` outside the k x k
+    Gram block, which the isometry check judges, must be at most
+    ``TOL_UNITARY``.  Only a faulty QR fails this: a Householder complement
+    is orthonormal, and orthogonal to the given columns, to rounding.
 
     Raises
     ------
     ValidationError
         As :func:`as_stack`, if ``blocks`` is not a stack of finite matrices.
     VerificationError
-        ``what="shape"`` if the blocks have more columns than rows;
-        ``what="completeness"``, naming the first failing block by
-        ``index``, if ``|B^dag B - I|_F`` exceeds ``limit``: ``TOL_UNITARY``
-        for an isometry, ``TOL_CHECK`` where the Gram matrix is a
-        completeness sum (:func:`povmtree.dilation.dilate_level`).
+        ``what="shape"`` if the blocks have more columns than rows; else,
+        naming the first failing block by ``index``, ``"completeness"`` if
+        ``|B^dag B - I|_F`` exceeds ``limit`` (``TOL_CHECK`` where it is a
+        completeness sum, as in :func:`povmtree.dilation.dilate_level`), or
+        ``"dilation unitarity"`` if its unitary fails the check above.
     """
     b = as_stack(blocks, np.shape(blocks)[1:])
     n, k = b.shape[1:]
     if k > n:
         raise VerificationError(f"block has more columns ({k}) than rows ({n})", what="shape")
-    gram_residual = isometry_residuals(b)
-    bad = np.flatnonzero(gram_residual > limit)
-    if bad.size:
-        r = gram_residual[bad[0]]
-        raise VerificationError(f"columns are not orthonormal (residual {r:.3e})",
-                                what="completeness", residual=r, index=int(bad[0]))
+    _raise_first(isometry_residuals(b), limit, "completeness", "columns are not orthonormal")
     u = np.linalg.qr(b, mode="complete")[0]
     u[..., :k] = b
+    _raise_first(_unitarity_residuals(u, k), TOL_UNITARY, "dilation unitarity",
+                 "completion is not unitary")
     return u
 
 

@@ -50,21 +50,15 @@ class Rows(Sequence):
 
 @dataclass(frozen=True)
 class NodeCheck:
-    """Residuals recorded for one internal node.
+    """One internal node's residuals, each passing at most ``TOL_CHECK``, and its parent's rank.
 
-    ``dilation_unitarity`` is ``|U^dag U - I|_F`` over every block but the
-    Gram block of the first block column ``[b0; b1]``: that block is the
-    completeness matrix, judged once through ``completeness_residual`` at
-    ``TOL_CHECK``.  The cross and completion blocks are judged at
-    ``TOL_UNITARY`` (constants of :mod:`povmtree.linalg`).
+    The probe coupling is not recorded: it is checked where it is built
+    (:func:`povmtree.linalg.complete_to_unitary_stack`).
     """
 
     path: str
     completeness_residual: float
     operator_sum_residual: float
-    min_operator_eigenvalue: float
-    dilation_unitarity: float
-    blocks_exact: bool
     parent_rank: int
     uses_null_correction: bool
     ok: bool
@@ -133,16 +127,12 @@ class VerificationReport:
         nodes, leaves = self.node_columns, self.leaf_columns
         worst_node = max(nodes["completeness_residual"].tolist(), default=0.0)
         worst_leaf = max(leaves["residual"].tolist(), default=0.0)
-        worst_dil = max(nodes["dilation_unitarity"].tolist(), default=0.0)
         corrected = int(nodes["uses_null_correction"].sum())
         lines = [
             f"verification: {'PASS' if self.passed else 'FAIL'}",
             f"  internal nodes checked : {len(nodes['ok'])} ({corrected} with null-space correction)",
             f"  max completeness residual : {worst_node:.3e}",
-            # b_child @ m_parent = m_child holds by construction (see verify)
-            "  max factorization residual: 0.000e+00",
             f"  max leaf reconstruction   : {worst_leaf:.3e}",
-            f"  max dilation unitarity    : {worst_dil:.3e}",
         ]
         if not self.passed:
             bad = [_row_path(k) for k in np.flatnonzero(~nodes["ok"]).tolist()]

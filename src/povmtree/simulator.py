@@ -155,37 +155,6 @@ def _level_pass(tree: MeasurementTree, state: QuantumState):
     return stack, p_left
 
 
-def _leaf_probabilities(tree: MeasurementTree, leaves: np.ndarray):
-    """Leaf probabilities left to right, and which leaves are reached, symmetrised in place in ``leaves``.
-
-    A leaf is reached when its probability is at least ``TOL_CHECK``.
-    Raises a :class:`VerificationError` (``what="post-state positivity"``)
-    if a reached leaf's unnormalised state has an eigenvalue below
-    ``-TOL_CHECK``.
-    """
-    probs = np.clip(np.trace(leaves, axis1=-2, axis2=-1).real, 0.0, 1.0)
-    is_reached = probs >= TOL_CHECK
-    reached = np.flatnonzero(is_reached)
-    for rows in blocks(len(reached), leaves.shape[-1]):
-        herm = leaves[reached[rows]]
-        herm += adjoint(herm)
-        herm *= 0.5
-        leaves[reached[rows]] = herm
-        # Positivity is checked on the unnormalised states, at the scale of
-        # the absolute probability.  After division by a tiny probability,
-        # rounding dust of a valid state can exceed any absolute threshold.
-        min_eig = np.linalg.eigvalsh(herm)[:, 0]
-        bad = np.flatnonzero(min_eig < -TOL_CHECK)
-        if bad.size:
-            r = -min_eig[bad[0]]
-            raise VerificationError(
-                f"post-state positivity check failed, residual {r:.3e}",
-                what="post-state positivity", residual=r,
-                path=node_path(tree.depth, int(reached[rows][bad[0]])),
-            )
-    return probs, is_reached
-
-
 def _outcome(labels, depth, position, probabilities, leaves, reached, j: int) -> SimulationOutcome:
     """Outcome j of a propagation; ``position[j]`` is its leaf, left to right."""
     i = int(position[j])
@@ -237,7 +206,24 @@ def propagate(tree: MeasurementTree, state: QuantumState) -> Outcomes:
         produces from a valid state.
     """
     leaves = _level_pass(tree, state)[0]
-    probs, reached = _leaf_probabilities(tree, leaves)
+    probs = np.clip(np.trace(leaves, axis1=-2, axis2=-1).real, 0.0, 1.0)
+    reached = probs >= TOL_CHECK
+    at = np.flatnonzero(reached)
+    for rows in blocks(len(at), leaves.shape[-1]):
+        herm = leaves[at[rows]]
+        herm += adjoint(herm)
+        herm *= 0.5
+        leaves[at[rows]] = herm
+        # Positivity is checked on the unnormalised states, at the scale of
+        # the absolute probability.  After division by a tiny probability,
+        # rounding dust of a valid state can exceed any absolute threshold.
+        min_eig = np.linalg.eigvalsh(herm)[:, 0]
+        bad = np.flatnonzero(min_eig < -TOL_CHECK)
+        if bad.size:
+            r = -min_eig[bad[0]]
+            raise VerificationError(f"post-state positivity check failed, residual {r:.3e}",
+                                    what="post-state positivity", residual=r,
+                                    path=node_path(tree.depth, int(at[rows][bad[0]])))
     np.divide(leaves, probs[:, None, None], out=leaves, where=reached[:, None, None])
     leaves.setflags(write=False)
     return Outcomes(tree, leaves, probs, reached)
@@ -274,8 +260,8 @@ def sample(
     ``ValidationError(what="range")``).  Equal ``(tree, state, shots, seed)``
     give an identical report.
     ``expected`` holds the exact leaf probabilities of :func:`propagate`,
-    taken from the same level pass, per block of at most 64 KiB of nodes,
-    without building post-states.
+    the leaf traces of the same level pass, per block of at most 64 KiB of
+    nodes; no post-state is symmetrised, checked or built.
     """
     try:
         shots = operator.index(shots) if not isinstance(shots, bool) else 0
@@ -284,8 +270,8 @@ def sample(
     if not 1 <= shots < 1 << 63:
         raise ValidationError("shots must be an integer in 1..2**63 - 1", what="range")
     leaves, p_left = _level_pass(tree, state)
-    probs = _leaf_probabilities(tree, leaves)[0]
-    del leaves  # only their traces are read from here on
+    probs = np.clip(np.trace(leaves, axis1=-2, axis2=-1).real, 0.0, 1.0)
+    del leaves  # only their traces are read
     rng = np.random.default_rng(seed)
     arrived = np.array([shots], dtype=np.int64)
     for p in p_left:  # node i of a level sends its shots to nodes 2i and 2i + 1 of the next

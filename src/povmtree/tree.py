@@ -21,12 +21,14 @@ A compiled tree is held as the paper's list of rounds: level l is one
 ``(2**l, 2, d, d)`` array of Kraus pairs, and nothing derived is stored.
 Child cumulative operators are the products b_c @ m_x (see
 :meth:`MeasurementTree.cumulative_kraus`), so the factorization identity
-m_child = b_child @ m_parent holds by construction at every edge.
-Compilation and verification work one level at a time, with one stacked
-LAPACK call per block of at most 64 KiB of nodes for each kind of
-decomposition; checks report block by block in node order, so a
-later-kind failure in an earlier block comes before an earlier-kind one in
-a later block.
+m_child = b_child @ m_parent holds by construction at every edge.  A
+pair's probe coupling (:meth:`MeasurementTree.dilation`) exists exactly
+when the pair is complete, so :func:`verify` checks completeness and the
+coupling is checked where it is built.  Compilation and verification work
+one level at a time, with one stacked LAPACK call per block of at most
+64 KiB of nodes for each kind of decomposition; checks report block by
+block in node order, so a later-kind failure in an earlier block comes
+before an earlier-kind one in a later block.
 """
 
 from __future__ import annotations
@@ -37,11 +39,10 @@ from functools import partial
 
 import numpy as np
 
-from .dilation import completeness_residuals, dilate_binary, dilate_level
+from .dilation import completeness_residuals, dilate_binary
 from .errors import ValidationError, VerificationError
 from .linalg import (
     TOL_CHECK,
-    TOL_UNITARY,
     adjoint,
     as_stack,
     blocks,
@@ -132,7 +133,7 @@ class MeasurementTree:
         return _gram(self.cumulative_kraus(level))
 
     def dilation(self, path: str) -> np.ndarray:
-        """Read-only 2d x 2d probe coupling of the internal node at ``path``, built on each call."""
+        """Read-only 2d x 2d probe coupling of the internal node at ``path``, built and checked anew."""
         if len(path) >= self.depth or set(path) - {"0", "1"}:
             raise KeyError(f"no internal node at path {path!r}")
         return dilate_binary(self.kraus[len(path)][int(path or "0", 2)])
@@ -339,45 +340,32 @@ def compile_tree(
 
 
 def node_checks(columns: dict):
-    """The ``what``, residual column and pass mask of each node check of :func:`verify`.
-
-    In column order; a node passes when it passes all of them.  A dilation
-    whose blocks do not round-trip exactly counts residual 1.
-    """
-    c, s, e, u, exact = (columns[name] for name in (
-        "completeness_residual", "operator_sum_residual", "min_operator_eigenvalue",
-        "dilation_unitarity", "blocks_exact"))
-    return (("completeness", c, c <= TOL_CHECK), ("operator sum", s, s <= TOL_CHECK),
-            ("positivity", e, e >= -TOL_CHECK), ("dilation unitarity", u, u <= TOL_UNITARY),
-            ("blocks exact", (~exact).astype(float), exact))
+    """The ``what``, residual column and pass mask of each check of :func:`verify`, in order."""
+    c, s = columns["completeness_residual"], columns["operator_sum_residual"]
+    return ("completeness", c, c <= TOL_CHECK), ("operator sum", s, s <= TOL_CHECK)
 
 
 def verify(tree: MeasurementTree) -> VerificationReport:
-    """Audit every node of a tree against the construction identities.
+    """Audit every node of a tree against the construction identities that can fail.
 
-    Checks, per internal node: completeness of the Kraus pair, agreement of
-    the cumulative operator with the sum of the POVM elements below,
-    positivity of the pair's measurement operators, unitarity of the pair's
-    dilation, and exact block round-trip of the dilation.  Each level is
-    walked per block of nodes whose dilations take at most 64 KiB; they are
-    built with :func:`povmtree.dilation.dilate_level` and dropped, and a
-    pair whose completeness fails ``TOL_CHECK`` is not dilated and reports
-    unitarity ``inf``.  The factorization ``b_child @ m_parent = m_child``
-    holds exactly, because child cumulative operators are defined as those
-    products, so it is not checked again.  Per leaf, checked per block of the
-    last level: the Frobenius distance between the leaf's cumulative
-    operator and the original POVM element.  A reporting operation that
-    never raises on failures, so the block order changes no row.  The
-    results are written into the report's columns (see
-    :class:`VerificationReport`); no per-node object is built.
+    Checks, per internal node: completeness of the Kraus pair, and agreement
+    of the cumulative operator with the sum S of the POVM elements below
+    (``eigvalsh`` of S under :func:`povmtree.linalg.rank_mask` gives the
+    reported parent rank).  Per leaf: the Frobenius distance between the
+    leaf's cumulative operator and the original POVM element.  Each level is
+    walked per block of nodes, four d x d matrices a node.  Nothing else can
+    fail: ``b_child @ m_parent = m_child`` holds exactly, because child
+    cumulative operators are defined as those products; ``b^dag b`` is a
+    Gram matrix, positive to rounding; and a complete pair's probe coupling
+    is derived data, checked where
+    :func:`povmtree.linalg.complete_to_unitary_stack` builds it.  A
+    reporting operation that never raises on failures, so the block order
+    changes no row; the results go into the report's columns.
     """
     p, d, at = tree.povm, tree.povm.dim, tree.order
     # the node columns verify measures, in the order of NodeCheck's fields
-    measured = {"completeness_residual": float, "operator_sum_residual": float,
-                "min_operator_eigenvalue": float, "dilation_unitarity": float,
-                "blocks_exact": bool, "parent_rank": int}
+    measured = {"completeness_residual": float, "operator_sum_residual": float, "parent_rank": int}
     nodes = {name: np.zeros(p.n_outcomes - 1, dtype) for name, dtype in measured.items()}
-    nodes["dilation_unitarity"][:] = np.inf
     leaf_residual = np.empty(p.n_outcomes)
     max_residual = 0.0
     m = np.eye(d, dtype=complex)[None]
@@ -386,24 +374,13 @@ def verify(tree: MeasurementTree) -> VerificationReport:
     for level, pairs in enumerate(tree.kraus):
         k, span = len(pairs), p.n_outcomes >> level
         # views of this level's rows of the node columns
-        completeness, sum_residual, min_eig, unitarity, exact, rank = (
-            column[k - 1 : 2 * k - 1] for column in nodes.values())
+        completeness, sum_residual, rank = (column[k - 1 : 2 * k - 1] for column in nodes.values())
         for b in blocks(k, 2 * d):
             mb, pb = m[b], pairs[b]
             sums = _ordered_sums(p.elements, at, b.start * span, b.stop * span, span)
             sum_residual[b] = np.linalg.norm(_gram(mb) - sums, axis=(-2, -1))
             completeness[b] = completeness_residuals(pb)
-            min_eig[b] = np.linalg.eigvalsh(adjoint(pb) @ pb)[..., 0].min(axis=1)
             rank[b] = rank_mask(np.linalg.eigvalsh(sums)).sum(axis=-1)
-            admitted = b.start + np.flatnonzero(completeness[b] <= TOL_CHECK)
-            if admitted.size:
-                chosen = pairs[admitted]
-                u = dilate_level(chosen)
-                defect = adjoint(u) @ u - np.eye(2 * d)
-                # the Gram block of [b0; b1] is the completeness matrix, judged at TOL_CHECK
-                defect[:, :d, :d] = 0.0
-                unitarity[admitted] = np.linalg.norm(defect, axis=(-2, -1))
-                exact[admitted] = (u[:, :, :d] == chosen.reshape(-1, 2 * d, d)).all(axis=(-2, -1))
             if level + 1 == tree.depth:
                 below = slice(2 * b.start, 2 * b.stop)
                 leaf_residual[below] = np.linalg.norm(

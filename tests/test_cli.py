@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -190,6 +191,8 @@ class TestExampleTetrad:
         assert np.linalg.norm(closure) <= 1e-12
         text = (out_dir / "walkthrough.txt").read_text()
         assert "B1" in text and "eigenvalues" in text
+        # no sign of zero, which would flip with last-bit rounding of the Kraus pairs
+        assert not re.search(r"-0\.(?!\d)", text) and "-0.j" not in text
 
 
 # Every exported error class, the exit code the cli docstring gives its kind

@@ -1,6 +1,8 @@
 """Property tests for the stacked unitary completion, the Neumark oracle, Hermitian storage,
 tree files and pure states."""
 
+import math
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -19,9 +21,9 @@ from povmtree import (
     random_unitary,
     validate,
 )
-from povmtree.dilation import dilate_level
+from povmtree.dilation import completeness_residuals, dilate_level
 from povmtree.io import load_tree, save_tree
-from povmtree.linalg import TOL_CHECK, complete_to_unitary_stack
+from povmtree.linalg import TOL_CHECK, TOL_UNITARY, complete_to_unitary_stack
 
 from conftest import frob
 
@@ -36,16 +38,27 @@ def complete_pairs(k: int, d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 @PROPERTY
-@given(d=st.integers(1, 32), k=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
-def test_level_couplings_are_unitary_and_embed_the_pairs(d, k, seed):
-    pairs = complete_pairs(k, d, np.random.default_rng(seed))
+@given(d=st.integers(1, 32), k=st.integers(1, 64),
+       exponent=st.floats(-16, math.log10(0.99 * TOL_CHECK)), seed=st.integers(0, 2**32 - 1))
+def test_level_couplings_are_unitary_and_embed_the_pairs(d, k, exponent, seed):
+    # b -> b (I + h), h Hermitian with |h|_F = r / 2, moves each pair's completeness
+    # residual to r, drawn log-uniform up to TOL_CHECK: the coupling's unitarity
+    # outside the Gram block stays at rounding, far inside TOL_UNITARY
+    rng = np.random.default_rng(seed)
+    r = 10.0**exponent
+    h = rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
+    h += h.conj().swapaxes(1, 2)
+    h *= r / 2 / np.linalg.norm(h, axis=(1, 2), keepdims=True)
+    pairs = complete_pairs(k, d, rng) @ (np.eye(d) + h)[:, None]
+    assert np.allclose(completeness_residuals(pairs), r, rtol=0.01, atol=1e-13)
     blocks = pairs.reshape(k, 2 * d, d)
     u = dilate_level(pairs)
     assert u.shape == (k, 2 * d, 2 * d)
-    defect = np.linalg.norm(u.conj().swapaxes(1, 2) @ u - np.eye(2 * d), axis=(1, 2))
-    assert defect.max() <= 1e-10
+    defect = u.conj().swapaxes(1, 2) @ u - np.eye(2 * d)
+    defect[:, :d, :d] = 0.0
+    assert np.linalg.norm(defect, axis=(1, 2)).max() <= TOL_UNITARY / 100
     assert np.array_equal(u[:, :, :d], blocks)
-    assert np.array_equal(complete_to_unitary_stack(blocks), u)
+    assert np.array_equal(complete_to_unitary_stack(blocks, TOL_CHECK), u)
     i = seed % k
     one = dilate_binary(pairs[i])
     assert one.tobytes() == u[i].tobytes()

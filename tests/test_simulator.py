@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -317,6 +318,22 @@ class TestSample:
         assert sum(report.counts) == shots
         assert report.counts[13:] == (0, 0, 0)
         assert report.max_sigma_deviation <= 6.0
+
+    def test_reads_only_leaf_traces(self, monkeypatch):
+        # once the state is built, sample solves no eigenvalue problem: it neither
+        # symmetrises nor checks the leaf states it never returns
+        tree, state = _pinned_case(("mixed", 3, 13))
+        report = sample(tree, state, 10**6, seed=2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg.eigvalsh called")
+
+        # numpy.linalg and, where it has one, the module numpy's own callers read
+        for module in {np.linalg, sys.modules.get("numpy.linalg._linalg", np.linalg)}:
+            monkeypatch.setattr(module, "eigvalsh", refuse)
+        assert sample(tree, state, 10**6, seed=2) == report
+        with pytest.raises(AssertionError, match="eigvalsh called"):
+            propagate(tree, state)  # which checks the post-states it returns
 
     def test_degenerate_single_outcome(self):
         tree = compile_tree(validate([np.eye(2)]))

@@ -30,7 +30,7 @@ from povmtree import (
     verify,
 )
 from povmtree import linalg, simulator, tree as tree_module
-from povmtree.dilation import completeness_residuals
+from povmtree.dilation import completeness_residuals, dilate_level
 
 from conftest import frob, read_tree_file, write_tree_file
 
@@ -519,8 +519,7 @@ class TestVerify:
                 with pytest.raises(IndexError):
                     rows[i]
         node, leaf = report.nodes[0], report.leaves[0]
-        assert [type(v) for v in vars(node).values()] == [str, float, float, float, float,
-                                                         bool, int, bool, bool]
+        assert [type(v) for v in vars(node).values()] == [str, float, float, int, bool, bool]
         assert [type(v) for v in vars(leaf).values()] == [int, str, float, bool, bool]
         assert report == verify(tree)
 
@@ -532,54 +531,55 @@ class TestVerify:
         assert report != verify(tree)
         assert report.summary().endswith("  failing: ['1', 'leaf:1']")
 
-    def test_completeness_judged_once_at_tol_check(self, tetrad_povm, tmp_path, monkeypatch):
+    def test_completeness_judged_once_at_tol_check(self, tetrad_povm, tmp_path):
         # Scaling the root pair by 1 + eps makes b0^dag b0 + b1^dag b1 = (1 + eps)^2 I,
         # a completeness residual of about 2 eps sqrt(2) = 5e-10: inside TOL_CHECK,
         # though above TOL_UNITARY.  That residual is the [b0; b1] Gram block of
-        # U^dag U - I, so the dilation check must not judge it a second time.
+        # U^dag U - I, so the coupling's own check must not judge it a second time.
         tree = compile_tree(tetrad_povm, partition=[0, 3, 1, 2])
         root = tree.kraus[0] * (1 + 5e-10 / (2 * np.sqrt(2)))
         root.setflags(write=False)
         scaled = replace(tree, kraus=(root, tree.kraus[1]))
         report = verify(scaled)
         assert report.nodes[0].completeness_residual == pytest.approx(5e-10, rel=0.05)
-        assert report.nodes[0].dilation_unitarity <= 1e-10
         assert report.passed
+        u = scaled.dilation("")
+        defect = u.conj().T @ u - np.eye(4)
+        defect[:2, :2] = 0.0
+        assert np.linalg.norm(defect) <= 1e-10
         path = tmp_path / "scaled.tree.json"
         treeio.save_tree(scaled, path)
         assert treeio.load_tree(path).kraus[0].tobytes() == root.tobytes()
 
-        # the cross and completion blocks are still judged at TOL_UNITARY
-        build = tree_module.dilate_level
-
-        def corrupted(pairs):
-            u = build(pairs)
-            u[:, :, -1] *= 1 + 1e-8
-            return u
-
-        monkeypatch.setattr(tree_module, "dilate_level", corrupted)
-        report = verify(tree)
-        assert not report.passed
-        assert all(not c.ok and c.dilation_unitarity > 1e-10 for c in report.nodes)
-
-    def test_inexact_blocks_alone_fail_a_node(self, tetrad_povm, monkeypatch):
-        # Moving entry [0, 0, 0] of each built stack by one ulp breaks the exact
-        # embedding of the first pair of each level's block, and nothing else.
+    def test_corrupted_completion_fails_where_it_is_built(self, tetrad_povm, monkeypatch):
+        # The cross and completion blocks are judged at TOL_UNITARY by the
+        # completion itself, so every build site raises, and verify, which
+        # builds no coupling, still passes.
         tree = compile_tree(tetrad_povm, partition=[0, 3, 1, 2])
-        build = tree_module.dilate_level
+        qr = np.linalg.qr
 
-        def nudged(pairs):
-            u = build(pairs)
-            u[0, 0, 0] = complex(np.nextafter(u[0, 0, 0].real, np.inf), u[0, 0, 0].imag)
-            return u
+        def corrupted(a, mode="reduced"):
+            q, r = qr(a, mode=mode)
+            q[..., -1] *= 1 + 1e-8
+            return q, r
 
-        monkeypatch.setattr(tree_module, "dilate_level", nudged)
-        report = verify(tree)
-        failing = {c.path: c for c in report.nodes if not c.ok}
-        assert set(failing) == {"", "0"} and not report.passed
-        for c in failing.values():
-            assert not c.blocks_exact
-            assert c.dilation_unitarity <= linalg.TOL_UNITARY
+        monkeypatch.setattr(np.linalg, "qr", corrupted)
+        for build in (lambda: tree.dilation(""), lambda: dilate_level(tree.kraus[1])):
+            with pytest.raises(VerificationError) as err:
+                build()
+            assert err.value.what == "dilation unitarity" and err.value.index == 0
+            assert err.value.residual > linalg.TOL_UNITARY
+        assert verify(tree).passed
+
+        # a QR that moves the first block column is overwritten by the pair, bit for bit
+        def nudged(a, mode="reduced"):
+            q, r = qr(a, mode=mode)
+            q[..., 0, 0] = np.nextafter(q[..., 0, 0].real, np.inf) + 1j * q[..., 0, 0].imag
+            return q, r
+
+        monkeypatch.setattr(np.linalg, "qr", nudged)
+        u = dilate_level(tree.kraus[1])
+        assert np.array_equal(u[:, :, :2], tree.kraus[1].reshape(2, 4, 2))
 
     def test_reports_rank_and_corrections(self, rng):
         p = random_rank_one_povm(4, 3, rng)
