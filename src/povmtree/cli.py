@@ -119,8 +119,8 @@ def cmd_simulate(args) -> int:
     direct = direct_probabilities(tree.povm, state)
     print(f"state: {args.state}; tree: {tree.povm.n_outcomes} outcomes, depth {tree.depth}")
     print("leaf probabilities (tree | direct):")
-    for o, p in zip(outcomes, direct):
-        reached = "" if o.post_state is not None else "  [unreached]"
+    for o, p, reached in zip(outcomes, direct, outcomes.reached):
+        reached = "" if reached else "  [unreached]"
         print(f"  {o.leaf_label:>8}  path {o.path or '-':>6}  "
               f"{o.probability:.10f} | {p:.10f}{reached}")
     deviation = float(np.max(np.abs(outcomes.probabilities - direct)))

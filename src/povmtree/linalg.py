@@ -353,12 +353,16 @@ def isometry_residuals(x: np.ndarray) -> np.ndarray:
 def _unitarity_residuals(u: np.ndarray, k: int) -> np.ndarray:
     """``|U^dag U - I|_F`` of each n x n matrix of a stack outside its leading k x k block."""
     n = u.shape[-1]
-    residuals = np.empty(len(u))
+    squares = np.zeros(len(u))
+    width = max(1, 8 * _BLOCK_BYTES // (16 * n))  # rows of U^dag U a band: 512 KiB, not n x n
     for rows in blocks(len(u), n):
-        defect = adjoint(u[rows]) @ u[rows] - np.eye(n)
-        defect[:, :k, :k] = 0.0
-        residuals[rows] = np.linalg.norm(defect, axis=(-2, -1))
-    return residuals
+        for c in range(0, n, width):
+            band = adjoint(u[rows, :, c : c + width]) @ u[rows]  # rows c.. of U^dag U
+            band[:, range(band.shape[1]), range(c, c + band.shape[1])] -= 1.0
+            band[:, : max(0, k - c), :k] = 0.0
+            squares[rows] += np.einsum("...ij,...ij->...", band.view(float), band.view(float))
+            del band  # before the next band is made
+    return np.sqrt(squares)
 
 
 def _raise_first(residuals: np.ndarray, limit: float, what: str, text: str) -> None:

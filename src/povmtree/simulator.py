@@ -2,11 +2,11 @@
 
 States are density matrices throughout; pure states are rank-one densities.
 :func:`propagate` carries the unnormalized conditioned state b...b rho b^dag...
-b^dag down the tree, one level at a time, in one (N, d, d) stack: rho starts
-in slot 0 and node i's children overwrite slots 2i and 2i + 1, last block
-first.  A state's trace is the absolute probability of its path, so no
-renormalization happens until a leaf's post-state is reported.
-:func:`sample` reads the branch probabilities from the same pass and splits
+b^dag down the tree depth first, a block of nodes at a time, holding one
+block per level (:func:`povmtree.tree._walk`).  A state's trace is the
+absolute probability of its path, so no renormalization happens until a
+leaf's post-state is read, which walks that leaf's path anew.
+:func:`sample` reads the branch probabilities from the same walk and splits
 the shots down the tree, one binomial draw per node, following the
 sequential structure rather than the leaf distribution directly.
 """
@@ -14,16 +14,16 @@ sequential structure rather than the leaf distribution directly.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
 from .errors import ValidationError, VerificationError
-from .linalg import TOL_CHECK, adjoint, as_stack, blocks, check_psd
+from .linalg import TOL_CHECK, adjoint, as_stack, check_psd
 from .povm import Povm
 from .records import Rows
-from .tree import MeasurementTree, node_path
+from .tree import MeasurementTree, _walk, node_path
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,94 +109,99 @@ def direct_probabilities(p: Povm, state: QuantumState) -> np.ndarray:
     return np.clip(probs, 0.0, 1.0)
 
 
+def _conditioned(pairs: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """The two children ``b sigma b^dag`` of each state of a stack; child c of state i sits at 2i + c."""
+    return ((pairs @ states[:, None]) @ adjoint(pairs)).reshape(-1, *states.shape[1:])
+
+
 @dataclass(frozen=True, eq=False)
 class SimulationOutcome:
     """One leaf of the exact propagation.
 
-    ``post_state`` is ``None`` for branches whose cumulative probability fell
-    below the tolerance (unreachable; no conditional state exists there).
+    ``post_state`` walks the leaf's path anew on each read; it is ``None`` for
+    branches whose cumulative probability fell below the tolerance
+    (unreachable; no conditional state exists there).
     """
 
     leaf_index: int
     leaf_label: str
     path: str
     probability: float
-    post_state: QuantumState | None
+    _source: tuple = field(repr=False)  # (tree, state)
+
+    @property
+    def post_state(self) -> QuantumState | None:
+        if self.probability < TOL_CHECK:
+            return None
+        tree, state = self._source
+        sigma = state.density[None]
+        for level, bit in enumerate(self.path):
+            node = int(self.path[:level] or "0", 2)
+            sigma = _conditioned(tree.kraus[level][node : node + 1], sigma)[int(bit), None]
+        sigma = sigma[0] + adjoint(sigma[0])
+        sigma *= 0.5
+        return QuantumState._checked_elsewhere(sigma / self.probability)
 
 
-def _level_pass(tree: MeasurementTree, state: QuantumState):
-    """Carry the unnormalised conditioned states down the tree, one level at a time, in one stack.
+def _leaf_blocks(tree: MeasurementTree, state: QuantumState, p_left=None):
+    """Yield ``(first, block, traces)``: leaves ``first, ...``, unnormalised, and traces in [0, 1].
 
-    The ``(N, d, d)`` stack starts with rho in slot 0.  Each level writes
-    node i's children ``b sigma b^dag`` into slots 2i and 2i + 1, a block
-    of nodes at a time, last block first: a block's parents are read into
-    ``b sigma`` before its children overwrite them, and every later parent
-    has been read already.  Returns the stack, by then the leaf states left
-    to right, and per level the probability of probe outcome 0 at each node
-    given that the node is reached (1.0 where its probability is zero).
+    Given one array per level, ``p_left`` gets the probability of probe
+    outcome 0 at each node given that the node is reached (1.0 where its
+    probability is zero).
     """
     if state.dim != tree.povm.dim:
         raise ValidationError(
             f"state dimension {state.dim} does not match tree dimension {tree.povm.dim}",
             what="shape")
-    d = state.dim
-    stack = np.empty((1 << tree.depth, d, d), dtype=complex)
-    stack[0] = state.density
-    p_left = []
-    for pairs in tree.kraus:
-        ratio = np.empty(len(pairs))
-        for nodes in reversed(list(blocks(len(pairs), d))):
-            c = stack[2 * nodes.start : 2 * nodes.stop].reshape(-1, 2, d, d)
-            np.matmul(pairs[nodes] @ stack[nodes, None], adjoint(pairs[nodes]), out=c)
-            q = np.maximum(np.trace(c, axis1=-2, axis2=-1).real, 0.0)
+    for level, first, block in _walk(tree, state.density, _conditioned):
+        traces = np.trace(block, axis1=-2, axis2=-1).real
+        if level and p_left is not None:
+            q = np.maximum(traces, 0.0).reshape(-1, 2)
             total = q.sum(axis=1)
-            ratio[nodes] = np.divide(q[:, 0], total, out=np.ones_like(total), where=total > 0)
-        p_left.append(np.minimum(ratio, 1.0))
-    return stack, p_left
+            ratio = np.divide(q[:, 0], total, out=np.ones_like(total), where=total > 0)
+            p_left[level - 1][first // 2 : first // 2 + len(q)] = np.minimum(ratio, 1.0)
+        if level == tree.depth:
+            yield first, block, np.clip(traces, 0.0, 1.0)
 
 
-def _outcome(labels, depth, position, probabilities, leaves, reached, j: int) -> SimulationOutcome:
+def _outcome(tree, state, position, probabilities, j: int) -> SimulationOutcome:
     """Outcome j of a propagation; ``position[j]`` is its leaf, left to right."""
-    i = int(position[j])
-    return SimulationOutcome(
-        leaf_index=j,
-        leaf_label=labels[j],
-        path=node_path(depth, i),
-        probability=float(probabilities[j]),
-        post_state=QuantumState._checked_elsewhere(leaves[i]) if reached[i] else None,
-    )
+    return SimulationOutcome(leaf_index=j, leaf_label=tree.povm.labels[j],
+                             path=node_path(tree.depth, int(position[j])),
+                             probability=float(probabilities[j]), _source=(tree, state))
 
 
 class Outcomes(Rows):
     """The leaves of one :func:`propagate` call, by outcome index of the (padded) POVM.
 
     ``outcomes[j]`` builds outcome j's :class:`SimulationOutcome` on each
-    access, its post-state a read-only view of the normalised leaf stack.
-    ``probabilities`` is the read-only array of the outcome probabilities,
+    access.  ``probabilities`` and ``reached`` (probability at least
+    ``TOL_CHECK``: there is a post-state) are read-only arrays by outcome,
     for callers that need nothing else.
     """
 
-    def __init__(self, tree: MeasurementTree, leaves: np.ndarray, probs: np.ndarray,
-                 reached: np.ndarray) -> None:
+    def __init__(self, tree: MeasurementTree, state: QuantumState, probs: np.ndarray) -> None:
         position = np.empty(len(probs), dtype=np.intp)  # the leaf of each outcome
         position[tree.order] = np.arange(len(probs))
         self.probabilities = probs[position]
+        self.reached = self.probabilities >= TOL_CHECK
         self.probabilities.setflags(write=False)
-        super().__init__(len(position), partial(_outcome, tree.povm.labels, tree.depth, position,
-                                                self.probabilities, leaves, reached))
+        self.reached.setflags(write=False)
+        super().__init__(len(position), partial(_outcome, tree, state, position, self.probabilities))
 
 
 def propagate(tree: MeasurementTree, state: QuantumState) -> Outcomes:
-    """Exact leaf probabilities and post-measurement states.
+    """Exact leaf probabilities; post-measurement states on demand.
 
     Applies each level's branch operators to the unnormalized conditioned
-    states, per block of at most 64 KiB of nodes; the leaf probability is
-    the trace of the final product, which telescopes to
-    Tr[m_leaf rho m_leaf^dag].  Results are ordered by outcome index of the
-    (padded) POVM.  Post-states are read-only views of one leaf stack,
-    symmetrised and checked per block in leaf order, then normalised in
-    place; a leaf whose probability is below ``TOL_CHECK`` is unreached and
-    has none.
+    states, depth first, one block of at most 64 KiB of nodes per level at
+    a time; the leaf probability is the trace of the final product, which
+    telescopes to Tr[m_leaf rho m_leaf^dag].  Results are ordered by
+    outcome index of the (padded) POVM.  Each block of leaves is
+    symmetrised and checked as it comes, in leaf order, then dropped; a
+    post-state is built when read.  A leaf whose probability is below
+    ``TOL_CHECK`` is unreached and has none.
 
     Raises
     ------
@@ -205,15 +210,13 @@ def propagate(tree: MeasurementTree, state: QuantumState) -> Outcomes:
         state has an eigenvalue below ``-TOL_CHECK``, which no valid tree
         produces from a valid state.
     """
-    leaves = _level_pass(tree, state)[0]
-    probs = np.clip(np.trace(leaves, axis1=-2, axis2=-1).real, 0.0, 1.0)
-    reached = probs >= TOL_CHECK
-    at = np.flatnonzero(reached)
-    for rows in blocks(len(at), leaves.shape[-1]):
-        herm = leaves[at[rows]]
+    probs = np.empty(1 << tree.depth)
+    for first, block, p in _leaf_blocks(tree, state):
+        probs[first : first + len(p)] = p
+        at = np.flatnonzero(p >= TOL_CHECK)
+        herm = block[at]
         herm += adjoint(herm)
         herm *= 0.5
-        leaves[at[rows]] = herm
         # Positivity is checked on the unnormalised states, at the scale of
         # the absolute probability.  After division by a tiny probability,
         # rounding dust of a valid state can exceed any absolute threshold.
@@ -223,10 +226,8 @@ def propagate(tree: MeasurementTree, state: QuantumState) -> Outcomes:
             r = -min_eig[bad[0]]
             raise VerificationError(f"post-state positivity check failed, residual {r:.3e}",
                                     what="post-state positivity", residual=r,
-                                    path=node_path(tree.depth, int(at[rows][bad[0]])))
-    np.divide(leaves, probs[:, None, None], out=leaves, where=reached[:, None, None])
-    leaves.setflags(write=False)
-    return Outcomes(tree, leaves, probs, reached)
+                                    path=node_path(tree.depth, first + int(at[bad[0]])))
+    return Outcomes(tree, state, probs)
 
 
 @dataclass(frozen=True)
@@ -259,9 +260,12 @@ def sample(
     of ``shots``, an integer (not a ``bool``) in 1..2**63 - 1 (else
     ``ValidationError(what="range")``).  Equal ``(tree, state, shots, seed)``
     give an identical report.
-    ``expected`` holds the exact leaf probabilities of :func:`propagate`,
-    the leaf traces of the same level pass, per block of at most 64 KiB of
-    nodes; no post-state is symmetrised, checked or built.
+    The conditional probabilities fill one array per level from the
+    depth-first walk of :func:`propagate`, one block of at most 64 KiB of
+    nodes per level at a time; only then are the shots split, level by
+    level.  ``expected`` holds the exact leaf probabilities of
+    :func:`propagate`, the leaf traces of the same walk; no post-state is
+    symmetrised, checked or built.
     """
     try:
         shots = operator.index(shots) if not isinstance(shots, bool) else 0
@@ -269,9 +273,10 @@ def sample(
         shots = 0
     if not 1 <= shots < 1 << 63:
         raise ValidationError("shots must be an integer in 1..2**63 - 1", what="range")
-    leaves, p_left = _level_pass(tree, state)
-    probs = np.clip(np.trace(leaves, axis1=-2, axis2=-1).real, 0.0, 1.0)
-    del leaves  # only their traces are read
+    p_left = [np.empty(len(pairs)) for pairs in tree.kraus]
+    probs = np.empty(1 << tree.depth)
+    for first, _, p in _leaf_blocks(tree, state, p_left):
+        probs[first : first + len(p)] = p
     rng = np.random.default_rng(seed)
     arrived = np.array([shots], dtype=np.int64)
     for p in p_left:  # node i of a level sends its shots to nodes 2i and 2i + 1 of the next

@@ -24,11 +24,11 @@ Child cumulative operators are the products b_c @ m_x (see
 m_child = b_child @ m_parent holds by construction at every edge.  A
 pair's probe coupling (:meth:`MeasurementTree.dilation`) exists exactly
 when the pair is complete, so :func:`verify` checks completeness and the
-coupling is checked where it is built.  Compilation and verification work
-one level at a time, with one stacked LAPACK call per block of at most
-64 KiB of nodes for each kind of decomposition; checks report block by
-block in node order, so a later-kind failure in an earlier block comes
-before an earlier-kind one in a later block.
+coupling is checked where it is built.  Compilation works a level, and
+verification depth first (:func:`_walk`), with one stacked LAPACK call per
+block of at most 64 KiB of nodes for each kind of decomposition; checks
+report block by block in node order, so a later-kind failure in an earlier
+block comes before an earlier-kind one in a later block.
 """
 
 from __future__ import annotations
@@ -67,11 +67,28 @@ def node_path(level: int, index: int) -> str:
 
 def _descend(pairs: np.ndarray, parents: np.ndarray) -> np.ndarray:
     """Children's cumulative Kraus operators ``b_c @ m_x``; child c of node i sits at 2i + c."""
-    k, d = parents.shape[:2]
-    children = np.empty((2 * k, d, d), dtype=complex)
-    for b in blocks(k, d):
-        children[2 * b.start : 2 * b.stop] = (pairs[b] @ parents[b, None]).reshape(-1, d, d)
-    return children
+    return (pairs @ parents[:, None]).reshape(-1, *parents.shape[1:])
+
+
+def _walk(tree: "MeasurementTree", root: np.ndarray, child):
+    """Yield ``(level, first, block)`` over every node of a tree, depth first, a block at a time.
+
+    ``block`` holds nodes ``first, first + 1, ...`` of ``level``: ``root[None]``
+    at the root, then ``child(pairs, parents)`` for runs of at most half a
+    :func:`povmtree.linalg.blocks` budget of parents, so each block fits one
+    budget.  Leaves come in leaf order, and at most one block per level is held.
+    """
+    half = max(1, next(blocks(1 << tree.depth, root.shape[-1])).stop // 2)
+    yield 0, 0, root[None]
+    path = [(0, 0, root[None])] if tree.depth else []  # per level, the parents still to descend
+    while path:
+        level, first, parents = path.pop()
+        if len(parents) > half:
+            path.append((level, first + half, parents[half:]))
+        children = child(tree.kraus[level][first : first + half], parents[:half])
+        yield level + 1, 2 * first, children
+        if level + 1 < tree.depth:
+            path.append((level + 1, 2 * first, children))
 
 
 def _gram(m: np.ndarray) -> np.ndarray:
@@ -352,42 +369,35 @@ def verify(tree: MeasurementTree) -> VerificationReport:
     of the cumulative operator with the sum S of the POVM elements below
     (``eigvalsh`` of S under :func:`povmtree.linalg.rank_mask` gives the
     reported parent rank).  Per leaf: the Frobenius distance between the
-    leaf's cumulative operator and the original POVM element.  Each level is
-    walked per block of nodes, four d x d matrices a node.  Nothing else can
-    fail: ``b_child @ m_parent = m_child`` holds exactly, because child
-    cumulative operators are defined as those products; ``b^dag b`` is a
-    Gram matrix, positive to rounding; and a complete pair's probe coupling
-    is derived data, checked where
+    leaf's cumulative operator and the original POVM element.  The
+    cumulative operators come from :func:`_walk`, one block per level at a
+    time, and each block's results go into the columns by node index.
+    Nothing else can fail: ``b_child @ m_parent = m_child`` holds exactly,
+    because child cumulative operators are defined as those products;
+    ``b^dag b`` is a Gram matrix, positive to rounding; and a complete
+    pair's probe coupling is derived data, checked where
     :func:`povmtree.linalg.complete_to_unitary_stack` builds it.  A
     reporting operation that never raises on failures, so the block order
     changes no row; the results go into the report's columns.
     """
-    p, d, at = tree.povm, tree.povm.dim, tree.order
+    p, d, n = tree.povm, tree.povm.dim, tree.povm.n_outcomes
     # the node columns verify measures, in the order of NodeCheck's fields
     measured = {"completeness_residual": float, "operator_sum_residual": float, "parent_rank": int}
-    nodes = {name: np.zeros(p.n_outcomes - 1, dtype) for name, dtype in measured.items()}
-    leaf_residual = np.empty(p.n_outcomes)
-    max_residual = 0.0
-    m = np.eye(d, dtype=complex)[None]
-    if tree.depth == 0:  # the root is the only leaf
-        leaf_residual[:] = np.linalg.norm(_gram(m) - p.elements, axis=(-2, -1))
-    for level, pairs in enumerate(tree.kraus):
-        k, span = len(pairs), p.n_outcomes >> level
-        # views of this level's rows of the node columns
-        completeness, sum_residual, rank = (column[k - 1 : 2 * k - 1] for column in nodes.values())
-        for b in blocks(k, 2 * d):
-            mb, pb = m[b], pairs[b]
-            sums = _ordered_sums(p.elements, at, b.start * span, b.stop * span, span)
-            sum_residual[b] = np.linalg.norm(_gram(mb) - sums, axis=(-2, -1))
-            completeness[b] = completeness_residuals(pb)
-            rank[b] = rank_mask(np.linalg.eigvalsh(sums)).sum(axis=-1)
-            if level + 1 == tree.depth:
-                below = slice(2 * b.start, 2 * b.stop)
-                leaf_residual[below] = np.linalg.norm(
-                    _gram(_descend(pb, mb)) - p.elements[at[below]], axis=(-2, -1))
-        max_residual = max(max_residual, completeness.max(), sum_residual.max())
-        if level + 1 < tree.depth:
-            m = _descend(pairs, m)
+    nodes = {name: np.zeros(n - 1, dtype) for name, dtype in measured.items()}
+    leaf_residual = np.empty(n)
+    for level, first, m in _walk(tree, np.eye(d, dtype=complex), _descend):
+        span = n >> level
+        for b in blocks(len(m), 2 * d):  # four d x d matrices a node
+            lo, hi = first + b.start, first + b.stop
+            sums = _ordered_sums(p.elements, tree.order, lo * span, hi * span, span)
+            residual = np.linalg.norm(_gram(m[b]) - sums, axis=(-2, -1))
+            if level == tree.depth:
+                leaf_residual[lo:hi] = residual
+                continue
+            rows = slice((1 << level) - 1 + lo, (1 << level) - 1 + hi)
+            nodes["completeness_residual"][rows] = completeness_residuals(tree.kraus[level][lo:hi])
+            nodes["operator_sum_residual"][rows] = residual
+            nodes["parent_rank"][rows] = rank_mask(np.linalg.eigvalsh(sums)).sum(axis=-1)
     nodes["uses_null_correction"] = nodes["parent_rank"] < d
     nodes["ok"] = np.logical_and.reduce([passed for _, _, passed in node_checks(nodes)])
     leaves = {"residual": leaf_residual, "ok": leaf_residual <= TOL_CHECK}
@@ -400,5 +410,6 @@ def verify(tree: MeasurementTree) -> VerificationReport:
         labels=p.labels,
         n_original=p.n_original,
         passed=bool(nodes["ok"].all() and leaves["ok"].all()),
-        max_residual=float(max(max_residual, leaf_residual.max())),
+        max_residual=float(max(column.max(initial=0.0) for column in (
+            nodes["completeness_residual"], nodes["operator_sum_residual"], leaf_residual))),
     )

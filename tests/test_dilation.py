@@ -131,6 +131,27 @@ class TestFullNeumark:
         assert ext.extended_dim > n  # mixed ranks: more pieces than outcomes
         assert peak <= 16 * ext.extended_dim * d + 256 * 1024
 
+    def test_unitary_peak_is_the_qr(self):
+        # The unitarity check forms U^dag U a band of rows at a time, so
+        # building the 1024-square unitary (16.8 MB) takes at most 2 MB
+        # more than its Householder QR alone; the full Gram took 42 MB more.
+        ext = full_neumark(random_rank_one_povm(1024, 2, np.random.default_rng(0)))
+        stack = ext.isometry[None]
+
+        def peak(fn):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(lambda: ext.unitary) <= peak(lambda: np.linalg.qr(stack, mode="complete")) + 2e6
+        q = np.linalg.qr(stack, mode="complete")[0][0]
+        q[:, :2] = ext.isometry
+        assert np.array_equal(ext.unitary, q)
+
     def test_probabilities_reject_a_state_of_the_wrong_shape(self, tetrad_povm):
         ext = full_neumark(tetrad_povm)
         with pytest.raises(ValidationError, match=r"expected \(2, 2\)") as err:

@@ -12,6 +12,7 @@ from povmtree import (
     tetrad,
 )
 
+from povmtree import linalg
 from povmtree.linalg import TOL_CHECK, check_psd, complete_to_unitary_stack
 
 from conftest import frob
@@ -266,6 +267,25 @@ class TestCompleteToUnitary:
         with pytest.raises(VerificationError) as err:
             complete_to_unitary(np.eye(3)[:2, :])
         assert err.value.what == "shape"
+
+
+    @pytest.mark.parametrize("budget", [None, 1, 5])
+    def test_unitarity_residual_in_bands(self, rng, budget, monkeypatch):
+        # |U^dag U - I|_F outside the leading k x k block, whether the Gram
+        # is formed whole or in bands of one or a few rows
+        n, k = 12, 3
+        u = np.stack([random_unitary(n, rng) for _ in range(4)])
+        u[1, 5, 7] += 1e-6
+        u[2, :, 0] *= 1.5  # inside the k x k block only on the diagonal
+        u[3, :, 9] *= 1 + 1e-9
+        reference = []
+        for one in u:
+            defect = one.conj().T @ one - np.eye(n)
+            defect[:k, :k] = 0.0
+            reference.append(np.linalg.norm(defect))
+        if budget is not None:
+            monkeypatch.setattr(linalg, "_BLOCK_BYTES", budget * 16 * n // 8)
+        assert np.allclose(linalg._unitarity_residuals(u, k), reference, rtol=1e-12, atol=1e-15)
 
 
 class TestRandomUnitary:

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from povmtree import (
     simulator,
     validate,
 )
-from povmtree import linalg
+from povmtree import linalg, tree as tree_module
 
 from conftest import frob
 
@@ -160,9 +161,12 @@ class TestPropagate:
                 outcomes[j]
         assert not outcomes.probabilities.flags.writeable
         post = outcomes[0].post_state.density
-        assert not post.flags.writeable and post.base is not None
+        assert not post.flags.writeable  # built on each read, read-only
         assert np.array_equal(post, listed[0].post_state.density)
+        assert np.array_equal(post, outcomes[0].post_state.density)
         assert outcomes[7].post_state is None  # a padding leaf is never reached
+        assert not outcomes.reached.flags.writeable
+        assert list(outcomes.reached) == [o.post_state is not None for o in listed]
 
     def test_padded_leaf_unreached(self, rng):
         p = random_rank_one_povm(3, 2, rng)
@@ -363,7 +367,7 @@ def walk_counts(tree, p_left, shots, seed):
 
 
 def two_array_pass(tree, state):
-    """The level pass with a fresh array per level, the reference for ``_level_pass``.
+    """The level pass with a fresh array per level, the reference for the depth-first walk.
 
     Each level's children go to a new array while their parents' array is
     still held, walking the blocks first to last, as the pass once did.
@@ -385,8 +389,17 @@ def two_array_pass(tree, state):
     return sigma, p_left
 
 
+def walked(tree, state):
+    """The leaf states, left to right, and ``p_left`` of one depth-first walk of the tree."""
+    p_left = [np.full(len(pairs), np.nan) for pairs in tree.kraus]
+    leaves = np.full((1 << tree.depth, state.dim, state.dim), np.nan, dtype=complex)
+    for first, block, _ in simulator._leaf_blocks(tree, state, p_left):
+        leaves[first : first + len(block)] = block
+    return leaves, p_left
+
+
 class TestLevelPassInOneStack:
-    """Writing each level's children over their parents gives the bits of the two-array pass."""
+    """Walking the tree depth first, a block per level, gives the bits of the two-array pass."""
 
     @staticmethod
     def case(kind):
@@ -412,26 +425,56 @@ class TestLevelPassInOneStack:
         povm = validate(elements)
         return compile_tree(povm, **tree_options), random_density(povm.dim, rng)
 
+    @staticmethod
+    def budget(name, d, monkeypatch):
+        """Set the block budget to one or three matrices; returns the matrices per block."""
+        if name == "default":
+            return linalg._BLOCK_BYTES // (16 * d * d)
+        # several blocks per level, so that the walk turns back up many times
+        per_block = 1 if name == "one matrix" else 3
+        monkeypatch.setattr(linalg, "_BLOCK_BYTES", per_block * 16 * d * d)
+        assert len(list(linalg.blocks(8, d))) == -(-8 // per_block)
+        return per_block
+
+    KINDS = ["one outcome", "two outcomes, d = 1", "padded 3", "padded 13", "permuted",
+             "Kraus freedom", "32x64", "2x4096"]
+
     @pytest.mark.parametrize("budget", ["default", "one matrix", "three matrices"])
-    @pytest.mark.parametrize("kind", ["one outcome", "two outcomes, d = 1", "padded 3",
-                                      "padded 13", "permuted", "Kraus freedom", "32x64",
-                                      "2x4096"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_same_bits_as_the_two_array_pass(self, kind, budget, monkeypatch):
         tree, state = self.case(kind)
         d = state.dim
-        if budget != "default":
-            # several blocks per level, so that a block's children overwrite
-            # its own parents' slots as well as those of the blocks after it
-            per_block = 1 if budget == "one matrix" else 3
-            monkeypatch.setattr(linalg, "_BLOCK_BYTES", per_block * 16 * d * d)
-            assert len(list(linalg.blocks(8, d))) == -(-8 // per_block)
-        stack, p_left = simulator._level_pass(tree, state)
+        self.budget(budget, d, monkeypatch)
+        leaves, p_left = walked(tree, state)
         reference, reference_p_left = two_array_pass(tree, state)
-        assert stack.shape == (1 << tree.depth, d, d)
-        assert np.array_equal(stack, reference)
+        assert leaves.shape == (1 << tree.depth, d, d)
+        assert np.array_equal(leaves, reference)
         assert len(p_left) == len(reference_p_left) == tree.depth
         for p, q in zip(p_left, reference_p_left):
             assert np.array_equal(p, q)
+
+    @pytest.mark.parametrize("budget", ["default", "one matrix", "three matrices"])
+    @pytest.mark.parametrize("kind", ["one outcome", "padded 13", "32x64", "2x4096"])
+    def test_walk_holds_one_block_per_level(self, kind, budget, monkeypatch):
+        # Every node comes once, in blocks of at most one budget (two
+        # matrices when a budget holds one), each block before the blocks
+        # below it and the leaves left to right; no block outlives the
+        # next one of its level.
+        tree, state = self.case(kind)
+        per_block = self.budget(budget, state.dim, monkeypatch)
+        seen = [np.zeros(1 << level, dtype=int) for level in range(tree.depth + 1)]
+        held, leaves = [], []
+        for level, first, block in tree_module._walk(tree, state.density, simulator._conditioned):
+            assert 1 <= len(block) <= max(2, per_block)
+            assert level == 0 or seen[level - 1][first // 2 : (first + len(block) + 1) // 2].all()
+            seen[level][first : first + len(block)] += 1
+            if level == tree.depth:
+                leaves.append(first)
+            held.append((level, weakref.ref(block)))
+            alive = [lv for lv, ref in held if ref() is not None]
+            assert len(alive) == len(set(alive))
+        assert all((count == 1).all() for count in seen)
+        assert leaves == sorted(leaves)
 
 
 def two_sample_chi2(a, b, expected):
@@ -463,7 +506,7 @@ class TestSampleBias:
                                             ("rank-one", 4, 64), ("mixed", 16, 32)])
     def test_split_counts_match_the_walk(self, kind, d, n):
         tree, state = _pinned_case((kind, d, n))
-        p_left = simulator._level_pass(tree, state)[1]
+        p_left = walked(tree, state)[1]
         walk = np.zeros(tree.povm.n_outcomes, dtype=np.int64)
         split = np.zeros_like(walk)
         for seed in range(self.SEEDS):

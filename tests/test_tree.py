@@ -653,9 +653,9 @@ class TestMemory:
         assert kept <= self.arrays_of(tree) + 64 * 1024
 
     def test_verify_peak(self):
-        # verify walks each level in blocks of at most 64 KiB of dilations
-        # and checks the leaves per block of the last level, so at (32, 64)
-        # its peak stays at or below 1.5 MB.
+        # verify walks the tree depth first, one block of cumulative
+        # operators per level, and checks each block in parts of a quarter
+        # budget, so at (32, 64) its peak stays at or below 0.6 MB.
         d, n = 32, 64
         tree = compile_tree(random_rank_one_povm(n, d, np.random.default_rng([d, n])))
         gc.collect()
@@ -666,18 +666,24 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert report.passed
-        assert peak <= 1.5e6
+        assert peak <= 0.6e6
 
-    def test_verify_and_propagate_peaks_at_large_n(self):
-        # verify holds one entry per node in each column and propagate one leaf
-        # stack; neither builds an object per node or leaf until a row is
-        # read, so at (2, 4096) each stays within 1 MB.
+    def test_verify_and_propagate_peaks_at_large_n(self, tmp_path):
+        # verify holds one entry per node in each column and propagate one
+        # probability per leaf, besides one block per level of the walk;
+        # neither builds an object per node or leaf until a row is read.
+        # At (2, 4096) each stays within 64 KiB of what it took when it held
+        # whole levels: 0.48 MB for verify, 0.59 MB for propagate and
+        # 1.31 MB for load_tree.
         d, n = 2, 4096
         rng = np.random.default_rng([d, n])
         tree = compile_tree(random_rank_one_povm(n, d, rng))
         state = random_density(d, rng)
-        assert self.peak(lambda: verify(tree)) <= 1.0e6
-        assert self.peak(lambda: propagate(tree, state)) <= 1.0e6
+        path = tmp_path / "wide.tree"
+        treeio.save_tree(tree, path)
+        assert self.peak(lambda: verify(tree)) <= 0.48e6 + 64 * 1024
+        assert self.peak(lambda: propagate(tree, state)) <= 0.59e6 + 64 * 1024
+        assert self.peak(lambda: treeio.load_tree(path)) <= 1.31e6 + 64 * 1024
 
     @staticmethod
     def peak(fn):
@@ -710,22 +716,55 @@ class TestMemory:
         # the 3.1 MB tree read from the file, plus the peak of verify
         path = tmp_path / "large.tree"
         treeio.save_tree(large[1], path)
-        assert self.peak(lambda: treeio.load_tree(path)) <= 4.6e6
+        assert self.peak(lambda: treeio.load_tree(path)) <= 3.8e6
 
     def test_propagate_peak(self, large):
-        # one stack, each level's children written over their parents, then
-        # symmetrised and normalised in place as the leaf stack
+        # one block of states per level of the walk, each leaf block
+        # symmetrised and checked as it comes; no leaf stack is kept
         _, tree, state = large
-        assert self.peak(lambda: propagate(tree, state)) <= 1.5e6
+        assert self.peak(lambda: propagate(tree, state)) <= 0.7e6
+
+    @staticmethod
+    def walk(tree, state):
+        """The depth-first walk of the states, filling p_left as sample does."""
+        p_left = [np.empty(len(pairs)) for pairs in tree.kraus]
+        for _ in simulator._leaf_blocks(tree, state, p_left):
+            pass
 
     @pytest.mark.parametrize("d, n", [(2, 4096), (32, 64)])
     def test_level_pass_peak(self, d, n):
-        # the one (N, d, d) stack it returns, plus 320 KiB for the p_left
-        # arrays and one block's products
+        # one block per level, of at most 64 KiB and of no more nodes than
+        # the level has, plus 320 KiB for the p_left arrays and one block's
+        # products: never a whole level of states
         rng = np.random.default_rng([d, n])
         tree = compile_tree(random_rank_one_povm(n, d, rng))
         state = random_density(d, rng)
-        assert self.peak(lambda: simulator._level_pass(tree, state)) <= 16 * n * d * d + 320 * 1024
+        step = linalg._BLOCK_BYTES // (16 * d * d)
+        held = sum(min(1 << level, step) for level in range(tree.depth + 1))
+        assert self.peak(lambda: self.walk(tree, state)) <= 16 * d * d * held + 320 * 1024
+
+    @pytest.mark.parametrize("d, n", [(2, 4096), (32, 64)])
+    def test_no_cyclic_garbage(self, d, n, tmp_path):
+        # Each call frees what it made by reference counting alone: a
+        # function that refers to itself through a closure cell would keep
+        # its frames' arrays until the cyclic collector ran.
+        rng = np.random.default_rng([d, n])
+        tree = compile_tree(random_rank_one_povm(n, d, rng))
+        state = random_density(d, rng)
+        path = tmp_path / "tree.json"
+        treeio.save_tree(tree, path)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            propagate(tree, state)
+            sample(tree, state, 10_000, seed=1)
+            verify(tree)
+            treeio.load_tree(path)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
     @pytest.mark.parametrize("d, n", [(2, 4096), (4, 1024)])
     def test_sample_memory_does_not_grow_with_shots(self, d, n):
@@ -751,8 +790,8 @@ class TestMemory:
             assert peaks[1_000_000] <= 0.75e6
 
     def test_sample_peak_is_the_level_pass(self):
-        # Reading the leaf probabilities and checking positivity copies the
-        # reached leaves once, which stays under the level pass's own peak.
+        # sample keeps the leaf probabilities and p_left of the walk and
+        # nothing of its states, so it stays within 256 KiB of the walk.
         d, n = 32, 64
         rng = np.random.default_rng([d, n])
         tree = compile_tree(random_rank_one_povm(n, d, rng))
@@ -761,7 +800,7 @@ class TestMemory:
         gc.collect()
         tracemalloc.start()
         try:
-            for run in (lambda: simulator._level_pass(tree, state),
+            for run in (lambda: self.walk(tree, state),
                         lambda: sample(tree, state, 10_000, seed=1)):
                 tracemalloc.reset_peak()
                 run()
