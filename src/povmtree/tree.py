@@ -70,7 +70,7 @@ def _descend(pairs: np.ndarray, parents: np.ndarray) -> np.ndarray:
     return (pairs @ parents[:, None]).reshape(-1, *parents.shape[1:])
 
 
-def _walk(tree: "MeasurementTree", root: np.ndarray, child):
+def _walk(tree: MeasurementTree, root: np.ndarray, child):
     """Yield ``(level, first, block)`` over every node of a tree, depth first, a block at a time.
 
     ``block`` holds nodes ``first, first + 1, ...`` of ``level``: ``root[None]``
