@@ -10,7 +10,9 @@ exits with its class's ``exit_code`` (see :mod:`povmtree.errors`); any other
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +39,17 @@ def _parse_grouping(text: str, n_outcomes: int) -> list[int]:
             f"grouping {text!r} is not a permutation of outcomes 0..{n_outcomes - 1}"
         )
     return order
+
+
+def _at_least_zero(kind, text: str):
+    """``kind(text)`` if it is a finite number >= 0; else a usage error naming the flag (exit 2)."""
+    try:
+        value = kind(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"expected a finite {kind.__name__} >= 0, got {text!r}")
+    return value
 
 
 def _parse_state(spec: str, dim: int) -> QuantumState:
@@ -132,8 +145,7 @@ def cmd_simulate(args) -> int:
             print(f"  {label:>8}  count {count:>10}  frequency {count / report.shots:.6f}  "
                   f"expected {p:.6f}")
         print(f"max deviation: {report.max_sigma_deviation:.3f} sigma")
-    agreement = args.tol if args.tol is not None else 1e-8
-    if deviation > agreement:
+    if deviation > args.tol:
         print("tree and direct probabilities disagree", file=sys.stderr)
         return 3
     return 0
@@ -220,6 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Compile POVMs into binary trees of two-outcome probe measurements.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    count, tolerance = partial(_at_least_zero, int), partial(_at_least_zero, float)
 
     p_validate = sub.add_parser("validate", help="check a POVM file")
     p_validate.add_argument("path", help="POVM JSON file")
@@ -232,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="pipe-separated outcome groups, e.g. '0,3|1,2', read left to right",
     )
-    p_compile.add_argument("--seed", type=int, default=0,
+    p_compile.add_argument("--seed", type=count, default=0,
                            help="seed for the random-state cross-check")
     p_compile.add_argument("--out", default=None, help="output tree file")
     p_compile.set_defaults(func=cmd_compile)
@@ -244,10 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
         default="mixed:max",
         help="state spec: 'pure:<k>', 'mixed:max', or a state JSON file",
     )
-    p_sim.add_argument("--shots", type=int, default=0, help="number of sampled shots")
-    p_sim.add_argument("--seed", type=int, default=0, help="sampling seed")
-    p_sim.add_argument("--tol", type=float, default=None,
-                       help="tree-vs-direct agreement threshold (default requires 1e-8)")
+    p_sim.add_argument("--shots", type=count, default=0, help="number of sampled shots")
+    p_sim.add_argument("--seed", type=count, default=0, help="sampling seed")
+    p_sim.add_argument("--tol", type=tolerance, default=1e-8,
+                       help="tree-vs-direct agreement threshold (default 1e-8)")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_cost = sub.add_parser("cost", help="operation-count comparison")

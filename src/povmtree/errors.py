@@ -24,7 +24,7 @@ where it does not apply.  The message starts with ``element j: `` or
   unitarity"`` (of a completed unitary, where it is built); ``"children sum"``
   and ``"factorization"`` (compile checks); ``"operator sum"`` and
   ``"leaf reconstruction"`` (the checks of :func:`povmtree.tree.verify`,
-  which ``load_tree`` enforces); ``"post-state positivity"`` (simulation).
+  which ``load_tree`` enforces).
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ValidationError, VerificationError
+from .errors import ValidationError
 from .linalg import TOL_CHECK, adjoint, as_stack, check_psd
 from .povm import Povm
 from .records import Rows
@@ -109,8 +109,9 @@ def direct_probabilities(p: Povm, state: QuantumState) -> np.ndarray:
     return np.clip(probs, 0.0, 1.0)
 
 
-def _conditioned(pairs: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """The two children ``b sigma b^dag`` of each state of a stack; child c of state i sits at 2i + c."""
+def _conditioned(kraus, level: int, first: int, states: np.ndarray) -> np.ndarray:
+    """Children ``b sigma b^dag`` of states at nodes ``first, ...`` of ``level``; child c of i at 2i + c."""
+    pairs = kraus[level][first : first + len(states)]
     return ((pairs @ states[:, None]) @ adjoint(pairs)).reshape(-1, *states.shape[1:])
 
 
@@ -137,24 +138,25 @@ class SimulationOutcome:
         sigma = state.density[None]
         for level, bit in enumerate(self.path):
             node = int(self.path[:level] or "0", 2)
-            sigma = _conditioned(tree.kraus[level][node : node + 1], sigma)[int(bit), None]
+            sigma = _conditioned(tree.kraus, level, node, sigma)[int(bit), None]
         sigma = sigma[0] + adjoint(sigma[0])
         sigma *= 0.5
         return QuantumState._checked_elsewhere(sigma / self.probability)
 
 
-def _leaf_blocks(tree: MeasurementTree, state: QuantumState, p_left=None):
-    """Yield ``(first, block, traces)``: leaves ``first, ...``, unnormalised, and traces in [0, 1].
+def _leaf_probabilities(tree: MeasurementTree, state: QuantumState, p_left=None) -> np.ndarray:
+    """Leaf probabilities, left to right: the traces of the unnormalised leaf states, in [0, 1].
 
     Given one array per level, ``p_left`` gets the probability of probe
     outcome 0 at each node given that the node is reached (1.0 where its
     probability is zero).
     """
     if state.dim != tree.povm.dim:
-        raise ValidationError(
-            f"state dimension {state.dim} does not match tree dimension {tree.povm.dim}",
-            what="shape")
-    for level, first, block in _walk(tree, state.density, _conditioned):
+        raise ValidationError(f"state dimension {state.dim} does not match tree dimension {tree.povm.dim}",
+                              what="shape")
+    probs = np.empty(1 << tree.depth)
+    walk = _walk(tree.depth, state.dim, state.density, partial(_conditioned, tree.kraus))
+    for level, first, block in walk:
         traces = np.trace(block, axis1=-2, axis2=-1).real
         if level and p_left is not None:
             q = np.maximum(traces, 0.0).reshape(-1, 2)
@@ -162,7 +164,8 @@ def _leaf_blocks(tree: MeasurementTree, state: QuantumState, p_left=None):
             ratio = np.divide(q[:, 0], total, out=np.ones_like(total), where=total > 0)
             p_left[level - 1][first // 2 : first // 2 + len(q)] = np.minimum(ratio, 1.0)
         if level == tree.depth:
-            yield first, block, np.clip(traces, 0.0, 1.0)
+            probs[first : first + len(traces)] = np.clip(traces, 0.0, 1.0)
+    return probs
 
 
 def _outcome(tree, state, position, probabilities, j: int) -> SimulationOutcome:
@@ -198,36 +201,14 @@ def propagate(tree: MeasurementTree, state: QuantumState) -> Outcomes:
     states, depth first, one block of at most 64 KiB of nodes per level at
     a time; the leaf probability is the trace of the final product, which
     telescopes to Tr[m_leaf rho m_leaf^dag].  Results are ordered by
-    outcome index of the (padded) POVM.  Each block of leaves is
-    symmetrised and checked as it comes, in leaf order, then dropped; a
-    post-state is built when read.  A leaf whose probability is below
-    ``TOL_CHECK`` is unreached and has none.
-
-    Raises
-    ------
-    VerificationError
-        ``what="post-state positivity"`` if a reached leaf's unnormalised
-        state has an eigenvalue below ``-TOL_CHECK``, which no valid tree
-        produces from a valid state.
+    outcome index of the (padded) POVM.  No leaf state is kept: a
+    post-state is built when read, and a leaf whose probability is below
+    ``TOL_CHECK`` is unreached and has none.  No leaf state is checked
+    either: ``m sigma m^dag`` is a congruence by a contraction (``m^dag m
+    <= I`` for complete pairs) of a state with no eigenvalue below
+    ``-TOL_CHECK``, so it has none, up to rounding.
     """
-    probs = np.empty(1 << tree.depth)
-    for first, block, p in _leaf_blocks(tree, state):
-        probs[first : first + len(p)] = p
-        at = np.flatnonzero(p >= TOL_CHECK)
-        herm = block[at]
-        herm += adjoint(herm)
-        herm *= 0.5
-        # Positivity is checked on the unnormalised states, at the scale of
-        # the absolute probability.  After division by a tiny probability,
-        # rounding dust of a valid state can exceed any absolute threshold.
-        min_eig = np.linalg.eigvalsh(herm)[:, 0]
-        bad = np.flatnonzero(min_eig < -TOL_CHECK)
-        if bad.size:
-            r = -min_eig[bad[0]]
-            raise VerificationError(f"post-state positivity check failed, residual {r:.3e}",
-                                    what="post-state positivity", residual=r,
-                                    path=node_path(tree.depth, first + int(at[bad[0]])))
-    return Outcomes(tree, state, probs)
+    return Outcomes(tree, state, _leaf_probabilities(tree, state))
 
 
 @dataclass(frozen=True)
@@ -259,13 +240,9 @@ def sample(
     distributed as shots that each walk from the root, at a cost independent
     of ``shots``, an integer (not a ``bool``) in 1..2**63 - 1 (else
     ``ValidationError(what="range")``).  Equal ``(tree, state, shots, seed)``
-    give an identical report.
-    The conditional probabilities fill one array per level from the
-    depth-first walk of :func:`propagate`, one block of at most 64 KiB of
-    nodes per level at a time; only then are the shots split, level by
-    level.  ``expected`` holds the exact leaf probabilities of
-    :func:`propagate`, the leaf traces of the same walk; no post-state is
-    symmetrised, checked or built.
+    give an identical report.  The conditional probabilities, one array per
+    level, and ``expected``, the leaf probabilities, come from the walk of
+    :func:`propagate`; only then are the shots split, level by level.
     """
     try:
         shots = operator.index(shots) if not isinstance(shots, bool) else 0
@@ -274,9 +251,7 @@ def sample(
     if not 1 <= shots < 1 << 63:
         raise ValidationError("shots must be an integer in 1..2**63 - 1", what="range")
     p_left = [np.empty(len(pairs)) for pairs in tree.kraus]
-    probs = np.empty(1 << tree.depth)
-    for first, _, p in _leaf_blocks(tree, state, p_left):
-        probs[first : first + len(p)] = p
+    probs = _leaf_probabilities(tree, state, p_left)
     rng = np.random.default_rng(seed)
     arrived = np.array([shots], dtype=np.int64)
     for p in p_left:  # node i of a level sends its shots to nodes 2i and 2i + 1 of the next

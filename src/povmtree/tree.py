@@ -24,11 +24,10 @@ Child cumulative operators are the products b_c @ m_x (see
 m_child = b_child @ m_parent holds by construction at every edge.  A
 pair's probe coupling (:meth:`MeasurementTree.dilation`) exists exactly
 when the pair is complete, so :func:`verify` checks completeness and the
-coupling is checked where it is built.  Compilation works a level, and
-verification depth first (:func:`_walk`), with one stacked LAPACK call per
-block of at most 64 KiB of nodes for each kind of decomposition; checks
-report block by block in node order, so a later-kind failure in an earlier
-block comes before an earlier-kind one in a later block.
+coupling is checked where it is built.  Compilation, verification and the
+simulator walk the tree depth first (:func:`_walk`), holding one block of
+at most 64 KiB of nodes per level, with one stacked LAPACK call per block;
+checks raise in walk order, node order wherever a level fits half a block.
 """
 
 from __future__ import annotations
@@ -65,29 +64,30 @@ def node_path(level: int, index: int) -> str:
     return format(index, f"0{level}b") if level else ""
 
 
-def _descend(pairs: np.ndarray, parents: np.ndarray) -> np.ndarray:
-    """Children's cumulative Kraus operators ``b_c @ m_x``; child c of node i sits at 2i + c."""
+def _descend(kraus, level: int, first: int, parents: np.ndarray) -> np.ndarray:
+    """Children ``b_c @ m_x`` of operators at nodes ``first, ...`` of ``level``; child c of i at 2i + c."""
+    pairs = kraus[level][first : first + len(parents)]
     return (pairs @ parents[:, None]).reshape(-1, *parents.shape[1:])
 
 
-def _walk(tree: MeasurementTree, root: np.ndarray, child):
+def _walk(depth: int, d: int, root, child):
     """Yield ``(level, first, block)`` over every node of a tree, depth first, a block at a time.
 
-    ``block`` holds nodes ``first, first + 1, ...`` of ``level``: ``root[None]``
-    at the root, then ``child(pairs, parents)`` for runs of at most half a
-    :func:`povmtree.linalg.blocks` budget of parents, so each block fits one
-    budget.  Leaves come in leaf order, and at most one block per level is held.
+    ``block`` holds nodes ``first, ...`` of ``level``: ``root[None]`` at the
+    root, then ``child(level, first, parents)`` for runs of at most half a
+    :func:`povmtree.linalg.blocks` budget of d x d parents.  Leaves come in
+    leaf order, each block before those below it; one block per level is held.
     """
-    half = max(1, next(blocks(1 << tree.depth, root.shape[-1])).stop // 2)
+    half = max(1, next(blocks(1 << depth, d)).stop // 2)
     yield 0, 0, root[None]
-    path = [(0, 0, root[None])] if tree.depth else []  # per level, the parents still to descend
+    path = [(0, 0, root[None])] if depth else []  # per level, the parents still to descend
     while path:
         level, first, parents = path.pop()
         if len(parents) > half:
             path.append((level, first + half, parents[half:]))
-        children = child(tree.kraus[level][first : first + half], parents[:half])
+        children = child(level, first, parents[:half])
         yield level + 1, 2 * first, children
-        if level + 1 < tree.depth:
+        if level + 1 < depth:
             path.append((level + 1, 2 * first, children))
 
 
@@ -141,8 +141,8 @@ class MeasurementTree:
         if not 0 <= level <= self.depth:
             raise IndexError(f"level {level} not in 0..{self.depth}")
         m = np.eye(self.povm.dim, dtype=complex)[None]
-        for pairs in self.kraus[:level]:
-            m = _descend(pairs, m)
+        for above in range(level):
+            m = _descend(self.kraus, above, 0, m)
         return m
 
     def cumulative_operators(self, level: int) -> np.ndarray:
@@ -291,11 +291,10 @@ def compile_tree(
     an ``(N, d, d)`` array of Kraus operators with ``m_j^dag m_j = M_j`` as
     :func:`povmtree.povm.default_kraus` returns (default: Hermitian square
     roots); internal targets are square roots of the partial element sums,
-    added in pairs from the ordered elements.  Levels are compiled top-down,
-    last block of at most 64 KiB of parents first, with one stacked ``eigh``
-    of the children's sums, whose decompositions overwrite their parents';
-    checks report block by block in node order (a later-kind failure in an
-    earlier block comes first).
+    added in pairs from the ordered elements.  The tree is compiled on the
+    depth-first walk of :func:`_walk`: each run of parents carries its
+    partial sums' decompositions ``(V, w)`` from one stacked ``eigh`` of
+    their sums, and writes its Kraus pairs into the returned level arrays.
 
     ``partition``, of Python or NumPy integers (not ``bool``), may permute
     the padded outcome set or just the original outcomes, in which case
@@ -310,8 +309,9 @@ def compile_tree(
         operator of the wrong shape, if any) or ``"finiteness"`` (``index``
         naming the first operator with an entry that is not finite).
     VerificationError
-        From the checks of :func:`split_node`, naming the first failing
-        node's path.
+        ``what="children sum"`` if a node's targets do not sum to its own,
+        ``"completeness"`` or ``"factorization"`` if a pair's post-check
+        fails; raised at once, naming the node's path, in walk order.
     """
     padded = pad_to_power_of_two(p)
     n, d = padded.n_outcomes, padded.dim
@@ -323,36 +323,31 @@ def compile_tree(
             raise ValidationError(f"factorization has {len(factorization)} operators for "
                                   f"{p.n_outcomes} outcomes", what="shape")
     # each parent's partial sum as psd_sqrt_stack keeps it, (V, w); the root's is I
-    vectors, values = np.empty((n // 2 or 1, d, d), dtype=complex), np.ones((n // 2 or 1, d))
-    vectors[0] = np.eye(d)
-    levels = []
-    for level in range(depth):
+    node = np.dtype([("V", complex, (d, d)), ("w", float, (d,))])
+    root = np.array((np.eye(d), np.ones(d)), node)
+    levels = [np.empty((1 << level, 2, d, d), dtype=complex) for level in range(depth)]
+
+    def split(level: int, first: int, parents: np.ndarray):
+        """Write the pairs of a run of parents; return the children's decompositions, None at leaves."""
         span = n >> (level + 1)  # leaves below each child
-        pairs = np.empty((1 << level, 2, d, d), dtype=complex)
-        failure = None
-        for nodes in reversed(list(blocks(len(pairs), d))):
-            # each parent's root, pseudoinverse and kernel, before children overwrite its (V, w)
-            parts = psd_parts(vectors[nodes], values[nodes])
-            lo, hi = 2 * nodes.start * span, 2 * nodes.stop * span
-            if leaves := (span == 1 and factorization is not None):
-                # a factorization of the unpadded outcomes leaves the padding leaves zero
-                real = order[lo:hi] < len(factorization)
-                targets = np.zeros((hi - lo, d, d), dtype=complex)
-                targets[real] = factorization[order[lo:hi][real]]
-            else:  # children that are parents of the next level keep their decompositions
-                children = slice(2 * nodes.start, 2 * nodes.stop)
-                targets = psd_sqrt_stack(_ordered_sums(padded.elements, order, lo, hi, span),
-                                         (vectors[children], values[children]) if span > 1 else None)
-            try:
-                pairs[nodes] = _split_level(targets.reshape(-1, 2, d, d), *parts, leaves, level,
-                                            nodes.start)
-            except VerificationError as err:
-                failure = err  # raised after the level, so the first block's failure wins
-            del parts, targets  # before the next block's are made
-        if failure is not None:
-            raise failure
+        lo, hi = 2 * first * span, 2 * (first + len(parents)) * span
+        children = np.empty(2 * len(parents), node) if span > 1 else None
+        if leaves := (span == 1 and factorization is not None):
+            # a factorization of the unpadded outcomes leaves the padding leaves zero
+            real = order[lo:hi] < len(factorization)
+            targets = np.zeros((hi - lo, d, d), dtype=complex)
+            targets[real] = factorization[order[lo:hi][real]]
+        else:  # children that are parents of the next level keep their decompositions
+            targets = psd_sqrt_stack(_ordered_sums(padded.elements, order, lo, hi, span),
+                                     None if children is None else (children["V"], children["w"]))
+        levels[level][first : first + len(parents)] = _split_level(
+            targets.reshape(-1, 2, d, d), *psd_parts(parents["V"], parents["w"]), leaves, level, first)
+        return children
+
+    for _ in _walk(depth, d, root, split):
+        pass
+    for pairs in levels:
         pairs.setflags(write=False)
-        levels.append(pairs)
     return MeasurementTree(povm=padded, order=order, kraus=tuple(levels))
 
 
@@ -369,23 +364,22 @@ def verify(tree: MeasurementTree) -> VerificationReport:
     of the cumulative operator with the sum S of the POVM elements below
     (``eigvalsh`` of S under :func:`povmtree.linalg.rank_mask` gives the
     reported parent rank).  Per leaf: the Frobenius distance between the
-    leaf's cumulative operator and the original POVM element.  The
-    cumulative operators come from :func:`_walk`, one block per level at a
-    time, and each block's results go into the columns by node index.
-    Nothing else can fail: ``b_child @ m_parent = m_child`` holds exactly,
-    because child cumulative operators are defined as those products;
-    ``b^dag b`` is a Gram matrix, positive to rounding; and a complete
-    pair's probe coupling is derived data, checked where
-    :func:`povmtree.linalg.complete_to_unitary_stack` builds it.  A
-    reporting operation that never raises on failures, so the block order
-    changes no row; the results go into the report's columns.
+    leaf's cumulative operator and the original POVM element.  Nothing
+    else can fail: ``b_child @ m_parent = m_child`` holds exactly, because
+    child cumulative operators are defined as those products; ``b^dag b`` is
+    a Gram matrix, positive to rounding; and a complete pair's probe
+    coupling is derived data, checked where
+    :func:`povmtree.linalg.complete_to_unitary_stack` builds it.  A reporting
+    operation that never raises on failures: the cumulative operators come
+    from :func:`_walk`, and each block's results go into the report's
+    columns by node index.
     """
     p, d, n = tree.povm, tree.povm.dim, tree.povm.n_outcomes
     # the node columns verify measures, in the order of NodeCheck's fields
     measured = {"completeness_residual": float, "operator_sum_residual": float, "parent_rank": int}
     nodes = {name: np.zeros(n - 1, dtype) for name, dtype in measured.items()}
     leaf_residual = np.empty(n)
-    for level, first, m in _walk(tree, np.eye(d, dtype=complex), _descend):
+    for level, first, m in _walk(tree.depth, d, np.eye(d, dtype=complex), partial(_descend, tree.kraus)):
         span = n >> level
         for b in blocks(len(m), 2 * d):  # four d x d matrices a node
             lo, hi = first + b.start, first + b.stop

@@ -148,6 +148,17 @@ class TestSimulateCommand:
         assert capsys.readouterr().out == first
         assert "sigma" in first
 
+    @pytest.mark.parametrize("flag, value", [("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1e-8"),
+                                             ("--shots", "-5"), ("--seed", "-1"), ("--seed", "x")])
+    def test_bad_number_is_a_usage_error_naming_its_flag(self, tetrad_tree, flag, value, capsys):
+        # refused while parsing, before the tree is read
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", tetrad_tree, flag, value])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {flag}: " in captured.err and captured.out == ""
+
     def test_tampered_tree_fails(self, tetrad_tree, tmp_path, capsys):
         header, order, (elements, root, kraus) = read_tree_file(tetrad_tree)
         # b of node "10": outcome 0 of the pair at node "1", in the level-1 blob

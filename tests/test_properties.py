@@ -1,10 +1,10 @@
 """Property tests for the stacked unitary completion, the Neumark oracle, Hermitian storage,
-tree files and pure states."""
+tree files, pure states and the positivity of leaf states."""
 
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from povmtree import (
     QuantumState,
@@ -23,9 +23,12 @@ from povmtree import (
 )
 from povmtree.dilation import completeness_residuals, dilate_level
 from povmtree.io import load_tree, save_tree
-from povmtree.linalg import TOL_CHECK, TOL_UNITARY, complete_to_unitary_stack
+from povmtree.errors import VerificationError
+from povmtree.linalg import TOL_CHECK, TOL_UNITARY, adjoint, complete_to_unitary_stack
 
 from conftest import frob
+from test_simulator import walk
+from test_tree import dusty_povm_elements
 
 # Few examples, drawn the same way on every run, so Tier-1 stays fast and stable.
 PROPERTY = settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -176,3 +179,44 @@ def test_pure_states_pass_the_full_state_check(d, exponent, seed):
         v[0] = 10.0**exponent
     rho = QuantumState.pure(v).density
     assert np.array_equal(QuantumState(rho).density, rho)
+
+
+@PROPERTY
+@given(
+    source=st.sampled_from(["random", "dusty"]),
+    d=st.integers(2, 8),
+    n=st.integers(1, 64),
+    dust=st.floats(0, 1),
+    seed=st.integers(0, 199),
+)
+def test_leaf_states_keep_the_state_floor(source, d, n, dust, seed):
+    # A leaf state m rho m^dag is a congruence by a contraction (m^dag m <= I
+    # for complete pairs), so a state whose lowest eigenvalue is as far
+    # below zero as QuantumState allows gives leaves no further below it:
+    # the reason propagate checks no post-state.
+    if source == "dusty":
+        elements, rng = dusty_povm_elements(seed)
+        try:
+            tree = compile_tree(validate(elements))
+        except VerificationError:  # the dusty POVMs that do not compile yet
+            assume(False)
+        d = tree.povm.dim
+    else:
+        rng = np.random.default_rng([seed, d, n])
+        ranks = rng.integers(1, d + 1, n)
+        ranks[0] = d  # so that the elements can sum to the identity
+        tree = compile_tree(random_povm(n, d, rng, ranks=ranks))
+    w, v = np.linalg.eigh(random_density(d, rng).density)
+    # the lowest eigenvalue moved to -dust * TOL_CHECK, a part in 1e6 inside
+    # the floor so that rounding in the product keeps the state valid
+    w[0] = -dust * TOL_CHECK * (1 - 1e-6)
+    w[1:] *= (1 - w[0]) / w[1:].sum()
+    rho = (v * w) @ adjoint(v)
+    state = QuantumState((rho + adjoint(rho)) / 2)
+    leaves = np.concatenate([block for level, _, block in walk(tree, state) if level == tree.depth])
+    assert len(leaves) == tree.povm.n_outcomes
+    lowest = np.linalg.eigvalsh((leaves + adjoint(leaves)) / 2)[:, 0]
+    assert lowest.min() >= -TOL_CHECK * (1 + 1e-6)
+    # and each leaf by its own |m|^2, the largest eigenvalue of its POVM element
+    largest = np.linalg.eigvalsh(tree.povm.elements[tree.order])[:, -1] + TOL_CHECK
+    assert (lowest >= w[0] * largest - TOL_CHECK * 1e-6).all()

@@ -2,6 +2,7 @@ import hashlib
 import math
 import sys
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -324,10 +325,11 @@ class TestSample:
         assert report.max_sigma_deviation <= 6.0
 
     def test_reads_only_leaf_traces(self, monkeypatch):
-        # once the state is built, sample solves no eigenvalue problem: it neither
-        # symmetrises nor checks the leaf states it never returns
+        # once the state is built, neither sample nor propagate solves an
+        # eigenvalue problem: no leaf state is symmetrised or checked
         tree, state = _pinned_case(("mixed", 3, 13))
         report = sample(tree, state, 10**6, seed=2)
+        probabilities = propagate(tree, state).probabilities
 
         def refuse(*args, **kwargs):
             raise AssertionError("numpy.linalg.eigvalsh called")
@@ -336,8 +338,7 @@ class TestSample:
         for module in {np.linalg, sys.modules.get("numpy.linalg._linalg", np.linalg)}:
             monkeypatch.setattr(module, "eigvalsh", refuse)
         assert sample(tree, state, 10**6, seed=2) == report
-        with pytest.raises(AssertionError, match="eigvalsh called"):
-            propagate(tree, state)  # which checks the post-states it returns
+        assert np.array_equal(propagate(tree, state).probabilities, probabilities)
 
     def test_degenerate_single_outcome(self):
         tree = compile_tree(validate([np.eye(2)]))
@@ -392,10 +393,18 @@ def two_array_pass(tree, state):
 def walked(tree, state):
     """The leaf states, left to right, and ``p_left`` of one depth-first walk of the tree."""
     p_left = [np.full(len(pairs), np.nan) for pairs in tree.kraus]
+    simulator._leaf_probabilities(tree, state, p_left)
     leaves = np.full((1 << tree.depth, state.dim, state.dim), np.nan, dtype=complex)
-    for first, block, _ in simulator._leaf_blocks(tree, state, p_left):
-        leaves[first : first + len(block)] = block
+    for level, first, block in walk(tree, state):
+        if level == tree.depth:
+            leaves[first : first + len(block)] = block
     return leaves, p_left
+
+
+def walk(tree, state):
+    """The depth-first walk of the conditioned states, as the simulator runs it."""
+    return tree_module._walk(tree.depth, state.dim, state.density,
+                             partial(simulator._conditioned, tree.kraus))
 
 
 class TestLevelPassInOneStack:
@@ -464,7 +473,7 @@ class TestLevelPassInOneStack:
         per_block = self.budget(budget, state.dim, monkeypatch)
         seen = [np.zeros(1 << level, dtype=int) for level in range(tree.depth + 1)]
         held, leaves = [], []
-        for level, first, block in tree_module._walk(tree, state.density, simulator._conditioned):
+        for level, first, block in walk(tree, state):
             assert 1 <= len(block) <= max(2, per_block)
             assert level == 0 or seen[level - 1][first // 2 : (first + len(block) + 1) // 2].all()
             seen[level][first : first + len(block)] += 1

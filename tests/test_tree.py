@@ -708,9 +708,15 @@ class TestMemory:
         assert self.peak(lambda: validate(elements)) <= 1.6e6
 
     def test_compile_peak(self, large):
-        # the 2.1 MB of Kraus pairs returned, two levels of cumulative
-        # operators and one block of targets at a time
-        assert self.peak(lambda: compile_tree(large[0])) <= 4.0e6
+        # the 2.1 MB of Kraus pairs returned, written in place, and one
+        # block of decompositions per level of the walk
+        assert self.peak(lambda: compile_tree(large[0])) <= 3.0e6
+
+    def test_compile_peak_at_large_n(self):
+        # the 0.52 MB of Kraus pairs returned, one block of decompositions
+        # per level of the walk and one run's temporaries: no buffer sized by N
+        povm = random_rank_one_povm(4096, 2, np.random.default_rng([2, 4096]))
+        assert self.peak(lambda: compile_tree(povm)) <= 1.25e6
 
     def test_load_peak(self, large, tmp_path):
         # the 3.1 MB tree read from the file, plus the peak of verify
@@ -728,8 +734,7 @@ class TestMemory:
     def walk(tree, state):
         """The depth-first walk of the states, filling p_left as sample does."""
         p_left = [np.empty(len(pairs)) for pairs in tree.kraus]
-        for _ in simulator._leaf_blocks(tree, state, p_left):
-            pass
+        simulator._leaf_probabilities(tree, state, p_left)
 
     @pytest.mark.parametrize("d, n", [(2, 4096), (32, 64)])
     def test_level_pass_peak(self, d, n):
@@ -757,6 +762,7 @@ class TestMemory:
         gc.disable()
         try:
             gc.collect()
+            compile_tree(tree.povm)
             propagate(tree, state)
             sample(tree, state, 10_000, seed=1)
             verify(tree)
