@@ -1,14 +1,13 @@
 """Exact propagation through a measurement tree and seeded sampling.
 
 States are density matrices throughout; pure states are rank-one densities.
-:func:`propagate` carries the unnormalized conditioned state b...b rho b^dag...
-b^dag down the tree depth first, a block of nodes at a time, holding one
-block per level (:func:`povmtree.tree._walk`).  A state's trace is the
-absolute probability of its path, so no renormalization happens until a
-leaf's post-state is read, which walks that leaf's path anew.
-:func:`sample` reads the branch probabilities from the same walk and splits
-the shots down the tree, one binomial draw per node, following the
-sequential structure rather than the leaf distribution directly.
+A leaf is reached with probability Tr[m rho m^dag], m = b...b the product of
+the Kraus operators on its path.  :func:`propagate` walks those cumulative
+operators depth first, as :func:`povmtree.tree.verify` does
+(:func:`povmtree.tree._walk`): the state enters only at the traces, and a
+post-state is built from its leaf's path when read.  :func:`sample` reads
+the branch probabilities from the same walk and splits the shots down the
+tree, one binomial draw per node.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from .errors import ValidationError
 from .linalg import TOL_CHECK, adjoint, as_stack, check_psd
 from .povm import Povm
 from .records import Rows
-from .tree import MeasurementTree, _walk, node_path
+from .tree import MeasurementTree, _descend, _walk, _whole, node_path
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,8 +75,7 @@ class QuantumState:
     @classmethod
     def basis(cls, dim: int, index: int) -> "QuantumState":
         """Computational basis state |index><index|, of Python or NumPy integers (not ``bool``)."""
-        whole = all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in (dim, index))
-        if not whole or dim < 1:
+        if not (_whole(dim) and _whole(index)) or dim < 1:
             raise ValidationError(f"basis state needs integers dim >= 1 and index, got {dim!r} "
                                   f"and {index!r}", what="range")
         if not 0 <= index < dim:
@@ -88,11 +86,17 @@ class QuantumState:
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "QuantumState":
+        """The state I / dim, for an integer (not ``bool``) dim >= 1."""
+        if not _whole(dim) or dim < 1:
+            raise ValidationError(f"maximally mixed state needs an integer dim >= 1, got {dim!r}", what="range")
         return cls(np.eye(dim, dtype=complex) / dim)
 
 
 def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> QuantumState:
-    """Random mixed state of the given rank (default: random rank in 1..dim)."""
+    """Random mixed state of an integer (not ``bool``) rank in 1..dim, by default a random one."""
+    if not (_whole(dim) and dim >= 1 and (rank is None or _whole(rank) and 1 <= rank <= dim)):
+        raise ValidationError(f"random state needs integers dim >= 1 and rank in 1..dim (or None), "
+                              f"got {dim!r} and {rank!r}", what="range")
     if rank is None:
         rank = int(rng.integers(1, dim + 1))
     x = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
@@ -109,19 +113,13 @@ def direct_probabilities(p: Povm, state: QuantumState) -> np.ndarray:
     return np.clip(probs, 0.0, 1.0)
 
 
-def _conditioned(kraus, level: int, first: int, states: np.ndarray) -> np.ndarray:
-    """Children ``b sigma b^dag`` of states at nodes ``first, ...`` of ``level``; child c of i at 2i + c."""
-    pairs = kraus[level][first : first + len(states)]
-    return ((pairs @ states[:, None]) @ adjoint(pairs)).reshape(-1, *states.shape[1:])
-
-
 @dataclass(frozen=True, eq=False)
 class SimulationOutcome:
     """One leaf of the exact propagation.
 
-    ``post_state`` walks the leaf's path anew on each read; it is ``None`` for
-    branches whose cumulative probability fell below the tolerance
-    (unreachable; no conditional state exists there).
+    ``post_state`` is built from the Kraus operators on the leaf's path on
+    each read; it is ``None`` for branches whose cumulative probability fell
+    below the tolerance (unreachable; no conditional state exists there).
     """
 
     leaf_index: int
@@ -132,20 +130,20 @@ class SimulationOutcome:
 
     @property
     def post_state(self) -> QuantumState | None:
+        """``m rho m^dag`` for the product m of the path's operators, symmetrised, over its own trace."""
         if self.probability < TOL_CHECK:
             return None
         tree, state = self._source
-        sigma = state.density[None]
+        m = np.eye(state.dim, dtype=complex)
         for level, bit in enumerate(self.path):
-            node = int(self.path[:level] or "0", 2)
-            sigma = _conditioned(tree.kraus, level, node, sigma)[int(bit), None]
-        sigma = sigma[0] + adjoint(sigma[0])
-        sigma *= 0.5
-        return QuantumState._checked_elsewhere(sigma / self.probability)
+            m = tree.kraus[level][int(self.path[:level] or "0", 2), int(bit)] @ m
+        sigma = m @ state.density @ adjoint(m)
+        sigma = sigma + adjoint(sigma)
+        return QuantumState._checked_elsewhere(sigma / sigma.trace().real)
 
 
 def _leaf_probabilities(tree: MeasurementTree, state: QuantumState, p_left=None) -> np.ndarray:
-    """Leaf probabilities, left to right: the traces of the unnormalised leaf states, in [0, 1].
+    """Leaf probabilities Tr[m rho m^dag], left to right, in [0, 1], on the walk of ``verify``.
 
     Given one array per level, ``p_left`` gets the probability of probe
     outcome 0 at each node given that the node is reached (1.0 where its
@@ -154,11 +152,14 @@ def _leaf_probabilities(tree: MeasurementTree, state: QuantumState, p_left=None)
     if state.dim != tree.povm.dim:
         raise ValidationError(f"state dimension {state.dim} does not match tree dimension {tree.povm.dim}",
                               what="shape")
-    probs = np.empty(1 << tree.depth)
-    walk = _walk(tree.depth, state.dim, state.density, partial(_conditioned, tree.kraus))
-    for level, first, block in walk:
-        traces = np.trace(block, axis1=-2, axis2=-1).real
-        if level and p_left is not None:
+    probs, d = np.empty(1 << tree.depth), state.dim
+    for level, first, m in _walk(tree.depth, d, np.eye(d, dtype=complex), partial(_descend, tree.kraus)):
+        split = level and p_left is not None
+        if not split and level < tree.depth:
+            continue
+        # the trace of m rho m^dag is the real dot product of m rho with m
+        traces = np.einsum("kij,kij->k", (m @ state.density).view(float), m.view(float))
+        if split:
             q = np.maximum(traces, 0.0).reshape(-1, 2)
             total = q.sum(axis=1)
             ratio = np.divide(q[:, 0], total, out=np.ones_like(total), where=total > 0)
@@ -197,16 +198,13 @@ class Outcomes(Rows):
 def propagate(tree: MeasurementTree, state: QuantumState) -> Outcomes:
     """Exact leaf probabilities; post-measurement states on demand.
 
-    Applies each level's branch operators to the unnormalized conditioned
-    states, depth first, one block of at most 64 KiB of nodes per level at
-    a time; the leaf probability is the trace of the final product, which
-    telescopes to Tr[m_leaf rho m_leaf^dag].  Results are ordered by
-    outcome index of the (padded) POVM.  No leaf state is kept: a
-    post-state is built when read, and a leaf whose probability is below
-    ``TOL_CHECK`` is unreached and has none.  No leaf state is checked
-    either: ``m sigma m^dag`` is a congruence by a contraction (``m^dag m
-    <= I`` for complete pairs) of a state with no eigenvalue below
-    ``-TOL_CHECK``, so it has none, up to rounding.
+    Walks the cumulative Kraus operators m = b...b depth first, one block
+    of at most 64 KiB of nodes per level at a time, as :func:`verify` does,
+    and takes each leaf's probability Tr[m rho m^dag] as the real dot
+    product of ``m rho`` with m.  Results are ordered by outcome index of
+    the (padded) POVM.  No leaf state is formed: a post-state is built when
+    read, and a leaf whose probability is below ``TOL_CHECK`` is unreached
+    and has none.
     """
     return Outcomes(tree, state, _leaf_probabilities(tree, state))
 
@@ -229,9 +227,7 @@ class SampleReport:
     max_sigma_deviation: float
 
 
-def sample(
-    tree: MeasurementTree, state: QuantumState, shots: int, seed: int
-) -> SampleReport:
+def sample(tree: MeasurementTree, state: QuantumState, shots: int, seed: int) -> SampleReport:
     """Sample leaf outcomes by splitting the shots down the tree, one probe measurement at a time.
 
     The shots that reach a node go to probe outcome 0 as one binomial draw at
@@ -273,11 +269,6 @@ def sample(
     sigma = np.divide(np.abs(as_float - mean), spread, out=np.zeros(n), where=spread_positive)
     # an outcome of probability 0 or 1 must get exactly its expected count
     inexact = np.count_nonzero(~spread_positive & (as_float != np.rint(mean))) > 0
-    return SampleReport(
-        seed=seed,
-        shots=shots,
-        labels=tree.povm.labels,
-        counts=observed,
-        expected=tuple(by_outcome.tolist()),
-        max_sigma_deviation=np.inf if inexact else float(sigma.max()),
-    )
+    return SampleReport(seed=seed, shots=shots, labels=tree.povm.labels, counts=observed,
+                        expected=tuple(by_outcome.tolist()),
+                        max_sigma_deviation=np.inf if inexact else float(sigma.max()))

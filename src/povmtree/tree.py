@@ -25,8 +25,8 @@ m_child = b_child @ m_parent holds by construction at every edge.  A
 pair's probe coupling (:meth:`MeasurementTree.dilation`) exists exactly
 when the pair is complete, so :func:`verify` checks completeness and the
 coupling is checked where it is built.  Compilation, verification and the
-simulator walk the tree depth first (:func:`_walk`), holding one block of
-at most 64 KiB of nodes per level, with one stacked LAPACK call per block;
+simulator walk the tree depth first (:func:`_walk`), holding at most half
+a block of 64 KiB of nodes per level, with one stacked LAPACK call per block;
 checks raise in walk order, node order wherever a level fits half a block.
 """
 
@@ -59,6 +59,11 @@ from .records import VerificationReport
 _A = 1 / math.sqrt(2)
 
 
+def _whole(x) -> bool:
+    """Whether x is a Python or NumPy integer, not a ``bool``."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def node_path(level: int, index: int) -> str:
     """Probe-outcome bitstring of node ``index`` of ``level`` ('' at the root)."""
     return format(index, f"0{level}b") if level else ""
@@ -76,16 +81,19 @@ def _walk(depth: int, d: int, root, child):
     ``block`` holds nodes ``first, ...`` of ``level``: ``root[None]`` at the
     root, then ``child(level, first, parents)`` for runs of at most half a
     :func:`povmtree.linalg.blocks` budget of d x d parents.  Leaves come in
-    leaf order, each block before those below it; one block per level is held.
+    leaf order, each block before those below it.  The rest of a split block
+    is kept as a copy, made once its first half's children are, so each
+    level above the block in hand holds at most half a block.
     """
     half = max(1, next(blocks(1 << depth, d)).stop // 2)
     yield 0, 0, root[None]
     path = [(0, 0, root[None])] if depth else []  # per level, the parents still to descend
     while path:
         level, first, parents = path.pop()
-        if len(parents) > half:
-            path.append((level, first + half, parents[half:]))
         children = child(level, first, parents[:half])
+        if len(parents) > half:
+            path.append((level, first + half, parents[half:].copy()))
+        del parents  # the block is freed before its children are walked
         yield level + 1, 2 * first, children
         if level + 1 < depth:
             path.append((level + 1, 2 * first, children))
@@ -266,8 +274,7 @@ def _resolve_partition(partition, n_real: int, n_padded: int) -> np.ndarray:
     order = np.arange(n_padded)
     if partition is not None:
         entries = list(partition)
-        valid = all(isinstance(j, (int, np.integer)) and not isinstance(j, bool)
-                    and 0 <= j < n_padded for j in entries)
+        valid = all(_whole(j) and 0 <= j < n_padded for j in entries)
         order = np.array(entries if valid else [], dtype=np.intp)
         if len(order) == n_real < n_padded:
             order = np.concatenate([order, np.arange(n_real, n_padded)])

@@ -68,7 +68,7 @@ def criterion_2_oracle_triangle():
         extension = pt.full_neumark(tree.povm)
         for _ in range(50):
             state = pt.random_density(tree.povm.dim, rng)
-            tree_probs = np.array([o.probability for o in pt.propagate(tree, state)])
+            tree_probs = pt.propagate(tree, state).probabilities
             direct = pt.direct_probabilities(tree.povm, state)
             neumark = extension.probabilities(state.density)
             worst = max(

@@ -27,7 +27,6 @@ from povmtree.errors import VerificationError
 from povmtree.linalg import TOL_CHECK, TOL_UNITARY, adjoint, complete_to_unitary_stack
 
 from conftest import frob
-from test_simulator import walk
 from test_tree import dusty_povm_elements
 
 # Few examples, drawn the same way on every run, so Tier-1 stays fast and stable.
@@ -193,7 +192,7 @@ def test_leaf_states_keep_the_state_floor(source, d, n, dust, seed):
     # A leaf state m rho m^dag is a congruence by a contraction (m^dag m <= I
     # for complete pairs), so a state whose lowest eigenvalue is as far
     # below zero as QuantumState allows gives leaves no further below it:
-    # the reason propagate checks no post-state.
+    # the reason a post-state is not checked.
     if source == "dusty":
         elements, rng = dusty_povm_elements(seed)
         try:
@@ -213,7 +212,8 @@ def test_leaf_states_keep_the_state_floor(source, d, n, dust, seed):
     w[1:] *= (1 - w[0]) / w[1:].sum()
     rho = (v * w) @ adjoint(v)
     state = QuantumState((rho + adjoint(rho)) / 2)
-    leaves = np.concatenate([block for level, _, block in walk(tree, state) if level == tree.depth])
+    m = tree.cumulative_kraus(tree.depth)
+    leaves = m @ state.density @ adjoint(m)
     assert len(leaves) == tree.povm.n_outcomes
     lowest = np.linalg.eigvalsh((leaves + adjoint(leaves)) / 2)[:, 0]
     assert lowest.min() >= -TOL_CHECK * (1 + 1e-6)

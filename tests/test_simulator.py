@@ -23,6 +23,7 @@ from povmtree import (
     random_unitary,
     sample,
     simulator,
+    tetrad,
     validate,
 )
 from povmtree import linalg, tree as tree_module
@@ -36,6 +37,8 @@ class TestQuantumState:
         assert np.array_equal(QuantumState.basis(np.int64(3), np.int32(2)).density,
                               QuantumState.basis(3, 2).density)
         assert np.allclose(QuantumState.maximally_mixed(4).density, np.eye(4) / 4)
+        assert QuantumState.maximally_mixed(np.int64(1)).dim == 1
+        assert random_density(np.int64(3), np.random.default_rng(0), np.int32(3)).dim == 3
         plus = QuantumState.pure([1.0, 1.0])
         assert np.allclose(plus.density, np.full((2, 2), 0.5))
 
@@ -83,6 +86,20 @@ class TestQuantumState:
         for amplitudes in ([1e-200, 1e-200], [1e200, 1e200j], [5e-324, 0.0]):
             rho = QuantumState.pure(amplitudes).density
             assert np.array_equal(QuantumState(rho).density, rho)
+
+    @pytest.mark.parametrize("make, dim, rank", [
+        *[("maximally_mixed", dim, None) for dim in (0, -1, 2.0, True, np.int64(0))],
+        *[("random_density", dim, None) for dim in (0, -1, 2.0, True, np.int64(0))],
+        *[("random_density", 2, rank) for rank in (0, -1, 3, 1.0, True, np.int64(0))],
+    ])
+    def test_constructors_check_their_integers(self, make, dim, rank):
+        # as QuantumState.basis does: integers, not bool, with dim >= 1 and rank in 1..dim
+        with pytest.raises(ValidationError) as err:
+            if make == "maximally_mixed":
+                QuantumState.maximally_mixed(dim)
+            else:
+                random_density(dim, np.random.default_rng(0), rank)
+        assert err.value.what == "range"
 
     def test_random_density_valid(self, rng):
         for _ in range(10):
@@ -218,6 +235,25 @@ class TestPropagate:
         for o in outcomes:
             if o.post_state is not None:
                 assert o.post_state.dim == 3  # constructor validated the invariants
+
+    @pytest.mark.parametrize("kind", ["tetrad", "padded 13", "permuted", "Kraus freedom",
+                                      "rank-deficient 13", "2x4096", "32x64"])
+    def test_agrees_with_the_leaf_operators(self, kind):
+        # Probabilities are Tr[E rho] for the leaf effects E = m^dag m, placed
+        # by outcome; each reached post-state is m rho m^dag over its trace.
+        tree, state = TestLevelPassInOneStack.case(kind)
+        outcomes = propagate(tree, state)
+        effects = np.einsum("nij,ji->n", tree.cumulative_operators(tree.depth), state.density).real
+        expected = np.empty_like(effects)
+        expected[tree.order] = effects
+        assert np.max(np.abs(outcomes.probabilities - expected)) <= 1e-14
+        m = tree.cumulative_kraus(tree.depth)
+        leaves = m @ state.density @ linalg.adjoint(m)
+        assert outcomes.reached.any()
+        for leaf, j in enumerate(tree.order):
+            if outcomes.reached[j]:
+                sigma = leaves[leaf] / np.trace(leaves[leaf]).real
+                assert np.max(np.abs(outcomes[j].post_state.density - sigma)) <= 1e-12
 
     def test_dimension_mismatch(self, tetrad_povm):
         tree = compile_tree(tetrad_povm)
@@ -368,43 +404,40 @@ def walk_counts(tree, p_left, shots, seed):
 
 
 def two_array_pass(tree, state):
-    """The level pass with a fresh array per level, the reference for the depth-first walk.
+    """The leaf operators and ``p_left`` from whole levels, the reference for the depth-first walk.
 
-    Each level's children go to a new array while their parents' array is
-    still held, walking the blocks first to last, as the pass once did.
+    Each level's cumulative operators come from ``tree.cumulative_kraus``,
+    which holds a level's parents while it makes their children, and its
+    traces Tr[m rho m^dag] from the simulator's contraction.
     """
-    d = state.dim
-    sigma = state.density.astype(complex)[None]
     p_left = []
-    for pairs in tree.kraus:
-        children = np.empty((2 * len(pairs), d, d), dtype=complex)
-        ratio = np.empty(len(pairs))
-        for nodes in linalg.blocks(len(pairs), d):
-            c = children[2 * nodes.start : 2 * nodes.stop].reshape(-1, 2, d, d)
-            np.matmul(pairs[nodes] @ sigma[nodes, None], linalg.adjoint(pairs[nodes]), out=c)
-            q = np.maximum(np.trace(c, axis1=-2, axis2=-1).real, 0.0)
-            total = q.sum(axis=1)
-            ratio[nodes] = np.divide(q[:, 0], total, out=np.ones_like(total), where=total > 0)
+    for level in range(1, tree.depth + 1):
+        m = tree.cumulative_kraus(level)
+        traces = np.einsum("kij,kij->k", (m @ state.density).view(float), m.view(float))
+        q = np.maximum(traces, 0.0).reshape(-1, 2)
+        total = q.sum(axis=1)
+        ratio = np.divide(q[:, 0], total, out=np.ones_like(total), where=total > 0)
         p_left.append(np.minimum(ratio, 1.0))
-        sigma = children
-    return sigma, p_left
+    return tree.cumulative_kraus(tree.depth), p_left
 
 
 def walked(tree, state):
-    """The leaf states, left to right, and ``p_left`` of one depth-first walk of the tree."""
+    """The leaf operators, left to right, and ``p_left`` of one depth-first walk of the tree."""
     p_left = [np.full(len(pairs), np.nan) for pairs in tree.kraus]
     simulator._leaf_probabilities(tree, state, p_left)
-    leaves = np.full((1 << tree.depth, state.dim, state.dim), np.nan, dtype=complex)
-    for level, first, block in walk(tree, state):
+    d = tree.povm.dim
+    leaves = np.full((1 << tree.depth, d, d), np.nan, dtype=complex)
+    for level, first, block in walk(tree):
         if level == tree.depth:
             leaves[first : first + len(block)] = block
     return leaves, p_left
 
 
-def walk(tree, state):
-    """The depth-first walk of the conditioned states, as the simulator runs it."""
-    return tree_module._walk(tree.depth, state.dim, state.density,
-                             partial(simulator._conditioned, tree.kraus))
+def walk(tree):
+    """The depth-first walk of the cumulative operators, as the simulator and verify run it."""
+    d = tree.povm.dim
+    return tree_module._walk(tree.depth, d, np.eye(d, dtype=complex),
+                             partial(tree_module._descend, tree.kraus))
 
 
 class TestLevelPassInOneStack:
@@ -416,6 +449,10 @@ class TestLevelPassInOneStack:
         tree_options = {}
         if kind == "one outcome":
             elements = [np.eye(3)]
+        elif kind == "tetrad":
+            elements = tetrad().elements
+        elif kind == "rank-deficient 13":
+            elements = random_povm(13, 4, rng, [1] * 13).elements
         elif kind == "two outcomes, d = 1":
             elements = [np.array([[0.3]]), np.array([[0.7]])]
         elif kind in ("padded 3", "padded 13"):
@@ -473,7 +510,7 @@ class TestLevelPassInOneStack:
         per_block = self.budget(budget, state.dim, monkeypatch)
         seen = [np.zeros(1 << level, dtype=int) for level in range(tree.depth + 1)]
         held, leaves = [], []
-        for level, first, block in walk(tree, state):
+        for level, first, block in walk(tree):
             assert 1 <= len(block) <= max(2, per_block)
             assert level == 0 or seen[level - 1][first // 2 : (first + len(block) + 1) // 2].all()
             seen[level][first : first + len(block)] += 1
