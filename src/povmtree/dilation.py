@@ -34,6 +34,7 @@ from .linalg import (
     blocks,
     complete_to_unitary,
     complete_to_unitary_stack,
+    hermitian_from_parameters,
     isometry_residuals,
     rank_mask,
 )
@@ -154,7 +155,7 @@ def full_neumark(p: Povm) -> NeumarkExtension:
     """
     rows, owners = [], []
     for block in blocks(p.n_outcomes, p.dim):
-        w, v = np.linalg.eigh(p.elements[block])  # exactly Hermitian, by the Povm invariant
+        w, v = np.linalg.eigh(hermitian_from_parameters(p.params[block]))
         w, v = w[:, ::-1], v[:, :, ::-1]  # each element's pieces in descending order
         keep = rank_mask(w)
         element, piece = np.nonzero(keep)

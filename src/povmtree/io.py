@@ -12,9 +12,8 @@ element as its d^2 real Hermitian parameters in little-endian float64: the
 real diagonal, then the upper off-diagonal entries as (re, im) pairs in
 row-major order, then the raw little-endian complex128 Kraus pairs level by
 level (``tree.kraus``).  So ``8 N + 8 d^2 (5N - 4)`` bytes follow the header,
-all exact: the loader rebuilds each element's lower triangle with
-:func:`povmtree.linalg.hermitian_from_upper`, the function that made the
-element Hermitian in :func:`povmtree.povm.validate`.  It reads each array
+all exact.  The parameters are ``Povm.params`` as the POVM holds them, so
+they are written and read back as they are.  The loader reads each array
 straight into the buffer the tree keeps, checks the structure (the order as
 a permutation of 0..N-1), and runs :func:`povmtree.tree.verify` before it
 returns the tree.
@@ -30,8 +29,8 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ParseError, ValidationError, VerificationError
-from .linalg import ENTRY_BOUND, adjoint, blocks, frobenius, hermitian_from_upper
+from .errors import ParseError, VerificationError
+from .linalg import ENTRY_BOUND
 from .povm import Povm, default_labels, validate
 from .records import Rows
 from .simulator import QuantumState
@@ -124,9 +123,9 @@ def povm_record(data: dict) -> tuple[list[np.ndarray], Povm]:
                 field=f"elements[{j}]",
             )
     p = validate(elements, labels=data.get("labels"))
-    n_original = _n_original(data, p.elements) if "n_original" in data else p.n_outcomes
+    n_original = _n_original(data, p.params) if "n_original" in data else p.n_outcomes
     if n_original != p.n_outcomes:  # default labels stay "j" past n_original, as a tuple
-        p = Povm(dim=p.dim, elements=p.elements, labels=tuple(p.labels), n_original=n_original)
+        p = Povm(dim=p.dim, params=p.params, labels=tuple(p.labels), n_original=n_original)
     return elements, p
 
 
@@ -176,16 +175,16 @@ def _int_field(data: dict, key: str, low: int) -> int:
     return value
 
 
-def _n_original(data: dict, elements: np.ndarray) -> int:
+def _n_original(data: dict, params: np.ndarray) -> int:
     """The ``n_original`` field, once it fits the outcome count and every padding element is zero.
 
     Padding is written as exact zeros and both file formats store it exactly,
-    so it is compared exactly.
+    so its parameters are compared exactly.
     """
     n_original = _int_field(data, "n_original", 1)
-    if n_original > len(elements):
-        raise ParseError(f"exceeds the {len(elements)} outcomes", field="n_original")
-    if elements[n_original:].any():
+    if n_original > len(params):
+        raise ParseError(f"exceeds the {len(params)} outcomes", field="n_original")
+    if params[n_original:].any():
         raise ParseError("an element at or past it is not zero padding", field="n_original")
     return n_original
 
@@ -196,15 +195,15 @@ def _finite_float(value: Any, field: str) -> float:
     return float(value)
 
 
-def _povm(data: dict, elements: np.ndarray) -> Povm:
-    n, dim = elements.shape[:2]
+def _povm(data: dict, dim: int, params: np.ndarray) -> Povm:
+    n = len(params)
     labels = data.get("labels", ())
     if "labels" in data and not (isinstance(labels, list) and len(labels) == n
                                  and all(isinstance(x, str) for x in labels)):
         raise ParseError(f"must be a list of {n} strings", field="labels")
-    n_original = _n_original(data, elements)
+    n_original = _n_original(data, params)
     # the elements are checked against the Kraus pairs by verify()
-    return Povm(dim=dim, elements=elements, n_original=n_original,
+    return Povm(dim=dim, params=params, n_original=n_original,
                 labels=tuple(labels) if "labels" in data else default_labels(n, n_original))
 
 
@@ -233,49 +232,13 @@ def _verified(tree: MeasurementTree) -> MeasurementTree:
                             residual=residual, path=path)
 
 
-def _require_hermitian(elements: np.ndarray) -> None:
-    """Raise a :class:`ValidationError` for the first element that is not exactly Hermitian."""
-    for rows in blocks(len(elements), elements.shape[-1]):
-        block = elements[rows]
-        adj = adjoint(block)
-        bad = np.flatnonzero(~(block == adj).all(axis=(1, 2)))
-        if bad.size:
-            j = int(bad[0])
-            r = frobenius(block[j] - adj[j])
-            raise ValidationError(f"matrix is not Hermitian, |A - A^dag|_F = {r:.3e}",
-                                  what="hermiticity", residual=r, index=rows.start + j)
-
-
-def _hermitian_parameters(block: np.ndarray) -> np.ndarray:
-    """The d^2 real parameters of each Hermitian matrix of a block, one row each, in file order."""
-    k, d = block.shape[:2]
-    up_rows, up_cols = np.triu_indices(d, 1)
-    upper = block[:, up_rows, up_cols]
-    params = np.empty((k, d * d), dtype=_PARAMETER_DTYPE)
-    params[:, :d] = np.diagonal(block.real, axis1=1, axis2=2)
-    params[:, d::2] = upper.real
-    params[:, d + 1::2] = upper.imag
-    return params
-
-
 def save_tree(tree: MeasurementTree, path) -> None:
     """Write ``tree`` as ``tree-v7``: one JSON header line, then the arrays.
 
-    ``tree.order`` is written as int64, then ``tree.povm.elements`` block by
-    block (:func:`povmtree.linalg.blocks`) as its elements' real Hermitian
-    parameters; each level of ``tree.kraus`` is written as it is held,
-    without a copy.
-
-    Raises
-    ------
-    ValidationError
-        ``what="hermiticity"``, before anything is written, naming by
-        ``index`` the first element that is not exactly Hermitian, as a
-        :class:`povmtree.povm.Povm` built by hand may be; its lower
-        triangle would not survive the round trip.
+    ``tree.order`` is written as int64, then ``tree.povm.params`` and each
+    level of ``tree.kraus`` as they are held, without a copy.
     """
     p = tree.povm
-    _require_hermitian(p.elements)
     header = {
         "format": TREE_FORMAT,
         "dimension": p.dim,
@@ -287,10 +250,9 @@ def save_tree(tree: MeasurementTree, path) -> None:
     with open(path, "wb") as handle:
         handle.write(json.dumps(header).encode("utf-8") + b"\n")
         handle.write(np.ascontiguousarray(tree.order, dtype=_ORDER_DTYPE))
-        for rows in blocks(p.n_outcomes, p.dim):
-            handle.write(_hermitian_parameters(p.elements[rows]))
+        # each a no-op on a little-endian host
+        handle.write(np.ascontiguousarray(p.params, dtype=_PARAMETER_DTYPE))
         for a in tree.kraus:
-            # a no-op on a little-endian host
             handle.write(np.ascontiguousarray(a, dtype=_BLOB_DTYPE))
 
 
@@ -366,27 +328,11 @@ def _read_into(handle, a: np.ndarray, field: str) -> None:
                          f"within {ENTRY_BOUND:g} of zero", field=field)
 
 
-def _read_elements(handle, n: int, dim: int) -> np.ndarray:
-    """The POVM of a tree file as one read-only ``(n, dim, dim)`` array, filled block by block."""
-    elements = np.empty((n, dim, dim), dtype=complex)
-    diagonal, (up_rows, up_cols) = np.arange(dim), np.triu_indices(dim, 1)
-    for rows in blocks(n, dim):
-        params = np.empty((rows.stop - rows.start, dim * dim), dtype=_PARAMETER_DTYPE)
-        _read_into(handle, params, "elements")
-        block = elements[rows]
-        block.real[:, diagonal, diagonal] = params[:, :dim]
-        block.real[:, up_rows, up_cols] = params[:, dim::2]
-        block.imag[:, up_rows, up_cols] = params[:, dim + 1::2]
-        hermitian_from_upper(block)
-    elements.setflags(write=False)
-    return elements
-
-
-def _read_blob(handle, shape: tuple[int, ...], field: str) -> np.ndarray:
-    """The next Kraus array of a tree file, read into its own read-only buffer; entries bounded."""
-    a = np.empty(shape, dtype=_BLOB_DTYPE)
+def _read_blob(handle, field: str, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    """The next array of a tree file, read into its own read-only buffer; entries bounded."""
+    a = np.empty(shape, dtype=dtype)
     _read_into(handle, a, field)
-    a = a.astype(complex, copy=False)  # a no-op on a little-endian host
+    a = a.astype(dtype.newbyteorder("="), copy=False)  # a no-op on a little-endian host
     a.setflags(write=False)
     return a
 
@@ -396,10 +342,8 @@ def load_tree(path) -> MeasurementTree:
 
     Each blob is read into the array the tree keeps, so the file is never
     held twice, and only once every blob's byte count has been checked.
-    The elements' parameters are read one block at a time
-    (:func:`povmtree.linalg.blocks`) into the ``(N, d, d)`` array, whose
-    lower triangles :func:`povmtree.linalg.hermitian_from_upper` then
-    fills, so ``load_tree(save_tree(t))`` returns ``t``'s arrays bit for bit.
+    The elements' parameters are read straight into ``Povm.params``, so
+    ``load_tree(save_tree(t))`` returns ``t``'s arrays bit for bit.
 
     Raises
     ------
@@ -428,8 +372,7 @@ def load_tree(path) -> MeasurementTree:
         if handle.readinto(order) != order.nbytes or not is_permutation(order, 1 << depth):
             raise ParseError(f"must be a permutation of 0..{(1 << depth) - 1}", field="order")
         order = order.astype(np.intp, copy=False)  # a no-op on a 64-bit little-endian host
-        elements = _read_elements(handle, 1 << depth, dim)
-        kraus = [_read_blob(handle, (1 << level, 2, dim, dim), f"kraus[{level}]")
-                 for level in range(depth)]
+        params, *kraus = [_read_blob(handle, *blob) for blob in list(_blobs(dim, depth))[1:]]
     order.setflags(write=False)
-    return _verified(MeasurementTree(povm=_povm(header, elements), order=order, kraus=tuple(kraus)))
+    povm = _povm(header, dim, params)
+    return _verified(MeasurementTree(povm=povm, order=order, kraus=tuple(kraus)))

@@ -8,6 +8,9 @@ isometric column block to a full unitary.  The pseudoinverse, the square
 root and the completion work on stacks of matrices (one LAPACK call per
 stack: SVD, ``eigh`` and Householder QR), and their one-matrix forms are
 stacks of one.  Stages over a whole stack walk it in :func:`blocks`.
+:func:`hermitian_parameters` and :func:`hermitian_from_parameters` pack and
+unpack Hermitian matrices as d^2 real parameters each, the form in which a
+POVM holds and a tree file stores its elements.
 
 The thresholds are three module constants, used by every check and never
 stored with a tree or read from a file.  ``TOL_RANK`` (1e-10) is the rank
@@ -30,12 +33,14 @@ and sums.  Compilation takes each partial sum's root, pseudoinverse and
 kernel from its one ``eigh`` (:func:`psd_parts`); the SVD of
 :func:`svd_inverse` serves only the one-matrix API on arbitrary input.
 
-All functions but :func:`check_psd` and :func:`hermitian_from_upper` are pure;
-returned arrays are fresh and never alias inputs.
+All functions but :func:`check_psd` are pure; returned arrays are fresh and
+never alias inputs.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,12 +69,12 @@ def blocks(n: int, d: int):
     return (slice(i, min(i + step, n)) for i in range(0, n, step))
 
 
-def as_stack(matrices, shape=None, copy: bool = False, bounded: bool = False) -> np.ndarray:
+def as_stack(matrices, shape=None, bounded: bool = False) -> np.ndarray:
     """``matrices``, an ``(N, m, n)`` array or a sequence of matrices, as a complex array.
 
     Every matrix must have ``shape``, by default ``(d, d)`` with d the first
-    matrix's row count.  The array is fresh if ``copy`` is set, else only if
-    a conversion needs one.  Raises a :class:`ValidationError` for no
+    matrix's row count.  The array is fresh if a conversion needs one, as a
+    sequence always does.  Raises a :class:`ValidationError` for no
     matrices (``what="shape"``), or naming the first failing matrix by
     ``index``: one that is not a matrix of that shape (``"shape"``), or else
     one with an entry that is not finite (``"finiteness"``), or else, if
@@ -91,7 +96,7 @@ def as_stack(matrices, shape=None, copy: bool = False, bounded: bool = False) ->
         shape = (found[0], found[0]) if shape is None else tuple(shape)
         if found != shape:
             raise ValidationError(f"has shape {found}, expected {shape}", what="shape", index=j)
-    stack = (np.array if copy else np.asarray)(matrices, dtype=complex)
+    stack = np.asarray(matrices, dtype=complex)
     if not np.isfinite(stack).all():
         raise ValidationError("has an entry that is not finite", what="finiteness",
                               index=int(np.argmin(np.isfinite(stack).all(axis=(1, 2)))))
@@ -182,12 +187,13 @@ def _asymmetry(a: np.ndarray, a_dag: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(r * r, axis=(-2, -1)))
 
 
-def check_psd(stack: np.ndarray) -> np.ndarray:
+def check_psd(stack: np.ndarray, first: int = 0) -> np.ndarray:
     """Check each matrix of a square stack for Hermiticity and positivity; returns ``stack``.
 
     Writes each matrix's Hermitian part ``(M + M^dag)/2`` over it, block by
     block, so the caller passes a copy it owns.  Raises a
-    :class:`ValidationError` naming the first failing matrix by ``index``:
+    :class:`ValidationError` naming the first failing matrix by ``index``,
+    counted from ``first``:
     ``what="hermiticity"`` if ``|M - M^dag|_F`` exceeds ``TOL_CHECK``, else
     ``"positivity"`` (the eigenvalue as ``residual``) if its Hermitian part
     has an eigenvalue below ``-TOL_CHECK``.
@@ -202,7 +208,7 @@ def check_psd(stack: np.ndarray) -> np.ndarray:
         worst = np.maximum(residual, -min_eig)  # both bounds are TOL_CHECK
         if worst.max() > TOL_CHECK:
             j = int(np.argmax(worst > TOL_CHECK))
-            r, at = residual[j], rows.start + j
+            r, at = residual[j], first + rows.start + j
             if r > TOL_CHECK:
                 raise ValidationError(f"matrix is not Hermitian, |A - A^dag|_F = {r:.3e}",
                                       what="hermiticity", residual=r, index=at)
@@ -245,20 +251,53 @@ def adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def hermitian_from_upper(a: np.ndarray) -> np.ndarray:
-    """Make each matrix of a stack Hermitian from its upper triangle, in place; returns ``a``.
+@functools.cache
+def _layout(d: int):
+    """Read-only index arrays of the parameter layout of d x d matrices, as float views.
 
-    The diagonal's imaginary part becomes ``+0.0`` and each lower entry
-    ``(re, 0.0 - im)`` of its upper mirror, so a zero imaginary part is
-    ``+0.0`` below the diagonal whatever its sign above.  The result is a
-    function of the upper triangle and the real diagonal alone, which is
-    all a tree file stores of an element.
+    ``pick`` holds the float of a matrix behind each parameter.  ``take``
+    holds, for each float of a matrix, its place in a parameter row
+    followed by the row's upper imaginary parts negated, then a zero.
     """
-    for r in range(a.shape[-1]):
-        a.imag[..., r, r] = 0.0
-        upper, lower = a[..., r, r + 1:], a[..., r + 1:, r]
-        np.copyto(lower.real, upper.real)
-        np.subtract(0.0, upper.imag, out=lower.imag)
+    rows, cols = np.triu_indices(d, 1)
+    diagonal, upper, lower = np.arange(d) * (d + 1), rows * d + cols, cols * d + rows
+    pick = np.concatenate([2 * diagonal, np.stack([2 * upper, 2 * upper + 1], -1).ravel()])
+    take = np.full(2 * d * d, d * d + len(rows))  # the diagonal's imaginary parts: the zero
+    take[pick] = np.arange(d * d)
+    take[2 * lower], take[2 * lower + 1] = take[2 * upper], d * d + np.arange(len(rows))
+    for a in (pick, take):
+        a.setflags(write=False)
+    return pick, take
+
+
+def hermitian_parameters(a: np.ndarray) -> np.ndarray:
+    """The d^2 real parameters of each matrix of a ``(k, d, d)`` complex stack, one fresh row each.
+
+    The real diagonal, then each upper off-diagonal entry as a (re, im)
+    pair in row-major order: what a tree file stores of an element, and
+    how :class:`povmtree.povm.Povm` holds it.  The lower triangle and the
+    diagonal's imaginary part are not read.
+    """
+    k, d = a.shape[:2]
+    return a.view(float).reshape(k, 2 * d * d)[:, _layout(d)[0]]
+
+
+def hermitian_from_parameters(params: np.ndarray) -> np.ndarray:
+    """The Hermitian matrices of ``(k, d^2)`` parameter rows, as one fresh ``(k, d, d)`` array.
+
+    The inverse of :func:`hermitian_parameters`, one gather per call.  The
+    diagonal's imaginary part is ``+0.0`` and each lower entry
+    ``(re, 0.0 - im)`` of its upper mirror, so a zero imaginary part is
+    ``+0.0`` below the diagonal whatever its sign above.
+    """
+    k, n = params.shape
+    d = math.isqrt(n)
+    source = np.empty((k, n + (n - d) // 2 + 1))
+    source[:, :n] = params
+    np.subtract(0.0, params[:, d + 1 :: 2], out=source[:, n:-1])
+    source[:, -1] = 0.0
+    a = np.empty((k, d, d), dtype=complex)
+    np.take(source, _layout(d)[1], axis=1, out=a.view(float).reshape(k, 2 * n), mode="clip")
     return a
 
 
@@ -338,7 +377,7 @@ def psd_sqrt(a) -> np.ndarray:
     Raises a :class:`ValidationError` as :func:`as_stack`, then
     :func:`check_psd`, do for a stack of one square matrix.
     """
-    return psd_sqrt_stack(check_psd(as_stack([a], copy=True)))[0]
+    return psd_sqrt_stack(check_psd(as_stack([a])))[0]
 
 
 def isometry_residuals(x: np.ndarray) -> np.ndarray:

@@ -18,9 +18,11 @@ from .linalg import (
     TOL_CHECK,
     TOL_UNITARY,
     as_stack,
+    blocks,
     check_psd,
     frobenius,
-    hermitian_from_upper,
+    hermitian_from_parameters,
+    hermitian_parameters,
     isometry_residuals,
     psd_sqrt_stack,
 )
@@ -40,24 +42,32 @@ def default_labels(n: int, n_original: int) -> Rows:
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """Validated POVM: ``elements[j]`` is the operator for outcome ``labels[j]``.
+    """Validated POVM: ``params[j]`` fixes the operator for outcome ``labels[j]``.
 
-    ``elements`` is one read-only ``(N, d, d)`` complex array, each matrix
-    exactly Hermitian in the form :func:`validate` stores.  ``labels`` is the
-    caller's tuple or ``default_labels(N, n_original)``.  ``n_original``
-    counts the outcomes present before any padding; indices at or beyond it
-    belong to zero operators appended by :func:`pad_to_power_of_two` and are
-    never reachable in simulation.
+    ``params`` is one read-only ``(N, d^2)`` float64 array: each row holds
+    one Hermitian element's d^2 real parameters, the real diagonal and then
+    the upper off-diagonal entries as (re, im) pairs, in the tree file's
+    layout (:func:`povmtree.linalg.hermitian_parameters`), so a POVM cannot
+    hold an element that is not Hermitian.  ``labels`` is the caller's
+    tuple or ``default_labels(N, n_original)``.  ``n_original`` counts the
+    outcomes present before any padding; indices at or beyond it belong to
+    zero operators appended by :func:`pad_to_power_of_two` and are never
+    reachable in simulation.
     """
 
     dim: int
-    elements: np.ndarray
+    params: np.ndarray
     labels: tuple[str, ...] | Rows
     n_original: int
 
     @property
+    def elements(self) -> np.ndarray:
+        """The elements as a fresh read-only ``(N, d, d)`` array, built in O(N d^2) on each read."""
+        return _frozen(hermitian_from_parameters(self.params))
+
+    @property
     def n_outcomes(self) -> int:
-        return len(self.elements)
+        return len(self.params)
 
     def is_padding(self, index: int) -> bool:
         return index >= self.n_original
@@ -70,28 +80,30 @@ class Povm:
 def validate(elements, labels=None) -> Povm:
     """Check POVM invariants and return the validated :class:`Povm`.
 
-    ``elements`` is a sequence of d x d matrices or one ``(N, d, d)`` array;
-    the POVM holds its own read-only copy.  Raises the error for the first
+    ``elements`` is a sequence of d x d matrices or one ``(N, d, d)`` array,
+    read and never written.  Raises the error for the first
     violated condition, each a :class:`povmtree.errors.ValidationError`
     whose ``what`` names it: every element a finite square matrix of one
     shape with entries of modulus at most 2 (``"shape"``, ``"finiteness"``,
     ``"range"``; :func:`povmtree.linalg.as_stack`), per-element Hermiticity
     and positivity (``"hermiticity"``, ``"positivity"``;
-    :func:`povmtree.linalg.check_psd`, which names the first failing
-    element), and the sum-to-identity completeness relation
-    (``"completeness"``).
+    :func:`povmtree.linalg.check_psd`, run on a copy of each block, which
+    names the first failing element by its index among all N), and the
+    sum-to-identity completeness relation (``"completeness"``).
 
-    Every check reads the elements as given.  The POVM then holds each
-    element's Hermitian part ``(M + M^dag)/2``, made exactly Hermitian by
-    :func:`povmtree.linalg.hermitian_from_upper`, so validating its own
-    elements again returns the same bytes and a tree file, which stores
-    only the upper triangle, reproduces them bit for bit.  Code that takes a
-    :class:`Povm` relies on this and checks its elements no further.
+    Every check reads the elements as given.  The POVM then holds the
+    parameters of each element's Hermitian part ``(M + M^dag)/2``, block by
+    block, so validating its own elements again returns the same bytes and
+    a tree file, which stores exactly these parameters, reproduces them bit
+    for bit.  Code that takes a :class:`Povm` relies on this and checks its
+    elements no further.
     """
-    stack = as_stack(elements, copy=True, bounded=True)
+    stack = as_stack(elements, bounded=True)
     n, dim = stack.shape[:2]
-    total = stack.sum(axis=0)  # of the raw elements, before check_psd overwrites them
-    hermitian_from_upper(check_psd(stack))
+    total = stack.sum(axis=0)  # of the raw elements
+    params = np.empty((n, dim * dim))
+    for rows in blocks(n, dim):
+        params[rows] = hermitian_parameters(check_psd(stack[rows].copy(), rows.start))
     deficit = frobenius(total - np.eye(dim))
     if deficit > TOL_CHECK:
         raise ValidationError(f"POVM elements do not sum to identity, |sum - I|_F = {deficit:.3e}",
@@ -102,16 +114,19 @@ def validate(elements, labels=None) -> Povm:
         labels = tuple(str(x) for x in labels)
         if len(labels) != n:
             raise ValidationError(f"got {len(labels)} labels for {n} elements", what="shape")
-    return Povm(dim=dim, elements=_frozen(stack), labels=labels, n_original=n)
+    return Povm(dim=dim, params=_frozen(params), labels=labels, n_original=n)
 
 
 def default_kraus(p: Povm) -> np.ndarray:
     """Canonical Kraus operators ``m_j = sqrt(M_j)``, so ``m_j^dag m_j = M_j``.
 
-    Returns the Hermitian PSD roots (one stacked ``eigh``) as one read-only
-    ``(N, d, d)`` array.
+    Returns the Hermitian PSD roots (one stacked ``eigh`` per block, each
+    block of elements unpacked on its own) as one read-only ``(N, d, d)`` array.
     """
-    return _frozen(psd_sqrt_stack(p.elements))
+    roots = np.empty((p.n_outcomes, p.dim, p.dim), dtype=complex)
+    for rows in blocks(p.n_outcomes, p.dim):
+        roots[rows] = psd_sqrt_stack(hermitian_from_parameters(p.params[rows]))
+    return _frozen(roots)
 
 
 def apply_freedom(kraus: np.ndarray, unitaries) -> np.ndarray:
@@ -155,11 +170,10 @@ def pad_to_power_of_two(p: Povm) -> Povm:
     n = 1 << max(k - 1, 0).bit_length() if k > 1 else 1
     if n == k:
         return p
-    zeros = np.zeros((n - k, p.dim, p.dim), dtype=complex)
-    elements = _frozen(np.concatenate([p.elements, zeros]))
+    params = _frozen(np.concatenate([p.params, np.zeros((n - k, p.dim * p.dim))]))
     labels = (default_labels(n, p.n_original) if isinstance(p.labels, Rows)
               else p.labels + tuple(f"pad{j}" for j in range(k, n)))
-    return Povm(dim=p.dim, elements=elements, labels=labels, n_original=p.n_original)
+    return Povm(dim=p.dim, params=params, labels=labels, n_original=p.n_original)
 
 
 def random_rank_one_povm(n_outcomes: int, dim: int, rng: np.random.Generator) -> Povm:

@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import TOL_CHECK, adjoint, as_stack, check_psd
+from .linalg import TOL_CHECK, adjoint, as_stack, check_psd, hermitian_parameters
 from .povm import Povm
 from .records import Rows
 from .tree import MeasurementTree, _descend, _walk, _whole, node_path
@@ -105,12 +105,19 @@ def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) 
 
 
 def direct_probabilities(p: Povm, state: QuantumState) -> np.ndarray:
-    """Outcome probabilities Tr[M_j rho], clamped to [0, 1]."""
+    """Outcome probabilities Tr[M_j rho], clamped to [0, 1].
+
+    One real dot product ``p.params @ w``, with w the diagonal of rho and
+    then its upper off-diagonal entries doubled, as (re, im) pairs, of its
+    Hermitian part: no element is unpacked.
+    """
     if state.dim != p.dim:
         raise ValidationError(
             f"state dimension {state.dim} does not match POVM dimension {p.dim}", what="shape")
-    probs = np.einsum("nij,ji->n", p.elements, state.density).real
-    return np.clip(probs, 0.0, 1.0)
+    rho = state.density
+    w = hermitian_parameters((rho + adjoint(rho))[None])[0]  # twice rho's Hermitian part
+    w[: p.dim] /= 2  # the diagonal once
+    return np.clip(p.params @ w, 0.0, 1.0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -45,6 +45,7 @@ from .linalg import (
     adjoint,
     as_stack,
     blocks,
+    hermitian_from_parameters,
     is_dust,
     psd_parts,
     psd_sqrt_stack,
@@ -105,18 +106,21 @@ def _gram(m: np.ndarray) -> np.ndarray:
     return (g + adjoint(g)) / 2
 
 
-def _ordered_sums(elements: np.ndarray, order: np.ndarray, lo: int, hi: int, span: int):
-    """Sum of each run of ``span`` leaves in ``lo:hi``, paired as the tree pairs them.
+def _ordered_sums(params: np.ndarray, order: np.ndarray, lo: int, hi: int, span: int):
+    """Parameter rows of the sum of each run of ``span`` leaves in ``lo:hi``, in the tree's pairing.
 
-    Leaf i is ``elements[order[i]]``.  A range larger than a block is split
-    in two, so at most one block of elements is gathered at a time.
+    Leaf i is the element of parameters ``params[order[i]]`` (a
+    :class:`povmtree.povm.Povm`'s).  Adding parameter rows gives the bits
+    that adding the matrices would; the caller unpacks the sums once.  A
+    range larger than a block is split in two, so at most one block of
+    elements is gathered at a time.
     """
-    if span == 1 or next(blocks(hi - lo, elements.shape[-1])).stop == hi - lo:
-        s = elements[order[lo:hi]]
+    if span == 1 or next(blocks(hi - lo, math.isqrt(params.shape[1]))).stop == hi - lo:
+        s = params[order[lo:hi]]
         while span > 1:
             s, span = s[0::2] + s[1::2], span // 2
         return s
-    sums = partial(_ordered_sums, elements, order)
+    sums = partial(_ordered_sums, params, order)
     if hi - lo > span:  # several runs: each half of them on its own
         mid = lo + (hi - lo) // span // 2 * span
         return np.concatenate([sums(lo, mid, span), sums(mid, hi, span)])
@@ -345,8 +349,8 @@ def compile_tree(
             targets = np.zeros((hi - lo, d, d), dtype=complex)
             targets[real] = factorization[order[lo:hi][real]]
         else:  # children that are parents of the next level keep their decompositions
-            targets = psd_sqrt_stack(_ordered_sums(padded.elements, order, lo, hi, span),
-                                     None if children is None else (children["V"], children["w"]))
+            sums = hermitian_from_parameters(_ordered_sums(padded.params, order, lo, hi, span))
+            targets = psd_sqrt_stack(sums, None if children is None else (children["V"], children["w"]))
         levels[level][first : first + len(parents)] = _split_level(
             targets.reshape(-1, 2, d, d), *psd_parts(parents["V"], parents["w"]), leaves, level, first)
         return children
@@ -388,17 +392,18 @@ def verify(tree: MeasurementTree) -> VerificationReport:
     leaf_residual = np.empty(n)
     for level, first, m in _walk(tree.depth, d, np.eye(d, dtype=complex), partial(_descend, tree.kraus)):
         span = n >> level
+        sums = hermitian_from_parameters(_ordered_sums(p.params, tree.order, first * span,
+                                                       (first + len(m)) * span, span))
         for b in blocks(len(m), 2 * d):  # four d x d matrices a node
             lo, hi = first + b.start, first + b.stop
-            sums = _ordered_sums(p.elements, tree.order, lo * span, hi * span, span)
-            residual = np.linalg.norm(_gram(m[b]) - sums, axis=(-2, -1))
+            residual = np.linalg.norm(_gram(m[b]) - sums[b], axis=(-2, -1))
             if level == tree.depth:
                 leaf_residual[lo:hi] = residual
                 continue
             rows = slice((1 << level) - 1 + lo, (1 << level) - 1 + hi)
             nodes["completeness_residual"][rows] = completeness_residuals(tree.kraus[level][lo:hi])
             nodes["operator_sum_residual"][rows] = residual
-            nodes["parent_rank"][rows] = rank_mask(np.linalg.eigvalsh(sums)).sum(axis=-1)
+            nodes["parent_rank"][rows] = rank_mask(np.linalg.eigvalsh(sums[b])).sum(axis=-1)
     nodes["uses_null_correction"] = nodes["parent_rank"] < d
     nodes["ok"] = np.logical_and.reduce([passed for _, _, passed in node_checks(nodes)])
     leaves = {"residual": leaf_residual, "ok": leaf_residual <= TOL_CHECK}

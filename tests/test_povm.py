@@ -11,8 +11,24 @@ from povmtree import (
     tetrad,
     validate,
 )
+from povmtree import linalg
 
 from conftest import frob
+
+
+def hermitian_from_upper(a):
+    """Each matrix of a stack made Hermitian from its upper triangle, in place; returns ``a``.
+
+    A reference for the stored form of an element: the diagonal's imaginary
+    part becomes +0.0 and each lower entry ``(re, 0.0 - im)`` of its upper
+    mirror, row by row.
+    """
+    for r in range(a.shape[-1]):
+        a.imag[..., r, r] = 0.0
+        upper, lower = a[..., r, r + 1:], a[..., r + 1:, r]
+        np.copyto(lower.real, upper.real)
+        np.subtract(0.0, upper.imag, out=lower.imag)
+    return a
 
 
 class TestValidate:
@@ -144,6 +160,36 @@ class TestValidate:
     def test_elements_are_frozen(self, tetrad_povm):
         with pytest.raises(ValueError):
             tetrad_povm.elements[0][0, 0] = 5.0
+
+    @pytest.mark.parametrize("what", ["hermiticity", "positivity"])
+    def test_error_names_the_index_among_all_elements(self, what):
+        # at d = 32 a block holds 4 elements, so element 37 lies in block 9
+        d, n = 32, 64
+        assert next(linalg.blocks(n, d)).stop == 4
+        elements = np.array(random_rank_one_povm(n, d, np.random.default_rng([d, n])).elements)
+        if what == "hermiticity":
+            elements[37, 0, 1] += 1e-6
+        else:  # a rank-one element has eigenvalues 0, now -1e-6
+            elements[37] -= 1e-6 * np.eye(d)
+        with pytest.raises(ValidationError) as err:
+            validate(elements)
+        assert err.value.what == what
+        assert err.value.index == 37
+
+    @pytest.mark.parametrize("kind", ["complex", "real, imaginary parts +-0.0"])
+    def test_elements_are_the_hermitian_part_rebuilt_from_its_upper_triangle(self, kind):
+        rng = np.random.default_rng(11)
+        x = np.array(random_povm(6, 3, rng).elements)
+        if kind == "complex":
+            noise = 1e-12 * (rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape))
+            x += noise - noise.conj().swapaxes(-1, -2)
+        else:  # the real part of a POVM is a POVM
+            x.imag = np.copysign(0.0, rng.standard_normal(x.shape))
+        hermitian = (x + x.conj().swapaxes(-1, -2)) / 2
+        negative_zero = np.signbit(hermitian.imag) & (hermitian.imag == 0)
+        assert negative_zero.any() == (kind != "complex")
+        expected = hermitian_from_upper(hermitian.copy())
+        assert validate(x).elements.tobytes() == expected.tobytes()
 
     def test_elements_are_one_copied_stack(self):
         mats = [np.eye(2) / 2, np.eye(2) / 2]

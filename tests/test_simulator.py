@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import math
 import sys
+import tracemalloc
 import weakref
 from functools import partial
 
@@ -138,6 +140,35 @@ class TestDirectProbabilities:
         loop = np.array([np.einsum("ij,ji->", m, state.density).real for m in p.elements])
         probs = direct_probabilities(p, state)
         assert np.max(np.abs(probs - np.clip(loop, 0.0, 1.0))) <= 1e-15
+
+    @pytest.mark.parametrize("d, n", [(2, 4), (3, 13), (2, 4096), (32, 64)],
+                             ids=["tetrad", "padded-3-13", "2-4096", "32-64"])
+    def test_matches_the_element_traces(self, d, n):
+        rng = np.random.default_rng([d, n])
+        if n == 4:
+            p = tetrad()
+        elif n == 13:
+            p = pad_to_power_of_two(random_povm(n, d, rng))
+        else:
+            p = random_rank_one_povm(n, d, rng)
+        state = random_density(d, rng)
+        expected = np.einsum("nij,ji->n", p.elements, state.density).real
+        assert np.max(np.abs(direct_probabilities(p, state) - expected)) <= 1e-15
+
+    def test_unpacks_no_element(self):
+        # the 0.5 MB of parameters at (32, 64) are read as they are held: a
+        # call that unpacked the 1 MB of elements would exceed this
+        d, n = 32, 64
+        rng = np.random.default_rng([d, n])
+        p, state = random_rank_one_povm(n, d, rng), random_density(d, rng)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            direct_probabilities(p, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestPropagate:

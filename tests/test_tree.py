@@ -382,7 +382,8 @@ class TestFromPartialSums:
         corrected = verify(tree).node_columns["uses_null_correction"]
 
         def sums(span):
-            return tree_module._ordered_sums(tree.povm.elements, tree.order, 0, n, span)
+            return linalg.hermitian_from_parameters(
+                tree_module._ordered_sums(tree.povm.params, tree.order, 0, n, span))
 
         for level, pairs in enumerate(tree.kraus):
             k = len(pairs)
@@ -651,6 +652,28 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert kept <= self.arrays_of(tree) + 64 * 1024
+
+    @pytest.mark.parametrize("source", ["compiled", "loaded"])
+    def test_tree_keeps_its_elements_as_parameters(self, source, tmp_path):
+        # d^2 float64 parameters per element, 8 N d^2 bytes, besides the
+        # 32 d^2 (N - 1) bytes of Kraus pairs and the 8 N of the order: the
+        # (N, d, d) complex elements took 8 N d^2 bytes more
+        d, n = 32, 64
+        elements = np.array(random_rank_one_povm(n, d, np.random.default_rng([d, n])).elements)
+        path = tmp_path / "large.tree"
+        treeio.save_tree(compile_tree(validate(elements)), path)
+        make = {"compiled": lambda: compile_tree(validate(elements)),
+                "loaded": lambda: treeio.load_tree(path)}[source]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            tree = make()
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert tree.povm.params.nbytes == 8 * n * d * d
+        assert kept <= 8 * n * d * d + 32 * d * d * (n - 1) + 8 * n + 64 * 1024
 
     def test_verify_peak(self):
         # verify walks the tree depth first, one block of cumulative
