@@ -1,10 +1,12 @@
 """Seeded Monte Carlo sampling of a compiled measurement tree.
 
 The shots that reach a node split between its two probe outcomes as one
-binomial draw at the node's conditional probability, level by level from the
-root, so the counts follow the sequential measurement as it would run in
-hardware, at a cost that does not depend on the number of shots.  Sampling
-is deterministic: the same tree, state, shots and seed give the same report.
+binomial draw at the node's conditional probability (the leaf probabilities
+below its outcome 0 over those below it), level by level from the root.  So
+the counts are one multinomial draw at the exact probabilities, as the
+sequential measurement would give in hardware, at a cost that does not
+depend on the number of shots.  Sampling is deterministic: the same tree,
+state, shots and seed give the same report.
 """
 
 import numpy as np

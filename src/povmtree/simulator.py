@@ -5,9 +5,9 @@ A leaf is reached with probability Tr[m rho m^dag], m = b...b the product of
 the Kraus operators on its path.  :func:`propagate` walks those cumulative
 operators depth first, as :func:`povmtree.tree.verify` does
 (:func:`povmtree.tree._walk`): the state enters only at the traces, and a
-post-state is built from its leaf's path when read.  :func:`sample` reads
-the branch probabilities from the same walk and splits the shots down the
-tree, one binomial draw per node.
+post-state is built from its leaf's path when read.  :func:`sample` sums
+those leaf probabilities pairwise up the tree for each node's branch
+probabilities and splits the shots down it, one binomial draw per node.
 """
 
 from __future__ import annotations
@@ -137,7 +137,11 @@ class SimulationOutcome:
 
     @property
     def post_state(self) -> QuantumState | None:
-        """``m rho m^dag`` for the product m of the path's operators, symmetrised, over its own trace."""
+        """``m rho m^dag`` for the product m of the path's operators, symmetrised, over its own trace.
+
+        Checked, as a tiny trace magnifies rounding: an eigenvalue below
+        ``-TOL_CHECK`` raises ``ValidationError(what="positivity", path=path)``.
+        """
         if self.probability < TOL_CHECK:
             return None
         tree, state = self._source
@@ -145,35 +149,25 @@ class SimulationOutcome:
         for level, bit in enumerate(self.path):
             m = tree.kraus[level][int(self.path[:level] or "0", 2), int(bit)] @ m
         sigma = m @ state.density @ adjoint(m)
-        sigma = sigma + adjoint(sigma)
-        return QuantumState._checked_elsewhere(sigma / sigma.trace().real)
+        sigma = sigma + adjoint(sigma)  # exactly Hermitian
+        rho = sigma / sigma.trace().real
+        if (low := np.linalg.eigvalsh(rho)[0]) < -TOL_CHECK:
+            raise ValidationError(f"post-state has negative eigenvalue {low:.3e}", what="positivity",
+                                  residual=low, path=self.path)
+        return QuantumState._checked_elsewhere(rho)
 
 
-def _leaf_probabilities(tree: MeasurementTree, state: QuantumState, p_left=None) -> np.ndarray:
-    """Leaf probabilities Tr[m rho m^dag], left to right, in [0, 1], on the walk of ``verify``.
-
-    Given one array per level, ``p_left`` gets the probability of probe
-    outcome 0 at each node given that the node is reached (1.0 where its
-    probability is zero).
-    """
+def _leaf_probabilities(tree: MeasurementTree, state: QuantumState) -> np.ndarray:
+    """Leaf probabilities Tr[m rho m^dag], left to right, in [0, 1], on the walk of ``verify``."""
     if state.dim != tree.povm.dim:
         raise ValidationError(f"state dimension {state.dim} does not match tree dimension {tree.povm.dim}",
                               what="shape")
-    probs, d = np.empty(1 << tree.depth), state.dim
-    for level, first, m in _walk(tree.depth, d, np.eye(d, dtype=complex), partial(_descend, tree.kraus)):
-        split = level and p_left is not None
-        if not split and level < tree.depth:
-            continue
-        # the trace of m rho m^dag is the real dot product of m rho with m
-        traces = np.einsum("kij,kij->k", (m @ state.density).view(float), m.view(float))
-        if split:
-            q = np.maximum(traces, 0.0).reshape(-1, 2)
-            total = q.sum(axis=1)
-            ratio = np.divide(q[:, 0], total, out=np.ones_like(total), where=total > 0)
-            p_left[level - 1][first // 2 : first // 2 + len(q)] = np.minimum(ratio, 1.0)
-        if level == tree.depth:
-            probs[first : first + len(traces)] = np.clip(traces, 0.0, 1.0)
-    return probs
+    d = state.dim
+    walk = _walk(tree.depth, d, np.eye(d, dtype=complex), partial(_descend, tree.kraus))
+    # leaves come left to right; the trace of m rho m^dag is the real dot product of m rho with m
+    traces = [np.einsum("kij,kij->k", (m @ state.density).view(float), m.view(float))
+              for level, _, m in walk if level == tree.depth]
+    return np.clip(np.concatenate(traces), 0.0, 1.0)
 
 
 def _outcome(tree, state, position, probabilities, j: int) -> SimulationOutcome:
@@ -237,15 +231,15 @@ class SampleReport:
 def sample(tree: MeasurementTree, state: QuantumState, shots: int, seed: int) -> SampleReport:
     """Sample leaf outcomes by splitting the shots down the tree, one probe measurement at a time.
 
-    The shots that reach a node go to probe outcome 0 as one binomial draw at
-    the node's conditional probability, the rest to outcome 1, one array of
-    draws per level from ``numpy.random.default_rng(seed)``.  The counts are
-    distributed as shots that each walk from the root, at a cost independent
-    of ``shots``, an integer (not a ``bool``) in 1..2**63 - 1 (else
+    ``expected`` is the leaf probabilities of :func:`propagate`'s walk.  The
+    shots that reach a node go to probe outcome 0 as one binomial draw at the
+    sum of ``expected`` below that outcome over the sum below the node (1.0
+    where that is zero), the rest to outcome 1, one array of draws per level
+    from ``numpy.random.default_rng(seed)``.  So the counts are one
+    multinomial draw at ``expected``, at a cost independent of ``shots``, an
+    integer (not a ``bool``) in 1..2**63 - 1 (else
     ``ValidationError(what="range")``).  Equal ``(tree, state, shots, seed)``
-    give an identical report.  The conditional probabilities, one array per
-    level, and ``expected``, the leaf probabilities, come from the walk of
-    :func:`propagate`; only then are the shots split, level by level.
+    give an identical report.
     """
     try:
         shots = operator.index(shots) if not isinstance(shots, bool) else 0
@@ -253,11 +247,15 @@ def sample(tree: MeasurementTree, state: QuantumState, shots: int, seed: int) ->
         shots = 0
     if not 1 <= shots < 1 << 63:
         raise ValidationError("shots must be an integer in 1..2**63 - 1", what="range")
-    p_left = [np.empty(len(pairs)) for pairs in tree.kraus]
-    probs = _leaf_probabilities(tree, state, p_left)
+    probs = _leaf_probabilities(tree, state)
+    p_left, reach = [], probs
+    for _ in range(tree.depth):  # bottom up: a node is reached as often as its two children
+        q = reach.reshape(-1, 2)
+        reach = q.sum(axis=1)
+        p_left.append(np.divide(q[:, 0], reach, out=np.ones_like(reach), where=reach > 0))
     rng = np.random.default_rng(seed)
     arrived = np.array([shots], dtype=np.int64)
-    for p in p_left:  # node i of a level sends its shots to nodes 2i and 2i + 1 of the next
+    for p in reversed(p_left):  # node i of a level sends its shots to nodes 2i and 2i + 1 of the next
         left = rng.binomial(arrived, p)
         arrived = np.stack([left, arrived - left], axis=1).ravel()
     n = tree.povm.n_outcomes

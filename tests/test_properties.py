@@ -192,7 +192,8 @@ def test_leaf_states_keep_the_state_floor(source, d, n, dust, seed):
     # A leaf state m rho m^dag is a congruence by a contraction (m^dag m <= I
     # for complete pairs), so a state whose lowest eigenvalue is as far
     # below zero as QuantumState allows gives leaves no further below it:
-    # the reason a post-state is not checked.
+    # the unnormalised leaf state needs no check (its post-state, divided by
+    # a possibly tiny trace, is checked when read).
     if source == "dusty":
         elements, rng = dusty_povm_elements(seed)
         try:

@@ -265,7 +265,21 @@ class TestPropagate:
         outcomes = propagate(tree, random_density(3, rng))
         for o in outcomes:
             if o.post_state is not None:
-                assert o.post_state.dim == 3  # constructor validated the invariants
+                assert o.post_state.dim == 3
+                QuantumState(o.post_state.density)  # a post-state that is returned is a state
+
+    def test_post_state_of_a_barely_reached_leaf_is_checked(self):
+        # Outcome 1 is reached, at probability 1.1e-9, and its m rho m^dag
+        # over that trace has eigenvalue -0.818: the division magnifies the
+        # state's -0.9e-9, so reading it raises, naming the leaf.
+        tree = compile_tree(validate([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])]))
+        outcomes = propagate(tree, QuantumState(np.diag([1 - 1.1e-9, 2e-9, -0.9e-9])))
+        assert outcomes.reached.all()
+        with pytest.raises(ValidationError, match="node '1'") as err:
+            outcomes[1].post_state
+        assert (err.value.what, err.value.path) == ("positivity", outcomes[1].path)
+        assert err.value.residual == pytest.approx(-0.818, abs=1e-3)
+        QuantumState(outcomes[0].post_state.density)
 
     @pytest.mark.parametrize("kind", ["tetrad", "padded 13", "permuted", "Kraus freedom",
                                       "rank-deficient 13", "2x4096", "32x64"])
@@ -434,34 +448,62 @@ def walk_counts(tree, p_left, shots, seed):
     return counts
 
 
+def branch_probabilities(probs):
+    """Each level's probabilities of probe outcome 0, top down, from leaf probabilities in leaf order.
+
+    A node's probability is the sum of its two children's, so each level
+    comes from the one below by pairwise sums; a node of probability zero
+    gets 1.0.  This is the definition :func:`sample` splits the shots by.
+    """
+    p_left, reach = [], np.asarray(probs)
+    while len(reach) > 1:
+        q = reach.reshape(-1, 2)
+        reach = q.sum(axis=1)
+        p_left.append(np.divide(q[:, 0], reach, out=np.ones_like(reach), where=reach > 0))
+    return p_left[::-1]
+
+
+def split_counts(tree, p_left, shots, seed):
+    """Counts by outcome from splitting the shots down the tree at ``p_left``, as :func:`sample` does."""
+    rng = np.random.default_rng(seed)
+    arrived = np.array([shots], dtype=np.int64)
+    for p in p_left:
+        left = rng.binomial(arrived, p)
+        arrived = np.stack([left, arrived - left], axis=1).ravel()
+    counts = np.empty_like(arrived)
+    counts[tree.order] = arrived
+    return tuple(counts.tolist())
+
+
 def two_array_pass(tree, state):
-    """The leaf operators and ``p_left`` from whole levels, the reference for the depth-first walk.
+    """Leaf operators, leaf probabilities and trace ratios from whole levels, the walk's reference.
 
     Each level's cumulative operators come from ``tree.cumulative_kraus``,
     which holds a level's parents while it makes their children, and its
-    traces Tr[m rho m^dag] from the simulator's contraction.
+    traces Tr[m rho m^dag] from the simulator's contraction.  The
+    probability of probe outcome 0 at a node is its left child's trace over
+    the sum of its children's.
     """
+    def traces(m):
+        return np.einsum("kij,kij->k", (m @ state.density).view(float), m.view(float))
+
     p_left = []
     for level in range(1, tree.depth + 1):
-        m = tree.cumulative_kraus(level)
-        traces = np.einsum("kij,kij->k", (m @ state.density).view(float), m.view(float))
-        q = np.maximum(traces, 0.0).reshape(-1, 2)
+        q = np.maximum(traces(tree.cumulative_kraus(level)), 0.0).reshape(-1, 2)
         total = q.sum(axis=1)
-        ratio = np.divide(q[:, 0], total, out=np.ones_like(total), where=total > 0)
-        p_left.append(np.minimum(ratio, 1.0))
-    return tree.cumulative_kraus(tree.depth), p_left
+        p_left.append(np.divide(q[:, 0], total, out=np.ones_like(total), where=total > 0))
+    leaves = tree.cumulative_kraus(tree.depth)
+    return leaves, np.clip(traces(leaves), 0.0, 1.0), p_left
 
 
 def walked(tree, state):
-    """The leaf operators, left to right, and ``p_left`` of one depth-first walk of the tree."""
-    p_left = [np.full(len(pairs), np.nan) for pairs in tree.kraus]
-    simulator._leaf_probabilities(tree, state, p_left)
+    """The leaf operators and the leaf probabilities, left to right, of depth-first walks of the tree."""
     d = tree.povm.dim
     leaves = np.full((1 << tree.depth, d, d), np.nan, dtype=complex)
     for level, first, block in walk(tree):
         if level == tree.depth:
             leaves[first : first + len(block)] = block
-    return leaves, p_left
+    return leaves, simulator._leaf_probabilities(tree, state)
 
 
 def walk(tree):
@@ -522,13 +564,16 @@ class TestLevelPassInOneStack:
         tree, state = self.case(kind)
         d = state.dim
         self.budget(budget, d, monkeypatch)
-        leaves, p_left = walked(tree, state)
-        reference, reference_p_left = two_array_pass(tree, state)
+        leaves, probs = walked(tree, state)
+        reference, reference_probs, reference_p_left = two_array_pass(tree, state)
         assert leaves.shape == (1 << tree.depth, d, d)
         assert np.array_equal(leaves, reference)
+        assert np.array_equal(probs, reference_probs)
+        # summed from the leaves, not traced at the node: equal to rounding
+        p_left = branch_probabilities(probs)
         assert len(p_left) == len(reference_p_left) == tree.depth
         for p, q in zip(p_left, reference_p_left):
-            assert np.array_equal(p, q)
+            assert np.max(np.abs(p - q)) <= 1e-12
 
     @pytest.mark.parametrize("budget", ["default", "one matrix", "three matrices"])
     @pytest.mark.parametrize("kind", ["one outcome", "padded 13", "32x64", "2x4096"])
@@ -580,15 +625,25 @@ class TestSampleBias:
     Z = 3.09  # a one-sided level of 1e-3 at each point
 
     @pytest.mark.parametrize("kind, d, n", [("rank-one", 2, 256), ("mixed", 3, 13),
-                                            ("rank-one", 4, 64), ("mixed", 16, 32)])
+                                            ("rank-one", 4, 64), ("mixed", 16, 32),
+                                            ("tetrad", 2, 4), ("padded 13", 3, 13),
+                                            ("permuted", 2, 12), ("Kraus freedom", 3, 6),
+                                            ("rank-one", 2, 4096)])
     def test_split_counts_match_the_walk(self, kind, d, n):
-        tree, state = _pinned_case((kind, d, n))
-        p_left = walked(tree, state)[1]
+        # sample splits the shots at branch probabilities summed pairwise
+        # from its own expected probabilities, in the tree's order
+        if kind in ("rank-one", "mixed"):
+            tree, state = _pinned_case((kind, d, n))
+        else:
+            tree, state = TestLevelPassInOneStack.case(kind)
+        assert state.dim == d
+        p_left = branch_probabilities(np.array(sample(tree, state, 1, 0).expected)[tree.order])
         walk = np.zeros(tree.povm.n_outcomes, dtype=np.int64)
         split = np.zeros_like(walk)
         for seed in range(self.SEEDS):
             walk += walk_counts(tree, p_left, self.SHOTS, seed)
             report = sample(tree, state, self.SHOTS, seed)
+            assert report.counts == split_counts(tree, p_left, self.SHOTS, seed)
             split += report.counts
         expected = self.SEEDS * self.SHOTS * np.array(report.expected)
         stat, df = two_sample_chi2(walk, split, expected)
