@@ -146,41 +146,6 @@ class EigenDecomposition:
         return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
 
 
-def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude component is real positive."""
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        i = int(np.argmax(np.abs(col)))
-        pivot = col[i]
-        if abs(pivot) > 0:
-            out[:, j] = col * (pivot.conjugate() / abs(pivot))
-    return out
-
-
-def _order_ties(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Within runs of exactly equal eigenvalues, order eigenvectors lexicographically.
-
-    Comparison is by the first differing coordinate, real part before
-    imaginary part.  Near-degenerate (but unequal) values keep eigensolver
-    order.
-    """
-    i = 0
-    n = values.size
-    while i < n:
-        j = i
-        while j < n and values[j] == values[i]:
-            j += 1
-        if j - i > 1:
-            cols = sorted(
-                range(i, j),
-                key=lambda c: tuple((vectors[r, c].real, vectors[r, c].imag) for r in range(vectors.shape[0])),
-            )
-            vectors[:, i:j] = vectors[:, cols]
-        i = j
-    return values, vectors
-
-
 def _asymmetry(a: np.ndarray, a_dag: np.ndarray) -> np.ndarray:
     """The Hermiticity residual ``|A - A^dag|_F`` of each matrix of a stack, given its adjoint."""
     r = (a - a_dag).view(float)
@@ -223,7 +188,8 @@ def hermitian_eig(a) -> EigenDecomposition:
 
     Eigenvalues come out descending.  Each eigenvector's largest-magnitude
     component is made real positive; exact eigenvalue ties are broken by
-    lexicographic order of the phase-fixed eigenvectors.
+    lexicographic order of the phase-fixed eigenvectors (row by row, real part
+    before imaginary); unequal near-ties keep the eigensolver's order.
 
     Raises
     ------
@@ -238,9 +204,12 @@ def hermitian_eig(a) -> EigenDecomposition:
                               what="hermiticity", residual=residual)
     w, v = np.linalg.eigh((m[0] + m[0].conj().T) / 2)
     order = np.argsort(-w, kind="stable")
-    w = w[order]
-    v = _fix_phases(v[:, order])
-    w, v = _order_ties(w, v)
+    w, v = w[order], v[:, order]
+    pivot = v[np.argmax(np.abs(v), axis=0), range(len(w))]  # nonzero: the columns are unit vectors
+    v *= pivot.conj() / np.abs(pivot)
+    # by run of exactly equal eigenvalues, then row 0's real part, its imaginary part, row 1's, ...
+    run = np.cumsum(np.r_[True, w[1:] != w[:-1]])
+    v = v[:, np.lexsort([*np.stack([v.real, v.imag], 1).reshape(-1, len(w))[::-1], run])]
     w.setflags(write=False)
     v.setflags(write=False)
     return EigenDecomposition(eigenvalues=w, eigenvectors=v)
@@ -404,13 +373,17 @@ def _unitarity_residuals(u: np.ndarray, k: int) -> np.ndarray:
     return np.sqrt(squares)
 
 
-def _raise_first(residuals: np.ndarray, limit: float, what: str, text: str) -> None:
-    """Raise a :class:`VerificationError` naming by ``index`` the first residual above ``limit``."""
+def _raise_first(residuals: np.ndarray, what: str, text: str, limit: float, path=None) -> None:
+    """Raise a :class:`VerificationError` for the first residual above ``limit``, if any.
+
+    Its message is ``text`` formatted with the residual; it names the residual's
+    position i by ``index``, or by ``path(i)`` if ``path`` is given.
+    """
     bad = np.flatnonzero(residuals > limit)
     if bad.size:
-        r = residuals[bad[0]]
-        raise VerificationError(f"{text} (residual {r:.3e})", what=what, residual=r,
-                                index=int(bad[0]))
+        i = int(bad[0])
+        raise VerificationError(text.format(residuals[i]), what=what, residual=residuals[i],
+                                **({"index": i} if path is None else {"path": path(i)}))
 
 
 def complete_to_unitary_stack(blocks, limit: float = TOL_UNITARY) -> np.ndarray:
@@ -441,11 +414,12 @@ def complete_to_unitary_stack(blocks, limit: float = TOL_UNITARY) -> np.ndarray:
     n, k = b.shape[1:]
     if k > n:
         raise VerificationError(f"block has more columns ({k}) than rows ({n})", what="shape")
-    _raise_first(isometry_residuals(b), limit, "completeness", "columns are not orthonormal")
+    _raise_first(isometry_residuals(b), "completeness",
+                 "columns are not orthonormal (residual {:.3e})", limit)
     u = np.linalg.qr(b, mode="complete")[0]
     u[..., :k] = b
-    _raise_first(_unitarity_residuals(u, k), TOL_UNITARY, "dilation unitarity",
-                 "completion is not unitary")
+    _raise_first(_unitarity_residuals(u, k), "dilation unitarity",
+                 "completion is not unitary (residual {:.3e})", TOL_UNITARY)
     return u
 
 

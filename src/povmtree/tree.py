@@ -24,10 +24,10 @@ Child cumulative operators are the products b_c @ m_x (see
 m_child = b_child @ m_parent holds by construction at every edge.  A
 pair's probe coupling (:meth:`MeasurementTree.dilation`) exists exactly
 when the pair is complete, so :func:`verify` checks completeness and the
-coupling is checked where it is built.  Compilation, verification and the
-simulator walk the tree depth first (:func:`_walk`), holding at most half
-a block of 64 KiB of nodes per level, with one stacked LAPACK call per block;
-checks raise in walk order, node order wherever a level fits half a block.
+coupling is checked where it is built.  Compilation, verification, cumulative
+operators and the simulator share one traversal, depth first (:func:`_walk`):
+at most half a 64 KiB block of nodes per level, one stacked LAPACK call per
+block; checks raise in walk order, node order wherever a level fits half a block.
 """
 
 from __future__ import annotations
@@ -39,9 +39,10 @@ from functools import partial
 import numpy as np
 
 from .dilation import completeness_residuals, dilate_binary
-from .errors import ValidationError, VerificationError
+from .errors import ValidationError
 from .linalg import (
     TOL_CHECK,
+    _raise_first,
     adjoint,
     as_stack,
     blocks,
@@ -111,7 +112,7 @@ def _ordered_sums(params: np.ndarray, order: np.ndarray, lo: int, hi: int, span:
 
     Leaf i is the element of parameters ``params[order[i]]`` (a
     :class:`povmtree.povm.Povm`'s).  Adding parameter rows gives the bits
-    that adding the matrices would; the caller unpacks the sums once.  A
+    that adding the matrices would; the caller unpacks them.  A
     range larger than a block is split in two, so at most one block of
     elements is gathered at a time.
     """
@@ -152,10 +153,9 @@ class MeasurementTree:
         """Cumulative Kraus operators of the ``2**level`` nodes of a level, shape ``(2**level, d, d)``."""
         if not 0 <= level <= self.depth:
             raise IndexError(f"level {level} not in 0..{self.depth}")
-        m = np.eye(self.povm.dim, dtype=complex)[None]
-        for above in range(level):
-            m = _descend(self.kraus, above, 0, m)
-        return m
+        d = self.povm.dim
+        walk = _walk(level, d, np.eye(d, dtype=complex), partial(_descend, self.kraus))
+        return np.concatenate([m for at, _, m in walk if at == level])
 
     def cumulative_operators(self, level: int) -> np.ndarray:
         """Cumulative operators ``m^dag m`` of a level's nodes; at the leaves, the POVM elements."""
@@ -168,17 +168,6 @@ class MeasurementTree:
         return dilate_binary(self.kraus[len(path)][int(path or "0", 2)])
 
 
-def _raise_first(residuals: np.ndarray, what: str, text: str, limit: float, level: int | None,
-                 first: int):
-    """Raise a :class:`VerificationError` for the first node whose residual exceeds ``limit``."""
-    bad = np.flatnonzero(residuals > limit)
-    if bad.size:
-        i = int(bad[0])
-        raise VerificationError(f"{text}, residual {residuals[i]:.3e}", what=what,
-                                residual=residuals[i],
-                                path=None if level is None else node_path(level, first + i))
-
-
 def _split_level(targets: np.ndarray, parents: np.ndarray, pinv: np.ndarray, kernel: np.ndarray,
                  polar: bool, level: int | None = None, first: int = 0) -> np.ndarray:
     """Kraus pairs ``(k, 2, d, d)`` taking each parent of a stack to its two targets.
@@ -187,11 +176,12 @@ def _split_level(targets: np.ndarray, parents: np.ndarray, pinv: np.ndarray, ker
     ``kernel`` map g (with ``polar`` set, ``a_c * V_c @ g``).  Errors name
     node ``first + i`` of ``level`` by its path (none when ``level`` is None).
     """
-    raise_first = partial(_raise_first, limit=TOL_CHECK, level=level, first=first)
+    raise_first = partial(_raise_first, limit=TOL_CHECK,
+                          path=lambda i: None if level is None else node_path(level, first + i))
     # m_0^dag m_0 + m_1^dag m_1 is the Gram matrix of the column block [m_0; m_1]
     pre = np.linalg.norm(_gram(targets.reshape(len(targets), -1, targets.shape[-1])) - _gram(parents),
                          axis=(-2, -1))
-    raise_first(pre, "children sum", "child operators do not sum to the parent operator")
+    raise_first(pre, "children sum", "child operators do not sum to the parent operator, residual {:.3e}")
 
     pairs = targets @ pinv[:, None]
     deficient = np.flatnonzero(kernel.any(axis=(-2, -1)))
@@ -200,12 +190,13 @@ def _split_level(targets: np.ndarray, parents: np.ndarray, pinv: np.ndarray, ker
         if polar:
             g = np.matmul(*np.linalg.svd(targets[deficient])[::2]) @ g  # u @ vh, without holding u, vh
         pairs[deficient] += _A * g
-    raise_first(completeness_residuals(pairs), "completeness", "completeness post-check failed")
+    raise_first(completeness_residuals(pairs), "completeness",
+                "completeness post-check failed, residual {:.3e}")
     fact = pairs @ parents[:, None] - targets
     fact = np.sqrt(np.einsum("...ij,...ij->...", fact.view(float), fact.view(float)))  # |.|_F
     # per node, b0's residual if it fails, else b1's
     worst = np.where(fact[:, 0] > TOL_CHECK, fact[:, 0], fact[:, 1])
-    raise_first(worst, "factorization", "factorization post-check failed")
+    raise_first(worst, "factorization", "factorization post-check failed, residual {:.3e}")
     return pairs
 
 
@@ -392,18 +383,17 @@ def verify(tree: MeasurementTree) -> VerificationReport:
     leaf_residual = np.empty(n)
     for level, first, m in _walk(tree.depth, d, np.eye(d, dtype=complex), partial(_descend, tree.kraus)):
         span = n >> level
-        sums = hermitian_from_parameters(_ordered_sums(p.params, tree.order, first * span,
-                                                       (first + len(m)) * span, span))
+        sums = _ordered_sums(p.params, tree.order, first * span, (first + len(m)) * span, span)
         for b in blocks(len(m), 2 * d):  # four d x d matrices a node
-            lo, hi = first + b.start, first + b.stop
-            residual = np.linalg.norm(_gram(m[b]) - sums[b], axis=(-2, -1))
+            lo, hi, s = first + b.start, first + b.stop, hermitian_from_parameters(sums[b])
+            residual = np.linalg.norm(_gram(m[b]) - s, axis=(-2, -1))
             if level == tree.depth:
                 leaf_residual[lo:hi] = residual
                 continue
             rows = slice((1 << level) - 1 + lo, (1 << level) - 1 + hi)
             nodes["completeness_residual"][rows] = completeness_residuals(tree.kraus[level][lo:hi])
             nodes["operator_sum_residual"][rows] = residual
-            nodes["parent_rank"][rows] = rank_mask(np.linalg.eigvalsh(sums[b])).sum(axis=-1)
+            nodes["parent_rank"][rows] = rank_mask(np.linalg.eigvalsh(s)).sum(axis=-1)
     nodes["uses_null_correction"] = nodes["parent_rank"] < d
     nodes["ok"] = np.logical_and.reduce([passed for _, _, passed in node_checks(nodes)])
     leaves = {"residual": leaf_residual, "ok": leaf_residual <= TOL_CHECK}

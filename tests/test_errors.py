@@ -147,3 +147,40 @@ def test_caller_input_errors_are_typed(case):
     with pytest.raises(ValidationError) as err:
         call()
     assert err.value.what == what
+
+
+def _rank_deficient_leaf_split():
+    # the leaf targets below node '0' sum to its operator diag(1, 1e-8) within
+    # TOL_CHECK, but the parent's singular value 1e-4 amplifies the 5e-10 gap
+    # into a completeness residual of 0.05
+    sqrt = np.sqrt
+    factorization = [np.diag([sqrt(0.5), sqrt(1e-8 / 2 + 5e-10)]), np.diag([sqrt(0.5), 1e-4 / sqrt(2)]),
+                     np.diag([0.0, sqrt((1 - 1e-8) / 2)]), np.diag([0.0, sqrt((1 - 1e-8) / 2)])]
+    elements = [m.conj().T @ m for m in factorization]
+    elements[1] = np.diag([0.5, 1e-8 / 2 - 5e-10])
+    return povmtree.compile_tree(povmtree.validate(elements), factorization=factorization)
+
+
+# Checks of a construction that fail, each raised for the first residual above
+# its limit: the ``what``, the field naming the failure (``index`` in a stack,
+# ``path`` in a tree), the message and the residual.
+FAILED_CHECKS = {
+    "complete_to_unitary_stack completeness": (
+        lambda: complete_to_unitary_stack(np.stack([np.eye(2)[:, :1], 2 * np.eye(2)[:, :1]])),
+        "completeness", {"index": 1}, "element 1: columns are not orthonormal (residual 3.000e+00)",
+        3.0),
+    "compile_tree completeness post-check": (
+        _rank_deficient_leaf_split, "completeness", {"path": "0"},
+        "node '0': completeness post-check failed, residual 5.000e-02", 0.05),
+}
+
+
+@pytest.mark.parametrize("case", FAILED_CHECKS)
+def test_failed_checks_name_the_first_failure(case):
+    call, what, where, message, residual = FAILED_CHECKS[case]
+    with pytest.raises(VerificationError) as err:
+        call()
+    named = {"index": err.value.index, "path": err.value.path}
+    assert (err.value.what, str(err.value)) == (what, message)
+    assert named == {"index": None, "path": None, **where}
+    assert err.value.residual == pytest.approx(residual, rel=1e-12)

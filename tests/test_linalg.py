@@ -59,6 +59,64 @@ class TestHermitianEig:
                 pivot = col[int(np.argmax(np.abs(col)))]
                 assert pivot.real > 0 and abs(pivot.imag) < 1e-12
 
+    @pytest.mark.parametrize("a", [
+        (lambda u: (u * [1.0, 1.0, 2.0]) @ u.conj().T)(random_unitary(3, np.random.default_rng(0))),
+        np.diag([0.5, 2.0, 0.5, 2.0, 2.0]),
+    ], ids=["unitary-conjugated", "permuted-diagonal"])
+    def test_exact_ties(self, a):
+        eig = hermitian_eig(a)
+        w, v = eig.eigenvalues, eig.eigenvectors
+        assert (np.diff(w) <= 0).all()
+        pivots = v[np.argmax(np.abs(v), axis=0), range(len(w))]
+        assert (pivots.real > 0).all() and (np.abs(pivots.imag) < 1e-12).all()
+        # tied columns in lexicographic order: row by row, real part before imaginary
+        keys = [tuple(np.stack([col.real, col.imag], 1).ravel()) for col in v.T]
+        assert all(keys[j - 1] <= keys[j] for j in range(1, len(w)) if w[j] == w[j - 1])
+        assert frob(eig.reconstruct() - a) <= 1e-12
+
+    def test_matches_a_loop_per_column(self, rng):
+        # the phases and tie order as one Python loop per column and per run of
+        # exact ties; a broadcast multiply rounds differently from a per-column
+        # one, so eigenvectors agree to a few ulps, eigenvalues exactly
+        def reference(a):
+            a = np.asarray(a, dtype=complex)
+            w, v = np.linalg.eigh((a + a.conj().T) / 2)
+            order = np.argsort(-w, kind="stable")
+            w, v = w[order], v[:, order]
+            for j in range(len(w)):
+                pivot = v[np.argmax(np.abs(v[:, j])), j]
+                v[:, j] *= pivot.conjugate() / abs(pivot)
+            i = 0
+            while i < len(w):
+                j = i
+                while j < len(w) and w[j] == w[i]:
+                    j += 1
+                v[:, i:j] = v[:, sorted(range(i, j), key=lambda c: [(x.real, x.imag) for x in v[:, c]])]
+                i = j
+            return w, v
+
+        inputs = [random_hermitian(int(rng.integers(2, 9)), rng) for _ in range(50)]
+        inputs += [np.diag(rng.integers(0, 3, int(rng.integers(2, 9))).astype(float)) for _ in range(50)]
+        for _ in range(50):  # A (+) A (+) ..., permuted: exactly repeated eigenvalues
+            big = np.kron(np.eye(int(rng.integers(2, 4))), random_hermitian(int(rng.integers(1, 4)), rng))
+            p = rng.permutation(len(big))
+            inputs.append(big[p][:, p])
+        ties = 0
+        for a in inputs:
+            w, v = reference(a)
+            eig = hermitian_eig(a)
+            assert np.array_equal(eig.eigenvalues, w)
+            assert np.abs(eig.eigenvectors - v).max() <= 4 * np.finfo(float).eps
+            ties += bool((w[1:] == w[:-1]).any())
+        assert ties >= 50
+
+    def test_permuted_diagonal_order(self):
+        # the 2s sit at rows 1, 3, 4 and the halves at rows 0, 2; within a tie a
+        # column whose 1 sits lower comes first
+        eig = hermitian_eig(np.diag([0.5, 2.0, 0.5, 2.0, 2.0]))
+        assert np.array_equal(eig.eigenvalues, [2.0, 2.0, 2.0, 0.5, 0.5])
+        assert np.array_equal(eig.eigenvectors, np.eye(5)[:, [4, 3, 1, 2, 0]])
+
     def test_not_hermitian(self):
         with pytest.raises(ValidationError) as err:
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
