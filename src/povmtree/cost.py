@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ParseError
+from .tree import _whole
 
 
 @dataclass(frozen=True)
@@ -36,10 +37,10 @@ class CostReport:
 
 
 def compare(n: int, d: int, average: bool = False) -> CostReport:
-    """Evaluate the three cost formulas for N outcomes on a d-level system."""
+    """Evaluate the three cost formulas for N outcomes on a d-level system, both integers."""
+    if not (_whole(n) and _whole(d) and 2 <= d <= n):
+        raise ParseError(f"need integers N >= d >= 2, got N={n!r}, d={d!r}", what="dimensions")
     n, d = int(n), int(d)
-    if n < 2 or d < 2 or n < d:
-        raise ParseError(f"need N >= d >= 2, got N={n}, d={d}", what="dimensions")
     depth = (n - 1).bit_length()  # ceil(log2 n), exact for every n
     single = (n - d) * (d + 1) * d // 2
     return CostReport(
@@ -62,8 +63,9 @@ def crossover(d: int, n_max: int = 1 << 20) -> int | None:
     d + 1 <= N <= d^2, and on each band (2**(k-1), 2**k] of depth k,
     binary >= single-extra is ``(N - d)(d + 1) <= 2k(2d - 1)``.
     """
-    if d < 2:
-        raise ParseError(f"need d >= 2, got d={d}", what="dimensions")
+    if not (_whole(d) and d >= 2):
+        raise ParseError(f"need an integer d >= 2, got d={d!r}", what="dimensions")
+    d = int(d)
     lo = max(d, 2)
     last = min(d * d, n_max) if d + 1 <= n_max else lo - 1  # the last N at which it fails
     for k in range((lo - 1).bit_length(), (n_max - 1).bit_length() + 1):

@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
 from typing import Any
 
 import numpy as np
@@ -48,10 +47,6 @@ _ORDER_DTYPE = np.dtype("<i8")
 # million outcomes (the header holds no other list), and a bound on what a
 # file that is not a tree file makes the loader read.
 _HEADER_LIMIT = 16 << 20
-
-# The format field that leads a JSON document written by json.dump, indented
-# or not, as tree-v1 and tree-v2 files were.
-_FORMAT_PREFIX = re.compile(rb'\{\s*"format"\s*:\s*"([^"\\]*)"')
 
 
 def encode_matrix(m: np.ndarray) -> list:
@@ -249,30 +244,21 @@ def save_tree(tree: MeasurementTree, path) -> None:
     }
     with open(path, "wb") as handle:
         handle.write(json.dumps(header).encode("utf-8") + b"\n")
-        handle.write(np.ascontiguousarray(tree.order, dtype=_ORDER_DTYPE))
-        # each a no-op on a little-endian host
-        handle.write(np.ascontiguousarray(p.params, dtype=_PARAMETER_DTYPE))
-        for a in tree.kraus:
-            handle.write(np.ascontiguousarray(a, dtype=_BLOB_DTYPE))
+        for (_, _, dtype), a in zip(_blobs(p.dim, tree.depth), (tree.order, p.params, *tree.kraus)):
+            handle.write(np.ascontiguousarray(a, dtype=dtype))  # a no-op on a little-endian host
 
 
 def _read_header(handle) -> tuple[dict, int, int]:
     """The checked JSON header on the first line of a tree file, its dimension and depth."""
     line = handle.readline(_HEADER_LIMIT + 1)
+    if len(line) > _HEADER_LIMIT:
+        raise ParseError(f"header line exceeds {_HEADER_LIMIT} bytes", field="header")
     try:
-        header = json.loads(line) if len(line) <= _HEADER_LIMIT else None
+        header = json.loads(line)
     except ValueError:  # not JSON, or not UTF-8
         header = None
     if not isinstance(header, dict):
-        # the earlier formats were one JSON document: name theirs if it leads the file
-        handle.seek(0)
-        old = _FORMAT_PREFIX.match(handle.read(4096))
-        if old and old.group(1) != TREE_FORMAT.encode():
-            header = {"format": old.group(1).decode("utf-8", "replace")}
-        elif len(line) > _HEADER_LIMIT:
-            raise ParseError(f"header line exceeds {_HEADER_LIMIT} bytes", field="header")
-        else:
-            raise ParseError("the first line is not a JSON object", field="header")
+        raise ParseError("the first line is not a JSON object", field="header")
     fmt = header.get("format")
     if fmt != TREE_FORMAT:
         raise ParseError(f"unsupported tree format {fmt!r}, expected {TREE_FORMAT!r}",
@@ -299,13 +285,16 @@ def _blobs(dim: int, depth: int):
         yield f"kraus[{level}]", (1 << level, 2, dim, dim), _BLOB_DTYPE
 
 
-def _check_blob_bytes(available: int, dim: int, depth: int) -> None:
-    """Raise :class:`ParseError` unless exactly the arrays' bytes follow the header.
+def _read_arrays(handle, dim: int, depth: int) -> list[np.ndarray]:
+    """The arrays that follow the header, each read into its own read-only buffer.
 
-    Runs before any array is allocated, so a header that claims more data
-    than the file holds costs nothing.
+    Every byte count is checked before any array is allocated, so a header
+    that claims more data than the file holds costs nothing.  Each real and
+    imaginary part of a float or complex array must lie within ``ENTRY_BOUND``.
     """
-    for field, shape, dtype in _blobs(dim, depth):
+    blobs = list(_blobs(dim, depth))
+    available = os.fstat(handle.fileno()).st_size - handle.tell()
+    for field, shape, dtype in blobs:
         need = math.prod(shape) * dtype.itemsize
         if available < need:
             raise ParseError(f"blob holds {available} bytes, expected {need} for shape {shape}",
@@ -313,28 +302,22 @@ def _check_blob_bytes(available: int, dim: int, depth: int) -> None:
         available -= need
     if available:
         raise ParseError(f"the file has {available} bytes after the last blob")
-
-
-def _read_into(handle, a: np.ndarray, field: str) -> None:
-    """Fill ``a`` from the file; each real and imaginary part within ``ENTRY_BOUND``."""
-    got = handle.readinto(a)
-    if got != a.nbytes:  # the file shrank after its size was checked
-        raise ParseError(f"blob holds {got} bytes, expected {a.nbytes} for shape {a.shape}",
-                         field=field)
-    parts = a.view(_PARAMETER_DTYPE)  # real and imaginary parts side by side
-    # no arithmetic, so nothing overflows; a nan fails both comparisons
-    if not (-ENTRY_BOUND <= parts.min() and parts.max() <= ENTRY_BOUND):
-        raise ParseError(f"array has an entry whose real or imaginary part is not finite and "
-                         f"within {ENTRY_BOUND:g} of zero", field=field)
-
-
-def _read_blob(handle, field: str, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
-    """The next array of a tree file, read into its own read-only buffer; entries bounded."""
-    a = np.empty(shape, dtype=dtype)
-    _read_into(handle, a, field)
-    a = a.astype(dtype.newbyteorder("="), copy=False)  # a no-op on a little-endian host
-    a.setflags(write=False)
-    return a
+    arrays = []
+    for field, shape, dtype in blobs:
+        a = np.empty(shape, dtype=dtype)
+        got = handle.readinto(a)
+        if got != a.nbytes:  # the file shrank after its size was checked
+            raise ParseError(f"blob holds {got} bytes, expected {a.nbytes} for shape {shape}",
+                             field=field)
+        parts = a.view(_PARAMETER_DTYPE)  # real and imaginary parts side by side
+        # no arithmetic, so nothing overflows; a nan fails both comparisons
+        if dtype.kind in "fc" and not (-ENTRY_BOUND <= parts.min() and parts.max() <= ENTRY_BOUND):
+            raise ParseError(f"array has an entry whose real or imaginary part is not finite and "
+                             f"within {ENTRY_BOUND:g} of zero", field=field)
+        a = a.astype(dtype.newbyteorder("="), copy=False)  # a no-op on a little-endian host
+        a.setflags(write=False)
+        arrays.append(a)
+    return arrays
 
 
 def load_tree(path) -> MeasurementTree:
@@ -349,15 +332,15 @@ def load_tree(path) -> MeasurementTree:
     ------
     ParseError
         In the order checked: a header line longer than ``_HEADER_LIMIT``
-        bytes or not one JSON object; a format other than ``tree-v7`` (a
-        ``tree-v6``, ``tree-v5``, ``tree-v4`` or ``tree-v3`` file too:
+        bytes or not one JSON object (an indented JSON file too); a format
+        other than ``tree-v7`` (a one-line file of an older format names it:
         recompile it from its POVM file); ``n_outcomes`` other than
         ``2**depth``; a header line without its newline; a blob shorter
-        than its shape needs, or bytes after the last blob; ``order`` not a
-        permutation of the outcomes; an array entry whose real or imaginary
-        part is not finite or exceeds 2 in magnitude; ``labels``, when
-        present, not one string per outcome; or ``n_original`` marking a
-        nonzero element as padding.
+        than its shape needs, or bytes after the last blob; an array entry
+        whose real or imaginary part is not finite or exceeds 2 in
+        magnitude; ``order`` not a permutation of the outcomes; ``labels``,
+        when present, not one string per outcome; or ``n_original`` marking
+        a nonzero element as padding.
     VerificationError
         If the rebuilt tree fails :func:`povmtree.tree.verify`: ``path``
         names the first failing node, breadth first with the leaves last,
@@ -367,12 +350,8 @@ def load_tree(path) -> MeasurementTree:
     """
     with open(path, "rb") as handle:
         header, dim, depth = _read_header(handle)
-        _check_blob_bytes(os.fstat(handle.fileno()).st_size - handle.tell(), dim, depth)
-        order = np.empty(1 << depth, dtype=_ORDER_DTYPE)
-        if handle.readinto(order) != order.nbytes or not is_permutation(order, 1 << depth):
-            raise ParseError(f"must be a permutation of 0..{(1 << depth) - 1}", field="order")
-        order = order.astype(np.intp, copy=False)  # a no-op on a 64-bit little-endian host
-        params, *kraus = [_read_blob(handle, *blob) for blob in list(_blobs(dim, depth))[1:]]
-    order.setflags(write=False)
+        order, params, *kraus = _read_arrays(handle, dim, depth)
+    if not is_permutation(order, 1 << depth):
+        raise ParseError(f"must be a permutation of 0..{(1 << depth) - 1}", field="order")
     povm = _povm(header, dim, params)
     return _verified(MeasurementTree(povm=povm, order=order, kraus=tuple(kraus)))

@@ -1,16 +1,18 @@
 """Dense complex linear-algebra kernel.
 
-Everything downstream (POVM validation, tree construction, dilation) sits on
-the four operations in this module: Hermitian eigendecomposition with a
-deterministic ordering convention, Moore-Penrose pseudoinverse with an
-explicit rank policy, spectral PSD square root, and completion of an
-isometric column block to a full unitary.  The pseudoinverse, the square
-root and the completion work on stacks of matrices (one LAPACK call per
-stack: SVD, ``eigh`` and Householder QR), and their one-matrix forms are
-stacks of one.  Stages over a whole stack walk it in :func:`blocks`.
+The pipeline (POVM validation, tree construction, dilation, simulation)
+runs on three parts of this module: the spectral PSD roots of a stack, from
+one ``eigh`` per block (:func:`psd_sqrt_stack`, with :func:`psd_parts` for a
+root's pseudoinverse and kernel projector), the completion of a stack of
+isometric column blocks to unitaries by one Householder QR
+(:func:`complete_to_unitary_stack`), and the parameter layout:
 :func:`hermitian_parameters` and :func:`hermitian_from_parameters` pack and
 unpack Hermitian matrices as d^2 real parameters each, the form in which a
-POVM holds and a tree file stores its elements.
+POVM holds and a tree file stores its elements.  Stages over a whole stack
+walk it in :func:`blocks`.  The one-matrix forms :func:`psd_sqrt`,
+:func:`pseudo_inverse`, :func:`complete_to_unitary` and
+:func:`hermitian_eig` (eigenvalues descending, with a deterministic
+eigenvector convention) serve callers with arbitrary input.
 
 The thresholds are three module constants, used by every check and never
 stored with a tree or read from a file.  ``TOL_RANK`` (1e-10) is the rank

@@ -12,7 +12,6 @@ probabilities and splits the shots down it, one binomial draw per node.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -236,17 +235,15 @@ def sample(tree: MeasurementTree, state: QuantumState, shots: int, seed: int) ->
     sum of ``expected`` below that outcome over the sum below the node (1.0
     where that is zero), the rest to outcome 1, one array of draws per level
     from ``numpy.random.default_rng(seed)``.  So the counts are one
-    multinomial draw at ``expected``, at a cost independent of ``shots``, an
-    integer (not a ``bool``) in 1..2**63 - 1 (else
-    ``ValidationError(what="range")``).  Equal ``(tree, state, shots, seed)``
-    give an identical report.
+    multinomial draw at ``expected``, at a cost independent of ``shots``.
+    ``shots`` is a Python or NumPy integer (not a ``bool``) in 1..2**63 - 1
+    and ``seed`` one >= 0 (else ``ValidationError(what="range")``).  Equal
+    ``(tree, state, shots, seed)`` give an identical report.
     """
-    try:
-        shots = operator.index(shots) if not isinstance(shots, bool) else 0
-    except TypeError:
-        shots = 0
-    if not 1 <= shots < 1 << 63:
-        raise ValidationError("shots must be an integer in 1..2**63 - 1", what="range")
+    shots, seed = (int(x) if _whole(x) else -1 for x in (shots, seed))
+    if not (1 <= shots < 1 << 63 and seed >= 0):
+        raise ValidationError("shots must be an integer in 1..2**63 - 1 and seed an integer >= 0",
+                              what="range")
     probs = _leaf_probabilities(tree, state)
     p_left, reach = [], probs
     for _ in range(tree.depth):  # bottom up: a node is reached as often as its two children

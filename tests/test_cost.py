@@ -63,7 +63,8 @@ class TestCompare:
         report = compare(16, 2, average=True)
         assert report.single_extra_dim_ops_average == pytest.approx(21.0)
 
-    @pytest.mark.parametrize("n,d", [(1, 2), (4, 1), (3, 4)])
+    @pytest.mark.parametrize("n,d", [(1, 2), (4, 1), (3, 4), (3.7, 2), (4, 2.0), ("5", 2),
+                                     (True, 2), (4, True)])
     def test_invalid_dimensions(self, n, d):
         with pytest.raises(ParseError) as err:
             compare(n, d)
@@ -137,6 +138,7 @@ class TestCrossover:
         assert crossover(d, n_max=n_max) == fails[-1] + 1
 
     def test_invalid_dimension(self):
-        with pytest.raises(ParseError) as err:
-            crossover(1)
-        assert err.value.what == "dimensions"
+        for d in (1, 2.0, "3", True):
+            with pytest.raises(ParseError) as err:
+                crossover(d)
+            assert err.value.what == "dimensions"

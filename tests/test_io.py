@@ -300,15 +300,18 @@ class TestTamperedTreeFiles:
             load_tree(path)
         assert err.value.field == "labels"
 
-    @pytest.mark.parametrize("cut", [3, 8])
-    def test_truncated_blob(self, parts, tmp_path, cut):
-        # kraus[1] is the last blob; cut 3 leaves a partial value, cut 8 half of one
+    @pytest.mark.parametrize("cut, field", [(3, "kraus[1]"), (8, "kraus[1]"), (259, "kraus[0]"),
+                                            (387, "elements"), (515, "order")],
+                             ids=["3", "8", "259", "387", "515"])
+    def test_truncated_blob(self, parts, tmp_path, cut, field):
+        # the tetrad's blobs are order 32, elements 128, kraus[0] 128 and kraus[1]
+        # 256 bytes; cut 3 leaves a partial value, cut 8 half of one
         path = tmp_path / "cut.tree"
         write_tree_file(path, *parts)
         path.write_bytes(path.read_bytes()[:-cut])
         with pytest.raises(ParseError) as err:
             load_tree(path)
-        assert err.value.field == "kraus[1]"
+        assert err.value.field == field
 
     def test_n_original_marks_only_zero_padding(self, parts, tmp_path):
         # n_original 2 would flag outcomes 2 and 3, both nonzero, as padding
@@ -399,9 +402,10 @@ class TestTamperedTreeFiles:
         assert err.value.field == "format"
         assert f"povmtree/{version}" in str(err.value)
 
-    @pytest.mark.parametrize("indent", [None, 1])
-    def test_v2_file_is_not_read(self, parts, tmp_path, indent):
-        # tree-v2 was one JSON document with base64 blobs
+    @pytest.mark.parametrize("indent, field", [(None, "format"), (1, "header")], ids=["None", "1"])
+    def test_v2_file_is_not_read(self, parts, tmp_path, indent, field):
+        # tree-v2 was one JSON document with base64 blobs: on one line its
+        # format is named, indented its first line is not a JSON object
         header, order, arrays = parts
         v2 = dict(header, format="povmtree/tree-v2",
                   elements=base64.b64encode(arrays[0].tobytes()).decode("ascii"),
@@ -410,7 +414,7 @@ class TestTamperedTreeFiles:
         path.write_text(json.dumps(v2, indent=indent))
         with pytest.raises(ParseError) as err:
             load_tree(path)
-        assert err.value.field == "format"
+        assert err.value.field == field
 
     def test_header_cannot_loosen_verification(self, tmp_path):
         # tree-v5 loaded this file and verify passed it, judged at the tolerances

@@ -396,6 +396,21 @@ class TestSample:
         assert report == sample(tree, state, 10, seed=1)
         assert type(report.shots) is int
 
+    @pytest.mark.parametrize("seed", [None, -1, 1.5, "a", True, False], ids=repr)
+    def test_seed_must_be_an_integer(self, tetrad_povm, seed):
+        # None once drew fresh entropy, so two equal calls gave different reports
+        tree = compile_tree(tetrad_povm)
+        with pytest.raises(ValidationError) as err:
+            sample(tree, QuantumState.maximally_mixed(2), 10, seed=seed)
+        assert err.value.what == "range"
+
+    def test_seed_may_be_a_numpy_integer(self, tetrad_povm):
+        tree = compile_tree(tetrad_povm)
+        state = QuantumState.maximally_mixed(2)
+        report = sample(tree, state, 10, seed=np.uint64(1 << 63))
+        assert report == sample(tree, state, 10, seed=1 << 63)
+        assert type(report.seed) is int
+
     @pytest.mark.parametrize("shots", [10**12, (1 << 63) - 1])
     def test_huge_shot_counts(self, shots):
         # the split costs one draw per node, whatever the number of shots
