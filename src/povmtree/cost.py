@@ -61,11 +61,13 @@ def crossover(d: int, n_max: int = 1 << 20) -> int | None:
     if the chain fails at ``n_max``.  Solved in integers, without a scan:
     single-extra >= one-shot is ``(N - d - 1)(N - d^2) <= 0``, that is
     d + 1 <= N <= d^2, and on each band (2**(k-1), 2**k] of depth k,
-    binary >= single-extra is ``(N - d)(d + 1) <= 2k(2d - 1)``.
+    binary >= single-extra is ``(N - d)(d + 1) <= 2k(2d - 1)``.  ``d`` and
+    ``n_max`` are Python or NumPy integers, not ``bool``.
     """
-    if not (_whole(d) and d >= 2):
-        raise ParseError(f"need an integer d >= 2, got d={d!r}", what="dimensions")
-    d = int(d)
+    if not (_whole(d) and d >= 2 and _whole(n_max) and n_max >= 1):
+        raise ParseError(f"need integers d >= 2 and n_max >= 1, got d={d!r}, n_max={n_max!r}",
+                         what="dimensions")
+    d, n_max = int(d), int(n_max)
     lo = max(d, 2)
     last = min(d * d, n_max) if d + 1 <= n_max else lo - 1  # the last N at which it fails
     for k in range((lo - 1).bit_length(), (n_max - 1).bit_length() + 1):

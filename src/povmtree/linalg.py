@@ -78,7 +78,8 @@ def as_stack(matrices, shape=None, bounded: bool = False) -> np.ndarray:
     matrix's row count.  The array is fresh if a conversion needs one, as a
     sequence always does.  Raises a :class:`ValidationError` for no
     matrices (``what="shape"``), or naming the first failing matrix by
-    ``index``: one that is not a matrix of that shape (``"shape"``), or else
+    ``index``: one that is not a matrix of that shape or has a zero
+    dimension (``"shape"``), or else
     one with an entry that is not finite (``"finiteness"``), or else, if
     ``bounded``, one with an entry of modulus above ``ENTRY_BOUND`` (``"range"``).
     """
@@ -94,6 +95,9 @@ def as_stack(matrices, shape=None, bounded: bool = False) -> np.ndarray:
             raise ValidationError(f"is not a matrix: {err}", what="shape", index=j) from err
         if len(found) != 2:
             raise ValidationError(f"has {len(found)} dimensions, expected a matrix",
+                                  what="shape", index=j)
+        if 0 in found:
+            raise ValidationError(f"has shape {found}, expected no zero dimension",
                                   what="shape", index=j)
         shape = (found[0], found[0]) if shape is None else tuple(shape)
         if found != shape:

@@ -1,6 +1,7 @@
 """Exact propagation through a measurement tree and seeded sampling.
 
-States are density matrices throughout; pure states are rank-one densities.
+States are density matrices throughout, each held as its d^2 real
+Hermitian parameters; pure states are rank-one densities.
 A leaf is reached with probability Tr[m rho m^dag], m = b...b the product of
 the Kraus operators on its path.  :func:`propagate` walks those cumulative
 operators depth first, as :func:`povmtree.tree.verify` does
@@ -12,46 +13,65 @@ probabilities and splits the shots down it, one binomial draw per node.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import TOL_CHECK, adjoint, as_stack, check_psd, hermitian_parameters
-from .povm import Povm
+from .linalg import (
+    TOL_CHECK,
+    adjoint,
+    as_stack,
+    check_psd,
+    hermitian_from_parameters,
+    hermitian_parameters,
+)
+from .povm import Povm, _frozen
 from .records import Rows
 from .tree import MeasurementTree, _descend, _walk, _whole, node_path
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class QuantumState:
-    """Validated density matrix: Hermitian, unit trace, positive semidefinite; kept as given."""
+    """Validated density matrix: Hermitian, unit trace, positive semidefinite.
 
-    density: np.ndarray
+    ``params`` is one read-only ``(d^2,)`` float64 array: the d^2 real
+    parameters of the Hermitian part ``(rho + rho^dag)/2`` of the density
+    given, in :attr:`povmtree.povm.Povm.params`' layout
+    (:func:`povmtree.linalg.hermitian_parameters`).  Every check reads the
+    density as given; a density that is exactly Hermitian is its own
+    Hermitian part and is held bit for bit.
+    """
 
-    def __post_init__(self) -> None:
-        rho = as_stack([self.density], bounded=True)
-        check_psd(rho.copy())  # on a copy: the state keeps the density as given
-        rho = rho[0]
-        trace = float(rho.trace().real)
+    params: np.ndarray
+
+    def __init__(self, density) -> None:
+        rho = as_stack([density], bounded=True)  # fresh: check_psd may write over it
+        trace = float(rho[0].trace().real)
+        check_psd(rho)
         if abs(trace - 1.0) > TOL_CHECK:
             raise ValidationError(f"density matrix trace is {trace}, expected 1", what="trace",
                                   residual=abs(trace - 1.0))
-        rho.setflags(write=False)
-        object.__setattr__(self, "density", rho)
+        object.__setattr__(self, "params", _frozen(hermitian_parameters(rho)[0]))
 
     @classmethod
     def _checked_elsewhere(cls, rho: np.ndarray) -> "QuantumState":
-        """Wrap a density matrix whose invariants the caller has already checked."""
+        """Hold the Hermitian part of a density matrix whose invariants the caller has checked."""
         state = object.__new__(cls)
-        rho.setflags(write=False)
-        object.__setattr__(state, "density", rho)
+        part = (rho + adjoint(rho)) / 2
+        object.__setattr__(state, "params", _frozen(hermitian_parameters(part[None])[0]))
         return state
 
     @property
+    def density(self) -> np.ndarray:
+        """The density matrix, a fresh read-only ``(d, d)`` array built from ``params`` on each read."""
+        return _frozen(hermitian_from_parameters(self.params[None])[0])
+
+    @property
     def dim(self) -> int:
-        return self.density.shape[0]
+        return math.isqrt(len(self.params))
 
     @classmethod
     def pure(cls, amplitudes) -> "QuantumState":
@@ -106,16 +126,15 @@ def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) 
 def direct_probabilities(p: Povm, state: QuantumState) -> np.ndarray:
     """Outcome probabilities Tr[M_j rho], clamped to [0, 1].
 
-    One real dot product ``p.params @ w``, with w the diagonal of rho and
-    then its upper off-diagonal entries doubled, as (re, im) pairs, of its
-    Hermitian part: no element is unpacked.
+    One real dot product ``p.params @ w``, with w the state's ``params``,
+    its upper off-diagonal entries doubled: neither an element nor the
+    density is unpacked.
     """
     if state.dim != p.dim:
         raise ValidationError(
             f"state dimension {state.dim} does not match POVM dimension {p.dim}", what="shape")
-    rho = state.density
-    w = hermitian_parameters((rho + adjoint(rho))[None])[0]  # twice rho's Hermitian part
-    w[: p.dim] /= 2  # the diagonal once
+    w = state.params * 2
+    w[: p.dim] = state.params[: p.dim]  # the diagonal once
     return np.clip(p.params @ w, 0.0, 1.0)
 
 
@@ -161,10 +180,10 @@ def _leaf_probabilities(tree: MeasurementTree, state: QuantumState) -> np.ndarra
     if state.dim != tree.povm.dim:
         raise ValidationError(f"state dimension {state.dim} does not match tree dimension {tree.povm.dim}",
                               what="shape")
-    d = state.dim
+    d, rho = state.dim, state.density
     walk = _walk(tree.depth, d, np.eye(d, dtype=complex), partial(_descend, tree.kraus))
     # leaves come left to right; the trace of m rho m^dag is the real dot product of m rho with m
-    traces = [np.einsum("kij,kij->k", (m @ state.density).view(float), m.view(float))
+    traces = [np.einsum("kij,kij->k", (m @ rho).view(float), m.view(float))
               for level, _, m in walk if level == tree.depth]
     return np.clip(np.concatenate(traces), 0.0, 1.0)
 

@@ -142,3 +142,14 @@ class TestCrossover:
             with pytest.raises(ParseError) as err:
                 crossover(d)
             assert err.value.what == "dimensions"
+
+    @pytest.mark.parametrize("n_max", [0, -4, 2.5, 64.0, "9", True, False, None], ids=repr)
+    def test_invalid_n_max(self, n_max):
+        with pytest.raises(ParseError) as err:
+            crossover(3, n_max=n_max)
+        assert err.value.what == "dimensions"
+
+    def test_numpy_integers(self):
+        assert crossover(np.int64(3), n_max=np.int64(64)) == crossover(3, n_max=64) == 14
+        assert crossover(3, n_max=np.int32(13)) is None
+        assert crossover(3, n_max=1) is None

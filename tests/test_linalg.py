@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from povmtree import (
+    QuantumState,
     ValidationError,
     VerificationError,
     complete_to_unitary,
@@ -10,6 +11,7 @@ from povmtree import (
     psd_sqrt,
     random_unitary,
     tetrad,
+    validate,
 )
 
 from povmtree import linalg
@@ -26,6 +28,19 @@ def random_hermitian(dim, rng):
 def tetrad_m03():
     p = tetrad()
     return p.elements[0] + p.elements[3]
+
+
+@pytest.mark.parametrize("call, matrix", [
+    (QuantumState, np.zeros((0, 0))),
+    (lambda m: validate([m]), np.zeros((0, 0))),
+    (psd_sqrt, np.zeros((0, 0))),
+    (pseudo_inverse, np.zeros((0, 3))),
+], ids=["QuantumState", "validate", "psd_sqrt", "pseudo_inverse"])
+def test_zero_size_matrix_is_a_shape_error(call, matrix):
+    # as_stack refuses a zero dimension before any block or SVD sees it
+    with pytest.raises(ValidationError) as err:
+        call(matrix)
+    assert err.value.what == "shape" and err.value.index == 0
 
 
 class TestHermitianEig:

@@ -112,6 +112,46 @@ class TestQuantumState:
         state = QuantumState.maximally_mixed(2)
         with pytest.raises(ValueError):
             state.density[0, 0] = 9.0
+        with pytest.raises(ValueError):
+            state.params[0] = 9.0
+        # built from params on each read: a fresh array, equal every time
+        first, second = state.density, state.density
+        assert not np.shares_memory(first, second) and not np.shares_memory(first, state.params)
+        assert np.array_equal(first, second)
+
+    def test_holds_d2_real_parameters(self):
+        # a state holds d^2 floats: 8 d^2 bytes, where a complex density held 16 d^2
+        d, count = 32, 100
+        rng = np.random.default_rng(d)
+        densities = [random_density(d, rng).density for _ in range(count)]
+        QuantumState(densities[0])  # the layout's index arrays are cached before the count
+        gc.collect()
+        tracemalloc.start()
+        try:
+            states = [QuantumState(rho) for rho in densities]
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert all(s.params.shape == (d * d,) and s.params.dtype == np.float64 for s in states)
+        assert held <= count * (8 * d * d + 1024)
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 16])
+    def test_exactly_hermitian_density_is_held_bit_for_bit(self, d):
+        rng = np.random.default_rng(d)
+        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        rho = linalg.hermitian_from_parameters(linalg.hermitian_parameters((x @ x.conj().T)[None]))[0]
+        rho /= rho.trace().real
+        assert np.array_equal(rho, rho.conj().T)
+        assert QuantumState(rho).density.tobytes() == rho.tobytes()
+
+    def test_holds_the_hermitian_part(self):
+        # within TOL_CHECK of Hermitian: the state is (rho + rho^dag)/2, not rho as given
+        rho = np.array([[0.5, 0.25 + 0.1j], [0.25 - 0.1j + 4e-10, 0.5]])
+        state = QuantumState(rho)
+        part = (rho + rho.conj().T) / 2
+        assert np.array_equal(state.density, part) and not np.array_equal(state.density, rho)
+        assert np.array_equal(state.params, linalg.hermitian_parameters(part[None])[0])
+        assert np.array_equal(QuantumState(state.density).params, state.params)
 
 
 class TestDirectProbabilities:
