@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ParseError
-from .tree import _whole
+from .linalg import _whole
 
 
 @dataclass(frozen=True)

@@ -26,10 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import VerificationError
 from .linalg import (
     TOL_CHECK,
     TOL_UNITARY,
+    _frozen,
+    _raise_first,
     as_stack,
     blocks,
     complete_to_unitary_stack,
@@ -79,9 +80,7 @@ def dilate_binary(pair) -> np.ndarray:
     A stack of one over :func:`dilate_level`.  The pair is embedded
     bit-identically: ``u[:d, :d]`` is b0 and ``u[d:, :d]`` is b1.
     """
-    u = dilate_level(pair[None])[0]
-    u.setflags(write=False)
-    return u
+    return _frozen(dilate_level(pair[None])[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,9 +112,7 @@ class NeumarkExtension:
         completion checks it.  One access at N = 1024, d = 2 takes about 0.2 s
         and a 17.8 MB ``tracemalloc`` peak (one BLAS thread, 2-vCPU Xeon).
         """
-        u = complete_to_unitary_stack(self.isometry[None])[0]
-        u.setflags(write=False)
-        return u
+        return _frozen(complete_to_unitary_stack(self.isometry[None])[0])
 
     def probabilities(self, density: np.ndarray) -> np.ndarray:
         """Outcome probabilities for a system density matrix.
@@ -163,14 +160,11 @@ def full_neumark(p: Povm) -> NeumarkExtension:
         rows.append(np.sqrt(w[element, piece])[:, None] * v[element, :, piece].conj())
         owners.append(block.start + element)
     isometry, element = np.concatenate(rows), np.concatenate(owners)
-    residual = isometry_residuals(isometry[None])[0]
-    if residual > TOL_UNITARY:
-        raise VerificationError(
-            f"outcome pieces are not orthonormal columns (residual {residual:.3e})",
-            what="completeness", residual=residual)
-    isometry.setflags(write=False)
+    _raise_first(isometry_residuals(isometry[None]), "completeness",
+                 "outcome pieces are not orthonormal columns (residual {:.3e})", TOL_UNITARY,
+                 path=lambda i: None)
     return NeumarkExtension(
-        isometry=isometry,
+        isometry=_frozen(isometry),
         system_dim=p.dim,
         n_outcomes=p.n_outcomes,
         outcome_map=tuple(element.tolist()),

@@ -29,7 +29,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ParseError, VerificationError
-from .linalg import ENTRY_BOUND
+from .linalg import ENTRY_BOUND, _frozen
 from .povm import Povm, default_labels, validate
 from .records import Rows
 from .simulator import QuantumState
@@ -113,10 +113,10 @@ def povm_record(data: dict) -> tuple[list[np.ndarray], Povm]:
     elements = [decode_matrix(m, f"elements[{j}]") for j, m in enumerate(raw)]
     for j, m in enumerate(elements):
         if m.shape != (dim, dim):
-            raise ParseError(
-                f"element {j} has shape {m.shape}, expected ({dim}, {dim})",
-                field=f"elements[{j}]",
-            )
+            raise ParseError(f"element {j} has shape {m.shape}, expected ({dim}, {dim})",
+                             field=f"elements[{j}]")
+    if not isinstance(data.get("labels", []), (list, type(None))):  # entries are taken by str()
+        raise ParseError("must be a list of labels or null", field="labels")
     p = validate(elements, labels=data.get("labels"))
     n_original = _n_original(data, p.params) if "n_original" in data else p.n_outcomes
     if n_original != p.n_outcomes:  # default labels stay "j" past n_original, as a tuple
@@ -314,9 +314,7 @@ def _read_arrays(handle, dim: int, depth: int) -> list[np.ndarray]:
         if dtype.kind in "fc" and not (-ENTRY_BOUND <= parts.min() and parts.max() <= ENTRY_BOUND):
             raise ParseError(f"array has an entry whose real or imaginary part is not finite and "
                              f"within {ENTRY_BOUND:g} of zero", field=field)
-        a = a.astype(dtype.newbyteorder("="), copy=False)  # a no-op on a little-endian host
-        a.setflags(write=False)
-        arrays.append(a)
+        arrays.append(_frozen(a.astype(dtype.newbyteorder("="), copy=False)))  # a no-op on little-endian
     return arrays
 
 

@@ -62,6 +62,17 @@ _BLOCK_BYTES = 64 * 1024
 ENTRY_BOUND = 2.0
 
 
+def _frozen(m: np.ndarray) -> np.ndarray:
+    """Read-only ``m``; the caller owns it and never writes to it again."""
+    m.setflags(write=False)
+    return m
+
+
+def _whole(x) -> bool:
+    """Whether x is a Python or NumPy integer, not a ``bool``."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def blocks(n: int, d: int):
     """Consecutive slices covering ``range(n)``, each of at most ``_BLOCK_BYTES`` of d x d matrices.
 
@@ -204,10 +215,8 @@ def hermitian_eig(a) -> EigenDecomposition:
         ``what="hermiticity"`` if ``|A - A^dag|_F`` exceeds ``TOL_CHECK``.
     """
     m = as_stack([a])
-    residual = _asymmetry(m, adjoint(m))[0]
-    if residual > TOL_CHECK:
-        raise ValidationError(f"matrix is not Hermitian, |A - A^dag|_F = {residual:.3e}",
-                              what="hermiticity", residual=residual)
+    _raise_first(_asymmetry(m, adjoint(m)), "hermiticity", "matrix is not Hermitian, |A - A^dag|_F = {:.3e}",
+                 TOL_CHECK, path=lambda i: None, error=ValidationError)
     w, v = np.linalg.eigh((m[0] + m[0].conj().T) / 2)
     order = np.argsort(-w, kind="stable")
     w, v = w[order], v[:, order]
@@ -216,9 +225,7 @@ def hermitian_eig(a) -> EigenDecomposition:
     # by run of exactly equal eigenvalues, then row 0's real part, its imaginary part, row 1's, ...
     run = np.cumsum(np.r_[True, w[1:] != w[:-1]])
     v = v[:, np.lexsort([*np.stack([v.real, v.imag], 1).reshape(-1, len(w))[::-1], run])]
-    w.setflags(write=False)
-    v.setflags(write=False)
-    return EigenDecomposition(eigenvalues=w, eigenvectors=v)
+    return EigenDecomposition(eigenvalues=_frozen(w), eigenvectors=_frozen(v))
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:
@@ -240,9 +247,7 @@ def _layout(d: int):
     take = np.full(2 * d * d, d * d + len(rows))  # the diagonal's imaginary parts: the zero
     take[pick] = np.arange(d * d)
     take[2 * lower], take[2 * lower + 1] = take[2 * upper], d * d + np.arange(len(rows))
-    for a in (pick, take):
-        a.setflags(write=False)
-    return pick, take
+    return _frozen(pick), _frozen(take)
 
 
 def hermitian_parameters(a: np.ndarray) -> np.ndarray:
@@ -379,8 +384,9 @@ def _unitarity_residuals(u: np.ndarray, k: int) -> np.ndarray:
     return np.sqrt(squares)
 
 
-def _raise_first(residuals: np.ndarray, what: str, text: str, limit: float, path=None) -> None:
-    """Raise a :class:`VerificationError` for the first residual above ``limit``, if any.
+def _raise_first(residuals: np.ndarray, what: str, text: str, limit: float, path=None,
+                 error=VerificationError) -> None:
+    """Raise an ``error`` for the first residual above ``limit``, if any.
 
     Its message is ``text`` formatted with the residual; it names the residual's
     position i by ``index``, or by ``path(i)`` if ``path`` is given.
@@ -388,8 +394,8 @@ def _raise_first(residuals: np.ndarray, what: str, text: str, limit: float, path
     bad = np.flatnonzero(residuals > limit)
     if bad.size:
         i = int(bad[0])
-        raise VerificationError(text.format(residuals[i]), what=what, residual=residuals[i],
-                                **({"index": i} if path is None else {"path": path(i)}))
+        raise error(text.format(residuals[i]), what=what, residual=residuals[i],
+                    **({"index": i} if path is None else {"path": path(i)}))
 
 
 def complete_to_unitary_stack(blocks, limit: float = TOL_UNITARY) -> np.ndarray:
@@ -441,7 +447,9 @@ def complete_to_unitary(block) -> np.ndarray:
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed random unitary (QR of a complex Ginibre matrix)."""
+    """Haar-distributed random unitary (QR of a complex Ginibre matrix) of an integer dim >= 1."""
+    if not (_whole(dim) and dim >= 1):
+        raise ValidationError(f"random unitary needs an integer dim >= 1, got {dim!r}", what="range")
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     phases = np.diagonal(r).copy()

@@ -17,6 +17,9 @@ from .errors import ValidationError
 from .linalg import (
     TOL_CHECK,
     TOL_UNITARY,
+    _frozen,
+    _raise_first,
+    _whole,
     as_stack,
     blocks,
     check_psd,
@@ -27,12 +30,6 @@ from .linalg import (
     psd_sqrt_stack,
 )
 from .records import Rows
-
-
-def _frozen(m: np.ndarray) -> np.ndarray:
-    """Read-only ``m``; the caller owns it and never writes to it again."""
-    m.setflags(write=False)
-    return m
 
 
 def default_labels(n: int, n_original: int) -> Rows:
@@ -89,7 +86,8 @@ def validate(elements, labels=None) -> Povm:
     and positivity (``"hermiticity"``, ``"positivity"``;
     :func:`povmtree.linalg.check_psd`, run on a copy of each block, which
     names the first failing element by its index among all N), and the
-    sum-to-identity completeness relation (``"completeness"``).
+    sum-to-identity completeness relation (``"completeness"``).  Given
+    ``labels`` are N entries taken by ``str()``, not a ``str`` or ``bytes`` (``"shape"``).
 
     Every check reads the elements as given.  The POVM then holds the
     parameters of each element's Hermitian part ``(M + M^dag)/2``, block by
@@ -110,6 +108,8 @@ def validate(elements, labels=None) -> Povm:
                               what="completeness", residual=deficit)
     if labels is None:
         labels = default_labels(n, n)
+    elif isinstance(labels, (str, bytes)) or not hasattr(labels, "__iter__"):
+        raise ValidationError(f"labels must be a list of labels, not {type(labels).__name__}", what="shape")
     else:
         labels = tuple(str(x) for x in labels)
         if len(labels) != n:
@@ -150,12 +150,8 @@ def apply_freedom(kraus: np.ndarray, unitaries) -> np.ndarray:
     if len(vs) != len(kraus):
         raise ValidationError(f"got {len(vs)} unitaries for {len(kraus)} Kraus operators",
                               what="shape")
-    residual = isometry_residuals(vs)
-    bad = np.flatnonzero(residual > TOL_UNITARY)
-    if bad.size:
-        r = residual[bad[0]]
-        raise ValidationError(f"matrix is not unitary, |V^dag V - I|_F = {r:.3e}",
-                              what="unitarity", residual=r, index=int(bad[0]))
+    _raise_first(isometry_residuals(vs), "unitarity", "matrix is not unitary, |V^dag V - I|_F = {:.3e}",
+                 TOL_UNITARY, error=ValidationError)
     return _frozen(vs @ kraus)
 
 
@@ -176,52 +172,53 @@ def pad_to_power_of_two(p: Povm) -> Povm:
     return Povm(dim=p.dim, params=params, labels=labels, n_original=p.n_original)
 
 
+def _check_counts(n_outcomes, dim) -> None:
+    """Raise ``ValidationError(what="range")`` unless N and d are integers (not ``bool``), d >= 1."""
+    if not (_whole(n_outcomes) and _whole(dim) and dim >= 1):
+        raise ValidationError(f"need integers N and d >= 1, got {n_outcomes!r} and {dim!r}", what="range")
+
+
+def _symmetrized(pieces) -> Povm:
+    """The POVM of ``G^{-1/2} A G^{-1/2}`` for each PSD piece A, G the pieces' sum."""
+    lam, basis = np.linalg.eigh(sum(pieces))
+    inv_sqrt = (basis / np.sqrt(lam)) @ basis.conj().T
+    return validate([inv_sqrt @ a @ inv_sqrt for a in pieces])
+
+
 def random_rank_one_povm(n_outcomes: int, dim: int, rng: np.random.Generator) -> Povm:
-    """Random POVM with rank-one elements, valid by construction.
+    """Random POVM of rank-one elements, for integers ``n_outcomes >= dim >= 1``, valid by construction.
 
     Draws ``n_outcomes >= dim`` complex Gaussian vectors, forms their Gram sum
     ``G = sum |v_j><v_j|``, and symmetrizes each projector with ``G^{-1/2}``
     on both sides so the set sums to the identity.
     """
+    _check_counts(n_outcomes, dim)
     if n_outcomes < dim:
         raise ValidationError("a rank-one POVM needs at least dim outcomes", what="shape")
-    vectors = [
-        rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(n_outcomes)
-    ]
-    gram = sum(np.outer(v, v.conj()) for v in vectors)
-    lam, basis = np.linalg.eigh(gram)
-    inv_sqrt = (basis / np.sqrt(lam)) @ basis.conj().T
-    elements = [inv_sqrt @ np.outer(v, v.conj()) @ inv_sqrt for v in vectors]
-    return validate(elements)
+    vectors = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(n_outcomes)]
+    return _symmetrized([np.outer(v, v.conj()) for v in vectors])
 
 
-def random_povm(
-    n_outcomes: int, dim: int, rng: np.random.Generator, ranks=None
-) -> Povm:
-    """Random POVM with prescribed (or random) element ranks.
+def random_povm(n_outcomes: int, dim: int, rng: np.random.Generator, ranks=None) -> Povm:
+    """Random POVM with prescribed (or random) element ranks, integers in 1..dim.
 
     Each element starts as ``X_j X_j^dag`` with ``X_j`` a ``dim x ranks[j]``
     Gaussian matrix, then the whole set is symmetrized as in
     :func:`random_rank_one_povm`.  Ranks are preserved by the symmetrization.
     """
+    _check_counts(n_outcomes, dim)
     if ranks is None:
         ranks = [int(rng.integers(1, dim + 1)) for _ in range(n_outcomes)]
-    ranks = [int(r) for r in ranks]
+    ranks = list(ranks)
     if len(ranks) != n_outcomes:
         raise ValidationError(f"got {len(ranks)} ranks for {n_outcomes} outcomes", what="shape")
-    if any(r < 1 or r > dim for r in ranks):
+    if not all(_whole(r) and 1 <= r <= dim for r in ranks):
         raise ValidationError("element ranks must lie in 1..dim", what="range")
     if sum(ranks) < dim:
         raise ValidationError("total rank below dim cannot sum to the identity",
                               what="completeness")
-    pieces = []
-    for r in ranks:
-        x = rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r))
-        pieces.append(x @ x.conj().T)
-    gram = sum(pieces)
-    lam, basis = np.linalg.eigh(gram)
-    inv_sqrt = (basis / np.sqrt(lam)) @ basis.conj().T
-    return validate([inv_sqrt @ a @ inv_sqrt for a in pieces])
+    xs = [rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r)) for r in ranks]
+    return _symmetrized([x @ x.conj().T for x in xs])
 
 
 def tetrad() -> Povm:

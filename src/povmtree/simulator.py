@@ -5,7 +5,7 @@ Hermitian parameters; pure states are rank-one densities.
 A leaf is reached with probability Tr[m rho m^dag], m = b...b the product of
 the Kraus operators on its path.  :func:`propagate` walks those cumulative
 operators depth first, as :func:`povmtree.tree.verify` does
-(:func:`povmtree.tree._walk`): the state enters only at the traces, and a
+(:meth:`MeasurementTree._operators`): the state enters only at the traces, and a
 post-state is built from its leaf's path when read.  :func:`sample` sums
 those leaf probabilities pairwise up the tree for each node's branch
 probabilities and splits the shots down it, one binomial draw per node.
@@ -22,15 +22,17 @@ import numpy as np
 from .errors import ValidationError
 from .linalg import (
     TOL_CHECK,
+    _frozen,
+    _whole,
     adjoint,
     as_stack,
     check_psd,
     hermitian_from_parameters,
     hermitian_parameters,
 )
-from .povm import Povm, _frozen
+from .povm import Povm
 from .records import Rows
-from .tree import MeasurementTree, _descend, _walk, _whole, node_path
+from .tree import MeasurementTree, node_path
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -151,7 +153,7 @@ class SimulationOutcome:
     leaf_label: str
     path: str
     probability: float
-    _source: tuple = field(repr=False)  # (tree, state)
+    _source: tuple = field(repr=False)  # (tree, state, leaf index)
 
     @property
     def post_state(self) -> QuantumState | None:
@@ -162,10 +164,10 @@ class SimulationOutcome:
         """
         if self.probability < TOL_CHECK:
             return None
-        tree, state = self._source
+        tree, state, leaf = self._source
         m = np.eye(state.dim, dtype=complex)
-        for level, bit in enumerate(self.path):
-            m = tree.kraus[level][int(self.path[:level] or "0", 2), int(bit)] @ m
+        for level in range(tree.depth):  # node: the leaf index's first level bits; branch: the next
+            m = tree.kraus[level][leaf >> (tree.depth - level), leaf >> (tree.depth - level - 1) & 1] @ m
         sigma = m @ state.density @ adjoint(m)
         sigma = sigma + adjoint(sigma)  # exactly Hermitian
         rho = sigma / sigma.trace().real
@@ -180,19 +182,19 @@ def _leaf_probabilities(tree: MeasurementTree, state: QuantumState) -> np.ndarra
     if state.dim != tree.povm.dim:
         raise ValidationError(f"state dimension {state.dim} does not match tree dimension {tree.povm.dim}",
                               what="shape")
-    d, rho = state.dim, state.density
-    walk = _walk(tree.depth, d, np.eye(d, dtype=complex), partial(_descend, tree.kraus))
+    rho = state.density
     # leaves come left to right; the trace of m rho m^dag is the real dot product of m rho with m
     traces = [np.einsum("kij,kij->k", (m @ rho).view(float), m.view(float))
-              for level, _, m in walk if level == tree.depth]
+              for level, _, m in tree._operators(tree.depth) if level == tree.depth]
     return np.clip(np.concatenate(traces), 0.0, 1.0)
 
 
 def _outcome(tree, state, position, probabilities, j: int) -> SimulationOutcome:
     """Outcome j of a propagation; ``position[j]`` is its leaf, left to right."""
+    leaf = int(position[j])
     return SimulationOutcome(leaf_index=j, leaf_label=tree.povm.labels[j],
-                             path=node_path(tree.depth, int(position[j])),
-                             probability=float(probabilities[j]), _source=(tree, state))
+                             path=node_path(tree.depth, leaf), probability=float(probabilities[j]),
+                             _source=(tree, state, leaf))
 
 
 class Outcomes(Rows):
@@ -207,10 +209,8 @@ class Outcomes(Rows):
     def __init__(self, tree: MeasurementTree, state: QuantumState, probs: np.ndarray) -> None:
         position = np.empty(len(probs), dtype=np.intp)  # the leaf of each outcome
         position[tree.order] = np.arange(len(probs))
-        self.probabilities = probs[position]
-        self.reached = self.probabilities >= TOL_CHECK
-        self.probabilities.setflags(write=False)
-        self.reached.setflags(write=False)
+        self.probabilities = _frozen(probs[position])
+        self.reached = _frozen(self.probabilities >= TOL_CHECK)
         super().__init__(len(position), partial(_outcome, tree, state, position, self.probabilities))
 
 

@@ -42,7 +42,9 @@ from .dilation import completeness_residuals, dilate_binary
 from .errors import ValidationError
 from .linalg import (
     TOL_CHECK,
+    _frozen,
     _raise_first,
+    _whole,
     adjoint,
     as_stack,
     blocks,
@@ -59,11 +61,6 @@ from .records import VerificationReport
 # The weight a_0 = a_1 of the null-space correction in both children's operators;
 # multiplied, not divided by sqrt(2), which rounds differently in the last bit
 _A = 1 / math.sqrt(2)
-
-
-def _whole(x) -> bool:
-    """Whether x is a Python or NumPy integer, not a ``bool``."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def node_path(level: int, index: int) -> str:
@@ -151,11 +148,14 @@ class MeasurementTree:
 
     def cumulative_kraus(self, level: int) -> np.ndarray:
         """Cumulative Kraus operators of the ``2**level`` nodes of a level, shape ``(2**level, d, d)``."""
-        if not 0 <= level <= self.depth:
+        if not (_whole(level) and 0 <= level <= self.depth):
             raise IndexError(f"level {level} not in 0..{self.depth}")
+        return np.concatenate([m for at, _, m in self._operators(level) if at == level])
+
+    def _operators(self, depth: int):
+        """The walk of :func:`_walk` over the cumulative Kraus operators of levels 0..depth."""
         d = self.povm.dim
-        walk = _walk(level, d, np.eye(d, dtype=complex), partial(_descend, self.kraus))
-        return np.concatenate([m for at, _, m in walk if at == level])
+        return _walk(depth, d, np.eye(d, dtype=complex), partial(_descend, self.kraus))
 
     def cumulative_operators(self, level: int) -> np.ndarray:
         """Cumulative operators ``m^dag m`` of a level's nodes; at the leaves, the POVM elements."""
@@ -163,21 +163,20 @@ class MeasurementTree:
 
     def dilation(self, path: str) -> np.ndarray:
         """Read-only 2d x 2d probe coupling of the internal node at ``path``, built and checked anew."""
-        if len(path) >= self.depth or set(path) - {"0", "1"}:
+        if not isinstance(path, str) or len(path) >= self.depth or set(path) - {"0", "1"}:
             raise KeyError(f"no internal node at path {path!r}")
         return dilate_binary(self.kraus[len(path)][int(path or "0", 2)])
 
 
 def _split_level(targets: np.ndarray, parents: np.ndarray, pinv: np.ndarray, kernel: np.ndarray,
-                 polar: bool, level: int | None = None, first: int = 0) -> np.ndarray:
+                 polar: bool, path) -> np.ndarray:
     """Kraus pairs ``(k, 2, d, d)`` taking each parent of a stack to its two targets.
 
     ``b_c = m_c @ pinv + a_c * g``, from each parent's pseudoinverse and
     ``kernel`` map g (with ``polar`` set, ``a_c * V_c @ g``).  Errors name
-    node ``first + i`` of ``level`` by its path (none when ``level`` is None).
+    parent i of the stack by ``path(i)``.
     """
-    raise_first = partial(_raise_first, limit=TOL_CHECK,
-                          path=lambda i: None if level is None else node_path(level, first + i))
+    raise_first = partial(_raise_first, limit=TOL_CHECK, path=path)
     # m_0^dag m_0 + m_1^dag m_1 is the Gram matrix of the column block [m_0; m_1]
     pre = np.linalg.norm(_gram(targets.reshape(len(targets), -1, targets.shape[-1])) - _gram(parents),
                          axis=(-2, -1))
@@ -252,9 +251,7 @@ def split_node(children_kraus, parent_kraus) -> np.ndarray:
     if len(children) != 2:
         raise ValidationError(f"got {len(children)} child operators, expected 2", what="shape")
     parent = np.where(is_dust(parent)[:, None, None], 0.0, parent)
-    pair = _split_level(children[None], parent, *svd_inverse(parent), polar=True)[0]
-    pair.setflags(write=False)
-    return pair
+    return _frozen(_split_level(children[None], parent, *svd_inverse(parent), True, lambda i: None)[0])
 
 
 def is_permutation(order: np.ndarray, n: int) -> bool:
@@ -276,8 +273,7 @@ def _resolve_partition(partition, n_real: int, n_padded: int) -> np.ndarray:
         if not is_permutation(order, n_padded):
             raise ValidationError(f"partition must be a permutation of 0..{n_padded - 1} "
                                   f"(or of the {n_real} unpadded outcomes)", what="partition")
-    order.setflags(write=False)
-    return order
+    return _frozen(order)
 
 
 def compile_tree(
@@ -343,14 +339,13 @@ def compile_tree(
             sums = hermitian_from_parameters(_ordered_sums(padded.params, order, lo, hi, span))
             targets = psd_sqrt_stack(sums, None if children is None else (children["V"], children["w"]))
         levels[level][first : first + len(parents)] = _split_level(
-            targets.reshape(-1, 2, d, d), *psd_parts(parents["V"], parents["w"]), leaves, level, first)
+            targets.reshape(-1, 2, d, d), *psd_parts(parents["V"], parents["w"]), leaves,
+            lambda i: node_path(level, first + i))
         return children
 
     for _ in _walk(depth, d, root, split):
         pass
-    for pairs in levels:
-        pairs.setflags(write=False)
-    return MeasurementTree(povm=padded, order=order, kraus=tuple(levels))
+    return MeasurementTree(povm=padded, order=order, kraus=tuple(map(_frozen, levels)))
 
 
 def node_checks(columns: dict):
@@ -373,15 +368,15 @@ def verify(tree: MeasurementTree) -> VerificationReport:
     coupling is derived data, checked where
     :func:`povmtree.linalg.complete_to_unitary_stack` builds it.  A reporting
     operation that never raises on failures: the cumulative operators come
-    from :func:`_walk`, and each block's results go into the report's
-    columns by node index.
+    from :meth:`MeasurementTree._operators`, and each block's results go
+    into the report's columns by node index.
     """
     p, d, n = tree.povm, tree.povm.dim, tree.povm.n_outcomes
     # the node columns verify measures, in the order of NodeCheck's fields
     measured = {"completeness_residual": float, "operator_sum_residual": float, "parent_rank": int}
     nodes = {name: np.zeros(n - 1, dtype) for name, dtype in measured.items()}
     leaf_residual = np.empty(n)
-    for level, first, m in _walk(tree.depth, d, np.eye(d, dtype=complex), partial(_descend, tree.kraus)):
+    for level, first, m in tree._operators(tree.depth):
         span = n >> level
         sums = _ordered_sums(p.params, tree.order, first * span, (first + len(m)) * span, span)
         for b in blocks(len(m), 2 * d):  # four d x d matrices a node
@@ -396,9 +391,8 @@ def verify(tree: MeasurementTree) -> VerificationReport:
             nodes["parent_rank"][rows] = rank_mask(np.linalg.eigvalsh(s)).sum(axis=-1)
     nodes["uses_null_correction"] = nodes["parent_rank"] < d
     nodes["ok"] = np.logical_and.reduce([passed for _, _, passed in node_checks(nodes)])
-    leaves = {"residual": leaf_residual, "ok": leaf_residual <= TOL_CHECK}
-    for column in (*nodes.values(), *leaves.values()):
-        column.setflags(write=False)
+    nodes = {name: _frozen(column) for name, column in nodes.items()}
+    leaves = {"residual": _frozen(leaf_residual), "ok": _frozen(leaf_residual <= TOL_CHECK)}
     return VerificationReport(
         node_columns=nodes,
         leaf_columns=leaves,

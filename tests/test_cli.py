@@ -83,6 +83,23 @@ class TestValidateCommand:
         assert main(["validate", str(path)]) == 1
         assert "element 0: has an entry of modulus above 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("labels", [5, "a", {"0": "a"}])
+    def test_labels_that_are_not_a_list_are_a_parse_error(self, tmp_path, capsys, labels):
+        path = tmp_path / "labels.povm.json"
+        path.write_text(json.dumps({"dimension": 1, "elements": [encode_matrix(np.eye(1))],
+                                    "labels": labels}))
+        assert main(["validate", str(path)]) == 2
+        assert "(field 'labels')" in capsys.readouterr().err
+
+    def test_labels_null_or_a_list_of_any_entries(self, tmp_path, capsys):
+        # entries are turned into labels by str(), as before
+        path = tmp_path / "labels.povm.json"
+        for labels, shown in ((None, "'0'"), ([7], "'7'")):
+            path.write_text(json.dumps({"dimension": 1, "elements": [encode_matrix(np.eye(1))],
+                                        "labels": labels}))
+            assert main(["validate", str(path)]) == 0
+            assert f"element {shown}:" in capsys.readouterr().out
+
     def test_truncated_file(self, tmp_path, capsys):
         path = tmp_path / "trunc.json"
         path.write_text('{"dimension": 2')

@@ -106,9 +106,11 @@ def _tetrad_tree():
 
 NAN = np.array([[np.nan, 0.0], [0.0, 1.0]])
 
-# Calls on caller input that each raised a plain ValueError or IndexError, with
-# no ``what``, or gave a wrong result (a bool basis index selected every entry),
-# and the ``what`` of the ValidationError they raise now.
+# Calls on caller input that each raised a plain ValueError, TypeError or
+# IndexError, with no ``what``, or gave a wrong result (a bool basis index
+# selected every entry, a string of labels was split into one label per
+# character, a float rank was truncated), and the ``what`` of the
+# ValidationError they raise now.
 FORMERLY_BARE = {
     "validate ragged rows": (lambda: povmtree.validate([[[1.0, 0.0], [0.0]]]), "shape"),
     "hermitian_eig non-finite": (lambda: povmtree.hermitian_eig(NAN), "finiteness"),
@@ -138,6 +140,24 @@ FORMERLY_BARE = {
                          "range"),
     "random_povm total rank": (
         lambda: povmtree.random_povm(2, 3, np.random.default_rng(0), [1, 1]), "completeness"),
+    "validate labels not iterable": (lambda: povmtree.validate([np.eye(2)], labels=5), "shape"),
+    "validate labels a string": (
+        lambda: povmtree.validate([np.eye(2) / 4] * 4, labels="abcd"), "shape"),
+    "validate labels bytes": (lambda: povmtree.validate([np.eye(2) / 2] * 2, labels=b"ab"), "shape"),
+    "random_rank_one_povm float outcomes": (
+        lambda: povmtree.random_rank_one_povm(2.5, 2, np.random.default_rng(0)), "range"),
+    "random_rank_one_povm float dimension": (
+        lambda: povmtree.random_rank_one_povm(4, 2.0, np.random.default_rng(0)), "range"),
+    "random_rank_one_povm bool outcomes": (
+        lambda: povmtree.random_rank_one_povm(True, 1, np.random.default_rng(0)), "range"),
+    "random_povm float outcomes": (
+        lambda: povmtree.random_povm(2.5, 2, np.random.default_rng(0)), "range"),
+    "random_povm dimension zero": (
+        lambda: povmtree.random_povm(2, 0, np.random.default_rng(0)), "range"),
+    "random_povm float rank": (
+        lambda: povmtree.random_povm(3, 2, np.random.default_rng(0), [1.7, 1, 1]), "range"),
+    "random_unitary float dimension": (
+        lambda: povmtree.random_unitary(2.5, np.random.default_rng(0)), "range"),
 }
 
 

@@ -4,7 +4,6 @@ import math
 import sys
 import tracemalloc
 import weakref
-from functools import partial
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ from povmtree import (
     tetrad,
     validate,
 )
-from povmtree import linalg, tree as tree_module
+from povmtree import linalg
 
 from conftest import frob
 
@@ -563,9 +562,7 @@ def walked(tree, state):
 
 def walk(tree):
     """The depth-first walk of the cumulative operators, as the simulator and verify run it."""
-    d = tree.povm.dim
-    return tree_module._walk(tree.depth, d, np.eye(d, dtype=complex),
-                             partial(tree_module._descend, tree.kraus))
+    return tree._operators(tree.depth)
 
 
 class TestLevelPassInOneStack:

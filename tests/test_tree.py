@@ -153,6 +153,25 @@ class TestTetradTree:
         assert report.max_residual <= 1e-9
 
 
+class TestAccessors:
+    """A level or a path of the wrong type fails as one out of range does."""
+
+    @pytest.mark.parametrize("level", [1.0, True, np.float64(1.0), "1", None, -1, 3])
+    def test_cumulative_kraus_takes_a_whole_level(self, tetrad_povm, level):
+        with pytest.raises(IndexError):
+            compile_tree(tetrad_povm).cumulative_kraus(level)
+
+    @pytest.mark.parametrize("level", [2, np.int64(1), np.uint8(0)])
+    def test_cumulative_kraus_of_numpy_integers(self, tetrad_povm, level):
+        tree = compile_tree(tetrad_povm)
+        assert tree.cumulative_kraus(level).shape == (1 << int(level), 2, 2)
+
+    @pytest.mark.parametrize("path", [0, None, 1.0, ["0"], b"0", "00", "2"])
+    def test_dilation_takes_a_path_string(self, tetrad_povm, path):
+        with pytest.raises(KeyError):
+            compile_tree(tetrad_povm).dilation(path)
+
+
 class TestCompile:
     def test_projective_depth_one(self):
         p = validate([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
