@@ -23,8 +23,8 @@ where it does not apply.  The message starts with ``element j: `` or
   completeness of a Kraus pair or of the Neumark rows) and ``"dilation
   unitarity"`` (of a completed unitary, where it is built); ``"children sum"``
   and ``"factorization"`` (compile checks); ``"operator sum"`` and
-  ``"leaf reconstruction"`` (the checks of :func:`povmtree.tree.verify`,
-  which ``load_tree`` enforces).
+  ``"leaf reconstruction"`` (checks that :func:`povmtree.tree.verify`
+  raises, first failure first, and ``load_tree`` through it).
 """
 
 from __future__ import annotations

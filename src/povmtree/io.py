@@ -28,12 +28,12 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ParseError, VerificationError
+from .errors import ParseError
 from .linalg import ENTRY_BOUND, _frozen
 from .povm import Povm, default_labels, validate
 from .records import Rows
 from .simulator import QuantumState
-from .tree import MeasurementTree, is_permutation, node_checks, node_path, verify
+from .tree import MeasurementTree, is_permutation, verify
 
 POVM_FORMAT = "povmtree/povm-v1"
 STATE_FORMAT = "povmtree/state-v1"
@@ -95,7 +95,7 @@ def povm_to_dict(p: Povm) -> dict:
         "format": POVM_FORMAT,
         "dimension": p.dim,
         "elements": [encode_matrix(m) for m in p.elements],
-        "labels": list(p.labels),
+        **({} if isinstance(p.labels, Rows) else {"labels": list(p.labels)}),
         "n_original": p.n_original,
     }
 
@@ -119,9 +119,8 @@ def povm_record(data: dict) -> tuple[list[np.ndarray], Povm]:
         raise ParseError("must be a list of labels or null", field="labels")
     p = validate(elements, labels=data.get("labels"))
     n_original = _n_original(data, p.params) if "n_original" in data else p.n_outcomes
-    if n_original != p.n_outcomes:  # default labels stay "j" past n_original, as a tuple
-        p = Povm(dim=p.dim, params=p.params, labels=tuple(p.labels), n_original=n_original)
-    return elements, p
+    labels = default_labels(p.n_outcomes, n_original) if isinstance(p.labels, Rows) else p.labels
+    return elements, Povm(dim=p.dim, params=p.params, labels=labels, n_original=n_original)
 
 
 def save_povm(p: Povm, path) -> None:
@@ -200,31 +199,6 @@ def _povm(data: dict, dim: int, params: np.ndarray) -> Povm:
     # the elements are checked against the Kraus pairs by verify()
     return Povm(dim=dim, params=params, n_original=n_original,
                 labels=tuple(labels) if "labels" in data else default_labels(n, n_original))
-
-
-def _verified(tree: MeasurementTree) -> MeasurementTree:
-    """``tree``, once :func:`povmtree.tree.verify` passes on it.
-
-    Otherwise raises for the first failing node, breadth first with the
-    leaves last, naming its first failing check in column order.  Only that
-    node's row of the report is built, to name its path.
-    """
-    report = verify(tree)
-    bad = np.flatnonzero(~report.node_columns["ok"])
-    if bad.size:
-        i = int(bad[0])
-        what, residual = next((what, r[i]) for what, r, passed
-                              in node_checks(report.node_columns) if not passed[i])
-        path = report.nodes[i].path
-    else:
-        bad = np.flatnonzero(~report.leaf_columns["ok"])
-        if not bad.size:
-            return tree
-        i = int(bad[0])
-        what, residual = "leaf reconstruction", report.leaf_columns["residual"][i]
-        path = node_path(tree.depth, i)
-    raise VerificationError(f"{what} check failed, residual {residual:.3e}", what=what,
-                            residual=residual, path=path)
 
 
 def save_tree(tree: MeasurementTree, path) -> None:
@@ -340,16 +314,16 @@ def load_tree(path) -> MeasurementTree:
         when present, not one string per outcome; or ``n_original`` marking
         a nonzero element as padding.
     VerificationError
-        If the rebuilt tree fails :func:`povmtree.tree.verify`: ``path``
-        names the first failing node, breadth first with the leaves last,
-        and ``what`` and ``residual`` its first failing check in the
-        report's column order (``"completeness"`` for a pair that is not
-        complete, ``"leaf reconstruction"`` at a leaf).
+        As :func:`povmtree.tree.verify` raises it for the rebuilt tree: the
+        first failing check in walk order, naming the node's path
+        (``"completeness"`` for a pair that is not complete, ``"leaf
+        reconstruction"`` at a leaf).
     """
     with open(path, "rb") as handle:
         header, dim, depth = _read_header(handle)
         order, params, *kraus = _read_arrays(handle, dim, depth)
     if not is_permutation(order, 1 << depth):
         raise ParseError(f"must be a permutation of 0..{(1 << depth) - 1}", field="order")
-    povm = _povm(header, dim, params)
-    return _verified(MeasurementTree(povm=povm, order=order, kraus=tuple(kraus)))
+    tree = MeasurementTree(povm=_povm(header, dim, params), order=order, kraus=tuple(kraus))
+    verify(tree)
+    return tree

@@ -386,12 +386,12 @@ def _unitarity_residuals(u: np.ndarray, k: int) -> np.ndarray:
 
 def _raise_first(residuals: np.ndarray, what: str, text: str, limit: float, path=None,
                  error=VerificationError) -> None:
-    """Raise an ``error`` for the first residual above ``limit``, if any.
+    """Raise an ``error`` for the first residual above ``limit`` or not a number, if any.
 
     Its message is ``text`` formatted with the residual; it names the residual's
     position i by ``index``, or by ``path(i)`` if ``path`` is given.
     """
-    bad = np.flatnonzero(residuals > limit)
+    bad = np.flatnonzero(~(residuals <= limit))
     if bad.size:
         i = int(bad[0])
         raise error(text.format(residuals[i]), what=what, residual=residuals[i],

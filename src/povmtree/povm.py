@@ -129,14 +129,14 @@ def default_kraus(p: Povm) -> np.ndarray:
     return _frozen(roots)
 
 
-def apply_freedom(kraus: np.ndarray, unitaries) -> np.ndarray:
-    """Rotate each Kraus operator of an ``(N, d, d)`` stack, ``m_j -> V_j m_j``.
+def apply_freedom(kraus, unitaries) -> np.ndarray:
+    """Rotate each Kraus operator of a stack, ``m_j -> V_j m_j``.
 
     Returns the rotated operators as a new read-only ``(N, d, d)`` array.
     The measurement operators ``m_j^dag m_j`` and therefore all outcome
     probabilities are unchanged; only post-measurement states rotate.
-    ``unitaries`` is a sequence of d x d matrices or one ``(N, d, d)`` array;
-    an error names the first failing unitary by ``index``.
+    ``kraus`` and ``unitaries`` are each d x d matrices or one ``(N, d, d)``
+    array; an error names the first failing matrix by ``index``.
 
     Raises
     ------
@@ -146,6 +146,7 @@ def apply_freedom(kraus: np.ndarray, unitaries) -> np.ndarray:
         :func:`povmtree.linalg.as_stack`), ``"unitarity"`` if some
         ``|V^dag V - I|_F`` exceeds ``TOL_UNITARY``.
     """
+    kraus = as_stack(kraus)
     vs = as_stack(unitaries, kraus.shape[1:])
     if len(vs) != len(kraus):
         raise ValidationError(f"got {len(vs)} unitaries for {len(kraus)} Kraus operators",
@@ -173,8 +174,8 @@ def pad_to_power_of_two(p: Povm) -> Povm:
 
 
 def _check_counts(n_outcomes, dim) -> None:
-    """Raise ``ValidationError(what="range")`` unless N and d are integers (not ``bool``), d >= 1."""
-    if not (_whole(n_outcomes) and _whole(dim) and dim >= 1):
+    """Raise ``ValidationError(what="range")`` unless N and d are integers (not ``bool``) >= 1."""
+    if not (_whole(n_outcomes) and _whole(dim) and n_outcomes >= 1 and dim >= 1):
         raise ValidationError(f"need integers N and d >= 1, got {n_outcomes!r} and {dim!r}", what="range")
 
 
@@ -205,10 +206,13 @@ def random_povm(n_outcomes: int, dim: int, rng: np.random.Generator, ranks=None)
     Each element starts as ``X_j X_j^dag`` with ``X_j`` a ``dim x ranks[j]``
     Gaussian matrix, then the whole set is symmetrized as in
     :func:`random_rank_one_povm`.  Ranks are preserved by the symmetrization.
+    Given ``ranks`` are N entries, not a ``str`` or ``bytes`` (``"shape"``).
     """
     _check_counts(n_outcomes, dim)
     if ranks is None:
         ranks = [int(rng.integers(1, dim + 1)) for _ in range(n_outcomes)]
+    elif isinstance(ranks, (str, bytes)) or not hasattr(ranks, "__iter__"):
+        raise ValidationError(f"ranks must be a list of ranks, not {type(ranks).__name__}", what="shape")
     ranks = list(ranks)
     if len(ranks) != n_outcomes:
         raise ValidationError(f"got {len(ranks)} ranks for {n_outcomes} outcomes", what="shape")

@@ -61,7 +61,6 @@ class NodeCheck:
     operator_sum_residual: float
     parent_rank: int
     uses_null_correction: bool
-    ok: bool
 
 
 @dataclass(frozen=True)
@@ -70,7 +69,6 @@ class LeafCheck:
     label: str
     residual: float
     is_padding: bool
-    ok: bool
 
 
 def _row_path(k: int) -> str:
@@ -80,16 +78,17 @@ def _row_path(k: int) -> str:
 
 @dataclass(frozen=True, eq=False)
 class VerificationReport:
-    """Per-node and per-leaf audit of a compiled (or deserialized) tree, held as columns.
+    """Per-node and per-leaf audit of a compiled (or deserialized) tree that passed, held as columns.
 
     ``node_columns`` maps each field of :class:`NodeCheck` but ``path`` to a
     read-only array with one entry per internal node, breadth first, so
     node i of level l is row ``2**l - 1 + i``.  ``leaf_columns`` maps
-    ``residual`` and ``ok`` to arrays with one entry per leaf, left to
-    right; leaf i is outcome ``order[i]``, the tree's own read-only
-    ``intp`` order array, and ``labels`` are its POVM's.  :attr:`nodes` and
-    :attr:`leaves` build the row records only when read.  Two reports are
-    equal when their rows, ``passed`` and ``max_residual`` are.
+    ``residual`` to an array with one entry per leaf, left to right; leaf i
+    is outcome ``order[i]``, the tree's own read-only ``intp`` order array,
+    and ``labels`` are its POVM's.  :attr:`nodes` and :attr:`leaves` build
+    the row records only when read.  :func:`povmtree.tree.verify` raises
+    for a tree that fails, so every report passes, and two reports are
+    equal when their rows and ``max_residual`` are.
     """
 
     node_columns: dict[str, np.ndarray]
@@ -97,14 +96,14 @@ class VerificationReport:
     order: np.ndarray
     labels: tuple[str, ...] | Rows
     n_original: int
-    passed: bool
     max_residual: float
+    passed = True  # not a field; read by perfbench/run.py (lines 159 and 186)
 
     @property
     def nodes(self) -> Rows:
         """One :class:`NodeCheck` per internal node, breadth first."""
         columns = self.node_columns
-        return Rows(len(columns["ok"]), lambda k: NodeCheck(
+        return Rows(len(self.order) - 1, lambda k: NodeCheck(
             _row_path(k), **{name: column.item(k) for name, column in columns.items()}))
 
     @property
@@ -114,28 +113,22 @@ class VerificationReport:
 
     def _leaf(self, i: int) -> LeafCheck:
         j, columns = self.order.item(i), self.leaf_columns
-        return LeafCheck(j, self.labels[j], columns["residual"].item(i), j >= self.n_original,
-                         columns["ok"].item(i))
+        return LeafCheck(j, self.labels[j], columns["residual"].item(i), j >= self.n_original)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, VerificationReport):
             return NotImplemented
-        return ((self.nodes, self.leaves, self.passed, self.max_residual)
-                == (other.nodes, other.leaves, other.passed, other.max_residual))
+        return ((self.nodes, self.leaves, self.max_residual)
+                == (other.nodes, other.leaves, other.max_residual))
 
     def summary(self) -> str:
         nodes, leaves = self.node_columns, self.leaf_columns
         worst_node = max(nodes["completeness_residual"].tolist(), default=0.0)
         worst_leaf = max(leaves["residual"].tolist(), default=0.0)
         corrected = int(nodes["uses_null_correction"].sum())
-        lines = [
-            f"verification: {'PASS' if self.passed else 'FAIL'}",
-            f"  internal nodes checked : {len(nodes['ok'])} ({corrected} with null-space correction)",
+        return "\n".join([
+            "verification: PASS",
+            f"  internal nodes checked : {len(self.order) - 1} ({corrected} with null-space correction)",
             f"  max completeness residual : {worst_node:.3e}",
             f"  max leaf reconstruction   : {worst_leaf:.3e}",
-        ]
-        if not self.passed:
-            bad = [_row_path(k) for k in np.flatnonzero(~nodes["ok"]).tolist()]
-            bad += [f"leaf:{self.order.item(i)}" for i in np.flatnonzero(~leaves["ok"]).tolist()]
-            lines.append(f"  failing: {bad}")
-        return "\n".join(lines)
+        ])

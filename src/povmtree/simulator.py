@@ -79,13 +79,16 @@ class QuantumState:
     def pure(cls, amplitudes) -> "QuantumState":
         """State |psi><psi| from a (not necessarily normalized) amplitude vector.
 
+        At most one axis may be longer than 1, as in a ``(d, 1)`` column (``"shape"``).
         ``v v^dag`` of a normalised finite vector is Hermitian, positive and of
         unit trace to within rounding, so none of these is checked.
         """
-        v = np.asarray(amplitudes, dtype=complex).ravel()
+        v = np.asarray(amplitudes, dtype=complex)
+        if sum(n > 1 for n in v.shape) > 1:
+            raise ValidationError(f"amplitudes of shape {v.shape} are not a vector", what="shape")
         if not np.isfinite(v).all():
             raise ValidationError("has an amplitude that is not finite", what="finiteness")
-        parts = v.view(float)  # real and imaginary parts side by side
+        parts = v.ravel().view(float)  # real and imaginary parts side by side
         scale = np.abs(parts).max(initial=0.0)
         if scale == 0:
             raise ValidationError("cannot normalize the zero vector", what="trace")

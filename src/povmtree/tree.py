@@ -194,7 +194,7 @@ def _split_level(targets: np.ndarray, parents: np.ndarray, pinv: np.ndarray, ker
     fact = pairs @ parents[:, None] - targets
     fact = np.sqrt(np.einsum("...ij,...ij->...", fact.view(float), fact.view(float)))  # |.|_F
     # per node, b0's residual if it fails, else b1's
-    worst = np.where(fact[:, 0] > TOL_CHECK, fact[:, 0], fact[:, 1])
+    worst = np.where(fact[:, 0] <= TOL_CHECK, fact[:, 1], fact[:, 0])
     raise_first(worst, "factorization", "factorization post-check failed, residual {:.3e}")
     return pairs
 
@@ -348,12 +348,6 @@ def compile_tree(
     return MeasurementTree(povm=padded, order=order, kraus=tuple(map(_frozen, levels)))
 
 
-def node_checks(columns: dict):
-    """The ``what``, residual column and pass mask of each check of :func:`verify`, in order."""
-    c, s = columns["completeness_residual"], columns["operator_sum_residual"]
-    return ("completeness", c, c <= TOL_CHECK), ("operator sum", s, s <= TOL_CHECK)
-
-
 def verify(tree: MeasurementTree) -> VerificationReport:
     """Audit every node of a tree against the construction identities that can fail.
 
@@ -366,16 +360,27 @@ def verify(tree: MeasurementTree) -> VerificationReport:
     child cumulative operators are defined as those products; ``b^dag b`` is
     a Gram matrix, positive to rounding; and a complete pair's probe
     coupling is derived data, checked where
-    :func:`povmtree.linalg.complete_to_unitary_stack` builds it.  A reporting
-    operation that never raises on failures: the cumulative operators come
-    from :meth:`MeasurementTree._operators`, and each block's results go
-    into the report's columns by node index.
+    :func:`povmtree.linalg.complete_to_unitary_stack` builds it.  The
+    cumulative operators come from :meth:`MeasurementTree._operators`, and
+    each block's results go into the report's columns by node index.
+
+    Raises
+    ------
+    VerificationError
+        At the first residual above ``TOL_CHECK`` or not a number, in walk
+        order, naming the node's path: ``what="leaf reconstruction"`` at a
+        leaf block, else ``"completeness"`` of its pairs, then ``"operator sum"``.
     """
     p, d, n = tree.povm, tree.povm.dim, tree.povm.n_outcomes
     # the node columns verify measures, in the order of NodeCheck's fields
     measured = {"completeness_residual": float, "operator_sum_residual": float, "parent_rank": int}
     nodes = {name: np.zeros(n - 1, dtype) for name, dtype in measured.items()}
     leaf_residual = np.empty(n)
+
+    def check(residuals, what):  # residual i is node lo + i's, on the level in hand
+        _raise_first(residuals, what, what + " check failed, residual {:.3e}", TOL_CHECK,
+                     path=lambda i: node_path(level, lo + i))
+
     for level, first, m in tree._operators(tree.depth):
         span = n >> level
         sums = _ordered_sums(p.params, tree.order, first * span, (first + len(m)) * span, span)
@@ -383,23 +388,22 @@ def verify(tree: MeasurementTree) -> VerificationReport:
             lo, hi, s = first + b.start, first + b.stop, hermitian_from_parameters(sums[b])
             residual = np.linalg.norm(_gram(m[b]) - s, axis=(-2, -1))
             if level == tree.depth:
+                check(residual, "leaf reconstruction")
                 leaf_residual[lo:hi] = residual
                 continue
             rows = slice((1 << level) - 1 + lo, (1 << level) - 1 + hi)
             nodes["completeness_residual"][rows] = completeness_residuals(tree.kraus[level][lo:hi])
+            check(nodes["completeness_residual"][rows], "completeness")
+            check(residual, "operator sum")
             nodes["operator_sum_residual"][rows] = residual
             nodes["parent_rank"][rows] = rank_mask(np.linalg.eigvalsh(s)).sum(axis=-1)
     nodes["uses_null_correction"] = nodes["parent_rank"] < d
-    nodes["ok"] = np.logical_and.reduce([passed for _, _, passed in node_checks(nodes)])
-    nodes = {name: _frozen(column) for name, column in nodes.items()}
-    leaves = {"residual": _frozen(leaf_residual), "ok": _frozen(leaf_residual <= TOL_CHECK)}
     return VerificationReport(
-        node_columns=nodes,
-        leaf_columns=leaves,
+        node_columns={name: _frozen(column) for name, column in nodes.items()},
+        leaf_columns={"residual": _frozen(leaf_residual)},
         order=tree.order,
         labels=p.labels,
         n_original=p.n_original,
-        passed=bool(nodes["ok"].all() and leaves["ok"].all()),
         max_residual=float(max(column.max(initial=0.0) for column in (
             nodes["completeness_residual"], nodes["operator_sum_residual"], leaf_residual))),
     )

@@ -2,6 +2,7 @@
 
 import ast
 import builtins
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -158,6 +159,14 @@ FORMERLY_BARE = {
         lambda: povmtree.random_povm(3, 2, np.random.default_rng(0), [1.7, 1, 1]), "range"),
     "random_unitary float dimension": (
         lambda: povmtree.random_unitary(2.5, np.random.default_rng(0)), "range"),
+    "random_povm ranks not iterable": (
+        lambda: povmtree.random_povm(2, 1, np.random.default_rng(0), ranks=5), "shape"),
+    "random_povm ranks a string": (
+        lambda: povmtree.random_povm(2, 1, np.random.default_rng(0), ranks="11"), "shape"),
+    "random_povm negative outcomes": (
+        lambda: povmtree.random_povm(-1, 2, np.random.default_rng(0)), "range"),
+    "random_rank_one_povm no outcomes": (
+        lambda: povmtree.random_rank_one_povm(0, 1, np.random.default_rng(0)), "range"),
 }
 
 
@@ -181,6 +190,14 @@ def _rank_deficient_leaf_split():
     return povmtree.compile_tree(povmtree.validate(elements), factorization=factorization)
 
 
+def _verify_edited(shift=0.0, order=(0, 1, 2, 3)):
+    """``verify`` on the tetrad's tree, ``shift`` added to an entry of pair '1', leaves in ``order``."""
+    tree = _tetrad_tree()
+    level = tree.kraus[1].copy()
+    level[1, 0, 0, 0] += shift
+    return povmtree.verify(replace(tree, kraus=(tree.kraus[0], level), order=np.array(order)))
+
+
 # Checks of a construction that fail, each raised for the first residual above
 # its limit: the ``what``, the field naming the failure (``index`` in a stack,
 # ``path`` in a tree), the message and the residual.
@@ -192,6 +209,18 @@ FAILED_CHECKS = {
     "compile_tree completeness post-check": (
         _rank_deficient_leaf_split, "completeness", {"path": "0"},
         "node '0': completeness post-check failed, residual 5.000e-02", 0.05),
+    "verify completeness": (
+        lambda: _verify_edited(shift=1e-3), "completeness", {"path": "1"},
+        "node '1': completeness check failed, residual 9.697e-04", 9.697368043896786e-04),
+    "verify operator sum": (  # elements 0 and 2 swapped across the root's children
+        lambda: _verify_edited(order=(2, 1, 0, 3)), "operator sum", {"path": "0"},
+        "node '0': operator sum check failed, residual 5.774e-01", 3 ** -0.5),
+    "verify leaf reconstruction": (  # elements 0 and 1 swapped within pair '0'
+        lambda: _verify_edited(order=(1, 0, 2, 3)), "leaf reconstruction", {"path": "00"},
+        "node '00': leaf reconstruction check failed, residual 5.774e-01", 3 ** -0.5),
+    "verify non-finite Kraus entry": (
+        lambda: _verify_edited(shift=np.nan), "completeness", {"path": "1"},
+        "node '1': completeness check failed, residual nan", np.nan),
 }
 
 
@@ -203,4 +232,4 @@ def test_failed_checks_name_the_first_failure(case):
     named = {"index": err.value.index, "path": err.value.path}
     assert (err.value.what, str(err.value)) == (what, message)
     assert named == {"index": None, "path": None, **where}
-    assert err.value.residual == pytest.approx(residual, rel=1e-12)
+    assert err.value.residual == pytest.approx(residual, rel=1e-12, nan_ok=True)

@@ -249,6 +249,22 @@ class TestTreeFiles:
         assert again.povm.labels == expected and hash(again.povm.labels) == hash(expected)
         assert isinstance(again.povm.labels, tuple) is given
 
+    @pytest.mark.parametrize("given", [False, True])
+    def test_povm_file_labels_are_stored_only_when_given(self, tmp_path, given):
+        labels = ["a", "b", "c"] if given else None
+        p = pad_to_power_of_two(validate(random_rank_one_povm(3, 2, np.random.default_rng(3)).elements,
+                                         labels))
+        path = tmp_path / "labels.povm.json"
+        save_povm(p, path)
+        assert ("labels" in json.loads(path.read_text())) is given
+        again = load_povm(path)
+        expected = ("a", "b", "c", "pad3") if given else ("0", "1", "2", "pad3")
+        assert again.labels == p.labels == expected and again.n_original == 3
+        assert isinstance(again.labels, tuple) is given
+        # so a tree compiled from the file stores labels exactly when they were given
+        save_tree(compile_tree(again), tmp_path / "labels.tree")
+        assert ("labels" in read_tree_file(tmp_path / "labels.tree")[0]) is given
+
 
 class TestTamperedTreeFiles:
     """A tree file is untrusted input: every tampering is a typed error."""

@@ -289,6 +289,15 @@ class TestApplyFreedom:
             apply_freedom(default_kraus(tetrad_povm), [np.eye(2)])
         assert err.value.what == "shape"
 
+    def test_kraus_is_taken_as_a_stack(self, tetrad_povm):
+        f = default_kraus(tetrad_povm)
+        assert np.array_equal(apply_freedom(list(f), [np.eye(2)] * 4), f)
+        bad = list(f)
+        bad[1] = np.where(np.eye(2), np.nan, f[1])
+        with pytest.raises(ValidationError) as err:
+            apply_freedom(bad, [np.eye(2)] * 4)
+        assert (err.value.what, err.value.index) == ("finiteness", 1)
+
 
 class TestPadding:
     def test_power_of_two_untouched(self, tetrad_povm):

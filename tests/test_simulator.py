@@ -78,6 +78,14 @@ class TestQuantumState:
                 QuantumState(density)
             assert err.value.what == "range"
 
+    def test_pure_takes_a_vector_or_a_column(self):
+        column = QuantumState.pure(np.array([[1.0], [1.0j]]))
+        assert np.array_equal(column.density, QuantumState.pure([1.0, 1.0j]).density)
+        for amplitudes in (np.eye(2), np.ones((1, 2, 2))):
+            with pytest.raises(ValidationError) as err:
+                QuantumState.pure(amplitudes)
+            assert err.value.what == "shape"
+
     def test_pure_rejects_what_cannot_be_normalised(self):
         for amplitudes, what in (([np.nan, 1.0], "finiteness"), ([0.0, 0.0], "trace")):
             with pytest.raises(ValidationError) as err:
