@@ -19,7 +19,7 @@ import numpy as np
 
 from . import cost as cost_model
 from . import io as treeio
-from .errors import PovmTreeError
+from .errors import ParseError, PovmTreeError
 from .linalg import frobenius, hermitian_eig
 from .povm import pad_to_power_of_two, tetrad
 from .simulator import QuantumState, direct_probabilities, propagate, sample, random_density
@@ -33,11 +33,9 @@ def _parse_grouping(text: str, n_outcomes: int) -> list[int]:
     try:
         order = [int(piece) for group in text.split("|") for piece in group.split(",")]
     except ValueError as err:
-        raise ValueError(f"invalid grouping string {text!r}: {err}") from err
+        raise ParseError(f"invalid grouping string {text!r}: {err}") from err
     if sorted(order) != list(range(n_outcomes)):
-        raise ValueError(
-            f"grouping {text!r} is not a permutation of outcomes 0..{n_outcomes - 1}"
-        )
+        raise ParseError(f"grouping {text!r} is not a permutation of outcomes 0..{n_outcomes - 1}")
     return order
 
 
@@ -93,7 +91,7 @@ def cmd_compile(args) -> int:
         )
     partition = None
     if args.grouping is not None:
-        partition = _parse_grouping(args.grouping, povm.n_outcomes)  # ValueError exits 2
+        partition = _parse_grouping(args.grouping, povm.n_outcomes)  # a ParseError: exit 2
     tree = compile_tree(povm, partition=partition)
     report = verify(tree)
     print(report.summary())

@@ -22,9 +22,11 @@ where it does not apply.  The message starts with ``element j: `` or
 - verification: ``"shape"``; ``"completeness"`` (orthonormal columns: the
   completeness of a Kraus pair or of the Neumark rows) and ``"dilation
   unitarity"`` (of a completed unitary, where it is built); ``"children sum"``
-  and ``"factorization"`` (compile checks); ``"operator sum"`` and
-  ``"leaf reconstruction"`` (checks that :func:`povmtree.tree.verify`
-  raises, first failure first, and ``load_tree`` through it).
+  and ``"factorization"`` (compile checks); ``"padding"`` (a pair other
+  than the constant one at a node whose leaves are all padding),
+  ``"operator sum"`` and ``"leaf reconstruction"`` (checks that
+  :func:`povmtree.tree.verify` raises, first failure first, and
+  ``load_tree`` through it).
 """
 
 from __future__ import annotations

@@ -4,19 +4,24 @@ POVM and state files are JSON.  Complex entries are stored as two-element
 ``[real, imaginary]`` arrays.  Floats go through Python's shortest round-trip
 representation, so serialize/deserialize reproduces every matrix bit-exactly.
 
-A tree file (``tree-v7``) stores only a tree's independent data.  Its first
+A tree file (``tree-v8``) stores only a tree's independent data.  Its first
 line is a JSON header of scalars, without tolerances (a file is judged by the
-constants of :mod:`povmtree.linalg`), with ``labels`` only for caller labels.
-The leaf order follows as N little-endian int64, then the padded POVM, each
-element as its d^2 real Hermitian parameters in little-endian float64: the
-real diagonal, then the upper off-diagonal entries as (re, im) pairs in
-row-major order, then the raw little-endian complex128 Kraus pairs level by
-level (``tree.kraus``).  So ``8 N + 8 d^2 (5N - 4)`` bytes follow the header,
-all exact.  The parameters are ``Povm.params`` as the POVM holds them, so
-they are written and read back as they are.  The loader reads each array
-straight into the buffer the tree keeps, checks the structure (the order as
-a permutation of 0..N-1), and runs :func:`povmtree.tree.verify` before it
-returns the tree.
+constants of :mod:`povmtree.linalg`), with ``labels`` only for caller labels;
+N is ``2**depth``.  The leaf order follows as N little-endian int64, then the
+``n_original`` real elements, each as its d^2 real Hermitian parameters in
+little-endian float64: the real diagonal, then the upper off-diagonal
+entries as (re, im) pairs in row-major order.  Then come the raw
+little-endian complex128 Kraus pairs level by level (``tree.kraus``), of the
+nodes with a leaf that is not padding only.  Padding follows from the order
+and ``n_original``, so it costs no bytes: its elements are zero and the pair
+of a node whose leaves are all padding is the constant
+:func:`povmtree.tree.padding_pair`.  So ``8 N + 8 d^2 n_original + 32 d^2 K``
+bytes follow the header, all exact, for K pairs kept; without padding,
+``8 N + 8 d^2 (5N - 4)``.  The parameters are ``Povm.params`` as the POVM
+holds them, so they are written and read back as they are.  The loader reads
+each array straight into the buffer the tree keeps, filling in the padding,
+checks the structure (the order as a permutation of 0..N-1), and runs
+:func:`povmtree.tree.verify` before it returns the tree.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from itertools import islice
 from typing import Any
 
 import numpy as np
@@ -33,11 +39,11 @@ from .linalg import ENTRY_BOUND, _frozen
 from .povm import Povm, default_labels, validate
 from .records import Rows
 from .simulator import QuantumState
-from .tree import MeasurementTree, is_permutation, verify
+from .tree import MeasurementTree, is_permutation, padding_pair, real_nodes, verify
 
 POVM_FORMAT = "povmtree/povm-v1"
 STATE_FORMAT = "povmtree/state-v1"
-TREE_FORMAT = "povmtree/tree-v7"
+TREE_FORMAT = "povmtree/tree-v8"
 
 _BLOB_DTYPE = np.dtype("<c16")
 _PARAMETER_DTYPE = np.dtype("<f8")
@@ -80,9 +86,12 @@ def _require(mapping: dict, key: str) -> Any:
 
 
 def load_json(path) -> dict:
+    with open(path, "rb") as handle:
+        raw = handle.read()
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+        data = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as err:
+        raise ParseError(f"not UTF-8 text: byte {err.start} is {raw[err.start:err.start + 1]!r}") from err
     except json.JSONDecodeError as err:
         raise ParseError(f"invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}") from err
     if not isinstance(data, dict):
@@ -172,8 +181,8 @@ def _int_field(data: dict, key: str, low: int) -> int:
 def _n_original(data: dict, params: np.ndarray) -> int:
     """The ``n_original`` field, once it fits the outcome count and every padding element is zero.
 
-    Padding is written as exact zeros and both file formats store it exactly,
-    so its parameters are compared exactly.
+    Padding is written as exact zeros and a POVM file stores it exactly, so
+    its parameters are compared exactly.
     """
     n_original = _int_field(data, "n_original", 1)
     if n_original > len(params):
@@ -189,41 +198,44 @@ def _finite_float(value: Any, field: str) -> float:
     return float(value)
 
 
-def _povm(data: dict, dim: int, params: np.ndarray) -> Povm:
+def _povm(data: dict, dim: int, params: np.ndarray, n_original: int) -> Povm:
     n = len(params)
     labels = data.get("labels", ())
     if "labels" in data and not (isinstance(labels, list) and len(labels) == n
                                  and all(isinstance(x, str) for x in labels)):
         raise ParseError(f"must be a list of {n} strings", field="labels")
-    n_original = _n_original(data, params)
     # the elements are checked against the Kraus pairs by verify()
     return Povm(dim=dim, params=params, n_original=n_original,
                 labels=tuple(labels) if "labels" in data else default_labels(n, n_original))
 
 
 def save_tree(tree: MeasurementTree, path) -> None:
-    """Write ``tree`` as ``tree-v7``: one JSON header line, then the arrays.
+    """Write ``tree`` as ``tree-v8``: one JSON header line, then the arrays.
 
-    ``tree.order`` is written as int64, then ``tree.povm.params`` and each
-    level of ``tree.kraus`` as they are held, without a copy.
+    ``tree.order`` is written as int64, then the rows of ``tree.povm.params``
+    below ``n_original`` and, level by level, the pairs of ``tree.kraus`` at
+    nodes with a leaf that is not padding, as they are held, without a copy.
+    The rest is padding: zero rows, and pairs that :func:`povmtree.tree.verify`
+    requires to be :func:`povmtree.tree.padding_pair`.
     """
     p = tree.povm
     header = {
         "format": TREE_FORMAT,
         "dimension": p.dim,
-        "n_outcomes": p.n_outcomes,
         "depth": tree.depth,
         **({} if isinstance(p.labels, Rows) else {"labels": list(p.labels)}),
         "n_original": p.n_original,
     }
+    arrays = (tree.order, p.params, *tree.kraus)
     with open(path, "wb") as handle:
         handle.write(json.dumps(header).encode("utf-8") + b"\n")
-        for (_, _, dtype), a in zip(_blobs(p.dim, tree.depth), (tree.order, p.params, *tree.kraus)):
-            handle.write(np.ascontiguousarray(a, dtype=dtype))  # a no-op on a little-endian host
+        for (_, _, dtype, runs, _), a in zip(_blobs(p.dim, tree.depth, p.n_original, tree.order), arrays):
+            for rows in runs:  # a no-op conversion on a little-endian host
+                handle.write(np.ascontiguousarray(a[rows], dtype=dtype))
 
 
-def _read_header(handle) -> tuple[dict, int, int]:
-    """The checked JSON header on the first line of a tree file, its dimension and depth."""
+def _read_header(handle) -> tuple[dict, int, int, int]:
+    """The checked JSON header on the first line of a tree file, its dimension, depth and ``n_original``."""
     line = handle.readline(_HEADER_LIMIT + 1)
     if len(line) > _HEADER_LIMIT:
         raise ParseError(f"header line exceeds {_HEADER_LIMIT} bytes", field="header")
@@ -239,50 +251,72 @@ def _read_header(handle) -> tuple[dict, int, int]:
                          field="format")
     dim = _int_field(header, "dimension", 1)
     depth = _int_field(header, "depth", 0)
-    n = _int_field(header, "n_outcomes", 1)
+    size = os.fstat(handle.fileno()).st_size
     # compare bit lengths first, so a huge depth is not shifted out
-    if n.bit_length() - 1 != depth or n != 1 << depth:
-        raise ParseError(f"n_outcomes {n} is not 2**depth for depth {depth}", field="depth")
+    if depth > size.bit_length() or _ORDER_DTYPE.itemsize << depth > size:
+        raise ParseError(f"the order of 2**{depth} outcomes cannot fit in the file's {size} bytes",
+                         field="depth")
+    n_original = _int_field(header, "n_original", 1)
+    if n_original > 1 << depth:
+        raise ParseError(f"exceeds the 2**{depth} outcomes", field="n_original")
     if not line.endswith(b"\n"):
         raise ParseError("the header line has no terminating newline", field="header")
-    return header, dim, depth
+    return header, dim, depth, n_original
 
 
-def _blobs(dim: int, depth: int):
-    """Field name, shape and dtype of each array of a tree file, in file order.
+def _runs(mask: np.ndarray) -> list[slice]:
+    """The runs of ``True`` in a boolean array, as slices."""
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    return [slice(int(a), int(b)) for a, b in zip(edges[0::2], edges[1::2])]
 
-    The elements' shape is that of their parameters, one row of d^2 each.
+
+def _blobs(dim: int, depth: int, n_original: int, order):
+    """Field name, shape, dtype, stored rows and padding row of each array of a tree file, in file order.
+
+    An array stores the rows in ``rows``, slices along its first axis in
+    order; every other row is ``pad``.  The elements' shape is that of their
+    parameters, one row of d^2 each.  Entries are made as they are reached:
+    only the Kraus levels' read ``order``, so the order's own entry comes
+    before the order is known.
     """
-    yield "order", (1 << depth,), _ORDER_DTYPE
-    yield "elements", (1 << depth, dim * dim), _PARAMETER_DTYPE
-    for level in range(depth):
-        yield f"kraus[{level}]", (1 << level, 2, dim, dim), _BLOB_DTYPE
+    n = 1 << depth
+    yield "order", (n,), _ORDER_DTYPE, [slice(0, n)], None
+    yield "elements", (n, dim * dim), _PARAMETER_DTYPE, [slice(0, n_original)], 0.0
+    for level, real in enumerate(real_nodes(order, n_original)[:depth]):
+        yield f"kraus[{level}]", (1 << level, 2, dim, dim), _BLOB_DTYPE, _runs(real), padding_pair(dim)
 
 
-def _read_arrays(handle, dim: int, depth: int) -> list[np.ndarray]:
-    """The arrays that follow the header, each read into its own read-only buffer.
+def _read_arrays(handle, blobs, last: bool) -> list[np.ndarray]:
+    """The arrays of ``blobs`` that follow in the file, each read into its own read-only buffer.
 
-    Every byte count is checked before any array is allocated, so a header
-    that claims more data than the file holds costs nothing.  Each real and
-    imaginary part of a float or complex array must lie within ``ENTRY_BOUND``.
+    Every byte count is checked before any array is allocated, each before
+    the next entry of ``blobs`` is made, so a header that claims more data
+    than the file holds costs nothing; with ``last`` no byte may follow.
+    Each real and imaginary part of a float or complex array must lie
+    within ``ENTRY_BOUND``.
     """
-    blobs = list(_blobs(dim, depth))
+    checked = []
     available = os.fstat(handle.fileno()).st_size - handle.tell()
-    for field, shape, dtype in blobs:
-        need = math.prod(shape) * dtype.itemsize
+    for blob in blobs:
+        field, shape, dtype, runs, _ = blob
+        need = sum(rows.stop - rows.start for rows in runs) * math.prod(shape[1:]) * dtype.itemsize
         if available < need:
             raise ParseError(f"blob holds {available} bytes, expected {need} for shape {shape}",
                              field=field)
         available -= need
-    if available:
+        checked.append(blob)
+    if last and available:
         raise ParseError(f"the file has {available} bytes after the last blob")
     arrays = []
-    for field, shape, dtype in blobs:
+    for field, shape, dtype, runs, pad in checked:
         a = np.empty(shape, dtype=dtype)
-        got = handle.readinto(a)
-        if got != a.nbytes:  # the file shrank after its size was checked
-            raise ParseError(f"blob holds {got} bytes, expected {a.nbytes} for shape {shape}",
-                             field=field)
+        if runs != [slice(0, shape[0])]:
+            a[...] = pad  # the stored rows are read over it
+        for rows in runs:
+            got = handle.readinto(a[rows])
+            if got != a[rows].nbytes:  # the file shrank after its size was checked
+                raise ParseError(f"blob holds {got} bytes, expected {a[rows].nbytes} for rows {rows.start}:"
+                                 f"{rows.stop} of shape {shape}", field=field)
         parts = a.view(_PARAMETER_DTYPE)  # real and imaginary parts side by side
         # no arithmetic, so nothing overflows; a nan fails both comparisons
         if dtype.kind in "fc" and not (-ENTRY_BOUND <= parts.min() and parts.max() <= ENTRY_BOUND):
@@ -293,26 +327,30 @@ def _read_arrays(handle, dim: int, depth: int) -> list[np.ndarray]:
 
 
 def load_tree(path) -> MeasurementTree:
-    """Read, check and verify a ``tree-v7`` file.
+    """Read, check and verify a ``tree-v8`` file.
 
     Each blob is read into the array the tree keeps, so the file is never
-    held twice, and only once every blob's byte count has been checked.
-    The elements' parameters are read straight into ``Povm.params``, so
-    ``load_tree(save_tree(t))`` returns ``t``'s arrays bit for bit.
+    held twice, and only once its byte count has been checked: the order's
+    first, then, once the order is known to be a permutation, every other
+    blob's, which depend on it.  The elements' parameters are read straight
+    into ``Povm.params``, with padding rows and pairs filled in as the
+    constants that ``compile_tree`` writes, so ``load_tree(save_tree(t))``
+    returns ``t``'s arrays bit for bit.
 
     Raises
     ------
     ParseError
         In the order checked: a header line longer than ``_HEADER_LIMIT``
         bytes or not one JSON object (an indented JSON file too); a format
-        other than ``tree-v7`` (a one-line file of an older format names it:
-        recompile it from its POVM file); ``n_outcomes`` other than
-        ``2**depth``; a header line without its newline; a blob shorter
-        than its shape needs, or bytes after the last blob; an array entry
-        whose real or imaginary part is not finite or exceeds 2 in
-        magnitude; ``order`` not a permutation of the outcomes; ``labels``,
-        when present, not one string per outcome; or ``n_original`` marking
-        a nonzero element as padding.
+        other than ``tree-v8`` (a one-line file of an older format names it:
+        recompile it from its POVM file); a ``depth`` whose order of
+        ``2**depth`` int64 cannot fit in the file; ``n_original`` above
+        ``2**depth``; a header line without its newline; an order blob
+        shorter than its shape needs; an array entry whose real or
+        imaginary part is not finite or exceeds 2 in magnitude (per blob,
+        as it is read); ``order`` not a permutation of the outcomes; a
+        later blob shorter than its stored rows need, or bytes after the
+        last blob; or ``labels``, when present, not one string per outcome.
     VerificationError
         As :func:`povmtree.tree.verify` raises it for the rebuilt tree: the
         first failing check in walk order, naming the node's path
@@ -320,10 +358,12 @@ def load_tree(path) -> MeasurementTree:
         reconstruction"`` at a leaf).
     """
     with open(path, "rb") as handle:
-        header, dim, depth = _read_header(handle)
-        order, params, *kraus = _read_arrays(handle, dim, depth)
-    if not is_permutation(order, 1 << depth):
-        raise ParseError(f"must be a permutation of 0..{(1 << depth) - 1}", field="order")
-    tree = MeasurementTree(povm=_povm(header, dim, params), order=order, kraus=tuple(kraus))
+        header, dim, depth, n_original = _read_header(handle)
+        (order,) = _read_arrays(handle, [next(_blobs(dim, depth, n_original, None))], last=False)
+        if not is_permutation(order, 1 << depth):
+            raise ParseError(f"must be a permutation of 0..{(1 << depth) - 1}", field="order")
+        params, *kraus = _read_arrays(handle, islice(_blobs(dim, depth, n_original, order), 1, None),
+                                      last=True)
+    tree = MeasurementTree(povm=_povm(header, dim, params, n_original), order=order, kraus=tuple(kraus))
     verify(tree)
     return tree

@@ -28,6 +28,13 @@ coupling is checked where it is built.  Compilation, verification, cumulative
 operators and the simulator share one traversal, depth first (:func:`_walk`):
 at most half a 64 KiB block of nodes per level, one stacked LAPACK call per
 block; checks raise in walk order, node order wherever a level fits half a block.
+
+A node whose leaves are all padding has S_x = 0, so g = I and its pair is
+the constant (I/sqrt 2, I/sqrt 2) (:func:`padding_pair`).  Which nodes these
+are follows from the leaf order and the number of real outcomes
+(:func:`real_nodes`).  Compilation writes the constant without a
+decomposition, :func:`verify` requires it exactly, and a tree file stores
+neither it nor the padding elements.
 """
 
 from __future__ import annotations
@@ -61,6 +68,28 @@ from .records import VerificationReport
 # The weight a_0 = a_1 of the null-space correction in both children's operators;
 # multiplied, not divided by sqrt(2), which rounds differently in the last bit
 _A = 1 / math.sqrt(2)
+
+
+def padding_pair(d: int) -> np.ndarray:
+    """The read-only ``(2, d, d)`` Kraus pair ``(I/sqrt 2, I/sqrt 2)`` of a node whose leaves are all padding.
+
+    Its sum S_x is zero, so g = I and ``b_c = a_c * I``: what the general
+    construction gives, bit for bit, without a decomposition.
+    """
+    return np.broadcast_to(_A * np.eye(d, dtype=complex), (2, d, d))
+
+
+def real_nodes(order: np.ndarray, n_original: int) -> list[np.ndarray]:
+    """Which nodes have a leaf that is not padding: one boolean array per level, root first.
+
+    Leaf i is padding when ``order[i] >= n_original``.  A node whose leaves
+    are all padding holds :func:`padding_pair`; a tree file stores the
+    pairs of the others only.
+    """
+    levels = [np.asarray(order) < n_original]
+    while len(levels[-1]) > 1:
+        levels.append(levels[-1][0::2] | levels[-1][1::2])
+    return levels[::-1]
 
 
 def node_path(level: int, index: int) -> str:
@@ -293,6 +322,9 @@ def compile_tree(
     depth-first walk of :func:`_walk`: each run of parents carries its
     partial sums' decompositions ``(V, w)`` from one stacked ``eigh`` of
     their sums, and writes its Kraus pairs into the returned level arrays.
+    A node whose leaves are all padding gets :func:`padding_pair`, and is
+    neither decomposed nor split; ``factorization``'s operators of padding
+    outcomes, if given, must be zero and are not read.
 
     ``partition``, of Python or NumPy integers (not ``bool``), may permute
     the padded outcome set or just the original outcomes, in which case
@@ -307,7 +339,9 @@ def compile_tree(
         operator of the wrong shape, if any) or ``"finiteness"`` (``index``
         naming the first operator with an entry that is not finite).
     VerificationError
-        ``what="children sum"`` if a node's targets do not sum to its own,
+        ``what="factorization"`` naming by ``index`` the first padding
+        outcome whose operator exceeds ``TOL_CHECK`` in norm.  Then
+        ``"children sum"`` if a node's targets do not sum to its own,
         ``"completeness"`` or ``"factorization"`` if a pair's post-check
         fails; raised at once, naming the node's path, in walk order.
     """
@@ -320,27 +354,48 @@ def compile_tree(
         if len(factorization) not in (p.n_outcomes, n):
             raise ValidationError(f"factorization has {len(factorization)} operators for "
                                   f"{p.n_outcomes} outcomes", what="shape")
+        # a padding outcome's element is zero, so its operator must be too; none is read
+        padding = np.arange(len(factorization)) >= p.n_original
+        _raise_first(np.linalg.norm(factorization, axis=(-2, -1)) * padding, "factorization",
+                     "operator of a padding outcome is not zero, |m|_F = {:.3e}", TOL_CHECK)
     # each parent's partial sum as psd_sqrt_stack keeps it, (V, w); the root's is I
     node = np.dtype([("V", complex, (d, d)), ("w", float, (d,))])
     root = np.array((np.eye(d), np.ones(d)), node)
     levels = [np.empty((1 << level, 2, d, d), dtype=complex) for level in range(depth)]
+    real = real_nodes(order, p.n_original)
 
     def split(level: int, first: int, parents: np.ndarray):
-        """Write the pairs of a run of parents; return the children's decompositions, None at leaves."""
+        """Write the pairs of a run of parents; return the children's decompositions, None at leaves.
+
+        A parent whose leaves are all padding gets :func:`padding_pair`, and
+        a child whose leaves are all padding the zero target; neither is decomposed.
+        """
         span = n >> (level + 1)  # leaves below each child
         lo, hi = 2 * first * span, 2 * (first + len(parents)) * span
+        run = slice(first, first + len(parents))
+        live, kids = real[level][run], real[level + 1][2 * run.start : 2 * run.stop]
+        levels[level][run][~live] = padding_pair(d)
         children = np.empty(2 * len(parents), node) if span > 1 else None
+        if not live.any():
+            return children
+        split_at = np.flatnonzero(live)  # for the paths of failing parents
+        if kids.all():  # no padding below the run: slices, which copy nothing
+            live = kids = slice(None)
         if leaves := (span == 1 and factorization is not None):
-            # a factorization of the unpadded outcomes leaves the padding leaves zero
-            real = order[lo:hi] < len(factorization)
-            targets = np.zeros((hi - lo, d, d), dtype=complex)
-            targets[real] = factorization[order[lo:hi][real]]
+            targets = factorization[order[lo:hi][kids]]
         else:  # children that are parents of the next level keep their decompositions
-            sums = hermitian_from_parameters(_ordered_sums(padded.params, order, lo, hi, span))
-            targets = psd_sqrt_stack(sums, None if children is None else (children["V"], children["w"]))
-        levels[level][first : first + len(parents)] = _split_level(
-            targets.reshape(-1, 2, d, d), *psd_parts(parents["V"], parents["w"]), leaves,
-            lambda i: node_path(level, first + i))
+            sums = hermitian_from_parameters(_ordered_sums(padded.params, order, lo, hi, span)[kids])
+            kept = None if children is None else children[kids]
+            targets = psd_sqrt_stack(sums, None if kept is None else (kept["V"], kept["w"]))
+            if kept is not None:
+                children[kids] = kept
+        if not isinstance(kids, slice):  # a child whose leaves are all padding has the zero target
+            spread = np.zeros((len(kids), d, d), dtype=complex)
+            spread[kids] = targets
+            targets = spread
+        levels[level][run][live] = _split_level(targets.reshape(-1, 2, d, d)[live],
+                                                *psd_parts(parents["V"][live], parents["w"][live]), leaves,
+                                                lambda i: node_path(level, first + split_at[i]))
         return children
 
     for _ in _walk(depth, d, root, split):
@@ -351,10 +406,12 @@ def compile_tree(
 def verify(tree: MeasurementTree) -> VerificationReport:
     """Audit every node of a tree against the construction identities that can fail.
 
-    Checks, per internal node: completeness of the Kraus pair, and agreement
-    of the cumulative operator with the sum S of the POVM elements below
-    (``eigvalsh`` of S under :func:`povmtree.linalg.rank_mask` gives the
-    reported parent rank).  Per leaf: the Frobenius distance between the
+    Checks, per internal node: that a node whose leaves are all padding
+    holds exactly :func:`padding_pair`, completeness of the Kraus pair, and
+    agreement of the cumulative operator with the sum S of the POVM
+    elements below, zero below padding (``eigvalsh`` of S under
+    :func:`povmtree.linalg.rank_mask` gives the reported parent rank, 0
+    where S is padding).  Per leaf: the Frobenius distance between the
     leaf's cumulative operator and the original POVM element.  Nothing
     else can fail: ``b_child @ m_parent = m_child`` holds exactly, because
     child cumulative operators are defined as those products; ``b^dag b`` is
@@ -369,7 +426,8 @@ def verify(tree: MeasurementTree) -> VerificationReport:
     VerificationError
         At the first residual above ``TOL_CHECK`` or not a number, in walk
         order, naming the node's path: ``what="leaf reconstruction"`` at a
-        leaf block, else ``"completeness"`` of its pairs, then ``"operator sum"``.
+        leaf block, else ``"padding"`` (any difference from the constant
+        pair), ``"completeness"`` of its pairs, then ``"operator sum"``.
     """
     p, d, n = tree.povm, tree.povm.dim, tree.povm.n_outcomes
     # the node columns verify measures, in the order of NodeCheck's fields
@@ -377,10 +435,11 @@ def verify(tree: MeasurementTree) -> VerificationReport:
     nodes = {name: np.zeros(n - 1, dtype) for name, dtype in measured.items()}
     leaf_residual = np.empty(n)
 
-    def check(residuals, what):  # residual i is node lo + i's, on the level in hand
-        _raise_first(residuals, what, what + " check failed, residual {:.3e}", TOL_CHECK,
+    def check(residuals, what, limit=TOL_CHECK):  # residual i is node lo + i's, on the level in hand
+        _raise_first(residuals, what, what + " check failed, residual {:.3e}", limit,
                      path=lambda i: node_path(level, lo + i))
 
+    real, pad = real_nodes(tree.order, p.n_original), padding_pair(d)
     for level, first, m in tree._operators(tree.depth):
         span = n >> level
         sums = _ordered_sums(p.params, tree.order, first * span, (first + len(m)) * span, span)
@@ -392,11 +451,16 @@ def verify(tree: MeasurementTree) -> VerificationReport:
                 leaf_residual[lo:hi] = residual
                 continue
             rows = slice((1 << level) - 1 + lo, (1 << level) - 1 + hi)
-            nodes["completeness_residual"][rows] = completeness_residuals(tree.kraus[level][lo:hi])
+            live, pairs = real[level][lo:hi], tree.kraus[level][lo:hi]
+            # a node whose leaves are all padding holds exactly the padding pair
+            off = np.zeros(len(pairs))
+            off[~live] = np.linalg.norm((pairs[~live] - pad).reshape(-1, 2 * d * d), axis=-1)
+            check(off, "padding", 0.0)
+            nodes["completeness_residual"][rows] = completeness_residuals(pairs)
             check(nodes["completeness_residual"][rows], "completeness")
             check(residual, "operator sum")
             nodes["operator_sum_residual"][rows] = residual
-            nodes["parent_rank"][rows] = rank_mask(np.linalg.eigvalsh(s)).sum(axis=-1)
+            nodes["parent_rank"][rows][live] = rank_mask(np.linalg.eigvalsh(s[live])).sum(axis=-1)
     nodes["uses_null_correction"] = nodes["parent_rank"] < d
     return VerificationReport(
         node_columns={name: _frozen(column) for name, column in nodes.items()},

@@ -34,7 +34,7 @@ def frob(a):
 
 
 def hermitian_parameters(elements):
-    """The tree-v7 parameters of an ``(N, d, d)`` Hermitian stack, one row of d^2 reals each.
+    """The tree-file parameters of an ``(N, d, d)`` Hermitian stack, one row of d^2 reals each.
 
     Per element: the real diagonal, then each upper off-diagonal entry as a
     (re, im) pair, row by row; written out entry by entry as the format
@@ -51,32 +51,49 @@ def hermitian_parameters(elements):
     return np.array(rows, dtype="<f8").reshape(len(elements), -1)
 
 
-def read_tree_file(path):
-    """Header, order and writable arrays of a tree-v7 file, read as the format documents it.
+def stored_pairs(order, n_original):
+    """Per level, root first, which nodes' pairs a tree-v8 file stores: those with a real leaf.
 
-    The order is ``(N,)`` little-endian int64.  The arrays after it are the
-    padded POVM's parameters, ``(N, d*d)`` little-endian float64 as
-    :func:`hermitian_parameters` lays them out; then ``kraus[l]`` of shape
-    ``(2**l, 2, d, d)`` for each level, as little-endian complex128 in C order.
+    Leaf i is outcome ``order[i]``, padding when ``order[i] >= n_original``;
+    a node's leaves are the 2**(depth - level) leaves below it.
+    """
+    real = np.asarray(order) < n_original
+    levels = []
+    while len(real) > 1:
+        real = real.reshape(-1, 2).any(axis=1)
+        levels.insert(0, real)
+    return levels
+
+
+def read_tree_file(path):
+    """Header, order and writable arrays of a tree-v8 file, read as the format documents it.
+
+    The order is ``(2**depth,)`` little-endian int64.  The arrays after it
+    are the parameters of the ``n_original`` real elements, ``(n_original,
+    d*d)`` little-endian float64 as :func:`hermitian_parameters` lays them
+    out; then, for each level, the pairs of ``kraus[l]`` that
+    :func:`stored_pairs` marks, ``(k, 2, d, d)`` little-endian complex128 in
+    C order.
     """
     with open(path, "rb") as handle:
         header = json.loads(handle.readline())
         raw = handle.read()
-    n, d, depth = header["n_outcomes"], header["dimension"], header["depth"]
-    blobs = [("<i8", (n,)), ("<f8", (1 << depth, d * d))]
-    blobs += [("<c16", (1 << level, 2, d, d)) for level in range(depth)]
-    arrays, offset = [], 0
+    d, depth, n_original = header["dimension"], header["depth"], header["n_original"]
+    order = np.frombuffer(raw, dtype="<i8", count=1 << depth).copy()
+    blobs = [("<f8", (n_original, d * d))]
+    blobs += [("<c16", (int(kept.sum()), 2, d, d)) for kept in stored_pairs(order, n_original)]
+    arrays, offset = [], order.nbytes
     for dtype, shape in blobs:
         count = int(np.prod(shape))
         a = np.frombuffer(raw, dtype=dtype, count=count, offset=offset).reshape(shape)
         arrays.append(a.copy())
         offset += a.nbytes
     assert offset == len(raw)
-    return header, arrays[0], arrays[1:]
+    return header, order, arrays
 
 
 def write_tree_file(path, header, order, arrays, tail=b""):
-    """Write a tree-v7 file from a header, order and arrays as :func:`read_tree_file` returns them.
+    """Write a tree-v8 file from a header, order and arrays as :func:`read_tree_file` returns them.
 
     ``tail`` bytes are appended.
     """

@@ -8,6 +8,7 @@ import pytest
 
 import povmtree
 from povmtree import (
+    ParseError,
     QuantumState,
     apply_freedom,
     cli,
@@ -22,7 +23,7 @@ from povmtree import (
 )
 from povmtree.cli import main
 from povmtree.cost import compare
-from povmtree.io import encode_matrix, load_povm, load_tree, save_povm, save_tree
+from povmtree.io import encode_matrix, load_povm, load_tree, save_povm, save_state, save_tree
 
 from conftest import read_tree_file, write_tree_file
 
@@ -109,6 +110,16 @@ class TestValidateCommand:
     def test_missing_file(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 2
 
+    def test_bytes_that_are_not_utf8(self, tetrad_file, capsys):
+        # a ParseError from the reader, no longer a UnicodeDecodeError that
+        # only main's ValueError net turned into exit 2
+        with open(tetrad_file, "r+b") as handle:
+            handle.seek(10)
+            handle.write(b"\xff")
+        capsys.readouterr()
+        assert main(["validate", tetrad_file]) == 2
+        assert capsys.readouterr().err.startswith("error: not UTF-8 text: byte 10")
+
 
 class TestCompileCommand:
     def test_tetrad_with_grouping(self, tetrad_file, tmp_path, capsys):
@@ -131,6 +142,12 @@ class TestCompileCommand:
         assert main(["compile", tetrad_file, "--grouping", "0,3|1", "--out", out_path]) == 2
         assert main(["compile", tetrad_file, "--grouping", "0,3|1,a", "--out", out_path]) == 2
 
+    @pytest.mark.parametrize("grouping", ["0,3|1", "0,3|1,a"], ids=["short", "not-a-number"])
+    def test_invalid_grouping_is_a_parse_error(self, grouping):
+        with pytest.raises(ParseError) as err:
+            cli._parse_grouping(grouping, 4)
+        assert repr(grouping) in str(err.value)
+
     def test_default_output_name(self, tetrad_file, tmp_path, capsys):
         assert main(["compile", tetrad_file]) == 0
         expected = tetrad_file.replace(".json", "") + ".tree"
@@ -143,6 +160,14 @@ class TestSimulateCommand:
         out_path = str(tmp_path / "tetrad.tree")
         assert main(["compile", tetrad_file, "--grouping", "0,3|1,2", "--out", out_path]) == 0
         return out_path
+
+    def test_state_file_that_is_not_utf8(self, tetrad_tree, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        save_state(QuantumState.basis(2, 0), path)
+        path.write_bytes(b"\xff" + path.read_bytes()[1:])
+        capsys.readouterr()
+        assert main(["simulate", tetrad_tree, "--state", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: not UTF-8 text: byte 0")
 
     def test_pure_state(self, tetrad_tree, capsys):
         assert main(["simulate", tetrad_tree, "--state", "pure:0"]) == 0

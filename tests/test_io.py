@@ -36,7 +36,7 @@ from povmtree.io import (
     state_from_dict,
 )
 
-from conftest import hermitian_parameters, read_tree_file, write_tree_file
+from conftest import hermitian_parameters, read_tree_file, stored_pairs, write_tree_file
 
 
 class TestMatrixCodec:
@@ -128,6 +128,20 @@ class TestUntrustedPovmAndStateFiles:
             loader(data)
         assert err.value.field == field
 
+    @pytest.mark.parametrize("loader", [load_povm, load_state])
+    def test_bytes_that_are_not_utf8(self, tmp_path, tetrad_povm, loader):
+        # one \xff byte once raised a bare UnicodeDecodeError
+        path = tmp_path / "file.json"
+        if loader is load_povm:
+            save_povm(tetrad_povm, path)
+        else:
+            save_state(QuantumState.basis(2, 0), path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:10] + b"\xff" + raw[11:])
+        with pytest.raises(ParseError) as err:
+            loader(path)
+        assert "not UTF-8" in str(err.value) and "byte 10" in str(err.value)
+
 
 class TestStateFiles:
     def test_round_trip(self, tmp_path, rng):
@@ -196,14 +210,8 @@ class TestTreeFiles:
 
     # The header is pinned byte for byte; the arrays are compared with the
     # tree's own, since their low bits can differ between LAPACK builds.
-    TETRAD_HEADER = (
-        b'{"format": "povmtree/tree-v7", "dimension": 2, "n_outcomes": 4, "depth": 2, '
-        b'"n_original": 4}'
-    )
-    PADDED_HEADER = (
-        b'{"format": "povmtree/tree-v7", "dimension": 2, "n_outcomes": 8, "depth": 3, '
-        b'"n_original": 5}'
-    )
+    TETRAD_HEADER = b'{"format": "povmtree/tree-v8", "dimension": 2, "depth": 2, "n_original": 4}'
+    PADDED_HEADER = b'{"format": "povmtree/tree-v8", "dimension": 2, "depth": 3, "n_original": 5}'
     TETRAD_ORDER = (0, 3, 1, 2)
     PADDED_ORDER = tuple(range(8))
 
@@ -217,14 +225,19 @@ class TestTreeFiles:
             header, order = self.PADDED_HEADER, self.PADDED_ORDER
         path = tmp_path / "layout.tree"
         save_tree(tree, path)
-        arrays = [np.array(order, dtype="<i8"), hermitian_parameters(tree.povm.elements),
-                  *tree.kraus]
+        # the real elements, then the pairs of nodes with a real leaf: at
+        # (2, 5) all but the last pair of the last level
+        n_original = tree.povm.n_original
+        arrays = [np.array(order, dtype="<i8"), hermitian_parameters(tree.povm.elements[:n_original]),
+                  *(level[kept] for level, kept in zip(tree.kraus, stored_pairs(order, n_original)))]
         assert path.read_bytes() == header + b"\n" + b"".join(a.tobytes() for a in arrays)
 
     @pytest.mark.parametrize("d, n", [(2, 4), (2, 5), (3, 7), (32, 64)],
                              ids=["tetrad", "padded-2-5", "padded-3-7", "32-64"])
     def test_file_size(self, tmp_path, tetrad_povm, d, n):
-        # per padded element one int64 and d^2 float64, per Kraus pair 2 d^2 complex128
+        # per padded element one int64, per real element d^2 float64, and per
+        # node with a real leaf 2 d^2 complex128: at (2, 5) 6 of the 7 pairs,
+        # at (3, 7) all 7
         p = tetrad_povm if n == 4 else random_rank_one_povm(n, d, np.random.default_rng([d, n]))
         tree = compile_tree(p)
         path = tmp_path / "size.tree"
@@ -232,7 +245,9 @@ class TestTreeFiles:
         with open(path, "rb") as handle:
             header = len(handle.readline())
         padded = tree.povm.n_outcomes
-        assert path.stat().st_size == header + 8 * padded + 8 * d * d * (5 * padded - 4)
+        pairs = {4: 3, 5: 6, 7: 7, 64: 63}[n]
+        assert sum(kept.sum() for kept in stored_pairs(tree.order, n)) == pairs
+        assert path.stat().st_size == header + 8 * padded + 8 * d * d * n + 32 * d * d * pairs
 
     @pytest.mark.parametrize("given", [False, True])
     def test_labels_are_stored_only_when_given(self, tmp_path, given):
@@ -276,14 +291,35 @@ class TestTamperedTreeFiles:
         return read_tree_file(path)
 
     def test_depth_must_match_outcomes(self, parts, tmp_path):
-        # with depth 3 a tetrad tree once loaded and sampled (200000, 0, 0, 0) on |0>
+        # with depth 3 a tetrad tree once loaded and sampled (200000, 0, 0, 0) on
+        # |0>; tree-v7 refused it by its n_outcomes, which tree-v8 does not
+        # store, so the order of 2**3 outcomes now takes in the first element's
+        # parameters, and is no permutation
         header, order, arrays = parts
         header["depth"] = 3
         path = tmp_path / "deep.tree"
         write_tree_file(path, header, order, arrays)
         with pytest.raises(ParseError) as err:
             load_tree(path)
+        assert err.value.field == "order"
+
+    @pytest.mark.parametrize("depth", [10 ** 9, 1 << 62, 64, 7])
+    def test_depth_is_bounded_by_the_file(self, parts, tmp_path, depth):
+        # 2**depth int64 cannot fit in the file: refused before 1 << depth is
+        # formed or any array is allocated
+        header, order, arrays = parts
+        path = tmp_path / "deep.tree"
+        write_tree_file(path, dict(header, depth=depth), order, arrays)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as err:
+                load_tree(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert err.value.field == "depth"
+        assert peak <= 64 * 1024
 
     def test_outcome_out_of_range(self, parts, tmp_path):
         header, order, arrays = parts
@@ -330,11 +366,24 @@ class TestTamperedTreeFiles:
         assert err.value.field == field
 
     def test_n_original_marks_only_zero_padding(self, parts, tmp_path):
-        # n_original 2 would flag outcomes 2 and 3, both nonzero, as padding
+        # n_original 2 would flag outcomes 2 and 3, both nonzero, as padding.
+        # tree-v8 stores no padding rows, so the header then claims 2 element
+        # rows of the 4 the file holds, and bytes are left over
         header, order, arrays = parts
-        header["n_original"] = 2
         path = tmp_path / "padding.tree"
-        write_tree_file(path, header, order, arrays)
+        write_tree_file(path, dict(header, n_original=2), order, arrays)
+        with pytest.raises(ParseError) as err:
+            load_tree(path)
+        assert "after the last blob" in str(err.value)
+        # with the two rows dropped the file's sizes agree, and the tree no
+        # longer sums to its elements
+        elements, *kraus = arrays
+        write_tree_file(path, dict(header, n_original=2), order, [elements[:2], *kraus])
+        with pytest.raises(VerificationError) as err:
+            load_tree(path)
+        assert (err.value.what, err.value.path) == ("operator sum", "")
+        # and more real outcomes than the tree has is refused from the header
+        write_tree_file(path, dict(header, n_original=5), order, arrays)
         with pytest.raises(ParseError) as err:
             load_tree(path)
         assert err.value.field == "n_original"
@@ -385,7 +434,7 @@ class TestTamperedTreeFiles:
         with pytest.raises(ParseError) as err:
             load_tree(path)
         assert err.value.field == "format"
-        assert "povmtree/tree-v7" in str(err.value)
+        assert "povmtree/tree-v8" in str(err.value)
 
     @pytest.mark.parametrize("version", ["tree-v3", "tree-v4", "tree-v5", "tree-v6"])
     def test_v3_file_is_not_read(self, tetrad_povm, tmp_path, version):
@@ -417,6 +466,20 @@ class TestTamperedTreeFiles:
             load_tree(path)
         assert err.value.field == "format"
         assert f"povmtree/{version}" in str(err.value)
+
+    def test_v7_file_is_not_read(self, parts, tmp_path):
+        # tree-v7 had n_outcomes in its header and stored padding, so for a
+        # power-of-two N its arrays are tree-v8's; the file is still refused
+        # by its format, naming the one to recompile to
+        header, order, arrays = parts
+        v7 = {"format": "povmtree/tree-v7", "dimension": 2, "n_outcomes": 4, "depth": 2,
+              "n_original": 4}
+        path = tmp_path / "old.tree"
+        write_tree_file(path, v7, order, arrays)
+        with pytest.raises(ParseError) as err:
+            load_tree(path)
+        assert err.value.field == "format"
+        assert "povmtree/tree-v7" in str(err.value) and "povmtree/tree-v8" in str(err.value)
 
     @pytest.mark.parametrize("indent, field", [(None, "format"), (1, "header")], ids=["None", "1"])
     def test_v2_file_is_not_read(self, parts, tmp_path, indent, field):

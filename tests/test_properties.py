@@ -15,10 +15,12 @@ from povmtree import (
     direct_probabilities,
     full_neumark,
     pad_to_power_of_two,
+    propagate,
     random_density,
     random_povm,
     random_rank_one_povm,
     random_unitary,
+    sample,
     validate,
 )
 from povmtree.dilation import completeness_residuals, dilate_level
@@ -26,7 +28,7 @@ from povmtree.io import load_tree, save_tree
 from povmtree.errors import VerificationError
 from povmtree.linalg import TOL_CHECK, TOL_UNITARY, adjoint, complete_to_unitary_stack
 
-from conftest import frob
+from conftest import frob, stored_pairs
 from test_tree import dusty_povm_elements
 
 # Few examples, drawn the same way on every run, so Tier-1 stays fast and stable.
@@ -161,6 +163,51 @@ def test_tree_files_round_trip(n, d, given_labels, partition, freedom, seed, tmp
     assert again.povm.labels == tree.povm.labels
     assert list(again.povm.labels[:n]) == (labels or [str(j) for j in range(n)])
     assert again.povm.n_original == n
+
+
+@PROPERTY
+@given(
+    d=st.integers(1, 4),
+    k=st.integers(1, 6),
+    construction=st.sampled_from(["default", "freedom", "padding in the middle"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_padding_costs_no_bytes(d, k, construction, seed, tmp_path_factory):
+    # N strictly between 2**k and 2**(k + 1), so some subtree is all padding
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers((1 << k) + 1, 1 << (k + 1)))
+    ranks = rng.integers(1, d + 1, n)
+    ranks[0] = d  # so that the elements can sum to the identity
+    p = random_povm(n, d, rng, ranks=ranks)
+    factorization = partition = None
+    if construction == "freedom":
+        factorization = apply_freedom(default_kraus(p), [random_unitary(d, rng) for _ in range(n)])
+    elif construction == "padding in the middle":
+        partition = rng.permutation(2 << k)
+    tree = compile_tree(p, factorization=factorization, partition=partition)
+    stored = stored_pairs(tree.order, n)
+    a = 1 / math.sqrt(2)
+    for level, kept in zip(tree.kraus, stored):
+        assert (level[~kept] == a * np.eye(d)).all()
+
+    path = tmp_path_factory.mktemp("padding") / "t.tree"
+    save_tree(tree, path)
+    with open(path, "rb") as handle:
+        header = len(handle.readline())
+    pairs = sum(int(kept.sum()) for kept in stored)
+    assert path.stat().st_size == header + 8 * (2 << k) + 8 * d * d * n + 32 * d * d * pairs
+    again = load_tree(path)
+    assert again.order.tobytes() == tree.order.tobytes()
+    assert again.povm.params.tobytes() == tree.povm.params.tobytes()
+    assert [x.tobytes() for x in again.kraus] == [x.tobytes() for x in tree.kraus]
+
+    state = random_density(d, rng)
+    compiled, loaded = propagate(tree, state), propagate(again, state)
+    assert compiled.probabilities.tobytes() == loaded.probabilities.tobytes()
+    assert [None if o.post_state is None else o.post_state.density.tobytes() for o in compiled] == \
+        [None if o.post_state is None else o.post_state.density.tobytes() for o in loaded]
+    first, second = sample(tree, state, 1000, seed=seed), sample(again, state, 1000, seed=seed)
+    assert (first.counts, first.expected) == (second.counts, second.expected)
 
 
 @PROPERTY

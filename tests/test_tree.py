@@ -2,6 +2,7 @@ import gc
 import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from povmtree import (
     full_neumark,
     io as treeio,
     null_space_isometry,
+    pad_to_power_of_two,
     propagate,
     pseudo_inverse,
     psd_sqrt,
@@ -494,6 +496,82 @@ class TestNoSvd:
         with pytest.raises(AssertionError, match="svd called"):
             compile_tree(p, f)
         assert verify(compile_tree(p)).passed
+
+
+class TestPadding:
+    """A node whose leaves are all padding costs no decomposition and holds the constant pair."""
+
+    @staticmethod
+    def decompositions(monkeypatch, build):
+        """How many matrices ``build()`` hands to ``eigh``, and how many of them are zero."""
+        counts = [0, 0]
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            a = np.asarray(a)
+            counts[0] += len(a.reshape(-1, *a.shape[-2:]))
+            counts[1] += int((~a.reshape(-1, a.shape[-1] ** 2).any(axis=1)).sum())
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        build()
+        return counts
+
+    def test_one_outcome_past_a_power_of_two(self, monkeypatch):
+        # decomposing every sum, padding's too, took 4,094 matrices at (2, 1025), 2,036 of them zero
+        trees = {n: random_rank_one_povm(n, 2, np.random.default_rng([2, n])) for n in (1024, 1025)}
+        full, _ = self.decompositions(monkeypatch, lambda: compile_tree(trees[1024]))
+        padded, zero = self.decompositions(monkeypatch, lambda: compile_tree(trees[1025]))
+        assert (full, padded, zero) == (2046, 2058, 0)
+        assert padded <= 1.02 * full
+
+    def test_a_sweep_small_round_decomposes_no_zero_sum(self, monkeypatch):
+        sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+        try:
+            from workloads import sweep_small
+        finally:
+            sys.path.pop(0)
+        import povmtree
+
+        def build():
+            for case in sweep_small(povmtree, np.random.default_rng([1, 0])):
+                p = validate(case.elements)
+                factorization = None
+                if case.unitaries is not None:
+                    factorization = apply_freedom(default_kraus(p), case.unitaries)
+                compile_tree(p, factorization=factorization, partition=case.partition)
+
+        assert self.decompositions(monkeypatch, build)[1] == 0
+
+    @pytest.mark.parametrize("n, level, index", [(5, 2, 3), (9, 3, 7), (9, 2, 3)],
+                             ids=["5-11", "9-111", "9-11"])
+    def test_verify_requires_the_constant_pair(self, n, level, index):
+        # a complete pair, but not (I/sqrt 2, I/sqrt 2), at a node whose leaves
+        # are all padding: at (2, 9) node '111' lies below the padding node '11'
+        tree = compile_tree(random_rank_one_povm(n, 2, np.random.default_rng([2, n])))
+        pad = tree_module.padding_pair(2)
+        assert np.array_equal(tree.kraus[level][index], pad)
+        pairs = tree.kraus[level].copy()
+        pairs[index, 1] = pad[1] @ np.diag([1.0, -1.0])
+        assert completeness_residuals(pairs[index : index + 1])[0] <= 1e-15
+        levels = list(tree.kraus)
+        levels[level] = pairs
+        with pytest.raises(VerificationError) as err:
+            verify(replace(tree, kraus=tuple(levels)))
+        assert (err.value.what, err.value.path) == ("padding", format(index, f"0{level}b"))
+        assert err.value.residual == pytest.approx(2 ** 0.5)  # |(0, -2) / sqrt 2|
+
+    def test_padding_operators_of_a_factorization_must_be_zero(self, rng):
+        q = random_povm(5, 2, rng)
+        p = pad_to_power_of_two(q)
+        f = default_kraus(p).copy()
+        assert not f[5:].any()
+        tree = compile_tree(p, f)
+        assert all(np.array_equal(a, b) for a, b in zip(tree.kraus, compile_tree(q, f[:5]).kraus))
+        f[6] = 1e-3 * np.eye(2)
+        with pytest.raises(VerificationError) as err:
+            compile_tree(p, f)
+        assert (err.value.what, err.value.index) == ("factorization", 6)
 
 
 class TestVerify:
