@@ -21,7 +21,10 @@ bytes follow the header, all exact, for K pairs kept; without padding,
 holds them, so they are written and read back as they are.  The loader reads
 each array straight into the buffer the tree keeps, filling in the padding,
 checks the structure (the order as a permutation of 0..N-1), and runs
-:func:`povmtree.tree.verify` before it returns the tree.
+:func:`povmtree.tree.verify` before it returns the tree.  A tree file's tree
+is padded to the least power of two, ``2**(depth - 1) < n_original``, so
+no more than half of any array is filled in: the loader allocates at most
+about twice the bytes the file holds.
 """
 
 from __future__ import annotations
@@ -29,12 +32,11 @@ from __future__ import annotations
 import json
 import math
 import os
-from itertools import islice
 from typing import Any
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 from .linalg import ENTRY_BOUND, _frozen
 from .povm import Povm, default_labels, validate
 from .records import Rows
@@ -217,8 +219,18 @@ def save_tree(tree: MeasurementTree, path) -> None:
     nodes with a leaf that is not padding, as they are held, without a copy.
     The rest is padding: zero rows, and pairs that :func:`povmtree.tree.verify`
     requires to be :func:`povmtree.tree.padding_pair`.
+
+    Raises
+    ------
+    ValidationError
+        ``what="range"`` for a tree padded past the least power of two, as
+        a POVM of zero elements marked padding can be: its file could not be
+        read, since a file may fill in at most as many leaves as it stores.
     """
     p = tree.povm
+    if (p.n_original - 1).bit_length() != tree.depth:
+        raise ValidationError(f"{p.n_original} outcomes are padded to 2**{tree.depth}, past the least "
+                              f"power of two", what="range")
     header = {
         "format": TREE_FORMAT,
         "dimension": p.dim,
@@ -259,6 +271,8 @@ def _read_header(handle) -> tuple[dict, int, int, int]:
     n_original = _int_field(header, "n_original", 1)
     if n_original > 1 << depth:
         raise ParseError(f"exceeds the 2**{depth} outcomes", field="n_original")
+    if n_original <= 1 << depth >> 1:  # so no more than half the leaves are padding
+        raise ParseError(f"pads {n_original} outcomes past the least power of two", field="depth")
     if not line.endswith(b"\n"):
         raise ParseError("the header line has no terminating newline", field="header")
     return header, dim, depth, n_original
@@ -270,45 +284,41 @@ def _runs(mask: np.ndarray) -> list[slice]:
     return [slice(int(a), int(b)) for a, b in zip(edges[0::2], edges[1::2])]
 
 
-def _blobs(dim: int, depth: int, n_original: int, order):
+def _blobs(dim: int, depth: int, n_original: int, order=None) -> list[tuple]:
     """Field name, shape, dtype, stored rows and padding row of each array of a tree file, in file order.
 
     An array stores the rows in ``rows``, slices along its first axis in
     order; every other row is ``pad``.  The elements' shape is that of their
-    parameters, one row of d^2 each.  Entries are made as they are reached:
-    only the Kraus levels' read ``order``, so the order's own entry comes
-    before the order is known.
+    parameters, one row of d^2 each.  Which Kraus pairs are stored follows
+    from ``order``; without it the table stops before the Kraus levels.
     """
     n = 1 << depth
-    yield "order", (n,), _ORDER_DTYPE, [slice(0, n)], None
-    yield "elements", (n, dim * dim), _PARAMETER_DTYPE, [slice(0, n_original)], 0.0
-    for level, real in enumerate(real_nodes(order, n_original)[:depth]):
-        yield f"kraus[{level}]", (1 << level, 2, dim, dim), _BLOB_DTYPE, _runs(real), padding_pair(dim)
+    levels = [] if order is None else real_nodes(order, n_original)[:depth]
+    return [("order", (n,), _ORDER_DTYPE, [slice(0, n)], None),
+            ("elements", (n, dim * dim), _PARAMETER_DTYPE, [slice(0, n_original)], 0.0),
+            *((f"kraus[{level}]", (1 << level, 2, dim, dim), _BLOB_DTYPE, _runs(real), padding_pair(dim))
+              for level, real in enumerate(levels))]
 
 
-def _read_arrays(handle, blobs, last: bool) -> list[np.ndarray]:
+def _read_arrays(handle, blobs) -> list[np.ndarray]:
     """The arrays of ``blobs`` that follow in the file, each read into its own read-only buffer.
 
-    Every byte count is checked before any array is allocated, each before
-    the next entry of ``blobs`` is made, so a header that claims more data
-    than the file holds costs nothing; with ``last`` no byte may follow.
-    Each real and imaginary part of a float or complex array must lie
-    within ``ENTRY_BOUND``.
+    The stored bytes of every blob are checked against the file before any
+    array is allocated.  No more than half the leaves are padding, so an
+    array holds at most twice the bytes it stores, and what is allocated is
+    bounded by the file's size, whatever the header claims.  Each real and
+    imaginary part of a float or complex array must lie within
+    ``ENTRY_BOUND``.
     """
-    checked = []
     available = os.fstat(handle.fileno()).st_size - handle.tell()
-    for blob in blobs:
-        field, shape, dtype, runs, _ = blob
+    for field, shape, dtype, runs, _ in blobs:
         need = sum(rows.stop - rows.start for rows in runs) * math.prod(shape[1:]) * dtype.itemsize
         if available < need:
             raise ParseError(f"blob holds {available} bytes, expected {need} for shape {shape}",
                              field=field)
         available -= need
-        checked.append(blob)
-    if last and available:
-        raise ParseError(f"the file has {available} bytes after the last blob")
     arrays = []
-    for field, shape, dtype, runs, pad in checked:
+    for field, shape, dtype, runs, pad in blobs:
         a = np.empty(shape, dtype=dtype)
         if runs != [slice(0, shape[0])]:
             a[...] = pad  # the stored rows are read over it
@@ -331,11 +341,11 @@ def load_tree(path) -> MeasurementTree:
 
     Each blob is read into the array the tree keeps, so the file is never
     held twice, and only once its byte count has been checked: the order's
-    first, then, once the order is known to be a permutation, every other
-    blob's, which depend on it.  The elements' parameters are read straight
-    into ``Povm.params``, with padding rows and pairs filled in as the
-    constants that ``compile_tree`` writes, so ``load_tree(save_tree(t))``
-    returns ``t``'s arrays bit for bit.
+    and the elements' first, then, once the order is known to be a
+    permutation, the Kraus levels', which depend on it.  The elements'
+    parameters are read straight into ``Povm.params``, with padding rows
+    and pairs filled in as the constants that ``compile_tree`` writes, so
+    ``load_tree(save_tree(t))`` returns ``t``'s arrays bit for bit.
 
     Raises
     ------
@@ -345,11 +355,13 @@ def load_tree(path) -> MeasurementTree:
         other than ``tree-v8`` (a one-line file of an older format names it:
         recompile it from its POVM file); a ``depth`` whose order of
         ``2**depth`` int64 cannot fit in the file; ``n_original`` above
-        ``2**depth``; a header line without its newline; an order blob
-        shorter than its shape needs; an array entry whose real or
-        imaginary part is not finite or exceeds 2 in magnitude (per blob,
-        as it is read); ``order`` not a permutation of the outcomes; a
-        later blob shorter than its stored rows need, or bytes after the
+        ``2**depth``; a ``depth`` that pads ``n_original`` outcomes past
+        the least power of two (:func:`save_tree` refuses such a tree); a
+        header line without its newline; an order or elements blob shorter
+        than its stored rows need; an array entry whose real or imaginary
+        part is not finite or exceeds 2 in magnitude (per blob, as read);
+        ``order`` not a permutation of the outcomes; a Kraus level shorter
+        than its stored pairs need, then such an entry; bytes after the
         last blob; or ``labels``, when present, not one string per outcome.
     VerificationError
         As :func:`povmtree.tree.verify` raises it for the rebuilt tree: the
@@ -359,11 +371,14 @@ def load_tree(path) -> MeasurementTree:
     """
     with open(path, "rb") as handle:
         header, dim, depth, n_original = _read_header(handle)
-        (order,) = _read_arrays(handle, [next(_blobs(dim, depth, n_original, None))], last=False)
+        # which pairs are stored follows from the order; the elements' bytes,
+        # checked first, also bound d before a padding pair is formed
+        order, params = _read_arrays(handle, _blobs(dim, depth, n_original))
         if not is_permutation(order, 1 << depth):
             raise ParseError(f"must be a permutation of 0..{(1 << depth) - 1}", field="order")
-        params, *kraus = _read_arrays(handle, islice(_blobs(dim, depth, n_original, order), 1, None),
-                                      last=True)
+        kraus = _read_arrays(handle, _blobs(dim, depth, n_original, order)[2:])
+        if trailing := os.fstat(handle.fileno()).st_size - handle.tell():
+            raise ParseError(f"the file has {trailing} bytes after the last blob")
     tree = MeasurementTree(povm=_povm(header, dim, params, n_original), order=order, kraus=tuple(kraus))
     verify(tree)
     return tree

@@ -249,6 +249,19 @@ class TestTreeFiles:
         assert sum(kept.sum() for kept in stored_pairs(tree.order, n)) == pairs
         assert path.stat().st_size == header + 8 * padded + 8 * d * d * n + 32 * d * d * pairs
 
+    def test_padding_past_the_least_power_of_two_is_not_saved(self, tmp_path):
+        # a POVM file may mark zero elements as padding, here 3 of 4; its tree
+        # compiles, but a file of it would fill in more than it stores
+        zero = encode_matrix(np.zeros((2, 2)))
+        p = povm_from_dict({"dimension": 2, "elements": [encode_matrix(np.eye(2)), zero, zero, zero],
+                            "n_original": 1})
+        tree = compile_tree(p)
+        assert (tree.depth, tree.povm.n_original) == (2, 1)
+        with pytest.raises(ValidationError) as err:
+            save_tree(tree, tmp_path / "excess.tree")
+        assert err.value.what == "range"
+        assert not (tmp_path / "excess.tree").exists()
+
     @pytest.mark.parametrize("given", [False, True])
     def test_labels_are_stored_only_when_given(self, tmp_path, given):
         labels = ["a", "b", "c"] if given else None
@@ -292,16 +305,36 @@ class TestTamperedTreeFiles:
 
     def test_depth_must_match_outcomes(self, parts, tmp_path):
         # with depth 3 a tetrad tree once loaded and sampled (200000, 0, 0, 0) on
-        # |0>; tree-v7 refused it by its n_outcomes, which tree-v8 does not
-        # store, so the order of 2**3 outcomes now takes in the first element's
-        # parameters, and is no permutation
+        # |0>; tree-v8 does not store n_outcomes, and refuses a depth that pads
+        # the 4 outcomes past the least power of two
         header, order, arrays = parts
         header["depth"] = 3
         path = tmp_path / "deep.tree"
         write_tree_file(path, header, order, arrays)
         with pytest.raises(ParseError) as err:
             load_tree(path)
-        assert err.value.field == "order"
+        assert err.value.field == "depth"
+
+    def test_padding_is_at_most_half_the_leaves(self, tmp_path):
+        # one real outcome under depth 14 at d = 32: a 0.6 MB file whose
+        # padding would fill in 670 MB of arrays is refused from its header;
+        # a file fills in no more rows or pairs than it stores
+        d, depth = 32, 14
+        header = {"format": "povmtree/tree-v8", "dimension": d, "depth": depth, "n_original": 1}
+        eye = np.eye(d)[None]
+        path = tmp_path / "sparse.tree"
+        write_tree_file(path, header, np.arange(1 << depth), [hermitian_parameters(eye),
+                        *([np.concatenate([eye, 0 * eye])[None]] * depth)])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as err:
+                load_tree(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.field == "depth"
+        assert peak <= 64 * 1024
 
     @pytest.mark.parametrize("depth", [10 ** 9, 1 << 62, 64, 7])
     def test_depth_is_bounded_by_the_file(self, parts, tmp_path, depth):
@@ -366,27 +399,29 @@ class TestTamperedTreeFiles:
         assert err.value.field == field
 
     def test_n_original_marks_only_zero_padding(self, parts, tmp_path):
-        # n_original 2 would flag outcomes 2 and 3, both nonzero, as padding.
-        # tree-v8 stores no padding rows, so the header then claims 2 element
-        # rows of the 4 the file holds, and bytes are left over
+        # n_original 3 would flag outcome 3, not zero, as padding.  tree-v8
+        # stores no padding rows, so the header then claims 3 element rows of
+        # the 4 the file holds, and bytes are left over
         header, order, arrays = parts
         path = tmp_path / "padding.tree"
-        write_tree_file(path, dict(header, n_original=2), order, arrays)
+        write_tree_file(path, dict(header, n_original=3), order, arrays)
         with pytest.raises(ParseError) as err:
             load_tree(path)
         assert "after the last blob" in str(err.value)
-        # with the two rows dropped the file's sizes agree, and the tree no
-        # longer sums to its elements
+        # with the row dropped the file's sizes agree, and the tree no longer
+        # sums to its elements
         elements, *kraus = arrays
-        write_tree_file(path, dict(header, n_original=2), order, [elements[:2], *kraus])
+        write_tree_file(path, dict(header, n_original=3), order, [elements[:3], *kraus])
         with pytest.raises(VerificationError) as err:
             load_tree(path)
         assert (err.value.what, err.value.path) == ("operator sum", "")
-        # and more real outcomes than the tree has is refused from the header
-        write_tree_file(path, dict(header, n_original=5), order, arrays)
-        with pytest.raises(ParseError) as err:
-            load_tree(path)
-        assert err.value.field == "n_original"
+        # more real outcomes than the tree has, or so few that the depth pads
+        # them past the least power of two, is refused from the header
+        for n_original, field in [(5, "n_original"), (2, "depth")]:
+            write_tree_file(path, dict(header, n_original=n_original), order, arrays)
+            with pytest.raises(ParseError) as err:
+                load_tree(path)
+            assert err.value.field == field
 
     def test_nan_entry(self, parts, tmp_path):
         header, order, (elements, *kraus) = parts

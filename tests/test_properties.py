@@ -199,6 +199,10 @@ def test_padding_costs_no_bytes(d, k, construction, seed, tmp_path_factory):
     again = load_tree(path)
     assert again.order.tobytes() == tree.order.tobytes()
     assert again.povm.params.tobytes() == tree.povm.params.tobytes()
+    # at most half the leaves are padding, so the arrays filled in from the
+    # file hold at most twice the bytes it stores
+    filled = again.order.nbytes + again.povm.params.nbytes + sum(x.nbytes for x in again.kraus)
+    assert filled <= 2 * (path.stat().st_size - header)
     assert [x.tobytes() for x in again.kraus] == [x.tobytes() for x in tree.kraus]
 
     state = random_density(d, rng)
