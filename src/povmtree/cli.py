@@ -3,8 +3,8 @@
 Subcommands: validate, compile, simulate, cost, example-tetrad.
 Exit codes: 0 success, 1 validation failure, 2 parse/usage error,
 3 internal verification failure.  A :class:`povmtree.errors.PovmTreeError`
-exits with its class's ``exit_code`` (see :mod:`povmtree.errors`); any other
-``ValueError`` or ``OSError`` is a usage error.
+exits with its class's ``exit_code`` (see :mod:`povmtree.errors`) and an
+``OSError`` with 2; any other exception is a bug, and is not caught.
 """
 
 from __future__ import annotations
@@ -52,7 +52,11 @@ def _at_least_zero(kind, text: str):
 
 def _parse_state(spec: str, dim: int) -> QuantumState:
     if spec.startswith("pure:"):
-        return QuantumState.basis(dim, int(spec.split(":", 1)[1]))
+        try:
+            index = int(spec.split(":", 1)[1])
+        except ValueError as err:
+            raise ParseError(f"invalid state spec {spec!r}: {err}") from err
+        return QuantumState.basis(dim, index)
     if spec == "mixed:max":
         return QuantumState.maximally_mixed(dim)
     return treeio.load_state(spec)
@@ -283,7 +287,7 @@ def main(argv=None) -> int:
     except PovmTreeError as err:
         print(f"{_PREFIXES[err.exit_code]}: {err}", file=sys.stderr)
         return err.exit_code
-    except (ValueError, OSError) as err:
+    except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -4,27 +4,27 @@ POVM and state files are JSON.  Complex entries are stored as two-element
 ``[real, imaginary]`` arrays.  Floats go through Python's shortest round-trip
 representation, so serialize/deserialize reproduces every matrix bit-exactly.
 
-A tree file (``tree-v8``) stores only a tree's independent data.  Its first
-line is a JSON header of scalars, without tolerances (a file is judged by the
-constants of :mod:`povmtree.linalg`), with ``labels`` only for caller labels;
-N is ``2**depth``.  The leaf order follows as N little-endian int64, then the
-``n_original`` real elements, each as its d^2 real Hermitian parameters in
-little-endian float64: the real diagonal, then the upper off-diagonal
-entries as (re, im) pairs in row-major order.  Then come the raw
-little-endian complex128 Kraus pairs level by level (``tree.kraus``), of the
-nodes with a leaf that is not padding only.  Padding follows from the order
-and ``n_original``, so it costs no bytes: its elements are zero and the pair
-of a node whose leaves are all padding is the constant
-:func:`povmtree.tree.padding_pair`.  So ``8 N + 8 d^2 n_original + 32 d^2 K``
-bytes follow the header, all exact, for K pairs kept; without padding,
-``8 N + 8 d^2 (5N - 4)``.  The parameters are ``Povm.params`` as the POVM
-holds them, so they are written and read back as they are.  The loader reads
-each array straight into the buffer the tree keeps, filling in the padding,
-checks the structure (the order as a permutation of 0..N-1), and runs
-:func:`povmtree.tree.verify` before it returns the tree.  A tree file's tree
-is padded to the least power of two, ``2**(depth - 1) < n_original``, so
-no more than half of any array is filled in: the loader allocates at most
-about twice the bytes the file holds.
+A tree file (``tree-v9``) stores only a tree's independent data.  Its first
+line is a compact JSON header of scalars, without tolerances (a file is judged
+by the constants of :mod:`povmtree.linalg`), with ``labels`` only for caller
+labels; N is ``2**depth``, depth ``(n_original - 1).bit_length()``.  The leaf
+order follows as N little-endian unsigned integers of the narrowest width w
+of 1, 2, 4 or 8 bytes that holds N - 1, then the ``n_original`` real
+elements, each as its d^2 real Hermitian parameters in little-endian float64:
+the real diagonal, then the upper off-diagonal entries as (re, im) pairs in
+row-major order.  Then come the raw little-endian complex128 Kraus pairs
+level by level (``tree.kraus``), of the nodes with a leaf that is not padding
+only.  Padding follows from the order and ``n_original``, so it costs no
+bytes: its elements are zero and an all-padding node's pair is the constant
+:func:`povmtree.tree.padding_pair`.  So ``w N + 8 d^2 n_original + 32 d^2 K``
+bytes follow the header, all exact, for K pairs kept; without padding, ``w N
++ 8 d^2 (5N - 4)``.  The parameters are ``Povm.params`` as held, so they
+are written and read back as they are.  The loader reads each array into the
+buffer the tree keeps, filling in the padding, checks the order is a
+permutation of 0..N-1, and runs :func:`povmtree.tree.verify`.  With
+``2**(depth - 1) < n_original`` no more than half of the elements or pairs
+are filled in, and the ``intp`` order takes 8/w times its stored bytes, 8 N
+< 16 n_original: the loader allocates under 2.3 times the file's bytes.
 """
 
 from __future__ import annotations
@@ -45,11 +45,10 @@ from .tree import MeasurementTree, is_permutation, padding_pair, real_nodes, ver
 
 POVM_FORMAT = "povmtree/povm-v1"
 STATE_FORMAT = "povmtree/state-v1"
-TREE_FORMAT = "povmtree/tree-v8"
+TREE_FORMAT = "povmtree/tree-v9"
 
 _BLOB_DTYPE = np.dtype("<c16")
 _PARAMETER_DTYPE = np.dtype("<f8")
-_ORDER_DTYPE = np.dtype("<i8")
 
 # Longest accepted header line: room for the caller labels of about a
 # million outcomes (the header holds no other list), and a bound on what a
@@ -212,35 +211,31 @@ def _povm(data: dict, dim: int, params: np.ndarray, n_original: int) -> Povm:
 
 
 def save_tree(tree: MeasurementTree, path) -> None:
-    """Write ``tree`` as ``tree-v8``: one JSON header line, then the arrays.
+    """Write ``tree`` as ``tree-v9``: one JSON header line, then the arrays.
 
-    ``tree.order`` is written as int64, then the rows of ``tree.povm.params``
-    below ``n_original`` and, level by level, the pairs of ``tree.kraus`` at
-    nodes with a leaf that is not padding, as they are held, without a copy.
-    The rest is padding: zero rows, and pairs that :func:`povmtree.tree.verify`
+    ``tree.order`` is written at its narrowest width, then, as they are held,
+    without a copy, the rows of ``tree.povm.params`` below ``n_original`` and,
+    level by level, the pairs of ``tree.kraus`` at nodes with a leaf that is
+    not padding.  The rest is padding: zero rows, and pairs that :func:`povmtree.tree.verify`
     requires to be :func:`povmtree.tree.padding_pair`.
 
     Raises
     ------
     ValidationError
         ``what="range"`` for a tree padded past the least power of two, as
-        a POVM of zero elements marked padding can be: its file could not be
-        read, since a file may fill in at most as many leaves as it stores.
+        a POVM of zero elements marked padding can be: a file's depth
+        follows from ``n_original``, so it could not describe the tree.
     """
     p = tree.povm
     if (p.n_original - 1).bit_length() != tree.depth:
         raise ValidationError(f"{p.n_original} outcomes are padded to 2**{tree.depth}, past the least "
                               f"power of two", what="range")
-    header = {
-        "format": TREE_FORMAT,
-        "dimension": p.dim,
-        "depth": tree.depth,
-        **({} if isinstance(p.labels, Rows) else {"labels": list(p.labels)}),
-        "n_original": p.n_original,
-    }
+    header = {"format": TREE_FORMAT, "dimension": p.dim,
+              **({} if isinstance(p.labels, Rows) else {"labels": list(p.labels)}),
+              "n_original": p.n_original}
     arrays = (tree.order, p.params, *tree.kraus)
     with open(path, "wb") as handle:
-        handle.write(json.dumps(header).encode("utf-8") + b"\n")
+        handle.write(json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n")
         for (_, _, dtype, runs, _), a in zip(_blobs(p.dim, tree.depth, p.n_original, tree.order), arrays):
             for rows in runs:  # a no-op conversion on a little-endian host
                 handle.write(np.ascontiguousarray(a[rows], dtype=dtype))
@@ -262,17 +257,13 @@ def _read_header(handle) -> tuple[dict, int, int, int]:
         raise ParseError(f"unsupported tree format {fmt!r}, expected {TREE_FORMAT!r}",
                          field="format")
     dim = _int_field(header, "dimension", 1)
-    depth = _int_field(header, "depth", 0)
-    size = os.fstat(handle.fileno()).st_size
-    # compare bit lengths first, so a huge depth is not shifted out
-    if depth > size.bit_length() or _ORDER_DTYPE.itemsize << depth > size:
-        raise ParseError(f"the order of 2**{depth} outcomes cannot fit in the file's {size} bytes",
-                         field="depth")
     n_original = _int_field(header, "n_original", 1)
-    if n_original > 1 << depth:
-        raise ParseError(f"exceeds the 2**{depth} outcomes", field="n_original")
-    if n_original <= 1 << depth >> 1:  # so no more than half the leaves are padding
-        raise ParseError(f"pads {n_original} outcomes past the least power of two", field="depth")
+    depth, size = (n_original - 1).bit_length(), os.fstat(handle.fileno()).st_size
+    # compare bit lengths first, so a huge depth is not shifted out; an order
+    # entry takes the fewest bytes that hold 2**depth - 1, as in _blobs
+    if depth > size.bit_length() or np.min_scalar_type((1 << depth) - 1).itemsize << depth > size:
+        raise ParseError(f"the order of 2**{depth} outcomes cannot fit in the file's {size} bytes",
+                         field="n_original")
     if not line.endswith(b"\n"):
         raise ParseError("the header line has no terminating newline", field="header")
     return header, dim, depth, n_original
@@ -294,7 +285,7 @@ def _blobs(dim: int, depth: int, n_original: int, order=None) -> list[tuple]:
     """
     n = 1 << depth
     levels = [] if order is None else real_nodes(order, n_original)[:depth]
-    return [("order", (n,), _ORDER_DTYPE, [slice(0, n)], None),
+    return [("order", (n,), np.min_scalar_type(n - 1).newbyteorder("<"), [slice(0, n)], None),
             ("elements", (n, dim * dim), _PARAMETER_DTYPE, [slice(0, n_original)], 0.0),
             *((f"kraus[{level}]", (1 << level, 2, dim, dim), _BLOB_DTYPE, _runs(real), padding_pair(dim))
               for level, real in enumerate(levels))]
@@ -305,10 +296,10 @@ def _read_arrays(handle, blobs) -> list[np.ndarray]:
 
     The stored bytes of every blob are checked against the file before any
     array is allocated.  No more than half the leaves are padding, so an
-    array holds at most twice the bytes it stores, and what is allocated is
-    bounded by the file's size, whatever the header claims.  Each real and
-    imaginary part of a float or complex array must lie within
-    ``ENTRY_BOUND``.
+    array holds at most twice the bytes it stores, and the order, held as
+    ``intp``, 8/w times: what is allocated is bounded by the file's size,
+    whatever the header claims.  Each real and imaginary part of a float or
+    complex array must lie within ``ENTRY_BOUND``.
     """
     available = os.fstat(handle.fileno()).st_size - handle.tell()
     for field, shape, dtype, runs, _ in blobs:
@@ -327,42 +318,43 @@ def _read_arrays(handle, blobs) -> list[np.ndarray]:
             if got != a[rows].nbytes:  # the file shrank after its size was checked
                 raise ParseError(f"blob holds {got} bytes, expected {a[rows].nbytes} for rows {rows.start}:"
                                  f"{rows.stop} of shape {shape}", field=field)
-        parts = a.view(_PARAMETER_DTYPE)  # real and imaginary parts side by side
+        parts = a.view(_PARAMETER_DTYPE) if dtype.kind in "fc" else a  # real and imaginary parts side by side
         # no arithmetic, so nothing overflows; a nan fails both comparisons
         if dtype.kind in "fc" and not (-ENTRY_BOUND <= parts.min() and parts.max() <= ENTRY_BOUND):
             raise ParseError(f"array has an entry whose real or imaginary part is not finite and "
                              f"within {ENTRY_BOUND:g} of zero", field=field)
-        arrays.append(_frozen(a.astype(dtype.newbyteorder("="), copy=False)))  # a no-op on little-endian
+        native = np.intp if dtype.kind == "u" else dtype.newbyteorder("=")  # else a no-op on little-endian
+        arrays.append(_frozen(a.astype(native, copy=False)))
     return arrays
 
 
 def load_tree(path) -> MeasurementTree:
-    """Read, check and verify a ``tree-v8`` file.
+    """Read, check and verify a ``tree-v9`` file.
 
-    Each blob is read into the array the tree keeps, so the file is never
-    held twice, and only once its byte count has been checked: the order's
-    and the elements' first, then, once the order is known to be a
-    permutation, the Kraus levels', which depend on it.  The elements'
-    parameters are read straight into ``Povm.params``, with padding rows
-    and pairs filled in as the constants that ``compile_tree`` writes, so
-    ``load_tree(save_tree(t))`` returns ``t``'s arrays bit for bit.
+    Each blob is read into the array the tree keeps (the order then widened
+    to ``intp``), so the file is never held twice, and only once its byte
+    count has been checked: the order's and the elements' first, then, once
+    the order is known to be a permutation, the Kraus levels', which depend
+    on it.  The elements' parameters are read straight into ``Povm.params``,
+    with padding rows and pairs filled in as the constants that
+    ``compile_tree`` writes, so ``load_tree(save_tree(t))`` returns ``t``'s
+    arrays bit for bit.
 
     Raises
     ------
     ParseError
         In the order checked: a header line longer than ``_HEADER_LIMIT``
         bytes or not one JSON object (an indented JSON file too); a format
-        other than ``tree-v8`` (a one-line file of an older format names it:
-        recompile it from its POVM file); a ``depth`` whose order of
-        ``2**depth`` int64 cannot fit in the file; ``n_original`` above
-        ``2**depth``; a ``depth`` that pads ``n_original`` outcomes past
-        the least power of two (:func:`save_tree` refuses such a tree); a
-        header line without its newline; an order or elements blob shorter
-        than its stored rows need; an array entry whose real or imaginary
-        part is not finite or exceeds 2 in magnitude (per blob, as read);
-        ``order`` not a permutation of the outcomes; a Kraus level shorter
-        than its stored pairs need, then such an entry; bytes after the
-        last blob; or ``labels``, when present, not one string per outcome.
+        other than ``tree-v9`` (a one-line file of an older format names it:
+        recompile it from its POVM file); an ``n_original`` whose order of
+        ``2**depth`` entries cannot fit in the file, refused before ``1 <<
+        depth`` is formed; a header line without its newline; an order or
+        elements blob shorter than its stored rows need; an array entry
+        whose real or imaginary part is not finite or exceeds 2 in magnitude
+        (per blob, as read); ``order`` not a permutation of the outcomes; a
+        Kraus level shorter than its stored pairs need, then such an entry;
+        bytes after the last blob; or ``labels``, when present, not one
+        string per outcome.
     VerificationError
         As :func:`povmtree.tree.verify` raises it for the rebuilt tree: the
         first failing check in walk order, naming the node's path

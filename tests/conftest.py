@@ -52,7 +52,7 @@ def hermitian_parameters(elements):
 
 
 def stored_pairs(order, n_original):
-    """Per level, root first, which nodes' pairs a tree-v8 file stores: those with a real leaf.
+    """Per level, root first, which nodes' pairs a tree-v9 file stores: those with a real leaf.
 
     Leaf i is outcome ``order[i]``, padding when ``order[i] >= n_original``;
     a node's leaves are the 2**(depth - level) leaves below it.
@@ -65,24 +65,32 @@ def stored_pairs(order, n_original):
     return levels
 
 
-def read_tree_file(path):
-    """Header, order and writable arrays of a tree-v8 file, read as the format documents it.
+def order_width(n_original):
+    """Bytes per order entry of a tree-v9 file: the fewest of 1, 2, 4 or 8 that hold 2**depth - 1."""
+    depth = (n_original - 1).bit_length()
+    return next(w for w in (1, 2, 4, 8) if depth <= 8 * w)
 
-    The order is ``(2**depth,)`` little-endian int64.  The arrays after it
-    are the parameters of the ``n_original`` real elements, ``(n_original,
-    d*d)`` little-endian float64 as :func:`hermitian_parameters` lays them
-    out; then, for each level, the pairs of ``kraus[l]`` that
-    :func:`stored_pairs` marks, ``(k, 2, d, d)`` little-endian complex128 in
-    C order.
+
+def read_tree_file(path):
+    """Header, order and writable arrays of a tree-v9 file, read as the format documents it.
+
+    The depth is ``(n_original - 1).bit_length()``.  The order is
+    ``(2**depth,)`` little-endian unsigned integers of :func:`order_width`
+    bytes, returned as int64.  The arrays after it are the parameters of the
+    ``n_original`` real elements, ``(n_original, d*d)`` little-endian float64
+    as :func:`hermitian_parameters` lays them out; then, for each level, the
+    pairs of ``kraus[l]`` that :func:`stored_pairs` marks, ``(k, 2, d, d)``
+    little-endian complex128 in C order.
     """
     with open(path, "rb") as handle:
         header = json.loads(handle.readline())
         raw = handle.read()
-    d, depth, n_original = header["dimension"], header["depth"], header["n_original"]
-    order = np.frombuffer(raw, dtype="<i8", count=1 << depth).copy()
+    d, n_original = header["dimension"], header["n_original"]
+    width, leaves = order_width(n_original), 1 << (n_original - 1).bit_length()
+    order = np.frombuffer(raw, dtype=f"<u{width}", count=leaves).astype("<i8")
     blobs = [("<f8", (n_original, d * d))]
     blobs += [("<c16", (int(kept.sum()), 2, d, d)) for kept in stored_pairs(order, n_original)]
-    arrays, offset = [], order.nbytes
+    arrays, offset = [], width * leaves
     for dtype, shape in blobs:
         count = int(np.prod(shape))
         a = np.frombuffer(raw, dtype=dtype, count=count, offset=offset).reshape(shape)
@@ -93,13 +101,15 @@ def read_tree_file(path):
 
 
 def write_tree_file(path, header, order, arrays, tail=b""):
-    """Write a tree-v8 file from a header, order and arrays as :func:`read_tree_file` returns them.
+    """Write a tree-v9 file from a header, order and arrays as :func:`read_tree_file` returns them.
 
-    ``tail`` bytes are appended.
+    The order is written at the width the header's ``n_original`` sets, each
+    entry as its low bytes, so -1 is written as 255 at width 1; ``tail``
+    bytes are appended.
     """
     with open(path, "wb") as handle:
-        handle.write(json.dumps(header).encode("utf-8") + b"\n")
-        handle.write(np.ascontiguousarray(order, dtype="<i8").tobytes())
+        handle.write(json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n")
+        handle.write(np.asarray(order).astype(f"<u{order_width(header['n_original'])}").tobytes())
         for j, a in enumerate(arrays):
             handle.write(np.ascontiguousarray(a, dtype="<c16" if j else "<f8").tobytes())
         handle.write(tail)

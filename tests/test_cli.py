@@ -178,6 +178,15 @@ class TestSimulateCommand:
         assert main(["simulate", tetrad_tree, "--state", "pure:9"]) == 1
         assert "invalid: basis index 9 not in 0..1" in capsys.readouterr().err
 
+    def test_basis_index_that_is_not_an_integer_is_a_parse_error(self, tetrad_tree, capsys):
+        # once a bare ValueError from int(), which main caught as any ValueError
+        with pytest.raises(ParseError) as err:
+            cli._parse_state("pure:x", 2)
+        assert "'pure:x'" in str(err.value)
+        capsys.readouterr()
+        assert main(["simulate", tetrad_tree, "--state", "pure:x"]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid state spec 'pure:x': ")
+
     def test_maximally_mixed(self, tetrad_tree, capsys):
         assert main(["simulate", tetrad_tree]) == 0
         assert "0.2500000000" in capsys.readouterr().out
@@ -339,6 +348,20 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "cmd_cost", raising)
         assert main(["cost", "4", "2"]) == code
         assert capsys.readouterr().err == f"{PREFIXES[code]}{err.value}\n"
+
+    @pytest.mark.parametrize("error, code", [(OSError("disk full"), 2), (ValueError("a bug"), None)],
+                             ids=["OSError", "ValueError"])
+    def test_only_package_errors_and_os_errors_are_caught(self, error, code, monkeypatch, capsys):
+        def raising(parsed):
+            raise error
+
+        monkeypatch.setattr(cli, "cmd_cost", raising)
+        if code is None:  # any other exception is a bug: it is raised, not reported as an exit code
+            with pytest.raises(type(error)):
+                main(["cost", "4", "2"])
+        else:
+            assert main(["cost", "4", "2"]) == code
+            assert capsys.readouterr().err == f"error: {error}\n"
 
 
 class TestEntryPoint:

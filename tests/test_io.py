@@ -210,8 +210,8 @@ class TestTreeFiles:
 
     # The header is pinned byte for byte; the arrays are compared with the
     # tree's own, since their low bits can differ between LAPACK builds.
-    TETRAD_HEADER = b'{"format": "povmtree/tree-v8", "dimension": 2, "depth": 2, "n_original": 4}'
-    PADDED_HEADER = b'{"format": "povmtree/tree-v8", "dimension": 2, "depth": 3, "n_original": 5}'
+    TETRAD_HEADER = b'{"format":"povmtree/tree-v9","dimension":2,"n_original":4}'
+    PADDED_HEADER = b'{"format":"povmtree/tree-v9","dimension":2,"n_original":5}'
     TETRAD_ORDER = (0, 3, 1, 2)
     PADDED_ORDER = tuple(range(8))
 
@@ -225,19 +225,19 @@ class TestTreeFiles:
             header, order = self.PADDED_HEADER, self.PADDED_ORDER
         path = tmp_path / "layout.tree"
         save_tree(tree, path)
-        # the real elements, then the pairs of nodes with a real leaf: at
-        # (2, 5) all but the last pair of the last level
+        # the order, one byte an entry; the real elements; then the pairs of
+        # nodes with a real leaf: at (2, 5) all but the last pair of the last level
         n_original = tree.povm.n_original
-        arrays = [np.array(order, dtype="<i8"), hermitian_parameters(tree.povm.elements[:n_original]),
+        arrays = [np.array(order, dtype="<u1"), hermitian_parameters(tree.povm.elements[:n_original]),
                   *(level[kept] for level, kept in zip(tree.kraus, stored_pairs(order, n_original)))]
         assert path.read_bytes() == header + b"\n" + b"".join(a.tobytes() for a in arrays)
 
     @pytest.mark.parametrize("d, n", [(2, 4), (2, 5), (3, 7), (32, 64)],
                              ids=["tetrad", "padded-2-5", "padded-3-7", "32-64"])
     def test_file_size(self, tmp_path, tetrad_povm, d, n):
-        # per padded element one int64, per real element d^2 float64, and per
-        # node with a real leaf 2 d^2 complex128: at (2, 5) 6 of the 7 pairs,
-        # at (3, 7) all 7
+        # per padded element one byte of order (N <= 256), per real element
+        # d^2 float64, and per node with a real leaf 2 d^2 complex128: at
+        # (2, 5) 6 of the 7 pairs, at (3, 7) all 7
         p = tetrad_povm if n == 4 else random_rank_one_povm(n, d, np.random.default_rng([d, n]))
         tree = compile_tree(p)
         path = tmp_path / "size.tree"
@@ -247,7 +247,34 @@ class TestTreeFiles:
         padded = tree.povm.n_outcomes
         pairs = {4: 3, 5: 6, 7: 7, 64: 63}[n]
         assert sum(kept.sum() for kept in stored_pairs(tree.order, n)) == pairs
-        assert path.stat().st_size == header + 8 * padded + 8 * d * d * n + 32 * d * d * pairs
+        assert path.stat().st_size == header + padded + 8 * d * d * n + 32 * d * d * pairs
+
+    @pytest.mark.parametrize("depth, width", [(8, 1), (9, 2), (16, 2), (17, 4)])
+    def test_order_width(self, depth, width):
+        # the narrowest of 1, 2, 4 or 8 bytes that holds the largest entry, 2**depth - 1
+        order = treeio._blobs(1, depth, (1 << depth - 1) + 1)[0]
+        assert order[:3] == ("order", (1 << depth,), np.dtype(f"<u{width}"))
+
+    @pytest.mark.parametrize("n", [256, 257])
+    def test_round_trip_across_the_first_width_boundary(self, tmp_path, n):
+        # at d = 1, 256 outcomes fill depth 8, one byte an order entry; 257
+        # pad to 512 leaves, depth 9, two bytes an entry
+        rng = np.random.default_rng(n)
+        tree = compile_tree(random_povm(n, 1, rng), partition=rng.permutation(n))
+        path = tmp_path / "wide.tree"
+        save_tree(tree, path)
+        width = 1 if n == 256 else 2
+        with open(path, "rb") as handle:
+            handle.readline()
+            stored = np.frombuffer(handle.read(width << tree.depth), dtype=f"<u{width}")
+        assert np.array_equal(stored, tree.order) and not np.array_equal(stored, np.arange(len(stored)))
+        again = load_tree(path)
+        assert again.order.dtype == np.intp and not again.order.flags.writeable
+        assert again.order.tobytes() == tree.order.tobytes()
+        assert again.povm.params.tobytes() == tree.povm.params.tobytes()
+        assert [a.tobytes() for a in again.kraus] == [a.tobytes() for a in tree.kraus]
+        save_tree(again, tmp_path / "again.tree")
+        assert (tmp_path / "again.tree").read_bytes() == path.read_bytes()
 
     def test_padding_past_the_least_power_of_two_is_not_saved(self, tmp_path):
         # a POVM file may mark zero elements as padding, here 3 of 4; its tree
@@ -303,55 +330,66 @@ class TestTamperedTreeFiles:
         save_tree(compile_tree(tetrad_povm, partition=[0, 3, 1, 2]), path)
         return read_tree_file(path)
 
-    def test_depth_must_match_outcomes(self, parts, tmp_path):
-        # with depth 3 a tetrad tree once loaded and sampled (200000, 0, 0, 0) on
-        # |0>; tree-v8 does not store n_outcomes, and refuses a depth that pads
-        # the 4 outcomes past the least power of two
-        header, order, arrays = parts
-        header["depth"] = 3
-        path = tmp_path / "deep.tree"
-        write_tree_file(path, header, order, arrays)
-        with pytest.raises(ParseError) as err:
-            load_tree(path)
-        assert err.value.field == "depth"
-
-    def test_padding_is_at_most_half_the_leaves(self, tmp_path):
-        # one real outcome under depth 14 at d = 32: a 0.6 MB file whose
-        # padding would fill in 670 MB of arrays is refused from its header;
-        # a file fills in no more rows or pairs than it stores
-        d, depth = 32, 14
-        header = {"format": "povmtree/tree-v8", "dimension": d, "depth": depth, "n_original": 1}
-        eye = np.eye(d)[None]
-        path = tmp_path / "sparse.tree"
-        write_tree_file(path, header, np.arange(1 << depth), [hermitian_parameters(eye),
-                        *([np.concatenate([eye, 0 * eye])[None]] * depth)])
+    @staticmethod
+    def refused(path):
+        """The ``ParseError`` loading ``path`` raises, and the ``tracemalloc`` peak on the way."""
         gc.collect()
         tracemalloc.start()
         try:
             with pytest.raises(ParseError) as err:
                 load_tree(path)
-            peak = tracemalloc.get_traced_memory()[1]
+            return err.value, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert err.value.field == "depth"
+
+    def test_depth_must_match_outcomes(self, parts, tmp_path):
+        # with depth 3 a tetrad tree once loaded and sampled (200000, 0, 0, 0)
+        # on |0>; tree-v9 stores no depth but derives it from n_original, so a
+        # "depth" in the header is ignored as any unknown key is, and an
+        # n_original whose order cannot fit in the file is refused before
+        # 1 << depth is formed or any array is allocated
+        header, order, arrays = parts
+        path = tmp_path / "deep.tree"
+        write_tree_file(path, dict(header, depth=3), order, arrays)
+        assert load_tree(path).depth == 2
+        write_tree_file(path, dict(header, n_original=1 << 40), order, arrays)
+        err, peak = self.refused(path)
+        assert err.field == "n_original" and "2**40 outcomes" in str(err)
         assert peak <= 64 * 1024
 
-    @pytest.mark.parametrize("depth", [10 ** 9, 1 << 62, 64, 7])
-    def test_depth_is_bounded_by_the_file(self, parts, tmp_path, depth):
-        # 2**depth int64 cannot fit in the file: refused before 1 << depth is
-        # formed or any array is allocated
+    def test_padding_is_at_most_half_the_leaves(self, tmp_path):
+        # one real outcome under depth 14 at d = 32: as a tree-v8 file, 0.6 MB
+        # whose padding would fill in 670 MB of arrays.  A tree-v9 header
+        # cannot say so: n_original 1 is depth 0, a one-leaf tree followed by
+        # the bytes of the rest; an n_original past 2**13 fills in at most
+        # half the leaves, and its elements, or from depth 18 on its order,
+        # cannot fit in the file.  The order holds the header's leaves, at
+        # most the 2**14 of the tree-v8 file
+        d, depth = 32, 14
+        eye = np.eye(d)[None]
+        pairs = [np.concatenate([eye, 0 * eye])[None]] * depth
+        path = tmp_path / "sparse.tree"
+        for n_original, field in [(1, None), ((1 << 13) + 1, "elements"), ((1 << 17) + 1, "n_original")]:
+            header = {"format": "povmtree/tree-v9", "dimension": d, "n_original": n_original}
+            order = np.arange(min(1 << (n_original - 1).bit_length(), 1 << depth))
+            write_tree_file(path, header, order, [hermitian_parameters(eye), *pairs])
+            err, peak = self.refused(path)
+            assert err.field == field
+            assert peak <= 64 * 1024
+
+    @pytest.mark.parametrize("n_original, field", [(10 ** 9, "n_original"), (1 << 62, "n_original"),
+                                                   (64, "elements"), (7, "elements")],
+                             ids=["1000000000", "4611686018427387904", "64", "7"])
+    def test_depth_is_bounded_by_the_file(self, parts, tmp_path, n_original, field):
+        # the tetrad's arrays under another n_original: an order of 2**depth
+        # entries that cannot fit in the file is refused before 1 << depth
+        # is formed; one that fits (64 bytes at depth 6, 8 at depth 3) leaves
+        # the element rows, out of range or past the file's end, to be refused
         header, order, arrays = parts
         path = tmp_path / "deep.tree"
-        write_tree_file(path, dict(header, depth=depth), order, arrays)
-        gc.collect()
-        tracemalloc.start()
-        try:
-            with pytest.raises(ParseError) as err:
-                load_tree(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert err.value.field == "depth"
+        write_tree_file(path, dict(header, n_original=n_original), order, arrays)
+        err, peak = self.refused(path)
+        assert err.field == field
         assert peak <= 64 * 1024
 
     def test_outcome_out_of_range(self, parts, tmp_path):
@@ -366,6 +404,7 @@ class TestTamperedTreeFiles:
     @pytest.mark.parametrize("index, value", [(1, 0), (3, -1), (0, 4), (2, -(1 << 63))],
                              ids=["duplicate", "negative", "out-of-range", "most-negative"])
     def test_order_blob_must_be_a_permutation(self, parts, tmp_path, index, value):
+        # entries are unsigned bytes here: -1 is written as 255, -(1 << 63) as 0
         header, order, arrays = parts
         order[index] = value
         path = tmp_path / "order.tree"
@@ -389,7 +428,7 @@ class TestTamperedTreeFiles:
                                             (387, "elements"), (515, "order")],
                              ids=["3", "8", "259", "387", "515"])
     def test_truncated_blob(self, parts, tmp_path, cut, field):
-        # the tetrad's blobs are order 32, elements 128, kraus[0] 128 and kraus[1]
+        # the tetrad's blobs are order 4, elements 128, kraus[0] 128 and kraus[1]
         # 256 bytes; cut 3 leaves a partial value, cut 8 half of one
         path = tmp_path / "cut.tree"
         write_tree_file(path, *parts)
@@ -415,9 +454,10 @@ class TestTamperedTreeFiles:
         with pytest.raises(VerificationError) as err:
             load_tree(path)
         assert (err.value.what, err.value.path) == ("operator sum", "")
-        # more real outcomes than the tree has, or so few that the depth pads
-        # them past the least power of two, is refused from the header
-        for n_original, field in [(5, "n_original"), (2, "depth")]:
+        # the tree's size follows n_original: 5 or 2 make it 8 or 2 leaves,
+        # whose order is 8 or 2 bytes, so the element rows are read from the
+        # wrong offset and their entries are out of range
+        for n_original, field in [(5, "elements"), (2, "elements")]:
             write_tree_file(path, dict(header, n_original=n_original), order, arrays)
             with pytest.raises(ParseError) as err:
                 load_tree(path)
@@ -469,7 +509,7 @@ class TestTamperedTreeFiles:
         with pytest.raises(ParseError) as err:
             load_tree(path)
         assert err.value.field == "format"
-        assert "povmtree/tree-v8" in str(err.value)
+        assert "povmtree/tree-v9" in str(err.value)
 
     @pytest.mark.parametrize("version", ["tree-v3", "tree-v4", "tree-v5", "tree-v6"])
     def test_v3_file_is_not_read(self, tetrad_povm, tmp_path, version):
@@ -485,7 +525,8 @@ class TestTamperedTreeFiles:
         old = {}
         for key, value in header.items():
             old[key] = f"povmtree/{version}" if key == "format" else value
-            if key == "depth":
+            if key == "dimension":
+                old["depth"] = tree.depth
                 if version in ("tree-v3", "tree-v4"):
                     old["split_coefficients"] = [[2 ** -0.5, 0.0], [2 ** -0.5, 0.0]]
                 if version != "tree-v6":
@@ -502,6 +543,14 @@ class TestTamperedTreeFiles:
         assert err.value.field == "format"
         assert f"povmtree/{version}" in str(err.value)
 
+    @staticmethod
+    def write_int64_order_file(path, header, order, arrays):
+        """A file of ``header``, then ``order`` as little-endian int64, then ``arrays`` as they are."""
+        with open(path, "wb") as handle:
+            handle.write(json.dumps(header).encode() + b"\n")
+            for a in (np.asarray(order, dtype="<i8"), *arrays):
+                handle.write(a.tobytes())
+
     def test_v7_file_is_not_read(self, parts, tmp_path):
         # tree-v7 had n_outcomes in its header and stored padding, so for a
         # power-of-two N its arrays are tree-v8's; the file is still refused
@@ -510,11 +559,23 @@ class TestTamperedTreeFiles:
         v7 = {"format": "povmtree/tree-v7", "dimension": 2, "n_outcomes": 4, "depth": 2,
               "n_original": 4}
         path = tmp_path / "old.tree"
-        write_tree_file(path, v7, order, arrays)
+        self.write_int64_order_file(path, v7, order, arrays)
         with pytest.raises(ParseError) as err:
             load_tree(path)
         assert err.value.field == "format"
-        assert "povmtree/tree-v7" in str(err.value) and "povmtree/tree-v8" in str(err.value)
+        assert "povmtree/tree-v7" in str(err.value) and "povmtree/tree-v9" in str(err.value)
+
+    def test_v8_file_is_not_read(self, parts, tmp_path):
+        # tree-v8 had the depth in its header and int64 order entries; its
+        # other arrays are tree-v9's, and the file is refused by its format
+        header, order, arrays = parts
+        v8 = {"format": "povmtree/tree-v8", "dimension": 2, "depth": 2, "n_original": 4}
+        path = tmp_path / "old.tree"
+        self.write_int64_order_file(path, v8, order, arrays)
+        with pytest.raises(ParseError) as err:
+            load_tree(path)
+        assert err.value.field == "format"
+        assert "povmtree/tree-v8" in str(err.value) and "povmtree/tree-v9" in str(err.value)
 
     @pytest.mark.parametrize("indent, field", [(None, "format"), (1, "header")], ids=["None", "1"])
     def test_v2_file_is_not_read(self, parts, tmp_path, indent, field):

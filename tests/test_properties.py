@@ -4,6 +4,7 @@ tree files, pure states and the positivity of leaf states."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from povmtree import (
@@ -21,11 +22,13 @@ from povmtree import (
     random_rank_one_povm,
     random_unitary,
     sample,
+    tetrad,
     validate,
+    verify,
 )
 from povmtree.dilation import completeness_residuals, dilate_level
 from povmtree.io import load_tree, save_tree
-from povmtree.errors import VerificationError
+from povmtree.errors import PovmTreeError, VerificationError
 from povmtree.linalg import TOL_CHECK, TOL_UNITARY, adjoint, complete_to_unitary_stack
 
 from conftest import frob, stored_pairs
@@ -195,14 +198,16 @@ def test_padding_costs_no_bytes(d, k, construction, seed, tmp_path_factory):
     with open(path, "rb") as handle:
         header = len(handle.readline())
     pairs = sum(int(kept.sum()) for kept in stored)
-    assert path.stat().st_size == header + 8 * (2 << k) + 8 * d * d * n + 32 * d * d * pairs
+    order = 2 << k  # bytes: one an entry, as the depth is at most 8
+    assert path.stat().st_size == header + order + 8 * d * d * n + 32 * d * d * pairs
     again = load_tree(path)
     assert again.order.tobytes() == tree.order.tobytes()
+    assert again.order.nbytes == np.dtype(np.intp).itemsize * order
     assert again.povm.params.tobytes() == tree.povm.params.tobytes()
-    # at most half the leaves are padding, so the arrays filled in from the
-    # file hold at most twice the bytes it stores
-    filled = again.order.nbytes + again.povm.params.nbytes + sum(x.nbytes for x in again.kraus)
-    assert filled <= 2 * (path.stat().st_size - header)
+    # at most half the leaves are padding, so the elements and pairs filled
+    # in from the file hold at most twice the bytes it stores of them
+    filled = again.povm.params.nbytes + sum(x.nbytes for x in again.kraus)
+    assert filled <= 2 * (path.stat().st_size - header - order)
     assert [x.tobytes() for x in again.kraus] == [x.tobytes() for x in tree.kraus]
 
     state = random_density(d, rng)
@@ -272,3 +277,43 @@ def test_leaf_states_keep_the_state_floor(source, d, n, dust, seed):
     # and each leaf by its own |m|^2, the largest eigenvalue of its POVM element
     largest = np.linalg.eigvalsh(tree.povm.elements[tree.order])[:, -1] + TOL_CHECK
     assert (lowest >= w[0] * largest - TOL_CHECK * 1e-6).all()
+
+
+@pytest.fixture(scope="module")
+def tree_files(tmp_path_factory):
+    """The bytes of the tetrad's tree file and of a d = 4 tree padded from 5 outcomes to 8."""
+    directory = tmp_path_factory.mktemp("mutants")
+    trees = {"tetrad": compile_tree(tetrad(), partition=[0, 3, 1, 2]),
+             "padded": compile_tree(random_rank_one_povm(5, 4, np.random.default_rng(5)))}
+    for name, tree in trees.items():
+        save_tree(tree, directory / name)
+    return directory, {name: (directory / name).read_bytes() for name in trees}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(which=st.sampled_from(["tetrad", "padded"]), kind=st.sampled_from(["flip", "cut", "insert"]),
+       data=st.data())
+def test_mutated_tree_files_are_refused_or_load_as_valid_trees(tree_files, which, kind, data):
+    # a file is untrusted input: a flipped byte, a truncation or inserted
+    # bytes anywhere, header included, is a PovmTreeError, or the file loads
+    # as a tree that passes verify and saves to bytes that load again
+    directory, files = tree_files
+    raw = files[which]
+    at = data.draw(st.integers(0, len(raw) - 1), label="at")
+    if kind == "flip":
+        mutant = raw[:at] + bytes([raw[at] ^ data.draw(st.integers(1, 255), label="mask")]) + raw[at + 1:]
+    elif kind == "cut":
+        mutant = raw[:at]
+    else:
+        mutant = raw[:at] + data.draw(st.binary(min_size=1, max_size=16), label="inserted") + raw[at:]
+    path = directory / "mutant.tree"
+    path.write_bytes(mutant)
+    try:
+        tree = load_tree(path)
+    except PovmTreeError:
+        return
+    verify(tree)
+    save_tree(tree, directory / "resaved.tree")
+    again = load_tree(directory / "resaved.tree")
+    assert again.order.tobytes() == tree.order.tobytes()
+    assert [a.tobytes() for a in again.kraus] == [a.tobytes() for a in tree.kraus]
