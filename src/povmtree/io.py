@@ -13,15 +13,16 @@ of 1, 2, 4 or 8 bytes that holds N - 1, then the ``n_original`` real
 elements, each as its d^2 real Hermitian parameters in little-endian float64:
 the real diagonal, then the upper off-diagonal entries as (re, im) pairs in
 row-major order.  Then come the raw little-endian complex128 Kraus pairs
-level by level (``tree.kraus``), of the nodes with a leaf that is not padding
-only.  Padding follows from the order and ``n_original``, so it costs no
-bytes: its elements are zero and an all-padding node's pair is the constant
-:func:`povmtree.tree.padding_pair`.  So ``w N + 8 d^2 n_original + 32 d^2 K``
-bytes follow the header, all exact, for K pairs kept; without padding, ``w N
-+ 8 d^2 (5N - 4)``.  The parameters are ``Povm.params`` as held, so they
-are written and read back as they are.  The loader reads each array into the
-buffer the tree keeps, filling in the padding, checks the order is a
-permutation of 0..N-1, and runs :func:`povmtree.tree.verify`.  With
+level by level (``tree.kraus``), of each level's real prefix only
+(:func:`povmtree.tree.real_counts`): padding is the tail of the leaf order,
+so it costs no bytes, its elements being zero and an all-padding node's
+pair the constant :func:`povmtree.tree.padding_pair`.  So ``w N + 8 d^2
+n_original + 32 d^2 K`` bytes follow the header, all exact, for K pairs
+kept; without padding, ``w N + 8 d^2 (5N - 4)``.  The parameters are
+``Povm.params`` as held, so they are written and read back as they are.
+The loader reads each array into the buffer the tree keeps, filling in the
+padding, checks the order (:func:`povmtree.tree.is_leaf_order`), and runs
+:func:`povmtree.tree.verify`.  With
 ``2**(depth - 1) < n_original`` no more than half of the elements or pairs
 are filled in, and the ``intp`` order takes 8/w times its stored bytes, 8 N
 < 16 n_original: the loader allocates under 2.3 times the file's bytes.
@@ -41,7 +42,7 @@ from .linalg import ENTRY_BOUND, _frozen
 from .povm import Povm, default_labels, validate
 from .records import Rows
 from .simulator import QuantumState
-from .tree import MeasurementTree, is_permutation, padding_pair, real_nodes, verify
+from .tree import MeasurementTree, is_leaf_order, padding_pair, real_counts, verify
 
 POVM_FORMAT = "povmtree/povm-v1"
 STATE_FORMAT = "povmtree/state-v1"
@@ -215,8 +216,8 @@ def save_tree(tree: MeasurementTree, path) -> None:
 
     ``tree.order`` is written at its narrowest width, then, as they are held,
     without a copy, the rows of ``tree.povm.params`` below ``n_original`` and,
-    level by level, the pairs of ``tree.kraus`` at nodes with a leaf that is
-    not padding.  The rest is padding: zero rows, and pairs that :func:`povmtree.tree.verify`
+    level by level, the pairs of ``tree.kraus`` in the level's real prefix.
+    The rest is padding: zero rows, and pairs that :func:`povmtree.tree.verify`
     requires to be :func:`povmtree.tree.padding_pair`.
 
     Raises
@@ -236,9 +237,8 @@ def save_tree(tree: MeasurementTree, path) -> None:
     arrays = (tree.order, p.params, *tree.kraus)
     with open(path, "wb") as handle:
         handle.write(json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n")
-        for (_, _, dtype, runs, _), a in zip(_blobs(p.dim, tree.depth, p.n_original, tree.order), arrays):
-            for rows in runs:  # a no-op conversion on a little-endian host
-                handle.write(np.ascontiguousarray(a[rows], dtype=dtype))
+        for (_, _, dtype, stored), a in zip(_blobs(p.dim, tree.depth, p.n_original), arrays):
+            handle.write(np.ascontiguousarray(a[:stored], dtype=dtype))  # a no-op on a little-endian host
 
 
 def _read_header(handle) -> tuple[dict, int, int, int]:
@@ -269,26 +269,19 @@ def _read_header(handle) -> tuple[dict, int, int, int]:
     return header, dim, depth, n_original
 
 
-def _runs(mask: np.ndarray) -> list[slice]:
-    """The runs of ``True`` in a boolean array, as slices."""
-    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
-    return [slice(int(a), int(b)) for a, b in zip(edges[0::2], edges[1::2])]
+def _blobs(dim: int, depth: int, n_original: int) -> list[tuple]:
+    """Field name, shape, dtype and stored rows of each array of a tree file, in file order.
 
-
-def _blobs(dim: int, depth: int, n_original: int, order=None) -> list[tuple]:
-    """Field name, shape, dtype, stored rows and padding row of each array of a tree file, in file order.
-
-    An array stores the rows in ``rows``, slices along its first axis in
-    order; every other row is ``pad``.  The elements' shape is that of their
-    parameters, one row of d^2 each.  Which Kraus pairs are stored follows
-    from ``order``; without it the table stops before the Kraus levels.
+    An array stores its first ``stored`` rows along its first axis, and
+    every other row is padding.  The elements' shape is that of their
+    parameters, one row of d^2 each; a Kraus level stores its real prefix
+    (:func:`povmtree.tree.real_counts`).
     """
     n = 1 << depth
-    levels = [] if order is None else real_nodes(order, n_original)[:depth]
-    return [("order", (n,), np.min_scalar_type(n - 1).newbyteorder("<"), [slice(0, n)], None),
-            ("elements", (n, dim * dim), _PARAMETER_DTYPE, [slice(0, n_original)], 0.0),
-            *((f"kraus[{level}]", (1 << level, 2, dim, dim), _BLOB_DTYPE, _runs(real), padding_pair(dim))
-              for level, real in enumerate(levels))]
+    return [("order", (n,), np.min_scalar_type(n - 1).newbyteorder("<"), n),
+            ("elements", (n, dim * dim), _PARAMETER_DTYPE, n_original),
+            *((f"kraus[{level}]", (1 << level, 2, dim, dim), _BLOB_DTYPE, real)
+              for level, real in enumerate(real_counts(depth, n_original)[:depth]))]
 
 
 def _read_arrays(handle, blobs) -> list[np.ndarray]:
@@ -298,26 +291,26 @@ def _read_arrays(handle, blobs) -> list[np.ndarray]:
     array is allocated.  No more than half the leaves are padding, so an
     array holds at most twice the bytes it stores, and the order, held as
     ``intp``, 8/w times: what is allocated is bounded by the file's size,
-    whatever the header claims.  Each real and imaginary part of a float or
-    complex array must lie within ``ENTRY_BOUND``.
+    whatever the header claims.  The rows not stored are padding: zero
+    elements, and :func:`povmtree.tree.padding_pair` at a Kraus level.  Each
+    real and imaginary part of a float or complex array must lie within
+    ``ENTRY_BOUND``.
     """
     available = os.fstat(handle.fileno()).st_size - handle.tell()
-    for field, shape, dtype, runs, _ in blobs:
-        need = sum(rows.stop - rows.start for rows in runs) * math.prod(shape[1:]) * dtype.itemsize
+    for field, shape, dtype, stored in blobs:
+        need = stored * math.prod(shape[1:]) * dtype.itemsize
         if available < need:
             raise ParseError(f"blob holds {available} bytes, expected {need} for shape {shape}",
                              field=field)
         available -= need
     arrays = []
-    for field, shape, dtype, runs, pad in blobs:
-        a = np.empty(shape, dtype=dtype)
-        if runs != [slice(0, shape[0])]:
-            a[...] = pad  # the stored rows are read over it
-        for rows in runs:
-            got = handle.readinto(a[rows])
-            if got != a[rows].nbytes:  # the file shrank after its size was checked
-                raise ParseError(f"blob holds {got} bytes, expected {a[rows].nbytes} for rows {rows.start}:"
-                                 f"{rows.stop} of shape {shape}", field=field)
+    for field, shape, dtype, stored in blobs:
+        a = np.zeros(shape, dtype=dtype)
+        if dtype == _BLOB_DTYPE:
+            a[stored:] = padding_pair(shape[-1])
+        got = handle.readinto(a[:stored])
+        if got != a[:stored].nbytes:  # the file shrank after its size was checked
+            raise ParseError(f"blob holds {got} bytes, expected {a[:stored].nbytes}", field=field)
         parts = a.view(_PARAMETER_DTYPE) if dtype.kind in "fc" else a  # real and imaginary parts side by side
         # no arithmetic, so nothing overflows; a nan fails both comparisons
         if dtype.kind in "fc" and not (-ENTRY_BOUND <= parts.min() and parts.max() <= ENTRY_BOUND):
@@ -331,14 +324,12 @@ def _read_arrays(handle, blobs) -> list[np.ndarray]:
 def load_tree(path) -> MeasurementTree:
     """Read, check and verify a ``tree-v9`` file.
 
-    Each blob is read into the array the tree keeps (the order then widened
-    to ``intp``), so the file is never held twice, and only once its byte
-    count has been checked: the order's and the elements' first, then, once
-    the order is known to be a permutation, the Kraus levels', which depend
-    on it.  The elements' parameters are read straight into ``Povm.params``,
-    with padding rows and pairs filled in as the constants that
-    ``compile_tree`` writes, so ``load_tree(save_tree(t))`` returns ``t``'s
-    arrays bit for bit.
+    Which rows each blob stores follows from the header alone, so all are
+    read in one pass, once their byte counts are checked, each into the
+    array the tree keeps (the order then widened to ``intp``): the file is
+    never held twice.  Padding rows and pairs are filled in as the constants
+    that ``compile_tree`` writes, so ``load_tree(save_tree(t))`` returns
+    ``t``'s arrays bit for bit.
 
     Raises
     ------
@@ -348,13 +339,13 @@ def load_tree(path) -> MeasurementTree:
         other than ``tree-v9`` (a one-line file of an older format names it:
         recompile it from its POVM file); an ``n_original`` whose order of
         ``2**depth`` entries cannot fit in the file, refused before ``1 <<
-        depth`` is formed; a header line without its newline; an order or
-        elements blob shorter than its stored rows need; an array entry
-        whose real or imaginary part is not finite or exceeds 2 in magnitude
-        (per blob, as read); ``order`` not a permutation of the outcomes; a
-        Kraus level shorter than its stored pairs need, then such an entry;
-        bytes after the last blob; or ``labels``, when present, not one
-        string per outcome.
+        depth`` is formed; a header line without its newline; a blob, in
+        file order, shorter than its stored rows need; an array entry whose
+        real or imaginary part is not finite or exceeds 2 in magnitude (per
+        blob, as read); bytes after the last blob; ``order`` not a
+        permutation with the padding last and in order
+        (:func:`povmtree.tree.is_leaf_order`); or ``labels``, when present,
+        not one string per outcome.
     VerificationError
         As :func:`povmtree.tree.verify` raises it for the rebuilt tree: the
         first failing check in walk order, naming the node's path
@@ -363,14 +354,12 @@ def load_tree(path) -> MeasurementTree:
     """
     with open(path, "rb") as handle:
         header, dim, depth, n_original = _read_header(handle)
-        # which pairs are stored follows from the order; the elements' bytes,
-        # checked first, also bound d before a padding pair is formed
-        order, params = _read_arrays(handle, _blobs(dim, depth, n_original))
-        if not is_permutation(order, 1 << depth):
-            raise ParseError(f"must be a permutation of 0..{(1 << depth) - 1}", field="order")
-        kraus = _read_arrays(handle, _blobs(dim, depth, n_original, order)[2:])
+        order, params, *kraus = _read_arrays(handle, _blobs(dim, depth, n_original))
         if trailing := os.fstat(handle.fileno()).st_size - handle.tell():
             raise ParseError(f"the file has {trailing} bytes after the last blob")
+    if not is_leaf_order(order, n_original, 1 << depth):
+        raise ParseError(f"must be a permutation of 0..{(1 << depth) - 1} with the padding, "
+                         f"{n_original} on, last and in order", field="order")
     tree = MeasurementTree(povm=_povm(header, dim, params, n_original), order=order, kraus=tuple(kraus))
     verify(tree)
     return tree

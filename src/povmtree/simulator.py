@@ -5,7 +5,8 @@ Hermitian parameters; pure states are rank-one densities.
 A leaf is reached with probability Tr[m rho m^dag], m = b...b the product of
 the Kraus operators on its path.  :func:`propagate` walks those cumulative
 operators depth first, as :func:`povmtree.tree.verify` does
-(:meth:`MeasurementTree._operators`): the state enters only at the traces, and a
+(:meth:`MeasurementTree._operators`), into no all-padding subtree: the state
+enters only at the traces, a padding leaf has probability exactly 0, and a
 post-state is built from its leaf's path when read.  :func:`sample` sums
 those leaf probabilities pairwise up the tree for each node's branch
 probabilities and splits the shots down it, one binomial draw per node.
@@ -181,15 +182,17 @@ class SimulationOutcome:
 
 
 def _leaf_probabilities(tree: MeasurementTree, state: QuantumState) -> np.ndarray:
-    """Leaf probabilities Tr[m rho m^dag], left to right, in [0, 1], on the walk of ``verify``."""
+    """Leaf probabilities Tr[m rho m^dag], left to right, in [0, 1], on the walk of ``verify``; 0 at padding."""
     if state.dim != tree.povm.dim:
         raise ValidationError(f"state dimension {state.dim} does not match tree dimension {tree.povm.dim}",
                               what="shape")
-    rho = state.density
+    rho, real = state.density, tree.povm.n_original
     # leaves come left to right; the trace of m rho m^dag is the real dot product of m rho with m
     traces = [np.einsum("kij,kij->k", (m @ rho).view(float), m.view(float))
               for level, _, m in tree._operators(tree.depth) if level == tree.depth]
-    return np.clip(np.concatenate(traces), 0.0, 1.0)
+    probs = np.zeros(tree.povm.n_outcomes)
+    probs[:real] = np.concatenate(traces)[:real]
+    return np.clip(probs, 0.0, 1.0)
 
 
 def _outcome(tree, state, position, probabilities, j: int) -> SimulationOutcome:
@@ -224,9 +227,9 @@ def propagate(tree: MeasurementTree, state: QuantumState) -> Outcomes:
     of at most 64 KiB of nodes per level at a time, as :func:`verify` does,
     and takes each leaf's probability Tr[m rho m^dag] as the real dot
     product of ``m rho`` with m.  Results are ordered by outcome index of
-    the (padded) POVM.  No leaf state is formed: a post-state is built when
-    read, and a leaf whose probability is below ``TOL_CHECK`` is unreached
-    and has none.
+    the (padded) POVM; a padding outcome's is exactly 0.  No leaf state is
+    formed: a post-state is built when read, and a leaf whose probability is
+    below ``TOL_CHECK`` is unreached and has none.
     """
     return Outcomes(tree, state, _leaf_probabilities(tree, state))
 

@@ -29,12 +29,14 @@ operators and the simulator share one traversal, depth first (:func:`_walk`):
 at most half a 64 KiB block of nodes per level, one stacked LAPACK call per
 block; checks raise in walk order, node order wherever a level fits half a block.
 
-A node whose leaves are all padding has S_x = 0, so g = I and its pair is
-the constant (I/sqrt 2, I/sqrt 2) (:func:`padding_pair`).  Which nodes these
-are follows from the leaf order and the number of real outcomes
-(:func:`real_nodes`).  Compilation writes the constant without a
-decomposition, :func:`verify` requires it exactly, and a tree file stores
-neither it nor the padding elements.
+Padding is the tail of the leaf order (:func:`is_leaf_order`): leaf i is
+real exactly when i < n_original, so the nodes of a level with a real leaf
+are a prefix of it (:func:`real_counts`).  A node whose leaves are all
+padding has S_x = 0, so g = I and its pair is the constant
+(I/sqrt 2, I/sqrt 2) (:func:`padding_pair`), and its cumulative operator is
+zero.  Compilation fills each level's tail with the constant, :func:`verify`
+requires it there exactly, the walk enters no all-padding subtree, and a
+tree file stores neither the constant nor the padding elements.
 """
 
 from __future__ import annotations
@@ -79,17 +81,18 @@ def padding_pair(d: int) -> np.ndarray:
     return np.broadcast_to(_A * np.eye(d, dtype=complex), (2, d, d))
 
 
-def real_nodes(order: np.ndarray, n_original: int) -> list[np.ndarray]:
-    """Which nodes have a leaf that is not padding: one boolean array per level, root first.
+def real_counts(depth: int, n_original: int) -> list[int]:
+    """Per level 0..depth, how many nodes, a prefix, have a real leaf: ceil(n_original / 2**(depth - level))."""
+    return [((n_original - 1) >> (depth - level)) + 1 for level in range(depth + 1)]
 
-    Leaf i is padding when ``order[i] >= n_original``.  A node whose leaves
-    are all padding holds :func:`padding_pair`; a tree file stores the
-    pairs of the others only.
-    """
-    levels = [np.asarray(order) < n_original]
-    while len(levels[-1]) > 1:
-        levels.append(levels[-1][0::2] | levels[-1][1::2])
-    return levels[::-1]
+
+def is_leaf_order(order: np.ndarray, n_original: int, n: int) -> bool:
+    """Whether an integer array permutes 0..n-1 with the padding, n_original..n-1, as its tail in order."""
+    head = order[:n_original]
+    seen = np.zeros(n_original + 1, dtype=bool)  # slot n_original marks an entry out of range
+    seen[np.where((0 <= head) & (head < n_original), head, n_original)] = True
+    return (len(order) == n and bool(seen[:n_original].all())
+            and np.array_equal(order[n_original:], np.arange(n_original, n)))
 
 
 def node_path(level: int, index: int) -> str:
@@ -103,14 +106,17 @@ def _descend(kraus, level: int, first: int, parents: np.ndarray) -> np.ndarray:
     return (pairs @ parents[:, None]).reshape(-1, *parents.shape[1:])
 
 
-def _walk(depth: int, d: int, root, child):
-    """Yield ``(level, first, block)`` over every node of a tree, depth first, a block at a time.
+def _walk(depth: int, d: int, root, child, real: list[int]):
+    """Yield ``(level, first, block)`` over a tree's nodes with a real leaf, depth first, a block at a time.
 
     ``block`` holds nodes ``first, ...`` of ``level``: ``root[None]`` at the
     root, then ``child(level, first, parents)`` for runs of at most half a
-    :func:`povmtree.linalg.blocks` budget of d x d parents.  Leaves come in
-    leaf order, each block before those below it.  The rest of a split block
-    is kept as a copy, made once its first half's children are, so each
+    :func:`povmtree.linalg.blocks` budget of d x d parents.  Only parents in
+    the real prefix of their level (``real``, :func:`real_counts`) are
+    descended, and each run's children come whole, so the one all-padding
+    child at a level's boundary comes too, but nothing below it.  Leaves come
+    in leaf order, each block before those below it.  The rest of a split
+    block is kept as a copy, made once its first half's children are, so each
     level above the block in hand holds at most half a block.
     """
     half = max(1, next(blocks(1 << depth, d)).stop // 2)
@@ -124,7 +130,7 @@ def _walk(depth: int, d: int, root, child):
         del parents  # the block is freed before its children are walked
         yield level + 1, 2 * first, children
         if level + 1 < depth:
-            path.append((level + 1, 2 * first, children))
+            path.append((level + 1, 2 * first, children[: real[level + 1] - 2 * first]))
 
 
 def _gram(m: np.ndarray) -> np.ndarray:
@@ -162,13 +168,20 @@ class MeasurementTree:
     Kraus pairs in breadth-first order: the pair measured at the node with
     probe path x sits at ``kraus[len(x)][int(x, 2)]``, b0 before b1.  Leaf i
     (left to right) is outcome ``order[i]`` of ``povm``; ``order`` is one
-    read-only ``intp`` array, a permutation of ``0..N-1``.  Cumulative
-    operators and dilations are computed on demand and never stored.
+    read-only ``intp`` array, a permutation of ``0..N-1`` whose padding is
+    its tail in order (:func:`is_leaf_order`; else ``ValidationError(what=
+    "partition")``).  Cumulative operators and dilations are computed on
+    demand and never stored.
     """
 
     povm: Povm
     order: np.ndarray
     kraus: tuple[np.ndarray, ...]
+
+    def __post_init__(self) -> None:
+        if not is_leaf_order(self.order, self.povm.n_original, self.povm.n_outcomes):
+            raise ValidationError(_PARTITION_RULE.format(self.povm.n_original, self.povm.n_outcomes),
+                                  what="partition")
 
     @property
     def depth(self) -> int:
@@ -176,15 +189,17 @@ class MeasurementTree:
         return len(self.kraus)
 
     def cumulative_kraus(self, level: int) -> np.ndarray:
-        """Cumulative Kraus operators of the ``2**level`` nodes of a level, shape ``(2**level, d, d)``."""
+        """Cumulative Kraus operators of a level's ``2**level`` nodes, zero below an all-padding node."""
         if not (_whole(level) and 0 <= level <= self.depth):
             raise IndexError(f"level {level} not in 0..{self.depth}")
-        return np.concatenate([m for at, _, m in self._operators(level) if at == level])
+        formed = np.concatenate([m for at, _, m in self._operators(level) if at == level])
+        return np.concatenate([formed, np.zeros(((1 << level) - len(formed), *formed.shape[1:]), complex)])
 
     def _operators(self, depth: int):
         """The walk of :func:`_walk` over the cumulative Kraus operators of levels 0..depth."""
         d = self.povm.dim
-        return _walk(depth, d, np.eye(d, dtype=complex), partial(_descend, self.kraus))
+        return _walk(depth, d, np.eye(d, dtype=complex), partial(_descend, self.kraus),
+                     real_counts(self.depth, self.povm.n_original))
 
     def cumulative_operators(self, level: int) -> np.ndarray:
         """Cumulative operators ``m^dag m`` of a level's nodes; at the leaves, the POVM elements."""
@@ -283,25 +298,20 @@ def split_node(children_kraus, parent_kraus) -> np.ndarray:
     return _frozen(_split_level(children[None], parent, *svd_inverse(parent), True, lambda i: None)[0])
 
 
-def is_permutation(order: np.ndarray, n: int) -> bool:
-    """Whether an integer array holds each of 0..n-1 exactly once."""
-    seen = np.zeros(n + 1, dtype=bool)  # slot n marks an entry out of range
-    seen[np.where((0 <= order) & (order < n), order, n)] = True
-    return len(order) == n and bool(seen[:n].all())
+_PARTITION_RULE = "partition must permute the {0} outcomes, or all {1} with the padding last and in order"
 
 
-def _resolve_partition(partition, n_real: int, n_padded: int) -> np.ndarray:
+def _resolve_partition(partition, n_original: int, n: int) -> np.ndarray:
     """The leaf order as a read-only ``intp`` array; entries must be Python or NumPy integers."""
-    order = np.arange(n_padded)
+    order = np.arange(n)
     if partition is not None:
         entries = list(partition)
-        valid = all(_whole(j) and 0 <= j < n_padded for j in entries)
+        valid = all(_whole(j) and 0 <= j < n for j in entries)
         order = np.array(entries if valid else [], dtype=np.intp)
-        if len(order) == n_real < n_padded:
-            order = np.concatenate([order, np.arange(n_real, n_padded)])
-        if not is_permutation(order, n_padded):
-            raise ValidationError(f"partition must be a permutation of 0..{n_padded - 1} "
-                                  f"(or of the {n_real} unpadded outcomes)", what="partition")
+        if len(order) == n_original < n:
+            order = np.concatenate([order, np.arange(n_original, n)])
+        if not is_leaf_order(order, n_original, n):
+            raise ValidationError(_PARTITION_RULE.format(n_original, n), what="partition")
     return _frozen(order)
 
 
@@ -322,18 +332,19 @@ def compile_tree(
     depth-first walk of :func:`_walk`: each run of parents carries its
     partial sums' decompositions ``(V, w)`` from one stacked ``eigh`` of
     their sums, and writes its Kraus pairs into the returned level arrays.
-    A node whose leaves are all padding gets :func:`padding_pair`, and is
-    neither decomposed nor split; ``factorization``'s operators of padding
-    outcomes, if given, must be zero and are not read.
+    Each level's tail, whose leaves are all padding (:func:`real_counts`),
+    gets :func:`padding_pair`, and is neither decomposed nor split nor
+    walked; ``factorization``'s operators of padding outcomes, if given,
+    must be zero and are not read.
 
     ``partition``, of Python or NumPy integers (not ``bool``), may permute
-    the padded outcome set or just the original outcomes, in which case
-    padding indices keep their tail positions.
+    the original outcomes, or all N with the padding indices last and in
+    order (:func:`is_leaf_order`).
 
     Raises
     ------
     ValidationError
-        ``what="partition"`` unless ``partition`` is a permutation as above.
+        ``what="partition"`` unless ``partition`` is such a permutation.
         Unless ``factorization`` holds one d x d operator per original or
         padded outcome: ``what="shape"`` (``index`` naming the first
         operator of the wrong shape, if any) or ``"finiteness"`` (``index``
@@ -348,7 +359,7 @@ def compile_tree(
     padded = pad_to_power_of_two(p)
     n, d = padded.n_outcomes, padded.dim
     depth = n.bit_length() - 1
-    order = _resolve_partition(partition, p.n_outcomes, n)
+    order = _resolve_partition(partition, p.n_original, n)
     if factorization is not None:
         factorization = as_stack(factorization, (d, d))
         if len(factorization) not in (p.n_outcomes, n):
@@ -361,44 +372,34 @@ def compile_tree(
     # each parent's partial sum as psd_sqrt_stack keeps it, (V, w); the root's is I
     node = np.dtype([("V", complex, (d, d)), ("w", float, (d,))])
     root = np.array((np.eye(d), np.ones(d)), node)
+    real = real_counts(depth, p.n_original)
     levels = [np.empty((1 << level, 2, d, d), dtype=complex) for level in range(depth)]
-    real = real_nodes(order, p.n_original)
+    for level, pairs in enumerate(levels):
+        pairs[real[level]:] = padding_pair(d)
 
     def split(level: int, first: int, parents: np.ndarray):
-        """Write the pairs of a run of parents; return the children's decompositions, None at leaves.
+        """Write the pairs of a run of real parents; return the children's decompositions, None at leaves.
 
-        A parent whose leaves are all padding gets :func:`padding_pair`, and
-        a child whose leaves are all padding the zero target; neither is decomposed.
+        A child past the real prefix, at most one at the level's boundary,
+        gets the zero target and is not decomposed.
         """
         span = n >> (level + 1)  # leaves below each child
-        lo, hi = 2 * first * span, 2 * (first + len(parents)) * span
-        run = slice(first, first + len(parents))
-        live, kids = real[level][run], real[level + 1][2 * run.start : 2 * run.stop]
-        levels[level][run][~live] = padding_pair(d)
+        lo, kids = 2 * first * span, min(2 * len(parents), real[level + 1] - 2 * first)
         children = np.empty(2 * len(parents), node) if span > 1 else None
-        if not live.any():
-            return children
-        split_at = np.flatnonzero(live)  # for the paths of failing parents
-        if kids.all():  # no padding below the run: slices, which copy nothing
-            live = kids = slice(None)
         if leaves := (span == 1 and factorization is not None):
-            targets = factorization[order[lo:hi][kids]]
+            targets = factorization[order[lo : lo + kids]]
         else:  # children that are parents of the next level keep their decompositions
-            sums = hermitian_from_parameters(_ordered_sums(padded.params, order, lo, hi, span)[kids])
-            kept = None if children is None else children[kids]
+            sums = hermitian_from_parameters(_ordered_sums(padded.params, order, lo, lo + kids * span, span))
+            kept = None if children is None else children[:kids]
             targets = psd_sqrt_stack(sums, None if kept is None else (kept["V"], kept["w"]))
-            if kept is not None:
-                children[kids] = kept
-        if not isinstance(kids, slice):  # a child whose leaves are all padding has the zero target
-            spread = np.zeros((len(kids), d, d), dtype=complex)
-            spread[kids] = targets
-            targets = spread
-        levels[level][run][live] = _split_level(targets.reshape(-1, 2, d, d)[live],
-                                                *psd_parts(parents["V"][live], parents["w"][live]), leaves,
-                                                lambda i: node_path(level, first + split_at[i]))
+        if kids < 2 * len(parents):
+            targets = np.concatenate([targets, np.zeros((1, d, d), dtype=complex)])
+        levels[level][first : first + len(parents)] = _split_level(
+            targets.reshape(-1, 2, d, d), *psd_parts(parents["V"], parents["w"]), leaves,
+            lambda i: node_path(level, first + i))
         return children
 
-    for _ in _walk(depth, d, root, split):
+    for _ in _walk(depth, d, root, split, real):
         pass
     return MeasurementTree(povm=padded, order=order, kraus=tuple(map(_frozen, levels)))
 
@@ -406,40 +407,47 @@ def compile_tree(
 def verify(tree: MeasurementTree) -> VerificationReport:
     """Audit every node of a tree against the construction identities that can fail.
 
-    Checks, per internal node: that a node whose leaves are all padding
-    holds exactly :func:`padding_pair`, completeness of the Kraus pair, and
-    agreement of the cumulative operator with the sum S of the POVM
-    elements below, zero below padding (``eigvalsh`` of S under
-    :func:`povmtree.linalg.rank_mask` gives the reported parent rank, 0
-    where S is padding).  Per leaf: the Frobenius distance between the
-    leaf's cumulative operator and the original POVM element.  Nothing
+    Checks that each level's tail (:func:`real_counts`) holds exactly
+    :func:`padding_pair`, once per level.  Then, per internal node of the
+    walk of :meth:`MeasurementTree._operators`: completeness of the Kraus
+    pair, and agreement of the cumulative operator with the sum S of the
+    POVM elements below, zero below padding (``eigvalsh`` of each real S
+    under :func:`povmtree.linalg.rank_mask` gives the reported parent rank,
+    0 where S is padding).  Per leaf walked: the Frobenius distance between
+    the leaf's cumulative operator and the original POVM element.  Nothing
     else can fail: ``b_child @ m_parent = m_child`` holds exactly, because
     child cumulative operators are defined as those products; ``b^dag b`` is
     a Gram matrix, positive to rounding; and a complete pair's probe
     coupling is derived data, checked where
-    :func:`povmtree.linalg.complete_to_unitary_stack` builds it.  The
-    cumulative operators come from :meth:`MeasurementTree._operators`, and
-    each block's results go into the report's columns by node index.
+    :func:`povmtree.linalg.complete_to_unitary_stack` builds it.  Each
+    block's results go into the report's columns by node index.  Below an
+    all-padding node, which the walk does not enter, the operator-sum and
+    leaf residuals are 0, and the completeness residual is the constant's.
 
     Raises
     ------
     VerificationError
-        At the first residual above ``TOL_CHECK`` or not a number, in walk
-        order, naming the node's path: ``what="leaf reconstruction"`` at a
-        leaf block, else ``"padding"`` (any difference from the constant
-        pair), ``"completeness"`` of its pairs, then ``"operator sum"``.
+        At the first residual above ``TOL_CHECK`` or not a number, naming
+        the node's path: ``what="padding"`` (any difference from the
+        constant pair in a level's tail, root level first); then, in walk
+        order, ``"leaf reconstruction"`` at a leaf block, else
+        ``"completeness"`` of its pairs, then ``"operator sum"``.
     """
     p, d, n = tree.povm, tree.povm.dim, tree.povm.n_outcomes
     # the node columns verify measures, in the order of NodeCheck's fields
     measured = {"completeness_residual": float, "operator_sum_residual": float, "parent_rank": int}
     nodes = {name: np.zeros(n - 1, dtype) for name, dtype in measured.items()}
-    leaf_residual = np.empty(n)
+    leaf_residual = np.zeros(n)
 
     def check(residuals, what, limit=TOL_CHECK):  # residual i is node lo + i's, on the level in hand
         _raise_first(residuals, what, what + " check failed, residual {:.3e}", limit,
                      path=lambda i: node_path(level, lo + i))
 
-    real, pad = real_nodes(tree.order, p.n_original), padding_pair(d)
+    real, pad = real_counts(tree.depth, p.n_original), padding_pair(d)
+    for level in range(tree.depth):  # each level's tail, whose leaves are all padding
+        lo, rows = real[level], slice((1 << level) - 1 + real[level], (2 << level) - 1)
+        check(np.linalg.norm((tree.kraus[level][lo:] - pad).reshape(-1, 2 * d * d), axis=-1), "padding", 0.0)
+        nodes["completeness_residual"][rows] = completeness_residuals(pad[None])[0]
     for level, first, m in tree._operators(tree.depth):
         span = n >> level
         sums = _ordered_sums(p.params, tree.order, first * span, (first + len(m)) * span, span)
@@ -451,15 +459,11 @@ def verify(tree: MeasurementTree) -> VerificationReport:
                 leaf_residual[lo:hi] = residual
                 continue
             rows = slice((1 << level) - 1 + lo, (1 << level) - 1 + hi)
-            live, pairs = real[level][lo:hi], tree.kraus[level][lo:hi]
-            # a node whose leaves are all padding holds exactly the padding pair
-            off = np.zeros(len(pairs))
-            off[~live] = np.linalg.norm((pairs[~live] - pad).reshape(-1, 2 * d * d), axis=-1)
-            check(off, "padding", 0.0)
-            nodes["completeness_residual"][rows] = completeness_residuals(pairs)
+            nodes["completeness_residual"][rows] = completeness_residuals(tree.kraus[level][lo:hi])
             check(nodes["completeness_residual"][rows], "completeness")
             check(residual, "operator sum")
             nodes["operator_sum_residual"][rows] = residual
+            live = slice(0, real[level] - lo)  # the block's real nodes, all but a boundary child
             nodes["parent_rank"][rows][live] = rank_mask(np.linalg.eigvalsh(s[live])).sum(axis=-1)
     nodes["uses_null_correction"] = nodes["parent_rank"] < d
     return VerificationReport(

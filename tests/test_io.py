@@ -378,13 +378,14 @@ class TestTamperedTreeFiles:
             assert peak <= 64 * 1024
 
     @pytest.mark.parametrize("n_original, field", [(10 ** 9, "n_original"), (1 << 62, "n_original"),
-                                                   (64, "elements"), (7, "elements")],
+                                                   (64, "elements"), (7, "kraus[1]")],
                              ids=["1000000000", "4611686018427387904", "64", "7"])
     def test_depth_is_bounded_by_the_file(self, parts, tmp_path, n_original, field):
         # the tetrad's arrays under another n_original: an order of 2**depth
         # entries that cannot fit in the file is refused before 1 << depth
         # is formed; one that fits (64 bytes at depth 6, 8 at depth 3) leaves
-        # the element rows, out of range or past the file's end, to be refused
+        # a blob past the file's end to be refused, the elements at depth 6
+        # and, at depth 3, the second Kraus level's 2 of 2 stored pairs
         header, order, arrays = parts
         path = tmp_path / "deep.tree"
         write_tree_file(path, dict(header, n_original=n_original), order, arrays)
@@ -447,17 +448,23 @@ class TestTamperedTreeFiles:
         with pytest.raises(ParseError) as err:
             load_tree(path)
         assert "after the last blob" in str(err.value)
-        # with the row dropped the file's sizes agree, and the tree no longer
-        # sums to its elements
+        # with the row dropped the file's sizes agree; the tetrad's order
+        # [0, 3, 1, 2] then puts padding mid-order, and with 3 last the tree
+        # no longer sums to its elements
         elements, *kraus = arrays
         write_tree_file(path, dict(header, n_original=3), order, [elements[:3], *kraus])
+        with pytest.raises(ParseError) as err:
+            load_tree(path)
+        assert err.value.field == "order"
+        write_tree_file(path, dict(header, n_original=3), [0, 1, 2, 3], [elements[:3], *kraus])
         with pytest.raises(VerificationError) as err:
             load_tree(path)
         assert (err.value.what, err.value.path) == ("operator sum", "")
-        # the tree's size follows n_original: 5 or 2 make it 8 or 2 leaves,
-        # whose order is 8 or 2 bytes, so the element rows are read from the
-        # wrong offset and their entries are out of range
-        for n_original, field in [(5, "elements"), (2, "elements")]:
+        # the tree's size follows n_original: 5 or 2 make it 8 or 2 leaves.
+        # At 5 the 6 stored pairs cannot fit in the file; at 2 the order is 2
+        # bytes, so the element rows are read from the wrong offset and
+        # their entries are out of range
+        for n_original, field in [(5, "kraus[1]"), (2, "elements")]:
             write_tree_file(path, dict(header, n_original=n_original), order, arrays)
             with pytest.raises(ParseError) as err:
                 load_tree(path)

@@ -1,6 +1,8 @@
 """Property tests for the stacked unitary completion, the Neumark oracle, Hermitian storage,
 tree files, pure states and the positivity of leaf states."""
 
+import contextlib
+import io
 import math
 
 import numpy as np
@@ -27,11 +29,13 @@ from povmtree import (
     verify,
 )
 from povmtree.dilation import completeness_residuals, dilate_level
-from povmtree.io import load_tree, save_tree
-from povmtree.errors import PovmTreeError, VerificationError
+from povmtree.cli import main
+from povmtree.io import load_povm, load_state, load_tree, save_povm, save_state, save_tree
+from povmtree.errors import ParseError, PovmTreeError, ValidationError, VerificationError
 from povmtree.linalg import TOL_CHECK, TOL_UNITARY, adjoint, complete_to_unitary_stack
+from povmtree.tree import is_leaf_order, real_counts
 
-from conftest import frob, stored_pairs
+from conftest import frob, read_tree_file, stored_pairs, write_tree_file
 from test_tree import dusty_povm_elements
 
 # Few examples, drawn the same way on every run, so Tier-1 stays fast and stable.
@@ -155,6 +159,12 @@ def test_tree_files_round_trip(n, d, given_labels, partition, freedom, seed, tmp
     if freedom:
         unitaries = [random_unitary(d, rng) for _ in range(n)]
         factorization = apply_freedom(default_kraus(p), unitaries)
+    if partition == "full" and not is_leaf_order(order["full"], n, padded):
+        # padding is the tail of the leaf order: a partition that moves it is refused
+        with pytest.raises(ValidationError) as err:
+            compile_tree(p, factorization=factorization, partition=order["full"])
+        assert err.value.what == "partition"
+        return
     tree = compile_tree(p, factorization=factorization, partition=order[partition])
     path = tmp_path_factory.mktemp("round-trip") / "t.tree"
     save_tree(tree, path)
@@ -182,19 +192,31 @@ def test_padding_costs_no_bytes(d, k, construction, seed, tmp_path_factory):
     ranks = rng.integers(1, d + 1, n)
     ranks[0] = d  # so that the elements can sum to the identity
     p = random_povm(n, d, rng, ranks=ranks)
-    factorization = partition = None
+    factorization = None
     if construction == "freedom":
         factorization = apply_freedom(default_kraus(p), [random_unitary(d, rng) for _ in range(n)])
-    elif construction == "padding in the middle":
-        partition = rng.permutation(2 << k)
-    tree = compile_tree(p, factorization=factorization, partition=partition)
+    tree = compile_tree(p, factorization=factorization)
+    path = tmp_path_factory.mktemp("padding") / "t.tree"
+    save_tree(tree, path)
+    if construction == "padding in the middle":
+        # refused as a partition, and as the order of a tree file
+        order = rng.permutation(2 << k)
+        if is_leaf_order(order, n, 2 << k):
+            order[[n - 1, n]] = order[[n, n - 1]]  # padding n before a real outcome
+        with pytest.raises(ValidationError) as err:
+            compile_tree(p, partition=order)
+        assert err.value.what == "partition"
+        header, _, arrays = read_tree_file(path)
+        write_tree_file(path, header, order, arrays)
+        with pytest.raises(ParseError) as err:
+            load_tree(path)
+        assert err.value.field == "order"
+        return
     stored = stored_pairs(tree.order, n)
     a = 1 / math.sqrt(2)
     for level, kept in zip(tree.kraus, stored):
         assert (level[~kept] == a * np.eye(d)).all()
 
-    path = tmp_path_factory.mktemp("padding") / "t.tree"
-    save_tree(tree, path)
     with open(path, "rb") as handle:
         header = len(handle.readline())
     pairs = sum(int(kept.sum()) for kept in stored)
@@ -217,6 +239,24 @@ def test_padding_costs_no_bytes(d, k, construction, seed, tmp_path_factory):
         [None if o.post_state is None else o.post_state.density.tobytes() for o in loaded]
     first, second = sample(tree, state, 1000, seed=seed), sample(again, state, 1000, seed=seed)
     assert (first.counts, first.expected) == (second.counts, second.expected)
+
+
+@PROPERTY
+@given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+def test_stored_pairs_are_each_levels_real_prefix(n, seed):
+    # whatever the order of the real outcomes, with the padding as its tail
+    # the nodes with a real leaf are a prefix of each level, of the length
+    # real_counts gives: ceil(n / 2**(depth - level))
+    depth = (n - 1).bit_length()
+    order = np.concatenate([np.random.default_rng(seed).permutation(n), np.arange(n, 1 << depth)])
+    assert is_leaf_order(order, n, 1 << depth)
+    counts = real_counts(depth, n)
+    assert counts[0] == 1 and counts[depth] == n
+    stored = stored_pairs(order, n)
+    assert len(stored) == depth
+    for level, (kept, count) in enumerate(zip(stored, counts)):
+        assert count == -(-n // (1 << (depth - level)))
+        assert np.array_equal(kept, np.arange(1 << level) < count)
 
 
 @PROPERTY
@@ -279,6 +319,48 @@ def test_leaf_states_keep_the_state_floor(source, d, n, dust, seed):
     assert (lowest >= w[0] * largest - TOL_CHECK * 1e-6).all()
 
 
+def mutated(raw: bytes, kind: str, data) -> bytes:
+    """``raw`` with one byte flipped, cut short, or with up to 16 bytes inserted, at a drawn offset."""
+    at = data.draw(st.integers(0, len(raw) - 1), label="at")
+    if kind == "flip":
+        return raw[:at] + bytes([raw[at] ^ data.draw(st.integers(1, 255), label="mask")]) + raw[at + 1:]
+    if kind == "cut":
+        return raw[:at]
+    return raw[:at] + data.draw(st.binary(min_size=1, max_size=16), label="inserted") + raw[at:]
+
+
+@pytest.fixture(scope="module")
+def json_files(tmp_path_factory):
+    """A d = 2 tree file, and the bytes of a state file and of a labelled POVM file padded from 3 outcomes."""
+    directory = tmp_path_factory.mktemp("json-mutants")
+    rng = np.random.default_rng(8)
+    save_tree(compile_tree(tetrad(), partition=[0, 3, 1, 2]), directory / "tetrad.tree")
+    save_povm(pad_to_power_of_two(validate(random_povm(3, 2, rng).elements, ["a", "b", "c"])),
+              directory / "povm")
+    save_state(random_density(2, rng), directory / "state")
+    return directory, {name: (directory / name).read_bytes() for name in ("povm", "state")}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(which=st.sampled_from(["povm", "state"]), kind=st.sampled_from(["flip", "cut", "insert"]),
+       data=st.data())
+def test_mutated_json_files_are_refused_or_load(json_files, which, kind, data):
+    # POVM and state files are untrusted input too: a mutant loads or raises
+    # a PovmTreeError, and the command that reads it, validate or simulate
+    # --state, exits with one of its codes instead of a traceback
+    directory, files = json_files
+    path = directory / f"mutant.{which}.json"
+    path.write_bytes(mutated(files[which], kind, data))
+    try:
+        (load_povm if which == "povm" else load_state)(path)
+    except PovmTreeError:
+        pass
+    argv = (["validate", str(path)] if which == "povm"
+            else ["simulate", str(directory / "tetrad.tree"), "--state", str(path)])
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 1, 2, 3)
+
+
 @pytest.fixture(scope="module")
 def tree_files(tmp_path_factory):
     """The bytes of the tetrad's tree file and of a d = 4 tree padded from 5 outcomes to 8."""
@@ -298,16 +380,8 @@ def test_mutated_tree_files_are_refused_or_load_as_valid_trees(tree_files, which
     # bytes anywhere, header included, is a PovmTreeError, or the file loads
     # as a tree that passes verify and saves to bytes that load again
     directory, files = tree_files
-    raw = files[which]
-    at = data.draw(st.integers(0, len(raw) - 1), label="at")
-    if kind == "flip":
-        mutant = raw[:at] + bytes([raw[at] ^ data.draw(st.integers(1, 255), label="mask")]) + raw[at + 1:]
-    elif kind == "cut":
-        mutant = raw[:at]
-    else:
-        mutant = raw[:at] + data.draw(st.binary(min_size=1, max_size=16), label="inserted") + raw[at:]
     path = directory / "mutant.tree"
-    path.write_bytes(mutant)
+    path.write_bytes(mutated(files[which], kind, data))
     try:
         tree = load_tree(path)
     except PovmTreeError:

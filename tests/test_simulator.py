@@ -28,6 +28,7 @@ from povmtree import (
     validate,
 )
 from povmtree import linalg
+from povmtree.tree import real_counts
 
 from conftest import frob
 
@@ -555,13 +556,18 @@ def two_array_pass(tree, state):
         total = q.sum(axis=1)
         p_left.append(np.divide(q[:, 0], total, out=np.ones_like(total), where=total > 0))
     leaves = tree.cumulative_kraus(tree.depth)
-    return leaves, np.clip(traces(leaves), 0.0, 1.0), p_left
+    probs = np.clip(traces(leaves), 0.0, 1.0)
+    probs[tree.povm.n_original:] = 0.0  # padding, the tail of the leaf order, is never reached
+    return leaves, probs, p_left
 
 
 def walked(tree, state):
-    """The leaf operators and the leaf probabilities, left to right, of depth-first walks of the tree."""
+    """The leaf operators and the leaf probabilities, left to right, of depth-first walks of the tree.
+
+    A leaf below an all-padding node, which the walk does not form, is zero.
+    """
     d = tree.povm.dim
-    leaves = np.full((1 << tree.depth, d, d), np.nan, dtype=complex)
+    leaves = np.zeros((1 << tree.depth, d, d), dtype=complex)
     for level, first, block in walk(tree):
         if level == tree.depth:
             leaves[first : first + len(block)] = block
@@ -638,11 +644,14 @@ class TestLevelPassInOneStack:
     @pytest.mark.parametrize("budget", ["default", "one matrix", "three matrices"])
     @pytest.mark.parametrize("kind", ["one outcome", "padded 13", "32x64", "2x4096"])
     def test_walk_holds_one_block_per_level(self, kind, budget, monkeypatch):
-        # Every node comes once, in blocks of at most one budget (two
-        # matrices when a budget holds one), each block before the blocks
-        # below it and the leaves left to right; no block outlives the
-        # next one of its level.
+        # Every node with a real leaf comes once, and the one all-padding
+        # child at a level's boundary, but nothing below it: in blocks of at
+        # most one budget (two matrices when a budget holds one), each block
+        # before the blocks below it and the leaves left to right; no block
+        # outlives the next one of its level.
         tree, state = self.case(kind)
+        real = real_counts(tree.depth, tree.povm.n_original)
+        formed = [1] + [2 * count for count in real[:-1]]
         per_block = self.budget(budget, state.dim, monkeypatch)
         seen = [np.zeros(1 << level, dtype=int) for level in range(tree.depth + 1)]
         held, leaves = [], []
@@ -655,7 +664,7 @@ class TestLevelPassInOneStack:
             held.append((level, weakref.ref(block)))
             alive = [lv for lv, ref in held if ref() is not None]
             assert len(alive) == len(set(alive))
-        assert all((count == 1).all() for count in seen)
+        assert all(np.array_equal(count, np.arange(len(count)) < k) for count, k in zip(seen, formed))
         assert leaves == sorted(leaves)
 
 

@@ -502,18 +502,18 @@ class TestPadding:
     """A node whose leaves are all padding costs no decomposition and holds the constant pair."""
 
     @staticmethod
-    def decompositions(monkeypatch, build):
-        """How many matrices ``build()`` hands to ``eigh``, and how many of them are zero."""
+    def decompositions(monkeypatch, build, name="eigh"):
+        """How many matrices ``build()`` hands to ``np.linalg.<name>``, and how many of them are zero."""
         counts = [0, 0]
-        eigh = np.linalg.eigh
+        decompose = getattr(np.linalg, name)
 
         def counted(a, *args, **kwargs):
             a = np.asarray(a)
             counts[0] += len(a.reshape(-1, *a.shape[-2:]))
             counts[1] += int((~a.reshape(-1, a.shape[-1] ** 2).any(axis=1)).sum())
-            return eigh(a, *args, **kwargs)
+            return decompose(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", counted)
+        monkeypatch.setattr(np.linalg, name, counted)
         build()
         return counts
 
@@ -524,6 +524,38 @@ class TestPadding:
         padded, zero = self.decompositions(monkeypatch, lambda: compile_tree(trees[1025]))
         assert (full, padded, zero) == (2046, 2058, 0)
         assert padded <= 1.02 * full
+
+    def test_no_walk_enters_an_all_padding_subtree(self, monkeypatch):
+        # Padding is the tail of the leaf order, so the walk descends the
+        # real prefix of each level and forms, besides, only the one
+        # all-padding child at each level's boundary: at (2, 1025) at most
+        # 2 * depth operators more than at (2, 1024).  Walking every node
+        # formed 4,095.
+        trees = {n: compile_tree(random_rank_one_povm(n, 2, np.random.default_rng([2, n])))
+                 for n in (1024, 1025)}
+        formed = {n: sum(len(block) for _, _, block in tree._operators(tree.depth))
+                  for n, tree in trees.items()}
+        assert formed == {1024: 2047, 1025: 2069}
+        assert formed[1025] <= formed[1024] + 2 * trees[1025].depth
+        # neither compile's eigh nor verify's eigvalsh is handed an all-padding sum
+        p = trees[1025].povm
+        assert self.decompositions(monkeypatch, lambda: compile_tree(p))[1] == 0
+        handed, zero = self.decompositions(monkeypatch, lambda: verify(trees[1025]), "eigvalsh")
+        assert (handed, zero) == (1034, 0)  # one sum per internal node with a real leaf
+
+    def test_padding_is_the_tail_of_every_order(self, rng):
+        # a partition, or a tree built by hand, that puts padding anywhere
+        # but last and in order is refused: no walk could skip it
+        p = random_rank_one_povm(5, 2, rng)
+        tree = compile_tree(p, partition=[4, 0, 3, 1, 2, 5, 6, 7])
+        assert tuple(tree.order) == (4, 0, 3, 1, 2, 5, 6, 7)
+        for order in ([4, 0, 3, 1, 5, 2, 6, 7], [4, 0, 3, 1, 2, 5, 7, 6]):
+            with pytest.raises(ValidationError) as err:
+                compile_tree(p, partition=order)
+            assert err.value.what == "partition"
+            with pytest.raises(ValidationError) as err:
+                replace(tree, order=np.array(order))
+            assert err.value.what == "partition"
 
     def test_a_sweep_small_round_decomposes_no_zero_sum(self, monkeypatch):
         sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
