@@ -23,20 +23,18 @@ from .errors import ParseError, PovmTreeError
 from .linalg import frobenius, hermitian_eig
 from .povm import pad_to_power_of_two, tetrad
 from .simulator import QuantumState, direct_probabilities, propagate, sample, random_density
-from .tree import compile_tree, verify
+from .tree import _resolve_partition, compile_tree, verify
 
 _PREFIXES = {1: "invalid", 2: "error", 3: "verification error"}
 
 
-def _parse_grouping(text: str, n_outcomes: int) -> list[int]:
-    """Turn '0,3|1,2' into the flat outcome permutation [0, 3, 1, 2]."""
+def _parse_grouping(text: str, n_original: int, n: int) -> np.ndarray:
+    """Turn '0,3|1,2' into the leaf order [0, 3, 1, 2], by the rule ``compile_tree`` takes a partition by."""
     try:
         order = [int(piece) for group in text.split("|") for piece in group.split(",")]
-    except ValueError as err:
+        return _resolve_partition(order, n_original, n)
+    except ValueError as err:  # not integers, or not a partition (a ValidationError)
         raise ParseError(f"invalid grouping string {text!r}: {err}") from err
-    if sorted(order) != list(range(n_outcomes)):
-        raise ParseError(f"grouping {text!r} is not a permutation of outcomes 0..{n_outcomes - 1}")
-    return order
 
 
 def _at_least_zero(kind, text: str):
@@ -95,7 +93,7 @@ def cmd_compile(args) -> int:
         )
     partition = None
     if args.grouping is not None:
-        partition = _parse_grouping(args.grouping, povm.n_outcomes)  # a ParseError: exit 2
+        partition = _parse_grouping(args.grouping, padded.n_original, padded.n_outcomes)  # exit 2
     tree = compile_tree(povm, partition=partition)
     report = verify(tree)
     print(report.summary())

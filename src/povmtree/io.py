@@ -4,28 +4,21 @@ POVM and state files are JSON.  Complex entries are stored as two-element
 ``[real, imaginary]`` arrays.  Floats go through Python's shortest round-trip
 representation, so serialize/deserialize reproduces every matrix bit-exactly.
 
-A tree file (``tree-v9``) stores only a tree's independent data.  Its first
-line is a compact JSON header of scalars, without tolerances (a file is judged
-by the constants of :mod:`povmtree.linalg`), with ``labels`` only for caller
-labels; N is ``2**depth``, depth ``(n_original - 1).bit_length()``.  The leaf
-order follows as N little-endian unsigned integers of the narrowest width w
-of 1, 2, 4 or 8 bytes that holds N - 1, then the ``n_original`` real
-elements, each as its d^2 real Hermitian parameters in little-endian float64:
-the real diagonal, then the upper off-diagonal entries as (re, im) pairs in
-row-major order.  Then come the raw little-endian complex128 Kraus pairs
-level by level (``tree.kraus``), of each level's real prefix only
-(:func:`povmtree.tree.real_counts`): padding is the tail of the leaf order,
-so it costs no bytes, its elements being zero and an all-padding node's
-pair the constant :func:`povmtree.tree.padding_pair`.  So ``w N + 8 d^2
-n_original + 32 d^2 K`` bytes follow the header, all exact, for K pairs
-kept; without padding, ``w N + 8 d^2 (5N - 4)``.  The parameters are
-``Povm.params`` as held, so they are written and read back as they are.
-The loader reads each array into the buffer the tree keeps, filling in the
-padding, checks the order (:func:`povmtree.tree.is_leaf_order`), and runs
-:func:`povmtree.tree.verify`.  With
-``2**(depth - 1) < n_original`` no more than half of the elements or pairs
-are filled in, and the ``intp`` order takes 8/w times its stored bytes, 8 N
-< 16 n_original: the loader allocates under 2.3 times the file's bytes.
+A tree file (``tree-v10``) holds a tree's independent data: a compact JSON
+header line of scalars (``labels`` only for caller labels, no tolerances: a
+file is judged by the constants of :mod:`povmtree.linalg`), the leaf order as
+N = 2**depth little-endian unsigned integers of the narrowest width w of 1, 2,
+4 or 8 bytes that holds N - 1, depth being ``(n_original - 1).bit_length()``,
+then little-endian float64 words: the ``n_original`` real elements' d^2
+parameters each, as ``Povm.params`` holds them, then level by level the real
+and imaginary parts of the Kraus pairs of the level's real prefix
+(:func:`povmtree.tree.real_counts`).  Padding, the order's tail, costs no
+bytes.  Each word's low seven bytes follow the order, and its top byte, the
+sign and seven high exponent bits, goes into one raw deflate stream (window
+2**9) that ends the file: ``w N + 7 W`` bytes, then the stream, for the ``W =
+d^2 n_original + 4 d^2 K`` words of K pairs kept.  The loader fills in the
+padding, checks the order and runs :func:`povmtree.tree.verify`; no more than
+half the leaves being padding, it allocates under 2.5 times the file's bytes.
 """
 
 from __future__ import annotations
@@ -33,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import zlib
 from typing import Any
 
 import numpy as np
@@ -46,10 +40,16 @@ from .tree import MeasurementTree, is_leaf_order, padding_pair, real_counts, ver
 
 POVM_FORMAT = "povmtree/povm-v1"
 STATE_FORMAT = "povmtree/state-v1"
-TREE_FORMAT = "povmtree/tree-v9"
+TREE_FORMAT = "povmtree/tree-v10"
 
 _BLOB_DTYPE = np.dtype("<c16")
 _PARAMETER_DTYPE = np.dtype("<f8")
+
+# Top bytes take a few values within ENTRY_BOUND and have no repeats worth
+# searching for: Huffman codes alone deflate them to about a fifth of a byte,
+# and this window and memLevel keep zlib's state near 20 KB (defaults: 256 KB).
+_WBITS, _MEM_LEVEL = -9, 5
+_CHUNK = 1 << 13  # words copied or decoded at a time
 
 # Longest accepted header line: room for the caller labels of about a
 # million outcomes (the header holds no other list), and a bound on what a
@@ -212,13 +212,11 @@ def _povm(data: dict, dim: int, params: np.ndarray, n_original: int) -> Povm:
 
 
 def save_tree(tree: MeasurementTree, path) -> None:
-    """Write ``tree`` as ``tree-v9``: one JSON header line, then the arrays.
+    """Write ``tree`` as ``tree-v10``: the header line, the order, the words' low bytes, the stream.
 
-    ``tree.order`` is written at its narrowest width, then, as they are held,
-    without a copy, the rows of ``tree.povm.params`` below ``n_original`` and,
-    level by level, the pairs of ``tree.kraus`` in the level's real prefix.
-    The rest is padding: zero rows, and pairs that :func:`povmtree.tree.verify`
-    requires to be :func:`povmtree.tree.padding_pair`.
+    The words are those of the rows of ``tree.povm.params`` below
+    ``n_original`` and of each level's real prefix of ``tree.kraus``, copied
+    ``_CHUNK`` at a time; the rest is padding, which ``verify`` checks.
 
     Raises
     ------
@@ -234,11 +232,23 @@ def save_tree(tree: MeasurementTree, path) -> None:
     header = {"format": TREE_FORMAT, "dimension": p.dim,
               **({} if isinstance(p.labels, Rows) else {"labels": list(p.labels)}),
               "n_original": p.n_original}
-    arrays = (tree.order, p.params, *tree.kraus)
+    order, *floats = (np.ascontiguousarray(a[:stored], dtype=dtype)  # no copy on a little-endian host
+                      for (_, _, dtype, stored), a in zip(_blobs(p.dim, tree.depth, p.n_original),
+                                                          (tree.order, p.params, *tree.kraus)))
+    chunks = [c for a in floats for c in _words(a)]
+    deflate = zlib.compressobj(wbits=_WBITS, memLevel=_MEM_LEVEL, strategy=zlib.Z_HUFFMAN_ONLY)
     with open(path, "wb") as handle:
         handle.write(json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n")
-        for (_, _, dtype, stored), a in zip(_blobs(p.dim, tree.depth, p.n_original), arrays):
-            handle.write(np.ascontiguousarray(a[:stored], dtype=dtype))  # a no-op on a little-endian host
+        handle.write(order)  # then the low seven bytes of each word, then the stream of the top bytes
+        handle.writelines(np.ndarray(len(c), "V7", c, strides=(8,)).tobytes() for c in chunks)
+        handle.writelines(deflate.compress(c[:, 7].tobytes()) for c in chunks)
+        handle.write(deflate.flush())
+
+
+def _words(a: np.ndarray) -> list[np.ndarray]:
+    """The little-endian float64 words of a contiguous array as rows of 8 bytes, ``_CHUNK`` rows a view."""
+    return [a.reshape(-1).view(np.uint8).reshape(-1, 8)[start:start + _CHUNK]
+            for start in range(0, a.nbytes // 8, _CHUNK)]
 
 
 def _read_header(handle) -> tuple[dict, int, int, int]:
@@ -285,78 +295,82 @@ def _blobs(dim: int, depth: int, n_original: int) -> list[tuple]:
 
 
 def _read_arrays(handle, blobs) -> list[np.ndarray]:
-    """The arrays of ``blobs`` that follow in the file, each read into its own read-only buffer.
+    """The read-only arrays of ``blobs``, their padding filled in, once the file is checked to hold them.
 
-    The stored bytes of every blob are checked against the file before any
-    array is allocated.  No more than half the leaves are padding, so an
-    array holds at most twice the bytes it stores, and the order, held as
-    ``intp``, 8/w times: what is allocated is bounded by the file's size,
-    whatever the header claims.  The rows not stored are padding: zero
-    elements, and :func:`povmtree.tree.padding_pair` at a Kraus level.  Each
-    real and imaginary part of a float or complex array must lie within
-    ``ENTRY_BOUND``.
+    Their raw bytes, the order's and seven of each word's eight, are checked
+    against the file's size first: an array then holds at most 16/7 times
+    the raw bytes it stores, and the ``intp`` order 8/w times, whatever the
+    header claims.  Every real and imaginary part must lie within ``ENTRY_BOUND``.
     """
     available = os.fstat(handle.fileno()).st_size - handle.tell()
     for field, shape, dtype, stored in blobs:
-        need = stored * math.prod(shape[1:]) * dtype.itemsize
+        need = stored * math.prod(shape[1:]) * dtype.itemsize * (7 if dtype.kind in "fc" else 8) // 8
         if available < need:
             raise ParseError(f"blob holds {available} bytes, expected {need} for shape {shape}",
                              field=field)
         available -= need
-    arrays = []
-    for field, shape, dtype, stored in blobs:
-        a = np.zeros(shape, dtype=dtype)
-        if dtype == _BLOB_DTYPE:
-            a[stored:] = padding_pair(shape[-1])
-        got = handle.readinto(a[:stored])
-        if got != a[:stored].nbytes:  # the file shrank after its size was checked
-            raise ParseError(f"blob holds {got} bytes, expected {a[:stored].nbytes}", field=field)
-        parts = a.view(_PARAMETER_DTYPE) if dtype.kind in "fc" else a  # real and imaginary parts side by side
+    arrays = [np.zeros(shape, dtype=dtype) for _, shape, dtype, _ in blobs]
+    for (_, shape, _, stored), a in zip(blobs[2:], arrays[2:]):  # the Kraus levels
+        a[stored:] = padding_pair(shape[-1])
+    chunks = [c for (_, _, _, stored), a in zip(blobs[1:], arrays[1:]) for c in _words(a[:stored])]
+    handle.readinto(arrays[0])  # a file that shrinks from here on is refused on its stream
+    low = memoryview(bytearray(7 * max(map(len, chunks)) + 1))
+    for c in chunks:  # word i: the 8 bytes at 7 i, its top byte overwritten below
+        handle.readinto(low[:7 * len(c)])
+        c.view("<u8")[:, 0] = np.ndarray(len(c), dtype="<u8", buffer=low, strides=(7,))
+    inflate, total, done = zlib.decompressobj(wbits=_WBITS), sum(map(len, chunks)), 0
+    data = handle.read(total + total // 8 + 64)  # more than zlib's stream of ``total`` bytes takes
+    try:
+        for c in [*chunks, np.zeros((1, 8), np.uint8)]:  # a word more, for the stream not to fill
+            top = b"" if inflate.eof else inflate.decompress(data, len(c))
+            data = inflate.unconsumed_tail
+            c[:len(top), 7] = np.frombuffer(top, dtype=np.uint8)
+            done += len(top)
+    except zlib.error as err:
+        raise ParseError(f"not a deflate stream: {err}", field="stream") from err
+    trailing = len(inflate.unused_data) + os.fstat(handle.fileno()).st_size - handle.tell()
+    if (done, inflate.eof, trailing) != (total, True, 0):
+        raise ParseError(f"must decode to {total} top bytes and end the file: it decodes to "
+                         f"{'more' if done > total else done}{'' if inflate.eof else ' and does not end'}, "
+                         f"then {trailing} bytes follow", field="stream")
+    for (field, *_), a in zip(blobs[1:], arrays[1:]):
+        parts = a.view(_PARAMETER_DTYPE)  # real and imaginary parts side by side
         # no arithmetic, so nothing overflows; a nan fails both comparisons
-        if dtype.kind in "fc" and not (-ENTRY_BOUND <= parts.min() and parts.max() <= ENTRY_BOUND):
+        if not (-ENTRY_BOUND <= parts.min() and parts.max() <= ENTRY_BOUND):
             raise ParseError(f"array has an entry whose real or imaginary part is not finite and "
                              f"within {ENTRY_BOUND:g} of zero", field=field)
-        native = np.intp if dtype.kind == "u" else dtype.newbyteorder("=")  # else a no-op on little-endian
-        arrays.append(_frozen(a.astype(native, copy=False)))
-    return arrays
+    return [_frozen(a.astype(np.intp if a.dtype.kind == "u" else a.dtype.newbyteorder("="), copy=False))
+            for a in arrays]  # the order widened
 
 
 def load_tree(path) -> MeasurementTree:
-    """Read, check and verify a ``tree-v9`` file.
+    """Read, check and verify a ``tree-v10`` file.
 
-    Which rows each blob stores follows from the header alone, so all are
-    read in one pass, once their byte counts are checked, each into the
-    array the tree keeps (the order then widened to ``intp``): the file is
-    never held twice.  Padding rows and pairs are filled in as the constants
-    that ``compile_tree`` writes, so ``load_tree(save_tree(t))`` returns
-    ``t``'s arrays bit for bit.
+    The arrays are read in one pass into those the tree keeps, the stream
+    decoded a chunk at a time, so the file is never held twice; padding is
+    filled in as ``compile_tree`` writes it: ``load_tree(save_tree(t))``
+    returns ``t``'s arrays bit for bit.
 
     Raises
     ------
     ParseError
-        In the order checked: a header line longer than ``_HEADER_LIMIT``
-        bytes or not one JSON object (an indented JSON file too); a format
-        other than ``tree-v9`` (a one-line file of an older format names it:
-        recompile it from its POVM file); an ``n_original`` whose order of
-        ``2**depth`` entries cannot fit in the file, refused before ``1 <<
-        depth`` is formed; a header line without its newline; a blob, in
-        file order, shorter than its stored rows need; an array entry whose
-        real or imaginary part is not finite or exceeds 2 in magnitude (per
-        blob, as read); bytes after the last blob; ``order`` not a
-        permutation with the padding last and in order
-        (:func:`povmtree.tree.is_leaf_order`); or ``labels``, when present,
-        not one string per outcome.
+        In the order checked: a header line over ``_HEADER_LIMIT`` bytes or
+        not one JSON object; a format other than ``tree-v10`` (named: an
+        older file is recompiled from its POVM file); an ``n_original``
+        whose order cannot fit in the file, before ``1 << depth`` is formed;
+        a header line without its newline; a blob, in file order, whose raw
+        bytes the file cannot hold; on ``stream``, a stream that is corrupt,
+        decodes to fewer or more bytes than there are words, or does not end
+        where the file does; an entry beyond ``ENTRY_BOUND``, per blob;
+        ``order`` not a permutation with the padding last and in order; or
+        ``labels`` not one string per outcome.
     VerificationError
-        As :func:`povmtree.tree.verify` raises it for the rebuilt tree: the
-        first failing check in walk order, naming the node's path
-        (``"completeness"`` for a pair that is not complete, ``"leaf
-        reconstruction"`` at a leaf).
+        As :func:`povmtree.tree.verify` raises it: the first failing check
+        in walk order, naming the node.
     """
     with open(path, "rb") as handle:
         header, dim, depth, n_original = _read_header(handle)
         order, params, *kraus = _read_arrays(handle, _blobs(dim, depth, n_original))
-        if trailing := os.fstat(handle.fileno()).st_size - handle.tell():
-            raise ParseError(f"the file has {trailing} bytes after the last blob")
     if not is_leaf_order(order, n_original, 1 << depth):
         raise ParseError(f"must be a permutation of 0..{(1 << depth) - 1} with the padding, "
                          f"{n_original} on, last and in order", field="order")

@@ -1,4 +1,5 @@
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -52,7 +53,7 @@ def hermitian_parameters(elements):
 
 
 def stored_pairs(order, n_original):
-    """Per level, root first, which nodes' pairs a tree-v9 file stores: those with a real leaf.
+    """Per level, root first, which nodes' pairs a tree-v10 file stores: those with a real leaf.
 
     Leaf i is outcome ``order[i]``, padding when ``order[i] >= n_original``;
     a node's leaves are the 2**(depth - level) leaves below it.
@@ -66,21 +67,41 @@ def stored_pairs(order, n_original):
 
 
 def order_width(n_original):
-    """Bytes per order entry of a tree-v9 file: the fewest of 1, 2, 4 or 8 that hold 2**depth - 1."""
+    """Bytes per order entry of a tree-v10 file: the fewest of 1, 2, 4 or 8 that hold 2**depth - 1."""
     depth = (n_original - 1).bit_length()
     return next(w for w in (1, 2, 4, 8) if depth <= 8 * w)
 
 
+def words(arrays):
+    """The little-endian float64 words of a tree file's arrays, in file order, as ``(k, 8)`` bytes.
+
+    The first array is the elements' parameters (float64), the rest Kraus
+    pairs (complex128, real then imaginary part).
+    """
+    raw = b"".join(np.ascontiguousarray(a, dtype="<c16" if j else "<f8").tobytes()
+                   for j, a in enumerate(arrays))
+    return np.frombuffer(raw, dtype=np.uint8).reshape(-1, 8)
+
+
+def deflate(data):
+    """``data`` as a raw deflate stream whose back-references reach at most 2**9 bytes."""
+    compressor = zlib.compressobj(wbits=-9)
+    return compressor.compress(bytes(data)) + compressor.flush()
+
+
 def read_tree_file(path):
-    """Header, order and writable arrays of a tree-v9 file, read as the format documents it.
+    """Header, order and writable arrays of a tree-v10 file, read as the format documents it.
 
     The depth is ``(n_original - 1).bit_length()``.  The order is
     ``(2**depth,)`` little-endian unsigned integers of :func:`order_width`
-    bytes, returned as int64.  The arrays after it are the parameters of the
+    bytes, returned as int64.  The arrays are the parameters of the
     ``n_original`` real elements, ``(n_original, d*d)`` little-endian float64
     as :func:`hermitian_parameters` lays them out; then, for each level, the
     pairs of ``kraus[l]`` that :func:`stored_pairs` marks, ``(k, 2, d, d)``
-    little-endian complex128 in C order.
+    little-endian complex128 in C order.  After the order come the low seven
+    bytes of each float64 word of the arrays (:func:`words`), in order, then
+    a raw deflate stream that decodes to the top byte of each word and ends
+    the file.
     """
     with open(path, "rb") as handle:
         header = json.loads(handle.readline())
@@ -88,28 +109,36 @@ def read_tree_file(path):
     d, n_original = header["dimension"], header["n_original"]
     width, leaves = order_width(n_original), 1 << (n_original - 1).bit_length()
     order = np.frombuffer(raw, dtype=f"<u{width}", count=leaves).astype("<i8")
-    blobs = [("<f8", (n_original, d * d))]
-    blobs += [("<c16", (int(kept.sum()), 2, d, d)) for kept in stored_pairs(order, n_original)]
-    arrays, offset = [], width * leaves
-    for dtype, shape in blobs:
-        count = int(np.prod(shape))
-        a = np.frombuffer(raw, dtype=dtype, count=count, offset=offset).reshape(shape)
-        arrays.append(a.copy())
+    shapes = [("<f8", (n_original, d * d))]
+    shapes += [("<c16", (int(kept.sum()), 2, d, d)) for kept in stored_pairs(order, n_original)]
+    count = sum(int(np.prod(shape)) * np.dtype(dtype).itemsize // 8 for dtype, shape in shapes)
+    offset = width * leaves
+    stored = np.empty((count, 8), dtype=np.uint8)
+    stored[:, :7] = np.frombuffer(raw, dtype=np.uint8, count=7 * count, offset=offset).reshape(-1, 7)
+    inflate = zlib.decompressobj(wbits=-9)
+    stored[:, 7] = np.frombuffer(inflate.decompress(raw[offset + 7 * count:]), dtype=np.uint8)
+    assert inflate.eof and not inflate.unused_data
+    arrays, offset = [], 0
+    for dtype, shape in shapes:
+        a = np.frombuffer(stored.tobytes(), dtype=dtype, count=int(np.prod(shape)), offset=offset)
+        arrays.append(a.reshape(shape).copy())
         offset += a.nbytes
-    assert offset == len(raw)
     return header, order, arrays
 
 
-def write_tree_file(path, header, order, arrays, tail=b""):
-    """Write a tree-v9 file from a header, order and arrays as :func:`read_tree_file` returns them.
+def write_tree_file(path, header, order, arrays, tail=b"", stream=None):
+    """Write a tree-v10 file from a header, order and arrays as :func:`read_tree_file` returns them.
 
     The order is written at the width the header's ``n_original`` sets, each
-    entry as its low bytes, so -1 is written as 255 at width 1; ``tail``
+    entry as its low bytes, so -1 is written as 255 at width 1.  The words'
+    top bytes are deflated by :func:`deflate` with zlib's default settings,
+    unless ``stream`` gives the bytes to write in their place; ``tail``
     bytes are appended.
     """
+    stored = words(arrays)
     with open(path, "wb") as handle:
         handle.write(json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n")
         handle.write(np.asarray(order).astype(f"<u{order_width(header['n_original'])}").tobytes())
-        for j, a in enumerate(arrays):
-            handle.write(np.ascontiguousarray(a, dtype="<c16" if j else "<f8").tobytes())
+        handle.write(stored[:, :7].tobytes())
+        handle.write(deflate(stored[:, 7]) if stream is None else stream)
         handle.write(tail)

@@ -16,6 +16,7 @@ from povmtree import (
     complete_to_unitary,
     default_kraus,
     dilate_binary,
+    pad_to_power_of_two,
     psd_sqrt,
     split_node,
     tetrad,
@@ -145,8 +146,26 @@ class TestCompileCommand:
     @pytest.mark.parametrize("grouping", ["0,3|1", "0,3|1,a"], ids=["short", "not-a-number"])
     def test_invalid_grouping_is_a_parse_error(self, grouping):
         with pytest.raises(ParseError) as err:
-            cli._parse_grouping(grouping, 4)
+            cli._parse_grouping(grouping, 4, 4)
         assert repr(grouping) in str(err.value)
+
+    @pytest.mark.parametrize("stored", ["unpadded", "padded"])
+    @pytest.mark.parametrize("grouping, code", [("2,0|1", 0), ("2,0|1,3", 0), ("3,0|1,2", 2)])
+    def test_grouping_takes_what_compile_takes(self, triple_file, tmp_path, capsys, stored, grouping,
+                                               code):
+        # the 3 real outcomes, or all 4 with the padding last and in order,
+        # whether or not the POVM file stores the padding; any other grouping
+        # is a parse error (exit 2) before anything is compiled
+        path = tmp_path / "padded.povm.json"
+        save_povm(pad_to_power_of_two(load_povm(triple_file)), path)
+        assert load_povm(path).n_original == 3
+        source = triple_file if stored == "unpadded" else str(path)
+        out = tmp_path / "triple.tree"
+        assert main(["compile", source, "--grouping", grouping, "--out", str(out)]) == code
+        if code:
+            assert repr(grouping) in capsys.readouterr().err and not out.exists()
+        else:
+            assert tuple(load_tree(out).order) == (2, 0, 1, 3)
 
     def test_default_output_name(self, tetrad_file, tmp_path, capsys):
         assert main(["compile", tetrad_file]) == 0

@@ -3,6 +3,7 @@ import gc
 import json
 import tracemalloc
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from povmtree.io import (
     state_from_dict,
 )
 
-from conftest import hermitian_parameters, read_tree_file, stored_pairs, write_tree_file
+from conftest import deflate, hermitian_parameters, read_tree_file, stored_pairs, words, write_tree_file
 
 
 class TestMatrixCodec:
@@ -209,9 +210,10 @@ class TestTreeFiles:
         assert err.value.field == "kraus[1]"
 
     # The header is pinned byte for byte; the arrays are compared with the
-    # tree's own, since their low bits can differ between LAPACK builds.
-    TETRAD_HEADER = b'{"format":"povmtree/tree-v9","dimension":2,"n_original":4}'
-    PADDED_HEADER = b'{"format":"povmtree/tree-v9","dimension":2,"n_original":5}'
+    # tree's own, since their low bits can differ between LAPACK builds, and
+    # the stream decoded, since its bytes can differ between zlib builds.
+    TETRAD_HEADER = b'{"format":"povmtree/tree-v10","dimension":2,"n_original":4}'
+    PADDED_HEADER = b'{"format":"povmtree/tree-v10","dimension":2,"n_original":5}'
     TETRAD_ORDER = (0, 3, 1, 2)
     PADDED_ORDER = tuple(range(8))
 
@@ -225,19 +227,27 @@ class TestTreeFiles:
             header, order = self.PADDED_HEADER, self.PADDED_ORDER
         path = tmp_path / "layout.tree"
         save_tree(tree, path)
-        # the order, one byte an entry; the real elements; then the pairs of
-        # nodes with a real leaf: at (2, 5) all but the last pair of the last level
+        # the order, one byte an entry; then the float64 words of the real
+        # elements and of the pairs of nodes with a real leaf (at (2, 5) all
+        # but the last pair of the last level): the low seven bytes of each,
+        # then a raw deflate stream of their top bytes that ends the file
         n_original = tree.povm.n_original
-        arrays = [np.array(order, dtype="<u1"), hermitian_parameters(tree.povm.elements[:n_original]),
-                  *(level[kept] for level, kept in zip(tree.kraus, stored_pairs(order, n_original)))]
-        assert path.read_bytes() == header + b"\n" + b"".join(a.tobytes() for a in arrays)
+        stored = words([hermitian_parameters(tree.povm.elements[:n_original]),
+                        *(level[kept] for level, kept in zip(tree.kraus, stored_pairs(order, n_original)))])
+        head = header + b"\n" + bytes(order) + stored[:, :7].tobytes()
+        raw = path.read_bytes()
+        assert raw[:len(head)] == head
+        inflate = zlib.decompressobj(wbits=-9)
+        assert inflate.decompress(raw[len(head):]) == stored[:, 7].tobytes()
+        assert inflate.eof and not inflate.unused_data
 
     @pytest.mark.parametrize("d, n", [(2, 4), (2, 5), (3, 7), (32, 64)],
                              ids=["tetrad", "padded-2-5", "padded-3-7", "32-64"])
     def test_file_size(self, tmp_path, tetrad_povm, d, n):
         # per padded element one byte of order (N <= 256), per real element
-        # d^2 float64, and per node with a real leaf 2 d^2 complex128: at
-        # (2, 5) 6 of the 7 pairs, at (3, 7) all 7
+        # d^2 float64 words, and per node with a real leaf 4 d^2: at (2, 5)
+        # 6 of the 7 pairs, at (3, 7) all 7.  Seven bytes of each word are
+        # raw, and the stream after them holds one byte a word
         p = tetrad_povm if n == 4 else random_rank_one_povm(n, d, np.random.default_rng([d, n]))
         tree = compile_tree(p)
         path = tmp_path / "size.tree"
@@ -247,7 +257,11 @@ class TestTreeFiles:
         padded = tree.povm.n_outcomes
         pairs = {4: 3, 5: 6, 7: 7, 64: 63}[n]
         assert sum(kept.sum() for kept in stored_pairs(tree.order, n)) == pairs
-        assert path.stat().st_size == header + padded + 8 * d * d * n + 32 * d * d * pairs
+        count = d * d * n + 4 * d * d * pairs
+        inflate = zlib.decompressobj(wbits=-9)
+        stream = path.read_bytes()[header + padded + 7 * count:]
+        assert len(inflate.decompress(stream)) == count and inflate.eof and not inflate.unused_data
+        assert path.stat().st_size == header + padded + 7 * count + len(stream)
 
     @pytest.mark.parametrize("depth, width", [(8, 1), (9, 2), (16, 2), (17, 4)])
     def test_order_width(self, depth, width):
@@ -344,7 +358,7 @@ class TestTamperedTreeFiles:
 
     def test_depth_must_match_outcomes(self, parts, tmp_path):
         # with depth 3 a tetrad tree once loaded and sampled (200000, 0, 0, 0)
-        # on |0>; tree-v9 stores no depth but derives it from n_original, so a
+        # on |0>; tree-v10 stores no depth but derives it from n_original, so a
         # "depth" in the header is ignored as any unknown key is, and an
         # n_original whose order cannot fit in the file is refused before
         # 1 << depth is formed or any array is allocated
@@ -359,9 +373,9 @@ class TestTamperedTreeFiles:
 
     def test_padding_is_at_most_half_the_leaves(self, tmp_path):
         # one real outcome under depth 14 at d = 32: as a tree-v8 file, 0.6 MB
-        # whose padding would fill in 670 MB of arrays.  A tree-v9 header
-        # cannot say so: n_original 1 is depth 0, a one-leaf tree followed by
-        # the bytes of the rest; an n_original past 2**13 fills in at most
+        # whose padding would fill in 670 MB of arrays.  A tree-v10 header
+        # cannot say so: n_original 1 is depth 0, a one-leaf tree whose
+        # stream would be the bytes of the rest; an n_original past 2**13 fills in at most
         # half the leaves, and its elements, or from depth 18 on its order,
         # cannot fit in the file.  The order holds the header's leaves, at
         # most the 2**14 of the tree-v8 file
@@ -369,8 +383,8 @@ class TestTamperedTreeFiles:
         eye = np.eye(d)[None]
         pairs = [np.concatenate([eye, 0 * eye])[None]] * depth
         path = tmp_path / "sparse.tree"
-        for n_original, field in [(1, None), ((1 << 13) + 1, "elements"), ((1 << 17) + 1, "n_original")]:
-            header = {"format": "povmtree/tree-v9", "dimension": d, "n_original": n_original}
+        for n_original, field in [(1, "stream"), ((1 << 13) + 1, "elements"), ((1 << 17) + 1, "n_original")]:
+            header = {"format": treeio.TREE_FORMAT, "dimension": d, "n_original": n_original}
             order = np.arange(min(1 << (n_original - 1).bit_length(), 1 << depth))
             write_tree_file(path, header, order, [hermitian_parameters(eye), *pairs])
             err, peak = self.refused(path)
@@ -385,7 +399,8 @@ class TestTamperedTreeFiles:
         # entries that cannot fit in the file is refused before 1 << depth
         # is formed; one that fits (64 bytes at depth 6, 8 at depth 3) leaves
         # a blob past the file's end to be refused, the elements at depth 6
-        # and, at depth 3, the second Kraus level's 2 of 2 stored pairs
+        # and, at depth 3, the second Kraus level's 2 of 2 stored pairs (the
+        # tetrad's stream is too short to hold their raw bytes)
         header, order, arrays = parts
         path = tmp_path / "deep.tree"
         write_tree_file(path, dict(header, n_original=n_original), order, arrays)
@@ -429,25 +444,30 @@ class TestTamperedTreeFiles:
                                             (387, "elements"), (515, "order")],
                              ids=["3", "8", "259", "387", "515"])
     def test_truncated_blob(self, parts, tmp_path, cut, field):
-        # the tetrad's blobs are order 4, elements 128, kraus[0] 128 and kraus[1]
-        # 256 bytes; cut 3 leaves a partial value, cut 8 half of one
+        # the tetrad's blobs hold order 4, elements 128, kraus[0] 128 and
+        # kraus[1] 256 bytes of words, of which the file stores 7 of each 8
+        # raw: 112, 112 and 224.  The stream and cut - cut // 8 raw bytes go,
+        # as much of the words as cut bytes of them: cut 3 leaves a partial
+        # word, cut 8 one word less, cut 515 1 byte of order
         path = tmp_path / "cut.tree"
         write_tree_file(path, *parts)
-        path.write_bytes(path.read_bytes()[:-cut])
+        raw = path.read_bytes()
+        path.write_bytes(raw[:len(raw) - len(deflate(words(parts[2])[:, 7])) - (cut - cut // 8)])
         with pytest.raises(ParseError) as err:
             load_tree(path)
         assert err.value.field == field
 
     def test_n_original_marks_only_zero_padding(self, parts, tmp_path):
-        # n_original 3 would flag outcome 3, not zero, as padding.  tree-v8
-        # stores no padding rows, so the header then claims 3 element rows of
-        # the 4 the file holds, and bytes are left over
+        # n_original 3 would flag outcome 3, not zero, as padding.  A tree
+        # file stores no padding rows, so the header then claims 3 element
+        # rows of the 4 the file holds, and the stream is read from 28 bytes
+        # before it starts
         header, order, arrays = parts
         path = tmp_path / "padding.tree"
         write_tree_file(path, dict(header, n_original=3), order, arrays)
         with pytest.raises(ParseError) as err:
             load_tree(path)
-        assert "after the last blob" in str(err.value)
+        assert err.value.field == "stream"
         # with the row dropped the file's sizes agree; the tetrad's order
         # [0, 3, 1, 2] then puts padding mid-order, and with 3 last the tree
         # no longer sums to its elements
@@ -461,10 +481,10 @@ class TestTamperedTreeFiles:
             load_tree(path)
         assert (err.value.what, err.value.path) == ("operator sum", "")
         # the tree's size follows n_original: 5 or 2 make it 8 or 2 leaves.
-        # At 5 the 6 stored pairs cannot fit in the file; at 2 the order is 2
-        # bytes, so the element rows are read from the wrong offset and
-        # their entries are out of range
-        for n_original, field in [(5, "kraus[1]"), (2, "elements")]:
+        # At 5 the last level's 3 stored pairs cannot fit in the file; at 2
+        # the order is 2 bytes and one Kraus level is stored, so raw bytes
+        # are read as the stream
+        for n_original, field in [(5, "kraus[2]"), (2, "stream")]:
             write_tree_file(path, dict(header, n_original=n_original), order, arrays)
             with pytest.raises(ParseError) as err:
                 load_tree(path)
@@ -516,7 +536,7 @@ class TestTamperedTreeFiles:
         with pytest.raises(ParseError) as err:
             load_tree(path)
         assert err.value.field == "format"
-        assert "povmtree/tree-v9" in str(err.value)
+        assert "povmtree/tree-v10" in str(err.value)
 
     @pytest.mark.parametrize("version", ["tree-v3", "tree-v4", "tree-v5", "tree-v6"])
     def test_v3_file_is_not_read(self, tetrad_povm, tmp_path, version):
@@ -570,11 +590,11 @@ class TestTamperedTreeFiles:
         with pytest.raises(ParseError) as err:
             load_tree(path)
         assert err.value.field == "format"
-        assert "povmtree/tree-v7" in str(err.value) and "povmtree/tree-v9" in str(err.value)
+        assert "povmtree/tree-v7" in str(err.value) and "povmtree/tree-v10" in str(err.value)
 
     def test_v8_file_is_not_read(self, parts, tmp_path):
         # tree-v8 had the depth in its header and int64 order entries; its
-        # other arrays are tree-v9's, and the file is refused by its format
+        # other arrays were tree-v9's, and the file is refused by its format
         header, order, arrays = parts
         v8 = {"format": "povmtree/tree-v8", "dimension": 2, "depth": 2, "n_original": 4}
         path = tmp_path / "old.tree"
@@ -582,7 +602,20 @@ class TestTamperedTreeFiles:
         with pytest.raises(ParseError) as err:
             load_tree(path)
         assert err.value.field == "format"
-        assert "povmtree/tree-v8" in str(err.value) and "povmtree/tree-v9" in str(err.value)
+        assert "povmtree/tree-v8" in str(err.value) and "povmtree/tree-v10" in str(err.value)
+
+    def test_v9_file_is_not_read(self, parts, tmp_path):
+        # tree-v9 stored each float64 word whole, with no stream; its header
+        # and order are tree-v10's, and the file is refused by its format
+        header, order, arrays = parts
+        path = tmp_path / "old.tree"
+        with open(path, "wb") as handle:
+            handle.write(json.dumps(dict(header, format="povmtree/tree-v9")).encode() + b"\n")
+            handle.write(order.astype("<u1").tobytes() + words(arrays).tobytes())
+        with pytest.raises(ParseError) as err:
+            load_tree(path)
+        assert err.value.field == "format"
+        assert "povmtree/tree-v9" in str(err.value) and "povmtree/tree-v10" in str(err.value)
 
     @pytest.mark.parametrize("indent, field", [(None, "format"), (1, "header")], ids=["None", "1"])
     def test_v2_file_is_not_read(self, parts, tmp_path, indent, field):
@@ -626,9 +659,27 @@ class TestTamperedTreeFiles:
     def test_trailing_bytes(self, parts, tmp_path, tail):
         path = tmp_path / "long.tree"
         write_tree_file(path, *parts, tail=tail)
-        with pytest.raises(ParseError) as err:
-            load_tree(path)
-        assert "after the last blob" in str(err.value)
+        err, peak = self.refused(path)
+        assert err.field == "stream" and f"then {len(tail)} bytes follow" in str(err)
+        assert peak <= 64 * 1024
+
+    @pytest.mark.parametrize("kind", ["cut", "cut-last-byte", "short", "long", "corrupt", "zlib-wrapped"])
+    def test_stream_must_decode_to_one_top_byte_a_word(self, parts, tmp_path, kind):
+        # the stream holds the tetrad's 64 top bytes: it must decode to
+        # exactly them and end the file, or the file is refused on "stream"
+        header, order, arrays = parts
+        top = words(arrays)[:, 7].tobytes()
+        stream = {"cut": deflate(top)[:len(deflate(top)) // 2], "cut-last-byte": deflate(top)[:-1],
+                  "short": deflate(top[:-1]), "long": deflate(top + b"\0"),
+                  "corrupt": b"\xff" * 8,  # a final block of the reserved type 3
+                  "zlib-wrapped": zlib.compress(top)}[kind]
+        path = tmp_path / "stream.tree"
+        write_tree_file(path, header, order, arrays, stream=stream)
+        err, peak = self.refused(path)
+        assert err.field == "stream"
+        assert {"short": "decodes to 63, then", "long": "decodes to more,",
+                "corrupt": "not a deflate stream"}.get(kind, "") in str(err)
+        assert peak <= 64 * 1024
 
     def test_header_without_newline(self, parts, tmp_path):
         path = tmp_path / "header.tree"
@@ -657,12 +708,17 @@ class TestTamperedTreeFiles:
         assert err.value.field == "elements"
 
     def test_file_holds_independent_data_only(self, tmp_path):
-        d, n = 32, 64
-        tree = compile_tree(random_rank_one_povm(n, d, np.random.default_rng(5)))
+        # the words of N POVM elements and N - 1 Kraus pairs, all of whose
+        # entries lie within ENTRY_BOUND, so that their top bytes deflate to
+        # about a fifth: the file takes at most 0.92 times tree-v9's header
+        # + N + 8 d^2 N + 32 d^2 (N - 1) bytes, which stored the words whole
+        rng = np.random.default_rng(5)
         path = tmp_path / "large.tree"
-        save_tree(tree, path)
-        # the raw bytes of N POVM elements and N - 1 Kraus pairs, plus the header
-        assert path.stat().st_size <= 16 * (3 * n - 2) * d * d + 4096
+        for d, n, ranks in [(32, 64, rng.integers(1, 33, 64)), (2, 1024, None)]:
+            save_tree(compile_tree(random_povm(n, d, rng, ranks=ranks)), path)
+            with open(path, "rb") as handle:
+                header = len(handle.readline())
+            assert path.stat().st_size <= 0.92 * (header + n + 8 * d * d * n + 32 * d * d * (n - 1))
 
 
 class TestTreeFileMemory:

@@ -4,6 +4,7 @@ tree files, pure states and the positivity of leaf states."""
 import contextlib
 import io
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -221,15 +222,19 @@ def test_padding_costs_no_bytes(d, k, construction, seed, tmp_path_factory):
         header = len(handle.readline())
     pairs = sum(int(kept.sum()) for kept in stored)
     order = 2 << k  # bytes: one an entry, as the depth is at most 8
-    assert path.stat().st_size == header + order + 8 * d * d * n + 32 * d * d * pairs
+    count = d * d * n + 4 * d * d * pairs  # float64 words, seven bytes of each raw
+    inflate = zlib.decompressobj(wbits=-9)
+    stream = path.read_bytes()[header + order + 7 * count:]
+    assert len(inflate.decompress(stream)) == count and inflate.eof and not inflate.unused_data
+    assert path.stat().st_size == header + order + 7 * count + len(stream)
     again = load_tree(path)
     assert again.order.tobytes() == tree.order.tobytes()
     assert again.order.nbytes == np.dtype(np.intp).itemsize * order
     assert again.povm.params.tobytes() == tree.povm.params.tobytes()
     # at most half the leaves are padding, so the elements and pairs filled
-    # in from the file hold at most twice the bytes it stores of them
+    # in from the file hold at most twice the bytes of the words it stores
     filled = again.povm.params.nbytes + sum(x.nbytes for x in again.kraus)
-    assert filled <= 2 * (path.stat().st_size - header - order)
+    assert filled <= 2 * 8 * count
     assert [x.tobytes() for x in again.kraus] == [x.tobytes() for x in tree.kraus]
 
     state = random_density(d, rng)
