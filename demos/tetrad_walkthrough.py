@@ -28,9 +28,9 @@ print("first-level grouped operators:")
 print(f"M03 = M_0 + M_3 =\n{m03}\n")
 print(f"M12 = M_1 + M_2 =\n{m12}\n")
 
-eig = pt.hermitian_eig(m03)
-print(f"spectrum of M03: {eig.eigenvalues}  (exactly (3 +/- sqrt(3))/6)")
-print(f"shared eigenbasis (columns):\n{eig.eigenvectors}\n")
+w, v = pt.hermitian_eig(m03)
+print(f"spectrum of M03: {w}  (exactly (3 +/- sqrt(3))/6)")
+print(f"shared eigenbasis (columns):\n{v}\n")
 
 # The first round couples the qubit to a probe prepared in |0> via a 4x4
 # unitary whose first block column stacks the two Kraus operators.

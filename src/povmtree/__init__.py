@@ -13,7 +13,6 @@ from .cost import CostReport, compare, crossover
 from .dilation import NeumarkExtension, dilate_binary, full_neumark
 from .errors import ParseError, PovmTreeError, ValidationError, VerificationError
 from .linalg import (
-    EigenDecomposition,
     complete_to_unitary,
     hermitian_eig,
     pseudo_inverse,
@@ -53,7 +52,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CostReport",
-    "EigenDecomposition",
     "MeasurementTree",
     "NeumarkExtension",
     "ParseError",

@@ -192,10 +192,10 @@ def cmd_example_tetrad(args) -> int:
     lines.append("First-level grouped operators:")
     lines.append(f"M03 =\n{_format_matrix(m03)}")
     lines.append(f"M12 =\n{_format_matrix(m12)}")
-    eig = hermitian_eig(m03)
+    w, v = hermitian_eig(m03)
     lines.append("")
-    lines.append(f"eigenvalues of M03: {eig.eigenvalues[0]:.12f}, {eig.eigenvalues[1]:.12f}")
-    lines.append(f"eigenvectors (columns):\n{_format_matrix(eig.eigenvectors)}")
+    lines.append(f"eigenvalues of M03: {w[0]:.12f}, {w[1]:.12f}")
+    lines.append(f"eigenvectors (columns):\n{_format_matrix(v)}")
     lines.append("")
     lines.append("Probe coupling unitary at the root (first block column = [sqrt(M03); sqrt(M12)]):")
     lines.append(_format_matrix(tree.dilation("")))

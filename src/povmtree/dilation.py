@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
 from .linalg import (
     TOL_CHECK,
     TOL_UNITARY,
@@ -33,7 +34,7 @@ from .linalg import (
     _raise_first,
     as_stack,
     blocks,
-    complete_to_unitary_stack,
+    complete_to_unitary,
     hermitian_from_parameters,
     isometry_residuals,
     rank_mask,
@@ -46,41 +47,31 @@ def completeness_residuals(pairs: np.ndarray) -> np.ndarray:
 
     This is the Gram residual of the column block ``[b0; b1]``, by the
     :func:`povmtree.linalg.isometry_residuals` that
-    :func:`povmtree.linalg.complete_to_unitary_stack` judges, so a pair
+    :func:`povmtree.linalg.complete_to_unitary` judges, so a pair
     admitted here is admitted by the completion at the same tolerance.
     """
     k, _, d, _ = pairs.shape
     return isometry_residuals(pairs.reshape(k, 2 * d, d))
 
 
-def dilate_level(pairs) -> np.ndarray:
-    """Probe couplings of a ``(k, 2, d, d)`` stack of Kraus pairs, shape ``(k, 2d, 2d)``.
-
-    Each coupling has the pair's ``[b0; b1]`` as its first block column,
-    embedded bit-identically, and the rest from one stacked Householder QR
-    (:func:`povmtree.linalg.complete_to_unitary_stack`).
-
-    Raises
-    ------
-    VerificationError
-        Naming the first failing pair by ``index``: ``what="completeness"``
-        if its completeness residual exceeds ``TOL_CHECK``, or ``"dilation
-        unitarity"`` if its coupling fails the completion's own check.
-    """
-    pairs = np.asarray(pairs, dtype=complex)
-    k, _, d, _ = pairs.shape
-    # the Gram matrix of [b0; b1] is the completeness sum, so the completion's
-    # isometry check at TOL_CHECK is the completeness check
-    return complete_to_unitary_stack(pairs.reshape(k, 2 * d, d), TOL_CHECK)
-
-
 def dilate_binary(pair) -> np.ndarray:
     """The read-only 2d x 2d probe coupling of one ``(2, d, d)`` complete Kraus pair.
 
-    A stack of one over :func:`dilate_level`.  The pair is embedded
-    bit-identically: ``u[:d, :d]`` is b0 and ``u[d:, :d]`` is b1.
+    The pair's ``[b0; b1]`` is the first block column, bit for bit
+    (``u[:d, :d]`` is b0, ``u[d:, :d]`` is b1); the rest is the complement
+    that :func:`povmtree.linalg.complete_to_unitary` takes from one
+    Householder QR.  Raises as the completion does, naming the pair as
+    ``index`` 0, with the completeness residual judged at ``TOL_CHECK``;
+    unless ``pair`` is two finite d x d operators, a ``ValidationError`` as
+    :func:`povmtree.linalg.as_stack` raises it, or with ``what="shape"``.
     """
-    return _frozen(dilate_level(pair[None])[0])
+    pair = as_stack(pair)
+    if len(pair) != 2:
+        raise ValidationError(f"got {len(pair)} operators, expected a pair", what="shape")
+    d = pair.shape[-1]
+    # the Gram matrix of [b0; b1] is the completeness sum, so the completion's
+    # isometry check at TOL_CHECK is the completeness check
+    return _frozen(complete_to_unitary(pair.reshape(2 * d, d), _limit=TOL_CHECK))
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,9 +81,7 @@ class NeumarkExtension:
     ``isometry`` is the ``(n_pieces, system_dim)`` first block of columns of
     the extension unitary: row j is the bra of the j-th rank-one outcome
     piece, and ``outcome_map[j]`` names the POVM outcome that piece belongs
-    to (higher-rank elements contribute one row per eigen-piece).  The
-    unitary itself is completed from the isometry on each access and never
-    stored.
+    to (higher-rank elements contribute one row per eigen-piece).
     """
 
     isometry: np.ndarray
@@ -103,16 +92,6 @@ class NeumarkExtension:
     @property
     def extended_dim(self) -> int:
         return self.isometry.shape[0]
-
-    @property
-    def unitary(self) -> np.ndarray:
-        """The ``extended_dim``-square extension unitary, built on each access.
-
-        Its first ``system_dim`` columns are ``isometry``, bit for bit; the
-        completion checks it.  One access at N = 1024, d = 2 takes about 0.2 s
-        and a 17.8 MB ``tracemalloc`` peak (one BLAS thread, 2-vCPU Xeon).
-        """
-        return _frozen(complete_to_unitary_stack(self.isometry[None])[0])
 
     def probabilities(self, density: np.ndarray) -> np.ndarray:
         """Outcome probabilities for a system density matrix.
@@ -175,6 +154,5 @@ __all__ = [
     "NeumarkExtension",
     "completeness_residuals",
     "dilate_binary",
-    "dilate_level",
     "full_neumark",
 ]

@@ -1,18 +1,17 @@
 """Dense complex linear-algebra kernel.
 
-The pipeline (POVM validation, tree construction, dilation, simulation)
-runs on three parts of this module: the spectral PSD roots of a stack, from
-one ``eigh`` per block (:func:`psd_sqrt_stack`, with :func:`psd_parts` for a
-root's pseudoinverse and kernel projector), the completion of a stack of
-isometric column blocks to unitaries by one Householder QR
-(:func:`complete_to_unitary_stack`), and the parameter layout:
+The pipeline (POVM validation, tree construction, simulation) runs on two
+parts of this module: the spectral PSD roots of a stack, from one ``eigh``
+per block (:func:`psd_sqrt_stack`, with :func:`psd_parts` for a root's
+pseudoinverse and kernel projector), and the parameter layout:
 :func:`hermitian_parameters` and :func:`hermitian_from_parameters` pack and
 unpack Hermitian matrices as d^2 real parameters each, the form in which a
 POVM holds and a tree file stores its elements.  Stages over a whole stack
 walk it in :func:`blocks`.  The one-matrix forms :func:`psd_sqrt`,
-:func:`pseudo_inverse`, :func:`complete_to_unitary` and
-:func:`hermitian_eig` (eigenvalues descending, with a deterministic
-eigenvector convention) serve callers with arbitrary input.
+:func:`pseudo_inverse`, :func:`hermitian_eig` (eigenvalues descending, with
+a deterministic eigenvector convention) and :func:`complete_to_unitary` (one
+isometric column block to a unitary by one Householder QR, behind every
+probe coupling) serve callers with arbitrary input.
 
 The thresholds are three module constants, used by every check and never
 stored with a tree or read from a file.  ``TOL_RANK`` (1e-10) is the rank
@@ -27,13 +26,13 @@ of unitaries and isometries.
 A matrix from outside is checked once, here: :func:`as_stack` decides shape,
 finiteness and range, :func:`check_psd` Hermiticity and positivity, by one rule:
 ``|A - A^dag|_F <= TOL_CHECK`` and no eigenvalue of the Hermitian part below
-the absolute floor ``-TOL_CHECK``.  :func:`hermitian_eig`, :func:`psd_sqrt`,
-:func:`pseudo_inverse` and the completions check their input through them;
-the kernels :func:`psd_sqrt_stack`, :func:`psd_parts` and :func:`svd_inverse`
-check nothing, running on a validated :class:`povmtree.povm.Povm`'s elements
-and sums.  Compilation takes each partial sum's root, pseudoinverse and
-kernel from its one ``eigh`` (:func:`psd_parts`); the SVD of
-:func:`svd_inverse` serves only the one-matrix API on arbitrary input.
+the absolute floor ``-TOL_CHECK``.  The one-matrix forms check their input
+through them; the kernels :func:`psd_sqrt_stack`, :func:`psd_parts` and
+:func:`svd_inverse` check nothing, running on a validated
+:class:`povmtree.povm.Povm`'s elements and sums.  Compilation takes each
+partial sum's root, pseudoinverse and kernel from its one ``eigh``
+(:func:`psd_parts`); the SVD of :func:`svd_inverse` serves only the
+one-matrix API on arbitrary input.
 
 All functions but :func:`check_psd` are pure; returned arrays are fresh and
 never alias inputs.
@@ -43,7 +42,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -151,18 +149,6 @@ def is_dust(m: np.ndarray) -> np.ndarray:
     return np.linalg.norm(m, axis=(-2, -1)) <= TOL_RANK
 
 
-@dataclass(frozen=True, eq=False)
-class EigenDecomposition:
-    """Eigenvalues in descending order and matching unitary eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        """V diag(w) V^dag."""
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
-
-
 def _asymmetry(a: np.ndarray, a_dag: np.ndarray) -> np.ndarray:
     """The Hermiticity residual ``|A - A^dag|_F`` of each matrix of a stack, given its adjoint."""
     r = (a - a_dag).view(float)
@@ -200,10 +186,11 @@ def check_psd(stack: np.ndarray, first: int = 0) -> np.ndarray:
     return stack
 
 
-def hermitian_eig(a) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix with a reproducible ordering.
+def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition ``(w, v)`` of a Hermitian matrix with a reproducible ordering.
 
-    Eigenvalues come out descending.  Each eigenvector's largest-magnitude
+    Read-only eigenvalues w, descending, and eigenvector columns v, so
+    ``(v * w) @ v.conj().T`` is the matrix.  Each eigenvector's largest-magnitude
     component is made real positive; exact eigenvalue ties are broken by
     lexicographic order of the phase-fixed eigenvectors (row by row, real part
     before imaginary); unequal near-ties keep the eigensolver's order.
@@ -225,7 +212,7 @@ def hermitian_eig(a) -> EigenDecomposition:
     # by run of exactly equal eigenvalues, then row 0's real part, its imaginary part, row 1's, ...
     run = np.cumsum(np.r_[True, w[1:] != w[:-1]])
     v = v[:, np.lexsort([*np.stack([v.real, v.imag], 1).reshape(-1, len(w))[::-1], run])]
-    return EigenDecomposition(eigenvalues=_frozen(w), eigenvectors=_frozen(v))
+    return _frozen(w), _frozen(v)
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:
@@ -369,21 +356,6 @@ def isometry_residuals(x: np.ndarray) -> np.ndarray:
     return residuals
 
 
-def _unitarity_residuals(u: np.ndarray, k: int) -> np.ndarray:
-    """``|U^dag U - I|_F`` of each n x n matrix of a stack outside its leading k x k block."""
-    n = u.shape[-1]
-    squares = np.zeros(len(u))
-    width = max(1, 8 * _BLOCK_BYTES // (16 * n))  # rows of U^dag U a band: 512 KiB, not n x n
-    for rows in blocks(len(u), n):
-        for c in range(0, n, width):
-            band = adjoint(u[rows, :, c : c + width]) @ u[rows]  # rows c.. of U^dag U
-            band[:, range(band.shape[1]), range(c, c + band.shape[1])] -= 1.0
-            band[:, : max(0, k - c), :k] = 0.0
-            squares[rows] += np.einsum("...ij,...ij->...", band.view(float), band.view(float))
-            del band  # before the next band is made
-    return np.sqrt(squares)
-
-
 def _raise_first(residuals: np.ndarray, what: str, text: str, limit: float, path=None,
                  error=VerificationError) -> None:
     """Raise an ``error`` for the first residual above ``limit`` or not a number, if any.
@@ -398,52 +370,43 @@ def _raise_first(residuals: np.ndarray, what: str, text: str, limit: float, path
                     **({"index": i} if path is None else {"path": path(i)}))
 
 
-def complete_to_unitary_stack(blocks, limit: float = TOL_UNITARY) -> np.ndarray:
-    """Complete each n x k block of orthonormal columns of a stack to an n x n unitary.
+def complete_to_unitary(block, _limit: float = TOL_UNITARY) -> np.ndarray:
+    """Complete an n x k block of orthonormal columns to an n x n unitary.
 
-    ``blocks`` has shape ``(m, n, k)``; the result has shape ``(m, n, n)``.
-    One stacked Householder QR (``mode="complete"``) gives each block an
-    orthonormal basis whose last n - k columns span the complement of the
-    block's columns; the given columns are then copied over the first k
-    (bit-identical), so only the complement comes from the QR.  Each
-    unitary is checked as it is built: ``|U^dag U - I|_F`` outside the k x k
-    Gram block, which the isometry check judges, must be at most
-    ``TOL_UNITARY``.  Only a faulty QR fails this: a Householder complement
-    is orthonormal, and orthogonal to the given columns, to rounding.
+    One Householder QR (``mode="complete"``) gives an orthonormal basis
+    whose last n - k columns span the complement of the block's columns;
+    the given columns are then copied over the first k (bit-identical), so
+    only the complement comes from the QR.  The unitary is checked as it is
+    built: ``|U^dag U - I|_F`` outside the k x k Gram block, which the
+    isometry check judges, must be at most ``TOL_UNITARY``.  Only a faulty
+    QR fails this: a Householder complement is orthonormal, and orthogonal
+    to the given columns, to rounding.
 
     Raises
     ------
     ValidationError
-        As :func:`as_stack`, if ``blocks`` is not a stack of finite matrices.
+        As :func:`as_stack`, if ``block`` is not a finite matrix.
     VerificationError
-        ``what="shape"`` if the blocks have more columns than rows; else,
-        naming the first failing block by ``index``, ``"completeness"`` if
-        ``|B^dag B - I|_F`` exceeds ``limit`` (``TOL_CHECK`` where it is a
-        completeness sum, as in :func:`povmtree.dilation.dilate_level`), or
-        ``"dilation unitarity"`` if its unitary fails the check above.
+        ``what="shape"`` if the block has more columns than rows; else,
+        naming the block as ``index`` 0, ``"completeness"`` if
+        ``|B^dag B - I|_F`` exceeds ``TOL_UNITARY`` (``TOL_CHECK`` for a
+        Kraus pair's completeness sum, in
+        :func:`povmtree.dilation.dilate_binary`), or ``"dilation unitarity"``
+        if the unitary fails the check above.
     """
-    b = as_stack(blocks, np.shape(blocks)[1:])
+    b = as_stack([block], np.shape(block))
     n, k = b.shape[1:]
     if k > n:
         raise VerificationError(f"block has more columns ({k}) than rows ({n})", what="shape")
     _raise_first(isometry_residuals(b), "completeness",
-                 "columns are not orthonormal (residual {:.3e})", limit)
+                 "columns are not orthonormal (residual {:.3e})", _limit)
     u = np.linalg.qr(b, mode="complete")[0]
     u[..., :k] = b
-    _raise_first(_unitarity_residuals(u, k), "dilation unitarity",
+    defect = adjoint(u) @ u - np.eye(n)
+    defect[..., :k, :k] = 0.0
+    _raise_first(np.linalg.norm(defect, axis=(-2, -1)), "dilation unitarity",
                  "completion is not unitary (residual {:.3e})", TOL_UNITARY)
-    return u
-
-
-def complete_to_unitary(block) -> np.ndarray:
-    """Complete an n x k block of orthonormal columns to an n x n unitary.
-
-    A stack of one over :func:`complete_to_unitary_stack`, raising as it:
-    the given columns are copied into the result verbatim (bit-identical),
-    and the remaining n - k columns are an orthonormal basis of their
-    complement, taken from a complete Householder QR of the block.
-    """
-    return complete_to_unitary_stack([block])[0]
+    return u[0]
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

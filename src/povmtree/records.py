@@ -53,7 +53,7 @@ class NodeCheck:
     """One internal node's residuals, each passing at most ``TOL_CHECK``, and its parent's rank.
 
     The probe coupling is not recorded: it is checked where it is built
-    (:func:`povmtree.linalg.complete_to_unitary_stack`).
+    (:func:`povmtree.linalg.complete_to_unitary`).
     """
 
     path: str

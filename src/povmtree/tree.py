@@ -170,8 +170,10 @@ class MeasurementTree:
     (left to right) is outcome ``order[i]`` of ``povm``; ``order`` is one
     read-only ``intp`` array, a permutation of ``0..N-1`` whose padding is
     its tail in order (:func:`is_leaf_order`; else ``ValidationError(what=
-    "partition")``).  Cumulative operators and dilations are computed on
-    demand and never stored.
+    "partition")``).  There are log2 N levels, level l an array of shape
+    ``(2**l, 2, d, d)`` (else ``ValidationError(what="shape")``).
+    Cumulative operators and dilations are computed on demand and never
+    stored.
     """
 
     povm: Povm
@@ -179,9 +181,14 @@ class MeasurementTree:
     kraus: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        if not is_leaf_order(self.order, self.povm.n_original, self.povm.n_outcomes):
-            raise ValidationError(_PARTITION_RULE.format(self.povm.n_original, self.povm.n_outcomes),
-                                  what="partition")
+        n, d = self.povm.n_outcomes, self.povm.dim
+        if not (isinstance(self.order, np.ndarray) and self.order.dtype.kind in "iu"
+                and is_leaf_order(self.order, self.povm.n_original, n)):
+            raise ValidationError(_PARTITION_RULE.format(self.povm.n_original, n), what="partition")
+        shapes = [getattr(level, "shape", None) for level in self.kraus]  # arrays only
+        if 1 << len(shapes) != n or shapes != [(1 << level, 2, d, d) for level in range(len(shapes))]:
+            raise ValidationError(f"{n} outcomes need log2 {n} levels, level l an array of shape "
+                                  f"(2**l, 2, {d}, {d}); got shapes {shapes}", what="shape")
 
     @property
     def depth(self) -> int:
@@ -419,7 +426,7 @@ def verify(tree: MeasurementTree) -> VerificationReport:
     child cumulative operators are defined as those products; ``b^dag b`` is
     a Gram matrix, positive to rounding; and a complete pair's probe
     coupling is derived data, checked where
-    :func:`povmtree.linalg.complete_to_unitary_stack` builds it.  Each
+    :func:`povmtree.linalg.complete_to_unitary` builds it.  Each
     block's results go into the report's columns by node index.  Below an
     all-padding node, which the walk does not enter, the operator-sum and
     leaf residuals are 0, and the completeness residual is the constant's.

@@ -1,4 +1,8 @@
-"""Smoke test: every script in demos/ runs to completion against src/."""
+"""Smoke test: every script in demos/ runs to completion against src/, warnings as errors.
+
+The scripts run in subprocesses, which do not inherit pytest's warning
+filters, so each is started with ``python -W error``.
+"""
 
 import os
 import subprocess
@@ -15,7 +19,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(script):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(script)], cwd=ROOT, env=env, capture_output=True, text=True,
+        [sys.executable, "-W", "error", str(script)], cwd=ROOT, env=env, capture_output=True, text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

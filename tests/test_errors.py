@@ -10,7 +10,6 @@ import pytest
 
 import povmtree
 from povmtree import ParseError, PovmTreeError, ValidationError, VerificationError
-from povmtree.linalg import complete_to_unitary_stack
 
 PACKAGE = Path(povmtree.__file__).parent
 ERROR_CLASSES = {"PovmTreeError", "ValidationError", "ParseError", "VerificationError"}
@@ -119,7 +118,11 @@ FORMERLY_BARE = {
     "pseudo_inverse non-finite": (lambda: povmtree.pseudo_inverse(NAN[:1]), "finiteness"),
     "complete_to_unitary non-finite": (lambda: povmtree.complete_to_unitary(NAN[:, :1]),
                                        "finiteness"),
-    "complete_to_unitary_stack matrix": (lambda: complete_to_unitary_stack(np.eye(2)), "shape"),
+    "dilate_binary matrix": (lambda: povmtree.dilate_binary(np.eye(2)), "shape"),
+    "dilate_binary three operators": (lambda: povmtree.dilate_binary(np.stack([np.eye(2)] * 3)),
+                                      "shape"),
+    "dilate_binary not square": (lambda: povmtree.dilate_binary(np.zeros((2, 4, 2))), "shape"),
+    "dilate_binary list": (lambda: povmtree.dilate_binary([np.eye(2)]), "shape"),
     "null_space_isometry not square": (lambda: povmtree.null_space_isometry(np.zeros((2, 3))),
                                        "shape"),
     "split_node mismatch": (lambda: povmtree.split_node((np.eye(2), np.eye(3)), np.eye(2)),
@@ -202,9 +205,9 @@ def _verify_edited(shift=0.0, order=(0, 1, 2, 3)):
 # its limit: the ``what``, the field naming the failure (``index`` in a stack,
 # ``path`` in a tree), the message and the residual.
 FAILED_CHECKS = {
-    "complete_to_unitary_stack completeness": (
-        lambda: complete_to_unitary_stack(np.stack([np.eye(2)[:, :1], 2 * np.eye(2)[:, :1]])),
-        "completeness", {"index": 1}, "element 1: columns are not orthonormal (residual 3.000e+00)",
+    "complete_to_unitary completeness": (
+        lambda: povmtree.complete_to_unitary(2 * np.eye(2)[:, :1]),
+        "completeness", {"index": 0}, "element 0: columns are not orthonormal (residual 3.000e+00)",
         3.0),
     "compile_tree completeness post-check": (
         _rank_deficient_leaf_split, "completeness", {"path": "0"},

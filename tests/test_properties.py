@@ -1,5 +1,5 @@
-"""Property tests for the stacked unitary completion, the Neumark oracle, Hermitian storage,
-tree files, pure states and the positivity of leaf states."""
+"""Property tests for the probe couplings, the Neumark oracle, Hermitian storage, tree files,
+pure states and the positivity of leaf states."""
 
 import contextlib
 import io
@@ -14,6 +14,7 @@ from povmtree import (
     QuantumState,
     apply_freedom,
     compile_tree,
+    complete_to_unitary,
     default_kraus,
     dilate_binary,
     direct_probabilities,
@@ -29,12 +30,12 @@ from povmtree import (
     validate,
     verify,
 )
-from povmtree.dilation import completeness_residuals, dilate_level
+from povmtree.dilation import completeness_residuals
 from povmtree.cli import main
 from povmtree.io import load_povm, load_state, load_tree, save_povm, save_state, save_tree
 from povmtree.errors import ParseError, PovmTreeError, ValidationError, VerificationError
-from povmtree.linalg import TOL_CHECK, TOL_UNITARY, adjoint, complete_to_unitary_stack
-from povmtree.tree import is_leaf_order, real_counts
+from povmtree.linalg import TOL_CHECK, TOL_UNITARY, adjoint
+from povmtree.tree import is_leaf_order, node_path, real_counts
 
 from conftest import frob, read_tree_file, stored_pairs, write_tree_file
 from test_tree import dusty_povm_elements
@@ -64,16 +65,36 @@ def test_level_couplings_are_unitary_and_embed_the_pairs(d, k, exponent, seed):
     pairs = complete_pairs(k, d, rng) @ (np.eye(d) + h)[:, None]
     assert np.allclose(completeness_residuals(pairs), r, rtol=0.01, atol=1e-13)
     blocks = pairs.reshape(k, 2 * d, d)
-    u = dilate_level(pairs)
+    u = np.stack([dilate_binary(pair) for pair in pairs])
     assert u.shape == (k, 2 * d, 2 * d)
     defect = u.conj().swapaxes(1, 2) @ u - np.eye(2 * d)
     defect[:, :d, :d] = 0.0
     assert np.linalg.norm(defect, axis=(1, 2)).max() <= TOL_UNITARY / 100
     assert np.array_equal(u[:, :, :d], blocks)
-    assert np.array_equal(complete_to_unitary_stack(blocks, TOL_CHECK), u)
     i = seed % k
-    one = dilate_binary(pairs[i])
+    one = complete_to_unitary(blocks[i], _limit=TOL_CHECK)
     assert one.tobytes() == u[i].tobytes()
+
+
+@PROPERTY
+@given(d=st.integers(1, 4), n=st.integers(1, 40), rank_one=st.booleans(), freedom=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_every_node_coupling_holds_its_pair(d, n, rank_one, freedom, seed):
+    # tree.dilation at every internal node, the all-padding ones included,
+    # below default or rotated leaf operators
+    rng = np.random.default_rng(seed)
+    n = max(n, d)
+    p = random_rank_one_povm(n, d, rng) if rank_one else random_povm(n, d, rng)
+    factorization = None
+    if freedom:
+        factorization = apply_freedom(default_kraus(p), [random_unitary(d, rng) for _ in range(n)])
+    tree = compile_tree(p, factorization=factorization)
+    for level, pairs in enumerate(tree.kraus):
+        for i, pair in enumerate(pairs):
+            u = tree.dilation(node_path(level, i))
+            assert u[:d, :d].tobytes() == pair[0].tobytes()
+            assert u[d:, :d].tobytes() == pair[1].tobytes()
+            assert frob(u.conj().T @ u - np.eye(2 * d)) <= TOL_UNITARY
 
 
 @PROPERTY
@@ -94,7 +115,7 @@ def test_neumark_isometry_matches_direct_probabilities(d, extra, rank_one, padde
     state = random_density(d, rng)
     worst = np.max(np.abs(ext.probabilities(state.density) - direct_probabilities(p, state)))
     assert worst <= 1e-9
-    u = ext.unitary
+    u = complete_to_unitary(ext.isometry)
     assert frob(u.conj().T @ u - np.eye(ext.extended_dim)) <= 1e-10
     assert np.array_equal(u[:, :d], ext.isometry)
 

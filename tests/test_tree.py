@@ -2,6 +2,7 @@ import gc
 import sys
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from povmtree import (
     verify,
 )
 from povmtree import linalg, simulator, tree as tree_module
-from povmtree.dilation import completeness_residuals, dilate_level
+from povmtree.dilation import completeness_residuals, dilate_binary
 
 from conftest import frob, read_tree_file, write_tree_file
 
@@ -557,6 +558,24 @@ class TestPadding:
                 replace(tree, order=np.array(order))
             assert err.value.what == "partition"
 
+    @pytest.mark.parametrize("change, what", [
+        (lambda t: {"kraus": t.kraus[:-1]}, "shape"),
+        (lambda t: {"kraus": (*t.kraus, t.kraus[-1])}, "shape"),
+        (lambda t: {"kraus": (np.zeros((1, 2, 3, 3)), *t.kraus[1:])}, "shape"),
+        (lambda t: {"kraus": (t.kraus[0], t.kraus[2], t.kraus[1])}, "shape"),
+        (lambda t: {"kraus": tuple(level.tolist() for level in t.kraus)}, "shape"),
+        (lambda t: {"order": t.order.tolist()}, "partition"),
+        (lambda t: {"order": t.order.astype(float)}, "partition"),
+    ], ids=["level-short", "level-over", "wrong-dim", "levels-swapped", "levels-lists", "order-list", "order-floats"])
+    def test_a_tree_checks_its_own_shape(self, change, what):
+        # verify passed a tree one level short, checking the leaves' Grams
+        # against sums of outcome pairs; the rest raised a bare ValueError,
+        # TypeError or IndexError (verify, on levels given as lists)
+        t = compile_tree(random_rank_one_povm(5, 2, np.random.default_rng(0)))
+        with pytest.raises(ValidationError) as err:
+            replace(t, **change(t))
+        assert err.value.what == what
+
     def test_a_sweep_small_round_decomposes_no_zero_sum(self, monkeypatch):
         sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
         try:
@@ -685,7 +704,7 @@ class TestVerify:
             return q, r
 
         monkeypatch.setattr(np.linalg, "qr", corrupted)
-        for build in (lambda: tree.dilation(""), lambda: dilate_level(tree.kraus[1])):
+        for build in (lambda: tree.dilation(""), *(partial(dilate_binary, pair) for pair in tree.kraus[1])):
             with pytest.raises(VerificationError) as err:
                 build()
             assert err.value.what == "dilation unitarity" and err.value.index == 0
@@ -699,7 +718,7 @@ class TestVerify:
             return q, r
 
         monkeypatch.setattr(np.linalg, "qr", nudged)
-        u = dilate_level(tree.kraus[1])
+        u = np.stack([dilate_binary(pair) for pair in tree.kraus[1]])
         assert np.array_equal(u[:, :, :2], tree.kraus[1].reshape(2, 4, 2))
 
     def test_reports_rank_and_corrections(self, rng):
