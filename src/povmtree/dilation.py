@@ -54,14 +54,15 @@ def completeness_residuals(pairs: np.ndarray) -> np.ndarray:
     return isometry_residuals(pairs.reshape(k, 2 * d, d))
 
 
-def dilate_binary(pair) -> np.ndarray:
+def dilate_binary(pair, _path=None) -> np.ndarray:
     """The read-only 2d x 2d probe coupling of one ``(2, d, d)`` complete Kraus pair.
 
     The pair's ``[b0; b1]`` is the first block column, bit for bit
     (``u[:d, :d]`` is b0, ``u[d:, :d]`` is b1); the rest is the complement
     that :func:`povmtree.linalg.complete_to_unitary` takes from one
     Householder QR.  Raises as the completion does, naming the pair as
-    ``index`` 0, with the completeness residual judged at ``TOL_CHECK``;
+    ``index`` 0 (a tree's node by ``path=_path(0)``), with the completeness
+    residual judged at ``TOL_CHECK``;
     unless ``pair`` is two finite d x d operators, a ``ValidationError`` as
     :func:`povmtree.linalg.as_stack` raises it, or with ``what="shape"``.
     """
@@ -71,7 +72,7 @@ def dilate_binary(pair) -> np.ndarray:
     d = pair.shape[-1]
     # the Gram matrix of [b0; b1] is the completeness sum, so the completion's
     # isometry check at TOL_CHECK is the completeness check
-    return _frozen(complete_to_unitary(pair.reshape(2 * d, d), _limit=TOL_CHECK))
+    return _frozen(complete_to_unitary(pair.reshape(2 * d, d), TOL_CHECK, _path))
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,7 +15,7 @@ where it does not apply.  The message starts with ``element j: `` or
 ``what`` is one of:
 
 - validation: ``"shape"`` and ``"finiteness"`` (of every matrix from outside),
-  ``"hermiticity"``, ``"positivity"``, ``"trace"``, ``"unitarity"``,
+  ``"hermiticity"``, ``"positivity"``, ``"trace"`` (also a post-state's), ``"unitarity"``,
   ``"completeness"`` (of a POVM's elements, or ranks that cannot reach it),
   ``"partition"`` and ``"range"`` (an entry above 2, a basis index, shot count or rank,
   or a tree padded past the least power of two that ``save_tree`` refuses);
@@ -23,9 +23,8 @@ where it does not apply.  The message starts with ``element j: `` or
 - verification: ``"shape"``; ``"completeness"`` (orthonormal columns: the
   completeness of a Kraus pair or of the Neumark rows) and ``"dilation
   unitarity"`` (of a completed unitary, where it is built); ``"children sum"``
-  and ``"factorization"`` (compile checks); ``"padding"`` (a pair other
-  than the constant one at a node whose leaves are all padding),
-  ``"operator sum"`` and ``"leaf reconstruction"`` (checks that
+  and ``"factorization"`` (compile checks); ``"operator sum"`` and
+  ``"leaf reconstruction"`` (checks that
   :func:`povmtree.tree.verify` raises, first failure first, and
   ``load_tree`` through it).
 """

@@ -16,9 +16,10 @@ and imaginary parts of the Kraus pairs of the level's real prefix
 bytes.  Each word's low seven bytes follow the order, and its top byte, the
 sign and seven high exponent bits, goes into one raw deflate stream (window
 2**9) that ends the file: ``w N + 7 W`` bytes, then the stream, for the ``W =
-d^2 n_original + 4 d^2 K`` words of K pairs kept.  The loader fills in the
-padding, checks the order and runs :func:`povmtree.tree.verify`; no more than
-half the leaves being padding, it allocates under 2.5 times the file's bytes.
+d^2 n_original + 4 d^2 K`` words of K pairs kept.  The Kraus levels are read
+as a tree holds them, and the padding elements as zeros; the loader checks
+the order and runs :func:`povmtree.tree.verify`.  No more than half the
+leaves being padding, it allocates under 2.5 times the file's bytes.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .linalg import ENTRY_BOUND, _frozen
 from .povm import Povm, default_labels, validate
 from .records import Rows
 from .simulator import QuantumState
-from .tree import MeasurementTree, is_leaf_order, padding_pair, real_counts, verify
+from .tree import MeasurementTree, is_leaf_order, real_counts, verify
 
 POVM_FORMAT = "povmtree/povm-v1"
 STATE_FORMAT = "povmtree/state-v1"
@@ -215,8 +216,8 @@ def save_tree(tree: MeasurementTree, path) -> None:
     """Write ``tree`` as ``tree-v10``: the header line, the order, the words' low bytes, the stream.
 
     The words are those of the rows of ``tree.povm.params`` below
-    ``n_original`` and of each level's real prefix of ``tree.kraus``, copied
-    ``_CHUNK`` at a time; the rest is padding, which ``verify`` checks.
+    ``n_original``, the rest being zero padding, and of ``tree.kraus``,
+    copied ``_CHUNK`` at a time.
 
     Raises
     ------
@@ -283,19 +284,19 @@ def _blobs(dim: int, depth: int, n_original: int) -> list[tuple]:
     """Field name, shape, dtype and stored rows of each array of a tree file, in file order.
 
     An array stores its first ``stored`` rows along its first axis, and
-    every other row is padding.  The elements' shape is that of their
-    parameters, one row of d^2 each; a Kraus level stores its real prefix
-    (:func:`povmtree.tree.real_counts`).
+    every other row is zero padding.  The elements' shape is that of their
+    parameters, one row of d^2 each; a Kraus level is its real prefix
+    (:func:`povmtree.tree.real_counts`), stored whole.
     """
     n = 1 << depth
     return [("order", (n,), np.min_scalar_type(n - 1).newbyteorder("<"), n),
             ("elements", (n, dim * dim), _PARAMETER_DTYPE, n_original),
-            *((f"kraus[{level}]", (1 << level, 2, dim, dim), _BLOB_DTYPE, real)
+            *((f"kraus[{level}]", (real, 2, dim, dim), _BLOB_DTYPE, real)
               for level, real in enumerate(real_counts(depth, n_original)[:depth]))]
 
 
 def _read_arrays(handle, blobs) -> list[np.ndarray]:
-    """The read-only arrays of ``blobs``, their padding filled in, once the file is checked to hold them.
+    """The read-only arrays of ``blobs``, their padding zero, once the file is checked to hold them.
 
     Their raw bytes, the order's and seven of each word's eight, are checked
     against the file's size first: an array then holds at most 16/7 times
@@ -310,8 +311,6 @@ def _read_arrays(handle, blobs) -> list[np.ndarray]:
                              field=field)
         available -= need
     arrays = [np.zeros(shape, dtype=dtype) for _, shape, dtype, _ in blobs]
-    for (_, shape, _, stored), a in zip(blobs[2:], arrays[2:]):  # the Kraus levels
-        a[stored:] = padding_pair(shape[-1])
     chunks = [c for (_, _, _, stored), a in zip(blobs[1:], arrays[1:]) for c in _words(a[:stored])]
     handle.readinto(arrays[0])  # a file that shrinks from here on is refused on its stream
     low = memoryview(bytearray(7 * max(map(len, chunks)) + 1))
@@ -347,9 +346,9 @@ def load_tree(path) -> MeasurementTree:
     """Read, check and verify a ``tree-v10`` file.
 
     The arrays are read in one pass into those the tree keeps, the stream
-    decoded a chunk at a time, so the file is never held twice; padding is
-    filled in as ``compile_tree`` writes it: ``load_tree(save_tree(t))``
-    returns ``t``'s arrays bit for bit.
+    decoded a chunk at a time, so the file is never held twice, and the
+    padding elements are zeros: ``load_tree(save_tree(t))`` returns ``t``'s
+    arrays bit for bit.
 
     Raises
     ------

@@ -370,7 +370,7 @@ def _raise_first(residuals: np.ndarray, what: str, text: str, limit: float, path
                     **({"index": i} if path is None else {"path": path(i)}))
 
 
-def complete_to_unitary(block, _limit: float = TOL_UNITARY) -> np.ndarray:
+def complete_to_unitary(block, _limit: float = TOL_UNITARY, _path=None) -> np.ndarray:
     """Complete an n x k block of orthonormal columns to an n x n unitary.
 
     One Householder QR (``mode="complete"``) gives an orthonormal basis
@@ -388,9 +388,9 @@ def complete_to_unitary(block, _limit: float = TOL_UNITARY) -> np.ndarray:
         As :func:`as_stack`, if ``block`` is not a finite matrix.
     VerificationError
         ``what="shape"`` if the block has more columns than rows; else,
-        naming the block as ``index`` 0, ``"completeness"`` if
-        ``|B^dag B - I|_F`` exceeds ``TOL_UNITARY`` (``TOL_CHECK`` for a
-        Kraus pair's completeness sum, in
+        naming the block as ``index`` 0 (by ``path=_path(0)`` if given),
+        ``"completeness"`` if ``|B^dag B - I|_F`` exceeds ``TOL_UNITARY``
+        (``TOL_CHECK`` for a Kraus pair's completeness sum, in
         :func:`povmtree.dilation.dilate_binary`), or ``"dilation unitarity"``
         if the unitary fails the check above.
     """
@@ -399,13 +399,13 @@ def complete_to_unitary(block, _limit: float = TOL_UNITARY) -> np.ndarray:
     if k > n:
         raise VerificationError(f"block has more columns ({k}) than rows ({n})", what="shape")
     _raise_first(isometry_residuals(b), "completeness",
-                 "columns are not orthonormal (residual {:.3e})", _limit)
+                 "columns are not orthonormal (residual {:.3e})", _limit, _path)
     u = np.linalg.qr(b, mode="complete")[0]
     u[..., :k] = b
     defect = adjoint(u) @ u - np.eye(n)
     defect[..., :k, :k] = 0.0
     _raise_first(np.linalg.norm(defect, axis=(-2, -1)), "dilation unitarity",
-                 "completion is not unitary (residual {:.3e})", TOL_UNITARY)
+                 "completion is not unitary (residual {:.3e})", TOL_UNITARY, _path)
     return u[0]
 
 

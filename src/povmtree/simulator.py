@@ -5,7 +5,7 @@ Hermitian parameters; pure states are rank-one densities.
 A leaf is reached with probability Tr[m rho m^dag], m = b...b the product of
 the Kraus operators on its path.  :func:`propagate` walks those cumulative
 operators depth first, as :func:`povmtree.tree.verify` does
-(:meth:`MeasurementTree._operators`), into no all-padding subtree: the state
+(:meth:`MeasurementTree._operators`), which holds no all-padding node: the state
 enters only at the traces, a padding leaf has probability exactly 0, and a
 post-state is built from its leaf's path when read.  :func:`sample` sums
 those leaf probabilities pairwise up the tree for each node's branch
@@ -30,6 +30,7 @@ from .linalg import (
     check_psd,
     hermitian_from_parameters,
     hermitian_parameters,
+    psd_sqrt_stack,
 )
 from .povm import Povm
 from .records import Rows
@@ -161,10 +162,13 @@ class SimulationOutcome:
 
     @property
     def post_state(self) -> QuantumState | None:
-        """``m rho m^dag`` for the product m of the path's operators, symmetrised, over its own trace.
+        """``(m L)(m L)^dag`` over its trace, for m the product of the path's operators and L rho's root.
 
-        Checked, as a tiny trace magnifies rounding: an eigenvalue below
-        ``-TOL_CHECK`` raises ``ValidationError(what="positivity", path=path)``.
+        L is :func:`povmtree.linalg.psd_sqrt_stack`'s root, which drops the
+        eigenvalues off ``rank_mask``, negative dust included, so this Gram
+        matrix is positive however small its trace.  A trace of 0, the leaf
+        reached only through dropped dust, raises ``ValidationError(what=
+        "trace", path=path)``.
         """
         if self.probability < TOL_CHECK:
             return None
@@ -172,13 +176,11 @@ class SimulationOutcome:
         m = np.eye(state.dim, dtype=complex)
         for level in range(tree.depth):  # node: the leaf index's first level bits; branch: the next
             m = tree.kraus[level][leaf >> (tree.depth - level), leaf >> (tree.depth - level - 1) & 1] @ m
-        sigma = m @ state.density @ adjoint(m)
-        sigma = sigma + adjoint(sigma)  # exactly Hermitian
-        rho = sigma / sigma.trace().real
-        if (low := np.linalg.eigvalsh(rho)[0]) < -TOL_CHECK:
-            raise ValidationError(f"post-state has negative eigenvalue {low:.3e}", what="positivity",
-                                  residual=low, path=self.path)
-        return QuantumState._checked_elsewhere(rho)
+        f = m @ psd_sqrt_stack(state.density[None])[0]
+        if not (trace := np.vdot(f, f).real) > 0:
+            raise ValidationError(f"post-state has trace {trace:.3e} once the state's dust is dropped",
+                                  what="trace", residual=trace, path=self.path)
+        return QuantumState._checked_elsewhere(f @ adjoint(f) / trace)
 
 
 def _leaf_probabilities(tree: MeasurementTree, state: QuantumState) -> np.ndarray:
@@ -186,12 +188,12 @@ def _leaf_probabilities(tree: MeasurementTree, state: QuantumState) -> np.ndarra
     if state.dim != tree.povm.dim:
         raise ValidationError(f"state dimension {state.dim} does not match tree dimension {tree.povm.dim}",
                               what="shape")
-    rho, real = state.density, tree.povm.n_original
+    rho = state.density
     # leaves come left to right; the trace of m rho m^dag is the real dot product of m rho with m
     traces = [np.einsum("kij,kij->k", (m @ rho).view(float), m.view(float))
               for level, _, m in tree._operators(tree.depth) if level == tree.depth]
     probs = np.zeros(tree.povm.n_outcomes)
-    probs[:real] = np.concatenate(traces)[:real]
+    probs[: tree.povm.n_original] = np.concatenate(traces)
     return np.clip(probs, 0.0, 1.0)
 
 

@@ -17,8 +17,8 @@ supp S_c lies in supp S_x, the pair is complete and b_c @ R_x = R_c.  One
 supplied Kraus operators m_c; below a rank-deficient parent, g is then
 carried by each m_c's polar isometry V_c, which keeps the pair complete.
 
-A compiled tree is held as the paper's list of rounds: level l is one
-``(2**l, 2, d, d)`` array of Kraus pairs, and nothing derived is stored.
+A compiled tree is held as the paper's list of rounds: level l is one array
+of the Kraus pairs of its nodes with a real leaf, and nothing derived is stored.
 Child cumulative operators are the products b_c @ m_x (see
 :meth:`MeasurementTree.cumulative_kraus`), so the factorization identity
 m_child = b_child @ m_parent holds by construction at every edge.  A
@@ -32,11 +32,11 @@ block; checks raise in walk order, node order wherever a level fits half a block
 Padding is the tail of the leaf order (:func:`is_leaf_order`): leaf i is
 real exactly when i < n_original, so the nodes of a level with a real leaf
 are a prefix of it (:func:`real_counts`).  A node whose leaves are all
-padding has S_x = 0, so g = I and its pair is the constant
-(I/sqrt 2, I/sqrt 2) (:func:`padding_pair`), and its cumulative operator is
-zero.  Compilation fills each level's tail with the constant, :func:`verify`
-requires it there exactly, the walk enters no all-padding subtree, and a
-tree file stores neither the constant nor the padding elements.
+padding has S_x = 0 and is reached with probability exactly 0: g = I, its
+pair is the constant (I/sqrt 2, I/sqrt 2) (:func:`padding_pair`) and its
+cumulative operator is zero.  So a tree holds only each level's real
+prefix, as a tree file stores it; no walk yields an all-padding node, and
+:meth:`MeasurementTree.dilation` derives the constant's coupling.
 """
 
 from __future__ import annotations
@@ -111,26 +111,25 @@ def _walk(depth: int, d: int, root, child, real: list[int]):
 
     ``block`` holds nodes ``first, ...`` of ``level``: ``root[None]`` at the
     root, then ``child(level, first, parents)`` for runs of at most half a
-    :func:`povmtree.linalg.blocks` budget of d x d parents.  Only parents in
-    the real prefix of their level (``real``, :func:`real_counts`) are
-    descended, and each run's children come whole, so the one all-padding
-    child at a level's boundary comes too, but nothing below it.  Leaves come
-    in leaf order, each block before those below it.  The rest of a split
-    block is kept as a copy, made once its first half's children are, so each
-    level above the block in hand holds at most half a block.
+    :func:`povmtree.linalg.blocks` budget of d x d parents, cut to the real
+    prefix of their level (``real``, :func:`real_counts`): the walk yields no
+    all-padding node.  Leaves come in leaf order, each block before those
+    below it.  The rest of a split block is kept as a copy, made once its
+    first half's children are, so each level above the block in hand holds
+    at most half a block.
     """
     half = max(1, next(blocks(1 << depth, d)).stop // 2)
     yield 0, 0, root[None]
     path = [(0, 0, root[None])] if depth else []  # per level, the parents still to descend
     while path:
         level, first, parents = path.pop()
-        children = child(level, first, parents[:half])
+        children = child(level, first, parents[:half])[: real[level + 1] - 2 * first]
         if len(parents) > half:
             path.append((level, first + half, parents[half:].copy()))
         del parents  # the block is freed before its children are walked
         yield level + 1, 2 * first, children
         if level + 1 < depth:
-            path.append((level + 1, 2 * first, children[: real[level + 1] - 2 * first]))
+            path.append((level + 1, 2 * first, children))
 
 
 def _gram(m: np.ndarray) -> np.ndarray:
@@ -164,16 +163,16 @@ def _ordered_sums(params: np.ndarray, order: np.ndarray, lo: int, hi: int, span:
 class MeasurementTree:
     """Compiled binary measurement tree over a padded POVM.
 
-    ``kraus[l]`` is a read-only ``(2**l, 2, d, d)`` array holding round l's
-    Kraus pairs in breadth-first order: the pair measured at the node with
-    probe path x sits at ``kraus[len(x)][int(x, 2)]``, b0 before b1.  Leaf i
-    (left to right) is outcome ``order[i]`` of ``povm``; ``order`` is one
-    read-only ``intp`` array, a permutation of ``0..N-1`` whose padding is
-    its tail in order (:func:`is_leaf_order`; else ``ValidationError(what=
-    "partition")``).  There are log2 N levels, level l an array of shape
-    ``(2**l, 2, d, d)`` (else ``ValidationError(what="shape")``).
-    Cumulative operators and dilations are computed on demand and never
-    stored.
+    ``kraus[l]`` is a read-only array of round l's Kraus pairs, breadth
+    first, at the level's nodes with a real leaf (a prefix, :func:`real_counts`;
+    the rest hold :func:`padding_pair`): the pair measured at probe path x is
+    ``kraus[len(x)][int(x, 2)]``, b0 before b1.  Leaf i (left to right) is
+    outcome ``order[i]`` of ``povm``; ``order`` is one read-only ``intp``
+    array, a permutation of ``0..N-1`` whose padding is its tail in order
+    (:func:`is_leaf_order`; else ``ValidationError(what="partition")``).
+    There are log2 N levels, level l of shape ``(real_counts(depth,
+    n_original)[l], 2, d, d)`` (else ``ValidationError(what="shape")``).
+    Cumulative operators and dilations are computed on demand, never stored.
     """
 
     povm: Povm
@@ -181,14 +180,15 @@ class MeasurementTree:
     kraus: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        n, d = self.povm.n_outcomes, self.povm.dim
+        n, d, n_original = self.povm.n_outcomes, self.povm.dim, self.povm.n_original
         if not (isinstance(self.order, np.ndarray) and self.order.dtype.kind in "iu"
-                and is_leaf_order(self.order, self.povm.n_original, n)):
-            raise ValidationError(_PARTITION_RULE.format(self.povm.n_original, n), what="partition")
+                and is_leaf_order(self.order, n_original, n)):
+            raise ValidationError(_PARTITION_RULE.format(n_original, n), what="partition")
         shapes = [getattr(level, "shape", None) for level in self.kraus]  # arrays only
-        if 1 << len(shapes) != n or shapes != [(1 << level, 2, d, d) for level in range(len(shapes))]:
-            raise ValidationError(f"{n} outcomes need log2 {n} levels, level l an array of shape "
-                                  f"(2**l, 2, {d}, {d}); got shapes {shapes}", what="shape")
+        real = real_counts(len(shapes), n_original)[:-1]  # the pairs held per level
+        if 1 << len(shapes) != n or shapes != [(k, 2, d, d) for k in real]:
+            raise ValidationError(f"{n} outcomes need log2 {n} levels, level l of shape (ceil({n_original} / "
+                                  f"2**(depth - l)), 2, {d}, {d}); got shapes {shapes}", what="shape")
 
     @property
     def depth(self) -> int:
@@ -196,7 +196,7 @@ class MeasurementTree:
         return len(self.kraus)
 
     def cumulative_kraus(self, level: int) -> np.ndarray:
-        """Cumulative Kraus operators of a level's ``2**level`` nodes, zero below an all-padding node."""
+        """Cumulative Kraus operators of a level's ``2**level`` nodes, zero at an all-padding node."""
         if not (_whole(level) and 0 <= level <= self.depth):
             raise IndexError(f"level {level} not in 0..{self.depth}")
         formed = np.concatenate([m for at, _, m in self._operators(level) if at == level])
@@ -213,10 +213,11 @@ class MeasurementTree:
         return _gram(self.cumulative_kraus(level))
 
     def dilation(self, path: str) -> np.ndarray:
-        """Read-only 2d x 2d probe coupling of the internal node at ``path``, built and checked anew."""
+        """Read-only 2d x 2d probe coupling of the node at ``path``, built and checked anew (errors name it)."""
         if not isinstance(path, str) or len(path) >= self.depth or set(path) - {"0", "1"}:
             raise KeyError(f"no internal node at path {path!r}")
-        return dilate_binary(self.kraus[len(path)][int(path or "0", 2)])
+        pairs, i = self.kraus[len(path)], int(path or "0", 2)
+        return dilate_binary(pairs[i] if i < len(pairs) else padding_pair(self.povm.dim), lambda _: path)
 
 
 def _split_level(targets: np.ndarray, parents: np.ndarray, pinv: np.ndarray, kernel: np.ndarray,
@@ -339,9 +340,8 @@ def compile_tree(
     depth-first walk of :func:`_walk`: each run of parents carries its
     partial sums' decompositions ``(V, w)`` from one stacked ``eigh`` of
     their sums, and writes its Kraus pairs into the returned level arrays.
-    Each level's tail, whose leaves are all padding (:func:`real_counts`),
-    gets :func:`padding_pair`, and is neither decomposed nor split nor
-    walked; ``factorization``'s operators of padding outcomes, if given,
+    Only each level's real prefix (:func:`real_counts`) is decomposed, split
+    and held; ``factorization``'s operators of padding outcomes, if given,
     must be zero and are not read.
 
     ``partition``, of Python or NumPy integers (not ``bool``), may permute
@@ -380,25 +380,22 @@ def compile_tree(
     node = np.dtype([("V", complex, (d, d)), ("w", float, (d,))])
     root = np.array((np.eye(d), np.ones(d)), node)
     real = real_counts(depth, p.n_original)
-    levels = [np.empty((1 << level, 2, d, d), dtype=complex) for level in range(depth)]
-    for level, pairs in enumerate(levels):
-        pairs[real[level]:] = padding_pair(d)
+    levels = [np.empty((k, 2, d, d), dtype=complex) for k in real[:-1]]
 
     def split(level: int, first: int, parents: np.ndarray):
-        """Write the pairs of a run of real parents; return the children's decompositions, None at leaves.
+        """Write the pairs of a run of real parents; return their real children's decompositions.
 
         A child past the real prefix, at most one at the level's boundary,
-        gets the zero target and is not decomposed.
+        gets the zero target and is not decomposed.  Leaves pass on none, an empty array.
         """
         span = n >> (level + 1)  # leaves below each child
         lo, kids = 2 * first * span, min(2 * len(parents), real[level + 1] - 2 * first)
-        children = np.empty(2 * len(parents), node) if span > 1 else None
+        children = np.empty(kids if span > 1 else 0, node)
         if leaves := (span == 1 and factorization is not None):
             targets = factorization[order[lo : lo + kids]]
         else:  # children that are parents of the next level keep their decompositions
             sums = hermitian_from_parameters(_ordered_sums(padded.params, order, lo, lo + kids * span, span))
-            kept = None if children is None else children[:kids]
-            targets = psd_sqrt_stack(sums, None if kept is None else (kept["V"], kept["w"]))
+            targets = psd_sqrt_stack(sums, (children["V"], children["w"]) if span > 1 else None)
         if kids < 2 * len(parents):
             targets = np.concatenate([targets, np.zeros((1, d, d), dtype=complex)])
         levels[level][first : first + len(parents)] = _split_level(
@@ -414,31 +411,27 @@ def compile_tree(
 def verify(tree: MeasurementTree) -> VerificationReport:
     """Audit every node of a tree against the construction identities that can fail.
 
-    Checks that each level's tail (:func:`real_counts`) holds exactly
-    :func:`padding_pair`, once per level.  Then, per internal node of the
-    walk of :meth:`MeasurementTree._operators`: completeness of the Kraus
-    pair, and agreement of the cumulative operator with the sum S of the
-    POVM elements below, zero below padding (``eigvalsh`` of each real S
-    under :func:`povmtree.linalg.rank_mask` gives the reported parent rank,
-    0 where S is padding).  Per leaf walked: the Frobenius distance between
+    Per internal node of the walk of :meth:`MeasurementTree._operators`, the
+    nodes with a real leaf: completeness of the Kraus pair, and agreement of
+    the cumulative operator with the sum S of the POVM elements below
+    (``eigvalsh`` of S under :func:`povmtree.linalg.rank_mask` gives the
+    reported parent rank).  Per leaf walked: the Frobenius distance between
     the leaf's cumulative operator and the original POVM element.  Nothing
     else can fail: ``b_child @ m_parent = m_child`` holds exactly, because
     child cumulative operators are defined as those products; ``b^dag b`` is
     a Gram matrix, positive to rounding; and a complete pair's probe
     coupling is derived data, checked where
     :func:`povmtree.linalg.complete_to_unitary` builds it.  Each
-    block's results go into the report's columns by node index.  Below an
-    all-padding node, which the walk does not enter, the operator-sum and
-    leaf residuals are 0, and the completeness residual is the constant's.
+    block's results go into the report's columns by node index.  A node
+    whose leaves are all padding, which the tree does not hold, has 0 as its
+    residuals and rank, but the completeness residual of :func:`padding_pair`.
 
     Raises
     ------
     VerificationError
-        At the first residual above ``TOL_CHECK`` or not a number, naming
-        the node's path: ``what="padding"`` (any difference from the
-        constant pair in a level's tail, root level first); then, in walk
-        order, ``"leaf reconstruction"`` at a leaf block, else
-        ``"completeness"`` of its pairs, then ``"operator sum"``.
+        At the first residual above ``TOL_CHECK`` or not a number, in walk
+        order, naming the node's path: ``what="leaf reconstruction"`` at a
+        leaf block, else ``"completeness"`` of its pairs, then ``"operator sum"``.
     """
     p, d, n = tree.povm, tree.povm.dim, tree.povm.n_outcomes
     # the node columns verify measures, in the order of NodeCheck's fields
@@ -446,15 +439,12 @@ def verify(tree: MeasurementTree) -> VerificationReport:
     nodes = {name: np.zeros(n - 1, dtype) for name, dtype in measured.items()}
     leaf_residual = np.zeros(n)
 
-    def check(residuals, what, limit=TOL_CHECK):  # residual i is node lo + i's, on the level in hand
-        _raise_first(residuals, what, what + " check failed, residual {:.3e}", limit,
+    def check(residuals, what):  # residual i is node lo + i's, on the level in hand
+        _raise_first(residuals, what, what + " check failed, residual {:.3e}", TOL_CHECK,
                      path=lambda i: node_path(level, lo + i))
 
-    real, pad = real_counts(tree.depth, p.n_original), padding_pair(d)
-    for level in range(tree.depth):  # each level's tail, whose leaves are all padding
-        lo, rows = real[level], slice((1 << level) - 1 + real[level], (2 << level) - 1)
-        check(np.linalg.norm((tree.kraus[level][lo:] - pad).reshape(-1, 2 * d * d), axis=-1), "padding", 0.0)
-        nodes["completeness_residual"][rows] = completeness_residuals(pad[None])[0]
+    # the rows of nodes the walk holds are overwritten: the rest have only padding leaves
+    nodes["completeness_residual"][:] = completeness_residuals(padding_pair(d)[None])[0]
     for level, first, m in tree._operators(tree.depth):
         span = n >> level
         sums = _ordered_sums(p.params, tree.order, first * span, (first + len(m)) * span, span)
@@ -470,8 +460,7 @@ def verify(tree: MeasurementTree) -> VerificationReport:
             check(nodes["completeness_residual"][rows], "completeness")
             check(residual, "operator sum")
             nodes["operator_sum_residual"][rows] = residual
-            live = slice(0, real[level] - lo)  # the block's real nodes, all but a boundary child
-            nodes["parent_rank"][rows][live] = rank_mask(np.linalg.eigvalsh(s[live])).sum(axis=-1)
+            nodes["parent_rank"][rows] = rank_mask(np.linalg.eigvalsh(s)).sum(axis=-1)
     nodes["uses_null_correction"] = nodes["parent_rank"] < d
     return VerificationReport(
         node_columns={name: _frozen(column) for name, column in nodes.items()},

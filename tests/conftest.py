@@ -34,6 +34,12 @@ def frob(a):
     return float(np.linalg.norm(a))
 
 
+# Each leaf's cumulative operator is its target m_j within 4.6e-15 in Frobenius
+# norm, over the 300 near-null probe POVMs with d from 3 to 8; taken as
+# 1e-14, which also covers the rounding of a reference's own m_j L.
+LEAF_OPERATOR_ERROR = 1e-14
+
+
 def hermitian_parameters(elements):
     """The tree-file parameters of an ``(N, d, d)`` Hermitian stack, one row of d^2 reals each.
 

@@ -232,8 +232,10 @@ class TestTreeFiles:
         # but the last pair of the last level): the low seven bytes of each,
         # then a raw deflate stream of their top bytes that ends the file
         n_original = tree.povm.n_original
-        stored = words([hermitian_parameters(tree.povm.elements[:n_original]),
-                        *(level[kept] for level, kept in zip(tree.kraus, stored_pairs(order, n_original)))])
+        # the tree holds each level's pairs of nodes with a real leaf, as the file stores them
+        kept = stored_pairs(order, n_original)
+        assert [len(level) for level in tree.kraus] == [int(k.sum()) for k in kept]
+        stored = words([hermitian_parameters(tree.povm.elements[:n_original]), *tree.kraus])
         head = header + b"\n" + bytes(order) + stored[:, :7].tobytes()
         raw = path.read_bytes()
         assert raw[:len(head)] == head

@@ -408,16 +408,17 @@ class TestFromPartialSums:
                 tree_module._ordered_sums(tree.povm.params, tree.order, 0, n, span))
 
         for level, pairs in enumerate(tree.kraus):
-            k = len(pairs)
+            k, row = len(pairs), (1 << level) - 1  # the level's real prefix, from its first row
             v, w = np.eye(d, dtype=complex)[None], np.ones((1, d))  # the root's sum is I
             if level:
                 v, w = np.empty((k, d, d), dtype=complex), np.empty((k, d))
-                linalg.psd_sqrt_stack(sums(n >> level), (v, w))
+                linalg.psd_sqrt_stack(sums(n >> level)[:k], (v, w))
             root, pinv, _ = linalg.psd_parts(v, w)
-            targets = linalg.psd_sqrt_stack(sums(n >> (level + 1)))
+            targets = linalg.psd_sqrt_stack(sums(n >> (level + 1))[: 2 * k])
             correction = np.sqrt(2) * (pairs - targets.reshape(k, 2, d, d) @ pinv[:, None])
             deficient = (w <= 0).any(axis=1)
-            assert np.array_equal(corrected[k - 1 : 2 * k - 1], deficient)
+            assert np.array_equal(corrected[row : row + k], deficient)
+            assert corrected[row + k : 2 * row + 1].all()  # all-padding nodes report rank 0
             for i in range(k):
                 if not deficient[i]:
                     assert not correction[i].any()
@@ -500,7 +501,7 @@ class TestNoSvd:
 
 
 class TestPadding:
-    """A node whose leaves are all padding costs no decomposition and holds the constant pair."""
+    """A node whose leaves are all padding costs no decomposition and is not held."""
 
     @staticmethod
     def decompositions(monkeypatch, build, name="eigh"):
@@ -527,22 +528,55 @@ class TestPadding:
         assert padded <= 1.02 * full
 
     def test_no_walk_enters_an_all_padding_subtree(self, monkeypatch):
-        # Padding is the tail of the leaf order, so the walk descends the
-        # real prefix of each level and forms, besides, only the one
-        # all-padding child at each level's boundary: at (2, 1025) at most
-        # 2 * depth operators more than at (2, 1024).  Walking every node
-        # formed 4,095.
+        # Padding is the tail of the leaf order, so the walk yields the real
+        # prefix of each level and nothing else: at (2, 1025) a root and,
+        # below it, one node more a level than (2, 1024) has.  Walking every
+        # node formed 4,095, and with each level's boundary child 2,069.
         trees = {n: compile_tree(random_rank_one_povm(n, 2, np.random.default_rng([2, n])))
                  for n in (1024, 1025)}
         formed = {n: sum(len(block) for _, _, block in tree._operators(tree.depth))
                   for n, tree in trees.items()}
-        assert formed == {1024: 2047, 1025: 2069}
-        assert formed[1025] <= formed[1024] + 2 * trees[1025].depth
+        assert formed == {1024: 2047, 1025: 2059}
+        assert formed[1025] == 1 + formed[1024] + trees[1025].depth == sum(tree_module.real_counts(11, 1025))
         # neither compile's eigh nor verify's eigvalsh is handed an all-padding sum
         p = trees[1025].povm
         assert self.decompositions(monkeypatch, lambda: compile_tree(p))[1] == 0
         handed, zero = self.decompositions(monkeypatch, lambda: verify(trees[1025]), "eigvalsh")
         assert (handed, zero) == (1034, 0)  # one sum per internal node with a real leaf
+
+    @pytest.mark.parametrize("n, d, freedom", [(5, 2, False), (9, 3, False), (13, 4, False), (17, 2, False),
+                                               (1025, 2, False), (6, 3, True)],
+                             ids=["5-2", "9-3", "13-4", "17-2", "1025-2", "freedom-6-3"])
+    def test_a_tree_holds_each_levels_real_prefix(self, n, d, freedom, tmp_path):
+        # level l holds the ceil(n / 2**(depth - l)) pairs of nodes with a real
+        # leaf, as a tree file stores them; an all-padding node's pair, the
+        # constant one, is derived by dilation and counted by verify's report
+        rng = np.random.default_rng([n, d])
+        p = random_povm(n, d, rng)
+        factorization = None
+        if freedom:
+            factorization = apply_freedom(default_kraus(p), [random_unitary(d, rng) for _ in range(n)])
+        compiled = compile_tree(p, factorization)
+        treeio.save_tree(compiled, tmp_path / "t.tree")
+        pad = tree_module.padding_pair(d)
+        coupling, residual = dilate_binary(pad).tobytes(), completeness_residuals(pad[None])[0]
+        for tree in (compiled, treeio.load_tree(tmp_path / "t.tree")):
+            real = tree_module.real_counts(tree.depth, n)
+            assert [len(k) for k in tree.kraus] == real[:-1]
+            columns = verify(tree).node_columns
+            for level, k in enumerate(real[:-1]):
+                rows = slice((1 << level) - 1 + k, (2 << level) - 1)
+                assert (columns["completeness_residual"][rows] == residual).all()
+                assert not columns["parent_rank"][rows].any()
+                assert not columns["operator_sum_residual"][rows].any()
+                for i in range(k, 1 << level):
+                    assert tree.dilation(tree_module.node_path(level, i)).tobytes() == coupling
+            # the old layout, each level whole with the constant pair as its tail, is refused
+            whole = tuple(np.concatenate([pairs, np.broadcast_to(pad, ((1 << level) - len(pairs), 2, d, d))])
+                          for level, pairs in enumerate(tree.kraus))
+            with pytest.raises(ValidationError) as err:
+                replace(tree, kraus=whole)
+            assert err.value.what == "shape"
 
     def test_padding_is_the_tail_of_every_order(self, rng):
         # a partition, or a tree built by hand, that puts padding anywhere
@@ -593,24 +627,6 @@ class TestPadding:
                 compile_tree(p, factorization=factorization, partition=case.partition)
 
         assert self.decompositions(monkeypatch, build)[1] == 0
-
-    @pytest.mark.parametrize("n, level, index", [(5, 2, 3), (9, 3, 7), (9, 2, 3)],
-                             ids=["5-11", "9-111", "9-11"])
-    def test_verify_requires_the_constant_pair(self, n, level, index):
-        # a complete pair, but not (I/sqrt 2, I/sqrt 2), at a node whose leaves
-        # are all padding: at (2, 9) node '111' lies below the padding node '11'
-        tree = compile_tree(random_rank_one_povm(n, 2, np.random.default_rng([2, n])))
-        pad = tree_module.padding_pair(2)
-        assert np.array_equal(tree.kraus[level][index], pad)
-        pairs = tree.kraus[level].copy()
-        pairs[index, 1] = pad[1] @ np.diag([1.0, -1.0])
-        assert completeness_residuals(pairs[index : index + 1])[0] <= 1e-15
-        levels = list(tree.kraus)
-        levels[level] = pairs
-        with pytest.raises(VerificationError) as err:
-            verify(replace(tree, kraus=tuple(levels)))
-        assert (err.value.what, err.value.path) == ("padding", format(index, f"0{level}b"))
-        assert err.value.residual == pytest.approx(2 ** 0.5)  # |(0, -2) / sqrt 2|
 
     def test_padding_operators_of_a_factorization_must_be_zero(self, rng):
         q = random_povm(5, 2, rng)
@@ -704,10 +720,12 @@ class TestVerify:
             return q, r
 
         monkeypatch.setattr(np.linalg, "qr", corrupted)
-        for build in (lambda: tree.dilation(""), *(partial(dilate_binary, pair) for pair in tree.kraus[1])):
+        # a tree's coupling names its node; a pair's, the one block completed
+        for build, index, path in ((lambda: tree.dilation(""), None, ""),
+                                   *((partial(dilate_binary, pair), 0, None) for pair in tree.kraus[1])):
             with pytest.raises(VerificationError) as err:
                 build()
-            assert err.value.what == "dilation unitarity" and err.value.index == 0
+            assert (err.value.what, err.value.index, err.value.path) == ("dilation unitarity", index, path)
             assert err.value.residual > linalg.TOL_UNITARY
         assert verify(tree).passed
 
