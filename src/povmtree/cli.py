@@ -10,9 +10,7 @@ exits with its class's ``exit_code`` (see :mod:`povmtree.errors`) and an
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +24,9 @@ from .simulator import QuantumState, direct_probabilities, propagate, sample, ra
 from .tree import _resolve_partition, compile_tree, verify
 
 _PREFIXES = {1: "invalid", 2: "error", 3: "verification error"}
+# tree-vs-direct probability deviation allowed: a verified tree's is at most its
+# largest leaf residual, at most TOL_CHECK, plus rounding
+_AGREEMENT = 1e-8
 
 
 def _parse_grouping(text: str, n_original: int, n: int) -> np.ndarray:
@@ -37,14 +38,14 @@ def _parse_grouping(text: str, n_original: int, n: int) -> np.ndarray:
         raise ParseError(f"invalid grouping string {text!r}: {err}") from err
 
 
-def _at_least_zero(kind, text: str):
-    """``kind(text)`` if it is a finite number >= 0; else a usage error naming the flag (exit 2)."""
+def _at_least_zero(text: str) -> int:
+    """``int(text)`` if it is >= 0; else a usage error naming the flag (exit 2)."""
     try:
-        value = kind(text)
+        value = int(text)
     except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"expected a finite {kind.__name__} >= 0, got {text!r}")
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a finite int >= 0, got {text!r}")
     return value
 
 
@@ -119,7 +120,7 @@ def cmd_compile(args) -> int:
     out_path = args.out or str(Path(args.path).with_suffix("")) + ".tree"
     treeio.save_tree(tree, out_path)
     print(f"tree written to {out_path}")
-    if worst > 1e-8:
+    if worst > _AGREEMENT:
         print("verification failed", file=sys.stderr)
         return 3
     return 0
@@ -145,7 +146,7 @@ def cmd_simulate(args) -> int:
             print(f"  {label:>8}  count {count:>10}  frequency {count / report.shots:.6f}  "
                   f"expected {p:.6f}")
         print(f"max deviation: {report.max_sigma_deviation:.3f} sigma")
-    if deviation > args.tol:
+    if deviation > _AGREEMENT:
         print("tree and direct probabilities disagree", file=sys.stderr)
         return 3
     return 0
@@ -230,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Compile POVMs into binary trees of two-outcome probe measurements.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    count, tolerance = partial(_at_least_zero, int), partial(_at_least_zero, float)
 
     p_validate = sub.add_parser("validate", help="check a POVM file")
     p_validate.add_argument("path", help="POVM JSON file")
@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="pipe-separated outcome groups, e.g. '0,3|1,2', read left to right",
     )
-    p_compile.add_argument("--seed", type=count, default=0,
+    p_compile.add_argument("--seed", type=_at_least_zero, default=0,
                            help="seed for the random-state cross-check")
     p_compile.add_argument("--out", default=None, help="output tree file")
     p_compile.set_defaults(func=cmd_compile)
@@ -255,10 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="mixed:max",
         help="state spec: 'pure:<k>', 'mixed:max', or a state JSON file",
     )
-    p_sim.add_argument("--shots", type=count, default=0, help="number of sampled shots")
-    p_sim.add_argument("--seed", type=count, default=0, help="sampling seed")
-    p_sim.add_argument("--tol", type=tolerance, default=1e-8,
-                       help="tree-vs-direct agreement threshold (default 1e-8)")
+    p_sim.add_argument("--shots", type=_at_least_zero, default=0, help="number of sampled shots")
+    p_sim.add_argument("--seed", type=_at_least_zero, default=0, help="sampling seed")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_cost = sub.add_parser("cost", help="operation-count comparison")

@@ -3,8 +3,8 @@
 A tree of N outcomes has N - 1 internal nodes and N leaves, so a record with
 one Python object per node or leaf costs far more than the arrays it is
 read from.  :class:`VerificationReport` keeps :func:`povmtree.tree.verify`'s
-results as one array per field, and :class:`Rows` builds a :class:`NodeCheck`
-or :class:`LeafCheck` only when a caller reads that row;
+results as one array per field, and :class:`Rows` builds a node's
+:class:`NodeCheck` only when a caller reads that row;
 :func:`povmtree.simulator.propagate` returns its outcomes the same way.
 """
 
@@ -63,14 +63,6 @@ class NodeCheck:
     uses_null_correction: bool
 
 
-@dataclass(frozen=True)
-class LeafCheck:
-    outcome_index: int
-    label: str
-    residual: float
-    is_padding: bool
-
-
 def _row_path(k: int) -> str:
     """Path of the internal node in breadth-first row k: k + 1 in binary without its leading 1."""
     return format(k + 1, "b")[1:]
@@ -83,52 +75,32 @@ class VerificationReport:
     ``node_columns`` maps each field of :class:`NodeCheck` but ``path`` to a
     read-only array with one entry per internal node, breadth first, so
     node i of level l is row ``2**l - 1 + i``.  ``leaf_columns`` maps
-    ``residual`` to an array with one entry per leaf, left to right; leaf i
-    is outcome ``order[i]``, the tree's own read-only ``intp`` order array,
-    and ``labels`` are its POVM's.  :attr:`nodes` and :attr:`leaves` build
+    ``residual`` to a read-only array with one entry per leaf, left to
+    right: leaf i is the tree's outcome ``order[i]``.  :attr:`nodes` builds
     the row records only when read.  :func:`povmtree.tree.verify` raises
-    for a tree that fails, so every report passes, and two reports are
-    equal when their rows and ``max_residual`` are.
+    for a tree that fails, so every report passes.  Reports compare by
+    identity: compare their columns instead.
     """
 
     node_columns: dict[str, np.ndarray]
     leaf_columns: dict[str, np.ndarray]
-    order: np.ndarray
-    labels: tuple[str, ...] | Rows
-    n_original: int
     max_residual: float
     passed = True  # not a field; read by perfbench/run.py (lines 159 and 186)
 
     @property
     def nodes(self) -> Rows:
-        """One :class:`NodeCheck` per internal node, breadth first."""
+        """One :class:`NodeCheck` per internal node, breadth first; read by perfbench/run.py."""
         columns = self.node_columns
-        return Rows(len(self.order) - 1, lambda k: NodeCheck(
+        return Rows(len(columns["completeness_residual"]), lambda k: NodeCheck(
             _row_path(k), **{name: column.item(k) for name, column in columns.items()}))
-
-    @property
-    def leaves(self) -> Rows:
-        """One :class:`LeafCheck` per leaf, left to right."""
-        return Rows(len(self.order), self._leaf)
-
-    def _leaf(self, i: int) -> LeafCheck:
-        j, columns = self.order.item(i), self.leaf_columns
-        return LeafCheck(j, self.labels[j], columns["residual"].item(i), j >= self.n_original)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VerificationReport):
-            return NotImplemented
-        return ((self.nodes, self.leaves, self.max_residual)
-                == (other.nodes, other.leaves, other.max_residual))
 
     def summary(self) -> str:
         nodes, leaves = self.node_columns, self.leaf_columns
-        worst_node = max(nodes["completeness_residual"].tolist(), default=0.0)
-        worst_leaf = max(leaves["residual"].tolist(), default=0.0)
+        completeness = nodes["completeness_residual"]
         corrected = int(nodes["uses_null_correction"].sum())
         return "\n".join([
             "verification: PASS",
-            f"  internal nodes checked : {len(self.order) - 1} ({corrected} with null-space correction)",
-            f"  max completeness residual : {worst_node:.3e}",
-            f"  max leaf reconstruction   : {worst_leaf:.3e}",
+            f"  internal nodes checked : {len(completeness)} ({corrected} with null-space correction)",
+            f"  max completeness residual : {max(completeness.tolist(), default=0.0):.3e}",
+            f"  max leaf reconstruction   : {max(leaves['residual'].tolist(), default=0.0):.3e}",
         ])

@@ -465,9 +465,6 @@ def verify(tree: MeasurementTree) -> VerificationReport:
     return VerificationReport(
         node_columns={name: _frozen(column) for name, column in nodes.items()},
         leaf_columns={"residual": _frozen(leaf_residual)},
-        order=tree.order,
-        labels=p.labels,
-        n_original=p.n_original,
         max_residual=float(max(column.max(initial=0.0) for column in (
             nodes["completeness_residual"], nodes["operator_sum_residual"], leaf_residual))),
     )

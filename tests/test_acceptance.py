@@ -264,7 +264,7 @@ def test_random_suite_full_verification():
     for povm, tree in _random_suite():
         report = pt.verify(tree)
         assert report.passed, report.summary()
-        assert all(check.residual <= 1e-8 for check in report.leaves)
+        assert (report.leaf_columns["residual"] <= 1e-8).all()
 
 
 def main() -> int:

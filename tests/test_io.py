@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import gc
 import json
 import tracemalloc
@@ -16,6 +17,7 @@ from povmtree import (
     compile_tree,
     node_path,
     pad_to_power_of_two,
+    psd_sqrt,
     random_density,
     random_povm,
     random_rank_one_povm,
@@ -491,6 +493,29 @@ class TestTamperedTreeFiles:
             with pytest.raises(ParseError) as err:
                 load_tree(path)
             assert err.value.field == field
+
+    def test_elements_must_sum_to_the_identity(self, tmp_path):
+        # leaf 2 is outcome order[2]'s and leaf 3 padding, both below node "1".
+        # Scaling that pair's b0 by c, with b1 the root of I - b0^dag b0, keeps
+        # the pair complete, and scaling the element by c^2 keeps its leaf
+        # reconstructed; only the unchecked padding leaf takes up the rest.
+        # So every pair and every real leaf passes, and only the root's
+        # operator sum sees that the stored elements no longer sum to I
+        tree = compile_tree(random_povm(3, 2, np.random.default_rng(7)))
+        c = np.cos(0.3)
+        kraus = [level.copy() for level in tree.kraus]
+        kraus[1][1, 0] *= c
+        kraus[1][1, 1] = psd_sqrt(np.eye(2) - kraus[1][1, 0].conj().T @ kraus[1][1, 0])
+        params = tree.povm.params.copy()
+        params[tree.order[2]] *= c**2
+        povm = dataclasses.replace(tree.povm, params=params)
+        path = tmp_path / "short.tree"
+        save_tree(dataclasses.replace(tree, povm=povm, kraus=tuple(kraus)), path)
+        with pytest.raises(VerificationError) as err:
+            load_tree(path)
+        assert (err.value.what, err.value.path) == ("operator sum", "")
+        assert err.value.residual == pytest.approx(np.linalg.norm(povm.elements.sum(axis=0) - np.eye(2)))
+        assert err.value.residual == pytest.approx(0.0714, abs=1e-4)
 
     def test_nan_entry(self, parts, tmp_path):
         header, order, (elements, *kraus) = parts

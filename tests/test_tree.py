@@ -670,22 +670,26 @@ class TestVerify:
         tree = compile_tree(random_rank_one_povm(5, 2, np.random.default_rng(3)),
                             partition=[4, 0, 3, 1, 2])
         report = verify(tree)
-        assert [c.path for c in report.nodes] == ["", "0", "1", "00", "01", "10", "11"]
-        assert [c.outcome_index for c in report.leaves] == [4, 0, 3, 1, 2, 5, 6, 7]
-        assert [c.is_padding for c in report.leaves] == [False] * 5 + [True] * 3
-        for rows, n in ((report.nodes, 7), (report.leaves, 8)):
-            assert len(rows) == n
-            listed = list(rows)
-            assert listed == [rows[i] for i in range(n)]
-            assert rows[-1] == listed[-1] and rows[-n] == listed[0]
-            assert rows[1:3] == tuple(listed[1:3])
-            for i in (n, -n - 1):
-                with pytest.raises(IndexError):
-                    rows[i]
-        node, leaf = report.nodes[0], report.leaves[0]
-        assert [type(v) for v in vars(node).values()] == [str, float, float, int, bool]
-        assert [type(v) for v in vars(leaf).values()] == [int, str, float, bool]
-        assert report == verify(tree)
+        rows, n = report.nodes, 7
+        assert [c.path for c in rows] == ["", "0", "1", "00", "01", "10", "11"]
+        # leaf i's residual is that of outcome order[i], the padding last
+        assert tree.order.tolist() == [4, 0, 3, 1, 2, 5, 6, 7]
+        assert len(report.leaf_columns["residual"]) == 8
+        assert len(rows) == n
+        listed = list(rows)
+        assert listed == [rows[i] for i in range(n)]
+        assert rows[-1] == listed[-1] and rows[-n] == listed[0]
+        assert rows[1:3] == tuple(listed[1:3])
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                rows[i]
+        assert [type(v) for v in vars(rows[0]).values()] == [str, float, float, int, bool]
+        again = verify(tree)
+        assert rows == again.nodes and report.max_residual == again.max_residual
+        for mine, theirs in ((report.node_columns, again.node_columns),
+                             (report.leaf_columns, again.leaf_columns)):
+            assert mine.keys() == theirs.keys()
+            assert all(np.array_equal(mine[name], theirs[name]) for name in mine)
 
     def test_completeness_judged_once_at_tol_check(self, tetrad_povm, tmp_path):
         # Scaling the root pair by 1 + eps makes b0^dag b0 + b1^dag b1 = (1 + eps)^2 I,
@@ -1019,7 +1023,8 @@ class TestBlockInvariance:
         return {
             "povm": povm.elements,
             "kraus": tree.kraus,
-            "rows": (report.nodes, report.leaves, report.passed, report.max_residual),
+            "report": (report.passed, *report.node_columns.values(),
+                       *report.leaf_columns.values(), report.max_residual),
             "probabilities": [o.probability for o in outcomes],
             "post_states": [None if o.post_state is None else o.post_state.density
                             for o in outcomes],
@@ -1049,6 +1054,6 @@ class TestBlockInvariance:
         monkeypatch.setattr(linalg, "_BLOCK_BYTES", 1)
         assert list(linalg.blocks(3, d)) == [slice(0, 1), slice(1, 2), slice(2, 3)]
         single = self.pipeline(elements, tmp_path, unitaries, partition)
-        assert default["rows"][2]
+        assert default["report"][0]
         for key in default:
             assert self.same(default[key], single[key]), key
