@@ -364,8 +364,8 @@ def load_tree(path) -> MeasurementTree:
         ``order`` not a permutation with the padding last and in order; or
         ``labels`` not one string per outcome.
     VerificationError
-        As :func:`povmtree.tree.verify` raises it: the first failing check
-        in walk order, naming the node.
+        As :func:`povmtree.tree.verify` raises it: ``"operator sum"`` at the
+        root, then the first failing pair or leaf in walk order, naming the node.
     """
     with open(path, "rb") as handle:
         header, dim, depth, n_original = _read_header(handle)

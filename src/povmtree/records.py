@@ -50,15 +50,15 @@ class Rows(Sequence):
 
 @dataclass(frozen=True)
 class NodeCheck:
-    """One internal node's residuals, each passing at most ``TOL_CHECK``, and its parent's rank.
+    """One internal node's completeness residual, at most ``TOL_CHECK``, and the rank of its ``m^dag m``.
 
-    The probe coupling is not recorded: it is checked where it is built
-    (:func:`povmtree.linalg.complete_to_unitary`).
+    The node's operator sum and probe coupling are not recorded: the sum is
+    fixed by the complete pairs and the leaves below it, and the coupling is
+    checked where it is built (:func:`povmtree.linalg.complete_to_unitary`).
     """
 
     path: str
     completeness_residual: float
-    operator_sum_residual: float
     parent_rank: int
     uses_null_correction: bool
 

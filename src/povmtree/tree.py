@@ -23,7 +23,8 @@ Child cumulative operators are the products b_c @ m_x (see
 :meth:`MeasurementTree.cumulative_kraus`), so the factorization identity
 m_child = b_child @ m_parent holds by construction at every edge.  A
 pair's probe coupling (:meth:`MeasurementTree.dilation`) exists exactly
-when the pair is complete, so :func:`verify` checks completeness and the
+when the pair is complete, so :func:`verify` checks completeness, each leaf
+against its element and the elements' sum, what every output reads; the
 coupling is checked where it is built.  Compilation, verification, cumulative
 operators and the simulator share one traversal, depth first (:func:`_walk`):
 at most half a 64 KiB block of nodes per level, one stacked LAPACK call per
@@ -165,8 +166,8 @@ class MeasurementTree:
 
     ``kraus[l]`` is a read-only array of round l's Kraus pairs, breadth
     first, at the level's nodes with a real leaf (a prefix, :func:`real_counts`;
-    the rest hold :func:`padding_pair`): the pair measured at probe path x is
-    ``kraus[len(x)][int(x, 2)]``, b0 before b1.  Leaf i (left to right) is
+    the rest are not held, their pair is :func:`padding_pair`): the pair at
+    probe path x is ``kraus[len(x)][int(x, 2)]``, b0 before b1.  Leaf i is
     outcome ``order[i]`` of ``povm``; ``order`` is one read-only ``intp``
     array, a permutation of ``0..N-1`` whose padding is its tail in order
     (:func:`is_leaf_order`; else ``ValidationError(what="partition")``).
@@ -409,62 +410,57 @@ def compile_tree(
 
 
 def verify(tree: MeasurementTree) -> VerificationReport:
-    """Audit every node of a tree against the construction identities that can fail.
+    """Audit a tree on what its outputs read: the root sum, complete pairs and the leaf effects.
 
-    Per internal node of the walk of :meth:`MeasurementTree._operators`, the
-    nodes with a real leaf: completeness of the Kraus pair, and agreement of
-    the cumulative operator with the sum S of the POVM elements below
-    (``eigvalsh`` of S under :func:`povmtree.linalg.rank_mask` gives the
-    reported parent rank).  Per leaf walked: the Frobenius distance between
-    the leaf's cumulative operator and the original POVM element.  Nothing
-    else can fail: ``b_child @ m_parent = m_child`` holds exactly, because
-    child cumulative operators are defined as those products; ``b^dag b`` is
-    a Gram matrix, positive to rounding; and a complete pair's probe
-    coupling is derived data, checked where
-    :func:`povmtree.linalg.complete_to_unitary` builds it.  Each
-    block's results go into the report's columns by node index.  A node
-    whose leaves are all padding, which the tree does not hold, has 0 as its
-    residuals and rank, but the completeness residual of :func:`padding_pair`.
+    The stored elements must sum to I.  On the walk of
+    :meth:`MeasurementTree._operators` (the nodes with a real leaf), each
+    internal node's Kraus pair must be complete and each leaf's ``m^dag m``
+    must lie within ``TOL_CHECK`` (Frobenius) of its element.  Every output
+    reads only the leaf operators, and these fix each internal node's
+    operator sum within their residuals; the root's is checked, since no
+    padding leaf is and one could take up what an element lacks.  Nothing
+    else can fail: ``b_child @ m_parent = m_child`` holds exactly by
+    definition, ``b^dag b`` is a Gram matrix, and a pair's probe coupling is
+    checked where :func:`povmtree.linalg.complete_to_unitary` builds it.
+    An internal node's parent rank is :func:`povmtree.linalg.rank_mask` of
+    ``eigvalsh(m^dag m)``; an all-padding node, not held, has rank 0 and the
+    completeness residual of :func:`padding_pair`.
 
     Raises
     ------
     VerificationError
-        At the first residual above ``TOL_CHECK`` or not a number, in walk
-        order, naming the node's path: ``what="leaf reconstruction"`` at a
-        leaf block, else ``"completeness"`` of its pairs, then ``"operator sum"``.
+        ``what="operator sum"`` at the root, path ``""``, first; then at the
+        first residual above ``TOL_CHECK`` or not a number, in walk order,
+        naming the node: ``"completeness"`` of an internal block's pairs, or
+        ``"leaf reconstruction"`` at a leaf block.
     """
     p, d, n = tree.povm, tree.povm.dim, tree.povm.n_outcomes
-    # the node columns verify measures, in the order of NodeCheck's fields
-    measured = {"completeness_residual": float, "operator_sum_residual": float, "parent_rank": int}
-    nodes = {name: np.zeros(n - 1, dtype) for name, dtype in measured.items()}
-    leaf_residual = np.zeros(n)
+    # the walk overwrites the rows of the nodes it holds: the rest have only padding leaves
+    completeness = np.full(n - 1, completeness_residuals(padding_pair(d)[None])[0])
+    rank, leaf_residual = np.zeros(n - 1, int), np.zeros(n)
 
-    def check(residuals, what):  # residual i is node lo + i's, on the level in hand
+    def check(residuals, what, level=0, lo=0):  # residual i is node lo + i's, on ``level``
         _raise_first(residuals, what, what + " check failed, residual {:.3e}", TOL_CHECK,
                      path=lambda i: node_path(level, lo + i))
 
-    # the rows of nodes the walk holds are overwritten: the rest have only padding leaves
-    nodes["completeness_residual"][:] = completeness_residuals(padding_pair(d)[None])[0]
+    root = np.linalg.norm(hermitian_from_parameters(p.params.sum(axis=0, keepdims=True)) - np.eye(d),
+                          axis=(-2, -1))
+    check(root, "operator sum")
     for level, first, m in tree._operators(tree.depth):
-        span = n >> level
-        sums = _ordered_sums(p.params, tree.order, first * span, (first + len(m)) * span, span)
         for b in blocks(len(m), 2 * d):  # four d x d matrices a node
-            lo, hi, s = first + b.start, first + b.stop, hermitian_from_parameters(sums[b])
-            residual = np.linalg.norm(_gram(m[b]) - s, axis=(-2, -1))
+            lo, hi, gram = first + b.start, first + b.stop, _gram(m[b])
             if level == tree.depth:
-                check(residual, "leaf reconstruction")
-                leaf_residual[lo:hi] = residual
+                leaf_residual[lo:hi] = np.linalg.norm(
+                    gram - hermitian_from_parameters(p.params[tree.order[lo:hi]]), axis=(-2, -1))
+                check(leaf_residual[lo:hi], "leaf reconstruction", level, lo)
                 continue
             rows = slice((1 << level) - 1 + lo, (1 << level) - 1 + hi)
-            nodes["completeness_residual"][rows] = completeness_residuals(tree.kraus[level][lo:hi])
-            check(nodes["completeness_residual"][rows], "completeness")
-            check(residual, "operator sum")
-            nodes["operator_sum_residual"][rows] = residual
-            nodes["parent_rank"][rows] = rank_mask(np.linalg.eigvalsh(s)).sum(axis=-1)
-    nodes["uses_null_correction"] = nodes["parent_rank"] < d
+            completeness[rows] = completeness_residuals(tree.kraus[level][lo:hi])
+            check(completeness[rows], "completeness", level, lo)
+            rank[rows] = rank_mask(np.linalg.eigvalsh(gram)).sum(axis=-1)
     return VerificationReport(
-        node_columns={name: _frozen(column) for name, column in nodes.items()},
+        node_columns={name: _frozen(column) for name, column in (
+            ("completeness_residual", completeness), ("parent_rank", rank), ("uses_null_correction", rank < d))},
         leaf_columns={"residual": _frozen(leaf_residual)},
-        max_residual=float(max(column.max(initial=0.0) for column in (
-            nodes["completeness_residual"], nodes["operator_sum_residual"], leaf_residual))),
+        max_residual=float(max(root[0], completeness.max(initial=0.0), leaf_residual.max(initial=0.0))),
     )

@@ -193,12 +193,15 @@ def _rank_deficient_leaf_split():
     return povmtree.compile_tree(povmtree.validate(elements), factorization=factorization)
 
 
-def _verify_edited(shift=0.0, order=(0, 1, 2, 3)):
-    """``verify`` on the tetrad's tree, ``shift`` added to an entry of pair '1', leaves in ``order``."""
+def _verify_edited(shift=0.0, order=(0, 1, 2, 3), scale=1.0):
+    """``verify`` on the tetrad's tree: ``shift`` added to pair '1', leaves in ``order``, element 3 times ``scale``."""
     tree = _tetrad_tree()
     level = tree.kraus[1].copy()
     level[1, 0, 0, 0] += shift
-    return povmtree.verify(replace(tree, kraus=(tree.kraus[0], level), order=np.array(order)))
+    params = tree.povm.params.copy()
+    params[3] *= scale
+    return povmtree.verify(replace(tree, povm=replace(tree.povm, params=params),
+                                   kraus=(tree.kraus[0], level), order=np.array(order)))
 
 
 # Checks of a construction that fail, each raised for the first residual above
@@ -215,9 +218,9 @@ FAILED_CHECKS = {
     "verify completeness": (
         lambda: _verify_edited(shift=1e-3), "completeness", {"path": "1"},
         "node '1': completeness check failed, residual 9.697e-04", 9.697368043896786e-04),
-    "verify operator sum": (  # elements 0 and 2 swapped across the root's children
-        lambda: _verify_edited(order=(2, 1, 0, 3)), "operator sum", {"path": "0"},
-        "node '0': operator sum check failed, residual 5.774e-01", 3 ** -0.5),
+    "verify operator sum": (  # element 3 doubled: the elements sum to I + M_3, checked before any node
+        lambda: _verify_edited(scale=2.0), "operator sum", {"path": ""},
+        "node '': operator sum check failed, residual 5.000e-01", 0.5),
     "verify leaf reconstruction": (  # elements 0 and 1 swapped within pair '0'
         lambda: _verify_edited(order=(1, 0, 2, 3)), "leaf reconstruction", {"path": "00"},
         "node '00': leaf reconstruction check failed, residual 5.774e-01", 3 ** -0.5),

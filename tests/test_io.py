@@ -682,6 +682,19 @@ class TestTamperedTreeFiles:
         assert err.value.path == "10"
         assert err.value.what == "leaf reconstruction"
 
+    def test_real_outcomes_swapped_across_the_root(self, parts, tmp_path):
+        # leaves 0 and 2, below nodes "0" and "1", swapped: the order is still
+        # a leaf order and every pair complete, but leaf "00", the first
+        # walked, now stands for another element
+        header, order, arrays = parts
+        order[[0, 2]] = order[[2, 0]]
+        path = tmp_path / "swapped.tree"
+        write_tree_file(path, header, order, arrays)
+        with pytest.raises(VerificationError) as err:
+            load_tree(path)
+        assert (err.value.what, err.value.path) == ("leaf reconstruction", "00")
+        assert err.value.residual == pytest.approx(3 ** -0.5)
+
     @pytest.mark.parametrize("tail", [b"\0", b"\n", bytes(16)])
     def test_trailing_bytes(self, parts, tmp_path, tail):
         path = tmp_path / "long.tree"

@@ -409,6 +409,9 @@ class TestFromPartialSums:
 
         for level, pairs in enumerate(tree.kraus):
             k, row = len(pairs), (1 << level) - 1  # the level's real prefix, from its first row
+            # each held node's operator m^dag m is the sum of the elements below it
+            below = tree.cumulative_operators(level)[:k] - sums(n >> level)[:k]
+            assert np.linalg.norm(below, axis=(-2, -1)).max() <= linalg.TOL_CHECK
             v, w = np.eye(d, dtype=complex)[None], np.ones((1, d))  # the root's sum is I
             if level:
                 v, w = np.empty((k, d, d), dtype=complex), np.empty((k, d))
@@ -564,11 +567,11 @@ class TestPadding:
             real = tree_module.real_counts(tree.depth, n)
             assert [len(k) for k in tree.kraus] == real[:-1]
             columns = verify(tree).node_columns
+            assert columns.keys() == {"completeness_residual", "parent_rank", "uses_null_correction"}
             for level, k in enumerate(real[:-1]):
                 rows = slice((1 << level) - 1 + k, (2 << level) - 1)
                 assert (columns["completeness_residual"][rows] == residual).all()
                 assert not columns["parent_rank"][rows].any()
-                assert not columns["operator_sum_residual"][rows].any()
                 for i in range(k, 1 << level):
                     assert tree.dilation(tree_module.node_path(level, i)).tobytes() == coupling
             # the old layout, each level whole with the constant pair as its tail, is refused
@@ -665,6 +668,34 @@ class TestVerify:
         assert err.value.path == "1"
         assert err.value.what == "completeness"
 
+    def test_a_mixed_pair_fails_at_its_first_leaf(self):
+        # a probe rotation mixes node '1''s pair into (c b0 + s b1, c b1 - s b0):
+        # as complete as before, but every operator below it moves, and the
+        # first leaf walked below it, '1000', no longer gives its element
+        tree = compile_tree(random_povm(13, 4, np.random.default_rng(0), [1] * 13))
+        c, s = np.cos(0.3), np.sin(0.3)
+        level = tree.kraus[1].copy()
+        b0, b1 = level[1].copy()
+        level[1] = c * b0 + s * b1, c * b1 - s * b0
+        assert completeness_residuals(level).max() <= linalg.TOL_CHECK
+        with pytest.raises(VerificationError) as err:
+            verify(replace(tree, kraus=(tree.kraus[0], level, *tree.kraus[2:])))
+        assert (err.value.what, err.value.path) == ("leaf reconstruction", "1000")
+
+    def test_only_compile_adds_partial_sums(self, monkeypatch, tmp_path):
+        # verify reads the root's sum and each leaf's element, never a sum below the root
+        tree = compile_tree(random_povm(13, 4, np.random.default_rng(0), [1] * 13))
+        treeio.save_tree(tree, tmp_path / "t.tree")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("_ordered_sums called")
+
+        monkeypatch.setattr(tree_module, "_ordered_sums", refuse)
+        assert verify(tree).passed
+        assert verify(treeio.load_tree(tmp_path / "t.tree")).passed
+        with pytest.raises(AssertionError, match="_ordered_sums called"):
+            compile_tree(tree.povm)
+
     def test_rows_are_a_sequence(self):
         # 5 outcomes padded to 8: 7 internal nodes, breadth first, and 8 leaves
         tree = compile_tree(random_rank_one_povm(5, 2, np.random.default_rng(3)),
@@ -683,7 +714,7 @@ class TestVerify:
         for i in (n, -n - 1):
             with pytest.raises(IndexError):
                 rows[i]
-        assert [type(v) for v in vars(rows[0]).values()] == [str, float, float, int, bool]
+        assert [type(v) for v in vars(rows[0]).values()] == [str, float, int, bool]
         again = verify(tree)
         assert rows == again.nodes and report.max_residual == again.max_residual
         for mine, theirs in ((report.node_columns, again.node_columns),
@@ -839,7 +870,7 @@ class TestMemory:
     def test_verify_peak(self):
         # verify walks the tree depth first, one block of cumulative
         # operators per level, and checks each block in parts of a quarter
-        # budget, unpacking only that part's partial sums, so at (32, 64)
+        # budget, unpacking only a leaf part's elements, so at (32, 64)
         # its peak stays at or below 0.40 MB.
         d, n = 32, 64
         tree = compile_tree(random_rank_one_povm(n, d, np.random.default_rng([d, n])))
