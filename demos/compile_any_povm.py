@@ -1,7 +1,7 @@
 """Compile an arbitrary POVM and check it three ways.
 
-Any finite POVM compiles: outcome counts that are not powers of two get
-padded with zero operators, elements may have any rank, and rank-deficient
+Any finite POVM compiles: an outcome count that is not a power of two
+leaves the tree's last leaves as padding, elements may have any rank, and rank-deficient
 intermediate operators are handled by the null-space correction.  The
 compiled tree is checked against the direct Born rule and against a one-shot
 projective extension of the same POVM.
@@ -18,8 +18,8 @@ povm = pt.random_povm(5, 3, rng, ranks=[1, 2, 1, 3, 1])
 print(f"random POVM: {povm.n_outcomes} outcomes on dimension {povm.dim}")
 
 tree = pt.compile_tree(povm)
-print(f"compiled tree: depth {tree.depth}, {tree.povm.n_outcomes} leaves "
-      f"(padded with {list(tree.povm.padding_labels)})\n")
+print(f"compiled tree: depth {tree.depth}, {1 << tree.depth} leaves "
+      f"({(1 << tree.depth) - tree.povm.n_outcomes} of them padding)\n")
 
 report = pt.verify(tree)
 print(report.summary())

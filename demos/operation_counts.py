@@ -21,6 +21,6 @@ for d in (2, 3, 4):
           f"strictly cheapest from N = {crossover(d)}")
 
 print("\nworst-case versus average for the single-extra-dimension method")
-r = compare(1024, 2, average=True)
+r = compare(1024, 2)
 print(f"  N=1024, d=2: worst {r.single_extra_dim_ops}, "
       f"average {r.single_extra_dim_ops_average:g} when outcomes are equally likely")

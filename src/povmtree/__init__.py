@@ -23,7 +23,6 @@ from .povm import (
     Povm,
     apply_freedom,
     default_kraus,
-    pad_to_power_of_two,
     random_povm,
     random_rank_one_povm,
     tetrad,
@@ -75,7 +74,6 @@ __all__ = [
     "hermitian_eig",
     "node_path",
     "null_space_isometry",
-    "pad_to_power_of_two",
     "propagate",
     "pseudo_inverse",
     "psd_sqrt",

@@ -19,7 +19,7 @@ from . import cost as cost_model
 from . import io as treeio
 from .errors import ParseError, PovmTreeError
 from .linalg import frobenius, hermitian_eig
-from .povm import pad_to_power_of_two, tetrad
+from .povm import tetrad
 from .simulator import QuantumState, direct_probabilities, propagate, sample, random_density
 from .tree import _resolve_partition, compile_tree, verify
 
@@ -29,11 +29,11 @@ _PREFIXES = {1: "invalid", 2: "error", 3: "verification error"}
 _AGREEMENT = 1e-8
 
 
-def _parse_grouping(text: str, n_original: int, n: int) -> np.ndarray:
+def _parse_grouping(text: str, n: int) -> np.ndarray:
     """Turn '0,3|1,2' into the leaf order [0, 3, 1, 2], by the rule ``compile_tree`` takes a partition by."""
     try:
         order = [int(piece) for group in text.split("|") for piece in group.split(",")]
-        return _resolve_partition(order, n_original, n)
+        return _resolve_partition(order, n)
     except ValueError as err:  # not integers, or not a partition (a ValidationError)
         raise ParseError(f"invalid grouping string {text!r}: {err}") from err
 
@@ -86,16 +86,14 @@ def cmd_validate(args) -> int:
 
 def cmd_compile(args) -> int:
     povm = treeio.load_povm(args.path)
-    padded = pad_to_power_of_two(povm)
-    if padded.n_outcomes != povm.n_outcomes:
-        print(
-            f"note: padding {povm.n_outcomes} outcomes to {padded.n_outcomes} "
-            f"with zero operators {list(padded.padding_labels)}"
-        )
     partition = None
     if args.grouping is not None:
-        partition = _parse_grouping(args.grouping, padded.n_original, padded.n_outcomes)  # exit 2
+        partition = _parse_grouping(args.grouping, povm.n_outcomes)  # exit 2
     tree = compile_tree(povm, partition=partition)
+    leaves = 1 << tree.depth
+    if leaves != povm.n_outcomes:
+        print(f"note: {povm.n_outcomes} outcomes on a tree of {leaves} leaves, "
+              f"{leaves - povm.n_outcomes} of them padding")
     report = verify(tree)
     print(report.summary())
 
@@ -109,13 +107,14 @@ def cmd_compile(args) -> int:
     print(f"cross-check vs direct probabilities (5 random states, seed {args.seed}): "
           f"max deviation {worst:.3e}")
 
-    costs = cost_model.compare(tree.povm.n_outcomes, tree.povm.dim)
-    print(
-        f"operation counts for N={costs.n_outcomes}, d={costs.dim}: "
-        f"one-shot extension {costs.neumark_ops}, "
-        f"single-extra-dimension {costs.single_extra_dim_ops}, "
-        f"binary tree {costs.binary_tree_ops} ({costs.binary_tree_depth} levels)"
-    )
+    if 2 <= povm.dim <= povm.n_outcomes:  # the cost model's range
+        costs = cost_model.compare(povm.n_outcomes, povm.dim)
+        print(
+            f"operation counts for N={costs.n_outcomes}, d={costs.dim}: "
+            f"one-shot extension {costs.neumark_ops}, "
+            f"single-extra-dimension {costs.single_extra_dim_ops}, "
+            f"binary tree {costs.binary_tree_ops} ({costs.binary_tree_depth} levels)"
+        )
 
     out_path = args.out or str(Path(args.path).with_suffix("")) + ".tree"
     treeio.save_tree(tree, out_path)
@@ -153,11 +152,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_cost(args) -> int:
-    report = cost_model.compare(args.n, args.d, average=args.average)
+    report = cost_model.compare(args.n, args.d)
     print(f"N = {report.n_outcomes}, d = {report.dim}")
     print(f"  one-shot projective extension : {report.neumark_ops}")
     line = f"  single extra dimension        : {report.single_extra_dim_ops}"
-    if report.single_extra_dim_ops_average is not None:
+    if args.average:
         line += f" (average {report.single_extra_dim_ops_average:g} if outcomes equally likely)"
     print(line)
     print(

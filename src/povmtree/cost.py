@@ -21,11 +21,7 @@ from .linalg import _whole
 
 @dataclass(frozen=True)
 class CostReport:
-    """Operation counts for one (N, d) pair.
-
-    ``single_extra_dim_ops_average`` is half the worst case, valid under the
-    assumption of equally likely outcomes; it is only filled in on request.
-    """
+    """Operation counts for one (N, d) pair."""
 
     n_outcomes: int
     dim: int
@@ -33,10 +29,14 @@ class CostReport:
     single_extra_dim_ops: int
     binary_tree_ops: int
     binary_tree_depth: int
-    single_extra_dim_ops_average: float | None = None
+
+    @property
+    def single_extra_dim_ops_average(self) -> float:
+        """Half the worst case, valid under the assumption of equally likely outcomes."""
+        return self.single_extra_dim_ops / 2
 
 
-def compare(n: int, d: int, average: bool = False) -> CostReport:
+def compare(n: int, d: int) -> CostReport:
     """Evaluate the three cost formulas for N outcomes on a d-level system, both integers."""
     if not (_whole(n) and _whole(d) and 2 <= d <= n):
         raise ParseError(f"need integers N >= d >= 2, got N={n!r}, d={d!r}", what="dimensions")
@@ -50,7 +50,6 @@ def compare(n: int, d: int, average: bool = False) -> CostReport:
         single_extra_dim_ops=single,
         binary_tree_ops=depth * d * (2 * d - 1),
         binary_tree_depth=depth,
-        single_extra_dim_ops_average=single / 2 if average else None,
     )
 
 

@@ -121,8 +121,8 @@ def full_neumark(p: Povm) -> NeumarkExtension:
     Elements of higher rank are split into rank-one eigen-pieces (one
     stacked ``eigh`` per block of elements, the module rank rule of
     :func:`povmtree.linalg.rank_mask` per element) whose probabilities are
-    summed back per outcome; zero (padding) elements contribute no rows and
-    always come out with probability zero.
+    summed back per outcome; zero elements contribute no rows and always
+    come out with probability zero.
 
     Raises
     ------

@@ -17,8 +17,7 @@ where it does not apply.  The message starts with ``element j: `` or
 - validation: ``"shape"`` and ``"finiteness"`` (of every matrix from outside),
   ``"hermiticity"``, ``"positivity"``, ``"trace"`` (also a post-state's), ``"unitarity"``,
   ``"completeness"`` (of a POVM's elements, or ranks that cannot reach it),
-  ``"partition"`` and ``"range"`` (an entry above 2, a basis index, shot count or rank,
-  or a tree padded past the least power of two that ``save_tree`` refuses);
+  ``"partition"`` and ``"range"`` (an entry above 2, a basis index, shot count or rank);
 - parsing: ``"dimensions"`` (a cost request), else ``None``;
 - verification: ``"shape"``; ``"completeness"`` (orthonormal columns: the
   completeness of a Kraus pair or of the Neumark rows) and ``"dilation

@@ -9,17 +9,23 @@ header line of scalars (``labels`` only for caller labels, no tolerances: a
 file is judged by the constants of :mod:`povmtree.linalg`), the leaf order as
 N = 2**depth little-endian unsigned integers of the narrowest width w of 1, 2,
 4 or 8 bytes that holds N - 1, depth being ``(n_original - 1).bit_length()``,
-then little-endian float64 words: the ``n_original`` real elements' d^2
+then little-endian float64 words: the ``n_original`` elements' d^2
 parameters each, as ``Povm.params`` holds them, then level by level the real
 and imaginary parts of the Kraus pairs of the level's real prefix
-(:func:`povmtree.tree.real_counts`).  Padding, the order's tail, costs no
-bytes.  Each word's low seven bytes follow the order, and its top byte, the
-sign and seven high exponent bits, goes into one raw deflate stream (window
-2**9) that ends the file: ``w N + 7 W`` bytes, then the stream, for the ``W =
-d^2 n_original + 4 d^2 K`` words of K pairs kept.  The Kraus levels are read
-as a tree holds them, and the padding elements as zeros; the loader checks
-the order and runs :func:`povmtree.tree.verify`.  No more than half the
-leaves being padding, it allocates under 2.5 times the file's bytes.
+(:func:`povmtree.tree.real_counts`).  ``n_original`` is the tree's outcome
+count.  The padding leaves exist only in the file's shape: the order's tail
+``n_original..N-1`` and, with caller labels, the header's ``pad<j>``
+labels, which the loader checks and drops; they cost no float words.  Each
+word's low seven bytes follow the order, and its top byte, the sign and
+seven high exponent bits, goes into one raw deflate stream (window 2**9)
+that ends the file: ``w N + 7 W`` bytes, then the stream, for the ``W = d^2
+n_original + 4 d^2 K`` words of K pairs kept.  The arrays are read as a tree
+holds them; the loader checks the order and runs
+:func:`povmtree.tree.verify`.  It allocates under 2.5 times the file's bytes.
+
+A POVM file's ``n_original`` is its element count.  One written with
+zero padding marks it by a smaller ``n_original``: the loader checks that
+the elements from there on are zero and drops them with their labels.
 """
 
 from __future__ import annotations
@@ -32,12 +38,12 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError
 from .linalg import ENTRY_BOUND, _frozen
 from .povm import Povm, default_labels, validate
 from .records import Rows
 from .simulator import QuantumState
-from .tree import MeasurementTree, is_leaf_order, real_counts, verify
+from .tree import MeasurementTree, is_permutation, real_counts, verify
 
 POVM_FORMAT = "povmtree/povm-v1"
 STATE_FORMAT = "povmtree/state-v1"
@@ -108,7 +114,7 @@ def povm_to_dict(p: Povm) -> dict:
         "dimension": p.dim,
         "elements": [encode_matrix(m) for m in p.elements],
         **({} if isinstance(p.labels, Rows) else {"labels": list(p.labels)}),
-        "n_original": p.n_original,
+        "n_original": p.n_outcomes,
     }
 
 
@@ -117,7 +123,7 @@ def povm_from_dict(data: dict) -> Povm:
 
 
 def povm_record(data: dict) -> tuple[list[np.ndarray], Povm]:
-    """The elements of a POVM record as stored, and the :class:`Povm` validated from them."""
+    """The elements of a POVM record as stored, less an old file's zero padding, and their :class:`Povm`."""
     dim = _int_field(data, "dimension", 1)
     raw = _require(data, "elements")
     if not isinstance(raw, list) or not raw:
@@ -130,9 +136,11 @@ def povm_record(data: dict) -> tuple[list[np.ndarray], Povm]:
     if not isinstance(data.get("labels", []), (list, type(None))):  # entries are taken by str()
         raise ParseError("must be a list of labels or null", field="labels")
     p = validate(elements, labels=data.get("labels"))
-    n_original = _n_original(data, p.params) if "n_original" in data else p.n_outcomes
-    labels = default_labels(p.n_outcomes, n_original) if isinstance(p.labels, Rows) else p.labels
-    return elements, Povm(dim=p.dim, params=p.params, labels=labels, n_original=n_original)
+    if "n_original" not in data or (k := _n_original(data, p.params)) == p.n_outcomes:
+        return elements, p
+    # an old file's zero padding: dropped, with its labels
+    labels = default_labels(k) if isinstance(p.labels, Rows) else p.labels[:k]
+    return elements[:k], Povm(dim=p.dim, params=_frozen(p.params[:k].copy()), labels=labels)
 
 
 def save_povm(p: Povm, path) -> None:
@@ -201,41 +209,38 @@ def _finite_float(value: Any, field: str) -> float:
     return float(value)
 
 
-def _povm(data: dict, dim: int, params: np.ndarray, n_original: int) -> Povm:
-    n = len(params)
+def _padding_labels(k: int, n: int) -> list[str]:
+    """The header labels of a tree file's padding leaves k..n-1, which only the file holds."""
+    return [f"pad{j}" for j in range(k, n)]
+
+
+def _povm(data: dict, dim: int, params: np.ndarray, n: int) -> Povm:
+    k = len(params)
     labels = data.get("labels", ())
     if "labels" in data and not (isinstance(labels, list) and len(labels) == n
-                                 and all(isinstance(x, str) for x in labels)):
-        raise ParseError(f"must be a list of {n} strings", field="labels")
+                                 and all(isinstance(x, str) for x in labels)
+                                 and labels[k:] == _padding_labels(k, n)):
+        raise ParseError(f"must be a list of {n} strings, 'pad<j>' from {k} on", field="labels")
     # the elements are checked against the Kraus pairs by verify()
-    return Povm(dim=dim, params=params, n_original=n_original,
-                labels=tuple(labels) if "labels" in data else default_labels(n, n_original))
+    return Povm(dim=dim, params=params, labels=tuple(labels[:k]) if "labels" in data else default_labels(k))
 
 
 def save_tree(tree: MeasurementTree, path) -> None:
     """Write ``tree`` as ``tree-v10``: the header line, the order, the words' low bytes, the stream.
 
-    The words are those of the rows of ``tree.povm.params`` below
-    ``n_original``, the rest being zero padding, and of ``tree.kraus``,
-    copied ``_CHUNK`` at a time.
-
-    Raises
-    ------
-    ValidationError
-        ``what="range"`` for a tree padded past the least power of two, as
-        a POVM of zero elements marked padding can be: a file's depth
-        follows from ``n_original``, so it could not describe the tree.
+    The order is ``tree.order`` and the padding leaves' tail; the words are
+    those of ``tree.povm.params`` and of ``tree.kraus``, copied ``_CHUNK``
+    at a time.
     """
-    p = tree.povm
-    if (p.n_original - 1).bit_length() != tree.depth:
-        raise ValidationError(f"{p.n_original} outcomes are padded to 2**{tree.depth}, past the least "
-                              f"power of two", what="range")
+    p, n = tree.povm, 1 << tree.depth
     header = {"format": TREE_FORMAT, "dimension": p.dim,
-              **({} if isinstance(p.labels, Rows) else {"labels": list(p.labels)}),
-              "n_original": p.n_original}
-    order, *floats = (np.ascontiguousarray(a[:stored], dtype=dtype)  # no copy on a little-endian host
-                      for (_, _, dtype, stored), a in zip(_blobs(p.dim, tree.depth, p.n_original),
-                                                          (tree.order, p.params, *tree.kraus)))
+              **({} if isinstance(p.labels, Rows) else
+                 {"labels": [*p.labels, *_padding_labels(p.n_outcomes, n)]}),
+              "n_original": p.n_outcomes}
+    leaf_order = np.concatenate([tree.order, np.arange(p.n_outcomes, n)])
+    order, *floats = (np.ascontiguousarray(a, dtype=dtype)  # no copy on a little-endian host
+                      for (_, _, dtype), a in zip(_blobs(p.dim, tree.depth, p.n_outcomes),
+                                                  (leaf_order, p.params, *tree.kraus)))
     chunks = [c for a in floats for c in _words(a)]
     deflate = zlib.compressobj(wbits=_WBITS, memLevel=_MEM_LEVEL, strategy=zlib.Z_HUFFMAN_ONLY)
     with open(path, "wb") as handle:
@@ -281,22 +286,21 @@ def _read_header(handle) -> tuple[dict, int, int, int]:
 
 
 def _blobs(dim: int, depth: int, n_original: int) -> list[tuple]:
-    """Field name, shape, dtype and stored rows of each array of a tree file, in file order.
+    """Field name, shape and dtype of each array of a tree file, in file order, each stored whole.
 
-    An array stores its first ``stored`` rows along its first axis, and
-    every other row is zero padding.  The elements' shape is that of their
-    parameters, one row of d^2 each; a Kraus level is its real prefix
-    (:func:`povmtree.tree.real_counts`), stored whole.
+    The order has a row per leaf, the elements one row of d^2 parameters
+    per outcome, and a Kraus level is its real prefix
+    (:func:`povmtree.tree.real_counts`).
     """
     n = 1 << depth
-    return [("order", (n,), np.min_scalar_type(n - 1).newbyteorder("<"), n),
-            ("elements", (n, dim * dim), _PARAMETER_DTYPE, n_original),
-            *((f"kraus[{level}]", (real, 2, dim, dim), _BLOB_DTYPE, real)
+    return [("order", (n,), np.min_scalar_type(n - 1).newbyteorder("<")),
+            ("elements", (n_original, dim * dim), _PARAMETER_DTYPE),
+            *((f"kraus[{level}]", (real, 2, dim, dim), _BLOB_DTYPE)
               for level, real in enumerate(real_counts(depth, n_original)[:depth]))]
 
 
 def _read_arrays(handle, blobs) -> list[np.ndarray]:
-    """The read-only arrays of ``blobs``, their padding zero, once the file is checked to hold them.
+    """The read-only arrays of ``blobs``, once the file is checked to hold them.
 
     Their raw bytes, the order's and seven of each word's eight, are checked
     against the file's size first: an array then holds at most 16/7 times
@@ -304,14 +308,14 @@ def _read_arrays(handle, blobs) -> list[np.ndarray]:
     header claims.  Every real and imaginary part must lie within ``ENTRY_BOUND``.
     """
     available = os.fstat(handle.fileno()).st_size - handle.tell()
-    for field, shape, dtype, stored in blobs:
-        need = stored * math.prod(shape[1:]) * dtype.itemsize * (7 if dtype.kind in "fc" else 8) // 8
+    for field, shape, dtype in blobs:
+        need = math.prod(shape) * dtype.itemsize * (7 if dtype.kind in "fc" else 8) // 8
         if available < need:
             raise ParseError(f"blob holds {available} bytes, expected {need} for shape {shape}",
                              field=field)
         available -= need
-    arrays = [np.zeros(shape, dtype=dtype) for _, shape, dtype, _ in blobs]
-    chunks = [c for (_, _, _, stored), a in zip(blobs[1:], arrays[1:]) for c in _words(a[:stored])]
+    arrays = [np.zeros(shape, dtype=dtype) for _, shape, dtype in blobs]
+    chunks = [c for a in arrays[1:] for c in _words(a)]
     handle.readinto(arrays[0])  # a file that shrinks from here on is refused on its stream
     low = memoryview(bytearray(7 * max(map(len, chunks)) + 1))
     for c in chunks:  # word i: the 8 bytes at 7 i, its top byte overwritten below
@@ -346,9 +350,9 @@ def load_tree(path) -> MeasurementTree:
     """Read, check and verify a ``tree-v10`` file.
 
     The arrays are read in one pass into those the tree keeps, the stream
-    decoded a chunk at a time, so the file is never held twice, and the
-    padding elements are zeros: ``load_tree(save_tree(t))`` returns ``t``'s
-    arrays bit for bit.
+    decoded a chunk at a time, so the file is never held twice; the
+    order's padding tail and padding labels are checked and dropped:
+    ``load_tree(save_tree(t))`` returns ``t``'s arrays bit for bit.
 
     Raises
     ------
@@ -362,7 +366,7 @@ def load_tree(path) -> MeasurementTree:
         decodes to fewer or more bytes than there are words, or does not end
         where the file does; an entry beyond ``ENTRY_BOUND``, per blob;
         ``order`` not a permutation with the padding last and in order; or
-        ``labels`` not one string per outcome.
+        ``labels`` not one string per leaf, ``pad<j>`` at padding leaf j.
     VerificationError
         As :func:`povmtree.tree.verify` raises it: ``"operator sum"`` at the
         root, then the first failing pair or leaf in walk order, naming the node.
@@ -370,9 +374,11 @@ def load_tree(path) -> MeasurementTree:
     with open(path, "rb") as handle:
         header, dim, depth, n_original = _read_header(handle)
         order, params, *kraus = _read_arrays(handle, _blobs(dim, depth, n_original))
-    if not is_leaf_order(order, n_original, 1 << depth):
-        raise ParseError(f"must be a permutation of 0..{(1 << depth) - 1} with the padding, "
+    n = 1 << depth
+    if not (is_permutation(order[:n_original], n_original)
+            and np.array_equal(order[n_original:], np.arange(n_original, n))):
+        raise ParseError(f"must be a permutation of 0..{n - 1} with the padding, "
                          f"{n_original} on, last and in order", field="order")
-    tree = MeasurementTree(povm=_povm(header, dim, params, n_original), order=order, kraus=tuple(kraus))
+    tree = MeasurementTree(povm=_povm(header, dim, params, n), order=order[:n_original], kraus=tuple(kraus))
     verify(tree)
     return tree

@@ -1,10 +1,11 @@
-"""POVM modelling: validation, Kraus factorizations, padding, and generators.
+"""POVM modelling: validation, Kraus factorizations, and generators.
 
 A POVM is a set of positive semidefinite operators that sum to the identity.
 This module checks those invariants, produces Kraus factorizations
 ``M_j = m_j^dag m_j`` (with optional unitary freedom ``m_j -> V_j m_j``),
-pads outcome sets to a power of two for tree compilation, and provides
-reproducible random POVM generators plus the tetrad (qubit SIC) example.
+and provides reproducible random POVM generators plus the tetrad (qubit SIC)
+example.  A POVM holds only its outcomes: the padding leaves that round a
+tree up to a power of two belong to the tree's shape (:mod:`povmtree.tree`).
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from .linalg import (
 from .records import Rows
 
 
-def default_labels(n: int, n_original: int) -> Rows:
-    """Lazy labels of a POVM given none: ``str(j)`` below ``n_original``, then ``pad<j>``."""
-    return Rows(n, lambda j: str(j) if j < n_original else f"pad{j}")
+def default_labels(n: int) -> Rows:
+    """Lazy labels of a POVM of n outcomes given none: ``str(j)``."""
+    return Rows(n, str)
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,16 +47,12 @@ class Povm:
     the upper off-diagonal entries as (re, im) pairs, in the tree file's
     layout (:func:`povmtree.linalg.hermitian_parameters`), so a POVM cannot
     hold an element that is not Hermitian.  ``labels`` is the caller's
-    tuple or ``default_labels(N, n_original)``.  ``n_original`` counts the
-    outcomes present before any padding; indices at or beyond it belong to
-    zero operators appended by :func:`pad_to_power_of_two` and are never
-    reachable in simulation.
+    tuple or ``default_labels(N)``.
     """
 
     dim: int
     params: np.ndarray
     labels: tuple[str, ...] | Rows
-    n_original: int
 
     @property
     def elements(self) -> np.ndarray:
@@ -65,13 +62,6 @@ class Povm:
     @property
     def n_outcomes(self) -> int:
         return len(self.params)
-
-    def is_padding(self, index: int) -> bool:
-        return index >= self.n_original
-
-    @property
-    def padding_labels(self) -> tuple[str, ...]:
-        return self.labels[self.n_original :]
 
 
 def validate(elements, labels=None) -> Povm:
@@ -107,14 +97,14 @@ def validate(elements, labels=None) -> Povm:
         raise ValidationError(f"POVM elements do not sum to identity, |sum - I|_F = {deficit:.3e}",
                               what="completeness", residual=deficit)
     if labels is None:
-        labels = default_labels(n, n)
+        labels = default_labels(n)
     elif isinstance(labels, (str, bytes)) or not hasattr(labels, "__iter__"):
         raise ValidationError(f"labels must be a list of labels, not {type(labels).__name__}", what="shape")
     else:
         labels = tuple(str(x) for x in labels)
         if len(labels) != n:
             raise ValidationError(f"got {len(labels)} labels for {n} elements", what="shape")
-    return Povm(dim=dim, params=_frozen(params), labels=labels, n_original=n)
+    return Povm(dim=dim, params=_frozen(params), labels=labels)
 
 
 def default_kraus(p: Povm) -> np.ndarray:
@@ -154,23 +144,6 @@ def apply_freedom(kraus, unitaries) -> np.ndarray:
     _raise_first(isometry_residuals(vs), "unitarity", "matrix is not unitary, |V^dag V - I|_F = {:.3e}",
                  TOL_UNITARY, error=ValidationError)
     return _frozen(vs @ kraus)
-
-
-def pad_to_power_of_two(p: Povm) -> Povm:
-    """Append zero operators until the outcome count is a power of two.
-
-    Padding goes at the tail with labels ``pad<k>``; the zero operators leave
-    the completeness relation untouched and the padded outcomes are flagged
-    through :meth:`Povm.is_padding`.
-    """
-    k = p.n_outcomes
-    n = 1 << max(k - 1, 0).bit_length() if k > 1 else 1
-    if n == k:
-        return p
-    params = _frozen(np.concatenate([p.params, np.zeros((n - k, p.dim * p.dim))]))
-    labels = (default_labels(n, p.n_original) if isinstance(p.labels, Rows)
-              else p.labels + tuple(f"pad{j}" for j in range(k, n)))
-    return Povm(dim=p.dim, params=params, labels=labels, n_original=p.n_original)
 
 
 def _check_counts(n_outcomes, dim) -> None:

@@ -1,6 +1,6 @@
 """Audit and propagation records held as columns, with row objects built on access.
 
-A tree of N outcomes has N - 1 internal nodes and N leaves, so a record with
+A tree of N leaves has N - 1 internal nodes, so a record with
 one Python object per node or leaf costs far more than the arrays it is
 read from.  :class:`VerificationReport` keeps :func:`povmtree.tree.verify`'s
 results as one array per field, and :class:`Rows` builds a node's
@@ -75,8 +75,8 @@ class VerificationReport:
     ``node_columns`` maps each field of :class:`NodeCheck` but ``path`` to a
     read-only array with one entry per internal node, breadth first, so
     node i of level l is row ``2**l - 1 + i``.  ``leaf_columns`` maps
-    ``residual`` to a read-only array with one entry per leaf, left to
-    right: leaf i is the tree's outcome ``order[i]``.  :attr:`nodes` builds
+    ``residual`` to a read-only array with one entry per real leaf, left
+    to right: leaf i is the tree's outcome ``order[i]``.  :attr:`nodes` builds
     the row records only when read.  :func:`povmtree.tree.verify` raises
     for a tree that fails, so every report passes.  Reports compare by
     identity: compare their columns instead.

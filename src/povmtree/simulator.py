@@ -6,10 +6,11 @@ A leaf is reached with probability Tr[m rho m^dag], m = b...b the product of
 the Kraus operators on its path.  :func:`propagate` walks those cumulative
 operators depth first, as :func:`povmtree.tree.verify` does
 (:meth:`MeasurementTree._operators`), which holds no all-padding node: the state
-enters only at the traces, a padding leaf has probability exactly 0, and a
+enters only at the traces, results hold the POVM's outcomes only, and a
 post-state is built from its leaf's path when read.  :func:`sample` sums
-those leaf probabilities pairwise up the tree for each node's branch
-probabilities and splits the shots down it, one binomial draw per node.
+those leaf probabilities pairwise up the tree, the padding leaves' being
+0, for each node's branch probabilities and splits the shots down it, one
+binomial draw per node.
 """
 
 from __future__ import annotations
@@ -184,7 +185,7 @@ class SimulationOutcome:
 
 
 def _leaf_probabilities(tree: MeasurementTree, state: QuantumState) -> np.ndarray:
-    """Leaf probabilities Tr[m rho m^dag], left to right, in [0, 1], on the walk of ``verify``; 0 at padding."""
+    """Probabilities Tr[m rho m^dag] of the real leaves, left to right, in [0, 1], on the walk of ``verify``."""
     if state.dim != tree.povm.dim:
         raise ValidationError(f"state dimension {state.dim} does not match tree dimension {tree.povm.dim}",
                               what="shape")
@@ -192,9 +193,7 @@ def _leaf_probabilities(tree: MeasurementTree, state: QuantumState) -> np.ndarra
     # leaves come left to right; the trace of m rho m^dag is the real dot product of m rho with m
     traces = [np.einsum("kij,kij->k", (m @ rho).view(float), m.view(float))
               for level, _, m in tree._operators(tree.depth) if level == tree.depth]
-    probs = np.zeros(tree.povm.n_outcomes)
-    probs[: tree.povm.n_original] = np.concatenate(traces)
-    return np.clip(probs, 0.0, 1.0)
+    return np.clip(np.concatenate(traces), 0.0, 1.0)
 
 
 def _outcome(tree, state, position, probabilities, j: int) -> SimulationOutcome:
@@ -206,7 +205,7 @@ def _outcome(tree, state, position, probabilities, j: int) -> SimulationOutcome:
 
 
 class Outcomes(Rows):
-    """The leaves of one :func:`propagate` call, by outcome index of the (padded) POVM.
+    """The leaves of one :func:`propagate` call, by outcome index of the POVM.
 
     ``outcomes[j]`` builds outcome j's :class:`SimulationOutcome` on each
     access.  ``probabilities`` and ``reached`` (probability at least
@@ -229,7 +228,7 @@ def propagate(tree: MeasurementTree, state: QuantumState) -> Outcomes:
     of at most 64 KiB of nodes per level at a time, as :func:`verify` does,
     and takes each leaf's probability Tr[m rho m^dag] as the real dot
     product of ``m rho`` with m.  Results are ordered by outcome index of
-    the (padded) POVM; a padding outcome's is exactly 0.  No leaf state is
+    the POVM, one per outcome.  No leaf state is
     formed: a post-state is built when read, and a leaf whose probability is
     below ``TOL_CHECK`` is unreached and has none.
     """
@@ -272,7 +271,7 @@ def sample(tree: MeasurementTree, state: QuantumState, shots: int, seed: int) ->
         raise ValidationError("shots must be an integer in 1..2**63 - 1 and seed an integer >= 0",
                               what="range")
     probs = _leaf_probabilities(tree, state)
-    p_left, reach = [], probs
+    p_left, reach = [], np.concatenate([probs, np.zeros((1 << tree.depth) - len(probs))])
     for _ in range(tree.depth):  # bottom up: a node is reached as often as its two children
         q = reach.reshape(-1, 2)
         reach = q.sum(axis=1)
@@ -284,7 +283,7 @@ def sample(tree: MeasurementTree, state: QuantumState, shots: int, seed: int) ->
         arrived = np.stack([left, arrived - left], axis=1).ravel()
     n = tree.povm.n_outcomes
     counts = np.empty(n, dtype=np.int64)
-    counts[tree.order] = arrived
+    counts[tree.order] = arrived[:n]  # the padding leaves' are 0
     by_outcome = np.empty(n)
     by_outcome[tree.order] = probs
     observed = tuple(int(c) for c in counts)

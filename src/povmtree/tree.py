@@ -1,9 +1,9 @@
 """Binary measurement tree construction and verification.
 
 An N-outcome POVM is implemented as a depth-ceil(log2 N) full binary tree of
-two-outcome measurements.  Outcomes are padded to a power of two and laid
-out left to right; each node x splits its outcome set in half, and S_x is
-the sum of the elements below it (the identity at the root).  With
+two-outcome measurements.  Outcomes are laid out left to right on its
+2**depth leaves; each node x splits its leaves in half, and S_x is the sum
+of the elements below it (the identity at the root).  With
 R_x = sqrt(S_x), the two-outcome Kraus operator applied at x towards its
 child c is, as the paper writes it from the partial sums alone,
 
@@ -30,14 +30,17 @@ operators and the simulator share one traversal, depth first (:func:`_walk`):
 at most half a 64 KiB block of nodes per level, one stacked LAPACK call per
 block; checks raise in walk order, node order wherever a level fits half a block.
 
-Padding is the tail of the leaf order (:func:`is_leaf_order`): leaf i is
-real exactly when i < n_original, so the nodes of a level with a real leaf
-are a prefix of it (:func:`real_counts`).  A node whose leaves are all
-padding has S_x = 0 and is reached with probability exactly 0: g = I, its
-pair is the constant (I/sqrt 2, I/sqrt 2) (:func:`padding_pair`) and its
-cumulative operator is zero.  So a tree holds only each level's real
-prefix, as a tree file stores it; no walk yields an all-padding node, and
-:meth:`MeasurementTree.dilation` derives the constant's coupling.
+Padding is a property of the tree's shape: of its 2**depth leaves, leaf i
+holds outcome ``order[i]`` for i < N and is padding, a zero element, from N
+on, so the nodes of a level with a real leaf are a prefix of it
+(:func:`real_counts`).  A node whose leaves are all padding has S_x = 0
+and is reached with probability exactly 0: g = I, its pair is the constant
+(I/sqrt 2, I/sqrt 2) (:func:`padding_pair`) and its cumulative operator is
+zero.  So a tree holds only each level's real prefix, as a tree file
+stores it; no walk yields an all-padding node, and
+:meth:`MeasurementTree.dilation` derives the constant's coupling.  The
+POVM, the order and every result indexed by outcome hold the N real
+outcomes only.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ from .linalg import (
     rank_mask,
     svd_inverse,
 )
-from .povm import Povm, pad_to_power_of_two
+from .povm import Povm
 from .records import VerificationReport
 
 # The weight a_0 = a_1 of the null-space correction in both children's operators;
@@ -82,18 +85,16 @@ def padding_pair(d: int) -> np.ndarray:
     return np.broadcast_to(_A * np.eye(d, dtype=complex), (2, d, d))
 
 
-def real_counts(depth: int, n_original: int) -> list[int]:
-    """Per level 0..depth, how many nodes, a prefix, have a real leaf: ceil(n_original / 2**(depth - level))."""
-    return [((n_original - 1) >> (depth - level)) + 1 for level in range(depth + 1)]
+def real_counts(depth: int, k: int) -> list[int]:
+    """Per level 0..depth, how many nodes, a prefix, have one of k real leaves: ceil(k / 2**(depth - level))."""
+    return [((k - 1) >> (depth - level)) + 1 for level in range(depth + 1)]
 
 
-def is_leaf_order(order: np.ndarray, n_original: int, n: int) -> bool:
-    """Whether an integer array permutes 0..n-1 with the padding, n_original..n-1, as its tail in order."""
-    head = order[:n_original]
-    seen = np.zeros(n_original + 1, dtype=bool)  # slot n_original marks an entry out of range
-    seen[np.where((0 <= head) & (head < n_original), head, n_original)] = True
-    return (len(order) == n and bool(seen[:n_original].all())
-            and np.array_equal(order[n_original:], np.arange(n_original, n)))
+def is_permutation(order: np.ndarray, k: int) -> bool:
+    """Whether an integer array permutes 0..k-1."""
+    seen = np.zeros(k + 1, dtype=bool)  # slot k marks an entry out of range
+    seen[np.where((0 <= order) & (order < k), order, k)] = True
+    return len(order) == k and bool(seen[:k].all())
 
 
 def node_path(level: int, index: int) -> str:
@@ -139,6 +140,16 @@ def _gram(m: np.ndarray) -> np.ndarray:
     return (g + adjoint(g)) / 2
 
 
+def _leaf_params(p: Povm, n: int) -> np.ndarray:
+    """``p.params`` and a zero row per padding leaf, n rows; a copy only when there is padding.
+
+    A sum over them adds in the association of a tree's n leaves: numpy
+    sums a one-column array pairwise, and eight at a time from 8 rows on.
+    """
+    k = p.n_outcomes
+    return p.params if n == k else np.concatenate([p.params, np.zeros((n - k, p.dim * p.dim))])
+
+
 def _ordered_sums(params: np.ndarray, order: np.ndarray, lo: int, hi: int, span: int):
     """Parameter rows of the sum of each run of ``span`` leaves in ``lo:hi``, in the tree's pairing.
 
@@ -162,18 +173,18 @@ def _ordered_sums(params: np.ndarray, order: np.ndarray, lo: int, hi: int, span:
 
 @dataclass(frozen=True, eq=False)
 class MeasurementTree:
-    """Compiled binary measurement tree over a padded POVM.
+    """Compiled binary measurement tree over a POVM of N outcomes.
 
     ``kraus[l]`` is a read-only array of round l's Kraus pairs, breadth
     first, at the level's nodes with a real leaf (a prefix, :func:`real_counts`;
     the rest are not held, their pair is :func:`padding_pair`): the pair at
     probe path x is ``kraus[len(x)][int(x, 2)]``, b0 before b1.  Leaf i is
-    outcome ``order[i]`` of ``povm``; ``order`` is one read-only ``intp``
-    array, a permutation of ``0..N-1`` whose padding is its tail in order
-    (:func:`is_leaf_order`; else ``ValidationError(what="partition")``).
-    There are log2 N levels, level l of shape ``(real_counts(depth,
-    n_original)[l], 2, d, d)`` (else ``ValidationError(what="shape")``).
-    Cumulative operators and dilations are computed on demand, never stored.
+    outcome ``order[i]`` of ``povm`` for i < N, and padding from N on;
+    ``order`` is one read-only ``intp`` array, a permutation of ``0..N-1``
+    (else ``ValidationError(what="partition")``).  There are ceil(log2 N)
+    levels, level l of shape ``(real_counts(depth, N)[l], 2, d, d)`` (else
+    ``ValidationError(what="shape")``).  Cumulative operators and dilations
+    are computed on demand, never stored.
     """
 
     povm: Povm
@@ -181,14 +192,14 @@ class MeasurementTree:
     kraus: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        n, d, n_original = self.povm.n_outcomes, self.povm.dim, self.povm.n_original
+        n, d = self.povm.n_outcomes, self.povm.dim
         if not (isinstance(self.order, np.ndarray) and self.order.dtype.kind in "iu"
-                and is_leaf_order(self.order, n_original, n)):
-            raise ValidationError(_PARTITION_RULE.format(n_original, n), what="partition")
+                and is_permutation(self.order, n)):
+            raise ValidationError(_PARTITION_RULE.format(n), what="partition")
         shapes = [getattr(level, "shape", None) for level in self.kraus]  # arrays only
-        real = real_counts(len(shapes), n_original)[:-1]  # the pairs held per level
-        if 1 << len(shapes) != n or shapes != [(k, 2, d, d) for k in real]:
-            raise ValidationError(f"{n} outcomes need log2 {n} levels, level l of shape (ceil({n_original} / "
+        real = real_counts(len(shapes), n)[:-1]  # the pairs held per level
+        if (n - 1).bit_length() != len(shapes) or shapes != [(k, 2, d, d) for k in real]:
+            raise ValidationError(f"{n} outcomes need ceil(log2 {n}) levels, level l of shape (ceil({n} / "
                                   f"2**(depth - l)), 2, {d}, {d}); got shapes {shapes}", what="shape")
 
     @property
@@ -207,7 +218,7 @@ class MeasurementTree:
         """The walk of :func:`_walk` over the cumulative Kraus operators of levels 0..depth."""
         d = self.povm.dim
         return _walk(depth, d, np.eye(d, dtype=complex), partial(_descend, self.kraus),
-                     real_counts(self.depth, self.povm.n_original))
+                     real_counts(self.depth, self.povm.n_outcomes))
 
     def cumulative_operators(self, level: int) -> np.ndarray:
         """Cumulative operators ``m^dag m`` of a level's nodes; at the leaves, the POVM elements."""
@@ -307,20 +318,18 @@ def split_node(children_kraus, parent_kraus) -> np.ndarray:
     return _frozen(_split_level(children[None], parent, *svd_inverse(parent), True, lambda i: None)[0])
 
 
-_PARTITION_RULE = "partition must permute the {0} outcomes, or all {1} with the padding last and in order"
+_PARTITION_RULE = "partition must permute the {0} outcomes"
 
 
-def _resolve_partition(partition, n_original: int, n: int) -> np.ndarray:
+def _resolve_partition(partition, n: int) -> np.ndarray:
     """The leaf order as a read-only ``intp`` array; entries must be Python or NumPy integers."""
     order = np.arange(n)
     if partition is not None:
         entries = list(partition)
         valid = all(_whole(j) and 0 <= j < n for j in entries)
         order = np.array(entries if valid else [], dtype=np.intp)
-        if len(order) == n_original < n:
-            order = np.concatenate([order, np.arange(n_original, n)])
-        if not is_leaf_order(order, n_original, n):
-            raise ValidationError(_PARTITION_RULE.format(n_original, n), what="partition")
+        if not is_permutation(order, n):
+            raise ValidationError(_PARTITION_RULE.format(n), what="partition")
     return _frozen(order)
 
 
@@ -331,57 +340,53 @@ def compile_tree(
 ) -> MeasurementTree:
     """Compile a POVM into a binary measurement tree.
 
-    The outcome set is padded to a power of two and laid out left to right in
-    ``partition`` order (default: index order), each node splitting its
-    ordered outcome list in half.  Leaf targets come from ``factorization``,
-    an ``(N, d, d)`` array of Kraus operators with ``m_j^dag m_j = M_j`` as
-    :func:`povmtree.povm.default_kraus` returns (default: Hermitian square
-    roots); internal targets are square roots of the partial element sums,
-    added in pairs from the ordered elements.  The tree is compiled on the
-    depth-first walk of :func:`_walk`: each run of parents carries its
-    partial sums' decompositions ``(V, w)`` from one stacked ``eigh`` of
-    their sums, and writes its Kraus pairs into the returned level arrays.
-    Only each level's real prefix (:func:`real_counts`) is decomposed, split
-    and held; ``factorization``'s operators of padding outcomes, if given,
-    must be zero and are not read.
+    The N outcomes are laid out left to right in ``partition`` order
+    (default: index order) on the first N of the tree's 2**depth leaves,
+    the rest padding, each node splitting its leaves in half.  Leaf targets
+    come from ``factorization``, an ``(N, d, d)`` array of Kraus operators
+    with ``m_j^dag m_j = M_j`` as :func:`povmtree.povm.default_kraus`
+    returns (default: Hermitian square roots); internal targets are square
+    roots of the partial element sums, added in pairs from the ordered
+    elements.  The tree is compiled on the depth-first walk of
+    :func:`_walk`: each run of parents carries its partial sums'
+    decompositions ``(V, w)`` from one stacked ``eigh`` of their sums, and
+    writes its Kraus pairs into the returned level arrays.  Only each
+    level's real prefix (:func:`real_counts`) is decomposed, split and held.
+    The returned tree's ``povm`` is ``p`` itself.
 
-    ``partition``, of Python or NumPy integers (not ``bool``), may permute
-    the original outcomes, or all N with the padding indices last and in
-    order (:func:`is_leaf_order`).
+    ``partition``, of Python or NumPy integers (not ``bool``), permutes the
+    N outcomes.
 
     Raises
     ------
     ValidationError
         ``what="partition"`` unless ``partition`` is such a permutation.
-        Unless ``factorization`` holds one d x d operator per original or
-        padded outcome: ``what="shape"`` (``index`` naming the first
-        operator of the wrong shape, if any) or ``"finiteness"`` (``index``
-        naming the first operator with an entry that is not finite).
+        Unless ``factorization`` holds one d x d operator per outcome:
+        ``what="shape"`` (``index`` naming the first operator of the wrong
+        shape, if any) or ``"finiteness"`` (``index`` naming the first
+        operator with an entry that is not finite).
     VerificationError
-        ``what="factorization"`` naming by ``index`` the first padding
-        outcome whose operator exceeds ``TOL_CHECK`` in norm.  Then
         ``"children sum"`` if a node's targets do not sum to its own,
         ``"completeness"`` or ``"factorization"`` if a pair's post-check
         fails; raised at once, naming the node's path, in walk order.
     """
-    padded = pad_to_power_of_two(p)
-    n, d = padded.n_outcomes, padded.dim
-    depth = n.bit_length() - 1
-    order = _resolve_partition(partition, p.n_original, n)
+    k, d = p.n_outcomes, p.dim
+    depth = (k - 1).bit_length()
+    n = 1 << depth
+    order = _resolve_partition(partition, k)
     if factorization is not None:
         factorization = as_stack(factorization, (d, d))
-        if len(factorization) not in (p.n_outcomes, n):
-            raise ValidationError(f"factorization has {len(factorization)} operators for "
-                                  f"{p.n_outcomes} outcomes", what="shape")
-        # a padding outcome's element is zero, so its operator must be too; none is read
-        padding = np.arange(len(factorization)) >= p.n_original
-        _raise_first(np.linalg.norm(factorization, axis=(-2, -1)) * padding, "factorization",
-                     "operator of a padding outcome is not zero, |m|_F = {:.3e}", TOL_CHECK)
+        if len(factorization) != k:
+            raise ValidationError(f"factorization has {len(factorization)} operators for {k} outcomes",
+                                  what="shape")
+    # the padding leaves' zero elements, so each partial sum keeps the tree's pairing
+    params = _leaf_params(p, n)
+    leaf_order = order if n == k else np.concatenate([order, np.arange(k, n)])
     # each parent's partial sum as psd_sqrt_stack keeps it, (V, w); the root's is I
     node = np.dtype([("V", complex, (d, d)), ("w", float, (d,))])
     root = np.array((np.eye(d), np.ones(d)), node)
-    real = real_counts(depth, p.n_original)
-    levels = [np.empty((k, 2, d, d), dtype=complex) for k in real[:-1]]
+    real = real_counts(depth, k)
+    levels = [np.empty((count, 2, d, d), dtype=complex) for count in real[:-1]]
 
     def split(level: int, first: int, parents: np.ndarray):
         """Write the pairs of a run of real parents; return their real children's decompositions.
@@ -395,7 +400,7 @@ def compile_tree(
         if leaves := (span == 1 and factorization is not None):
             targets = factorization[order[lo : lo + kids]]
         else:  # children that are parents of the next level keep their decompositions
-            sums = hermitian_from_parameters(_ordered_sums(padded.params, order, lo, lo + kids * span, span))
+            sums = hermitian_from_parameters(_ordered_sums(params, leaf_order, lo, lo + kids * span, span))
             targets = psd_sqrt_stack(sums, (children["V"], children["w"]) if span > 1 else None)
         if kids < 2 * len(parents):
             targets = np.concatenate([targets, np.zeros((1, d, d), dtype=complex)])
@@ -406,7 +411,7 @@ def compile_tree(
 
     for _ in _walk(depth, d, root, split, real):
         pass
-    return MeasurementTree(povm=padded, order=order, kraus=tuple(map(_frozen, levels)))
+    return MeasurementTree(povm=p, order=order, kraus=tuple(map(_frozen, levels)))
 
 
 def verify(tree: MeasurementTree) -> VerificationReport:
@@ -434,17 +439,17 @@ def verify(tree: MeasurementTree) -> VerificationReport:
         naming the node: ``"completeness"`` of an internal block's pairs, or
         ``"leaf reconstruction"`` at a leaf block.
     """
-    p, d, n = tree.povm, tree.povm.dim, tree.povm.n_outcomes
+    p, d, n = tree.povm, tree.povm.dim, 1 << tree.depth
     # the walk overwrites the rows of the nodes it holds: the rest have only padding leaves
     completeness = np.full(n - 1, completeness_residuals(padding_pair(d)[None])[0])
-    rank, leaf_residual = np.zeros(n - 1, int), np.zeros(n)
+    rank, leaf_residual = np.zeros(n - 1, int), np.zeros(p.n_outcomes)
 
     def check(residuals, what, level=0, lo=0):  # residual i is node lo + i's, on ``level``
         _raise_first(residuals, what, what + " check failed, residual {:.3e}", TOL_CHECK,
                      path=lambda i: node_path(level, lo + i))
 
-    root = np.linalg.norm(hermitian_from_parameters(p.params.sum(axis=0, keepdims=True)) - np.eye(d),
-                          axis=(-2, -1))
+    root = np.linalg.norm(hermitian_from_parameters(_leaf_params(p, n).sum(axis=0, keepdims=True))
+                          - np.eye(d), axis=(-2, -1))
     check(root, "operator sum")
     for level, first, m in tree._operators(tree.depth):
         for b in blocks(len(m), 2 * d):  # four d x d matrices a node

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from povmtree import tetrad
+from povmtree.io import encode_matrix, povm_to_dict
 
 # While it reports a failing example, hypothesis imports libcst, which builds
 # a mypy_extensions.TypedDict and so raises a DeprecationWarning.  Under the
@@ -93,6 +94,20 @@ def deflate(data):
     """``data`` as a raw deflate stream whose back-references reach at most 2**9 bytes."""
     compressor = zlib.compressobj(wbits=-9)
     return compressor.compress(bytes(data)) + compressor.flush()
+
+
+def save_padded_povm(p, n, path):
+    """Write ``p`` as a povm-v1 file the way older writers padded it: n elements, the tail zero.
+
+    ``"n_original"`` marks the ``p.n_outcomes`` real elements; caller labels
+    go on with ``pad<j>`` for each zero element.
+    """
+    k, data = p.n_outcomes, povm_to_dict(p)  # its n_original is k
+    data["elements"] += [encode_matrix(np.zeros((p.dim, p.dim)))] * (n - k)
+    if "labels" in data:
+        data["labels"] += [f"pad{j}" for j in range(k, n)]
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(data, handle, indent=1)
 
 
 def read_tree_file(path):

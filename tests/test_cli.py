@@ -16,7 +16,6 @@ from povmtree import (
     complete_to_unitary,
     default_kraus,
     dilate_binary,
-    pad_to_power_of_two,
     psd_sqrt,
     split_node,
     tetrad,
@@ -26,7 +25,7 @@ from povmtree.cli import main
 from povmtree.cost import compare
 from povmtree.io import encode_matrix, load_povm, load_tree, save_povm, save_state, save_tree
 
-from conftest import read_tree_file, write_tree_file
+from conftest import read_tree_file, save_padded_povm, write_tree_file
 
 
 @pytest.fixture
@@ -135,8 +134,10 @@ class TestCompileCommand:
     def test_padding_warning(self, triple_file, tmp_path, capsys):
         out_path = str(tmp_path / "triple.tree.json")
         assert main(["compile", triple_file, "--out", out_path]) == 0
-        assert "pad3" in capsys.readouterr().out
-        assert load_tree(out_path).povm.n_outcomes == 4
+        out = capsys.readouterr().out
+        assert "note: 3 outcomes on a tree of 4 leaves, 1 of them padding" in out and "pad3" not in out
+        assert "operation counts for N=3, d=2" in out
+        assert load_tree(out_path).povm.n_outcomes == 3
 
     def test_invalid_grouping(self, tetrad_file, tmp_path):
         out_path = str(tmp_path / "x.tree.json")
@@ -146,26 +147,37 @@ class TestCompileCommand:
     @pytest.mark.parametrize("grouping", ["0,3|1", "0,3|1,a"], ids=["short", "not-a-number"])
     def test_invalid_grouping_is_a_parse_error(self, grouping):
         with pytest.raises(ParseError) as err:
-            cli._parse_grouping(grouping, 4, 4)
+            cli._parse_grouping(grouping, 4)
         assert repr(grouping) in str(err.value)
 
     @pytest.mark.parametrize("stored", ["unpadded", "padded"])
-    @pytest.mark.parametrize("grouping, code", [("2,0|1", 0), ("2,0|1,3", 0), ("3,0|1,2", 2)])
+    @pytest.mark.parametrize("grouping, code", [("2,0|1", 0), ("2,0|1,3", 2), ("3,0|1,2", 2)])
     def test_grouping_takes_what_compile_takes(self, triple_file, tmp_path, capsys, stored, grouping,
                                                code):
-        # the 3 real outcomes, or all 4 with the padding last and in order,
-        # whether or not the POVM file stores the padding; any other grouping
-        # is a parse error (exit 2) before anything is compiled
+        # a permutation of the 3 outcomes, whether or not the POVM file stores
+        # zero padding; any other grouping, one naming a padding leaf too, is
+        # a parse error (exit 2) before anything is compiled
         path = tmp_path / "padded.povm.json"
-        save_povm(pad_to_power_of_two(load_povm(triple_file)), path)
-        assert load_povm(path).n_original == 3
+        save_padded_povm(load_povm(triple_file), 4, path)
+        assert load_povm(path).n_outcomes == 3
         source = triple_file if stored == "unpadded" else str(path)
         out = tmp_path / "triple.tree"
         assert main(["compile", source, "--grouping", grouping, "--out", str(out)]) == code
         if code:
             assert repr(grouping) in capsys.readouterr().err and not out.exists()
         else:
-            assert tuple(load_tree(out).order) == (2, 0, 1, 3)
+            assert tuple(load_tree(out).order) == (2, 0, 1)
+
+    @pytest.mark.parametrize("elements", [[np.eye(1) / 2] * 2, [np.eye(4) / 2, np.eye(4) / 4, np.eye(4) / 4]],
+                             ids=["d=1", "3 outcomes, d=4"])
+    def test_cost_line_only_where_the_cost_model_applies(self, tmp_path, capsys, elements):
+        # N = 3 outcomes on d = 4 compile as before; a cost request needs N >= d >= 2,
+        # and d = 1 once ended compile with exit 2 before the tree was written
+        path = tmp_path / "small.povm.json"
+        save_povm(validate(elements), path)
+        assert main(["compile", str(path), "--out", str(tmp_path / "small.tree")]) == 0
+        assert "operation counts" not in capsys.readouterr().out
+        assert load_tree(tmp_path / "small.tree").povm.n_outcomes == len(elements)
 
     def test_default_output_name(self, tetrad_file, tmp_path, capsys):
         assert main(["compile", tetrad_file]) == 0

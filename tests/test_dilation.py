@@ -7,13 +7,13 @@ import pytest
 from povmtree import (
     ValidationError,
     VerificationError,
+    compile_tree,
     complete_to_unitary,
     default_kraus,
     dilate_binary,
     direct_probabilities,
     full_neumark,
     hermitian_eig,
-    pad_to_power_of_two,
     psd_sqrt,
     random_density,
     random_povm,
@@ -146,8 +146,8 @@ class TestFullNeumark:
         # Povm elements are exactly Hermitian, so their Hermitian part is the
         # same bytes and the extension equals one built from that part
         p = {"tetrad": lambda: tetrad_povm,
-             "padded-2-5": lambda: pad_to_power_of_two(
-                 random_rank_one_povm(5, 2, np.random.default_rng(5))),
+             "padded-2-5": lambda: validate([  # three zero elements, as padding was
+                 *random_rank_one_povm(5, 2, np.random.default_rng(5)).elements, *np.zeros((3, 2, 2))]),
              "random-4": lambda: random_povm(6, 4, np.random.default_rng(7))}[which]()
         hermitian_part = (p.elements + p.elements.conj().swapaxes(-1, -2)) / 2
         assert hermitian_part.tobytes() == p.elements.tobytes()
@@ -162,9 +162,10 @@ class TestFullNeumark:
         assert ext.outcome_map == tuple(element.tolist())
 
     def test_padded_outcome_probability_zero(self, rng):
-        p = pad_to_power_of_two(random_rank_one_povm(3, 2, rng))
-        ext = full_neumark(p)
-        assert ext.n_outcomes == 4
+        p = random_rank_one_povm(3, 2, rng)
+        assert full_neumark(compile_tree(p).povm).n_outcomes == 3  # a tree's padding is not an outcome
+        ext = full_neumark(validate([*p.elements, np.zeros((2, 2))]))  # a zero element contributes no row
+        assert ext.n_outcomes == 4 and ext.extended_dim == 3
         state = random_density(2, rng)
         probs = ext.probabilities(state.density)
         assert probs[3] == 0.0

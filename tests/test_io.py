@@ -16,7 +16,6 @@ from povmtree import (
     VerificationError,
     compile_tree,
     node_path,
-    pad_to_power_of_two,
     psd_sqrt,
     random_density,
     random_povm,
@@ -26,6 +25,7 @@ from povmtree import (
     verify,
 )
 from povmtree import io as treeio
+from povmtree.cli import main
 from povmtree.io import (
     decode_matrix,
     encode_matrix,
@@ -39,7 +39,8 @@ from povmtree.io import (
     state_from_dict,
 )
 
-from conftest import deflate, hermitian_parameters, read_tree_file, stored_pairs, words, write_tree_file
+from conftest import (deflate, hermitian_parameters, read_tree_file, save_padded_povm, stored_pairs, words,
+                      write_tree_file)
 
 
 class TestMatrixCodec:
@@ -64,7 +65,7 @@ class TestPovmFiles:
         save_povm(tetrad_povm, path)
         again = load_povm(path)
         assert again.dim == 2 and again.labels == tetrad_povm.labels
-        assert again.n_original == tetrad_povm.n_original
+        assert again.n_outcomes == tetrad_povm.n_outcomes == json.loads(path.read_text())["n_original"]
         for a, b in zip(again.elements, tetrad_povm.elements):
             assert np.array_equal(a, b)
 
@@ -93,10 +94,35 @@ class TestPovmFiles:
         with pytest.raises(ParseError) as err:
             load_povm(path)
         assert err.value.field == "n_original"
-        # a padded POVM, whose tail is exact zeros, still loads
-        padded = pad_to_power_of_two(random_rank_one_povm(3, 2, np.random.default_rng(3)))
-        save_povm(padded, path)
-        assert load_povm(path).n_original == 3
+        # a padded POVM, whose tail is exact zeros, still loads as its real outcomes
+        save_padded_povm(random_rank_one_povm(3, 2, np.random.default_rng(3)), 4, path)
+        assert load_povm(path).n_outcomes == 3
+
+    def test_old_padded_file_loads_as_its_outcomes(self, tmp_path, capsys):
+        # a povm-v1 file written with zero padding: 5 elements, n_original 3,
+        # caller labels padded with pad<j>; it loads, validates and compiles
+        # as its 3 real outcomes and their labels
+        p = validate(random_rank_one_povm(3, 2, np.random.default_rng(3)).elements, ["a", "b", "c"])
+        path = tmp_path / "old.povm.json"
+        save_padded_povm(p, 5, path)
+        data = json.loads(path.read_text())
+        assert (len(data["elements"]), data["n_original"]) == (5, 3)
+        assert data["labels"] == ["a", "b", "c", "pad3", "pad4"]
+        again = load_povm(path)
+        assert again.labels == ("a", "b", "c") and again.params.tobytes() == p.params.tobytes()
+        assert main(["validate", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "POVM: 3 outcomes on dimension 2" in out and "pad" not in out
+        assert main(["compile", str(path), "--out", str(tmp_path / "old.tree")]) == 0
+        tree = load_tree(tmp_path / "old.tree")
+        assert tree.povm.labels == ("a", "b", "c") and tree.povm.params.tobytes() == p.params.tobytes()
+        # an element past n_original that is not zero is still refused
+        data["elements"][4][0][0] = [1e-300, 0.0]
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParseError) as err:
+            load_povm(path)
+        assert err.value.field == "n_original"
+        assert main(["validate", str(path)]) == 2
 
     def test_element_shape_check(self, tmp_path):
         path = tmp_path / "shape.json"
@@ -233,11 +259,11 @@ class TestTreeFiles:
         # elements and of the pairs of nodes with a real leaf (at (2, 5) all
         # but the last pair of the last level): the low seven bytes of each,
         # then a raw deflate stream of their top bytes that ends the file
-        n_original = tree.povm.n_original
+        n_original = tree.povm.n_outcomes
         # the tree holds each level's pairs of nodes with a real leaf, as the file stores them
         kept = stored_pairs(order, n_original)
         assert [len(level) for level in tree.kraus] == [int(k.sum()) for k in kept]
-        stored = words([hermitian_parameters(tree.povm.elements[:n_original]), *tree.kraus])
+        stored = words([hermitian_parameters(tree.povm.elements), *tree.kraus])
         head = header + b"\n" + bytes(order) + stored[:, :7].tobytes()
         raw = path.read_bytes()
         assert raw[:len(head)] == head
@@ -258,9 +284,9 @@ class TestTreeFiles:
         save_tree(tree, path)
         with open(path, "rb") as handle:
             header = len(handle.readline())
-        padded = tree.povm.n_outcomes
+        padded = 1 << tree.depth
         pairs = {4: 3, 5: 6, 7: 7, 64: 63}[n]
-        assert sum(kept.sum() for kept in stored_pairs(tree.order, n)) == pairs
+        assert sum(kept.sum() for kept in stored_pairs(np.arange(padded), n)) == pairs
         count = d * d * n + 4 * d * d * pairs
         inflate = zlib.decompressobj(wbits=-9)
         stream = path.read_bytes()[header + padded + 7 * count:]
@@ -285,7 +311,9 @@ class TestTreeFiles:
         with open(path, "rb") as handle:
             handle.readline()
             stored = np.frombuffer(handle.read(width << tree.depth), dtype=f"<u{width}")
-        assert np.array_equal(stored, tree.order) and not np.array_equal(stored, np.arange(len(stored)))
+        # the tree's order, then the padding leaves' tail, which only the file holds
+        assert np.array_equal(stored[:n], tree.order) and np.array_equal(stored[n:], np.arange(n, len(stored)))
+        assert not np.array_equal(stored, np.arange(len(stored)))
         again = load_tree(path)
         assert again.order.dtype == np.intp and not again.order.flags.writeable
         assert again.order.tobytes() == tree.order.tobytes()
@@ -295,17 +323,20 @@ class TestTreeFiles:
         assert (tmp_path / "again.tree").read_bytes() == path.read_bytes()
 
     def test_padding_past_the_least_power_of_two_is_not_saved(self, tmp_path):
-        # a POVM file may mark zero elements as padding, here 3 of 4; its tree
-        # compiles, but a file of it would fill in more than it stores
+        # a POVM file may mark zero elements as padding, here 3 of 4: it loads
+        # as its one outcome, whose tree has no level, and saves as such.  A
+        # tree padded further, which a file could not describe, cannot be built
         zero = encode_matrix(np.zeros((2, 2)))
         p = povm_from_dict({"dimension": 2, "elements": [encode_matrix(np.eye(2)), zero, zero, zero],
                             "n_original": 1})
         tree = compile_tree(p)
-        assert (tree.depth, tree.povm.n_original) == (2, 1)
+        assert (tree.depth, tree.povm.n_outcomes) == (0, 1)
+        save_tree(tree, tmp_path / "one.tree")
+        assert load_tree(tmp_path / "one.tree").povm.params.tobytes() == p.params.tobytes()
+        deeper = compile_tree(validate([np.eye(2) / 2] * 2)).kraus * 2  # two levels of one pair
         with pytest.raises(ValidationError) as err:
-            save_tree(tree, tmp_path / "excess.tree")
-        assert err.value.what == "range"
-        assert not (tmp_path / "excess.tree").exists()
+            dataclasses.replace(tree, kraus=deeper)
+        assert err.value.what == "shape"
 
     @pytest.mark.parametrize("given", [False, True])
     def test_labels_are_stored_only_when_given(self, tmp_path, given):
@@ -317,7 +348,9 @@ class TestTreeFiles:
         header = read_tree_file(path)[0]
         assert ("labels" in header) is given
         again = load_tree(path)
-        expected = ("a", "b", "c", "pad3") if given else ("0", "1", "2", "pad3")
+        # the file alone holds the padding leaf's label
+        assert header.get("labels") == (["a", "b", "c", "pad3"] if given else None)
+        expected = ("a", "b", "c") if given else ("0", "1", "2")
         assert tuple(again.povm.labels) == tuple(tree.povm.labels) == expected
         assert again.povm.labels == expected and hash(again.povm.labels) == hash(expected)
         assert isinstance(again.povm.labels, tuple) is given
@@ -325,14 +358,13 @@ class TestTreeFiles:
     @pytest.mark.parametrize("given", [False, True])
     def test_povm_file_labels_are_stored_only_when_given(self, tmp_path, given):
         labels = ["a", "b", "c"] if given else None
-        p = pad_to_power_of_two(validate(random_rank_one_povm(3, 2, np.random.default_rng(3)).elements,
-                                         labels))
+        p = validate(random_rank_one_povm(3, 2, np.random.default_rng(3)).elements, labels)
         path = tmp_path / "labels.povm.json"
         save_povm(p, path)
         assert ("labels" in json.loads(path.read_text())) is given
         again = load_povm(path)
-        expected = ("a", "b", "c", "pad3") if given else ("0", "1", "2", "pad3")
-        assert again.labels == p.labels == expected and again.n_original == 3
+        expected = ("a", "b", "c") if given else ("0", "1", "2")
+        assert again.labels == p.labels == expected and again.n_outcomes == 3
         assert isinstance(again.labels, tuple) is given
         # so a tree compiled from the file stores labels exactly when they were given
         save_tree(compile_tree(again), tmp_path / "labels.tree")
@@ -443,6 +475,21 @@ class TestTamperedTreeFiles:
         with pytest.raises(ParseError) as err:
             load_tree(path)
         assert err.value.field == "labels"
+
+    def test_padding_labels_are_the_files_own(self, tmp_path):
+        # caller labels go on in the header with pad<j> at padding leaf j, which
+        # the loader checks and drops, so a loaded tree saves to the same bytes
+        p = validate(random_rank_one_povm(3, 2, np.random.default_rng(3)).elements, ["a", "b", "c"])
+        path = tmp_path / "labels.tree"
+        save_tree(compile_tree(p), path)
+        header, order, arrays = read_tree_file(path)
+        assert header["labels"] == ["a", "b", "c", "pad3"]
+        assert load_tree(path).povm.labels == ("a", "b", "c")
+        for tail in ("pad4", "d"):
+            write_tree_file(path, dict(header, labels=["a", "b", "c", tail]), order, arrays)
+            with pytest.raises(ParseError) as err:
+                load_tree(path)
+            assert err.value.field == "labels"
 
     @pytest.mark.parametrize("cut, field", [(3, "kraus[1]"), (8, "kraus[1]"), (259, "kraus[0]"),
                                             (387, "elements"), (515, "order")],

@@ -4,8 +4,8 @@ import pytest
 from povmtree import (
     ValidationError,
     apply_freedom,
+    compile_tree,
     default_kraus,
-    pad_to_power_of_two,
     random_povm,
     random_rank_one_povm,
     tetrad,
@@ -300,29 +300,33 @@ class TestApplyFreedom:
 
 
 class TestPadding:
+    """Padding belongs to the tree's shape: a POVM holds only its outcomes, and its tree keeps it."""
+
     def test_power_of_two_untouched(self, tetrad_povm):
-        assert pad_to_power_of_two(tetrad_povm) is tetrad_povm
+        tree = compile_tree(tetrad_povm)
+        assert tree.povm is tetrad_povm and tree.depth == 2
 
     def test_three_outcomes(self):
         third = np.eye(2) / 3
         p = validate([third, third, third])
-        padded = pad_to_power_of_two(p)
-        assert padded.n_outcomes == 4
-        assert np.array_equal(padded.elements[3], np.zeros((2, 2)))
-        assert padded.labels[3] == "pad3"
-        assert padded.n_original == 3
-        assert padded.is_padding(3) and not padded.is_padding(2)
-        assert frob(sum(padded.elements) - np.eye(2)) < 1e-12
+        tree = compile_tree(p)
+        assert tree.povm is p and p.n_outcomes == 3 and tree.depth == 2
+        assert p.labels == ("0", "1", "2") and not hasattr(p, "n_original")
+        leaves = tree.cumulative_operators(2)  # leaf 3 is padding, the zero operator
+        assert np.array_equal(leaves[3], np.zeros((2, 2)))
+        assert frob(sum(leaves) - np.eye(2)) < 1e-12
 
     def test_five_outcomes(self, rng):
         p = random_rank_one_povm(5, 2, rng)
-        padded = pad_to_power_of_two(p)
-        assert padded.n_outcomes == 8
-        assert padded.padding_labels == ("pad5", "pad6", "pad7")
+        tree = compile_tree(p)
+        assert tree.povm is p and len(p.labels) == 5 and tree.depth == 3
+        assert np.array_equal(tree.order, np.arange(5))
+        assert not tree.cumulative_kraus(3)[5:].any()
 
     def test_single_outcome(self):
         p = validate([np.eye(3)])
-        assert pad_to_power_of_two(p) is p
+        tree = compile_tree(p)
+        assert tree.povm is p and tree.depth == 0
 
 
 def assert_valid_within(p, limit):

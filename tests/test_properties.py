@@ -19,7 +19,6 @@ from povmtree import (
     dilate_binary,
     direct_probabilities,
     full_neumark,
-    pad_to_power_of_two,
     propagate,
     random_density,
     random_povm,
@@ -32,12 +31,13 @@ from povmtree import (
 )
 from povmtree.dilation import completeness_residuals
 from povmtree.cli import main
-from povmtree.io import load_povm, load_state, load_tree, save_povm, save_state, save_tree
+from povmtree.io import load_povm, load_state, load_tree, save_state, save_tree
 from povmtree.errors import ParseError, PovmTreeError, ValidationError, VerificationError
 from povmtree.linalg import TOL_CHECK, TOL_UNITARY, adjoint
-from povmtree.tree import is_leaf_order, node_path, real_counts
+from povmtree.tree import is_permutation, node_path, real_counts
 
-from conftest import LEAF_OPERATOR_ERROR, frob, read_tree_file, stored_pairs, write_tree_file
+from conftest import (LEAF_OPERATOR_ERROR, frob, read_tree_file, save_padded_povm, stored_pairs,
+                      write_tree_file)
 from test_tree import dusty_povm_elements
 
 # Few examples, drawn the same way on every run, so Tier-1 stays fast and stable.
@@ -109,8 +109,8 @@ def test_neumark_isometry_matches_direct_probabilities(d, extra, rank_one, padde
     rng = np.random.default_rng(seed)
     n = d + extra
     p = random_rank_one_povm(n, d, rng) if rank_one else random_povm(n, d, rng)
-    if padded:
-        p = pad_to_power_of_two(p)
+    if padded:  # zero elements up to a power of two, as padding was
+        p = validate([*p.elements, *np.zeros(((1 << (n - 1).bit_length()) - n, d, d))])
     ext = full_neumark(p)
     state = random_density(d, rng)
     worst = np.max(np.abs(ext.probabilities(state.density) - direct_probabilities(p, state)))
@@ -132,12 +132,11 @@ def anti_hermitian_noise(n: int, d: int, scale: float, rng: np.random.Generator)
 @given(
     d=st.integers(1, 6),
     extra=st.integers(0, 12),
-    padded=st.booleans(),
     noise=st.floats(0, 0.99),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_validate_stores_exact_hermitian_parts_that_trees_round_trip(
-    d, extra, padded, noise, seed, tmp_path_factory
+    d, extra, noise, seed, tmp_path_factory
 ):
     rng = np.random.default_rng(seed)
     n = d + extra
@@ -152,7 +151,7 @@ def test_validate_stores_exact_hermitian_parts_that_trees_round_trip(
     assert np.diagonal(e.imag, axis1=1, axis2=2).tobytes() == bytes(8 * n * d)
     assert validate(e).elements.tobytes() == e.tobytes()
 
-    tree = compile_tree(pad_to_power_of_two(p) if padded else p)
+    tree = compile_tree(p)  # padded to a power of two where n is not one
     path = tmp_path_factory.mktemp("hermitian") / "t.tree"
     save_tree(tree, path)
     again = load_tree(path)
@@ -181,8 +180,8 @@ def test_tree_files_round_trip(n, d, given_labels, partition, freedom, seed, tmp
     if freedom:
         unitaries = [random_unitary(d, rng) for _ in range(n)]
         factorization = apply_freedom(default_kraus(p), unitaries)
-    if partition == "full" and not is_leaf_order(order["full"], n, padded):
-        # padding is the tail of the leaf order: a partition that moves it is refused
+    if partition == "full" and padded > n:
+        # a partition permutes the n outcomes: one naming a padding leaf is refused
         with pytest.raises(ValidationError) as err:
             compile_tree(p, factorization=factorization, partition=order["full"])
         assert err.value.what == "partition"
@@ -196,8 +195,8 @@ def test_tree_files_round_trip(n, d, given_labels, partition, freedom, seed, tmp
     assert len(again.kraus) == len(tree.kraus)
     assert all(np.array_equal(a, b) for a, b in zip(again.kraus, tree.kraus))
     assert again.povm.labels == tree.povm.labels
-    assert list(again.povm.labels[:n]) == (labels or [str(j) for j in range(n)])
-    assert again.povm.n_original == n
+    assert list(again.povm.labels) == (labels or [str(j) for j in range(n)])
+    assert again.povm.n_outcomes == n
 
 
 @PROPERTY
@@ -223,7 +222,7 @@ def test_padding_costs_no_bytes(d, k, construction, seed, tmp_path_factory):
     if construction == "padding in the middle":
         # refused as a partition, and as the order of a tree file
         order = rng.permutation(2 << k)
-        if is_leaf_order(order, n, 2 << k):
+        if np.array_equal(order[n:], np.arange(n, 2 << k)):
             order[[n - 1, n]] = order[[n, n - 1]]  # padding n before a real outcome
         with pytest.raises(ValidationError) as err:
             compile_tree(p, partition=order)
@@ -234,7 +233,7 @@ def test_padding_costs_no_bytes(d, k, construction, seed, tmp_path_factory):
             load_tree(path)
         assert err.value.field == "order"
         return
-    stored = stored_pairs(tree.order, n)
+    stored = stored_pairs(np.arange(2 << k), n)
     # the tree holds only the pairs of nodes with a real leaf, as the file stores them
     assert [len(level) for level in tree.kraus] == [int(kept.sum()) for kept in stored]
 
@@ -249,13 +248,11 @@ def test_padding_costs_no_bytes(d, k, construction, seed, tmp_path_factory):
     assert path.stat().st_size == header + order + 7 * count + len(stream)
     again = load_tree(path)
     assert again.order.tobytes() == tree.order.tobytes()
-    assert again.order.nbytes == np.dtype(np.intp).itemsize * order
+    assert again.order.nbytes == np.dtype(np.intp).itemsize * n
     assert again.povm.params.tobytes() == tree.povm.params.tobytes()
-    # at most half the leaves are padding, so the elements, their padding
-    # zero, and the pairs read from the file hold at most twice the bytes of
-    # the words it stores
+    # the elements and the pairs read from the file hold exactly the words it stores
     filled = again.povm.params.nbytes + sum(x.nbytes for x in again.kraus)
-    assert filled <= 2 * 8 * count
+    assert filled == 8 * count
     assert [x.tobytes() for x in again.kraus] == [x.tobytes() for x in tree.kraus]
 
     state = random_density(d, rng)
@@ -268,6 +265,45 @@ def test_padding_costs_no_bytes(d, k, construction, seed, tmp_path_factory):
 
 
 @PROPERTY
+@given(
+    k=st.integers(1, 70),
+    d=st.integers(1, 4),
+    given_labels=st.booleans(),
+    permuted=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_results_hold_the_real_outcomes_and_files_the_padding(k, d, given_labels, permuted, seed,
+                                                             tmp_path_factory):
+    # padding is the tree's shape: every result indexed by outcome has k
+    # entries, the report a row per internal node of the 2**depth-leaf tree,
+    # and only the file's order spells out the padding leaves, as its tail
+    rng = np.random.default_rng(seed)
+    ranks = rng.integers(1, d + 1, k)
+    ranks[0] = d  # so that the elements can sum to the identity
+    labels = [f"o{j}" for j in range(k)] if given_labels else None
+    p = validate(random_povm(k, d, rng, ranks=ranks).elements, labels)
+    tree = compile_tree(p, partition=rng.permutation(k) if permuted else None)
+    n = 1 << tree.depth
+    assert tree.povm is p and n // 2 < k <= n
+    state = random_density(d, rng)
+    report = verify(tree)
+    report_sample = sample(tree, state, 1000, seed=seed)
+    lengths = [len(propagate(tree, state)), len(propagate(tree, state).probabilities),
+               len(report_sample.counts), len(report_sample.expected), len(report_sample.labels),
+               len(direct_probabilities(tree.povm, state)),
+               len(full_neumark(tree.povm).probabilities(state.density)),
+               len(report.leaf_columns["residual"])]
+    assert lengths == [k] * len(lengths)
+    assert len(report.nodes) == n - 1
+    path = tmp_path_factory.mktemp("shape") / "t.tree"
+    save_tree(tree, path)
+    header, order, _ = read_tree_file(path)
+    assert len(order) == n and np.array_equal(order[:k], tree.order)
+    assert np.array_equal(order[k:], np.arange(k, n))
+    assert header.get("labels") == (None if labels is None else labels + [f"pad{j}" for j in range(k, n)])
+
+
+@PROPERTY
 @given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
 def test_stored_pairs_are_each_levels_real_prefix(n, seed):
     # whatever the order of the real outcomes, with the padding as its tail
@@ -275,7 +311,7 @@ def test_stored_pairs_are_each_levels_real_prefix(n, seed):
     # real_counts gives: ceil(n / 2**(depth - level))
     depth = (n - 1).bit_length()
     order = np.concatenate([np.random.default_rng(seed).permutation(n), np.arange(n, 1 << depth)])
-    assert is_leaf_order(order, n, 1 << depth)
+    assert is_permutation(order[:n], n)
     counts = real_counts(depth, n)
     assert counts[0] == 1 and counts[depth] == n
     stored = stored_pairs(order, n)
@@ -335,7 +371,7 @@ def test_leaf_states_keep_the_state_floor(source, d, n, dust, seed):
     w[1:] *= (1 - w[0]) / w[1:].sum()
     rho = (v * w) @ adjoint(v)
     state = QuantumState((rho + adjoint(rho)) / 2)
-    m = tree.cumulative_kraus(tree.depth)
+    m = tree.cumulative_kraus(tree.depth)[: tree.povm.n_outcomes]  # the real leaves
     leaves = m @ state.density @ adjoint(m)
     assert len(leaves) == tree.povm.n_outcomes
     lowest = np.linalg.eigvalsh((leaves + adjoint(leaves)) / 2)[:, 0]
@@ -401,8 +437,7 @@ def json_files(tmp_path_factory):
     directory = tmp_path_factory.mktemp("json-mutants")
     rng = np.random.default_rng(8)
     save_tree(compile_tree(tetrad(), partition=[0, 3, 1, 2]), directory / "tetrad.tree")
-    save_povm(pad_to_power_of_two(validate(random_povm(3, 2, rng).elements, ["a", "b", "c"])),
-              directory / "povm")
+    save_padded_povm(validate(random_povm(3, 2, rng).elements, ["a", "b", "c"]), 4, directory / "povm")
     save_state(random_density(2, rng), directory / "state")
     return directory, {name: (directory / name).read_bytes() for name in ("povm", "state")}
 

@@ -17,7 +17,6 @@ from povmtree import (
     compile_tree,
     default_kraus,
     direct_probabilities,
-    pad_to_power_of_two,
     propagate,
     random_density,
     random_povm,
@@ -173,8 +172,10 @@ class TestDirectProbabilities:
         assert np.allclose(probs, [0.5, 1 / 6, 1 / 6, 1 / 6], atol=1e-12)
 
     def test_padded_element_zero(self, rng):
-        p = pad_to_power_of_two(random_rank_one_povm(3, 2, rng))
-        probs = direct_probabilities(p, random_density(2, rng))
+        p = random_rank_one_povm(3, 2, rng)
+        state = random_density(2, rng)
+        assert len(direct_probabilities(compile_tree(p).povm, state)) == 3  # a tree's padding is no outcome
+        probs = direct_probabilities(validate([*p.elements, np.zeros((2, 2))]), state)
         assert probs[3] == 0.0
 
     def test_dimension_mismatch(self, tetrad_povm):
@@ -196,8 +197,8 @@ class TestDirectProbabilities:
         rng = np.random.default_rng([d, n])
         if n == 4:
             p = tetrad()
-        elif n == 13:
-            p = pad_to_power_of_two(random_povm(n, d, rng))
+        elif n == 13:  # and three zero elements, as padding was
+            p = validate([*random_povm(n, d, rng).elements, *np.zeros((3, d, d))])
         else:
             p = random_rank_one_povm(n, d, rng)
         state = random_density(d, rng)
@@ -247,14 +248,14 @@ class TestPropagate:
     def test_outcomes_are_a_sequence(self, rng):
         tree = compile_tree(random_rank_one_povm(5, 2, rng), partition=[4, 0, 3, 1, 2])
         outcomes = propagate(tree, random_density(2, rng))
-        assert len(outcomes) == 8
+        assert len(outcomes) == 5  # the outcomes only: leaves "101" to "111" are padding
         listed = list(outcomes)
-        assert [o.leaf_index for o in listed] == list(range(8))
-        assert [o.path for o in listed] == ["001", "011", "100", "010", "000", "101", "110", "111"]
+        assert [o.leaf_index for o in listed] == list(range(5))
+        assert [o.path for o in listed] == ["001", "011", "100", "010", "000"]
         for j, o in enumerate(listed):
             assert outcomes.probabilities[j] == outcomes[j].probability == o.probability
-            assert outcomes[j - 8].path == o.path
-        for j in (8, -9):
+            assert outcomes[j - 5].path == o.path
+        for j in (5, -6):
             with pytest.raises(IndexError):
                 outcomes[j]
         assert not outcomes.probabilities.flags.writeable
@@ -262,7 +263,6 @@ class TestPropagate:
         assert not post.flags.writeable  # built on each read, read-only
         assert np.array_equal(post, listed[0].post_state.density)
         assert np.array_equal(post, outcomes[0].post_state.density)
-        assert outcomes[7].post_state is None  # a padding leaf is never reached
         assert not outcomes.reached.flags.writeable
         assert list(outcomes.reached) == [o.post_state is not None for o in listed]
 
@@ -270,8 +270,11 @@ class TestPropagate:
         p = random_rank_one_povm(3, 2, rng)
         tree = compile_tree(p)
         outcomes = propagate(tree, random_density(2, rng))
-        assert outcomes[3].probability <= 1e-12
-        assert outcomes[3].post_state is None
+        # leaf 3 is padding: its operator is zero, and it is no outcome
+        assert not tree.cumulative_kraus(2)[3].any()
+        assert len(outcomes) == len(outcomes.probabilities) == 3
+        with pytest.raises(IndexError):
+            outcomes[3]
 
     def test_probability_conservation(self, rng):
         for _ in range(20):
@@ -377,7 +380,8 @@ class TestPropagate:
         # by outcome; each reached post-state is m rho m^dag over its trace.
         tree, state = TestLevelPassInOneStack.case(kind)
         outcomes = propagate(tree, state)
-        effects = np.einsum("nij,ji->n", tree.cumulative_operators(tree.depth), state.density).real
+        real = tree.cumulative_operators(tree.depth)[: tree.povm.n_outcomes]
+        effects = np.einsum("nij,ji->n", real, state.density).real
         expected = np.empty_like(effects)
         expected[tree.order] = effects
         assert np.max(np.abs(outcomes.probabilities - expected)) <= 1e-14
@@ -464,7 +468,8 @@ class TestSample:
         p = random_rank_one_povm(3, 2, rng)
         tree = compile_tree(p)
         report = sample(tree, random_density(2, rng), 20_000, seed=5)
-        assert report.counts[3] == 0
+        assert len(report.counts) == len(report.expected) == len(report.labels) == 3
+        assert sum(report.counts) == 20_000
 
     def test_rejects_zero_shots(self, tetrad_povm):
         tree = compile_tree(tetrad_povm)
@@ -506,7 +511,7 @@ class TestSample:
         tree, state = _pinned_case(("mixed", 3, 13))
         report = sample(tree, state, shots, seed=2)
         assert sum(report.counts) == shots
-        assert report.counts[13:] == (0, 0, 0)
+        assert len(report.counts) == 13
         assert report.max_sigma_deviation <= 6.0
 
     def test_reads_only_leaf_traces(self, monkeypatch):
@@ -547,19 +552,21 @@ def walk_counts(tree, p_left, shots, seed):
         for level, p in enumerate(p_left):
             current = 2 * current + (uniforms[:, level] >= p[current])
         by_leaf += np.bincount(current, minlength=len(by_leaf))
-    counts = np.empty_like(by_leaf)
-    counts[list(tree.order)] = by_leaf
+    counts = np.empty(len(tree.order), dtype=np.int64)
+    counts[tree.order] = by_leaf[: len(counts)]  # the padding leaves' are 0
     return counts
 
 
 def branch_probabilities(probs):
-    """Each level's probabilities of probe outcome 0, top down, from leaf probabilities in leaf order.
+    """Each level's probabilities of probe outcome 0, top down, from the real leaves' in leaf order.
 
-    A node's probability is the sum of its two children's, so each level
-    comes from the one below by pairwise sums; a node of probability zero
-    gets 1.0.  This is the definition :func:`sample` splits the shots by.
+    The padding leaves, up to a power of two, have probability 0.  A node's
+    probability is the sum of its two children's, so each level comes from
+    the one below by pairwise sums; a node of probability zero gets 1.0.
+    This is the definition :func:`sample` splits the shots by.
     """
-    p_left, reach = [], np.asarray(probs)
+    padding = (1 << (len(probs) - 1).bit_length()) - len(probs)
+    p_left, reach = [], np.concatenate([probs, np.zeros(padding)])
     while len(reach) > 1:
         q = reach.reshape(-1, 2)
         reach = q.sum(axis=1)
@@ -574,8 +581,8 @@ def split_counts(tree, p_left, shots, seed):
     for p in p_left:
         left = rng.binomial(arrived, p)
         arrived = np.stack([left, arrived - left], axis=1).ravel()
-    counts = np.empty_like(arrived)
-    counts[tree.order] = arrived
+    counts = np.empty(len(tree.order), dtype=np.int64)
+    counts[tree.order] = arrived[: len(counts)]
     return tuple(counts.tolist())
 
 
@@ -597,8 +604,7 @@ def two_array_pass(tree, state):
         total = q.sum(axis=1)
         p_left.append(np.divide(q[:, 0], total, out=np.ones_like(total), where=total > 0))
     leaves = tree.cumulative_kraus(tree.depth)
-    probs = np.clip(traces(leaves), 0.0, 1.0)
-    probs[tree.povm.n_original:] = 0.0  # padding, the tail of the leaf order, is never reached
+    probs = np.clip(traces(leaves[: tree.povm.n_outcomes]), 0.0, 1.0)  # the real leaves, the order's
     return leaves, probs, p_left
 
 
@@ -690,7 +696,7 @@ class TestLevelPassInOneStack:
         # block before the blocks below it and the leaves left to right; no
         # block outlives the next one of its level.
         tree, state = self.case(kind)
-        formed = real_counts(tree.depth, tree.povm.n_original)
+        formed = real_counts(tree.depth, tree.povm.n_outcomes)
         per_block = self.budget(budget, state.dim, monkeypatch)
         seen = [np.zeros(1 << level, dtype=int) for level in range(tree.depth + 1)]
         held, leaves = [], []
@@ -823,25 +829,25 @@ PINNED_COUNTS = {
     },
     ("mixed", 3, 13): {
         1: (
-            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0
+            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1
         ),
         4095: (
-            154, 110, 1020, 143, 359, 429, 49, 229, 247, 96, 484, 416, 359, 0, 0, 0
+            154, 110, 1020, 143, 359, 429, 49, 229, 247, 96, 484, 416, 359
         ),
         4097: (
-            154, 110, 1020, 143, 360, 429, 49, 229, 247, 96, 484, 416, 360, 0, 0, 0
+            154, 110, 1020, 143, 360, 429, 49, 229, 247, 96, 484, 416, 360
         ),
         65536: (
             2548, 1998, 15629, 2277, 5903, 7064, 637, 3809, 4068, 1450, 7817, 6469,
-            5867, 0, 0, 0
+            5867
         ),
         65537: (
             2548, 1998, 15629, 2277, 5903, 7065, 637, 3809, 4068, 1450, 7817, 6469,
-            5867, 0, 0, 0
+            5867
         ),
         1000000: (
             39699, 29238, 237333, 35048, 90330, 108186, 9651, 58610, 61853, 21842,
-            119358, 97943, 90909, 0, 0, 0
+            119358, 97943, 90909
         ),
     },
     ("identity", 2, 1): {

@@ -18,7 +18,6 @@ from povmtree import (
     full_neumark,
     io as treeio,
     null_space_isometry,
-    pad_to_power_of_two,
     propagate,
     pseudo_inverse,
     psd_sqrt,
@@ -203,12 +202,11 @@ class TestCompile:
     def test_padded_three_outcomes(self, rng):
         p = random_rank_one_povm(3, 2, rng)
         tree = compile_tree(p)
-        assert tree.povm.n_outcomes == 4
+        assert tree.povm is p and tree.depth == 2 and tuple(tree.order) == (0, 1, 2)
         report = verify(tree)
         assert report.passed
-        pad_leaf = tree.cumulative_operators(2)[tuple(tree.order).index(3)]
+        pad_leaf = tree.cumulative_operators(2)[3]  # leaf 3, past the 3 outcomes, is padding
         assert frob(pad_leaf) <= 1e-9
-        assert tree.povm.is_padding(3)
 
     def test_partition_invariance(self, rng):
         p = random_rank_one_povm(8, 2, rng)
@@ -256,7 +254,7 @@ class TestCompile:
     def test_partition_over_unpadded_outcomes(self, rng):
         p = random_rank_one_povm(3, 2, rng)
         tree = compile_tree(p, partition=[2, 0, 1])
-        assert tuple(tree.order) == (2, 0, 1, 3)
+        assert tuple(tree.order) == (2, 0, 1)
 
     def test_factorization_length_check(self, rng):
         p = random_rank_one_povm(4, 2, rng)
@@ -400,12 +398,12 @@ class TestFromPartialSums:
     @staticmethod
     def check_construction(tree):
         """Every internal node against R_c R_x^+, as one eigh per partial sum gives it."""
-        d, n = tree.povm.dim, tree.povm.n_outcomes
+        d, k, n = tree.povm.dim, tree.povm.n_outcomes, 1 << tree.depth
         corrected = verify(tree).node_columns["uses_null_correction"]
+        params, order = tree_module._leaf_params(tree.povm, n), np.concatenate([tree.order, np.arange(k, n)])
 
         def sums(span):
-            return linalg.hermitian_from_parameters(
-                tree_module._ordered_sums(tree.povm.params, tree.order, 0, n, span))
+            return linalg.hermitian_from_parameters(tree_module._ordered_sums(params, order, 0, n, span))
 
         for level, pairs in enumerate(tree.kraus):
             k, row = len(pairs), (1 << level) - 1  # the level's real prefix, from its first row
@@ -582,12 +580,12 @@ class TestPadding:
             assert err.value.what == "shape"
 
     def test_padding_is_the_tail_of_every_order(self, rng):
-        # a partition, or a tree built by hand, that puts padding anywhere
-        # but last and in order is refused: no walk could skip it
+        # padding is the tail of the leaves, past the order: a partition, or a
+        # tree built by hand, whose order names a padding leaf is refused
         p = random_rank_one_povm(5, 2, rng)
-        tree = compile_tree(p, partition=[4, 0, 3, 1, 2, 5, 6, 7])
-        assert tuple(tree.order) == (4, 0, 3, 1, 2, 5, 6, 7)
-        for order in ([4, 0, 3, 1, 5, 2, 6, 7], [4, 0, 3, 1, 2, 5, 7, 6]):
+        tree = compile_tree(p, partition=[4, 0, 3, 1, 2])
+        assert tuple(tree.order) == (4, 0, 3, 1, 2)
+        for order in ([4, 0, 3, 1, 5, 2, 6, 7], [4, 0, 3, 1, 2, 5, 7, 6], [4, 0, 3, 1, 2, 5, 6, 7]):
             with pytest.raises(ValidationError) as err:
                 compile_tree(p, partition=order)
             assert err.value.what == "partition"
@@ -632,16 +630,17 @@ class TestPadding:
         assert self.decompositions(monkeypatch, build)[1] == 0
 
     def test_padding_operators_of_a_factorization_must_be_zero(self, rng):
-        q = random_povm(5, 2, rng)
-        p = pad_to_power_of_two(q)
-        f = default_kraus(p).copy()
-        assert not f[5:].any()
+        # the padding leaves take no operator: a factorization holds one per
+        # outcome, and one with the padding's operators, zero or not, is refused
+        p = random_povm(5, 2, rng)
+        f = default_kraus(p)
         tree = compile_tree(p, f)
-        assert all(np.array_equal(a, b) for a, b in zip(tree.kraus, compile_tree(q, f[:5]).kraus))
-        f[6] = 1e-3 * np.eye(2)
-        with pytest.raises(VerificationError) as err:
-            compile_tree(p, f)
-        assert (err.value.what, err.value.index) == ("factorization", 6)
+        assert all(np.array_equal(a, b) for a, b in zip(tree.kraus, compile_tree(p).kraus))
+        padded = np.concatenate([f, np.zeros((3, 2, 2))])
+        for operators in (padded, np.concatenate([f, 1e-3 * np.eye(2)[None], np.zeros((2, 2, 2))])):
+            with pytest.raises(ValidationError) as err:
+                compile_tree(p, operators)
+            assert err.value.what == "shape"
 
 
 class TestVerify:
@@ -697,15 +696,15 @@ class TestVerify:
             compile_tree(tree.povm)
 
     def test_rows_are_a_sequence(self):
-        # 5 outcomes padded to 8: 7 internal nodes, breadth first, and 8 leaves
+        # 5 outcomes padded to 8: 7 internal nodes, breadth first, and 5 real leaves
         tree = compile_tree(random_rank_one_povm(5, 2, np.random.default_rng(3)),
                             partition=[4, 0, 3, 1, 2])
         report = verify(tree)
         rows, n = report.nodes, 7
         assert [c.path for c in rows] == ["", "0", "1", "00", "01", "10", "11"]
-        # leaf i's residual is that of outcome order[i], the padding last
-        assert tree.order.tolist() == [4, 0, 3, 1, 2, 5, 6, 7]
-        assert len(report.leaf_columns["residual"]) == 8
+        # leaf i's residual is that of outcome order[i]; the padding leaves have none
+        assert tree.order.tolist() == [4, 0, 3, 1, 2]
+        assert len(report.leaf_columns["residual"]) == 5
         assert len(rows) == n
         listed = list(rows)
         assert listed == [rows[i] for i in range(n)]
