@@ -40,7 +40,8 @@ zero.  So a tree holds only each level's real prefix, as a tree file
 stores it; no walk yields an all-padding node, and
 :meth:`MeasurementTree.dilation` derives the constant's coupling.  The
 POVM, the order and every result indexed by outcome hold the N real
-outcomes only.
+outcomes only, read in place: a padding leaf's zero row exists only in a
+gathered block of partial sums (:func:`_ordered_sums`), never in a copy.
 """
 
 from __future__ import annotations
@@ -140,27 +141,18 @@ def _gram(m: np.ndarray) -> np.ndarray:
     return (g + adjoint(g)) / 2
 
 
-def _leaf_params(p: Povm, n: int) -> np.ndarray:
-    """``p.params`` and a zero row per padding leaf, n rows; a copy only when there is padding.
-
-    A sum over them adds in the association of a tree's n leaves: numpy
-    sums a one-column array pairwise, and eight at a time from 8 rows on.
-    """
-    k = p.n_outcomes
-    return p.params if n == k else np.concatenate([p.params, np.zeros((n - k, p.dim * p.dim))])
-
-
 def _ordered_sums(params: np.ndarray, order: np.ndarray, lo: int, hi: int, span: int):
     """Parameter rows of the sum of each run of ``span`` leaves in ``lo:hi``, in the tree's pairing.
 
-    Leaf i is the element of parameters ``params[order[i]]`` (a
-    :class:`povmtree.povm.Povm`'s).  Adding parameter rows gives the bits
-    that adding the matrices would; the caller unpacks them.  A
-    range larger than a block is split in two, so at most one block of
-    elements is gathered at a time.
+    Leaf i is the element of parameters ``params[order[i]]`` (a :class:`povmtree.povm.Povm`'s, read
+    in place), and padding, a zero row, past the order's end.  Adding parameter rows gives the bits
+    that adding the matrices would; the caller unpacks them.  A range larger than a block is split
+    in two, so at most one block of elements, padding's zero rows included, is gathered at a time.
     """
     if span == 1 or next(blocks(hi - lo, math.isqrt(params.shape[1]))).stop == hi - lo:
         s = params[order[lo:hi]]
+        if len(s) < hi - lo:  # the leaves past the order are padding
+            s = np.concatenate([s, np.zeros((hi - lo - len(s), params.shape[1]))])
         while span > 1:
             s, span = s[0::2] + s[1::2], span // 2
         return s
@@ -347,7 +339,7 @@ def compile_tree(
     with ``m_j^dag m_j = M_j`` as :func:`povmtree.povm.default_kraus`
     returns (default: Hermitian square roots); internal targets are square
     roots of the partial element sums, added in pairs from the ordered
-    elements.  The tree is compiled on the depth-first walk of
+    elements' parameters in place (:func:`_ordered_sums`).  The tree is compiled on the depth-first walk of
     :func:`_walk`: each run of parents carries its partial sums'
     decompositions ``(V, w)`` from one stacked ``eigh`` of their sums, and
     writes its Kraus pairs into the returned level arrays.  Only each
@@ -379,9 +371,6 @@ def compile_tree(
         if len(factorization) != k:
             raise ValidationError(f"factorization has {len(factorization)} operators for {k} outcomes",
                                   what="shape")
-    # the padding leaves' zero elements, so each partial sum keeps the tree's pairing
-    params = _leaf_params(p, n)
-    leaf_order = order if n == k else np.concatenate([order, np.arange(k, n)])
     # each parent's partial sum as psd_sqrt_stack keeps it, (V, w); the root's is I
     node = np.dtype([("V", complex, (d, d)), ("w", float, (d,))])
     root = np.array((np.eye(d), np.ones(d)), node)
@@ -400,7 +389,7 @@ def compile_tree(
         if leaves := (span == 1 and factorization is not None):
             targets = factorization[order[lo : lo + kids]]
         else:  # children that are parents of the next level keep their decompositions
-            sums = hermitian_from_parameters(_ordered_sums(params, leaf_order, lo, lo + kids * span, span))
+            sums = hermitian_from_parameters(_ordered_sums(p.params, order, lo, lo + kids * span, span))
             targets = psd_sqrt_stack(sums, (children["V"], children["w"]) if span > 1 else None)
         if kids < 2 * len(parents):
             targets = np.concatenate([targets, np.zeros((1, d, d), dtype=complex)])
@@ -417,7 +406,8 @@ def compile_tree(
 def verify(tree: MeasurementTree) -> VerificationReport:
     """Audit a tree on what its outputs read: the root sum, complete pairs and the leaf effects.
 
-    The stored elements must sum to I.  On the walk of
+    The stored elements, ``povm.params`` as held (numpy adds its rows in turn, pairwise at d = 1),
+    must sum to I.  On the walk of
     :meth:`MeasurementTree._operators` (the nodes with a real leaf), each
     internal node's Kraus pair must be complete and each leaf's ``m^dag m``
     must lie within ``TOL_CHECK`` (Frobenius) of its element.  Every output
@@ -448,8 +438,8 @@ def verify(tree: MeasurementTree) -> VerificationReport:
         _raise_first(residuals, what, what + " check failed, residual {:.3e}", TOL_CHECK,
                      path=lambda i: node_path(level, lo + i))
 
-    root = np.linalg.norm(hermitian_from_parameters(_leaf_params(p, n).sum(axis=0, keepdims=True))
-                          - np.eye(d), axis=(-2, -1))
+    root = np.linalg.norm(hermitian_from_parameters(p.params.sum(axis=0, keepdims=True)) - np.eye(d),
+                          axis=(-2, -1))
     check(root, "operator sum")
     for level, first, m in tree._operators(tree.depth):
         for b in blocks(len(m), 2 * d):  # four d x d matrices a node

@@ -398,12 +398,12 @@ class TestFromPartialSums:
     @staticmethod
     def check_construction(tree):
         """Every internal node against R_c R_x^+, as one eigh per partial sum gives it."""
-        d, k, n = tree.povm.dim, tree.povm.n_outcomes, 1 << tree.depth
+        d, n = tree.povm.dim, 1 << tree.depth
         corrected = verify(tree).node_columns["uses_null_correction"]
-        params, order = tree_module._leaf_params(tree.povm, n), np.concatenate([tree.order, np.arange(k, n)])
 
         def sums(span):
-            return linalg.hermitian_from_parameters(tree_module._ordered_sums(params, order, 0, n, span))
+            return linalg.hermitian_from_parameters(
+                tree_module._ordered_sums(tree.povm.params, tree.order, 0, n, span))
 
         for level, pairs in enumerate(tree.kraus):
             k, row = len(pairs), (1 << level) - 1  # the level's real prefix, from its first row
@@ -641,6 +641,43 @@ class TestPadding:
             with pytest.raises(ValidationError) as err:
                 compile_tree(p, operators)
             assert err.value.what == "shape"
+
+    def test_padding_costs_no_memory(self):
+        # compile and verify read the k real parameter rows in place, and
+        # compile adds padding's zero rows to a gathered block only, so a
+        # padded tree peaks within 64 KiB of its power-of-two neighbour and
+        # under TestMemory's bounds.  With the rows copied, and a zero row
+        # added per padding leaf, compile peaked at 3.31 MB at (32, 63) and
+        # 1.33 MB at (2, 4095), and verify at 0.78 MB at (32, 33).
+        peak = TestMemory.peak
+        bounds = ((32, 64, 3.0e6, 0.40e6), (2, 4096, 1.25e6, 0.384e6 + 64 * 1024))  # TestMemory's
+        for d, n, compile_bound, verify_bound in bounds:
+            (padded_compile, padded_verify), (full_compile, full_verify) = (
+                (peak(partial(compile_tree, p)), peak(partial(verify, compile_tree(p))))
+                for p in (random_rank_one_povm(k, d, np.random.default_rng([d, k])) for k in (n - 1, n)))
+            assert padded_compile <= min(full_compile + 64 * 1024, compile_bound)
+            assert padded_verify <= min(full_verify + 64 * 1024, verify_bound)
+        tree = compile_tree(random_rank_one_povm(33, 32, np.random.default_rng([32, 33])))
+        assert peak(partial(verify, tree)) <= 0.40e6
+
+    @pytest.mark.parametrize("freedom", [False, True], ids=["default", "freedom"])
+    def test_padding_leaves_are_zero_elements(self, freedom):
+        # each held level is, byte for byte, the prefix of the tree compiled
+        # from the POVM with explicit zero elements (and zero operators) in
+        # the padding leaves' place: the zero rows that compile adds to a
+        # gathered block are exactly the padding that the leaves define
+        rng = np.random.default_rng(40)
+        for d in range(1, 5):
+            for k in (k for k in range(3, 41) if k & (k - 1)):
+                n = 1 << (k - 1).bit_length()
+                p = random_povm(k, d, rng, None if k >= d else [d] * k)
+                partition = rng.permutation(k)
+                f = apply_freedom(default_kraus(p), [random_unitary(d, rng) for _ in range(k)]) if freedom else None
+                zeros = np.zeros((n - k, d, d))
+                padded = compile_tree(validate([*p.elements, *zeros]), None if f is None else [*f, *zeros],
+                                      [*partition, *range(k, n)])
+                for mine, theirs in zip(compile_tree(p, f, partition).kraus, padded.kraus, strict=True):
+                    assert mine.tobytes() == theirs[: len(mine)].tobytes()
 
 
 class TestVerify:
