@@ -1,8 +1,9 @@
 """Compile an arbitrary POVM and check it three ways.
 
 Any finite POVM compiles: an outcome count that is not a power of two
-leaves the tree's last leaves as padding, elements may have any rank, and rank-deficient
-intermediate operators are handled by the null-space correction.  The
+leaves the tree's last leaves as padding, and elements may have any rank: each
+Kraus pair is the Q factor of one QR of its children's stacked factors, which
+needs no rank decision where an intermediate operator is rank deficient.  The
 compiled tree is checked against the direct Born rule and against a one-shot
 projective extension of the same POVM.
 """
@@ -24,9 +25,9 @@ print(f"compiled tree: depth {tree.depth}, {1 << tree.depth} leaves "
 report = pt.verify(tree)
 print(report.summary())
 
-# Correction operators appear wherever an intermediate operator loses rank.
+# Intermediate operators lose rank where the elements below them have too little.
 for check in report.nodes:
-    flag = "g-corrected" if check.uses_null_correction else "full rank"
+    flag = "rank-deficient" if check.uses_null_correction else "full rank"
     print(f"  node '{check.path or 'root'}': rank {check.parent_rank}, {flag}, "
           f"completeness residual {check.completeness_residual:.2e}")
 

@@ -33,12 +33,13 @@ print(f"spectrum of M03: {w}  (exactly (3 +/- sqrt(3))/6)")
 print(f"shared eigenbasis (columns):\n{v}\n")
 
 # The first round couples the qubit to a probe prepared in |0> via a 4x4
-# unitary whose first block column stacks the two Kraus operators.
+# unitary whose first block column stacks the two Kraus operators: each group's
+# triangular factor F, fixed by its Gram matrix F^dag F, the grouped sum.
 u = tree.dilation("")
 print(f"probe coupling at the root:\n{u}\n")
 print("unitarity residual:", np.linalg.norm(u.conj().T @ u - np.eye(4)))
-print("block <0|U|0> equals sqrt(M03):",
-      np.allclose(u[:2, :2], pt.psd_sqrt(m03)))
+print("block <0|U|0> has Gram matrix M03:",
+      np.allclose(u[:2, :2].conj().T @ u[:2, :2], m03))
 
 # Conditioned on the first probe outcome, the second round is projective.
 # tree.kraus[1][i] is the pair measured at node i of level 1; leaf 2i + c is

@@ -197,7 +197,8 @@ def cmd_example_tetrad(args) -> int:
     lines.append(f"eigenvalues of M03: {w[0]:.12f}, {w[1]:.12f}")
     lines.append(f"eigenvectors (columns):\n{_format_matrix(v)}")
     lines.append("")
-    lines.append("Probe coupling unitary at the root (first block column = [sqrt(M03); sqrt(M12)]):")
+    lines.append("Probe coupling unitary at the root (first block column = [F03; F12], F03^dag F03 = M03"
+                 " and F12^dag F12 = M12):")
     lines.append(_format_matrix(tree.dilation("")))
     lines.append("")
     lines.append("Second-stage measurement operators B_j = b_j^dag b_j:")

@@ -22,10 +22,11 @@ where it does not apply.  The message starts with ``element j: `` or
 - verification: ``"shape"``; ``"completeness"`` (orthonormal columns: the
   completeness of a Kraus pair or of the Neumark rows) and ``"dilation
   unitarity"`` (of a completed unitary, where it is built); ``"children sum"``
-  and ``"factorization"`` (compile checks); ``"operator sum"`` (at the root
-  only: the elements' sum) and ``"leaf reconstruction"`` (checks that
-  :func:`povmtree.tree.verify` raises, first failure first, and
-  ``load_tree`` through it).
+  and ``"factorization"`` (checks of :func:`povmtree.tree.split_node`);
+  ``"operator sum"`` (at the root only: the elements' sum) and ``"leaf
+  reconstruction"`` (checks that :func:`povmtree.tree.verify` raises, first
+  failure first, and ``load_tree`` through it; compile checks a supplied
+  factorization's leaves by the same rule).
 """
 
 from __future__ import annotations

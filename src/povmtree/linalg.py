@@ -2,8 +2,7 @@
 
 The pipeline (POVM validation, tree construction, simulation) runs on two
 parts of this module: the spectral PSD roots of a stack, from one ``eigh``
-per block (:func:`psd_sqrt_stack`, with :func:`psd_parts` for a root's
-pseudoinverse and kernel projector), and the parameter layout:
+per block (:func:`psd_sqrt_stack`), and the parameter layout:
 :func:`hermitian_parameters` and :func:`hermitian_from_parameters` pack and
 unpack Hermitian matrices as d^2 real parameters each, the form in which a
 POVM holds and a tree file stores its elements.  Stages over a whole stack
@@ -27,12 +26,12 @@ A matrix from outside is checked once, here: :func:`as_stack` decides shape,
 finiteness and range, :func:`check_psd` Hermiticity and positivity, by one rule:
 ``|A - A^dag|_F <= TOL_CHECK`` and no eigenvalue of the Hermitian part below
 the absolute floor ``-TOL_CHECK``.  The one-matrix forms check their input
-through them; the kernels :func:`psd_sqrt_stack`, :func:`psd_parts` and
-:func:`svd_inverse` check nothing, running on a validated
-:class:`povmtree.povm.Povm`'s elements and sums.  Compilation takes each
-partial sum's root, pseudoinverse and kernel from its one ``eigh``
-(:func:`psd_parts`); the SVD of :func:`svd_inverse` serves only the
-one-matrix API on arbitrary input.
+through them; the kernels :func:`psd_sqrt_stack` and :func:`svd_inverse`
+check nothing, running on validated elements and states.  Compilation
+takes the roots of the elements and no decomposition of a partial sum
+(:func:`povmtree.tree.compile_tree` factors the tree by QR); the SVD of
+:func:`svd_inverse` serves only the one-matrix API on arbitrary input,
+and the rank rule only the roots, that API and ``verify``'s rank column.
 
 All functions but :func:`check_psd` are pure; returned arrays are fresh and
 never alias inputs.
@@ -297,45 +296,23 @@ def pseudo_inverse(a) -> np.ndarray:
     return svd_inverse(as_stack([a], np.shape(a)))[0][0]
 
 
-def _root(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Hermitian ``V diag(sqrt w) V^dag`` of each matrix of a stack."""
-    s = (v * np.sqrt(w)[..., None, :]) @ adjoint(v)
-    s += adjoint(s)
-    s /= 2
-    return s
-
-
-def psd_sqrt_stack(a: np.ndarray, keep=None) -> np.ndarray:
+def psd_sqrt_stack(a: np.ndarray) -> np.ndarray:
     """Hermitian PSD square roots of a stack of matrices, one stacked ``eigh`` per block.
 
     A kernel that checks nothing: each matrix is exactly Hermitian and
-    passes :func:`check_psd`, as a validated POVM's elements and their sums
-    do.  Eigenvalues off :func:`rank_mask`, negative dust included, are
-    truncated to exact zero; without this, square-rooting an exactly
-    rank-deficient operator would amplify eigenvalue dust above the rank
-    threshold and poison every later rank decision made on the result.
-    ``keep``, arrays ``(vectors, values)`` as long as ``a``, takes each
-    truncated decomposition, for :func:`psd_parts`.
+    passes :func:`check_psd`, as a validated POVM's elements do.
+    Eigenvalues off :func:`rank_mask`, negative dust included, are
+    truncated to exact zero, so the root of an exactly rank-deficient
+    operator keeps its rank.
     """
     roots = np.empty(a.shape, dtype=complex)
     for rows in blocks(len(a), a.shape[-1]):
         w, v = np.linalg.eigh(a[rows])
-        w = np.where(rank_mask(w), w, 0.0)
-        roots[rows] = _root(v, w)
-        if keep is not None:
-            keep[0][rows], keep[1][rows] = v, w
+        s = (v * np.sqrt(np.where(rank_mask(w), w, 0.0))[..., None, :]) @ adjoint(v)
+        s += adjoint(s)
+        s /= 2
+        roots[rows] = s
     return roots
-
-
-def psd_parts(v: np.ndarray, w: np.ndarray):
-    """Root R (bit for bit as :func:`psd_sqrt_stack`'s), ``R^+`` and kernel projector g.
-
-    From each ``(V, w)`` that :func:`psd_sqrt_stack` keeps: ``V diag(f) V^dag``
-    with f ``sqrt w``, ``w^-1/2`` where ``w > 0`` and 1 where ``w = 0``.
-    """
-    kept = w > 0
-    inverse = np.divide(1.0, np.sqrt(w), out=np.zeros_like(w), where=kept)
-    return _root(v, w), (v * inverse[..., None, :]) @ adjoint(v), (v * ~kept[..., None, :]) @ adjoint(v)
 
 
 def psd_sqrt(a) -> np.ndarray:

@@ -52,6 +52,10 @@ class Rows(Sequence):
 class NodeCheck:
     """One internal node's completeness residual, at most ``TOL_CHECK``, and the rank of its ``m^dag m``.
 
+    ``uses_null_correction`` is ``parent_rank < d``: a rank-deficient node,
+    where the paper's construction adds its null-space correction (compile
+    needs none).
+
     The node's operator sum and probe coupling are not recorded: the sum is
     fixed by the complete pairs and the leaves below it, and the coupling is
     checked where it is built (:func:`povmtree.linalg.complete_to_unitary`).
@@ -100,7 +104,7 @@ class VerificationReport:
         corrected = int(nodes["uses_null_correction"].sum())
         return "\n".join([
             "verification: PASS",
-            f"  internal nodes checked : {len(completeness)} ({corrected} with null-space correction)",
+            f"  internal nodes checked : {len(completeness)} ({corrected} rank-deficient)",
             f"  max completeness residual : {max(completeness.tolist(), default=0.0):.3e}",
             f"  max leaf reconstruction   : {max(leaves['residual'].tolist(), default=0.0):.3e}",
         ])

@@ -3,45 +3,47 @@
 An N-outcome POVM is implemented as a depth-ceil(log2 N) full binary tree of
 two-outcome measurements.  Outcomes are laid out left to right on its
 2**depth leaves; each node x splits its leaves in half, and S_x is the sum
-of the elements below it (the identity at the root).  With
-R_x = sqrt(S_x), the two-outcome Kraus operator applied at x towards its
-child c is, as the paper writes it from the partial sums alone,
-
-    b_c = R_c @ pinv(R_x) + a_c * g
-
-where g is the projector onto the kernel of R_x and a_0 = a_1 = 1/sqrt(2)
-share it equally (any |a_0|^2 + |a_1|^2 = 1 would do).  Since
-supp S_c lies in supp S_x, the pair is complete and b_c @ R_x = R_c.  One
-``eigh`` of each S_x gives R_x, its pseudoinverse, g and its rank
-(:func:`povmtree.linalg.psd_parts`).  Leaf targets may instead come from
-supplied Kraus operators m_c; below a rank-deficient parent, g is then
-carried by each m_c's polar isometry V_c, which keeps the pair complete.
+of the elements below it (the identity at the root).  The paper fixes each
+node only by S_x: its cumulative Kraus operator m_x needs m_x^dag m_x = S_x,
+and is free up to a unitary.  With R_x = sqrt(S_x) it writes the pair
+applied at x towards its child c as b_c = R_c @ pinv(R_x) + a_c * g, g the
+projector onto the kernel of R_x (:func:`split_node`).  Compilation takes
+the square-root form instead, which forms no S_x and decides no rank: each
+node passes up a triangular factor F_x with F_x^dag F_x = S_x, starting
+from the leaf targets (Hermitian roots, or supplied Kraus operators m_c).
+One QR of the stacked children's factors [F_c0; F_c1] = Q R gives the pair,
+Q split in two, and F_x = R, so b_c @ F_x = F_c and the pair is complete to
+rounding at any rank.  This is TSQR's reduction tree over the stacked leaf
+factors, the POVM's Neumark isometry.  The root's operator is I, so its
+pair is its children's factors themselves.
 
 A compiled tree is held as the paper's list of rounds: level l is one array
 of the Kraus pairs of its nodes with a real leaf, and nothing derived is stored.
 Child cumulative operators are the products b_c @ m_x (see
-:meth:`MeasurementTree.cumulative_kraus`), so the factorization identity
-m_child = b_child @ m_parent holds by construction at every edge.  A
+:meth:`MeasurementTree.cumulative_kraus`): the identity at the root, F_x
+below it to rounding, and the leaf targets at the leaves.  A
 pair's probe coupling (:meth:`MeasurementTree.dilation`) exists exactly
 when the pair is complete, so :func:`verify` checks completeness, each leaf
 against its element and the elements' sum, what every output reads; the
-coupling is checked where it is built.  Compilation, verification, cumulative
+coupling is checked where it is built.  Verification, cumulative
 operators and the simulator share one traversal, depth first (:func:`_walk`):
 at most half a 64 KiB block of nodes per level, one stacked LAPACK call per
 block; checks raise in walk order, node order wherever a level fits half a block.
+Compilation walks the same tree bottom up (:func:`_reduce`), within the
+same budget.
 
 Padding is a property of the tree's shape: of its 2**depth leaves, leaf i
 holds outcome ``order[i]`` for i < N and is padding, a zero element, from N
 on, so the nodes of a level with a real leaf are a prefix of it
 (:func:`real_counts`).  A node whose leaves are all padding has S_x = 0
-and is reached with probability exactly 0: g = I, its pair is the constant
-(I/sqrt 2, I/sqrt 2) (:func:`padding_pair`) and its cumulative operator is
-zero.  So a tree holds only each level's real prefix, as a tree file
-stores it; no walk yields an all-padding node, and
+and is reached with probability exactly 0: its pair is the constant
+(I/sqrt 2, I/sqrt 2) (:func:`padding_pair`), the paper's with g = I, and
+its cumulative operator is zero.  So a tree holds only each level's real
+prefix, as a tree file stores it; no walk yields an all-padding node, and
 :meth:`MeasurementTree.dilation` derives the constant's coupling.  The
 POVM, the order and every result indexed by outcome hold the N real
-outcomes only, read in place: a padding leaf's zero row exists only in a
-gathered block of partial sums (:func:`_ordered_sums`), never in a copy.
+outcomes only, read in place: a padding leaf's zero factor exists only in
+the one stacked run of sibling pairs that holds it, never in a copy.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ from .linalg import (
     blocks,
     hermitian_from_parameters,
     is_dust,
-    psd_parts,
     psd_sqrt_stack,
     rank_mask,
     svd_inverse,
@@ -72,16 +73,17 @@ from .linalg import (
 from .povm import Povm
 from .records import VerificationReport
 
-# The weight a_0 = a_1 of the null-space correction in both children's operators;
-# multiplied, not divided by sqrt(2), which rounds differently in the last bit
+# The weight a_0 = a_1 of the null-space correction in both children's operators
+# (split_node's, and the padding pair's); multiplied, not divided by sqrt(2),
+# which rounds differently in the last bit
 _A = 1 / math.sqrt(2)
 
 
 def padding_pair(d: int) -> np.ndarray:
     """The read-only ``(2, d, d)`` Kraus pair ``(I/sqrt 2, I/sqrt 2)`` of a node whose leaves are all padding.
 
-    Its sum S_x is zero, so g = I and ``b_c = a_c * I``: what the general
-    construction gives, bit for bit, without a decomposition.
+    Its sum S_x is zero, so g = I and ``b_c = a_c * I``: the paper's pair
+    at a zero parent, built without a decomposition.
     """
     return np.broadcast_to(_A * np.eye(d, dtype=complex), (2, d, d))
 
@@ -139,28 +141,6 @@ def _gram(m: np.ndarray) -> np.ndarray:
     """Symmetrised ``m^dag m`` of each matrix of a stack."""
     g = adjoint(m) @ m
     return (g + adjoint(g)) / 2
-
-
-def _ordered_sums(params: np.ndarray, order: np.ndarray, lo: int, hi: int, span: int):
-    """Parameter rows of the sum of each run of ``span`` leaves in ``lo:hi``, in the tree's pairing.
-
-    Leaf i is the element of parameters ``params[order[i]]`` (a :class:`povmtree.povm.Povm`'s, read
-    in place), and padding, a zero row, past the order's end.  Adding parameter rows gives the bits
-    that adding the matrices would; the caller unpacks them.  A range larger than a block is split
-    in two, so at most one block of elements, padding's zero rows included, is gathered at a time.
-    """
-    if span == 1 or next(blocks(hi - lo, math.isqrt(params.shape[1]))).stop == hi - lo:
-        s = params[order[lo:hi]]
-        if len(s) < hi - lo:  # the leaves past the order are padding
-            s = np.concatenate([s, np.zeros((hi - lo - len(s), params.shape[1]))])
-        while span > 1:
-            s, span = s[0::2] + s[1::2], span // 2
-        return s
-    sums = partial(_ordered_sums, params, order)
-    if hi - lo > span:  # several runs: each half of them on its own
-        mid = lo + (hi - lo) // span // 2 * span
-        return np.concatenate([sums(lo, mid, span), sums(mid, hi, span)])
-    return sums(lo, lo + span // 2, span // 2) + sums(lo + span // 2, hi, span // 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,35 +204,42 @@ class MeasurementTree:
         return dilate_binary(pairs[i] if i < len(pairs) else padding_pair(self.povm.dim), lambda _: path)
 
 
-def _split_level(targets: np.ndarray, parents: np.ndarray, pinv: np.ndarray, kernel: np.ndarray,
-                 polar: bool, path) -> np.ndarray:
-    """Kraus pairs ``(k, 2, d, d)`` taking each parent of a stack to its two targets.
+def _split(levels: list, level: int, first: int, kids: np.ndarray) -> np.ndarray | None:
+    """Write the pairs of real parents ``first, ...`` of ``level`` from their children's factors; return the parents'.
 
-    ``b_c = m_c @ pinv + a_c * g``, from each parent's pseudoinverse and
-    ``kernel`` map g (with ``polar`` set, ``a_c * V_c @ g``).  Errors name
-    parent i of the stack by ``path(i)``.
+    A missing last child, all padding, is zero.  One stacked QR of each
+    parent's ``[F_c0; F_c1]`` gives Q, split in two, as its pair, so
+    ``b_c @ R = F_c``, and R as its factor.  The root's operator is I, so
+    its pair is the factors themselves and it returns none.  Each pair is
+    checked for completeness, naming its node.
     """
-    raise_first = partial(_raise_first, limit=TOL_CHECK, path=path)
-    # m_0^dag m_0 + m_1^dag m_1 is the Gram matrix of the column block [m_0; m_1]
-    pre = np.linalg.norm(_gram(targets.reshape(len(targets), -1, targets.shape[-1])) - _gram(parents),
-                         axis=(-2, -1))
-    raise_first(pre, "children sum", "child operators do not sum to the parent operator, residual {:.3e}")
+    d = kids.shape[-1]
+    if len(kids) % 2:  # the last real parent's second child has only padding leaves
+        kids = np.concatenate([kids, np.zeros((1, d, d), dtype=complex)])
+    q, r = np.linalg.qr(kids.reshape(-1, 2 * d, d)) if level else (kids, None)
+    pairs = levels[level][first : first + len(kids) // 2] = q.reshape(-1, 2, d, d)
+    _raise_first(completeness_residuals(pairs), "completeness", "completeness post-check failed, residual {:.3e}",
+                 TOL_CHECK, path=lambda i: node_path(level, first + i))
+    return r
 
-    pairs = targets @ pinv[:, None]
-    deficient = np.flatnonzero(kernel.any(axis=(-2, -1)))
-    if deficient.size:
-        g = kernel[deficient][:, None]
-        if polar:
-            g = np.matmul(*np.linalg.svd(targets[deficient])[::2]) @ g  # u @ vh, without holding u, vh
-        pairs[deficient] += _A * g
-    raise_first(completeness_residuals(pairs), "completeness",
-                "completeness post-check failed, residual {:.3e}")
-    fact = pairs @ parents[:, None] - targets
-    fact = np.sqrt(np.einsum("...ij,...ij->...", fact.view(float), fact.view(float)))  # |.|_F
-    # per node, b0's residual if it fails, else b1's
-    worst = np.where(fact[:, 0] <= TOL_CHECK, fact[:, 1], fact[:, 0])
-    raise_first(worst, "factorization", "factorization post-check failed, residual {:.3e}")
-    return pairs
+
+def _reduce(leaves, levels: list, real: list[int], level: int, lo: int, hi: int) -> np.ndarray | None:
+    """Factors F, with ``F^dag F = S_x``, of real nodes ``lo:hi`` of ``level``; writes the pairs at and below them.
+
+    At the leaves they are ``leaves(lo, hi)``, the targets.  Above, each run
+    of parents, a quarter of a :func:`povmtree.linalg.blocks` budget, takes
+    its children's factors from the level below and is split by
+    :func:`_split`, so a level of the recursion holds at most half a block
+    of factors.  The root returns none.
+    """
+    if level == len(levels):
+        return leaves(lo, hi)
+    # four d x d matrices a parent: two children, the pair
+    factors = [_split(levels, level, lo + run.start,
+                      _reduce(leaves, levels, real, level + 1, 2 * (lo + run.start),
+                              min(2 * (lo + run.stop), real[level + 1])))
+               for run in blocks(hi - lo, 2 * levels[level].shape[-1])]
+    return factors[0] if len(factors) == 1 else np.concatenate(factors)
 
 
 def null_space_isometry(parent_kraus) -> np.ndarray:
@@ -289,8 +276,9 @@ def split_node(children_kraus, parent_kraus) -> np.ndarray:
     isometry of the child target (identity-acting for Hermitian targets, so
     the plain ``m @ pinv + a g`` ansatz is recovered).  Guarantees, within
     ``TOL_CHECK``, completeness ``b0^dag b0 + b1^dag b1 = I`` and the
-    factorization ``b_c @ parent = m_c``.  :func:`compile_tree` runs the
-    same construction on a whole level at once.
+    factorization ``b_c @ parent = m_c``.  A compiled tree's pair agrees
+    with it on the parent's range: :func:`compile_tree` builds the same
+    identities in its own gauge, without a rank decision.
 
     Raises
     ------
@@ -307,7 +295,19 @@ def split_node(children_kraus, parent_kraus) -> np.ndarray:
     if len(children) != 2:
         raise ValidationError(f"got {len(children)} child operators, expected 2", what="shape")
     parent = np.where(is_dust(parent)[:, None, None], 0.0, parent)
-    return _frozen(_split_level(children[None], parent, *svd_inverse(parent), True, lambda i: None)[0])
+    pinv, g = svd_inverse(parent)
+    check = partial(_raise_first, limit=TOL_CHECK, path=lambda i: None)
+    # m_0^dag m_0 + m_1^dag m_1 is the Gram matrix of the column block [m_0; m_1]
+    check(np.linalg.norm(_gram(children.reshape(1, -1, children.shape[-1])) - _gram(parent), axis=(-2, -1)),
+          "children sum", "child operators do not sum to the parent operator, residual {:.3e}")
+    pair = children @ pinv
+    if g.any():
+        pair += _A * np.matmul(*np.linalg.svd(children)[::2]) @ g  # V_c = u @ vh, without holding u, vh
+    check(completeness_residuals(pair[None]), "completeness", "completeness post-check failed, residual {:.3e}")
+    fact = np.linalg.norm(pair @ parent - children, axis=(-2, -1))
+    check(fact[1:] if fact[0] <= TOL_CHECK else fact[:1], "factorization",  # b0's residual if it fails
+          "factorization post-check failed, residual {:.3e}")
+    return _frozen(pair)
 
 
 _PARTITION_RULE = "partition must permute the {0} outcomes"
@@ -337,14 +337,13 @@ def compile_tree(
     the rest padding, each node splitting its leaves in half.  Leaf targets
     come from ``factorization``, an ``(N, d, d)`` array of Kraus operators
     with ``m_j^dag m_j = M_j`` as :func:`povmtree.povm.default_kraus`
-    returns (default: Hermitian square roots); internal targets are square
-    roots of the partial element sums, added in pairs from the ordered
-    elements' parameters in place (:func:`_ordered_sums`).  The tree is compiled on the depth-first walk of
-    :func:`_walk`: each run of parents carries its partial sums'
-    decompositions ``(V, w)`` from one stacked ``eigh`` of their sums, and
-    writes its Kraus pairs into the returned level arrays.  Only each
-    level's real prefix (:func:`real_counts`) is decomposed, split and held.
-    The returned tree's ``povm`` is ``p`` itself.
+    returns (default: Hermitian square roots, taken a block of leaves at a
+    time).  The tree is compiled bottom up (:func:`_reduce`): each run of
+    sibling pairs takes one stacked QR of its children's factors, writes
+    the Q factors as its Kraus pairs and passes the R factors up, and the
+    root's pair is its children's factors.  No partial sum is formed, and
+    no rank decided.  Only each level's real prefix (:func:`real_counts`)
+    is factored and held.  The returned tree's ``povm`` is ``p`` itself.
 
     ``partition``, of Python or NumPy integers (not ``bool``), permutes the
     N outcomes.
@@ -358,48 +357,36 @@ def compile_tree(
         shape, if any) or ``"finiteness"`` (``index`` naming the first
         operator with an entry that is not finite).
     VerificationError
-        ``"children sum"`` if a node's targets do not sum to its own,
-        ``"completeness"`` or ``"factorization"`` if a pair's post-check
-        fails; raised at once, naming the node's path, in walk order.
+        ``"leaf reconstruction"`` if a supplied operator's ``m_j^dag m_j``
+        misses its element by more than ``TOL_CHECK``, or ``"completeness"``
+        if a pair's does: the root's, where the supplied operators' squares
+        miss I by more; raised at once, naming the node's path, as the
+        bottom-up walk reaches it.
     """
     k, d = p.n_outcomes, p.dim
     depth = (k - 1).bit_length()
-    n = 1 << depth
     order = _resolve_partition(partition, k)
     if factorization is not None:
         factorization = as_stack(factorization, (d, d))
         if len(factorization) != k:
             raise ValidationError(f"factorization has {len(factorization)} operators for {k} outcomes",
                                   what="shape")
-    # each parent's partial sum as psd_sqrt_stack keeps it, (V, w); the root's is I
-    node = np.dtype([("V", complex, (d, d)), ("w", float, (d,))])
-    root = np.array((np.eye(d), np.ones(d)), node)
     real = real_counts(depth, k)
     levels = [np.empty((count, 2, d, d), dtype=complex) for count in real[:-1]]
 
-    def split(level: int, first: int, parents: np.ndarray):
-        """Write the pairs of a run of real parents; return their real children's decompositions.
+    def leaves(lo: int, hi: int) -> np.ndarray:
+        """The targets of leaves ``lo:hi``, a supplied factorization's checked against their elements."""
+        elements = hermitian_from_parameters(p.params[order[lo:hi]])
+        if factorization is None:
+            return psd_sqrt_stack(elements)
+        m = factorization[order[lo:hi]]
+        _raise_first(np.linalg.norm(_gram(m) - elements, axis=(-2, -1)), "leaf reconstruction",
+                     "leaf reconstruction check failed, residual {:.3e}", TOL_CHECK,
+                     path=lambda i: node_path(depth, lo + i))
+        return m
 
-        A child past the real prefix, at most one at the level's boundary,
-        gets the zero target and is not decomposed.  Leaves pass on none, an empty array.
-        """
-        span = n >> (level + 1)  # leaves below each child
-        lo, kids = 2 * first * span, min(2 * len(parents), real[level + 1] - 2 * first)
-        children = np.empty(kids if span > 1 else 0, node)
-        if leaves := (span == 1 and factorization is not None):
-            targets = factorization[order[lo : lo + kids]]
-        else:  # children that are parents of the next level keep their decompositions
-            sums = hermitian_from_parameters(_ordered_sums(p.params, order, lo, lo + kids * span, span))
-            targets = psd_sqrt_stack(sums, (children["V"], children["w"]) if span > 1 else None)
-        if kids < 2 * len(parents):
-            targets = np.concatenate([targets, np.zeros((1, d, d), dtype=complex)])
-        levels[level][first : first + len(parents)] = _split_level(
-            targets.reshape(-1, 2, d, d), *psd_parts(parents["V"], parents["w"]), leaves,
-            lambda i: node_path(level, first + i))
-        return children
-
-    for _ in _walk(depth, d, root, split, real):
-        pass
+    if depth:
+        _reduce(leaves, levels, real, 0, 0, 1)
     return MeasurementTree(povm=p, order=order, kraus=tuple(map(_frozen, levels)))
 
 

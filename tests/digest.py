@@ -1,20 +1,25 @@
-"""Print one sha256 per kind of output over a fixed, seeded grid of trees.
+"""Print one sha256 per kind of output over a fixed, seeded grid of trees, or save and compare the values.
 
 Run it in a checkout, with that checkout's package first on the path:
 
     PYTHONPATH=src python tests/digest.py            # the full grid, about 10 s on one core
     PYTHONPATH=src python tests/digest.py --quick    # a small grid, well under a second
+    PYTHONPATH=src python tests/digest.py --save out.npz     # each kind's values, not hashed
+    python tests/digest.py --diff old.npz new.npz    # the largest absolute difference per kind
 
 Two checkouts that print the same line for a kind compute that kind's bytes
-identically on the grid.  To compare a checkout that lacks this script, run
-this copy with the other checkout's ``src`` on ``PYTHONPATH``.  The kinds:
-every level of Kraus pairs, ``save_tree``'s file bytes, ``verify``'s node
-and leaf columns, ``max_residual`` (d = 1 on its own line, since numpy sums
-a one-column array in another association than a wider one), ``propagate``'s
-probabilities, ``sample``'s counts at a fixed seed and the post-states of
-the reached outcomes.  The grid draws each POVM with random ranks (rank one
-for the large cases), in index order, in a random partition, and with
-random Kraus freedom.  Pytest does not collect this file.
+identically on the grid; where they do not, ``--save`` in each and
+``--diff`` show by how much the values moved.  To compare a checkout that
+lacks this script, run this copy with the other checkout's ``src`` on
+``PYTHONPATH``.  The kinds: every level of Kraus pairs, the leaves'
+cumulative Kraus operators, ``save_tree``'s file bytes (saved as their
+count), ``verify``'s node and leaf columns, ``max_residual`` (d = 1 on its
+own line, since numpy sums a one-column array in another association than
+a wider one), ``propagate``'s probabilities, ``sample``'s counts at a fixed
+seed and the post-states of the reached outcomes.  The grid draws each POVM
+with random ranks (rank one for the large cases), in index order, in a
+random partition, and with random Kraus freedom.  Pytest does not collect
+this file.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from povmtree import (
     verify,
 )
 
-KINDS = ("kraus", "tree_file", "verify_columns", "max_residual", "max_residual_d1",
+KINDS = ("kraus", "leaf_kraus", "tree_file", "verify_columns", "max_residual", "max_residual_d1",
          "propagate", "sample_counts", "post_states")
 VARIANTS = ("plain", "partition", "freedom")
 # rank-one POVMs too large to sweep by k: padded ones next to their unpadded neighbours
@@ -71,6 +76,26 @@ def case(d: int, k: int, variant: str, large: bool):
     return compile_tree(p, factorization, partition), random_density(d, rng)
 
 
+def outputs(quick: bool):
+    """Yield ``(kind, values)`` over the grid, in order: a list of arrays, the file's bytes or a residual."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.tree"
+        for d, k, variant, large in grid(quick):
+            tree, state = case(d, k, variant, large)
+            yield "kraus", tree.kraus
+            yield "leaf_kraus", [tree.cumulative_kraus(tree.depth)[:k]]
+            treeio.save_tree(tree, path)
+            yield "tree_file", path.read_bytes()
+            report = verify(tree)
+            yield "verify_columns", [*report.node_columns.values(), *report.leaf_columns.values()]
+            yield "max_residual_d1" if d == 1 else "max_residual", report.max_residual
+            outcomes = propagate(tree, state)
+            yield "propagate", [outcomes.probabilities]
+            yield "sample_counts", [np.array(sample(tree, state, 10**6, seed=k).counts)]
+            yield "post_states", [outcomes[int(j)].post_state.params
+                                  for j in np.flatnonzero(outcomes.reached)[:POST_STATES]]
+
+
 def feed(h, *arrays) -> None:
     """Add each array's dtype, shape and bytes to a hash."""
     for a in arrays:
@@ -82,30 +107,58 @@ def feed(h, *arrays) -> None:
 def digests(quick: bool) -> dict[str, str]:
     """The sha256 of each kind over the grid."""
     hashes = {kind: hashlib.sha256() for kind in KINDS}
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "t.tree"
-        for d, k, variant, large in grid(quick):
-            tree, state = case(d, k, variant, large)
-            feed(hashes["kraus"], *tree.kraus)
-            treeio.save_tree(tree, path)
-            hashes["tree_file"].update(path.read_bytes())
-            report = verify(tree)
-            feed(hashes["verify_columns"], *report.node_columns.values(), *report.leaf_columns.values())
-            hashes["max_residual_d1" if d == 1 else "max_residual"].update(report.max_residual.hex().encode())
-            outcomes = propagate(tree, state)
-            feed(hashes["propagate"], outcomes.probabilities)
-            feed(hashes["sample_counts"], np.array(sample(tree, state, 10**6, seed=k).counts))
-            for j in np.flatnonzero(outcomes.reached)[:POST_STATES]:
-                feed(hashes["post_states"], outcomes[int(j)].post_state.params)
+    for kind, values in outputs(quick):
+        if kind == "tree_file":
+            hashes[kind].update(values)
+        elif kind.startswith("max_residual"):
+            hashes[kind].update(values.hex().encode())
+        else:
+            feed(hashes[kind], *values)
     return {kind: h.hexdigest() for kind, h in hashes.items()}
+
+
+def save(quick: bool, path) -> None:
+    """Write every kind's values over the grid to one ``.npz`` file, as ``<kind>.<i>`` in grid order."""
+    arrays, counts = {}, dict.fromkeys(KINDS, 0)
+    for kind, values in outputs(quick):
+        if kind == "tree_file":
+            values = [len(values)]
+        elif kind.startswith("max_residual"):
+            values = [values]
+        for a in values:
+            arrays[f"{kind}.{counts[kind]}"], counts[kind] = np.asarray(a), counts[kind] + 1
+    np.savez(path, **arrays)
+
+
+def differences(old, new) -> dict[str, float]:
+    """Per kind, the largest absolute difference between two saved runs; inf where shapes or counts differ."""
+    with np.load(old) as a, np.load(new) as b:
+        a, b = dict(a), dict(b)
+    worst = dict.fromkeys(KINDS, 0.0)
+    for name in a.keys() | b.keys():
+        kind = name.rsplit(".", 1)[0]
+        if name not in a or name not in b or a[name].shape != b[name].shape:
+            worst[kind] = np.inf
+        elif a[name].size:
+            worst[kind] = max(worst[kind], float(np.abs(a[name].astype(complex) - b[name]).max()))
+    return worst
 
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="run the small grid only")
+    parser.add_argument("--save", metavar="NPZ", help="write each kind's values to this file, not hashes")
+    parser.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"),
+                        help="print the largest absolute difference per kind between two saved runs")
     args = parser.parse_args(argv)
-    for kind, digest in digests(args.quick).items():
-        print(f"{kind} {digest}")
+    if args.diff:
+        for kind, worst in differences(*args.diff).items():
+            print(f"{kind} {worst:.3e}")
+    elif args.save:
+        save(args.quick, args.save)
+    else:
+        for kind, digest in digests(args.quick).items():
+            print(f"{kind} {digest}")
 
 
 if __name__ == "__main__":

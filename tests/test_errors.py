@@ -181,16 +181,15 @@ def test_caller_input_errors_are_typed(case):
     assert err.value.what == what
 
 
-def _rank_deficient_leaf_split():
-    # the leaf targets below node '0' sum to its operator diag(1, 1e-8) within
-    # TOL_CHECK, but the parent's singular value 1e-4 amplifies the 5e-10 gap
-    # into a completeness residual of 0.05
-    sqrt = np.sqrt
-    factorization = [np.diag([sqrt(0.5), sqrt(1e-8 / 2 + 5e-10)]), np.diag([sqrt(0.5), 1e-4 / sqrt(2)]),
-                     np.diag([0.0, sqrt((1 - 1e-8) / 2)]), np.diag([0.0, sqrt((1 - 1e-8) / 2)])]
-    elements = [m.conj().T @ m for m in factorization]
-    elements[1] = np.diag([0.5, 1e-8 / 2 - 5e-10])
-    return povmtree.compile_tree(povmtree.validate(elements), factorization=factorization)
+# a supplied factorization of diag(1, 0) and diag(0, 1) whose operators each
+# square to their element within TOL_CHECK (a residual of 8e-10), but whose
+# squares sum to I + 8e-10 I, a residual of 8e-10 sqrt(2) at the root's pair
+_OVERSIZED = np.sqrt(1 + 8e-10)
+
+
+def _incomplete_factorization():
+    elements = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    return povmtree.compile_tree(povmtree.validate(elements), [_OVERSIZED * m for m in elements])
 
 
 def _verify_edited(shift=0.0, order=(0, 1, 2, 3), scale=1.0):
@@ -213,11 +212,11 @@ FAILED_CHECKS = {
         "completeness", {"index": 0}, "element 0: columns are not orthonormal (residual 3.000e+00)",
         3.0),
     "compile_tree completeness post-check": (
-        _rank_deficient_leaf_split, "completeness", {"path": "0"},
-        "node '0': completeness post-check failed, residual 5.000e-02", 0.05),
-    "verify completeness": (
+        _incomplete_factorization, "completeness", {"path": ""},
+        "node '': completeness post-check failed, residual 1.131e-09", np.sqrt(2) * (_OVERSIZED**2 - 1)),
+    "verify completeness": (  # the residual depends on pair '1''s entries, which the QR fixes
         lambda: _verify_edited(shift=1e-3), "completeness", {"path": "1"},
-        "node '1': completeness check failed, residual 9.697e-04", 9.697368043896786e-04),
+        "node '1': completeness check failed, residual 9.992e-04", 9.99183670221754e-04),
     "verify operator sum": (  # element 3 doubled: the elements sum to I + M_3, checked before any node
         lambda: _verify_edited(scale=2.0), "operator sum", {"path": ""},
         "node '': operator sum check failed, residual 5.000e-01", 0.5),
