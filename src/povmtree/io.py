@@ -4,28 +4,26 @@ POVM and state files are JSON.  Complex entries are stored as two-element
 ``[real, imaginary]`` arrays.  Floats go through Python's shortest round-trip
 representation, so serialize/deserialize reproduces every matrix bit-exactly.
 
-A tree file (``tree-v10``) holds a tree's independent data: a compact JSON
+A tree file (``tree-v11``) holds a tree's independent data: a compact JSON
 header line of scalars (``labels`` only for caller labels, no tolerances: a
-file is judged by the constants of :mod:`povmtree.linalg`), the leaf order as
-N = 2**depth little-endian unsigned integers of the narrowest width w of 1, 2,
-4 or 8 bytes that holds N - 1, depth being ``(n_original - 1).bit_length()``,
-then little-endian float64 words: the ``n_original`` elements' d^2
-parameters each, as ``Povm.params`` holds them, then level by level the real
-and imaginary parts of the Kraus pairs of the level's real prefix
-(:func:`povmtree.tree.real_counts`).  ``n_original`` is the tree's outcome
-count.  The padding leaves exist only in the file's shape: the order's tail
-``n_original..N-1`` and, with caller labels, the header's ``pad<j>``
-labels, which the loader checks and drops; they cost no float words.  Each
+file is judged by the constants of :mod:`povmtree.linalg`), the leaf order
+``tree.order`` as ``n_original`` little-endian unsigned integers of the
+narrowest width w of 1, 2, 4 or 8 bytes that holds ``n_original - 1``, then
+little-endian float64 words: the ``n_original`` elements' d^2 parameters
+each, as ``Povm.params`` holds them, then level by level the real and
+imaginary parts of the Kraus pairs of the level's real prefix
+(:func:`povmtree.tree.real_counts`, the depth being ``(n_original -
+1).bit_length()``).  ``n_original`` is the tree's outcome count.  Each
 word's low seven bytes follow the order, and its top byte, the sign and
 seven high exponent bits, goes into one raw deflate stream (window 2**9)
-that ends the file: ``w N + 7 W`` bytes, then the stream, for the ``W = d^2
-n_original + 4 d^2 K`` words of K pairs kept.  The arrays are read as a tree
-holds them; the loader checks the order and runs
+that ends the file: ``w n_original + 7 W`` bytes, then the stream, for the
+``W = d^2 n_original + 4 d^2 K`` words of K pairs kept.  The arrays are
+read as a tree holds them; the loader checks the order and runs
 :func:`povmtree.tree.verify`.  It allocates under 2.5 times the file's bytes.
 
-A POVM file's ``n_original`` is its element count.  One written with
-zero padding marks it by a smaller ``n_original``: the loader checks that
-the elements from there on are zero and drops them with their labels.
+A POVM file holds its elements and, for caller labels, one label each.  A
+file whose ``n_original`` is not its element count was written with zero
+padding by an older writer, and is refused.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ from .tree import MeasurementTree, is_permutation, real_counts, verify
 
 POVM_FORMAT = "povmtree/povm-v1"
 STATE_FORMAT = "povmtree/state-v1"
-TREE_FORMAT = "povmtree/tree-v10"
+TREE_FORMAT = "povmtree/tree-v11"
 
 _BLOB_DTYPE = np.dtype("<c16")
 _PARAMETER_DTYPE = np.dtype("<f8")
@@ -114,7 +112,6 @@ def povm_to_dict(p: Povm) -> dict:
         "dimension": p.dim,
         "elements": [encode_matrix(m) for m in p.elements],
         **({} if isinstance(p.labels, Rows) else {"labels": list(p.labels)}),
-        "n_original": p.n_outcomes,
     }
 
 
@@ -123,11 +120,14 @@ def povm_from_dict(data: dict) -> Povm:
 
 
 def povm_record(data: dict) -> tuple[list[np.ndarray], Povm]:
-    """The elements of a POVM record as stored, less an old file's zero padding, and their :class:`Povm`."""
+    """The elements of a POVM record as stored, and their :class:`Povm`."""
     dim = _int_field(data, "dimension", 1)
     raw = _require(data, "elements")
     if not isinstance(raw, list) or not raw:
         raise ParseError("elements must be a non-empty list", field="elements")
+    if "n_original" in data and _int_field(data, "n_original", 1) != len(raw):
+        raise ParseError(f"differs from the {len(raw)} elements: a file written with zero padding; "
+                         "delete its zero elements, their labels and n_original", field="n_original")
     elements = [decode_matrix(m, f"elements[{j}]") for j, m in enumerate(raw)]
     for j, m in enumerate(elements):
         if m.shape != (dim, dim):
@@ -135,12 +135,7 @@ def povm_record(data: dict) -> tuple[list[np.ndarray], Povm]:
                              field=f"elements[{j}]")
     if not isinstance(data.get("labels", []), (list, type(None))):  # entries are taken by str()
         raise ParseError("must be a list of labels or null", field="labels")
-    p = validate(elements, labels=data.get("labels"))
-    if "n_original" not in data or (k := _n_original(data, p.params)) == p.n_outcomes:
-        return elements, p
-    # an old file's zero padding: dropped, with its labels
-    labels = default_labels(k) if isinstance(p.labels, Rows) else p.labels[:k]
-    return elements[:k], Povm(dim=p.dim, params=_frozen(p.params[:k].copy()), labels=labels)
+    return elements, validate(elements, labels=data.get("labels"))
 
 
 def save_povm(p: Povm, path) -> None:
@@ -189,58 +184,35 @@ def _int_field(data: dict, key: str, low: int) -> int:
     return value
 
 
-def _n_original(data: dict, params: np.ndarray) -> int:
-    """The ``n_original`` field, once it fits the outcome count and every padding element is zero.
-
-    Padding is written as exact zeros and a POVM file stores it exactly, so
-    its parameters are compared exactly.
-    """
-    n_original = _int_field(data, "n_original", 1)
-    if n_original > len(params):
-        raise ParseError(f"exceeds the {len(params)} outcomes", field="n_original")
-    if params[n_original:].any():
-        raise ParseError("an element at or past it is not zero padding", field="n_original")
-    return n_original
-
-
 def _finite_float(value: Any, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ParseError(f"must be a finite number, got {value!r}", field=field)
     return float(value)
 
 
-def _padding_labels(k: int, n: int) -> list[str]:
-    """The header labels of a tree file's padding leaves k..n-1, which only the file holds."""
-    return [f"pad{j}" for j in range(k, n)]
-
-
-def _povm(data: dict, dim: int, params: np.ndarray, n: int) -> Povm:
+def _povm(data: dict, dim: int, params: np.ndarray) -> Povm:
     k = len(params)
-    labels = data.get("labels", ())
-    if "labels" in data and not (isinstance(labels, list) and len(labels) == n
-                                 and all(isinstance(x, str) for x in labels)
-                                 and labels[k:] == _padding_labels(k, n)):
-        raise ParseError(f"must be a list of {n} strings, 'pad<j>' from {k} on", field="labels")
+    labels = data.get("labels")
+    if "labels" in data and not (isinstance(labels, list) and len(labels) == k
+                                 and all(isinstance(x, str) for x in labels)):
+        raise ParseError(f"must be a list of {k} strings", field="labels")
     # the elements are checked against the Kraus pairs by verify()
-    return Povm(dim=dim, params=params, labels=tuple(labels[:k]) if "labels" in data else default_labels(k))
+    return Povm(dim=dim, params=params, labels=tuple(labels) if "labels" in data else default_labels(k))
 
 
 def save_tree(tree: MeasurementTree, path) -> None:
-    """Write ``tree`` as ``tree-v10``: the header line, the order, the words' low bytes, the stream.
+    """Write ``tree`` as ``tree-v11``: the header line, the order, the words' low bytes, the stream.
 
-    The order is ``tree.order`` and the padding leaves' tail; the words are
-    those of ``tree.povm.params`` and of ``tree.kraus``, copied ``_CHUNK``
-    at a time.
+    The order is ``tree.order``; the words are those of ``tree.povm.params``
+    and of ``tree.kraus``, copied ``_CHUNK`` at a time.
     """
-    p, n = tree.povm, 1 << tree.depth
+    p = tree.povm
     header = {"format": TREE_FORMAT, "dimension": p.dim,
-              **({} if isinstance(p.labels, Rows) else
-                 {"labels": [*p.labels, *_padding_labels(p.n_outcomes, n)]}),
+              **({} if isinstance(p.labels, Rows) else {"labels": list(p.labels)}),
               "n_original": p.n_outcomes}
-    leaf_order = np.concatenate([tree.order, np.arange(p.n_outcomes, n)])
     order, *floats = (np.ascontiguousarray(a, dtype=dtype)  # no copy on a little-endian host
-                      for (_, _, dtype), a in zip(_blobs(p.dim, tree.depth, p.n_outcomes),
-                                                  (leaf_order, p.params, *tree.kraus)))
+                      for (_, _, dtype), a in zip(_blobs(p.dim, p.n_outcomes),
+                                                  (tree.order, p.params, *tree.kraus)))
     chunks = [c for a in floats for c in _words(a)]
     deflate = zlib.compressobj(wbits=_WBITS, memLevel=_MEM_LEVEL, strategy=zlib.Z_HUFFMAN_ONLY)
     with open(path, "wb") as handle:
@@ -257,8 +229,8 @@ def _words(a: np.ndarray) -> list[np.ndarray]:
             for start in range(0, a.nbytes // 8, _CHUNK)]
 
 
-def _read_header(handle) -> tuple[dict, int, int, int]:
-    """The checked JSON header on the first line of a tree file, its dimension, depth and ``n_original``."""
+def _read_header(handle) -> tuple[dict, int, int]:
+    """The checked JSON header on the first line of a tree file, its dimension and ``n_original``."""
     line = handle.readline(_HEADER_LIMIT + 1)
     if len(line) > _HEADER_LIMIT:
         raise ParseError(f"header line exceeds {_HEADER_LIMIT} bytes", field="header")
@@ -274,26 +246,24 @@ def _read_header(handle) -> tuple[dict, int, int, int]:
                          field="format")
     dim = _int_field(header, "dimension", 1)
     n_original = _int_field(header, "n_original", 1)
-    depth, size = (n_original - 1).bit_length(), os.fstat(handle.fileno()).st_size
-    # compare bit lengths first, so a huge depth is not shifted out; an order
-    # entry takes the fewest bytes that hold 2**depth - 1, as in _blobs
-    if depth > size.bit_length() or np.min_scalar_type((1 << depth) - 1).itemsize << depth > size:
-        raise ParseError(f"the order of 2**{depth} outcomes cannot fit in the file's {size} bytes",
+    size = os.fstat(handle.fileno()).st_size
+    if n_original > size:  # an order entry takes at least a byte
+        raise ParseError(f"the order of {n_original} outcomes cannot fit in the file's {size} bytes",
                          field="n_original")
     if not line.endswith(b"\n"):
         raise ParseError("the header line has no terminating newline", field="header")
-    return header, dim, depth, n_original
+    return header, dim, n_original
 
 
-def _blobs(dim: int, depth: int, n_original: int) -> list[tuple]:
+def _blobs(dim: int, n_original: int) -> list[tuple]:
     """Field name, shape and dtype of each array of a tree file, in file order, each stored whole.
 
-    The order has a row per leaf, the elements one row of d^2 parameters
+    The order has a row per outcome, the elements one row of d^2 parameters
     per outcome, and a Kraus level is its real prefix
     (:func:`povmtree.tree.real_counts`).
     """
-    n = 1 << depth
-    return [("order", (n,), np.min_scalar_type(n - 1).newbyteorder("<")),
+    depth = (n_original - 1).bit_length()
+    return [("order", (n_original,), np.min_scalar_type(n_original - 1).newbyteorder("<")),
             ("elements", (n_original, dim * dim), _PARAMETER_DTYPE),
             *((f"kraus[{level}]", (real, 2, dim, dim), _BLOB_DTYPE)
               for level, real in enumerate(real_counts(depth, n_original)[:depth]))]
@@ -347,38 +317,33 @@ def _read_arrays(handle, blobs) -> list[np.ndarray]:
 
 
 def load_tree(path) -> MeasurementTree:
-    """Read, check and verify a ``tree-v10`` file.
+    """Read, check and verify a ``tree-v11`` file.
 
     The arrays are read in one pass into those the tree keeps, the stream
-    decoded a chunk at a time, so the file is never held twice; the
-    order's padding tail and padding labels are checked and dropped:
+    decoded a chunk at a time, so the file is never held twice:
     ``load_tree(save_tree(t))`` returns ``t``'s arrays bit for bit.
 
     Raises
     ------
     ParseError
         In the order checked: a header line over ``_HEADER_LIMIT`` bytes or
-        not one JSON object; a format other than ``tree-v10`` (named: an
+        not one JSON object; a format other than ``tree-v11`` (named: an
         older file is recompiled from its POVM file); an ``n_original``
-        whose order cannot fit in the file, before ``1 << depth`` is formed;
-        a header line without its newline; a blob, in file order, whose raw
-        bytes the file cannot hold; on ``stream``, a stream that is corrupt,
-        decodes to fewer or more bytes than there are words, or does not end
-        where the file does; an entry beyond ``ENTRY_BOUND``, per blob;
-        ``order`` not a permutation with the padding last and in order; or
-        ``labels`` not one string per leaf, ``pad<j>`` at padding leaf j.
+        whose order cannot fit in the file; a header line without its
+        newline; a blob, in file order, whose raw bytes the file cannot
+        hold; on ``stream``, a stream that is corrupt, decodes to fewer or
+        more bytes than there are words, or does not end where the file
+        does; an entry beyond ``ENTRY_BOUND``, per blob; ``order`` not a
+        permutation of the outcomes; or ``labels`` not one string per outcome.
     VerificationError
         As :func:`povmtree.tree.verify` raises it: ``"operator sum"`` at the
         root, then the first failing pair or leaf in walk order, naming the node.
     """
     with open(path, "rb") as handle:
-        header, dim, depth, n_original = _read_header(handle)
-        order, params, *kraus = _read_arrays(handle, _blobs(dim, depth, n_original))
-    n = 1 << depth
-    if not (is_permutation(order[:n_original], n_original)
-            and np.array_equal(order[n_original:], np.arange(n_original, n))):
-        raise ParseError(f"must be a permutation of 0..{n - 1} with the padding, "
-                         f"{n_original} on, last and in order", field="order")
-    tree = MeasurementTree(povm=_povm(header, dim, params, n), order=order[:n_original], kraus=tuple(kraus))
+        header, dim, n_original = _read_header(handle)
+        order, params, *kraus = _read_arrays(handle, _blobs(dim, n_original))
+    if not is_permutation(order, n_original):
+        raise ParseError(f"must be a permutation of 0..{n_original - 1}", field="order")
+    tree = MeasurementTree(povm=_povm(header, dim, params), order=order, kraus=tuple(kraus))
     verify(tree)
     return tree

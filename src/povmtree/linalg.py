@@ -31,7 +31,8 @@ check nothing, running on validated elements and states.  Compilation
 takes the roots of the elements and no decomposition of a partial sum
 (:func:`povmtree.tree.compile_tree` factors the tree by QR); the SVD of
 :func:`svd_inverse` serves only the one-matrix API on arbitrary input,
-and the rank rule only the roots, that API and ``verify``'s rank column.
+and the rank rule only the roots, that API, ``verify``'s rank column and
+the rank-one pieces of :func:`povmtree.dilation.full_neumark`.
 
 All functions but :func:`check_psd` are pure; returned arrays are fresh and
 never alias inputs.

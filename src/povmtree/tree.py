@@ -276,9 +276,12 @@ def split_node(children_kraus, parent_kraus) -> np.ndarray:
     isometry of the child target (identity-acting for Hermitian targets, so
     the plain ``m @ pinv + a g`` ansatz is recovered).  Guarantees, within
     ``TOL_CHECK``, completeness ``b0^dag b0 + b1^dag b1 = I`` and the
-    factorization ``b_c @ parent = m_c``.  A compiled tree's pair agrees
-    with it on the parent's range: :func:`compile_tree` builds the same
-    identities in its own gauge, without a rank decision.
+    factorization ``b_c @ parent = m_c``, or raises.  It divides by the
+    parent's singular values, so rounding in the children grows by up to
+    their ratio: a parent of full rank by the rank rule but a singular value
+    ratio near 1e-8 makes valid children fail completeness.
+    :func:`compile_tree` divides by none and builds such a pair; where both
+    succeed they agree on the parent's range.
 
     Raises
     ------
@@ -287,8 +290,8 @@ def split_node(children_kraus, parent_kraus) -> np.ndarray:
         finite matrices of the parent's square shape.
     VerificationError
         ``what="children sum"`` if the precondition sum fails;
-        ``"completeness"`` or ``"factorization"`` if a post-check fails,
-        which signals a numerical-rank misjudgment in the parent operator.
+        ``"completeness"`` or ``"factorization"`` if a post-check fails:
+        a misjudged rank, or a parent too ill-conditioned to divide by.
     """
     parent = as_stack([parent_kraus])
     children = as_stack(children_kraus, parent.shape[1:])
@@ -393,8 +396,8 @@ def compile_tree(
 def verify(tree: MeasurementTree) -> VerificationReport:
     """Audit a tree on what its outputs read: the root sum, complete pairs and the leaf effects.
 
-    The stored elements, ``povm.params`` as held (numpy adds its rows in turn, pairwise at d = 1),
-    must sum to I.  On the walk of
+    The stored elements, ``povm.params`` as held (numpy adds its rows in
+    turn, pairwise at d = 1), must sum to I.  On the walk of
     :meth:`MeasurementTree._operators` (the nodes with a real leaf), each
     internal node's Kraus pair must be complete and each leaf's ``m^dag m``
     must lie within ``TOL_CHECK`` (Frobenius) of its element.  Every output

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from povmtree import tetrad
-from povmtree.io import encode_matrix, povm_to_dict
 
 # While it reports a failing example, hypothesis imports libcst, which builds
 # a mypy_extensions.TypedDict and so raises a DeprecationWarning.  Under the
@@ -59,24 +58,18 @@ def hermitian_parameters(elements):
     return np.array(rows, dtype="<f8").reshape(len(elements), -1)
 
 
-def stored_pairs(order, n_original):
-    """Per level, root first, which nodes' pairs a tree-v10 file stores: those with a real leaf.
+def stored_pairs(depth, n_original):
+    """Per level, root first, how many nodes' pairs a tree-v11 file stores: those with a real leaf.
 
-    Leaf i is outcome ``order[i]``, padding when ``order[i] >= n_original``;
-    a node's leaves are the 2**(depth - level) leaves below it.
+    The real leaves are the first ``n_original`` of the ``2**depth``, so on
+    level l they lie below the first ceil(n_original / 2**(depth - l)) nodes.
     """
-    real = np.asarray(order) < n_original
-    levels = []
-    while len(real) > 1:
-        real = real.reshape(-1, 2).any(axis=1)
-        levels.insert(0, real)
-    return levels
+    return [-(-n_original // (1 << (depth - level))) for level in range(depth)]
 
 
 def order_width(n_original):
-    """Bytes per order entry of a tree-v10 file: the fewest of 1, 2, 4 or 8 that hold 2**depth - 1."""
-    depth = (n_original - 1).bit_length()
-    return next(w for w in (1, 2, 4, 8) if depth <= 8 * w)
+    """Bytes per order entry of a tree-v11 file: the fewest of 1, 2, 4 or 8 that hold n_original - 1."""
+    return next(w for w in (1, 2, 4, 8) if n_original <= 1 << (8 * w))
 
 
 def words(arrays):
@@ -96,44 +89,30 @@ def deflate(data):
     return compressor.compress(bytes(data)) + compressor.flush()
 
 
-def save_padded_povm(p, n, path):
-    """Write ``p`` as a povm-v1 file the way older writers padded it: n elements, the tail zero.
-
-    ``"n_original"`` marks the ``p.n_outcomes`` real elements; caller labels
-    go on with ``pad<j>`` for each zero element.
-    """
-    k, data = p.n_outcomes, povm_to_dict(p)  # its n_original is k
-    data["elements"] += [encode_matrix(np.zeros((p.dim, p.dim)))] * (n - k)
-    if "labels" in data:
-        data["labels"] += [f"pad{j}" for j in range(k, n)]
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(data, handle, indent=1)
-
-
 def read_tree_file(path):
-    """Header, order and writable arrays of a tree-v10 file, read as the format documents it.
+    """Header, order and writable arrays of a tree-v11 file, read as the format documents it.
 
     The depth is ``(n_original - 1).bit_length()``.  The order is
-    ``(2**depth,)`` little-endian unsigned integers of :func:`order_width`
+    ``(n_original,)`` little-endian unsigned integers of :func:`order_width`
     bytes, returned as int64.  The arrays are the parameters of the
-    ``n_original`` real elements, ``(n_original, d*d)`` little-endian float64
+    ``n_original`` elements, ``(n_original, d*d)`` little-endian float64
     as :func:`hermitian_parameters` lays them out; then, for each level, the
-    pairs of ``kraus[l]`` that :func:`stored_pairs` marks, ``(k, 2, d, d)``
-    little-endian complex128 in C order.  After the order come the low seven
-    bytes of each float64 word of the arrays (:func:`words`), in order, then
-    a raw deflate stream that decodes to the top byte of each word and ends
-    the file.
+    first pairs of ``kraus[l]``, as many as :func:`stored_pairs` counts,
+    ``(k, 2, d, d)`` little-endian complex128 in C order.  After the order
+    come the low seven bytes of each float64 word of the arrays
+    (:func:`words`), in order, then a raw deflate stream that decodes to the
+    top byte of each word and ends the file.
     """
     with open(path, "rb") as handle:
         header = json.loads(handle.readline())
         raw = handle.read()
     d, n_original = header["dimension"], header["n_original"]
-    width, leaves = order_width(n_original), 1 << (n_original - 1).bit_length()
-    order = np.frombuffer(raw, dtype=f"<u{width}", count=leaves).astype("<i8")
+    width, depth = order_width(n_original), (n_original - 1).bit_length()
+    order = np.frombuffer(raw, dtype=f"<u{width}", count=n_original).astype("<i8")
     shapes = [("<f8", (n_original, d * d))]
-    shapes += [("<c16", (int(kept.sum()), 2, d, d)) for kept in stored_pairs(order, n_original)]
+    shapes += [("<c16", (kept, 2, d, d)) for kept in stored_pairs(depth, n_original)]
     count = sum(int(np.prod(shape)) * np.dtype(dtype).itemsize // 8 for dtype, shape in shapes)
-    offset = width * leaves
+    offset = width * n_original
     stored = np.empty((count, 8), dtype=np.uint8)
     stored[:, :7] = np.frombuffer(raw, dtype=np.uint8, count=7 * count, offset=offset).reshape(-1, 7)
     inflate = zlib.decompressobj(wbits=-9)
@@ -148,7 +127,7 @@ def read_tree_file(path):
 
 
 def write_tree_file(path, header, order, arrays, tail=b"", stream=None):
-    """Write a tree-v10 file from a header, order and arrays as :func:`read_tree_file` returns them.
+    """Write a tree-v11 file from a header, order and arrays as :func:`read_tree_file` returns them.
 
     The order is written at the width the header's ``n_original`` sets, each
     entry as its low bytes, so -1 is written as 255 at width 1.  The words'

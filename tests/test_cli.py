@@ -25,7 +25,7 @@ from povmtree.cli import main
 from povmtree.cost import compare
 from povmtree.io import encode_matrix, load_povm, load_tree, save_povm, save_state, save_tree
 
-from conftest import read_tree_file, save_padded_povm, write_tree_file
+from conftest import read_tree_file, write_tree_file
 
 
 @pytest.fixture
@@ -154,15 +154,21 @@ class TestCompileCommand:
     @pytest.mark.parametrize("grouping, code", [("2,0|1", 0), ("2,0|1,3", 2), ("3,0|1,2", 2)])
     def test_grouping_takes_what_compile_takes(self, triple_file, tmp_path, capsys, stored, grouping,
                                                code):
-        # a permutation of the 3 outcomes, whether or not the POVM file stores
-        # zero padding; any other grouping, one naming a padding leaf too, is
-        # a parse error (exit 2) before anything is compiled
+        # a permutation of the 3 outcomes; any other grouping, one naming a
+        # padding leaf too, is a parse error (exit 2) before anything is
+        # compiled.  A POVM file that stores zero padding, as older writers
+        # did, is refused whatever the grouping
         path = tmp_path / "padded.povm.json"
-        save_padded_povm(load_povm(triple_file), 4, path)
-        assert load_povm(path).n_outcomes == 3
-        source = triple_file if stored == "unpadded" else str(path)
+        with open(triple_file, encoding="utf-8") as handle:
+            data = json.load(handle)
+        data["elements"].append([[[0.0, 0.0]] * 2] * 2)
+        path.write_text(json.dumps(dict(data, n_original=3)))
         out = tmp_path / "triple.tree"
-        assert main(["compile", source, "--grouping", grouping, "--out", str(out)]) == code
+        if stored == "padded":
+            assert main(["compile", str(path), "--grouping", grouping, "--out", str(out)]) == 2
+            assert "field 'n_original'" in capsys.readouterr().err and not out.exists()
+            return
+        assert main(["compile", triple_file, "--grouping", grouping, "--out", str(out)]) == code
         if code:
             assert repr(grouping) in capsys.readouterr().err and not out.exists()
         else:

@@ -39,8 +39,7 @@ from povmtree.io import (
     state_from_dict,
 )
 
-from conftest import (deflate, hermitian_parameters, read_tree_file, save_padded_povm, stored_pairs, words,
-                      write_tree_file)
+from conftest import deflate, hermitian_parameters, read_tree_file, stored_pairs, words, write_tree_file
 
 
 class TestMatrixCodec:
@@ -65,7 +64,7 @@ class TestPovmFiles:
         save_povm(tetrad_povm, path)
         again = load_povm(path)
         assert again.dim == 2 and again.labels == tetrad_povm.labels
-        assert again.n_outcomes == tetrad_povm.n_outcomes == json.loads(path.read_text())["n_original"]
+        assert again.n_outcomes == tetrad_povm.n_outcomes and "n_original" not in json.loads(path.read_text())
         for a, b in zip(again.elements, tetrad_povm.elements):
             assert np.array_equal(a, b)
 
@@ -85,44 +84,37 @@ class TestPovmFiles:
 
     @pytest.mark.parametrize("n_original", [9, 2])
     def test_n_original_marks_only_zero_padding(self, tmp_path, tetrad_povm, n_original):
-        # 9 exceeds the four outcomes; 2 would flag two nonzero elements as padding
+        # an n_original is what older writers stored, the element count;
+        # 9 exceeds the four elements, and 2 would mark two of them padding
         path = tmp_path / "tetrad.povm.json"
         save_povm(tetrad_povm, path)
         data = json.loads(path.read_text())
-        data["n_original"] = n_original
-        path.write_text(json.dumps(data))
+        path.write_text(json.dumps(dict(data, n_original=4)))
+        assert load_povm(path).params.tobytes() == tetrad_povm.params.tobytes()
+        path.write_text(json.dumps(dict(data, n_original=n_original)))
         with pytest.raises(ParseError) as err:
             load_povm(path)
         assert err.value.field == "n_original"
-        # a padded POVM, whose tail is exact zeros, still loads as its real outcomes
-        save_padded_povm(random_rank_one_povm(3, 2, np.random.default_rng(3)), 4, path)
-        assert load_povm(path).n_outcomes == 3
 
-    def test_old_padded_file_loads_as_its_outcomes(self, tmp_path, capsys):
+    def test_old_padded_file_is_refused(self, tmp_path, capsys):
         # a povm-v1 file written with zero padding: 5 elements, n_original 3,
-        # caller labels padded with pad<j>; it loads, validates and compiles
-        # as its 3 real outcomes and their labels
+        # caller labels padded with pad<j>; the message says how to mend it
         p = validate(random_rank_one_povm(3, 2, np.random.default_rng(3)).elements, ["a", "b", "c"])
         path = tmp_path / "old.povm.json"
-        save_padded_povm(p, 5, path)
-        data = json.loads(path.read_text())
-        assert (len(data["elements"]), data["n_original"]) == (5, 3)
-        assert data["labels"] == ["a", "b", "c", "pad3", "pad4"]
-        again = load_povm(path)
-        assert again.labels == ("a", "b", "c") and again.params.tobytes() == p.params.tobytes()
-        assert main(["validate", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "POVM: 3 outcomes on dimension 2" in out and "pad" not in out
-        assert main(["compile", str(path), "--out", str(tmp_path / "old.tree")]) == 0
-        tree = load_tree(tmp_path / "old.tree")
-        assert tree.povm.labels == ("a", "b", "c") and tree.povm.params.tobytes() == p.params.tobytes()
-        # an element past n_original that is not zero is still refused
-        data["elements"][4][0][0] = [1e-300, 0.0]
+        data = treeio.povm_to_dict(p)
+        data["elements"] += [encode_matrix(np.zeros((2, 2)))] * 2
+        data.update(labels=["a", "b", "c", "pad3", "pad4"], n_original=3)
         path.write_text(json.dumps(data))
         with pytest.raises(ParseError) as err:
             load_povm(path)
-        assert err.value.field == "n_original"
+        assert err.value.field == "n_original" and "delete its zero elements" in str(err.value)
         assert main(["validate", str(path)]) == 2
+        assert "field 'n_original'" in capsys.readouterr().err
+        # without the padding it is the file save_povm writes
+        del data["n_original"]
+        data["elements"], data["labels"] = data["elements"][:3], data["labels"][:3]
+        path.write_text(json.dumps(data))
+        assert load_povm(path).params.tobytes() == p.params.tobytes()
 
     def test_element_shape_check(self, tmp_path):
         path = tmp_path / "shape.json"
@@ -240,10 +232,10 @@ class TestTreeFiles:
     # The header is pinned byte for byte; the arrays are compared with the
     # tree's own, since their low bits can differ between LAPACK builds, and
     # the stream decoded, since its bytes can differ between zlib builds.
-    TETRAD_HEADER = b'{"format":"povmtree/tree-v10","dimension":2,"n_original":4}'
-    PADDED_HEADER = b'{"format":"povmtree/tree-v10","dimension":2,"n_original":5}'
+    TETRAD_HEADER = b'{"format":"povmtree/tree-v11","dimension":2,"n_original":4}'
+    PADDED_HEADER = b'{"format":"povmtree/tree-v11","dimension":2,"n_original":5}'
     TETRAD_ORDER = (0, 3, 1, 2)
-    PADDED_ORDER = tuple(range(8))
+    PADDED_ORDER = tuple(range(5))
 
     @pytest.mark.parametrize("which", ["tetrad", "padded"])
     def test_file_layout(self, tmp_path, tetrad_povm, which):
@@ -255,14 +247,12 @@ class TestTreeFiles:
             header, order = self.PADDED_HEADER, self.PADDED_ORDER
         path = tmp_path / "layout.tree"
         save_tree(tree, path)
-        # the order, one byte an entry; then the float64 words of the real
+        # the order, one byte an outcome; then the float64 words of the
         # elements and of the pairs of nodes with a real leaf (at (2, 5) all
         # but the last pair of the last level): the low seven bytes of each,
         # then a raw deflate stream of their top bytes that ends the file
-        n_original = tree.povm.n_outcomes
         # the tree holds each level's pairs of nodes with a real leaf, as the file stores them
-        kept = stored_pairs(order, n_original)
-        assert [len(level) for level in tree.kraus] == [int(k.sum()) for k in kept]
+        assert [len(level) for level in tree.kraus] == stored_pairs(tree.depth, tree.povm.n_outcomes)
         stored = words([hermitian_parameters(tree.povm.elements), *tree.kraus])
         head = header + b"\n" + bytes(order) + stored[:, :7].tobytes()
         raw = path.read_bytes()
@@ -274,35 +264,35 @@ class TestTreeFiles:
     @pytest.mark.parametrize("d, n", [(2, 4), (2, 5), (3, 7), (32, 64)],
                              ids=["tetrad", "padded-2-5", "padded-3-7", "32-64"])
     def test_file_size(self, tmp_path, tetrad_povm, d, n):
-        # per padded element one byte of order (N <= 256), per real element
-        # d^2 float64 words, and per node with a real leaf 4 d^2: at (2, 5)
-        # 6 of the 7 pairs, at (3, 7) all 7.  Seven bytes of each word are
-        # raw, and the stream after them holds one byte a word
+        # per element one byte of order (N <= 256) and d^2 float64 words, and
+        # per node with a real leaf 4 d^2: at (2, 5) 6 of the 7 pairs, at
+        # (3, 7) all 7; a padding leaf costs nothing.  Seven bytes of each
+        # word are raw, and the stream after them holds one byte a word
         p = tetrad_povm if n == 4 else random_rank_one_povm(n, d, np.random.default_rng([d, n]))
         tree = compile_tree(p)
         path = tmp_path / "size.tree"
         save_tree(tree, path)
         with open(path, "rb") as handle:
             header = len(handle.readline())
-        padded = 1 << tree.depth
         pairs = {4: 3, 5: 6, 7: 7, 64: 63}[n]
-        assert sum(kept.sum() for kept in stored_pairs(np.arange(padded), n)) == pairs
+        assert sum(stored_pairs(tree.depth, n)) == pairs
         count = d * d * n + 4 * d * d * pairs
         inflate = zlib.decompressobj(wbits=-9)
-        stream = path.read_bytes()[header + padded + 7 * count:]
+        stream = path.read_bytes()[header + n + 7 * count:]
         assert len(inflate.decompress(stream)) == count and inflate.eof and not inflate.unused_data
-        assert path.stat().st_size == header + padded + 7 * count + len(stream)
+        assert path.stat().st_size == header + n + 7 * count + len(stream)
 
     @pytest.mark.parametrize("depth, width", [(8, 1), (9, 2), (16, 2), (17, 4)])
     def test_order_width(self, depth, width):
-        # the narrowest of 1, 2, 4 or 8 bytes that holds the largest entry, 2**depth - 1
-        order = treeio._blobs(1, depth, (1 << depth - 1) + 1)[0]
-        assert order[:3] == ("order", (1 << depth,), np.dtype(f"<u{width}"))
+        # the narrowest of 1, 2, 4 or 8 bytes that holds the largest entry,
+        # n - 1, at the least and the most outcomes of a depth
+        for n in ((1 << depth - 1) + 1, 1 << depth):
+            assert treeio._blobs(1, n)[0] == ("order", (n,), np.dtype(f"<u{width}"))
 
     @pytest.mark.parametrize("n", [256, 257])
     def test_round_trip_across_the_first_width_boundary(self, tmp_path, n):
         # at d = 1, 256 outcomes fill depth 8, one byte an order entry; 257
-        # pad to 512 leaves, depth 9, two bytes an entry
+        # take depth 9, two bytes an entry, and store no padding
         rng = np.random.default_rng(n)
         tree = compile_tree(random_povm(n, 1, rng), partition=rng.permutation(n))
         path = tmp_path / "wide.tree"
@@ -310,10 +300,8 @@ class TestTreeFiles:
         width = 1 if n == 256 else 2
         with open(path, "rb") as handle:
             handle.readline()
-            stored = np.frombuffer(handle.read(width << tree.depth), dtype=f"<u{width}")
-        # the tree's order, then the padding leaves' tail, which only the file holds
-        assert np.array_equal(stored[:n], tree.order) and np.array_equal(stored[n:], np.arange(n, len(stored)))
-        assert not np.array_equal(stored, np.arange(len(stored)))
+            stored = np.frombuffer(handle.read(width * n), dtype=f"<u{width}")
+        assert np.array_equal(stored, tree.order) and not np.array_equal(stored, np.arange(n))
         again = load_tree(path)
         assert again.order.dtype == np.intp and not again.order.flags.writeable
         assert again.order.tobytes() == tree.order.tobytes()
@@ -323,12 +311,9 @@ class TestTreeFiles:
         assert (tmp_path / "again.tree").read_bytes() == path.read_bytes()
 
     def test_padding_past_the_least_power_of_two_is_not_saved(self, tmp_path):
-        # a POVM file may mark zero elements as padding, here 3 of 4: it loads
-        # as its one outcome, whose tree has no level, and saves as such.  A
-        # tree padded further, which a file could not describe, cannot be built
-        zero = encode_matrix(np.zeros((2, 2)))
-        p = povm_from_dict({"dimension": 2, "elements": [encode_matrix(np.eye(2)), zero, zero, zero],
-                            "n_original": 1})
+        # one outcome makes a tree of no level, and saves as such.  A tree
+        # padded further, which a file could not describe, cannot be built
+        p = validate([np.eye(2)])
         tree = compile_tree(p)
         assert (tree.depth, tree.povm.n_outcomes) == (0, 1)
         save_tree(tree, tmp_path / "one.tree")
@@ -348,8 +333,8 @@ class TestTreeFiles:
         header = read_tree_file(path)[0]
         assert ("labels" in header) is given
         again = load_tree(path)
-        # the file alone holds the padding leaf's label
-        assert header.get("labels") == (["a", "b", "c", "pad3"] if given else None)
+        # one label an outcome: the padding leaf has none
+        assert header.get("labels") == (["a", "b", "c"] if given else None)
         expected = ("a", "b", "c") if given else ("0", "1", "2")
         assert tuple(again.povm.labels) == tuple(tree.povm.labels) == expected
         assert again.povm.labels == expected and hash(again.povm.labels) == hash(expected)
@@ -394,48 +379,28 @@ class TestTamperedTreeFiles:
 
     def test_depth_must_match_outcomes(self, parts, tmp_path):
         # with depth 3 a tetrad tree once loaded and sampled (200000, 0, 0, 0)
-        # on |0>; tree-v10 stores no depth but derives it from n_original, so a
+        # on |0>; tree-v11 stores no depth but derives it from n_original, so a
         # "depth" in the header is ignored as any unknown key is, and an
-        # n_original whose order cannot fit in the file is refused before
-        # 1 << depth is formed or any array is allocated
+        # n_original whose order, a byte or more an outcome, cannot fit in the
+        # file is refused before any array is allocated
         header, order, arrays = parts
         path = tmp_path / "deep.tree"
         write_tree_file(path, dict(header, depth=3), order, arrays)
         assert load_tree(path).depth == 2
         write_tree_file(path, dict(header, n_original=1 << 40), order, arrays)
         err, peak = self.refused(path)
-        assert err.field == "n_original" and "2**40 outcomes" in str(err)
+        assert err.field == "n_original" and f"{1 << 40} outcomes" in str(err)
         assert peak <= 64 * 1024
-
-    def test_padding_is_at_most_half_the_leaves(self, tmp_path):
-        # one real outcome under depth 14 at d = 32: as a tree-v8 file, 0.6 MB
-        # whose padding would fill in 670 MB of arrays.  A tree-v10 header
-        # cannot say so: n_original 1 is depth 0, a one-leaf tree whose
-        # stream would be the bytes of the rest; an n_original past 2**13 fills in at most
-        # half the leaves, and its elements, or from depth 18 on its order,
-        # cannot fit in the file.  The order holds the header's leaves, at
-        # most the 2**14 of the tree-v8 file
-        d, depth = 32, 14
-        eye = np.eye(d)[None]
-        pairs = [np.concatenate([eye, 0 * eye])[None]] * depth
-        path = tmp_path / "sparse.tree"
-        for n_original, field in [(1, "stream"), ((1 << 13) + 1, "elements"), ((1 << 17) + 1, "n_original")]:
-            header = {"format": treeio.TREE_FORMAT, "dimension": d, "n_original": n_original}
-            order = np.arange(min(1 << (n_original - 1).bit_length(), 1 << depth))
-            write_tree_file(path, header, order, [hermitian_parameters(eye), *pairs])
-            err, peak = self.refused(path)
-            assert err.field == field
-            assert peak <= 64 * 1024
 
     @pytest.mark.parametrize("n_original, field", [(10 ** 9, "n_original"), (1 << 62, "n_original"),
                                                    (64, "elements"), (7, "kraus[1]")],
                              ids=["1000000000", "4611686018427387904", "64", "7"])
     def test_depth_is_bounded_by_the_file(self, parts, tmp_path, n_original, field):
-        # the tetrad's arrays under another n_original: an order of 2**depth
-        # entries that cannot fit in the file is refused before 1 << depth
-        # is formed; one that fits (64 bytes at depth 6, 8 at depth 3) leaves
-        # a blob past the file's end to be refused, the elements at depth 6
-        # and, at depth 3, the second Kraus level's 2 of 2 stored pairs (the
+        # the tetrad's arrays under another n_original: an order of more
+        # entries than the file has bytes is refused before any array is
+        # allocated; one that fits (64 or 7 bytes) leaves a blob past the
+        # file's end to be refused, the 64 elements and, for 7 outcomes at
+        # depth 3, the second Kraus level's 2 of 2 stored pairs (the
         # tetrad's stream is too short to hold their raw bytes)
         header, order, arrays = parts
         path = tmp_path / "deep.tree"
@@ -476,21 +441,6 @@ class TestTamperedTreeFiles:
             load_tree(path)
         assert err.value.field == "labels"
 
-    def test_padding_labels_are_the_files_own(self, tmp_path):
-        # caller labels go on in the header with pad<j> at padding leaf j, which
-        # the loader checks and drops, so a loaded tree saves to the same bytes
-        p = validate(random_rank_one_povm(3, 2, np.random.default_rng(3)).elements, ["a", "b", "c"])
-        path = tmp_path / "labels.tree"
-        save_tree(compile_tree(p), path)
-        header, order, arrays = read_tree_file(path)
-        assert header["labels"] == ["a", "b", "c", "pad3"]
-        assert load_tree(path).povm.labels == ("a", "b", "c")
-        for tail in ("pad4", "d"):
-            write_tree_file(path, dict(header, labels=["a", "b", "c", tail]), order, arrays)
-            with pytest.raises(ParseError) as err:
-                load_tree(path)
-            assert err.value.field == "labels"
-
     @pytest.mark.parametrize("cut, field", [(3, "kraus[1]"), (8, "kraus[1]"), (259, "kraus[0]"),
                                             (387, "elements"), (515, "order")],
                              ids=["3", "8", "259", "387", "515"])
@@ -509,25 +459,24 @@ class TestTamperedTreeFiles:
         assert err.value.field == field
 
     def test_n_original_marks_only_zero_padding(self, parts, tmp_path):
-        # n_original 3 would flag outcome 3, not zero, as padding.  A tree
-        # file stores no padding rows, so the header then claims 3 element
-        # rows of the 4 the file holds, and the stream is read from 28 bytes
-        # before it starts
+        # n_original 3 would make outcome 3, not zero, padding.  The header
+        # then claims 3 order bytes and element rows of the 4 the file
+        # holds, and the stream is read from 29 bytes before it starts
         header, order, arrays = parts
         path = tmp_path / "padding.tree"
         write_tree_file(path, dict(header, n_original=3), order, arrays)
         with pytest.raises(ParseError) as err:
             load_tree(path)
         assert err.value.field == "stream"
-        # with the row dropped the file's sizes agree; the tetrad's order
-        # [0, 3, 1, 2] then puts padding mid-order, and with 3 last the tree
-        # no longer sums to its elements
+        # with the entry and row dropped the file's sizes agree; the
+        # tetrad's order less its last entry holds 3, out of range, and
+        # with [0, 1, 2] the tree no longer sums to its elements
         elements, *kraus = arrays
-        write_tree_file(path, dict(header, n_original=3), order, [elements[:3], *kraus])
+        write_tree_file(path, dict(header, n_original=3), order[:3], [elements[:3], *kraus])
         with pytest.raises(ParseError) as err:
             load_tree(path)
         assert err.value.field == "order"
-        write_tree_file(path, dict(header, n_original=3), [0, 1, 2, 3], [elements[:3], *kraus])
+        write_tree_file(path, dict(header, n_original=3), [0, 1, 2], [elements[:3], *kraus])
         with pytest.raises(VerificationError) as err:
             load_tree(path)
         assert (err.value.what, err.value.path) == ("operator sum", "")
@@ -540,6 +489,21 @@ class TestTamperedTreeFiles:
             with pytest.raises(ParseError) as err:
                 load_tree(path)
             assert err.value.field == field
+
+    def test_repeated_order_entry(self, tmp_path):
+        # 13 outcomes on 16 leaves: entry 12, outcome 11 in index order, set
+        # to 0 repeats an outcome and leaves 11 out, which no padding tail
+        # could hide.  The file's sizes agree, so only the order check sees it
+        path = tmp_path / "repeated.tree"
+        save_tree(compile_tree(random_rank_one_povm(13, 2, np.random.default_rng(13))), path)
+        header, order, arrays = read_tree_file(path)
+        assert len(order) == 13
+        order[12] = 0
+        write_tree_file(path, header, order, arrays)
+        with pytest.raises(ParseError) as err:
+            load_tree(path)
+        assert err.value.field == "order" and "0..12" in str(err.value)
+        assert main(["simulate", str(path)]) == 2
 
     def test_elements_must_sum_to_the_identity(self, tmp_path):
         # leaf 2 is outcome order[2]'s and leaf 3 padding, both below node "1".
@@ -610,7 +574,7 @@ class TestTamperedTreeFiles:
         with pytest.raises(ParseError) as err:
             load_tree(path)
         assert err.value.field == "format"
-        assert "povmtree/tree-v10" in str(err.value)
+        assert "povmtree/tree-v11" in str(err.value)
 
     @pytest.mark.parametrize("version", ["tree-v3", "tree-v4", "tree-v5", "tree-v6"])
     def test_v3_file_is_not_read(self, tetrad_povm, tmp_path, version):
@@ -664,7 +628,7 @@ class TestTamperedTreeFiles:
         with pytest.raises(ParseError) as err:
             load_tree(path)
         assert err.value.field == "format"
-        assert "povmtree/tree-v7" in str(err.value) and "povmtree/tree-v10" in str(err.value)
+        assert "povmtree/tree-v7" in str(err.value) and "povmtree/tree-v11" in str(err.value)
 
     def test_v8_file_is_not_read(self, parts, tmp_path):
         # tree-v8 had the depth in its header and int64 order entries; its
@@ -676,11 +640,11 @@ class TestTamperedTreeFiles:
         with pytest.raises(ParseError) as err:
             load_tree(path)
         assert err.value.field == "format"
-        assert "povmtree/tree-v8" in str(err.value) and "povmtree/tree-v10" in str(err.value)
+        assert "povmtree/tree-v8" in str(err.value) and "povmtree/tree-v11" in str(err.value)
 
     def test_v9_file_is_not_read(self, parts, tmp_path):
         # tree-v9 stored each float64 word whole, with no stream; its header
-        # and order are tree-v10's, and the file is refused by its format
+        # is tree-v11's, and the file is refused by its format
         header, order, arrays = parts
         path = tmp_path / "old.tree"
         with open(path, "wb") as handle:
@@ -689,7 +653,29 @@ class TestTamperedTreeFiles:
         with pytest.raises(ParseError) as err:
             load_tree(path)
         assert err.value.field == "format"
-        assert "povmtree/tree-v9" in str(err.value) and "povmtree/tree-v10" in str(err.value)
+        assert "povmtree/tree-v9" in str(err.value) and "povmtree/tree-v11" in str(err.value)
+
+    def test_v10_file_is_not_read(self, tmp_path, capsys):
+        # tree-v10 stored the order's padding tail and, with caller labels,
+        # pad<j> labels: for 3 outcomes on 4 leaves one more order byte and
+        # label.  Its header is otherwise tree-v11's, and it is refused by
+        # its format, exit 2, naming the version to recompile to
+        p = validate(random_rank_one_povm(3, 2, np.random.default_rng(3)).elements, ["a", "b", "c"])
+        path = tmp_path / "old.tree"
+        save_tree(compile_tree(p), path)
+        header, order, arrays = read_tree_file(path)
+        with open(path, "wb") as handle:
+            old = dict(header, format="povmtree/tree-v10", labels=[*header["labels"], "pad3"])
+            handle.write(json.dumps(old, separators=(",", ":")).encode() + b"\n")
+            stored = words(arrays)
+            handle.write(np.append(order, 3).astype("<u1").tobytes() + stored[:, :7].tobytes())
+            handle.write(deflate(stored[:, 7]))
+        with pytest.raises(ParseError) as err:
+            load_tree(path)
+        assert err.value.field == "format"
+        assert "povmtree/tree-v10" in str(err.value) and "povmtree/tree-v11" in str(err.value)
+        assert main(["simulate", str(path)]) == 2
+        assert "povmtree/tree-v11" in capsys.readouterr().err
 
     @pytest.mark.parametrize("indent, field", [(None, "format"), (1, "header")], ids=["None", "1"])
     def test_v2_file_is_not_read(self, parts, tmp_path, indent, field):

@@ -3,6 +3,7 @@ pure states and the positivity of leaf states."""
 
 import contextlib
 import io
+import json
 import math
 import zlib
 
@@ -31,13 +32,12 @@ from povmtree import (
 )
 from povmtree.dilation import completeness_residuals
 from povmtree.cli import main
-from povmtree.io import load_povm, load_state, load_tree, save_state, save_tree
+from povmtree.io import load_povm, load_state, load_tree, povm_to_dict, save_state, save_tree
 from povmtree.errors import ParseError, PovmTreeError, ValidationError
 from povmtree.linalg import TOL_CHECK, TOL_UNITARY, adjoint
 from povmtree.tree import is_permutation, node_path, real_counts
 
-from conftest import (LEAF_OPERATOR_ERROR, frob, read_tree_file, save_padded_povm, stored_pairs,
-                      write_tree_file)
+from conftest import LEAF_OPERATOR_ERROR, frob, read_tree_file, stored_pairs, write_tree_file
 from test_tree import dusty_povm_elements
 
 # Few examples, drawn the same way on every run, so Tier-1 stays fast and stable.
@@ -220,27 +220,29 @@ def test_padding_costs_no_bytes(d, k, construction, seed, tmp_path_factory):
     path = tmp_path_factory.mktemp("padding") / "t.tree"
     save_tree(tree, path)
     if construction == "padding in the middle":
-        # refused as a partition, and as the order of a tree file
+        # refused as a partition, and in a tree file, whose order names only
+        # outcomes, as an entry out of range
         order = rng.permutation(2 << k)
         if np.array_equal(order[n:], np.arange(n, 2 << k)):
             order[[n - 1, n]] = order[[n, n - 1]]  # padding n before a real outcome
         with pytest.raises(ValidationError) as err:
             compile_tree(p, partition=order)
         assert err.value.what == "partition"
-        header, _, arrays = read_tree_file(path)
-        write_tree_file(path, header, order, arrays)
+        header, stored, arrays = read_tree_file(path)
+        stored[rng.integers(n)] = rng.integers(n, 2 << k)
+        write_tree_file(path, header, stored, arrays)
         with pytest.raises(ParseError) as err:
             load_tree(path)
         assert err.value.field == "order"
         return
-    stored = stored_pairs(np.arange(2 << k), n)
+    stored = stored_pairs(tree.depth, n)
     # the tree holds only the pairs of nodes with a real leaf, as the file stores them
-    assert [len(level) for level in tree.kraus] == [int(kept.sum()) for kept in stored]
+    assert [len(level) for level in tree.kraus] == stored
 
     with open(path, "rb") as handle:
         header = len(handle.readline())
-    pairs = sum(int(kept.sum()) for kept in stored)
-    order = 2 << k  # bytes: one an entry, as the depth is at most 8
+    pairs = sum(stored)
+    order = n  # bytes: one an outcome, as n is at most 127
     count = d * d * n + 4 * d * d * pairs  # float64 words, seven bytes of each raw
     inflate = zlib.decompressobj(wbits=-9)
     stream = path.read_bytes()[header + order + 7 * count:]
@@ -272,11 +274,10 @@ def test_padding_costs_no_bytes(d, k, construction, seed, tmp_path_factory):
     permuted=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_results_hold_the_real_outcomes_and_files_the_padding(k, d, given_labels, permuted, seed,
-                                                             tmp_path_factory):
+def test_results_and_files_hold_the_real_outcomes(k, d, given_labels, permuted, seed, tmp_path_factory):
     # padding is the tree's shape: every result indexed by outcome has k
     # entries, the report a row per internal node of the 2**depth-leaf tree,
-    # and only the file's order spells out the padding leaves, as its tail
+    # and the file's order and labels an entry per outcome
     rng = np.random.default_rng(seed)
     ranks = rng.integers(1, d + 1, k)
     ranks[0] = d  # so that the elements can sum to the identity
@@ -298,9 +299,8 @@ def test_results_hold_the_real_outcomes_and_files_the_padding(k, d, given_labels
     path = tmp_path_factory.mktemp("shape") / "t.tree"
     save_tree(tree, path)
     header, order, _ = read_tree_file(path)
-    assert len(order) == n and np.array_equal(order[:k], tree.order)
-    assert np.array_equal(order[k:], np.arange(k, n))
-    assert header.get("labels") == (None if labels is None else labels + [f"pad{j}" for j in range(k, n)])
+    assert np.array_equal(order, tree.order)
+    assert header.get("labels") == labels
 
 
 @PROPERTY
@@ -314,11 +314,11 @@ def test_stored_pairs_are_each_levels_real_prefix(n, seed):
     assert is_permutation(order[:n], n)
     counts = real_counts(depth, n)
     assert counts[0] == 1 and counts[depth] == n
-    stored = stored_pairs(order, n)
-    assert len(stored) == depth
-    for level, (kept, count) in enumerate(zip(stored, counts)):
-        assert count == -(-n // (1 << (depth - level)))
-        assert np.array_equal(kept, np.arange(1 << level) < count)
+    assert stored_pairs(depth, n) == counts[:depth]
+    real = order < n
+    for level in reversed(range(depth)):
+        real = real.reshape(-1, 2).any(axis=1)  # a node has a real leaf if a child has
+        assert np.array_equal(real, np.arange(1 << level) < counts[level])
 
 
 @PROPERTY
@@ -430,11 +430,12 @@ def mutated(raw: bytes, kind: str, data) -> bytes:
 
 @pytest.fixture(scope="module")
 def json_files(tmp_path_factory):
-    """A d = 2 tree file, and the bytes of a state file and of a labelled POVM file padded from 3 outcomes."""
+    """A d = 2 tree file, and the bytes of a state file and of a labelled 3-outcome POVM file with ``n_original``."""
     directory = tmp_path_factory.mktemp("json-mutants")
     rng = np.random.default_rng(8)
     save_tree(compile_tree(tetrad(), partition=[0, 3, 1, 2]), directory / "tetrad.tree")
-    save_padded_povm(validate(random_povm(3, 2, rng).elements, ["a", "b", "c"]), 4, directory / "povm")
+    data = povm_to_dict(validate(random_povm(3, 2, rng).elements, ["a", "b", "c"]))
+    (directory / "povm").write_text(json.dumps(dict(data, n_original=3), indent=1))
     save_state(random_density(2, rng), directory / "state")
     return directory, {name: (directory / name).read_bytes() for name in ("povm", "state")}
 

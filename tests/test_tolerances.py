@@ -41,7 +41,7 @@ def test_no_module_defines_a_tolerances_type_or_field():
 
 def test_one_rank_rule():
     # TOL_RANK is read only inside linalg, by rank_mask and is_dust, so every
-    # rank decision (roots, compile, verify, Neumark) goes through one rule
+    # rank decision (roots, the one-matrix SVD, verify, Neumark) goes through one rule
     outside = [f"{path.name}:{number}" for path in sorted(PACKAGE.glob("*.py"))
                if path.name != "linalg.py"
                for number, line in enumerate(path.read_text().splitlines(), 1)

@@ -397,6 +397,21 @@ class TestNearParallelSiblings:
             deviation = propagate(tree, state).probabilities - direct_probabilities(p, state)
             assert np.abs(deviation).max() <= 1e-8
 
+    def test_split_node_refuses_an_ill_conditioned_parent(self):
+        # Node '0' of this compiled tree has singular values of ratio about
+        # 2e-8, full rank by the rank rule: split_node divides the children's
+        # rounding by them, and its pair misses completeness by about 2e-7,
+        # where the compiled pair, built without a division, passes
+        p, _ = near_parallel_povm(4, 1e-7, 17)
+        tree = compile_tree(p)
+        assert verify(tree).passed
+        parent, children = tree.cumulative_kraus(1)[0], tree.cumulative_kraus(2)[:2]
+        s = np.linalg.svd(parent, compute_uv=False)
+        assert 1e-10 < s[-1] / s[0] < 1e-7
+        with pytest.raises(VerificationError) as err:
+            split_node(children, parent)
+        assert err.value.what == "completeness" and err.value.residual > 10 * linalg.TOL_CHECK
+
     def test_a_factorization_below_a_small_singular_value(self):
         # The leaf operators below node '0' sum to its operator diag(1, 1e-8)
         # within TOL_CHECK; the partial-sum compile divided the 5e-10 gap by
