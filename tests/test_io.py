@@ -39,7 +39,8 @@ from povmtree.io import (
     state_from_dict,
 )
 
-from conftest import deflate, hermitian_parameters, read_tree_file, stored_pairs, words, write_tree_file
+from conftest import (deflate, hermitian_parameters, read_tree_file, stored_pairs, stored_words, words,
+                      write_tree_file)
 
 
 class TestMatrixCodec:
@@ -232,8 +233,8 @@ class TestTreeFiles:
     # The header is pinned byte for byte; the arrays are compared with the
     # tree's own, since their low bits can differ between LAPACK builds, and
     # the stream decoded, since its bytes can differ between zlib builds.
-    TETRAD_HEADER = b'{"format":"povmtree/tree-v11","dimension":2,"n_original":4}'
-    PADDED_HEADER = b'{"format":"povmtree/tree-v11","dimension":2,"n_original":5}'
+    TETRAD_HEADER = b'{"format":"povmtree/tree-v12","dimension":2,"n_original":4}'
+    PADDED_HEADER = b'{"format":"povmtree/tree-v12","dimension":2,"n_original":5}'
     TETRAD_ORDER = (0, 3, 1, 2)
     PADDED_ORDER = tuple(range(5))
 
@@ -249,8 +250,10 @@ class TestTreeFiles:
         save_tree(tree, path)
         # the order, one byte an outcome; then the float64 words of the
         # elements and of the pairs of nodes with a real leaf (at (2, 5) all
-        # but the last pair of the last level): the low seven bytes of each,
-        # then a raw deflate stream of their top bytes that ends the file
+        # but the last pair of the last level), each pair above the last
+        # level as its blocks' upper triangles, b0's then b1's, row by row:
+        # the low seven bytes of each word, then a raw deflate stream of
+        # their top bytes that ends the file
         # the tree holds each level's pairs of nodes with a real leaf, as the file stores them
         assert [len(level) for level in tree.kraus] == stored_pairs(tree.depth, tree.povm.n_outcomes)
         stored = words([hermitian_parameters(tree.povm.elements), *tree.kraus])
@@ -261,22 +264,25 @@ class TestTreeFiles:
         assert inflate.decompress(raw[len(head):]) == stored[:, 7].tobytes()
         assert inflate.eof and not inflate.unused_data
 
-    @pytest.mark.parametrize("d, n", [(2, 4), (2, 5), (3, 7), (32, 64)],
-                             ids=["tetrad", "padded-2-5", "padded-3-7", "32-64"])
+    @pytest.mark.parametrize("d, n", [(2, 4), (2, 5), (3, 7), (32, 64), (16, 64)],
+                             ids=["tetrad", "padded-2-5", "padded-3-7", "32-64", "16-64"])
     def test_file_size(self, tmp_path, tetrad_povm, d, n):
-        # per element one byte of order (N <= 256) and d^2 float64 words, and
-        # per node with a real leaf 4 d^2: at (2, 5) 6 of the 7 pairs, at
-        # (3, 7) all 7; a padding leaf costs nothing.  Seven bytes of each
-        # word are raw, and the stream after them holds one byte a word
+        # per element one byte of order (N <= 256) and d^2 float64 words;
+        # per node with a real leaf above the last level 2 d (d + 1), its
+        # blocks' upper triangles, and on the last level 4 d^2: at (2, 5) 3
+        # pairs above and 3 of the 4 on the last level, at (3, 7) 3 and 4; a
+        # padding leaf costs nothing.  Seven bytes of each word are raw, and
+        # the stream after them holds one byte a word
         p = tetrad_povm if n == 4 else random_rank_one_povm(n, d, np.random.default_rng([d, n]))
         tree = compile_tree(p)
         path = tmp_path / "size.tree"
         save_tree(tree, path)
         with open(path, "rb") as handle:
             header = len(handle.readline())
-        pairs = {4: 3, 5: 6, 7: 7, 64: 63}[n]
-        assert sum(stored_pairs(tree.depth, n)) == pairs
-        count = d * d * n + 4 * d * d * pairs
+        above, last = {4: (1, 2), 5: (3, 3), 7: (3, 4), 64: (31, 32)}[n]
+        assert stored_pairs(tree.depth, n)[-1] == last and sum(stored_pairs(tree.depth, n)) == above + last
+        count = d * d * n + 2 * d * (d + 1) * above + 4 * d * d * last
+        assert count == stored_words(d, n)
         inflate = zlib.decompressobj(wbits=-9)
         stream = path.read_bytes()[header + n + 7 * count:]
         assert len(inflate.decompress(stream)) == count and inflate.eof and not inflate.unused_data
@@ -287,7 +293,43 @@ class TestTreeFiles:
         # the narrowest of 1, 2, 4 or 8 bytes that holds the largest entry,
         # n - 1, at the least and the most outcomes of a depth
         for n in ((1 << depth - 1) + 1, 1 << depth):
-            assert treeio._blobs(1, n)[0] == ("order", (n,), np.dtype(f"<u{width}"))
+            assert treeio._blobs(1, n)[0] == ("order", (n,), np.dtype(f"<u{width}"), False)
+
+    @pytest.mark.parametrize("value", [1e-300, -0.0, complex(0.0, -0.0)], ids=["nonzero", "-0.0", "-0.0j"])
+    def test_save_refuses_words_below_a_diagonal_above_the_last_level(self, tmp_path, value):
+        # 13 outcomes of d = 3: levels 0 to 2 store triangles, level 3 whole.
+        # A word below a diagonal that is not +0.0, a -0.0 too, would not
+        # load back bit for bit: save_tree names the first such node, in
+        # level order, and writes nothing
+        tree = compile_tree(random_rank_one_povm(13, 3, np.random.default_rng(13)))
+        kraus = [level.copy() for level in tree.kraus]
+        kraus[2][2, 1, 2, 1] = kraus[2][1, 0, 1, 0] = value  # nodes "10" and "01"
+        kraus[3][0, 0, 2, 0] = 1.0  # the last level stores the whole pair
+        path = tmp_path / "refused.tree"
+        path.write_bytes(b"before")
+        with pytest.raises(ValidationError) as err:
+            save_tree(dataclasses.replace(tree, kraus=tuple(kraus)), path)
+        assert (err.value.what, err.value.path, err.value.residual) == ("shape", "01", 1.0)
+        assert "node '01'" in str(err.value) and "povmtree/tree-v12" in str(err.value)
+        assert path.read_bytes() == b"before"
+        kraus[2][1, 0, 1, 0] = kraus[2][2, 1, 2, 1] = 0.0
+        save_tree(dataclasses.replace(tree, kraus=tuple(kraus)), path)
+        with pytest.raises(VerificationError) as err:
+            load_tree(path)
+        assert err.value.path == "000"  # the whole last level was written, the entry too
+
+    @pytest.mark.parametrize("chunk", [1, 5, 12, 100])
+    def test_runs_of_any_length_write_and_read_the_same_bytes(self, tmp_path, monkeypatch, chunk):
+        # the words are copied _CHUNK at a time, a triangular level a run of
+        # whole pairs within it, or one pair: the file and the loaded tree
+        # do not depend on how they are cut
+        tree = compile_tree(random_povm(13, 3, np.random.default_rng(3)), partition=np.arange(13)[::-1])
+        save_tree(tree, tmp_path / "default.tree")
+        monkeypatch.setattr(treeio, "_CHUNK", chunk)
+        save_tree(tree, tmp_path / "cut.tree")
+        assert (tmp_path / "cut.tree").read_bytes() == (tmp_path / "default.tree").read_bytes()
+        again = load_tree(tmp_path / "cut.tree")
+        assert [a.tobytes() for a in again.kraus] == [a.tobytes() for a in tree.kraus]
 
     @pytest.mark.parametrize("n", [256, 257])
     def test_round_trip_across_the_first_width_boundary(self, tmp_path, n):
@@ -379,7 +421,7 @@ class TestTamperedTreeFiles:
 
     def test_depth_must_match_outcomes(self, parts, tmp_path):
         # with depth 3 a tetrad tree once loaded and sampled (200000, 0, 0, 0)
-        # on |0>; tree-v11 stores no depth but derives it from n_original, so a
+        # on |0>; tree-v12 stores no depth but derives it from n_original, so a
         # "depth" in the header is ignored as any unknown key is, and an
         # n_original whose order, a byte or more an outcome, cannot fit in the
         # file is refused before any array is allocated
@@ -393,15 +435,16 @@ class TestTamperedTreeFiles:
         assert peak <= 64 * 1024
 
     @pytest.mark.parametrize("n_original, field", [(10 ** 9, "n_original"), (1 << 62, "n_original"),
-                                                   (64, "elements"), (7, "kraus[1]")],
+                                                   (64, "elements"), (7, "kraus[2]")],
                              ids=["1000000000", "4611686018427387904", "64", "7"])
     def test_depth_is_bounded_by_the_file(self, parts, tmp_path, n_original, field):
         # the tetrad's arrays under another n_original: an order of more
         # entries than the file has bytes is refused before any array is
         # allocated; one that fits (64 or 7 bytes) leaves a blob past the
         # file's end to be refused, the 64 elements and, for 7 outcomes at
-        # depth 3, the second Kraus level's 2 of 2 stored pairs (the
-        # tetrad's stream is too short to hold their raw bytes)
+        # depth 3, the last Kraus level's 4 of 4 stored pairs (what remains
+        # of the tetrad's file after the claimed first two levels' triangles,
+        # stream included, is too short to hold their raw bytes)
         header, order, arrays = parts
         path = tmp_path / "deep.tree"
         write_tree_file(path, dict(header, n_original=n_original), order, arrays)
@@ -442,14 +485,16 @@ class TestTamperedTreeFiles:
         assert err.value.field == "labels"
 
     @pytest.mark.parametrize("cut, field", [(3, "kraus[1]"), (8, "kraus[1]"), (259, "kraus[0]"),
-                                            (387, "elements"), (515, "order")],
-                             ids=["3", "8", "259", "387", "515"])
+                                            (387, "elements"), (483, "order"), (515, "header")],
+                             ids=["3", "8", "259", "387", "483", "515"])
     def test_truncated_blob(self, parts, tmp_path, cut, field):
-        # the tetrad's blobs hold order 4, elements 128, kraus[0] 128 and
-        # kraus[1] 256 bytes of words, of which the file stores 7 of each 8
-        # raw: 112, 112 and 224.  The stream and cut - cut // 8 raw bytes go,
-        # as much of the words as cut bytes of them: cut 3 leaves a partial
-        # word, cut 8 one word less, cut 515 1 byte of order
+        # the tetrad's blobs hold order 4, elements 128, kraus[0] 96 (the
+        # root's triangles) and kraus[1] 256 bytes of words, of which the
+        # file stores 7 of each 8 raw: 112, 84 and 224.  The stream and
+        # cut - cut // 8 raw bytes go, as much of the words as cut bytes of
+        # them: cut 3 leaves a partial word, cut 8 one word less, cut 483 1
+        # byte of order, and cut 515, 451 raw bytes, 27 bytes of the header
+        # line as well
         path = tmp_path / "cut.tree"
         write_tree_file(path, *parts)
         raw = path.read_bytes()
@@ -574,7 +619,7 @@ class TestTamperedTreeFiles:
         with pytest.raises(ParseError) as err:
             load_tree(path)
         assert err.value.field == "format"
-        assert "povmtree/tree-v11" in str(err.value)
+        assert "povmtree/tree-v12" in str(err.value)
 
     @pytest.mark.parametrize("version", ["tree-v3", "tree-v4", "tree-v5", "tree-v6"])
     def test_v3_file_is_not_read(self, tetrad_povm, tmp_path, version):
@@ -628,7 +673,7 @@ class TestTamperedTreeFiles:
         with pytest.raises(ParseError) as err:
             load_tree(path)
         assert err.value.field == "format"
-        assert "povmtree/tree-v7" in str(err.value) and "povmtree/tree-v11" in str(err.value)
+        assert "povmtree/tree-v7" in str(err.value) and "povmtree/tree-v12" in str(err.value)
 
     def test_v8_file_is_not_read(self, parts, tmp_path):
         # tree-v8 had the depth in its header and int64 order entries; its
@@ -640,26 +685,28 @@ class TestTamperedTreeFiles:
         with pytest.raises(ParseError) as err:
             load_tree(path)
         assert err.value.field == "format"
-        assert "povmtree/tree-v8" in str(err.value) and "povmtree/tree-v11" in str(err.value)
+        assert "povmtree/tree-v8" in str(err.value) and "povmtree/tree-v12" in str(err.value)
 
     def test_v9_file_is_not_read(self, parts, tmp_path):
-        # tree-v9 stored each float64 word whole, with no stream; its header
-        # is tree-v11's, and the file is refused by its format
+        # tree-v9 stored each float64 word whole, with no stream, and every
+        # pair whole; its header is tree-v12's, and the file is refused by
+        # its format
         header, order, arrays = parts
         path = tmp_path / "old.tree"
         with open(path, "wb") as handle:
             handle.write(json.dumps(dict(header, format="povmtree/tree-v9")).encode() + b"\n")
-            handle.write(order.astype("<u1").tobytes() + words(arrays).tobytes())
+            handle.write(order.astype("<u1").tobytes() + b"".join(a.tobytes() for a in arrays))
         with pytest.raises(ParseError) as err:
             load_tree(path)
         assert err.value.field == "format"
-        assert "povmtree/tree-v9" in str(err.value) and "povmtree/tree-v11" in str(err.value)
+        assert "povmtree/tree-v9" in str(err.value) and "povmtree/tree-v12" in str(err.value)
 
     def test_v10_file_is_not_read(self, tmp_path, capsys):
         # tree-v10 stored the order's padding tail and, with caller labels,
         # pad<j> labels: for 3 outcomes on 4 leaves one more order byte and
-        # label.  Its header is otherwise tree-v11's, and it is refused by
-        # its format, exit 2, naming the version to recompile to
+        # label.  Its header is otherwise tree-v12's, its pairs are stored
+        # whole as tree-v11's, and it is refused by its format, exit 2,
+        # naming the version to recompile to
         p = validate(random_rank_one_povm(3, 2, np.random.default_rng(3)).elements, ["a", "b", "c"])
         path = tmp_path / "old.tree"
         save_tree(compile_tree(p), path)
@@ -667,15 +714,34 @@ class TestTamperedTreeFiles:
         with open(path, "wb") as handle:
             old = dict(header, format="povmtree/tree-v10", labels=[*header["labels"], "pad3"])
             handle.write(json.dumps(old, separators=(",", ":")).encode() + b"\n")
-            stored = words(arrays)
+            stored = np.frombuffer(b"".join(a.tobytes() for a in arrays), dtype=np.uint8).reshape(-1, 8)
             handle.write(np.append(order, 3).astype("<u1").tobytes() + stored[:, :7].tobytes())
             handle.write(deflate(stored[:, 7]))
         with pytest.raises(ParseError) as err:
             load_tree(path)
         assert err.value.field == "format"
-        assert "povmtree/tree-v10" in str(err.value) and "povmtree/tree-v11" in str(err.value)
+        assert "povmtree/tree-v10" in str(err.value) and "povmtree/tree-v12" in str(err.value)
         assert main(["simulate", str(path)]) == 2
-        assert "povmtree/tree-v11" in capsys.readouterr().err
+        assert "povmtree/tree-v12" in capsys.readouterr().err
+
+    def test_v11_file_is_not_read(self, parts, tmp_path, capsys):
+        # tree-v11 stored every pair whole, the zeros below the diagonals of
+        # the pairs above the last level too: the tetrad's root pair in 16
+        # words, not 12.  Its header is otherwise tree-v12's, and it is
+        # refused by its format, exit 2, naming the version to recompile to
+        header, order, arrays = parts
+        path = tmp_path / "old.tree"
+        stored = np.frombuffer(b"".join(a.tobytes() for a in arrays), dtype=np.uint8).reshape(-1, 8)
+        assert len(stored) == len(words(arrays)) + 4
+        with open(path, "wb") as handle:
+            handle.write(json.dumps(dict(header, format="povmtree/tree-v11"), separators=(",", ":")).encode() + b"\n")
+            handle.write(order.astype("<u1").tobytes() + stored[:, :7].tobytes() + deflate(stored[:, 7]))
+        with pytest.raises(ParseError) as err:
+            load_tree(path)
+        assert err.value.field == "format"
+        assert "povmtree/tree-v11" in str(err.value) and "povmtree/tree-v12" in str(err.value)
+        assert main(["simulate", str(path)]) == 2
+        assert "povmtree/tree-v12" in capsys.readouterr().err
 
     @pytest.mark.parametrize("indent, field", [(None, "format"), (1, "header")], ids=["None", "1"])
     def test_v2_file_is_not_read(self, parts, tmp_path, indent, field):
@@ -738,7 +804,7 @@ class TestTamperedTreeFiles:
 
     @pytest.mark.parametrize("kind", ["cut", "cut-last-byte", "short", "long", "corrupt", "zlib-wrapped"])
     def test_stream_must_decode_to_one_top_byte_a_word(self, parts, tmp_path, kind):
-        # the stream holds the tetrad's 64 top bytes: it must decode to
+        # the stream holds the tetrad's 60 top bytes: it must decode to
         # exactly them and end the file, or the file is refused on "stream"
         header, order, arrays = parts
         top = words(arrays)[:, 7].tobytes()
@@ -750,7 +816,7 @@ class TestTamperedTreeFiles:
         write_tree_file(path, header, order, arrays, stream=stream)
         err, peak = self.refused(path)
         assert err.field == "stream"
-        assert {"short": "decodes to 63, then", "long": "decodes to more,",
+        assert {"short": "decodes to 59, then", "long": "decodes to more,",
                 "corrupt": "not a deflate stream"}.get(kind, "") in str(err)
         assert peak <= 64 * 1024
 

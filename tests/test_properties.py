@@ -37,7 +37,7 @@ from povmtree.errors import ParseError, PovmTreeError, ValidationError
 from povmtree.linalg import TOL_CHECK, TOL_UNITARY, adjoint
 from povmtree.tree import is_permutation, node_path, real_counts
 
-from conftest import LEAF_OPERATOR_ERROR, frob, read_tree_file, stored_pairs, write_tree_file
+from conftest import LEAF_OPERATOR_ERROR, frob, read_tree_file, stored_pairs, stored_words, write_tree_file
 from test_tree import dusty_povm_elements
 
 # Few examples, drawn the same way on every run, so Tier-1 stays fast and stable.
@@ -243,7 +243,9 @@ def test_padding_costs_no_bytes(d, k, construction, seed, tmp_path_factory):
         header = len(handle.readline())
     pairs = sum(stored)
     order = n  # bytes: one an outcome, as n is at most 127
-    count = d * d * n + 4 * d * d * pairs  # float64 words, seven bytes of each raw
+    # float64 words, seven bytes of each raw: a pair above the last level stores its blocks' upper triangles
+    count = d * d * n + 2 * d * (d + 1) * (pairs - stored[-1]) + 4 * d * d * stored[-1]
+    assert count == stored_words(d, n)
     inflate = zlib.decompressobj(wbits=-9)
     stream = path.read_bytes()[header + order + 7 * count:]
     assert len(inflate.decompress(stream)) == count and inflate.eof and not inflate.unused_data
@@ -252,9 +254,11 @@ def test_padding_costs_no_bytes(d, k, construction, seed, tmp_path_factory):
     assert again.order.tobytes() == tree.order.tobytes()
     assert again.order.nbytes == np.dtype(np.intp).itemsize * n
     assert again.povm.params.tobytes() == tree.povm.params.tobytes()
-    # the elements and the pairs read from the file hold exactly the words it stores
+    # the elements and the pairs read from the file hold exactly the words it
+    # stores, and +0.0 below the diagonals of the pairs above the last level
     filled = again.povm.params.nbytes + sum(x.nbytes for x in again.kraus)
-    assert filled == 8 * count
+    assert filled == 8 * (d * d * n + 4 * d * d * pairs)
+    assert all(not np.tril(x, -1).view(np.uint64).any() for x in again.kraus[:-1])
     assert [x.tobytes() for x in again.kraus] == [x.tobytes() for x in tree.kraus]
 
     state = random_density(d, rng)

@@ -322,6 +322,40 @@ class TestCompile:
                         assert frob((m @ pinv).conj().T @ g) <= 1e-10
 
 
+class TestTriangularPairs:
+    """Above the last level a pair's blocks are upper triangular, +0.0 below the diagonal, as a file stores them."""
+
+    @staticmethod
+    def check(tree, tmp_path):
+        for level in tree.kraus[:-1]:  # every bit below the diagonals is zero: no -0.0, no rounding
+            assert not np.tril(level, -1).view(np.uint64).any()
+        path = tmp_path / "t.tree"
+        treeio.save_tree(tree, path)
+        again = treeio.load_tree(path)
+        assert [a.tobytes() for a in again.kraus] == [a.tobytes() for a in tree.kraus]
+        assert (again.order.tobytes(), again.povm.params.tobytes()) == (tree.order.tobytes(),
+                                                                         tree.povm.params.tobytes())
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_digest_grid(self, d, tmp_path):
+        # tests/digest.py's cases of dimension d: k from 1 to 69, so depth 0,
+        # depth 1 and padded k, each in index order, in a random partition
+        # and with random Kraus freedom
+        import digest
+
+        cases = [case for case in digest.grid(quick=False) if case[0] == d and not case[3]]
+        assert {k for _, k, _, _ in cases} == set(range(1, 70))
+        for case in cases:
+            self.check(digest.case(*case)[0], tmp_path)
+
+    @pytest.mark.parametrize("d, n", [(32, 64), (2, 4096), (32, 63), (16, 65), (2, 4095)])
+    def test_large(self, d, n, tmp_path):
+        tree = compile_tree(random_rank_one_povm(n, d, np.random.default_rng([d, n])))
+        self.check(tree, tmp_path)
+        # the last level's pairs, over the leaf targets, are full
+        assert np.tril(tree.kraus[-1], -1).any()
+
+
 def dusty_povm_elements(seed):
     """A valid POVM whose element j has its smallest eigenvalue lowered by delta < TOL_CHECK.
 
