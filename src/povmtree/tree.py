@@ -28,22 +28,20 @@ pair's probe coupling (:meth:`MeasurementTree.dilation`) exists exactly
 when the pair is complete, so :func:`verify` checks completeness, each leaf
 against its element and the elements' sum, what every output reads; the
 coupling is checked where it is built.  Verification, cumulative
-operators and the simulator share one traversal, depth first (:func:`_walk`):
-at most half a 64 KiB block of nodes per level, one stacked LAPACK call per
-block; checks raise in walk order, node order wherever a level fits half a block.
-Compilation walks the same tree bottom up (:func:`_reduce`), within the
-same budget.
+operators and the simulator share one traversal, depth first
+(:meth:`MeasurementTree._operators`): at most half a 64 KiB block of nodes
+per level, one stacked LAPACK call per block; checks raise in walk order,
+node order wherever a level fits half a block.  Compilation walks the same
+tree bottom up (:func:`_reduce`), within the same budget.
 
 Padding is a property of the tree's shape: of its 2**depth leaves, leaf i
 holds outcome ``order[i]`` for i < N and is padding, a zero element, from N
 on, so the nodes of a level with a real leaf are a prefix of it
-(:func:`real_counts`).  A node whose leaves are all padding has S_x = 0
-and is reached with probability exactly 0: its pair is the constant
-(I/sqrt 2, I/sqrt 2) (:func:`padding_pair`), the paper's with g = I, and
-its cumulative operator is zero.  So a tree holds only each level's real
-prefix, as a tree file stores it; no walk yields an all-padding node, and
-:meth:`MeasurementTree.dilation` derives the constant's coupling.  The
-POVM, the order and every result indexed by outcome hold the N real
+(:func:`real_counts`).  A node whose leaves are all padding has S_x = 0,
+is reached with probability exactly 0 and has cumulative operator zero;
+compile forms no pair for it, so a tree holds only each level's real
+prefix, as a tree file stores it, and no walk yields an all-padding node.
+The POVM, the order and every result indexed by outcome hold the N real
 outcomes only, read in place: a padding leaf's zero factor exists only in
 the one stacked run of sibling pairs that holds it, never in a copy.
 """
@@ -75,19 +73,9 @@ from .linalg import (
 from .povm import Povm
 from .records import VerificationReport
 
-# The weight a_0 = a_1 of the null-space correction in both children's operators
-# (split_node's, and the padding pair's); multiplied, not divided by sqrt(2),
-# which rounds differently in the last bit
+# The weight a_0 = a_1 of split_node's null-space correction in both children's
+# operators; multiplied, not divided by sqrt(2), which rounds differently in the last bit
 _A = 1 / math.sqrt(2)
-
-
-def padding_pair(d: int) -> np.ndarray:
-    """The read-only ``(2, d, d)`` Kraus pair ``(I/sqrt 2, I/sqrt 2)`` of a node whose leaves are all padding.
-
-    Its sum S_x is zero, so g = I and ``b_c = a_c * I``: the paper's pair
-    at a zero parent, built without a decomposition.
-    """
-    return np.broadcast_to(_A * np.eye(d, dtype=complex), (2, d, d))
 
 
 def real_counts(depth: int, k: int) -> list[int]:
@@ -107,38 +95,6 @@ def node_path(level: int, index: int) -> str:
     return format(index, f"0{level}b") if level else ""
 
 
-def _descend(kraus, level: int, first: int, parents: np.ndarray) -> np.ndarray:
-    """Children ``b_c @ m_x`` of operators at nodes ``first, ...`` of ``level``; child c of i at 2i + c."""
-    pairs = kraus[level][first : first + len(parents)]
-    return (pairs @ parents[:, None]).reshape(-1, *parents.shape[1:])
-
-
-def _walk(depth: int, d: int, root, child, real: list[int]):
-    """Yield ``(level, first, block)`` over a tree's nodes with a real leaf, depth first, a block at a time.
-
-    ``block`` holds nodes ``first, ...`` of ``level``: ``root[None]`` at the
-    root, then ``child(level, first, parents)`` for runs of at most half a
-    :func:`povmtree.linalg.blocks` budget of d x d parents, cut to the real
-    prefix of their level (``real``, :func:`real_counts`): the walk yields no
-    all-padding node.  Leaves come in leaf order, each block before those
-    below it.  The rest of a split block is kept as a copy, made once its
-    first half's children are, so each level above the block in hand holds
-    at most half a block.
-    """
-    half = max(1, next(blocks(1 << depth, d)).stop // 2)
-    yield 0, 0, root[None]
-    path = [(0, 0, root[None])] if depth else []  # per level, the parents still to descend
-    while path:
-        level, first, parents = path.pop()
-        children = child(level, first, parents[:half])[: real[level + 1] - 2 * first]
-        if len(parents) > half:
-            path.append((level, first + half, parents[half:].copy()))
-        del parents  # the block is freed before its children are walked
-        yield level + 1, 2 * first, children
-        if level + 1 < depth:
-            path.append((level + 1, 2 * first, children))
-
-
 def _gram(m: np.ndarray) -> np.ndarray:
     """Symmetrised ``m^dag m`` of each matrix of a stack."""
     g = adjoint(m) @ m
@@ -151,8 +107,8 @@ class MeasurementTree:
 
     ``kraus[l]`` is a read-only array of round l's Kraus pairs, breadth
     first, at the level's nodes with a real leaf (a prefix, :func:`real_counts`;
-    the rest are not held, their pair is :func:`padding_pair`): the pair at
-    probe path x is ``kraus[len(x)][int(x, 2)]``, b0 before b1.  Leaf i is
+    an all-padding node has no pair): the pair at probe path x is
+    ``kraus[len(x)][int(x, 2)]``, b0 before b1.  Leaf i is
     outcome ``order[i]`` of ``povm`` for i < N, and padding from N on;
     ``order`` is one read-only ``intp`` array, a permutation of ``0..N-1``
     (else ``ValidationError(what="partition")``).  There are ceil(log2 N)
@@ -189,21 +145,44 @@ class MeasurementTree:
         return np.concatenate([formed, np.zeros(((1 << level) - len(formed), *formed.shape[1:]), complex)])
 
     def _operators(self, depth: int):
-        """The walk of :func:`_walk` over the cumulative Kraus operators of levels 0..depth."""
+        """Yield ``(level, first, block)`` over the nodes with a real leaf of levels 0..depth, depth first.
+
+        ``block`` holds the cumulative Kraus operators of nodes ``first, ...``
+        of ``level``: I at the root, then the children ``b_c @ m_x`` (child c
+        of i at 2i + c) of runs of at most half a :func:`povmtree.linalg.blocks`
+        budget of d x d parents, cut to the real prefix of their level
+        (:func:`real_counts`): the walk yields no all-padding node.  Leaves
+        come in leaf order, each block before those below it.  The rest of a
+        split block is kept as a copy, made once its first half's children
+        are, so each level above the block in hand holds at most half a block.
+        """
         d = self.povm.dim
-        return _walk(depth, d, np.eye(d, dtype=complex), partial(_descend, self.kraus),
-                     real_counts(self.depth, self.povm.n_outcomes))
+        real = real_counts(self.depth, self.povm.n_outcomes)
+        half = max(1, next(blocks(1 << depth, d)).stop // 2)
+        root = np.eye(d, dtype=complex)[None]
+        yield 0, 0, root
+        path = [(0, 0, root)] if depth else []  # per level, the parents still to descend
+        while path:
+            level, first, parents = path.pop()
+            pairs = self.kraus[level][first : first + min(half, len(parents))]
+            children = (pairs @ parents[:half, None]).reshape(-1, d, d)[: real[level + 1] - 2 * first]
+            if len(parents) > half:
+                path.append((level, first + half, parents[half:].copy()))
+            del parents  # the block is freed before its children are walked
+            yield level + 1, 2 * first, children
+            if level + 1 < depth:
+                path.append((level + 1, 2 * first, children))
 
     def cumulative_operators(self, level: int) -> np.ndarray:
         """Cumulative operators ``m^dag m`` of a level's nodes; at the leaves, the POVM elements."""
         return _gram(self.cumulative_kraus(level))
 
     def dilation(self, path: str) -> np.ndarray:
-        """Read-only 2d x 2d probe coupling of the node at ``path``, built and checked anew (errors name it)."""
-        if not isinstance(path, str) or len(path) >= self.depth or set(path) - {"0", "1"}:
-            raise KeyError(f"no internal node at path {path!r}")
-        pairs, i = self.kraus[len(path)], int(path or "0", 2)
-        return dilate_binary(pairs[i] if i < len(pairs) else padding_pair(self.povm.dim), lambda _: path)
+        """Read-only 2d x 2d probe coupling of the held node at ``path``, built and checked anew (errors name it)."""
+        if (not isinstance(path, str) or len(path) >= self.depth or set(path) - {"0", "1"}
+                or int(path or "0", 2) >= len(self.kraus[len(path)])):
+            raise KeyError(f"no held pair at path {path!r}")
+        return dilate_binary(self.kraus[len(path)][int(path or "0", 2)], lambda _: path)
 
 
 def _split(levels: list, level: int, first: int, kids: np.ndarray) -> np.ndarray | None:
@@ -412,8 +391,8 @@ def verify(tree: MeasurementTree) -> VerificationReport:
     definition, ``b^dag b`` is a Gram matrix, and a pair's probe coupling is
     checked where :func:`povmtree.linalg.complete_to_unitary` builds it.
     An internal node's parent rank is :func:`povmtree.linalg.rank_mask` of
-    ``eigvalsh(m^dag m)``; an all-padding node, not held, has rank 0 and the
-    completeness residual of :func:`padding_pair`.
+    ``eigvalsh(m^dag m)``; an all-padding node holds no pair, so nothing is
+    checked there: its row reads completeness 0.0 and rank 0.
 
     Raises
     ------
@@ -424,9 +403,8 @@ def verify(tree: MeasurementTree) -> VerificationReport:
         ``"leaf reconstruction"`` at a leaf block.
     """
     p, d, n = tree.povm, tree.povm.dim, 1 << tree.depth
-    # the walk overwrites the rows of the nodes it holds: the rest have only padding leaves
-    completeness = np.full(n - 1, completeness_residuals(padding_pair(d)[None])[0])
-    rank, leaf_residual = np.zeros(n - 1, int), np.zeros(p.n_outcomes)
+    # the walk writes the rows of the nodes it holds: the rest have only padding leaves, and no pair
+    completeness, rank, leaf_residual = np.zeros(n - 1), np.zeros(n - 1, int), np.zeros(p.n_outcomes)
 
     def check(residuals, what, level=0, lo=0):  # residual i is node lo + i's, on ``level``
         _raise_first(residuals, what, what + " check failed, residual {:.3e}", TOL_CHECK,

@@ -5,15 +5,16 @@ Run it in a checkout, with that checkout's package first on the path:
     PYTHONPATH=src python tests/digest.py            # the full grid, about 10 s on one core
     PYTHONPATH=src python tests/digest.py --quick    # a small grid, well under a second
     PYTHONPATH=src python tests/digest.py --save out.npz     # each kind's values, not hashed
-    python tests/digest.py --diff old.npz new.npz    # the largest absolute difference per kind
+    PYTHONPATH=src python tests/digest.py --diff old.npz new.npz  # per kind: largest change, entries whose bits moved
 
 Two checkouts that print the same line for a kind compute that kind's bytes
 identically on the grid; where they do not, ``--save`` in each and
-``--diff`` show by how much the values moved.  To compare a checkout that
+``--diff`` show by how much the values moved and how many entries changed
+bits, so a -0.0 that became +0.0 shows too.  To compare a checkout that
 lacks this script, run this copy with the other checkout's ``src`` on
 ``PYTHONPATH``.  The kinds: every level of Kraus pairs, the leaves'
-cumulative Kraus operators, ``save_tree``'s file bytes (saved as their
-count), ``verify``'s node and leaf columns, ``max_residual`` (d = 1 on its
+cumulative Kraus operators, ``save_tree``'s file bytes (saved as an array
+of bytes), ``verify``'s node and leaf columns, ``max_residual`` (d = 1 on its
 own line, since numpy sums a one-column array in another association than
 a wider one), ``propagate``'s probabilities, ``sample``'s counts at a fixed
 seed and the post-states of the reached outcomes.  The grid draws each POVM
@@ -122,7 +123,7 @@ def save(quick: bool, path) -> None:
     arrays, counts = {}, dict.fromkeys(KINDS, 0)
     for kind, values in outputs(quick):
         if kind == "tree_file":
-            values = [len(values)]
+            values = [np.frombuffer(values, np.uint8)]
         elif kind.startswith("max_residual"):
             values = [values]
         for a in values:
@@ -130,18 +131,30 @@ def save(quick: bool, path) -> None:
     np.savez(path, **arrays)
 
 
-def differences(old, new) -> dict[str, float]:
-    """Per kind, the largest absolute difference between two saved runs; inf where shapes or counts differ."""
+def _entries(a: np.ndarray) -> np.ndarray:
+    """An array's bytes, one row an entry."""
+    return np.ascontiguousarray(a).reshape(-1, 1).view(np.uint8)
+
+
+def differences(old, new) -> dict[str, tuple[float, int]]:
+    """Per kind, the largest absolute difference between two saved runs and how many entries differ in their bits.
+
+    An array that one run lacks, or holds in another shape or type, counts
+    as an infinite difference with each of its entries differing.
+    """
     with np.load(old) as a, np.load(new) as b:
         a, b = dict(a), dict(b)
-    worst = dict.fromkeys(KINDS, 0.0)
+    worst, moved = dict.fromkeys(KINDS, 0.0), dict.fromkeys(KINDS, 0)
     for name in a.keys() | b.keys():
         kind = name.rsplit(".", 1)[0]
-        if name not in a or name not in b or a[name].shape != b[name].shape:
+        x, y = a.get(name), b.get(name)
+        if x is None or y is None or x.shape != y.shape or x.dtype != y.dtype:
             worst[kind] = np.inf
-        elif a[name].size:
-            worst[kind] = max(worst[kind], float(np.abs(a[name].astype(complex) - b[name]).max()))
-    return worst
+            moved[kind] += max(getattr(x, "size", 0), getattr(y, "size", 0))
+        elif x.size:
+            worst[kind] = max(worst[kind], float(np.abs(x.astype(complex) - y).max()))
+            moved[kind] += int((_entries(x) != _entries(y)).any(axis=1).sum())
+    return {kind: (worst[kind], moved[kind]) for kind in KINDS}
 
 
 def main(argv=None) -> None:
@@ -149,11 +162,12 @@ def main(argv=None) -> None:
     parser.add_argument("--quick", action="store_true", help="run the small grid only")
     parser.add_argument("--save", metavar="NPZ", help="write each kind's values to this file, not hashes")
     parser.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"),
-                        help="print the largest absolute difference per kind between two saved runs")
+                        help="print per kind the largest absolute difference between two saved runs "
+                             "and the number of entries whose bits differ")
     args = parser.parse_args(argv)
     if args.diff:
-        for kind, worst in differences(*args.diff).items():
-            print(f"{kind} {worst:.3e}")
+        for kind, (worst, moved) in differences(*args.diff).items():
+            print(f"{kind} {worst:.3e} {moved}")
     elif args.save:
         save(args.quick, args.save)
     else:

@@ -23,16 +23,26 @@ def test_saved_values_compare_per_kind(tmp_path, capsys):
     with np.load(old) as saved:
         arrays = dict(saved)
     assert {name.rsplit(".", 1)[0] for name in arrays} == set(digest.KINDS)
+    assert arrays["tree_file.0"].dtype == np.uint8  # the file's bytes, not their count
+    # one Kraus word whose real part is -0.0 in the old run and +0.0 in the new: equal values, other bits
+    word = complex(-0.0, arrays["kraus.0"].flat[0].imag)
+    arrays["kraus.0"].flat[0] = word
+    np.savez(old, **arrays)
+    arrays["kraus.0"].flat[0] = complex(0.0, word.imag)
+    moved = arrays["propagate.3"].size
     arrays["propagate.3"] = arrays["propagate.3"] + 2.0**-40  # one probability vector moved, exactly
-    arrays["tree_file.0"] = arrays["tree_file.0"] + 7  # one file 7 bytes longer
-    del arrays["post_states.1"]  # and one post-state missing
+    arrays["tree_file.0"][0] += 7  # one file's first byte 7 higher, its length kept
+    missing = arrays.pop("post_states.1").size  # and one post-state missing
     np.savez(new, **arrays)
     digest.main(["--diff", str(old), str(old)])
     digest.main(["--diff", str(old), str(new)])
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
-    same, moved = dict(lines[: len(digest.KINDS)]), dict(lines[len(digest.KINDS) :])
-    assert list(same) == list(moved) == list(digest.KINDS)
-    assert set(same.values()) == {"0.000e+00"}
-    assert moved.pop("propagate") == f"{2.0**-40:.3e}"
-    assert (moved.pop("tree_file"), moved.pop("post_states")) == ("7.000e+00", "inf")
-    assert set(moved.values()) == {"0.000e+00"}
+    same = {kind: tuple(rest) for kind, *rest in lines[: len(digest.KINDS)]}
+    changed = {kind: tuple(rest) for kind, *rest in lines[len(digest.KINDS) :]}
+    assert list(same) == list(changed) == list(digest.KINDS)
+    assert set(same.values()) == {("0.000e+00", "0")}
+    assert changed.pop("kraus") == ("0.000e+00", "1")
+    assert changed.pop("propagate") == (f"{2.0**-40:.3e}", str(moved))
+    assert changed.pop("tree_file") == ("7.000e+00", "1")
+    assert changed.pop("post_states") == ("inf", str(missing))
+    assert set(changed.values()) == {("0.000e+00", "0")}

@@ -1,4 +1,5 @@
 import gc
+import re
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -637,8 +638,8 @@ class TestPadding:
                              ids=["5-2", "9-3", "13-4", "17-2", "1025-2", "freedom-6-3"])
     def test_a_tree_holds_each_levels_real_prefix(self, n, d, freedom, tmp_path):
         # level l holds the ceil(n / 2**(depth - l)) pairs of nodes with a real
-        # leaf, as a tree file stores them; an all-padding node's pair, the
-        # constant one, is derived by dilation and counted by verify's report
+        # leaf, as a tree file stores them; an all-padding node has no pair, so
+        # verify checks nothing there and dilation has none to build
         rng = np.random.default_rng([n, d])
         p = random_povm(n, d, rng)
         factorization = None
@@ -646,8 +647,6 @@ class TestPadding:
             factorization = apply_freedom(default_kraus(p), [random_unitary(d, rng) for _ in range(n)])
         compiled = compile_tree(p, factorization)
         treeio.save_tree(compiled, tmp_path / "t.tree")
-        pad = tree_module.padding_pair(d)
-        coupling, residual = dilate_binary(pad).tobytes(), completeness_residuals(pad[None])[0]
         for tree in (compiled, treeio.load_tree(tmp_path / "t.tree")):
             real = tree_module.real_counts(tree.depth, n)
             assert [len(k) for k in tree.kraus] == real[:-1]
@@ -655,11 +654,15 @@ class TestPadding:
             assert columns.keys() == {"completeness_residual", "parent_rank", "uses_null_correction"}
             for level, k in enumerate(real[:-1]):
                 rows = slice((1 << level) - 1 + k, (2 << level) - 1)
-                assert (columns["completeness_residual"][rows] == residual).all()
+                assert (columns["completeness_residual"][rows] == 0.0).all()
                 assert not columns["parent_rank"][rows].any()
                 for i in range(k, 1 << level):
-                    assert tree.dilation(tree_module.node_path(level, i)).tobytes() == coupling
-            # the old layout, each level whole with the constant pair as its tail, is refused
+                    path = tree_module.node_path(level, i)
+                    with pytest.raises(KeyError, match=re.escape(repr(path))):
+                        tree.dilation(path)
+            # the old layout, each level whole with the constant pair (I/sqrt 2,
+            # I/sqrt 2) as its tail, is refused
+            pad = np.eye(d, dtype=complex) / np.sqrt(2)
             whole = tuple(np.concatenate([pairs, np.broadcast_to(pad, ((1 << level) - len(pairs), 2, d, d))])
                           for level, pairs in enumerate(tree.kraus))
             with pytest.raises(ValidationError) as err:
