@@ -86,9 +86,12 @@ class NeumarkExtension:
     """
 
     isometry: np.ndarray
-    system_dim: int
     n_outcomes: int
     outcome_map: tuple[int, ...]
+
+    @property
+    def system_dim(self) -> int:
+        return self.isometry.shape[1]
 
     @property
     def extended_dim(self) -> int:
@@ -145,7 +148,6 @@ def full_neumark(p: Povm) -> NeumarkExtension:
                  path=lambda i: None)
     return NeumarkExtension(
         isometry=_frozen(isometry),
-        system_dim=p.dim,
         n_outcomes=p.n_outcomes,
         outcome_map=tuple(element.tolist()),
     )

@@ -193,14 +193,14 @@ def _finite_float(value: Any, field: str) -> float:
     return float(value)
 
 
-def _povm(data: dict, dim: int, params: np.ndarray) -> Povm:
+def _povm(data: dict, params: np.ndarray) -> Povm:
     k = len(params)
     labels = data.get("labels")
     if "labels" in data and not (isinstance(labels, list) and len(labels) == k
                                  and all(isinstance(x, str) for x in labels)):
         raise ParseError(f"must be a list of {k} strings", field="labels")
     # the elements are checked against the Kraus pairs by verify()
-    return Povm(dim=dim, params=params, labels=tuple(labels) if "labels" in data else default_labels(k))
+    return Povm(params=params, labels=tuple(labels) if "labels" in data else default_labels(k))
 
 
 def save_tree(tree: MeasurementTree, path) -> None:
@@ -370,6 +370,6 @@ def load_tree(path) -> MeasurementTree:
         order, params, *kraus = _read_arrays(handle, _blobs(dim, n_original))
     if not is_permutation(order, n_original):
         raise ParseError(f"must be a permutation of 0..{n_original - 1}", field="order")
-    tree = MeasurementTree(povm=_povm(header, dim, params), order=order, kraus=tuple(kraus))
+    tree = MeasurementTree(povm=_povm(header, params), order=order, kraus=tuple(kraus))
     verify(tree)
     return tree

@@ -10,6 +10,7 @@ tree up to a power of two belong to the tree's shape (:mod:`povmtree.tree`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,12 +48,15 @@ class Povm:
     the upper off-diagonal entries as (re, im) pairs, in the tree file's
     layout (:func:`povmtree.linalg.hermitian_parameters`), so a POVM cannot
     hold an element that is not Hermitian.  ``labels`` is the caller's
-    tuple or ``default_labels(N)``.
+    tuple or ``default_labels(N)``.  The dimension d is derived from the rows.
     """
 
-    dim: int
     params: np.ndarray
     labels: tuple[str, ...] | Rows
+
+    @property
+    def dim(self) -> int:
+        return math.isqrt(self.params.shape[1])
 
     @property
     def elements(self) -> np.ndarray:
@@ -104,7 +108,7 @@ def validate(elements, labels=None) -> Povm:
         labels = tuple(str(x) for x in labels)
         if len(labels) != n:
             raise ValidationError(f"got {len(labels)} labels for {n} elements", what="shape")
-    return Povm(dim=dim, params=_frozen(params), labels=labels)
+    return Povm(params=_frozen(params), labels=labels)
 
 
 def default_kraus(p: Povm) -> np.ndarray:

@@ -101,6 +101,12 @@ def _gram(m: np.ndarray) -> np.ndarray:
     return (g + adjoint(g)) / 2
 
 
+def _check(residuals: np.ndarray, what: str, level: int = 0, lo: int = 0) -> None:
+    """Compile's and :func:`verify`'s one check: raise at the first residual i above ``TOL_CHECK``, at node lo + i."""
+    _raise_first(residuals, what, what + " check failed, residual {:.3e}", TOL_CHECK,
+                 path=lambda i: node_path(level, lo + i))
+
+
 @dataclass(frozen=True, eq=False)
 class MeasurementTree:
     """Compiled binary measurement tree over a POVM of N outcomes.
@@ -201,8 +207,7 @@ def _split(levels: list, level: int, first: int, kids: np.ndarray) -> np.ndarray
     q, r = np.linalg.qr(kids.reshape(-1, 2 * d, d)) if level else (kids, None)
     q = q.reshape(-1, 2, d, d)
     pairs = levels[level][first : first + len(kids) // 2] = np.triu(q) if level < len(levels) - 1 else q
-    _raise_first(completeness_residuals(pairs), "completeness", "completeness post-check failed, residual {:.3e}",
-                 TOL_CHECK, path=lambda i: node_path(level, first + i))
+    _check(completeness_residuals(pairs), "completeness", level, first)
     return r
 
 
@@ -366,9 +371,7 @@ def compile_tree(
         if factorization is None:
             return psd_sqrt_stack(elements)
         m = factorization[order[lo:hi]]
-        _raise_first(np.linalg.norm(_gram(m) - elements, axis=(-2, -1)), "leaf reconstruction",
-                     "leaf reconstruction check failed, residual {:.3e}", TOL_CHECK,
-                     path=lambda i: node_path(depth, lo + i))
+        _check(np.linalg.norm(_gram(m) - elements, axis=(-2, -1)), "leaf reconstruction", depth, lo)
         return m
 
     if depth:
@@ -406,24 +409,20 @@ def verify(tree: MeasurementTree) -> VerificationReport:
     # the walk writes the rows of the nodes it holds: the rest have only padding leaves, and no pair
     completeness, rank, leaf_residual = np.zeros(n - 1), np.zeros(n - 1, int), np.zeros(p.n_outcomes)
 
-    def check(residuals, what, level=0, lo=0):  # residual i is node lo + i's, on ``level``
-        _raise_first(residuals, what, what + " check failed, residual {:.3e}", TOL_CHECK,
-                     path=lambda i: node_path(level, lo + i))
-
     root = np.linalg.norm(hermitian_from_parameters(p.params.sum(axis=0, keepdims=True)) - np.eye(d),
                           axis=(-2, -1))
-    check(root, "operator sum")
+    _check(root, "operator sum")
     for level, first, m in tree._operators(tree.depth):
         for b in blocks(len(m), 2 * d):  # four d x d matrices a node
             lo, hi, gram = first + b.start, first + b.stop, _gram(m[b])
             if level == tree.depth:
                 leaf_residual[lo:hi] = np.linalg.norm(
                     gram - hermitian_from_parameters(p.params[tree.order[lo:hi]]), axis=(-2, -1))
-                check(leaf_residual[lo:hi], "leaf reconstruction", level, lo)
+                _check(leaf_residual[lo:hi], "leaf reconstruction", level, lo)
                 continue
             rows = slice((1 << level) - 1 + lo, (1 << level) - 1 + hi)
             completeness[rows] = completeness_residuals(tree.kraus[level][lo:hi])
-            check(completeness[rows], "completeness", level, lo)
+            _check(completeness[rows], "completeness", level, lo)
             rank[rows] = rank_mask(np.linalg.eigvalsh(gram)).sum(axis=-1)
     return VerificationReport(
         node_columns={name: _frozen(column) for name, column in (

@@ -16,6 +16,7 @@ from povmtree import (
     complete_to_unitary,
     default_kraus,
     dilate_binary,
+    direct_probabilities,
     psd_sqrt,
     split_node,
     tetrad,
@@ -185,6 +186,26 @@ class TestCompileCommand:
         assert "operation counts" not in capsys.readouterr().out
         assert load_tree(tmp_path / "small.tree").povm.n_outcomes == len(elements)
 
+    @pytest.mark.parametrize("command", ["compile", "simulate"])
+    def test_disagreement_with_direct_probabilities_exits_3(self, tetrad_file, tmp_path, monkeypatch, capsys,
+                                                             command):
+        # the tree is written and its table printed; the deviation beyond
+        # _AGREEMENT is the failure
+        tree = str(tmp_path / "tetrad.tree")
+        assert main(["compile", tetrad_file, "--out", tree]) == 0
+        capsys.readouterr()
+
+        def off(povm, state):
+            return direct_probabilities(povm, state) + np.r_[2 * cli._AGREEMENT, np.zeros(povm.n_outcomes - 1)]
+
+        monkeypatch.setattr(cli, "direct_probabilities", off)
+        args = {"compile": ["compile", tetrad_file, "--out", tree], "simulate": ["simulate", tree]}[command]
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert captured.err == {"compile": "verification failed\n",
+                                "simulate": "tree and direct probabilities disagree\n"}[command]
+        assert "2.000e-08" in captured.out
+
     def test_default_output_name(self, tetrad_file, tmp_path, capsys):
         assert main(["compile", tetrad_file]) == 0
         expected = tetrad_file.replace(".json", "") + ".tree"
@@ -252,7 +273,34 @@ class TestSimulateCommand:
         kraus[1, 0, 0, 0] += 1e-3
         bad = tmp_path / "tampered.tree"
         write_tree_file(bad, header, order, [elements, root, kraus])
+        capsys.readouterr()
         assert main(["simulate", str(bad), "--state", "pure:0"]) == 3
+        assert capsys.readouterr().err.startswith("verification error: node '1': completeness")
+
+    def test_a_trillion_shots(self, tetrad_tree, capsys):
+        capsys.readouterr()
+        assert main(["simulate", tetrad_tree, "--shots", "1000000000000"]) == 0
+        out = capsys.readouterr().out
+        assert "sampling: 1000000000000 shots, seed 0" in out
+        assert sum(map(int, re.findall(r"count +(\d+)", out))) == 10**12
+
+    def test_padded_tree_prints_one_row_an_outcome(self, tmp_path, capsys):
+        # 13 rank-one outcomes on 16 leaves, regrouped: every outcome has a
+        # row, reached, and no padding leaf has one
+        path = tmp_path / "deficient.povm.json"
+        save_povm(povmtree.random_povm(13, 4, np.random.default_rng(0), [1] * 13), path)
+        tree = str(tmp_path / "deficient.tree")
+        assert main(["validate", str(path)]) == 0
+        assert main(["compile", str(path), "--grouping", "12,0,5,7|1,2,3,4|6,8|9,10,11", "--out", tree]) == 0
+        # 9 of the 15 internal nodes have a rank-deficient parent
+        assert "internal nodes checked : 15 (9 rank-deficient)" in capsys.readouterr().out
+        assert main(["simulate", tree, "--state", "pure:3"]) == 0
+        out = capsys.readouterr().out
+        rows = [line for line in out.splitlines() if "  path " in line]
+        assert [row.split()[0] for row in rows] == [str(j) for j in range(13)]
+        assert "pad" not in out and "[unreached]" not in out
+        assert main(["simulate", tree, "--state", "pure:3", "--shots", "100000"]) == 0
+        assert out in capsys.readouterr().out
 
 
 class TestCostCommand:
@@ -291,6 +339,13 @@ class TestExampleTetrad:
         assert "B1" in text and "eigenvalues" in text
         # no sign of zero, which would flip with last-bit rounding of the Kraus pairs
         assert not re.search(r"-0\.(?!\d)", text) and "-0.j" not in text
+
+    def test_writes_the_same_bytes_twice(self, tmp_path, capsys):
+        # the example is deterministic: a second run writes the same walkthrough and tree
+        for out_dir in ("first", "second"):
+            assert main(["example-tetrad", "--out", str(tmp_path / out_dir)]) == 0
+        for name in ("walkthrough.txt", "tetrad.tree", "tetrad.povm.json"):
+            assert (tmp_path / "first" / name).read_bytes() == (tmp_path / "second" / name).read_bytes()
 
 
 # Every exported error class, the exit code the cli docstring gives its kind

@@ -211,9 +211,15 @@ FAILED_CHECKS = {
         lambda: povmtree.complete_to_unitary(2 * np.eye(2)[:, :1]),
         "completeness", {"index": 0}, "element 0: columns are not orthonormal (residual 3.000e+00)",
         3.0),
+    # compile and verify raise through one check, so their messages read alike
     "compile_tree completeness post-check": (
         _incomplete_factorization, "completeness", {"path": ""},
-        "node '': completeness post-check failed, residual 1.131e-09", np.sqrt(2) * (_OVERSIZED**2 - 1)),
+        "node '': completeness check failed, residual 1.131e-09", np.sqrt(2) * (_OVERSIZED**2 - 1)),
+    "compile_tree leaf reconstruction": (  # leaf '0''s operator squares to diag(1.265625, 0), not diag(1, 0)
+        lambda: povmtree.compile_tree(povmtree.validate([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]),
+                                      [np.diag([1.125, 0.0]), np.diag([0.0, 1.0])]),
+        "leaf reconstruction", {"path": "0"}, "node '0': leaf reconstruction check failed, residual 2.656e-01",
+        0.265625),
     "verify completeness": (  # the residual depends on pair '1''s entries, which the QR fixes
         lambda: _verify_edited(shift=1e-3), "completeness", {"path": "1"},
         "node '1': completeness check failed, residual 9.992e-04", 9.99183670221754e-04),

@@ -142,13 +142,26 @@ class TestUntrustedPovmAndStateFiles:
              "density"),
             (state_from_dict, {"dimension": 2, "density": encode_matrix(np.zeros((2, 2)))},
              "density"),
+            (povm_from_dict, {"dimension": 1, "elements": []}, "elements"),
+            (povm_from_dict, {"dimension": 1, "elements": {"0": [[[1.0, 0.0]]]}}, "elements"),
+            (povm_from_dict, {"dimension": 1, "elements": [[]]}, "elements[0]"),
+            (povm_from_dict, {"dimension": 1, "elements": [{}]}, "elements[0]"),
         ],
-        ids=["dimension-not-integer", "entry-not-number", "nan-density", "zero-trace-density"],
+        ids=["dimension-not-integer", "entry-not-number", "nan-density", "zero-trace-density",
+             "no-elements", "elements-not-a-list", "element-no-rows", "element-not-a-list"],
     )
     def test_parse_error_names_field(self, loader, data, field):
         with pytest.raises(ParseError) as err:
             loader(data)
         assert err.value.field == field
+
+    @pytest.mark.parametrize("loader", [load_povm, load_state])
+    def test_top_level_value_must_be_an_object(self, tmp_path, loader):
+        path = tmp_path / "file.json"
+        path.write_text("[1]")
+        with pytest.raises(ParseError) as err:
+            loader(path)
+        assert "must be an object" in str(err.value)
 
     @pytest.mark.parametrize("loader", [load_povm, load_state])
     def test_bytes_that_are_not_utf8(self, tmp_path, tetrad_povm, loader):

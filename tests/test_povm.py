@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,15 @@ from povmtree import (
     apply_freedom,
     compile_tree,
     default_kraus,
+    direct_probabilities,
+    full_neumark,
+    propagate,
+    random_density,
     random_povm,
     random_rank_one_povm,
     tetrad,
     validate,
+    verify,
 )
 from povmtree import linalg
 
@@ -41,6 +48,22 @@ class TestValidate:
     def test_trivial_binary(self):
         p = validate([np.eye(2) / 2, np.eye(2) / 2])
         assert p.n_outcomes == 2 and p.labels == ("0", "1")
+        # default labels compare with a tuple or a list of rows, and leave anything else to it
+        assert p.labels.__eq__(5) is NotImplemented and p.labels != 5
+
+    def test_dimension_is_derived_from_the_rows(self):
+        # a d = 2 POVM given d = 3 rows kept dim 2, and compiling it raised a
+        # bare numpy ValueError from a broadcast; the rows fix d, as they do a
+        # QuantumState's
+        p3 = random_povm(3, 3, np.random.default_rng(3))
+        p = replace(random_povm(3, 2, np.random.default_rng(2)), params=p3.params)
+        assert p.dim == 3 and p.elements.shape == (3, 3, 3)
+        tree = compile_tree(p)
+        assert tree.povm.dim == 3 and verify(tree).max_residual <= linalg.TOL_CHECK
+        assert [a.tobytes() for a in tree.kraus] == [a.tobytes() for a in compile_tree(p3).kraus]
+        state = random_density(3, np.random.default_rng(0))
+        assert np.abs(direct_probabilities(p, state) - propagate(tree, state).probabilities).max() <= 1e-12
+        assert full_neumark(p).system_dim == 3
 
     def test_incomplete_sum(self):
         with pytest.raises(ValidationError) as err:
@@ -363,6 +386,9 @@ class TestGenerators:
             random_povm(2, 3, rng, ranks=[1, 1])
         with pytest.raises(ValueError):
             random_povm(2, 3, rng, ranks=[0, 4])
+        with pytest.raises(ValidationError) as err:
+            random_povm(2, 3, rng, ranks=[1, 2, 3])
+        assert err.value.what == "shape"
 
 
 class TestTetradValues:

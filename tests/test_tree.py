@@ -110,6 +110,12 @@ class TestSplitNode:
         assert err.value.what == "children sum"
         assert err.value.path is None
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_needs_two_children(self, count):
+        with pytest.raises(ValidationError) as err:
+            split_node([np.eye(2) / np.sqrt(count)] * count, np.eye(2))
+        assert err.value.what == "shape" and f"got {count} child operators" in str(err.value)
+
     def test_factorization_postcondition(self, rng):
         p = random_rank_one_povm(4, 2, rng)
         m01 = psd_sqrt(p.elements[0] + p.elements[1])
