@@ -4,25 +4,24 @@ POVM and state files are JSON.  Complex entries are stored as two-element
 ``[real, imaginary]`` arrays.  Floats go through Python's shortest round-trip
 representation, so serialize/deserialize reproduces every matrix bit-exactly.
 
-A tree file (``tree-v12``) holds a tree's independent data: a compact JSON
+A tree file (``tree-v13``) holds a tree's independent data: a compact JSON
 header line of scalars (``labels`` only for caller labels, no tolerances: a
 file is judged by the constants of :mod:`povmtree.linalg`), the leaf order
 ``tree.order`` as ``n_original`` little-endian unsigned integers of the
 narrowest width w of 1, 2, 4 or 8 bytes that holds ``n_original - 1``, then
 little-endian float64 words: the ``n_original`` elements' d^2 parameters
-each, as ``Povm.params`` holds them, then level by level the real and
-imaginary parts of the Kraus pairs of the level's real prefix
-(:func:`povmtree.tree.real_counts`, the depth being ``(n_original -
-1).bit_length()``): above the last level, whose blocks are upper
-triangular (:func:`povmtree.tree._split`), b0's then b1's d(d+1)/2 upper
-entries row by row.  ``n_original`` is the tree's outcome count.  Each
-word's low seven bytes follow the order, and its top byte, the sign and
-seven high exponent bits, goes into one raw deflate stream (window 2**9)
-that ends the file: ``w n_original + 7 W`` bytes, then the stream, for the
-``W = d^2 n_original + 2d(d+1) K' + 4 d^2 K`` words of K' pairs above the
-last level and K on it.  The arrays are read as a tree holds them; the
-loader checks the order and runs
-:func:`povmtree.tree.verify`.  It allocates under 2.5 times the file's bytes.
+each, as ``Povm.params`` holds them, then level by level the Kraus pairs of
+the level's real prefix (:func:`povmtree.tree.real_counts`, the depth being
+``(n_original - 1).bit_length()``), b0 then b1: on the last level their real
+and imaginary parts, above it, where blocks are upper triangular with real
+diagonals (:func:`povmtree.tree._split`), their d^2 parameters laid out as
+an element's.  Each word's low seven bytes follow the order, and its top
+byte, the sign and seven high exponent bits, goes into one raw deflate
+stream (window 2**9) that ends the file: ``w n_original + 7 W`` bytes, then
+the stream, for the ``W = d^2 (n_original + 2 K' + 4 K)`` words of K' pairs
+above the last level and K on it.  The arrays are read as a tree holds
+them; the loader checks the order and runs :func:`povmtree.tree.verify`.
+It allocates under 2.5 times the file's bytes.
 
 A POVM file holds its elements and, for caller labels, one label each.  A
 file whose ``n_original`` is not its element count was written with zero
@@ -40,7 +39,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .linalg import ENTRY_BOUND, _frozen, _raise_first
+from .linalg import ENTRY_BOUND, _frozen, _layout, _raise_first
 from .povm import Povm, default_labels, validate
 from .records import Rows
 from .simulator import QuantumState
@@ -48,7 +47,7 @@ from .tree import MeasurementTree, is_permutation, node_path, real_counts, verif
 
 POVM_FORMAT = "povmtree/povm-v1"
 STATE_FORMAT = "povmtree/state-v1"
-TREE_FORMAT = "povmtree/tree-v12"
+TREE_FORMAT = "povmtree/tree-v13"
 
 _BLOB_DTYPE = np.dtype("<c16")
 _PARAMETER_DTYPE = np.dtype("<f8")
@@ -204,12 +203,12 @@ def _povm(data: dict, params: np.ndarray) -> Povm:
 
 
 def save_tree(tree: MeasurementTree, path) -> None:
-    """Write ``tree`` as ``tree-v12``: the header line, the order, the words' low bytes, the stream.
+    """Write ``tree`` as ``tree-v13``: the header line, the order, the words' low bytes, the stream.
 
     The order is ``tree.order``; the words are those of ``tree.povm.params``
     and of ``tree.kraus``, copied ``_CHUNK`` at a time.  A pair above the
-    last level with a word other than +0.0 below a diagonal, which the file
-    cannot hold, raises ``ValidationError(what="shape")`` at its node first.
+    last level with a word the file does not store that is not +0.0 raises
+    ``ValidationError(what="shape")`` at its node before the file is opened.
     """
     p = tree.povm
     header = {"format": TREE_FORMAT, "dimension": p.dim,
@@ -218,11 +217,11 @@ def save_tree(tree: MeasurementTree, path) -> None:
     blobs = _blobs(p.dim, p.n_outcomes)
     order, *floats = (np.ascontiguousarray(a, dtype=dtype)  # no copy on a little-endian host
                       for (_, _, dtype, _), a in zip(blobs, (tree.order, p.params, *tree.kraus)))
-    for level, pairs in enumerate(floats[1:-1]):  # the triangular levels: per pair, its words below the diagonals
-        dropped = [np.count_nonzero(np.compress(~upper, run, axis=2).view(np.uint64), axis=(1, 2))
-                   for run, upper in _runs(pairs, True)]
-        _raise_first(np.concatenate(dropped), "shape", f"{{:.0f}} of its words below the diagonals are not +0.0: "
-                     f"{TREE_FORMAT} stores the upper triangles", 0, lambda i: node_path(level, i), ValidationError)
+    for level, pairs in enumerate(floats[1:-1]):  # the triangular levels: per pair, the words not stored
+        dropped = [np.count_nonzero(np.delete(run, pick, axis=2).view(np.uint64), axis=(1, 2))
+                   for run, pick in _runs(pairs, True)]
+        _raise_first(np.concatenate(dropped), "shape", f"{{:.0f}} of its unstored words are not +0.0: {TREE_FORMAT} "
+                     "stores a block's d^2 real parameters", 0, lambda i: node_path(level, i), ValidationError)
     runs = [r for (*_, triangular), a in zip(blobs[1:], floats) for r in _runs(a, triangular)]
     deflate = zlib.compressobj(wbits=_WBITS, memLevel=_MEM_LEVEL, strategy=zlib.Z_HUFFMAN_ONLY)
     with open(path, "wb") as handle:
@@ -230,20 +229,20 @@ def save_tree(tree: MeasurementTree, path) -> None:
         handle.write(order)  # then the low seven bytes of each word, then the stream of the top bytes
         for part in (lambda c: np.ndarray(len(c), "V7", c, strides=(8,)).tobytes(),
                      lambda c: deflate.compress(c[:, 7].tobytes())):  # a triangular run packed anew for each
-            handle.writelines(part(run if upper is None else np.compress(upper, run, axis=2).view(np.uint8)
-                                   .reshape(-1, 8)) for run, upper in runs)
+            handle.writelines(part(run if pick is None else np.take(run, pick, axis=2).view(np.uint8).reshape(-1, 8))
+                              for run, pick in runs)
         handle.write(deflate.flush())
 
 
 def _runs(a: np.ndarray, triangular: bool) -> list[tuple[np.ndarray, np.ndarray | None]]:
-    """``a`` in runs of ``_CHUNK`` words, rows of 8 bytes, with None; a triangular level in ``(pairs, 2, d^2)``
-    runs within ``_CHUNK`` words, or one pair, with the flat mask of the upper triangle, the entries stored."""
+    """``a`` in runs of ``_CHUNK`` words, rows of 8 bytes, with None; a triangular level as ``(pairs, 2, 2 d^2)``
+    floats, runs within ``_CHUNK`` of them or one pair, with the floats a block stores, ``linalg._layout``'s."""
     if not triangular:
         words = a.reshape(-1).view(np.uint8).reshape(-1, 8)
         return [(words[start:start + _CHUNK], None) for start in range(0, len(words), _CHUNK)]
     d = a.shape[-1]
-    per, upper = max(1, _CHUNK // (4 * d * d)), np.triu(np.ones((d, d), dtype=bool)).reshape(-1)
-    return [(a.reshape(len(a), 2, -1)[first:first + per], upper) for first in range(0, len(a), per)]
+    floats, per = a.reshape(len(a), 2, -1).view(_PARAMETER_DTYPE), max(1, _CHUNK // (4 * d * d))
+    return [(floats[first:first + per], _layout(d)[0]) for first in range(0, len(a), per)]
 
 
 def _read_header(handle) -> tuple[dict, int, int]:
@@ -259,14 +258,13 @@ def _read_header(handle) -> tuple[dict, int, int]:
         raise ParseError("the first line is not a JSON object", field="header")
     fmt = header.get("format")
     if fmt != TREE_FORMAT:
-        raise ParseError(f"unsupported tree format {fmt!r}, expected {TREE_FORMAT!r}",
-                         field="format")
+        raise ParseError(f"unsupported tree format {fmt!r}, expected {TREE_FORMAT!r}: "
+                         "compile the tree again from its POVM file", field="format")
     dim = _int_field(header, "dimension", 1)
     n_original = _int_field(header, "n_original", 1)
     size = os.fstat(handle.fileno()).st_size
     if n_original > size:  # an order entry takes at least a byte
-        raise ParseError(f"the order of {n_original} outcomes cannot fit in the file's {size} bytes",
-                         field="n_original")
+        raise ParseError(f"an order of {n_original} outcomes cannot fit in the file's {size} bytes", field="n_original")
     if not line.endswith(b"\n"):
         raise ParseError("the header line has no terminating newline", field="header")
     return header, dim, n_original
@@ -291,21 +289,19 @@ def _read_arrays(handle, blobs) -> list[np.ndarray]:
 
     Their raw bytes, the order's and seven of each stored word's eight, are
     checked against the file's size first: an array then holds 8/7 times
-    the raw bytes it stores, a triangular level 16d/(7(d+1)) < 16/7 times,
-    and the ``intp`` order 8/w times, whatever the header claims.  Every
+    the raw bytes it stores, a triangular level exactly 16/7 times, and
+    the ``intp`` order 8/w times, whatever the header claims.  Every
     real and imaginary part must lie within ``ENTRY_BOUND``.
     """
     available = os.fstat(handle.fileno()).st_size - handle.tell()
-    for field, shape, dtype, triangular in blobs:  # a triangular level stores d (d + 1) / 2 entries a block
-        entries = math.prod(shape[:-1]) * (shape[-1] + 1) // 2 if triangular else math.prod(shape)
-        need = entries * dtype.itemsize * (7 if dtype.kind in "fc" else 8) // 8
+    for field, shape, dtype, triangular in blobs:  # a triangular level stores d^2 words, half its floats, a block
+        need = math.prod(shape) // (1 + triangular) * dtype.itemsize * (7 if dtype.kind in "fc" else 8) // 8
         if available < need:
-            raise ParseError(f"blob holds {available} bytes, expected {need} for shape {shape}",
-                             field=field)
+            raise ParseError(f"blob holds {available} bytes, expected {need} for shape {shape}", field=field)
         available -= need
     arrays = [np.zeros(shape, dtype=dtype) for _, shape, dtype, _ in blobs]
     runs = [r for (*_, triangular), a in zip(blobs[1:], arrays[1:]) for r in _runs(a, triangular)]
-    counts = [len(run) if upper is None else 4 * len(run) * np.count_nonzero(upper) for run, upper in runs]
+    counts = [len(run) if pick is None else 2 * len(run) * len(pick) for run, pick in runs]
     handle.readinto(arrays[0])
     inflate, total, done, start = zlib.decompressobj(wbits=_WBITS), sum(counts), 0, handle.tell()
     handle.seek(start + 7 * total)  # the stream, after the low bytes
@@ -314,16 +310,16 @@ def _read_arrays(handle, blobs) -> list[np.ndarray]:
     handle.seek(start)
     low = memoryview(bytearray(7 * max(counts) + 1))
     try:
-        for (run, upper), n in zip(runs, counts):  # a triangular run's words are put together, then scattered
-            c = run if upper is None else np.empty((n, 8), np.uint8)
+        for (run, pick), n in zip(runs, counts):  # a triangular run's words are put together, then scattered
+            c = run if pick is None else np.empty((n, 8), np.uint8)
             handle.readinto(low[:7 * n])  # word i: the 8 bytes at 7 i, its top byte overwritten below
             c.view("<u8")[:, 0] = np.ndarray(n, dtype="<u8", buffer=low, strides=(7,))
             top = b"" if inflate.eof else inflate.decompress(data, n)
             data = inflate.unconsumed_tail
             c[:len(top), 7] = np.frombuffer(top, dtype=np.uint8)
             done += len(top)
-            if upper is not None:
-                run[:, :, upper] = c.reshape(-1).view(_BLOB_DTYPE).reshape(len(run), 2, -1)
+            if pick is not None:
+                run[:, :, pick] = c.reshape(-1).view(_PARAMETER_DTYPE).reshape(len(run), 2, -1)
         done += len(b"" if inflate.eof else inflate.decompress(data, 1))  # a word more, for the stream not to fill
     except zlib.error as err:
         raise ParseError(f"not a deflate stream: {err}", field="stream") from err
@@ -343,17 +339,17 @@ def _read_arrays(handle, blobs) -> list[np.ndarray]:
 
 
 def load_tree(path) -> MeasurementTree:
-    """Read, check and verify a ``tree-v12`` file.
+    """Read, check and verify a ``tree-v13`` file.
 
     The arrays are read in one pass into those the tree keeps, the stream
-    decoded a chunk at a time, so the file is never held twice:
-    ``load_tree(save_tree(t))`` returns ``t``'s arrays bit for bit.
+    decoded a chunk at a time, so the file is never held twice, with +0.0
+    where it stores no word: ``load_tree(save_tree(t))`` is ``t`` bit for bit.
 
     Raises
     ------
     ParseError
         In the order checked: a header line over ``_HEADER_LIMIT`` bytes or
-        not one JSON object; a format other than ``tree-v12`` (named: an
+        not one JSON object; a format other than ``tree-v13`` (named: an
         older file is recompiled from its POVM file); an ``n_original``
         whose order cannot fit in the file; a header line without its
         newline; a blob, in file order, whose raw bytes the file cannot

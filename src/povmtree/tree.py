@@ -15,9 +15,9 @@ One QR of the stacked children's factors [F_c0; F_c1] = Q R gives the pair,
 Q split in two, and F_x = R, so b_c @ F_x = F_c and the pair is complete to
 rounding at any rank.  This is TSQR's reduction tree over the stacked leaf
 factors, the POVM's Neumark isometry.  The root's operator is I, so its
-pair is its children's factors themselves.  R is upper triangular, so
-above the last level a pair's blocks ``F_c F_x^{-1}`` are too, written
-with +0.0 below the diagonal (:func:`_split`) and stored as triangles.
+pair is its children's factors themselves.  R is upper triangular with a
+real diagonal, so above the last level a pair's blocks ``F_c F_x^{-1}`` are
+too (:func:`_split`), and are stored as their d^2 real parameters.
 
 A compiled tree is held as the paper's list of rounds: level l is one array
 of the Kraus pairs of its nodes with a real leaf, and nothing derived is stored.
@@ -197,16 +197,20 @@ def _split(levels: list, level: int, first: int, kids: np.ndarray) -> np.ndarray
     A missing last child, all padding, is zero.  One stacked QR of each
     parent's ``[F_c0; F_c1]`` gives Q, split in two, as its pair, so
     ``b_c @ R = F_c``, and R as its factor; of triangular factors, Q's blocks
-    are written as ``np.triu``, +0.0 below the diagonal on any LAPACK.  The
-    root's operator is I, so its pair is the factors themselves and it
-    returns none.  Each pair is checked for completeness, naming its node.
+    are too, written with +0.0 below and in the imaginary parts of the
+    diagonals on any LAPACK.  The root's operator is I, so its pair is the
+    factors themselves and it returns none.  Each pair is checked for
+    completeness, naming its node.
     """
     d = kids.shape[-1]
     if len(kids) % 2:  # the last real parent's second child has only padding leaves
         kids = np.concatenate([kids, np.zeros((1, d, d), dtype=complex)])
     q, r = np.linalg.qr(kids.reshape(-1, 2 * d, d)) if level else (kids, None)
     q = q.reshape(-1, 2, d, d)
-    pairs = levels[level][first : first + len(kids) // 2] = np.triu(q) if level < len(levels) - 1 else q
+    if level < len(levels) - 1:  # blocks of d^2 real parameters
+        q = np.triu(q)
+        q.imag[..., range(d), range(d)] = 0.0
+    pairs = levels[level][first : first + len(kids) // 2] = q
     _check(completeness_residuals(pairs), "completeness", level, first)
     return r
 

@@ -59,7 +59,7 @@ def hermitian_parameters(elements):
 
 
 def stored_pairs(depth, n_original):
-    """Per level, root first, how many nodes' pairs a tree-v12 file stores: those with a real leaf.
+    """Per level, root first, how many nodes' pairs a tree-v13 file stores: those with a real leaf.
 
     The real leaves are the first ``n_original`` of the ``2**depth``, so on
     level l they lie below the first ceil(n_original / 2**(depth - l)) nodes.
@@ -68,33 +68,28 @@ def stored_pairs(depth, n_original):
 
 
 def stored_words(d, n_original):
-    """The float64 words W of a tree-v12 file: d^2 a row of parameters, 2 d (d + 1) a pair above the last
-    level, its blocks' upper triangles, and 4 d^2 a pair on it."""
+    """The float64 words W of a tree-v13 file: d^2 a row of parameters, 2 d^2 a pair above the last
+    level, its blocks' real parameters, and 4 d^2 a pair on it."""
     pairs = stored_pairs((n_original - 1).bit_length(), n_original)
-    return d * d * n_original + 2 * d * (d + 1) * sum(pairs[:-1]) + 4 * d * d * sum(pairs[-1:])
+    return d * d * n_original + 2 * d * d * sum(pairs[:-1]) + 4 * d * d * sum(pairs[-1:])
 
 
 def order_width(n_original):
-    """Bytes per order entry of a tree-v12 file: the fewest of 1, 2, 4 or 8 that hold n_original - 1."""
+    """Bytes per order entry of a tree-v13 file: the fewest of 1, 2, 4 or 8 that hold n_original - 1."""
     return next(w for w in (1, 2, 4, 8) if n_original <= 1 << (8 * w))
 
 
-def triangles(level):
-    """The ``(k, 2, d(d+1)/2)`` upper triangles, row by row, of a ``(k, 2, d, d)`` Kraus level's blocks."""
-    rows, cols = np.triu_indices(level.shape[-1])
-    return level[:, :, rows, cols]
-
-
 def words(arrays):
-    """The little-endian float64 words a tree-v12 file stores of its arrays, in file order, as ``(k, 8)`` bytes.
+    """The little-endian float64 words a tree-v13 file stores of its arrays, in file order, as ``(k, 8)`` bytes.
 
     The first array is the elements' parameters (float64), the rest Kraus
     levels (complex128, real then imaginary part), root first: of each
-    level but the last only the :func:`triangles`, b0's then b1's.
+    level but the last, whose blocks are upper triangular with real
+    diagonals, only each block's :func:`hermitian_parameters`, b0's then b1's.
     """
-    stored = [arrays[0], *map(triangles, arrays[1:-1]), *arrays[1:][-1:]]
-    raw = b"".join(np.ascontiguousarray(a, dtype="<c16" if j else "<f8").tobytes()
-                   for j, a in enumerate(stored))
+    stored = [arrays[0], *(hermitian_parameters(level.reshape(-1, *level.shape[-2:])) for level in arrays[1:-1])]
+    raw = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in stored)
+    raw += b"".join(np.ascontiguousarray(a, dtype="<c16").tobytes() for a in arrays[1:][-1:])
     return np.frombuffer(raw, dtype=np.uint8).reshape(-1, 8)
 
 
@@ -105,7 +100,7 @@ def deflate(data):
 
 
 def read_tree_file(path):
-    """Header, order and writable arrays of a tree-v12 file, read as the format documents it.
+    """Header, order and writable arrays of a tree-v13 file, read as the format documents it.
 
     The depth is ``(n_original - 1).bit_length()``.  The order is
     ``(n_original,)`` little-endian unsigned integers of :func:`order_width`
@@ -114,10 +109,11 @@ def read_tree_file(path):
     as :func:`hermitian_parameters` lays them out; then, for each level, the
     first pairs of ``kraus[l]``, as many as :func:`stored_pairs` counts,
     ``(k, 2, d, d)`` little-endian complex128 in C order, of which a level
-    above the last stores only the :func:`triangles` and is returned with
-    +0.0 below them.  After the order come the low seven bytes of each
-    stored float64 word (:func:`words`), in order, then a raw deflate
-    stream that decodes to the top byte of each word and ends the file.
+    above the last stores only each block's d*d parameters, laid out as an
+    element's, and is returned upper triangular with a real diagonal, +0.0
+    in every word it does not store.  After the order come the low seven
+    bytes of each stored float64 word (:func:`words`), in order, then a raw
+    deflate stream that decodes to the top byte of each word and ends the file.
     """
     with open(path, "rb") as handle:
         header = json.loads(handle.readline())
@@ -126,7 +122,7 @@ def read_tree_file(path):
     width, depth = order_width(n_original), (n_original - 1).bit_length()
     order = np.frombuffer(raw, dtype=f"<u{width}", count=n_original).astype("<i8")
     shapes = [("<f8", (n_original, d * d))]
-    shapes += [("<c16", (kept, 2, d * (d + 1) // 2 if level < depth - 1 else d * d))
+    shapes += [("<f8", (kept, 2, d * d)) if level < depth - 1 else ("<c16", (kept, 2, d * d))
                for level, kept in enumerate(stored_pairs(depth, n_original))]
     count = sum(int(np.prod(shape)) * np.dtype(dtype).itemsize // 8 for dtype, shape in shapes)
     offset = width * n_original
@@ -139,19 +135,25 @@ def read_tree_file(path):
     for j, (dtype, shape) in enumerate(shapes):
         a = np.frombuffer(stored.tobytes(), dtype=dtype, count=int(np.prod(shape)), offset=offset).reshape(shape)
         offset += a.nbytes
-        if 0 < j < depth:  # a level above the last: its triangles in place, +0.0 below them
-            a, triangle = np.zeros((len(a), 2, d, d), dtype=complex), a
-            rows, cols = np.triu_indices(d)
-            a[:, :, rows, cols] = triangle
+        if 0 < j < depth:  # a level above the last: each block from its parameters, +0.0 elsewhere
+            params, a = a, np.zeros((len(a), 2, d, d), dtype=complex)
+            for pair, block in np.ndindex(len(a), 2):
+                row = iter(params[pair, block])
+                for r in range(d):
+                    a[pair, block, r, r] = next(row)
+                for r in range(d):
+                    for c in range(r + 1, d):
+                        a[pair, block, r, c] = complex(next(row), next(row))
         arrays.append(a.reshape(len(a), 2, d, d).copy() if j else a.copy())
     return header, order, arrays
 
 
 def write_tree_file(path, header, order, arrays, tail=b"", stream=None):
-    """Write a tree-v12 file from a header, order and arrays as :func:`read_tree_file` returns them.
+    """Write a tree-v13 file from a header, order and arrays as :func:`read_tree_file` returns them.
 
     The words are those :func:`words` stores: the last array is the last
-    level, stored whole, and of the levels before it only the triangles.
+    level, stored whole, and of the levels before it only each block's
+    parameters.
 
     The order is written at the width the header's ``n_original`` sets, each
     entry as its low bytes, so -1 is written as 255 at width 1.  The words'

@@ -251,8 +251,8 @@ class TestTreeFiles:
     # The header is pinned byte for byte; the arrays are compared with the
     # tree's own, since their low bits can differ between LAPACK builds, and
     # the stream decoded, since its bytes can differ between zlib builds.
-    TETRAD_HEADER = b'{"format":"povmtree/tree-v12","dimension":2,"n_original":4}'
-    PADDED_HEADER = b'{"format":"povmtree/tree-v12","dimension":2,"n_original":5}'
+    TETRAD_HEADER = b'{"format":"povmtree/tree-v13","dimension":2,"n_original":4}'
+    PADDED_HEADER = b'{"format":"povmtree/tree-v13","dimension":2,"n_original":5}'
     TETRAD_ORDER = (0, 3, 1, 2)
     PADDED_ORDER = tuple(range(5))
 
@@ -269,8 +269,8 @@ class TestTreeFiles:
         # the order, one byte an outcome; then the float64 words of the
         # elements and of the pairs of nodes with a real leaf (at (2, 5) all
         # but the last pair of the last level), each pair above the last
-        # level as its blocks' upper triangles, b0's then b1's, row by row:
-        # the low seven bytes of each word, then a raw deflate stream of
+        # level as its blocks' d^2 real parameters, b0's then b1's, laid out
+        # as an element's: the low seven bytes of each word, then a raw deflate stream of
         # their top bytes that ends the file
         # the tree holds each level's pairs of nodes with a real leaf, as the file stores them
         assert [len(level) for level in tree.kraus] == stored_pairs(tree.depth, tree.povm.n_outcomes)
@@ -286,8 +286,8 @@ class TestTreeFiles:
                              ids=["tetrad", "padded-2-5", "padded-3-7", "32-64", "16-64"])
     def test_file_size(self, tmp_path, tetrad_povm, d, n):
         # per element one byte of order (N <= 256) and d^2 float64 words;
-        # per node with a real leaf above the last level 2 d (d + 1), its
-        # blocks' upper triangles, and on the last level 4 d^2: at (2, 5) 3
+        # per node with a real leaf above the last level 2 d^2, its blocks'
+        # real parameters, and on the last level 4 d^2: at (2, 5) 3
         # pairs above and 3 of the 4 on the last level, at (3, 7) 3 and 4; a
         # padding leaf costs nothing.  Seven bytes of each word are raw, and
         # the stream after them holds one byte a word
@@ -299,7 +299,7 @@ class TestTreeFiles:
             header = len(handle.readline())
         above, last = {4: (1, 2), 5: (3, 3), 7: (3, 4), 64: (31, 32)}[n]
         assert stored_pairs(tree.depth, n)[-1] == last and sum(stored_pairs(tree.depth, n)) == above + last
-        count = d * d * n + 2 * d * (d + 1) * above + 4 * d * d * last
+        count = d * d * n + 2 * d * d * above + 4 * d * d * last
         assert count == stored_words(d, n)
         inflate = zlib.decompressobj(wbits=-9)
         stream = path.read_bytes()[header + n + 7 * count:]
@@ -328,13 +328,31 @@ class TestTreeFiles:
         with pytest.raises(ValidationError) as err:
             save_tree(dataclasses.replace(tree, kraus=tuple(kraus)), path)
         assert (err.value.what, err.value.path, err.value.residual) == ("shape", "01", 1.0)
-        assert "node '01'" in str(err.value) and "povmtree/tree-v12" in str(err.value)
+        assert "node '01'" in str(err.value) and treeio.TREE_FORMAT in str(err.value)
         assert path.read_bytes() == b"before"
         kraus[2][1, 0, 1, 0] = kraus[2][2, 1, 2, 1] = 0.0
         save_tree(dataclasses.replace(tree, kraus=tuple(kraus)), path)
         with pytest.raises(VerificationError) as err:
             load_tree(path)
         assert err.value.path == "000"  # the whole last level was written, the entry too
+
+    @pytest.mark.parametrize("value", [1e-3, -0.0], ids=["1e-3", "-0.0"])
+    def test_save_refuses_an_imaginary_part_on_a_diagonal_above_the_last_level(self, tmp_path, value):
+        # above the last level a block's diagonal is real, and the file
+        # stores only its real part: an imaginary part of 1e-3, or of -0.0,
+        # would not load back bit for bit.  save_tree names the first such
+        # node, in level order, node "1" of level 1 before node "01" of
+        # level 2, and opens no file
+        tree = compile_tree(random_rank_one_povm(13, 3, np.random.default_rng(13)))
+        kraus = [level.copy() for level in tree.kraus]
+        for level, node, block, j in [(2, 1, 0, 0), (1, 1, 1, 2)]:
+            kraus[level][node, block, j, j] = complex(kraus[level][node, block, j, j].real, value)
+        path = tmp_path / "refused.tree"
+        with pytest.raises(ValidationError) as err:
+            save_tree(dataclasses.replace(tree, kraus=tuple(kraus)), path)
+        assert (err.value.what, err.value.path, err.value.residual) == ("shape", "1", 1.0)
+        assert "node '1'" in str(err.value) and treeio.TREE_FORMAT in str(err.value)
+        assert not path.exists()
 
     @pytest.mark.parametrize("chunk", [1, 5, 12, 100])
     def test_runs_of_any_length_write_and_read_the_same_bytes(self, tmp_path, monkeypatch, chunk):
@@ -439,7 +457,7 @@ class TestTamperedTreeFiles:
 
     def test_depth_must_match_outcomes(self, parts, tmp_path):
         # with depth 3 a tetrad tree once loaded and sampled (200000, 0, 0, 0)
-        # on |0>; tree-v12 stores no depth but derives it from n_original, so a
+        # on |0>; tree-v13 stores no depth but derives it from n_original, so a
         # "depth" in the header is ignored as any unknown key is, and an
         # n_original whose order, a byte or more an outcome, cannot fit in the
         # file is refused before any array is allocated
@@ -461,7 +479,7 @@ class TestTamperedTreeFiles:
         # allocated; one that fits (64 or 7 bytes) leaves a blob past the
         # file's end to be refused, the 64 elements and, for 7 outcomes at
         # depth 3, the last Kraus level's 4 of 4 stored pairs (what remains
-        # of the tetrad's file after the claimed first two levels' triangles,
+        # of the tetrad's file after the claimed first two levels' parameters,
         # stream included, is too short to hold their raw bytes)
         header, order, arrays = parts
         path = tmp_path / "deep.tree"
@@ -503,16 +521,17 @@ class TestTamperedTreeFiles:
         assert err.value.field == "labels"
 
     @pytest.mark.parametrize("cut, field", [(3, "kraus[1]"), (8, "kraus[1]"), (259, "kraus[0]"),
-                                            (387, "elements"), (483, "order"), (515, "header")],
-                             ids=["3", "8", "259", "387", "483", "515"])
+                                            (387, "elements"), (451, "order"), (483, "header"),
+                                            (515, "header")],
+                             ids=["3", "8", "259", "387", "451", "483", "515"])
     def test_truncated_blob(self, parts, tmp_path, cut, field):
-        # the tetrad's blobs hold order 4, elements 128, kraus[0] 96 (the
-        # root's triangles) and kraus[1] 256 bytes of words, of which the
-        # file stores 7 of each 8 raw: 112, 84 and 224.  The stream and
-        # cut - cut // 8 raw bytes go, as much of the words as cut bytes of
-        # them: cut 3 leaves a partial word, cut 8 one word less, cut 483 1
-        # byte of order, and cut 515, 451 raw bytes, 27 bytes of the header
-        # line as well
+        # the tetrad's blobs hold order 4, elements 128, kraus[0] 64 (the
+        # root's blocks' parameters) and kraus[1] 256 bytes of words, of
+        # which the file stores 7 of each 8 raw: 112, 56 and 224.  The
+        # stream and cut - cut // 8 raw bytes go, as much of the words as
+        # cut bytes of them: cut 3 leaves a partial word, cut 8 one word
+        # less, cut 451 1 byte of order, and cuts 483 and 515, 423 and 451
+        # raw bytes, 27 and 55 bytes of the 62-byte header line as well
         path = tmp_path / "cut.tree"
         write_tree_file(path, *parts)
         raw = path.read_bytes()
@@ -637,7 +656,7 @@ class TestTamperedTreeFiles:
         with pytest.raises(ParseError) as err:
             load_tree(path)
         assert err.value.field == "format"
-        assert "povmtree/tree-v12" in str(err.value)
+        assert treeio.TREE_FORMAT in str(err.value)
 
     @pytest.mark.parametrize("version", ["tree-v3", "tree-v4", "tree-v5", "tree-v6"])
     def test_v3_file_is_not_read(self, tetrad_povm, tmp_path, version):
@@ -691,7 +710,7 @@ class TestTamperedTreeFiles:
         with pytest.raises(ParseError) as err:
             load_tree(path)
         assert err.value.field == "format"
-        assert "povmtree/tree-v7" in str(err.value) and "povmtree/tree-v12" in str(err.value)
+        assert "povmtree/tree-v7" in str(err.value) and treeio.TREE_FORMAT in str(err.value)
 
     def test_v8_file_is_not_read(self, parts, tmp_path):
         # tree-v8 had the depth in its header and int64 order entries; its
@@ -703,11 +722,11 @@ class TestTamperedTreeFiles:
         with pytest.raises(ParseError) as err:
             load_tree(path)
         assert err.value.field == "format"
-        assert "povmtree/tree-v8" in str(err.value) and "povmtree/tree-v12" in str(err.value)
+        assert "povmtree/tree-v8" in str(err.value) and treeio.TREE_FORMAT in str(err.value)
 
     def test_v9_file_is_not_read(self, parts, tmp_path):
         # tree-v9 stored each float64 word whole, with no stream, and every
-        # pair whole; its header is tree-v12's, and the file is refused by
+        # pair whole; its header is tree-v13's, and the file is refused by
         # its format
         header, order, arrays = parts
         path = tmp_path / "old.tree"
@@ -717,12 +736,12 @@ class TestTamperedTreeFiles:
         with pytest.raises(ParseError) as err:
             load_tree(path)
         assert err.value.field == "format"
-        assert "povmtree/tree-v9" in str(err.value) and "povmtree/tree-v12" in str(err.value)
+        assert "povmtree/tree-v9" in str(err.value) and treeio.TREE_FORMAT in str(err.value)
 
     def test_v10_file_is_not_read(self, tmp_path, capsys):
         # tree-v10 stored the order's padding tail and, with caller labels,
         # pad<j> labels: for 3 outcomes on 4 leaves one more order byte and
-        # label.  Its header is otherwise tree-v12's, its pairs are stored
+        # label.  Its header is otherwise tree-v13's, its pairs are stored
         # whole as tree-v11's, and it is refused by its format, exit 2,
         # naming the version to recompile to
         p = validate(random_rank_one_povm(3, 2, np.random.default_rng(3)).elements, ["a", "b", "c"])
@@ -738,28 +757,51 @@ class TestTamperedTreeFiles:
         with pytest.raises(ParseError) as err:
             load_tree(path)
         assert err.value.field == "format"
-        assert "povmtree/tree-v10" in str(err.value) and "povmtree/tree-v12" in str(err.value)
+        assert "povmtree/tree-v10" in str(err.value) and treeio.TREE_FORMAT in str(err.value)
         assert main(["simulate", str(path)]) == 2
-        assert "povmtree/tree-v12" in capsys.readouterr().err
+        assert treeio.TREE_FORMAT in capsys.readouterr().err
 
     def test_v11_file_is_not_read(self, parts, tmp_path, capsys):
         # tree-v11 stored every pair whole, the zeros below the diagonals of
         # the pairs above the last level too: the tetrad's root pair in 16
-        # words, not 12.  Its header is otherwise tree-v12's, and it is
+        # words, not 8.  Its header is otherwise tree-v13's, and it is
         # refused by its format, exit 2, naming the version to recompile to
         header, order, arrays = parts
         path = tmp_path / "old.tree"
         stored = np.frombuffer(b"".join(a.tobytes() for a in arrays), dtype=np.uint8).reshape(-1, 8)
-        assert len(stored) == len(words(arrays)) + 4
+        assert len(stored) == len(words(arrays)) + 8
         with open(path, "wb") as handle:
             handle.write(json.dumps(dict(header, format="povmtree/tree-v11"), separators=(",", ":")).encode() + b"\n")
             handle.write(order.astype("<u1").tobytes() + stored[:, :7].tobytes() + deflate(stored[:, 7]))
         with pytest.raises(ParseError) as err:
             load_tree(path)
         assert err.value.field == "format"
-        assert "povmtree/tree-v11" in str(err.value) and "povmtree/tree-v12" in str(err.value)
+        assert "povmtree/tree-v11" in str(err.value) and treeio.TREE_FORMAT in str(err.value)
         assert main(["simulate", str(path)]) == 2
-        assert "povmtree/tree-v12" in capsys.readouterr().err
+        assert treeio.TREE_FORMAT in capsys.readouterr().err
+
+    def test_v12_file_is_not_read(self, parts, tmp_path, capsys):
+        # tree-v12 stored a pair above the last level as its blocks' upper
+        # triangles, the imaginary parts of their real diagonals too: the
+        # tetrad's root pair in 12 words, not 8.  Its header is otherwise
+        # tree-v13's, and it is refused by its format, exit 2, naming the
+        # version to recompile to
+        header, order, (elements, root, last) = parts
+        rows, cols = np.triu_indices(2)
+        old = (elements, np.ascontiguousarray(root[:, :, rows, cols]), last)
+        stored = np.frombuffer(b"".join(a.tobytes() for a in old), dtype=np.uint8).reshape(-1, 8)
+        assert len(stored) == len(words(parts[2])) + 4
+        path = tmp_path / "old.tree"
+        with open(path, "wb") as handle:
+            handle.write(json.dumps(dict(header, format="povmtree/tree-v12"), separators=(",", ":")).encode() + b"\n")
+            handle.write(order.astype("<u1").tobytes() + stored[:, :7].tobytes() + deflate(stored[:, 7]))
+        with pytest.raises(ParseError) as err:
+            load_tree(path)
+        assert err.value.field == "format"
+        assert "povmtree/tree-v12" in str(err.value) and treeio.TREE_FORMAT in str(err.value)
+        assert "POVM file" in str(err.value)
+        assert main(["simulate", str(path)]) == 2
+        assert treeio.TREE_FORMAT in capsys.readouterr().err
 
     @pytest.mark.parametrize("indent, field", [(None, "format"), (1, "header")], ids=["None", "1"])
     def test_v2_file_is_not_read(self, parts, tmp_path, indent, field):
@@ -822,7 +864,7 @@ class TestTamperedTreeFiles:
 
     @pytest.mark.parametrize("kind", ["cut", "cut-last-byte", "short", "long", "corrupt", "zlib-wrapped"])
     def test_stream_must_decode_to_one_top_byte_a_word(self, parts, tmp_path, kind):
-        # the stream holds the tetrad's 60 top bytes: it must decode to
+        # the stream holds the tetrad's 56 top bytes: it must decode to
         # exactly them and end the file, or the file is refused on "stream"
         header, order, arrays = parts
         top = words(arrays)[:, 7].tobytes()
@@ -834,7 +876,7 @@ class TestTamperedTreeFiles:
         write_tree_file(path, header, order, arrays, stream=stream)
         err, peak = self.refused(path)
         assert err.field == "stream"
-        assert {"short": "decodes to 59, then", "long": "decodes to more,",
+        assert {"short": "decodes to 55, then", "long": "decodes to more,",
                 "corrupt": "not a deflate stream"}.get(kind, "") in str(err)
         assert peak <= 64 * 1024
 

@@ -9,7 +9,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from povmtree import (
     QuantumState,
@@ -243,8 +243,8 @@ def test_padding_costs_no_bytes(d, k, construction, seed, tmp_path_factory):
         header = len(handle.readline())
     pairs = sum(stored)
     order = n  # bytes: one an outcome, as n is at most 127
-    # float64 words, seven bytes of each raw: a pair above the last level stores its blocks' upper triangles
-    count = d * d * n + 2 * d * (d + 1) * (pairs - stored[-1]) + 4 * d * d * stored[-1]
+    # float64 words, seven bytes of each raw: a pair above the last level stores its blocks' real parameters
+    count = d * d * n + 2 * d * d * (pairs - stored[-1]) + 4 * d * d * stored[-1]
     assert count == stored_words(d, n)
     inflate = zlib.decompressobj(wbits=-9)
     stream = path.read_bytes()[header + order + 7 * count:]
@@ -255,7 +255,7 @@ def test_padding_costs_no_bytes(d, k, construction, seed, tmp_path_factory):
     assert again.order.nbytes == np.dtype(np.intp).itemsize * n
     assert again.povm.params.tobytes() == tree.povm.params.tobytes()
     # the elements and the pairs read from the file hold exactly the words it
-    # stores, and +0.0 below the diagonals of the pairs above the last level
+    # stores, and +0.0 in the words the pairs above the last level do not store
     filled = again.povm.params.nbytes + sum(x.nbytes for x in again.kraus)
     assert filled == 8 * (d * d * n + 4 * d * d * pairs)
     assert all(not np.tril(x, -1).view(np.uint64).any() for x in again.kraus[:-1])
@@ -268,6 +268,45 @@ def test_padding_costs_no_bytes(d, k, construction, seed, tmp_path_factory):
         [None if o.post_state is None else o.post_state.density.tobytes() for o in loaded]
     first, second = sample(tree, state, 1000, seed=seed), sample(again, state, 1000, seed=seed)
     assert (first.counts, first.expected) == (second.counts, second.expected)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@example(d=3, k=2, ranks="random", freedom=True, permuted=True, seed=2)  # the root is the last level
+@given(
+    d=st.integers(1, 5),
+    k=st.integers(1, 40),
+    ranks=st.sampled_from(["random", "one"]),
+    freedom=st.booleans(),
+    permuted=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocks_above_the_last_level_are_their_real_parameters(d, k, ranks, freedom, permuted, seed,
+                                                               tmp_path_factory):
+    # compile writes +0.0 below each diagonal and in its imaginary parts,
+    # the words a tree file does not store, so a loaded tree is the compiled
+    # one bit for bit, with padding, any ranks, Kraus freedom and any order
+    rng = np.random.default_rng(seed)
+    if ranks == "one" and k >= d:
+        p = random_rank_one_povm(k, d, rng)
+    else:
+        element_ranks = rng.integers(1, d + 1, k)
+        element_ranks[0] = d  # so that the elements can sum to the identity
+        p = random_povm(k, d, rng, ranks=element_ranks)
+    factorization = None
+    if freedom:
+        factorization = apply_freedom(default_kraus(p), [random_unitary(d, rng) for _ in range(k)])
+    tree = compile_tree(p, factorization=factorization, partition=rng.permutation(k) if permuted else None)
+    lower, diagonal = np.tril_indices(d, -1), np.arange(d)
+    for level in tree.kraus[:-1]:
+        unstored = [level[..., lower[0], lower[1]].real, level[..., lower[0], lower[1]].imag,
+                    level[..., diagonal, diagonal].imag]
+        assert not any(np.signbit(x).any() or x.any() for x in unstored)
+    path = tmp_path_factory.mktemp("parameters") / "t.tree"
+    save_tree(tree, path)
+    again = load_tree(path)
+    assert again.order.tobytes() == tree.order.tobytes()
+    assert again.povm.params.tobytes() == tree.povm.params.tobytes()
+    assert [x.tobytes() for x in again.kraus] == [x.tobytes() for x in tree.kraus]
 
 
 @PROPERTY
