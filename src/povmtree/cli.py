@@ -18,7 +18,7 @@ import numpy as np
 from . import cost as cost_model
 from . import io as treeio
 from .errors import ParseError, PovmTreeError
-from .linalg import frobenius, hermitian_eig
+from .linalg import _asymmetry, adjoint, as_stack, hermitian_eig
 from .povm import tetrad
 from .simulator import QuantumState, direct_probabilities, propagate, sample, random_density
 from .tree import _resolve_partition, compile_tree, verify
@@ -69,17 +69,13 @@ def _format_matrix(m: np.ndarray) -> str:
 def cmd_validate(args) -> int:
     # the residuals validate judged: of the matrices as stored, not their Hermitian parts
     elements, povm = treeio.povm_record(treeio.load_json(args.path))
-    identity = np.eye(povm.dim)
-    total = np.sum(elements, axis=0)
+    stack = as_stack(elements)
+    stack_dag = adjoint(stack)
+    min_eig = np.linalg.eigvalsh((stack + stack_dag) / 2)[:, 0]
     print(f"POVM: {povm.n_outcomes} outcomes on dimension {povm.dim}")
-    for j, m in enumerate(elements):
-        herm = frobenius(m - m.conj().T)
-        min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
-        print(
-            f"  element {povm.labels[j]!r}: hermiticity residual {herm:.3e}, "
-            f"min eigenvalue {min_eig:+.3e}"
-        )
-    print(f"  completeness residual |sum - I|_F = {frobenius(total - identity):.3e}")
+    for label, herm, least in zip(povm.labels, _asymmetry(stack, stack_dag), min_eig):
+        print(f"  element {label!r}: hermiticity residual {herm:.3e}, min eigenvalue {least:+.3e}")
+    print(f"  completeness residual |sum - I|_F = {np.linalg.norm(stack.sum(axis=0) - np.eye(povm.dim)):.3e}")
     print("valid")
     return 0
 
@@ -208,7 +204,7 @@ def cmd_example_tetrad(args) -> int:
         b = second[j]
         lines.append(f"B{j} =\n{_format_matrix(b.conj().T @ b)}")
     b0, b3 = second[0], second[3]
-    closure = frobenius(b0.conj().T @ b0 + b3.conj().T @ b3 - np.eye(2))
+    closure = np.linalg.norm(b0.conj().T @ b0 + b3.conj().T @ b3 - np.eye(2))
     lines.append("")
     lines.append(f"completeness |B0 + B3 - I|_F = {closure:.3e}")
     lines.append(report.summary())

@@ -1,16 +1,16 @@
 """Dense complex linear-algebra kernel.
 
 The pipeline (POVM validation, tree construction, simulation) runs on two
-parts of this module: the spectral PSD roots of a stack, from one ``eigh``
-per block (:func:`psd_sqrt_stack`), and the parameter layout:
+parts of this module: the spectral PSD roots of a stack, from one stacked
+``eigh`` (:func:`psd_sqrt_stack`), and the parameter layout:
 :func:`hermitian_parameters` and :func:`hermitian_from_parameters` pack and
 unpack Hermitian matrices as d^2 real parameters each, the form in which a
-POVM holds and a tree file stores its elements.  Stages over a whole stack
-walk it in :func:`blocks`.  The one-matrix forms :func:`psd_sqrt`,
-:func:`pseudo_inverse`, :func:`hermitian_eig` (eigenvalues descending, with
-a deterministic eigenvector convention) and :func:`complete_to_unitary` (one
-isometric column block to a unitary by one Householder QR, behind every
-probe coupling) serve callers with arbitrary input.
+POVM holds and a tree file stores its elements.  The one-matrix forms
+:func:`psd_sqrt`, :func:`pseudo_inverse`, :func:`hermitian_eig`
+(eigenvalues descending, with a deterministic eigenvector convention) and
+:func:`complete_to_unitary` (one isometric column block to a unitary by one
+Householder QR, behind every probe coupling) serve callers with arbitrary
+input.
 
 The thresholds are three module constants, used by every check and never
 stored with a tree or read from a file.  ``TOL_RANK`` (1e-10) is the rank
@@ -34,6 +34,11 @@ takes the roots of the elements and no decomposition of a partial sum
 and the rank rule only the roots, that API, ``verify``'s rank column and
 the rank-one pieces of :func:`povmtree.dilation.full_neumark`.
 
+Memory follows one rule: the stage that walks the N elements or a tree
+level cuts its stack into :func:`blocks` of at most 64 KiB of d x d
+matrices, and a kernel (:func:`check_psd`, :func:`psd_sqrt_stack`,
+:func:`isometry_residuals`) never cuts, taking the stack it is given in one
+piece; only :func:`as_stack`'s range check cuts an outside stack itself.
 All functions but :func:`check_psd` are pure; returned arrays are fresh and
 never alias inputs.
 """
@@ -124,11 +129,6 @@ def as_stack(matrices, shape=None, bounded: bool = False) -> np.ndarray:
     return stack
 
 
-def frobenius(a: np.ndarray) -> float:
-    """Frobenius norm as a plain float."""
-    return float(np.linalg.norm(a))
-
-
 def rank_mask(values: np.ndarray) -> np.ndarray:
     """Which values count as nonzero: those above ``TOL_RANK`` times ``max(largest, 0)``.
 
@@ -158,31 +158,29 @@ def _asymmetry(a: np.ndarray, a_dag: np.ndarray) -> np.ndarray:
 def check_psd(stack: np.ndarray, first: int = 0) -> np.ndarray:
     """Check each matrix of a square stack for Hermiticity and positivity; returns ``stack``.
 
-    Writes each matrix's Hermitian part ``(M + M^dag)/2`` over it, block by
-    block, so the caller passes a copy it owns.  Raises a
-    :class:`ValidationError` naming the first failing matrix by ``index``,
-    counted from ``first``:
+    Takes the stack in one piece, as a kernel does, and writes each
+    matrix's Hermitian part ``(M + M^dag)/2`` over it, so the caller passes
+    a copy it owns.  Raises a :class:`ValidationError` naming the first
+    failing matrix by ``index``, counted from ``first``:
     ``what="hermiticity"`` if ``|M - M^dag|_F`` exceeds ``TOL_CHECK``, else
     ``"positivity"`` (the eigenvalue as ``residual``) if its Hermitian part
     has an eigenvalue below ``-TOL_CHECK``.
     """
-    for rows in blocks(len(stack), stack.shape[-1]):
-        block = stack[rows]
-        block_dag = adjoint(block)
-        residual = _asymmetry(block, block_dag)
-        block += block_dag
-        block /= 2
-        min_eig = np.linalg.eigvalsh(block)[:, 0]
-        worst = np.maximum(residual, -min_eig)  # both bounds are TOL_CHECK
-        if worst.max() > TOL_CHECK:
-            j = int(np.argmax(worst > TOL_CHECK))
-            r, at = residual[j], first + rows.start + j
-            if r > TOL_CHECK:
-                raise ValidationError(f"matrix is not Hermitian, |A - A^dag|_F = {r:.3e}",
-                                      what="hermiticity", residual=r, index=at)
-            raise ValidationError(
-                f"matrix is not positive semidefinite, negative eigenvalue {min_eig[j]:.3e}",
-                what="positivity", residual=min_eig[j], index=at)
+    stack_dag = adjoint(stack)
+    residual = _asymmetry(stack, stack_dag)
+    stack += stack_dag
+    stack /= 2
+    min_eig = np.linalg.eigvalsh(stack)[:, 0]
+    worst = np.maximum(residual, -min_eig)  # both bounds are TOL_CHECK
+    if worst.max() > TOL_CHECK:
+        j = int(np.argmax(worst > TOL_CHECK))
+        r, at = residual[j], first + j
+        if r > TOL_CHECK:
+            raise ValidationError(f"matrix is not Hermitian, |A - A^dag|_F = {r:.3e}",
+                                  what="hermiticity", residual=r, index=at)
+        raise ValidationError(
+            f"matrix is not positive semidefinite, negative eigenvalue {min_eig[j]:.3e}",
+            what="positivity", residual=min_eig[j], index=at)
     return stack
 
 
@@ -298,22 +296,19 @@ def pseudo_inverse(a) -> np.ndarray:
 
 
 def psd_sqrt_stack(a: np.ndarray) -> np.ndarray:
-    """Hermitian PSD square roots of a stack of matrices, one stacked ``eigh`` per block.
+    """Hermitian PSD square roots of a stack of matrices, from one stacked ``eigh``.
 
-    A kernel that checks nothing: each matrix is exactly Hermitian and
-    passes :func:`check_psd`, as a validated POVM's elements do.
-    Eigenvalues off :func:`rank_mask`, negative dust included, are
-    truncated to exact zero, so the root of an exactly rank-deficient
-    operator keeps its rank.
+    A kernel that checks nothing and cuts nothing: the caller hands over
+    the block it holds, of exactly Hermitian matrices that pass
+    :func:`check_psd`, as a validated POVM's elements do.  Eigenvalues off
+    :func:`rank_mask`, negative dust included, are truncated to exact zero,
+    so the root of an exactly rank-deficient operator keeps its rank.
     """
-    roots = np.empty(a.shape, dtype=complex)
-    for rows in blocks(len(a), a.shape[-1]):
-        w, v = np.linalg.eigh(a[rows])
-        s = (v * np.sqrt(np.where(rank_mask(w), w, 0.0))[..., None, :]) @ adjoint(v)
-        s += adjoint(s)
-        s /= 2
-        roots[rows] = s
-    return roots
+    w, v = np.linalg.eigh(a)
+    s = (v * np.sqrt(np.where(rank_mask(w), w, 0.0))[..., None, :]) @ adjoint(v)
+    s += adjoint(s)
+    s /= 2
+    return s
 
 
 def psd_sqrt(a) -> np.ndarray:
@@ -326,12 +321,8 @@ def psd_sqrt(a) -> np.ndarray:
 
 
 def isometry_residuals(x: np.ndarray) -> np.ndarray:
-    """``|X^dag X - I|_F`` of each n x k matrix of a stack, per block: the isometry residual."""
-    k = x.shape[-1]
-    residuals = np.empty(len(x))
-    for rows in blocks(len(x), k):
-        residuals[rows] = np.linalg.norm(adjoint(x[rows]) @ x[rows] - np.eye(k), axis=(-2, -1))
-    return residuals
+    """``|X^dag X - I|_F`` of each n x k matrix of a stack, in one piece: the isometry residual."""
+    return np.linalg.norm(adjoint(x) @ x - np.eye(x.shape[-1]), axis=(-2, -1))
 
 
 def _raise_first(residuals: np.ndarray, what: str, text: str, limit: float, path=None,

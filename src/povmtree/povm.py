@@ -25,7 +25,6 @@ from .linalg import (
     as_stack,
     blocks,
     check_psd,
-    frobenius,
     hermitian_from_parameters,
     hermitian_parameters,
     isometry_residuals,
@@ -96,7 +95,7 @@ def validate(elements, labels=None) -> Povm:
     params = np.empty((n, dim * dim))
     for rows in blocks(n, dim):
         params[rows] = hermitian_parameters(check_psd(stack[rows].copy(), rows.start))
-    deficit = frobenius(total - np.eye(dim))
+    deficit = float(np.linalg.norm(total - np.eye(dim)))
     if deficit > TOL_CHECK:
         raise ValidationError(f"POVM elements do not sum to identity, |sum - I|_F = {deficit:.3e}",
                               what="completeness", residual=deficit)
@@ -145,7 +144,8 @@ def apply_freedom(kraus, unitaries) -> np.ndarray:
     if len(vs) != len(kraus):
         raise ValidationError(f"got {len(vs)} unitaries for {len(kraus)} Kraus operators",
                               what="shape")
-    _raise_first(isometry_residuals(vs), "unitarity", "matrix is not unitary, |V^dag V - I|_F = {:.3e}",
+    residuals = np.concatenate([isometry_residuals(vs[rows]) for rows in blocks(len(vs), vs.shape[-1])])
+    _raise_first(residuals, "unitarity", "matrix is not unitary, |V^dag V - I|_F = {:.3e}",
                  TOL_UNITARY, error=ValidationError)
     return _frozen(vs @ kraus)
 

@@ -146,9 +146,9 @@ def direct_probabilities(p: Povm, state: QuantumState) -> np.ndarray:
     return np.clip(p.params @ w, 0.0, 1.0)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SimulationOutcome:
-    """One leaf of the exact propagation.
+    """One leaf of the exact propagation; equal to another of the same tree and state objects and leaf.
 
     ``post_state`` is built from the Kraus operators on the leaf's path on
     each read; it is ``None`` for branches whose cumulative probability fell

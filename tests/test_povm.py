@@ -301,6 +301,17 @@ class TestApplyFreedom:
         assert err.value.what == "finiteness"
         assert err.value.index == 3
 
+    def test_names_a_non_unitary_by_its_place_among_all(self, monkeypatch):
+        # one 2 x 2 unitary a block: the non-unitary at position 5 is first in its own block
+        monkeypatch.setattr(linalg, "_BLOCK_BYTES", 16 * 2 * 2)
+        assert len(list(linalg.blocks(8, 2))) == 8
+        vs = np.stack([np.eye(2)] * 8).astype(complex)
+        vs[5] *= 1.5
+        vs[7] *= 2.0
+        with pytest.raises(ValidationError) as err:
+            apply_freedom(np.stack([np.eye(2)] * 8), vs)
+        assert (err.value.what, err.value.index) == ("unitarity", 5)
+
     def test_names_first_misshapen_unitary(self, tetrad_povm):
         with pytest.raises(ValidationError) as err:
             apply_freedom(default_kraus(tetrad_povm), [np.eye(2)] * 2 + [np.eye(3), np.eye(2)])

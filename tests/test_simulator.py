@@ -266,6 +266,21 @@ class TestPropagate:
         assert not outcomes.reached.flags.writeable
         assert list(outcomes.reached) == [o.post_state is not None for o in listed]
 
+    def test_outcomes_equal_themselves(self, rng):
+        # rows are built anew on each access, so they must compare by value, not identity
+        tree = compile_tree(random_rank_one_povm(5, 2, rng))
+        state = random_density(2, rng)
+        outcomes = propagate(tree, state)
+        assert outcomes == outcomes
+        assert hash(outcomes) == hash(outcomes)
+        assert outcomes[2] == outcomes[2] and hash(outcomes[2]) == hash(outcomes[2])
+        assert propagate(tree, state) == propagate(tree, state)
+        # an outcome names its state by identity: Kraus freedom moves post-states, not probabilities
+        again = QuantumState(state.density)
+        assert np.array_equal(propagate(tree, again).probabilities, outcomes.probabilities)
+        assert propagate(tree, again) != outcomes
+        assert propagate(tree, again)[0] != outcomes[0]
+
     def test_padded_leaf_unreached(self, rng):
         p = random_rank_one_povm(3, 2, rng)
         tree = compile_tree(p)

@@ -1155,7 +1155,7 @@ class TestMemory:
 
 
 class TestBlockInvariance:
-    """Every stage gives the same bits when each block holds a single matrix."""
+    """Every stage gives the same bits when each block holds a single matrix, or a whole stack."""
 
     @staticmethod
     def pipeline(elements, tmp_path, unitaries=None, partition=None):
@@ -1201,9 +1201,11 @@ class TestBlockInvariance:
         else:
             elements, unitaries, partition = random_rank_one_povm(n, d, rng).elements, None, None
         default = self.pipeline(elements, tmp_path, unitaries, partition)
-        monkeypatch.setattr(linalg, "_BLOCK_BYTES", 1)
-        assert list(linalg.blocks(3, d)) == [slice(0, 1), slice(1, 2), slice(2, 3)]
-        single = self.pipeline(elements, tmp_path, unitaries, partition)
         assert default["report"][0]
-        for key in default:
-            assert self.same(default[key], single[key]), key
+        # one matrix a block, then one block a stack: the kernels take what they are handed
+        for budget, cut in [(1, [slice(0, 1), slice(1, 2), slice(2, 3)]), (1 << 40, [slice(0, 3)])]:
+            monkeypatch.setattr(linalg, "_BLOCK_BYTES", budget)
+            assert list(linalg.blocks(3, d)) == cut
+            single = self.pipeline(elements, tmp_path, unitaries, partition)
+            for key in default:
+                assert self.same(default[key], single[key]), (budget, key)
