@@ -25,7 +25,8 @@ It allocates under 2.5 times the file's bytes.
 
 A POVM file holds its elements and, for caller labels, one label each.  A
 file whose ``n_original`` is not its element count was written with zero
-padding by an older writer, and is refused.
+padding by an older writer, and is refused, as is a POVM or state file
+with a ``format`` other than its own; one without ``format`` is read.
 """
 
 from __future__ import annotations
@@ -123,6 +124,8 @@ def povm_from_dict(data: dict) -> Povm:
 
 def povm_record(data: dict) -> tuple[list[np.ndarray], Povm]:
     """The elements of a POVM record as stored, and their :class:`Povm`."""
+    if data.get("format", POVM_FORMAT) != POVM_FORMAT:
+        raise ParseError(f"must be {POVM_FORMAT!r}, got {data['format']!r}", field="format")
     dim = _int_field(data, "dimension", 1)
     raw = _require(data, "elements")
     if not isinstance(raw, list) or not raw:
@@ -158,16 +161,13 @@ def state_to_dict(state: QuantumState) -> dict:
 
 
 def state_from_dict(data: dict) -> QuantumState:
+    if data.get("format", STATE_FORMAT) != STATE_FORMAT:
+        raise ParseError(f"must be {STATE_FORMAT!r}, got {data['format']!r}", field="format")
     dim = _int_field(data, "dimension", 1)
     rho = decode_matrix(_require(data, "density"), "density")
     if rho.shape != (dim, dim):
-        raise ParseError(
-            f"density has shape {rho.shape}, expected ({dim}, {dim})", field="density"
-        )
-    try:
-        return QuantumState(rho)
-    except ValueError as err:  # not Hermitian, not unit trace, or not positive
-        raise ParseError(str(err), field="density") from err
+        raise ParseError(f"density has shape {rho.shape}, expected ({dim}, {dim})", field="density")
+    return QuantumState(rho)  # an invalid density raises ValidationError
 
 
 def save_state(state: QuantumState, path) -> None:

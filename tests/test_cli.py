@@ -102,6 +102,14 @@ class TestValidateCommand:
             assert main(["validate", str(path)]) == 0
             assert f"element {shown}:" in capsys.readouterr().out
 
+    def test_file_of_another_format_is_a_parse_error(self, tetrad_file, capsys):
+        with open(tetrad_file, encoding="utf-8") as handle:
+            data = json.load(handle)
+        with open(tetrad_file, "w", encoding="utf-8") as handle:
+            json.dump(dict(data, format="povmtree/state-v1"), handle)
+        assert main(["validate", tetrad_file]) == 2
+        assert "(field 'format')" in capsys.readouterr().err
+
     def test_truncated_file(self, tmp_path, capsys):
         path = tmp_path / "trunc.json"
         path.write_text('{"dimension": 2')
@@ -186,11 +194,10 @@ class TestCompileCommand:
         assert "operation counts" not in capsys.readouterr().out
         assert load_tree(tmp_path / "small.tree").povm.n_outcomes == len(elements)
 
-    @pytest.mark.parametrize("command", ["compile", "simulate"])
+    @pytest.mark.parametrize("command", ["simulate"])
     def test_disagreement_with_direct_probabilities_exits_3(self, tetrad_file, tmp_path, monkeypatch, capsys,
                                                              command):
-        # the tree is written and its table printed; the deviation beyond
-        # _AGREEMENT is the failure
+        # the table is printed; the deviation beyond _AGREEMENT is the failure
         tree = str(tmp_path / "tetrad.tree")
         assert main(["compile", tetrad_file, "--out", tree]) == 0
         capsys.readouterr()
@@ -199,12 +206,29 @@ class TestCompileCommand:
             return direct_probabilities(povm, state) + np.r_[2 * cli._AGREEMENT, np.zeros(povm.n_outcomes - 1)]
 
         monkeypatch.setattr(cli, "direct_probabilities", off)
-        args = {"compile": ["compile", tetrad_file, "--out", tree], "simulate": ["simulate", tree]}[command]
-        assert main(args) == 3
+        assert main([command, tree]) == 3
         captured = capsys.readouterr()
-        assert captured.err == {"compile": "verification failed\n",
-                                "simulate": "tree and direct probabilities disagree\n"}[command]
+        assert captured.err == "tree and direct probabilities disagree\n"
         assert "2.000e-08" in captured.out
+
+    def test_runs_no_simulation(self, tetrad_file, tmp_path, monkeypatch, capsys):
+        # verify's leaf residuals bound the tree-vs-direct deviation for every state
+        def refuse(*args):
+            raise AssertionError("compile ran the simulator")
+
+        monkeypatch.setattr(cli, "propagate", refuse)
+        monkeypatch.setattr(cli, "direct_probabilities", refuse)
+        tree = tmp_path / "tetrad.tree"
+        assert main(["compile", tetrad_file, "--grouping", "0,3|1,2", "--out", str(tree)]) == 0
+        assert "cross-check" not in capsys.readouterr().out
+        assert tuple(load_tree(tree).order) == (0, 3, 1, 2)
+
+    def test_seed_is_a_usage_error(self, tetrad_file, tmp_path, capsys):
+        tree = tmp_path / "tetrad.tree"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["compile", tetrad_file, "--seed", "0", "--out", str(tree)])
+        assert exit_info.value.code == 2
+        assert "--seed" in capsys.readouterr().err and not tree.exists()
 
     def test_default_output_name(self, tetrad_file, tmp_path, capsys):
         assert main(["compile", tetrad_file]) == 0
@@ -226,6 +250,14 @@ class TestSimulateCommand:
         capsys.readouterr()
         assert main(["simulate", tetrad_tree, "--state", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: not UTF-8 text: byte 0")
+
+    def test_invalid_state_file(self, tetrad_tree, tmp_path, capsys):
+        # exit 1 with the state's own check, as for an invalid POVM file
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"dimension": 2, "density": encode_matrix(np.diag([1.5, -0.5]))}))
+        capsys.readouterr()
+        assert main(["simulate", tetrad_tree, "--state", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("invalid: element 0: matrix is not positive semidefinite")
 
     def test_pure_state(self, tetrad_tree, capsys):
         assert main(["simulate", tetrad_tree, "--state", "pure:0"]) == 0

@@ -140,20 +140,29 @@ class TestUntrustedPovmAndStateFiles:
              {"dimension": 2, "density": [[[float("nan"), 0.0], [0.0, 0.0]],
                                           [[0.0, 0.0], [1.0, 0.0]]]},
              "density"),
-            (state_from_dict, {"dimension": 2, "density": encode_matrix(np.zeros((2, 2)))},
-             "density"),
             (povm_from_dict, {"dimension": 1, "elements": []}, "elements"),
             (povm_from_dict, {"dimension": 1, "elements": {"0": [[[1.0, 0.0]]]}}, "elements"),
             (povm_from_dict, {"dimension": 1, "elements": [[]]}, "elements[0]"),
             (povm_from_dict, {"dimension": 1, "elements": [{}]}, "elements[0]"),
+            (povm_from_dict, {"format": "povmtree/state-v1"}, "format"),
+            (povm_from_dict, {"format": "povmtree/povm-v9"}, "format"),
+            (state_from_dict, {"format": "povmtree/povm-v1"}, "format"),
+            (state_from_dict, {"format": "povmtree/state-v9"}, "format"),
         ],
-        ids=["dimension-not-integer", "entry-not-number", "nan-density", "zero-trace-density",
-             "no-elements", "elements-not-a-list", "element-no-rows", "element-not-a-list"],
+        ids=["dimension-not-integer", "entry-not-number", "nan-density", "no-elements", "elements-not-a-list",
+             "element-no-rows", "element-not-a-list", "state-format-read-as-povm", "povm-v9", "povm-format-read-as-state",
+             "state-v9"],
     )
     def test_parse_error_names_field(self, loader, data, field):
         with pytest.raises(ParseError) as err:
             loader(data)
         assert err.value.field == field
+
+    def test_an_invalid_density_is_a_validation_error(self):
+        # the state's own check, not a parse error: exit 1, as for an invalid POVM
+        with pytest.raises(ValidationError) as err:
+            state_from_dict({"dimension": 2, "density": encode_matrix(np.zeros((2, 2)))})
+        assert err.value.what == "trace" and err.value.field is None
 
     @pytest.mark.parametrize("loader", [load_povm, load_state])
     def test_top_level_value_must_be_an_object(self, tmp_path, loader):

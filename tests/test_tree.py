@@ -406,6 +406,33 @@ class TestValidatedOnce:
         assert verify(compile_tree(p)).passed
 
 
+class TestDustBoundary:
+    """Dust that validate accepts and compile refuses: ROADMAP item 1's probe, pinned as it stands.
+
+    Element 0 of a rank-one POVM on d = 3 gives 0.9e-9 P to element 1, P the
+    projector onto its two-dimensional null space: the sum is unchanged and
+    element 0's least eigenvalue, -0.9e-9, lies above validate's floor
+    -TOL_CHECK.  The leaf roots drop the dust, and the root pair's squares
+    then miss I by its Frobenius norm, sqrt(2) 0.9e-9.  Item 1 (the nearest
+    valid POVM at validate) turns this test into "compiles and verifies".
+    """
+
+    def test_validate_accepts_and_compile_refuses_at_the_root(self):
+        residuals = []
+        for seed in range(40):
+            elements = random_rank_one_povm(6, 3, np.random.default_rng(seed)).elements.copy()
+            null = np.linalg.eigh(elements[0])[1][:, :2]
+            dust = 0.9e-9 * null @ null.conj().T
+            elements[0] -= dust
+            elements[1] += dust
+            p = validate(elements)
+            with pytest.raises(VerificationError) as err:
+                compile_tree(p)
+            assert (err.value.what, err.value.path) == ("completeness", "")
+            residuals.append(err.value.residual)
+        assert 1.2e-9 < min(residuals) and max(residuals) < 1.3e-9
+
+
 def near_parallel_povm(d, delta, seed):
     """2d rank-one elements of complex Gaussian vectors v_j, with ``v_1 = v_0 + delta w``, mapped by ``G^{-1/2}``.
 
