@@ -42,10 +42,11 @@ print("block <0|U|0> has Gram matrix M03:",
       np.allclose(u[:2, :2].conj().T @ u[:2, :2], m03))
 
 # Conditioned on the first probe outcome, the second round is projective.
-# tree.kraus[1][i] is the pair measured at node i of level 1; leaf 2i + c is
-# outcome tree.order[2i + c].
+# tree.pairs(1)[i] is the pair measured at node i of level 1, built from the
+# words the tree holds; leaf 2i + c is outcome tree.order[2i + c].
 print("\nsecond-stage measurement operators:")
-second = {j: tree.kraus[1][i // 2, i % 2] for i, j in enumerate(tree.order)}
+pairs = tree.pairs(1)
+second = {j: pairs[i // 2, i % 2] for i, j in enumerate(tree.order)}
 for j in range(4):
     b = second[j]
     op = b.conj().T @ b

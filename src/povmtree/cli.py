@@ -185,13 +185,10 @@ def cmd_example_tetrad(args) -> int:
     lines.append(_format_matrix(tree.dilation("")))
     lines.append("")
     lines.append("Second-stage measurement operators B_j = b_j^dag b_j:")
-    # leaf i is outcome order[i], reached by b_(i % 2) of the pair at node i // 2
-    second = {j: tree.kraus[1][i // 2, i % 2] for i, j in enumerate(tree.order)}
-    for j in range(4):
-        b = second[j]
-        lines.append(f"B{j} =\n{_format_matrix(b.conj().T @ b)}")
-    b0, b3 = second[0], second[3]
-    closure = np.linalg.norm(b0.conj().T @ b0 + b3.conj().T @ b3 - np.eye(2))
+    # leaf i is outcome order[i], reached by b_(i % 2) of the pair at node i // 2: B_j by outcome j
+    second = [b.conj().T @ b for b in tree.pairs(1).reshape(4, 2, 2)[np.argsort(tree.order)]]
+    lines += [f"B{j} =\n{_format_matrix(b)}" for j, b in enumerate(second)]
+    closure = np.linalg.norm(second[0] + second[3] - np.eye(2))
     lines.append("")
     lines.append(f"completeness |B0 + B3 - I|_F = {closure:.3e}")
     lines.append(report.summary())

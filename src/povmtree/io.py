@@ -9,18 +9,18 @@ header line of scalars (``labels`` only for caller labels, no tolerances: a
 file is judged by the constants of :mod:`povmtree.linalg`), the leaf order
 ``tree.order`` as ``n_original`` little-endian unsigned integers of the
 narrowest width w of 1, 2, 4 or 8 bytes that holds ``n_original - 1``, then
-little-endian float64 words: the ``n_original`` elements' d^2 parameters
-each, as ``Povm.params`` holds them, then level by level the Kraus pairs of
-the level's real prefix (:func:`povmtree.tree.real_counts`, the depth being
-``(n_original - 1).bit_length()``), b0 then b1: on the last level their real
-and imaginary parts, above it, where blocks are upper triangular with real
-diagonals (:func:`povmtree.tree._split`), their d^2 parameters laid out as
-an element's.  Each word's low seven bytes follow the order, and its top
-byte, the sign and seven high exponent bits, goes into one raw deflate
-stream (window 2**9) that ends the file: ``w n_original + 7 W`` bytes, then
-the stream, for the ``W = d^2 (n_original + 2 K' + 4 K)`` words of K' pairs
-above the last level and K on it.  The arrays are read as a tree holds
-them; the loader checks the order and runs :func:`povmtree.tree.verify`.
+the little-endian float64 words that ``tree.povm.params`` and ``tree.levels``
+hold: the ``n_original`` elements' d^2 parameters each, then level by level
+the Kraus pairs of the level's real prefix (:func:`povmtree.tree.real_counts`,
+the depth being ``(n_original - 1).bit_length()``), b0 then b1: on the last
+level their real and imaginary parts, above it, where blocks are upper
+triangular with real diagonals, their d^2 parameters laid out as an
+element's.  Each word's low seven bytes follow the order, and its top byte,
+the sign and seven high exponent bits, goes into one raw deflate stream
+(window 2**9) that ends the file: ``w n_original + 7 W`` bytes, then the
+stream, for the ``W = d^2 (n_original + 2 K' + 4 K)`` words of K' pairs
+above the last level and K on it.  The loader reads the words into the
+arrays a tree holds, checks the order and runs :func:`povmtree.tree.verify`.
 It allocates under 2.5 times the file's bytes.
 
 A POVM file holds its elements and, for caller labels, one label each.  A
@@ -39,18 +39,17 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
-from .linalg import ENTRY_BOUND, _frozen, _layout, _raise_first
+from .errors import ParseError
+from .linalg import ENTRY_BOUND, _frozen
 from .povm import Povm, default_labels, validate
 from .records import Rows
 from .simulator import QuantumState
-from .tree import MeasurementTree, is_permutation, node_path, real_counts, verify
+from .tree import MeasurementTree, is_permutation, level_shapes, verify
 
 POVM_FORMAT = "povmtree/povm-v1"
 STATE_FORMAT = "povmtree/state-v1"
 TREE_FORMAT = "povmtree/tree-v13"
 
-_BLOB_DTYPE = np.dtype("<c16")
 _PARAMETER_DTYPE = np.dtype("<f8")
 
 # Top bytes take a few values within ENTRY_BOUND and have no repeats worth
@@ -203,46 +202,27 @@ def _povm(data: dict, params: np.ndarray) -> Povm:
 
 
 def save_tree(tree: MeasurementTree, path) -> None:
-    """Write ``tree`` as ``tree-v13``: the header line, the order, the words' low bytes, the stream.
-
-    The order is ``tree.order``; the words are those of ``tree.povm.params``
-    and of ``tree.kraus``, copied ``_CHUNK`` at a time.  A pair above the
-    last level with a word the file does not store that is not +0.0 raises
-    ``ValidationError(what="shape")`` at its node before the file is opened.
-    """
+    """Write ``tree`` as ``tree-v13``: the header, ``tree.order``, then the words it holds, ``_CHUNK`` at a time."""
     p = tree.povm
     header = {"format": TREE_FORMAT, "dimension": p.dim,
               **({} if isinstance(p.labels, Rows) else {"labels": list(p.labels)}),
               "n_original": p.n_outcomes}
-    blobs = _blobs(p.dim, p.n_outcomes)
     order, *floats = (np.ascontiguousarray(a, dtype=dtype)  # no copy on a little-endian host
-                      for (_, _, dtype, _), a in zip(blobs, (tree.order, p.params, *tree.kraus)))
-    for level, pairs in enumerate(floats[1:-1]):  # the triangular levels: per pair, the words not stored
-        dropped = [np.count_nonzero(np.delete(run, pick, axis=2).view(np.uint64), axis=(1, 2))
-                   for run, pick in _runs(pairs, True)]
-        _raise_first(np.concatenate(dropped), "shape", f"{{:.0f}} of its unstored words are not +0.0: {TREE_FORMAT} "
-                     "stores a block's d^2 real parameters", 0, lambda i: node_path(level, i), ValidationError)
-    runs = [r for (*_, triangular), a in zip(blobs[1:], floats) for r in _runs(a, triangular)]
+                      for (_, _, dtype), a in zip(_blobs(p.dim, p.n_outcomes), (tree.order, p.params, *tree.levels)))
+    runs = [run for a in floats for run in _runs(a)]
     deflate = zlib.compressobj(wbits=_WBITS, memLevel=_MEM_LEVEL, strategy=zlib.Z_HUFFMAN_ONLY)
     with open(path, "wb") as handle:
         handle.write(json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n")
         handle.write(order)  # then the low seven bytes of each word, then the stream of the top bytes
-        for part in (lambda c: np.ndarray(len(c), "V7", c, strides=(8,)).tobytes(),
-                     lambda c: deflate.compress(c[:, 7].tobytes())):  # a triangular run packed anew for each
-            handle.writelines(part(run if pick is None else np.take(run, pick, axis=2).view(np.uint8).reshape(-1, 8))
-                              for run, pick in runs)
+        handle.writelines(np.ndarray(len(run), "V7", run, strides=(8,)).tobytes() for run in runs)
+        handle.writelines(deflate.compress(run[:, 7].tobytes()) for run in runs)
         handle.write(deflate.flush())
 
 
-def _runs(a: np.ndarray, triangular: bool) -> list[tuple[np.ndarray, np.ndarray | None]]:
-    """``a`` in runs of ``_CHUNK`` words, rows of 8 bytes, with None; a triangular level as ``(pairs, 2, 2 d^2)``
-    floats, runs within ``_CHUNK`` of them or one pair, with the floats a block stores, ``linalg._layout``'s."""
-    if not triangular:
-        words = a.reshape(-1).view(np.uint8).reshape(-1, 8)
-        return [(words[start:start + _CHUNK], None) for start in range(0, len(words), _CHUNK)]
-    d = a.shape[-1]
-    floats, per = a.reshape(len(a), 2, -1).view(_PARAMETER_DTYPE), max(1, _CHUNK // (4 * d * d))
-    return [(floats[first:first + per], _layout(d)[0]) for first in range(0, len(a), per)]
+def _runs(a: np.ndarray) -> list[np.ndarray]:
+    """The words of ``a`` in runs of ``_CHUNK``, rows of 8 bytes."""
+    words = a.reshape(-1).view(np.uint8).reshape(-1, 8)
+    return [words[start:start + _CHUNK] for start in range(0, len(words), _CHUNK)]
 
 
 def _read_header(handle) -> tuple[dict, int, int]:
@@ -271,55 +251,40 @@ def _read_header(handle) -> tuple[dict, int, int]:
 
 
 def _blobs(dim: int, n_original: int) -> list[tuple]:
-    """Field name, shape, dtype and triangularity of each array of a tree file, in file order.
-
-    The order has a row per outcome, the elements one row of d^2 parameters
-    per outcome, and a Kraus level is its real prefix
-    (:func:`povmtree.tree.real_counts`), triangular above the last level.
-    """
-    depth = (n_original - 1).bit_length()
-    return [("order", (n_original,), np.min_scalar_type(n_original - 1).newbyteorder("<"), False),
-            ("elements", (n_original, dim * dim), _PARAMETER_DTYPE, False),
-            *((f"kraus[{level}]", (real, 2, dim, dim), _BLOB_DTYPE, level < depth - 1)
-              for level, real in enumerate(real_counts(depth, n_original)[:depth]))]
+    """Field name, shape and dtype of each array of a tree file, in file order: the order, a row an
+    outcome; the elements, d^2 parameters a row; each Kraus level as a tree holds it (``tree.level_shapes``)."""
+    return [("order", (n_original,), np.min_scalar_type(n_original - 1).newbyteorder("<")),
+            ("elements", (n_original, dim * dim), _PARAMETER_DTYPE),
+            *((f"kraus[{i}]", shape, _PARAMETER_DTYPE) for i, shape in enumerate(level_shapes(n_original, dim)))]
 
 
 def _read_arrays(handle, blobs) -> list[np.ndarray]:
-    """The read-only arrays of ``blobs``, once the file is checked to hold them.
-
-    Their raw bytes, the order's and seven of each stored word's eight, are
-    checked against the file's size first: an array then holds 8/7 times
-    the raw bytes it stores, a triangular level exactly 16/7 times, and
-    the ``intp`` order 8/w times, whatever the header claims.  Every
-    real and imaginary part must lie within ``ENTRY_BOUND``.
-    """
+    """The read-only arrays of ``blobs``, once the file's size is checked to hold their raw bytes, the
+    order's and seven of each word's eight, so an array holds 8/7 of its raw bytes (the ``intp`` order
+    8/w), whatever the header claims.  Every word must lie within ``ENTRY_BOUND``."""
     available = os.fstat(handle.fileno()).st_size - handle.tell()
-    for field, shape, dtype, triangular in blobs:  # a triangular level stores d^2 words, half its floats, a block
-        need = math.prod(shape) // (1 + triangular) * dtype.itemsize * (7 if dtype.kind in "fc" else 8) // 8
+    for field, shape, dtype in blobs:
+        need = math.prod(shape) * dtype.itemsize * (7 if dtype.kind == "f" else 8) // 8
         if available < need:
             raise ParseError(f"blob holds {available} bytes, expected {need} for shape {shape}", field=field)
         available -= need
-    arrays = [np.zeros(shape, dtype=dtype) for _, shape, dtype, _ in blobs]
-    runs = [r for (*_, triangular), a in zip(blobs[1:], arrays[1:]) for r in _runs(a, triangular)]
-    counts = [len(run) if pick is None else 2 * len(run) * len(pick) for run, pick in runs]
+    arrays = [np.zeros(shape, dtype=dtype) for _, shape, dtype in blobs]
+    runs = [run for a in arrays[1:] for run in _runs(a)]
     handle.readinto(arrays[0])
-    inflate, total, done, start = zlib.decompressobj(wbits=_WBITS), sum(counts), 0, handle.tell()
+    inflate, total, done, start = zlib.decompressobj(wbits=_WBITS), sum(map(len, runs)), 0, handle.tell()
     handle.seek(start + 7 * total)  # the stream, after the low bytes
     data = handle.read(total + total // 8 + 64)  # more than zlib's stream of ``total`` bytes takes
     trailing = os.fstat(handle.fileno()).st_size - handle.tell()
     handle.seek(start)
-    low = memoryview(bytearray(7 * max(counts) + 1))
+    low = memoryview(bytearray(7 * max(map(len, runs)) + 1))
     try:
-        for (run, pick), n in zip(runs, counts):  # a triangular run's words are put together, then scattered
-            c = run if pick is None else np.empty((n, 8), np.uint8)
-            handle.readinto(low[:7 * n])  # word i: the 8 bytes at 7 i, its top byte overwritten below
-            c.view("<u8")[:, 0] = np.ndarray(n, dtype="<u8", buffer=low, strides=(7,))
-            top = b"" if inflate.eof else inflate.decompress(data, n)
+        for run in runs:
+            handle.readinto(low[:7 * len(run)])  # word i: the 8 bytes at 7 i, its top byte overwritten below
+            run.view("<u8")[:, 0] = np.ndarray(len(run), dtype="<u8", buffer=low, strides=(7,))
+            top = b"" if inflate.eof else inflate.decompress(data, len(run))
             data = inflate.unconsumed_tail
-            c[:len(top), 7] = np.frombuffer(top, dtype=np.uint8)
+            run[:len(top), 7] = np.frombuffer(top, dtype=np.uint8)
             done += len(top)
-            if pick is not None:
-                run[:, :, pick] = c.reshape(-1).view(_PARAMETER_DTYPE).reshape(len(run), 2, -1)
         done += len(b"" if inflate.eof else inflate.decompress(data, 1))  # a word more, for the stream not to fill
     except zlib.error as err:
         raise ParseError(f"not a deflate stream: {err}", field="stream") from err
@@ -329,9 +294,8 @@ def _read_arrays(handle, blobs) -> list[np.ndarray]:
                          f"{'more' if done > total else done}{'' if inflate.eof else ' and does not end'}, "
                          f"then {trailing} bytes follow", field="stream")
     for (field, *_), a in zip(blobs[1:], arrays[1:]):
-        parts = a.view(_PARAMETER_DTYPE)  # real and imaginary parts side by side
         # no arithmetic, so nothing overflows; a nan fails both comparisons
-        if not (-ENTRY_BOUND <= parts.min() and parts.max() <= ENTRY_BOUND):
+        if not (-ENTRY_BOUND <= a.min() and a.max() <= ENTRY_BOUND):
             raise ParseError(f"array has an entry whose real or imaginary part is not finite and "
                              f"within {ENTRY_BOUND:g} of zero", field=field)
     return [_frozen(a.astype(np.intp if a.dtype.kind == "u" else a.dtype.newbyteorder("="), copy=False))
@@ -341,9 +305,8 @@ def _read_arrays(handle, blobs) -> list[np.ndarray]:
 def load_tree(path) -> MeasurementTree:
     """Read, check and verify a ``tree-v13`` file.
 
-    The arrays are read in one pass into those the tree keeps, the stream
-    decoded a chunk at a time, so the file is never held twice, with +0.0
-    where it stores no word: ``load_tree(save_tree(t))`` is ``t`` bit for bit.
+    The words are read in one pass into the arrays the tree holds, the stream decoded a chunk at a
+    time, so the file is never held twice: ``load_tree(save_tree(t))`` holds ``t``'s words bit for bit.
 
     Raises
     ------
@@ -363,9 +326,9 @@ def load_tree(path) -> MeasurementTree:
     """
     with open(path, "rb") as handle:
         header, dim, n_original = _read_header(handle)
-        order, params, *kraus = _read_arrays(handle, _blobs(dim, n_original))
+        order, params, *levels = _read_arrays(handle, _blobs(dim, n_original))
     if not is_permutation(order, n_original):
         raise ParseError(f"must be a permutation of 0..{n_original - 1}", field="order")
-    tree = MeasurementTree(povm=_povm(header, params), order=order, kraus=tuple(kraus))
+    tree = MeasurementTree(povm=_povm(header, params), order=order, levels=tuple(levels))
     verify(tree)
     return tree

@@ -55,7 +55,11 @@ class QuantumState:
     def __init__(self, density) -> None:
         rho = as_stack([density], bounded=True)  # fresh: check_psd may write over it
         trace = float(rho[0].trace().real)
-        check_psd(rho)
+        try:
+            check_psd(rho)
+        except ValidationError as err:  # a state has no elements: name its density matrix
+            raise ValidationError("density " + str(err).removeprefix("element 0: "), what=err.what,
+                                  residual=err.residual) from None
         if abs(trace - 1.0) > TOL_CHECK:
             raise ValidationError(f"density matrix trace is {trace}, expected 1", what="trace",
                                   residual=abs(trace - 1.0))
@@ -176,7 +180,8 @@ class SimulationOutcome:
         tree, state, leaf = self._source
         m = np.eye(state.dim, dtype=complex)
         for level in range(tree.depth):  # node: the leaf index's first level bits; branch: the next
-            m = tree.kraus[level][leaf >> (tree.depth - level), leaf >> (tree.depth - level - 1) & 1] @ m
+            node, branch = divmod(leaf >> (tree.depth - level - 1), 2)
+            m = tree.pairs(level, node, node + 1)[0, branch] @ m
         f = m @ psd_sqrt_stack(state.density[None])[0]
         if not (trace := np.vdot(f, f).real) > 0:
             raise ValidationError(f"post-state has trace {trace:.3e} once the state's dust is dropped",
@@ -218,7 +223,16 @@ class Outcomes(Rows):
         position[tree.order] = np.arange(len(probs))
         self.probabilities = _frozen(probs[position])
         self.reached = _frozen(self.probabilities >= TOL_CHECK)
+        self._source = tree, state
         super().__init__(len(position), partial(_outcome, tree, state, position, self.probabilities))
+
+    def __eq__(self, other) -> bool:
+        """With outcomes, whether both hold the same tree and state objects, as every row then is; else as ``Rows``."""
+        if isinstance(other, Outcomes):
+            return self._source[0] is other._source[0] and self._source[1] is other._source[1]
+        return super().__eq__(other)
+
+    __hash__ = Rows.__hash__  # the tuple of rows, as ``Rows``: defining __eq__ would drop it
 
 
 def propagate(tree: MeasurementTree, state: QuantumState) -> Outcomes:

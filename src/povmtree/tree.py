@@ -17,10 +17,11 @@ rounding at any rank.  This is TSQR's reduction tree over the stacked leaf
 factors, the POVM's Neumark isometry.  The root's operator is I, so its
 pair is its children's factors themselves.  R is upper triangular with a
 real diagonal, so above the last level a pair's blocks ``F_c F_x^{-1}`` are
-too (:func:`_split`), and are stored as their d^2 real parameters.
+too (:func:`_split`), and are held as their d^2 real parameters.
 
-A compiled tree is held as the paper's list of rounds: level l is one array
-of the Kraus pairs of its nodes with a real leaf, and nothing derived is stored.
+A compiled tree is held as the paper's list of rounds, nothing derived:
+level l is one array of the Kraus pairs of its nodes with a real leaf, as
+the float64 words its tree file stores (:meth:`MeasurementTree.pairs`).
 Child cumulative operators are the products b_c @ m_x (see
 :meth:`MeasurementTree.cumulative_kraus`): the identity at the root, F_x
 below it to rounding, and the leaf targets at the leaves.  A
@@ -59,12 +60,14 @@ from .errors import ValidationError
 from .linalg import (
     TOL_CHECK,
     _frozen,
+    _layout,
     _raise_first,
     _whole,
     adjoint,
     as_stack,
     blocks,
     hermitian_from_parameters,
+    hermitian_parameters,
     is_dust,
     psd_sqrt_stack,
     rank_mask,
@@ -81,6 +84,12 @@ _A = 1 / math.sqrt(2)
 def real_counts(depth: int, k: int) -> list[int]:
     """Per level 0..depth, how many nodes, a prefix, have one of k real leaves: ceil(k / 2**(depth - level))."""
     return [((k - 1) >> (depth - level)) + 1 for level in range(depth + 1)]
+
+
+def level_shapes(k: int, d: int) -> list[tuple[int, int, int]]:
+    """Each level's word shape: ``(K_l, 2, d^2)``, on the last ``(K_l, 2, 2 d^2)``, K_l from :func:`real_counts`."""
+    depth = (k - 1).bit_length()
+    return [(count, 2, d * d * (1 + (level == depth - 1))) for level, count in enumerate(real_counts(depth, k)[:-1])]
 
 
 def is_permutation(order: np.ndarray, k: int) -> bool:
@@ -107,41 +116,60 @@ def _check(residuals: np.ndarray, what: str, level: int = 0, lo: int = 0) -> Non
                  path=lambda i: node_path(level, lo + i))
 
 
+def _pairs(words: np.ndarray, d: int) -> np.ndarray:
+    """The ``(k, 2, d, d)`` complex pairs of a level's ``words``: the last level's viewed; above it each triangular
+    block's real parameters (``Povm.params``' layout) put into a fresh block, +0.0 in every other word."""
+    if words.shape[-1] == 2 * d * d:
+        return np.ascontiguousarray(words).view(complex).reshape(-1, 2, d, d)
+    pairs = np.zeros((len(words), 2, d, d), dtype=complex)
+    pairs.view(float).reshape(len(words), 2, -1)[..., _layout(d)[0]] = words
+    return pairs
+
+
 @dataclass(frozen=True, eq=False)
 class MeasurementTree:
     """Compiled binary measurement tree over a POVM of N outcomes.
 
-    ``kraus[l]`` is a read-only array of round l's Kraus pairs, breadth
-    first, at the level's nodes with a real leaf (a prefix, :func:`real_counts`;
-    an all-padding node has no pair): the pair at probe path x is
-    ``kraus[len(x)][int(x, 2)]``, b0 before b1.  Leaf i is
-    outcome ``order[i]`` of ``povm`` for i < N, and padding from N on;
-    ``order`` is one read-only ``intp`` array, a permutation of ``0..N-1``
-    (else ``ValidationError(what="partition")``).  There are ceil(log2 N)
-    levels, level l of shape ``(real_counts(depth, N)[l], 2, d, d)`` (else
-    ``ValidationError(what="shape")``).  Cumulative operators and dilations
-    are computed on demand, never stored.
+    ``levels[l]`` holds round l's Kraus pairs, b0 before b1, breadth first,
+    at its K_l nodes with a real leaf (a prefix, :func:`real_counts`; an
+    all-padding node has no pair) as the read-only float64 words a tree file
+    stores, of shape ``level_shapes(N, d)[l]`` (:func:`_pairs`; else
+    ``ValidationError(what="shape")`` naming the first level that is not a
+    float64 array of its shape).  The pair at probe path x is ``pairs(len(x))[int(x, 2)]``.
+    Leaf i is outcome ``order[i]`` of ``povm`` for i < N, and padding from N on; ``order``
+    is one read-only ``intp`` array, a permutation of ``0..N-1`` (else ``ValidationError(
+    what="partition")``).  Pairs, cumulative operators and dilations are built on demand.
     """
 
     povm: Povm
     order: np.ndarray
-    kraus: tuple[np.ndarray, ...]
+    levels: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
         n, d = self.povm.n_outcomes, self.povm.dim
         if not (isinstance(self.order, np.ndarray) and self.order.dtype.kind in "iu"
                 and is_permutation(self.order, n)):
             raise ValidationError(_PARTITION_RULE.format(n), what="partition")
-        shapes = [getattr(level, "shape", None) for level in self.kraus]  # arrays only
-        real = real_counts(len(shapes), n)[:-1]  # the pairs held per level
-        if (n - 1).bit_length() != len(shapes) or shapes != [(k, 2, d, d) for k in real]:
-            raise ValidationError(f"{n} outcomes need ceil(log2 {n}) levels, level l of shape (ceil({n} / "
-                                  f"2**(depth - l)), 2, {d}, {d}); got shapes {shapes}", what="shape")
+        shapes = level_shapes(n, d)
+        if len(self.levels) != len(shapes):
+            raise ValidationError(f"{n} outcomes need {len(shapes)} levels, got {len(self.levels)}", what="shape")
+        for level, (shape, words) in enumerate(zip(shapes, self.levels)):
+            if not (isinstance(words, np.ndarray) and words.dtype == np.float64 and words.shape == shape):
+                raise ValidationError(f"level {level} must be a float64 array of shape {shape}", what="shape")
 
     @property
     def depth(self) -> int:
-        """Number of rounds of Kraus pairs, ``len(kraus)``."""
-        return len(self.kraus)
+        """Number of rounds of Kraus pairs, ``len(levels)``."""
+        return len(self.levels)
+
+    def pairs(self, level: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Pairs ``lo:hi`` of round ``level``, ``(k, 2, d, d)`` complex: fresh above the last level, a view on it."""
+        return _pairs(self.levels[level][lo:hi], self.povm.dim)
+
+    @property
+    def kraus(self) -> tuple[np.ndarray, ...]:
+        """Every round's pairs, ``pairs(l)``, read-only and built on each read; no walk reads it."""
+        return tuple(_frozen(self.pairs(level)) for level in range(self.depth))
 
     def cumulative_kraus(self, level: int) -> np.ndarray:
         """Cumulative Kraus operators of a level's ``2**level`` nodes, zero at an all-padding node."""
@@ -170,7 +198,7 @@ class MeasurementTree:
         path = [(0, 0, root)] if depth else []  # per level, the parents still to descend
         while path:
             level, first, parents = path.pop()
-            pairs = self.kraus[level][first : first + min(half, len(parents))]
+            pairs = self.pairs(level, first, first + min(half, len(parents)))
             children = (pairs @ parents[:half, None]).reshape(-1, d, d)[: real[level + 1] - 2 * first]
             if len(parents) > half:
                 path.append((level, first + half, parents[half:].copy()))
@@ -186,9 +214,9 @@ class MeasurementTree:
     def dilation(self, path: str) -> np.ndarray:
         """Read-only 2d x 2d probe coupling of the held node at ``path``, built and checked anew (errors name it)."""
         if (not isinstance(path, str) or len(path) >= self.depth or set(path) - {"0", "1"}
-                or int(path or "0", 2) >= len(self.kraus[len(path)])):
+                or int(path or "0", 2) >= len(self.levels[len(path)])):
             raise KeyError(f"no held pair at path {path!r}")
-        return dilate_binary(self.kraus[len(path)][int(path or "0", 2)], lambda _: path)
+        return dilate_binary(self.pairs(len(path), int(path or "0", 2))[0], lambda _: path)
 
 
 def _split(levels: list, level: int, first: int, kids: np.ndarray) -> np.ndarray | None:
@@ -197,21 +225,17 @@ def _split(levels: list, level: int, first: int, kids: np.ndarray) -> np.ndarray
     A missing last child, all padding, is zero.  One stacked QR of each
     parent's ``[F_c0; F_c1]`` gives Q, split in two, as its pair, so
     ``b_c @ R = F_c``, and R as its factor; of triangular factors, Q's blocks
-    are too, written with +0.0 below and in the imaginary parts of the
-    diagonals on any LAPACK.  The root's operator is I, so its pair is the
-    factors themselves and it returns none.  Each pair is checked for
-    completeness, naming its node.
+    are too, written as their d^2 real parameters.  The root's operator is
+    I, so its pair is the factors themselves and it returns none.  Each pair
+    is checked for completeness as held, naming its node.
     """
     d = kids.shape[-1]
     if len(kids) % 2:  # the last real parent's second child has only padding leaves
         kids = np.concatenate([kids, np.zeros((1, d, d), dtype=complex)])
     q, r = np.linalg.qr(kids.reshape(-1, 2 * d, d)) if level else (kids, None)
-    q = q.reshape(-1, 2, d, d)
-    if level < len(levels) - 1:  # blocks of d^2 real parameters
-        q = np.triu(q)
-        q.imag[..., range(d), range(d)] = 0.0
-    pairs = levels[level][first : first + len(kids) // 2] = q
-    _check(completeness_residuals(pairs), "completeness", level, first)
+    held, q = levels[level][first : first + len(kids) // 2], q.reshape(-1, d, d)  # b0 and b1 of each pair in turn
+    held[:] = (hermitian_parameters(q) if level < len(levels) - 1 else q.view(float)).reshape(held.shape)
+    _check(completeness_residuals(_pairs(held, d)), "completeness", level, first)
     return r
 
 
@@ -226,11 +250,11 @@ def _reduce(leaves, levels: list, real: list[int], level: int, lo: int, hi: int)
     """
     if level == len(levels):
         return leaves(lo, hi)
-    # four d x d matrices a parent: two children, the pair
+    # four d x d matrices a parent: two children, the pair; a last level's block is 2 d^2 words
     factors = [_split(levels, level, lo + run.start,
                       _reduce(leaves, levels, real, level + 1, 2 * (lo + run.start),
                               min(2 * (lo + run.stop), real[level + 1])))
-               for run in blocks(hi - lo, 2 * levels[level].shape[-1])]
+               for run in blocks(hi - lo, 2 * math.isqrt(levels[-1].shape[-1] // 2))]
     return factors[0] if len(factors) == 1 else np.concatenate(factors)
 
 
@@ -367,7 +391,7 @@ def compile_tree(
             raise ValidationError(f"factorization has {len(factorization)} operators for {k} outcomes",
                                   what="shape")
     real = real_counts(depth, k)
-    levels = [np.empty((count, 2, d, d), dtype=complex) for count in real[:-1]]
+    levels = [np.empty(shape) for shape in level_shapes(k, d)]
 
     def leaves(lo: int, hi: int) -> np.ndarray:
         """The targets of leaves ``lo:hi``, a supplied factorization's checked against their elements."""
@@ -380,7 +404,7 @@ def compile_tree(
 
     if depth:
         _reduce(leaves, levels, real, 0, 0, 1)
-    return MeasurementTree(povm=p, order=order, kraus=tuple(map(_frozen, levels)))
+    return MeasurementTree(povm=p, order=order, levels=tuple(map(_frozen, levels)))
 
 
 def verify(tree: MeasurementTree) -> VerificationReport:
@@ -425,7 +449,7 @@ def verify(tree: MeasurementTree) -> VerificationReport:
                 _check(leaf_residual[lo:hi], "leaf reconstruction", level, lo)
                 continue
             rows = slice((1 << level) - 1 + lo, (1 << level) - 1 + hi)
-            completeness[rows] = completeness_residuals(tree.kraus[level][lo:hi])
+            completeness[rows] = completeness_residuals(tree.pairs(level, lo, hi))
             _check(completeness[rows], "completeness", level, lo)
             rank[rows] = rank_mask(np.linalg.eigvalsh(gram)).sum(axis=-1)
     return VerificationReport(

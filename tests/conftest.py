@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import zlib
 
@@ -56,6 +57,22 @@ def hermitian_parameters(elements):
                 row += [m[r, c].real, m[r, c].imag]
         rows.append(row)
     return np.array(rows, dtype="<f8").reshape(len(elements), -1)
+
+
+def held_words(pairs, last):
+    """A level's ``(k, 2, d, d)`` complex Kraus pairs as ``MeasurementTree.levels`` holds them: on the
+    last level their real and imaginary parts, above it each block's :func:`hermitian_parameters`."""
+    k, _, d, _ = pairs.shape
+    if last:
+        return np.ascontiguousarray(pairs, dtype=complex).view(float).reshape(k, 2, 2 * d * d)
+    return hermitian_parameters(pairs.reshape(-1, d, d)).reshape(k, 2, d * d)
+
+
+def with_pairs(tree, level, pairs):
+    """``tree`` with round ``level``'s Kraus pairs replaced by ``pairs``, held as its words."""
+    levels = list(tree.levels)
+    levels[level] = held_words(pairs, level == tree.depth - 1)
+    return dataclasses.replace(tree, levels=tuple(levels))
 
 
 def stored_pairs(depth, n_original):

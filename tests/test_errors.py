@@ -11,6 +11,8 @@ import pytest
 import povmtree
 from povmtree import ParseError, PovmTreeError, ValidationError, VerificationError
 
+from conftest import with_pairs
+
 PACKAGE = Path(povmtree.__file__).parent
 ERROR_CLASSES = {"PovmTreeError", "ValidationError", "ParseError", "VerificationError"}
 FIELDS = ("what", "residual", "index", "path", "field")
@@ -199,8 +201,8 @@ def _verify_edited(shift=0.0, order=(0, 1, 2, 3), scale=1.0):
     level[1, 0, 0, 0] += shift
     params = tree.povm.params.copy()
     params[3] *= scale
-    return povmtree.verify(replace(tree, povm=replace(tree.povm, params=params),
-                                   kraus=(tree.kraus[0], level), order=np.array(order)))
+    return povmtree.verify(replace(with_pairs(tree, 1, level), povm=replace(tree.povm, params=params),
+                                   order=np.array(order)))
 
 
 # Checks of a construction that fail, each raised for the first residual above

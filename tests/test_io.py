@@ -39,7 +39,7 @@ from povmtree.io import (
     state_from_dict,
 )
 
-from conftest import (deflate, hermitian_parameters, read_tree_file, stored_pairs, stored_words, words,
+from conftest import (deflate, hermitian_parameters, read_tree_file, stored_pairs, stored_words, with_pairs, words,
                       write_tree_file)
 
 
@@ -284,6 +284,7 @@ class TestTreeFiles:
         # the tree holds each level's pairs of nodes with a real leaf, as the file stores them
         assert [len(level) for level in tree.kraus] == stored_pairs(tree.depth, tree.povm.n_outcomes)
         stored = words([hermitian_parameters(tree.povm.elements), *tree.kraus])
+        assert stored.tobytes() == b"".join(a.tobytes() for a in (tree.povm.params, *tree.levels))  # as held
         head = header + b"\n" + bytes(order) + stored[:, :7].tobytes()
         raw = path.read_bytes()
         assert raw[:len(head)] == head
@@ -320,53 +321,29 @@ class TestTreeFiles:
         # the narrowest of 1, 2, 4 or 8 bytes that holds the largest entry,
         # n - 1, at the least and the most outcomes of a depth
         for n in ((1 << depth - 1) + 1, 1 << depth):
-            assert treeio._blobs(1, n)[0] == ("order", (n,), np.dtype(f"<u{width}"), False)
+            assert treeio._blobs(1, n)[0] == ("order", (n,), np.dtype(f"<u{width}"))
 
-    @pytest.mark.parametrize("value", [1e-300, -0.0, complex(0.0, -0.0)], ids=["nonzero", "-0.0", "-0.0j"])
-    def test_save_refuses_words_below_a_diagonal_above_the_last_level(self, tmp_path, value):
-        # 13 outcomes of d = 3: levels 0 to 2 store triangles, level 3 whole.
-        # A word below a diagonal that is not +0.0, a -0.0 too, would not
-        # load back bit for bit: save_tree names the first such node, in
-        # level order, and writes nothing
+    @pytest.mark.parametrize("held", ["complex", "pairs", "float32"])
+    def test_a_tree_holds_only_the_words_its_file_stores(self, held):
+        # 13 outcomes of d = 3: levels 0 to 2 hold their blocks' d^2 real
+        # parameters, level 3 its blocks' complex entries as floats.  A level
+        # as complex words, as (K, 2, d, d) pairs or as float32 words could
+        # hold a word the file does not store, or round one: each is refused,
+        # naming the level
         tree = compile_tree(random_rank_one_povm(13, 3, np.random.default_rng(13)))
-        kraus = [level.copy() for level in tree.kraus]
-        kraus[2][2, 1, 2, 1] = kraus[2][1, 0, 1, 0] = value  # nodes "10" and "01"
-        kraus[3][0, 0, 2, 0] = 1.0  # the last level stores the whole pair
-        path = tmp_path / "refused.tree"
-        path.write_bytes(b"before")
-        with pytest.raises(ValidationError) as err:
-            save_tree(dataclasses.replace(tree, kraus=tuple(kraus)), path)
-        assert (err.value.what, err.value.path, err.value.residual) == ("shape", "01", 1.0)
-        assert "node '01'" in str(err.value) and treeio.TREE_FORMAT in str(err.value)
-        assert path.read_bytes() == b"before"
-        kraus[2][1, 0, 1, 0] = kraus[2][2, 1, 2, 1] = 0.0
-        save_tree(dataclasses.replace(tree, kraus=tuple(kraus)), path)
-        with pytest.raises(VerificationError) as err:
-            load_tree(path)
-        assert err.value.path == "000"  # the whole last level was written, the entry too
-
-    @pytest.mark.parametrize("value", [1e-3, -0.0], ids=["1e-3", "-0.0"])
-    def test_save_refuses_an_imaginary_part_on_a_diagonal_above_the_last_level(self, tmp_path, value):
-        # above the last level a block's diagonal is real, and the file
-        # stores only its real part: an imaginary part of 1e-3, or of -0.0,
-        # would not load back bit for bit.  save_tree names the first such
-        # node, in level order, node "1" of level 1 before node "01" of
-        # level 2, and opens no file
-        tree = compile_tree(random_rank_one_povm(13, 3, np.random.default_rng(13)))
-        kraus = [level.copy() for level in tree.kraus]
-        for level, node, block, j in [(2, 1, 0, 0), (1, 1, 1, 2)]:
-            kraus[level][node, block, j, j] = complex(kraus[level][node, block, j, j].real, value)
-        path = tmp_path / "refused.tree"
-        with pytest.raises(ValidationError) as err:
-            save_tree(dataclasses.replace(tree, kraus=tuple(kraus)), path)
-        assert (err.value.what, err.value.path, err.value.residual) == ("shape", "1", 1.0)
-        assert "node '1'" in str(err.value) and treeio.TREE_FORMAT in str(err.value)
-        assert not path.exists()
+        assert [level.shape for level in tree.levels] == [(1, 2, 9), (2, 2, 9), (4, 2, 9), (7, 2, 18)]
+        for level in range(tree.depth):
+            levels = list(tree.levels)
+            levels[level] = {"complex": lambda a: a.astype(complex),
+                             "pairs": lambda a: np.ascontiguousarray(tree.kraus[level].real),
+                             "float32": lambda a: a.astype(np.float32)}[held](levels[level])
+            with pytest.raises(ValidationError) as err:
+                dataclasses.replace(tree, levels=tuple(levels))
+            assert err.value.what == "shape" and f"level {level} must be a float64 array" in str(err.value)
 
     @pytest.mark.parametrize("chunk", [1, 5, 12, 100])
     def test_runs_of_any_length_write_and_read_the_same_bytes(self, tmp_path, monkeypatch, chunk):
-        # the words are copied _CHUNK at a time, a triangular level a run of
-        # whole pairs within it, or one pair: the file and the loaded tree
+        # the words are copied _CHUNK at a time: the file and the loaded tree
         # do not depend on how they are cut
         tree = compile_tree(random_povm(13, 3, np.random.default_rng(3)), partition=np.arange(13)[::-1])
         save_tree(tree, tmp_path / "default.tree")
@@ -374,7 +351,7 @@ class TestTreeFiles:
         save_tree(tree, tmp_path / "cut.tree")
         assert (tmp_path / "cut.tree").read_bytes() == (tmp_path / "default.tree").read_bytes()
         again = load_tree(tmp_path / "cut.tree")
-        assert [a.tobytes() for a in again.kraus] == [a.tobytes() for a in tree.kraus]
+        assert [a.tobytes() for a in again.levels] == [a.tobytes() for a in tree.levels]
 
     @pytest.mark.parametrize("n", [256, 257])
     def test_round_trip_across_the_first_width_boundary(self, tmp_path, n):
@@ -405,9 +382,9 @@ class TestTreeFiles:
         assert (tree.depth, tree.povm.n_outcomes) == (0, 1)
         save_tree(tree, tmp_path / "one.tree")
         assert load_tree(tmp_path / "one.tree").povm.params.tobytes() == p.params.tobytes()
-        deeper = compile_tree(validate([np.eye(2) / 2] * 2)).kraus * 2  # two levels of one pair
+        deeper = compile_tree(validate([np.eye(2) / 2] * 2)).levels * 2  # two levels of one pair
         with pytest.raises(ValidationError) as err:
-            dataclasses.replace(tree, kraus=deeper)
+            dataclasses.replace(tree, levels=deeper)
         assert err.value.what == "shape"
 
     @pytest.mark.parametrize("given", [False, True])
@@ -605,14 +582,14 @@ class TestTamperedTreeFiles:
         # operator sum sees that the stored elements no longer sum to I
         tree = compile_tree(random_povm(3, 2, np.random.default_rng(7)))
         c = np.cos(0.3)
-        kraus = [level.copy() for level in tree.kraus]
-        kraus[1][1, 0] *= c
-        kraus[1][1, 1] = psd_sqrt(np.eye(2) - kraus[1][1, 0].conj().T @ kraus[1][1, 0])
+        level = tree.kraus[1].copy()
+        level[1, 0] *= c
+        level[1, 1] = psd_sqrt(np.eye(2) - level[1, 0].conj().T @ level[1, 0])
         params = tree.povm.params.copy()
         params[tree.order[2]] *= c**2
         povm = dataclasses.replace(tree.povm, params=params)
         path = tmp_path / "short.tree"
-        save_tree(dataclasses.replace(tree, povm=povm, kraus=tuple(kraus)), path)
+        save_tree(dataclasses.replace(with_pairs(tree, 1, level), povm=povm), path)
         with pytest.raises(VerificationError) as err:
             load_tree(path)
         assert (err.value.what, err.value.path) == ("operator sum", "")
@@ -952,7 +929,7 @@ class TestTreeFileMemory:
     def test_load_peak(self, large, tmp_path):
         path = tmp_path / "large.tree"
         save_tree(large, path)
-        retained = large.povm.params.nbytes + sum(a.nbytes for a in large.kraus)
+        retained = large.povm.params.nbytes + sum(a.nbytes for a in large.levels)
         verify_peak = self.peak(lambda: verify(large))
         load_peak = self.peak(lambda: load_tree(path))
         assert load_peak <= retained + verify_peak + 256 * 1024

@@ -254,10 +254,9 @@ def test_padding_costs_no_bytes(d, k, construction, seed, tmp_path_factory):
     assert again.order.tobytes() == tree.order.tobytes()
     assert again.order.nbytes == np.dtype(np.intp).itemsize * n
     assert again.povm.params.tobytes() == tree.povm.params.tobytes()
-    # the elements and the pairs read from the file hold exactly the words it
-    # stores, and +0.0 in the words the pairs above the last level do not store
-    filled = again.povm.params.nbytes + sum(x.nbytes for x in again.kraus)
-    assert filled == 8 * (d * d * n + 4 * d * d * pairs)
+    # the elements and the levels read from the file hold exactly the words
+    # it stores; pairs built from them have +0.0 in the words not stored
+    assert again.povm.params.nbytes + sum(x.nbytes for x in again.levels) == 8 * count
     assert all(not np.tril(x, -1).view(np.uint64).any() for x in again.kraus[:-1])
     assert [x.tobytes() for x in again.kraus] == [x.tobytes() for x in tree.kraus]
 
@@ -282,9 +281,10 @@ def test_padding_costs_no_bytes(d, k, construction, seed, tmp_path_factory):
 )
 def test_blocks_above_the_last_level_are_their_real_parameters(d, k, ranks, freedom, permuted, seed,
                                                                tmp_path_factory):
-    # compile writes +0.0 below each diagonal and in its imaginary parts,
-    # the words a tree file does not store, so a loaded tree is the compiled
-    # one bit for bit, with padding, any ranks, Kraus freedom and any order
+    # a tree holds the words its file stores, 8 W bytes with the elements'
+    # parameters, each array float64 and read-only, so a loaded tree holds
+    # the compiled one's words bit for bit, with padding, any ranks, Kraus
+    # freedom and any order
     rng = np.random.default_rng(seed)
     if ranks == "one" and k >= d:
         p = random_rank_one_povm(k, d, rng)
@@ -296,17 +296,14 @@ def test_blocks_above_the_last_level_are_their_real_parameters(d, k, ranks, free
     if freedom:
         factorization = apply_freedom(default_kraus(p), [random_unitary(d, rng) for _ in range(k)])
     tree = compile_tree(p, factorization=factorization, partition=rng.permutation(k) if permuted else None)
-    lower, diagonal = np.tril_indices(d, -1), np.arange(d)
-    for level in tree.kraus[:-1]:
-        unstored = [level[..., lower[0], lower[1]].real, level[..., lower[0], lower[1]].imag,
-                    level[..., diagonal, diagonal].imag]
-        assert not any(np.signbit(x).any() or x.any() for x in unstored)
+    held = (tree.povm.params, *tree.levels)
+    assert sum(x.nbytes for x in held) == 8 * stored_words(d, k)
+    assert all(x.dtype == np.float64 and not x.flags.writeable for x in held)
     path = tmp_path_factory.mktemp("parameters") / "t.tree"
     save_tree(tree, path)
     again = load_tree(path)
     assert again.order.tobytes() == tree.order.tobytes()
-    assert again.povm.params.tobytes() == tree.povm.params.tobytes()
-    assert [x.tobytes() for x in again.kraus] == [x.tobytes() for x in tree.kraus]
+    assert [x.tobytes() for x in (again.povm.params, *again.levels)] == [x.tobytes() for x in held]
 
 
 @PROPERTY

@@ -27,7 +27,7 @@ from povmtree import (
     tetrad,
     validate,
 )
-from povmtree import linalg
+from povmtree import linalg, simulator
 from povmtree.tree import real_counts
 
 from conftest import LEAF_OPERATOR_ERROR, frob
@@ -72,6 +72,20 @@ class TestQuantumState:
         assert err.value.exit_code == 1
         assert err.value.what == what
         assert text in str(err.value)
+
+    @pytest.mark.parametrize("rho, what, message, residual", [
+        ([[0.5, 0.5], [0.0, 0.5]], "hermiticity", "density matrix is not Hermitian, |A - A^dag|_F = 7.071e-01",
+         0.5 ** 0.5),
+        (np.diag([1.5, -0.5]), "positivity", "density matrix is not positive semidefinite, negative eigenvalue "
+         "-5.000e-01", -0.5),
+    ], ids=["hermiticity", "positivity"])
+    def test_an_invalid_density_names_no_element(self, rho, what, message, residual):
+        # a state has no elements: its error names the density matrix, with
+        # the what and residual check_psd gives, and no index
+        with pytest.raises(ValidationError) as err:
+            QuantumState(np.array(rho))
+        assert (err.value.what, err.value.index, err.value.path, str(err.value)) == (what, None, None, message)
+        assert err.value.residual == pytest.approx(residual)
 
     def test_huge_entries_are_out_of_range(self):
         for density in (np.eye(2) * 1e200, np.diag([3.0, -2.0])):
@@ -280,6 +294,23 @@ class TestPropagate:
         assert np.array_equal(propagate(tree, again).probabilities, outcomes.probabilities)
         assert propagate(tree, again) != outcomes
         assert propagate(tree, again)[0] != outcomes[0]
+
+    def test_outcomes_compare_their_tree_and_state_without_rows(self, rng, monkeypatch):
+        # two propagations of one tree and one state object are equal row for
+        # row, since the walk is deterministic; == on them builds no row
+        tree = compile_tree(random_rank_one_povm(5, 2, rng))
+        state = random_density(2, rng)
+        rows = tuple(propagate(tree, state))
+
+        def no_row(*args):
+            raise AssertionError("a row was built")
+
+        monkeypatch.setattr(simulator, "_outcome", no_row)
+        first, second, other = propagate(tree, state), propagate(tree, state), propagate(tree, random_density(2, rng))
+        assert first == second and not first != second
+        assert first != other and propagate(compile_tree(tree.povm), state) != first
+        with pytest.raises(AssertionError, match="a row was built"):
+            first == rows  # a tuple of rows is compared row by row
 
     def test_padded_leaf_unreached(self, rng):
         p = random_rank_one_povm(3, 2, rng)

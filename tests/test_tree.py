@@ -35,7 +35,7 @@ from povmtree import (
 from povmtree import linalg, povm as povm_module, simulator, tree as tree_module
 from povmtree.dilation import completeness_residuals, dilate_binary
 
-from conftest import frob, read_tree_file, write_tree_file
+from conftest import frob, held_words, read_tree_file, stored_words, with_pairs, write_tree_file
 
 
 def second_stage(tree):
@@ -134,6 +134,9 @@ class TestTetradTree:
         assert tuple(tree.order) == (0, 3, 1, 2)
         assert [level.shape for level in tree.kraus] == [(1, 2, 2, 2), (2, 2, 2, 2)]
         assert all(not level.flags.writeable for level in tree.kraus)
+        # held as words: the root's blocks' 4 real parameters, the last level's 8 floats
+        assert [(level.shape, level.dtype) for level in tree.levels] == [((1, 2, 4), float), ((2, 2, 8), float)]
+        assert all(not level.flags.writeable for level in tree.levels)
 
     def test_leaves_reconstruct_elements(self, tree, tetrad_povm):
         leaves = tree.cumulative_operators(tree.depth)
@@ -696,10 +699,10 @@ class TestPadding:
             # the old layout, each level whole with the constant pair (I/sqrt 2,
             # I/sqrt 2) as its tail, is refused
             pad = np.eye(d, dtype=complex) / np.sqrt(2)
-            whole = tuple(np.concatenate([pairs, np.broadcast_to(pad, ((1 << level) - len(pairs), 2, d, d))])
-                          for level, pairs in enumerate(tree.kraus))
+            whole = tuple(held_words(np.concatenate([pairs, np.broadcast_to(pad, ((1 << at) - len(pairs), 2, d, d))]),
+                                     at == tree.depth - 1) for at, pairs in enumerate(tree.kraus))
             with pytest.raises(ValidationError) as err:
-                replace(tree, kraus=whole)
+                replace(tree, levels=whole)
             assert err.value.what == "shape"
 
     def test_padding_is_the_tail_of_every_order(self, rng):
@@ -717,11 +720,11 @@ class TestPadding:
             assert err.value.what == "partition"
 
     @pytest.mark.parametrize("change, what", [
-        (lambda t: {"kraus": t.kraus[:-1]}, "shape"),
-        (lambda t: {"kraus": (*t.kraus, t.kraus[-1])}, "shape"),
-        (lambda t: {"kraus": (np.zeros((1, 2, 3, 3)), *t.kraus[1:])}, "shape"),
-        (lambda t: {"kraus": (t.kraus[0], t.kraus[2], t.kraus[1])}, "shape"),
-        (lambda t: {"kraus": tuple(level.tolist() for level in t.kraus)}, "shape"),
+        (lambda t: {"levels": t.levels[:-1]}, "shape"),
+        (lambda t: {"levels": (*t.levels, t.levels[-1])}, "shape"),
+        (lambda t: {"levels": (np.zeros((1, 2, 9)), *t.levels[1:])}, "shape"),
+        (lambda t: {"levels": (t.levels[0], t.levels[2], t.levels[1])}, "shape"),
+        (lambda t: {"levels": tuple(level.tolist() for level in t.levels)}, "shape"),
         (lambda t: {"order": t.order.tolist()}, "partition"),
         (lambda t: {"order": t.order.astype(float)}, "partition"),
     ], ids=["level-short", "level-over", "wrong-dim", "levels-swapped", "levels-lists", "order-list", "order-floats"])
@@ -810,7 +813,7 @@ class TestVerify:
         # perturb one second-stage operator by 1e-3: b of node "10", measured at "1"
         level = tree.kraus[1].copy()
         level[1, 0, 0, 0] += 1e-3
-        tampered = replace(tree, kraus=(tree.kraus[0], level))
+        tampered = with_pairs(tree, 1, level)
         with pytest.raises(VerificationError) as err:
             verify(tampered)
         assert (err.value.what, err.value.path) == ("completeness", "1")  # the parent measuring it
@@ -839,7 +842,7 @@ class TestVerify:
         level[1] = c * b0 + s * b1, c * b1 - s * b0
         assert completeness_residuals(level).max() <= linalg.TOL_CHECK
         with pytest.raises(VerificationError) as err:
-            verify(replace(tree, kraus=(tree.kraus[0], level, *tree.kraus[2:])))
+            verify(with_pairs(tree, 1, level))
         assert (err.value.what, err.value.path) == ("leaf reconstruction", "1000")
 
     def test_rows_are_a_sequence(self):
@@ -874,9 +877,9 @@ class TestVerify:
         # though above TOL_UNITARY.  That residual is the [b0; b1] Gram block of
         # U^dag U - I, so the coupling's own check must not judge it a second time.
         tree = compile_tree(tetrad_povm, partition=[0, 3, 1, 2])
-        root = tree.kraus[0] * (1 + 5e-10 / (2 * np.sqrt(2)))
+        root = tree.levels[0] * (1 + 5e-10 / (2 * np.sqrt(2)))  # the root's blocks' real parameters
         root.setflags(write=False)
-        scaled = replace(tree, kraus=(root, tree.kraus[1]))
+        scaled = replace(tree, levels=(root, tree.levels[1]))
         report = verify(scaled)
         assert report.nodes[0].completeness_residual == pytest.approx(5e-10, rel=0.05)
         assert report.passed
@@ -886,7 +889,7 @@ class TestVerify:
         assert np.linalg.norm(defect) <= 1e-10
         path = tmp_path / "scaled.tree.json"
         treeio.save_tree(scaled, path)
-        assert treeio.load_tree(path).kraus[0].tobytes() == root.tobytes()
+        assert treeio.load_tree(path).levels[0].tobytes() == root.tobytes()
 
     def test_corrupted_completion_fails_where_it_is_built(self, tetrad_povm, monkeypatch):
         # The cross and completion blocks are judged at TOL_UNITARY by the
@@ -957,7 +960,7 @@ class TestMemory:
 
     @staticmethod
     def arrays_of(tree):
-        return (tree.povm.elements.nbytes + sum(a.nbytes for a in tree.kraus)
+        return (tree.povm.elements.nbytes + sum(a.nbytes for a in tree.levels)
                 + tree.order.nbytes)
 
     def test_compiled_tree_keeps_only_its_arrays(self):
@@ -1011,7 +1014,18 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert tree.povm.params.nbytes == 8 * n * d * d
-        assert kept <= 8 * n * d * d + 32 * d * d * (n - 1) + 8 * n + 64 * 1024
+        # and the words of its levels, as a file stores them: 8 W bytes with the parameters
+        assert kept <= 8 * stored_words(d, n) + 8 * n + 64 * 1024
+
+    @pytest.mark.parametrize("d, n, held", [(16, 64, 520_192), (32, 32, 1_032_192), (32, 64, 2_080_768)])
+    def test_a_tree_holds_the_words_its_file_stores(self, d, n, held, tmp_path):
+        # store-large-d's rank-one trees, compiled and loaded: the elements'
+        # parameters and each level's words, 8 W bytes.  Holding each level as
+        # complex pairs took 647,168 / 1,277,952 / 2,588,672 bytes
+        tree = compile_tree(random_rank_one_povm(n, d, np.random.default_rng([d, n])))
+        treeio.save_tree(tree, tmp_path / "t.tree")
+        for t in (tree, treeio.load_tree(tmp_path / "t.tree")):
+            assert t.povm.params.nbytes + sum(a.nbytes for a in t.levels) == held == 8 * stored_words(d, n)
 
     def test_verify_peak(self):
         # verify walks the tree depth first, one block of cumulative
