@@ -71,6 +71,14 @@ def _frozen(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _numbers(a) -> np.ndarray | None:
+    """``a`` as a complex array, or None if some entry is not a number."""
+    try:
+        return np.asarray(a, dtype=complex)
+    except (TypeError, ValueError):
+        return None
+
+
 def _whole(x) -> bool:
     """Whether x is a Python or NumPy integer, not a ``bool``."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
@@ -94,7 +102,7 @@ def as_stack(matrices, shape=None, bounded: bool = False) -> np.ndarray:
     matrices (``what="shape"``), or naming the first failing matrix by
     ``index``: one that is not a matrix of that shape or has a zero
     dimension (``"shape"``), or else
-    one with an entry that is not finite (``"finiteness"``), or else, if
+    one with an entry that is not a finite number (``"finiteness"``), or else, if
     ``bounded``, one with an entry of modulus above ``ENTRY_BOUND`` (``"range"``).
     """
     if not isinstance(matrices, np.ndarray):
@@ -116,7 +124,10 @@ def as_stack(matrices, shape=None, bounded: bool = False) -> np.ndarray:
         shape = (found[0], found[0]) if shape is None else tuple(shape)
         if found != shape:
             raise ValidationError(f"has shape {found}, expected {shape}", what="shape", index=j)
-    stack = np.asarray(matrices, dtype=complex)
+    stack = _numbers(matrices)
+    if stack is None:  # found on this path only: the first matrix with an entry that is not a number
+        raise ValidationError("has an entry that is not a number", what="finiteness",
+                              index=next(j for j, m in enumerate(matrices) if _numbers(m) is None))
     if not np.isfinite(stack).all():
         raise ValidationError("has an entry that is not finite", what="finiteness",
                               index=int(np.argmin(np.isfinite(stack).all(axis=(1, 2)))))

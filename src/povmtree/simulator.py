@@ -1,7 +1,7 @@
 """Exact propagation through a measurement tree and seeded sampling.
 
 States are density matrices throughout, each held as its d^2 real
-Hermitian parameters; pure states are rank-one densities.
+Hermitian parameters, or a pure state as its d unit amplitudes.
 A leaf is reached with probability Tr[m rho m^dag], m = b...b the product of
 the Kraus operators on its path.  :func:`propagate` walks those cumulative
 operators depth first, as :func:`povmtree.tree.verify` does
@@ -25,6 +25,7 @@ from .errors import ValidationError
 from .linalg import (
     TOL_CHECK,
     _frozen,
+    _numbers,
     _whole,
     adjoint,
     as_stack,
@@ -42,15 +43,19 @@ from .tree import MeasurementTree, node_path
 class QuantumState:
     """Validated density matrix: Hermitian, unit trace, positive semidefinite.
 
-    ``params`` is one read-only ``(d^2,)`` float64 array: the d^2 real
-    parameters of the Hermitian part ``(rho + rho^dag)/2`` of the density
-    given, in :attr:`povmtree.povm.Povm.params`' layout
+    A state holds one read-only array.  A pure state (:meth:`pure`,
+    :meth:`basis`) holds its ``(d,)`` complex unit amplitudes v; any other
+    holds its ``params``, the d^2 real parameters of the Hermitian part
+    ``(rho + rho^dag)/2`` of the density given, in
+    :attr:`povmtree.povm.Povm.params`' layout
     (:func:`povmtree.linalg.hermitian_parameters`).  Every check reads the
     density as given; a density that is exactly Hermitian is its own
-    Hermitian part and is held bit for bit.
+    Hermitian part and is held bit for bit.  A pure state's ``params`` are
+    those of the Hermitian part of ``outer(v, v.conj())``, a fresh
+    read-only ``(d^2,)`` array built on each read.
     """
 
-    params: np.ndarray
+    _held: np.ndarray
 
     def __init__(self, density) -> None:
         rho = as_stack([density], bounded=True)  # fresh: check_psd may write over it
@@ -63,15 +68,20 @@ class QuantumState:
         if abs(trace - 1.0) > TOL_CHECK:
             raise ValidationError(f"density matrix trace is {trace}, expected 1", what="trace",
                                   residual=abs(trace - 1.0))
-        object.__setattr__(self, "params", _frozen(hermitian_parameters(rho)[0]))
+        object.__setattr__(self, "_held", _frozen(hermitian_parameters(rho)[0]))
 
     @classmethod
-    def _checked_elsewhere(cls, rho: np.ndarray) -> "QuantumState":
-        """Hold the Hermitian part of a density matrix whose invariants the caller has checked."""
+    def _checked_elsewhere(cls, held: np.ndarray) -> "QuantumState":
+        """Hold a density's parameters or a pure state's unit amplitudes, which the caller has checked."""
         state = object.__new__(cls)
-        part = (rho + adjoint(rho)) / 2
-        object.__setattr__(state, "params", _frozen(hermitian_parameters(part[None])[0]))
+        object.__setattr__(state, "_held", _frozen(held))
         return state
+
+    @property
+    def params(self) -> np.ndarray:
+        """The read-only ``(d^2,)`` float64 parameters; a pure state's are built on each read."""
+        v = self._held
+        return v if v.dtype == float else _part_parameters(np.outer(v, v.conj()))
 
     @property
     def density(self) -> np.ndarray:
@@ -80,7 +90,8 @@ class QuantumState:
 
     @property
     def dim(self) -> int:
-        return math.isqrt(len(self.params))
+        n = len(self._held)
+        return n if self._held.dtype == complex else math.isqrt(n)
 
     @classmethod
     def pure(cls, amplitudes) -> "QuantumState":
@@ -88,20 +99,20 @@ class QuantumState:
 
         At most one axis may be longer than 1, as in a ``(d, 1)`` column (``"shape"``).
         ``v v^dag`` of a normalised finite vector is Hermitian, positive and of
-        unit trace to within rounding, so none of these is checked.
+        unit trace to within rounding, so none of these is checked.  The state
+        holds the normalised ``(d,)`` vector.
         """
-        v = np.asarray(amplitudes, dtype=complex)
-        if sum(n > 1 for n in v.shape) > 1:
+        v = _numbers(amplitudes)
+        if v is not None and sum(n > 1 for n in v.shape) > 1:
             raise ValidationError(f"amplitudes of shape {v.shape} are not a vector", what="shape")
-        if not np.isfinite(v).all():
-            raise ValidationError("has an amplitude that is not finite", what="finiteness")
+        if v is None or not np.isfinite(v).all():
+            raise ValidationError("has an amplitude that is not a finite number", what="finiteness")
         parts = v.ravel().view(float)  # real and imaginary parts side by side
         scale = np.abs(parts).max(initial=0.0)
         if scale == 0:
             raise ValidationError("cannot normalize the zero vector", what="trace")
         v = (parts / scale).view(complex)  # no part above 1: the norm lies in [1, sqrt(2d)]
-        v = v / np.linalg.norm(v)
-        return cls._checked_elsewhere(np.outer(v, v.conj()))
+        return cls._checked_elsewhere(v / np.linalg.norm(v))
 
     @classmethod
     def basis(cls, dim: int, index: int) -> "QuantumState":
@@ -121,6 +132,11 @@ class QuantumState:
         if not _whole(dim) or dim < 1:
             raise ValidationError(f"maximally mixed state needs an integer dim >= 1, got {dim!r}", what="range")
         return cls(np.eye(dim, dtype=complex) / dim)
+
+
+def _part_parameters(rho: np.ndarray) -> np.ndarray:
+    """The read-only d^2 real parameters of the Hermitian part of a ``(d, d)`` matrix."""
+    return _frozen(hermitian_parameters(((rho + adjoint(rho)) / 2)[None])[0])
 
 
 def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> QuantumState:
@@ -186,7 +202,7 @@ class SimulationOutcome:
         if not (trace := np.vdot(f, f).real) > 0:
             raise ValidationError(f"post-state has trace {trace:.3e} once the state's dust is dropped",
                                   what="trace", residual=trace, path=self.path)
-        return QuantumState._checked_elsewhere(f @ adjoint(f) / trace)
+        return QuantumState._checked_elsewhere(_part_parameters(f @ adjoint(f) / trace))
 
 
 def _leaf_probabilities(tree: MeasurementTree, state: QuantumState) -> np.ndarray:

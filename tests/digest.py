@@ -17,7 +17,10 @@ cumulative Kraus operators, ``save_tree``'s file bytes (saved as an array
 of bytes), ``verify``'s node and leaf columns, ``max_residual`` (d = 1 on its
 own line, since numpy sums a one-column array in another association than
 a wider one), ``propagate``'s probabilities, ``sample``'s counts at a fixed
-seed and the post-states of the reached outcomes.  The grid draws each POVM
+seed and the post-states of the reached outcomes, all at a random mixed
+state, and at a random pure state (``QuantumState.pure``) the
+probabilities, ``direct_probabilities``, the counts and the post-states
+together as one kind, ``pure``.  The grid draws each POVM
 with random ranks (rank one for the large cases), in index order, in a
 random partition, and with random Kraus freedom.  Pytest does not collect
 this file.
@@ -33,9 +36,11 @@ from pathlib import Path
 import numpy as np
 
 from povmtree import (
+    QuantumState,
     apply_freedom,
     compile_tree,
     default_kraus,
+    direct_probabilities,
     io as treeio,
     propagate,
     random_density,
@@ -47,7 +52,7 @@ from povmtree import (
 )
 
 KINDS = ("kraus", "leaf_kraus", "tree_file", "verify_columns", "max_residual", "max_residual_d1",
-         "propagate", "sample_counts", "post_states")
+         "propagate", "sample_counts", "post_states", "pure")
 VARIANTS = ("plain", "partition", "freedom")
 # rank-one POVMs too large to sweep by k: padded ones next to their unpadded neighbours
 LARGE = ((32, 63), (32, 64), (32, 33), (16, 65), (2, 4095), (4, 1023))
@@ -67,14 +72,17 @@ def grid(quick: bool):
 
 
 def case(d: int, k: int, variant: str, large: bool):
-    """The tree and state of one case, from a generator seeded by the case alone."""
+    """The tree, mixed state and pure state of one case, from a generator seeded by the case alone."""
     rng = np.random.default_rng([d, k, VARIANTS.index(variant), int(large)])
     p = random_rank_one_povm(k, d, rng) if large else random_povm(k, d, rng, None if k >= d else [d] * k)
     partition = rng.permutation(k) if variant == "partition" else None
     factorization = None
     if variant == "freedom":
         factorization = apply_freedom(default_kraus(p), [random_unitary(d, rng) for _ in range(k)])
-    return compile_tree(p, factorization, partition), random_density(d, rng)
+    mixed = random_density(d, rng)
+    # drawn after the mixed state, so the tree and mixed state of a case do not depend on it
+    pure = QuantumState.pure(rng.standard_normal(d) + 1j * rng.standard_normal(d))
+    return compile_tree(p, factorization, partition), mixed, pure
 
 
 def outputs(quick: bool):
@@ -82,7 +90,7 @@ def outputs(quick: bool):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.tree"
         for d, k, variant, large in grid(quick):
-            tree, state = case(d, k, variant, large)
+            tree, state, pure = case(d, k, variant, large)
             yield "kraus", tree.kraus
             yield "leaf_kraus", [tree.cumulative_kraus(tree.depth)[:k]]
             treeio.save_tree(tree, path)
@@ -93,8 +101,15 @@ def outputs(quick: bool):
             outcomes = propagate(tree, state)
             yield "propagate", [outcomes.probabilities]
             yield "sample_counts", [np.array(sample(tree, state, 10**6, seed=k).counts)]
-            yield "post_states", [outcomes[int(j)].post_state.params
-                                  for j in np.flatnonzero(outcomes.reached)[:POST_STATES]]
+            yield "post_states", _post_states(outcomes)
+            outcomes = propagate(tree, pure)
+            yield "pure", [outcomes.probabilities, direct_probabilities(tree.povm, pure),
+                           np.array(sample(tree, pure, 10**6, seed=k).counts), *_post_states(outcomes)]
+
+
+def _post_states(outcomes) -> list:
+    """The parameters of the first ``POST_STATES`` reached outcomes' post-states."""
+    return [outcomes[int(j)].post_state.params for j in np.flatnonzero(outcomes.reached)[:POST_STATES]]
 
 
 def feed(h, *arrays) -> None:

@@ -172,6 +172,13 @@ FORMERLY_BARE = {
         lambda: povmtree.random_povm(-1, 2, np.random.default_rng(0)), "range"),
     "random_rank_one_povm no outcomes": (
         lambda: povmtree.random_rank_one_povm(0, 1, np.random.default_rng(0)), "range"),
+    "validate entries not numbers": (lambda: povmtree.validate([[["a", "b"], ["c", "d"]]]),
+                                     "finiteness"),
+    "QuantumState entry not a number": (lambda: povmtree.QuantumState([[object(), 0], [0, 1]]),
+                                        "finiteness"),
+    "pure amplitudes not numbers": (lambda: povmtree.QuantumState.pure(["a", "b"]), "finiteness"),
+    "apply_freedom entry not a number": (
+        lambda: povmtree.apply_freedom([np.eye(2)], [[["x", 0], [0, 1]]]), "finiteness"),
 }
 
 

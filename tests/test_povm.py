@@ -85,6 +85,12 @@ class TestValidate:
         assert err.value.index == 0
         assert err.value.residual == pytest.approx(-0.5)
 
+    def test_entry_not_a_number_names_element(self):
+        with pytest.raises(ValidationError) as err:
+            validate([np.eye(2) / 2, np.eye(2) / 2, [["x", 0], [0, 0.5]]])
+        assert err.value.what == "finiteness"
+        assert err.value.index == 2
+
     def test_first_failing_element_is_named(self):
         good = np.eye(2) / 4
         not_psd = np.diag([0.75, -0.25])

@@ -157,6 +157,40 @@ class TestQuantumState:
         assert all(s.params.shape == (d * d,) and s.params.dtype == np.float64 for s in states)
         assert held <= count * (8 * d * d + 1024)
 
+    def test_pure_state_holds_its_d_amplitudes(self):
+        # a pure state holds d complex amplitudes, 16 d bytes, not its d^2 parameters' 8 d^2
+        d, count = 32, 100
+        rng = np.random.default_rng(d)
+        vectors = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(count)]
+        QuantumState.pure(vectors[0])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            states = [QuantumState.pure(v) for v in vectors]
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert all(s.dim == d and s.params.shape == (d * d,) for s in states)
+        assert held <= count * (16 * d + 1024)
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 32])
+    def test_pure_state_reads_as_its_density_did(self, d):
+        # params and density as a pure state kept them: the Hermitian part of outer(v, v^*), bit for bit
+        rng = np.random.default_rng(d)
+        amplitudes = 1e-3 * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
+        parts = amplitudes.view(float)
+        v = (parts / np.abs(parts).max()).view(complex)
+        v = v / np.linalg.norm(v)
+        rho = np.outer(v, v.conj())
+        params = linalg.hermitian_parameters(((rho + rho.conj().T) / 2)[None])[0]
+        state = QuantumState.pure(amplitudes)
+        assert state.dim == d
+        assert state.params.tobytes() == params.tobytes()
+        assert state.density.tobytes() == linalg.hermitian_from_parameters(params[None])[0].tobytes()
+        for read in ("params", "density"):
+            first, second = getattr(state, read), getattr(state, read)
+            assert not first.flags.writeable and not np.shares_memory(first, second)
+
     @pytest.mark.parametrize("d", [1, 2, 5, 16])
     def test_exactly_hermitian_density_is_held_bit_for_bit(self, d):
         rng = np.random.default_rng(d)
