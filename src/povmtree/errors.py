@@ -15,7 +15,7 @@ where it does not apply.  The message starts with ``element j: `` or
 ``what`` is one of:
 
 - validation: ``"shape"`` and ``"finiteness"`` (of every matrix from outside),
-  ``"hermiticity"``, ``"positivity"``, ``"trace"`` (also a post-state's), ``"unitarity"``,
+  ``"hermiticity"``, ``"positivity"``, ``"trace"``, ``"unitarity"``,
   ``"completeness"`` (of a POVM's elements, or ranks that cannot reach it),
   ``"partition"`` and ``"range"`` (an entry above 2, a basis index, shot count or rank);
 - parsing: ``"dimensions"`` (a cost request), else ``None``;

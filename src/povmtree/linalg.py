@@ -27,7 +27,7 @@ finiteness and range, :func:`check_psd` Hermiticity and positivity, by one rule:
 ``|A - A^dag|_F <= TOL_CHECK`` and no eigenvalue of the Hermitian part below
 the absolute floor ``-TOL_CHECK``.  The one-matrix forms check their input
 through them; the kernels :func:`psd_sqrt_stack` and :func:`svd_inverse`
-check nothing, running on validated elements and states.  Compilation
+check nothing, running on validated input.  Compilation
 takes the roots of the elements and no decomposition of a partial sum
 (:func:`povmtree.tree.compile_tree` factors the tree by QR); the SVD of
 :func:`svd_inverse` serves only the one-matrix API on arbitrary input,

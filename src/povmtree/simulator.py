@@ -1,16 +1,15 @@
 """Exact propagation through a measurement tree and seeded sampling.
 
-States are density matrices throughout, each held as its d^2 real
-Hermitian parameters, or a pure state as its d unit amplitudes.
-A leaf is reached with probability Tr[m rho m^dag], m = b...b the product of
-the Kraus operators on its path.  :func:`propagate` walks those cumulative
-operators depth first, as :func:`povmtree.tree.verify` does
-(:meth:`MeasurementTree._operators`), which holds no all-padding node: the state
-enters only at the traces, results hold the POVM's outcomes only, and a
-post-state is built from its leaf's path when read.  :func:`sample` sums
-those leaf probabilities pairwise up the tree, the padding leaves' being
-0, for each node's branch probabilities and splits the shots down it, one
-binomial draw per node.
+A state is held as its d^2 real Hermitian parameters, or a pure state as its
+d unit amplitudes, and is walked as pieces ``rho = sum_c w_c u_c u_c^dag``
+(:meth:`QuantumState._pieces`), as the paper's probe rounds pass the state
+on.  :func:`propagate` carries ``f = m u``, m = b...b the product of the Kraus
+operators on a path, depth first on the walk of :func:`povmtree.tree.verify`
+(:meth:`MeasurementTree._operators`), and reads each leaf's probability
+``Tr[m rho m^dag]`` as ``sum_c w_c |f_c|^2``; a post-state walks its leaf's
+path when read.  :func:`sample` sums those leaf probabilities pairwise up the
+tree, the padding leaves' being 0, for each node's branch probabilities and
+splits the shots down it, one binomial draw per node.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from .linalg import (
     check_psd,
     hermitian_from_parameters,
     hermitian_parameters,
-    psd_sqrt_stack,
 )
 from .povm import Povm
 from .records import Rows
@@ -58,9 +56,9 @@ class QuantumState:
     _held: np.ndarray
 
     def __init__(self, density) -> None:
-        rho = as_stack([density], bounded=True)  # fresh: check_psd may write over it
-        trace = float(rho[0].trace().real)
         try:
+            rho = as_stack([density], bounded=True)  # fresh: check_psd may write over it
+            trace = float(rho[0].trace().real)
             check_psd(rho)
         except ValidationError as err:  # a state has no elements: name its density matrix
             raise ValidationError("density " + str(err).removeprefix("element 0: "), what=err.what,
@@ -88,6 +86,13 @@ class QuantumState:
         """The density matrix, a fresh read-only ``(d, d)`` array built from ``params`` on each read."""
         return _frozen(hermitian_from_parameters(self.params[None])[0])
 
+    def _pieces(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(u, w)`` with ``rho = sum_c w_c u_c u_c^dag``: a pure state's ``(d, 1)`` amplitudes with weight 1, or
+        else the density's ``eigh``, all d eigenvectors with their signed eigenvalues (no rank is decided)."""
+        if self._held.dtype == complex:
+            return self._held[:, None], np.ones(1)
+        return np.linalg.eigh(self.density)[::-1]
+
     @property
     def dim(self) -> int:
         n = len(self._held)
@@ -102,9 +107,13 @@ class QuantumState:
         unit trace to within rounding, so none of these is checked.  The state
         holds the normalised ``(d,)`` vector.
         """
+        try:  # the shape first, as ``as_stack`` reads it: ragged amplitudes have none
+            shape = np.shape(amplitudes)
+        except ValueError as err:
+            raise ValidationError(f"amplitudes are not a vector: {err}", what="shape") from None
+        if sum(n > 1 for n in shape) > 1:
+            raise ValidationError(f"amplitudes of shape {shape} are not a vector", what="shape")
         v = _numbers(amplitudes)
-        if v is not None and sum(n > 1 for n in v.shape) > 1:
-            raise ValidationError(f"amplitudes of shape {v.shape} are not a vector", what="shape")
         if v is None or not np.isfinite(v).all():
             raise ValidationError("has an amplitude that is not a finite number", what="finiteness")
         parts = v.ravel().view(float)  # real and imaginary parts side by side
@@ -168,12 +177,7 @@ def direct_probabilities(p: Povm, state: QuantumState) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SimulationOutcome:
-    """One leaf of the exact propagation; equal to another of the same tree and state objects and leaf.
-
-    ``post_state`` is built from the Kraus operators on the leaf's path on
-    each read; it is ``None`` for branches whose cumulative probability fell
-    below the tolerance (unreachable; no conditional state exists there).
-    """
+    """One leaf of the exact propagation; equal to another of the same tree and state objects and leaf."""
 
     leaf_index: int
     leaf_label: str
@@ -183,38 +187,35 @@ class SimulationOutcome:
 
     @property
     def post_state(self) -> QuantumState | None:
-        """``(m L)(m L)^dag`` over its trace, for m the product of the path's operators and L rho's root.
+        """``f f^dag`` over its trace, ``f = m u sqrt(max(w, 0))`` for m the path's product; built on each read.
 
-        L is :func:`povmtree.linalg.psd_sqrt_stack`'s root, which drops the
-        eigenvalues off ``rank_mask``, negative dust included, so this Gram
-        matrix is positive however small its trace.  A trace of 0, the leaf
-        reached only through dropped dust, raises ``ValidationError(what=
-        "trace", path=path)``.
+        (u, w) are the state's pieces (:meth:`QuantumState._pieces`).  Without
+        the negative weights, dust within the state's check, this is a Gram
+        matrix, positive however small its trace, which is at least the
+        leaf's probability.  ``None`` below ``TOL_CHECK`` (unreached).
         """
         if self.probability < TOL_CHECK:
             return None
         tree, state, leaf = self._source
-        m = np.eye(state.dim, dtype=complex)
+        u, w = state._pieces()
+        f = u * np.sqrt(np.maximum(w, 0.0))
         for level in range(tree.depth):  # node: the leaf index's first level bits; branch: the next
             node, branch = divmod(leaf >> (tree.depth - level - 1), 2)
-            m = tree.pairs(level, node, node + 1)[0, branch] @ m
-        f = m @ psd_sqrt_stack(state.density[None])[0]
-        if not (trace := np.vdot(f, f).real) > 0:
-            raise ValidationError(f"post-state has trace {trace:.3e} once the state's dust is dropped",
-                                  what="trace", residual=trace, path=self.path)
-        return QuantumState._checked_elsewhere(_part_parameters(f @ adjoint(f) / trace))
+            f = tree.pairs(level, node, node + 1)[0, branch] @ f
+        return QuantumState._checked_elsewhere(_part_parameters(f @ adjoint(f) / np.vdot(f, f).real))
 
 
 def _leaf_probabilities(tree: MeasurementTree, state: QuantumState) -> np.ndarray:
-    """Probabilities Tr[m rho m^dag] of the real leaves, left to right, in [0, 1], on the walk of ``verify``."""
+    """Probabilities ``sum_c w_c |m u_c|^2`` of the real leaves, left to right, in [0, 1], on the walk of ``verify``."""
     if state.dim != tree.povm.dim:
         raise ValidationError(f"state dimension {state.dim} does not match tree dimension {tree.povm.dim}",
                               what="shape")
-    rho = state.density
-    # leaves come left to right; the trace of m rho m^dag is the real dot product of m rho with m
-    traces = [np.einsum("kij,kij->k", (m @ rho).view(float), m.view(float))
-              for level, _, m in tree._operators(tree.depth) if level == tree.depth]
-    return np.clip(np.concatenate(traces), 0.0, 1.0)
+    u, w = state._pieces()
+    w = np.repeat(w, 2)  # each column's real and imaginary parts side by side, as f.view(float) holds them
+    # summed row by row, not by a matrix product, so a leaf's bits do not depend on its block's size
+    norms = [(np.einsum("kij,kij->kj", f.view(float), f.view(float)) * w).sum(axis=1)
+             for level, _, f in tree._operators(tree.depth, u) if level == tree.depth]
+    return np.clip(np.concatenate(norms), 0.0, 1.0)
 
 
 def _outcome(tree, state, position, probabilities, j: int) -> SimulationOutcome:
@@ -254,13 +255,12 @@ class Outcomes(Rows):
 def propagate(tree: MeasurementTree, state: QuantumState) -> Outcomes:
     """Exact leaf probabilities; post-measurement states on demand.
 
-    Walks the cumulative Kraus operators m = b...b depth first, one block
-    of at most 64 KiB of nodes per level at a time, as :func:`verify` does,
-    and takes each leaf's probability Tr[m rho m^dag] as the real dot
-    product of ``m rho`` with m.  Results are ordered by outcome index of
-    the POVM, one per outcome.  No leaf state is
-    formed: a post-state is built when read, and a leaf whose probability is
-    below ``TOL_CHECK`` is unreached and has none.
+    Walks the state's pieces ``f = m u`` depth first, one block of at most
+    64 KiB of nodes per level at a time, as :func:`verify` walks m, and takes
+    each leaf's probability as ``sum_c w_c |f_c|^2``.  Results are ordered by
+    outcome index of the POVM, one per outcome.  A post-state is built when
+    read; a leaf whose probability is below ``TOL_CHECK`` is unreached and
+    has none.
     """
     return Outcomes(tree, state, _leaf_probabilities(tree, state))
 

@@ -178,28 +178,27 @@ class MeasurementTree:
         formed = np.concatenate([m for at, _, m in self._operators(level) if at == level])
         return np.concatenate([formed, np.zeros(((1 << level) - len(formed), *formed.shape[1:]), complex)])
 
-    def _operators(self, depth: int):
+    def _operators(self, depth: int, root: np.ndarray | None = None):
         """Yield ``(level, first, block)`` over the nodes with a real leaf of levels 0..depth, depth first.
 
-        ``block`` holds the cumulative Kraus operators of nodes ``first, ...``
-        of ``level``: I at the root, then the children ``b_c @ m_x`` (child c
-        of i at 2i + c) of runs of at most half a :func:`povmtree.linalg.blocks`
-        budget of d x d parents, cut to the real prefix of their level
-        (:func:`real_counts`): the walk yields no all-padding node.  Leaves
-        come in leaf order, each block before those below it.  The rest of a
-        split block is kept as a copy, made once its first half's children
-        are, so each level above the block in hand holds at most half a block.
+        ``block`` holds ``m_x @ root``, ``(k, d, r)`` for a ``(d, r)`` root (I by default), for the cumulative
+        Kraus operators m_x of nodes ``first, ...`` of ``level``: the root, then the children ``b_c @ f_x``
+        (child c of i at 2i + c) of runs of at most half a :func:`povmtree.linalg.blocks` budget of d x d
+        parents, cut to the real prefix of their level (:func:`real_counts`): the walk yields no all-padding
+        node.  Leaves come in leaf order, each block before those below it.  The rest of a split block is
+        kept as a copy, made once its first half's children are, so each level above the block in hand
+        holds at most half a block.
         """
         d = self.povm.dim
         real = real_counts(self.depth, self.povm.n_outcomes)
         half = max(1, next(blocks(1 << depth, d)).stop // 2)
-        root = np.eye(d, dtype=complex)[None]
+        root = (np.eye(d, dtype=complex) if root is None else root)[None]
         yield 0, 0, root
         path = [(0, 0, root)] if depth else []  # per level, the parents still to descend
         while path:
             level, first, parents = path.pop()
             pairs = self.pairs(level, first, first + min(half, len(parents)))
-            children = (pairs @ parents[:half, None]).reshape(-1, d, d)[: real[level + 1] - 2 * first]
+            children = (pairs @ parents[:half, None]).reshape(-1, *root.shape[1:])[: real[level + 1] - 2 * first]
             if len(parents) > half:
                 path.append((level, first + half, parents[half:].copy()))
             del parents  # the block is freed before its children are walked

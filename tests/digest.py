@@ -20,7 +20,12 @@ a wider one), ``propagate``'s probabilities, ``sample``'s counts at a fixed
 seed and the post-states of the reached outcomes, all at a random mixed
 state, and at a random pure state (``QuantumState.pure``) the
 probabilities, ``direct_probabilities``, the counts and the post-states
-together as one kind, ``pure``.  The grid draws each POVM
+together as one kind, ``pure``.  The kind ``dust`` holds the probabilities,
+``direct_probabilities`` and the post-states of states with eigenvalues of
+dust, within ``TOL_CHECK`` of 0 and negative ones among them: randomly
+rotated on the large trees at d = 4, 16 and 32, and, on every grid, the
+diagonal d = 12 state whose negative dust a rank cut would turn into a
+disagreement of 1.09e-8 (``tests/test_simulator.py``).  The grid draws each POVM
 with random ranks (rank one for the large cases), in index order, in a
 random partition, and with random Kraus freedom.  Pytest does not collect
 this file.
@@ -48,15 +53,17 @@ from povmtree import (
     random_rank_one_povm,
     random_unitary,
     sample,
+    validate,
     verify,
 )
 
 KINDS = ("kraus", "leaf_kraus", "tree_file", "verify_columns", "max_residual", "max_residual_d1",
-         "propagate", "sample_counts", "post_states", "pure")
+         "propagate", "sample_counts", "post_states", "pure", "dust")
 VARIANTS = ("plain", "partition", "freedom")
 # rank-one POVMs too large to sweep by k: padded ones next to their unpadded neighbours
 LARGE = ((32, 63), (32, 64), (32, 33), (16, 65), (2, 4095), (4, 1023))
 POST_STATES = 64  # per tree, the first reached outcomes' post-states
+DUST = 0.99e-9  # below TOL_CHECK: a valid state may have eigenvalues of -DUST
 
 
 def grid(quick: bool):
@@ -85,6 +92,21 @@ def case(d: int, k: int, variant: str, large: bool):
     return compile_tree(p, factorization, partition), mixed, pure
 
 
+def dusty(d: int, rng: np.random.Generator | None = None) -> QuantumState:
+    """One eigenvalue near 1 and d - 1 of dust: each -DUST on the diagonal, or, given a generator, drawn from
+    [-DUST, DUST] and rotated by a random unitary."""
+    if rng is None:
+        return QuantumState(np.diag([1 + (d - 1) * DUST] + [-DUST] * (d - 1)))
+    dust, u = rng.uniform(-DUST, DUST, d - 1), random_unitary(d, rng)
+    return QuantumState(u @ np.diag([1 - dust.sum(), *dust]) @ u.conj().T)
+
+
+def _dust(tree, state) -> list:
+    """The probabilities, direct probabilities and post-states of a dusty state."""
+    outcomes = propagate(tree, state)
+    return [outcomes.probabilities, direct_probabilities(tree.povm, state), *_post_states(outcomes)]
+
+
 def outputs(quick: bool):
     """Yield ``(kind, values)`` over the grid, in order: a list of arrays, the file's bytes or a residual."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -105,6 +127,11 @@ def outputs(quick: bool):
             outcomes = propagate(tree, pure)
             yield "pure", [outcomes.probabilities, direct_probabilities(tree.povm, pure),
                            np.array(sample(tree, pure, 10**6, seed=k).counts), *_post_states(outcomes)]
+            if large and d in (4, 16, 32):  # a generator of its own, so the other kinds do not move
+                yield "dust", _dust(tree, dusty(d, np.random.default_rng([d, k, 12])))
+    d = 12
+    yield "dust", _dust(compile_tree(validate([np.diag([0.5] + [0.0] * (d - 1)), np.diag([0.5] + [1.0] * (d - 1))])),
+                        dusty(d))
 
 
 def _post_states(outcomes) -> list:

@@ -278,6 +278,18 @@ class TestSimulateCommand:
         assert main(["simulate", tetrad_tree, "--state", "pure:x"]) == 2
         assert capsys.readouterr().err.startswith("error: invalid state spec 'pure:x': ")
 
+    def test_state_with_negative_dust(self, tmp_path, capsys):
+        # d = 12: diag(1 + 11 delta, -delta, ...), delta = 0.99e-9, is a valid
+        # state; its tree and direct probabilities agree to rounding, where
+        # cutting its negative eigenvalues would put them 1.09e-8 apart
+        d, delta = 12, 0.99e-9
+        tree, state = str(tmp_path / "dust.tree"), str(tmp_path / "dust.json")
+        save_tree(compile_tree(validate([np.diag([0.5] + [0.0] * (d - 1)), np.diag([0.5] + [1.0] * (d - 1))])), tree)
+        save_state(QuantumState(np.diag([1 + (d - 1) * delta] + [-delta] * (d - 1))), state)
+        assert main(["simulate", tree, "--state", state]) == 0
+        deviation = re.search(r"max tree-vs-direct deviation: (\S+)", capsys.readouterr().out)
+        assert float(deviation.group(1)) <= 1e-15
+
     def test_maximally_mixed(self, tetrad_tree, capsys):
         assert main(["simulate", tetrad_tree]) == 0
         assert "0.2500000000" in capsys.readouterr().out

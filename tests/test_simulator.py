@@ -87,6 +87,17 @@ class TestQuantumState:
         assert (err.value.what, err.value.index, err.value.path, str(err.value)) == (what, None, None, message)
         assert err.value.residual == pytest.approx(residual)
 
+    @pytest.mark.parametrize("rho, what, message", [
+        (np.zeros((2, 3)), "shape", "density has shape (2, 3), expected (2, 2)"),
+        (np.eye(2) * np.nan, "finiteness", "density has an entry that is not finite"),
+        (np.diag([3.0, -2.0]), "range", "density has an entry of modulus above 2"),
+    ], ids=["shape", "finiteness", "range"])
+    def test_an_unreadable_density_names_no_element(self, rho, what, message):
+        # as for its Hermiticity and positivity: the density is named, with no index
+        with pytest.raises(ValidationError) as err:
+            QuantumState(rho)
+        assert (err.value.what, err.value.index, err.value.path, str(err.value)) == (what, None, None, message)
+
     def test_huge_entries_are_out_of_range(self):
         for density in (np.eye(2) * 1e200, np.diag([3.0, -2.0])):
             with pytest.raises(ValidationError) as err:
@@ -100,6 +111,14 @@ class TestQuantumState:
             with pytest.raises(ValidationError) as err:
                 QuantumState.pure(amplitudes)
             assert err.value.what == "shape"
+
+    def test_pure_reads_the_shape_first(self):
+        # as as_stack does: ragged amplitudes have no shape, and entries that
+        # are not numbers, in a vector, are a finiteness error
+        for amplitudes, what in (([[1, 2], [3]], "shape"), (["a", 1], "finiteness")):
+            with pytest.raises(ValidationError) as err:
+                QuantumState.pure(amplitudes)
+            assert (err.value.what, err.value.index) == (what, None)
 
     def test_pure_rejects_what_cannot_be_normalised(self):
         for amplitudes, what in (([np.nan, 1.0], "finiteness"), ([0.0, 0.0], "trace")):
@@ -439,19 +458,53 @@ class TestPropagate:
                 reads += 1
         assert reads == 300
 
-    def test_post_state_carried_by_dropped_dust_is_refused(self):
+    def test_post_state_carried_by_dust_is_the_normalized_dust(self):
         # d = 12: eleven eigenvalues of 0.99e-10, each below TOL_RANK times the
-        # largest, reach outcome 1 at probability 1.09e-9 >= TOL_CHECK.  With
-        # them dropped, nothing reaches it: a trace of 0 is a typed error,
-        # naming the leaf, and never a state of NaNs.
+        # largest, reach outcome 1 at probability 1.09e-9 >= TOL_CHECK.  No rank
+        # is decided, so its post-state is that dust over its trace: I/11 on
+        # the last eleven dimensions, a valid state.
         d = 12
         tree = compile_tree(validate([np.diag([1.0] + [0.0] * (d - 1)), np.diag([0.0] + [1.0] * (d - 1))]))
         dust = 0.99e-10
         outcomes = propagate(tree, QuantumState(np.diag([1 - (d - 1) * dust] + [dust] * (d - 1))))
         assert outcomes.reached[1] and outcomes.probabilities[1] == pytest.approx((d - 1) * dust)
-        with pytest.raises(ValidationError, match="node '1'") as err:
-            outcomes[1].post_state
-        assert (err.value.what, err.value.path, err.value.residual) == ("trace", "1", 0.0)
+        post = outcomes[1].post_state.density
+        assert np.abs(post - np.diag([0.0] + [1 / (d - 1)] * (d - 1))).max() <= 1e-15
+        QuantumState(post)
+
+    def test_negative_dust_agrees_with_the_direct_probabilities(self):
+        # d = 12: diag(1 + 11 delta, -delta, ...), delta = 0.99e-9, passes the
+        # positivity check.  Its signed weights give the direct probabilities
+        # to rounding; dropping the negative ones would move outcome 1 by
+        # 1.09e-8, beyond the CLI's agreement bound.
+        d, delta = 12, 0.99e-9
+        p = validate([np.diag([0.5] + [0.0] * (d - 1)), np.diag([0.5] + [1.0] * (d - 1))])
+        state = QuantumState(np.diag([1 + (d - 1) * delta] + [-delta] * (d - 1)))
+        outcomes = propagate(compile_tree(p), state)
+        assert np.abs(outcomes.probabilities - direct_probabilities(p, state)).max() <= 1e-15
+        for j in (0, 1):  # the negative weights are dropped from the post-states only
+            assert np.abs(outcomes[j].post_state.density - np.diag([1.0] + [0.0] * (d - 1))).max() <= 1e-15
+
+    @pytest.mark.parametrize("call", ["propagate", "sample", "post_state"])
+    def test_a_pure_state_is_walked_as_its_amplitudes(self, call, monkeypatch):
+        # no eigendecomposition and no density: the amplitudes are the walk's root
+        rng = np.random.default_rng(7)
+        p = random_povm(13, 4, rng)
+        tree, state = compile_tree(p), QuantumState.pure(rng.standard_normal(4) + 1j * rng.standard_normal(4))
+        expected = direct_probabilities(p, state)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("read")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(QuantumState, "density", property(refuse))
+        if call == "sample":
+            assert np.abs(np.array(sample(tree, state, 100, 0).expected) - expected).max() <= 1e-15
+            return
+        outcomes = propagate(tree, state)
+        assert np.abs(outcomes.probabilities - expected).max() <= 1e-15
+        if call == "post_state":
+            assert all(outcomes[j].post_state.dim == 4 for j in np.flatnonzero(outcomes.reached))
 
     @pytest.mark.parametrize("kind", ["tetrad", "padded 13", "permuted", "Kraus freedom",
                                       "rank-deficient 13", "2x4096", "32x64"])
@@ -667,25 +720,30 @@ def split_counts(tree, p_left, shots, seed):
 
 
 def two_array_pass(tree, state):
-    """Leaf operators, leaf probabilities and trace ratios from whole levels, the walk's reference.
+    """Leaf operators, leaf probabilities and branch probabilities from whole levels, the walk's reference.
 
-    Each level's cumulative operators come from ``tree.cumulative_kraus``,
-    which holds a level's parents while it makes their children, and its
-    traces Tr[m rho m^dag] from the simulator's contraction.  The
-    probability of probe outcome 0 at a node is its left child's trace over
-    the sum of its children's.
+    The leaf operators come from ``tree.cumulative_kraus``.  The state's
+    pieces (u, w) are carried a whole level at a time, ``f = pairs(l) @ f``
+    from u at the root, and a node's probability is ``sum_c w_c |f_c|^2`` by
+    the simulator's contraction.  The probability of probe outcome 0 at a
+    node is its left child's over the sum of its children's.
     """
-    def traces(m):
-        return np.einsum("kij,kij->k", (m @ state.density).view(float), m.view(float))
+    u, w = state._pieces()
+    w = np.repeat(w, 2)  # as f.view(float) holds each column: its real and imaginary parts
 
-    p_left = []
+    def probabilities(f):
+        return (np.einsum("kij,kij->kj", f.view(float), f.view(float)) * w).sum(axis=1)
+
+    real, f, p_left = real_counts(tree.depth, tree.povm.n_outcomes), u[None], []
     for level in range(1, tree.depth + 1):
-        q = np.maximum(traces(tree.cumulative_kraus(level)), 0.0).reshape(-1, 2)
+        f = (tree.pairs(level - 1) @ f[:, None]).reshape(-1, *u.shape)[: real[level]]
+        q = np.zeros(1 << level)  # an all-padding node is reached with probability 0
+        q[: len(f)] = np.maximum(probabilities(f), 0.0)
+        q = q.reshape(-1, 2)
         total = q.sum(axis=1)
         p_left.append(np.divide(q[:, 0], total, out=np.ones_like(total), where=total > 0))
-    leaves = tree.cumulative_kraus(tree.depth)
-    probs = np.clip(traces(leaves[: tree.povm.n_outcomes]), 0.0, 1.0)  # the real leaves, the order's
-    return leaves, probs, p_left
+    probs = np.clip(probabilities(f), 0.0, 1.0)  # the real leaves, the order's
+    return tree.cumulative_kraus(tree.depth), probs, p_left
 
 
 def walked(tree, state):

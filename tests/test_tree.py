@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from povmtree import (
+    QuantumState,
     ValidationError,
     VerificationError,
     apply_freedom,
@@ -1102,11 +1103,21 @@ class TestMemory:
         assert self.peak(lambda: treeio.load_tree(path)) <= 3.8e6
 
     def test_propagate_peak(self, large):
-        # one block of cumulative operators per level of the walk and one
-        # leaf block's product with the state: no leaf state is formed.
-        # It measured 0.28 MB.
+        # one block per level of the walk of the state's d eigenvectors, a
+        # d x d matrix a node as the cumulative operators were: no leaf state
+        # is formed.  It measured 0.28 MB when the walk carried the
+        # operators, and 0.32 MB since.
         _, tree, state = large
         assert self.peak(lambda: propagate(tree, state)) <= 0.28e6 + 64 * 1024
+
+    def test_propagate_peak_on_a_pure_state(self, large):
+        # a pure state's walk carries its amplitudes, one column a node: no
+        # eigh, no density and no d x d block but each level's pairs.  It
+        # measured 0.14 MB, and 0.33 MB when the walk carried the operators.
+        _, tree, _ = large
+        d = tree.povm.dim
+        state = QuantumState.pure(np.random.default_rng(d).standard_normal(d))
+        assert self.peak(lambda: propagate(tree, state)) <= 0.14e6 + 64 * 1024
 
     @staticmethod
     def walk(tree, state):
@@ -1116,8 +1127,8 @@ class TestMemory:
     @pytest.mark.parametrize("d, n", [(2, 4096), (32, 64)])
     def test_level_pass_peak(self, d, n):
         # one block per level, of at most 64 KiB and of no more nodes than
-        # the level has, plus 64 KiB for one leaf block's product with the
-        # state: never a whole level.  It measured 0.24 MB at (2, 4096) and
+        # the level has, plus 64 KiB for the state's eigenvectors and one
+        # leaf block's norms: never a whole level.  It measured 0.24 MB at (2, 4096) and
         # 0.28 MB at (32, 64), both below the blocks alone.
         rng = np.random.default_rng([d, n])
         tree = compile_tree(random_rank_one_povm(n, d, rng))
