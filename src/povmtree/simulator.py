@@ -170,8 +170,8 @@ def direct_probabilities(p: Povm, state: QuantumState) -> np.ndarray:
     if state.dim != p.dim:
         raise ValidationError(
             f"state dimension {state.dim} does not match POVM dimension {p.dim}", what="shape")
-    w = state.params * 2
-    w[: p.dim] = state.params[: p.dim]  # the diagonal once
+    w = (params := state.params) * 2  # read once: a pure state's are built on each read
+    w[: p.dim] = params[: p.dim]  # the diagonal once
     return np.clip(p.params @ w, 0.0, 1.0)
 
 

@@ -29,11 +29,12 @@ pair's probe coupling (:meth:`MeasurementTree.dilation`) exists exactly
 when the pair is complete, so :func:`verify` checks completeness, each leaf
 against its element and the elements' sum, what every output reads; the
 coupling is checked where it is built.  Verification, cumulative
-operators and the simulator share one traversal, depth first
-(:meth:`MeasurementTree._operators`): at most half a 64 KiB block of nodes
-per level, one stacked LAPACK call per block; checks raise in walk order,
-node order wherever a level fits half a block.  Compilation walks the same
-tree bottom up (:func:`_reduce`), within the same budget.
+operators and the simulator share one traversal, depth first, which alone
+builds many nodes' pairs (:meth:`MeasurementTree._operators`): at most half
+a 64 KiB block of nodes per level, one stacked LAPACK call per block;
+checks raise in walk order, node order wherever a level fits half a block.
+Compilation walks the same tree bottom up (:func:`_reduce`), within the
+same budget.
 
 Padding is a property of the tree's shape: of its 2**depth leaves, leaf i
 holds outcome ``order[i]`` for i < N and is padding, a zero element, from N
@@ -166,11 +167,6 @@ class MeasurementTree:
         """Pairs ``lo:hi`` of round ``level``, ``(k, 2, d, d)`` complex: fresh above the last level, a view on it."""
         return _pairs(self.levels[level][lo:hi], self.povm.dim)
 
-    @property
-    def kraus(self) -> tuple[np.ndarray, ...]:
-        """Every round's pairs, ``pairs(l)``, read-only and built on each read; no walk reads it."""
-        return tuple(_frozen(self.pairs(level)) for level in range(self.depth))
-
     def cumulative_kraus(self, level: int) -> np.ndarray:
         """Cumulative Kraus operators of a level's ``2**level`` nodes, zero at an all-padding node."""
         if not (_whole(level) and 0 <= level <= self.depth):
@@ -181,13 +177,14 @@ class MeasurementTree:
     def _operators(self, depth: int, root: np.ndarray | None = None):
         """Yield ``(level, first, block)`` over the nodes with a real leaf of levels 0..depth, depth first.
 
-        ``block`` holds ``m_x @ root``, ``(k, d, r)`` for a ``(d, r)`` root (I by default), for the cumulative
-        Kraus operators m_x of nodes ``first, ...`` of ``level``: the root, then the children ``b_c @ f_x``
-        (child c of i at 2i + c) of runs of at most half a :func:`povmtree.linalg.blocks` budget of d x d
-        parents, cut to the real prefix of their level (:func:`real_counts`): the walk yields no all-padding
-        node.  Leaves come in leaf order, each block before those below it.  The rest of a split block is
-        kept as a copy, made once its first half's children are, so each level above the block in hand
-        holds at most half a block.
+        ``block`` holds ``m_x @ root``, ``(k, d, r)`` for a ``(d, r)`` root (I by default), for the cumulative Kraus
+        operators m_x of nodes ``first, ...`` of ``level``: the root, then the children ``b_c @ f_x`` (child c of i at
+        2i + c) of runs of at most half a :func:`povmtree.linalg.blocks` budget of d x d parents, cut to the real
+        prefix of their level (:func:`real_counts`): the walk yields no all-padding node.  Leaves come in leaf order,
+        each block before those below it, and a run's pairs (:meth:`pairs`, ``(k, 2, d, d)``, never at level ``depth``)
+        before the children formed from them: no reader builds pairs, or holds a run's while the next is built.  A
+        split block's rest is kept as a copy, made once its first half's children are, so each level above the block in
+        hand holds at most half a block.
         """
         d = self.povm.dim
         real = real_counts(self.depth, self.povm.n_outcomes)
@@ -198,6 +195,7 @@ class MeasurementTree:
         while path:
             level, first, parents = path.pop()
             pairs = self.pairs(level, first, first + min(half, len(parents)))
+            yield level, first, pairs
             children = (pairs @ parents[:half, None]).reshape(-1, *root.shape[1:])[: real[level + 1] - 2 * first]
             if len(parents) > half:
                 path.append((level, first + half, parents[half:].copy()))
@@ -212,10 +210,10 @@ class MeasurementTree:
 
     def dilation(self, path: str) -> np.ndarray:
         """Read-only 2d x 2d probe coupling of the held node at ``path``, built and checked anew (errors name it)."""
-        if (not isinstance(path, str) or len(path) >= self.depth or set(path) - {"0", "1"}
-                or int(path or "0", 2) >= len(self.levels[len(path)])):
+        if not (isinstance(path, str) and len(path) < self.depth and not set(path) - {"0", "1"}
+                and (i := int(path or "0", 2)) < len(self.levels[len(path)])):
             raise KeyError(f"no held pair at path {path!r}")
-        return dilate_binary(self.pairs(len(path), int(path or "0", 2))[0], lambda _: path)
+        return dilate_binary(self.pairs(len(path), i, i + 1)[0], lambda _: path)
 
 
 def _split(levels: list, level: int, first: int, kids: np.ndarray) -> np.ndarray | None:
@@ -412,7 +410,7 @@ def verify(tree: MeasurementTree) -> VerificationReport:
     The stored elements, ``povm.params`` as held (numpy adds its rows in
     turn, pairwise at d = 1), must sum to I.  On the walk of
     :meth:`MeasurementTree._operators` (the nodes with a real leaf), each
-    internal node's Kraus pair must be complete and each leaf's ``m^dag m``
+    Kraus pair the walk yields must be complete and each leaf's ``m^dag m``
     must lie within ``TOL_CHECK`` (Frobenius) of its element.  Every output
     reads only the leaf operators, and these fix each internal node's
     operator sum within their residuals; the root's is checked, since no
@@ -429,28 +427,30 @@ def verify(tree: MeasurementTree) -> VerificationReport:
     VerificationError
         ``what="operator sum"`` at the root, path ``""``, first; then at the
         first residual above ``TOL_CHECK`` or not a number, in walk order,
-        naming the node: ``"completeness"`` of an internal block's pairs, or
-        ``"leaf reconstruction"`` at a leaf block.
+        naming the node: ``"completeness"`` of a run's pairs, as the walk
+        descends the run (of a block split in two, the first half's subtree
+        raises before the second half's pairs), or ``"leaf reconstruction"``.
     """
     p, d, n = tree.povm, tree.povm.dim, 1 << tree.depth
     # the walk writes the rows of the nodes it holds: the rest have only padding leaves, and no pair
     completeness, rank, leaf_residual = np.zeros(n - 1), np.zeros(n - 1, int), np.zeros(p.n_outcomes)
 
-    root = np.linalg.norm(hermitian_from_parameters(p.params.sum(axis=0, keepdims=True)) - np.eye(d),
-                          axis=(-2, -1))
+    root = np.linalg.norm(hermitian_from_parameters(p.params.sum(axis=0, keepdims=True)) - np.eye(d), axis=(-2, -1))
     _check(root, "operator sum")
-    for level, first, m in tree._operators(tree.depth):
-        for b in blocks(len(m), 2 * d):  # four d x d matrices a node
-            lo, hi, gram = first + b.start, first + b.stop, _gram(m[b])
+    for level, first, block in tree._operators(tree.depth):
+        row = (1 << level) - 1 + first  # the block's first node, breadth first
+        if block.ndim == 4:  # a run's pairs, before the children the walk forms from them
+            completeness[row : row + len(block)] = completeness_residuals(block)
+            _check(completeness[row : row + len(block)], "completeness", level, first)
+            continue
+        for b in blocks(len(block), 2 * d):  # four d x d matrices a node
+            lo, hi, gram = first + b.start, first + b.stop, _gram(block[b])
             if level == tree.depth:
                 leaf_residual[lo:hi] = np.linalg.norm(
                     gram - hermitian_from_parameters(p.params[tree.order[lo:hi]]), axis=(-2, -1))
                 _check(leaf_residual[lo:hi], "leaf reconstruction", level, lo)
-                continue
-            rows = slice((1 << level) - 1 + lo, (1 << level) - 1 + hi)
-            completeness[rows] = completeness_residuals(tree.pairs(level, lo, hi))
-            _check(completeness[rows], "completeness", level, lo)
-            rank[rows] = rank_mask(np.linalg.eigvalsh(gram)).sum(axis=-1)
+            else:
+                rank[row + b.start : row + b.stop] = rank_mask(np.linalg.eigvalsh(gram)).sum(axis=-1)
     return VerificationReport(
         node_columns={name: _frozen(column) for name, column in (
             ("completeness_residual", completeness), ("parent_rank", rank), ("uses_null_correction", rank < d))},

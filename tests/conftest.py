@@ -35,6 +35,11 @@ def frob(a):
     return float(np.linalg.norm(a))
 
 
+def all_pairs(tree):
+    """Every round's Kraus pairs, ``tree.pairs(l)`` for l in 0..depth - 1."""
+    return tuple(tree.pairs(level) for level in range(tree.depth))
+
+
 # Each leaf's cumulative operator is its target m_j within 4.6e-15 in Frobenius
 # norm, over the 300 near-null probe POVMs with d from 3 to 8; taken as
 # 1e-14, which also covers the rounding of a reference's own m_j L.

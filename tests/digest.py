@@ -25,10 +25,11 @@ together as one kind, ``pure``.  The kind ``dust`` holds the probabilities,
 dust, within ``TOL_CHECK`` of 0 and negative ones among them: randomly
 rotated on the large trees at d = 4, 16 and 32, and, on every grid, the
 diagonal d = 12 state whose negative dust a rank cut would turn into a
-disagreement of 1.09e-8 (``tests/test_simulator.py``).  The grid draws each POVM
-with random ranks (rank one for the large cases), in index order, in a
-random partition, and with random Kraus freedom.  Pytest does not collect
-this file.
+disagreement of 1.09e-8 (``tests/test_simulator.py``).  The kind
+``dilation`` holds the probe coupling of every held node, breadth first.
+The grid draws each POVM with random ranks (rank one for the large cases),
+in index order, in a random partition, and with random Kraus freedom.
+Pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from povmtree import (
     default_kraus,
     direct_probabilities,
     io as treeio,
+    node_path,
     propagate,
     random_density,
     random_povm,
@@ -58,7 +60,7 @@ from povmtree import (
 )
 
 KINDS = ("kraus", "leaf_kraus", "tree_file", "verify_columns", "max_residual", "max_residual_d1",
-         "propagate", "sample_counts", "post_states", "pure", "dust")
+         "propagate", "sample_counts", "post_states", "pure", "dust", "dilation")
 VARIANTS = ("plain", "partition", "freedom")
 # rank-one POVMs too large to sweep by k: padded ones next to their unpadded neighbours
 LARGE = ((32, 63), (32, 64), (32, 33), (16, 65), (2, 4095), (4, 1023))
@@ -113,7 +115,9 @@ def outputs(quick: bool):
         path = Path(tmp) / "t.tree"
         for d, k, variant, large in grid(quick):
             tree, state, pure = case(d, k, variant, large)
-            yield "kraus", tree.kraus
+            yield "kraus", [tree.pairs(level) for level in range(tree.depth)]
+            yield "dilation", [tree.dilation(node_path(level, i))
+                               for level, held in enumerate(tree.levels) for i in range(len(held))]
             yield "leaf_kraus", [tree.cumulative_kraus(tree.depth)[:k]]
             treeio.save_tree(tree, path)
             yield "tree_file", path.read_bytes()

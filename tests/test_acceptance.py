@@ -99,8 +99,8 @@ def criterion_4_dilation_validity():
     worst = 0.0
     exact = True
     for _, tree in _random_suite():
-        for level, pairs in enumerate(tree.kraus):
-            for index, pair in enumerate(pairs):
+        for level in range(tree.depth):
+            for index, pair in enumerate(tree.pairs(level)):
                 u = tree.dilation(pt.node_path(level, index))
                 d = u.shape[0] // 2
                 worst = max(worst, float(np.linalg.norm(u.conj().T @ u - np.eye(2 * d))))

@@ -372,7 +372,7 @@ class TestExampleTetrad:
         assert m03[0, 1] == pytest.approx(1 / (3 * np.sqrt(2)), abs=1e-12)
         tree = load_tree(out_dir / "tetrad.tree")
         # leaf i is outcome order[i], reached by b_(i % 2) of the pair at node i // 2
-        second = {j: tree.kraus[1][i // 2, i % 2] for i, j in enumerate(tree.order)}
+        second = {j: tree.pairs(1)[i // 2, i % 2] for i, j in enumerate(tree.order)}
         b1 = second[1]
         expected = 0.5 * np.array([[1.0, -1.0j], [1.0j, 1.0]])
         assert np.linalg.norm(b1.conj().T @ b1 - expected) <= 1e-9

@@ -204,7 +204,7 @@ def _incomplete_factorization():
 def _verify_edited(shift=0.0, order=(0, 1, 2, 3), scale=1.0):
     """``verify`` on the tetrad's tree: ``shift`` added to pair '1', leaves in ``order``, element 3 times ``scale``."""
     tree = _tetrad_tree()
-    level = tree.kraus[1].copy()
+    level = tree.pairs(1).copy()
     level[1, 0, 0, 0] += shift
     params = tree.povm.params.copy()
     params[3] *= scale

@@ -39,8 +39,8 @@ from povmtree.io import (
     state_from_dict,
 )
 
-from conftest import (deflate, hermitian_parameters, read_tree_file, stored_pairs, stored_words, with_pairs, words,
-                      write_tree_file)
+from conftest import (all_pairs, deflate, hermitian_parameters, read_tree_file, stored_pairs, stored_words, with_pairs,
+                      words, write_tree_file)
 
 
 class TestMatrixCodec:
@@ -209,9 +209,9 @@ class TestTreeFiles:
         again = load_tree(path)
         assert again.depth == tree.depth
         assert np.array_equal(again.order, tree.order)
-        assert len(again.kraus) == len(tree.kraus)
+        assert len(all_pairs(again)) == len(all_pairs(tree))
         for level in range(tree.depth):
-            assert np.array_equal(tree.kraus[level], again.kraus[level])
+            assert np.array_equal(tree.pairs(level), again.pairs(level))
         for level in range(tree.depth + 1):
             assert np.array_equal(tree.cumulative_kraus(level), again.cumulative_kraus(level))
             assert np.array_equal(
@@ -220,7 +220,7 @@ class TestTreeFiles:
         for level in range(tree.depth):
             for index in range(1 << level):
                 path_key = node_path(level, index)
-                if index < len(tree.kraus[level]):  # a held pair
+                if index < len(tree.pairs(level)):  # a held pair
                     assert np.array_equal(tree.dilation(path_key), again.dilation(path_key))
                 else:  # an all-padding node has no pair
                     for t in (tree, again):
@@ -282,8 +282,8 @@ class TestTreeFiles:
         # as an element's: the low seven bytes of each word, then a raw deflate stream of
         # their top bytes that ends the file
         # the tree holds each level's pairs of nodes with a real leaf, as the file stores them
-        assert [len(level) for level in tree.kraus] == stored_pairs(tree.depth, tree.povm.n_outcomes)
-        stored = words([hermitian_parameters(tree.povm.elements), *tree.kraus])
+        assert [len(level) for level in all_pairs(tree)] == stored_pairs(tree.depth, tree.povm.n_outcomes)
+        stored = words([hermitian_parameters(tree.povm.elements), *all_pairs(tree)])
         assert stored.tobytes() == b"".join(a.tobytes() for a in (tree.povm.params, *tree.levels))  # as held
         head = header + b"\n" + bytes(order) + stored[:, :7].tobytes()
         raw = path.read_bytes()
@@ -335,7 +335,7 @@ class TestTreeFiles:
         for level in range(tree.depth):
             levels = list(tree.levels)
             levels[level] = {"complex": lambda a: a.astype(complex),
-                             "pairs": lambda a: np.ascontiguousarray(tree.kraus[level].real),
+                             "pairs": lambda a: np.ascontiguousarray(tree.pairs(level).real),
                              "float32": lambda a: a.astype(np.float32)}[held](levels[level])
             with pytest.raises(ValidationError) as err:
                 dataclasses.replace(tree, levels=tuple(levels))
@@ -370,7 +370,7 @@ class TestTreeFiles:
         assert again.order.dtype == np.intp and not again.order.flags.writeable
         assert again.order.tobytes() == tree.order.tobytes()
         assert again.povm.params.tobytes() == tree.povm.params.tobytes()
-        assert [a.tobytes() for a in again.kraus] == [a.tobytes() for a in tree.kraus]
+        assert [a.tobytes() for a in all_pairs(again)] == [a.tobytes() for a in all_pairs(tree)]
         save_tree(again, tmp_path / "again.tree")
         assert (tmp_path / "again.tree").read_bytes() == path.read_bytes()
 
@@ -582,7 +582,7 @@ class TestTamperedTreeFiles:
         # operator sum sees that the stored elements no longer sum to I
         tree = compile_tree(random_povm(3, 2, np.random.default_rng(7)))
         c = np.cos(0.3)
-        level = tree.kraus[1].copy()
+        level = tree.pairs(1).copy()
         level[1, 0] *= c
         level[1, 1] = psd_sqrt(np.eye(2) - level[1, 0].conj().T @ level[1, 0])
         params = tree.povm.params.copy()
@@ -669,7 +669,7 @@ class TestTamperedTreeFiles:
         elements = tree.povm.elements if version == "tree-v3" else arrays[0]
         with open(path, "wb") as handle:
             handle.write(json.dumps(old).encode() + b"\n")
-            for a in (elements, *tree.kraus):
+            for a in (elements, *all_pairs(tree)):
                 handle.write(a.tobytes())
         with pytest.raises(ParseError) as err:
             load_tree(path)

@@ -20,7 +20,7 @@ from povmtree import (
 )
 from povmtree import linalg
 
-from conftest import frob
+from conftest import all_pairs, frob
 
 
 def hermitian_from_upper(a):
@@ -60,7 +60,7 @@ class TestValidate:
         assert p.dim == 3 and p.elements.shape == (3, 3, 3)
         tree = compile_tree(p)
         assert tree.povm.dim == 3 and verify(tree).max_residual <= linalg.TOL_CHECK
-        assert [a.tobytes() for a in tree.kraus] == [a.tobytes() for a in compile_tree(p3).kraus]
+        assert [a.tobytes() for a in all_pairs(tree)] == [a.tobytes() for a in all_pairs(compile_tree(p3))]
         state = random_density(3, np.random.default_rng(0))
         assert np.abs(direct_probabilities(p, state) - propagate(tree, state).probabilities).max() <= 1e-12
         assert full_neumark(p).system_dim == 3

@@ -37,7 +37,7 @@ from povmtree.errors import ParseError, PovmTreeError, ValidationError
 from povmtree.linalg import TOL_CHECK, TOL_UNITARY, adjoint
 from povmtree.tree import is_permutation, node_path, real_counts
 
-from conftest import LEAF_OPERATOR_ERROR, frob, read_tree_file, stored_pairs, stored_words, write_tree_file
+from conftest import LEAF_OPERATOR_ERROR, all_pairs, frob, read_tree_file, stored_pairs, stored_words, write_tree_file
 from test_tree import dusty_povm_elements
 
 # Few examples, drawn the same way on every run, so Tier-1 stays fast and stable.
@@ -89,7 +89,7 @@ def test_every_node_coupling_holds_its_pair(d, n, rank_one, freedom, seed):
     if freedom:
         factorization = apply_freedom(default_kraus(p), [random_unitary(d, rng) for _ in range(n)])
     tree = compile_tree(p, factorization=factorization)
-    for level, pairs in enumerate(tree.kraus):
+    for level, pairs in enumerate(all_pairs(tree)):
         for i, pair in enumerate(pairs):
             u = tree.dilation(node_path(level, i))
             assert u[:d, :d].tobytes() == pair[0].tobytes()
@@ -156,7 +156,7 @@ def test_validate_stores_exact_hermitian_parts_that_trees_round_trip(
     save_tree(tree, path)
     again = load_tree(path)
     assert again.povm.elements.tobytes() == tree.povm.elements.tobytes()
-    assert [a.tobytes() for a in again.kraus] == [a.tobytes() for a in tree.kraus]
+    assert [a.tobytes() for a in all_pairs(again)] == [a.tobytes() for a in all_pairs(tree)]
 
 
 @PROPERTY
@@ -192,8 +192,8 @@ def test_tree_files_round_trip(n, d, given_labels, partition, freedom, seed, tmp
     again = load_tree(path)
     assert np.array_equal(again.order, tree.order)
     assert np.array_equal(again.povm.elements, tree.povm.elements)
-    assert len(again.kraus) == len(tree.kraus)
-    assert all(np.array_equal(a, b) for a, b in zip(again.kraus, tree.kraus))
+    assert len(all_pairs(again)) == len(all_pairs(tree))
+    assert all(np.array_equal(a, b) for a, b in zip(all_pairs(again), all_pairs(tree)))
     assert again.povm.labels == tree.povm.labels
     assert list(again.povm.labels) == (labels or [str(j) for j in range(n)])
     assert again.povm.n_outcomes == n
@@ -237,7 +237,7 @@ def test_padding_costs_no_bytes(d, k, construction, seed, tmp_path_factory):
         return
     stored = stored_pairs(tree.depth, n)
     # the tree holds only the pairs of nodes with a real leaf, as the file stores them
-    assert [len(level) for level in tree.kraus] == stored
+    assert [len(level) for level in all_pairs(tree)] == stored
 
     with open(path, "rb") as handle:
         header = len(handle.readline())
@@ -257,8 +257,8 @@ def test_padding_costs_no_bytes(d, k, construction, seed, tmp_path_factory):
     # the elements and the levels read from the file hold exactly the words
     # it stores; pairs built from them have +0.0 in the words not stored
     assert again.povm.params.nbytes + sum(x.nbytes for x in again.levels) == 8 * count
-    assert all(not np.tril(x, -1).view(np.uint64).any() for x in again.kraus[:-1])
-    assert [x.tobytes() for x in again.kraus] == [x.tobytes() for x in tree.kraus]
+    assert all(not np.tril(x, -1).view(np.uint64).any() for x in all_pairs(again)[:-1])
+    assert [x.tobytes() for x in all_pairs(again)] == [x.tobytes() for x in all_pairs(tree)]
 
     state = random_density(d, rng)
     compiled, loaded = propagate(tree, state), propagate(again, state)
@@ -529,4 +529,4 @@ def test_mutated_tree_files_are_refused_or_load_as_valid_trees(tree_files, which
     save_tree(tree, directory / "resaved.tree")
     again = load_tree(directory / "resaved.tree")
     assert again.order.tobytes() == tree.order.tobytes()
-    assert [a.tobytes() for a in again.kraus] == [a.tobytes() for a in tree.kraus]
+    assert [a.tobytes() for a in all_pairs(again)] == [a.tobytes() for a in all_pairs(tree)]

@@ -831,23 +831,31 @@ class TestLevelPassInOneStack:
     def test_walk_holds_one_block_per_level(self, kind, budget, monkeypatch):
         # Every node with a real leaf comes once, and no other: in blocks of
         # at most one budget (two matrices when a budget holds one), each
-        # block before the blocks below it and the leaves left to right; no
-        # block outlives the next one of its level.
+        # block after its parents' pairs and before the blocks below it, and
+        # the leaves left to right.  Each internal node's pairs come once,
+        # after its operator.  No block outlives the next one of its level.
         tree, state = self.case(kind)
         formed = real_counts(tree.depth, tree.povm.n_outcomes)
         per_block = self.budget(budget, state.dim, monkeypatch)
         seen = [np.zeros(1 << level, dtype=int) for level in range(tree.depth + 1)]
+        paired = [np.zeros(1 << level, dtype=int) for level in range(tree.depth)]
         held, leaves = [], []
         for level, first, block in walk(tree):
             assert 1 <= len(block) <= max(2, per_block)
-            assert level == 0 or seen[level - 1][first // 2 : (first + len(block) + 1) // 2].all()
-            seen[level][first : first + len(block)] += 1
+            if block.ndim == 4:  # a run's pairs
+                assert np.array_equal(block, tree.pairs(level, first, first + len(block)))
+                assert seen[level][first : first + len(block)].all()
+                paired[level][first : first + len(block)] += 1
+            else:
+                assert level == 0 or paired[level - 1][first // 2 : (first + len(block) + 1) // 2].all()
+                seen[level][first : first + len(block)] += 1
             if level == tree.depth:
                 leaves.append(first)
-            held.append((level, weakref.ref(block)))
-            alive = [lv for lv, ref in held if ref() is not None]
+            held.append(((level, block.ndim), weakref.ref(block)))
+            alive = [key for key, ref in held if ref() is not None]
             assert len(alive) == len(set(alive))
         assert all(np.array_equal(count, np.arange(len(count)) < k) for count, k in zip(seen, formed))
+        assert all(np.array_equal(count, np.arange(len(count)) < k) for count, k in zip(paired, formed))
         assert leaves == sorted(leaves)
 
 
